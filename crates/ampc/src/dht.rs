@@ -21,20 +21,24 @@
 //!   no hashing at all on the dense hot path — and the merge is partitioned
 //!   by contiguous id *ranges* instead of hash shards.
 //!
-//! The executor partitions every round's write buffers by
-//! [`DhtStorage::shard_of`] (preserving machine-index order within each
-//! shard) and hands the partition to [`DhtStorage::apply_ops`]. Because a
+//! Writes are **scattered at the source**: a [`crate::MachineCtx`] routes
+//! every op by [`DhtStorage::shard_of`] into its worker's [`ShardBuffers`]
+//! the moment it is issued, and [`DhtStorage::apply_ops`] receives the
+//! grid of all workers' buffers. A worker runs a contiguous block of
+//! machine indices in order, so within shard `s` the concatenation of the
+//! workers' lists in worker order is exactly the subsequence of the global
+//! machine-order (then issue-order) op stream that lands on `s`. Because a
 //! key maps to exactly one shard — `shard_of` is a pure function of the
-//! packed key, whether it hashes ([`ShardedDht`]) or range-partitions
-//! ([`DenseDht`]) — ops on different shards touch disjoint key sets and
-//! commute; within a shard the machine-order sequence is preserved. The
-//! merged result is therefore byte-identical to the fully sequential
-//! global machine-order merge, no matter how many shards exist or how the
-//! OS schedules the shard workers.
+//! packed key, whether it hashes ([`ShardedDht`]), range-partitions
+//! ([`DenseDht`]) or is constant ([`FlatDht`]) — ops on different shards
+//! touch disjoint key sets and commute. The merged result is therefore
+//! byte-identical to the fully sequential global machine-order merge, no
+//! matter how many workers or shards exist or how the OS schedules them.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+use crate::host_workers;
 use crate::key::{Key, Space};
 use crate::value::DhtValue;
 
@@ -87,6 +91,85 @@ pub enum WriteOp<V> {
     Merge(V),
     /// Remove the key (models shrinking algorithms retiring dead entries).
     Delete,
+}
+
+/// One buffered op list: `(key, op)` pairs in issue order.
+type OpList<V> = Vec<(Key, WriteOp<V>)>;
+
+/// One worker's buffered writes for a round, routed by shard at the moment
+/// they were issued: `lists[s]` holds the ops whose key maps to shard `s`,
+/// in the order the worker's machines issued them.
+///
+/// The executor owns one `ShardBuffers` per worker for the lifetime of the
+/// deployment; [`DhtStorage::apply_ops`] drains the lists in place, so they
+/// keep their capacity and steady-state rounds buffer without allocating.
+pub struct ShardBuffers<V> {
+    lists: Vec<OpList<V>>,
+    /// Bit `s` is set iff an op on keyspace `s` was ever buffered here (the
+    /// dense backend makes sure those slabs exist before it fans out).
+    spaces: Vec<u64>,
+}
+
+impl<V> ShardBuffers<V> {
+    /// Empty buffers for a store with `shards` shards.
+    pub fn new(shards: usize) -> Self {
+        ShardBuffers { lists: (0..shards).map(|_| Vec::new()).collect(), spaces: Vec::new() }
+    }
+
+    /// Buffers `op` on `key`, whose shard the caller resolved with
+    /// [`DhtStorage::shard_of`] on the store the buffers were sized for.
+    #[inline]
+    pub fn push(&mut self, shard: usize, key: Key, op: WriteOp<V>) {
+        let word = (key.space >> 6) as usize;
+        if word >= self.spaces.len() {
+            self.spaces.resize(word + 1, 0);
+        }
+        self.spaces[word] |= 1 << (key.space & 63);
+        self.lists[shard].push((key, op));
+    }
+
+    /// Number of shard lists (the store's shard count).
+    pub fn shard_count(&self) -> usize {
+        self.lists.len()
+    }
+
+    /// True when nothing is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.lists.iter().all(Vec::is_empty)
+    }
+
+    /// Discards everything buffered, keeping the lists' capacity.
+    pub fn clear(&mut self) {
+        self.lists.iter_mut().for_each(Vec::clear);
+    }
+
+    /// The keyspaces ever written through these buffers, ascending.
+    fn spaces(&self) -> impl Iterator<Item = Space> + '_ {
+        self.spaces.iter().enumerate().flat_map(|(word, &bits)| {
+            (0..64).filter(move |b| bits >> b & 1 == 1).map(move |b| (word * 64 + b) as Space)
+        })
+    }
+}
+
+/// Transposes the grid for a shard-parallel apply. `per_worker` yields each
+/// worker's shard lists in worker order; element `b` of the result covers
+/// shards `b * block ..` and holds one slice per worker, still in worker
+/// order, of that worker's lists for those shards — so disjoint shard
+/// blocks can be drained on different threads.
+fn shard_blocks<'a, V: 'a>(
+    per_worker: impl IntoIterator<Item = &'a mut [OpList<V>]>,
+    block: usize,
+) -> Vec<Vec<&'a mut [OpList<V>]>> {
+    let mut blocks: Vec<Vec<&mut [OpList<V>]>> = Vec::new();
+    for lists in per_worker {
+        for (b, chunk) in lists.chunks_mut(block).enumerate() {
+            if b == blocks.len() {
+                blocks.push(Vec::new());
+            }
+            blocks[b].push(chunk);
+        }
+    }
+    blocks
 }
 
 /// Which storage backend a deployment's DHT uses.
@@ -217,8 +300,7 @@ const DEFAULT_DENSE_CAP: usize = 1 << 16;
 /// Default shard count: a few shards per hardware thread so the merge can
 /// load-balance, bounded so tiny deployments don't drown in empty maps.
 fn auto_shard_count() -> usize {
-    let workers = std::thread::available_parallelism().map_or(1, usize::from);
-    (workers * 4).next_power_of_two().clamp(4, 256)
+    (host_workers() * 4).next_power_of_two().clamp(4, 256)
 }
 
 /// Range-partition layout for a dense slab of `cap` slots: returns
@@ -227,8 +309,7 @@ fn auto_shard_count() -> usize {
 /// thread keeps the parallel merge load-balanced; the power-of-two range
 /// length makes partition routing a shift, not a division.
 fn dense_layout(cap: usize) -> (usize, u32, usize) {
-    let workers = std::thread::available_parallelism().map_or(1, usize::from);
-    let target = (workers * 2).next_power_of_two().clamp(2, 256);
+    let target = (host_workers() * 2).next_power_of_two().clamp(2, 256);
     let range_len = cap.div_ceil(target).next_power_of_two().max(1);
     let shift = range_len.trailing_zeros();
     (range_len, shift, cap.div_ceil(range_len).max(1))
@@ -284,30 +365,25 @@ pub trait DhtStorage<V: DhtValue>: Clone + Send + Sync {
     /// Visits every entry in unspecified order.
     fn for_each_entry(&self, f: &mut dyn FnMut(Key, &V));
 
-    /// Number of shards write buffers should be partitioned into.
+    /// Number of shards writes are routed into (the length every worker's
+    /// [`ShardBuffers`] is created with).
     fn shard_count(&self) -> usize;
 
-    /// The shard a key's ops belong to (always `< shard_count()`).
+    /// The shard a key's ops belong to (always `< shard_count()`); a pure
+    /// function of the packed key for the lifetime of the store.
     fn shard_of(&self, key: Key) -> usize;
 
-    /// Applies buffered op lists. When `shard_count() > 1` the executor
-    /// passes exactly one list per shard — `ops_by_shard[s]` holds shard
-    /// `s`'s ops in machine-index order (then buffer order) — and the
-    /// implementation must apply each shard's list in that order but may
-    /// process distinct shards concurrently when `parallel` is set. When
-    /// `shard_count() == 1` the executor instead passes one list per
-    /// machine (skipping the partition copy); the lists must be applied
-    /// sequentially in the given order.
+    /// Applies a round's buffered ops: one [`ShardBuffers`] per executor
+    /// worker, in worker order, each routed by [`DhtStorage::shard_of`].
+    /// For every shard the implementation must apply the workers' lists in
+    /// worker order and each list in its recorded order — that sequence is
+    /// the machine-order subsequence of the round's ops landing on the
+    /// shard (see the module docs). Distinct shards may be processed
+    /// concurrently when `parallel` is set.
     ///
-    /// Returns the same lists, **drained but with their capacity intact**,
-    /// so the executor can recycle them as next round's machine write
-    /// buffers / partition lists instead of reallocating (list order on
-    /// return is unspecified — only the capacity matters).
-    fn apply_ops(
-        &mut self,
-        ops_by_shard: Vec<Vec<(Key, WriteOp<V>)>>,
-        parallel: bool,
-    ) -> Vec<Vec<(Key, WriteOp<V>)>>;
+    /// Every list is left **drained with its capacity intact**, ready to
+    /// buffer the next round.
+    fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>], parallel: bool);
 
     /// Short display name of the backend.
     fn backend_name(&self) -> &'static str;
@@ -438,17 +514,22 @@ impl<V: DhtValue> FlatDht<V> {
         }
     }
 
-    /// Applies a batch of buffered ops in list order, draining the list in
-    /// place so its allocation can be recycled by the caller.
-    fn apply_batch(&mut self, ops: &mut Vec<(Key, WriteOp<V>)>) {
-        for (key, op) in ops.drain(..) {
-            match op {
-                WriteOp::Put(v) => {
-                    self.insert(key, v);
-                }
-                WriteOp::Merge(v) => self.merge(key, v),
-                WriteOp::Delete => {
-                    self.remove(key);
+    /// Applies the given op lists one after the other, each in its recorded
+    /// order, draining them in place (capacity stays with the list).
+    fn apply_lists<'a>(&mut self, lists: impl IntoIterator<Item = &'a mut OpList<V>>)
+    where
+        V: 'a,
+    {
+        for ops in lists {
+            for (key, op) in ops.drain(..) {
+                match op {
+                    WriteOp::Put(v) => {
+                        self.insert(key, v);
+                    }
+                    WriteOp::Merge(v) => self.merge(key, v),
+                    WriteOp::Delete => {
+                        self.remove(key);
+                    }
                 }
             }
         }
@@ -522,15 +603,8 @@ impl<V: DhtValue> DhtStorage<V> for FlatDht<V> {
         0
     }
 
-    fn apply_ops(
-        &mut self,
-        mut ops_by_shard: Vec<Vec<(Key, WriteOp<V>)>>,
-        _parallel: bool,
-    ) -> Vec<Vec<(Key, WriteOp<V>)>> {
-        for ops in &mut ops_by_shard {
-            self.apply_batch(ops);
-        }
-        ops_by_shard
+    fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>], _parallel: bool) {
+        self.apply_lists(bufs.iter_mut().map(|b| &mut b.lists[0]));
     }
 
     fn backend_name(&self) -> &'static str {
@@ -650,44 +724,28 @@ impl<V: DhtValue> DhtStorage<V> for ShardedDht<V> {
         self.shard_index(key)
     }
 
-    fn apply_ops(
-        &mut self,
-        mut ops_by_shard: Vec<Vec<(Key, WriteOp<V>)>>,
-        parallel: bool,
-    ) -> Vec<Vec<(Key, WriteOp<V>)>> {
-        if self.shards.len() == 1 {
-            // Single-shard store: the executor passes one list per machine
-            // (see the trait contract) — apply them all in order.
-            for ops in &mut ops_by_shard {
-                self.shards[0].apply_batch(ops);
-            }
-            return ops_by_shard;
-        }
-        debug_assert_eq!(ops_by_shard.len(), self.shards.len());
-        let workers =
-            std::thread::available_parallelism().map_or(1, usize::from).min(self.shards.len());
+    fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>], parallel: bool) {
+        let workers = host_workers().min(self.shards.len());
         if parallel && workers > 1 {
-            // Shard-parallel merge on scoped worker threads: each worker owns
+            // Shard-parallel merge on scoped worker threads: each thread owns
             // a contiguous block of shards, so no shard is touched twice and
-            // each shard's op list is applied in its recorded order.
+            // each shard's ops are applied in worker order, then list order.
             let block = self.shards.len().div_ceil(workers);
+            let groups = shard_blocks(bufs.iter_mut().map(|b| &mut b.lists[..]), block);
             std::thread::scope(|scope| {
-                for (shard_block, ops_block) in
-                    self.shards.chunks_mut(block).zip(ops_by_shard.chunks_mut(block))
-                {
+                for (shard_block, mut group) in self.shards.chunks_mut(block).zip(groups) {
                     scope.spawn(move || {
-                        for (shard, ops) in shard_block.iter_mut().zip(ops_block.iter_mut()) {
-                            shard.apply_batch(ops);
+                        for (offset, shard) in shard_block.iter_mut().enumerate() {
+                            shard.apply_lists(group.iter_mut().map(|lists| &mut lists[offset]));
                         }
                     });
                 }
             });
         } else {
-            for (shard, ops) in self.shards.iter_mut().zip(&mut ops_by_shard) {
-                shard.apply_batch(ops);
+            for (s, shard) in self.shards.iter_mut().enumerate() {
+                shard.apply_lists(bufs.iter_mut().map(|b| &mut b.lists[s]));
             }
         }
-        ops_by_shard
     }
 
     fn backend_name(&self) -> &'static str {
@@ -961,27 +1019,25 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
         }
     }
 
-    fn apply_ops(
-        &mut self,
-        mut ops_by_shard: Vec<Vec<(Key, WriteOp<V>)>>,
-        parallel: bool,
-    ) -> Vec<Vec<(Key, WriteOp<V>)>> {
-        debug_assert_eq!(ops_by_shard.len(), self.num_ranges + 1);
-        let workers = std::thread::available_parallelism().map_or(1, usize::from);
+    fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>], parallel: bool) {
+        let workers = host_workers().min(self.num_ranges);
         if !parallel || workers <= 1 {
-            for ops in &mut ops_by_shard {
-                for (key, op) in ops.drain(..) {
-                    self.apply_one(key, op);
+            for s in 0..=self.num_ranges {
+                for b in bufs.iter_mut() {
+                    for (key, op) in b.lists[s].drain(..) {
+                        self.apply_one(key, op);
+                    }
                 }
             }
-            return ops_by_shard;
+            return;
         }
 
-        // Allocate every slab the range partitions will touch up front, so
-        // the parallel phase only ever indexes into existing slots.
-        for ops in &ops_by_shard[..self.num_ranges] {
-            for &(key, _) in ops {
-                self.ensure_slab(key.space);
+        // Make sure every slab the round wrote to exists, so the parallel
+        // phase only ever indexes into existing slots (the buffers recorded
+        // their keyspaces as the ops were issued — no scan of the ops).
+        for b in bufs.iter() {
+            for space in b.spaces() {
+                self.ensure_slab(space);
             }
         }
 
@@ -990,7 +1046,6 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
         let DenseDht { slabs, overflow, range_len, num_ranges, .. } = self;
         let (range_len, num_ranges) = (*range_len, *num_ranges);
         let nspaces = slabs.len();
-        let mut overflow_ops = ops_by_shard.pop().expect("overflow partition list");
 
         // views[p][space] = the slot range partition p owns within
         // `space`'s slab (None while the slab is unallocated).
@@ -1007,33 +1062,40 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
             }
         }
 
-        let block = num_ranges.div_ceil(workers.min(num_ranges));
+        let block = num_ranges.div_ceil(workers);
+        // Peel every worker's overflow list (the last shard) off first;
+        // the range lists in front of it go to the range threads.
+        let (overflow_lists, range_lists): (Vec<_>, Vec<_>) = bufs
+            .iter_mut()
+            .map(|b| b.lists.split_last_mut().expect("dense buffers hold the overflow list"))
+            .unzip();
+        let groups = shard_blocks(range_lists, block);
         std::thread::scope(|scope| {
-            for ((view_block, ops_block), delta_block) in views
-                .chunks_mut(block)
-                .zip(ops_by_shard.chunks_mut(block))
-                .zip(deltas.chunks_mut(block))
+            for ((view_block, mut group), delta_block) in
+                views.chunks_mut(block).zip(groups).zip(deltas.chunks_mut(block))
             {
                 scope.spawn(move || {
-                    for ((view, ops), delta) in
-                        view_block.iter_mut().zip(ops_block.iter_mut()).zip(delta_block.iter_mut())
+                    let mask = range_len as u64 - 1;
+                    for (offset, (view, delta)) in
+                        view_block.iter_mut().zip(delta_block.iter_mut()).enumerate()
                     {
-                        let mask = range_len as u64 - 1;
-                        for (key, op) in ops.drain(..) {
-                            let chunk =
-                                view[key.space as usize].as_mut().expect("slab preallocated");
-                            apply_slot_op(
-                                &mut chunk[(key.id & mask) as usize],
-                                op,
-                                &mut delta[key.space as usize],
-                            );
+                        for lists in group.iter_mut() {
+                            for (key, op) in lists[offset].drain(..) {
+                                let chunk =
+                                    view[key.space as usize].as_mut().expect("slab preallocated");
+                                apply_slot_op(
+                                    &mut chunk[(key.id & mask) as usize],
+                                    op,
+                                    &mut delta[key.space as usize],
+                                );
+                            }
                         }
                     }
                 });
             }
             // The overflow partition runs on this thread, concurrently with
             // the range workers — it owns the overflow map exclusively.
-            overflow.apply_batch(&mut overflow_ops);
+            overflow.apply_lists(overflow_lists);
         });
 
         drop(views);
@@ -1044,8 +1106,6 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
                 slab.words = (slab.words as i64 + dwords) as usize;
             }
         }
-        ops_by_shard.push(overflow_ops);
-        ops_by_shard
     }
 
     fn backend_name(&self) -> &'static str {
@@ -1191,6 +1251,24 @@ mod sharded_tests {
         items.iter().map(|(s, id, op)| (Key::new(*s, *id), op.clone())).collect()
     }
 
+    /// One worker per given op sequence, each routed into its own buffers
+    /// by `store.shard_of` the way a `MachineCtx` does it.
+    fn grid<S: DhtStorage<u64>>(
+        store: &S,
+        workers: &[&[(Key, WriteOp<u64>)]],
+    ) -> Vec<ShardBuffers<u64>> {
+        workers
+            .iter()
+            .map(|ops| {
+                let mut bufs = ShardBuffers::new(store.shard_count());
+                for (key, op) in ops.iter().cloned() {
+                    bufs.push(store.shard_of(key), key, op);
+                }
+                bufs
+            })
+            .collect()
+    }
+
     #[test]
     fn sharded_basic_ops_match_flat() {
         let mut flat: FlatDht<u64> = FlatDht::new();
@@ -1235,24 +1313,19 @@ mod sharded_tests {
 
     #[test]
     fn apply_ops_preserves_machine_order_within_shard() {
-        // Two "machines" write the same key: the later list must win in both
+        // Two workers write the same key: the later worker must win in both
         // backends, and parallel application must not change that.
         for parallel in [false, true] {
             let mut flat: FlatDht<u64> = FlatDht::new();
             let mut sharded: ShardedDht<u64> = ShardedDht::with_shard_count(4);
-            let machine0 = ops(&[(0, 1, WriteOp::Put(10)), (0, 2, WriteOp::Put(20))]);
-            let machine1 = ops(&[(0, 1, WriteOp::Put(11)), (0, 3, WriteOp::Delete)]);
-            // Flat: single shard, machines concatenated in index order.
-            let mut all = machine0.clone();
-            all.extend(machine1.clone());
-            DhtStorage::apply_ops(&mut flat, vec![all], parallel);
-            // Sharded: partition the same sequence by shard, preserving order.
-            let mut by_shard: Vec<Vec<(Key, WriteOp<u64>)>> =
-                (0..sharded.shard_count()).map(|_| Vec::new()).collect();
-            for (key, op) in machine0.into_iter().chain(machine1) {
-                by_shard[sharded.shard_of(key)].push((key, op));
-            }
-            DhtStorage::apply_ops(&mut sharded, by_shard, parallel);
+            let worker0 = ops(&[(0, 1, WriteOp::Put(10)), (0, 2, WriteOp::Put(20))]);
+            let worker1 = ops(&[(0, 1, WriteOp::Put(11)), (0, 3, WriteOp::Delete)]);
+            let mut bufs = grid(&flat, &[&worker0, &worker1]);
+            DhtStorage::apply_ops(&mut flat, &mut bufs, parallel);
+            assert!(bufs.iter().all(ShardBuffers::is_empty), "apply_ops must drain the grid");
+            let mut bufs = grid(&sharded, &[&worker0, &worker1]);
+            DhtStorage::apply_ops(&mut sharded, &mut bufs, parallel);
+            assert!(bufs.iter().all(ShardBuffers::is_empty), "apply_ops must drain the grid");
             assert_eq!(flat.sorted_entries(), sharded.sorted_entries());
             assert_eq!(DhtStorage::get(&sharded, Key::new(0, 1)), Some(&11));
         }
@@ -1295,13 +1368,14 @@ mod sharded_tests {
     }
 
     #[test]
-    fn single_shard_store_applies_one_list_per_machine() {
-        // The executor's single-shard fast path hands over one list per
-        // machine; a 1-shard ShardedDht must apply them all, in order.
+    fn single_shard_store_applies_workers_in_order() {
+        // A 1-shard ShardedDht goes through the same grid contract: every
+        // worker's only list, in worker order.
         let mut d: ShardedDht<u64> = ShardedDht::with_shard_count(1);
-        let machine0 = ops(&[(0, 1, WriteOp::Put(10))]);
-        let machine1 = ops(&[(0, 1, WriteOp::Put(11)), (0, 2, WriteOp::Put(20))]);
-        DhtStorage::apply_ops(&mut d, vec![machine0, machine1], true);
+        let worker0 = ops(&[(0, 1, WriteOp::Put(10))]);
+        let worker1 = ops(&[(0, 1, WriteOp::Put(11)), (0, 2, WriteOp::Put(20))]);
+        let mut bufs = grid(&d, &[&worker0, &worker1]);
+        DhtStorage::apply_ops(&mut d, &mut bufs, true);
         assert_eq!(DhtStorage::get(&d, Key::new(0, 1)), Some(&11));
         assert_eq!(DhtStorage::len(&d), 2);
     }
@@ -1404,33 +1478,29 @@ mod sharded_tests {
 
     #[test]
     fn dense_apply_ops_preserves_machine_order_within_partition() {
-        // Two "machines" write the same keys, one inside the slab and one in
-        // the overflow: the later list must win under both serial and
+        // Two workers write the same keys, one inside the slab and one in
+        // the overflow: the later worker must win under both serial and
         // parallel application, exactly as in the flat reference.
         let cap = 16usize;
         let far = cap as u64 * 1000;
         for parallel in [false, true] {
             let mut flat: FlatDht<u64> = FlatDht::new();
             let mut dense: DenseDht<u64> = DenseDht::with_slab_capacity(cap);
-            let machine0 = ops(&[
+            let worker0 = ops(&[
                 (0, 1, WriteOp::Put(10)),
                 (0, far, WriteOp::Put(100)),
                 (1, 2, WriteOp::Put(20)),
             ]);
-            let machine1 = ops(&[
+            let worker1 = ops(&[
                 (0, 1, WriteOp::Put(11)),
                 (0, far, WriteOp::Put(101)),
                 (1, 3, WriteOp::Delete),
             ]);
-            let mut all = machine0.clone();
-            all.extend(machine1.clone());
-            DhtStorage::apply_ops(&mut flat, vec![all], parallel);
-            let mut by_shard: Vec<Vec<(Key, WriteOp<u64>)>> =
-                (0..DhtStorage::<u64>::shard_count(&dense)).map(|_| Vec::new()).collect();
-            for (key, op) in machine0.into_iter().chain(machine1) {
-                by_shard[dense.shard_of(key)].push((key, op));
-            }
-            DhtStorage::apply_ops(&mut dense, by_shard, parallel);
+            let mut bufs = grid(&flat, &[&worker0, &worker1]);
+            DhtStorage::apply_ops(&mut flat, &mut bufs, parallel);
+            let mut bufs = grid(&dense, &[&worker0, &worker1]);
+            DhtStorage::apply_ops(&mut dense, &mut bufs, parallel);
+            assert!(bufs.iter().all(ShardBuffers::is_empty), "apply_ops must drain the grid");
             assert_eq!(flat.sorted_entries(), dense.sorted_entries());
             assert_eq!(DhtStorage::get(&dense, Key::new(0, 1)), Some(&11));
             assert_eq!(DhtStorage::get(&dense, Key::new(0, far)), Some(&101));
@@ -1477,8 +1547,7 @@ mod sharded_tests {
             DhtBackend::Dense { cap: 777 }.resolved_shards()
         );
         // The dense store always has at least the overflow partition plus
-        // one range, so the executor always partitions (never the
-        // one-list-per-machine fast path).
+        // one range.
         assert!(DhtStorage::<u64>::shard_count(&d) >= 2);
     }
 

@@ -3,31 +3,36 @@
 //! [`AmpcSystem`] owns the current snapshot DHT and runs algorithm rounds:
 //! work items are split into `M` contiguous chunks, one per machine; each
 //! machine executes the user closure over its chunk with a private
-//! [`MachineCtx`]; finally all write buffers are merged into the next
-//! snapshot **in machine-index order**, which makes runs deterministic no
-//! matter how the OS schedules the machine threads.
+//! [`MachineCtx`]; at the barrier the buffered writes are applied to the
+//! next snapshot **in machine-index order**, which makes runs deterministic
+//! no matter how the OS schedules the machine threads.
 //!
-//! The system is generic over its [`DhtStorage`] backend. With the
-//! [`ShardedDht`](crate::ShardedDht) and [`DenseDht`](crate::DenseDht)
-//! backends the merge phase partitions every machine's buffer by
-//! [`DhtStorage::shard_of`] — a hash shard for the former, a contiguous id
-//! range for the latter — preserving machine order within each partition,
-//! and applies the partitions concurrently on scoped worker threads:
-//! provably equivalent to the sequential global merge because cross-shard
-//! keys never interact (see `crates/ampc/src/dht.rs` module docs).
+//! Deployments are often configured with far more simulated machines than
+//! the host has cores (e.g. `M = n/4` in the audit experiments), so workers
+//! are capped at the hardware parallelism and each worker runs a contiguous
+//! block of machine indices, in order. Writes are **scattered at the
+//! source**: the system holds one [`ShardBuffers`] per worker — a
+//! workers × shards grid of op lists whatever `M` is — and a machine's
+//! `write`/`write_merge`/`delete` routes the op by [`DhtStorage::shard_of`]
+//! into its worker's list for that shard as it is issued. Appending machine
+//! after machine to the same list *is* the machine-order subsequence, so
+//! [`DhtStorage::apply_ops`] applies, per shard, the workers' lists in
+//! worker order (distinct shards concurrently on the sharded and dense
+//! backends) and nothing between op generation and the table reads an op a
+//! second time. The result is provably equal to the sequential global
+//! machine-order merge because cross-shard keys never interact (see
+//! `crates/ampc/src/dht.rs` module docs).
 //!
-//! Machine write buffers and partition lists are pooled across rounds:
-//! the drained (capacity-retaining) vectors come back from
-//! [`DhtStorage::apply_ops`] and are handed to the next round's machines,
+//! The grid lives as long as the system and `apply_ops` drains it in place,
 //! so steady-state rounds allocate nothing for buffering.
 
 use std::borrow::Cow;
-use std::marker::PhantomData;
 
 use ampc_obs::{CounterId, HistId, Timer, TraceKind};
 
-use crate::dht::{DhtBackend, DhtStorage, FlatDht, WriteOp};
+use crate::dht::{DhtBackend, DhtStorage, FlatDht, ShardBuffers};
 use crate::error::{AmpcError, AmpcResult};
+use crate::host_workers;
 use crate::key::Key;
 use crate::limits::SpaceLimits;
 use crate::machine::MachineCtx;
@@ -119,11 +124,9 @@ pub struct AmpcSystem<V, S = FlatDht<V>> {
     snapshot: S,
     config: AmpcConfig,
     stats: RunStats,
-    /// Drained machine write buffers recycled into subsequent rounds.
-    spare_bufs: Vec<Vec<(Key, WriteOp<V>)>>,
-    /// Drained per-shard partition lists recycled into subsequent rounds.
-    spare_shard_lists: Vec<Vec<(Key, WriteOp<V>)>>,
-    _value: PhantomData<fn() -> V>,
+    /// One set of per-shard write buffers per worker (see the module docs);
+    /// empty between rounds, capacity retained.
+    bufs: Vec<ShardBuffers<V>>,
 }
 
 impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
@@ -136,14 +139,12 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
         for (k, v) in initial {
             snapshot.insert(k, v);
         }
-        AmpcSystem {
-            snapshot,
-            config,
-            stats: RunStats::new(),
-            spare_bufs: Vec::new(),
-            spare_shard_lists: Vec::new(),
-            _value: PhantomData,
-        }
+        // The worker set is fixed by the config and the host, so the grid
+        // is too: workers × shards lists, however many machines there are.
+        let workers = if config.parallel { host_workers().min(config.num_machines) } else { 1 };
+        let shards = snapshot.shard_count();
+        let bufs = (0..workers).map(|_| ShardBuffers::new(shards)).collect();
+        AmpcSystem { snapshot, config, stats: RunStats::new(), bufs }
     }
 
     /// The current read-only snapshot.
@@ -184,10 +185,14 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
     /// Items are split into `M` near-equal contiguous chunks; machine `j`
     /// runs `f(ctx, item)` for each item of chunk `j` against a context that
     /// reads the current snapshot and buffers writes. After all machines
-    /// finish, buffers are merged in machine order into the next snapshot
-    /// (shard-parallel when the backend shards — see the module docs).
+    /// finish, the buffered writes are applied in machine order to the next
+    /// snapshot (shard-parallel when the backend shards — see the module
+    /// docs).
     ///
-    /// Returns the non-`None` closure results in item order.
+    /// Returns the non-`None` closure results in item order. A round that
+    /// breaches an enforced limit is still recorded — in [`RunStats`], the
+    /// round counter, the wall-time histogram and the trace — but its
+    /// writes are discarded.
     pub fn round<I, R, F>(
         &mut self,
         name: &'static str,
@@ -207,91 +212,9 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
         let limits = self.config.limits;
         let seed = self.config.seed;
 
-        // One recycled write buffer per machine slot: drained vectors from
-        // earlier rounds keep their capacity, so the steady state buffers
-        // writes without touching the allocator.
-        let num_jobs = items.len().div_ceil(chunk);
-        let mut bufs: Vec<Vec<(Key, WriteOp<V>)>> = Vec::with_capacity(num_jobs);
-        bufs.resize_with(num_jobs, || self.spare_bufs.pop().unwrap_or_default());
-
-        let run_machine = |(j, slice): (usize, &[I]), buf: Vec<(Key, WriteOp<V>)>| {
-            let mut ctx = MachineCtx::new(snapshot, limits, j, round_index, seed, buf);
-            let mut out = Vec::new();
-            for item in slice {
-                if let Some(r) = f(&mut ctx, item) {
-                    out.push(r);
-                }
-            }
-            (ctx, out)
-        };
-
-        // Run the machines, then immediately reduce each context to owned
-        // data (buffers + meters) so the borrow of `self.snapshot` ends
-        // before the merge phase mutates it.
-        struct MachineOutput<V, R> {
-            buf: Vec<(Key, WriteOp<V>)>,
-            reads: usize,
-            read_words: usize,
-            writes: usize,
-            write_words: usize,
-            violation: Option<crate::limits::LimitViolation>,
-            results: Vec<R>,
-        }
-        let finish = |(mut ctx, results): (MachineCtx<'_, V, S>, Vec<R>)| MachineOutput {
-            buf: std::mem::take(&mut ctx.write_buf),
-            reads: ctx.reads,
-            read_words: ctx.read_words,
-            writes: ctx.writes,
-            write_words: ctx.write_words,
-            violation: ctx.violation.take(),
-            results,
-        };
-        // Deployments are often configured with far more simulated machines
-        // than the host has cores (e.g. M = n/4 in the audit experiments),
-        // so workers are capped at the hardware parallelism and each worker
-        // runs a contiguous block of machine indices. Results land in a
-        // slot per machine, which keeps the merge below in machine-index
-        // order no matter which worker ran which machine.
-        let workers = std::thread::available_parallelism().map_or(1, usize::from).min(m);
-        let mut machines: Vec<MachineOutput<V, R>> =
-            if self.config.parallel && workers > 1 && items.len() > chunk {
-                let jobs: Vec<(usize, &[I])> = items.chunks(chunk).enumerate().collect();
-                let mut slots: Vec<Option<MachineOutput<V, R>>> = Vec::new();
-                slots.resize_with(jobs.len(), || None);
-                let block = jobs.len().div_ceil(workers).max(1);
-                std::thread::scope(|scope| {
-                    let run_machine = &run_machine;
-                    let finish = &finish;
-                    let jobs = &jobs;
-                    for (w, (block_of_slots, block_of_bufs)) in
-                        slots.chunks_mut(block).zip(bufs.chunks_mut(block)).enumerate()
-                    {
-                        scope.spawn(move || {
-                            for (off, (slot, buf)) in
-                                block_of_slots.iter_mut().zip(block_of_bufs.iter_mut()).enumerate()
-                            {
-                                *slot = Some(finish(run_machine(
-                                    jobs[w * block + off],
-                                    std::mem::take(buf),
-                                )));
-                            }
-                        });
-                    }
-                });
-                slots.into_iter().map(|s| s.expect("machine worker panicked")).collect()
-            } else {
-                items
-                    .chunks(chunk)
-                    .enumerate()
-                    .zip(bufs.drain(..))
-                    .map(|(job, buf)| finish(run_machine(job, buf)))
-                    .collect()
-            };
-
-        // Gather stats and move out the first violation before consuming
-        // the buffers (violations leave the machine output by value — they
-        // are not cloned again into the round stats).
-        let mut stats = RoundStats {
+        // Zeroed meters for this round; each worker folds its machines into
+        // a copy of its own and the copies are summed below.
+        let blank = || RoundStats {
             name: Cow::Borrowed(name),
             index: round_index,
             reads: 0,
@@ -306,90 +229,87 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
             bytes_shuffled: 0,
             violations: Vec::new(),
         };
-        for mo in &mut machines {
-            stats.reads += mo.reads;
-            stats.read_words += mo.read_words;
-            stats.writes += mo.writes;
-            stats.write_words += mo.write_words;
-            stats.max_machine_read_words = stats.max_machine_read_words.max(mo.read_words);
-            stats.max_machine_write_words = stats.max_machine_write_words.max(mo.write_words);
-            if let Some(mut v) = mo.violation.take() {
-                v.round_name = Cow::Borrowed(name);
-                stats.violations.push(v);
+
+        // Worker `w` runs machines `w * block ..` one after the other, all
+        // of them appending to `self.bufs[w]`.
+        let num_jobs = items.len().div_ceil(chunk);
+        let block = num_jobs.div_ceil(self.bufs.len()).max(1);
+        let run_worker = |w: usize, span: &[I], out: &mut ShardBuffers<V>| {
+            let (mut part, mut results) = (blank(), Vec::new());
+            for (off, slice) in span.chunks(chunk).enumerate() {
+                let mut ctx =
+                    MachineCtx::new(snapshot, limits, w * block + off, round_index, seed, out);
+                results.extend(slice.iter().filter_map(|item| f(&mut ctx, item)));
+                part.reads += ctx.reads;
+                part.read_words += ctx.read_words;
+                part.writes += ctx.writes;
+                part.write_words += ctx.write_words;
+                part.max_machine_read_words = part.max_machine_read_words.max(ctx.read_words);
+                part.max_machine_write_words = part.max_machine_write_words.max(ctx.write_words);
+                if let Some(mut v) = ctx.violation.take() {
+                    v.round_name = Cow::Borrowed(name);
+                    part.violations.push(v);
+                }
             }
+            (part, results)
+        };
+        let parts: Vec<(RoundStats, Vec<R>)> = if num_jobs > block {
+            std::thread::scope(|scope| {
+                let run_worker = &run_worker;
+                let handles: Vec<_> = items
+                    .chunks(block * chunk)
+                    .zip(&mut self.bufs)
+                    .enumerate()
+                    .map(|(w, (span, out))| scope.spawn(move || run_worker(w, span, out)))
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("machine worker panicked")).collect()
+            })
+        } else {
+            vec![run_worker(0, items, &mut self.bufs[0])]
+        };
+
+        // Worker order is machine order, so folding the parts in sequence
+        // keeps violations and results in machine (hence item) order.
+        let mut stats = blank();
+        let mut results = Vec::new();
+        for (mut part, mut part_results) in parts {
+            stats.reads += part.reads;
+            stats.read_words += part.read_words;
+            stats.writes += part.writes;
+            stats.write_words += part.write_words;
+            stats.max_machine_read_words =
+                stats.max_machine_read_words.max(part.max_machine_read_words);
+            stats.max_machine_write_words =
+                stats.max_machine_write_words.max(part.max_machine_write_words);
+            stats.violations.append(&mut part.violations);
+            results.append(&mut part_results);
         }
         stats.total_space_words = stats.snapshot_words + stats.read_words + stats.write_words;
         stats.bytes_shuffled = 8 * (stats.writes + stats.write_words);
 
-        let enforce = limits.map(|l| l.enforce).unwrap_or(false);
-        if enforce {
-            if let Some(v) = stats.violations.first().cloned() {
-                self.stats.push_round(stats);
-                return Err(AmpcError::LimitExceeded(v));
-            }
-        }
-
-        // Deterministic merge. The round-finish phase partitions each
-        // machine's buffer by `shard_of` — a hash shard (sharded backend)
-        // or a contiguous id range (dense backend) — visiting machines in
-        // index order so every partition's op list is the machine-order
-        // subsequence of ops landing on it; `apply_ops` then applies the
-        // partitions (concurrently for a multi-shard backend). `shard_of`
-        // is a pure function of the packed key, so keys never span
-        // partitions and the result is byte-identical to the sequential
-        // global machine-order merge.
-        let nshards = self.snapshot.shard_count();
-        let mut results = Vec::new();
-        let op_lists: Vec<Vec<(Key, WriteOp<V>)>> = if nshards == 1 {
-            // Single-shard backend: hand each machine's buffer over as-is
-            // (one list per machine, applied sequentially in index order) —
-            // no concatenation copy on the default flat path.
-            let mut lists = Vec::with_capacity(machines.len());
-            for mut mo in machines {
-                lists.push(std::mem::take(&mut mo.buf));
-                results.append(&mut mo.results);
-            }
-            lists
-        } else {
-            let total_ops: usize = machines.iter().map(|mo| mo.buf.len()).sum();
-            // Both partitioners spread ops near-uniformly (hashing by
-            // construction, id ranges because ids are dense in practice);
-            // recycled lists keep last round's capacity and fresh ones are
-            // pre-sized, so the partition pass never reallocates mid-round.
-            let mut by_shard: Vec<Vec<(Key, WriteOp<V>)>> = Vec::with_capacity(nshards);
-            by_shard.resize_with(nshards, || {
-                self.spare_shard_lists
-                    .pop()
-                    .unwrap_or_else(|| Vec::with_capacity(total_ops / nshards + 16))
-            });
-            for mut mo in machines {
-                for (key, op) in mo.buf.drain(..) {
-                    by_shard[self.snapshot.shard_of(key)].push((key, op));
-                }
-                // The machine's buffer is drained — recycle it.
-                self.spare_bufs.push(std::mem::take(&mut mo.buf));
-                results.append(&mut mo.results);
-            }
-            by_shard
+        let breach = match limits {
+            Some(l) if l.enforce => stats.violations.first().cloned(),
+            _ => None,
         };
-        let drained = self.snapshot.apply_ops(op_lists, self.config.parallel);
-        // `apply_ops` hands the lists back drained with capacity intact;
-        // route them to the pool the next round will draw them from.
-        if nshards == 1 {
-            self.spare_bufs.extend(drained);
+        if breach.is_some() {
+            // The round fails: its writes never reach the table.
+            self.bufs.iter_mut().for_each(ShardBuffers::clear);
         } else {
-            self.spare_shard_lists.extend(drained);
+            self.snapshot.apply_ops(&mut self.bufs, self.config.parallel);
+            ampc_obs::counter(CounterId::OpsApplied).add(stats.writes as u64);
         }
 
         ampc_obs::counter(CounterId::Rounds).inc();
-        ampc_obs::counter(CounterId::OpsApplied).add(stats.writes as u64);
         ampc_obs::counter(CounterId::BytesShuffled).add(stats.bytes_shuffled as u64);
         ampc_obs::trace(TraceKind::RoundCompleted, round_index as u64, stats.bytes_shuffled as u64);
         wall.stop();
 
         let outcome = RoundOutcome { results, reads: stats.reads, write_words: stats.write_words };
         self.stats.push_round(stats);
-        Ok(outcome)
+        match breach {
+            Some(v) => Err(AmpcError::LimitExceeded(v)),
+            None => Ok(outcome),
+        }
     }
 }
 
@@ -547,6 +467,34 @@ mod tests {
     }
 
     #[test]
+    fn buffer_grid_is_workers_by_shards_whatever_the_machine_count() {
+        use crate::dht::ShardedDht;
+        let cfg = AmpcConfig::default()
+            .with_machines(1000)
+            .with_backend(DhtBackend::Sharded { shards: 8 });
+        let mut sys: AmpcSystem<u64, ShardedDht<u64>> =
+            AmpcSystem::new(cfg, (0..4000u64).map(|i| (Key::new(S, i), i)));
+        let ids: Vec<u64> = (0..4000).collect();
+        for _ in 0..2 {
+            sys.round("touch", &ids, |ctx, &i| {
+                ctx.write(Key::new(AUX, i), i);
+                None::<()>
+            })
+            .unwrap();
+            // One buffer set per worker — not per machine — each with one
+            // list per shard, all drained by the barrier.
+            assert_eq!(sys.bufs.len(), host_workers().min(1000));
+            assert!(sys.bufs.iter().all(|b| b.shard_count() == 8 && b.is_empty()));
+        }
+        assert_eq!(sys.snapshot().len(), 8000);
+        let sequential: AmpcSystem<u64> = AmpcSystem::new(
+            AmpcConfig::default().with_machines(1000).with_parallel(false),
+            std::iter::empty(),
+        );
+        assert_eq!(sequential.bufs.len(), 1);
+    }
+
+    #[test]
     fn empty_item_list_is_a_noop_round() {
         let mut sys = system(4, 10);
         let ids: Vec<u64> = Vec::new();
@@ -594,6 +542,11 @@ mod backend_equivalence_tests {
         })
         .unwrap();
         let (snapshot, stats) = sys.finish();
+        (snapshot.sorted_entries(), fingerprint(&stats))
+    }
+
+    /// The per-round accounting as comparable text.
+    fn fingerprint(stats: &RunStats) -> String {
         let mut fp = String::new();
         for r in stats.per_round() {
             use std::fmt::Write as _;
@@ -609,7 +562,81 @@ mod backend_equivalence_tests {
                 r.total_space_words
             );
         }
-        (snapshot.sorted_entries(), fp)
+        fp
+    }
+
+    /// Two rounds in which many machines put, merge and delete the *same*
+    /// few keys — in the slab and far beyond any slab — so the final table
+    /// depends on the order the barrier applies them in. The second round
+    /// is small enough to run on one worker, over the grid the first left.
+    fn run_conflicts<St: DhtStorage<u64>>(cfg: AmpcConfig) -> (Vec<(Key, u64)>, String) {
+        const FAR: u64 = 1 << 40;
+        let mut sys: AmpcSystem<u64, St> =
+            AmpcSystem::new(cfg, (0..50u64).map(|i| (Key::new(S, i), i)));
+        let ids: Vec<u64> = (0..2000).collect();
+        sys.round("clash", &ids, |ctx, &i| {
+            // Last writer wins, near and far.
+            ctx.write(Key::new(AUX, i % 7), i);
+            ctx.write(Key::new(AUX, FAR + i % 3), i);
+            // Puts racing deletes on one key set.
+            ctx.write(Key::new(S, i * 7 % 50), i);
+            ctx.delete(Key::new(S, i * 3 % 50));
+            if i % 11 == 0 {
+                ctx.delete(Key::new(AUX, FAR + (i + 1) % 3));
+            }
+            // Merges (max) interleaved with resetting puts and deletes.
+            ctx.write_merge(Key::new(2, i % 4), ctx.rng(0, i).next_u64() % 1000);
+            ctx.write_merge(Key::new(2, FAR + i % 2), i % 777);
+            match i % 13 {
+                0 => ctx.write(Key::new(2, i % 4), 0),
+                6 => ctx.delete(Key::new(2, FAR + i % 2)),
+                _ => {}
+            }
+            None::<()>
+        })
+        .unwrap();
+        sys.round("clash-again", &ids[..3], |ctx, &i| {
+            ctx.write_merge(Key::new(2, 0), i);
+            ctx.write(Key::new(AUX, 0), i);
+            ctx.delete(Key::new(AUX, FAR));
+            None::<()>
+        })
+        .unwrap();
+        let (snapshot, stats) = sys.finish();
+        (snapshot.sorted_entries(), fingerprint(&stats))
+    }
+
+    #[test]
+    fn conflicting_writers_resolve_as_in_the_flat_sequential_run() {
+        let base = AmpcConfig::default().with_seed(0xC0FFEE);
+        for machines in [1, 3, 16, 1000] {
+            let reference = run_conflicts::<FlatDht<u64>>(
+                base.clone().with_machines(machines).with_parallel(false),
+            );
+            for parallel in [false, true] {
+                let cfg = base.clone().with_machines(machines).with_parallel(parallel);
+                let case = format!("m={machines}, parallel={parallel}");
+                let flat = run_conflicts::<FlatDht<u64>>(cfg.clone());
+                assert_eq!(reference, flat, "flat diverged ({case})");
+                for shards in [1usize, 8] {
+                    let backend = DhtBackend::Sharded { shards };
+                    let got = run_conflicts::<ShardedDht<u64>>(cfg.clone().with_backend(backend));
+                    assert_eq!(reference, got, "sharded:{shards} diverged ({case})");
+                }
+                for cap in [64usize, 1 << 16] {
+                    let backend = DhtBackend::Dense { cap };
+                    let got = run_conflicts::<DenseDht<u64>>(cfg.clone().with_backend(backend));
+                    assert_eq!(reference, got, "dense:{cap} diverged ({case})");
+                }
+            }
+        }
+        // The machine count is not observable either: one machine applies
+        // its ops in item order, and so does every finer split.
+        let one = run_conflicts::<FlatDht<u64>>(base.clone().with_machines(1));
+        let many = run_conflicts::<DenseDht<u64>>(
+            base.with_machines(1000).with_backend(DhtBackend::Dense { cap: 64 }),
+        );
+        assert_eq!(one.0, many.0);
     }
 
     #[test]

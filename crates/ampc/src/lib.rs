@@ -45,9 +45,12 @@
 //!
 //! Machines within a round are independent by model definition (they read an
 //! immutable snapshot and buffer private writes), so the executor spreads
-//! them over scoped OS threads (capped at the hardware parallelism); write
-//! buffers are merged in machine-index order, keeping every run bit-for-bit
-//! deterministic regardless of thread scheduling.
+//! them over scoped OS threads (capped at the hardware parallelism), each
+//! worker running a contiguous block of machine indices. A write goes
+//! straight into its worker's per-shard buffer ([`ShardBuffers`]) and the
+//! round barrier applies every shard's buffers in worker order — which is
+//! machine-index order — keeping every run bit-for-bit deterministic
+//! regardless of thread scheduling.
 //!
 //! Snapshot storage is pluggable through the [`DhtStorage`] trait:
 //! [`FlatDht`] is the single-map reference backend, [`ShardedDht`]
@@ -57,8 +60,8 @@
 //! adaptive read is a bounds check plus an array index — no hashing — with
 //! a range-partitioned parallel merge. Select a backend with
 //! [`AmpcConfig::with_backend`]; all three produce byte-identical
-//! snapshots and [`RunStats`] for the same seed (cross-partition keys
-//! never interact, and machine order is preserved within every partition).
+//! snapshots and [`RunStats`] for the same seed (cross-shard keys never
+//! interact, and machine order is preserved within every shard).
 
 #![warn(missing_docs)]
 
@@ -72,7 +75,7 @@ pub mod rng;
 mod stats;
 mod value;
 
-pub use dht::{DenseDht, Dht, DhtBackend, DhtStorage, FlatDht, ShardedDht, WriteOp};
+pub use dht::{DenseDht, Dht, DhtBackend, DhtStorage, FlatDht, ShardBuffers, ShardedDht, WriteOp};
 pub use error::{AmpcError, AmpcResult};
 pub use executor::{AmpcConfig, AmpcSystem, RoundOutcome};
 pub use key::{Key, Space};
@@ -80,3 +83,12 @@ pub use limits::{LimitViolation, SpaceLimits};
 pub use machine::MachineCtx;
 pub use stats::{RoundStats, RunStats};
 pub use value::DhtValue;
+
+/// The host's worker count: `available_parallelism()` resolved once per
+/// process (on Linux the query reads the affinity mask and cgroup files, too
+/// dear to repeat every round and every merge). Sizes the executor's worker
+/// set, the shard-parallel merges and the automatic shard/range layouts.
+pub(crate) fn host_workers() -> usize {
+    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}

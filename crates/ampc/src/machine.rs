@@ -7,13 +7,16 @@
 //!   a value read may determine the next key read, within the same round;
 //! * **buffered writes** to the next round's table ([`MachineCtx::write`],
 //!   [`MachineCtx::write_merge`], [`MachineCtx::delete`]) — invisible until
-//!   the round completes, exactly like the model's write-only DHT;
+//!   the round completes, exactly like the model's write-only DHT. Each op
+//!   is routed by [`DhtStorage::shard_of`] into the per-shard buffers of
+//!   the worker running this machine as it is issued, so nothing re-reads
+//!   it between here and the table;
 //! * **deterministic randomness** scoped to `(run, round, tag, id)`.
 //!
 //! Every access is metered in words; optional [`SpaceLimits`] breaches are
 //! recorded and reported through the round's statistics.
 
-use crate::dht::{DhtStorage, FlatDht, WriteOp};
+use crate::dht::{DhtStorage, FlatDht, ShardBuffers, WriteOp};
 use crate::key::Key;
 use crate::limits::{LimitKind, LimitViolation, SpaceLimits};
 use crate::rng::{self, SplitMix64};
@@ -26,7 +29,8 @@ use crate::value::DhtValue;
 /// no dynamic dispatch between an adaptive read and the hash probe.
 pub struct MachineCtx<'a, V, S = FlatDht<V>> {
     snapshot: &'a S,
-    pub(crate) write_buf: Vec<(Key, WriteOp<V>)>,
+    /// The running worker's buffers, shared by the machines of its block.
+    out: &'a mut ShardBuffers<V>,
     pub(crate) reads: usize,
     pub(crate) read_words: usize,
     pub(crate) writes: usize,
@@ -39,21 +43,21 @@ pub struct MachineCtx<'a, V, S = FlatDht<V>> {
 }
 
 impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
-    /// `write_buf` is a recycled (empty, capacity-retaining) buffer from a
-    /// previous round's machine, so steady-state rounds buffer writes
-    /// without allocating; pass `Vec::new()` when none is available.
+    /// `out` is the buffer set of the worker running this machine, sized
+    /// for `snapshot`'s shard count; the worker's machines append to it one
+    /// after the other, in machine-index order.
     pub(crate) fn new(
         snapshot: &'a S,
         limits: Option<SpaceLimits>,
         machine: usize,
         round: usize,
         seed: u64,
-        write_buf: Vec<(Key, WriteOp<V>)>,
+        out: &'a mut ShardBuffers<V>,
     ) -> Self {
-        debug_assert!(write_buf.is_empty(), "recycled write buffer must be drained");
+        debug_assert_eq!(out.shard_count(), snapshot.shard_count());
         MachineCtx {
             snapshot,
-            write_buf,
+            out,
             reads: 0,
             read_words: 0,
             writes: 0,
@@ -90,10 +94,7 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
     /// Buffers a replacing write of `value` at `key`.
     #[inline]
     pub fn write(&mut self, key: Key, value: V) {
-        self.writes += 1;
-        self.write_words += value.words();
-        self.write_buf.push((key, WriteOp::Put(value)));
-        self.check_limit(LimitKind::Writes);
+        self.buffer(key, value.words(), WriteOp::Put(value));
     }
 
     /// Buffers a merging write (combined with [`DhtValue::merge`]). Used for
@@ -101,18 +102,21 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
     /// same key and the result must be schedule-independent.
     #[inline]
     pub fn write_merge(&mut self, key: Key, value: V) {
-        self.writes += 1;
-        self.write_words += value.words();
-        self.write_buf.push((key, WriteOp::Merge(value)));
-        self.check_limit(LimitKind::Writes);
+        self.buffer(key, value.words(), WriteOp::Merge(value));
     }
 
     /// Buffers a deletion of `key`. Costs one write word (a tombstone).
     #[inline]
     pub fn delete(&mut self, key: Key) {
+        self.buffer(key, 1, WriteOp::Delete);
+    }
+
+    /// Meters one op of `words` words and scatters it to its shard's list.
+    #[inline]
+    fn buffer(&mut self, key: Key, words: usize, op: WriteOp<V>) {
         self.writes += 1;
-        self.write_words += 1;
-        self.write_buf.push((key, WriteOp::Delete));
+        self.write_words += words;
+        self.out.push(self.snapshot.shard_of(key), key, op);
         self.check_limit(LimitKind::Writes);
     }
 
@@ -188,7 +192,8 @@ mod tests {
     #[test]
     fn reads_are_metered() {
         let d = table();
-        let mut ctx = MachineCtx::new(&d, None, 0, 0, 1, Vec::new());
+        let mut out = ShardBuffers::new(1);
+        let mut ctx = MachineCtx::new(&d, None, 0, 0, 1, &mut out);
         assert_eq!(ctx.read(Key::new(S, 3)), Some(&9));
         assert_eq!(ctx.read(Key::new(S, 99)), None);
         assert_eq!(ctx.reads_used(), 2);
@@ -202,7 +207,8 @@ mod tests {
         d.insert(Key::new(S, 0), 4u64);
         d.insert(Key::new(S, 4), 7u64);
         d.insert(Key::new(S, 7), 0u64);
-        let mut ctx = MachineCtx::new(&d, None, 0, 0, 1, Vec::new());
+        let mut out = ShardBuffers::new(1);
+        let mut ctx = MachineCtx::new(&d, None, 0, 0, 1, &mut out);
         let mut cur = 0u64;
         for _ in 0..3 {
             cur = *ctx.read(Key::new(S, cur)).unwrap();
@@ -214,7 +220,8 @@ mod tests {
     #[test]
     fn writes_are_buffered_not_visible() {
         let d = table();
-        let mut ctx = MachineCtx::new(&d, None, 0, 0, 1, Vec::new());
+        let mut out = ShardBuffers::new(1);
+        let mut ctx = MachineCtx::new(&d, None, 0, 0, 1, &mut out);
         ctx.write(Key::new(S, 3), 555);
         // Write-only DHT semantics: the round's snapshot is unchanged.
         assert_eq!(ctx.read(Key::new(S, 3)), Some(&9));
@@ -225,7 +232,8 @@ mod tests {
     fn violation_recorded_once() {
         let d = table();
         let limits = SpaceLimits::audit(2);
-        let mut ctx = MachineCtx::new(&d, Some(limits), 5, 7, 1, Vec::new());
+        let mut out = ShardBuffers::new(1);
+        let mut ctx = MachineCtx::new(&d, Some(limits), 5, 7, 1, &mut out);
         for i in 0..4 {
             ctx.read(Key::new(S, i));
         }
@@ -239,7 +247,8 @@ mod tests {
     #[test]
     fn peek_does_not_charge_meters() {
         let d = table();
-        let mut ctx = MachineCtx::new(&d, None, 0, 0, 1, Vec::new());
+        let mut out = ShardBuffers::new(1);
+        let mut ctx = MachineCtx::new(&d, None, 0, 0, 1, &mut out);
         assert_eq!(ctx.peek(Key::new(S, 3)), Some(&9));
         assert_eq!(ctx.reads_used(), 0);
         assert_eq!(ctx.read_words_used(), 0);
@@ -250,7 +259,8 @@ mod tests {
     #[test]
     fn write_side_violation_recorded() {
         let d = table();
-        let mut ctx = MachineCtx::new(&d, Some(SpaceLimits::audit(2)), 1, 0, 1, Vec::new());
+        let mut out = ShardBuffers::new(1);
+        let mut ctx = MachineCtx::new(&d, Some(SpaceLimits::audit(2)), 1, 0, 1, &mut out);
         ctx.write(Key::new(S, 0), 1);
         ctx.write(Key::new(S, 1), 2);
         assert!(ctx.violation.is_none());
@@ -263,10 +273,12 @@ mod tests {
     #[test]
     fn rng_is_context_deterministic() {
         let d = table();
-        let ctx1 = MachineCtx::new(&d, None, 0, 3, 42, Vec::new());
+        let mut out1 = ShardBuffers::new(1);
+        let ctx1 = MachineCtx::new(&d, None, 0, 3, 42, &mut out1);
         // Same context on a different machine: streams depend on
         // (seed, round, tag, id), NOT on the machine index.
-        let ctx2 = MachineCtx::new(&d, None, 9, 3, 42, Vec::new());
+        let mut out2 = ShardBuffers::new(1);
+        let ctx2 = MachineCtx::new(&d, None, 9, 3, 42, &mut out2);
         assert_eq!(ctx1.rng(1, 5).next_u64(), ctx2.rng(1, 5).next_u64());
         assert_ne!(ctx1.rng(1, 5).next_u64(), ctx1.rng(1, 6).next_u64());
     }

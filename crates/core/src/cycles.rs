@@ -18,7 +18,9 @@
 //!
 //! The driver (host) keeps the list of *alive* vertices — pure
 //! orchestration data; every data access that the paper counts goes through
-//! the DHT.
+//! the DHT. Contracted vertices leave the list through dense marks
+//! ([`CycleState::mark_dead`], then one [`CycleState::retire`] pass): ids are
+//! `0..n0`, so a mark is an array store, not a hash-set insert.
 
 use ampc::{AmpcConfig, AmpcSystem, DhtStorage, FlatDht, Key, RunStats, Space};
 use ampc_graph::euler::CycleDecomposition;
@@ -60,6 +62,10 @@ pub struct CycleState<S = FlatDht<u64>> {
     pub n0: usize,
     /// Finished components: vertices that became cycle representatives.
     pub roots: Vec<u64>,
+    /// `dead[v]` is set between [`CycleState::mark_dead`] and the next
+    /// [`CycleState::retire`]; all clear otherwise. `n0` entries, allocated
+    /// once.
+    dead: Vec<bool>,
 }
 
 impl<S: DhtStorage<u64>> CycleState<S> {
@@ -79,7 +85,13 @@ impl<S: DhtStorage<u64>> CycleState<S> {
             ]
         });
         let sys = AmpcSystem::new(config, init);
-        CycleState { sys, alive: (0..n0 as u64).collect(), n0, roots: Vec::new() }
+        CycleState {
+            sys,
+            alive: (0..n0 as u64).collect(),
+            n0,
+            roots: Vec::new(),
+            dead: vec![false; n0],
+        }
     }
 
     /// Builds a state directly from an explicit successor permutation
@@ -109,13 +121,24 @@ impl<S: DhtStorage<u64>> CycleState<S> {
                 alive.push(a as u64);
             }
         }
-        CycleState { sys, alive, n0, roots }
+        CycleState { sys, alive, n0, roots, dead: vec![false; n0] }
     }
 
-    /// Removes `dead` vertices from the alive list and records `done` ones
-    /// as finished roots.
-    pub fn retire(&mut self, dead: &std::collections::HashSet<u64>, done: &[u64]) {
-        self.alive.retain(|v| !dead.contains(v));
+    /// Marks alive vertices as contracted away; the next
+    /// [`CycleState::retire`] drops them from the alive list.
+    pub fn mark_dead(&mut self, ids: impl IntoIterator<Item = u64>) {
+        for v in ids {
+            self.dead[v as usize] = true;
+        }
+    }
+
+    /// Removes the vertices marked dead from the alive list (the survivors
+    /// keep their order), clearing each mark as it is consumed, and records
+    /// `done` as finished roots.
+    pub fn retire(&mut self, done: &[u64]) {
+        let dead = &mut self.dead;
+        self.alive.retain(|&v| !std::mem::take(&mut dead[v as usize]));
+        debug_assert!(!dead.contains(&true), "a vertex marked dead was not alive");
         self.roots.extend_from_slice(done);
     }
 
@@ -189,9 +212,30 @@ mod tests {
     #[test]
     fn retire_updates_alive_and_roots() {
         let mut st: CycleState = CycleState::from_successors(&[1, 0, 3, 2], AmpcConfig::default());
-        let dead: std::collections::HashSet<u64> = [1u64, 2, 3].into_iter().collect();
-        st.retire(&dead, &[0]);
+        st.mark_dead([1, 2, 3]);
+        st.retire(&[0]);
         assert_eq!(st.alive, vec![0]);
         assert_eq!(st.roots, vec![0]);
+    }
+
+    #[test]
+    fn retire_keeps_survivor_order_and_clears_its_marks() {
+        // One 8-cycle whose alive list is deliberately not ascending.
+        let succ: Vec<u64> = (0..8u64).map(|i| (i + 1) % 8).collect();
+        let mut st: CycleState = CycleState::from_successors(&succ, AmpcConfig::default());
+        st.alive = vec![5, 2, 7, 0, 3, 6, 1, 4];
+        st.mark_dead([7, 3]);
+        st.mark_dead([3, 4]); // marking twice is marking once
+        st.retire(&[]);
+        assert_eq!(st.alive, vec![5, 2, 0, 6, 1]);
+        assert!(st.roots.is_empty());
+        // Every mark was consumed: retiring again with nothing marked
+        // removes nothing, and roots are appended after the existing ones.
+        st.retire(&[6]);
+        assert_eq!(st.alive, vec![5, 2, 0, 6, 1]);
+        st.mark_dead([6]);
+        st.retire(&[2]);
+        assert_eq!(st.alive, vec![5, 2, 0, 1]);
+        assert_eq!(st.roots, vec![6, 2]);
     }
 }

@@ -66,8 +66,7 @@ pub fn shrink_large_cycles<S: DhtStorage<u64>>(
 
     for rep in 0..repetitions {
         // Round A: sample marks into the pointer words.
-        let alive = state.alive.clone();
-        state.sys.round("slc-mark", &alive, |ctx, &v| {
+        state.sys.round("slc-mark", &state.alive, |ctx, &v| {
             let (succ, rank, _) = unpack(*ctx.read(Key::new(FWD, v)).expect("alive"));
             let mark = ctx.rng(rep as u64, v).bernoulli(rho);
             ctx.write(Key::new(FWD, v), pack(succ, rank, mark));
@@ -76,7 +75,7 @@ pub fn shrink_large_cycles<S: DhtStorage<u64>>(
 
         // Round B: marked vertices jump to the next mark, contracting the
         // unmarked segment in between.
-        let jump = state.sys.round("slc-jump", &alive, |ctx, &v| {
+        let jump = state.sys.round("slc-jump", &state.alive, |ctx, &v| {
             let (succ, _, marked) = unpack(*ctx.read(Key::new(FWD, v)).expect("alive"));
             if !marked {
                 return None;
@@ -122,18 +121,17 @@ pub fn shrink_large_cycles<S: DhtStorage<u64>>(
             Some((v, interior, collapsed))
         })?;
 
-        let mut dead: HashSet<u64> = HashSet::new();
         let mut done: Vec<u64> = Vec::new();
         for (v, interior, collapsed) in jump.results {
             contracted += interior.len();
-            dead.extend(interior);
+            state.mark_dead(interior);
             if collapsed {
                 // The whole cycle folded into its only marked vertex.
-                dead.insert(v);
+                state.mark_dead([v]);
                 done.push(v);
             }
         }
-        state.retire(&dead, &done);
+        state.retire(&done);
     }
 
     Ok(ShrinkLargeOutcome {

@@ -34,8 +34,6 @@
 //! updates cannot touch the same vertex. Stamps use merge-max writes, which
 //! commute.
 
-use std::collections::HashSet;
-
 use ampc::{AmpcResult, DhtStorage, Key, MachineCtx};
 
 use crate::cycles::{pack, unpack, CycleState, BWD, FWD, PARENT, STAMP};
@@ -92,6 +90,22 @@ fn read_link<S: DhtStorage<u64>>(
     (next, rank)
 }
 
+/// Step 2's two 16B-hop scans from one vertex, merged: when they overlap —
+/// together they cover the whole cycle, `16B < k ≤ 32B` — the forward scan
+/// in walk order followed by the backward-scan vertices it did not reach,
+/// in walk order; `None` when the scans are disjoint. Each scan holds
+/// distinct ids, so the merged list does too, and its order (hence the
+/// order of the writes issued from it) is the same on every run.
+fn merge_overlapping_scans(fwd: &[u64], bwd: &[u64]) -> Option<Vec<u64>> {
+    let mut seen = fwd.to_vec();
+    seen.sort_unstable();
+    let unseen = |x: &&u64| seen.binary_search(x).is_err();
+    if bwd.iter().all(|x| unseen(&x)) {
+        return None; // the common case on long cycles: nothing to build
+    }
+    Some(fwd.iter().chain(bwd.iter().filter(unseen)).copied().collect())
+}
+
 /// Executes one `ShrinkSmallCycles(G', B)` iteration on `state`.
 ///
 /// `walk_cap` bounds any single traversal (the paper guarantees `n^ε`-length
@@ -109,8 +123,7 @@ pub fn shrink_small_cycles<S: DhtStorage<u64>>(
     let rounds_before = state.sys.stats().rounds();
 
     // Round 1: sample ranks, publish them in both pointer words, reset stamps.
-    let alive = state.alive.clone();
-    state.sys.round("ssc-ranks", &alive, |ctx, &v| {
+    state.sys.round("ssc-ranks", &state.alive, |ctx, &v| {
         let (succ, _, _) = unpack(*ctx.read(Key::new(FWD, v)).expect("alive"));
         let (pred, _, _) = unpack(*ctx.read(Key::new(BWD, v)).expect("alive"));
         let rank = sample_rank(&mut ctx.rng(0, v), b);
@@ -121,7 +134,7 @@ pub fn shrink_small_cycles<S: DhtStorage<u64>>(
     })?;
 
     // Round 2: probe + stamp; unique maxima contract their whole cycle.
-    let probe = state.sys.round("ssc-probe", &alive, |ctx, &v| {
+    let probe = state.sys.round("ssc-probe", &state.alive, |ctx, &v| {
         let (succ, my_rank) = read_link(ctx, FWD, v);
         // Forward traversal.
         let mut visited = Vec::new();
@@ -181,21 +194,19 @@ pub fn shrink_small_cycles<S: DhtStorage<u64>>(
 
     let mut loop_contracted = 0usize;
     let mut finished_cycles = 0usize;
-    let mut dead: HashSet<u64> = HashSet::new();
     let mut done_roots: Vec<u64> = Vec::new();
     for out in probe.results {
         let ProbeOutcome::Loop { leader, removed } = out;
         loop_contracted += removed.len();
         finished_cycles += 1;
-        dead.extend(removed);
-        dead.insert(leader);
+        state.mark_dead(removed);
+        state.mark_dead([leader]);
         done_roots.push(leader);
     }
-    state.retire(&dead, &done_roots);
+    state.retire(&done_roots);
 
     // Round 3: leaders contract the segments between them.
-    let alive = state.alive.clone();
-    let contract = state.sys.round("ssc-contract", &alive, |ctx, &v| {
+    let contract = state.sys.round("ssc-contract", &state.alive, |ctx, &v| {
         let (succ, my_rank) = read_link(ctx, FWD, v);
         let stamp = ctx.read(Key::new(STAMP, v)).copied().unwrap_or(0) as u16;
         if stamp > my_rank {
@@ -265,22 +276,20 @@ pub fn shrink_small_cycles<S: DhtStorage<u64>>(
     })?;
 
     let mut segment_contracted = 0usize;
-    let mut dead: HashSet<u64> = HashSet::new();
     for out in contract.results {
         if let ContractOutcome::Removed(r) = out {
             segment_contracted += r.len();
-            dead.extend(r);
+            state.mark_dead(r);
         }
     }
-    state.retire(&dead, &[]);
+    state.retire(&[]);
 
     // Round 4 (Step 2): deterministic 16B-hop compression.
     let mut step2_contracted = 0usize;
     if enable_step2 {
-        let alive = state.alive.clone();
         let hop16 = 16 * b as usize;
         let hop4 = 4 * b as usize;
-        let step2 = state.sys.round("ssc-step2", &alive, |ctx, &v| {
+        let step2 = state.sys.round("ssc-step2", &state.alive, |ctx, &v| {
             // Forward 16B-hop scan.
             let mut fwd = Vec::with_capacity(hop16);
             let mut cur = read_link(ctx, FWD, v).0;
@@ -319,11 +328,8 @@ pub fn shrink_small_cycles<S: DhtStorage<u64>>(
             }
             // If the two scans overlap the neighborhood covers the whole
             // cycle (16B < k ≤ 32B).
-            let fset: HashSet<u64> = fwd.iter().copied().collect();
-            if bwd.iter().any(|x| fset.contains(x)) {
-                let all: HashSet<u64> = fwd.iter().chain(bwd.iter()).copied().collect();
-                return if all.iter().all(|&x| x < v) {
-                    let removed: Vec<u64> = all.into_iter().collect();
+            if let Some(removed) = merge_overlapping_scans(&fwd, &bwd) {
+                return if removed.iter().all(|&x| x < v) {
                     for &x in &removed {
                         ctx.write(Key::new(PARENT, x), v);
                         ctx.delete(Key::new(FWD, x));
@@ -361,24 +367,23 @@ pub fn shrink_small_cycles<S: DhtStorage<u64>>(
             None
         })?;
 
-        let mut dead: HashSet<u64> = HashSet::new();
         let mut done_roots: Vec<u64> = Vec::new();
         for out in step2.results {
             match out {
                 ContractOutcome::Removed(r) => {
                     step2_contracted += r.len();
-                    dead.extend(r);
+                    state.mark_dead(r);
                 }
                 ContractOutcome::Done { leader, removed } => {
                     step2_contracted += removed.len();
                     finished_cycles += 1;
-                    dead.extend(removed);
-                    dead.insert(leader);
+                    state.mark_dead(removed);
+                    state.mark_dead([leader]);
                     done_roots.push(leader);
                 }
             }
         }
-        state.retire(&dead, &done_roots);
+        state.retire(&done_roots);
     }
 
     Ok(IterationOutcome {
@@ -453,6 +458,22 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn overlapping_scans_merge_forward_first_without_duplicates() {
+        // A 7-cycle seen from v = 9: forward 1 2 3 4 5, backward 6 5 4 3 2.
+        assert_eq!(
+            merge_overlapping_scans(&[1, 2, 3, 4, 5], &[6, 5, 4, 3, 2]),
+            Some(vec![1, 2, 3, 4, 5, 6])
+        );
+        // Walk order, not id order, on both sides.
+        assert_eq!(
+            merge_overlapping_scans(&[40, 7, 23], &[11, 5, 23, 7]),
+            Some(vec![40, 7, 23, 11, 5])
+        );
+        // Disjoint scans: the neighbourhood does not cover the cycle.
+        assert_eq!(merge_overlapping_scans(&[1, 2, 3], &[8, 7, 6]), None);
     }
 
     #[test]
