@@ -18,6 +18,13 @@
 //! Claim 4.11 (the paper's improvement over [BDE+20]) says the BFS step
 //! costs `O(m log t)` expected total queries — measured by experiment E6.
 //!
+//! Step 1 is what keeps the rest in `O(1)` words per value: a `G3`
+//! adjacency list is at most three vertex ids, so [`GVal`] stores it inline
+//! (no heap behind any DHT entry), and step 3's search keeps one queue of at
+//! most `3t − 2` words that doubles as its visited set — machine-local
+//! memory for `t = O(√S)`. See DESIGN.md, "ShrinkGeneral values are
+//! fixed-width".
+//!
 //! Step 4's rooted-forest labeling (Claim 4.12) is implemented as adaptive
 //! root-chasing with path compression: every vertex follows parent pointers
 //! (ranks strictly decrease along them, so chains are short — `O(log n)` in
@@ -41,21 +48,48 @@ const RANK: Space = 1;
 /// Keyspace: super-edge parent pointers.
 const SUPER: Space = 2;
 
-/// DHT value for the general-graph algorithms: either an adjacency list or
-/// a scalar word.
-#[derive(Clone, Debug)]
+/// DHT value for the general-graph algorithms: either an adjacency list of
+/// `G3` or a scalar word.
+///
+/// Fixed-width by design: step 1 bounds every degree by 3, so an adjacency
+/// list is three inline vertex ids and a length — `O(1)` words, as §4.3
+/// needs for a truncated BFS to fit in local memory — and the whole value
+/// is `Copy` and 16 bytes, with no heap behind any DHT entry.
+#[derive(Clone, Copy, Debug)]
 pub enum GVal {
     /// Adjacency list (charged one word of header plus one per neighbor).
-    Adj(Vec<u64>),
+    /// Built by [`GVal::adj`], which checks the degree bound.
+    Adj {
+        /// Number of neighbors, at most 3.
+        len: u8,
+        /// The neighbors, in `nbrs[..len]`.
+        nbrs: [VertexId; 3],
+    },
     /// A scalar (rank or parent pointer).
     Num(u64),
 }
 
 impl GVal {
+    /// The adjacency value of `G3` vertex `v`.
+    ///
+    /// # Panics
+    /// Panics if `neighbors` holds more than 3 vertices: the degree-3
+    /// transform's postcondition is this value's precondition.
+    pub fn adj(v: VertexId, neighbors: &[VertexId]) -> Self {
+        assert!(
+            neighbors.len() <= 3,
+            "G3 vertex {v} has degree {}: the degree-3 transform must bound every degree by 3",
+            neighbors.len()
+        );
+        let mut nbrs = [0; 3];
+        nbrs[..neighbors.len()].copy_from_slice(neighbors);
+        GVal::Adj { len: neighbors.len() as u8, nbrs }
+    }
+
     fn num(&self) -> u64 {
         match self {
             GVal::Num(x) => *x,
-            GVal::Adj(_) => panic!("expected scalar DHT value, found adjacency list"),
+            GVal::Adj { .. } => panic!("expected scalar DHT value, found adjacency list"),
         }
     }
 }
@@ -63,7 +97,7 @@ impl GVal {
 impl DhtValue for GVal {
     fn words(&self) -> usize {
         match self {
-            GVal::Adj(v) => 1 + v.len(),
+            GVal::Adj { len, .. } => 1 + *len as usize,
             GVal::Num(_) => 1,
         }
     }
@@ -159,11 +193,7 @@ fn shrink_general_impl<S: DhtStorage<GVal>>(
     let ampc_cfg = ampc_cfg.with_backend(backend);
     let mut sys: AmpcSystem<GVal, S> = AmpcSystem::new(
         ampc_cfg,
-        (0..n3).map(|v| {
-            let adj: Vec<u64> =
-                d3.graph.neighbors(v as VertexId).iter().map(|&w| w as u64).collect();
-            (Key::new(ADJ, v as u64), GVal::Adj(adj))
-        }),
+        (0..n3 as VertexId).map(|v| (Key::new(ADJ, v as u64), GVal::adj(v, d3.graph.neighbors(v)))),
     );
     sys.stats_mut().charge_external(1, 2 * g.m(), 2 * (g.n() + g.m()));
 
@@ -179,26 +209,34 @@ fn shrink_general_impl<S: DhtStorage<GVal>>(
     // Step 3: truncated BFS from every vertex. Results report the created
     // super-edges so the Euler-tour resolution can build the parent forest
     // host-side (orchestration; the edges are also written to the DHT).
+    let queue_bound = t.saturating_mul(3) - 2;
     let bfs_before = sys.stats().total_queries();
     let bfs = sys.round("sg-bfs", &items, |ctx, &v| {
         let my_rank = ctx.read(Key::new(RANK, v)).expect("rank").num();
         let me = (my_rank, v);
-        let mut queue = std::collections::VecDeque::from([v]);
-        let mut visited = std::collections::HashSet::from([v]);
-        let mut explored = 0usize;
-        while let Some(u) = queue.pop_front() {
+        // FIFO walked by `head` and never popped: every vertex the search
+        // marks visited is queued, so the queue is also the visited set. It
+        // holds v plus at most 3 neighbors of each of the < t expanded
+        // vertices — 3t − 2 words, within local memory for t = O(√S) — and
+        // is allocated at that bound, so it never reallocates.
+        let mut queue: Vec<u64> = Vec::with_capacity(queue_bound.min(n3));
+        queue.push(v);
+        let mut head = 0usize;
+        while head < queue.len() {
             // Stop (a): the search has explored t vertices (v itself counts,
             // so t = 1 performs no expansion and every vertex is a root).
-            if explored + 1 >= t {
+            if head + 1 >= t {
                 return None;
             }
-            explored += 1;
-            let adj = match ctx.read(Key::new(ADJ, u)) {
-                Some(GVal::Adj(a)) => a.clone(),
+            let u = queue[head];
+            head += 1;
+            let (len, nbrs) = match ctx.read(Key::new(ADJ, u)) {
+                Some(&GVal::Adj { len, nbrs }) => (len as usize, nbrs),
                 _ => panic!("missing adjacency"),
             };
-            for w in adj {
-                if !visited.insert(w) {
+            for &w in &nbrs[..len] {
+                let w = w as u64;
+                if queue.contains(&w) {
                     continue;
                 }
                 let rw = ctx.read(Key::new(RANK, w)).expect("rank").num();
@@ -207,7 +245,8 @@ fn shrink_general_impl<S: DhtStorage<GVal>>(
                     ctx.write(Key::new(SUPER, v), GVal::Num(w));
                     return Some((v, w));
                 }
-                queue.push_back(w);
+                queue.push(w);
+                debug_assert!(queue.len() <= queue_bound, "BFS queue outgrew 3t - 2 (t={t})");
             }
         }
         // Stop (b): component exhausted → v is a root.
@@ -262,11 +301,10 @@ fn shrink_general_impl<S: DhtStorage<GVal>>(
             }
         }
     }
+    // Labels are root vertex ids: count the first sighting of each.
     let roots = {
-        let mut rs: Vec<u64> = labels3.to_vec();
-        rs.sort_unstable();
-        rs.dedup();
-        rs.len()
+        let mut seen = vec![false; n3];
+        labels3.iter().filter(|&&r| !std::mem::replace(&mut seen[r as usize], true)).count()
     };
 
     // Contract(G3, C) — cited O(1)-round primitive, charged.
@@ -314,6 +352,22 @@ mod tests {
             "composition broke components (t={t})"
         );
         out
+    }
+
+    #[test]
+    fn values_are_fixed_width_and_charged_by_degree() {
+        assert!(std::mem::size_of::<GVal>() <= 16);
+        assert!(std::mem::size_of::<Option<GVal>>() <= 16, "dense slots must stay two words");
+        for degree in 0..=3usize {
+            assert_eq!(GVal::adj(7, &[1, 2, 3][..degree]).words(), 1 + degree);
+        }
+        assert_eq!(GVal::Num(u64::MAX).words(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "G3 vertex 7 has degree 4")]
+    fn degree_four_adjacency_is_rejected() {
+        GVal::adj(7, &[1, 2, 3, 4]);
     }
 
     #[test]

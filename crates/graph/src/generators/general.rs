@@ -90,10 +90,14 @@ pub fn preferential_attachment(n: usize, edges_per: usize, seed: u64) -> Graph {
     let mut edges: Vec<(VertexId, VertexId)> = vec![(0, 1)];
     for v in 2..n as VertexId {
         let k = edges_per.min(v as usize);
-        let mut chosen = HashSet::new();
+        // Kept in draw order (k is tiny): iterating a `HashSet` here made the
+        // edge order, hence `targets` and the graph, differ from run to run.
+        let mut chosen: Vec<VertexId> = Vec::with_capacity(k);
         while chosen.len() < k {
             let t = targets[rng.gen_range(0..targets.len())];
-            chosen.insert(t);
+            if !chosen.contains(&t) {
+                chosen.push(t);
+            }
         }
         for &t in &chosen {
             edges.push((v, t));
@@ -325,6 +329,7 @@ mod tests {
             let g = fam.generate(400, 11);
             assert!(g.n() >= 300, "{} too small", fam.name());
             assert!(g.m() > 0);
+            assert_eq!(g, fam.generate(400, 11), "{} is not a function of its seed", fam.name());
         }
     }
 
