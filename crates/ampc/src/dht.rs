@@ -221,7 +221,7 @@ impl DhtBackend {
     /// Parses a backend spec: `flat`, `sharded`, `sharded:N` (N hash
     /// shards), `dense`, or `dense:CAP` (CAP ids per keyspace slab; bare
     /// `dense` lets the pipeline hint the capacity from its input). The
-    /// single grammar shared by the CLI and the bench harnesses.
+    /// single grammar every consumer parses backends with.
     pub fn parse(s: &str) -> Result<DhtBackend, String> {
         match s {
             "flat" => Ok(DhtBackend::Flat),
@@ -357,11 +357,6 @@ pub trait DhtStorage<V: DhtValue>: Clone + Send + Sync {
     /// Total word footprint of all stored values.
     fn words(&self) -> usize;
 
-    /// Word footprint broken down per keyspace, as sorted
-    /// `(space, entries, words)` triples. O(n); intended for reports and
-    /// tests, not hot paths.
-    fn words_by_space(&self) -> Vec<(Space, usize, usize)>;
-
     /// Visits every entry in unspecified order.
     fn for_each_entry(&self, f: &mut dyn FnMut(Key, &V));
 
@@ -385,9 +380,6 @@ pub trait DhtStorage<V: DhtValue>: Clone + Send + Sync {
     /// buffer the next round.
     fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>], parallel: bool);
 
-    /// Short display name of the backend.
-    fn backend_name(&self) -> &'static str;
-
     /// All entries sorted by key — the canonical form used to compare final
     /// snapshots across backends.
     fn sorted_entries(&self) -> Vec<(Key, V)> {
@@ -408,9 +400,6 @@ pub struct FlatDht<V> {
     map: HashMap<u64, V, Build>,
     words: usize,
 }
-
-/// Backwards-compatible name for the reference backend.
-pub type Dht<V> = FlatDht<V>;
 
 impl<V: DhtValue> Default for FlatDht<V> {
     fn default() -> Self {
@@ -492,28 +481,6 @@ impl<V: DhtValue> FlatDht<V> {
         self.words
     }
 
-    /// Word footprint broken down per keyspace, as sorted
-    /// `(space, entries, words)` triples. O(n); intended for reports and
-    /// tests, not hot paths.
-    pub fn words_by_space(&self) -> Vec<(Space, usize, usize)> {
-        let mut acc: std::collections::BTreeMap<Space, (usize, usize)> = Default::default();
-        self.accumulate_words_by_space(&mut acc);
-        acc.into_iter().map(|(s, (e, w))| (s, e, w)).collect()
-    }
-
-    /// Folds this table's per-space `(entries, words)` totals into `acc`
-    /// (shared by the flat breakdown and the cross-shard aggregation).
-    fn accumulate_words_by_space(
-        &self,
-        acc: &mut std::collections::BTreeMap<Space, (usize, usize)>,
-    ) {
-        for (&packed, v) in &self.map {
-            let e = acc.entry(Key::space_of_packed(packed)).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += v.words();
-        }
-    }
-
     /// Applies the given op lists one after the other, each in its recorded
     /// order, draining them in place (capacity stays with the list).
     fn apply_lists<'a>(&mut self, lists: impl IntoIterator<Item = &'a mut OpList<V>>)
@@ -584,10 +551,6 @@ impl<V: DhtValue> DhtStorage<V> for FlatDht<V> {
         FlatDht::words(self)
     }
 
-    fn words_by_space(&self) -> Vec<(Space, usize, usize)> {
-        FlatDht::words_by_space(self)
-    }
-
     fn for_each_entry(&self, f: &mut dyn FnMut(Key, &V)) {
         for (&packed, v) in &self.map {
             f(Key::from_packed(packed), v);
@@ -605,10 +568,6 @@ impl<V: DhtValue> DhtStorage<V> for FlatDht<V> {
 
     fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>], _parallel: bool) {
         self.apply_lists(bufs.iter_mut().map(|b| &mut b.lists[0]));
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "flat"
     }
 }
 
@@ -655,12 +614,6 @@ impl<V: DhtValue> ShardedDht<V> {
         // (hashbrown's bucket bits) must not select the shard.
         ((spread(key.packed()) >> 32) & self.mask) as usize
     }
-
-    /// Per-shard word footprints (the per-shard accounting behind
-    /// [`DhtStorage::words`]).
-    pub fn shard_words(&self) -> Vec<usize> {
-        self.shards.iter().map(FlatDht::words).collect()
-    }
 }
 
 impl<V: DhtValue> DhtStorage<V> for ShardedDht<V> {
@@ -701,14 +654,6 @@ impl<V: DhtValue> DhtStorage<V> for ShardedDht<V> {
         self.shards.iter().map(FlatDht::words).sum()
     }
 
-    fn words_by_space(&self) -> Vec<(Space, usize, usize)> {
-        let mut acc: std::collections::BTreeMap<Space, (usize, usize)> = Default::default();
-        for shard in &self.shards {
-            shard.accumulate_words_by_space(&mut acc);
-        }
-        acc.into_iter().map(|(s, (e, w))| (s, e, w)).collect()
-    }
-
     fn for_each_entry(&self, f: &mut dyn FnMut(Key, &V)) {
         for shard in &self.shards {
             shard.for_each_entry(f);
@@ -746,10 +691,6 @@ impl<V: DhtValue> DhtStorage<V> for ShardedDht<V> {
                 shard.apply_lists(bufs.iter_mut().map(|b| &mut b.lists[s]));
             }
         }
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "sharded"
     }
 }
 
@@ -980,19 +921,6 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
         self.slabs.iter().map(|s| s.words).sum::<usize>() + self.overflow.words()
     }
 
-    fn words_by_space(&self) -> Vec<(Space, usize, usize)> {
-        let mut acc: std::collections::BTreeMap<Space, (usize, usize)> = Default::default();
-        for (space, slab) in self.slabs.iter().enumerate() {
-            if slab.len > 0 {
-                let e = acc.entry(space as Space).or_insert((0, 0));
-                e.0 += slab.len;
-                e.1 += slab.words;
-            }
-        }
-        self.overflow.accumulate_words_by_space(&mut acc);
-        acc.into_iter().map(|(s, (e, w))| (s, e, w)).collect()
-    }
-
     fn for_each_entry(&self, f: &mut dyn FnMut(Key, &V)) {
         for (space, slab) in self.slabs.iter().enumerate() {
             for (id, slot) in slab.slots.iter().enumerate() {
@@ -1107,10 +1035,6 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
             }
         }
     }
-
-    fn backend_name(&self) -> &'static str {
-        "dense"
-    }
 }
 
 #[cfg(test)]
@@ -1121,7 +1045,7 @@ mod tests {
 
     #[test]
     fn insert_get_remove_roundtrip() {
-        let mut d: Dht<u64> = Dht::new();
+        let mut d: FlatDht<u64> = FlatDht::new();
         assert!(d.is_empty());
         assert_eq!(d.insert(Key::new(S, 1), 10), None);
         assert_eq!(d.insert(Key::new(S, 1), 20), Some(10));
@@ -1133,7 +1057,7 @@ mod tests {
 
     #[test]
     fn words_track_vector_values() {
-        let mut d: Dht<Vec<u64>> = Dht::new();
+        let mut d: FlatDht<Vec<u64>> = FlatDht::new();
         d.insert(Key::new(S, 1), vec![1, 2, 3]); // 4 words
         d.insert(Key::new(S, 2), vec![7]); // 2 words
         assert_eq!(d.words(), 6);
@@ -1145,7 +1069,7 @@ mod tests {
 
     #[test]
     fn merge_takes_maximum_for_u64() {
-        let mut d: Dht<u64> = Dht::new();
+        let mut d: FlatDht<u64> = FlatDht::new();
         d.merge(Key::new(S, 5), 3);
         d.merge(Key::new(S, 5), 9);
         d.merge(Key::new(S, 5), 4);
@@ -1155,7 +1079,7 @@ mod tests {
 
     #[test]
     fn spaces_are_disjoint() {
-        let mut d: Dht<u64> = Dht::new();
+        let mut d: FlatDht<u64> = FlatDht::new();
         d.insert(Key::new(1, 7), 100);
         d.insert(Key::new(2, 7), 200);
         assert_eq!(d.get(Key::new(1, 7)), Some(&100));
@@ -1164,7 +1088,7 @@ mod tests {
 
     #[test]
     fn dense_keys_do_not_collide() {
-        let mut d: Dht<u64> = Dht::new();
+        let mut d: FlatDht<u64> = FlatDht::new();
         for i in 0..10_000u64 {
             d.insert(Key::new(3, i), i * 2);
         }
@@ -1211,35 +1135,6 @@ mod hasher_tests {
         for i in 0..1000u64 {
             assert!(seen.insert(hash_bytes(&i.to_le_bytes())), "collision at {i}");
         }
-    }
-}
-
-#[cfg(test)]
-mod space_breakdown_tests {
-    use super::*;
-
-    #[test]
-    fn words_by_space_partitions_total() {
-        let mut d: Dht<Vec<u64>> = Dht::new();
-        d.insert(Key::new(1, 0), vec![1, 2]); // 3 words
-        d.insert(Key::new(1, 1), vec![3]); // 2 words
-        d.insert(Key::new(2, 0), vec![4, 5, 6]); // 4 words
-        let by = d.words_by_space();
-        assert_eq!(by, vec![(1, 2, 5), (2, 1, 4)]);
-        assert_eq!(by.iter().map(|&(_, _, w)| w).sum::<usize>(), d.words());
-    }
-
-    #[test]
-    fn sharded_words_by_space_matches_flat() {
-        let mut flat: FlatDht<Vec<u64>> = FlatDht::new();
-        let mut sharded: ShardedDht<Vec<u64>> = ShardedDht::with_shard_count(8);
-        for i in 0..500u64 {
-            let v = vec![i; (i % 4) as usize + 1];
-            flat.insert(Key::new((i % 3) as Space, i), v.clone());
-            DhtStorage::insert(&mut sharded, Key::new((i % 3) as Space, i), v);
-        }
-        assert_eq!(flat.words_by_space(), DhtStorage::words_by_space(&sharded));
-        assert_eq!(flat.words(), DhtStorage::words(&sharded));
     }
 }
 
@@ -1291,16 +1186,28 @@ mod sharded_tests {
     }
 
     #[test]
-    fn shard_words_sum_to_total() {
-        let mut sharded: ShardedDht<u64> = ShardedDht::with_shard_count(8);
-        for i in 0..1000u64 {
-            DhtStorage::insert(&mut sharded, Key::new(0, i), i);
+    fn sharded_vector_values_match_flat() {
+        let mut flat: FlatDht<Vec<u64>> = FlatDht::new();
+        let mut sharded: ShardedDht<Vec<u64>> = ShardedDht::with_shard_count(8);
+        for i in 0..500u64 {
+            let v = vec![i; (i % 4) as usize + 1];
+            flat.insert(Key::new((i % 3) as Space, i), v.clone());
+            DhtStorage::insert(&mut sharded, Key::new((i % 3) as Space, i), v);
         }
-        let per_shard = sharded.shard_words();
-        assert_eq!(per_shard.len(), 8);
-        assert_eq!(per_shard.iter().sum::<usize>(), DhtStorage::words(&sharded));
+        assert_eq!(flat.sorted_entries(), sharded.sorted_entries());
+        assert_eq!(FlatDht::len(&flat), DhtStorage::len(&sharded));
+        assert_eq!(FlatDht::words(&flat), DhtStorage::words(&sharded));
+    }
+
+    #[test]
+    fn shard_of_spreads_keys_over_the_shards() {
+        let sharded: ShardedDht<u64> = ShardedDht::with_shard_count(8);
+        let mut per_shard = [0usize; 8];
+        for i in 0..1000u64 {
+            per_shard[sharded.shard_of(Key::new(0, i))] += 1;
+        }
         // The spreader must actually spread: no shard holds everything.
-        assert!(per_shard.iter().all(|&w| w < 1000), "degenerate shard distribution");
+        assert!(per_shard.iter().all(|&c| c < 1000), "degenerate shard distribution");
     }
 
     #[test]
@@ -1400,7 +1307,6 @@ mod sharded_tests {
         assert_eq!(flat.sorted_entries(), dense.sorted_entries());
         assert_eq!(FlatDht::len(&flat), DhtStorage::len(&dense));
         assert_eq!(FlatDht::words(&flat), DhtStorage::words(&dense));
-        assert_eq!(flat.words_by_space(), DhtStorage::words_by_space(&dense));
         assert!(dense.overflow_len() > 0, "test should exercise the overflow path");
     }
 
@@ -1409,8 +1315,7 @@ mod sharded_tests {
         // Property-style sweep over keys straddling the slab boundary: ids
         // at cap−1, cap, cap+large, across several spaces, with deletes and
         // merges whose accounting lands on either side of the boundary.
-        // After every step, words()/words_by_space/len must equal FlatDht's
-        // exactly.
+        // After every step, words()/len must equal FlatDht's exactly.
         let cap = 128usize;
         let boundary_ids =
             [0u64, 1, cap as u64 - 1, cap as u64, cap as u64 + 1, cap as u64 * 31, 1 << 40];
@@ -1450,9 +1355,8 @@ mod sharded_tests {
                     assert_eq!(FlatDht::len(&flat), DhtStorage::len(&dense), "len drifted");
                 }
             }
-            assert_eq!(flat.words_by_space(), DhtStorage::words_by_space(&dense));
+            assert_eq!(flat.sorted_entries(), dense.sorted_entries());
         }
-        assert_eq!(flat.sorted_entries(), dense.sorted_entries());
         assert!(dense.overflow_len() > 0, "boundary sweep must populate the overflow");
 
         // Phase 2: merge-writes (u64 max-combiner) landing on both sides of
@@ -1470,7 +1374,7 @@ mod sharded_tests {
                     DhtStorage::merge(&mut dense, key, round * 1000 + id % 97);
                 }
                 assert_eq!(FlatDht::words(&flat), DhtStorage::words(&dense));
-                assert_eq!(flat.words_by_space(), DhtStorage::words_by_space(&dense));
+                assert_eq!(FlatDht::len(&flat), DhtStorage::len(&dense));
             }
         }
         assert_eq!(flat.sorted_entries(), dense.sorted_entries());

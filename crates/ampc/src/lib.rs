@@ -75,7 +75,7 @@ pub mod rng;
 mod stats;
 mod value;
 
-pub use dht::{DenseDht, Dht, DhtBackend, DhtStorage, FlatDht, ShardBuffers, ShardedDht, WriteOp};
+pub use dht::{DenseDht, DhtBackend, DhtStorage, FlatDht, ShardBuffers, ShardedDht, WriteOp};
 pub use error::{AmpcError, AmpcResult};
 pub use executor::{AmpcConfig, AmpcSystem, RoundOutcome};
 pub use key::{Key, Space};

@@ -46,7 +46,7 @@ fn main() {
         .collect();
 
     let selected: Vec<String> = if ids.is_empty() || ids.contains(&"all") {
-        (1..=12).map(|i| format!("e{i}")).collect()
+        (1..=11).map(|i| format!("e{i}")).collect()
     } else {
         ids.iter().map(|s| s.to_lowercase()).collect()
     };
@@ -69,7 +69,7 @@ fn main() {
                     std::fs::write(&path, table.to_csv()).expect("write csv");
                 }
             }
-            None => eprintln!("unknown experiment id: {id} (expected e1..e12 or all)"),
+            None => eprintln!("unknown experiment id: {id} (expected e1..e11 or all)"),
         }
     }
 }

@@ -1,9 +1,9 @@
-//! The ten experiments of the per-experiment index in DESIGN.md.
+//! The eleven experiments of the per-experiment index in DESIGN.md.
 //!
 //! Each function is deterministic given its arguments, validates all
 //! computed labelings against sequential ground truth, and returns a
 //! [`Table`] pairing paper bounds with measured values. `quick` shrinks the
-//! input sizes (used by integration tests and Criterion).
+//! input sizes (used by the integration tests and CI).
 
 use ampc::{AmpcConfig, DhtBackend};
 use ampc_cc::baselines::mpc_label_prop::{exponentiated_propagation, min_label_propagation};
@@ -490,75 +490,12 @@ pub fn e11_rooted_forest(quick: bool) -> Table {
     t
 }
 
-/// E12 — storage backends: the sharded and dense snapshot stores must be
-/// observably identical to the flat reference while parallelizing the
-/// round-finish merge (and, for dense, removing hashing from the adaptive
-/// read path — see `crates/ampc/src/dht.rs` for the equivalence argument).
-pub fn e12_storage_backends(quick: bool) -> Table {
-    use std::time::Instant;
-    let mut t = Table::new(
-        "E12 — DHT storage backends (flat vs sharded vs dense)",
-        "Backends are observably identical (labels, rounds, queries, peak space); they only change merge parallelism and read latency",
-        &["workload", "backend", "shards", "rounds", "queries", "peak words", "wall ms"],
-    );
-    let n = if quick { 1 << 12 } else { 1 << 15 };
-    let forest = random_forest(n, (n / 64).max(2), 0xE12);
-    let general = erdos_renyi_gnm(n / 2, n, 0xE12);
-
-    let mut forest_rows: Vec<(usize, usize, usize)> = Vec::new();
-    let mut general_rows: Vec<(usize, usize, usize)> = Vec::new();
-    for backend in [DhtBackend::Flat, DhtBackend::sharded(), DhtBackend::dense()] {
-        let shards = backend.resolved_shards();
-
-        let start = Instant::now();
-        let cfg = ForestCcConfig::default().with_seed(0xE12).with_backend(backend);
-        let res = connected_components_forest(&forest, &cfg).expect("forest cc");
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        assert_correct(&forest, &res.labeling, "E12 forest");
-        forest_rows.push((res.rounds(), res.queries(), res.peak_space()));
-        t.push(vec![
-            format!("forest n={}", big(n)),
-            backend.name().into(),
-            shards.to_string(),
-            res.rounds().to_string(),
-            big(res.queries()),
-            big(res.peak_space()),
-            f2(ms),
-        ]);
-
-        let start = Instant::now();
-        let cfg = GeneralCcConfig::default().with_seed(0xE12).with_backend(backend);
-        let res = connected_components_general(&general, &cfg).expect("general cc");
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        assert_correct(&general, &res.labeling, "E12 general");
-        general_rows.push((
-            res.stats.rounds(),
-            res.stats.total_queries(),
-            res.stats.peak_total_space(),
-        ));
-        t.push(vec![
-            format!("general n={}", big(n / 2)),
-            backend.name().into(),
-            shards.to_string(),
-            res.stats.rounds().to_string(),
-            big(res.stats.total_queries()),
-            big(res.stats.peak_total_space()),
-            f2(ms),
-        ]);
-    }
-    assert_eq!(forest_rows[0], forest_rows[1], "E12: forest backends diverged");
-    assert_eq!(general_rows[0], general_rows[1], "E12: general backends diverged");
-    assert_eq!(forest_rows[0], forest_rows[2], "E12: dense forest backend diverged");
-    assert_eq!(general_rows[0], general_rows[2], "E12: dense general backend diverged");
-    t
-}
-
 /// Runs every experiment, returning all tables in index order.
 pub fn run_all(quick: bool) -> Vec<Table> {
-    (1..=12).map(|i| run_one(&format!("e{i}"), quick).expect("known id")).collect()
+    (1..=11).map(|i| run_one(&format!("e{i}"), quick).expect("known id")).collect()
 }
 
-/// Runs one experiment by id (`"e1"`–`"e12"`).
+/// Runs one experiment by id (`"e1"`–`"e11"`).
 pub fn run_one(id: &str, quick: bool) -> Option<Table> {
     Some(match id {
         "e1" => e1_forest_rounds(quick),
@@ -572,7 +509,6 @@ pub fn run_one(id: &str, quick: bool) -> Option<Table> {
         "e9" => e9_ablations(quick),
         "e10" => e10_rank_distribution(quick),
         "e11" => e11_rooted_forest(quick),
-        "e12" => e12_storage_backends(quick),
         _ => return None,
     })
 }

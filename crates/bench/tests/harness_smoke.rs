@@ -31,29 +31,16 @@ fn unknown_experiment_is_none() {
 }
 
 #[test]
-fn quick_forest_experiments_run() {
-    for id in ["e1", "e2", "e9"] {
-        let table = ampc_bench::run_one(id, true).expect("known id");
+fn the_harness_is_exactly_e1_to_e11() {
+    // The harness reports counts only. A twelfth table would be a timing
+    // table: wall clock is the ledger's (`BENCHMARK.json`), and backend
+    // equivalence is `tests/cross_validation.rs`'s matrices.
+    let tables = ampc_bench::run_all(true);
+    assert_eq!(tables.len(), 11);
+    for (i, table) in tables.iter().enumerate() {
+        let id = format!("E{}", i + 1);
+        assert!(table.title.starts_with(&format!("{id} ")), "{id} is titled {:?}", table.title);
         assert!(!table.rows.is_empty(), "{id} produced no rows");
     }
-}
-
-#[test]
-fn quick_general_experiments_run() {
-    for id in ["e5", "e8", "e11"] {
-        let table = ampc_bench::run_one(id, true).expect("known id");
-        assert!(!table.rows.is_empty(), "{id} produced no rows");
-    }
-}
-
-#[test]
-fn quick_backend_experiment_runs() {
-    // e12 asserts flat/sharded/dense equivalence internally; here we check
-    // the table shape: one row per backend per workload.
-    let table = ampc_bench::run_one("e12", true).expect("known id");
-    assert_eq!(table.rows.len(), 6, "two workloads × three backends");
-    let backends: Vec<&str> = table.rows.iter().map(|r| r[1].as_str()).collect();
-    assert_eq!(backends.iter().filter(|b| **b == "flat").count(), 2);
-    assert_eq!(backends.iter().filter(|b| **b == "sharded").count(), 2);
-    assert_eq!(backends.iter().filter(|b| **b == "dense").count(), 2);
+    assert!(ampc_bench::run_one("e12", true).is_none());
 }

@@ -18,10 +18,10 @@
 //!   `O(log log_{T/n} n)` solver (Theorem 4.1, also used as a subroutine)
 //!   and a classic MPC min-label-propagation round counter.
 //! * [`pipeline`] — unified dispatch: a [`PipelineSpec`] (algorithm,
-//!   backend, limits, seed, machines) resolves to a [`Pipeline`] whose
-//!   `execute` returns one [`PipelineRun`] shape for both algorithms, so
-//!   consumers (CLI, benches, the serving layer) never re-implement the
-//!   pipeline × backend dispatch grid.
+//!   backend, limits, seed, machines) whose `run` returns one
+//!   [`PipelineRun`] shape for both algorithms, so consumers (CLI, the
+//!   serving layer, the ledger) never re-implement the pipeline × backend
+//!   dispatch grid.
 //!
 //! Every public entry point returns both a validated
 //! [`ampc_graph::Labeling`] and the run's [`ampc::RunStats`] so experiments
@@ -35,10 +35,7 @@ pub mod forest;
 pub mod general;
 pub mod pipeline;
 
-pub use pipeline::{
-    Algorithm, ForestPipeline, GeneralPipeline, Pipeline, PipelineRun, PipelineSpec,
-    ResolvedAlgorithm, ResolvedPipeline,
-};
+pub use pipeline::{Algorithm, PipelineRun, PipelineSpec, ResolvedAlgorithm};
 
 /// Iterated logarithm `log* n` (base 2): the minimum `k ≥ 0` with
 /// `log^(k) n ≤ 1`.

@@ -1,18 +1,15 @@
 //! Unified pipeline dispatch: one spec, one entry point, both algorithms.
 //!
-//! Before this module, every consumer of the pipelines — the `ampc-cc`
-//! binary, the benches, the serving layer — re-implemented the same grid:
-//! match on forest vs. general, build the matching config, thread the
-//! backend/seed/machine plumbing through, and adapt the two result types.
-//! [`PipelineSpec`] collapses that grid into a single value (algorithm,
-//! backend, limits, seed, machines) and [`Pipeline::execute`] into a single
-//! call returning the unified [`PipelineRun`].
+//! [`PipelineSpec`] is a single value (algorithm, backend, limits, seed,
+//! machines) that every consumer of the pipelines — the `ampc-cc` binary,
+//! the serving layer, the ledger — hands to [`PipelineSpec::run`], which
+//! returns the unified [`PipelineRun`].
 //!
 //! Dispatch stays fully monomorphized: [`PipelineSpec::resolve`] picks the
-//! concrete pipeline once (consulting the input for [`Algorithm::Auto`]),
-//! and the per-backend match arms inside
+//! algorithm once (consulting the input for [`Algorithm::Auto`]), `run`
+//! matches on it, and the per-backend match arms inside
 //! [`connected_components_forest`]/[`connected_components_general`] remain
-//! the only dispatch points — no `dyn` anywhere on the hot path.
+//! the only other dispatch points — no `dyn` anywhere on the hot path.
 
 use ampc::{AmpcResult, DhtBackend, RunStats};
 use ampc_graph::{Graph, Labeling};
@@ -83,9 +80,9 @@ impl ResolvedAlgorithm {
 /// Everything needed to run a connectivity pipeline, in one value.
 ///
 /// The spec is plain `Clone + Send` data, so it can be stored in a serving
-/// handle, shipped to a background rebuild thread, or embedded in a bench
-/// table row. Two runs of the same spec on the same graph are
-/// byte-identical (the pipelines are deterministic given the seed).
+/// handle or shipped to a background rebuild thread. Two runs of the same
+/// spec on the same graph are byte-identical (the pipelines are
+/// deterministic given the seed).
 #[derive(Clone, Debug, PartialEq)]
 pub struct PipelineSpec {
     /// Algorithm selection (resolved against the input when `Auto`).
@@ -172,24 +169,40 @@ impl PipelineSpec {
         cfg
     }
 
-    /// Resolves `Auto` against `g` and returns the concrete pipeline.
-    /// Resolution consults only `g.is_forest()`; it never runs anything.
-    pub fn resolve(&self, g: &Graph) -> ResolvedPipeline {
-        let use_forest = match self.algorithm {
-            Algorithm::Forest => true,
-            Algorithm::General => false,
-            Algorithm::Auto => g.is_forest(),
-        };
-        if use_forest {
-            ResolvedPipeline::Forest(ForestPipeline { cfg: self.forest_config() })
-        } else {
-            ResolvedPipeline::General(GeneralPipeline { cfg: self.general_config() })
+    /// Resolves `Auto` against `g`. Resolution consults only
+    /// `g.is_forest()`; it never runs anything.
+    pub fn resolve(&self, g: &Graph) -> ResolvedAlgorithm {
+        match self.algorithm {
+            Algorithm::Forest => ResolvedAlgorithm::Forest,
+            Algorithm::General => ResolvedAlgorithm::General,
+            Algorithm::Auto if g.is_forest() => ResolvedAlgorithm::Forest,
+            Algorithm::Auto => ResolvedAlgorithm::General,
         }
     }
 
-    /// Resolves and executes in one call — the everyday entry point.
+    /// Human-readable description of this spec run as `algorithm`, for run
+    /// logs (algorithm number, theorem, parameters).
+    pub fn describe(&self, algorithm: ResolvedAlgorithm) -> String {
+        match algorithm {
+            ResolvedAlgorithm::Forest => "1 (forest, Theorem 1.1)".to_string(),
+            ResolvedAlgorithm::General => format!("2 (general, Theorem 1.2, k = {})", self.k),
+        }
+    }
+
+    /// Resolves and executes in one call: the one entry point.
     pub fn run(&self, g: &Graph) -> AmpcResult<PipelineRun> {
-        self.resolve(g).execute(g)
+        let algorithm = self.resolve(g);
+        let (labeling, stats) = match algorithm {
+            ResolvedAlgorithm::Forest => {
+                let r = connected_components_forest(g, &self.forest_config())?;
+                (r.labeling, r.stats)
+            }
+            ResolvedAlgorithm::General => {
+                let r = connected_components_general(g, &self.general_config())?;
+                (r.labeling, r.stats)
+            }
+        };
+        Ok(PipelineRun { labeling, stats, algorithm })
     }
 }
 
@@ -205,106 +218,6 @@ pub struct PipelineRun {
     pub algorithm: ResolvedAlgorithm,
 }
 
-/// A runnable connectivity pipeline: the seam the serving layer and the
-/// benches program against instead of the concrete entry points.
-pub trait Pipeline {
-    /// The algorithm this pipeline executes.
-    fn algorithm(&self) -> ResolvedAlgorithm;
-
-    /// Human-readable description for run logs (algorithm number, theorem,
-    /// parameters).
-    fn describe(&self) -> String;
-
-    /// Runs the pipeline on `g`.
-    fn execute(&self, g: &Graph) -> AmpcResult<PipelineRun>;
-}
-
-/// Algorithm 1 as a [`Pipeline`].
-#[derive(Debug, Clone)]
-pub struct ForestPipeline {
-    /// The full forest configuration (exposed so experiments can tweak
-    /// knobs the spec doesn't model, e.g. the trade-off `B₀`).
-    pub cfg: ForestCcConfig,
-}
-
-impl Pipeline for ForestPipeline {
-    fn algorithm(&self) -> ResolvedAlgorithm {
-        ResolvedAlgorithm::Forest
-    }
-
-    fn describe(&self) -> String {
-        "1 (forest, Theorem 1.1)".to_string()
-    }
-
-    fn execute(&self, g: &Graph) -> AmpcResult<PipelineRun> {
-        let r = connected_components_forest(g, &self.cfg)?;
-        Ok(PipelineRun {
-            labeling: r.labeling,
-            stats: r.stats,
-            algorithm: ResolvedAlgorithm::Forest,
-        })
-    }
-}
-
-/// Algorithm 2 as a [`Pipeline`].
-#[derive(Debug, Clone)]
-pub struct GeneralPipeline {
-    /// The full general-graph configuration.
-    pub cfg: GeneralCcConfig,
-}
-
-impl Pipeline for GeneralPipeline {
-    fn algorithm(&self) -> ResolvedAlgorithm {
-        ResolvedAlgorithm::General
-    }
-
-    fn describe(&self) -> String {
-        format!("2 (general, Theorem 1.2, k = {})", self.cfg.k)
-    }
-
-    fn execute(&self, g: &Graph) -> AmpcResult<PipelineRun> {
-        let r = connected_components_general(g, &self.cfg)?;
-        Ok(PipelineRun {
-            labeling: r.labeling,
-            stats: r.stats,
-            algorithm: ResolvedAlgorithm::General,
-        })
-    }
-}
-
-/// A [`PipelineSpec`] resolved to its concrete pipeline. Enum (not `dyn`)
-/// so `execute` dispatches statically into the monomorphized entry points.
-#[derive(Debug, Clone)]
-pub enum ResolvedPipeline {
-    /// Algorithm 1.
-    Forest(ForestPipeline),
-    /// Algorithm 2.
-    General(GeneralPipeline),
-}
-
-impl Pipeline for ResolvedPipeline {
-    fn algorithm(&self) -> ResolvedAlgorithm {
-        match self {
-            ResolvedPipeline::Forest(p) => p.algorithm(),
-            ResolvedPipeline::General(p) => p.algorithm(),
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            ResolvedPipeline::Forest(p) => p.describe(),
-            ResolvedPipeline::General(p) => p.describe(),
-        }
-    }
-
-    fn execute(&self, g: &Graph) -> AmpcResult<PipelineRun> {
-        match self {
-            ResolvedPipeline::Forest(p) => p.execute(g),
-            ResolvedPipeline::General(p) => p.execute(g),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,11 +229,11 @@ mod tests {
         let forest = random_forest(200, 4, 1);
         let cyclic = erdos_renyi_gnm(100, 300, 2);
         let spec = PipelineSpec::default();
-        assert_eq!(spec.resolve(&forest).algorithm(), ResolvedAlgorithm::Forest);
-        assert_eq!(spec.resolve(&cyclic).algorithm(), ResolvedAlgorithm::General);
+        assert_eq!(spec.resolve(&forest), ResolvedAlgorithm::Forest);
+        assert_eq!(spec.resolve(&cyclic), ResolvedAlgorithm::General);
         // Explicit selection overrides the shape (general runs on forests).
         let spec = spec.with_algorithm(Algorithm::General);
-        assert_eq!(spec.resolve(&forest).algorithm(), ResolvedAlgorithm::General);
+        assert_eq!(spec.resolve(&forest), ResolvedAlgorithm::General);
     }
 
     #[test]
@@ -359,9 +272,9 @@ mod tests {
     fn describe_names_the_algorithm() {
         let g = random_forest(50, 2, 1);
         let spec = PipelineSpec::default();
-        assert!(spec.resolve(&g).describe().starts_with("1 (forest"));
+        assert!(spec.describe(spec.resolve(&g)).starts_with("1 (forest"));
         let spec = spec.with_algorithm(Algorithm::General).with_k(5);
-        assert_eq!(spec.resolve(&g).describe(), "2 (general, Theorem 1.2, k = 5)");
+        assert_eq!(spec.describe(spec.resolve(&g)), "2 (general, Theorem 1.2, k = 5)");
     }
 
     #[test]

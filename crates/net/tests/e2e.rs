@@ -42,8 +42,10 @@ fn all_mixes_match_oracle_over_loopback() {
     let server = start_server(service, ServerConfig::default());
     let addr = server.local_addr();
 
+    let mut sent = 0u64;
     for (i, mix) in Mix::STANDARD.into_iter().enumerate() {
         let queries = workload::generate(&oracle_index, mix, 4_000, SEED ^ i as u64);
+        sent += queries.len() as u64;
         let expected = oracle_checksum(&oracle_index, &queries);
         let report = ampc_net::run_harness(
             addr,
@@ -56,7 +58,9 @@ fn all_mixes_match_oracle_over_loopback() {
         assert!(report.wire.count >= (queries.len() / 128) as u64);
         assert!(report.wire.quantile(0.5) > 0, "wire latency must be nonzero");
     }
-    assert!(server.service_latency().count > 0, "service latency histogram must fill");
+    let latency = server.service_latency();
+    assert!(latency.count >= sent, "every wire query must land in the service histogram");
+    assert!(latency.quantile(0.5) > 0, "service latency must be nonzero");
 }
 
 /// A rebuild publishing mid-flight never tears a batch: every batch's
@@ -134,6 +138,7 @@ fn overload_shed_is_typed_and_bounded() {
         other => panic!("expected typed Overloaded frame, got {other:?}"),
     }
     assert!(server.queued() <= 1, "queue exceeded its high-water mark");
+    assert_eq!(server.connections_shed(), 1, "exactly the connection past the queue is shed");
 }
 
 /// The harness surfaces an Overloaded shed as a typed, detectable error

@@ -13,11 +13,10 @@ use ampc_graph::generators::random_forest;
 use ampc_graph::reference_components;
 use ampc_graph::{Graph, VertexId};
 use ampc_net::{Connection, ErrorCode, ServerConfig};
+use ampc_obs::ManualClock;
 use ampc_query::{ComponentIndex, Query, QueryEngine};
 use ampc_serve::fault::{self, FaultAction, Site};
-use ampc_serve::{
-    HealthState, JournalBudget, ManualClock, RetryPolicy, ServiceBuilder, ServiceHandle,
-};
+use ampc_serve::{HealthState, JournalBudget, RetryPolicy, ServiceBuilder, ServiceHandle};
 
 const N: usize = 150;
 
@@ -73,7 +72,7 @@ fn degradation_walk_is_visible_and_exact_on_the_wire() {
     let _s = FaultSession::begin();
     let graph = random_forest(N, 6, 0x8EA1);
     let index = ComponentIndex::build(&reference_components(&graph));
-    let clock = ManualClock::new();
+    let clock = Arc::new(ManualClock::new(0));
     let service = ServiceBuilder::new(graph)
         .spec(PipelineSpec::default().with_seed(0x8EA1).with_machines(4))
         // Zero edge budget: the first insert immediately starts a
@@ -85,7 +84,7 @@ fn degradation_walk_is_visible_and_exact_on_the_wire() {
             max_backoff_ms: 400,
             max_incidents: 8,
         })
-        .clock(Arc::new(clock.clone()))
+        .clock(clock.clone())
         .build()
         .expect("service");
 
@@ -113,7 +112,7 @@ fn degradation_walk_is_visible_and_exact_on_the_wire() {
     assert_eq!(conn.health().expect("health").state_name(), "degraded");
 
     // Strike 2: backoff elapses, the retry fails → ReadOnly.
-    clock.advance_ms(100);
+    clock.advance(100_000_000);
     assert!(service.tick(), "elapsed backoff must start a retry");
     wait_until("read-only", || service.health().state == HealthState::ReadOnly);
     assert_wire_matches(&mut conn, &service, "after second strike");

@@ -1,16 +1,16 @@
 //! Injectable nanosecond clock.
 //!
-//! Same seam discipline as `ampc_serve::Clock` (millisecond granularity,
-//! PR 8) but at nanosecond resolution for latency spans: production code
-//! reads a process-wide monotonic origin, tests drive a [`ManualClock`] so
-//! timing assertions never sleep.
+//! The one time seam of the workspace: latency spans read it in
+//! nanoseconds, `ampc_serve`'s retry schedule and incident log in whole
+//! milliseconds of it. Production code reads a process-wide monotonic
+//! origin, tests drive a [`ManualClock`] so timing assertions never sleep.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Nanoseconds since an arbitrary process-local origin.
-pub trait Clock: Send + Sync {
+pub trait Clock: Send + Sync + std::fmt::Debug {
     fn now_ns(&self) -> u64;
 }
 

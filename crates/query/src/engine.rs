@@ -148,8 +148,8 @@ impl<'a> QueryEngine<'a> {
 
     /// Answers `queries[i]` into `answers[i]` for every `i`: slice in,
     /// slice out, no allocation. The tight loop over `Copy` values is what
-    /// the `query_throughput` bench measures against the one-call-per-query
-    /// path. Out-of-range vertices answer [`NO_ANSWER`], same as
+    /// the ledger's `query.batch_ns_per_query.*` rows measure against the
+    /// one-call-per-query `query.single_ns_per_query`. Out-of-range vertices answer [`NO_ANSWER`], same as
     /// [`QueryEngine::answer`].
     ///
     /// # Errors

@@ -34,7 +34,7 @@
 //!   (uniform, Zipf-skewed, adversarial cross-component) in the same style
 //!   as the graph generators, plus a plain-text query-file format;
 //! * [`throughput`] — the timed single-call and batched passes shared by
-//!   the CLI's `query` subcommand and the `query_throughput` bench.
+//!   the CLI's `query` subcommand and the serving driver.
 //!
 //! The index is **immutable by design**: a build is a pure function of the
 //! labeling's partition (dense ids are assigned by minimum member vertex,

@@ -1,6 +1,6 @@
 //! Shared throughput measurement for the serving layer.
 //!
-//! The CLI `query` subcommand and the `query_throughput` bench time the
+//! The CLI `query` subcommand and the serving driver time the
 //! same two code paths — one `answer` call per query vs. batched
 //! `answer_batch` chunks — so the timed loops live here, once. Both
 //! return `(queries/sec, checksum)`: the wrapping answer sum guards

@@ -16,7 +16,7 @@
 //! All draws come from the workspace's SplitMix64 stream, so a
 //! `(mix, count, seed)` triple regenerates the identical query sequence on
 //! any machine — the property the cross-validation matrix and the
-//! throughput bench both rely on.
+//! ledger both rely on.
 
 use std::io::{self, BufRead, BufReader, Read};
 
@@ -43,7 +43,7 @@ pub enum Mix {
 }
 
 impl Mix {
-    /// The standard mixes, in reporting order: what the bench and the CLI
+    /// The standard mixes, in reporting order: what the ledger and the CLI
     /// sweep when no explicit mix is requested.
     pub const STANDARD: [Mix; 3] = [Mix::Uniform, Mix::Zipf { exponent: 1.1 }, Mix::CrossComponent];
 

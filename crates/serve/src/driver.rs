@@ -248,7 +248,7 @@ fn parallel_region<S: Send>(slots: &mut [S], body: impl Fn(usize, &mut S) + Sync
     t0.elapsed().as_secs_f64()
 }
 
-/// Convenience for benches and the CLI: generate the mix's deterministic
+/// Convenience for the CLI: generate the mix's deterministic
 /// workload from the service's *current* snapshot and drive it. The
 /// workload depends only on `(index, mix, count, seed)`, so two calls at
 /// the same epoch drive identical streams.

@@ -41,8 +41,8 @@
 //!   their thread but land as typed incidents in a bounded log and drive
 //!   `Healthy → Degraded → ReadOnly` ([`HealthState`]) with bounded
 //!   deterministic retry-with-backoff ([`RetryPolicy`], injectable
-//!   [`Clock`]). Reads keep serving the last published epoch in every
-//!   state; [`ServiceBuilder::from_snapshot_or_rebuild`] gives boot the
+//!   [`ampc_obs::Clock`]). Reads keep serving the last published epoch in
+//!   every state; [`ServiceBuilder::from_snapshot_or_rebuild`] gives boot the
 //!   same no-single-failure-kills-us treatment.
 //!
 //! Per-epoch determinism carries over from the layers below: a published
@@ -62,7 +62,7 @@ pub use ampc_query::{JournalView, SnapshotError};
 pub use epoch::{EpochCell, EpochGuard};
 pub use fault::{FaultAction, InjectedFault, Site};
 pub use service::{
-    BootSource, Clock, HealthReport, HealthState, Incident, IncidentOp, IndexSnapshot,
-    InsertReport, JournalBudget, ManualClock, MonotonicClock, PersistReport, PublishedIndex,
-    RebuildHandle, RetryPolicy, ServeError, ServiceBuilder, ServiceHandle,
+    BootSource, HealthReport, HealthState, Incident, IncidentOp, IndexSnapshot, InsertReport,
+    JournalBudget, PersistReport, PublishedIndex, RebuildHandle, RetryPolicy, ServeError,
+    ServiceBuilder, ServiceHandle,
 };

@@ -47,9 +47,9 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use ampc::{AmpcError, RunStats};
-use ampc_cc::pipeline::{Algorithm, Pipeline as _, PipelineSpec, ResolvedAlgorithm};
+use ampc_cc::pipeline::{Algorithm, PipelineSpec, ResolvedAlgorithm};
 use ampc_graph::{Graph, Labeling, UnionFind, VertexId};
-use ampc_obs::{CounterId, GaugeId, HistId, TraceKind};
+use ampc_obs::{Clock, CounterId, GaugeId, HistId, MonotonicClock, TraceKind};
 use ampc_query::{snapshot, ComponentIndex, JournalView, QueryEngine, SnapshotError};
 
 use crate::epoch::{EpochCell, EpochGuard};
@@ -207,7 +207,8 @@ impl IncidentOp {
 pub struct Incident {
     /// 1-based global sequence number (total incidents ever recorded).
     pub seq: u64,
-    /// [`Clock::now_ms`] when the incident was recorded.
+    /// Milliseconds on the service's [`Clock`] when the incident was
+    /// recorded.
     pub at_ms: u64,
     /// The operation that failed.
     pub op: IncidentOp,
@@ -252,52 +253,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// The time source the retry/backoff policy reads. Injectable so chaos
-/// tests (and incident replays) advance time deterministically instead of
-/// sleeping.
-pub trait Clock: Send + Sync + std::fmt::Debug {
-    /// Milliseconds since an arbitrary fixed origin; must be monotone.
-    fn now_ms(&self) -> u64;
-}
-
-/// The production clock: monotone milliseconds since service creation.
-#[derive(Debug)]
-pub struct MonotonicClock(Instant);
-
-impl Default for MonotonicClock {
-    fn default() -> Self {
-        MonotonicClock(Instant::now())
-    }
-}
-
-impl Clock for MonotonicClock {
-    fn now_ms(&self) -> u64 {
-        self.0.elapsed().as_millis() as u64
-    }
-}
-
-/// A hand-advanced test clock. Clones share the same time.
-#[derive(Debug, Clone, Default)]
-pub struct ManualClock(Arc<AtomicU64>);
-
-impl ManualClock {
-    /// A clock starting at 0 ms.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Advances the clock by `ms`.
-    pub fn advance_ms(&self, ms: u64) {
-        self.0.fetch_add(ms, SeqCst);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now_ms(&self) -> u64 {
-        self.0.load(SeqCst)
-    }
-}
-
 /// A point-in-time copy of the service's health, via
 /// [`ServiceHandle::health`].
 #[derive(Debug, Clone)]
@@ -321,8 +276,8 @@ pub struct HealthReport {
 struct HealthInner {
     state: HealthState,
     consecutive_failures: u32,
-    /// Earliest [`Clock::now_ms`] at which a Degraded service retries
-    /// compaction.
+    /// Earliest millisecond on the service's clock at which a Degraded
+    /// service retries compaction.
     retry_at_ms: u64,
     incidents: VecDeque<Incident>,
     total_incidents: u64,
@@ -618,6 +573,13 @@ struct ConnectivityService {
     tickets: RebuildTickets,
 }
 
+impl ConnectivityService {
+    /// The retry schedule and the incident log count milliseconds.
+    fn now_ms(&self) -> u64 {
+        self.clock.now_ns() / 1_000_000
+    }
+}
+
 /// Appends a typed failure to the bounded incident log without touching
 /// the state machine (boot-fallback incidents land in a Healthy service).
 fn record_incident(
@@ -628,12 +590,7 @@ fn record_incident(
 ) {
     let h = &mut st.health;
     h.total_incidents += 1;
-    h.incidents.push_back(Incident {
-        seq: h.total_incidents,
-        at_ms: service.clock.now_ms(),
-        op,
-        error,
-    });
+    h.incidents.push_back(Incident { seq: h.total_incidents, at_ms: service.now_ms(), op, error });
     while h.incidents.len() > service.policy.max_incidents {
         h.incidents.pop_front();
     }
@@ -666,7 +623,7 @@ fn record_failure(
         }
         st.health.state = HealthState::Degraded;
         st.health.retry_at_ms =
-            service.clock.now_ms().saturating_add(service.policy.backoff_ms(failures));
+            service.now_ms().saturating_add(service.policy.backoff_ms(failures));
     }
 }
 
@@ -695,7 +652,7 @@ fn lock_stream(stream: &Mutex<StreamState>) -> MutexGuard<'_, StreamState> {
 /// published.
 fn build_base(spec: &PipelineSpec, g: &Graph) -> Result<BaseIndex, ServeError> {
     let t0 = Instant::now();
-    let run = spec.resolve(g).execute(g)?;
+    let run = spec.run(g)?;
     let pipeline_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = Instant::now();
     let index = ComponentIndex::from_run(g, &run.labeling).map_err(ServeError::InvalidLabeling)?;
@@ -768,7 +725,7 @@ impl ServiceBuilder {
             spec: PipelineSpec::default(),
             budget: JournalBudget::default(),
             policy: RetryPolicy::default(),
-            clock: Arc::new(MonotonicClock::default()),
+            clock: Arc::new(MonotonicClock),
         }
     }
 
@@ -790,8 +747,8 @@ impl ServiceBuilder {
         self
     }
 
-    /// Injects the time source the retry schedule reads (tests pass a
-    /// [`ManualClock`] and advance it deterministically).
+    /// Injects the time source the retry schedule reads (tests pass an
+    /// [`ampc_obs::ManualClock`] and advance it deterministically).
     pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = clock;
         self
@@ -935,7 +892,7 @@ impl ServiceBuilder {
             spec,
             JournalBudget::default(),
             RetryPolicy::default(),
-            Arc::new(MonotonicClock::default()),
+            Arc::new(MonotonicClock),
         ))
     }
 }
@@ -1054,7 +1011,7 @@ impl ServiceHandle {
         let st = lock_stream(&service.stream);
         let h = &st.health;
         let retry_in_ms = (h.state == HealthState::Degraded)
-            .then(|| h.retry_at_ms.saturating_sub(service.clock.now_ms()));
+            .then(|| h.retry_at_ms.saturating_sub(service.now_ms()));
         HealthReport {
             state: h.state,
             consecutive_failures: h.consecutive_failures,
@@ -1073,7 +1030,7 @@ impl ServiceHandle {
         let service = &self.service;
         let mut st = lock_stream(&service.stream);
         let due = st.health.state == HealthState::Degraded
-            && service.clock.now_ms() >= st.health.retry_at_ms
+            && service.now_ms() >= st.health.retry_at_ms
             && !st.compacting
             && st.has_base_graph;
         if due {
@@ -1171,7 +1128,7 @@ impl ServiceHandle {
         // rather than on every over-budget batch.
         let due = match st.health.state {
             HealthState::Healthy => service.budget.exceeded_by(st.pending.len(), st.merges),
-            HealthState::Degraded => service.clock.now_ms() >= st.health.retry_at_ms,
+            HealthState::Degraded => service.now_ms() >= st.health.retry_at_ms,
             HealthState::ReadOnly => false,
         };
         let compaction_started = due && !st.compacting && st.has_base_graph;
@@ -1712,11 +1669,16 @@ mod tests {
 
     #[test]
     fn manual_clock_is_shared_across_clones() {
-        let clock = ManualClock::new();
-        let alias = clock.clone();
-        assert_eq!(clock.now_ms(), 0);
-        alias.advance_ms(250);
-        assert_eq!(clock.now_ms(), 250);
+        let clock = Arc::new(ampc_obs::ManualClock::new(0));
+        let service = ServiceBuilder::new(random_forest(100, 2, 20))
+            .spec(spec())
+            .clock(clock.clone())
+            .build()
+            .unwrap();
+        let alias = service.clone();
+        assert_eq!(alias.service.now_ms(), 0);
+        clock.advance(250_999_999);
+        assert_eq!(alias.service.now_ms(), 250, "whole milliseconds of the injected clock");
     }
 
     #[test]

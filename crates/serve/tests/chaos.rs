@@ -28,11 +28,12 @@ use ampc::rng::{derive_seed, SplitMix64};
 use ampc_cc::pipeline::PipelineSpec;
 use ampc_graph::generators::random_forest;
 use ampc_graph::{reference_components, Graph, VertexId};
+use ampc_obs::ManualClock;
 use ampc_query::{snapshot, ComponentIndex, Query};
 use ampc_serve::fault::{self, FaultAction, Site};
 use ampc_serve::{
-    BootSource, HealthState, IncidentOp, JournalBudget, ManualClock, RetryPolicy, ServeError,
-    ServiceBuilder, ServiceHandle, SnapshotError,
+    BootSource, HealthState, IncidentOp, JournalBudget, RetryPolicy, ServeError, ServiceBuilder,
+    ServiceHandle, SnapshotError,
 };
 
 /// The failpoints with production call sites (everything but `test.probe`).
@@ -140,6 +141,11 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     }
 }
 
+/// The retry schedule counts milliseconds of the injected nanosecond clock.
+fn advance_ms(clock: &ManualClock, ms: u64) {
+    clock.advance(ms * 1_000_000);
+}
+
 /// Drives the state machine back to `Healthy` with all faults disarmed:
 /// `Degraded` → advance the injected clock past the backoff and `tick()`;
 /// `ReadOnly` → the operator lever, an explicit rebuild over the accepted
@@ -155,7 +161,7 @@ fn recover_to_healthy(
         match service.health().state {
             HealthState::Healthy => return,
             HealthState::Degraded => {
-                clock.advance_ms(60_000);
+                advance_ms(clock, 60_000);
                 service.tick();
             }
             HealthState::ReadOnly => {
@@ -186,7 +192,7 @@ fn degradation_walks_healthy_degraded_readonly_and_recovers() {
     let n = 120;
     let g = random_forest(n, 6, 31);
     let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
-    let clock = ManualClock::new();
+    let clock = Arc::new(ManualClock::new(0));
     let policy = RetryPolicy {
         max_consecutive_failures: 3,
         base_backoff_ms: 100,
@@ -197,7 +203,7 @@ fn degradation_walks_healthy_degraded_readonly_and_recovers() {
         .spec(spec(31))
         .journal_budget(JournalBudget::new(0, usize::MAX))
         .retry_policy(policy)
-        .clock(Arc::new(clock.clone()))
+        .clock(clock.clone())
         .build()
         .expect("build");
 
@@ -222,14 +228,14 @@ fn degradation_walks_healthy_degraded_readonly_and_recovers() {
     assert_oracle(&service, n, &edges, "degraded journal epoch");
 
     // Strike 2: backoff elapses, tick retries, retry fails, backoff doubles.
-    clock.advance_ms(100);
+    advance_ms(&clock, 100);
     assert!(service.tick(), "elapsed backoff must start a retry");
     wait_until("second compaction failure", || service.health().consecutive_failures == 2);
     assert_eq!(service.health().state, HealthState::Degraded);
     assert!(!service.tick(), "doubled backoff (200ms) has not elapsed");
 
     // Strike 3: the policy gives up — ReadOnly.
-    clock.advance_ms(200);
+    advance_ms(&clock, 200);
     assert!(service.tick());
     wait_until("read-only transition", || service.health().state == HealthState::ReadOnly);
 
@@ -269,7 +275,7 @@ fn incident_log_is_bounded_but_counts_everything() {
     let n = 80;
     let g = random_forest(n, 4, 32);
     let base_edges: Vec<(VertexId, VertexId)> = g.edges().collect();
-    let clock = ManualClock::new();
+    let clock = Arc::new(ManualClock::new(0));
     let service = ServiceBuilder::new(g)
         .spec(spec(32))
         .journal_budget(JournalBudget::unbounded())
@@ -279,7 +285,7 @@ fn incident_log_is_bounded_but_counts_everything() {
             max_backoff_ms: 1,
             max_incidents: 3,
         })
-        .clock(Arc::new(clock.clone()))
+        .clock(clock.clone())
         .build()
         .expect("build");
 
@@ -288,7 +294,7 @@ fn incident_log_is_bounded_but_counts_everything() {
     let bridge = bridge_edge(n, &base_edges).expect("forest has multiple components");
     fault::arm(Site::JournalBuild, FaultAction::Error, 0, u64::MAX);
     for i in 0..5u64 {
-        clock.advance_ms(10);
+        advance_ms(&clock, 10);
         let err = service.insert_edges(&[bridge]).expect_err("armed journal build");
         assert_eq!(err, ServeError::Injected { site: "journal.build" });
         let h = service.health();
@@ -311,11 +317,11 @@ fn journal_build_failure_is_atomic_and_recoverable() {
     let n = 100;
     let g = random_forest(n, 5, 33);
     let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
-    let clock = ManualClock::new();
+    let clock = Arc::new(ManualClock::new(0));
     let service = ServiceBuilder::new(g)
         .spec(spec(33))
         .journal_budget(JournalBudget::unbounded())
-        .clock(Arc::new(clock.clone()))
+        .clock(clock.clone())
         .build()
         .expect("build");
 
@@ -382,11 +388,11 @@ fn rebuild_and_compaction_panics_are_recorded_not_lost() {
     let n = 110;
     let g = random_forest(n, 5, 35);
     let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
-    let clock = ManualClock::new();
+    let clock = Arc::new(ManualClock::new(0));
     let service = ServiceBuilder::new(g)
         .spec(spec(35))
         .journal_budget(JournalBudget::new(0, usize::MAX))
-        .clock(Arc::new(clock.clone()))
+        .clock(clock.clone())
         .build()
         .expect("build");
 
@@ -555,7 +561,7 @@ fn drive_site_once(site: Site) {
     let n = 60;
     let g = random_forest(n, 4, 99);
     let edges: Vec<(VertexId, VertexId)> = g.edges().collect();
-    let clock = ManualClock::new();
+    let clock = Arc::new(ManualClock::new(0));
     let budget = if site == Site::CompactPublish {
         JournalBudget::new(0, usize::MAX)
     } else {
@@ -564,7 +570,7 @@ fn drive_site_once(site: Site) {
     let service = ServiceBuilder::new(g)
         .spec(spec(99))
         .journal_budget(budget)
-        .clock(Arc::new(clock.clone()))
+        .clock(clock.clone())
         .build()
         .expect("build");
     let path = tmp_path(&format!("drive_{}", site.name().replace('.', "_")));
@@ -625,7 +631,7 @@ fn run_chaos_schedule(seed: u64, rounds: usize) {
     let trees = 6 + (seed as usize % 5);
     let g = random_forest(n, trees, seed);
     let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
-    let clock = ManualClock::new();
+    let clock = Arc::new(ManualClock::new(0));
     let policy = RetryPolicy {
         max_consecutive_failures: 3 + (seed % 3) as u32,
         base_backoff_ms: 50,
@@ -636,7 +642,7 @@ fn run_chaos_schedule(seed: u64, rounds: usize) {
         .spec(spec(seed))
         .journal_budget(JournalBudget::new(2, usize::MAX))
         .retry_policy(policy)
-        .clock(Arc::new(clock.clone()))
+        .clock(clock.clone())
         .build()
         .expect("build");
 
@@ -724,7 +730,7 @@ fn run_chaos_schedule(seed: u64, rounds: usize) {
         }
 
         // Advance the injected clock and give the retry schedule a chance.
-        clock.advance_ms(rng.next_below(300));
+        advance_ms(&clock, rng.next_below(300));
         service.tick();
 
         // ReadOnly mid-schedule: pull the operator lever and keep going.

@@ -116,7 +116,7 @@ use std::time::Instant;
 
 use adaptive_mpc_connectivity::ampc::rng::{derive_seed, SplitMix64};
 use adaptive_mpc_connectivity::ampc::{DhtBackend, RunStats};
-use adaptive_mpc_connectivity::cc::pipeline::{Algorithm, Pipeline as _, PipelineSpec};
+use adaptive_mpc_connectivity::cc::pipeline::{Algorithm, PipelineSpec};
 use adaptive_mpc_connectivity::graph::{
     io as graph_io, metrics, reference_components, Graph, Labeling, VertexId,
 };
@@ -372,13 +372,13 @@ fn print_metrics(g: &Graph) {
     );
 }
 
-/// Announces which concrete pipeline the spec resolved to for `g` — the
-/// lines every mode prints before running anything.
+/// Announces which algorithm the spec resolved to for `g` — the lines
+/// every mode prints before running anything.
 fn announce(spec: &PipelineSpec, g: &Graph) -> u8 {
-    let resolved = spec.resolve(g);
+    let algorithm = spec.resolve(g);
     eprintln!("dht backend: {}", spec.backend.name());
-    eprintln!("algorithm: {}", resolved.describe());
-    resolved.algorithm().number()
+    eprintln!("algorithm: {}", spec.describe(algorithm));
+    algorithm.number()
 }
 
 /// Minimal JSON string escape (round names are static literals, but the
@@ -931,7 +931,7 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
     }
 
     // Warm pass, then two timed passes folded with per-path maxima (each
-    // path's best pass, independently — the bench reports the same way);
+    // path's best pass, independently);
     // every pass must reproduce the validated checksum (the stream
     // striping is deterministic, so the total is thread-count-invariant).
     let mut report = driver::run(&service, &queries, args.threads, args.batch);
