@@ -9,10 +9,11 @@
 //! as `snapshot words + communication words`, which upper-bounds the
 //! literal "fresh output DHT" model.
 //!
-//! Three backends implement the [`DhtStorage`] trait:
+//! Three stores implement the [`DhtStorage`] trait, and [`Dht`] — the enum
+//! over them that [`DhtBackend`] selects, and the one place that turns the
+//! backend *value* into a store — implements it by delegating:
 //!
-//! * [`FlatDht`] — one hash map, the reference implementation (alias
-//!   [`Dht`] for backwards compatibility);
+//! * [`FlatDht`] — one hash map, the reference implementation;
 //! * [`ShardedDht`] — `N` power-of-two shards selected by packed-key hash,
 //!   with per-shard word accounting and a shard-parallel merge;
 //! * [`DenseDht`] — per-keyspace direct-indexed slabs (`Vec<Option<V>>`
@@ -173,10 +174,10 @@ fn shard_blocks<'a, V: 'a>(
 }
 
 /// Which storage backend a deployment's DHT uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DhtBackend {
-    /// One hash map ([`FlatDht`]) with a fully sequential merge.
-    #[default]
+    /// One hash map ([`FlatDht`]) with a fully sequential merge: the
+    /// reference the other backends are compared against.
     Flat,
     /// Power-of-two hash-partitioned shards ([`ShardedDht`]) with a
     /// shard-parallel merge.
@@ -195,6 +196,15 @@ pub enum DhtBackend {
         /// applies.
         cap: usize,
     },
+}
+
+impl Default for DhtBackend {
+    /// Unhinted dense: the backend every ledger workload pins (2.5–3.3×
+    /// faster than flat on a build), sized by each pipeline from its id
+    /// domain.
+    fn default() -> Self {
+        DhtBackend::dense()
+    }
 }
 
 impl DhtBackend {
@@ -315,26 +325,21 @@ fn dense_layout(cap: usize) -> (usize, u32, usize) {
     (range_len, shift, cap.div_ceil(range_len).max(1))
 }
 
-/// Storage interface every DHT backend implements.
+/// Storage interface of a round's snapshot.
 ///
-/// [`crate::MachineCtx`] reads borrow the snapshot through this trait with
-/// the backend as a *generic* parameter, so the hot read path monomorphizes
-/// per backend — no dynamic dispatch.
+/// [`Dht`] implements it for whichever backend the configuration names and
+/// is what [`crate::AmpcSystem`] and [`crate::MachineCtx`] use unless told
+/// otherwise; the three concrete stores implement it so the equivalence
+/// tests can run them side by side.
 pub trait DhtStorage<V: DhtValue>: Clone + Send + Sync {
-    /// Creates an empty store configured for `backend`. A backend that does
-    /// not match the implementing type (e.g. constructing a [`FlatDht`]
-    /// from [`DhtBackend::Sharded`]) is treated as that type's default
-    /// configuration — callers dispatch consistently via
-    /// [`crate::AmpcConfig::backend`].
+    /// Creates an empty store configured for `backend`. [`Dht`] builds the
+    /// store the value names; a concrete store handed a value that names
+    /// another one (e.g. a [`FlatDht`] built from [`DhtBackend::Sharded`])
+    /// takes its own default configuration.
     fn for_backend(backend: DhtBackend) -> Self;
 
     /// Looks up `key`.
     fn get(&self, key: Key) -> Option<&V>;
-
-    /// Returns true if `key` is present.
-    fn contains(&self, key: Key) -> bool {
-        self.get(key).is_some()
-    }
 
     /// Inserts `value` at `key`, replacing and returning any previous entry.
     fn insert(&mut self, key: Key, value: V) -> Option<V>;
@@ -413,26 +418,52 @@ impl<V: DhtValue> FlatDht<V> {
         FlatDht { map: HashMap::default(), words: 0 }
     }
 
-    /// Creates an empty table with capacity for `n` entries.
-    pub fn with_capacity(n: usize) -> Self {
-        FlatDht { map: HashMap::with_capacity_and_hasher(n, Build::default()), words: 0 }
+    /// Applies the given op lists one after the other, each in its recorded
+    /// order, draining them in place (capacity stays with the list).
+    fn apply_lists<'a>(&mut self, lists: impl IntoIterator<Item = &'a mut OpList<V>>)
+    where
+        V: 'a,
+    {
+        for ops in lists {
+            for (key, op) in ops.drain(..) {
+                self.apply_op(key, op);
+            }
+        }
     }
 
-    /// Looks up `key`.
+    /// Applies one buffered op.
+    fn apply_op(&mut self, key: Key, op: WriteOp<V>) {
+        match op {
+            WriteOp::Put(v) => {
+                self.insert(key, v);
+            }
+            WriteOp::Merge(v) => self.merge(key, v),
+            WriteOp::Delete => {
+                self.remove(key);
+            }
+        }
+    }
+}
+
+impl<V: DhtValue> DhtStorage<V> for FlatDht<V> {
+    fn for_backend(backend: DhtBackend) -> Self {
+        // Only a caller that names `S = FlatDht` itself can get here with
+        // another backend's value; the setting would be a silent no-op.
+        debug_assert!(
+            matches!(backend, DhtBackend::Flat),
+            "FlatDht constructed for a {} backend config — leave the storage parameter at \
+             its default (Dht), which follows AmpcConfig::backend",
+            backend.name()
+        );
+        FlatDht::new()
+    }
+
     #[inline]
-    pub fn get(&self, key: Key) -> Option<&V> {
+    fn get(&self, key: Key) -> Option<&V> {
         self.map.get(&key.packed())
     }
 
-    /// Returns true if `key` is present.
-    #[inline]
-    pub fn contains(&self, key: Key) -> bool {
-        self.map.contains_key(&key.packed())
-    }
-
-    /// Inserts `value` at `key`, replacing any previous entry, and returns
-    /// the previous entry if present.
-    pub fn insert(&mut self, key: Key, value: V) -> Option<V> {
+    fn insert(&mut self, key: Key, value: V) -> Option<V> {
         self.words += value.words();
         let old = self.map.insert(key.packed(), value);
         if let Some(ref o) = old {
@@ -441,9 +472,7 @@ impl<V: DhtValue> FlatDht<V> {
         old
     }
 
-    /// Merges `value` into the entry at `key` using [`DhtValue::merge`],
-    /// inserting it outright if absent.
-    pub fn merge(&mut self, key: Key, value: V) {
+    fn merge(&mut self, key: Key, value: V) {
         match self.map.get_mut(&key.packed()) {
             Some(existing) => {
                 let before = existing.words();
@@ -457,8 +486,7 @@ impl<V: DhtValue> FlatDht<V> {
         }
     }
 
-    /// Removes the entry at `key`, returning it if present.
-    pub fn remove(&mut self, key: Key) -> Option<V> {
+    fn remove(&mut self, key: Key) -> Option<V> {
         let old = self.map.remove(&key.packed());
         if let Some(ref o) = old {
             self.words -= o.words();
@@ -466,89 +494,12 @@ impl<V: DhtValue> FlatDht<V> {
         old
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// True when the table holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Total word footprint of all stored values.
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
-    /// Applies the given op lists one after the other, each in its recorded
-    /// order, draining them in place (capacity stays with the list).
-    fn apply_lists<'a>(&mut self, lists: impl IntoIterator<Item = &'a mut OpList<V>>)
-    where
-        V: 'a,
-    {
-        for ops in lists {
-            for (key, op) in ops.drain(..) {
-                match op {
-                    WriteOp::Put(v) => {
-                        self.insert(key, v);
-                    }
-                    WriteOp::Merge(v) => self.merge(key, v),
-                    WriteOp::Delete => {
-                        self.remove(key);
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<V: DhtValue> DhtStorage<V> for FlatDht<V> {
-    fn for_backend(backend: DhtBackend) -> Self {
-        // A sharded config reaching the flat type means a caller fixed
-        // `S = FlatDht` but set `with_backend(sharded())` — the setting
-        // would be a silent no-op, so surface the dispatch mismatch early.
-        debug_assert!(
-            matches!(backend, DhtBackend::Flat),
-            "FlatDht constructed for a {} backend config — dispatch on AmpcConfig::backend \
-             (or use ShardedDht as the system's storage parameter)",
-            backend.name()
-        );
-        FlatDht::new()
-    }
-
-    #[inline]
-    fn get(&self, key: Key) -> Option<&V> {
-        FlatDht::get(self, key)
-    }
-
-    #[inline]
-    fn contains(&self, key: Key) -> bool {
-        FlatDht::contains(self, key)
-    }
-
-    fn insert(&mut self, key: Key, value: V) -> Option<V> {
-        FlatDht::insert(self, key, value)
-    }
-
-    fn merge(&mut self, key: Key, value: V) {
-        FlatDht::merge(self, key, value)
-    }
-
-    fn remove(&mut self, key: Key) -> Option<V> {
-        FlatDht::remove(self, key)
-    }
-
-    fn len(&self) -> usize {
-        FlatDht::len(self)
-    }
-
-    fn is_empty(&self) -> bool {
-        FlatDht::is_empty(self)
-    }
-
     fn words(&self) -> usize {
-        FlatDht::words(self)
+        self.words
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(Key, &V)) {
@@ -624,11 +575,6 @@ impl<V: DhtValue> DhtStorage<V> for ShardedDht<V> {
     #[inline]
     fn get(&self, key: Key) -> Option<&V> {
         self.shards[self.shard_index(key)].get(key)
-    }
-
-    #[inline]
-    fn contains(&self, key: Key) -> bool {
-        self.shards[self.shard_index(key)].contains(key)
     }
 
     fn insert(&mut self, key: Key, value: V) -> Option<V> {
@@ -853,15 +799,7 @@ impl<V: DhtValue> DenseDht<V> {
         if key.id < self.cap as u64 {
             self.slab_op(key, op);
         } else {
-            match op {
-                WriteOp::Put(v) => {
-                    self.overflow.insert(key, v);
-                }
-                WriteOp::Merge(v) => self.overflow.merge(key, v),
-                WriteOp::Delete => {
-                    self.overflow.remove(key);
-                }
-            }
+            self.overflow.apply_op(key, op);
         }
     }
 }
@@ -870,7 +808,8 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
     fn for_backend(backend: DhtBackend) -> Self {
         debug_assert!(
             matches!(backend, DhtBackend::Dense { .. }),
-            "DenseDht constructed for a {} backend config — dispatch on AmpcConfig::backend",
+            "DenseDht constructed for a {} backend config — leave the storage parameter at \
+             its default (Dht), which follows AmpcConfig::backend",
             backend.name()
         );
         Self::with_slab_capacity(backend.resolved_dense_cap())
@@ -1034,6 +973,109 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
                 slab.words = (slab.words as i64 + dwords) as usize;
             }
         }
+    }
+}
+
+/// The store [`DhtBackend`] selects: the one place a backend *value* becomes
+/// a backend *type*. Everything above `ampc` — pipelines, the CLI, the
+/// service — carries the value and runs on this.
+///
+/// Reads and write routing sit on the path every adaptive hop takes, so
+/// `get` and `shard_of` test for [`Dht::Dense`] (the default and the
+/// measured backend) inline and send the two hash-probing stores through one
+/// out-of-line call each: with all three arms inline the build measured
+/// 2–3 % slower than the generic code this replaced, with the hash probes
+/// out of line it measured flat (DESIGN.md, "Storage backends").
+#[derive(Clone)]
+pub enum Dht<V> {
+    /// [`DhtBackend::Flat`].
+    Flat(FlatDht<V>),
+    /// [`DhtBackend::Sharded`].
+    Sharded(ShardedDht<V>),
+    /// [`DhtBackend::Dense`].
+    Dense(DenseDht<V>),
+}
+
+/// `$body` with `$store` bound to whichever store `$dht` holds.
+macro_rules! with_store {
+    ($dht:expr, $store:ident => $body:expr) => {
+        match $dht {
+            Dht::Flat($store) => $body,
+            Dht::Sharded($store) => $body,
+            Dht::Dense($store) => $body,
+        }
+    };
+}
+
+impl<V: DhtValue> Dht<V> {
+    #[cold]
+    #[inline(never)]
+    fn get_hashed(&self, key: Key) -> Option<&V> {
+        with_store!(self, s => s.get(key))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn shard_of_hashed(&self, key: Key) -> usize {
+        with_store!(self, s => s.shard_of(key))
+    }
+}
+
+impl<V: DhtValue> DhtStorage<V> for Dht<V> {
+    fn for_backend(backend: DhtBackend) -> Self {
+        match backend {
+            DhtBackend::Flat => Dht::Flat(FlatDht::for_backend(backend)),
+            DhtBackend::Sharded { .. } => Dht::Sharded(ShardedDht::for_backend(backend)),
+            DhtBackend::Dense { .. } => Dht::Dense(DenseDht::for_backend(backend)),
+        }
+    }
+
+    #[inline]
+    fn get(&self, key: Key) -> Option<&V> {
+        match self {
+            Dht::Dense(s) => s.get(key),
+            _ => self.get_hashed(key),
+        }
+    }
+
+    fn insert(&mut self, key: Key, value: V) -> Option<V> {
+        with_store!(self, s => s.insert(key, value))
+    }
+
+    fn merge(&mut self, key: Key, value: V) {
+        with_store!(self, s => s.merge(key, value))
+    }
+
+    fn remove(&mut self, key: Key) -> Option<V> {
+        with_store!(self, s => s.remove(key))
+    }
+
+    fn len(&self) -> usize {
+        with_store!(self, s => s.len())
+    }
+
+    fn words(&self) -> usize {
+        with_store!(self, s => s.words())
+    }
+
+    fn for_each_entry(&self, f: &mut dyn FnMut(Key, &V)) {
+        with_store!(self, s => s.for_each_entry(f))
+    }
+
+    fn shard_count(&self) -> usize {
+        with_store!(self, s => s.shard_count())
+    }
+
+    #[inline]
+    fn shard_of(&self, key: Key) -> usize {
+        match self {
+            Dht::Dense(s) => s.shard_of(key),
+            _ => self.shard_of_hashed(key),
+        }
+    }
+
+    fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>], parallel: bool) {
+        with_store!(self, s => s.apply_ops(bufs, parallel))
     }
 }
 

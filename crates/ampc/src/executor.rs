@@ -30,7 +30,7 @@ use std::borrow::Cow;
 
 use ampc_obs::{CounterId, HistId, Timer, TraceKind};
 
-use crate::dht::{DhtBackend, DhtStorage, FlatDht, ShardBuffers};
+use crate::dht::{Dht, DhtBackend, DhtStorage, ShardBuffers};
 use crate::error::{AmpcError, AmpcResult};
 use crate::host_workers;
 use crate::key::Key;
@@ -53,9 +53,9 @@ pub struct AmpcConfig {
     /// tiny inputs where fork-join overhead dominates, or to simplify
     /// debugging. Also gates the shard-parallel merge.
     pub parallel: bool,
-    /// Which DHT storage backend the deployment uses. Pipelines dispatch on
-    /// this value when choosing the concrete `S` for [`AmpcSystem<V, S>`];
-    /// the backend never affects results, only merge parallelism.
+    /// Which DHT storage backend the deployment uses: [`AmpcSystem::new`]
+    /// builds the store this names. The backend never affects results, only
+    /// the cost of a read and the merge's parallelism.
     pub backend: DhtBackend,
 }
 
@@ -66,7 +66,7 @@ impl Default for AmpcConfig {
             seed: 0xA5A5_1234_5678_9ABC,
             limits: None,
             parallel: true,
-            backend: DhtBackend::Flat,
+            backend: DhtBackend::default(),
         }
     }
 }
@@ -117,10 +117,13 @@ pub struct RoundOutcome<R> {
 
 /// A simulated AMPC deployment: snapshot DHT + machines + meters.
 ///
-/// Generic over the storage backend `S` (default: the flat reference
-/// backend), monomorphized so adaptive reads cost a direct hash probe.
-/// Pipelines pick `S` by matching on [`AmpcConfig::backend`].
-pub struct AmpcSystem<V, S = FlatDht<V>> {
+/// The table is a [`Dht`], the store [`AmpcConfig::backend`] names; nothing
+/// above this crate names a store type. The `S` parameter is still here
+/// only because the ledger spells out `AmpcSystem<u64, DenseDht<u64>>` and
+/// because this crate's equivalence tests run the concrete stores side by
+/// side; it goes, together with [`Dht::Sharded`], in the PR after the
+/// ledger stops naming them (ROADMAP item 3).
+pub struct AmpcSystem<V, S = Dht<V>> {
     snapshot: S,
     config: AmpcConfig,
     stats: RunStats,
@@ -468,11 +471,10 @@ mod tests {
 
     #[test]
     fn buffer_grid_is_workers_by_shards_whatever_the_machine_count() {
-        use crate::dht::ShardedDht;
         let cfg = AmpcConfig::default()
             .with_machines(1000)
             .with_backend(DhtBackend::Sharded { shards: 8 });
-        let mut sys: AmpcSystem<u64, ShardedDht<u64>> =
+        let mut sys: AmpcSystem<u64> =
             AmpcSystem::new(cfg, (0..4000u64).map(|i| (Key::new(S, i), i)));
         let ids: Vec<u64> = (0..4000).collect();
         for _ in 0..2 {
@@ -495,6 +497,22 @@ mod tests {
     }
 
     #[test]
+    fn unannotated_system_builds_the_store_its_config_names() {
+        let built = |cfg: AmpcConfig| {
+            let sys: AmpcSystem<u64> = AmpcSystem::new(cfg, std::iter::empty());
+            match sys.snapshot() {
+                Dht::Flat(_) => "flat",
+                Dht::Sharded(_) => "sharded",
+                Dht::Dense(_) => "dense",
+            }
+        };
+        assert_eq!(built(AmpcConfig::default()), "dense");
+        for backend in [DhtBackend::Flat, DhtBackend::sharded(), DhtBackend::Dense { cap: 9 }] {
+            assert_eq!(built(AmpcConfig::default().with_backend(backend)), backend.name());
+        }
+    }
+
+    #[test]
     fn empty_item_list_is_a_noop_round() {
         let mut sys = system(4, 10);
         let ids: Vec<u64> = Vec::new();
@@ -507,7 +525,7 @@ mod tests {
 #[cfg(test)]
 mod backend_equivalence_tests {
     use super::*;
-    use crate::dht::{DenseDht, ShardedDht};
+    use crate::dht::{DenseDht, FlatDht, ShardedDht};
 
     const S: u16 = 0;
     const AUX: u16 = 1;
@@ -608,7 +626,7 @@ mod backend_equivalence_tests {
 
     #[test]
     fn conflicting_writers_resolve_as_in_the_flat_sequential_run() {
-        let base = AmpcConfig::default().with_seed(0xC0FFEE);
+        let base = AmpcConfig::default().with_seed(0xC0FFEE).with_backend(DhtBackend::Flat);
         for machines in [1, 3, 16, 1000] {
             let reference = run_conflicts::<FlatDht<u64>>(
                 base.clone().with_machines(machines).with_parallel(false),
@@ -616,17 +634,21 @@ mod backend_equivalence_tests {
             for parallel in [false, true] {
                 let cfg = base.clone().with_machines(machines).with_parallel(parallel);
                 let case = format!("m={machines}, parallel={parallel}");
-                let flat = run_conflicts::<FlatDht<u64>>(cfg.clone());
-                assert_eq!(reference, flat, "flat diverged ({case})");
+                assert_eq!(reference, run_conflicts::<FlatDht<u64>>(cfg.clone()), "flat ({case})");
+                assert_eq!(reference, run_conflicts::<Dht<u64>>(cfg.clone()), "enum flat ({case})");
                 for shards in [1usize, 8] {
-                    let backend = DhtBackend::Sharded { shards };
-                    let got = run_conflicts::<ShardedDht<u64>>(cfg.clone().with_backend(backend));
+                    let cfg = cfg.clone().with_backend(DhtBackend::Sharded { shards });
+                    let got = run_conflicts::<ShardedDht<u64>>(cfg.clone());
                     assert_eq!(reference, got, "sharded:{shards} diverged ({case})");
+                    let got = run_conflicts::<Dht<u64>>(cfg);
+                    assert_eq!(reference, got, "enum sharded:{shards} diverged ({case})");
                 }
                 for cap in [64usize, 1 << 16] {
-                    let backend = DhtBackend::Dense { cap };
-                    let got = run_conflicts::<DenseDht<u64>>(cfg.clone().with_backend(backend));
+                    let cfg = cfg.clone().with_backend(DhtBackend::Dense { cap });
+                    let got = run_conflicts::<DenseDht<u64>>(cfg.clone());
                     assert_eq!(reference, got, "dense:{cap} diverged ({case})");
+                    let got = run_conflicts::<Dht<u64>>(cfg);
+                    assert_eq!(reference, got, "enum dense:{cap} diverged ({case})");
                 }
             }
         }
@@ -641,49 +663,37 @@ mod backend_equivalence_tests {
 
     #[test]
     fn sharded_snapshot_is_byte_identical_to_flat() {
+        // `0` is the automatic shard count. The fingerprint carries every
+        // round's snapshot_words, so a drift in the per-shard word
+        // accounting fails here even if the entries themselves agree.
         for machines in [1, 3, 16] {
             let flat = run_workload::<FlatDht<u64>>(machines, DhtBackend::Flat);
-            for shards in [2usize, 8, 64] {
-                let sharded =
-                    run_workload::<ShardedDht<u64>>(machines, DhtBackend::Sharded { shards });
+            assert_eq!(flat, run_workload::<Dht<u64>>(machines, DhtBackend::Flat), "enum flat");
+            for shards in [0usize, 2, 8, 64] {
+                let backend = DhtBackend::Sharded { shards };
+                let sharded = run_workload::<ShardedDht<u64>>(machines, backend);
                 assert_eq!(flat.0, sharded.0, "snapshot diverged (m={machines}, s={shards})");
                 assert_eq!(flat.1, sharded.1, "stats diverged (m={machines}, s={shards})");
+                assert_eq!(flat, run_workload::<Dht<u64>>(machines, backend), "enum, s={shards}");
             }
         }
-    }
-
-    #[test]
-    fn sharded_backend_words_match_flat() {
-        // The stats fingerprint includes every round's snapshot_words, so a
-        // drift in ShardedDht's per-shard word accounting fails here even
-        // if the entries themselves agree.
-        let flat = run_workload::<FlatDht<u64>>(4, DhtBackend::Flat);
-        let sharded = run_workload::<ShardedDht<u64>>(4, DhtBackend::sharded());
-        assert_eq!(flat.0, sharded.0);
-        assert_eq!(flat.1, sharded.1);
     }
 
     #[test]
     fn dense_snapshot_is_byte_identical_to_flat() {
         // Slab capacities straddle the 0..500 id domain of the workload:
         // cap 64 routes most keys through the overflow map, cap 4096 keeps
-        // everything slab-resident — both must match flat byte-for-byte,
-        // entries and per-round accounting alike.
+        // everything slab-resident, `0` is the unhinted default — all must
+        // match flat byte-for-byte, entries and per-round accounting alike.
         for machines in [1, 3, 16] {
             let flat = run_workload::<FlatDht<u64>>(machines, DhtBackend::Flat);
-            for cap in [64usize, 500, 4096] {
-                let dense = run_workload::<DenseDht<u64>>(machines, DhtBackend::Dense { cap });
+            for cap in [0usize, 64, 500, 4096] {
+                let backend = DhtBackend::Dense { cap };
+                let dense = run_workload::<DenseDht<u64>>(machines, backend);
                 assert_eq!(flat.0, dense.0, "snapshot diverged (m={machines}, cap={cap})");
                 assert_eq!(flat.1, dense.1, "stats diverged (m={machines}, cap={cap})");
+                assert_eq!(flat, run_workload::<Dht<u64>>(machines, backend), "enum, cap={cap}");
             }
         }
-    }
-
-    #[test]
-    fn dense_backend_words_match_flat() {
-        let flat = run_workload::<FlatDht<u64>>(4, DhtBackend::Flat);
-        let dense = run_workload::<DenseDht<u64>>(4, DhtBackend::dense());
-        assert_eq!(flat.0, dense.0);
-        assert_eq!(flat.1, dense.1);
     }
 }

@@ -19,7 +19,7 @@
 //! exactly what [`AmpcSystem`] does:
 //!
 //! ```
-//! use ampc::{AmpcConfig, AmpcSystem, Key, DhtValue};
+//! use ampc::{AmpcConfig, AmpcSystem, DhtStorage as _, DhtValue, Key};
 //!
 //! #[derive(Clone, Debug, PartialEq)]
 //! struct Val(u64);
@@ -52,16 +52,17 @@
 //! machine-index order — keeping every run bit-for-bit deterministic
 //! regardless of thread scheduling.
 //!
-//! Snapshot storage is pluggable through the [`DhtStorage`] trait:
-//! [`FlatDht`] is the single-map reference backend, [`ShardedDht`]
+//! The snapshot is a [`Dht`]: one of three stores, picked from the
+//! [`DhtBackend`] value in [`AmpcConfig::backend`] and nowhere else.
+//! [`DenseDht`] (the default) stores each keyspace in a direct-indexed slab
+//! (hash-map overflow for out-of-slab ids) so an adaptive read is a bounds
+//! check plus an array index — no hashing — with a range-partitioned
+//! parallel merge; [`FlatDht`] is the single-map reference; [`ShardedDht`]
 //! hash-partitions keys over power-of-two shards so the round-finish merge
-//! runs shard-parallel, and [`DenseDht`] stores each keyspace in a
-//! direct-indexed slab (hash-map overflow for out-of-slab ids) so an
-//! adaptive read is a bounds check plus an array index — no hashing — with
-//! a range-partitioned parallel merge. Select a backend with
-//! [`AmpcConfig::with_backend`]; all three produce byte-identical
-//! snapshots and [`RunStats`] for the same seed (cross-shard keys never
-//! interact, and machine order is preserved within every shard).
+//! runs shard-parallel. Select a backend with [`AmpcConfig::with_backend`];
+//! all three produce byte-identical snapshots and [`RunStats`] for the same
+//! seed (cross-shard keys never interact, and machine order is preserved
+//! within every shard).
 
 #![warn(missing_docs)]
 
@@ -75,7 +76,7 @@ pub mod rng;
 mod stats;
 mod value;
 
-pub use dht::{DenseDht, DhtBackend, DhtStorage, FlatDht, ShardBuffers, ShardedDht, WriteOp};
+pub use dht::{DenseDht, Dht, DhtBackend, DhtStorage, FlatDht, ShardBuffers, ShardedDht, WriteOp};
 pub use error::{AmpcError, AmpcResult};
 pub use executor::{AmpcConfig, AmpcSystem, RoundOutcome};
 pub use key::{Key, Space};

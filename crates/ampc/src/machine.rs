@@ -16,7 +16,7 @@
 //! Every access is metered in words; optional [`SpaceLimits`] breaches are
 //! recorded and reported through the round's statistics.
 
-use crate::dht::{DhtStorage, FlatDht, ShardBuffers, WriteOp};
+use crate::dht::{Dht, DhtStorage, ShardBuffers, WriteOp};
 use crate::key::Key;
 use crate::limits::{LimitKind, LimitViolation, SpaceLimits};
 use crate::rng::{self, SplitMix64};
@@ -24,10 +24,11 @@ use crate::value::DhtValue;
 
 /// Execution context for one simulated machine within one round.
 ///
-/// Generic over the storage backend `S` so the hot read path borrows the
-/// snapshot *through the [`DhtStorage`] trait monomorphized per backend* —
-/// no dynamic dispatch between an adaptive read and the hash probe.
-pub struct MachineCtx<'a, V, S = FlatDht<V>> {
+/// Reads borrow the snapshot as a [`Dht`], whose dense arm is inlined into
+/// [`MachineCtx::read`]: an adaptive read on the default backend is one
+/// predictable branch away from the array index. `S` mirrors
+/// [`crate::AmpcSystem`]'s parameter and goes when that does.
+pub struct MachineCtx<'a, V, S = Dht<V>> {
     snapshot: &'a S,
     /// The running worker's buffers, shared by the machines of its block.
     out: &'a mut ShardBuffers<V>,
@@ -178,6 +179,7 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dht::FlatDht;
 
     const S: u16 = 0;
 

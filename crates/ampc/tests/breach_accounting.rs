@@ -5,7 +5,7 @@
 //! The registry is process-wide, so this file holds a single test — nothing
 //! else in the process runs rounds while the deltas are taken.
 
-use ampc::{AmpcConfig, AmpcError, AmpcSystem, DenseDht, DhtBackend, DhtStorage, Key, SpaceLimits};
+use ampc::{AmpcConfig, AmpcError, AmpcSystem, DhtBackend, DhtStorage, Key, SpaceLimits};
 use ampc_obs::{CounterId, HistId, TraceKind};
 
 #[test]
@@ -15,7 +15,7 @@ fn breached_round_is_recorded_on_every_meter_and_its_writes_are_dropped() {
         .with_machines(4)
         .with_limits(SpaceLimits::enforce(8))
         .with_backend(DhtBackend::Dense { cap: 64 });
-    let mut sys: AmpcSystem<u64, DenseDht<u64>> =
+    let mut sys: AmpcSystem<u64> =
         AmpcSystem::new(config, ids.iter().map(|&i| (Key::new(0, i), i)));
 
     let rounds = ampc_obs::counter(CounterId::Rounds).get();

@@ -3,7 +3,7 @@
 //! seeded loops (see `rng` module docs), so failures reproduce exactly.
 
 use ampc::rng::{self, SplitMix64};
-use ampc::{AmpcConfig, AmpcError, AmpcSystem, Key, LimitViolation, SpaceLimits};
+use ampc::{AmpcConfig, AmpcError, AmpcSystem, DhtStorage as _, Key, LimitViolation, SpaceLimits};
 
 const CASES: u64 = 64;
 

@@ -22,7 +22,7 @@
 //! ([`CycleState::mark_dead`], then one [`CycleState::retire`] pass): ids are
 //! `0..n0`, so a mark is an array store, not a hash-set insert.
 
-use ampc::{AmpcConfig, AmpcSystem, DhtStorage, FlatDht, Key, RunStats, Space};
+use ampc::{AmpcConfig, AmpcSystem, Key, RunStats, Space};
 use ampc_graph::euler::CycleDecomposition;
 
 /// Keyspace: forward pointer + rank + mark.
@@ -48,14 +48,10 @@ pub fn unpack(word: u64) -> (u64, u16, bool) {
 }
 
 /// A cycle collection living in an [`AmpcSystem`], plus the host-side alive
-/// list.
-///
-/// Generic over the DHT storage backend `S` (default: the flat reference
-/// backend); the forest algorithms are generic over the same parameter and
-/// the pipeline dispatches once on [`ampc::DhtBackend`].
-pub struct CycleState<S = FlatDht<u64>> {
+/// list. Which store holds the pointers is `config.backend`'s business.
+pub struct CycleState {
     /// The AMPC deployment holding the cycle pointers.
-    pub sys: AmpcSystem<u64, S>,
+    pub sys: AmpcSystem<u64>,
     /// Cycle vertices not yet contracted away (orchestration data).
     pub alive: Vec<u64>,
     /// Number of cycle vertices initially.
@@ -68,7 +64,7 @@ pub struct CycleState<S = FlatDht<u64>> {
     dead: Vec<bool>,
 }
 
-impl<S: DhtStorage<u64>> CycleState<S> {
+impl CycleState {
     /// Loads a [`CycleDecomposition`] into a fresh AMPC system. Loading the
     /// input is free (the model assumes the input resides in the DHT).
     pub fn from_decomposition(decomp: &CycleDecomposition, config: AmpcConfig) -> Self {
@@ -172,6 +168,7 @@ impl<S: DhtStorage<u64>> CycleState<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ampc::DhtStorage as _;
 
     #[test]
     fn pack_unpack_roundtrip() {
@@ -185,7 +182,7 @@ mod tests {
     #[test]
     fn from_successors_initializes_pointers() {
         // One 3-cycle (0→1→2→0) and one singleton (3).
-        let mut st: CycleState =
+        let mut st =
             CycleState::from_successors(&[1, 2, 0, 3], AmpcConfig::default().with_machines(2));
         assert_eq!(st.alive, vec![0, 1, 2]);
         assert_eq!(st.roots, vec![3]);
@@ -200,7 +197,7 @@ mod tests {
 
     #[test]
     fn compose_follows_parent_chains() {
-        let mut st: CycleState = CycleState::from_successors(&[1, 2, 0, 3], AmpcConfig::default());
+        let mut st = CycleState::from_successors(&[1, 2, 0, 3], AmpcConfig::default());
         st.sys.host_update(|dht| {
             dht.insert(Key::new(PARENT, 1), 0);
             dht.insert(Key::new(PARENT, 2), 1); // chain 2 → 1 → 0
@@ -211,7 +208,7 @@ mod tests {
 
     #[test]
     fn retire_updates_alive_and_roots() {
-        let mut st: CycleState = CycleState::from_successors(&[1, 0, 3, 2], AmpcConfig::default());
+        let mut st = CycleState::from_successors(&[1, 0, 3, 2], AmpcConfig::default());
         st.mark_dead([1, 2, 3]);
         st.retire(&[0]);
         assert_eq!(st.alive, vec![0]);
@@ -222,7 +219,7 @@ mod tests {
     fn retire_keeps_survivor_order_and_clears_its_marks() {
         // One 8-cycle whose alive list is deliberately not ascending.
         let succ: Vec<u64> = (0..8u64).map(|i| (i + 1) % 8).collect();
-        let mut st: CycleState = CycleState::from_successors(&succ, AmpcConfig::default());
+        let mut st = CycleState::from_successors(&succ, AmpcConfig::default());
         st.alive = vec![5, 2, 7, 0, 3, 6, 1, 4];
         st.mark_dead([7, 3]);
         st.mark_dead([3, 4]); // marking twice is marking once

@@ -28,10 +28,7 @@
 //! with constants scaled so the dynamics are observable. Experiments E1–E4
 //! verify the resulting shapes against the lemmas.
 
-use ampc::{
-    AmpcConfig, AmpcResult, DenseDht, DhtBackend, DhtStorage, FlatDht, RunStats, ShardedDht,
-    SpaceLimits,
-};
+use ampc::{AmpcConfig, AmpcResult, DhtBackend, RunStats, SpaceLimits};
 use ampc_graph::euler::forest_to_cycles;
 use ampc_graph::{Graph, Labeling};
 
@@ -93,7 +90,7 @@ impl Default for ForestCcConfig {
             skip_shrink_large: false,
             collect_threshold: 256,
             max_iterations: 64,
-            backend: DhtBackend::Flat,
+            backend: DhtBackend::default(),
         }
     }
 }
@@ -194,19 +191,6 @@ impl ForestCcResult {
 /// # Panics
 /// Panics if `g` is not a forest.
 pub fn connected_components_forest(g: &Graph, cfg: &ForestCcConfig) -> AmpcResult<ForestCcResult> {
-    // Single dispatch point: everything below monomorphizes per backend so
-    // adaptive reads stay direct hash probes (no dynamic dispatch).
-    match cfg.backend {
-        DhtBackend::Flat => forest_cc_impl::<FlatDht<u64>>(g, cfg),
-        DhtBackend::Sharded { .. } => forest_cc_impl::<ShardedDht<u64>>(g, cfg),
-        DhtBackend::Dense { .. } => forest_cc_impl::<DenseDht<u64>>(g, cfg),
-    }
-}
-
-fn forest_cc_impl<S: DhtStorage<u64>>(
-    g: &Graph,
-    cfg: &ForestCcConfig,
-) -> AmpcResult<ForestCcResult> {
     let n = g.n();
     let local_space = cfg.local_space(n.max(2));
 
@@ -228,7 +212,7 @@ fn forest_cc_impl<S: DhtStorage<u64>>(
         let budget = (cfg.audit_budget_factor * local_space as f64) as usize;
         ampc_cfg = ampc_cfg.with_limits(SpaceLimits::audit(budget));
     }
-    let mut state: CycleState<S> = CycleState::from_decomposition(&decomp, ampc_cfg);
+    let mut state = CycleState::from_decomposition(&decomp, ampc_cfg);
     state.sys.stats_mut().charge_external(1, 2 * g.m(), 2 * n0.max(1));
 
     // Line 3: cap cycle lengths well below the per-machine budget so no

@@ -21,7 +21,7 @@
 
 use std::collections::HashSet;
 
-use ampc::{AmpcResult, DhtStorage, Key};
+use ampc::{AmpcResult, DhtStorage as _, Key};
 
 use crate::cycles::{pack, unpack, CycleState, BWD, FWD, PARENT, STAMP};
 
@@ -43,8 +43,8 @@ pub struct ShrinkLargeOutcome {
 /// Runs the length-capping procedure with target maximum cycle length
 /// `target_len` and per-walk budget `walk_cap` (walks are capped at
 /// `min(walk_cap, 4·target_len)`).
-pub fn shrink_large_cycles<S: DhtStorage<u64>>(
-    state: &mut CycleState<S>,
+pub fn shrink_large_cycles(
+    state: &mut CycleState,
     target_len: usize,
     walk_cap: usize,
 ) -> AmpcResult<ShrinkLargeOutcome> {
@@ -145,7 +145,7 @@ pub fn shrink_large_cycles<S: DhtStorage<u64>>(
 
 /// Host-side audit: maximum alive cycle length, walked over the snapshot.
 /// Used by tests and experiments (not an AMPC operation).
-pub fn max_cycle_length<S: DhtStorage<u64>>(state: &CycleState<S>) -> usize {
+pub fn max_cycle_length(state: &CycleState) -> usize {
     let mut seen: HashSet<u64> = HashSet::new();
     let mut max_len = 0;
     for &v in &state.alive {
@@ -207,7 +207,7 @@ mod tests {
         let b = 2_000usize;
         let mut succ: Vec<u64> = (0..a as u64).map(|i| (i + 1) % a as u64).collect();
         succ.extend((0..b as u64).map(|i| a as u64 + (i + 1) % b as u64));
-        let mut st: CycleState =
+        let mut st =
             CycleState::from_successors(&succ, AmpcConfig::default().with_machines(4).with_seed(3));
         let out = shrink_large_cycles(&mut st, 64, 1 << 20).unwrap();
         let labels = st.compose_labels(out.repetitions + 4).unwrap();

@@ -34,7 +34,7 @@
 //! updates cannot touch the same vertex. Stamps use merge-max writes, which
 //! commute.
 
-use ampc::{AmpcResult, DhtStorage, Key, MachineCtx};
+use ampc::{AmpcResult, Key, MachineCtx};
 
 use crate::cycles::{pack, unpack, CycleState, BWD, FWD, PARENT, STAMP};
 use crate::forest::ranks::sample_rank;
@@ -80,11 +80,7 @@ enum ContractOutcome {
 /// Walks one step in direction `space` (FWD or BWD), returning
 /// `(next_vertex, rank_of_current)` as stored at `cur`.
 #[inline]
-fn read_link<S: DhtStorage<u64>>(
-    ctx: &mut MachineCtx<'_, u64, S>,
-    space: ampc::Space,
-    cur: u64,
-) -> (u64, u16) {
+fn read_link(ctx: &mut MachineCtx<'_, u64>, space: ampc::Space, cur: u64) -> (u64, u16) {
     let word = *ctx.read(Key::new(space, cur)).expect("alive vertex must have pointers");
     let (next, rank, _) = unpack(word);
     (next, rank)
@@ -112,8 +108,8 @@ fn merge_overlapping_scans(fwd: &[u64], bwd: &[u64]) -> Option<Vec<u64>> {
 /// cycles after `ShrinkLargeCycles`, so the cap is never reached there; on a
 /// cap hit the traversal safely abstains from contracting). `enable_step2`
 /// exists for the E9 ablation.
-pub fn shrink_small_cycles<S: DhtStorage<u64>>(
-    state: &mut CycleState<S>,
+pub fn shrink_small_cycles(
+    state: &mut CycleState,
     b: u16,
     walk_cap: usize,
     enable_step2: bool,
@@ -213,26 +209,25 @@ pub fn shrink_small_cycles<S: DhtStorage<u64>>(
             return None; // not a leader; some leader will absorb this vertex
         }
         // Leader: find both neighboring leaders and the segments between.
-        let walk =
-            |ctx: &mut MachineCtx<'_, u64, S>, space, start: u64| -> Option<(u64, Vec<u64>)> {
-                let mut interior = Vec::new();
-                let mut cur = start;
-                loop {
-                    debug_assert_ne!(
-                        cur, v,
-                        "leader re-encountered itself; loop case should have fired"
-                    );
-                    let (next, rank) = read_link(ctx, space, cur);
-                    if rank >= my_rank {
-                        return Some((cur, interior));
-                    }
-                    interior.push(cur);
-                    if interior.len() >= walk_cap {
-                        return None; // cap hit: abstain (consistency preserved)
-                    }
-                    cur = next;
+        let walk = |ctx: &mut MachineCtx<'_, u64>, space, start: u64| -> Option<(u64, Vec<u64>)> {
+            let mut interior = Vec::new();
+            let mut cur = start;
+            loop {
+                debug_assert_ne!(
+                    cur, v,
+                    "leader re-encountered itself; loop case should have fired"
+                );
+                let (next, rank) = read_link(ctx, space, cur);
+                if rank >= my_rank {
+                    return Some((cur, interior));
                 }
-            };
+                interior.push(cur);
+                if interior.len() >= walk_cap {
+                    return None; // cap hit: abstain (consistency preserved)
+                }
+                cur = next;
+            }
+        };
         let fwd = walk(ctx, FWD, succ);
         let (pred, _) = read_link(ctx, BWD, v);
         let bwd = walk(ctx, BWD, pred);
@@ -550,7 +545,7 @@ mod tests {
     fn deterministic_across_machine_counts() {
         let succ = ring(300);
         let run = |machines: usize| -> Vec<u64> {
-            let mut st: CycleState = CycleState::from_successors(
+            let mut st = CycleState::from_successors(
                 &succ,
                 AmpcConfig::default().with_machines(machines).with_seed(77),
             );

@@ -20,7 +20,7 @@
 
 use std::collections::HashSet;
 
-use ampc::{AmpcResult, DhtStorage, Key};
+use ampc::{AmpcResult, DhtStorage as _, Key};
 
 use crate::cycles::{unpack, CycleState, BWD, FWD, PARENT, STAMP};
 use crate::forest::shrink_small::shrink_small_cycles;
@@ -42,8 +42,8 @@ pub struct StandardCycleOutcome {
 
 /// Solves connectivity on the remaining cycles of `state`, emptying its
 /// alive list.
-pub fn standard_cycle_cc<S: DhtStorage<u64>>(
-    state: &mut CycleState<S>,
+pub fn standard_cycle_cc(
+    state: &mut CycleState,
     walk_cap: usize,
     collect_threshold: usize,
 ) -> AmpcResult<StandardCycleOutcome> {
@@ -77,7 +77,7 @@ pub fn standard_cycle_cc<S: DhtStorage<u64>>(
 /// into its minimum-id vertex. Executed host-side; charged one AMPC round,
 /// one query per alive vertex, and the snapshot's footprint — the price the
 /// model assigns to "ship the remainder to one machine".
-fn collect_locally<S: DhtStorage<u64>>(state: &mut CycleState<S>) {
+fn collect_locally(state: &mut CycleState) {
     let alive = std::mem::take(&mut state.alive);
     let alive_set: HashSet<u64> = alive.iter().copied().collect();
     let snapshot_words = state.sys.snapshot().words();

@@ -69,7 +69,7 @@ impl Default for GeneralCcConfig {
             gamma: 0.50,
             small_threshold: 128,
             max_depth: 40,
-            backend: DhtBackend::Flat,
+            backend: DhtBackend::default(),
         }
     }
 }

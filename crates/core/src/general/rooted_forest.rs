@@ -19,9 +19,7 @@
 //! The `rooted_forest` ablation test demonstrates they agree on random
 //! forests, and `ShrinkGeneral` can be configured to use either.
 
-use ampc::{
-    AmpcConfig, AmpcResult, DenseDht, DhtBackend, DhtStorage, FlatDht, Key, RunStats, ShardedDht,
-};
+use ampc::{AmpcConfig, AmpcResult, AmpcSystem, Key, RunStats};
 use ampc_graph::euler::forest_to_cycles;
 use ampc_graph::{Graph, VertexId};
 
@@ -49,22 +47,6 @@ pub fn resolve_roots_euler(
     walk_cap: usize,
     ampc_cfg: AmpcConfig,
 ) -> AmpcResult<RootedForestOutcome> {
-    match ampc_cfg.backend {
-        DhtBackend::Flat => resolve_roots_euler_impl::<FlatDht<u64>>(parents, walk_cap, ampc_cfg),
-        DhtBackend::Sharded { .. } => {
-            resolve_roots_euler_impl::<ShardedDht<u64>>(parents, walk_cap, ampc_cfg)
-        }
-        DhtBackend::Dense { .. } => {
-            resolve_roots_euler_impl::<DenseDht<u64>>(parents, walk_cap, ampc_cfg)
-        }
-    }
-}
-
-fn resolve_roots_euler_impl<S: DhtStorage<u64>>(
-    parents: &[Option<VertexId>],
-    walk_cap: usize,
-    ampc_cfg: AmpcConfig,
-) -> AmpcResult<RootedForestOutcome> {
     let n = parents.len();
     let edges: Vec<(VertexId, VertexId)> =
         parents.iter().enumerate().filter_map(|(v, p)| p.map(|p| (v as VertexId, p))).collect();
@@ -74,7 +56,7 @@ fn resolve_roots_euler_impl<S: DhtStorage<u64>>(
     // (`from_decomposition` hints an unhinted dense backend's slab at the
     // arc count itself.)
     let decomp = forest_to_cycles(&forest);
-    let mut state: CycleState<S> = CycleState::from_decomposition(&decomp, ampc_cfg);
+    let mut state = CycleState::from_decomposition(&decomp, ampc_cfg);
     state.sys.stats_mut().charge_external(1, 2 * forest.m(), 2 * decomp.len().max(1));
 
     // Cap cycle lengths so the marked traversal fits the machine budget.
@@ -144,28 +126,12 @@ pub fn resolve_roots_chase(
     chase_cap: usize,
     ampc_cfg: AmpcConfig,
 ) -> AmpcResult<RootedForestOutcome> {
-    match ampc_cfg.backend {
-        DhtBackend::Flat => resolve_roots_chase_impl::<FlatDht<u64>>(parents, chase_cap, ampc_cfg),
-        DhtBackend::Sharded { .. } => {
-            resolve_roots_chase_impl::<ShardedDht<u64>>(parents, chase_cap, ampc_cfg)
-        }
-        DhtBackend::Dense { .. } => {
-            resolve_roots_chase_impl::<DenseDht<u64>>(parents, chase_cap, ampc_cfg)
-        }
-    }
-}
-
-fn resolve_roots_chase_impl<S: DhtStorage<u64>>(
-    parents: &[Option<VertexId>],
-    chase_cap: usize,
-    ampc_cfg: AmpcConfig,
-) -> AmpcResult<RootedForestOutcome> {
     const SUPER: ampc::Space = 0;
     let n = parents.len();
     // Parent pointers are keyed by vertex ids 0..n — the dense slab hint.
     let backend = ampc_cfg.backend.with_capacity_hint(n.max(1));
     let ampc_cfg = ampc_cfg.with_backend(backend);
-    let mut sys: ampc::AmpcSystem<u64, S> = ampc::AmpcSystem::new(
+    let mut sys: AmpcSystem<u64> = AmpcSystem::new(
         ampc_cfg,
         parents
             .iter()

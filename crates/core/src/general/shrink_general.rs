@@ -33,10 +33,7 @@
 //! machine budget; the loop below charges exactly the rounds it uses. See
 //! DESIGN.md (substitutions) for why this preserves the cited interface.
 
-use ampc::{
-    AmpcConfig, AmpcResult, AmpcSystem, DenseDht, DhtBackend, DhtStorage, DhtValue, FlatDht, Key,
-    RunStats, ShardedDht, Space,
-};
+use ampc::{AmpcConfig, AmpcResult, AmpcSystem, DhtValue, Key, RunStats, Space};
 use ampc_graph::contract::contract;
 use ampc_graph::degree3::to_degree3;
 use ampc_graph::{Graph, VertexId};
@@ -151,30 +148,7 @@ pub fn shrink_general(
 }
 
 /// Runs `ShrinkGeneral(G, t)` with an explicit root-resolution strategy.
-///
-/// Dispatches on [`AmpcConfig::backend`] once; the whole invocation then
-/// runs monomorphized against the chosen storage backend.
 pub fn shrink_general_with(
-    g: &Graph,
-    t: usize,
-    chase_cap: usize,
-    ampc_cfg: AmpcConfig,
-    resolution: RootResolution,
-) -> AmpcResult<ShrinkGeneralOutcome> {
-    match ampc_cfg.backend {
-        DhtBackend::Flat => {
-            shrink_general_impl::<FlatDht<GVal>>(g, t, chase_cap, ampc_cfg, resolution)
-        }
-        DhtBackend::Sharded { .. } => {
-            shrink_general_impl::<ShardedDht<GVal>>(g, t, chase_cap, ampc_cfg, resolution)
-        }
-        DhtBackend::Dense { .. } => {
-            shrink_general_impl::<DenseDht<GVal>>(g, t, chase_cap, ampc_cfg, resolution)
-        }
-    }
-}
-
-fn shrink_general_impl<S: DhtStorage<GVal>>(
     g: &Graph,
     t: usize,
     chase_cap: usize,
@@ -191,7 +165,7 @@ fn shrink_general_impl<S: DhtStorage<GVal>>(
     // 0..n3 — the dense backend's slab hint.
     let backend = ampc_cfg.backend.with_capacity_hint(n3.max(1));
     let ampc_cfg = ampc_cfg.with_backend(backend);
-    let mut sys: AmpcSystem<GVal, S> = AmpcSystem::new(
+    let mut sys: AmpcSystem<GVal> = AmpcSystem::new(
         ampc_cfg,
         (0..n3 as VertexId).map(|v| (Key::new(ADJ, v as u64), GVal::adj(v, d3.graph.neighbors(v)))),
     );

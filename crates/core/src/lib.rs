@@ -20,8 +20,7 @@
 //! * [`pipeline`] — unified dispatch: a [`PipelineSpec`] (algorithm,
 //!   backend, limits, seed, machines) whose `run` returns one
 //!   [`PipelineRun`] shape for both algorithms, so consumers (CLI, the
-//!   serving layer, the ledger) never re-implement the pipeline × backend
-//!   dispatch grid.
+//!   serving layer, the ledger) never re-implement the algorithm match.
 //!
 //! Every public entry point returns both a validated
 //! [`ampc_graph::Labeling`] and the run's [`ampc::RunStats`] so experiments

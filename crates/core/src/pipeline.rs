@@ -5,11 +5,11 @@
 //! the serving layer, the ledger — hands to [`PipelineSpec::run`], which
 //! returns the unified [`PipelineRun`].
 //!
-//! Dispatch stays fully monomorphized: [`PipelineSpec::resolve`] picks the
-//! algorithm once (consulting the input for [`Algorithm::Auto`]), `run`
-//! matches on it, and the per-backend match arms inside
-//! [`connected_components_forest`]/[`connected_components_general`] remain
-//! the only other dispatch points — no `dyn` anywhere on the hot path.
+//! [`PipelineSpec::resolve`] picks the algorithm once (consulting the input
+//! for [`Algorithm::Auto`]) and `run` matches on it. The backend is not
+//! dispatched on here or anywhere else in this crate: it travels as a
+//! [`DhtBackend`] value into every [`ampc::AmpcConfig`] the pipelines
+//! build, and `ampc` turns it into a store (see [`ampc::Dht`]).
 
 use ampc::{AmpcResult, DhtBackend, RunStats};
 use ampc_graph::{Graph, Labeling};
@@ -105,7 +105,7 @@ impl Default for PipelineSpec {
     fn default() -> Self {
         PipelineSpec {
             algorithm: Algorithm::Auto,
-            backend: DhtBackend::Flat,
+            backend: DhtBackend::default(),
             k: 2,
             seed: 0xCC,
             machines: 8,
@@ -241,7 +241,7 @@ mod tests {
         // The spec is sugar, not a different pipeline: its runs must be
         // byte-identical to direct calls with the equivalent configs.
         let forest = random_forest(800, 7, 3);
-        let spec = PipelineSpec::default().with_seed(99).with_backend(DhtBackend::dense());
+        let spec = PipelineSpec::default().with_seed(99).with_backend(DhtBackend::Flat);
         let via_spec = spec.run(&forest).unwrap();
         let direct = connected_components_forest(&forest, &spec.forest_config()).unwrap();
         assert_eq!(via_spec.labeling.0, direct.labeling.0);

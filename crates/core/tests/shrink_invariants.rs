@@ -3,7 +3,7 @@
 //! pointer integrity after every iteration.
 
 use ampc::rng::SplitMix64;
-use ampc::{AmpcConfig, Key};
+use ampc::{AmpcConfig, DhtStorage as _, Key};
 use ampc_cc::cycles::{unpack, CycleState, BWD, FWD, PARENT};
 use ampc_cc::forest::shrink_large::shrink_large_cycles;
 use ampc_cc::forest::shrink_small::shrink_small_cycles;
@@ -103,7 +103,7 @@ fn iteration_preserves_invariants() {
         let succ = cycles_from_sizes(&sizes);
         let orig = cycle_ids(&succ);
         let n = succ.len();
-        let mut st: CycleState = CycleState::from_successors(
+        let mut st = CycleState::from_successors(
             &succ,
             AmpcConfig::default().with_machines(5).with_seed(seed),
         );
@@ -148,7 +148,7 @@ fn shrink_large_preserves_invariants() {
         let succ = cycles_from_sizes(&sizes);
         let orig = cycle_ids(&succ);
         let n = succ.len();
-        let mut st: CycleState = CycleState::from_successors(
+        let mut st = CycleState::from_successors(
             &succ,
             AmpcConfig::default().with_machines(3).with_seed(seed),
         );
@@ -179,7 +179,7 @@ fn walk_cap_never_breaks_correctness() {
         // Starved caps: abstention must preserve exact correctness.
         let succ = cycles_from_sizes(&sizes);
         let orig = cycle_ids(&succ);
-        let mut st: CycleState = CycleState::from_successors(
+        let mut st = CycleState::from_successors(
             &succ,
             AmpcConfig::default().with_machines(4).with_seed(seed),
         );
@@ -209,7 +209,7 @@ fn lemma_3_10_expectation_over_seeds() {
     let trials = 12;
     let mut total_after = 0usize;
     for seed in 0..trials {
-        let mut st: CycleState = CycleState::from_successors(
+        let mut st = CycleState::from_successors(
             &succ,
             AmpcConfig::default().with_machines(4).with_seed(1000 + seed),
         );

@@ -793,25 +793,11 @@ impl ServiceBuilder {
     ) -> Result<(ServiceHandle, BootSource), ServeError> {
         match snapshot::load(path.as_ref()) {
             Ok(snap) => {
-                let (algorithm, _algo) = match snap.algorithm {
-                    1 => (ResolvedAlgorithm::Forest, Algorithm::Forest),
-                    _ => (ResolvedAlgorithm::General, Algorithm::General),
-                };
-                let graph_n = snap.graph_n as usize;
-                let base = Arc::new(BaseIndex {
-                    index: snap.index,
-                    labeling: snap.labeling,
-                    stats: RunStats::default(),
-                    algorithm,
-                    graph_n,
-                    graph_m: snap.graph_m as usize,
-                    pipeline_ms: 0.0,
-                    index_ms: 0.0,
-                });
-                let (graph, has_base_graph) = if self.graph.n() == graph_n {
+                let (base, _) = base_from_snapshot(snap);
+                let (graph, has_base_graph) = if self.graph.n() == base.graph_n {
                     (self.graph, true)
                 } else {
-                    (Graph::empty(graph_n), false)
+                    (Graph::empty(base.graph_n), false)
                 };
                 Ok((
                     publish_epoch_zero(
@@ -868,25 +854,10 @@ impl ServiceBuilder {
     /// checksum mismatch, or semantic corruption. A corrupt snapshot never
     /// publishes anything.
     pub fn from_snapshot(path: impl AsRef<Path>) -> Result<ServiceHandle, SnapshotError> {
-        let snap = snapshot::load(path.as_ref())?;
-        let (algorithm, algo) = match snap.algorithm {
-            1 => (ResolvedAlgorithm::Forest, Algorithm::Forest),
-            _ => (ResolvedAlgorithm::General, Algorithm::General),
-        };
-        let graph_n = snap.graph_n as usize;
-        let base = Arc::new(BaseIndex {
-            index: snap.index,
-            labeling: snap.labeling,
-            stats: RunStats::default(),
-            algorithm,
-            graph_n,
-            graph_m: snap.graph_m as usize,
-            pipeline_ms: 0.0,
-            index_ms: 0.0,
-        });
+        let (base, algo) = base_from_snapshot(snapshot::load(path.as_ref())?);
         let spec = PipelineSpec::default().with_algorithm(algo);
         Ok(publish_epoch_zero(
-            Graph::empty(graph_n),
+            Graph::empty(base.graph_n),
             false,
             base,
             spec,
@@ -895,6 +866,26 @@ impl ServiceBuilder {
             Arc::new(MonotonicClock),
         ))
     }
+}
+
+/// A loaded snapshot as an epoch-0 base (no pipeline ran: empty stats, zero
+/// timings), plus the algorithm a rebuild spec for it is pinned to.
+fn base_from_snapshot(snap: snapshot::Snapshot) -> (Arc<BaseIndex>, Algorithm) {
+    let (algorithm, algo) = match snap.algorithm {
+        1 => (ResolvedAlgorithm::Forest, Algorithm::Forest),
+        _ => (ResolvedAlgorithm::General, Algorithm::General),
+    };
+    let base = BaseIndex {
+        index: snap.index,
+        labeling: snap.labeling,
+        stats: RunStats::default(),
+        algorithm,
+        graph_n: snap.graph_n as usize,
+        graph_m: snap.graph_m as usize,
+        pipeline_ms: 0.0,
+        index_ms: 0.0,
+    };
+    (Arc::new(base), algo)
 }
 
 /// Shared tail of [`ServiceBuilder::build`] and
@@ -1499,7 +1490,7 @@ mod tests {
         let spec = PipelineSpec::default()
             .with_seed(9)
             .with_algorithm(Algorithm::General)
-            .with_backend(DhtBackend::dense())
+            .with_backend(DhtBackend::Flat)
             .with_k(3);
         let service =
             ServiceBuilder::new(erdos_renyi_gnm(400, 900, 3)).spec(spec.clone()).build().unwrap();

@@ -7,16 +7,16 @@
 //! traversal, and per-round metering.
 //!
 //! It also demonstrates picking a DHT storage backend: the system below
-//! runs on the sharded store (`ShardedDht`), whose round-finish merge is
-//! shard-parallel. Results are byte-identical to the flat reference
-//! backend — swap the type parameter and `with_backend` call to compare.
+//! runs on the sharded store, whose round-finish merge is shard-parallel.
+//! The backend is a value in the config and nothing else — results are
+//! byte-identical whichever one the `with_backend` call names.
 //!
 //! ```text
 //! cargo run --release --example custom_ampc_algorithm
 //! ```
 
 use adaptive_mpc_connectivity::ampc::{
-    AmpcConfig, AmpcSystem, DhtBackend, DhtStorage as _, Key, ShardedDht, Space,
+    AmpcConfig, AmpcSystem, DhtBackend, DhtStorage as _, Key, Space,
 };
 
 const NEXT: Space = 0; // successor pointers (u64::MAX = tail)
@@ -36,7 +36,7 @@ fn main() {
     };
     let tail = *order.last().unwrap();
 
-    let mut sys: AmpcSystem<u64, ShardedDht<u64>> = AmpcSystem::new(
+    let mut sys: AmpcSystem<u64> = AmpcSystem::new(
         AmpcConfig::default().with_machines(16).with_seed(11).with_backend(DhtBackend::sharded()),
         order.windows(2).map(|w| (Key::new(NEXT, w[0]), w[1])),
     );

@@ -18,12 +18,13 @@
 //!                use "-" for stdin
 //!   --auto       pick Algorithm 1 for forests, Algorithm 2 otherwise (default)
 //!   --k K        space parameter (Theorems 1.1/1.2), default 2
-//!   --backend B  DHT storage backend: "flat" (default), "sharded" or
-//!                "sharded:N" for N hash shards, "dense" or "dense:CAP" for
+//!   --backend B  DHT storage backend: "dense" (default) or "dense:CAP" for
 //!                direct-indexed slabs of CAP ids per keyspace (unhinted
-//!                "dense" sizes slabs from the input). Results are identical
-//!                across backends; sharded/dense merge round output in
-//!                parallel and dense reads skip hashing entirely
+//!                "dense" sizes slabs from the input), "flat" for the
+//!                single-hash-map reference, "sharded" or "sharded:N" for N
+//!                hash shards. Results are identical across backends;
+//!                sharded/dense merge round output in parallel and dense
+//!                reads skip hashing entirely
 //!   --labels     print "vertex component" lines to stdout
 //!   --trace      print the per-round cost ledger; in query mode an
 //!                optional integer operand (`--trace N`) additionally dumps
@@ -210,6 +211,11 @@ fn parse_args() -> Result<Cmd, String> {
             it.next().ok_or_else(|| format!("{flag} needs a value"))
         };
         match a.as_str() {
+            // `serve` reports nothing and writes no snapshot: a flag it would
+            // parse and never read is a usage error, not a no-op.
+            "--labels" | "--trace" | "--metrics" | "--json" | "--persist" if is_serve => {
+                return Err(format!("{a} is a run/query option: serve does not act on it"));
+            }
             "--forest" => run.spec.algorithm = Algorithm::Forest,
             "--general" => run.spec.algorithm = Algorithm::General,
             "--auto" => run.spec.algorithm = Algorithm::Auto,
@@ -1300,7 +1306,7 @@ fn main() -> ExitCode {
             }
             eprintln!(
                 "usage: ampc-cc <file> [--forest|--general|--auto] [--k K] [--seed S]\n\
-                 \x20                 [--machines M] [--backend flat|sharded[:N]|dense[:CAP]]\n\
+                 \x20                 [--machines M] [--backend dense[:CAP]|flat|sharded[:N]]\n\
                  \x20                 [--labels] [--trace] [--metrics] [--json] [--persist PATH]\n\
                  \x20                 [--fail SITE[:K][:panic]]\n\
                  \x20      ampc-cc query [<file>] [pipeline options]\n\

@@ -2,7 +2,11 @@
 //! in every mode and assert a clean exit plus the correct component count.
 
 use std::path::Path;
-use std::process::Command;
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::time::{Duration, Instant};
+
+use adaptive_mpc_connectivity::graph::generators::erdos_renyi_gnm;
+use adaptive_mpc_connectivity::graph::io as graph_io;
 
 fn run(args: &[&str]) -> std::process::Output {
     let exe = env!("CARGO_BIN_EXE_ampc-cc");
@@ -88,6 +92,14 @@ fn cli_rejects_bad_usage() {
     assert_eq!(out.status.code(), Some(2), "missing file must exit 2");
     let out = Command::new(exe).args(["x.txt", "--bogus"]).output().expect("spawn");
     assert_eq!(out.status.code(), Some(2), "unknown flag must exit 2");
+    // `serve` prints no report and persists nothing: a flag it would parse
+    // and never honor is a usage error, not a server that silently ignores it.
+    for flag in
+        [&["--persist", "x.snap"][..], &["--labels"], &["--json"], &["--trace"], &["--metrics"]]
+    {
+        let status = Server::spawn(flag).wait_bounded(20);
+        assert_eq!(status.and_then(|s| s.code()), Some(2), "serve {flag:?} must exit 2");
+    }
 }
 
 #[test]
@@ -114,6 +126,18 @@ fn cli_backend_grammar() {
         let out = run(&["--backend", backend]);
         assert_eq!(out.status.code(), Some(2), "--backend {backend} must exit 2");
     }
+}
+
+/// The unsigned integer at `"key": N`, looked up after the first occurrence
+/// of `section` (the file parses its JSON by substring, like every assert
+/// here).
+fn json_u64(json: &str, section: &str, key: &str) -> u64 {
+    let from = json.find(section).unwrap_or_else(|| panic!("no {section} in\n{json}"));
+    let field = format!("\"{key}\": ");
+    let at = from + json[from..].find(&field).unwrap_or_else(|| panic!("no {key} in\n{json}"));
+    let digits: String =
+        json[at + field.len()..].chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap_or_else(|_| panic!("{key} is not an unsigned integer in\n{json}"))
 }
 
 fn run_query(args: &[&str]) -> std::process::Output {
@@ -249,6 +273,15 @@ fn cli_query_stream_validates_journal_epochs() {
     assert!(stdout.contains("\"streaming\": {"), "missing streaming JSON\n{stdout}");
     assert!(stdout.contains("\"final_epoch\": 3"), "3 batches must publish 3 epochs\n{stdout}");
 
+    // A seeded chaos schedule over the same path: injected faults roll back,
+    // the oracle check holds every round, and the run converges to healthy.
+    let out = run_query(&["--stream", "6", "--stream-batch", "8", "--chaos", "42", "--json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "--chaos: exit {:?}\n{stderr}", out.status.code());
+    assert!(stderr.contains("final health healthy"), "did not converge\n{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\"chaos\": { \"seed\": 42,"), "missing chaos JSON\n{stdout}");
+
     // Grammar: malformed or misplaced stream flags are usage errors.
     for bad in [&["--stream", "x"][..], &["--stream-batch", "0"], &["--stream-batch", "y"]] {
         let out = run_query(bad);
@@ -271,6 +304,16 @@ fn cli_persist_then_boot_from_snapshot() {
     assert!(out.status.success(), "--persist: exit {:?}\n{stderr}", out.status.code());
     assert!(stderr.contains("persisted:"), "missing persist line\n{stderr}");
     assert!(snap.exists(), "snapshot file must exist");
+
+    // An armed persist failpoint fails the run with a typed error and leaves
+    // the file of the previous persist intact (the boots below read it).
+    let before = std::fs::read(&snap).unwrap();
+    let out =
+        run(&["--general", "--seed", "8", "--persist", snap_str, "--fail", "persist.pre-rename"]);
+    assert_eq!(out.status.code(), Some(1), "an injected persist fault must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("injected fault at failpoint"), "untyped failure\n{stderr}");
+    assert_eq!(std::fs::read(&snap).unwrap(), before, "a failed persist must not touch the file");
 
     // A live query run fixes the reference checksum for this seed.
     let live = run_query(&["--seed", "7", "--queries", "500", "--json"]);
@@ -313,9 +356,17 @@ fn cli_persist_then_boot_from_snapshot() {
     );
     assert_eq!(checksum_line(&out), live_checksum, "boot+file answers must equal live answers");
 
-    // A corrupted snapshot is a typed load error (exit 1, not a panic),
-    // and --stream needs the edge list a snapshot does not carry.
+    // A truncated or corrupted snapshot is a typed load error (exit 1, not a
+    // panic), and --stream needs the edge list a snapshot does not carry.
     let mut bytes = std::fs::read(&snap).unwrap();
+    std::fs::write(&snap, &bytes[..100]).unwrap();
+    let out = Command::new(exe)
+        .args(["query", "--from-snapshot", snap_str, "--queries", "10"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1), "truncated snapshot must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("snapshot truncated"), "must say truncated\n{stderr}");
     let last = bytes.len() - 1;
     bytes[last] ^= 0x80;
     std::fs::write(&snap, &bytes).unwrap();
@@ -371,6 +422,25 @@ fn cli_query_metrics_json_and_trace_grammar() {
     }
     assert!(!stdout.contains("\"trace\": ["), "trace array needs --trace N\n{stdout}");
     assert!(stderr.contains("latency: p50 = "), "missing latency line\n{stderr}");
+    let lat =
+        ["p50_ns", "p99_ns", "p999_ns", "max_ns"].map(|k| json_u64(&stdout, "\"latency\"", k));
+    assert!(lat[0] > 0 && lat.windows(2).all(|w| w[0] <= w[1]), "quantiles out of order: {lat:?}");
+
+    // The smoke graph is solved without executing a round; on one big
+    // enough to execute rounds the pipeline counters must be live too.
+    let graph = std::env::temp_dir().join(format!("ampc_cli_obs_{}.txt", std::process::id()));
+    graph_io::save(&erdos_renyi_gnm(500, 900, 9), &graph).unwrap();
+    let exe = env!("CARGO_BIN_EXE_ampc-cc");
+    let out = Command::new(exe)
+        .arg("query")
+        .arg(&graph)
+        .args(["--seed", "7", "--queries", "1000", "--json"])
+        .output()
+        .expect("spawn");
+    std::fs::remove_file(&graph).ok();
+    assert!(out.status.success(), "query on the generated graph failed");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(json_u64(&stdout, "\"counters\"", "ampc_rounds_total") > 0, "no rounds\n{stdout}");
 
     // --trace N dumps the last N trace events (JSON array / stderr text);
     // bare --trace keeps the round-ledger behavior.
@@ -410,4 +480,78 @@ fn cli_json_run_output_is_machine_readable() {
     // The canonical labels of the smoke graph: path 0-1-2-3, triangle
     // 4-5-6, isolated 7.
     assert!(stdout.contains("[0, 0, 0, 0, 4, 4, 4, 7]"), "wrong labels\n{stdout}");
+}
+
+/// A spawned `ampc-cc serve tests/data/smoke.txt`, killed when dropped so
+/// that a failed assertion or a timeout leaves no server behind.
+struct Server(Child);
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.0.kill().ok();
+        self.0.wait().ok();
+    }
+}
+
+impl Server {
+    fn spawn(args: &[&str]) -> Server {
+        let exe = env!("CARGO_BIN_EXE_ampc-cc");
+        let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/smoke.txt");
+        let mut cmd = Command::new(exe);
+        cmd.arg("serve").arg(data).args(args).stdout(Stdio::null()).stderr(Stdio::null());
+        Server(cmd.spawn().expect("failed to spawn ampc-cc serve"))
+    }
+
+    /// The exit status, if the server exits within `secs` seconds.
+    fn wait_bounded(&mut self, secs: u64) -> Option<ExitStatus> {
+        for _ in 0..secs * 50 {
+            if let Some(status) = self.0.try_wait().expect("try_wait") {
+                return Some(status);
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        None
+    }
+}
+
+#[test]
+fn cli_serve_answers_the_connect_harness_over_loopback() {
+    let port_file = std::env::temp_dir().join(format!("ampc_cli_port_{}.txt", std::process::id()));
+    let mut server = Server::spawn(&["--workers", "2", "--port-file", port_file.to_str().unwrap()]);
+    // The handshake file appears only once the listener is live.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let addr = loop {
+        match std::fs::read_to_string(&port_file) {
+            Ok(text) if text.ends_with('\n') => break text.trim().to_string(),
+            _ if Instant::now() >= deadline => panic!("serve never wrote its --port-file"),
+            _ => std::thread::sleep(Duration::from_millis(20)),
+        }
+    };
+
+    // Closed-loop harness: the wire checksum must equal the local oracle's.
+    let out = run_query(&["--connect", &addr, "--threads", "2", "--json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "--connect: exit {:?}\n{stderr}", out.status.code());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\"checksum_matches_oracle\": true"), "wrong answers\n{stdout}");
+    assert!(stdout.contains("\"state\": \"healthy\""), "server not healthy\n{stdout}");
+    for section in ["\"wire\"", "\"service\""] {
+        let q = ["p50_ns", "p99_ns", "p999_ns"].map(|k| json_u64(&stdout, section, k));
+        assert!(q[0] > 0 && q[0] <= q[1] && q[1] <= q[2], "{section} quantiles {q:?}\n{stdout}");
+    }
+
+    // A client-side wire fault is a typed error and a nonzero exit, and the
+    // server keeps serving afterwards.
+    let out = run_query(&["--connect", &addr, "--fail", "net.write"]);
+    assert_eq!(out.status.code(), Some(1), "an injected wire fault must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("injected fault at failpoint"), "untyped failure\n{stderr}");
+
+    // Orderly remote shutdown: the server process exits cleanly.
+    let out = run_query(&["--connect", &addr, "--queries", "100", "--shutdown"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "--shutdown: exit {:?}\n{stderr}", out.status.code());
+    let status = server.wait_bounded(30);
+    std::fs::remove_file(&port_file).ok();
+    assert!(status.is_some_and(|s| s.success()), "server did not exit cleanly: {status:?}");
 }

@@ -25,7 +25,7 @@ fn starved_walk_cap_preserves_correctness() {
     // below the cycle lengths, so probes constantly abstain.
     let mut succ: Vec<u64> = (0..500u64).map(|i| (i + 1) % 500).collect();
     succ.extend((0..37u64).map(|i| 500 + (i + 1) % 37));
-    let mut st: CycleState =
+    let mut st =
         CycleState::from_successors(&succ, AmpcConfig::default().with_machines(4).with_seed(3));
     let mut guard = 0;
     while !st.alive.is_empty() {
@@ -46,7 +46,7 @@ fn cap_stalls_are_bounded_not_fatal() {
     // case never fires, but segment contraction between adjacent leaders
     // still makes progress. Tiny cycles keep everything finite.
     let succ: Vec<u64> = (0..60u64).map(|i| if i % 3 == 2 { i - 2 } else { i + 1 }).collect();
-    let mut st: CycleState =
+    let mut st =
         CycleState::from_successors(&succ, AmpcConfig::default().with_machines(2).with_seed(9));
     let mut guard = 0;
     while !st.alive.is_empty() && guard < 300 {
@@ -186,7 +186,7 @@ fn hard_enforcement_surfaces_as_error() {
     use adaptive_mpc_connectivity::cc::forest::shrink_small::shrink_small_cycles;
 
     let succ: Vec<u64> = (0..512u64).map(|i| (i + 1) % 512).collect();
-    let mut st: CycleState = CycleState::from_successors(
+    let mut st = CycleState::from_successors(
         &succ,
         AmpcConfig::default().with_machines(2).with_limits(SpaceLimits::enforce(4)),
     );
@@ -203,7 +203,7 @@ fn enforcement_with_adequate_budget_succeeds() {
     use adaptive_mpc_connectivity::cc::forest::shrink_small::shrink_small_cycles;
 
     let succ: Vec<u64> = (0..512u64).map(|i| (i + 1) % 512).collect();
-    let mut st: CycleState = CycleState::from_successors(
+    let mut st = CycleState::from_successors(
         &succ,
         AmpcConfig::default()
             .with_machines(512) // one vertex per machine
