@@ -128,11 +128,6 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
         rng::stream(self.seed, self.round as u64, tag, id)
     }
 
-    /// This machine's index within the round.
-    pub fn machine_index(&self) -> usize {
-        self.machine
-    }
-
     /// The zero-based index of the current round.
     pub fn round_index(&self) -> usize {
         self.round

@@ -128,11 +128,6 @@ impl RunStats {
         self.rounds.iter().map(|r| r.max_machine_read_words).max().unwrap_or(0)
     }
 
-    /// Largest single-machine write volume in any round.
-    pub fn peak_machine_write_words(&self) -> usize {
-        self.rounds.iter().map(|r| r.max_machine_write_words).max().unwrap_or(0)
-    }
-
     /// Per-round detail.
     pub fn per_round(&self) -> &[RoundStats] {
         &self.rounds

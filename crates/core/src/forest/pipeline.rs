@@ -38,6 +38,15 @@ use crate::forest::shrink_small::{shrink_small_cycles, IterationOutcome};
 use crate::forest::standard_cycle_cc::{standard_cycle_cc, StandardCycleOutcome};
 use crate::{log_star, tower};
 
+/// `B` cap as a multiple of `log₂ n` (the paper's `ε·log n/100`).
+const B_CAP_LOG_FACTOR: f64 = 0.75;
+
+/// Constant-factor slack on `S` for the audit budget. The paper's
+/// per-machine bound is `O(n^δ)` (with random load balancing smoothing the
+/// tail — footnote 3); the audit enforces `factor · S` to make the hidden
+/// constant explicit.
+const AUDIT_BUDGET_FACTOR: f64 = 8.0;
+
 /// Configuration of the forest-connectivity pipeline.
 #[derive(Debug, Clone)]
 pub struct ForestCcConfig {
@@ -49,8 +58,6 @@ pub struct ForestCcConfig {
     pub delta: f64,
     /// Initial rank width `B₀` (Algorithm 1 line 4).
     pub b0: u16,
-    /// `B` cap as a multiple of `log₂ n` (the paper's `ε·log n/100`).
-    pub b_cap_log_factor: f64,
     /// Double `B` every second iteration (Algorithm 1 line 7). Disabled
     /// only by the E9 ablation.
     pub double_b: bool,
@@ -58,11 +65,6 @@ pub struct ForestCcConfig {
     pub enable_step2: bool,
     /// Attach space limits and record violations (audit mode).
     pub audit_limits: bool,
-    /// Constant-factor slack on `S` for the audit budget. The paper's
-    /// per-machine bound is `O(n^δ)` (with random load balancing smoothing
-    /// the tail — footnote 3); the audit enforces `factor · S` to make the
-    /// hidden constant explicit.
-    pub audit_budget_factor: f64,
     /// Skip the `ShrinkLargeCycles` preprocessing. Only valid when every
     /// cycle is known to fit the walk budget (used by experiments that
     /// isolate the main-loop dynamics on medium-sized trees).
@@ -82,11 +84,9 @@ impl Default for ForestCcConfig {
             seed: 0xF0_1234,
             delta: 0.6,
             b0: 4,
-            b_cap_log_factor: 0.75,
             double_b: true,
             enable_step2: true,
             audit_limits: false,
-            audit_budget_factor: 8.0,
             skip_shrink_large: false,
             collect_threshold: 256,
             max_iterations: 64,
@@ -128,7 +128,7 @@ impl ForestCcConfig {
 
     /// The `B` cap for an `n`-vertex input.
     fn b_cap(&self, n: usize) -> u16 {
-        let cap = (self.b_cap_log_factor * (n.max(4) as f64).log2()).floor();
+        let cap = (B_CAP_LOG_FACTOR * (n.max(4) as f64).log2()).floor();
         cap.clamp(4.0, 16.0) as u16
     }
 
@@ -209,7 +209,7 @@ pub fn connected_components_forest(g: &Graph, cfg: &ForestCcConfig) -> AmpcResul
         .with_seed(cfg.seed)
         .with_backend(cfg.backend);
     if cfg.audit_limits {
-        let budget = (cfg.audit_budget_factor * local_space as f64) as usize;
+        let budget = (AUDIT_BUDGET_FACTOR * local_space as f64) as usize;
         ampc_cfg = ampc_cfg.with_limits(SpaceLimits::audit(budget));
     }
     let mut state = CycleState::from_decomposition(&decomp, ampc_cfg);

@@ -29,6 +29,12 @@ use crate::general::sampling::{algorithm2_sample_probability, sample_edges};
 use crate::general::shrink_general::shrink_general;
 use crate::log_iter;
 
+/// Inputs at most this size are solved on one machine.
+const SMALL_THRESHOLD: usize = 128;
+
+/// Recursion depth safety bound.
+const MAX_DEPTH: usize = 40;
+
 /// Configuration for Algorithm 2.
 #[derive(Debug, Clone)]
 pub struct GeneralCcConfig {
@@ -46,10 +52,6 @@ pub struct GeneralCcConfig {
     /// Base-case threshold: when `T/n ≥ n^gamma` the Theorem 4.1 solver is
     /// used (the paper's `T/n = n^Ω(1)` test).
     pub gamma: f64,
-    /// Inputs at most this size are solved on one machine.
-    pub small_threshold: usize,
-    /// Recursion depth safety bound.
-    pub max_depth: usize,
     /// DHT storage backend for every system the recursion constructs.
     pub backend: DhtBackend,
 }
@@ -67,8 +69,6 @@ impl Default for GeneralCcConfig {
             // T/n ratios do NOT count as polynomial, or the recursion never
             // fires. 0.5 makes the k-dependence observable (experiment E5).
             gamma: 0.50,
-            small_threshold: 128,
-            max_depth: 40,
             backend: DhtBackend::default(),
         }
     }
@@ -175,8 +175,7 @@ impl Driver<'_> {
         self.calls.push(CallReport { depth, n, m, space_per_vertex, terminal: false });
 
         // Degenerate / small inputs: solve on one machine (charged).
-        if n <= self.cfg.small_threshold || n + 2 * m <= self.s_local || depth >= self.cfg.max_depth
-        {
+        if n <= SMALL_THRESHOLD || n + 2 * m <= self.s_local || depth >= MAX_DEPTH {
             self.calls[call_idx].terminal = true;
             self.stats.charge_external(1, n + 2 * m, n + 2 * m);
             return Ok(reference_components(g).0);
@@ -213,7 +212,7 @@ impl Driver<'_> {
     /// Algorithm 2, lines 8–10.
     fn shrink_recurse(&mut self, g: &Graph, depth: usize) -> AmpcResult<Vec<u64>> {
         let n = g.n().max(1);
-        if g.n() <= self.cfg.small_threshold {
+        if g.n() <= SMALL_THRESHOLD {
             self.stats.charge_external(1, g.n() + 2 * g.m(), g.n() + 2 * g.m());
             return Ok(reference_components(g).0);
         }

@@ -72,11 +72,6 @@ impl ClientError {
     pub fn is_overloaded(&self) -> bool {
         matches!(self, ClientError::Server { code: ErrorCode::Overloaded, .. })
     }
-
-    /// True iff the server refused a write because it is read-only.
-    pub fn is_read_only(&self) -> bool {
-        matches!(self, ClientError::Server { code: ErrorCode::ReadOnly, .. })
-    }
 }
 
 /// One protocol connection to a server.

@@ -27,13 +27,13 @@
 //! | `net.write`           | network frame write (server and client)         |
 //! | `test.probe`          | reserved for framework unit tests (no call site)|
 //!
-//! The `persist.*` / `snapshot.load` sites live in `ampc_query::snapshot`
-//! (a crate this one depends on), so they are reached through the tiny
-//! function-pointer hook `ampc_query::snapshot::fail` exports; arming any
-//! site installs this module's router there. The router is never
-//! uninstalled — after installation a disarmed traversal in `ampc_query`
-//! costs one extra `Relaxed` load plus a short `match`, still on cold
-//! (persist/boot) paths only.
+//! The registry lives here, in the dependency-free bottom crate, because
+//! that is the one place every crate with a site can reach: the
+//! `persist.*` / `snapshot.load` sites are in `ampc_query::snapshot`, the
+//! `net.*` sites in `ampc-net`, the rest in `ampc-serve` (which re-exports
+//! this module as `ampc_serve::fault`). It also sits beside the other
+//! process-global static-site registries — counters, gauges, histograms,
+//! the trace ring.
 //!
 //! # Semantics
 //!
@@ -268,12 +268,7 @@ fn check_armed(site: Site, state: &SiteState) -> Result<(), InjectedFault> {
 /// traversals fire `action`, then the site disarms itself. Replaces any
 /// previous arming. `skip`/`count` are clamped to [`MAX_ARM_FIELD`];
 /// `count == 0` disarms.
-///
-/// Arming any site (idempotently) installs the router into
-/// `ampc_query::snapshot`'s hook so the `persist.*` / `snapshot.load`
-/// sites fire too.
 pub fn arm(site: Site, action: FaultAction, skip: u64, count: u64) {
-    install_query_hook();
     let word =
         if count == 0 { 0 } else { pack(action, skip.min(FIELD_MASK), count.min(FIELD_MASK)) };
     REGISTRY[site as usize].armed.store(word, Ordering::Relaxed);
@@ -342,25 +337,6 @@ pub fn arm_spec(spec: &str) -> Result<Site, String> {
     }
     arm(site, action, k - 1, 1);
     Ok(site)
-}
-
-/// Router installed into `ampc_query::snapshot`'s fault hook: maps the
-/// query crate's site names onto this registry. Unknown names pass
-/// through (forward compatibility over failing closed: a hook must never
-/// invent faults).
-fn query_router(site: &'static str) -> std::io::Result<()> {
-    let mapped = match site {
-        "persist.pre-tmp" => Site::PersistPreTmp,
-        "persist.pre-rename" => Site::PersistPreRename,
-        "persist.pre-dirsync" => Site::PersistPreDirSync,
-        "snapshot.load" => Site::SnapshotLoad,
-        _ => return Ok(()),
-    };
-    check(mapped).map_err(std::io::Error::other)
-}
-
-fn install_query_hook() {
-    ampc_query::snapshot::fail::set_hook(Some(query_router));
 }
 
 #[cfg(test)]

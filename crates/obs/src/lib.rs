@@ -1,9 +1,8 @@
 //! # ampc-obs — zero-dependency observability for the connectivity stack
 //!
 //! Lock-free metrics and tracing, hand-rolled in the same spirit as
-//! `EpochCell` and `serve::fault`: no external crates, no locks on any
-//! recording path, `const`-constructible primitives living in process-wide
-//! statics.
+//! `EpochCell`: no external crates, no locks on any recording path,
+//! `const`-constructible primitives living in process-wide statics.
 //!
 //! - [`Counter`] / [`Gauge`] — one relaxed atomic RMW per event.
 //! - [`Histogram`] — log2-bucketed, sharded per thread; three relaxed RMWs
@@ -16,6 +15,11 @@
 //! - [`registry`] — the static catalog ([`CounterId`] / [`GaugeId`] /
 //!   [`HistId`]) plus Prometheus-text ([`render_text`]) and human
 //!   ([`render_table`]) exposition.
+//! - [`fault`] — the failpoint registry: named fault-injection sites, one
+//!   relaxed load when disarmed. It lives in this crate because every crate
+//!   that carries a site (`ampc-query`, `ampc-serve`, `ampc-net`) depends
+//!   on it, and it is the same kind of thing as the catalog above: a
+//!   process-global array of static sites.
 //!
 //! Recording sites call e.g.
 //! `obs::counter(CounterId::Rounds).inc()` — an index into a static array
@@ -23,6 +27,7 @@
 //! failpoint.
 
 pub mod clock;
+pub mod fault;
 pub mod metrics;
 pub mod registry;
 pub mod trace;

@@ -51,6 +51,15 @@
 //! component ids, `by_size` a permutation, `comp_of` in first-appearance
 //! canonical form consistent with the labeling) — and every rejection is a
 //! typed [`SnapshotError`], never a panic and never undefined behaviour.
+//!
+//! # Failpoints
+//!
+//! The persist and boot seams carry four sites of the process-wide
+//! failpoint registry (`ampc_obs::fault`): `persist.pre-tmp`,
+//! `persist.pre-rename`, `persist.pre-dirsync` in [`write_atomic`] and
+//! `snapshot.load` in [`load`]. An injected error surfaces as
+//! [`SnapshotError::Io`]; an injected panic unwinds past the temp-file
+//! cleanup exactly like a killed process skips it.
 
 use std::fmt;
 use std::fs::File;
@@ -60,63 +69,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ampc_graph::Labeling;
+use ampc_obs::fault::{self, Site};
 
 use crate::index::{ComponentId, ComponentIndex};
-
-/// Fault-injection hook for the persist/boot seams.
-///
-/// This crate sits below the serving layer that owns the failpoint
-/// registry (`ampc_serve::fault`), so the crash-injection sites here are
-/// reached through one installable function pointer instead of a
-/// dependency cycle. When no hook is installed — every production
-/// deployment — a traversal is a single `Relaxed` atomic load of a null
-/// pointer; both seams (persist, boot) are cold paths anyway.
-///
-/// Site names are part of the public failpoint catalog (see
-/// `ampc_serve::fault` and DESIGN.md "Fault model"):
-/// `persist.pre-tmp`, `persist.pre-rename`, `persist.pre-dirsync`,
-/// `snapshot.load`.
-pub mod fail {
-    use std::sync::atomic::{AtomicPtr, Ordering};
-
-    /// The hook signature: given a site name, return `Ok(())` to pass or
-    /// an error to inject a detected failure (the hook may also panic to
-    /// simulate a crash).
-    pub type Hook = fn(&'static str) -> std::io::Result<()>;
-
-    static HOOK: AtomicPtr<()> = AtomicPtr::new(std::ptr::null_mut());
-
-    /// Snapshot write, before the temp file is created.
-    pub const PERSIST_PRE_TMP: &str = "persist.pre-tmp";
-    /// Snapshot write, after the temp file is written and fsynced,
-    /// before the rename.
-    pub const PERSIST_PRE_RENAME: &str = "persist.pre-rename";
-    /// Snapshot write, after the rename, before the parent-dir fsync.
-    pub const PERSIST_PRE_DIRSYNC: &str = "persist.pre-dirsync";
-    /// Snapshot boot, before the file is opened.
-    pub const SNAPSHOT_LOAD: &str = "snapshot.load";
-
-    /// Installs (or, with `None`, removes) the process-wide hook.
-    pub fn set_hook(hook: Option<Hook>) {
-        let ptr = match hook {
-            Some(f) => f as *mut (),
-            None => std::ptr::null_mut(),
-        };
-        HOOK.store(ptr, Ordering::Release);
-    }
-
-    #[inline]
-    pub(super) fn check(site: &'static str) -> std::io::Result<()> {
-        let ptr = HOOK.load(Ordering::Relaxed);
-        if ptr.is_null() {
-            return Ok(());
-        }
-        // SAFETY: the only non-null value ever stored is a `Hook` fn
-        // pointer (set_hook); fn pointers round-trip through `*mut ()`.
-        let hook: Hook = unsafe { std::mem::transmute::<*mut (), Hook>(ptr) };
-        hook(site)
-    }
-}
 
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"AMPCSNAP";
@@ -478,7 +433,7 @@ pub fn encode(
 /// names.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-    fail::check(fail::PERSIST_PRE_TMP)?;
+    fault::check(Site::PersistPreTmp).map_err(std::io::Error::other)?;
     let tmp = path.with_extension(format!(
         "tmp.{}.{}",
         std::process::id(),
@@ -488,9 +443,9 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut f = File::create(&tmp)?;
         f.write_all(bytes)?;
         f.sync_all()?;
-        fail::check(fail::PERSIST_PRE_RENAME)?;
+        fault::check(Site::PersistPreRename).map_err(std::io::Error::other)?;
         std::fs::rename(&tmp, path)?;
-        fail::check(fail::PERSIST_PRE_DIRSYNC)?;
+        fault::check(Site::PersistPreDirSync).map_err(std::io::Error::other)?;
         // A rename is durable only once the *directory entry* is synced:
         // without this, a crash after the rename can lose the new file
         // entirely (the data blocks were synced, the name was not).
@@ -801,7 +756,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
 /// header + checksum validation, in-place section reinterpretation.
 pub fn load(path: &Path) -> Result<Snapshot, SnapshotError> {
     let timer = ampc_obs::Timer::start(ampc_obs::hist(ampc_obs::HistId::SnapshotBootNs));
-    fail::check(fail::SNAPSHOT_LOAD)?;
+    fault::check(Site::SnapshotLoad).map_err(std::io::Error::other)?;
     let mut f = File::open(path)?;
     let len = f.metadata()?.len();
     if len > usize::MAX as u64 {

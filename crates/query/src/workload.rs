@@ -27,9 +27,10 @@ use crate::engine::Query;
 use crate::index::{ComponentId, ComponentIndex};
 
 /// A workload shape: how query endpoints are drawn.
-#[derive(Copy, Clone, Debug, PartialEq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub enum Mix {
     /// Uniformly random vertices, mixed query types.
+    #[default]
     Uniform,
     /// Zipf-skewed vertex popularity with the given exponent, mixed query
     /// types. Exponent 1.0–1.2 matches measured web/social skew.

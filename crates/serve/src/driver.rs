@@ -20,7 +20,6 @@
 
 use std::time::Instant;
 
-use ampc_query::workload::Mix;
 use ampc_query::{throughput, Query};
 
 use crate::service::ServiceHandle;
@@ -221,20 +220,6 @@ pub fn run_latency(service: &ServiceHandle, queries: &[Query], threads: usize) -
     }
 }
 
-/// Convenience mirroring [`run_mix`]: deterministic workload from the
-/// current snapshot, then [`run_latency`] over it.
-pub fn run_latency_mix(
-    service: &ServiceHandle,
-    mix: Mix,
-    count: usize,
-    seed: u64,
-    threads: usize,
-) -> LatencyReport {
-    let snap = service.snapshot();
-    let queries = ampc_query::workload::generate(snap.index(), mix, count, seed);
-    run_latency(service, &queries, threads)
-}
-
 /// Spawns one scoped thread per slot, runs `body(t, slot)` on each, and
 /// returns the wall-clock seconds of the whole region.
 fn parallel_region<S: Send>(slots: &mut [S], body: impl Fn(usize, &mut S) + Sync) -> f64 {
@@ -246,23 +231,6 @@ fn parallel_region<S: Send>(slots: &mut [S], body: impl Fn(usize, &mut S) + Sync
         }
     });
     t0.elapsed().as_secs_f64()
-}
-
-/// Convenience for the CLI: generate the mix's deterministic
-/// workload from the service's *current* snapshot and drive it. The
-/// workload depends only on `(index, mix, count, seed)`, so two calls at
-/// the same epoch drive identical streams.
-pub fn run_mix(
-    service: &ServiceHandle,
-    mix: Mix,
-    count: usize,
-    seed: u64,
-    threads: usize,
-    batch: usize,
-) -> DriverReport {
-    let snap = service.snapshot();
-    let queries = ampc_query::workload::generate(snap.index(), mix, count, seed);
-    run(service, &queries, threads, batch)
 }
 
 #[cfg(test)]
@@ -315,15 +283,16 @@ mod tests {
     }
 
     #[test]
-    fn run_mix_drives_the_standard_mixes() {
+    fn run_drives_the_standard_mixes() {
         let service = service();
         for mix in workload::Mix::STANDARD {
-            let r = run_mix(&service, mix, 4000, 7, 2, 128);
+            let generate = || workload::generate(service.snapshot().index(), mix, 4000, 7);
+            let r = run(&service, &generate(), 2, 128);
             assert_eq!(r.total_queries, 4000);
             assert_eq!(r.threads, 2);
             assert!(r.aggregate_single_qps > 0.0 && r.aggregate_batch_qps > 0.0);
             // Deterministic workload ⇒ deterministic checksum across runs.
-            let again = run_mix(&service, mix, 4000, 7, 4, 32);
+            let again = run(&service, &generate(), 4, 32);
             assert_eq!(r.checksum, again.checksum, "mix {} checksum drifted", mix.name());
         }
     }

@@ -36,7 +36,10 @@
 //!   thread answering through its own pinned snapshot.
 //! * [`fault`] + the degradation state machine — every risky seam
 //!   (pipeline build, compaction publish, journal freeze, snapshot
-//!   write/load) carries a named **failpoint** (compiled in always, one
+//!   write/load) carries a named **failpoint** (the registry is
+//!   `ampc_obs::fault`, re-exported here because this crate's callers arm
+//!   it; it lives in the bottom crate so that `ampc-query` and `ampc-net`
+//!   reach their own sites directly; compiled in always, one
 //!   relaxed atomic load when disarmed); failures no longer vanish with
 //!   their thread but land as typed incidents in a bounded log and drive
 //!   `Healthy → Degraded → ReadOnly` ([`HealthState`]) with bounded
@@ -54,13 +57,12 @@
 
 pub mod driver;
 pub mod epoch;
-pub mod fault;
 mod service;
 
 pub use ampc_cc::pipeline::PipelineSpec;
+pub use ampc_obs::fault::{self, FaultAction, InjectedFault, Site};
 pub use ampc_query::{JournalView, SnapshotError};
 pub use epoch::{EpochCell, EpochGuard};
-pub use fault::{FaultAction, InjectedFault, Site};
 pub use service::{
     BootSource, HealthReport, HealthState, Incident, IncidentOp, IndexSnapshot, InsertReport,
     JournalBudget, PersistReport, PublishedIndex, RebuildHandle, RetryPolicy, ServeError,

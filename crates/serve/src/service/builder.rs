@@ -1,0 +1,209 @@
+//! [`ServiceBuilder`]: the three ways a service gets its epoch 0 — a
+//! pipeline build, a snapshot boot, and the boot fallback chain that tries
+//! the second and falls back to the first.
+
+use std::path::Path;
+use std::sync::{Arc, Mutex};
+
+use ampc::RunStats;
+use ampc_cc::pipeline::{Algorithm, PipelineSpec, ResolvedAlgorithm};
+use ampc_graph::{Graph, UnionFind};
+use ampc_obs::{Clock, MonotonicClock};
+use ampc_query::{snapshot, SnapshotError};
+
+use super::error::ServeError;
+use super::handle::{
+    announce_epoch, lock_stream, ConnectivityService, JournalBudget, ServiceHandle, StreamState,
+};
+use super::health::{HealthInner, IncidentOp, RetryPolicy};
+use super::published::{BaseIndex, PublishedIndex};
+use super::rebuild::RebuildTickets;
+use crate::epoch::EpochCell;
+
+/// Builder for a [`ServiceHandle`]: `ServiceBuilder::new(graph)
+/// .spec(spec).build()?` runs the pipeline once (synchronously), validates
+/// and indexes the result, and publishes it as epoch 0.
+pub struct ServiceBuilder {
+    graph: Graph,
+    spec: PipelineSpec,
+    budget: JournalBudget,
+    policy: RetryPolicy,
+    clock: Arc<dyn Clock>,
+}
+
+/// Where [`ServiceBuilder::from_snapshot_or_rebuild`] got its epoch 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BootSource {
+    /// The snapshot loaded and validated; epoch 0 reinterprets its buffer.
+    Snapshot,
+    /// The snapshot was missing/corrupt; epoch 0 came from a pipeline
+    /// build over the builder's graph, and the boot failure is the first
+    /// entry in the incident log.
+    RebuildFallback,
+}
+
+impl ServiceBuilder {
+    /// Starts a builder over `graph` with the default [`PipelineSpec`] and
+    /// [`JournalBudget`].
+    pub fn new(graph: Graph) -> Self {
+        ServiceBuilder {
+            graph,
+            spec: PipelineSpec::default(),
+            budget: JournalBudget::default(),
+            policy: RetryPolicy::default(),
+            clock: Arc::new(MonotonicClock),
+        }
+    }
+
+    /// Sets the pipeline spec used for the initial build and every rebuild.
+    pub fn spec(mut self, spec: PipelineSpec) -> Self {
+        self.spec = spec;
+        self
+    }
+
+    /// Sets the journal budget that triggers compaction rebuilds.
+    pub fn journal_budget(mut self, budget: JournalBudget) -> Self {
+        self.budget = budget;
+        self
+    }
+
+    /// Sets the retry/backoff policy of the degradation state machine.
+    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
+        self.policy = policy;
+        self
+    }
+
+    /// Injects the time source the retry schedule reads (tests pass an
+    /// [`ampc_obs::ManualClock`] and advance it deterministically).
+    pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
+        self.clock = clock;
+        self
+    }
+
+    /// Runs the pipeline, validates, indexes, and publishes epoch 0.
+    pub fn build(self) -> Result<ServiceHandle, ServeError> {
+        let base = Arc::new(BaseIndex::build(&self.spec, &self.graph)?);
+        Ok(self.publish_epoch_zero(base, true))
+    }
+
+    /// Boot fallback chain: try the snapshot first, and if it is missing,
+    /// truncated, or corrupt — any [`SnapshotError`] — fall back to a
+    /// pipeline build over the builder's graph instead of refusing to
+    /// start. The failure is not swallowed: it is recorded as a
+    /// [`IncidentOp::Boot`] incident (typed
+    /// [`ServeError::SnapshotBoot`]) in the otherwise-Healthy fallback
+    /// service, and the returned [`BootSource`] says which path won.
+    ///
+    /// On a successful snapshot boot the builder's graph is installed as
+    /// the base graph **when its vertex count matches the snapshot's**, so
+    /// budget-triggered compaction works immediately (plain
+    /// [`ServiceBuilder::from_snapshot`] has no edges and must disable
+    /// it). The caller asserts, by using this method, that the graph is
+    /// the one the snapshot captured. On a mismatch the snapshot still
+    /// boots, with compaction disabled exactly like `from_snapshot`.
+    ///
+    /// # Errors
+    /// Only if **both** paths fail: the snapshot error is in the incident
+    /// log's stead and the pipeline error is returned.
+    pub fn from_snapshot_or_rebuild(
+        mut self,
+        path: impl AsRef<Path>,
+    ) -> Result<(ServiceHandle, BootSource), ServeError> {
+        match snapshot::load(path.as_ref()) {
+            Ok(snap) => {
+                let (base, _) = base_from_snapshot(snap);
+                let has_base_graph = self.graph.n() == base.graph_n;
+                if !has_base_graph {
+                    self.graph = Graph::empty(base.graph_n);
+                }
+                Ok((self.publish_epoch_zero(base, has_base_graph), BootSource::Snapshot))
+            }
+            Err(snap_err) => {
+                let boot_error = ServeError::SnapshotBoot(snap_err.to_string());
+                let handle = self.build()?;
+                let service = &handle.service;
+                let (policy, now_ms) = (&service.policy, service.now_ms());
+                let mut st = lock_stream(&service.stream);
+                st.health.record_incident(policy, now_ms, IncidentOp::Boot, boot_error);
+                drop(st);
+                Ok((handle, BootSource::RebuildFallback))
+            }
+        }
+    }
+
+    /// Boots a service from a snapshot on disk: one bulk read, header +
+    /// checksum validation, and epoch 0 is published with its index
+    /// sections reinterpreted **in place** over the snapshot buffer — no
+    /// pipeline run, no per-element deserialization. This is how one
+    /// pipeline run fans out to N serving replicas that boot in
+    /// milliseconds.
+    ///
+    /// The booted service answers queries and accepts
+    /// [`ServiceHandle::insert_edges`] (journal-epochs need only the index,
+    /// which the snapshot carries). A snapshot does not carry the base
+    /// graph's *edges*, so budget-triggered compaction stays disabled until
+    /// an explicit [`ServiceHandle::rebuild`] installs a real graph; the
+    /// journal simply keeps growing in the meantime. Rebuilds use a default
+    /// spec pinned to the snapshot's algorithm.
+    ///
+    /// # Errors
+    /// Any [`SnapshotError`]: i/o failure, foreign or damaged header,
+    /// checksum mismatch, or semantic corruption. A corrupt snapshot never
+    /// publishes anything.
+    pub fn from_snapshot(path: impl AsRef<Path>) -> Result<ServiceHandle, SnapshotError> {
+        let (base, algo) = base_from_snapshot(snapshot::load(path.as_ref())?);
+        let spec = PipelineSpec::default().with_algorithm(algo);
+        Ok(ServiceBuilder::new(Graph::empty(base.graph_n))
+            .spec(spec)
+            .publish_epoch_zero(base, false))
+    }
+
+    /// Shared tail of every path above: wraps a finished base into stream
+    /// state and publishes it as epoch 0. `has_base_graph` is false when
+    /// the builder's graph is a vertex-only placeholder.
+    fn publish_epoch_zero(self, base: Arc<BaseIndex>, has_base_graph: bool) -> ServiceHandle {
+        let stream = StreamState {
+            graph: self.graph,
+            pending: Vec::new(),
+            uf: UnionFind::new(base.index.num_components()),
+            merges: 0,
+            base: Arc::clone(&base),
+            has_base_graph,
+            compacting: false,
+            generation: 0,
+            health: HealthInner::new(),
+        };
+        let payload = PublishedIndex { epoch: 0, base, journal: None, inserted_edges: 0 };
+        let service = ConnectivityService {
+            cell: EpochCell::new(Arc::new(payload)),
+            spec: self.spec,
+            budget: self.budget,
+            policy: self.policy,
+            clock: self.clock,
+            stream: Mutex::new(stream),
+            tickets: RebuildTickets::new(),
+        };
+        announce_epoch(0, false, 0);
+        ServiceHandle { service: Arc::new(service) }
+    }
+}
+
+/// A loaded snapshot as an epoch-0 base (no pipeline ran: empty stats, zero
+/// timings), plus the algorithm a rebuild spec for it is pinned to.
+fn base_from_snapshot(snap: snapshot::Snapshot) -> (Arc<BaseIndex>, Algorithm) {
+    let (algorithm, algo) = match snap.algorithm {
+        1 => (ResolvedAlgorithm::Forest, Algorithm::Forest),
+        _ => (ResolvedAlgorithm::General, Algorithm::General),
+    };
+    let base = BaseIndex {
+        index: snap.index,
+        labeling: snap.labeling,
+        stats: RunStats::default(),
+        algorithm,
+        graph_n: snap.graph_n as usize,
+        graph_m: snap.graph_m as usize,
+        pipeline_ms: 0.0,
+        index_ms: 0.0,
+    };
+    (Arc::new(base), algo)
+}

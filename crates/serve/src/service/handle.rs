@@ -1,0 +1,421 @@
+//! [`ServiceHandle`] and the shared state behind it: the read side
+//! (`snapshot`), the journal-epoch write side (`insert_edges`), `persist`,
+//! and the health probes (`health`, `tick`). Explicit rebuilds and
+//! compactions are in [`super::rebuild`].
+//!
+//! **Journal-epochs** ([`ServiceHandle::insert_edges`]): a streaming edge
+//! insertion can only *merge* components, so instead of re-running the
+//! pipeline the service unions the endpoints' dense component ids in a
+//! union-find over the current base index and publishes the result as a
+//! [`JournalView`] riding on the unchanged base — an `O(components)`
+//! publish instead of an `O(n + m)` rebuild. Snapshots of a journal-epoch
+//! answer through a merge-aware engine (one extra array read per id) and
+//! are byte-identical to a from-scratch build over the merged graph (see
+//! `ampc_query::journal` for the argument). Once the journal outgrows its
+//! [`JournalBudget`], the service *compacts*: a background pipeline rebuild
+//! over the merged graph, with insertions accepted throughout and replayed
+//! onto the new base when it lands.
+
+use std::path::Path;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use ampc_cc::pipeline::PipelineSpec;
+use ampc_graph::{Graph, Labeling, UnionFind, VertexId};
+use ampc_obs::fault::{self, Site};
+use ampc_obs::{Clock, CounterId, GaugeId, HistId, TraceKind};
+use ampc_query::{snapshot, ComponentIndex, JournalView, SnapshotError};
+
+use super::error::ServeError;
+use super::health::{HealthInner, HealthReport, HealthState, IncidentOp, RetryPolicy};
+use super::published::{BaseIndex, IndexSnapshot, PublishedIndex};
+use super::rebuild::{start_compaction_locked, RebuildTickets};
+use crate::epoch::EpochCell;
+
+/// When a journal grows past this budget, the service falls back to a full
+/// background rebuild (compaction) over the merged graph. Until the
+/// compaction lands, insertions keep being accepted and published as
+/// journal-epochs — the budget bounds staleness cost, not availability.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JournalBudget {
+    /// Compact once this many inserted edges have accumulated on one base.
+    pub max_edges: usize,
+    /// Compact once the journal carries this many component merges.
+    pub max_merges: usize,
+}
+
+impl JournalBudget {
+    /// A budget with explicit limits.
+    pub fn new(max_edges: usize, max_merges: usize) -> Self {
+        JournalBudget { max_edges, max_merges }
+    }
+
+    /// Never compact automatically (tests and benchmarks that want to
+    /// observe pure journal behavior).
+    pub fn unbounded() -> Self {
+        JournalBudget { max_edges: usize::MAX, max_merges: usize::MAX }
+    }
+
+    pub(super) fn exceeded_by(&self, journal_edges: usize, journal_merges: usize) -> bool {
+        journal_edges > self.max_edges || journal_merges > self.max_merges
+    }
+}
+
+impl Default for JournalBudget {
+    /// 64 Ki inserted edges or 4 Ki merges — a journal publish is
+    /// `O(components)`, so the default keeps the incremental path far
+    /// cheaper than the `O(n + m)` rebuild it defers.
+    fn default() -> Self {
+        JournalBudget { max_edges: 1 << 16, max_merges: 1 << 12 }
+    }
+}
+
+/// What one [`ServiceHandle::insert_edges`] call did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InsertReport {
+    /// The journal-epoch this batch was published as.
+    pub epoch: u64,
+    /// Edges accepted from this batch (the whole batch, once validated).
+    pub applied: usize,
+    /// Component merges this batch caused.
+    pub new_merges: usize,
+    /// Total inserted edges accumulated on the current base.
+    pub journal_edges: usize,
+    /// Total merges the published journal carries.
+    pub journal_merges: usize,
+    /// Connected components after this batch.
+    pub components: usize,
+    /// True iff this batch pushed the journal over budget and kicked off a
+    /// background compaction rebuild.
+    pub compaction_started: bool,
+}
+
+/// What one [`ServiceHandle::persist`] call wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PersistReport {
+    /// The epoch that was captured.
+    pub epoch: u64,
+    /// Snapshot size in bytes.
+    pub bytes: u64,
+    /// True iff the captured epoch carried journal merges (they were
+    /// materialized into the persisted index, which equals a full rebuild
+    /// of the merged graph byte for byte).
+    pub journal: bool,
+}
+
+/// Mutable write-side state: the current base graph, the edges inserted on
+/// top of it, and the union-find over base component ids that summarizes
+/// their merges. Guarded by one mutex; the read path never touches it.
+#[derive(Debug)]
+pub(super) struct StreamState {
+    /// The graph the current base index was built from.
+    pub(super) graph: Graph,
+    /// Edges accepted since the current base was published.
+    pub(super) pending: Vec<(VertexId, VertexId)>,
+    /// Union-find over the base index's dense component ids.
+    pub(super) uf: UnionFind,
+    /// Merges `uf` currently carries (`c - uf.num_components()`).
+    pub(super) merges: usize,
+    /// The base every journal-epoch publishes against.
+    pub(super) base: Arc<BaseIndex>,
+    /// False when the service was booted from a snapshot: `graph` is then
+    /// a vertex-only placeholder (a snapshot does not carry edges), so
+    /// budget-triggered compaction — which re-reads the base edges — must
+    /// not run until an explicit rebuild installs a real graph.
+    pub(super) has_base_graph: bool,
+    /// A compaction rebuild is in flight (don't start another).
+    pub(super) compacting: bool,
+    /// Bumped by every full rebuild that lands; a compaction that started
+    /// against an older generation abandons instead of clobbering.
+    pub(super) generation: u64,
+    /// Degradation state machine + bounded incident log. Guarded by the
+    /// stream lock like everything else here: every transition happens on
+    /// a path that already holds it.
+    pub(super) health: HealthInner,
+}
+
+/// The shared state behind every [`ServiceHandle`] clone.
+#[derive(Debug)]
+pub(super) struct ConnectivityService {
+    pub(super) cell: EpochCell<PublishedIndex>,
+    pub(super) spec: PipelineSpec,
+    pub(super) budget: JournalBudget,
+    pub(super) policy: RetryPolicy,
+    pub(super) clock: Arc<dyn Clock>,
+    pub(super) stream: Mutex<StreamState>,
+    pub(super) tickets: RebuildTickets,
+}
+
+impl ConnectivityService {
+    /// The retry schedule and the incident log count milliseconds.
+    pub(super) fn now_ms(&self) -> u64 {
+        self.clock.now_ns() / 1_000_000
+    }
+
+    /// The one publish step after epoch 0: swaps `base` (plus the journal
+    /// riding on it) in as the next epoch and announces it. Callers hold
+    /// the stream lock, so journal and rebuild publishes form a single
+    /// total order.
+    pub(super) fn publish(
+        &self,
+        base: &Arc<BaseIndex>,
+        journal: Option<JournalView>,
+        inserted_edges: usize,
+    ) -> u64 {
+        let is_journal = journal.is_some();
+        let epoch = self.cell.publish_with(|epoch| {
+            Arc::new(PublishedIndex { epoch, base: Arc::clone(base), journal, inserted_edges })
+        });
+        announce_epoch(epoch, is_journal, inserted_edges);
+        epoch
+    }
+}
+
+/// What every published epoch — epoch 0 included — tells the metrics
+/// registry and the trace ring.
+pub(super) fn announce_epoch(epoch: u64, is_journal: bool, inserted_edges: usize) {
+    ampc_obs::counter(CounterId::EpochsPublished).inc();
+    ampc_obs::trace(TraceKind::EpochPublished, epoch, is_journal as u64);
+    ampc_obs::gauge(GaugeId::JournalPendingEntries).set(inserted_edges as i64);
+}
+
+/// Locks the stream state, recovering from poison: the guarded state is
+/// only ever mutated to a consistent snapshot before any point that can
+/// panic (publishing is a pointer swap, `Vec`/`UnionFind` updates finish
+/// before the publish), so a poisoned lock means an aborted writer, not
+/// torn state.
+pub(super) fn lock_stream(stream: &Mutex<StreamState>) -> MutexGuard<'_, StreamState> {
+    stream.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Freezes a union-find over `base`'s component ids into a journal.
+/// `Ok(None)` when there are no merges (the journal would be an identity
+/// map — publish the base view instead and skip the remap read on every
+/// query).
+///
+/// This used to `expect` — a reachable panic on the **caller's** insert
+/// thread. Union-find roots are base component ids, so the labeling is in
+/// range and the right length by construction, but "by construction"
+/// arguments belong in tests, not in a panic on the serving path: a
+/// violated invariant now surfaces as [`ServeError::JournalBuild`] and
+/// rolls the batch back. The [`Site::JournalBuild`] failpoint fires here.
+pub(super) fn build_journal(
+    uf: &mut UnionFind,
+    merges: usize,
+    base: &BaseIndex,
+) -> Result<Option<JournalView>, ServeError> {
+    if merges == 0 {
+        return Ok(None);
+    }
+    fault::check(Site::JournalBuild)?;
+    let c = base.index.num_components();
+    let class_of: Vec<u32> = (0..c as u32).map(|id| uf.find(id)).collect();
+    JournalView::build(&class_of, &base.index).map(Some).map_err(ServeError::JournalBuild)
+}
+
+/// Unions the base component ids of each edge's endpoints in `uf`;
+/// returns how many of the unions merged two classes.
+pub(super) fn union_components(
+    uf: &mut UnionFind,
+    index: &ComponentIndex,
+    edges: &[(VertexId, VertexId)],
+) -> usize {
+    let mut merges = 0;
+    for &(u, v) in edges {
+        if uf.union(index.component_of(u), index.component_of(v)) {
+            merges += 1;
+        }
+    }
+    merges
+}
+
+/// A clone-able handle to a connectivity service. Clones share the same
+/// epoch cell: an epoch published through any handle is visible to
+/// snapshots taken through every other.
+#[derive(Clone, Debug)]
+pub struct ServiceHandle {
+    pub(super) service: Arc<ConnectivityService>,
+}
+
+impl ServiceHandle {
+    /// Pins the current epoch — lock-free; never blocks on rebuilds or
+    /// insertions. Call once per thread (or per request) and answer any
+    /// number of queries against the returned snapshot.
+    pub fn snapshot(&self) -> IndexSnapshot {
+        IndexSnapshot { guard: self.service.cell.pin() }
+    }
+
+    /// The most recently published epoch number.
+    pub fn current_epoch(&self) -> u64 {
+        self.service.cell.epoch()
+    }
+
+    /// The spec every build and rebuild runs.
+    pub fn spec(&self) -> &PipelineSpec {
+        &self.service.spec
+    }
+
+    /// The budget past which insertions trigger a compaction rebuild.
+    pub fn journal_budget(&self) -> JournalBudget {
+        self.service.budget
+    }
+
+    /// The retry/backoff policy of the degradation state machine.
+    pub fn retry_policy(&self) -> RetryPolicy {
+        self.service.policy
+    }
+
+    /// A point-in-time copy of the degradation state machine: current
+    /// [`HealthState`], failure streak, bounded incident log, and (when
+    /// `Degraded`) time until the next compaction retry.
+    pub fn health(&self) -> HealthReport {
+        lock_stream(&self.service.stream).health.report(self.service.now_ms())
+    }
+
+    /// Drives the retry schedule without an insert: if the service is
+    /// `Degraded`, the backoff has elapsed, and no compaction is in
+    /// flight, start one. Returns `true` iff a retry compaction was
+    /// started. Inserts drive the same schedule implicitly; call this
+    /// from a maintenance loop when the write path may go quiet.
+    pub fn tick(&self) -> bool {
+        let service = &self.service;
+        let mut st = lock_stream(&service.stream);
+        let due = st.health.state == HealthState::Degraded
+            && service.now_ms() >= st.health.retry_at_ms
+            && !st.compacting
+            && st.has_base_graph;
+        if due {
+            start_compaction_locked(service, &mut st);
+        }
+        due
+    }
+
+    /// Applies a batch of edge insertions to the current epoch and
+    /// publishes the result as a **journal-epoch**: endpoint components
+    /// are unioned over the base index's dense ids and the merged view is
+    /// frozen into a [`JournalView`] — an `O(components)` publish, no
+    /// pipeline run. Answers on the new epoch are byte-identical to a full
+    /// rebuild over the merged graph.
+    ///
+    /// If the batch pushes the journal past the [`JournalBudget`], a
+    /// background compaction rebuild starts (at most one at a time);
+    /// insertions keep working and are replayed onto the new base when it
+    /// lands.
+    ///
+    /// # Errors
+    /// [`ServeError::VertexOutOfRange`] if any endpoint is `>= n` for the
+    /// current graph, [`ServeError::ReadOnly`] when the state machine has
+    /// given up on the write path, [`ServeError::JournalBuild`] if
+    /// freezing the merges fails (the failure is also recorded in the
+    /// incident log). The batch is atomic in every case: nothing is
+    /// applied or published on error.
+    pub fn insert_edges(&self, edges: &[(VertexId, VertexId)]) -> Result<InsertReport, ServeError> {
+        let service = &self.service;
+        let mut st = lock_stream(&service.stream);
+        if st.health.state == HealthState::ReadOnly {
+            return Err(ServeError::ReadOnly);
+        }
+        let n = st.graph.n();
+        for &(u, v) in edges {
+            let bad = if (u as usize) >= n {
+                Some(u)
+            } else if (v as usize) >= n {
+                Some(v)
+            } else {
+                None
+            };
+            if let Some(vertex) = bad {
+                return Err(ServeError::VertexOutOfRange { vertex, n });
+            }
+        }
+
+        // Apply the batch to a *scratch* union-find and only commit it
+        // after the journal freezes — a failed freeze must roll the whole
+        // batch back, and the clone is `O(components)`, the same order as
+        // the freeze itself.
+        let base = Arc::clone(&st.base);
+        let mut uf = st.uf.clone();
+        let new_merges = union_components(&mut uf, &base.index, edges);
+        let merges = st.merges + new_merges;
+        let journal_timer = ampc_obs::Timer::start(ampc_obs::hist(HistId::JournalBuildNs));
+        let journal = match build_journal(&mut uf, merges, &base) {
+            Ok(j) => j,
+            Err(e) => {
+                let op = IncidentOp::JournalBuild;
+                st.health.record_failure(&service.policy, service.now_ms(), op, e.clone());
+                return Err(e);
+            }
+        };
+        let build_ns = journal_timer.stop();
+        ampc_obs::counter(CounterId::JournalBuilds).inc();
+        ampc_obs::trace(TraceKind::JournalBuilt, merges as u64, build_ns);
+        st.uf = uf;
+        st.merges = merges;
+        st.pending.extend_from_slice(edges);
+
+        let components = match &journal {
+            Some(j) => j.num_components(),
+            None => base.index.num_components(),
+        };
+        let inserted_edges = st.pending.len();
+        let publish_timer = ampc_obs::Timer::start(ampc_obs::hist(HistId::PublishNs));
+        let epoch = service.publish(&base, journal, inserted_edges);
+        publish_timer.stop();
+
+        // Healthy: the journal budget decides. Degraded: the budget is
+        // suspended ("widened") — the deterministic retry schedule decides
+        // instead, so a failing compaction is re-attempted with backoff
+        // rather than on every over-budget batch.
+        let due = match st.health.state {
+            HealthState::Healthy => service.budget.exceeded_by(st.pending.len(), st.merges),
+            HealthState::Degraded => service.now_ms() >= st.health.retry_at_ms,
+            HealthState::ReadOnly => false,
+        };
+        let compaction_started = due && !st.compacting && st.has_base_graph;
+        if compaction_started {
+            start_compaction_locked(service, &mut st);
+        }
+
+        Ok(InsertReport {
+            epoch,
+            applied: edges.len(),
+            new_merges,
+            journal_edges: inserted_edges,
+            journal_merges: st.merges,
+            components,
+            compaction_started,
+        })
+    }
+
+    /// Persists the **currently published epoch** to `path` as a snapshot
+    /// (write-to-temp + atomic rename: concurrent readers of the file see
+    /// the old snapshot or the new one, never a torn write).
+    ///
+    /// The epoch is pinned first — exactly one published epoch is
+    /// captured, even while insertions and rebuilds race this call. A
+    /// journal-epoch is materialized at persist time: the journal's merges
+    /// are folded into a fresh index that is byte-identical to a full
+    /// rebuild of the merged graph, so a replica booted from the snapshot
+    /// answers exactly like this epoch.
+    pub fn persist(&self, path: impl AsRef<Path>) -> Result<PersistReport, SnapshotError> {
+        let snap = self.snapshot();
+        let (n, m) = snap.graph_size();
+        // Merged dense ids are themselves a labeling of the merged
+        // partition; building from it reproduces a full rebuild byte for
+        // byte (see `ampc_query::journal`).
+        let merged = snap.journal().map(|journal| {
+            let base = snap.index();
+            let labeling = Labeling(
+                (0..n as VertexId).map(|v| journal.resolve(base.component_of(v)) as u64).collect(),
+            );
+            (ComponentIndex::build(&labeling), labeling)
+        });
+        let (index, labeling) = match &merged {
+            Some((index, labeling)) => (index, labeling),
+            None => (snap.index(), snap.labeling()),
+        };
+        let algorithm = snap.algorithm().number();
+        let bytes =
+            snapshot::persist(path.as_ref(), index, labeling, n as u64, m as u64, algorithm)?;
+        Ok(PersistReport { epoch: snap.epoch(), bytes, journal: snap.is_journal() })
+    }
+}

@@ -1,0 +1,249 @@
+//! The degradation state machine: health states, the bounded incident
+//! log and the retry-with-backoff policy every [`crate::ServiceHandle`]
+//! carries.
+
+use std::collections::VecDeque;
+
+use ampc_obs::{CounterId, TraceKind};
+
+use super::error::ServeError;
+#[cfg(doc)]
+use super::ServiceHandle;
+#[cfg(doc)]
+use ampc_obs::Clock;
+
+/// The degradation state machine every [`ServiceHandle`] carries.
+///
+/// ```text
+///            failure                    failure (Nth consecutive)
+/// Healthy ───────────▶ Degraded ─────────────────────▶ ReadOnly
+///    ▲                    │  ▲                             │
+///    │   compaction /     │  │ failed retry                │
+///    │   rebuild success  │  │ (backoff doubles)           │
+///    └────────────────────┘  └─────────────────────────────┘
+///    ▲                                                     │
+///    └──────────── explicit rebuild succeeds ──────────────┘
+/// ```
+///
+/// * **Healthy** — the happy path of PRs 5–7.
+/// * **Degraded** — a rebuild/compaction/journal build failed. Reads are
+///   untouched; inserts keep landing as journal-epochs; the journal
+///   budget is suspended in favor of a bounded retry-with-backoff
+///   compaction schedule (deterministic under an injectable [`Clock`]).
+/// * **ReadOnly** — [`RetryPolicy::max_consecutive_failures`] failures in
+///   a row. Inserts return [`ServeError::ReadOnly`]; reads keep serving
+///   the last published epoch; only a successful explicit
+///   [`ServiceHandle::rebuild`] (new ground truth) restores `Healthy`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HealthState {
+    /// Serving normally.
+    Healthy,
+    /// A failure was recorded; retrying compaction with backoff.
+    Degraded,
+    /// Too many consecutive failures; inserts refused until an explicit
+    /// rebuild succeeds.
+    ReadOnly,
+}
+
+impl HealthState {
+    /// Stable lowercase name (CLI/JSON).
+    pub fn name(self) -> &'static str {
+        match self {
+            HealthState::Healthy => "healthy",
+            HealthState::Degraded => "degraded",
+            HealthState::ReadOnly => "read-only",
+        }
+    }
+}
+
+/// Which operation an [`Incident`] was recorded against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IncidentOp {
+    /// An explicit [`ServiceHandle::rebuild`].
+    Rebuild,
+    /// A budget-triggered or retry compaction.
+    Compaction,
+    /// A journal-epoch freeze on the insert path.
+    JournalBuild,
+    /// A snapshot boot that fell back to a pipeline build.
+    Boot,
+}
+
+impl IncidentOp {
+    /// Stable lowercase name (CLI/JSON).
+    pub fn name(self) -> &'static str {
+        match self {
+            IncidentOp::Rebuild => "rebuild",
+            IncidentOp::Compaction => "compaction",
+            IncidentOp::JournalBuild => "journal-build",
+            IncidentOp::Boot => "boot",
+        }
+    }
+}
+
+/// One recorded failure. The log is bounded
+/// ([`RetryPolicy::max_incidents`]): `seq` keeps a global count even
+/// after old entries are evicted.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Incident {
+    /// 1-based global sequence number (total incidents ever recorded).
+    pub seq: u64,
+    /// Milliseconds on the service's [`Clock`] when the incident was
+    /// recorded.
+    pub at_ms: u64,
+    /// The operation that failed.
+    pub op: IncidentOp,
+    /// The typed failure.
+    pub error: ServeError,
+}
+
+/// Bounded retry-with-backoff policy for the degradation state machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Consecutive failures before the service enters
+    /// [`HealthState::ReadOnly`].
+    pub max_consecutive_failures: u32,
+    /// Backoff before the first compaction retry.
+    pub base_backoff_ms: u64,
+    /// Backoff ceiling (the doubling stops here).
+    pub max_backoff_ms: u64,
+    /// Incident-log bound (oldest entries are evicted first).
+    pub max_incidents: usize,
+}
+
+impl RetryPolicy {
+    /// `min(base << (failures − 1), max)` — deterministic, no jitter: the
+    /// service is single-writer per lineage, so thundering herds are not
+    /// a concern and reproducibility (chaos schedules, incident replay)
+    /// is.
+    pub fn backoff_ms(&self, consecutive_failures: u32) -> u64 {
+        let doublings = consecutive_failures.saturating_sub(1).min(32);
+        self.base_backoff_ms.saturating_mul(1u64 << doublings).min(self.max_backoff_ms)
+    }
+}
+
+impl Default for RetryPolicy {
+    /// 5 strikes, 100 ms → 10 s backoff, 64 incidents retained.
+    fn default() -> Self {
+        RetryPolicy {
+            max_consecutive_failures: 5,
+            base_backoff_ms: 100,
+            max_backoff_ms: 10_000,
+            max_incidents: 64,
+        }
+    }
+}
+
+/// A point-in-time copy of the service's health, via
+/// [`ServiceHandle::health`].
+#[derive(Debug, Clone)]
+pub struct HealthReport {
+    /// Current state of the degradation state machine.
+    pub state: HealthState,
+    /// Failures since the last successful rebuild/compaction.
+    pub consecutive_failures: u32,
+    /// Total incidents ever recorded (≥ `incidents.len()`).
+    pub total_incidents: u64,
+    /// The retained incident log, oldest first.
+    pub incidents: Vec<Incident>,
+    /// When [`HealthState::Degraded`]: milliseconds until the next
+    /// compaction retry is allowed (0 = due now).
+    pub retry_in_ms: Option<u64>,
+}
+
+/// Mutable half of the state machine, guarded by the stream lock (every
+/// transition happens on a path that already holds it). Callers pass the
+/// service's policy and the current millisecond of its [`ampc_obs::Clock`]:
+/// the retry schedule and the incident log count milliseconds.
+#[derive(Debug)]
+pub(super) struct HealthInner {
+    pub(super) state: HealthState,
+    consecutive_failures: u32,
+    /// Earliest millisecond on the service's clock at which a Degraded
+    /// service retries compaction.
+    pub(super) retry_at_ms: u64,
+    incidents: VecDeque<Incident>,
+    total_incidents: u64,
+}
+
+impl HealthInner {
+    pub(super) fn new() -> Self {
+        HealthInner {
+            state: HealthState::Healthy,
+            consecutive_failures: 0,
+            retry_at_ms: 0,
+            incidents: VecDeque::new(),
+            total_incidents: 0,
+        }
+    }
+
+    /// Appends a typed failure to the bounded incident log without touching
+    /// the state machine (boot-fallback incidents land in a Healthy service).
+    pub(super) fn record_incident(
+        &mut self,
+        policy: &RetryPolicy,
+        now_ms: u64,
+        op: IncidentOp,
+        error: ServeError,
+    ) {
+        self.total_incidents += 1;
+        self.incidents.push_back(Incident { seq: self.total_incidents, at_ms: now_ms, op, error });
+        while self.incidents.len() > policy.max_incidents {
+            self.incidents.pop_front();
+        }
+        ampc_obs::counter(CounterId::Incidents).inc();
+        ampc_obs::trace(TraceKind::IncidentRecorded, self.total_incidents, op as u64);
+    }
+
+    /// Records a failure and advances the state machine: `Degraded` with a
+    /// doubled backoff until [`RetryPolicy::max_consecutive_failures`], then
+    /// `ReadOnly`.
+    pub(super) fn record_failure(
+        &mut self,
+        policy: &RetryPolicy,
+        now_ms: u64,
+        op: IncidentOp,
+        error: ServeError,
+    ) {
+        self.record_incident(policy, now_ms, op, error);
+        let prior = self.state;
+        let failures = self.consecutive_failures.saturating_add(1);
+        self.consecutive_failures = failures;
+        if failures >= policy.max_consecutive_failures {
+            if prior != HealthState::ReadOnly {
+                ampc_obs::counter(CounterId::ReadOnlyTransitions).inc();
+            }
+            self.state = HealthState::ReadOnly;
+            self.retry_at_ms = u64::MAX;
+        } else {
+            if prior != HealthState::Degraded {
+                ampc_obs::counter(CounterId::DegradedTransitions).inc();
+            }
+            self.state = HealthState::Degraded;
+            self.retry_at_ms = now_ms.saturating_add(policy.backoff_ms(failures));
+        }
+    }
+
+    /// A compaction or rebuild landed: back to `Healthy`, failure streak
+    /// cleared. The incident log is retained — it is history, not state.
+    pub(super) fn mark_recovered(&mut self) {
+        if self.state != HealthState::Healthy {
+            ampc_obs::counter(CounterId::Recoveries).inc();
+        }
+        self.state = HealthState::Healthy;
+        self.consecutive_failures = 0;
+        self.retry_at_ms = 0;
+    }
+
+    /// The point-in-time copy [`crate::ServiceHandle::health`] returns.
+    pub(super) fn report(&self, now_ms: u64) -> HealthReport {
+        HealthReport {
+            state: self.state,
+            consecutive_failures: self.consecutive_failures,
+            total_incidents: self.total_incidents,
+            incidents: self.incidents.iter().cloned().collect(),
+            retry_in_ms: (self.state == HealthState::Degraded)
+                .then(|| self.retry_at_ms.saturating_sub(now_ms)),
+        }
+    }
+}

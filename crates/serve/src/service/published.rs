@@ -1,0 +1,182 @@
+//! What an epoch holds: the frozen product of one pipeline run
+//! ([`BaseIndex`]), the published payload riding on it
+//! ([`PublishedIndex`]) and the pinned reader view ([`IndexSnapshot`]).
+
+use std::sync::{Arc, Weak};
+use std::time::Instant;
+
+use ampc::RunStats;
+use ampc_cc::pipeline::{PipelineSpec, ResolvedAlgorithm};
+use ampc_graph::{Graph, Labeling};
+use ampc_query::{ComponentIndex, JournalView, QueryEngine};
+
+use super::error::ServeError;
+#[cfg(doc)]
+use super::ServiceHandle;
+use crate::epoch::EpochGuard;
+
+/// The frozen product of one full pipeline run: index, labeling, stats.
+/// Base epochs own one of these; journal-epochs share their base's via
+/// `Arc` — that sharing is what makes a journal publish cheap.
+#[derive(Debug)]
+pub(super) struct BaseIndex {
+    pub(super) index: ComponentIndex,
+    pub(super) labeling: Labeling,
+    pub(super) stats: RunStats,
+    pub(super) algorithm: ResolvedAlgorithm,
+    pub(super) graph_n: usize,
+    pub(super) graph_m: usize,
+    /// Wall time of the pipeline run (+ validation) that produced the
+    /// labeling; 0 for a snapshot boot — nothing ran.
+    pub(super) pipeline_ms: f64,
+    /// Wall time of freezing the labeling into the index; 0 for a
+    /// snapshot boot. Split out so boot-vs-build speedups have a clean
+    /// denominator.
+    pub(super) index_ms: f64,
+}
+
+impl BaseIndex {
+    /// Runs the spec on `g` and freezes the result. Validation is part of
+    /// the lifecycle: a labeling that does not validate against `g` is
+    /// never published.
+    pub(super) fn build(spec: &PipelineSpec, g: &Graph) -> Result<BaseIndex, ServeError> {
+        let t0 = Instant::now();
+        let run = spec.run(g)?;
+        let pipeline_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let t1 = Instant::now();
+        let index =
+            ComponentIndex::from_run(g, &run.labeling).map_err(ServeError::InvalidLabeling)?;
+        let index_ms = t1.elapsed().as_secs_f64() * 1e3;
+        Ok(BaseIndex {
+            index,
+            labeling: run.labeling,
+            stats: run.stats,
+            algorithm: run.algorithm,
+            graph_n: g.n(),
+            graph_m: g.m(),
+            pipeline_ms,
+            index_ms,
+        })
+    }
+}
+
+/// One published epoch: a shared base index plus, for journal-epochs, the
+/// frozen merge journal accumulated since that base. Everything here is
+/// immutable at publish time; readers share it via `Arc`.
+#[derive(Debug)]
+pub struct PublishedIndex {
+    pub(super) epoch: u64,
+    pub(super) base: Arc<BaseIndex>,
+    pub(super) journal: Option<JournalView>,
+    pub(super) inserted_edges: usize,
+}
+
+impl PublishedIndex {
+    /// The epoch this index was published as.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The immutable base component index. Journal-epochs answer through
+    /// [`PublishedIndex::journal`] on top of this — use
+    /// [`IndexSnapshot::engine`] to get the merge-aware view.
+    pub fn index(&self) -> &ComponentIndex {
+        &self.base.index
+    }
+
+    /// The raw labeling the base pipeline run produced (e.g. for
+    /// `--labels` output). Journal merges are not reflected here.
+    pub fn labeling(&self) -> &Labeling {
+        &self.base.labeling
+    }
+
+    /// The producing run's cost accounting.
+    pub fn stats(&self) -> &RunStats {
+        &self.base.stats
+    }
+
+    /// Which algorithm produced this epoch's base index.
+    pub fn algorithm(&self) -> ResolvedAlgorithm {
+        self.base.algorithm
+    }
+
+    /// `(n, m)` of the graph this epoch answers for: the base graph plus
+    /// any edges accepted by the journal (counted as inserted, before
+    /// dedup against existing edges).
+    pub fn graph_size(&self) -> (usize, usize) {
+        (self.base.graph_n, self.base.graph_m + self.inserted_edges)
+    }
+
+    /// Wall-clock milliseconds the base epoch's pipeline run (plus
+    /// validation) took; 0 when the base was booted from a snapshot.
+    pub fn pipeline_ms(&self) -> f64 {
+        self.base.pipeline_ms
+    }
+
+    /// Wall-clock milliseconds freezing the base labeling into the index
+    /// took; 0 when the base was booted from a snapshot.
+    pub fn index_build_ms(&self) -> f64 {
+        self.base.index_ms
+    }
+
+    /// The merge journal riding on the base index, if this is a
+    /// journal-epoch.
+    pub fn journal(&self) -> Option<&JournalView> {
+        self.journal.as_ref()
+    }
+
+    /// True iff this epoch carries journal merges on top of its base.
+    pub fn is_journal(&self) -> bool {
+        self.journal.is_some()
+    }
+
+    /// Number of connected components this epoch answers with (journal
+    /// merges included).
+    pub fn num_components(&self) -> usize {
+        match &self.journal {
+            Some(j) => j.num_components(),
+            None => self.base.index.num_components(),
+        }
+    }
+}
+
+/// A pinned, immutable view of one published epoch. Cheap to clone (an
+/// `Arc` bump); holding it keeps that epoch's index alive, dropping it
+/// releases the pin. Obtainable only via [`ServiceHandle::snapshot`] —
+/// lock-free.
+#[derive(Clone)]
+pub struct IndexSnapshot {
+    pub(super) guard: EpochGuard<PublishedIndex>,
+}
+
+impl IndexSnapshot {
+    /// The epoch this snapshot pinned.
+    pub fn epoch(&self) -> u64 {
+        self.guard.epoch()
+    }
+
+    /// A borrow-only query engine over this snapshot's index — merge-aware
+    /// when the snapshot pinned a journal-epoch. Engines are `Copy`; make
+    /// one per thread or per batch, they cost nothing.
+    pub fn engine(&self) -> QueryEngine<'_> {
+        match self.guard.journal() {
+            Some(j) => QueryEngine::with_journal(self.guard.index(), j),
+            None => QueryEngine::new(self.guard.index()),
+        }
+    }
+
+    /// Downgrades to a weak reference to the epoch payload — the hook the
+    /// lifecycle tests use to observe that retired epochs are freed once
+    /// every snapshot is dropped.
+    pub fn downgrade(&self) -> Weak<PublishedIndex> {
+        Arc::downgrade(self.guard.value())
+    }
+}
+
+impl std::ops::Deref for IndexSnapshot {
+    type Target = PublishedIndex;
+
+    fn deref(&self) -> &PublishedIndex {
+        &self.guard
+    }
+}

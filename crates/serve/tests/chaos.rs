@@ -14,9 +14,6 @@
 //! The fault registry is process-global, so every test here serializes
 //! through [`FaultSession`] and leaves the registry disarmed and the
 //! service quiesced (`Healthy`, no rebuild in flight) on exit.
-//!
-//! Quick mode (`AMPC_CHAOS_QUICK=1`, used by CI) shrinks the per-seed
-//! round count; the seed matrix itself stays fixed at 8 seeds.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -762,10 +759,8 @@ fn run_chaos_schedule(seed: u64, rounds: usize) {
 #[test]
 fn chaos_matrix_seeded_schedules_converge_healthy() {
     let _s = FaultSession::begin();
-    let quick = std::env::var("AMPC_CHAOS_QUICK").is_ok();
-    let rounds = if quick { 7 } else { 14 };
     for seed in 1..=8u64 {
-        run_chaos_schedule(seed, rounds);
+        run_chaos_schedule(seed, 14);
     }
     // Acceptance: every fault class was hit somewhere in the matrix. The
     // rotation makes this overwhelmingly likely; the direct driver closes

@@ -10,7 +10,7 @@
 //!                [--stream N] [--stream-batch E] [--from-snapshot PATH]
 //!                [--fail SPEC] [--chaos SEED]
 //!                [--connect ADDR [--shutdown]]
-//! ampc-cc serve <file> [pipeline options as above]
+//! ampc-cc serve [<file>] [pipeline options as above]
 //!                [--listen ADDR] [--workers W] [--queue D]
 //!                [--port-file PATH] [--from-snapshot PATH] [--fail SPEC]
 //!
@@ -66,7 +66,13 @@
 //!                 checksum validation, index sections reinterpreted in
 //!                 place. The graph file becomes optional; give it anyway
 //!                 to cross-validate every answer against union-find (and
-//!                 it is required for --stream, which needs the edge list)
+//!                 it is required for --stream, which needs the edge list).
+//!                 (serve) alone, the same strict boot; with <file>, the
+//!                 boot fallback chain: the snapshot boots with the file
+//!                 as its base graph (so budget-triggered compaction
+//!                 works), and a missing or corrupt snapshot falls back to
+//!                 a build over the file, reported on stderr and as the
+//!                 `boot` incident over the Health opcode
 //!   --fail SITE[:K][:panic]  arm a deterministic failpoint: the Kth
 //!                 traversal (default 1st) of the named site errors (or
 //!                 panics). Sites: rebuild.pipeline, compact.publish,
@@ -109,10 +115,11 @@
 //! cargo run --release --bin ampc-cc -- query graph.txt --mix zipf --threads 4
 //! ```
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::io::Read;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
 use adaptive_mpc_connectivity::ampc::rng::{derive_seed, SplitMix64};
@@ -124,9 +131,10 @@ use adaptive_mpc_connectivity::graph::{
 use adaptive_mpc_connectivity::net;
 use adaptive_mpc_connectivity::query::{snapshot, workload, ComponentIndex, Query, QueryEngine};
 use adaptive_mpc_connectivity::serve::{
-    driver, fault, FaultAction, HealthState, ServeError, ServiceBuilder,
+    driver, fault, BootSource, FaultAction, HealthState, ServeError, ServiceBuilder, ServiceHandle,
 };
 
+#[derive(Default)]
 struct RunArgs {
     file: String,
     spec: PipelineSpec,
@@ -138,6 +146,7 @@ struct RunArgs {
     fail: Vec<String>,
 }
 
+#[derive(Default)]
 struct QueryArgs {
     run: RunArgs,
     mix: workload::Mix,
@@ -155,6 +164,7 @@ struct QueryArgs {
     shutdown: bool,
 }
 
+#[derive(Default)]
 struct ServeArgs {
     run: RunArgs,
     listen: String,
@@ -170,52 +180,69 @@ enum Cmd {
     Serve(ServeArgs),
 }
 
-fn parse_args() -> Result<Cmd, String> {
-    let mut run = RunArgs {
-        file: String::new(),
-        spec: PipelineSpec::default(),
-        labels: false,
-        trace: false,
-        metrics: false,
-        json: false,
-        persist: None,
-        fail: Vec::new(),
-    };
-    let mut argv = std::env::args().skip(1).peekable();
-    let is_query = argv.peek().map(|a| a == "query").unwrap_or(false);
-    let is_serve = argv.peek().map(|a| a == "serve").unwrap_or(false);
-    if is_query || is_serve {
-        argv.next();
-    }
-    let mut mix = workload::Mix::Uniform;
-    let mut queries = 100_000usize;
-    let mut batch = 1024usize;
-    let mut threads = 1usize;
-    let mut query_file: Option<String> = None;
-    let mut top = 0usize;
-    let mut stream = 0usize;
-    let mut stream_batch = 64usize;
-    let mut from_snapshot: Option<String> = None;
-    let mut chaos: Option<u64> = None;
-    let mut trace_events: Option<usize> = None;
-    let mut connect: Option<String> = None;
-    let mut shutdown = false;
-    let mut listen = "127.0.0.1:0".to_string();
-    let mut workers = 4usize;
-    let mut queue = 64usize;
-    let mut port_file: Option<String> = None;
+/// The operand of `flag`: the next token, parsed as `T`.
+fn value<T: FromStr<Err: Display>>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let raw = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse().map_err(|e| format!("bad {flag}: {e}"))
+}
 
-    let mut it = argv;
+/// [`value`] for the counts that size something: zero is a usage error.
+fn positive(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, String> {
+    match value(it, flag)? {
+        0 => Err(format!("{flag} must be positive")),
+        v => Ok(v),
+    }
+}
+
+/// The subcommands (`/`-separated) that act on a flag not every
+/// subcommand takes; `None` for the pipeline options all three share.
+fn flag_owners(flag: &str) -> Option<&'static str> {
+    Some(match flag {
+        "--labels" | "--trace" | "--metrics" | "--json" => "run/query",
+        "--persist" => "run",
+        "--from-snapshot" => "query/serve",
+        "--mix" | "--queries" | "--batch" | "--threads" | "--query-file" | "--top" | "--stream"
+        | "--stream-batch" | "--chaos" | "--connect" | "--shutdown" => "query",
+        "--listen" | "--workers" | "--queue" | "--port-file" => "serve",
+        _ => return None,
+    })
+}
+
+fn parse_args() -> Result<Cmd, String> {
+    let mut it = std::env::args().skip(1).peekable();
+    let mode = match it.peek().map(String::as_str) {
+        Some("query") => "query",
+        Some("serve") => "serve",
+        _ => "run",
+    };
+    if mode != "run" {
+        it.next();
+    }
+    let mut run = RunArgs::default();
+    let mut q = QueryArgs {
+        queries: 100_000,
+        batch: 1024,
+        threads: 1,
+        stream_batch: 64,
+        ..Default::default()
+    };
+    let mut s = ServeArgs {
+        listen: "127.0.0.1:0".to_string(),
+        workers: 4,
+        queue: 64,
+        ..Default::default()
+    };
     while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
+        // A flag this subcommand would parse and never read is a usage
+        // error, not a no-op (`serve` reports nothing and writes no
+        // snapshot) — and never the input file.
+        if let Some(owners) = flag_owners(&a).filter(|own| !own.split('/').any(|o| o == mode)) {
+            return Err(format!("{a} is a {owners} option: {mode} does not act on it"));
+        }
         match a.as_str() {
-            // `serve` reports nothing and writes no snapshot: a flag it would
-            // parse and never read is a usage error, not a no-op.
-            "--labels" | "--trace" | "--metrics" | "--json" | "--persist" if is_serve => {
-                return Err(format!("{a} is a run/query option: serve does not act on it"));
-            }
             "--forest" => run.spec.algorithm = Algorithm::Forest,
             "--general" => run.spec.algorithm = Algorithm::General,
             "--auto" => run.spec.algorithm = Algorithm::Auto,
@@ -225,100 +252,59 @@ fn parse_args() -> Result<Cmd, String> {
                 // Query mode takes an optional integer operand: `--trace N`
                 // also dumps the last N structured trace events. A
                 // following flag (or nothing) keeps the bare behavior.
-                if is_query {
+                if mode == "query" {
                     if let Some(k) = it.peek().and_then(|next| next.parse::<usize>().ok()) {
-                        trace_events = Some(k);
+                        q.trace_events = Some(k);
                         it.next();
                     }
                 }
             }
             "--metrics" => run.metrics = true,
             "--json" => run.json = true,
-            "--k" => run.spec.k = value("--k")?.parse().map_err(|e| format!("bad --k: {e}"))?,
-            "--seed" => {
-                run.spec.seed = value("--seed")?.parse().map_err(|e| format!("bad --seed: {e}"))?
-            }
-            "--machines" => {
-                run.spec.machines =
-                    value("--machines")?.parse().map_err(|e| format!("bad --machines: {e}"))?
-            }
+            "--k" => run.spec.k = value(&mut it, &a)?,
+            "--seed" => run.spec.seed = value(&mut it, &a)?,
+            "--machines" => run.spec.machines = value(&mut it, &a)?,
             "--backend" => {
-                run.spec.backend = DhtBackend::parse(&value("--backend")?)
+                run.spec.backend = DhtBackend::parse(&value::<String>(&mut it, &a)?)
                     .map_err(|e| format!("--backend: {e}"))?
             }
-            "--mix" if is_query => mix = workload::Mix::parse(&value("--mix")?)?,
-            "--queries" if is_query => {
-                queries = value("--queries")?.parse().map_err(|e| format!("bad --queries: {e}"))?
-            }
-            "--batch" if is_query => {
-                batch = value("--batch")?.parse().map_err(|e| format!("bad --batch: {e}"))?;
-                if batch == 0 {
-                    return Err("--batch must be positive".into());
-                }
-            }
-            "--threads" if is_query => {
-                threads = value("--threads")?.parse().map_err(|e| format!("bad --threads: {e}"))?;
-                if threads == 0 {
-                    return Err("--threads must be positive".into());
-                }
-            }
-            "--persist" if !is_query => run.persist = Some(value("--persist")?),
-            "--fail" => run.fail.push(value("--fail")?),
-            "--chaos" if is_query => {
-                chaos = Some(value("--chaos")?.parse().map_err(|e| format!("bad --chaos: {e}"))?)
-            }
-            "--from-snapshot" if is_query || is_serve => {
-                from_snapshot = Some(value("--from-snapshot")?)
-            }
-            "--connect" if is_query => connect = Some(value("--connect")?),
-            "--shutdown" if is_query => shutdown = true,
-            "--listen" if is_serve => listen = value("--listen")?,
-            "--workers" if is_serve => {
-                workers = value("--workers")?.parse().map_err(|e| format!("bad --workers: {e}"))?;
-                if workers == 0 {
-                    return Err("--workers must be positive".into());
-                }
-            }
-            "--queue" if is_serve => {
-                queue = value("--queue")?.parse().map_err(|e| format!("bad --queue: {e}"))?;
-                if queue == 0 {
-                    return Err("--queue must be positive".into());
-                }
-            }
-            "--port-file" if is_serve => port_file = Some(value("--port-file")?),
-            "--query-file" if is_query => query_file = Some(value("--query-file")?),
-            "--top" if is_query => {
-                top = value("--top")?.parse().map_err(|e| format!("bad --top: {e}"))?
-            }
-            "--stream" if is_query => {
-                stream = value("--stream")?.parse().map_err(|e| format!("bad --stream: {e}"))?
-            }
-            "--stream-batch" if is_query => {
-                stream_batch = value("--stream-batch")?
-                    .parse()
-                    .map_err(|e| format!("bad --stream-batch: {e}"))?;
-                if stream_batch == 0 {
-                    return Err("--stream-batch must be positive".into());
-                }
-            }
+            "--mix" => q.mix = workload::Mix::parse(&value::<String>(&mut it, &a)?)?,
+            "--queries" => q.queries = value(&mut it, &a)?,
+            "--batch" => q.batch = positive(&mut it, &a)?,
+            "--threads" => q.threads = positive(&mut it, &a)?,
+            "--persist" => run.persist = Some(value(&mut it, &a)?),
+            "--fail" => run.fail.push(value(&mut it, &a)?),
+            "--chaos" => q.chaos = Some(value(&mut it, &a)?),
+            "--from-snapshot" if mode == "serve" => s.from_snapshot = Some(value(&mut it, &a)?),
+            "--from-snapshot" => q.from_snapshot = Some(value(&mut it, &a)?),
+            "--connect" => q.connect = Some(value(&mut it, &a)?),
+            "--shutdown" => q.shutdown = true,
+            "--listen" => s.listen = value(&mut it, &a)?,
+            "--workers" => s.workers = positive(&mut it, &a)?,
+            "--queue" => s.queue = positive(&mut it, &a)?,
+            "--port-file" => s.port_file = Some(value(&mut it, &a)?),
+            "--query-file" => q.query_file = Some(value(&mut it, &a)?),
+            "--top" => q.top = value(&mut it, &a)?,
+            "--stream" => q.stream = value(&mut it, &a)?,
+            "--stream-batch" => q.stream_batch = positive(&mut it, &a)?,
             "--help" | "-h" => return Err("usage".into()),
-            other if run.file.is_empty() => run.file = other.to_string(),
+            file if run.file.is_empty() && !file.starts_with("--") => run.file = file.to_string(),
             other => return Err(format!("unexpected argument: {other}")),
         }
     }
-    if run.file.is_empty() && from_snapshot.is_none() {
+    if run.file.is_empty() && q.from_snapshot.is_none() && s.from_snapshot.is_none() {
         return Err("missing input file".into());
     }
-    if chaos.is_some() && stream == 0 {
+    if q.chaos.is_some() && q.stream == 0 {
         return Err("--chaos needs --stream (it injects faults into the streaming phase)".into());
     }
-    if connect.is_some() {
-        if stream > 0 || chaos.is_some() || top > 0 {
+    if q.connect.is_some() {
+        if q.stream > 0 || q.chaos.is_some() || q.top > 0 {
             return Err("--connect answers over the wire: --stream/--chaos/--top are in-process \
                         modes and cannot be combined with it"
                 .into());
         }
-        if from_snapshot.is_some() || query_file.is_some() {
+        if q.from_snapshot.is_some() || q.query_file.is_some() {
             return Err("--connect builds its oracle from the graph file; --from-snapshot and \
                         --query-file cannot be combined with it"
                 .into());
@@ -327,55 +313,43 @@ fn parse_args() -> Result<Cmd, String> {
             return Err("--connect needs the graph file (it is the local oracle)".into());
         }
     }
-    if shutdown && connect.is_none() {
+    if q.shutdown && q.connect.is_none() {
         return Err("--shutdown needs --connect (it asks the remote server to exit)".into());
     }
-    if is_serve {
-        Ok(Cmd::Serve(ServeArgs { run, listen, workers, queue, port_file, from_snapshot }))
-    } else if is_query {
-        Ok(Cmd::Query(QueryArgs {
-            run,
-            mix,
-            queries,
-            batch,
-            threads,
-            query_file,
-            top,
-            stream,
-            stream_batch,
-            from_snapshot,
-            chaos,
-            trace_events,
-            connect,
-            shutdown,
-        }))
-    } else {
-        Ok(Cmd::Run(run))
-    }
+    Ok(match mode {
+        "serve" => Cmd::Serve(ServeArgs { run, ..s }),
+        "query" => Cmd::Query(QueryArgs { run, ..q }),
+        _ => Cmd::Run(run),
+    })
 }
 
-fn load(file: &str) -> std::io::Result<Graph> {
-    if file == "-" {
+/// Reads the graph file (`-` is stdin) and prints what every subcommand
+/// starts with: the `loaded:` line and, under `--metrics`, the structural
+/// metrics of the input.
+fn read_graph(run: &RunArgs) -> Result<Graph, String> {
+    let file = run.file.as_str();
+    let g = if file == "-" {
         let mut buf = Vec::new();
-        std::io::stdin().read_to_end(&mut buf)?;
-        graph_io::read_edge_list(&buf[..])
+        std::io::stdin().read_to_end(&mut buf).and_then(|_| graph_io::read_edge_list(&buf[..]))
     } else {
         graph_io::load(file)
     }
-}
-
-fn print_metrics(g: &Graph) {
-    let m = metrics::metrics(g);
-    eprintln!(
-        "metrics: components = {}, largest = {}, isolated = {}, max deg = {}, \
-         mean deg = {:.2}, diameter ≥ {}",
-        m.components,
-        m.largest_component,
-        m.isolated,
-        m.max_degree,
-        m.mean_degree,
-        m.diameter_lower_bound
-    );
+    .map_err(|e| format!("error reading {file}: {e}"))?;
+    eprintln!("loaded: n = {}, m = {}", g.n(), g.m());
+    if run.metrics {
+        let m = metrics::metrics(&g);
+        eprintln!(
+            "metrics: components = {}, largest = {}, isolated = {}, max deg = {}, \
+             mean deg = {:.2}, diameter ≥ {}",
+            m.components,
+            m.largest_component,
+            m.isolated,
+            m.max_degree,
+            m.mean_degree,
+            m.diameter_lower_bound
+        );
+    }
+    Ok(g)
 }
 
 /// Announces which algorithm the spec resolved to for `g` — the lines
@@ -405,89 +379,150 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders a run (labels + RunStats) as one JSON object.
-fn run_json(g: &Graph, args: &RunArgs, labeling: &Labeling, stats: &RunStats, alg: u8) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"n\": {},", g.n());
-    let _ = writeln!(s, "  \"m\": {},", g.m());
-    let _ = writeln!(s, "  \"algorithm\": {alg},");
-    let _ = writeln!(s, "  \"backend\": \"{}\",", json_escape(args.spec.backend.name()));
-    let _ = writeln!(s, "  \"seed\": {},", args.spec.seed);
-    let _ = writeln!(s, "  \"components\": {},", labeling.num_components());
-    let _ = writeln!(s, "  \"rounds\": {},", stats.rounds());
-    let _ = writeln!(s, "  \"queries\": {},", stats.total_queries());
-    let _ = writeln!(s, "  \"peak_space_words\": {},", stats.peak_total_space());
-    let _ = writeln!(s, "  \"bytes_shuffled\": {},", stats.total_bytes_shuffled());
-    s.push_str("  \"per_round\": [\n");
-    let per_round = stats.per_round();
-    for (i, r) in per_round.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{ \"index\": {}, \"name\": \"{}\", \"reads\": {}, \"read_words\": {}, \
-             \"writes\": {}, \"write_words\": {}, \"snapshot_words\": {}, \
-             \"total_space_words\": {}, \"bytes_shuffled\": {} }}",
-            r.index,
-            json_escape(&r.name),
-            r.reads,
-            r.read_words,
-            r.writes,
-            r.write_words,
-            r.snapshot_words,
-            r.total_space_words,
-            r.bytes_shuffled
-        );
-        s.push_str(if i + 1 < per_round.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ],\n");
-    s.push_str(&metrics_json_object());
-    s.push_str("  \"labels\": [");
-    for (v, l) in labeling.canonical().iter().enumerate() {
-        if v > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "{l}");
-    }
-    s.push_str("]\n}\n");
-    s
+/// Layout of a [`Json`] container: one member per line, indented two
+/// spaces per level …
+const BLOCK: bool = true;
+/// … or on the line it starts on: `{ "a": 1, "b": 2 }`, `[1, 2]`.
+const INLINE: bool = false;
+
+/// The one writer behind every `--json` document: it owns the commas, the
+/// indentation and the string escapes, so a renderer only lists members in
+/// order.
+struct Json {
+    out: String,
+    /// Per open container: its closing bracket, its layout, and whether it
+    /// is still empty.
+    open: Vec<(char, bool, bool)>,
 }
 
-/// Renders the process-wide metrics registry as one `"metrics": {…},`
-/// JSON member (trailing comma included) for splicing into either
-/// subcommand's `--json` object. Every catalog entry appears, zero or
-/// not, so the schema is stable across runs.
-fn metrics_json_object() -> String {
+impl Json {
+    /// Starts a document: a block object, closed by [`Json::finish`].
+    fn new() -> Self {
+        Json { out: "{".to_string(), open: vec![('}', BLOCK, true)] }
+    }
+
+    /// Moves to the next member's position: the comma, the line break or
+    /// space, and the key (`None` inside an array).
+    fn member(&mut self, key: Option<&str>) {
+        let depth = self.open.len();
+        let (close, layout, empty) = self.open.last_mut().expect("the document is still open");
+        if !*empty {
+            self.out.push(',');
+        }
+        if *layout == BLOCK {
+            let _ = write!(self.out, "\n{:1$}", "", 2 * depth);
+        } else if !*empty || *close == '}' {
+            self.out.push(' ');
+        }
+        *empty = false;
+        if let Some(key) = key {
+            let _ = write!(self.out, "\"{key}\": ");
+        }
+    }
+
+    /// `"key": value` (an array element when `key` is `None`), with `value`
+    /// as it displays: numbers, booleans, `format_args!` for a precision.
+    fn put(&mut self, key: Option<&str>, value: impl Display) {
+        self.member(key);
+        let _ = write!(self.out, "{value}");
+    }
+
+    fn field(&mut self, key: &str, value: impl Display) {
+        self.put(Some(key), value);
+    }
+
+    /// `"key": "value"`, escaped.
+    fn string(&mut self, key: &str, value: &str) {
+        self.field(key, format_args!("\"{}\"", json_escape(value)));
+    }
+
+    /// A nested object (`'{'`) or array (`'['`) whose members `body` writes.
+    fn nest(&mut self, key: Option<&str>, open: char, layout: bool, body: impl FnOnce(&mut Json)) {
+        self.put(key, open);
+        self.open.push((if open == '{' { '}' } else { ']' }, layout, true));
+        body(self);
+        self.close();
+    }
+
+    fn close(&mut self) {
+        let (close, layout, _) = self.open.pop().expect("one close per open container");
+        if layout == BLOCK {
+            let _ = write!(self.out, "\n{:1$}", "", 2 * self.open.len());
+        } else if close == '}' {
+            self.out.push(' ');
+        }
+        self.out.push(close);
+    }
+
+    fn finish(mut self) -> String {
+        self.close();
+        self.out + "\n"
+    }
+}
+
+/// Renders a run (labels + RunStats) as one JSON object.
+fn run_json(g: &Graph, args: &RunArgs, labeling: &Labeling, stats: &RunStats, alg: u8) -> String {
+    let mut j = Json::new();
+    j.field("n", g.n());
+    j.field("m", g.m());
+    j.field("algorithm", alg);
+    j.string("backend", args.spec.backend.name());
+    j.field("seed", args.spec.seed);
+    j.field("components", labeling.num_components());
+    j.field("rounds", stats.rounds());
+    j.field("queries", stats.total_queries());
+    j.field("peak_space_words", stats.peak_total_space());
+    j.field("bytes_shuffled", stats.total_bytes_shuffled());
+    j.nest(Some("per_round"), '[', BLOCK, |j| {
+        for r in stats.per_round() {
+            j.nest(None, '{', INLINE, |j| {
+                j.field("index", r.index);
+                j.string("name", &r.name);
+                j.field("reads", r.reads);
+                j.field("read_words", r.read_words);
+                j.field("writes", r.writes);
+                j.field("write_words", r.write_words);
+                j.field("snapshot_words", r.snapshot_words);
+                j.field("total_space_words", r.total_space_words);
+                j.field("bytes_shuffled", r.bytes_shuffled);
+            });
+        }
+    });
+    metrics_json(&mut j);
+    j.nest(Some("labels"), '[', INLINE, |j| {
+        for l in labeling.canonical() {
+            j.put(None, l);
+        }
+    });
+    j.finish()
+}
+
+/// Writes the process-wide metrics registry as the `"metrics"` member of
+/// either subcommand's `--json` object. Every catalog entry appears, zero
+/// or not, so the schema is stable across runs.
+fn metrics_json(j: &mut Json) {
     use ampc_obs::{counter, gauge, hist, summary, CounterId, GaugeId, HistId};
-    let mut s = String::new();
-    s.push_str("  \"metrics\": {\n    \"counters\": { ");
-    for (i, id) in CounterId::ALL.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "\"{}\": {}", id.name(), counter(*id).get());
-    }
-    s.push_str(" },\n    \"gauges\": { ");
-    for (i, id) in GaugeId::ALL.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(s, "\"{}\": {}", id.name(), gauge(*id).get());
-    }
-    s.push_str(" },\n    \"histograms\": {\n");
-    for (i, id) in HistId::ALL.iter().enumerate() {
-        let snap = hist(*id).snapshot();
-        let _ = write!(s, "      \"{}\": {{ ", id.name());
-        for (j, (k, v)) in summary(&snap).iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
+    j.nest(Some("metrics"), '{', BLOCK, |j| {
+        j.nest(Some("counters"), '{', INLINE, |j| {
+            for id in CounterId::ALL {
+                j.field(id.name(), counter(id).get());
             }
-            let _ = write!(s, "\"{k}\": {v}");
-        }
-        s.push_str(" }");
-        s.push_str(if i + 1 < HistId::ALL.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("    }\n  },\n");
-    s
+        });
+        j.nest(Some("gauges"), '{', INLINE, |j| {
+            for id in GaugeId::ALL {
+                j.field(id.name(), gauge(id).get());
+            }
+        });
+        j.nest(Some("histograms"), '{', BLOCK, |j| {
+            for id in HistId::ALL {
+                j.nest(Some(id.name()), '{', INLINE, |j| {
+                    for (k, v) in summary(&hist(id).snapshot()) {
+                        j.field(k, v);
+                    }
+                });
+            }
+        });
+    });
 }
 
 /// Dumps the last `n` events from the process trace ring to stderr,
@@ -520,13 +555,7 @@ fn arm_failpoints(specs: &[String]) -> Result<(), String> {
 
 fn cmd_run(args: RunArgs) -> Result<(), String> {
     arm_failpoints(&args.fail)?;
-    let g = load(&args.file).map_err(|e| format!("error reading {}: {e}", args.file))?;
-    eprintln!("loaded: n = {}, m = {}", g.n(), g.m());
-
-    if args.metrics {
-        print_metrics(&g);
-    }
-
+    let g = read_graph(&args)?;
     let alg = announce(&args.spec, &g);
     let run = args.spec.run(&g).map_err(|e| e.to_string())?;
 
@@ -589,24 +618,54 @@ fn print_labels(labeling: &Labeling) {
     print!("{out}");
 }
 
-/// Builds the service (pipeline run or snapshot boot) and serves it over
-/// TCP until a client's Shutdown frame or a signal kills the process.
+/// Epoch 0 for `query` and `serve`. A snapshot alone boots strictly (one
+/// bulk read + validation, epoch 0 reinterpreted in place over the snapshot
+/// buffer, no pipeline run); a graph alone is built live (the service
+/// executes the spec, refuses a labeling that fails validation against the
+/// graph, and publishes the frozen index). With both, `fall_back` decides:
+/// `serve` boots through the fallback chain — the snapshot with the graph as
+/// its base, or a build when the snapshot is missing or corrupt, recorded as
+/// the `boot` incident — while `query` stays strict, because there the graph
+/// is the cross-validation oracle and a silent fallback would hide the
+/// failure.
+fn boot(
+    spec: &PipelineSpec,
+    graph: Option<Graph>,
+    from_snapshot: Option<&str>,
+    fall_back: bool,
+) -> Result<ServiceHandle, String> {
+    let builder = graph.map(|g| ServiceBuilder::new(g).spec(spec.clone()));
+    match (from_snapshot, builder) {
+        (Some(path), Some(builder)) if fall_back => {
+            let (service, source) = builder
+                .from_snapshot_or_rebuild(path)
+                .map_err(|e| format!("service build failed: {e}"))?;
+            match source {
+                BootSource::Snapshot => eprintln!("boot: snapshot {path} over the graph file"),
+                BootSource::RebuildFallback => eprintln!(
+                    "boot: snapshot {path} unusable, built from the graph file \
+                     (recorded as the boot incident)"
+                ),
+            }
+            Ok(service)
+        }
+        (Some(path), _) => ServiceBuilder::from_snapshot(path)
+            .map_err(|e| format!("snapshot boot from {path} failed: {e}")),
+        (None, Some(builder)) => builder.build().map_err(|e| format!("service build failed: {e}")),
+        (None, None) => Err("missing input file".into()),
+    }
+}
+
+/// Builds the service (pipeline run, snapshot boot, or the fallback chain
+/// when both a file and a snapshot are given) and serves it over TCP until
+/// a client's Shutdown frame or a signal kills the process.
 fn cmd_serve(args: ServeArgs) -> Result<(), String> {
     arm_failpoints(&args.run.fail)?;
-    let service = match &args.from_snapshot {
-        Some(path) => ServiceBuilder::from_snapshot(path)
-            .map_err(|e| format!("snapshot boot from {path} failed: {e}"))?,
-        None => {
-            let g = load(&args.run.file)
-                .map_err(|e| format!("error reading {}: {e}", args.run.file))?;
-            eprintln!("loaded: n = {}, m = {}", g.n(), g.m());
-            announce(&args.run.spec, &g);
-            ServiceBuilder::new(g)
-                .spec(args.run.spec.clone())
-                .build()
-                .map_err(|e| format!("service build failed: {e}"))?
-        }
-    };
+    let graph = if args.run.file.is_empty() { None } else { Some(read_graph(&args.run)?) };
+    if let Some(g) = &graph {
+        announce(&args.run.spec, g);
+    }
+    let service = boot(&args.run.spec, graph, args.from_snapshot.as_deref(), true)?;
     let snap = service.snapshot();
     eprintln!(
         "serving: {} components over {} vertices | epoch {}",
@@ -657,11 +716,7 @@ fn cmd_query_connect(args: &QueryArgs, addr_spec: &str) -> Result<(), String> {
     // The local oracle: same graph file, same reference union-find, same
     // seeded workload generation as the in-process path — identical index
     // ⇒ identical workload ⇒ the wire checksum must match exactly.
-    let g = load(&args.run.file).map_err(|e| format!("error reading {}: {e}", args.run.file))?;
-    eprintln!("loaded: n = {}, m = {}", g.n(), g.m());
-    if args.run.metrics {
-        print_metrics(&g);
-    }
+    let g = read_graph(&args.run)?;
     let (n, m) = (g.n(), g.m());
     let oracle = ComponentIndex::build(&reference_components(&g));
     let queries = workload::generate(&oracle, args.mix, args.queries, args.run.spec.seed);
@@ -731,59 +786,47 @@ fn cmd_query_connect(args: &QueryArgs, addr_spec: &str) -> Result<(), String> {
     }
 
     if args.run.json {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"n\": {n},");
-        let _ = writeln!(s, "  \"m\": {m},");
-        let _ = writeln!(s, "  \"connect\": \"{}\",", json_escape(addr_spec));
-        s.push_str("  \"network\": {\n");
-        let _ = writeln!(s, "    \"workload\": \"{}\",", json_escape(args.mix.name()));
-        let _ = writeln!(s, "    \"queries\": {},", queries.len());
-        let _ = writeln!(s, "    \"batch\": {},", args.batch);
-        let _ = writeln!(s, "    \"connections\": {},", args.threads);
-        let _ = writeln!(s, "    \"queries_per_sec\": {:.0},", report.qps);
-        let _ = writeln!(s, "    \"checksum\": {},", report.checksum);
-        let _ = writeln!(s, "    \"checksum_matches_oracle\": {checksum_ok},");
-        let _ = writeln!(s, "    \"retries\": {},", report.retries_used);
-        let _ = writeln!(
-            s,
-            "    \"wire\": {{ \"round_trips\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-             \"p999_ns\": {}, \"max_ns\": {}, \"mean_ns\": {:.1} }},",
-            report.wire.count,
-            report.wire.quantile(0.5),
-            report.wire.quantile(0.99),
-            report.wire.quantile(0.999),
-            report.wire.max,
-            report.wire.mean()
-        );
-        match &service_lat {
-            Some((count, qs)) => {
-                let _ = writeln!(
-                    s,
-                    "    \"service\": {{ \"queries\": {count}, \"p50_ns\": {}, \
-                     \"p99_ns\": {}, \"p999_ns\": {} }},",
-                    qs[0].1, qs[1].1, qs[2].1
-                );
+        let mut j = Json::new();
+        j.field("n", n);
+        j.field("m", m);
+        j.string("connect", addr_spec);
+        j.nest(Some("network"), '{', BLOCK, |j| {
+            j.string("workload", args.mix.name());
+            j.field("queries", queries.len());
+            j.field("batch", args.batch);
+            j.field("connections", args.threads);
+            j.field("queries_per_sec", format_args!("{:.0}", report.qps));
+            j.field("checksum", report.checksum);
+            j.field("checksum_matches_oracle", checksum_ok);
+            j.field("retries", report.retries_used);
+            j.nest(Some("wire"), '{', INLINE, |j| {
+                j.field("round_trips", report.wire.count);
+                j.field("p50_ns", report.wire.quantile(0.5));
+                j.field("p99_ns", report.wire.quantile(0.99));
+                j.field("p999_ns", report.wire.quantile(0.999));
+                j.field("max_ns", report.wire.max);
+                j.field("mean_ns", format_args!("{:.1}", report.wire.mean()));
+            });
+            match &service_lat {
+                Some((count, qs)) => j.nest(Some("service"), '{', INLINE, |j| {
+                    j.field("queries", count);
+                    j.field("p50_ns", qs[0].1);
+                    j.field("p99_ns", qs[1].1);
+                    j.field("p999_ns", qs[2].1);
+                }),
+                None => j.field("service", "null"),
             }
-            None => {
-                let _ = writeln!(s, "    \"service\": null,");
-            }
-        }
-        let _ = writeln!(
-            s,
-            "    \"health\": {{ \"state\": \"{}\", \"consecutive_failures\": {}, \
-             \"total_incidents\": {}, \"epoch\": {}, \"components\": {} }}",
-            health.state_name(),
-            health.consecutive_failures,
-            health.total_incidents,
-            health.epoch,
-            health.components
-        );
-        s.push_str("  },\n");
-        s.push_str(&metrics_json_object());
-        let _ = writeln!(s, "  \"shutdown_sent\": {}", args.shutdown);
-        s.push_str("}\n");
-        print!("{s}");
+            j.nest(Some("health"), '{', INLINE, |j| {
+                j.string("state", health.state_name());
+                j.field("consecutive_failures", health.consecutive_failures);
+                j.field("total_incidents", health.total_incidents);
+                j.field("epoch", health.epoch);
+                j.field("components", health.components);
+            });
+        });
+        metrics_json(&mut j);
+        j.field("shutdown_sent", args.shutdown);
+        print!("{}", j.finish());
     }
     Ok(())
 }
@@ -797,17 +840,7 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
     if args.stream > 0 && !has_file {
         return Err("--stream needs the graph file (a snapshot carries no edge list)".into());
     }
-    let mut loaded: Option<Graph> = if has_file {
-        let g =
-            load(&args.run.file).map_err(|e| format!("error reading {}: {e}", args.run.file))?;
-        eprintln!("loaded: n = {}, m = {}", g.n(), g.m());
-        if args.run.metrics {
-            print_metrics(&g);
-        }
-        Some(g)
-    } else {
-        None
-    };
+    let loaded = if has_file { Some(read_graph(&args.run)?) } else { None };
 
     // The union-find truth is computed up front so the graph can be moved
     // into the service (no second copy of a large input). The streaming
@@ -817,41 +850,21 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
         (Some(g), true) => g.edges().collect(),
         _ => Vec::new(),
     };
+    let file_n = loaded.as_ref().map(Graph::n);
     if args.from_snapshot.is_none() {
         if let Some(g) = &loaded {
             announce(&args.run.spec, g);
         }
     }
 
-    // Live build: the service owns the run→validate→index→serve lifecycle —
-    // it executes the spec, refuses a labeling that fails validation
-    // against the graph, and publishes the frozen index as epoch 0.
-    // Snapshot boot: one bulk read + validation, epoch 0 reinterpreted in
-    // place over the snapshot buffer, no pipeline run at all.
     let t0 = Instant::now();
-    let service = match &args.from_snapshot {
-        Some(path) => ServiceBuilder::from_snapshot(path)
-            .map_err(|e| format!("snapshot boot from {path} failed: {e}"))?,
-        None => {
-            let g = loaded.take().expect("file is required when not booting from a snapshot");
-            ServiceBuilder::new(g)
-                .spec(args.run.spec.clone())
-                .build()
-                .map_err(|e| format!("service build failed: {e}"))?
-        }
-    };
+    let service = boot(&args.run.spec, loaded, args.from_snapshot.as_deref(), false)?;
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
     let snap = service.snapshot();
     let alg = snap.algorithm().number();
     let (n, m) = snap.graph_size();
-    if let (Some(_), Some(g)) = (&args.from_snapshot, &loaded) {
-        if g.n() != n {
-            return Err(format!(
-                "snapshot covers {n} vertices but {} has {}",
-                args.run.file,
-                g.n()
-            ));
-        }
+    if let Some(file_n) = file_n.filter(|&file_n| args.from_snapshot.is_some() && file_n != n) {
+        return Err(format!("snapshot covers {n} vertices but {} has {file_n}", args.run.file));
     }
     match &args.from_snapshot {
         Some(path) => eprintln!("booted from snapshot {path} in {build_ms:.2} ms"),
@@ -914,25 +927,22 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
     // Without a reference the single pass still fixes the checksum every
     // timed pass must reproduce.
     let engine = snap.engine();
+    let ref_engine = reference.as_ref().map(QueryEngine::new);
     let mut expected_checksum = 0u64;
-    if let Some(reference) = &reference {
-        let ref_engine = QueryEngine::new(reference);
-        for &q in &queries {
-            let (got, want) = (engine.answer(q), ref_engine.answer(q));
-            if got != want {
-                return Err(format!("query {q:?}: index answered {got}, reference {want}"));
-            }
-            expected_checksum = expected_checksum.wrapping_add(got);
+    for &q in &queries {
+        let got = engine.answer(q);
+        if let Some(want) = ref_engine.map(|r| r.answer(q)).filter(|&want| want != got) {
+            return Err(format!("query {q:?}: index answered {got}, reference {want}"));
         }
+        expected_checksum = expected_checksum.wrapping_add(got);
+    }
+    if reference.is_some() {
         eprintln!(
             "validated: {}/{} answers match the union-find reference",
             queries.len(),
             queries.len()
         );
     } else {
-        for &q in &queries {
-            expected_checksum = expected_checksum.wrapping_add(engine.answer(q));
-        }
         eprintln!("validation: skipped (no graph file; snapshot checksums verified at load)");
     }
 
@@ -1008,8 +1018,6 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
         total_incidents: u64,
     }
     struct StreamSummary {
-        batches: usize,
-        edges_per_batch: usize,
         avg_publish_ms: f64,
         max_publish_ms: f64,
         final_epoch: u64,
@@ -1137,18 +1145,16 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
         } else {
             None
         };
-        let avg = if publish_ms.is_empty() {
+        let avg_publish_ms = if publish_ms.is_empty() {
             0.0
         } else {
             publish_ms.iter().sum::<f64>() / publish_ms.len() as f64
         };
-        let max = publish_ms.iter().fold(0.0f64, |a, &b| a.max(b));
+        let max_publish_ms = publish_ms.iter().fold(0.0f64, |a, &b| a.max(b));
         let live = service.snapshot();
         let summary = StreamSummary {
-            batches: args.stream,
-            edges_per_batch: args.stream_batch,
-            avg_publish_ms: avg,
-            max_publish_ms: max,
+            avg_publish_ms,
+            max_publish_ms,
             final_epoch: live.epoch(),
             final_components: live.num_components(),
             journal_merges: last_merges,
@@ -1157,8 +1163,8 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
         eprintln!(
             "streaming: {} batches × {} edges | journal publish avg {:.3} ms (max {:.3}) | \
              epoch {} | {} components | {} journal merges | all answers match the oracle",
-            summary.batches,
-            summary.edges_per_batch,
+            args.stream,
+            args.stream_batch,
             summary.avg_publish_ms,
             summary.max_publish_ms,
             summary.final_epoch,
@@ -1171,118 +1177,97 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
     };
 
     if args.run.json {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"n\": {n},");
-        let _ = writeln!(s, "  \"m\": {m},");
-        let _ = writeln!(s, "  \"algorithm\": {alg},");
-        let _ = writeln!(s, "  \"backend\": \"{}\",", json_escape(args.run.spec.backend.name()));
-        let _ = writeln!(s, "  \"components\": {},", snap.index().num_components());
-        let _ = writeln!(s, "  \"index_bytes\": {},", snap.index().heap_bytes());
-        let _ = writeln!(s, "  \"epoch\": {},", snap.epoch());
-        let _ = writeln!(s, "  \"service_build_ms\": {build_ms:.3},");
-        let _ = writeln!(s, "  \"pipeline_ms\": {:.3},", snap.pipeline_ms());
-        let _ = writeln!(s, "  \"index_build_ms\": {:.3},", snap.index_build_ms());
-        let _ = writeln!(s, "  \"from_snapshot\": {},", args.from_snapshot.is_some());
+        let mut j = Json::new();
+        j.field("n", n);
+        j.field("m", m);
+        j.field("algorithm", alg);
+        j.string("backend", args.run.spec.backend.name());
+        j.field("components", snap.index().num_components());
+        j.field("index_bytes", snap.index().heap_bytes());
+        j.field("epoch", snap.epoch());
+        j.field("service_build_ms", format_args!("{build_ms:.3}"));
+        j.field("pipeline_ms", format_args!("{:.3}", snap.pipeline_ms()));
+        j.field("index_build_ms", format_args!("{:.3}", snap.index_build_ms()));
+        j.field("from_snapshot", args.from_snapshot.is_some());
         let health = service.health();
-        s.push_str("  \"health\": {\n");
-        let _ = writeln!(s, "    \"state\": \"{}\",", health.state.name());
-        let _ = writeln!(s, "    \"consecutive_failures\": {},", health.consecutive_failures);
-        let _ = writeln!(s, "    \"total_incidents\": {},", health.total_incidents);
-        s.push_str("    \"incidents\": [");
-        for (i, inc) in health.incidents.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
+        j.nest(Some("health"), '{', BLOCK, |j| {
+            j.string("state", health.state.name());
+            j.field("consecutive_failures", health.consecutive_failures);
+            j.field("total_incidents", health.total_incidents);
+            j.nest(Some("incidents"), '[', INLINE, |j| {
+                for inc in &health.incidents {
+                    j.nest(None, '{', INLINE, |j| {
+                        j.field("seq", inc.seq);
+                        j.field("at_ms", inc.at_ms);
+                        j.string("op", inc.op.name());
+                        j.string("error", &inc.error.to_string());
+                    });
+                }
+            });
+        });
+        j.string("workload", &source);
+        j.field("queries", queries.len());
+        j.field("batch", args.batch);
+        j.field("threads", report.threads);
+        j.nest(Some("per_thread"), '[', BLOCK, |j| {
+            for t in &report.per_thread {
+                j.nest(None, '{', INLINE, |j| {
+                    j.field("thread", t.thread);
+                    j.field("queries", t.queries);
+                    j.field("epoch", t.epoch);
+                    j.field("single_queries_per_sec", format_args!("{:.0}", t.single_qps));
+                    j.field("batch_queries_per_sec", format_args!("{:.0}", t.batch_qps));
+                });
             }
-            let _ = write!(
-                s,
-                "{{ \"seq\": {}, \"at_ms\": {}, \"op\": \"{}\", \"error\": \"{}\" }}",
-                inc.seq,
-                inc.at_ms,
-                inc.op.name(),
-                json_escape(&inc.error.to_string())
-            );
-        }
-        s.push_str("]\n  },\n");
-        let _ = writeln!(s, "  \"workload\": \"{}\",", json_escape(&source));
-        let _ = writeln!(s, "  \"queries\": {},", queries.len());
-        let _ = writeln!(s, "  \"batch\": {},", args.batch);
-        let _ = writeln!(s, "  \"threads\": {},", report.threads);
-        s.push_str("  \"per_thread\": [\n");
-        for (i, t) in report.per_thread.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{ \"thread\": {}, \"queries\": {}, \"epoch\": {}, \
-                 \"single_queries_per_sec\": {:.0}, \"batch_queries_per_sec\": {:.0} }}",
-                t.thread, t.queries, t.epoch, t.single_qps, t.batch_qps
-            );
-            s.push_str(if i + 1 < report.per_thread.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ],\n");
-        let _ = writeln!(s, "  \"single_queries_per_sec\": {:.0},", report.aggregate_single_qps);
-        let _ = writeln!(s, "  \"batch_queries_per_sec\": {:.0},", report.aggregate_batch_qps);
-        let _ = writeln!(s, "  \"checksum\": {},", report.checksum);
-        let _ = writeln!(
-            s,
-            "  \"latency\": {{ \"queries\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \
-             \"p99_ns\": {}, \"p999_ns\": {}, \"max_ns\": {}, \"mean_ns\": {:.1} }},",
-            latency.queries,
-            latency.p50_ns,
-            latency.p90_ns,
-            latency.p99_ns,
-            latency.p999_ns,
-            latency.max_ns,
-            latency.mean_ns
-        );
-        s.push_str(&metrics_json_object());
+        });
+        j.field("single_queries_per_sec", format_args!("{:.0}", report.aggregate_single_qps));
+        j.field("batch_queries_per_sec", format_args!("{:.0}", report.aggregate_batch_qps));
+        j.field("checksum", report.checksum);
+        j.nest(Some("latency"), '{', INLINE, |j| {
+            j.field("queries", latency.queries);
+            j.field("p50_ns", latency.p50_ns);
+            j.field("p90_ns", latency.p90_ns);
+            j.field("p99_ns", latency.p99_ns);
+            j.field("p999_ns", latency.p999_ns);
+            j.field("max_ns", latency.max_ns);
+            j.field("mean_ns", format_args!("{:.1}", latency.mean_ns));
+        });
+        metrics_json(&mut j);
         if let Some(k) = args.trace_events {
-            s.push_str("  \"trace\": [\n");
-            let events = ampc_obs::trace_last(k);
-            for (i, e) in events.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "    {{ \"seq\": {}, \"at_ns\": {}, \"kind\": \"{}\", \"a\": {}, \"b\": {} }}",
-                    e.seq,
-                    e.at_ns,
-                    e.kind.name(),
-                    e.a,
-                    e.b
-                );
-                s.push_str(if i + 1 < events.len() { ",\n" } else { "\n" });
-            }
-            s.push_str("  ],\n");
+            j.nest(Some("trace"), '[', BLOCK, |j| {
+                for e in ampc_obs::trace_last(k) {
+                    j.nest(None, '{', INLINE, |j| {
+                        j.field("seq", e.seq);
+                        j.field("at_ns", e.at_ns);
+                        j.string("kind", e.kind.name());
+                        j.field("a", e.a);
+                        j.field("b", e.b);
+                    });
+                }
+            });
         }
-        let validated = if reference.is_some() { queries.len() } else { 0 };
+        j.field("validated", if reference.is_some() { queries.len() } else { 0 });
         if let Some(st) = &streaming {
-            let _ = writeln!(s, "  \"validated\": {validated},");
-            let _ = write!(
-                s,
-                "  \"streaming\": {{ \"batches\": {}, \"edges_per_batch\": {}, \
-                 \"avg_journal_publish_ms\": {:.3}, \"max_journal_publish_ms\": {:.3}, \
-                 \"final_epoch\": {}, \"final_components\": {}, \"journal_merges\": {}",
-                st.batches,
-                st.edges_per_batch,
-                st.avg_publish_ms,
-                st.max_publish_ms,
-                st.final_epoch,
-                st.final_components,
-                st.journal_merges
-            );
-            if let Some(c) = &st.chaos {
-                let _ = write!(
-                    s,
-                    ", \"chaos\": {{ \"seed\": {}, \"injected_faults\": {}, \
-                     \"rejected_batches\": {}, \"recovery_rebuilds\": {}, \
-                     \"total_incidents\": {} }}",
-                    c.seed, c.injected, c.rejected, c.recoveries, c.total_incidents
-                );
-            }
-            s.push_str(" }\n");
-        } else {
-            let _ = writeln!(s, "  \"validated\": {validated}");
+            j.nest(Some("streaming"), '{', INLINE, |j| {
+                j.field("batches", args.stream);
+                j.field("edges_per_batch", args.stream_batch);
+                j.field("avg_journal_publish_ms", format_args!("{:.3}", st.avg_publish_ms));
+                j.field("max_journal_publish_ms", format_args!("{:.3}", st.max_publish_ms));
+                j.field("final_epoch", st.final_epoch);
+                j.field("final_components", st.final_components);
+                j.field("journal_merges", st.journal_merges);
+                if let Some(c) = &st.chaos {
+                    j.nest(Some("chaos"), '{', INLINE, |j| {
+                        j.field("seed", c.seed);
+                        j.field("injected_faults", c.injected);
+                        j.field("rejected_batches", c.rejected);
+                        j.field("recovery_rebuilds", c.recoveries);
+                        j.field("total_incidents", c.total_incidents);
+                    });
+                }
+            });
         }
-        s.push_str("}\n");
-        print!("{s}");
+        print!("{}", j.finish());
     } else {
         if let Some(k) = args.trace_events {
             dump_trace(k);
@@ -1316,7 +1301,7 @@ fn main() -> ExitCode {
                  \x20                 [--from-snapshot PATH] [--fail SITE[:K][:panic]]\n\
                  \x20                 [--chaos SEED] [--trace [N]]\n\
                  \x20                 [--connect ADDR [--shutdown]]\n\
-                 \x20      ampc-cc serve <file> [pipeline options] [--listen ADDR]\n\
+                 \x20      ampc-cc serve [<file>] [pipeline options] [--listen ADDR]\n\
                  \x20                 [--workers W] [--queue D] [--port-file PATH]\n\
                  \x20                 [--from-snapshot PATH] [--fail SITE[:K][:panic]]"
             );

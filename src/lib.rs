@@ -3,7 +3,7 @@
 //! Umbrella crate for the reproduction of *"Adaptive Massively Parallel
 //! Connectivity in Optimal Space"* (Latypov, Łącki, Maus, Uitto — SPAA 2023).
 //!
-//! Re-exports the three layers of the workspace:
+//! Re-exports six layers of the workspace:
 //!
 //! * [`ampc`] — the AMPC model runtime simulator (DHT, machines, rounds,
 //!   space/query metering);

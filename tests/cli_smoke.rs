@@ -100,6 +100,17 @@ fn cli_rejects_bad_usage() {
         let status = Server::spawn(flag).wait_bounded(20);
         assert_eq!(status.and_then(|s| s.code()), Some(2), "serve {flag:?} must exit 2");
     }
+    // A flag of another subcommand is a usage error that names it — never
+    // the input file, never a silently ignored option.
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/smoke.txt");
+    let data = data.to_str().unwrap();
+    for args in [&["--shutdown"][..], &["--top", "3", data], &["serve", data, "--queries", "5"]] {
+        let out = Command::new(exe).args(args).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2\n{stderr}");
+        let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
+        assert!(stderr.contains(&format!("error: {flag} is a query option")), "{args:?}\n{stderr}");
+    }
 }
 
 #[test]
@@ -502,6 +513,20 @@ impl Server {
         Server(cmd.spawn().expect("failed to spawn ampc-cc serve"))
     }
 
+    /// Spawns with `--port-file` and blocks until the file appears — it is
+    /// written only once the listener is live. Returns the bound address.
+    fn spawn_listening(args: &[&str], port_file: &Path) -> (Server, String) {
+        let server = Server::spawn(&[args, &["--port-file", port_file.to_str().unwrap()]].concat());
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            match std::fs::read_to_string(port_file) {
+                Ok(text) if text.ends_with('\n') => return (server, text.trim().to_string()),
+                _ if Instant::now() >= deadline => panic!("serve never wrote its --port-file"),
+                _ => std::thread::sleep(Duration::from_millis(20)),
+            }
+        }
+    }
+
     /// The exit status, if the server exits within `secs` seconds.
     fn wait_bounded(&mut self, secs: u64) -> Option<ExitStatus> {
         for _ in 0..secs * 50 {
@@ -517,16 +542,7 @@ impl Server {
 #[test]
 fn cli_serve_answers_the_connect_harness_over_loopback() {
     let port_file = std::env::temp_dir().join(format!("ampc_cli_port_{}.txt", std::process::id()));
-    let mut server = Server::spawn(&["--workers", "2", "--port-file", port_file.to_str().unwrap()]);
-    // The handshake file appears only once the listener is live.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let addr = loop {
-        match std::fs::read_to_string(&port_file) {
-            Ok(text) if text.ends_with('\n') => break text.trim().to_string(),
-            _ if Instant::now() >= deadline => panic!("serve never wrote its --port-file"),
-            _ => std::thread::sleep(Duration::from_millis(20)),
-        }
-    };
+    let (mut server, addr) = Server::spawn_listening(&["--workers", "2"], &port_file);
 
     // Closed-loop harness: the wire checksum must equal the local oracle's.
     let out = run_query(&["--connect", &addr, "--threads", "2", "--json"]);
@@ -553,5 +569,22 @@ fn cli_serve_answers_the_connect_harness_over_loopback() {
     assert!(out.status.success(), "--shutdown: exit {:?}\n{stderr}", out.status.code());
     let status = server.wait_bounded(30);
     std::fs::remove_file(&port_file).ok();
+    assert!(status.is_some_and(|s| s.success()), "server did not exit cleanly: {status:?}");
+
+    // `serve <file> --from-snapshot <truncated>` boots through the fallback
+    // chain: it builds from the file, listens, answers correctly, and the
+    // failed snapshot boot is the one incident the Health opcode reports.
+    let snap = std::env::temp_dir().join(format!("ampc_cli_trunc_{}.snap", std::process::id()));
+    std::fs::write(&snap, b"AMPCSNAP").expect("write truncated snapshot");
+    let (mut server, addr) =
+        Server::spawn_listening(&["--from-snapshot", snap.to_str().unwrap()], &port_file);
+    let out = run_query(&["--connect", &addr, "--queries", "100", "--json", "--shutdown"]);
+    let status = server.wait_bounded(30);
+    std::fs::remove_file(&port_file).ok();
+    std::fs::remove_file(&snap).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "fallback boot: exit {:?}\n{stdout}", out.status.code());
+    assert!(stdout.contains("\"checksum_matches_oracle\": true"), "wrong answers\n{stdout}");
+    assert_eq!(json_u64(&stdout, "\"health\"", "total_incidents"), 1, "boot incident\n{stdout}");
     assert!(status.is_some_and(|s| s.success()), "server did not exit cleanly: {status:?}");
 }
