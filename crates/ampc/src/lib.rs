@@ -65,6 +65,7 @@
 //! within every shard).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod dht;
 mod error;

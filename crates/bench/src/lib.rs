@@ -12,6 +12,8 @@
 //! truth and panics on a mismatch, so producing a table is also an
 //! end-to-end correctness check.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod table;
 

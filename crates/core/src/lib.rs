@@ -27,6 +27,7 @@
 //! can compare measured rounds/queries/space against the paper's bounds.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod baselines;
 pub mod cycles;

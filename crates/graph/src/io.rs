@@ -39,12 +39,25 @@ pub fn read_edge_list<R: Read>(r: R) -> io::Result<Graph> {
         if let Some(rest) = line.strip_prefix('#') {
             let rest = rest.trim();
             if let Some(nodes) = rest.strip_prefix("nodes:") {
-                declared_n = Some(nodes.trim().parse().map_err(|e| {
+                let declared: u64 = nodes.trim().parse().map_err(|e| {
                     io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!("line {}: bad nodes header: {e}", lineno + 1),
                     )
-                })?);
+                })?;
+                // The count sizes the CSR offsets before any edge is seen;
+                // vertices are `0..n` with u32 ids, so nothing above 2^32
+                // names a graph this crate can hold.
+                if declared > VertexId::MAX as u64 + 1 {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "line {}: nodes header {declared} exceeds the u32 id space",
+                            lineno + 1
+                        ),
+                    ));
+                }
+                declared_n = Some(declared as usize);
             }
             continue;
         }
@@ -139,6 +152,13 @@ mod tests {
         assert!(read_edge_list("# nodes: two\n".as_bytes()).is_err());
         // id exceeding declared count:
         assert!(read_edge_list("# nodes: 2\n0 5\n".as_bytes()).is_err());
+        // declared count outside the u32 id space (the first overflowed
+        // `n + 1`, the second asked for a 32 GiB offsets array):
+        for header in ["# nodes: 18446744073709551615\n0 1\n", "# nodes: 4294967297\n0 1\n"] {
+            let err = read_edge_list(header.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("line 1: nodes header"), "{err}");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //!   comparison, used to validate every AMPC run.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod contract;
 mod csr;

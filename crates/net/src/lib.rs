@@ -10,7 +10,7 @@
 //! * [`server`] — a fixed worker pool over a **bounded admission queue**:
 //!   past the high-water mark the accept thread sheds deterministically
 //!   with a typed `Overloaded` reply; each query-batch frame pins one
-//!   lock-free `IndexSnapshot`, so rebuilds publishing mid-flight never
+//!   `IndexSnapshot`, so rebuilds publishing mid-flight never
 //!   tear a batch.
 //! * [`client`] — a single-connection RPC wrapper plus a closed-loop
 //!   multi-connection harness that replays seeded workloads, validates

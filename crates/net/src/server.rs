@@ -1,5 +1,5 @@
 //! The TCP server: a fixed worker pool over a bounded admission queue,
-//! serving the binary protocol against a [`ServiceHandle`]'s lock-free
+//! serving the binary protocol against a [`ServiceHandle`]'s pinned
 //! epoch snapshots.
 //!
 //! # Admission control and backpressure

@@ -342,12 +342,21 @@ pub fn arm_spec(spec: &str) -> Result<Site, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Barrier, Mutex, MutexGuard};
+
+    /// The registry is process-global and `cargo test` runs these tests on
+    /// parallel threads: every test that arms `test.probe` holds this.
+    fn probe() -> MutexGuard<'static, ()> {
+        static PROBE: Mutex<()> = Mutex::new(());
+        PROBE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     /// All framework semantics in one sequential test: the registry is
     /// process-global, and only `test.probe` (no production call site) is
     /// armed, so concurrently running service tests are never perturbed.
     #[test]
     fn arm_skip_count_fire_and_disarm_semantics() {
+        let _probe = probe();
         let s = Site::TestProbe;
         reset_counters();
         assert_eq!(check(s), Ok(()), "disarmed site must pass");
@@ -384,6 +393,35 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_traversals_split_the_budget_exactly() {
+        let _probe = probe();
+        let s = Site::TestProbe;
+        reset_counters();
+        arm(s, FaultAction::Error, 3, 5);
+        let start = Barrier::new(8);
+        let errors: usize = std::thread::scope(|scope| {
+            let traversers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..1_000).filter(|_| check(s).is_err()).count()
+                    })
+                })
+                .collect();
+            traversers.into_iter().map(|t| t.join().expect("traverser thread")).sum()
+        });
+        assert_eq!(errors, 5, "8 000 traversals of (skip 3, count 5) fire exactly 5 times");
+        assert_eq!(fired(s), 5);
+        // 3 skips + 5 fires spend the budget; a traversal that saw the site
+        // armed but lost the race to the self-disarm is counted as well.
+        let hits = armed_hits(s);
+        assert!(hits >= 8, "armed_hits = {hits}");
+        assert_eq!(check(s), Ok(()), "budget spent: the site disarmed itself");
+        assert_eq!(armed_hits(s), hits, "a disarmed traversal is uncounted");
+        reset_counters();
+    }
+
+    #[test]
     fn site_names_roundtrip_and_are_unique() {
         for s in ALL_SITES {
             assert_eq!(Site::from_name(s.name()), Some(s));
@@ -397,6 +435,7 @@ mod tests {
 
     #[test]
     fn arm_spec_grammar() {
+        let _probe = probe();
         // Valid specs arm test.probe only (then immediately disarm).
         assert_eq!(arm_spec("test.probe"), Ok(Site::TestProbe));
         disarm(Site::TestProbe);

@@ -1,8 +1,11 @@
 //! # ampc-obs — zero-dependency observability for the connectivity stack
 //!
-//! Lock-free metrics and tracing, hand-rolled in the same spirit as
-//! `EpochCell`: no external crates, no locks on any recording path,
-//! `const`-constructible primitives living in process-wide statics.
+//! Metrics and tracing with no external crates: `const`-constructible
+//! primitives living in process-wide statics. The recording paths that can
+//! sit on a hot path take no lock — counters, gauges, histograms and
+//! disarmed failpoints are relaxed atomics; the one that takes a lock is
+//! the trace ring (a mutex held for one slot store), whose record sites
+//! are per round, per publish or per persist.
 //!
 //! - [`Counter`] / [`Gauge`] — one relaxed atomic RMW per event.
 //! - [`Histogram`] — log2-bucketed, sharded per thread; three relaxed RMWs
@@ -10,8 +13,8 @@
 //!   p50/p90/p99/p999/max with a within-one-bucket error bound.
 //! - [`Timer`] — latency spans over an injectable [`Clock`]
 //!   ([`MonotonicClock`] in production, [`ManualClock`] in tests).
-//! - [`TraceRing`] — bounded MPSC flight recorder of typed [`TraceEvent`]s
-//!   with exact sequence numbers.
+//! - [`TraceRing`] — bounded, mutexed flight recorder of typed
+//!   [`TraceEvent`]s with exact sequence numbers.
 //! - [`registry`] — the static catalog ([`CounterId`] / [`GaugeId`] /
 //!   [`HistId`]) plus Prometheus-text ([`render_text`]) and human
 //!   ([`render_table`]) exposition.
@@ -25,6 +28,8 @@
 //! `obs::counter(CounterId::Rounds).inc()` — an index into a static array
 //! plus one relaxed `fetch_add`, the metric analogue of a disarmed
 //! failpoint.
+
+#![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod fault;

@@ -4,7 +4,7 @@
 //! Everything here is const-constructible so the process-wide catalog in
 //! [`crate::registry`] lives in `static` arrays — recording a metric is an
 //! index into a static plus relaxed atomic ops, never a lock or a hash
-//! lookup (the same disarmed-fast-path discipline as `serve::fault`).
+//! lookup (the same disarmed-fast-path discipline as [`crate::fault`]).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};

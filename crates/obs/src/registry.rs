@@ -4,7 +4,7 @@
 //! variant indexing a `static` array — "static-site registration". A
 //! recording site compiles to `&COUNTERS[id as usize]` plus relaxed
 //! atomics: no registration handshake, no lock, no name hashing on the
-//! hot path (the disarmed-failpoint discipline from `serve::fault`
+//! hot path (the disarmed-failpoint discipline of [`crate::fault`]
 //! applied to metrics). Names and help strings live here too, so
 //! [`render_text`] can emit the Prometheus exposition format without any
 //! per-metric state elsewhere.
@@ -291,8 +291,8 @@ pub fn trace_recorded() -> u64 {
 /// Renders every registered metric in the Prometheus text exposition
 /// format (version 0.0.4): `# HELP` / `# TYPE` comments, counter and
 /// gauge samples, and cumulative `_bucket{le="…"}` / `_sum` / `_count`
-/// series per histogram. A future network front-end serves this from
-/// `/metrics` verbatim.
+/// series per histogram. `ampc-net`'s `Metrics` opcode serves this
+/// verbatim.
 pub fn render_text() -> String {
     let mut s = String::new();
     for id in CounterId::ALL {

@@ -1,29 +1,19 @@
 //! Bounded structured trace journal.
 //!
-//! [`TraceRing`] is a fixed-capacity MPSC ring of typed events. Writers
-//! claim a global sequence number with one relaxed `fetch_add`, then
-//! publish into the ring slot `seq % capacity` under a per-slot seqlock
-//! version. The ring never blocks and never allocates; old events are
-//! overwritten (a flight recorder, not a log).
+//! [`TraceRing`] is a fixed-capacity ring of typed events behind one
+//! mutex: a writer takes the lock, stamps the next sequence number and
+//! overwrites slot `seq % capacity`. The ring never allocates on record;
+//! old events are overwritten (a flight recorder, not a log), so an event
+//! older than the last `TRACE_CAP` records is gone — by design. Every
+//! event that `last` returns is whole, and sequence numbers are exact.
 //!
-//! ## Loss semantics
-//!
-//! - An event older than the last `TRACE_CAP` records is gone — by design.
-//! - Slot versions advance by `fetch_max`, so a writer that stalls long
-//!   enough to be lapped *loses* its slot to the newer event rather than
-//!   resurrecting a stale one; its event is dropped.
-//! - The one unguarded window: a writer that stalls mid-payload for a full
-//!   lap can scribble over the lapping event's payload after it committed.
-//!   Readers double-check the version around payload reads, so this
-//!   requires the stale stores to land entirely inside the reader's
-//!   window too; each field is a single aligned atomic, so even then every
-//!   read field is a value some writer actually stored — never shearing
-//!   within a field. Acceptable for a diagnostic ring; sequence numbers
-//!   (derived from the version word itself) are always exact.
+//! Every production record site is per round, per publish or per persist
+//! — none per query or per frame — which is why one lock is enough; see
+//! DESIGN.md ("Trace ring") for what replaced what.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-/// Ring capacity (power of two). 40 KiB of slots as a process-wide static.
+/// Ring capacity (power of two). 40 KiB of events as a process-wide static.
 pub const TRACE_CAP: usize = 1024;
 
 /// Typed trace events emitted at the stack's structural seams.
@@ -66,10 +56,6 @@ impl TraceKind {
         TraceKind::RoundCompleted,
     ];
 
-    fn from_u64(v: u64) -> Option<TraceKind> {
-        Self::ALL.get(v as usize).copied()
-    }
-
     /// Stable lowercase name for text/JSON exposition.
     pub fn name(self) -> &'static str {
         match self {
@@ -97,32 +83,16 @@ pub struct TraceEvent {
     pub b: u64,
 }
 
-struct Slot {
-    /// Seqlock word: `2·seq + 1` while the event `seq` is being written,
-    /// `2·seq + 2` once committed. Advances only by `fetch_max`.
-    version: AtomicU64,
-    kind: AtomicU64,
-    at_ns: AtomicU64,
-    a: AtomicU64,
-    b: AtomicU64,
-}
-
-impl Slot {
-    const fn new() -> Self {
-        Self {
-            version: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-            at_ns: AtomicU64::new(0),
-            a: AtomicU64::new(0),
-            b: AtomicU64::new(0),
-        }
-    }
+struct Ring {
+    /// Events ever recorded; the next event's sequence number.
+    head: u64,
+    /// Event `seq` lives at `seq % TRACE_CAP` until it is lapped.
+    events: [TraceEvent; TRACE_CAP],
 }
 
 /// Fixed-capacity multi-producer ring of [`TraceEvent`]s.
 pub struct TraceRing {
-    head: AtomicU64,
-    slots: [Slot; TRACE_CAP],
+    ring: Mutex<Ring>,
 }
 
 impl Default for TraceRing {
@@ -133,56 +103,40 @@ impl Default for TraceRing {
 
 impl TraceRing {
     pub const fn new() -> Self {
-        Self { head: AtomicU64::new(0), slots: [const { Slot::new() }; TRACE_CAP] }
+        // Slots at or past `head` are never read, so the filler is never seen.
+        const UNWRITTEN: TraceEvent =
+            TraceEvent { seq: 0, at_ns: 0, kind: TraceKind::EpochPublished, a: 0, b: 0 };
+        Self { ring: Mutex::new(Ring { head: 0, events: [UNWRITTEN; TRACE_CAP] }) }
     }
 
-    /// Records an event and returns its sequence number. Lock-free:
-    /// one `fetch_add` claim, one `fetch_max` open, four relaxed payload
-    /// stores, one `fetch_max` commit.
+    fn lock(&self) -> MutexGuard<'_, Ring> {
+        // Nothing panics while the lock is held (an index below `TRACE_CAP`,
+        // a `Copy` store), so a poisoned ring is still a whole ring.
+        self.ring.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Records an event and returns its sequence number.
     pub fn record(&self, at_ns: u64, kind: TraceKind, a: u64, b: u64) -> u64 {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[seq as usize & (TRACE_CAP - 1)];
-        let writing = 2 * seq + 1;
-        let prev = slot.version.fetch_max(writing, Ordering::AcqRel);
-        if prev < writing {
-            slot.kind.store(kind as u64, Ordering::Relaxed);
-            slot.at_ns.store(at_ns, Ordering::Relaxed);
-            slot.a.store(a, Ordering::Relaxed);
-            slot.b.store(b, Ordering::Relaxed);
-            slot.version.fetch_max(writing + 1, Ordering::Release);
-        }
+        let mut ring = self.lock();
+        let seq = ring.head;
+        ring.events[seq as usize & (TRACE_CAP - 1)] = TraceEvent { seq, at_ns, kind, a, b };
+        ring.head = seq + 1;
         seq
     }
 
     /// Total events ever recorded (including overwritten ones).
     pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        self.lock().head
     }
 
-    /// Returns up to the last `n` events, oldest first. Events still being
-    /// written or already lapped are silently skipped; returned seqs are
-    /// strictly increasing.
+    /// Returns up to the last `n` events, oldest first; returned seqs are
+    /// consecutive and end at `recorded() - 1`.
     pub fn last(&self, n: usize) -> Vec<TraceEvent> {
-        let head = self.head.load(Ordering::Acquire);
-        let span = (n.min(TRACE_CAP) as u64).min(head);
-        let mut out = Vec::with_capacity(span as usize);
-        for seq in head - span..head {
-            let slot = &self.slots[seq as usize & (TRACE_CAP - 1)];
-            let committed = 2 * seq + 2;
-            if slot.version.load(Ordering::Acquire) != committed {
-                continue;
-            }
-            let kind = slot.kind.load(Ordering::Relaxed);
-            let at_ns = slot.at_ns.load(Ordering::Relaxed);
-            let a = slot.a.load(Ordering::Relaxed);
-            let b = slot.b.load(Ordering::Relaxed);
-            if slot.version.load(Ordering::Acquire) != committed {
-                continue;
-            }
-            let Some(kind) = TraceKind::from_u64(kind) else { continue };
-            out.push(TraceEvent { seq, at_ns, kind, a, b });
-        }
-        out
+        let ring = self.lock();
+        let span = (n.min(TRACE_CAP) as u64).min(ring.head);
+        (ring.head - span..ring.head)
+            .map(|seq| ring.events[seq as usize & (TRACE_CAP - 1)])
+            .collect()
     }
 }
 

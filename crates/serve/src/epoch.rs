@@ -1,133 +1,70 @@
-//! A hand-rolled epoch cell: lock-free readers over an atomically
-//! swappable `Arc<T>`.
+//! An epoch cell: a swappable `Arc<T>` with a monotonically increasing
+//! epoch number, on two standard-library locks.
 //!
-//! The serving layer needs exactly one concurrency primitive: readers
-//! obtain a consistent snapshot of the current index *without ever taking a
-//! lock*, while a background rebuild publishes a replacement index
-//! atomically. The offline workspace has no `arc-swap` crate, so
-//! [`EpochCell`] implements the classic two-slot scheme by hand:
+//! The serving layer needs one concurrency primitive: readers obtain a
+//! consistent snapshot of the current index while a background rebuild
+//! publishes a replacement. [`EpochCell`] keeps `(epoch, Arc<T>)` behind an
+//! `RwLock`; [`EpochCell::pin`] is a read-lock and an `Arc::clone`, a
+//! publish is one `mem::replace` under the write lock. A second mutex
+//! serializes publishers, so the payload of epoch `e + 1` is *built*
+//! (`make(next)`) with the `RwLock` free and readers are only ever excluded
+//! for the swap itself.
 //!
-//! ```text
-//! slots[0] ─ AtomicPtr<T> (an Arc leaked via into_raw) + pin counter
-//! slots[1] ─ AtomicPtr<T>                              + pin counter
-//! epoch    ─ AtomicU64; epoch & 1 selects the active slot
-//! ```
-//!
-//! **Reader protocol** ([`EpochCell::pin`]): load `epoch`, bump the active
-//! slot's pin counter, re-check `epoch`; if unchanged, take a strong `Arc`
-//! reference from the slot's pointer and unpin. The pin counter only
-//! protects the window between reading the pointer and incrementing the
-//! Arc's strong count — once the guard holds its own `Arc`, the slot can be
-//! reused freely. Readers never block and never spin more than one retry
-//! per concurrent publish.
-//!
-//! **Writer protocol** ([`EpochCell::publish`]): serialize writers with a
-//! mutex (readers never touch it), store the new pointer into the inactive
-//! slot (always empty between publishes — see below), increment `epoch` —
-//! making that slot active — then *retire* the previous slot: wait for
-//! stragglers still inside its pin window to drain (pins are held only for
-//! a few instructions, so this terminates immediately), null its pointer,
-//! and drop the cell's strong reference. The cell therefore holds exactly
-//! one reference — the current epoch — and a retired epoch's payload is
-//! freed the moment its last guard drops: standard `Arc` semantics, with
-//! no lingering cell-side reference.
+//! The cell holds exactly one reference — the current epoch — so a retired
+//! epoch's payload is freed the moment its last guard drops (standard `Arc`
+//! semantics). That drop happens after the write lock is released: a
+//! payload's `Drop` may be arbitrarily slow, or may itself call
+//! [`EpochCell::pin`].
 //!
 //! **Why every answer is consistent with exactly one epoch:** a guard holds
-//! one `Arc<T>` obtained while its slot provably held the epoch-`e` payload
-//! (the pin + re-check rules out the slot being recycled mid-read, see the
-//! ordering argument in DESIGN.md), and `T` is immutable once published —
-//! so all reads through one guard see one published value, torn reads are
-//! impossible by construction, and the guard's [`EpochGuard::epoch`] names
-//! the epoch those answers belong to.
+//! one `Arc<T>` cloned together with its epoch number under the read lock,
+//! and `T` is immutable once published — so all reads through one guard see
+//! one published value and the guard's [`EpochGuard::epoch`] names the epoch
+//! those answers belong to.
 //!
-//! All atomics use `SeqCst`. Publishing is rare (a full pipeline rebuild
-//! precedes every swap) and pins are two atomic RMWs per snapshot, so the
-//! simplest ordering that makes the proof one paragraph is the right
-//! trade; see DESIGN.md ("The service layer") for the argument.
+//! An earlier version swapped raw pointers between two slots without a
+//! lock; the ledger could not tell the two apart (DESIGN.md, "The epoch
+//! cell"), so the version that needs no ordering proof stayed.
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
-/// One slot of the two-slot cell: a leaked `Arc<T>` plus a pin counter
-/// protecting the pointer-read → strong-count-increment window.
-struct Slot<T> {
-    ptr: AtomicPtr<T>,
-    readers: AtomicUsize,
-}
-
-impl<T> Slot<T> {
-    fn new(ptr: *mut T) -> Self {
-        Slot { ptr: AtomicPtr::new(ptr), readers: AtomicUsize::new(0) }
-    }
-}
-
-/// A lock-free-for-readers, atomically swappable `Arc<T>` cell with a
-/// monotonically increasing epoch number. See the module docs for the
-/// protocol.
+/// A swappable `Arc<T>` cell with a monotonically increasing epoch number.
+/// See the module docs.
 pub struct EpochCell<T> {
-    slots: [Slot<T>; 2],
-    /// Published-epoch counter; `epoch & 1` selects the active slot.
-    epoch: AtomicU64,
+    /// The published epoch and its payload; they change together.
+    current: RwLock<(u64, Arc<T>)>,
     /// Serializes publishers. Readers never lock it.
     writer: Mutex<()>,
 }
 
-// SAFETY: the cell owns (via leaked Arcs) values of `T` that are handed out
-// across threads as `Arc<T>`; that is sound exactly when `Arc<T>` itself is
-// sendable/shareable, i.e. `T: Send + Sync`.
-unsafe impl<T: Send + Sync> Send for EpochCell<T> {}
-unsafe impl<T: Send + Sync> Sync for EpochCell<T> {}
-
 impl<T> EpochCell<T> {
     /// Creates a cell publishing `initial` as epoch 0.
     pub fn new(initial: Arc<T>) -> Self {
-        EpochCell {
-            slots: [Slot::new(Arc::into_raw(initial) as *mut T), Slot::new(std::ptr::null_mut())],
-            epoch: AtomicU64::new(0),
-            writer: Mutex::new(()),
-        }
+        EpochCell { current: RwLock::new((0, initial)), writer: Mutex::new(()) }
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, (u64, Arc<T>)> {
+        // Poison on `current` is recoverable: the only code that runs under
+        // its write lock is one `mem::replace`, which cannot panic, so the
+        // pair is whole at every step.
+        self.current.read().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// The most recently published epoch number.
     pub fn epoch(&self) -> u64 {
-        self.epoch.load(SeqCst)
+        self.read().0
     }
 
-    /// Pins the current value: lock-free, wait-free unless a publish lands
-    /// in the middle of the (few-instruction) pin window, in which case the
-    /// reader retries once per concurrent publish.
+    /// Pins the current value: a read-lock and an `Arc::clone`. Readers
+    /// share the lock with each other and wait only for a publisher's swap.
     pub fn pin(&self) -> EpochGuard<T> {
-        loop {
-            let e = self.epoch.load(SeqCst);
-            let slot = &self.slots[(e & 1) as usize];
-            slot.readers.fetch_add(1, SeqCst);
-            // Re-check: if the epoch moved, `slot` may be (or be about to
-            // be) recycled by a publisher that saw readers == 0 before our
-            // increment — back off and retry against the new epoch.
-            if self.epoch.load(SeqCst) == e {
-                let ptr = slot.ptr.load(SeqCst);
-                // SAFETY: `ptr` came from `Arc::into_raw` (new/publish) and
-                // cannot have been released: a publisher retires this slot
-                // only after (a) storing epoch `e + 1` — which our re-check
-                // above precedes in the SeqCst order, since it still saw
-                // `e` — and (b) observing `readers == 0`, excluded by our
-                // increment (which precedes the re-check, hence the
-                // publisher's drain) until we unpin below. So the Arc
-                // backing `ptr` is alive for the whole window.
-                let value = unsafe {
-                    Arc::increment_strong_count(ptr);
-                    Arc::from_raw(ptr)
-                };
-                slot.readers.fetch_sub(1, SeqCst);
-                return EpochGuard { value, epoch: e };
-            }
-            slot.readers.fetch_sub(1, SeqCst);
-        }
+        let current = self.read();
+        EpochGuard { value: Arc::clone(&current.1), epoch: current.0 }
     }
 
     /// Publishes `value` as the next epoch and returns its epoch number.
     /// Readers already holding guards keep their pinned value; new `pin`
-    /// calls see `value`. Publishers are serialized; readers are unaffected.
+    /// calls see `value`. Publishers are serialized.
     pub fn publish(&self, value: Arc<T>) -> u64 {
         self.publish_with(|_| value)
     }
@@ -136,42 +73,22 @@ impl<T> EpochCell<T> {
     /// that receives the epoch number it will be published as — so a
     /// payload can embed its own epoch even with concurrent publishers.
     pub fn publish_with<F: FnOnce(u64) -> Arc<T>>(&self, make: F) -> u64 {
-        // A poisoned writer mutex is recoverable by construction: the
-        // guarded state is the slot/epoch pointer dance below, and a
+        // A poisoned writer mutex is recoverable by construction: a
         // panicking publisher can only die inside `make(next)` — *before*
-        // any slot or epoch mutation (the atomics themselves never panic).
-        // So poison means "a previous publisher aborted cleanly", not "the
-        // cell is half-written"; refusing to publish forever (the old
-        // `.expect`) bricked the service for no soundness gain.
+        // the swap. So poison means "a previous publisher aborted cleanly",
+        // not "the cell is half-written"; refusing to publish forever would
+        // brick the service for no soundness gain.
         let _w = self.writer.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-        let e = self.epoch.load(SeqCst);
-        let next = e + 1;
-        // Between publishes exactly one slot is populated (the active one);
-        // the target slot was nulled when it was last retired, so the new
-        // value just drops in.
-        let new_ptr = Arc::into_raw(make(next)) as *mut T;
-        let vacated = self.slots[(next & 1) as usize].ptr.swap(new_ptr, SeqCst);
-        debug_assert!(vacated.is_null(), "target slot must be empty between publishes");
-        self.epoch.store(next, SeqCst);
-
-        // Retire the previous slot. After the epoch store above, no reader
-        // can newly pass the re-check for epoch `e`; wait out stragglers
-        // already inside the pin window (a few instructions each), then
-        // release the cell's reference so the retired payload lives exactly
-        // as long as its guards.
-        let prev = &self.slots[(e & 1) as usize];
-        while prev.readers.load(SeqCst) != 0 {
-            std::hint::spin_loop();
-        }
-        let old_ptr = prev.ptr.swap(std::ptr::null_mut(), SeqCst);
-        if !old_ptr.is_null() {
-            // SAFETY: `old_ptr` is the leaked Arc published as epoch `e`.
-            // No reader can still reach it: the epoch has advanced (new
-            // re-checks fail) and the pin window drained (stragglers that
-            // passed the re-check finished taking their own strong count).
-            // Guards keep the value alive via those counts.
-            unsafe { drop(Arc::from_raw(old_ptr)) };
-        }
+        // Only a publisher changes the epoch and `_w` excludes the others,
+        // so `next` is still right when the write lock is taken below.
+        let next = self.epoch() + 1;
+        let value = make(next);
+        let mut current = self.current.write().unwrap_or_else(|poisoned| poisoned.into_inner());
+        let retired = std::mem::replace(&mut *current, (next, value));
+        // The retired payload may be freed right here (no guard left), and
+        // its `Drop` is foreign code: release the readers first.
+        drop(current);
+        drop(retired);
         next
     }
 }
@@ -179,19 +96,6 @@ impl<T> EpochCell<T> {
 impl<T> std::fmt::Debug for EpochCell<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EpochCell").field("epoch", &self.epoch()).finish_non_exhaustive()
-    }
-}
-
-impl<T> Drop for EpochCell<T> {
-    fn drop(&mut self) {
-        for slot in &self.slots {
-            let ptr = slot.ptr.load(SeqCst);
-            if !ptr.is_null() {
-                // SAFETY: we have `&mut self`, so no reader or writer is
-                // live; each non-null slot holds exactly one leaked Arc.
-                unsafe { drop(Arc::from_raw(ptr)) };
-            }
-        }
     }
 }
 
@@ -234,7 +138,9 @@ impl<T> Clone for EpochGuard<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+    use std::sync::{mpsc, Barrier, Weak};
+    use std::time::Duration;
 
     #[test]
     fn pin_sees_the_published_value_and_epoch() {
@@ -381,5 +287,97 @@ mod tests {
         cell.publish(Arc::new(6));
         assert_eq!((*a, a.epoch()), (5, 0));
         assert_eq!((*b, b.epoch()), (5, 0));
+    }
+
+    /// A payload whose `Drop` pins the cell it was published in and
+    /// records the epoch it found there.
+    struct PinsOnDrop {
+        cell: Weak<EpochCell<PinsOnDrop>>,
+        saw: Arc<AtomicU64>,
+    }
+    impl Drop for PinsOnDrop {
+        fn drop(&mut self) {
+            if let Some(cell) = self.cell.upgrade() {
+                self.saw.store(cell.pin().epoch(), SeqCst);
+            }
+        }
+    }
+
+    #[test]
+    fn a_payload_whose_drop_pins_the_cell_can_be_published_over() {
+        // The publish that retires epoch 0 also frees it (nothing pins it),
+        // and freeing it takes the read lock: that deadlocks unless the
+        // retired value is dropped after the write lock is released.
+        let saw = Arc::new(AtomicU64::new(u64::MAX));
+        let payload = |cell: &Weak<EpochCell<PinsOnDrop>>| {
+            Arc::new(PinsOnDrop { cell: Weak::clone(cell), saw: Arc::clone(&saw) })
+        };
+        let cell = Arc::new_cyclic(|weak| EpochCell::new(payload(weak)));
+        let next = payload(&Arc::downgrade(&cell));
+        // On its own thread, so that a deadlock fails this test instead of
+        // hanging the suite.
+        let (tx, rx) = mpsc::channel();
+        let publisher = std::thread::spawn({
+            let cell = Arc::clone(&cell);
+            move || tx.send(cell.publish(next))
+        });
+        let published = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("publish must return: the retired payload is dropped outside the write lock");
+        publisher.join().expect("publisher thread").expect("receiver is alive");
+        assert_eq!(published, 1);
+        assert_eq!(saw.load(SeqCst), 1, "the retired payload's drop pinned its successor");
+    }
+
+    #[test]
+    fn epochs_retired_while_pinned_die_with_their_last_guard() {
+        // The publisher retires epoch `e` only once some reader holds a
+        // guard on it (`pinned >= e`), and a reader lets go only once its
+        // epoch is retired, so every epoch but the last is retired while
+        // pinned. Several readers may hold one epoch, so "my guard dropped"
+        // does not mean "the payload died"; what must hold is that once
+        // every guard is gone the cell has kept no retired payload alive.
+        const PUBLISHES: u64 = 2_000;
+        let cell = EpochCell::new(Arc::new(0u64));
+        let pinned = AtomicU64::new(0);
+        let done = AtomicBool::new(false);
+        let start = Barrier::new(5);
+        let seen: Vec<Vec<(u64, Weak<u64>)>> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut seen = Vec::new();
+                        start.wait();
+                        while !done.load(SeqCst) {
+                            let g = cell.pin();
+                            assert_eq!(*g, g.epoch());
+                            seen.push((g.epoch(), Arc::downgrade(g.value())));
+                            pinned.fetch_max(g.epoch(), SeqCst);
+                            while cell.epoch() == g.epoch() && !done.load(SeqCst) {
+                                std::thread::yield_now();
+                            }
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            start.wait();
+            for next in 1..=PUBLISHES {
+                while pinned.load(SeqCst) + 1 < next {
+                    std::thread::yield_now();
+                }
+                assert_eq!(cell.publish_with(Arc::new), next);
+            }
+            done.store(true, SeqCst);
+            readers.into_iter().map(|r| r.join().expect("reader thread")).collect()
+        });
+        let mut pinned_while_retired = vec![false; PUBLISHES as usize];
+        for (epoch, weak) in seen.iter().flatten() {
+            assert_eq!(weak.upgrade().is_some(), *epoch == PUBLISHES, "epoch {epoch}");
+            if *epoch < PUBLISHES {
+                pinned_while_retired[*epoch as usize] = true;
+            }
+        }
+        assert!(pinned_while_retired.iter().all(|&p| p), "every retired epoch had a guard");
     }
 }

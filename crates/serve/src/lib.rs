@@ -5,15 +5,15 @@
 //! lifecycle as a first-class service API, safe for any number of reader
 //! threads while background rebuilds publish new indexes under traffic.
 //!
-//! * [`EpochCell`] — the one concurrency primitive: a hand-rolled two-slot
-//!   `AtomicPtr`/`Arc` swap cell (no external crates — the workspace is
-//!   offline). Readers pin the current epoch lock-free; publishers swap in
-//!   a new value atomically; a retired epoch is freed exactly when its
-//!   last guard drops.
+//! * [`EpochCell`] — the one concurrency primitive: `(epoch, Arc<T>)`
+//!   behind a standard `RwLock`. Readers pin the current epoch with a
+//!   read-lock and an `Arc::clone`; a publisher builds its value outside
+//!   the lock and holds the write lock for one swap; a retired epoch is
+//!   freed exactly when its last guard drops.
 //! * [`ServiceBuilder`] / [`ServiceHandle`] — `ServiceBuilder::new(graph)
 //!   .spec(spec).build()?` runs the configured [`PipelineSpec`], validates
 //!   the labeling against the graph, freezes it into a `ComponentIndex`,
-//!   and publishes epoch 0. The clone-able handle serves lock-free
+//!   and publishes epoch 0. The clone-able handle serves pinned
 //!   [`IndexSnapshot`]s and runs [`ServiceHandle::rebuild`] on a
 //!   background thread — readers keep answering against their pinned
 //!   epoch while the swap happens under live traffic. Rebuilds publish in
@@ -54,6 +54,7 @@
 //! pin by fingerprinting answers against per-graph oracles.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod driver;
 pub mod epoch;

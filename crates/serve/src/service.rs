@@ -11,7 +11,7 @@
 //! freezes it into a `ComponentIndex`, and publishes it as epoch 0 of an
 //! [`EpochCell`](crate::EpochCell). The resulting [`ServiceHandle`] is
 //! clone-able and thread-safe: any number of reader threads call
-//! [`ServiceHandle::snapshot`] — a lock-free pin — and answer queries
+//! [`ServiceHandle::snapshot`] — a pin of the current epoch — and answer queries
 //! against their pinned epoch, while [`ServiceHandle::rebuild`] runs the
 //! pipeline on a *background thread* and publishes the new index
 //! atomically. Readers holding old snapshots are never blocked and never

@@ -237,8 +237,9 @@ pub struct ServiceHandle {
 }
 
 impl ServiceHandle {
-    /// Pins the current epoch — lock-free; never blocks on rebuilds or
-    /// insertions. Call once per thread (or per request) and answer any
+    /// Pins the current epoch: a read-lock held for one `Arc::clone`, so
+    /// it waits for a publish's pointer swap and never for a rebuild's or
+    /// an insertion's work. Call once per thread (or per request) and answer any
     /// number of queries against the returned snapshot.
     pub fn snapshot(&self) -> IndexSnapshot {
         IndexSnapshot { guard: self.service.cell.pin() }

@@ -142,8 +142,7 @@ impl PublishedIndex {
 
 /// A pinned, immutable view of one published epoch. Cheap to clone (an
 /// `Arc` bump); holding it keeps that epoch's index alive, dropping it
-/// releases the pin. Obtainable only via [`ServiceHandle::snapshot`] —
-/// lock-free.
+/// releases the pin. Obtainable only via [`ServiceHandle::snapshot`].
 #[derive(Clone)]
 pub struct IndexSnapshot {
     pub(super) guard: EpochGuard<PublishedIndex>,

@@ -8,7 +8,6 @@
 //! through the stream lock, so the epoch sequence is a single total order.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -29,32 +28,42 @@ use super::published::BaseIndex;
 /// the queue.
 #[derive(Debug)]
 pub(super) struct RebuildTickets {
-    next: AtomicU64,
-    turn: Mutex<u64>,
+    state: Mutex<TicketState>,
     done: Condvar,
+}
+
+#[derive(Debug)]
+struct TicketState {
+    /// The next ticket to hand out.
+    next: u64,
+    /// The ticket whose turn it is to publish.
+    turn: u64,
 }
 
 impl RebuildTickets {
     pub(super) fn new() -> Self {
-        RebuildTickets { next: AtomicU64::new(0), turn: Mutex::new(0), done: Condvar::new() }
+        RebuildTickets { state: Mutex::new(TicketState { next: 0, turn: 0 }), done: Condvar::new() }
     }
 
     fn take(&self) -> u64 {
         ampc_obs::gauge(GaugeId::RebuildQueueDepth).add(1);
-        self.next.fetch_add(1, SeqCst)
+        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        let ticket = state.next;
+        state.next += 1;
+        ticket
     }
 
     fn wait_for(&self, ticket: u64) {
-        let mut turn = self.turn.lock().unwrap_or_else(|p| p.into_inner());
-        while *turn != ticket {
-            turn = self.done.wait(turn).unwrap_or_else(|p| p.into_inner());
+        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        while state.turn != ticket {
+            state = self.done.wait(state).unwrap_or_else(|p| p.into_inner());
         }
     }
 
     fn advance(&self) {
         ampc_obs::gauge(GaugeId::RebuildQueueDepth).sub(1);
-        let mut turn = self.turn.lock().unwrap_or_else(|p| p.into_inner());
-        *turn += 1;
+        let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        state.turn += 1;
         self.done.notify_all();
     }
 }

@@ -39,7 +39,7 @@
 //!
 //! Both subcommands drive one `PipelineSpec` (algorithm, backend, limits,
 //! seed, machines): the run subcommand executes it directly, the query
-//! subcommand hands it to a `ConnectivityService`, whose lock-free
+//! subcommand hands it to a `ConnectivityService`, whose
 //! epoch-swapped snapshots the multi-threaded driver reads. The service
 //! cross-checks every answer against the union-find reference before any
 //! throughput is reported:
@@ -263,7 +263,7 @@ fn parse_args() -> Result<Cmd, String> {
             "--json" => run.json = true,
             "--k" => run.spec.k = value(&mut it, &a)?,
             "--seed" => run.spec.seed = value(&mut it, &a)?,
-            "--machines" => run.spec.machines = value(&mut it, &a)?,
+            "--machines" => run.spec.machines = positive(&mut it, &a)?,
             "--backend" => {
                 run.spec.backend = DhtBackend::parse(&value::<String>(&mut it, &a)?)
                     .map_err(|e| format!("--backend: {e}"))?

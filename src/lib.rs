@@ -15,16 +15,18 @@
 //! * [`query`] — the read path: immutable component index, batch query
 //!   engine, and deterministic workload driver over finished runs;
 //! * [`serve`] — the serving layer: `PipelineSpec`-driven
-//!   `ConnectivityService` with lock-free epoch-swapped index snapshots,
+//!   `ConnectivityService` with epoch-swapped index snapshots,
 //!   background rebuilds under live traffic, and the multi-threaded
 //!   workload driver;
 //! * [`net`] — the network front-end: a hand-rolled TCP server speaking a
-//!   length-prefixed binary protocol over the service's lock-free
+//!   length-prefixed binary protocol over the service's pinned
 //!   snapshots, with bounded admission backpressure and a closed-loop
 //!   multi-connection client harness.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and `DESIGN.md` for
 //! the full system inventory.
+
+#![forbid(unsafe_code)]
 
 pub use ampc;
 pub use ampc_cc as cc;

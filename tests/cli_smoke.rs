@@ -111,6 +111,24 @@ fn cli_rejects_bad_usage() {
         let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
         assert!(stderr.contains(&format!("error: {flag} is a query option")), "{args:?}\n{stderr}");
     }
+    // `--machines 0` used to reach `AmpcConfig::with_machines`' assert (exit 101).
+    let out = Command::new(exe).args([data, "--machines", "0"]).output().expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "--machines 0 must exit 2\n{stderr}");
+    assert!(stderr.contains("--machines must be positive"), "{stderr}");
+}
+
+#[test]
+fn cli_rejects_a_nodes_header_outside_the_id_space() {
+    // The declared count sizes the CSR before any edge is read: this header
+    // used to abort on a 32 GiB allocation (exit 134). It is bad input, exit 1.
+    let graph = std::env::temp_dir().join(format!("ampc_cli_header_{}.txt", std::process::id()));
+    std::fs::write(&graph, "# nodes: 4294967297\n0 1\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_ampc-cc")).arg(&graph).output().expect("spawn");
+    std::fs::remove_file(&graph).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("line 1: nodes header 4294967297"), "{stderr}");
 }
 
 #[test]
