@@ -705,7 +705,7 @@ fn apply_slot_op<V: DhtValue>(
     None
 }
 
-/// Direct-indexed storage: one [`DenseSlab`] per keyspace for ids below the
+/// Direct-indexed storage: one `DenseSlab` per keyspace for ids below the
 /// capacity hint, a [`FlatDht`] overflow for everything above it.
 ///
 /// A dense `get` is a bounds check plus an array index — zero hashing on

@@ -43,7 +43,7 @@
 //! either direction of the wire deterministically on both the server and
 //! the client side.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 use ampc_query::Query;
 use ampc_serve::fault::{self, Site};
@@ -297,8 +297,12 @@ pub fn decode_header(bytes: &[u8; HEADER_LEN], max_payload: u32) -> Result<Heade
     Ok(Header { opcode, payload_len, request_id })
 }
 
-/// Writes one frame (header + payload). Traverses the `net.write`
-/// failpoint; an injected fault surfaces as an ordinary I/O error.
+/// Writes one frame as **one gathered write**: header and payload leave in
+/// a single `write_vectored` call, so a `TCP_NODELAY` socket sends one
+/// segment and wakes the reader once where two `write_all`s sent two. A
+/// short write resumes where it stopped, `Interrupted` retries. Traverses
+/// the `net.write` failpoint once per frame; an injected fault surfaces as
+/// an ordinary I/O error.
 pub fn write_frame(
     w: &mut impl Write,
     opcode: Opcode,
@@ -307,22 +311,50 @@ pub fn write_frame(
 ) -> std::io::Result<()> {
     fault::check(Site::NetWrite).map_err(std::io::Error::other)?;
     debug_assert!(payload.len() <= u32::MAX as usize);
-    w.write_all(&encode_header(opcode, payload.len() as u32, request_id))?;
-    w.write_all(payload)?;
+    let header = encode_header(opcode, payload.len() as u32, request_id);
+    let mut sent = 0usize;
+    while sent < HEADER_LEN + payload.len() {
+        let wrote = if sent < HEADER_LEN {
+            w.write_vectored(&[IoSlice::new(&header[sent..]), IoSlice::new(payload)])
+        } else {
+            w.write(&payload[sent - HEADER_LEN..])
+        };
+        match wrote {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
 /// Reads one frame. Returns `Ok(None)` on a clean close — EOF at a frame
-/// boundary, or `keep_waiting` turning false while blocked (the server's
-/// shutdown path; sockets there carry a read timeout, and `WouldBlock` /
-/// `TimedOut` re-polls `keep_waiting` instead of failing). EOF *inside* a
-/// frame is a typed [`ProtocolError::Truncated`]. Traverses the `net.read`
-/// failpoint once per frame.
+/// boundary, or `keep_waiting` turning false while blocked, at a boundary
+/// or mid-frame (the server's shutdown path; sockets there carry a read
+/// timeout, and `WouldBlock` / `TimedOut` re-polls `keep_waiting` instead
+/// of failing). EOF *inside* a frame is a typed
+/// [`ProtocolError::Truncated`]. Traverses the `net.read` failpoint once
+/// per frame.
 pub fn read_frame(
     r: &mut impl Read,
     max_payload: u32,
     keep_waiting: impl Fn() -> bool,
 ) -> Result<Option<(Header, Vec<u8>)>, NetError> {
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, max_payload, keep_waiting, &mut payload)?.map(|h| (h, payload)))
+}
+
+/// [`read_frame`] into a buffer the caller keeps: `payload` is resized to
+/// the frame's length, so a connection reading frames of one size neither
+/// allocates nor zero-fills after the first. On `Ok(None)` and on error
+/// its contents are unspecified.
+pub fn read_frame_into(
+    r: &mut impl Read,
+    max_payload: u32,
+    keep_waiting: impl Fn() -> bool,
+    payload: &mut Vec<u8>,
+) -> Result<Option<Header>, NetError> {
     fault::check(Site::NetRead).map_err(std::io::Error::other)?;
     let mut header = [0u8; HEADER_LEN];
     match read_full(r, &mut header, true, &keep_waiting)? {
@@ -330,10 +362,12 @@ pub fn read_frame(
         ReadFull::CleanClose => return Ok(None),
     }
     let header = decode_header(&header, max_payload)?;
-    let mut payload = vec![0u8; header.payload_len as usize];
-    match read_full(r, &mut payload, false, &keep_waiting)? {
-        ReadFull::Done => Ok(Some((header, payload))),
-        ReadFull::CleanClose => unreachable!("mid-frame close maps to Truncated"),
+    payload.resize(header.payload_len as usize, 0);
+    match read_full(r, payload, false, &keep_waiting)? {
+        ReadFull::Done => Ok(Some(header)),
+        // Only `keep_waiting` turning false ends a payload read this way:
+        // the shutdown is why the frame ends, not the peer.
+        ReadFull::CleanClose => Ok(None),
     }
 }
 
@@ -345,6 +379,8 @@ enum ReadFull {
 /// Fills `buf` completely. A dribbling peer (one byte per write) is fine —
 /// the loop keeps reading; a peer that closes after 0 bytes is a clean
 /// close iff `at_boundary`, otherwise the frame is truncated.
+/// `keep_waiting` turning false while blocked is a clean close wherever in
+/// the frame it happens.
 fn read_full(
     r: &mut impl Read,
     buf: &mut [u8],
@@ -390,49 +426,71 @@ const TAG_TOP_K_SIZE: u32 = 3;
 /// Encodes a query batch: [`QUERY_WIRE_LEN`] bytes per query — tag u32,
 /// operand `a` u32, operand `b` u32 (zero where unused).
 pub fn encode_queries(queries: &[Query]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(queries.len() * QUERY_WIRE_LEN);
-    for &q in queries {
+    let mut out = Vec::new();
+    encode_queries_into(queries, &mut out);
+    out
+}
+
+/// [`encode_queries`] into a buffer the caller keeps; replaces its contents.
+pub fn encode_queries_into(queries: &[Query], out: &mut Vec<u8>) {
+    // Sized once, then every byte overwritten record by record.
+    out.resize(queries.len() * QUERY_WIRE_LEN, 0);
+    for (rec, &q) in out.chunks_exact_mut(QUERY_WIRE_LEN).zip(queries) {
         let (tag, a, b) = match q {
             Query::Connected(u, v) => (TAG_CONNECTED, u, v),
             Query::ComponentOf(v) => (TAG_COMPONENT_OF, v, 0),
             Query::ComponentSize(v) => (TAG_COMPONENT_SIZE, v, 0),
             Query::TopKSize(k) => (TAG_TOP_K_SIZE, k, 0),
         };
-        out.extend_from_slice(&tag.to_le_bytes());
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&b.to_le_bytes());
+        rec[0..4].copy_from_slice(&tag.to_le_bytes());
+        rec[4..8].copy_from_slice(&a.to_le_bytes());
+        rec[8..12].copy_from_slice(&b.to_le_bytes());
     }
-    out
 }
 
 /// Decodes a query batch payload; refuses ragged lengths and unknown tags.
 pub fn decode_queries(payload: &[u8]) -> Result<Vec<Query>, ProtocolError> {
+    let mut out = Vec::new();
+    decode_queries_into(payload, &mut out)?;
+    Ok(out)
+}
+
+/// [`decode_queries`] into a buffer the caller keeps; replaces its
+/// contents, which are unspecified after an error.
+pub fn decode_queries_into(payload: &[u8], out: &mut Vec<Query>) -> Result<(), ProtocolError> {
     if !payload.len().is_multiple_of(QUERY_WIRE_LEN) {
         return Err(ProtocolError::Malformed("query batch length not a multiple of 12"));
     }
-    let mut out = Vec::with_capacity(payload.len() / QUERY_WIRE_LEN);
-    for rec in payload.chunks_exact(QUERY_WIRE_LEN) {
+    // Sized once, then every slot overwritten record by record.
+    out.resize(payload.len() / QUERY_WIRE_LEN, Query::TopKSize(0));
+    for (slot, rec) in out.iter_mut().zip(payload.chunks_exact(QUERY_WIRE_LEN)) {
         let tag = u32::from_le_bytes(rec[0..4].try_into().unwrap());
         let a = u32::from_le_bytes(rec[4..8].try_into().unwrap());
         let b = u32::from_le_bytes(rec[8..12].try_into().unwrap());
-        out.push(match tag {
+        *slot = match tag {
             TAG_CONNECTED => Query::Connected(a, b),
             TAG_COMPONENT_OF => Query::ComponentOf(a),
             TAG_COMPONENT_SIZE => Query::ComponentSize(a),
             TAG_TOP_K_SIZE => Query::TopKSize(a),
             _ => return Err(ProtocolError::Malformed("unknown query tag")),
-        });
+        };
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Encodes an answer array: one u64 per query, request order.
 pub fn encode_answers(answers: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(answers.len() * 8);
-    for &a in answers {
-        out.extend_from_slice(&a.to_le_bytes());
-    }
+    let mut out = Vec::new();
+    encode_answers_into(answers, &mut out);
     out
+}
+
+/// [`encode_answers`] into a buffer the caller keeps; replaces its contents.
+pub fn encode_answers_into(answers: &[u64], out: &mut Vec<u8>) {
+    out.resize(answers.len() * 8, 0);
+    for (rec, &a) in out.chunks_exact_mut(8).zip(answers) {
+        rec.copy_from_slice(&a.to_le_bytes());
+    }
 }
 
 /// Decodes an answer array payload.
@@ -709,6 +767,94 @@ mod tests {
             Err(NetError::Protocol(ProtocolError::Truncated)) => {}
             other => panic!("expected Truncated, got {other:?}"),
         }
+    }
+
+    /// Yields its bytes, then `WouldBlock` forever: a peer that went quiet
+    /// mid-frame on a socket with a read timeout.
+    struct StalledPeer<'a>(&'a [u8]);
+
+    impl Read for StalledPeer<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            self.0.read(buf)
+        }
+    }
+
+    /// A shutdown that lands while a worker waits for the rest of a frame
+    /// ends the read cleanly. (It used to hit an `unreachable!` and panic
+    /// the worker thread.)
+    #[test]
+    fn shutdown_mid_frame_is_a_clean_close() {
+        let header = encode_header(Opcode::QueryBatch, 24, 1);
+        let mut wire = header.to_vec();
+        for sent in [HEADER_LEN, HEADER_LEN + 10, 7] {
+            wire.resize(sent.max(wire.len()), 0);
+            let frame = read_frame(&mut StalledPeer(&wire[..sent]), DEFAULT_MAX_PAYLOAD, || false);
+            assert!(matches!(frame, Ok(None)), "{sent} bytes in, then shutdown: {frame:?}");
+        }
+    }
+
+    #[test]
+    fn into_codecs_equal_their_wrappers_and_keep_the_buffer() {
+        let queries: Vec<Query> = (0..300u32)
+            .map(|i| match i % 4 {
+                0 => Query::Connected(i, i + 1),
+                1 => Query::ComponentOf(i),
+                2 => Query::ComponentSize(i),
+                _ => Query::TopKSize(i),
+            })
+            .collect();
+        let answers: Vec<u64> =
+            (0..300u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
+
+        // Buffers that start longer, shorter and with stale contents.
+        let (mut bytes, mut decoded, mut reply) =
+            (vec![0xAB; 5000], vec![Query::TopKSize(9)], vec![]);
+        encode_queries_into(&queries, &mut bytes);
+        assert_eq!(bytes, encode_queries(&queries));
+        decode_queries_into(&bytes, &mut decoded).expect("own encoding");
+        assert_eq!(decoded, queries);
+        encode_answers_into(&answers, &mut reply);
+        assert_eq!(reply, encode_answers(&answers));
+        assert_eq!(decode_answers(&reply).expect("answers"), answers);
+
+        // A second frame of the same size lands in the same allocations.
+        let before = (bytes.as_ptr(), decoded.as_ptr(), reply.as_ptr());
+        encode_queries_into(&queries, &mut bytes);
+        decode_queries_into(&bytes, &mut decoded).expect("own encoding");
+        encode_answers_into(&answers, &mut reply);
+        assert_eq!(before, (bytes.as_ptr(), decoded.as_ptr(), reply.as_ptr()));
+
+        // An empty batch empties the buffers.
+        encode_queries_into(&[], &mut bytes);
+        decode_queries_into(&bytes, &mut decoded).expect("empty batch");
+        assert!(bytes.is_empty() && decoded.is_empty());
+    }
+
+    #[test]
+    fn read_frame_into_reuses_the_payload_buffer() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, Opcode::QueryBatch, 1, &[7u8; 96]).expect("write");
+        write_frame(&mut wire, Opcode::QueryBatch, 2, &[9u8; 96]).expect("write");
+        write_frame(&mut wire, Opcode::Health, 3, &[]).expect("write");
+        let mut cursor = &wire[..];
+        let mut payload = Vec::new();
+        let mut next = |payload: &mut Vec<u8>| {
+            read_frame_into(&mut cursor, DEFAULT_MAX_PAYLOAD, || true, payload)
+                .expect("read")
+                .expect("frame")
+        };
+        assert_eq!(next(&mut payload).request_id, 1);
+        assert_eq!(payload, [7u8; 96]);
+        let first = (payload.as_ptr(), payload.capacity());
+        assert_eq!(next(&mut payload).request_id, 2);
+        assert_eq!(payload, [9u8; 96]);
+        assert_eq!(first, (payload.as_ptr(), payload.capacity()), "same size, same allocation");
+        assert_eq!(next(&mut payload).opcode, Opcode::Health);
+        assert!(payload.is_empty(), "the buffer holds this frame's payload only");
+        assert_eq!(first.1, payload.capacity(), "a shorter frame keeps the capacity");
     }
 
     #[test]

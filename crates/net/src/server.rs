@@ -23,6 +23,21 @@
 //! one epoch, and the next frame simply observes the newer one. The
 //! snapshot is dropped when the frame is answered, so workers never pin
 //! an old epoch for longer than one batch.
+//!
+//! # One pass, one write, no allocation per frame
+//!
+//! A connection owns four buffers (`FrameBufs`: request payload, decoded
+//! queries, answers, reply payload) and reuses them for every frame it
+//! serves, so a steady stream of frames allocates nothing: the read
+//! resizes the payload buffer, the codecs' `*_into` forms overwrite the
+//! others in place. The stages stay separate — decode, pin, pass, encode —
+//! and the pass is `throughput::timed_pass`: the whole frame under one
+//! clock pair, its amortised ns/query recorded once into
+//! `net_request_service_ns`, weighted by the frame's length. Nothing in the
+//! per-query loop reads a clock or touches a histogram. Every reply leaves
+//! as one gathered write of header and payload (`write_frame`). The buffers
+//! grow to the largest frame the connection sent — at most `max_payload`
+//! and what it decodes to — and are freed with the connection.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -33,12 +48,14 @@ use std::time::Duration;
 
 use ampc_obs::{counter, gauge, hist, CounterId, GaugeId, HistId, Histogram};
 use ampc_query::throughput::timed_pass;
+use ampc_query::Query;
 use ampc_serve::fault::{self, Site};
 use ampc_serve::{HealthState, ServeError, ServiceHandle};
 
 use crate::protocol::{
-    decode_edges, decode_queries, encode_answers, encode_error, write_frame, ErrorCode, Header,
-    NetError, Opcode, ProtocolError, WireHealth, WireInsertReport, DEFAULT_MAX_PAYLOAD,
+    decode_edges, decode_queries_into, encode_answers_into, encode_error, read_frame_into,
+    write_frame, ErrorCode, Header, NetError, Opcode, ProtocolError, WireHealth, WireInsertReport,
+    DEFAULT_MAX_PAYLOAD,
 };
 
 /// Tunables for [`serve`].
@@ -64,13 +81,19 @@ impl Default for ServerConfig {
 /// completes promptly.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
+/// How long the accept thread waits before retrying a failed `accept()`.
+/// A persistent error (`EMFILE` while descriptors are exhausted) would
+/// otherwise spin a core for as long as it lasts.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 struct Shared {
     service: ServiceHandle,
     config: ServerConfig,
     shutdown: AtomicBool,
     queue: Mutex<VecDeque<TcpStream>>,
     queue_signal: Condvar,
-    /// Server-side service latency (satellite: split from wire latency).
+    /// Server-side service time per query, amortised over each frame
+    /// (kept apart from the client-measured wire latency).
     service_hist: Histogram,
     connections_served: AtomicU64,
     connections_shed: AtomicU64,
@@ -147,8 +170,10 @@ impl ServerHandle {
         self.shared.connections_shed.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of the per-server service-latency histogram (server-side
-    /// time per query, excluding the wire).
+    /// Snapshot of the per-server service-time histogram: each answered
+    /// frame's engine pass divided by its length, recorded once per frame
+    /// with the length as weight — `count` is queries served, a value is
+    /// that frame's amortised ns/query, the wire excluded.
     pub fn service_latency(&self) -> ampc_obs::HistSnapshot {
         self.shared.service_hist.snapshot()
     }
@@ -204,7 +229,10 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => continue,
+            Err(_) => {
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue; // the loop head re-checks `running()`
+            }
         };
         if !shared.running() {
             break; // the shutdown wake-up connection lands here
@@ -272,12 +300,16 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_nodelay(true);
 
+    let mut bufs = FrameBufs::default();
     loop {
-        let frame = crate::protocol::read_frame(&mut stream, shared.config.max_payload, || {
-            shared.running()
-        });
-        let (header, payload) = match frame {
-            Ok(Some(f)) => f,
+        let frame = read_frame_into(
+            &mut stream,
+            shared.config.max_payload,
+            || shared.running(),
+            &mut bufs.payload,
+        );
+        let header = match frame {
+            Ok(Some(h)) => h,
             Ok(None) => return, // clean close or shutdown
             Err(NetError::Protocol(e)) => {
                 counter(CounterId::NetProtocolErrors).add(1);
@@ -290,12 +322,44 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             Err(NetError::Io(_)) => return,
         };
         counter(CounterId::NetRequests).add(1);
-        match dispatch(shared, &mut stream, header, &payload) {
+        match dispatch(shared, &mut stream, header, &mut bufs) {
             Ok(ConnState::Keep) => {}
             Ok(ConnState::Close) => return,
             Err(_) => return, // write side failed; nothing left to say
         }
     }
+}
+
+/// The buffers one connection reuses for every frame it serves.
+#[derive(Default)]
+struct FrameBufs {
+    /// The request payload as read off the socket.
+    payload: Vec<u8>,
+    queries: Vec<Query>,
+    answers: Vec<u64>,
+    /// The encoded `RespAnswers` payload.
+    reply: Vec<u8>,
+}
+
+/// Answers the `QueryBatch` payload in `bufs.payload`, leaving the encoded
+/// reply in `bufs.reply`: decode, pin one snapshot, one timed pass, encode.
+/// On a decode error `bufs.reply` is left as it was and nothing is recorded.
+fn answer_query_batch(
+    service: &ServiceHandle,
+    service_hist: &Histogram,
+    bufs: &mut FrameBufs,
+) -> Result<(), ProtocolError> {
+    let FrameBufs { payload, queries, answers, reply } = bufs;
+    decode_queries_into(payload, queries)?;
+    // Pin one snapshot for the whole frame: every answer in this batch
+    // comes from one epoch, whatever publishes meanwhile.
+    let snapshot = service.snapshot();
+    let engine = snapshot.engine();
+    answers.clear();
+    answers.reserve(queries.len());
+    timed_pass(&engine, queries, service_hist, hist(HistId::NetServiceNs), |a| answers.push(a));
+    encode_answers_into(answers, reply);
+    Ok(())
 }
 
 enum ConnState {
@@ -307,24 +371,15 @@ fn dispatch(
     shared: &Shared,
     stream: &mut TcpStream,
     header: Header,
-    payload: &[u8],
+    bufs: &mut FrameBufs,
 ) -> std::io::Result<ConnState> {
     let id = header.request_id;
     match header.opcode {
         Opcode::QueryBatch => {
-            let queries = match decode_queries(payload) {
-                Ok(q) => q,
-                Err(e) => return protocol_reject(stream, id, &e),
-            };
-            // Pin one snapshot for the whole frame: every answer in this
-            // batch comes from one epoch, whatever publishes meanwhile.
-            let snapshot = shared.service.snapshot();
-            let engine = snapshot.engine();
-            let mut answers = Vec::with_capacity(queries.len());
-            timed_pass(&engine, &queries, &shared.service_hist, hist(HistId::NetServiceNs), |a| {
-                answers.push(a)
-            });
-            write_frame(stream, Opcode::RespAnswers, id, &encode_answers(&answers))?;
+            if let Err(e) = answer_query_batch(&shared.service, &shared.service_hist, bufs) {
+                return protocol_reject(stream, id, &e);
+            }
+            write_frame(stream, Opcode::RespAnswers, id, &bufs.reply)?;
             Ok(ConnState::Keep)
         }
         Opcode::Health => {
@@ -349,7 +404,7 @@ fn dispatch(
             Ok(ConnState::Keep)
         }
         Opcode::InsertEdges => {
-            let edges = match decode_edges(payload) {
+            let edges = match decode_edges(&bufs.payload) {
                 Ok(e) => e,
                 Err(e) => return protocol_reject(stream, id, &e),
             };
@@ -407,4 +462,54 @@ fn protocol_reject(
     let _ = write_frame(stream, Opcode::RespError, id, &encode_error(code, &message));
     let _ = stream.shutdown(std::net::Shutdown::Both);
     Ok(ConnState::Close)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{decode_answers, encode_queries, QUERY_WIRE_LEN};
+    use ampc_graph::generators::random_forest;
+    use ampc_query::workload::{self, Mix};
+    use ampc_serve::ServiceBuilder;
+
+    /// The four buffers of a connection: a frame refused at its last record
+    /// leaves them fit to answer the next frame exactly, and a second frame
+    /// of the same size is answered in the same four allocations — which is
+    /// how "a steady-state frame allocates no buffer" is checked.
+    #[test]
+    fn frame_buffers_survive_a_refused_frame_and_are_not_reallocated() {
+        let service = ServiceBuilder::new(random_forest(500, 6, 0xB0F)).build().expect("service");
+        let snapshot = service.snapshot();
+        let engine = snapshot.engine();
+        let hist = Histogram::new();
+        let mut bufs = FrameBufs::default();
+        let frame = |seed| workload::generate(snapshot.index(), Mix::Uniform, 1000, seed);
+        let expected =
+            |queries: &[Query]| queries.iter().map(|&q| engine.answer(q)).collect::<Vec<u64>>();
+
+        let first = frame(1);
+        bufs.payload = encode_queries(&first);
+        answer_query_batch(&service, &hist, &mut bufs).expect("valid frame");
+        assert_eq!(decode_answers(&bufs.reply).expect("reply"), expected(&first));
+        let allocations = |b: &FrameBufs| {
+            (b.payload.as_ptr(), b.queries.as_ptr(), b.answers.as_ptr(), b.reply.as_ptr())
+        };
+        let (before, reply) = (allocations(&bufs), bufs.reply.clone());
+
+        let last = bufs.payload.len() - QUERY_WIRE_LEN;
+        bufs.payload[last] = 0x99;
+        assert_eq!(
+            answer_query_batch(&service, &hist, &mut bufs),
+            Err(ProtocolError::Malformed("unknown query tag"))
+        );
+        assert_eq!(bufs.reply, reply, "a refused frame encodes no partial reply");
+        assert_eq!(hist.snapshot().count, 1000, "and records nothing");
+
+        let second = frame(2);
+        crate::protocol::encode_queries_into(&second, &mut bufs.payload);
+        answer_query_batch(&service, &hist, &mut bufs).expect("valid frame");
+        assert_eq!(decode_answers(&bufs.reply).expect("reply"), expected(&second));
+        assert_eq!(allocations(&bufs), before, "same size, same four allocations");
+        assert_eq!(hist.snapshot().count, 2000);
+    }
 }

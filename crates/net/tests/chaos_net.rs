@@ -11,7 +11,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use ampc_graph::generators::random_forest;
 use ampc_graph::reference_components;
-use ampc_net::{ClientError, Connection, HarnessConfig, ServerConfig};
+use ampc_net::protocol::{encode_header, write_frame};
+use ampc_net::{ClientError, Connection, HarnessConfig, Opcode, ServerConfig};
 use ampc_query::workload::{self, Mix};
 use ampc_query::{ComponentIndex, Query, QueryEngine};
 use ampc_serve::fault::{self, FaultAction, Site};
@@ -123,6 +124,62 @@ fn accept_faults_drop_connections_but_workload_completes() {
     .expect("harness must converge despite dropped accepts");
     assert_eq!(fault::fired(Site::NetAccept), 2, "both scheduled drops must fire");
     assert_eq!(report.checksum, expected);
+}
+
+/// Accepts one byte per call and is interrupted before every other one:
+/// the slowest writer `write_frame` has to finish a frame through.
+#[derive(Default)]
+struct OneByteWriter {
+    bytes: Vec<u8>,
+    calls: usize,
+}
+
+impl std::io::Write for OneByteWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        if self.calls % 2 == 1 {
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        self.bytes.extend_from_slice(&buf[..buf.len().min(1)]);
+        Ok(buf.len().min(1))
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// One frame is `header ‖ payload` byte for byte — through a writer that
+/// takes it whole and through one that takes a byte at a time — and one
+/// traversal of `net.write`, however many writes it took.
+#[test]
+fn write_frame_is_one_frame_and_one_failpoint_traversal() {
+    let _session = FaultSession::begin();
+    // Armed far beyond this test's traversals: it counts them, never fires.
+    fault::arm(Site::NetWrite, FaultAction::Error, 1 << 20, 1);
+
+    for payload in [&b""[..], b"x", &[0x5A; 3000]] {
+        let mut expected = encode_header(Opcode::RespAnswers, payload.len() as u32, 9).to_vec();
+        expected.extend_from_slice(payload);
+
+        let before = fault::armed_hits(Site::NetWrite);
+        let mut whole = Vec::new();
+        write_frame(&mut whole, Opcode::RespAnswers, 9, payload).expect("write into a Vec");
+        assert_eq!(whole, expected);
+        assert_eq!(fault::armed_hits(Site::NetWrite) - before, 1);
+
+        let before = fault::armed_hits(Site::NetWrite);
+        let mut dribble = OneByteWriter::default();
+        write_frame(&mut dribble, Opcode::RespAnswers, 9, payload).expect("write byte by byte");
+        assert_eq!(dribble.bytes, expected);
+        assert_eq!(dribble.calls, 2 * expected.len(), "every byte was its own interrupted write");
+        assert_eq!(fault::armed_hits(Site::NetWrite) - before, 1);
+    }
+    assert_eq!(fault::fired(Site::NetWrite), 0);
+
+    // A writer that accepts nothing is an error, not a spin.
+    let err = write_frame(&mut &mut [0u8; 4][..], Opcode::Health, 1, b"").expect_err("full sink");
+    assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
 }
 
 /// With retries disabled, an injected wire fault surfaces as a typed

@@ -8,7 +8,10 @@ use std::net::TcpListener;
 use ampc_graph::generators::random_forest;
 use ampc_graph::reference_components;
 use ampc_graph::Graph;
-use ampc_net::{prom_histogram_quantiles, ClientError, Connection, HarnessConfig, ServerConfig};
+use ampc_net::protocol::{encode_header, encode_queries, QUERY_WIRE_LEN};
+use ampc_net::{
+    prom_histogram_quantiles, ClientError, Connection, HarnessConfig, Opcode, ServerConfig,
+};
 use ampc_query::workload::{self, Mix};
 use ampc_query::{ComponentIndex, Query, QueryEngine};
 use ampc_serve::ServiceBuilder;
@@ -61,6 +64,42 @@ fn all_mixes_match_oracle_over_loopback() {
     let latency = server.service_latency();
     assert!(latency.count >= sent, "every wire query must land in the service histogram");
     assert!(latency.quantile(0.5) > 0, "service latency must be nonzero");
+}
+
+/// One connection, whose server-side buffers are reused frame after frame:
+/// a 4 096-query frame equals the in-process engine answer for answer, an
+/// empty frame answers empty, a short frame after the long one is not
+/// padded with the long one's leftovers, and a frame whose *last* record
+/// has an unknown tag gets one typed error frame and nothing else — no
+/// partial reply for the 4 095 records that did decode.
+#[test]
+fn frames_of_any_size_share_one_connections_buffers() {
+    let graph = test_graph();
+    let index = ComponentIndex::build(&reference_components(&graph));
+    let engine = QueryEngine::new(&index);
+    let service = ServiceBuilder::new(graph).build().expect("service");
+    let server = start_server(service, ServerConfig::default());
+    let mut conn = Connection::connect(server.local_addr()).expect("connect");
+
+    let long = workload::generate(&index, Mix::Uniform, 4096, SEED ^ 0x10);
+    let short = workload::generate(&index, Mix::Zipf { exponent: 1.1 }, 64, SEED ^ 0x11);
+    for frame in [&long[..], &[], &short[..], &long[..]] {
+        let expected: Vec<u64> = frame.iter().map(|&q| engine.answer(q)).collect();
+        assert_eq!(conn.query_batch(frame).expect("query batch"), expected);
+    }
+    assert_eq!(server.service_latency().count, 2 * 4096 + 64, "one weighted record per frame");
+
+    let mut payload = encode_queries(&long);
+    let last = payload.len() - QUERY_WIRE_LEN;
+    payload[last] = 0x99;
+    let mut frame = encode_header(Opcode::QueryBatch, payload.len() as u32, 77).to_vec();
+    frame.extend_from_slice(&payload);
+    conn.send_raw(&frame).expect("send");
+    let (header, body) = conn.recv_raw().expect("read").expect("one error frame");
+    assert_eq!((header.opcode, header.request_id), (Opcode::RespError, 77));
+    let (code, _) = ampc_net::protocol::decode_error(&body).expect("typed error");
+    assert_eq!(code, ampc_net::ErrorCode::Malformed);
+    assert!(conn.recv_raw().expect("eof").is_none(), "nothing follows the error frame");
 }
 
 /// A rebuild publishing mid-flight never tears a batch: every batch's

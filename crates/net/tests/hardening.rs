@@ -171,6 +171,26 @@ fn truncated_frame_then_close_frees_the_worker() {
     assert_server_alive(addr);
 }
 
+/// A shutdown while a peer sits mid-frame — header declaring 100 bytes,
+/// nothing after it — ends that connection like any other: `shutdown()`
+/// returns with every worker joined and the connection counted as served.
+/// (The worker used to panic in `read_frame` and never count it.)
+#[test]
+fn shutdown_with_a_peer_mid_frame_joins_the_worker() {
+    let mut server = start_server();
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.write_all(&encode_header(Opcode::QueryBatch, 100, 1)).expect("header only");
+    stream.flush().expect("flush");
+    // The admission queue is FIFO, so a round trip on a second connection
+    // means a worker already took the first; it reads the header waiting in
+    // the socket whatever the shutdown flag says, and only then blocks.
+    assert_server_alive(server.local_addr());
+
+    server.shutdown();
+    assert_eq!(server.connections_served(), 2, "the stalled connection and the probe");
+    drop(stream);
+}
+
 /// A connection that opens and closes without sending anything is a clean
 /// close, not an error.
 #[test]

@@ -197,8 +197,9 @@ pub enum HistId {
     SnapshotBootNs,
     /// Per-query serving latency.
     QueryLatencyNs,
-    /// Server-side per-query service time on the network path (frame
-    /// decoded → answer computed, excluding socket I/O).
+    /// Server-side service time per query on the network path: each
+    /// frame's engine pass divided by its length, recorded once per frame
+    /// with the length as weight (excludes decode, encode and socket I/O).
     NetServiceNs,
     /// Client-observed round-trip wire latency per request frame.
     NetWireNs,
@@ -242,7 +243,9 @@ impl HistId {
             HistId::SnapshotPersistNs => "Snapshot persist time (ns)",
             HistId::SnapshotBootNs => "Snapshot boot time (ns)",
             HistId::QueryLatencyNs => "Per-query serving latency (ns)",
-            HistId::NetServiceNs => "Server-side per-query service time on the network path (ns)",
+            HistId::NetServiceNs => {
+                "Server-side service time per query: each frame's mean, weighted by its length (ns)"
+            }
             HistId::NetWireNs => "Client-observed round-trip wire latency per request frame (ns)",
         }
     }

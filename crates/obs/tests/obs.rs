@@ -111,6 +111,47 @@ fn shard_merge_is_deterministic_across_thread_splits() {
     }
 }
 
+/// `record_n(v, n)` is `n` calls of `record(v)` to a snapshot reader —
+/// buckets, count, sum and max — from one thread and from four, whose
+/// weighted records land on different shards and merge like any others.
+#[test]
+fn record_n_leaves_the_snapshot_of_n_records() {
+    // Includes 0 (bucket 0), a bucket edge, n = 0 and a sum that wraps.
+    let weighted: [(u64, u64); 6] =
+        [(0, 3), (7, 4096), (8, 1), (1_000_003, 512), (12_345, 0), (u64::MAX, 2)];
+
+    let assert_same = |a: &Histogram, b: &Histogram, what: &str| {
+        let (a, b) = (a.snapshot(), b.snapshot());
+        assert_eq!(a.buckets, b.buckets, "{what}: buckets");
+        assert_eq!((a.count, a.sum, a.max), (b.count, b.sum, b.max), "{what}: count, sum, max");
+    };
+
+    let (by_n, one_by_one) = (Histogram::new(), Histogram::new());
+    by_n.record_n(12_345, 0);
+    assert_eq!(by_n.snapshot().count, 0, "n = 0 records nothing");
+    assert_eq!(by_n.snapshot().max, 0, "n = 0 must not move max either");
+    for &(v, n) in &weighted {
+        by_n.record_n(v, n);
+        (0..n).for_each(|_| one_by_one.record(v));
+    }
+    assert_same(&by_n, &one_by_one, "one thread");
+    assert_eq!(by_n.snapshot().count, weighted.iter().map(|&(_, n)| n).sum::<u64>());
+
+    let (by_n, one_by_one) = (Histogram::new(), Histogram::new());
+    thread::scope(|s| {
+        for t in 0..4u64 {
+            let (by_n, one_by_one) = (&by_n, &one_by_one);
+            s.spawn(move || {
+                for &(v, n) in &weighted {
+                    by_n.record_n(v.wrapping_add(t), n);
+                    (0..n).for_each(|_| one_by_one.record(v.wrapping_add(t)));
+                }
+            });
+        }
+    });
+    assert_same(&by_n, &one_by_one, "four threads");
+}
+
 #[test]
 fn trace_ring_seqs_are_unique_and_monotone_under_concurrent_writers() {
     let ring = TraceRing::new();

@@ -6,7 +6,7 @@
 //! seed-reproducible at any thread count: every query is answered exactly
 //! once, and the aggregate checksum (a wrapping sum, hence
 //! partition-order-invariant) is identical for 1 thread and 64. Each
-//! thread pins its own [`IndexSnapshot`] (the service read path)
+//! thread pins its own [`crate::IndexSnapshot`] (the service read path)
 //! and reuses one answer buffer, so the measured loop is exactly the
 //! serving hot path: pin, answer, sum.
 //!
