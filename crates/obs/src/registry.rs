@@ -193,7 +193,7 @@ pub enum HistId {
     CompactionNs,
     /// Snapshot persist (encode + write + rename + fsync) time.
     SnapshotPersistNs,
-    /// Snapshot boot (read + validate + reinterpret) time.
+    /// Snapshot boot (read + validate + decode) time.
     SnapshotBootNs,
     /// Per-query serving latency.
     QueryLatencyNs,

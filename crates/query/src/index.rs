@@ -18,87 +18,24 @@
 //! ```
 //!
 //! The four arrays are plain fixed-width words (`offsets` is `u64`, not
-//! `usize`, precisely so the in-memory layout *is* the on-disk layout of
-//! [`crate::snapshot`]) and can be **owned** (`Vec`s, the product of a live
-//! [`ComponentIndex::build`]) or **borrowed** in place from a loaded
-//! snapshot buffer. Either way the hot path reads through the same raw
-//! slices — no enum dispatch, no hashing, no deserialization.
-
-use std::sync::Arc;
+//! `usize`, so the in-memory words are the words [`crate::snapshot`] writes
+//! to disk) held in four owned `Vec`s. A live [`ComponentIndex::build`] and
+//! a snapshot decode go through the same constructor, so a booted index is
+//! indistinguishable from a built one.
 
 use ampc_graph::{Graph, Labeling, VertexId};
-
-use crate::snapshot::SnapshotBuf;
 
 /// Dense component identifier in `0..num_components`.
 pub type ComponentId = u32;
 
-/// A borrowed fixed-width section: raw pointer + element count. The
-/// pointee is owned by the index's [`Storage`] (a `Vec`'s heap buffer or a
-/// shared snapshot buffer), both of which keep their allocation at a
-/// stable address for the index's whole lifetime, so the pointer stays
-/// valid even as the `ComponentIndex` value itself moves.
-struct RawSlice<T> {
-    ptr: *const T,
-    len: usize,
-}
-
-impl<T> Clone for RawSlice<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for RawSlice<T> {}
-
-impl<T> RawSlice<T> {
-    fn of(s: &[T]) -> Self {
-        RawSlice { ptr: s.as_ptr(), len: s.len() }
-    }
-
-    /// # Safety
-    /// The caller must guarantee the pointee outlives `'a` and is never
-    /// mutated — upheld by tying every call to `&self` of the owning
-    /// [`ComponentIndex`], whose `storage` keeps the buffer alive and
-    /// immutable.
-    #[inline]
-    unsafe fn get<'a>(&self) -> &'a [T] {
-        std::slice::from_raw_parts(self.ptr, self.len)
-    }
-}
-
-/// What owns the bytes behind the four sections.
-enum Storage {
-    /// A live build: the index owns its arrays.
-    Owned {
-        #[allow(dead_code)]
-        comp_of: Vec<ComponentId>,
-        #[allow(dead_code)]
-        offsets: Vec<u64>,
-        #[allow(dead_code)]
-        members: Vec<VertexId>,
-        #[allow(dead_code)]
-        by_size: Vec<ComponentId>,
-    },
-    /// A booted snapshot: the sections are views into one shared,
-    /// alignment-guaranteed buffer (zero per-element deserialization).
-    Snapshot(#[allow(dead_code)] Arc<SnapshotBuf>),
-}
-
 /// An immutable connectivity index over one labeling.
+#[derive(Clone, PartialEq, Eq)]
 pub struct ComponentIndex {
-    comp_of: RawSlice<ComponentId>,
-    offsets: RawSlice<u64>,
-    members: RawSlice<VertexId>,
-    by_size: RawSlice<ComponentId>,
-    storage: Storage,
+    comp_of: Vec<ComponentId>,
+    offsets: Vec<u64>,
+    members: Vec<VertexId>,
+    by_size: Vec<ComponentId>,
 }
-
-// SAFETY: the raw slices point into `storage`, which is `Send + Sync`
-// (`Vec`s / `Arc<SnapshotBuf>` of plain words) and is never mutated after
-// construction; sharing immutable views of it across threads is sound.
-unsafe impl Send for ComponentIndex {}
-unsafe impl Sync for ComponentIndex {}
 
 /// Open-addressed `u64 label → ComponentId` table, sized from the labeling
 /// so the load factor never exceeds 1/2 and no resize ever happens.
@@ -158,56 +95,15 @@ impl LabelInterner {
 }
 
 impl ComponentIndex {
-    /// Builds an index that owns its arrays, wiring up the raw section
-    /// views. Moving a `Vec` moves only its (ptr, len, cap) triple — the
-    /// heap buffer the views point into stays put.
-    fn from_owned(
+    /// The one constructor: [`ComponentIndex::build`] hands it the arrays
+    /// it computed, [`crate::snapshot::decode`] the arrays it validated.
+    pub(crate) fn from_parts(
         comp_of: Vec<ComponentId>,
         offsets: Vec<u64>,
         members: Vec<VertexId>,
         by_size: Vec<ComponentId>,
     ) -> Self {
-        ComponentIndex {
-            comp_of: RawSlice::of(&comp_of),
-            offsets: RawSlice::of(&offsets),
-            members: RawSlice::of(&members),
-            by_size: RawSlice::of(&by_size),
-            storage: Storage::Owned { comp_of, offsets, members, by_size },
-        }
-    }
-
-    /// Builds an index whose sections are in-place views of `buf` — the
-    /// zero-copy boot path. Each section is `(byte_offset, element_count)`
-    /// into the buffer.
-    ///
-    /// # Safety
-    /// Every section must lie within `buf`, be aligned for its element
-    /// type, and already be validated ([`crate::snapshot`] checks bounds,
-    /// alignment, checksums, and value ranges before calling this).
-    pub(crate) unsafe fn from_snapshot_buf(
-        buf: Arc<SnapshotBuf>,
-        comp_of: (usize, usize),
-        offsets: (usize, usize),
-        members: (usize, usize),
-        by_size: (usize, usize),
-    ) -> Self {
-        let base = buf.as_bytes().as_ptr();
-        let section = |(off, len): (usize, usize)| RawSlice {
-            // SAFETY: caller guarantees `off` is in bounds of the buffer.
-            ptr: unsafe { base.add(off) } as *const ComponentId,
-            len,
-        };
-        ComponentIndex {
-            comp_of: section(comp_of),
-            offsets: RawSlice {
-                // SAFETY: as above.
-                ptr: unsafe { base.add(offsets.0) } as *const u64,
-                len: offsets.1,
-            },
-            members: section(members),
-            by_size: section(by_size),
-            storage: Storage::Snapshot(buf),
-        }
+        ComponentIndex { comp_of, offsets, members, by_size }
     }
 
     /// Builds the index from a labeling.
@@ -250,7 +146,7 @@ impl ComponentIndex {
             (u64::MAX - (offsets[comp as usize + 1] - offsets[comp as usize]), comp)
         });
 
-        Self::from_owned(comp_of, offsets, members, by_size)
+        Self::from_parts(comp_of, offsets, members, by_size)
     }
 
     /// Builds the index from a pipeline run over `g`, refusing a labeling
@@ -271,50 +167,21 @@ impl ComponentIndex {
         Ok(Self::build(labeling))
     }
 
-    /// The `comp_of` section (vertex → dense component id).
-    #[inline]
-    pub(crate) fn comp_of_slice(&self) -> &[ComponentId] {
-        // SAFETY: `storage` owns the pointee and is immutable; see RawSlice.
-        unsafe { self.comp_of.get() }
-    }
-
-    /// The CSR `offsets` section (fixed-width, snapshot-identical layout).
-    #[inline]
-    pub(crate) fn offsets_slice(&self) -> &[u64] {
-        // SAFETY: as above.
-        unsafe { self.offsets.get() }
-    }
-
-    /// The `members` section (concatenated sorted member lists).
-    #[inline]
-    pub(crate) fn members_slice(&self) -> &[VertexId] {
-        // SAFETY: as above.
-        unsafe { self.members.get() }
-    }
-
-    /// The `by_size` ranking section.
-    #[inline]
-    pub(crate) fn by_size_slice(&self) -> &[ComponentId] {
-        // SAFETY: as above.
-        unsafe { self.by_size.get() }
-    }
-
-    /// True iff this index borrows its sections from a loaded snapshot
-    /// buffer rather than owning them.
-    pub fn is_snapshot_backed(&self) -> bool {
-        matches!(self.storage, Storage::Snapshot(_))
+    /// The four arrays in constructor order, for the snapshot writer.
+    pub(crate) fn parts(&self) -> (&[ComponentId], &[u64], &[VertexId], &[ComponentId]) {
+        (&self.comp_of, &self.offsets, &self.members, &self.by_size)
     }
 
     /// Number of vertices indexed.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        self.comp_of.len
+        self.comp_of.len()
     }
 
     /// Number of connected components.
     #[inline]
     pub fn num_components(&self) -> usize {
-        self.offsets.len - 1
+        self.offsets.len() - 1
     }
 
     /// Dense component id of `v`. One array read.
@@ -324,7 +191,7 @@ impl ComponentIndex {
     /// unknown provenance use [`ComponentIndex::try_component_of`] instead.
     #[inline]
     pub fn component_of(&self, v: VertexId) -> ComponentId {
-        self.comp_of_slice()[v as usize]
+        self.comp_of[v as usize]
     }
 
     /// Checked [`ComponentIndex::component_of`]: `None` when `v` is not a
@@ -332,7 +199,7 @@ impl ComponentIndex {
     /// bounds-checks too, it just panics.
     #[inline]
     pub fn try_component_of(&self, v: VertexId) -> Option<ComponentId> {
-        self.comp_of_slice().get(v as usize).copied()
+        self.comp_of.get(v as usize).copied()
     }
 
     /// True iff `u` and `v` are in the same component. Two array reads.
@@ -342,8 +209,7 @@ impl ComponentIndex {
     /// [`ComponentIndex::try_connected`].
     #[inline]
     pub fn connected(&self, u: VertexId, v: VertexId) -> bool {
-        let comp_of = self.comp_of_slice();
-        comp_of[u as usize] == comp_of[v as usize]
+        self.comp_of[u as usize] == self.comp_of[v as usize]
     }
 
     /// Checked [`ComponentIndex::connected`]: `None` when either vertex is
@@ -356,8 +222,7 @@ impl ComponentIndex {
     /// Number of vertices in component `c`. Two array reads.
     #[inline]
     pub fn size_of(&self, c: ComponentId) -> usize {
-        let offsets = self.offsets_slice();
-        (offsets[c as usize + 1] - offsets[c as usize]) as usize
+        (self.offsets[c as usize + 1] - self.offsets[c as usize]) as usize
     }
 
     /// Size of the component containing `v`. Three array reads.
@@ -380,75 +245,43 @@ impl ComponentIndex {
     /// Sorted member vertices of component `c`. A slice borrow, no copy.
     #[inline]
     pub fn members(&self, c: ComponentId) -> &[VertexId] {
-        let offsets = self.offsets_slice();
-        &self.members_slice()[offsets[c as usize] as usize..offsets[c as usize + 1] as usize]
+        &self.members[self.offsets[c as usize] as usize..self.offsets[c as usize + 1] as usize]
     }
 
     /// The (at most) `k` largest components, largest first, ties by
     /// ascending component id. A slice borrow of the precomputed ranking.
     #[inline]
     pub fn top_k(&self, k: usize) -> &[ComponentId] {
-        let by_size = self.by_size_slice();
-        &by_size[..k.min(by_size.len())]
+        &self.by_size[..k.min(self.by_size.len())]
     }
 
     /// Size of the `rank`-th largest component (1-based), or 0 when there
     /// are fewer than `rank` components.
     #[inline]
     pub fn kth_largest_size(&self, rank: usize) -> usize {
-        let by_size = self.by_size_slice();
-        if rank == 0 || rank > by_size.len() {
+        if rank == 0 || rank > self.by_size.len() {
             return 0;
         }
-        self.size_of(by_size[rank - 1])
+        self.size_of(self.by_size[rank - 1])
     }
 
-    /// Heap footprint of the index in bytes (the serving-capacity number).
-    /// For a snapshot-backed index this is the mapped portion of the
-    /// buffer the sections cover.
+    /// Heap footprint of the index in bytes (the serving-capacity number):
+    /// the four arrays' elements, the same for a built and a booted index.
     pub fn heap_bytes(&self) -> usize {
-        self.comp_of.len * std::mem::size_of::<ComponentId>()
-            + self.offsets.len * std::mem::size_of::<u64>()
-            + self.members.len * std::mem::size_of::<VertexId>()
-            + self.by_size.len * std::mem::size_of::<ComponentId>()
+        self.comp_of.len() * std::mem::size_of::<ComponentId>()
+            + self.offsets.len() * std::mem::size_of::<u64>()
+            + self.members.len() * std::mem::size_of::<VertexId>()
+            + self.by_size.len() * std::mem::size_of::<ComponentId>()
     }
 }
-
-impl Clone for ComponentIndex {
-    /// Cloning always produces an owning index (a snapshot-backed clone
-    /// deep-copies its sections out of the shared buffer).
-    fn clone(&self) -> Self {
-        Self::from_owned(
-            self.comp_of_slice().to_vec(),
-            self.offsets_slice().to_vec(),
-            self.members_slice().to_vec(),
-            self.by_size_slice().to_vec(),
-        )
-    }
-}
-
-impl PartialEq for ComponentIndex {
-    /// Section-wise equality: an owned index and a snapshot-backed one
-    /// loaded from its persisted form compare equal — the representation
-    /// is not part of the value.
-    fn eq(&self, other: &Self) -> bool {
-        self.comp_of_slice() == other.comp_of_slice()
-            && self.offsets_slice() == other.offsets_slice()
-            && self.members_slice() == other.members_slice()
-            && self.by_size_slice() == other.by_size_slice()
-    }
-}
-
-impl Eq for ComponentIndex {}
 
 impl std::fmt::Debug for ComponentIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ComponentIndex")
             .field("num_vertices", &self.num_vertices())
             .field("num_components", &self.num_components())
-            .field("snapshot_backed", &self.is_snapshot_backed())
-            .field("comp_of", &self.comp_of_slice())
-            .field("by_size", &self.by_size_slice())
+            .field("comp_of", &self.comp_of)
+            .field("by_size", &self.by_size)
             .finish()
     }
 }
@@ -570,7 +403,6 @@ mod tests {
         let idx = index_of(&[4, 4, 9, 9, 9, 1]);
         let copy = idx.clone();
         assert_eq!(idx, copy);
-        assert!(!copy.is_snapshot_backed());
         drop(idx);
         // The clone owns its arrays — still answers after the original dies.
         assert_eq!(copy.component_of(5), 2);

@@ -24,12 +24,11 @@
 //!   to merged dense ids in one extra array read, byte-identical to a
 //!   from-scratch rebuild of the merged graph;
 //! * [`snapshot`] — versioned, checksummed on-disk persistence of an
-//!   index + labeling in the exact fixed-width layout the in-memory
-//!   arrays use, so a replica boot is one bulk read plus validation and
-//!   in-place reinterpretation — zero per-element deserialization
-//!   ([`ComponentIndex`] arrays are owned `Vec`s when built live, or
-//!   borrowed views over the snapshot buffer when booted from disk;
-//!   query code cannot tell the difference);
+//!   index + labeling as the fixed-width words the in-memory arrays
+//!   hold, so a replica boot is a header check, one bulk read and a
+//!   validated decode into the same four owned `Vec`s a live build
+//!   produces — no pipeline run, and a booted [`ComponentIndex`] is equal
+//!   to the built one it was persisted from;
 //! * [`workload`] — deterministic SplitMix64-seeded query-mix generators
 //!   (uniform, Zipf-skewed, adversarial cross-component) in the same style
 //!   as the graph generators, plus a plain-text query-file format;
@@ -44,6 +43,7 @@
 //! cross-validation matrix pins.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod engine;
 mod index;

@@ -1,12 +1,13 @@
-//! Zero-deserialization snapshot persistence for [`ComponentIndex`].
+//! Validated-decode snapshot persistence for [`ComponentIndex`].
 //!
 //! A snapshot is the finished product of a pipeline run — the four index
-//! arrays plus the labeling — written to disk in exactly the fixed-width
-//! layout the in-memory index uses, so a replica boot is one bulk read
-//! into an alignment-guaranteed buffer followed by header validation and
-//! in-place reinterpretation. No per-element decode, no allocation per
-//! section, no hashing: the same flat-array discipline that makes the
-//! dense DHT fast makes the boot path O(validate) instead of O(pipeline).
+//! arrays plus the labeling — written to disk as the same fixed-width
+//! words the in-memory index holds. A replica boot reads the header,
+//! checks everything the header alone can say, reads the body the header
+//! describes, verifies every checksum, decodes each section into its `Vec`
+//! and validates the result. No hashing and no pipeline run: the boot path
+//! is O(validate) instead of O(pipeline), and the file buffer is dropped
+//! before [`load`] returns.
 //!
 //! # On-disk format (version 1, little-endian)
 //!
@@ -35,22 +36,22 @@
 //! | 4    | `by_size`  | u32     | c     |
 //! | 5    | `labeling` | u64     | n     |
 //!
-//! The endianness tag is compared with a **native** 4-byte read: a
-//! big-endian host sees the byte-swapped value and gets
-//! [`SnapshotError::EndiannessMismatch`] instead of silently misreading
-//! little-endian sections it would otherwise reinterpret in place. All
+//! Every word is decoded with `from_le_bytes`, so the file reads the same
+//! on any host; the byte-order tag is a checked header constant (a file
+//! carrying anything else is [`SnapshotError::HeaderCorrupt`]). All
 //! checksums are the hand-rolled [`checksum`] fold hash (multiply-xorshift
 //! over 8-byte words, length folded into the seed) — no external crates.
 //!
 //! # Trust model
 //!
 //! The loader never trusts the file. Validation runs outside-in — size,
-//! magic, endianness, version, header checksum, section-table sanity
-//! (kinds, order, alignment, bounds, length consistency), per-section
-//! checksums, then semantic invariants (monotone offsets, in-range
-//! component ids, `by_size` a permutation, `comp_of` in first-appearance
-//! canonical form consistent with the labeling) — and every rejection is a
-//! typed [`SnapshotError`], never a panic and never undefined behaviour.
+//! magic, byte-order tag, version, header checksum, section-table sanity
+//! (kinds, order, alignment, bounds, length consistency), all of it from
+//! the header and the file length before the body is allocated or read;
+//! then per-section checksums; then semantic invariants (monotone
+//! offsets, in-range component ids, `by_size` a permutation, `comp_of` in
+//! first-appearance canonical form consistent with the labeling) — and
+//! every rejection is a typed [`SnapshotError`], never a panic.
 //!
 //! # Failpoints
 //!
@@ -66,7 +67,6 @@ use std::fs::File;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use ampc_graph::Labeling;
 use ampc_obs::fault::{self, Site};
@@ -78,8 +78,8 @@ pub const MAGIC: [u8; 8] = *b"AMPCSNAP";
 /// Current format version; bump on any layout change (see DESIGN.md for
 /// the version-bump policy).
 pub const FORMAT_VERSION: u32 = 1;
-/// Asymmetric endianness probe constant (no byte appears twice, and the
-/// byte-swapped value differs from the value itself).
+/// Byte-order tag of the header: an asymmetric constant (no byte appears
+/// twice), always stored and read little-endian.
 const ENDIAN_TAG: u32 = 0x0DD0_EC0D;
 /// Size of the fixed header, including the trailing header checksum.
 pub const HEADER_LEN: usize = 208;
@@ -96,16 +96,13 @@ const SECTION_NAMES: [&str; NUM_SECTIONS] =
 /// Why a snapshot could not be written or loaded.
 ///
 /// Every load-path failure is one of these — a corrupt or hostile file can
-/// never panic the replica or reinterpret out-of-bounds memory.
+/// never panic the replica.
 #[derive(Debug)]
 pub enum SnapshotError {
     /// The underlying filesystem operation failed.
     Io(std::io::Error),
     /// The file does not start with [`MAGIC`] — not a snapshot at all.
     BadMagic,
-    /// The file was written on a host with different endianness than the
-    /// reader; its sections cannot be reinterpreted in place.
-    EndiannessMismatch,
     /// The file's format version is not one this build understands.
     UnsupportedVersion {
         /// Version number found in the header.
@@ -118,8 +115,9 @@ pub enum SnapshotError {
         /// Bytes actually present.
         have: usize,
     },
-    /// The fixed header is self-inconsistent (bad section table, bad
-    /// algorithm tag, failed header checksum, trailing bytes, ...).
+    /// The fixed header is self-inconsistent (bad byte-order tag, bad
+    /// section table, bad algorithm tag, failed header checksum, trailing
+    /// bytes, ...).
     HeaderCorrupt {
         /// Human-readable diagnosis.
         detail: String,
@@ -144,9 +142,6 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(e) => write!(f, "snapshot i/o error: {e}"),
             SnapshotError::BadMagic => write!(f, "not a snapshot file (bad magic)"),
-            SnapshotError::EndiannessMismatch => {
-                write!(f, "snapshot endianness does not match this host")
-            }
             SnapshotError::UnsupportedVersion { found } => {
                 write!(f, "unsupported snapshot format version {found} (expected {FORMAT_VERSION})")
             }
@@ -186,7 +181,7 @@ impl From<std::io::Error> for SnapshotError {
 /// into every lane's seed, trailing partial stride zero-extended, lanes
 /// combined through the SplitMix64 finalizer. The lanes exist for
 /// instruction-level parallelism: a single multiply-fold chain is latency
-/// bound near 1 GB/s, which would dominate the zero-deserialization boot;
+/// bound near 1 GB/s, which would dominate the boot's validation passes;
 /// four interleaved chains run at memory speed, so checksumming every
 /// section at load costs well under a millisecond per 16 MB. Each lane
 /// step `l = (l ^ w) * M` (odd `M`) is injective in `w`, so any
@@ -228,55 +223,6 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     mix64(h)
 }
 
-/// An 8-byte-aligned byte buffer holding one whole snapshot file.
-///
-/// Backing storage is a `Vec<u64>`, so the base address is always aligned
-/// for every section element type (`u32`/`u64`) and in-place
-/// reinterpretation of 8-byte-aligned section offsets is sound.
-pub struct SnapshotBuf {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl SnapshotBuf {
-    /// An all-zero buffer of `len` bytes.
-    pub fn with_len(len: usize) -> Self {
-        SnapshotBuf { words: vec![0u64; len.div_ceil(8)], len }
-    }
-
-    /// A buffer holding a copy of `bytes` (for decoding in-memory images).
-    pub fn copy_of(bytes: &[u8]) -> Self {
-        let mut buf = Self::with_len(bytes.len());
-        buf.as_bytes_mut().copy_from_slice(bytes);
-        buf
-    }
-
-    /// The buffer contents.
-    #[inline]
-    pub fn as_bytes(&self) -> &[u8] {
-        // SAFETY: `words` owns ≥ `len` initialized bytes at an 8-aligned
-        // base; u64 → u8 reinterpretation is always valid.
-        unsafe { std::slice::from_raw_parts(self.words.as_ptr() as *const u8, self.len) }
-    }
-
-    fn as_bytes_mut(&mut self) -> &mut [u8] {
-        // SAFETY: as `as_bytes`, and `&mut self` gives unique access.
-        unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr() as *mut u8, self.len) }
-    }
-
-    /// Length in bytes.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True iff the buffer is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
 /// One row of a parsed section table (a test hook: the corruption-matrix
 /// tests use it to aim bit-flips and re-sign crafted files).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -294,13 +240,13 @@ pub struct SectionInfo {
     pub checksum_slot: usize,
 }
 
-/// A loaded snapshot: the zero-copy index plus the owned labeling and the
-/// run metadata the header carries.
+/// A loaded snapshot: the index and labeling decoded from the file, plus
+/// the run metadata the header carries.
+#[derive(Debug, PartialEq, Eq)]
 pub struct Snapshot {
-    /// The component index, borrowing its sections from the snapshot
-    /// buffer ([`ComponentIndex::is_snapshot_backed`] is true).
+    /// The component index, equal to the one that was persisted.
     pub index: ComponentIndex,
-    /// The run's labeling (copied out: `Labeling` owns a `Vec<u64>`).
+    /// The run's labeling.
     pub labeling: Labeling,
     /// Vertex count of the graph the run was over.
     pub graph_n: u64,
@@ -359,10 +305,7 @@ pub fn encode(
     assert_eq!(graph_n, n as u64, "graph_n disagrees with the index");
     assert!(algorithm == 1 || algorithm == 2, "algorithm tag must be 1 (forest) or 2 (general)");
 
-    let comp_of = index.comp_of_slice();
-    let offsets = index.offsets_slice();
-    let members = index.members_slice();
-    let by_size = index.by_size_slice();
+    let (comp_of, offsets, members, by_size) = index.parts();
 
     let lens = [
         comp_of.len() * 4,
@@ -489,53 +432,61 @@ pub fn persist(
 /// Public as a test hook: the corruption-matrix tests parse a good file's
 /// table to aim precise bit-flips and truncations.
 pub fn section_table(bytes: &[u8]) -> Result<[SectionInfo; NUM_SECTIONS], SnapshotError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(SnapshotError::Truncated { need: HEADER_LEN, have: bytes.len() });
+    header_checks(bytes, bytes.len() as u64)
+}
+
+/// Every check that needs only the fixed header and the file's length —
+/// which is all of them short of the payload checksums. `header` holds the
+/// file's first `HEADER_LEN` bytes (fewer only if the file is shorter);
+/// [`load`] runs this before it allocates or reads the body.
+fn header_checks(
+    header: &[u8],
+    file_len: u64,
+) -> Result<[SectionInfo; NUM_SECTIONS], SnapshotError> {
+    if header.len() < HEADER_LEN {
+        return Err(SnapshotError::Truncated { need: HEADER_LEN, have: header.len() });
     }
-    if bytes[..8] != MAGIC {
+    if header[..8] != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    // Native read on purpose: a byte-swapped tag means the file's sections
-    // cannot be reinterpreted on this host. Checked before the version so
-    // the version field itself is read with known byte order.
-    let tag = u32::from_ne_bytes(bytes[12..16].try_into().unwrap());
-    if tag != ENDIAN_TAG {
-        return Err(SnapshotError::EndiannessMismatch);
+    if u32_at(header, 12) != ENDIAN_TAG {
+        return Err(SnapshotError::HeaderCorrupt { detail: "bad byte-order tag".into() });
     }
-    let version = u32_at(bytes, 8);
+    let version = u32_at(header, 8);
     if version != FORMAT_VERSION {
         return Err(SnapshotError::UnsupportedVersion { found: version });
     }
-    let recorded = u64_at(bytes, HEADER_CHECKSUM_OFFSET);
-    if checksum(&bytes[..HEADER_CHECKSUM_OFFSET]) != recorded {
+    let recorded = u64_at(header, HEADER_CHECKSUM_OFFSET);
+    if checksum(&header[..HEADER_CHECKSUM_OFFSET]) != recorded {
         return Err(SnapshotError::HeaderCorrupt { detail: "header checksum mismatch".into() });
     }
 
     let mut table =
         [SectionInfo { name: "", byte_off: 0, byte_len: 0, checksum: 0, checksum_slot: 0 };
             NUM_SECTIONS];
-    let mut expected_off = HEADER_LEN;
+    let mut expected_off = HEADER_LEN as u64;
     for (i, slot) in table.iter_mut().enumerate() {
         let row = TABLE_OFFSET + i * 32;
-        let kind = u64_at(bytes, row);
+        let kind = u64_at(header, row);
         if kind != i as u64 + 1 {
             return Err(SnapshotError::HeaderCorrupt {
                 detail: format!("section {i} has kind {kind}, expected {}", i + 1),
             });
         }
-        let byte_off = u64_at(bytes, row + 8);
-        let byte_len = u64_at(bytes, row + 16);
-        // Bounds before narrowing: a hostile 2^63 offset must not wrap.
-        if byte_off > usize::MAX as u64
-            || byte_len > usize::MAX as u64
-            || byte_off.checked_add(byte_len).is_none()
-        {
+        let byte_off = u64_at(header, row + 8);
+        let byte_len = u64_at(header, row + 16);
+        // Bounds before narrowing: a hostile 2^63 offset or length must
+        // neither wrap nor name more than this host can address.
+        let padded_end = byte_off
+            .checked_add(byte_len)
+            .and_then(|end| end.checked_next_multiple_of(8))
+            .filter(|&end| end <= usize::MAX as u64);
+        let Some(padded_end) = padded_end else {
             return Err(SnapshotError::HeaderCorrupt {
                 detail: format!("section `{}` extent overflows", SECTION_NAMES[i]),
             });
-        }
-        let (byte_off, byte_len) = (byte_off as usize, byte_len as usize);
-        if byte_off % 8 != 0 {
+        };
+        if !byte_off.is_multiple_of(8) {
             return Err(SnapshotError::HeaderCorrupt {
                 detail: format!(
                     "section `{}` offset {byte_off} not 8-byte aligned",
@@ -551,45 +502,32 @@ pub fn section_table(bytes: &[u8]) -> Result<[SectionInfo; NUM_SECTIONS], Snapsh
                 ),
             });
         }
-        expected_off = align8(byte_off + byte_len);
+        expected_off = padded_end;
         *slot = SectionInfo {
             name: SECTION_NAMES[i],
-            byte_off,
-            byte_len,
-            checksum: u64_at(bytes, row + 24),
+            byte_off: byte_off as usize,
+            byte_len: byte_len as usize,
+            checksum: u64_at(header, row + 24),
             checksum_slot: row + 24,
         };
     }
-    match bytes.len().cmp(&expected_off) {
+    match file_len.cmp(&expected_off) {
         std::cmp::Ordering::Less => {
-            return Err(SnapshotError::Truncated { need: expected_off, have: bytes.len() })
+            return Err(SnapshotError::Truncated {
+                need: expected_off as usize,
+                have: file_len as usize,
+            })
         }
         std::cmp::Ordering::Greater => {
             return Err(SnapshotError::HeaderCorrupt {
-                detail: format!("{} trailing bytes after last section", bytes.len() - expected_off),
+                detail: format!("{} trailing bytes after last section", file_len - expected_off),
             })
         }
         std::cmp::Ordering::Equal => {}
     }
-    Ok(table)
-}
-
-/// Reinterprets `count` elements of `T` at `off` — bounds and alignment
-/// must already be validated.
-///
-/// # Safety
-/// `off` must be aligned for `T` and `off + count * size_of::<T>()` must
-/// be within `bytes`.
-unsafe fn view<T>(bytes: &[u8], off: usize, count: usize) -> &[T] {
-    unsafe { std::slice::from_raw_parts(bytes.as_ptr().add(off) as *const T, count) }
-}
-
-fn decode_buf(buf: Arc<SnapshotBuf>) -> Result<Snapshot, SnapshotError> {
-    let bytes = buf.as_bytes();
-    let table = section_table(bytes)?;
 
     // Length consistency: section byte lengths must agree with each other
-    // and with the header's graph_n before any element is interpreted.
+    // and with the header's graph_n before any element is decoded.
     let [comp_of_s, offsets_s, members_s, by_size_s, labeling_s] = table;
     if comp_of_s.byte_len % 4 != 0 {
         return Err(SnapshotError::HeaderCorrupt {
@@ -597,8 +535,7 @@ fn decode_buf(buf: Arc<SnapshotBuf>) -> Result<Snapshot, SnapshotError> {
         });
     }
     let n = comp_of_s.byte_len / 4;
-    let graph_n = u64_at(bytes, 16);
-    let graph_m = u64_at(bytes, 24);
+    let graph_n = u64_at(header, 16);
     if graph_n != n as u64 {
         return Err(SnapshotError::HeaderCorrupt {
             detail: format!("header graph_n {graph_n} disagrees with comp_of length {n}"),
@@ -635,26 +572,39 @@ fn decode_buf(buf: Arc<SnapshotBuf>) -> Result<Snapshot, SnapshotError> {
             detail: format!("labeling byte length {} != 8·n = {}", labeling_s.byte_len, n * 8),
         });
     }
-    let algorithm = bytes[32];
+    let algorithm = header[32];
     if algorithm != 1 && algorithm != 2 {
         return Err(SnapshotError::HeaderCorrupt {
             detail: format!("unknown algorithm tag {algorithm}"),
         });
     }
+    Ok(table)
+}
 
-    for s in &table {
-        if checksum(&bytes[s.byte_off..s.byte_off + s.byte_len]) != s.checksum {
+fn u32s(payload: &[u8]) -> Vec<u32> {
+    payload.chunks_exact(4).map(|w| u32::from_le_bytes(w.try_into().unwrap())).collect()
+}
+
+fn u64s(payload: &[u8]) -> Vec<u64> {
+    payload.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().unwrap())).collect()
+}
+
+/// Decodes a snapshot image: header checks, per-section checksums, each
+/// section decoded into its `Vec`, then the semantic validators over those
+/// `Vec`s. `bytes` needs no particular alignment. [`load`] is this over a
+/// file's contents.
+pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
+    let table = header_checks(bytes, bytes.len() as u64)?;
+    let payloads = table.map(|s| &bytes[s.byte_off..s.byte_off + s.byte_len]);
+    for (s, payload) in table.iter().zip(payloads) {
+        if checksum(payload) != s.checksum {
             return Err(SnapshotError::ChecksumMismatch { section: s.name });
         }
     }
-
-    // SAFETY: every section's bounds and 8-byte alignment were validated
-    // by `section_table`, and the buffer base is 8-byte aligned.
-    let comp_of: &[u32] = unsafe { view(bytes, comp_of_s.byte_off, n) };
-    let offsets: &[u64] = unsafe { view(bytes, offsets_s.byte_off, c + 1) };
-    let members: &[u32] = unsafe { view(bytes, members_s.byte_off, n) };
-    let by_size: &[u32] = unsafe { view(bytes, by_size_s.byte_off, c) };
-    let labels: &[u64] = unsafe { view(bytes, labeling_s.byte_off, n) };
+    let [comp_of, offsets, members, by_size, labels] = payloads;
+    let (comp_of, members, by_size) = (u32s(comp_of), u32s(members), u32s(by_size));
+    let (offsets, labels) = (u64s(offsets), u64s(labels));
+    let (n, c) = (comp_of.len(), by_size.len());
 
     // Semantic invariants — checksummed garbage from a buggy or hostile
     // writer still must not poison the replica.
@@ -698,7 +648,7 @@ fn decode_buf(buf: Arc<SnapshotBuf>) -> Result<Snapshot, SnapshotError> {
     let mut label_of = vec![0u64; c];
     let mut opened = vec![false; c];
     let mut next: ComponentId = 0;
-    for (v, (&d, &label)) in comp_of.iter().zip(labels).enumerate() {
+    for (v, (&d, &label)) in comp_of.iter().zip(&labels).enumerate() {
         if d as usize >= c {
             return Err(SnapshotError::Malformed {
                 section: "comp_of",
@@ -729,44 +679,37 @@ fn decode_buf(buf: Arc<SnapshotBuf>) -> Result<Snapshot, SnapshotError> {
         });
     }
 
-    // The endianness probe already guaranteed file order == native order,
-    // so the validated in-place view copies out as one memmove — no
-    // per-element decode on the boot path.
-    let labeling = Labeling(labels.to_vec());
-
-    let file_bytes = bytes.len();
-    let (co, of, me, bs) =
-        (comp_of_s.byte_off, offsets_s.byte_off, members_s.byte_off, by_size_s.byte_off);
-    // SAFETY: sections are in-bounds, aligned, and fully validated above;
-    // the Arc keeps the buffer alive for the index's lifetime.
-    let index = unsafe {
-        ComponentIndex::from_snapshot_buf(buf.clone(), (co, n), (of, c + 1), (me, n), (bs, c))
-    };
-    Ok(Snapshot { index, labeling, graph_n, graph_m, algorithm, file_bytes })
+    Ok(Snapshot {
+        index: ComponentIndex::from_parts(comp_of, offsets, members, by_size),
+        labeling: Labeling(labels),
+        graph_n: u64_at(bytes, 16),
+        graph_m: u64_at(bytes, 24),
+        algorithm: bytes[32],
+        file_bytes: bytes.len(),
+    })
 }
 
-/// Decodes a snapshot from an in-memory image (copies once into an
-/// aligned buffer). Test and tooling entry point; the file path is
-/// [`load`].
-pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-    decode_buf(Arc::new(SnapshotBuf::copy_of(bytes)))
-}
-
-/// Loads a snapshot from disk: one bulk read into an aligned buffer,
-/// header + checksum validation, in-place section reinterpretation.
+/// Loads a snapshot from disk. The header is read and validated first —
+/// including that the file is exactly as long as its section table says —
+/// so the body buffer is sized by a checked header, never by whatever
+/// length a non-snapshot file happens to have. The buffer is dropped on
+/// return; the [`Snapshot`] owns its arrays.
 pub fn load(path: &Path) -> Result<Snapshot, SnapshotError> {
     let timer = ampc_obs::Timer::start(ampc_obs::hist(ampc_obs::HistId::SnapshotBootNs));
     fault::check(Site::SnapshotLoad).map_err(std::io::Error::other)?;
     let mut f = File::open(path)?;
     let len = f.metadata()?.len();
-    if len > usize::MAX as u64 {
-        return Err(SnapshotError::HeaderCorrupt {
-            detail: format!("file of {len} bytes cannot be addressed"),
-        });
-    }
-    let mut buf = SnapshotBuf::with_len(len as usize);
-    f.read_exact(buf.as_bytes_mut())?;
-    let snap = decode_buf(Arc::new(buf))?;
+    let mut bytes = vec![0u8; len.min(HEADER_LEN as u64) as usize];
+    f.read_exact(&mut bytes)?;
+    header_checks(&bytes, len)?;
+    let body = len as usize - HEADER_LEN;
+    bytes
+        .try_reserve_exact(body)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::OutOfMemory, e))?;
+    // A file that shrank since `metadata` reads short and decodes as
+    // `Truncated`.
+    f.take(body as u64).read_to_end(&mut bytes)?;
+    let snap = decode(&bytes)?;
     let elapsed = timer.stop();
     ampc_obs::counter(ampc_obs::CounterId::SnapshotBoots).inc();
     ampc_obs::counter(ampc_obs::CounterId::SnapshotBootBytes).add(len);
@@ -798,8 +741,10 @@ mod tests {
         let (index, labeling) = sample_index();
         let bytes = encode(&index, &labeling, 8, 5, 2);
         assert_eq!(bytes.len() % 8, 0);
+        // Golden, computed with the PR 20 writer: the on-disk bytes of
+        // format version 1 have not moved.
+        assert_eq!(checksum(&bytes), 0x0CF5_8227_0BF1_9E43);
         let snap = decode(&bytes).expect("roundtrip");
-        assert!(snap.index.is_snapshot_backed());
         assert_eq!(snap.index, index);
         assert_eq!(snap.labeling, labeling);
         assert_eq!(snap.graph_n, 8);
@@ -837,6 +782,36 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         // Loading a missing file is an Io error, not a panic.
         assert!(matches!(load(&path), Err(SnapshotError::Io(_))));
+    }
+
+    #[test]
+    fn load_checks_the_header_before_it_sizes_the_body() {
+        let path =
+            std::env::temp_dir().join(format!("ampc_snap_sparse_{}.snap", std::process::id()));
+        // 1 TiB of zeros: a loader that sizes its buffer from the file
+        // length aborts on the allocation before it sees the magic.
+        let sparse = |path: &Path| {
+            let grown = File::options().write(true).open(path).unwrap().set_len(1 << 40);
+            if let Err(e) = &grown {
+                eprintln!("SKIPPED a sparse-file case: set_len(1 << 40) refused: {e}");
+            }
+            grown.is_ok()
+        };
+        File::create(&path).unwrap();
+        if sparse(&path) {
+            assert!(matches!(load(&path), Err(SnapshotError::BadMagic)));
+        }
+        // A valid image followed by anything — 8 bytes or a terabyte — is
+        // rejected on its header and length alone.
+        let (index, labeling) = sample_index();
+        let mut bytes = encode(&index, &labeling, 8, 5, 1);
+        bytes.extend_from_slice(&[0u8; 8]);
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(load(&path), Err(SnapshotError::HeaderCorrupt { .. })));
+        if sparse(&path) {
+            assert!(matches!(load(&path), Err(SnapshotError::HeaderCorrupt { .. })));
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -923,7 +898,7 @@ mod tests {
 
         let mut bad = good.clone();
         bad[12..16].copy_from_slice(&ENDIAN_TAG.to_be_bytes());
-        assert!(matches!(decode(&bad), Err(SnapshotError::EndiannessMismatch)));
+        assert!(matches!(decode(&bad), Err(SnapshotError::HeaderCorrupt { .. })));
 
         let mut bad = good.clone();
         bad[8..12].copy_from_slice(&99u32.to_le_bytes());
@@ -946,6 +921,16 @@ mod tests {
         // Trailing garbage is rejected too.
         let mut bad = good.clone();
         bad.extend_from_slice(&[0u8; 8]);
+        assert!(matches!(decode(&bad), Err(SnapshotError::HeaderCorrupt { .. })));
+
+        // A signed header whose last extent ends within 8 bytes of 2^64:
+        // padding it to a word must be an error, not an overflow.
+        let mut bad = good.clone();
+        let row = TABLE_OFFSET + 4 * 32;
+        let huge = u64::MAX - 3 - u64_at(&bad, row + 8);
+        bad[row + 16..row + 24].copy_from_slice(&huge.to_le_bytes());
+        let h = checksum(&bad[..HEADER_CHECKSUM_OFFSET]);
+        bad[HEADER_CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&h.to_le_bytes());
         assert!(matches!(decode(&bad), Err(SnapshotError::HeaderCorrupt { .. })));
     }
 

@@ -27,9 +27,9 @@
 //! * [`ServiceHandle::persist`] / [`ServiceBuilder::from_snapshot`] — the
 //!   fan-out path: persist pins the published epoch and writes it as a
 //!   versioned, checksummed snapshot (`ampc_query::snapshot`, atomic
-//!   rename); boot is one bulk read plus validation, publishing epoch 0
-//!   with the index sections reinterpreted in place over the snapshot
-//!   buffer — zero per-element deserialization, no pipeline run.
+//!   rename); boot is a header check, one bulk read and a validated
+//!   decode, publishing epoch 0 with an index equal to the persisted one
+//!   — no pipeline run.
 //! * [`driver`] — the multi-threaded workload driver: a deterministic
 //!   per-thread striping of one query stream (totals are seed-reproducible
 //!   at any thread count), per-thread and aggregate queries/sec, each

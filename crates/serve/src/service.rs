@@ -315,18 +315,32 @@ mod tests {
     fn boot_fallback_builds_and_records_the_snapshot_failure() {
         let path = std::env::temp_dir()
             .join(format!("ampc_serve_no_such_snapshot_{}.snap", std::process::id()));
-        let g = random_forest(400, 7, 21);
-        let truth = reference_components(&g);
-        let (service, source) =
-            ServiceBuilder::new(g).spec(spec()).from_snapshot_or_rebuild(&path).expect("fallback");
-        assert_eq!(source, BootSource::RebuildFallback);
-        assert_eq!(*service.snapshot().index(), ComponentIndex::build(&truth));
-        let health = service.health();
-        // The failure is observable but the fallback service is healthy.
-        assert_eq!(health.state, HealthState::Healthy);
-        assert_eq!(health.total_incidents, 1);
-        assert_eq!(health.incidents[0].op, IncidentOp::Boot);
-        assert!(matches!(health.incidents[0].error, ServeError::SnapshotBoot(_)));
+        // Two bad snapshots: a missing file, then 1 TiB of zeros — which a
+        // loader that allocates the file's length before reading its magic
+        // turns into an abort instead of a fallback.
+        for sparse in [false, true] {
+            if sparse {
+                if let Err(e) = std::fs::File::create(&path).and_then(|f| f.set_len(1 << 40)) {
+                    eprintln!("SKIPPED the sparse-file fallback: set_len(1 << 40) refused: {e}");
+                    continue;
+                }
+            }
+            let g = random_forest(400, 7, 21);
+            let truth = reference_components(&g);
+            let (service, source) = ServiceBuilder::new(g)
+                .spec(spec())
+                .from_snapshot_or_rebuild(&path)
+                .expect("fallback");
+            assert_eq!(source, BootSource::RebuildFallback);
+            assert_eq!(*service.snapshot().index(), ComponentIndex::build(&truth));
+            let health = service.health();
+            // The failure is observable but the fallback service is healthy.
+            assert_eq!(health.state, HealthState::Healthy);
+            assert_eq!(health.total_incidents, 1);
+            assert_eq!(health.incidents[0].op, IncidentOp::Boot);
+            assert!(matches!(health.incidents[0].error, ServeError::SnapshotBoot(_)));
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

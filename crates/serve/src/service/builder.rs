@@ -34,7 +34,7 @@ pub struct ServiceBuilder {
 /// Where [`ServiceBuilder::from_snapshot_or_rebuild`] got its epoch 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BootSource {
-    /// The snapshot loaded and validated; epoch 0 reinterprets its buffer.
+    /// The snapshot loaded and validated; epoch 0 is its decoded index.
     Snapshot,
     /// The snapshot was missing/corrupt; epoch 0 came from a pipeline
     /// build over the builder's graph, and the boot failure is the first
@@ -131,11 +131,10 @@ impl ServiceBuilder {
         }
     }
 
-    /// Boots a service from a snapshot on disk: one bulk read, header +
-    /// checksum validation, and epoch 0 is published with its index
-    /// sections reinterpreted **in place** over the snapshot buffer — no
-    /// pipeline run, no per-element deserialization. This is how one
-    /// pipeline run fans out to N serving replicas that boot in
+    /// Boots a service from a snapshot on disk: header check, one bulk
+    /// read, checksum validation, and epoch 0 is published with the index
+    /// decoded and validated from the file — no pipeline run. This is how
+    /// one pipeline run fans out to N serving replicas that boot in
     /// milliseconds.
     ///
     /// The booted service answers queries and accepts

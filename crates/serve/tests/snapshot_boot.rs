@@ -38,7 +38,6 @@ fn edge_batch(n: usize, len: usize, seed: u64) -> Vec<(VertexId, VertexId)> {
 fn assert_replica_identical(live: &ServiceHandle, booted: &ServiceHandle, ctx: &str) {
     let live_snap = live.snapshot();
     let booted_snap = booted.snapshot();
-    assert!(booted_snap.index().is_snapshot_backed(), "{ctx}: boot must be zero-copy");
     if !live_snap.is_journal() {
         // At a journal epoch the live index is the *base* (merges ride in
         // the journal) while the replica's is the materialized merge, so

@@ -62,9 +62,9 @@
 //!                 labeling as a snapshot (atomic rename) — the file a
 //!                 serving replica boots from in milliseconds
 //!   --from-snapshot PATH  (query) boot the service from a snapshot
-//!                 instead of running the pipeline: one bulk read, header +
-//!                 checksum validation, index sections reinterpreted in
-//!                 place. The graph file becomes optional; give it anyway
+//!                 instead of running the pipeline: header check, one
+//!                 bulk read, checksum validation, validated decode of the
+//!                 index. The graph file becomes optional; give it anyway
 //!                 to cross-validate every answer against union-find (and
 //!                 it is required for --stream, which needs the edge list).
 //!                 (serve) alone, the same strict boot; with <file>, the
@@ -618,9 +618,9 @@ fn print_labels(labeling: &Labeling) {
     print!("{out}");
 }
 
-/// Epoch 0 for `query` and `serve`. A snapshot alone boots strictly (one
-/// bulk read + validation, epoch 0 reinterpreted in place over the snapshot
-/// buffer, no pipeline run); a graph alone is built live (the service
+/// Epoch 0 for `query` and `serve`. A snapshot alone boots strictly (header
+/// check, one bulk read, epoch 0 decoded and validated from the file, no
+/// pipeline run); a graph alone is built live (the service
 /// executes the spec, refuses a labeling that fails validation against the
 /// graph, and publishes the frozen index). With both, `fall_back` decides:
 /// `serve` boots through the fallback chain — the snapshot with the graph as
