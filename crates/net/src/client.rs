@@ -1,15 +1,18 @@
-//! The client side: a single-connection RPC wrapper and a closed-loop
-//! multi-connection harness that replays a query workload over the wire,
-//! validates checksums against an in-process oracle, and splits wire
-//! latency (client-measured round-trip) from the server's service latency.
+//! The client side: a single-connection RPC wrapper, and the TCP transport
+//! of the closed-loop workload runner — [`run_harness`] is
+//! `ampc_serve::driver::drive` with one connection (reconnect-and-retry) per
+//! worker, so a workload replayed over the wire is striped, timed and
+//! reported exactly as one answered in process. Its latency is the
+//! client-measured round trip; the server's own service latency comes back
+//! through the metrics opcode ([`prom_histogram_quantiles`]).
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use ampc_obs::{hist, HistId, HistSnapshot, Histogram};
+use ampc_obs::{hist, HistId, MonotonicClock};
 use ampc_query::Query;
-use ampc_serve::driver::stripe;
+use ampc_serve::driver::{self, Report, Worker};
 
 use crate::protocol::{
     decode_answers, decode_error, encode_edges, encode_queries, read_frame, write_frame, ErrorCode,
@@ -95,15 +98,24 @@ impl Connection {
         self.addr
     }
 
-    /// One request/response exchange. Validates that the response echoes
-    /// our request id and carries `expect` (or a typed error frame, which
-    /// becomes [`ClientError::Server`]).
+    /// One request/response exchange. A payload over
+    /// [`DEFAULT_MAX_PAYLOAD`] is refused before a byte is written (the
+    /// server would only answer `oversized`). Validates that the response
+    /// echoes our request id and carries `expect` (or a typed error frame,
+    /// which becomes [`ClientError::Server`]).
     fn rpc(
         &mut self,
         opcode: Opcode,
         payload: &[u8],
         expect: Opcode,
     ) -> Result<Vec<u8>, ClientError> {
+        if payload.len() > DEFAULT_MAX_PAYLOAD as usize {
+            let len = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+            return Err(ClientError::Protocol(ProtocolError::Oversized {
+                len,
+                max: DEFAULT_MAX_PAYLOAD,
+            }));
+        }
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
         write_frame(&mut self.stream, opcode, id, payload)?;
@@ -180,9 +192,10 @@ impl Connection {
 /// Tunables for [`run_harness`].
 #[derive(Clone, Copy, Debug)]
 pub struct HarnessConfig {
-    /// Concurrent connections; the workload is striped across them with
-    /// the same deterministic [`stripe`] the in-process driver uses, so
-    /// the aggregate checksum is connection-count-invariant.
+    /// Concurrent connections; the workload is striped across them by
+    /// [`driver::drive`], so the aggregate checksum is
+    /// connection-count-invariant. A connection whose stripe is empty is
+    /// never opened.
     pub connections: usize,
     /// Queries per request frame.
     pub batch: usize,
@@ -192,116 +205,62 @@ pub struct HarnessConfig {
     pub retries: usize,
 }
 
-impl Default for HarnessConfig {
-    fn default() -> Self {
-        HarnessConfig { connections: 2, batch: 512, retries: 0 }
-    }
-}
-
-/// What one [`run_harness`] run measured.
-#[derive(Clone, Debug)]
-pub struct HarnessReport {
-    /// Queries answered.
-    pub total_queries: usize,
-    /// Aggregate wrapping-add checksum over every answer — compare to the
-    /// in-process oracle's expected checksum.
-    pub checksum: u64,
-    /// End-to-end queries per second across all connections.
-    pub qps: f64,
-    /// Client-measured wire latency per round-trip (includes framing,
-    /// kernel, loopback, and service time).
-    pub wire: HistSnapshot,
-    /// Transport errors that were retried successfully.
-    pub retries_used: u64,
-}
-
 /// Replays `queries` against `addr` over `cfg.connections` closed-loop
-/// connections and aggregates answers into a checksum.
-///
-/// Striping is deterministic and connection-count-invariant (wrapping-add
-/// commutes), so the checksum can be compared byte-for-byte against
-/// an in-process [`ampc_query::throughput`] pass over the same workload.
-/// Wire latency is recorded per round-trip into both the returned
-/// histogram and the global `net_wire_latency_ns`.
+/// connections: [`driver::drive`] with a connection as each worker's
+/// transport, so striping, frame timing and the report are the in-process
+/// runner's. The checksum can be compared byte-for-byte against an oracle
+/// fold over the same workload; `latency` is the client-measured round trip
+/// (framing, kernel, loopback and service time) per query of each frame,
+/// also recorded into the global `net_wire_latency_ns`, and a frame that
+/// needed retries is timed across them.
 pub fn run_harness(
     addr: SocketAddr,
     queries: &[Query],
     cfg: HarnessConfig,
-) -> Result<HarnessReport, ClientError> {
-    assert!(cfg.connections > 0, "harness needs at least one connection");
-    assert!(cfg.batch > 0, "harness needs a nonzero batch size");
-    let wire_hist = Histogram::new();
-    let started = std::time::Instant::now();
-
-    let results: Vec<Result<(u64, u64), ClientError>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(cfg.connections);
-        for t in 0..cfg.connections {
-            let wire_hist = &wire_hist;
-            let slice = &queries[stripe(queries.len(), cfg.connections, t)];
-            handles.push(scope.spawn(move || run_connection(addr, slice, cfg, wire_hist)));
-        }
-        handles.into_iter().map(|h| h.join().expect("harness thread panicked")).collect()
-    });
-
-    let elapsed = started.elapsed().as_secs_f64();
-    let mut checksum = 0u64;
-    let mut retries_used = 0u64;
-    for r in results {
-        let (c, retries) = r?;
-        checksum = checksum.wrapping_add(c);
-        retries_used += retries;
-    }
-    Ok(HarnessReport {
-        total_queries: queries.len(),
-        checksum,
-        qps: if elapsed > 0.0 { queries.len() as f64 / elapsed } else { 0.0 },
-        wire: wire_hist.snapshot(),
-        retries_used,
-    })
+) -> Result<Report, ClientError> {
+    let open = || {
+        let conn = connect_with_retries(addr, cfg.retries)?;
+        Ok(Retrying { conn, budget: cfg.retries, used: 0 })
+    };
+    let global = hist(HistId::NetWireNs);
+    driver::drive(&MonotonicClock, global, queries, cfg.connections, cfg.batch, open)
 }
 
-fn run_connection(
-    addr: SocketAddr,
-    queries: &[Query],
-    cfg: HarnessConfig,
-    wire_hist: &Histogram,
-) -> Result<(u64, u64), ClientError> {
-    let global = hist(HistId::NetWireNs);
-    let mut conn = connect_with_retries(addr, cfg.retries)?;
-    let mut checksum = 0u64;
-    let mut retries_used = 0u64;
-    for batch in queries.chunks(cfg.batch) {
+/// A harness worker's connection: `budget` reconnect-and-retry attempts
+/// per frame.
+struct Retrying {
+    conn: Connection,
+    budget: usize,
+    used: u64,
+}
+
+impl Worker for Retrying {
+    type Error = ClientError;
+
+    fn answer(&mut self, frame: &[Query]) -> Result<u64, ClientError> {
         let mut attempt = 0usize;
-        let answers = loop {
-            let t0 = std::time::Instant::now();
-            match conn.query_batch(batch) {
-                Ok(answers) => {
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    wire_hist.record(ns);
-                    global.record(ns);
-                    break answers;
-                }
+        loop {
+            match self.conn.query_batch(frame) {
+                Ok(answers) => return Ok(answers.iter().fold(0, |sum, &a| sum.wrapping_add(a))),
                 // Typed server errors other than Overloaded are answers,
                 // not transport failures — do not mask them with retries.
                 Err(e @ ClientError::Server { .. }) if !e.is_overloaded() => return Err(e),
-                Err(e) => {
-                    if attempt >= cfg.retries {
-                        return Err(e);
-                    }
+                Err(e) if attempt >= self.budget => return Err(e),
+                Err(_) => {
                     attempt += 1;
-                    retries_used += 1;
+                    self.used += 1;
                     // Overload shed closes the connection; transport
                     // errors leave it torn. Reconnect either way.
                     std::thread::sleep(Duration::from_millis(10 * attempt as u64));
-                    conn = connect_with_retries(addr, cfg.retries)?;
+                    self.conn = connect_with_retries(self.conn.addr, self.budget)?;
                 }
             }
-        };
-        for a in answers {
-            checksum = checksum.wrapping_add(a);
         }
     }
-    Ok((checksum, retries_used))
+
+    fn retries(&self) -> u64 {
+        self.used
+    }
 }
 
 fn connect_with_retries(addr: SocketAddr, retries: usize) -> Result<Connection, ClientError> {
@@ -309,10 +268,8 @@ fn connect_with_retries(addr: SocketAddr, retries: usize) -> Result<Connection, 
     loop {
         match Connection::connect(addr) {
             Ok(conn) => return Ok(conn),
-            Err(e) => {
-                if attempt >= retries {
-                    return Err(e);
-                }
+            Err(e) if attempt >= retries => return Err(e),
+            Err(_) => {
                 attempt += 1;
                 std::thread::sleep(Duration::from_millis(10 * attempt as u64));
             }
@@ -360,6 +317,28 @@ pub fn prom_histogram_quantiles(text: &str, name: &str) -> Option<(u64, [(&'stat
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::QUERY_WIRE_LEN;
+    use std::io::Read as _;
+
+    #[test]
+    fn a_frame_over_the_cap_is_refused_before_a_byte_is_written() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut conn = Connection::connect(listener.local_addr().unwrap()).expect("connect");
+        let (mut peer, _) = listener.accept().expect("accept");
+
+        let fits = DEFAULT_MAX_PAYLOAD as usize / QUERY_WIRE_LEN;
+        let over = vec![Query::ComponentOf(0); fits + 1];
+        match conn.query_batch(&over) {
+            Err(ClientError::Protocol(ProtocolError::Oversized { len, max })) => {
+                assert_eq!((len as usize, max), (over.len() * QUERY_WIRE_LEN, DEFAULT_MAX_PAYLOAD))
+            }
+            other => panic!("expected a typed oversized refusal, got {other:?}"),
+        }
+        drop(conn);
+        let mut received = Vec::new();
+        peer.read_to_end(&mut received).expect("read to the client's close");
+        assert!(received.is_empty(), "the refused frame leaked {} bytes", received.len());
+    }
 
     #[test]
     fn prom_parser_recovers_quantiles() {

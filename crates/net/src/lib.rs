@@ -12,10 +12,11 @@
 //!   with a typed `Overloaded` reply; each query-batch frame pins one
 //!   `IndexSnapshot`, so rebuilds publishing mid-flight never
 //!   tear a batch.
-//! * [`client`] — a single-connection RPC wrapper plus a closed-loop
-//!   multi-connection harness that replays seeded workloads, validates
-//!   checksums against the in-process oracle, and splits client-measured
-//!   **wire latency** from the server's **service latency**.
+//! * [`client`] — a single-connection RPC wrapper plus the TCP transport of
+//!   `ampc_serve::driver`'s closed-loop runner: seeded workloads replayed
+//!   over connections that reconnect and retry, one report type with the
+//!   in-process run, client-measured **wire latency** kept apart from the
+//!   server's **service latency**.
 //!
 //! Chaos scheduling reuses the `serve::fault` registry: `net.accept`,
 //! `net.read` and `net.write` failpoints sit on the accept path and on
@@ -32,8 +33,6 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 
-pub use client::{
-    prom_histogram_quantiles, run_harness, ClientError, Connection, HarnessConfig, HarnessReport,
-};
+pub use client::{prom_histogram_quantiles, run_harness, ClientError, Connection, HarnessConfig};
 pub use protocol::{ErrorCode, NetError, Opcode, ProtocolError, WireHealth, WireInsertReport};
 pub use server::{serve, ServerConfig, ServerHandle};

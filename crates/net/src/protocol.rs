@@ -310,8 +310,13 @@ pub fn write_frame(
     payload: &[u8],
 ) -> std::io::Result<()> {
     fault::check(Site::NetWrite).map_err(std::io::Error::other)?;
-    debug_assert!(payload.len() <= u32::MAX as usize);
-    let header = encode_header(opcode, payload.len() as u32, request_id);
+    let len = u32::try_from(payload.len()).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "payload exceeds the u32 length field",
+        )
+    })?;
+    let header = encode_header(opcode, len, request_id);
     let mut sent = 0usize;
     while sent < HEADER_LEN + payload.len() {
         let wrote = if sent < HEADER_LEN {

@@ -36,7 +36,9 @@ fn oracle_checksum(index: &ComponentIndex, queries: &[Query]) -> u64 {
     queries.iter().fold(0u64, |acc, &q| acc.wrapping_add(engine.answer(q)))
 }
 
-/// Every mix, multiple connections: the wire checksum equals the oracle's.
+/// Every mix, and every connection count × frame size: the wire checksum
+/// equals the oracle's, and the latency histogram counts queries (one
+/// length-weighted value per frame) with ordered quantiles.
 #[test]
 fn all_mixes_match_oracle_over_loopback() {
     let graph = test_graph();
@@ -46,20 +48,28 @@ fn all_mixes_match_oracle_over_loopback() {
     let addr = server.local_addr();
 
     let mut sent = 0u64;
-    for (i, mix) in Mix::STANDARD.into_iter().enumerate() {
-        let queries = workload::generate(&oracle_index, mix, 4_000, SEED ^ i as u64);
+    let mut check = |mix: Mix, len: usize, seed: u64, connections: usize, batch: usize| {
+        let queries = workload::generate(&oracle_index, mix, len, seed);
         sent += queries.len() as u64;
         let expected = oracle_checksum(&oracle_index, &queries);
-        let report = ampc_net::run_harness(
-            addr,
-            &queries,
-            HarnessConfig { connections: 3, batch: 128, retries: 0 },
-        )
-        .expect("harness");
-        assert_eq!(report.checksum, expected, "mix {} diverged from oracle", mix.name());
-        assert_eq!(report.total_queries, queries.len());
-        assert!(report.wire.count >= (queries.len() / 128) as u64);
-        assert!(report.wire.quantile(0.5) > 0, "wire latency must be nonzero");
+        let cfg = HarnessConfig { connections, batch, retries: 0 };
+        let report = ampc_net::run_harness(addr, &queries, cfg).expect("harness");
+        let ctx = format!("mix {} × {connections} connections × batch {batch}", mix.name());
+        assert_eq!(report.checksum, expected, "{ctx} diverged from oracle");
+        assert_eq!((report.queries, report.threads, report.batch), (len, connections, batch));
+        assert_eq!(report.latency.count, len as u64, "{ctx}: length-weighted");
+        let q = [0.5, 0.9, 0.99, 0.999].map(|q| report.latency.quantile(q));
+        assert!(q[0] > 0, "{ctx}: wire latency must be nonzero");
+        assert!(q.windows(2).all(|w| w[0] <= w[1]) && q[3] <= report.latency.max, "{ctx}: {q:?}");
+        assert_eq!(report.per_worker.len(), connections, "{ctx}");
+    };
+    for (i, mix) in Mix::STANDARD.into_iter().enumerate() {
+        check(mix, 4_000, SEED ^ i as u64, 3, 128);
+    }
+    for connections in [1, 2, 3, 7] {
+        for batch in [1, 7, 256] {
+            check(Mix::Uniform, 1_000, SEED, connections, batch);
+        }
     }
     let latency = server.service_latency();
     assert!(latency.count >= sent, "every wire query must land in the service histogram");

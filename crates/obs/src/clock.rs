@@ -58,6 +58,27 @@ impl Clock for ManualClock {
     }
 }
 
+/// Test clock that counts its reads and moves [`CountingClock::STEP_NS`] on
+/// each — for asserting how often a loop reads the clock.
+#[derive(Debug, Default)]
+pub struct CountingClock(AtomicU64);
+
+impl CountingClock {
+    /// Nanoseconds between two consecutive reads.
+    pub const STEP_NS: u64 = 1_000;
+
+    /// How many times the clock has been read.
+    pub fn reads(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+impl Clock for CountingClock {
+    fn now_ns(&self) -> u64 {
+        Self::STEP_NS * self.0.fetch_add(1, Ordering::Relaxed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -37,7 +37,7 @@ pub mod metrics;
 pub mod registry;
 pub mod trace;
 
-pub use clock::{monotonic_ns, Clock, ManualClock, MonotonicClock};
+pub use clock::{monotonic_ns, Clock, CountingClock, ManualClock, MonotonicClock};
 pub use metrics::{
     bucket_of, bucket_upper, Counter, Gauge, HistSnapshot, Histogram, Timer, BUCKETS,
 };

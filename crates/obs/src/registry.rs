@@ -195,13 +195,16 @@ pub enum HistId {
     SnapshotPersistNs,
     /// Snapshot boot (read + validate + decode) time.
     SnapshotBootNs,
-    /// Per-query serving latency.
+    /// In-process service time per query: each frame's engine pass divided
+    /// by its length, recorded once per frame with the length as weight.
     QueryLatencyNs,
     /// Server-side service time per query on the network path: each
     /// frame's engine pass divided by its length, recorded once per frame
     /// with the length as weight (excludes decode, encode and socket I/O).
     NetServiceNs,
-    /// Client-observed round-trip wire latency per request frame.
+    /// Client-observed round trip per query: each request frame's round
+    /// trip divided by its length, recorded once per frame with the length
+    /// as weight.
     NetWireNs,
 }
 
@@ -242,11 +245,15 @@ impl HistId {
             HistId::CompactionNs => "Background compaction duration (ns)",
             HistId::SnapshotPersistNs => "Snapshot persist time (ns)",
             HistId::SnapshotBootNs => "Snapshot boot time (ns)",
-            HistId::QueryLatencyNs => "Per-query serving latency (ns)",
+            HistId::QueryLatencyNs => {
+                "In-process service time per query: each frame's mean, weighted by its length (ns)"
+            }
             HistId::NetServiceNs => {
                 "Server-side service time per query: each frame's mean, weighted by its length (ns)"
             }
-            HistId::NetWireNs => "Client-observed round-trip wire latency per request frame (ns)",
+            HistId::NetWireNs => {
+                "Client-observed round trip per query: each frame's mean, weighted by its length (ns)"
+            }
         }
     }
 }

@@ -32,8 +32,9 @@
 //! * [`workload`] — deterministic SplitMix64-seeded query-mix generators
 //!   (uniform, Zipf-skewed, adversarial cross-component) in the same style
 //!   as the graph generators, plus a plain-text query-file format;
-//! * [`throughput`] — the timed single-call and batched passes shared by
-//!   the CLI's `query` subcommand and the serving driver.
+//! * [`throughput`] — the one timed pass: a frame answered under one clock
+//!   pair and recorded once, shared by the network server and the
+//!   closed-loop runner.
 //!
 //! The index is **immutable by design**: a build is a pure function of the
 //! labeling's partition (dense ids are assigned by minimum member vertex,

@@ -1,98 +1,31 @@
-//! Shared throughput measurement for the serving layer.
+//! The one timed pass of the serving layer.
 //!
-//! The CLI `query` subcommand, the serving driver and the network server
-//! time the same engine through the loops that live here, once:
-//!
-//! - [`single_pass`] / [`batched_pass`] — queries per second, one `answer`
-//!   call per query vs. `answer_batch` chunks;
-//! - [`latency_pass`] — the per-query latency *distribution*: two clock
-//!   reads around every query, for the CLI's quantile report;
-//! - [`timed_pass`] — what the network server runs on a `QueryBatch` frame:
-//!   the whole frame through `answer_batch` under **one** clock pair, the
-//!   amortised ns/query recorded once, weighted by the frame's length.
-//!
-//! Every loop returns the wrapping answer sum: it guards against dead-code
-//! elimination and must agree between all of them (the answers *are* the
-//! computation, so a divergent checksum means a broken engine).
+//! A frame of queries is answered under **one** clock pair and recorded
+//! **once**: [`timed_frame`] reads the clock twice around whatever answers
+//! the frame and records the amortised ns/query weighted by the frame's
+//! length, [`answer_frame`] is the untimed engine loop, and [`timed_pass`]
+//! is the two together — what the network server runs on a `QueryBatch`
+//! frame. The closed-loop runner (`ampc_serve::driver`) times its frames
+//! through the same [`timed_frame`], in process around [`answer_frame`] and
+//! over TCP around the round trip, so every latency figure of the workspace
+//! is this instrument: a value is a frame's mean, never one query's own
+//! time, and nothing inside the per-query loop reads a clock.
 
-use std::time::Instant;
-
-use ampc_obs::{Clock, CounterId, HistId, Histogram, MonotonicClock};
+use ampc_obs::{Clock, CounterId, Histogram, MonotonicClock};
 
 use crate::engine::{Query, QueryEngine};
 
-/// Times one pass of per-call answering over `queries`.
-pub fn single_pass(engine: &QueryEngine, queries: &[Query]) -> (f64, u64) {
-    let t0 = Instant::now();
-    let mut checksum = 0u64;
-    for &q in queries {
-        checksum = checksum.wrapping_add(engine.answer(q));
-    }
-    ampc_obs::counter(ampc_obs::CounterId::QueriesServed).add(queries.len() as u64);
-    (queries.len() as f64 / t0.elapsed().as_secs_f64(), checksum)
-}
-
-/// Times **each query individually** into `hist` (and the process-wide
-/// `query_latency_ns` histogram), returning the checksum. This is a
-/// separate pass from every other loop here on purpose: two clock reads
-/// and six histogram RMWs per query put a floor of about a hundred
-/// nanoseconds under an answer that takes under ten, which is the price of
-/// a distribution with one sample per query — paid by the CLI's latency
-/// report, never by a throughput number or by the serving path
-/// ([`timed_pass`]).
-pub fn latency_pass(engine: &QueryEngine, queries: &[Query], hist: &Histogram) -> u64 {
-    let global = ampc_obs::hist(HistId::QueryLatencyNs);
-    let mut checksum = 0u64;
-    for &q in queries {
-        let t0 = Instant::now();
-        let answer = engine.answer(q);
-        let ns = t0.elapsed().as_nanos() as u64;
-        hist.record(ns);
-        global.record(ns);
-        checksum = checksum.wrapping_add(answer);
-    }
-    ampc_obs::counter(CounterId::QueriesServed).add(queries.len() as u64);
-    checksum
-}
-
-/// Queries [`frame_pass`] answers per `answer_batch` call: 4 KiB of
+/// Queries [`answer_frame`] answers per `answer_batch` call: 4 KiB of
 /// answers on the stack, so a frame of any length needs no buffer.
 const FRAME_CHUNK: usize = 512;
 
-/// Answers one frame of queries the way the network server does: the whole
-/// frame under one clock pair, each answer fed to `sink` in request order,
-/// the wrapping checksum returned. The frame's amortised ns/query goes
-/// into `hist` and `global` **once, weighted by the frame's length**
-/// ([`Histogram::record_n`]), so both keep counting queries while the
-/// per-query loop holds no clock read and no histogram record. An empty
-/// frame records nothing.
-///
-/// The server records into `net_request_service_ns` and keeps the answers
-/// to encode a reply frame; wire latency is measured client-side around
-/// the round trip, so the two come out as separate histograms.
-pub fn timed_pass(
-    engine: &QueryEngine,
-    queries: &[Query],
-    hist: &Histogram,
-    global: &Histogram,
-    sink: impl FnMut(u64),
-) -> u64 {
-    frame_pass(&MonotonicClock, engine, queries, hist, global, sink)
-}
-
-/// [`timed_pass`] on an injected clock: exactly two `now_ns` reads per
-/// call, whatever the frame's length.
-fn frame_pass(
-    clock: &dyn Clock,
-    engine: &QueryEngine,
-    queries: &[Query],
-    hist: &Histogram,
-    global: &Histogram,
-    mut sink: impl FnMut(u64),
-) -> u64 {
+/// Answers one frame: each answer fed to `sink` in request order, the
+/// wrapping checksum returned (the answers *are* the computation, so the
+/// sum both defeats dead-code elimination and fingerprints the engine),
+/// `query_served_total` advanced by the frame's length.
+pub fn answer_frame(engine: &QueryEngine, queries: &[Query], mut sink: impl FnMut(u64)) -> u64 {
     let mut answers = [0u64; FRAME_CHUNK];
     let mut checksum = 0u64;
-    let t0 = clock.now_ns();
     for chunk in queries.chunks(FRAME_CHUNK) {
         let answers = &mut answers[..chunk.len()];
         engine.answer_batch(chunk, answers).expect("the answer slice was cut to the chunk length");
@@ -101,40 +34,45 @@ fn frame_pass(
             sink(a);
         }
     }
-    let elapsed = clock.now_ns().saturating_sub(t0);
-    let n = queries.len() as u64;
-    // An empty frame has no per-query time to record.
-    if let Some(ns_per_query) = elapsed.checked_div(n) {
-        hist.record_n(ns_per_query, n);
-        global.record_n(ns_per_query, n);
-    }
-    ampc_obs::counter(CounterId::QueriesServed).add(n);
+    ampc_obs::counter(CounterId::QueriesServed).add(queries.len() as u64);
     checksum
 }
 
-/// Times one pass of batched answering over `queries` in chunks of
-/// `batch`, reusing `buf` as the answer buffer across chunks.
-///
-/// # Panics
-/// Panics if `batch` is zero.
-pub fn batched_pass(
+/// Runs `answer` — whatever answers one frame of `n` queries — between
+/// exactly two reads of `clock` and returns its result with the elapsed
+/// nanoseconds. The frame's amortised ns/query goes into `hist` and
+/// `global` **once, weighted by `n`** ([`Histogram::record_n`]), so both
+/// keep counting queries; an empty frame records nothing.
+pub fn timed_frame<R>(
+    clock: &dyn Clock,
+    n: usize,
+    hist: &Histogram,
+    global: &Histogram,
+    answer: impl FnOnce() -> R,
+) -> (R, u64) {
+    let t0 = clock.now_ns();
+    let out = answer();
+    let elapsed = clock.now_ns().saturating_sub(t0);
+    if let Some(ns_per_query) = elapsed.checked_div(n as u64) {
+        hist.record_n(ns_per_query, n as u64);
+        global.record_n(ns_per_query, n as u64);
+    }
+    (out, elapsed)
+}
+
+/// [`answer_frame`] under [`timed_frame`] on the process clock: the server
+/// records into `net_request_service_ns` and keeps the answers to encode a
+/// reply frame; wire latency is measured client-side around the round
+/// trip, so the two come out as separate histograms.
+pub fn timed_pass(
     engine: &QueryEngine,
     queries: &[Query],
-    batch: usize,
-    buf: &mut Vec<u64>,
-) -> (f64, u64) {
-    assert!(batch > 0, "batch size must be positive");
-    let t0 = Instant::now();
-    let mut checksum = 0u64;
-    for chunk in queries.chunks(batch) {
-        buf.resize(chunk.len(), 0);
-        engine.answer_batch(chunk, buf).expect("buf was resized to the chunk length");
-        for &a in buf.iter() {
-            checksum = checksum.wrapping_add(a);
-        }
-    }
-    ampc_obs::counter(ampc_obs::CounterId::QueriesServed).add(queries.len() as u64);
-    (queries.len() as f64 / t0.elapsed().as_secs_f64(), checksum)
+    hist: &Histogram,
+    global: &Histogram,
+    sink: impl FnMut(u64),
+) -> u64 {
+    let answer = || answer_frame(engine, queries, sink);
+    timed_frame(&MonotonicClock, queries.len(), hist, global, answer).0
 }
 
 #[cfg(test)]
@@ -143,33 +81,10 @@ mod tests {
     use crate::index::ComponentIndex;
     use crate::workload::{self, Mix};
     use ampc_graph::Labeling;
+    use ampc_obs::CountingClock;
 
     #[test]
-    fn single_and_batched_checksums_agree() {
-        let idx = ComponentIndex::build(&Labeling(vec![0, 0, 1, 1, 2, 2, 2, 3]));
-        let engine = QueryEngine::new(&idx);
-        let queries = workload::generate(&idx, Mix::Uniform, 500, 13);
-        let (_, single) = single_pass(&engine, &queries);
-        let mut buf = Vec::new();
-        // Several batch sizes, incl. one that doesn't divide the count.
-        for batch in [1, 7, 64, 1024] {
-            let (_, batched) = batched_pass(&engine, &queries, batch, &mut buf);
-            assert_eq!(single, batched, "batch={batch}");
-        }
-    }
-
-    /// A clock that counts its reads and moves 1 000 ns on each.
-    #[derive(Debug, Default)]
-    struct CountingClock(std::sync::atomic::AtomicU64);
-
-    impl Clock for CountingClock {
-        fn now_ns(&self) -> u64 {
-            1_000 * self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        }
-    }
-
-    #[test]
-    fn frame_pass_reads_the_clock_twice_and_answers_like_single_pass() {
+    fn a_frame_is_one_clock_pair_one_weighted_record_and_the_engines_answers() {
         let idx = ComponentIndex::build(&Labeling(vec![0, 0, 1, 1, 2, 2, 2, 3]));
         let engine = QueryEngine::new(&idx);
         // Both sides of the chunk boundary, and the ledger's large frame.
@@ -178,27 +93,23 @@ mod tests {
             let clock = CountingClock::default();
             let (hist, global) = (Histogram::new(), Histogram::new());
             let mut sunk = Vec::new();
-            let checksum = frame_pass(&clock, &engine, &queries, &hist, &global, |a| sunk.push(a));
+            let (checksum, elapsed) = timed_frame(&clock, len, &hist, &global, || {
+                answer_frame(&engine, &queries, |a| sunk.push(a))
+            });
 
-            assert_eq!(clock.0.into_inner(), 2, "len={len}: one clock pair per frame");
+            assert_eq!(clock.reads(), 2, "len={len}: one clock pair per frame");
+            assert_eq!(elapsed, CountingClock::STEP_NS, "len={len}");
             let expected: Vec<u64> = queries.iter().map(|&q| engine.answer(q)).collect();
             assert_eq!(sunk, expected, "len={len}: sink order is request order");
-            assert_eq!(checksum, single_pass(&engine, &queries).1, "len={len}");
+            assert_eq!(
+                checksum,
+                expected.iter().fold(0u64, |a, &b| a.wrapping_add(b)),
+                "len={len}"
+            );
             for h in [hist.snapshot(), global.snapshot()] {
-                // The clock moved 1 000 ns between its two reads.
                 assert_eq!(h.count, len as u64, "len={len}: one weighted record per frame");
-                assert_eq!(h.sum, (1_000 / len.max(1) * len) as u64, "len={len}");
+                assert_eq!(h.sum, CountingClock::STEP_NS / len.max(1) as u64 * len as u64);
             }
         }
-    }
-
-    #[test]
-    fn empty_workload_is_a_zero_checksum() {
-        let idx = ComponentIndex::build(&Labeling(vec![1, 2]));
-        let engine = QueryEngine::new(&idx);
-        let (_, sum) = single_pass(&engine, &[]);
-        assert_eq!(sum, 0);
-        let (_, sum) = batched_pass(&engine, &[], 16, &mut Vec::new());
-        assert_eq!(sum, 0);
     }
 }

@@ -3,7 +3,7 @@
 
 use ampc_graph::Labeling;
 use ampc_obs::{counter, CounterId, Histogram};
-use ampc_query::throughput::{latency_pass, single_pass, timed_pass};
+use ampc_query::throughput::{answer_frame, timed_pass};
 use ampc_query::workload::{self, Mix};
 use ampc_query::{ComponentIndex, QueryEngine};
 
@@ -16,12 +16,10 @@ fn every_pass_counts_each_query_once() {
         let queries = workload::generate(&idx, Mix::Uniform, len, 31);
         let (hist, global) = (Histogram::new(), Histogram::new());
         let start = served();
-        single_pass(&engine, &queries);
-        let after_single = served();
+        answer_frame(&engine, &queries, |_| {});
+        let after_untimed = served();
         timed_pass(&engine, &queries, &hist, &global, |_| {});
-        let after_frame = served();
-        latency_pass(&engine, &queries, &hist);
-        let deltas = [after_single - start, after_frame - after_single, served() - after_frame];
-        assert_eq!(deltas, [len as u64; 3], "single, frame and latency pass of {len} queries");
+        let deltas = [after_untimed - start, served() - after_untimed];
+        assert_eq!(deltas, [len as u64; 2], "untimed and timed pass of {len} queries");
     }
 }

@@ -1,88 +1,99 @@
-//! Multi-threaded workload driver over a [`ServiceHandle`].
+//! The one striped closed-loop workload runner.
 //!
-//! The driver partitions one deterministic query stream into contiguous
-//! per-thread stripes — thread `t` of `T` gets the `t`-th of `T` near-equal
-//! chunks, a pure function of `(len, T)` — so the *work* is
-//! seed-reproducible at any thread count: every query is answered exactly
-//! once, and the aggregate checksum (a wrapping sum, hence
-//! partition-order-invariant) is identical for 1 thread and 64. Each
-//! thread pins its own [`crate::IndexSnapshot`] (the service read path)
-//! and reuses one answer buffer, so the measured loop is exactly the
-//! serving hot path: pin, answer, sum.
+//! [`drive`] partitions one deterministic query stream into contiguous
+//! stripes — worker `t` of `T` gets the `t`-th of `T` near-equal chunks, a
+//! pure function of `(len, T)` — so the *work* is seed-reproducible at any
+//! thread count: every query is answered exactly once, and the aggregate
+//! checksum (a wrapping sum, hence partition-order-invariant) is identical
+//! for 1 thread and 64. One worker runs per **non-empty** stripe; it sends
+//! its stripe in frames of `batch` queries, waiting for each frame's
+//! answers before it sends the next.
 //!
-//! Timing is reported per thread (each thread's own queries/sec) and in
-//! aggregate (total queries over the wall-clock of the parallel region) —
-//! the aggregate is the scaling number, the per-thread rows expose
-//! stragglers. Both the one-call-per-query and the batched engine paths
-//! are timed, in separate parallel regions, against the *same* per-thread
-//! snapshot pinned at the start of the run — so one run's answers belong
-//! to one epoch per thread even when a rebuild publishes mid-run.
+//! The runner is generic over *how a worker answers a frame* ([`Worker`]):
+//! in process a pinned [`IndexSnapshot`] (the service read path, one epoch
+//! per worker even when a rebuild publishes mid-run — that is [`run`]),
+//! over TCP a connection with reconnect-and-retry (`ampc_net::run_harness`).
+//! Either way a frame is timed by `throughput::timed_frame`: exactly two
+//! clock reads per frame, none per query, the frame's mean recorded once
+//! with its length as weight — the instrument the server's
+//! `net_request_service_ns` is, so the in-process figure and the
+//! server-side one are comparable.
 
-use std::time::Instant;
+use std::convert::Infallible;
 
+use ampc_obs::{Clock, HistId, HistSnapshot, Histogram, MonotonicClock};
 use ampc_query::{throughput, Query};
 
-use crate::service::ServiceHandle;
+use crate::service::{IndexSnapshot, ServiceHandle};
 
-/// One thread's measurements.
+/// One worker's end of a transport.
+pub trait Worker {
+    /// What answering a frame can fail with.
+    type Error: Send;
+
+    /// Answers one frame and returns the wrapping sum of its answers.
+    fn answer(&mut self, frame: &[Query]) -> Result<u64, Self::Error>;
+
+    /// The epoch pinned for the whole stripe; 0 where the far end pins one
+    /// per frame.
+    fn epoch(&self) -> u64 {
+        0
+    }
+
+    /// Failed exchanges this worker retried.
+    fn retries(&self) -> u64 {
+        0
+    }
+}
+
+impl Worker for IndexSnapshot {
+    type Error = Infallible;
+
+    fn answer(&mut self, frame: &[Query]) -> Result<u64, Infallible> {
+        Ok(throughput::answer_frame(&self.engine(), frame, |_| {}))
+    }
+
+    fn epoch(&self) -> u64 {
+        IndexSnapshot::epoch(self)
+    }
+}
+
+/// One worker's row of a [`Report`].
 #[derive(Debug, Clone)]
-pub struct ThreadReport {
-    /// Thread index in `0..threads`.
-    pub thread: usize,
-    /// Queries this thread answered (its stripe length).
+pub struct WorkerReport {
+    /// Stripe index in `0..threads`.
+    pub worker: usize,
+    /// Queries this worker answered (its stripe length).
     pub queries: usize,
-    /// Epoch the thread's snapshot pinned.
+    /// Its queries over the time its frames took.
+    pub queries_per_sec: f64,
+    /// Wrapping sum of this worker's answers.
+    pub checksum: u64,
+    /// [`Worker::epoch`] at the end of the stripe.
     pub epoch: u64,
-    /// Queries/sec of the one-call-per-query pass.
-    pub single_qps: f64,
-    /// Queries/sec of the batched pass.
-    pub batch_qps: f64,
-    /// Wrapping sum of this thread's answers (identical across both paths;
-    /// verified by the driver).
-    pub checksum: u64,
+    /// [`Worker::retries`] at the end of the stripe.
+    pub retries: u64,
 }
 
-/// Aggregate + per-thread results of one driver run.
+/// What one run measured, whatever the transport.
 #[derive(Debug, Clone)]
-pub struct DriverReport {
-    /// Thread count the run used.
+pub struct Report {
+    /// Stripes the stream was cut into (workers asked for).
     pub threads: usize,
+    /// Queries per frame.
+    pub batch: usize,
     /// Total queries answered (the full stream, once).
-    pub total_queries: usize,
-    /// Aggregate single-call queries/sec: total queries over the parallel
-    /// region's wall clock.
-    pub aggregate_single_qps: f64,
-    /// Aggregate batched queries/sec.
-    pub aggregate_batch_qps: f64,
-    /// Wrapping sum of all answers — invariant under the thread count.
+    pub queries: usize,
+    /// Wrapping sum of all answers — invariant under `threads` and `batch`.
     pub checksum: u64,
-    /// Per-thread rows, in thread order.
-    pub per_thread: Vec<ThreadReport>,
-}
-
-/// Per-query latency distribution from one dedicated timed pass (see
-/// [`run_latency`]). Quantiles are log2-bucket upper bounds clamped to the
-/// observed max — within one bucket of the exact order statistics.
-#[derive(Debug, Clone, Copy)]
-pub struct LatencyReport {
-    /// Thread count the pass used.
-    pub threads: usize,
-    /// Queries timed (the full stream, once).
-    pub queries: u64,
-    /// Median latency in nanoseconds.
-    pub p50_ns: u64,
-    /// 90th-percentile latency in nanoseconds.
-    pub p90_ns: u64,
-    /// 99th-percentile latency in nanoseconds.
-    pub p99_ns: u64,
-    /// 99.9th-percentile latency in nanoseconds.
-    pub p999_ns: u64,
-    /// Slowest observed query in nanoseconds (exact).
-    pub max_ns: u64,
-    /// Mean latency in nanoseconds (exact).
-    pub mean_ns: f64,
-    /// Wrapping sum of all answers — comparable to [`DriverReport`]'s.
-    pub checksum: u64,
+    /// Total queries over the wall clock of the parallel region.
+    pub queries_per_sec: f64,
+    /// Per-query latency, one value per frame (its mean) weighted by the
+    /// frame's length: `count` is `queries`. Quantiles are log2-bucket
+    /// upper bounds clamped to the observed max.
+    pub latency: HistSnapshot,
+    /// One row per worker that ran, in stripe order.
+    pub per_worker: Vec<WorkerReport>,
 }
 
 /// The contiguous stripe of `len` items that thread `t` of `threads` owns:
@@ -97,140 +108,84 @@ pub fn stripe(len: usize, threads: usize, t: usize) -> std::ops::Range<usize> {
     lo..hi
 }
 
-/// Runs the full `queries` stream against `service` on `threads` threads
-/// (batched pass in chunks of `batch`). Each thread pins its own snapshot.
+fn per_sec(queries: usize, ns: u64) -> f64 {
+    queries as f64 * 1e9 / ns.max(1) as f64
+}
+
+/// Runs `queries` through one [`Worker`] per non-empty stripe of `threads`,
+/// `batch` queries per frame. `open` runs on the worker's own thread and
+/// only for a stripe that carries something, so an idle worker pins no
+/// snapshot and opens no connection. Frame means also go into `global`,
+/// the process-wide histogram of the transport. The first worker error, in
+/// stripe order, fails the run.
 ///
 /// # Panics
-/// Panics if `threads` or `batch` is zero, or if any thread's single and
-/// batched checksums diverge (a broken engine, never a usage error).
-pub fn run(
-    service: &ServiceHandle,
+/// Panics if `threads` or `batch` is zero.
+pub fn drive<W: Worker>(
+    clock: &dyn Clock,
+    global: &Histogram,
     queries: &[Query],
     threads: usize,
     batch: usize,
-) -> DriverReport {
+    open: impl Fn() -> Result<W, W::Error> + Sync,
+) -> Result<Report, W::Error> {
     assert!(threads > 0, "driver needs at least one thread");
     assert!(batch > 0, "batch size must be positive");
-
-    struct ThreadSlot {
-        /// Pinned in the first region and reused by the second, so both
-        /// passes of one run answer against the same epoch even if a
-        /// rebuild publishes mid-run — the checksum cross-check below is
-        /// then a genuine engine invariant, never a swap artifact.
-        snapshot: Option<crate::service::IndexSnapshot>,
-        queries: usize,
-        single_qps: f64,
-        single_sum: u64,
-        batch_qps: f64,
-        batch_sum: u64,
-    }
-    let mut slots: Vec<ThreadSlot> = (0..threads)
-        .map(|t| ThreadSlot {
-            snapshot: None,
-            queries: stripe(queries.len(), threads, t).len(),
-            single_qps: 0.0,
-            single_sum: 0,
-            batch_qps: 0.0,
-            batch_sum: 0,
+    let latency = Histogram::new();
+    let work = |worker: usize, stripe: &[Query]| -> Result<WorkerReport, W::Error> {
+        let mut transport = open()?;
+        let (mut checksum, mut busy_ns) = (0u64, 0u64);
+        for frame in stripe.chunks(batch) {
+            let answer = || transport.answer(frame);
+            let (sum, ns) = throughput::timed_frame(clock, frame.len(), &latency, global, answer);
+            checksum = checksum.wrapping_add(sum?);
+            busy_ns += ns;
+        }
+        Ok(WorkerReport {
+            worker,
+            queries: stripe.len(),
+            queries_per_sec: per_sec(stripe.len(), busy_ns),
+            checksum,
+            epoch: transport.epoch(),
+            retries: transport.retries(),
         })
-        .collect();
+    };
 
-    // Region 1: every thread pins its snapshot and runs the
-    // one-call-per-query pass on its stripe.
-    let single_wall = parallel_region(&mut slots, |t, slot| {
-        let snap = slot.snapshot.insert(service.snapshot());
-        let stripe = &queries[stripe(queries.len(), threads, t)];
-        let (qps, sum) = throughput::single_pass(&snap.engine(), stripe);
-        slot.single_qps = qps;
-        slot.single_sum = sum;
+    let t0 = clock.now_ns();
+    let rows: Vec<Result<WorkerReport, W::Error>> = std::thread::scope(|scope| {
+        let stripes = (0..threads).map(|t| (t, &queries[stripe(queries.len(), threads, t)]));
+        let handles: Vec<_> = stripes
+            .filter(|(_, stripe)| !stripe.is_empty())
+            .map(|(t, stripe)| scope.spawn(move || work(t, stripe)))
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("driver worker panicked")).collect()
     });
+    let wall_ns = clock.now_ns().saturating_sub(t0);
 
-    // Region 2: the batched pass against the same pinned snapshots,
-    // reused answer buffers.
-    let batch_wall = parallel_region(&mut slots, |t, slot| {
-        let snap = slot.snapshot.as_ref().expect("pinned in region 1");
-        let stripe = &queries[stripe(queries.len(), threads, t)];
-        let mut buf = Vec::with_capacity(batch.min(stripe.len()));
-        let (qps, sum) = throughput::batched_pass(&snap.engine(), stripe, batch, &mut buf);
-        slot.batch_qps = qps;
-        slot.batch_sum = sum;
-    });
-
-    let mut checksum = 0u64;
-    let per_thread: Vec<ThreadReport> = slots
-        .iter()
-        .enumerate()
-        .map(|(t, s)| {
-            assert_eq!(
-                s.single_sum, s.batch_sum,
-                "thread {t}: batched path diverged from the single-call path"
-            );
-            checksum = checksum.wrapping_add(s.single_sum);
-            ThreadReport {
-                thread: t,
-                queries: s.queries,
-                epoch: s.snapshot.as_ref().map(|snap| snap.epoch()).unwrap_or(0),
-                single_qps: s.single_qps,
-                batch_qps: s.batch_qps,
-                checksum: s.single_sum,
-            }
-        })
-        .collect();
-
-    DriverReport {
+    let per_worker = rows.into_iter().collect::<Result<Vec<_>, _>>()?;
+    Ok(Report {
         threads,
-        total_queries: queries.len(),
-        aggregate_single_qps: queries.len() as f64 / single_wall.max(1e-9),
-        aggregate_batch_qps: queries.len() as f64 / batch_wall.max(1e-9),
-        checksum,
-        per_thread,
-    }
+        batch,
+        queries: queries.len(),
+        checksum: per_worker.iter().fold(0, |sum, w| sum.wrapping_add(w.checksum)),
+        queries_per_sec: per_sec(queries.len(), wall_ns),
+        latency: latency.snapshot(),
+        per_worker,
+    })
 }
 
-/// Times every query of the stream **individually** into a latency
-/// histogram, on `threads` threads with the same deterministic striping as
-/// [`run`]. A separate pass from the throughput regions by design: the two
-/// clock reads around each query would depress q/s if folded into the
-/// timed throughput loops, so distributions and throughput come from
-/// different passes over the same engine (see
-/// `ampc_query::throughput::latency_pass`).
+/// [`drive`] in process: each worker pins its own snapshot of `service`
+/// and answers its stripe against that one epoch; frame means also go into
+/// the process-wide `query_latency_ns`.
 ///
 /// # Panics
-/// Panics if `threads` is zero.
-pub fn run_latency(service: &ServiceHandle, queries: &[Query], threads: usize) -> LatencyReport {
-    assert!(threads > 0, "driver needs at least one thread");
-    let hist = ampc_obs::Histogram::new();
-    let mut sums: Vec<u64> = vec![0; threads];
-    parallel_region(&mut sums, |t, sum| {
-        let snap = service.snapshot();
-        let stripe = &queries[stripe(queries.len(), threads, t)];
-        *sum = throughput::latency_pass(&snap.engine(), stripe, &hist);
-    });
-    let snap = hist.snapshot();
-    LatencyReport {
-        threads,
-        queries: snap.count,
-        p50_ns: snap.quantile(0.5),
-        p90_ns: snap.quantile(0.9),
-        p99_ns: snap.quantile(0.99),
-        p999_ns: snap.quantile(0.999),
-        max_ns: snap.max,
-        mean_ns: snap.mean(),
-        checksum: sums.iter().fold(0u64, |a, &b| a.wrapping_add(b)),
+/// Panics if `threads` or `batch` is zero.
+pub fn run(service: &ServiceHandle, queries: &[Query], threads: usize, batch: usize) -> Report {
+    let global = ampc_obs::hist(HistId::QueryLatencyNs);
+    match drive(&MonotonicClock, global, queries, threads, batch, || Ok(service.snapshot())) {
+        Ok(report) => report,
+        Err(never) => match never {},
     }
-}
-
-/// Spawns one scoped thread per slot, runs `body(t, slot)` on each, and
-/// returns the wall-clock seconds of the whole region.
-fn parallel_region<S: Send>(slots: &mut [S], body: impl Fn(usize, &mut S) + Sync) -> f64 {
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for (t, slot) in slots.iter_mut().enumerate() {
-            let body = &body;
-            scope.spawn(move || body(t, slot));
-        }
-    });
-    t0.elapsed().as_secs_f64()
 }
 
 #[cfg(test)]
@@ -238,7 +193,9 @@ mod tests {
     use super::*;
     use ampc_cc::pipeline::PipelineSpec;
     use ampc_graph::generators::random_forest;
+    use ampc_obs::CountingClock;
     use ampc_query::workload;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     use crate::service::ServiceBuilder;
 
@@ -266,19 +223,26 @@ mod tests {
     }
 
     #[test]
-    fn totals_are_invariant_under_thread_count() {
+    fn totals_are_the_engines_at_every_thread_count_and_batch() {
         let service = service();
         let snap = service.snapshot();
         let queries = workload::generate(snap.index(), workload::Mix::Uniform, 20_000, 99);
-        let baseline = run(&service, &queries, 1, 256);
-        assert_eq!(baseline.total_queries, 20_000);
-        for threads in [2, 3, 4, 7] {
-            let r = run(&service, &queries, threads, 256);
-            assert_eq!(r.checksum, baseline.checksum, "checksum changed at {threads} threads");
-            assert_eq!(r.total_queries, baseline.total_queries);
-            assert_eq!(r.per_thread.len(), threads);
-            assert_eq!(r.per_thread.iter().map(|t| t.queries).sum::<usize>(), 20_000);
-            assert!(r.per_thread.iter().all(|t| t.epoch == 0));
+        let engine = snap.engine();
+        let expected = queries.iter().fold(0u64, |sum, &q| sum.wrapping_add(engine.answer(q)));
+        for threads in [1, 2, 3, 7] {
+            for batch in [1, 7, 256] {
+                let r = run(&service, &queries, threads, batch);
+                assert_eq!(r.checksum, expected, "threads={threads} batch={batch}");
+                assert_eq!((r.threads, r.batch, r.queries), (threads, batch, 20_000));
+                assert_eq!(r.per_worker.len(), threads);
+                assert_eq!(r.per_worker.iter().map(|w| w.queries).sum::<usize>(), 20_000);
+                assert!(r.per_worker.iter().all(|w| w.epoch == 0 && w.retries == 0));
+                assert!(r.queries_per_sec > 0.0);
+                // Length-weighted: one value per frame, counted once per query.
+                assert_eq!(r.latency.count, 20_000, "threads={threads} batch={batch}");
+                let q = [0.5, 0.9, 0.99, 0.999].map(|q| r.latency.quantile(q));
+                assert!(q.windows(2).all(|w| w[0] <= w[1]) && q[3] <= r.latency.max, "{q:?}");
+            }
         }
     }
 
@@ -288,9 +252,7 @@ mod tests {
         for mix in workload::Mix::STANDARD {
             let generate = || workload::generate(service.snapshot().index(), mix, 4000, 7);
             let r = run(&service, &generate(), 2, 128);
-            assert_eq!(r.total_queries, 4000);
-            assert_eq!(r.threads, 2);
-            assert!(r.aggregate_single_qps > 0.0 && r.aggregate_batch_qps > 0.0);
+            assert_eq!((r.queries, r.threads), (4000, 2));
             // Deterministic workload ⇒ deterministic checksum across runs.
             let again = run(&service, &generate(), 4, 32);
             assert_eq!(r.checksum, again.checksum, "mix {} checksum drifted", mix.name());
@@ -298,31 +260,70 @@ mod tests {
     }
 
     #[test]
-    fn latency_pass_matches_throughput_checksum_with_ordered_quantiles() {
+    fn a_frame_costs_two_clock_reads_and_the_region_two_more() {
         let service = service();
         let snap = service.snapshot();
-        let queries = workload::generate(snap.index(), workload::Mix::Uniform, 10_000, 21);
-        let throughput = run(&service, &queries, 2, 256);
-        let lat = run_latency(&service, &queries, 2);
-        // Same stream, same engine: the answers (hence checksum) must
-        // match the throughput passes, at any thread count.
-        assert_eq!(lat.checksum, throughput.checksum);
-        assert_eq!(run_latency(&service, &queries, 4).checksum, throughput.checksum);
-        assert_eq!(lat.queries, 10_000);
-        assert!(lat.p50_ns > 0, "a timed query cannot take zero time");
-        assert!(lat.p50_ns <= lat.p90_ns);
-        assert!(lat.p90_ns <= lat.p99_ns);
-        assert!(lat.p99_ns <= lat.p999_ns);
-        assert!(lat.p999_ns <= lat.max_ns);
-        assert!(lat.mean_ns > 0.0);
+        let global = Histogram::new();
+        for len in [0usize, 1, 513, 4096] {
+            let queries = workload::generate(snap.index(), workload::Mix::Uniform, len, 3);
+            for (threads, batch) in [(1, 1), (1, 7), (3, 7), (2, 1024), (5, 1024)] {
+                let clock = CountingClock::default();
+                let open = || Ok::<_, Infallible>(service.snapshot());
+                let r = drive(&clock, &global, &queries, threads, batch, open).unwrap();
+                let frames: usize =
+                    (0..threads).map(|t| stripe(len, threads, t).len().div_ceil(batch)).sum();
+                assert_eq!(
+                    clock.reads(),
+                    2 * frames as u64 + 2,
+                    "len={len} threads={threads} batch={batch}"
+                );
+                assert_eq!(r.latency.count, len as u64);
+            }
+        }
+    }
+
+    /// Answers a frame with its length; fails the frame that holds
+    /// `Query::TopKSize(13)`.
+    struct Probe;
+
+    impl Worker for Probe {
+        type Error = &'static str;
+
+        fn answer(&mut self, frame: &[Query]) -> Result<u64, &'static str> {
+            if frame.contains(&Query::TopKSize(13)) {
+                return Err("unlucky frame");
+            }
+            Ok(frame.len() as u64)
+        }
     }
 
     #[test]
-    fn empty_stream_reports_zeros() {
-        let service = service();
-        let r = run(&service, &[], 4, 64);
-        assert_eq!((r.total_queries, r.checksum), (0, 0));
-        assert_eq!(r.per_thread.len(), 4);
-        assert!(r.per_thread.iter().all(|t| t.queries == 0));
+    fn an_empty_stripe_opens_no_worker_and_a_failed_frame_fails_the_run() {
+        let opened = AtomicUsize::new(0);
+        let open = || {
+            opened.fetch_add(1, Ordering::SeqCst);
+            Ok(Probe)
+        };
+        let global = Histogram::new();
+        let queries = vec![Query::ComponentOf(0); 10];
+        // More threads than queries: ten one-query stripes, 54 idle ones.
+        let r = drive(&MonotonicClock, &global, &queries, 64, 4, open).expect("no unlucky frame");
+        assert_eq!((r.checksum, r.queries, r.threads), (10, 10, 64));
+        assert_eq!(
+            r.per_worker.iter().map(|w| w.worker).collect::<Vec<_>>(),
+            (0..10).collect::<Vec<_>>()
+        );
+        assert_eq!(opened.swap(0, Ordering::SeqCst), 10, "one worker per non-empty stripe");
+
+        let r = drive(&MonotonicClock, &global, &[], 4, 64, open).expect("nothing to fail");
+        assert_eq!((r.queries, r.checksum, r.latency.count, r.per_worker.len()), (0, 0, 0, 0));
+        assert_eq!(opened.load(Ordering::SeqCst), 0, "an empty stream opens nothing");
+
+        let mut unlucky = queries.clone();
+        unlucky[7] = Query::TopKSize(13);
+        assert_eq!(
+            drive(&MonotonicClock, &global, &unlucky, 3, 2, open).unwrap_err(),
+            "unlucky frame"
+        );
     }
 }

@@ -30,10 +30,12 @@
 //!   rename); boot is a header check, one bulk read and a validated
 //!   decode, publishing epoch 0 with an index equal to the persisted one
 //!   — no pipeline run.
-//! * [`driver`] — the multi-threaded workload driver: a deterministic
-//!   per-thread striping of one query stream (totals are seed-reproducible
-//!   at any thread count), per-thread and aggregate queries/sec, each
-//!   thread answering through its own pinned snapshot.
+//! * [`driver`] — the one striped closed-loop workload runner: a
+//!   deterministic per-worker striping of one query stream (totals are
+//!   seed-reproducible at any thread count), two clock reads per frame and
+//!   none per query, one report type; generic over how a worker answers a
+//!   frame — through its own pinned snapshot here, over a connection in
+//!   `ampc-net`.
 //! * [`fault`] + the degradation state machine — every risky seam
 //!   (pipeline build, compaction publish, journal freeze, snapshot
 //!   write/load) carries a named **failpoint** (the registry is

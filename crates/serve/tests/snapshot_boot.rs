@@ -51,7 +51,7 @@ fn assert_replica_identical(live: &ServiceHandle, booted: &ServiceHandle, ctx: &
         let a = driver::run(live, &queries, 2, 128);
         let b = driver::run(booted, &queries, 2, 128);
         assert_eq!(a.checksum, b.checksum, "{ctx}/{}: answers diverge", mix.name());
-        assert_eq!(a.total_queries, b.total_queries, "{ctx}/{}", mix.name());
+        assert_eq!(a.queries, b.queries, "{ctx}/{}", mix.name());
     }
 }
 

@@ -189,11 +189,10 @@ fn concurrent_rebuild_publishers_never_tear_a_snapshot() {
 
 #[test]
 fn driver_stays_per_thread_consistent_while_rebuilds_publish() {
-    // The multi-threaded driver pins one snapshot per thread and reuses it
-    // for both timed passes, so a rebuild landing mid-run must neither
-    // panic the single-vs-batched cross-check nor mix epochs within a
-    // thread: every per-thread checksum must equal the oracle sum of that
-    // thread's stripe against the graph of the epoch the row reports.
+    // The driver pins one snapshot per worker for its whole stripe, so a
+    // rebuild landing mid-run must not mix epochs within a worker: every
+    // per-worker checksum must equal the oracle sum of that worker's
+    // stripe against the graph of the epoch the row reports.
     let queries = shared_workload();
     let oracles = oracles(&queries);
     let spec = PipelineSpec::default().with_seed(77).with_machines(2);
@@ -223,13 +222,13 @@ fn driver_stays_per_thread_consistent_while_rebuilds_publish() {
         });
         for _ in 0..20 {
             let report = ampc_serve::driver::run(&service, &queries, THREADS, 256);
-            for row in &report.per_thread {
+            for row in &report.per_worker {
                 let epoch = row.epoch as usize % (REBUILDS + 1);
                 assert_eq!(
                     row.checksum,
-                    stripe_sum(epoch, row.thread),
-                    "thread {} at epoch {}: answers mixed epochs",
-                    row.thread,
+                    stripe_sum(epoch, row.worker),
+                    "worker {} at epoch {}: answers mixed epochs",
+                    row.worker,
                     row.epoch
                 );
             }

@@ -35,25 +35,31 @@
 //!                process metrics table (counters, gauges, latency
 //!                quantiles) at the end
 //!   --json       emit one machine-readable JSON object on stdout (labels +
-//!                RunStats for runs; the throughput report for queries)
+//!                RunStats for runs; for queries the run report, whose
+//!                members are named the same in process and under --connect:
+//!                queries_per_sec, checksum, per_thread[], latency{...})
 //!
 //! Both subcommands drive one `PipelineSpec` (algorithm, backend, limits,
 //! seed, machines): the run subcommand executes it directly, the query
-//! subcommand hands it to a `ConnectivityService`, whose
-//! epoch-swapped snapshots the multi-threaded driver reads. The service
-//! cross-checks every answer against the union-find reference before any
-//! throughput is reported:
+//! subcommand hands it to a `ConnectivityService` and replays one workload
+//! against it through the closed-loop runner (`serve::driver`), after every
+//! answer has been cross-checked against the union-find reference:
 //!   --mix         synthetic workload shape (default uniform)
 //!   --queries N   synthetic workload size (default 100000)
-//!   --batch B     batch size for the batched pass (default 1024)
-//!   --threads T   reader threads (default 1); the query stream is striped
-//!                 deterministically per thread, so the reported checksum
-//!                 is identical at every thread count
+//!   --batch B     queries per frame (default 1024). A worker answers one
+//!                 frame at a time and the clock is read per frame, never per
+//!                 query: a latency value is a frame's mean, counted once
+//!                 per query it carried. `--batch 1` is how one asks for the
+//!                 one-call-per-query figure (clock reads included)
+//!   --threads T   workers (default 1; connections under --connect). The
+//!                 query stream is striped deterministically per worker, so
+//!                 the reported checksum is identical at every thread count;
+//!                 a worker whose stripe is empty is not started
 //!   --query-file  answer queries from a file instead of a synthetic mix
 //!                 (lines: "connected U V" | "component V" | "size V" |
 //!                 "topk K"; '#' comments)
 //!   --top K       print the K largest components
-//!   --stream N    after the throughput passes, apply N random edge-insertion
+//!   --stream N    after the timed run, apply N random edge-insertion
 //!                 batches through the incremental journal-epoch path,
 //!                 validating the published answers against a from-scratch
 //!                 union-find oracle after every batch
@@ -87,15 +93,14 @@
 //!                 batches roll back, the oracle check runs every round,
 //!                 and the run converges back to healthy (reported in the
 //!                 summary and under "chaos" in --json)
-//!   --connect ADDR  (query) answer the workload over the wire against a
-//!                 running `ampc-cc serve` instead of in process. The
-//!                 graph file builds a local union-find oracle; the
-//!                 closed-loop harness (--threads connections, --batch
-//!                 queries per frame) must reproduce the oracle checksum
-//!                 byte-for-byte or the run exits nonzero. Reports wire
-//!                 latency (client round-trip) separately from the
-//!                 server's service latency (recovered from the metrics
-//!                 opcode), plus wire health — under "network" in --json
+//!   --connect ADDR  (query) the same run over the wire: the graph file
+//!                 builds the local union-find oracle and the workload, the
+//!                 frames go to a running `ampc-cc serve` (--threads
+//!                 connections, --batch queries per frame, at most 87381)
+//!                 and must reproduce the oracle checksum or the run exits
+//!                 nonzero. `latency` is then the client's round trip; the
+//!                 server's own service latency (recovered from the metrics
+//!                 opcode) and health are reported beside it
 //!   --shutdown    (query, with --connect) ask the server to exit once
 //!                 the workload completes
 //!   --listen ADDR (serve) bind address (default 127.0.0.1:0 — an
@@ -105,8 +110,8 @@
 //!   --queue D     (serve) admission-queue high-water mark: connections
 //!                 past it are shed with a typed Overloaded reply
 //!                 (default 64)
-//!   --port-file PATH  (serve) write the bound address to PATH once
-//!                 listening — the handshake file a harness polls
+//!   --port-file PATH  (serve) write the bound address to PATH (renamed into
+//!                 place) once listening — the handshake file a harness polls
 //! ```
 //!
 //! Example:
@@ -131,7 +136,8 @@ use adaptive_mpc_connectivity::graph::{
 use adaptive_mpc_connectivity::net;
 use adaptive_mpc_connectivity::query::{snapshot, workload, ComponentIndex, Query, QueryEngine};
 use adaptive_mpc_connectivity::serve::{
-    driver, fault, BootSource, FaultAction, HealthState, ServeError, ServiceBuilder, ServiceHandle,
+    driver, fault, BootSource, FaultAction, HealthState, IndexSnapshot, ServeError, ServiceBuilder,
+    ServiceHandle,
 };
 
 #[derive(Default)]
@@ -311,6 +317,10 @@ fn parse_args() -> Result<Cmd, String> {
         }
         if run.file.is_empty() {
             return Err("--connect needs the graph file (it is the local oracle)".into());
+        }
+        let cap = net::protocol::DEFAULT_MAX_PAYLOAD as usize / net::protocol::QUERY_WIRE_LEN;
+        if q.batch > cap {
+            return Err(format!("--batch {} does not fit a wire frame (at most {cap})", q.batch));
         }
     }
     if q.shutdown && q.connect.is_none() {
@@ -685,9 +695,13 @@ fn cmd_serve(args: ServeArgs) -> Result<(), String> {
     let addr = handle.local_addr();
     eprintln!("listening on {addr} ({} workers, queue depth {})", args.workers, args.queue);
     if let Some(path) = &args.port_file {
-        // The handshake file a harness polls: written only once the
-        // listener is live, so its existence means "connectable".
-        std::fs::write(path, format!("{addr}\n"))
+        // The handshake file a harness polls: renamed into place only once
+        // the listener is live, so its existence means "connectable" and it
+        // is never seen empty. Plain `std::fs`, not `snapshot::write_atomic`:
+        // that one traverses the `persist.*` failpoints `--fail` can arm.
+        let tmp = format!("{path}.tmp.{}", std::process::id());
+        std::fs::write(&tmp, format!("{addr}\n"))
+            .and_then(|()| std::fs::rename(&tmp, path))
             .map_err(|e| format!("writing --port-file {path} failed: {e}"))?;
     }
     handle.wait();
@@ -703,167 +717,33 @@ fn cmd_serve(args: ServeArgs) -> Result<(), String> {
     Ok(())
 }
 
-/// The `query --connect` mode: replay the workload over the wire against
-/// a running server and hold its answers to the local oracle's checksum.
-fn cmd_query_connect(args: &QueryArgs, addr_spec: &str) -> Result<(), String> {
-    use std::net::ToSocketAddrs;
-    let addr = addr_spec
-        .to_socket_addrs()
-        .map_err(|e| format!("bad --connect address {addr_spec}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("--connect address {addr_spec} resolved to nothing"))?;
-
-    // The local oracle: same graph file, same reference union-find, same
-    // seeded workload generation as the in-process path — identical index
-    // ⇒ identical workload ⇒ the wire checksum must match exactly.
-    let g = read_graph(&args.run)?;
-    let (n, m) = (g.n(), g.m());
-    let oracle = ComponentIndex::build(&reference_components(&g));
-    let queries = workload::generate(&oracle, args.mix, args.queries, args.run.spec.seed);
-    let engine = QueryEngine::new(&oracle);
-    let expected: u64 = queries.iter().fold(0u64, |acc, &q| acc.wrapping_add(engine.answer(q)));
-    eprintln!(
-        "workload: {} ({} queries, batch = {}, connections = {}) → {addr}",
-        args.mix.name(),
-        queries.len(),
-        args.batch,
-        args.threads
-    );
-
-    let report = net::run_harness(
-        addr,
-        &queries,
-        net::HarnessConfig { connections: args.threads, batch: args.batch, retries: 0 },
-    )
-    .map_err(|e| format!("network harness failed: {e}"))?;
-    let checksum_ok = report.checksum == expected;
-    if !checksum_ok {
-        return Err(format!(
-            "wire checksum {} diverged from the oracle's {expected}: the server answered wrong",
-            report.checksum
-        ));
-    }
-    eprintln!(
-        "network: {:.0} q/s over {} connections | checksum {} matches the oracle",
-        report.qps, args.threads, report.checksum
-    );
-    eprintln!(
-        "wire latency: p50 = {} ns | p99 = {} ns | p999 = {} ns | max = {} ns \
-         ({} round-trips)",
-        report.wire.quantile(0.5),
-        report.wire.quantile(0.99),
-        report.wire.quantile(0.999),
-        report.wire.max,
-        report.wire.count
-    );
-
-    // One control connection fetches health and the metrics exposition;
-    // the server-side service histogram is recovered from the Prometheus
-    // text, so wire and service latency are reported side by side with no
-    // side channel.
-    let mut conn = net::Connection::connect(addr)
-        .map_err(|e| format!("control connection to {addr} failed: {e}"))?;
-    let health = conn.health().map_err(|e| format!("health opcode failed: {e}"))?;
-    let metrics_text = conn.metrics().map_err(|e| format!("metrics opcode failed: {e}"))?;
-    let service_lat = net::prom_histogram_quantiles(&metrics_text, "net_request_service_ns");
-    match &service_lat {
-        Some((count, qs)) => eprintln!(
-            "service latency (server-side): p50 = {} ns | p99 = {} ns | p999 = {} ns \
-             ({count} queries)",
-            qs[0].1, qs[1].1, qs[2].1
-        ),
-        None => eprintln!("service latency: not yet present in the server's exposition"),
-    }
-    eprintln!(
-        "server health: {} | epoch {} | {} components",
-        health.state_name(),
-        health.epoch,
-        health.components
-    );
-    if args.shutdown {
-        conn.shutdown_server().map_err(|e| format!("shutdown request failed: {e}"))?;
-        eprintln!("server acknowledged shutdown");
-    }
-
-    if args.run.json {
-        let mut j = Json::new();
-        j.field("n", n);
-        j.field("m", m);
-        j.string("connect", addr_spec);
-        j.nest(Some("network"), '{', BLOCK, |j| {
-            j.string("workload", args.mix.name());
-            j.field("queries", queries.len());
-            j.field("batch", args.batch);
-            j.field("connections", args.threads);
-            j.field("queries_per_sec", format_args!("{:.0}", report.qps));
-            j.field("checksum", report.checksum);
-            j.field("checksum_matches_oracle", checksum_ok);
-            j.field("retries", report.retries_used);
-            j.nest(Some("wire"), '{', INLINE, |j| {
-                j.field("round_trips", report.wire.count);
-                j.field("p50_ns", report.wire.quantile(0.5));
-                j.field("p99_ns", report.wire.quantile(0.99));
-                j.field("p999_ns", report.wire.quantile(0.999));
-                j.field("max_ns", report.wire.max);
-                j.field("mean_ns", format_args!("{:.1}", report.wire.mean()));
-            });
-            match &service_lat {
-                Some((count, qs)) => j.nest(Some("service"), '{', INLINE, |j| {
-                    j.field("queries", count);
-                    j.field("p50_ns", qs[0].1);
-                    j.field("p99_ns", qs[1].1);
-                    j.field("p999_ns", qs[2].1);
-                }),
-                None => j.field("service", "null"),
-            }
-            j.nest(Some("health"), '{', INLINE, |j| {
-                j.string("state", health.state_name());
-                j.field("consecutive_failures", health.consecutive_failures);
-                j.field("total_incidents", health.total_incidents);
-                j.field("epoch", health.epoch);
-                j.field("components", health.components);
-            });
-        });
-        metrics_json(&mut j);
-        j.field("shutdown_sent", args.shutdown);
-        print!("{}", j.finish());
-    }
-    Ok(())
+/// Where `query` sends its frames.
+enum Transport {
+    /// A service booted in this process, its epoch-0 snapshot, and the
+    /// milliseconds the boot took.
+    Local(ServiceHandle, IndexSnapshot, f64),
+    /// A running `ampc-cc serve`.
+    Wire(std::net::SocketAddr),
 }
 
-fn cmd_query(args: QueryArgs) -> Result<(), String> {
-    arm_failpoints(&args.run.fail)?;
-    if let Some(addr) = args.connect.clone() {
-        return cmd_query_connect(&args, &addr);
-    }
-    let has_file = !args.run.file.is_empty();
-    if args.stream > 0 && !has_file {
-        return Err("--stream needs the graph file (a snapshot carries no edge list)".into());
-    }
-    let loaded = if has_file { Some(read_graph(&args.run)?) } else { None };
-
-    // The union-find truth is computed up front so the graph can be moved
-    // into the service (no second copy of a large input). The streaming
-    // phase re-derives merged graphs, so it keeps the edge list around.
-    let truth: Option<Labeling> = loaded.as_ref().map(reference_components);
-    let base_edges: Vec<(VertexId, VertexId)> = match (&loaded, args.stream > 0) {
-        (Some(g), true) => g.edges().collect(),
-        _ => Vec::new(),
-    };
+/// Epoch 0 of the in-process transport, announced: the pipeline or boot
+/// line, the index line, and the index held byte-identical to one built from
+/// the union-find labels (dense ids are a pure function of the partition).
+fn boot_local(
+    args: &QueryArgs,
+    loaded: Option<Graph>,
+    reference: Option<&ComponentIndex>,
+) -> Result<Transport, String> {
     let file_n = loaded.as_ref().map(Graph::n);
-    if args.from_snapshot.is_none() {
-        if let Some(g) = &loaded {
-            announce(&args.run.spec, g);
-        }
+    if let Some(g) = loaded.as_ref().filter(|_| args.from_snapshot.is_none()) {
+        announce(&args.run.spec, g);
     }
-
     let t0 = Instant::now();
     let service = boot(&args.run.spec, loaded, args.from_snapshot.as_deref(), false)?;
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
     let snap = service.snapshot();
-    let alg = snap.algorithm().number();
-    let (n, m) = snap.graph_size();
-    if let Some(file_n) = file_n.filter(|&file_n| args.from_snapshot.is_some() && file_n != n) {
+    let (n, _) = snap.graph_size();
+    if let Some(file_n) = file_n.filter(|&file_n| file_n != n) {
         return Err(format!("snapshot covers {n} vertices but {} has {file_n}", args.run.file));
     }
     match &args.from_snapshot {
@@ -887,18 +767,211 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
         snap.index().heap_bytes(),
         snap.epoch()
     );
+    if reference.is_some_and(|reference| snap.index() != reference) {
+        return Err("internal error: index diverges from the union-find reference".into());
+    }
+    Ok(Transport::Local(service, snap, build_ms))
+}
 
-    // One union-find pass serves both checks: the service's index must be
-    // byte-identical to one built from the reference labels (dense ids are
-    // a pure function of the partition), and every answer must match the
-    // reference engine's. Without a graph file there is no truth to check
-    // against — the snapshot's checksums stand in for it.
-    let reference: Option<ComponentIndex> = truth.as_ref().map(ComponentIndex::build);
-    if let Some(reference) = &reference {
-        if snap.index() != reference {
-            return Err("internal error: index diverges from the union-find reference".into());
+/// The `--stream` phase: applies deterministic random edge batches through
+/// the incremental journal-epoch path, validating each published epoch
+/// against a from-scratch union-find oracle before timing counts, and
+/// writes its summary to stderr and as the `"streaming"` member of `j`.
+fn stream_phase(
+    args: &QueryArgs,
+    service: &ServiceHandle,
+    n: usize,
+    mut all_edges: Vec<(VertexId, VertexId)>,
+    j: &mut Json,
+) -> Result<(), String> {
+    let mut rng = SplitMix64::new(derive_seed(&[0x57_AE, args.run.spec.seed]));
+    let mut publish_ms: Vec<f64> = Vec::with_capacity(args.stream);
+    let mut last_merges = 0usize;
+    // Chaos mode: a seeded schedule arms one-shot faults on the
+    // insert/compaction path while the stream runs. Injected failures
+    // must surface as typed, rolled-back errors, never as corruption —
+    // the oracle check below holds whether or not a batch landed.
+    const CHAOS_SITES: [fault::Site; 3] =
+        [fault::Site::JournalBuild, fault::Site::CompactPublish, fault::Site::RebuildPipeline];
+    let mut chaos_rng = args.chaos.map(|seed| SplitMix64::new(derive_seed(&[0xC4A05, seed])));
+    if chaos_rng.is_some() {
+        fault::reset_counters();
+    }
+    let mut rejected = 0usize;
+    let mut recoveries = 0usize;
+    for b in 0..args.stream {
+        if let Some(crng) = &mut chaos_rng {
+            if crng.next_below(2) == 0 {
+                let site = CHAOS_SITES[crng.next_below(CHAOS_SITES.len() as u64) as usize];
+                fault::arm(site, FaultAction::Error, 0, 1);
+            }
+        }
+        let batch: Vec<(VertexId, VertexId)> = (0..args.stream_batch)
+            .map(|_| (rng.next_below(n as u64) as VertexId, rng.next_below(n as u64) as VertexId))
+            .collect();
+        let t0 = Instant::now();
+        match service.insert_edges(&batch) {
+            Ok(report) => {
+                publish_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+                last_merges = report.journal_merges;
+                all_edges.extend_from_slice(&batch);
+            }
+            Err(ServeError::ReadOnly) if args.chaos.is_some() => {
+                // Too many consecutive failures: writes are refused
+                // until an explicit rebuild succeeds. Play the operator.
+                fault::disarm_all();
+                service
+                    .rebuild_blocking(Graph::from_edges(n, &all_edges))
+                    .map_err(|e| format!("chaos: recovery rebuild failed: {e}"))?;
+                recoveries += 1;
+                rejected += 1;
+                eprintln!("chaos: batch {b} refused (read-only); rebuilt to healthy");
+            }
+            Err(e) if args.chaos.is_some() => {
+                rejected += 1;
+                eprintln!(
+                    "chaos: batch {b} rejected ({e}); service {}",
+                    service.health().state.name()
+                );
+            }
+            Err(e) => return Err(format!("insert batch {b} failed: {e}")),
+        }
+        // Oracle check: the journal-epoch must answer exactly like a
+        // fresh build over every edge accepted so far.
+        let oracle =
+            ComponentIndex::build(&reference_components(&Graph::from_edges(n, &all_edges)));
+        let live = service.snapshot();
+        let engine = live.engine();
+        if live.num_components() != oracle.num_components() {
+            return Err(format!(
+                "stream batch {b}: {} components served, oracle has {}",
+                live.num_components(),
+                oracle.num_components()
+            ));
+        }
+        let mut probe = SplitMix64::new(derive_seed(&[0x0_5AC1E, b as u64]));
+        for _ in 0..2048.min(n) {
+            let v = probe.next_below(n as u64) as VertexId;
+            let want = oracle.component_of(v) as u64;
+            let got = engine.answer(Query::ComponentOf(v));
+            if got != want {
+                return Err(format!(
+                    "stream batch {b}: ComponentOf({v}) answered {got}, oracle {want}"
+                ));
+            }
         }
     }
+    let chaos = if let Some(seed) = args.chaos {
+        // Converge back to Healthy: an explicit successful rebuild is
+        // the operator's recovery lever from any degraded state. A
+        // background compaction may still be racing its own injected
+        // failure past the first rebuild, so retry a bounded number of
+        // times with the faults disarmed.
+        fault::disarm_all();
+        let mut tries = 0;
+        while service.health().state != HealthState::Healthy {
+            if tries >= 5 {
+                return Err(format!(
+                    "chaos: service stuck {} after {tries} recovery rebuilds",
+                    service.health().state.name()
+                ));
+            }
+            service
+                .rebuild_blocking(Graph::from_edges(n, &all_edges))
+                .map_err(|e| format!("chaos: final recovery rebuild failed: {e}"))?;
+            recoveries += 1;
+            tries += 1;
+        }
+        let h = service.health();
+        let injected: u64 = CHAOS_SITES.iter().map(|&s| fault::fired(s)).sum();
+        eprintln!(
+            "chaos: seed {seed} | {injected} faults injected | {rejected} batches \
+             rejected | {recoveries} rebuild recoveries | {} incidents | final health {}",
+            h.total_incidents,
+            h.state.name()
+        );
+        Some((seed, injected, h.total_incidents))
+    } else {
+        None
+    };
+    let avg_publish_ms = publish_ms.iter().sum::<f64>() / publish_ms.len().max(1) as f64;
+    let max_publish_ms = publish_ms.iter().fold(0.0f64, |a, &b| a.max(b));
+    let live = service.snapshot();
+    eprintln!(
+        "streaming: {} batches × {} edges | journal publish avg {avg_publish_ms:.3} ms \
+         (max {max_publish_ms:.3}) | epoch {} | {} components | {last_merges} journal merges | \
+         all answers match the oracle",
+        args.stream,
+        args.stream_batch,
+        live.epoch(),
+        live.num_components()
+    );
+    j.nest(Some("streaming"), '{', INLINE, |j| {
+        j.field("batches", args.stream);
+        j.field("edges_per_batch", args.stream_batch);
+        j.field("avg_journal_publish_ms", format_args!("{avg_publish_ms:.3}"));
+        j.field("max_journal_publish_ms", format_args!("{max_publish_ms:.3}"));
+        j.field("final_epoch", live.epoch());
+        j.field("final_components", live.num_components());
+        j.field("journal_merges", last_merges);
+        if let Some((seed, injected, total_incidents)) = chaos {
+            j.nest(Some("chaos"), '{', INLINE, |j| {
+                j.field("seed", seed);
+                j.field("injected_faults", injected);
+                j.field("rejected_batches", rejected);
+                j.field("recovery_rebuilds", recoveries);
+                j.field("total_incidents", total_incidents);
+            });
+        }
+    });
+    Ok(())
+}
+
+/// Answers one workload against one transport — a service booted in this
+/// process, or with `--connect` a running server — through the one
+/// closed-loop runner, holds the answers to the oracle's checksum, and
+/// reports the run on stderr and under `--json`.
+fn cmd_query(args: QueryArgs) -> Result<(), String> {
+    use std::net::ToSocketAddrs;
+    arm_failpoints(&args.run.fail)?;
+    let addr = match &args.connect {
+        Some(spec) => Some(
+            spec.to_socket_addrs()
+                .map_err(|e| format!("bad --connect address {spec}: {e}"))?
+                .next()
+                .ok_or_else(|| format!("--connect address {spec} resolved to nothing"))?,
+        ),
+        None => None,
+    };
+    let has_file = !args.run.file.is_empty();
+    if args.stream > 0 && !has_file {
+        return Err("--stream needs the graph file (a snapshot carries no edge list)".into());
+    }
+    let loaded = if has_file { Some(read_graph(&args.run)?) } else { None };
+
+    // One union-find pass is the oracle of either transport, computed up
+    // front so the graph can be moved into the service (no second copy of a
+    // large input). The streaming phase re-derives merged graphs, so it
+    // keeps the edge list around. Without a graph file there is no truth to
+    // check against — the snapshot's checksums stand in for it.
+    let reference: Option<ComponentIndex> =
+        loaded.as_ref().map(|g| ComponentIndex::build(&reference_components(g)));
+    let base_edges: Vec<(VertexId, VertexId)> = match (&loaded, args.stream > 0) {
+        (Some(g), true) => g.edges().collect(),
+        _ => Vec::new(),
+    };
+    let file_size = loaded.as_ref().map(|g| (g.n(), g.m()));
+    let transport = match addr {
+        Some(addr) => Transport::Wire(addr),
+        None => boot_local(&args, loaded, reference.as_ref())?,
+    };
+    let snap = match &transport {
+        Transport::Local(_, snap, _) => Some(snap),
+        Transport::Wire(_) => None,
+    };
+    let (n, m) = snap.map(|s| s.graph_size()).or(file_size).ok_or("missing input file")?;
+    let oracle: &ComponentIndex =
+        reference.as_ref().or(snap.map(|s| s.index())).ok_or("missing input file")?;
 
     let queries = match &args.query_file {
         Some(path) => {
@@ -907,331 +980,215 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
             workload::parse_query_file(file, n)
                 .map_err(|e| format!("error parsing query file {path}: {e}"))?
         }
-        None => workload::generate(snap.index(), args.mix, args.queries, args.run.spec.seed),
+        None => workload::generate(oracle, args.mix, args.queries, args.run.spec.seed),
     };
     let source = match &args.query_file {
         Some(path) => format!("file:{path}"),
         None => args.mix.name().to_string(),
     };
     eprintln!(
-        "workload: {} ({} queries, batch = {}, threads = {})",
+        "workload: {} ({} queries, batch = {}, threads = {}){}",
         source,
         queries.len(),
         args.batch,
-        args.threads
+        args.threads,
+        addr.map(|addr| format!(" → {addr}")).unwrap_or_default()
     );
 
-    // Per-query validation against the reference engine, answer by answer
-    // (the index equality above already implies this; this loop pins it
-    // observably and yields the expected checksum the driver must hit).
-    // Without a reference the single pass still fixes the checksum every
-    // timed pass must reproduce.
-    let engine = snap.engine();
-    let ref_engine = reference.as_ref().map(QueryEngine::new);
-    let mut expected_checksum = 0u64;
+    // The expected checksum is the oracle's, folded answer by answer. In
+    // process the published index is held to it query by query (the index
+    // equality already implies this; the loop pins it observably), which is
+    // also the warm pass of the timed run below.
+    let oracle_engine = QueryEngine::new(oracle);
+    let served = snap.map(|s| s.engine());
+    let mut expected = 0u64;
     for &q in &queries {
-        let got = engine.answer(q);
-        if let Some(want) = ref_engine.map(|r| r.answer(q)).filter(|&want| want != got) {
+        let want = oracle_engine.answer(q);
+        if let Some(got) = served.map(|e| e.answer(q)).filter(|&got| got != want) {
             return Err(format!("query {q:?}: index answered {got}, reference {want}"));
         }
-        expected_checksum = expected_checksum.wrapping_add(got);
+        expected = expected.wrapping_add(want);
     }
-    if reference.is_some() {
-        eprintln!(
-            "validated: {}/{} answers match the union-find reference",
-            queries.len(),
-            queries.len()
-        );
-    } else {
-        eprintln!("validation: skipped (no graph file; snapshot checksums verified at load)");
-    }
-
-    // Warm pass, then two timed passes folded with per-path maxima (each
-    // path's best pass, independently);
-    // every pass must reproduce the validated checksum (the stream
-    // striping is deterministic, so the total is thread-count-invariant).
-    let mut report = driver::run(&service, &queries, args.threads, args.batch);
-    for _ in 0..2 {
-        let timed = driver::run(&service, &queries, args.threads, args.batch);
-        if timed.checksum != report.checksum {
-            return Err("internal error: driver checksum drifted between passes".into());
+    let validated = match (snap, &reference) {
+        (Some(_), Some(_)) => {
+            let all = queries.len();
+            eprintln!("validated: {all}/{all} answers match the union-find reference");
+            all
         }
-        report.aggregate_single_qps = report.aggregate_single_qps.max(timed.aggregate_single_qps);
-        report.aggregate_batch_qps = report.aggregate_batch_qps.max(timed.aggregate_batch_qps);
-        for (best, t) in report.per_thread.iter_mut().zip(&timed.per_thread) {
-            best.single_qps = best.single_qps.max(t.single_qps);
-            best.batch_qps = best.batch_qps.max(t.batch_qps);
+        (Some(_), None) => {
+            eprintln!("validation: skipped (no graph file; snapshot checksums verified at load)");
+            0
         }
-    }
-    if report.checksum != expected_checksum {
-        return Err("internal error: driver checksum diverged from the validated answers".into());
-    }
-
-    if args.threads > 1 {
-        for t in &report.per_thread {
-            eprintln!(
-                "  thread {:<3} {} queries | single {:>12.0} q/s | batch {:>12.0} q/s | epoch {}",
-                t.thread, t.queries, t.single_qps, t.batch_qps, t.epoch
-            );
-        }
-    }
-    eprintln!(
-        "throughput: single = {:.0} q/s | batch = {:.0} q/s | checksum = {} | threads = {}",
-        report.aggregate_single_qps, report.aggregate_batch_qps, report.checksum, report.threads
-    );
-
-    // Per-query latency distribution, measured by a separate instrumented
-    // pass so the clock reads never depress the throughput numbers above.
-    let latency = driver::run_latency(&service, &queries, args.threads);
-    if latency.checksum != expected_checksum {
-        return Err(
-            "internal error: latency pass checksum diverged from the validated answers".into()
-        );
-    }
-    eprintln!(
-        "latency: p50 = {} ns | p90 = {} ns | p99 = {} ns | p999 = {} ns | max = {} ns | \
-         mean = {:.0} ns ({} timed)",
-        latency.p50_ns,
-        latency.p90_ns,
-        latency.p99_ns,
-        latency.p999_ns,
-        latency.max_ns,
-        latency.mean_ns,
-        latency.queries
-    );
-
-    if args.top > 0 {
-        eprintln!("top {} components by size:", args.top);
-        for (rank, &c) in snap.index().top_k(args.top).iter().enumerate() {
-            eprintln!("  #{:<3} component {:<10} size {}", rank + 1, c, snap.index().size_of(c));
-        }
-    }
-
-    // Streaming phase: apply deterministic random edge batches through the
-    // incremental journal-epoch path, validating each published epoch
-    // against a from-scratch union-find oracle before timing counts.
-    struct ChaosSummary {
-        seed: u64,
-        injected: u64,
-        rejected: usize,
-        recoveries: usize,
-        total_incidents: u64,
-    }
-    struct StreamSummary {
-        avg_publish_ms: f64,
-        max_publish_ms: f64,
-        final_epoch: u64,
-        final_components: usize,
-        journal_merges: usize,
-        chaos: Option<ChaosSummary>,
-    }
-    let streaming: Option<StreamSummary> = if args.stream > 0 {
-        let mut all_edges = base_edges;
-        let mut rng = SplitMix64::new(derive_seed(&[0x57_AE, args.run.spec.seed]));
-        let mut publish_ms: Vec<f64> = Vec::with_capacity(args.stream);
-        let mut last_merges = 0usize;
-        // Chaos mode: a seeded schedule arms one-shot faults on the
-        // insert/compaction path while the stream runs. Injected failures
-        // must surface as typed, rolled-back errors, never as corruption —
-        // the oracle check below holds whether or not a batch landed.
-        const CHAOS_SITES: [fault::Site; 3] =
-            [fault::Site::JournalBuild, fault::Site::CompactPublish, fault::Site::RebuildPipeline];
-        let mut chaos_rng = args.chaos.map(|seed| SplitMix64::new(derive_seed(&[0xC4A05, seed])));
-        if chaos_rng.is_some() {
-            fault::reset_counters();
-        }
-        let mut rejected = 0usize;
-        let mut recoveries = 0usize;
-        for b in 0..args.stream {
-            if let Some(crng) = &mut chaos_rng {
-                if crng.next_below(2) == 0 {
-                    let site = CHAOS_SITES[crng.next_below(CHAOS_SITES.len() as u64) as usize];
-                    fault::arm(site, FaultAction::Error, 0, 1);
-                }
-            }
-            let batch: Vec<(VertexId, VertexId)> = (0..args.stream_batch)
-                .map(|_| {
-                    (rng.next_below(n as u64) as VertexId, rng.next_below(n as u64) as VertexId)
-                })
-                .collect();
-            let t0 = Instant::now();
-            match service.insert_edges(&batch) {
-                Ok(report) => {
-                    publish_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-                    last_merges = report.journal_merges;
-                    all_edges.extend_from_slice(&batch);
-                }
-                Err(ServeError::ReadOnly) if args.chaos.is_some() => {
-                    // Too many consecutive failures: writes are refused
-                    // until an explicit rebuild succeeds. Play the operator.
-                    fault::disarm_all();
-                    service
-                        .rebuild_blocking(Graph::from_edges(n, &all_edges))
-                        .map_err(|e| format!("chaos: recovery rebuild failed: {e}"))?;
-                    recoveries += 1;
-                    rejected += 1;
-                    eprintln!("chaos: batch {b} refused (read-only); rebuilt to healthy");
-                }
-                Err(e) if args.chaos.is_some() => {
-                    rejected += 1;
-                    eprintln!(
-                        "chaos: batch {b} rejected ({e}); service {}",
-                        service.health().state.name()
-                    );
-                }
-                Err(e) => return Err(format!("insert batch {b} failed: {e}")),
-            }
-            // Oracle check: the journal-epoch must answer exactly like a
-            // fresh build over every edge accepted so far.
-            let oracle =
-                ComponentIndex::build(&reference_components(&Graph::from_edges(n, &all_edges)));
-            let live = service.snapshot();
-            let engine = live.engine();
-            if live.num_components() != oracle.num_components() {
-                return Err(format!(
-                    "stream batch {b}: {} components served, oracle has {}",
-                    live.num_components(),
-                    oracle.num_components()
-                ));
-            }
-            let mut probe = SplitMix64::new(derive_seed(&[0x0_5AC1E, b as u64]));
-            for _ in 0..2048.min(n) {
-                let v = probe.next_below(n as u64) as VertexId;
-                let want = oracle.component_of(v) as u64;
-                let got = engine.answer(Query::ComponentOf(v));
-                if got != want {
-                    return Err(format!(
-                        "stream batch {b}: ComponentOf({v}) answered {got}, oracle {want}"
-                    ));
-                }
-            }
-        }
-        let chaos_summary = if let Some(seed) = args.chaos {
-            // Converge back to Healthy: an explicit successful rebuild is
-            // the operator's recovery lever from any degraded state. A
-            // background compaction may still be racing its own injected
-            // failure past the first rebuild, so retry a bounded number of
-            // times with the faults disarmed.
-            fault::disarm_all();
-            let mut tries = 0;
-            while service.health().state != HealthState::Healthy {
-                if tries >= 5 {
-                    return Err(format!(
-                        "chaos: service stuck {} after {tries} recovery rebuilds",
-                        service.health().state.name()
-                    ));
-                }
-                service
-                    .rebuild_blocking(Graph::from_edges(n, &all_edges))
-                    .map_err(|e| format!("chaos: final recovery rebuild failed: {e}"))?;
-                recoveries += 1;
-                tries += 1;
-            }
-            let h = service.health();
-            let injected: u64 = CHAOS_SITES.iter().map(|&s| fault::fired(s)).sum();
-            eprintln!(
-                "chaos: seed {seed} | {injected} faults injected | {rejected} batches \
-                 rejected | {recoveries} rebuild recoveries | {} incidents | final health {}",
-                h.total_incidents,
-                h.state.name()
-            );
-            Some(ChaosSummary {
-                seed,
-                injected,
-                rejected,
-                recoveries,
-                total_incidents: h.total_incidents,
-            })
-        } else {
-            None
-        };
-        let avg_publish_ms = if publish_ms.is_empty() {
-            0.0
-        } else {
-            publish_ms.iter().sum::<f64>() / publish_ms.len() as f64
-        };
-        let max_publish_ms = publish_ms.iter().fold(0.0f64, |a, &b| a.max(b));
-        let live = service.snapshot();
-        let summary = StreamSummary {
-            avg_publish_ms,
-            max_publish_ms,
-            final_epoch: live.epoch(),
-            final_components: live.num_components(),
-            journal_merges: last_merges,
-            chaos: chaos_summary,
-        };
-        eprintln!(
-            "streaming: {} batches × {} edges | journal publish avg {:.3} ms (max {:.3}) | \
-             epoch {} | {} components | {} journal merges | all answers match the oracle",
-            args.stream,
-            args.stream_batch,
-            summary.avg_publish_ms,
-            summary.max_publish_ms,
-            summary.final_epoch,
-            summary.final_components,
-            summary.journal_merges
-        );
-        Some(summary)
-    } else {
-        None
+        (None, _) => 0,
     };
 
-    if args.run.json {
-        let mut j = Json::new();
-        j.field("n", n);
-        j.field("m", m);
-        j.field("algorithm", alg);
-        j.string("backend", args.run.spec.backend.name());
-        j.field("components", snap.index().num_components());
-        j.field("index_bytes", snap.index().heap_bytes());
-        j.field("epoch", snap.epoch());
-        j.field("service_build_ms", format_args!("{build_ms:.3}"));
-        j.field("pipeline_ms", format_args!("{:.3}", snap.pipeline_ms()));
-        j.field("index_build_ms", format_args!("{:.3}", snap.index_build_ms()));
-        j.field("from_snapshot", args.from_snapshot.is_some());
-        let health = service.health();
-        j.nest(Some("health"), '{', BLOCK, |j| {
-            j.string("state", health.state.name());
-            j.field("consecutive_failures", health.consecutive_failures);
-            j.field("total_incidents", health.total_incidents);
-            j.nest(Some("incidents"), '[', INLINE, |j| {
-                for inc in &health.incidents {
-                    j.nest(None, '{', INLINE, |j| {
-                        j.field("seq", inc.seq);
-                        j.field("at_ms", inc.at_ms);
-                        j.string("op", inc.op.name());
-                        j.string("error", &inc.error.to_string());
+    // One closed-loop run, whatever the transport. The striping is
+    // deterministic, so the checksum is the expected one at any --threads
+    // and --batch, or the answers are wrong.
+    let report = match &transport {
+        Transport::Local(service, ..) => driver::run(service, &queries, args.threads, args.batch),
+        Transport::Wire(addr) => {
+            let cfg =
+                net::HarnessConfig { connections: args.threads, batch: args.batch, retries: 0 };
+            net::run_harness(*addr, &queries, cfg)
+                .map_err(|e| format!("network harness failed: {e}"))?
+        }
+    };
+    if report.checksum != expected {
+        return Err(format!(
+            "checksum {} diverged from the expected {expected}: wrong answers",
+            report.checksum
+        ));
+    }
+    if args.threads > 1 {
+        for w in &report.per_worker {
+            eprintln!(
+                "  thread {:<3} {} queries | {:>12.0} q/s | epoch {} | retries {}",
+                w.worker, w.queries, w.queries_per_sec, w.epoch, w.retries
+            );
+        }
+    }
+    eprintln!(
+        "throughput: {:.0} q/s | checksum = {} (as expected) | threads = {} | batch = {}",
+        report.queries_per_sec, report.checksum, report.threads, report.batch
+    );
+    let lat = &report.latency;
+    eprintln!(
+        "latency: p50 = {} ns | p90 = {} ns | p99 = {} ns | p999 = {} ns | max = {} ns | \
+         mean = {:.0} ns ({} queries, each at the mean of its frame's {})",
+        lat.quantile(0.5),
+        lat.quantile(0.9),
+        lat.quantile(0.99),
+        lat.quantile(0.999),
+        lat.max,
+        lat.mean(),
+        lat.count,
+        if addr.is_some() { "round trip" } else { "service time" }
+    );
+
+    // The one `--json` document: the members every run has, then what only
+    // this transport knows. Built as the run goes, printed under --json.
+    let mut j = Json::new();
+    j.field("n", n);
+    j.field("m", m);
+    j.string("workload", &source);
+    j.field("queries", report.queries);
+    j.field("batch", report.batch);
+    j.field("threads", report.threads);
+    j.nest(Some("per_thread"), '[', BLOCK, |j| {
+        for w in &report.per_worker {
+            j.nest(None, '{', INLINE, |j| {
+                j.field("thread", w.worker);
+                j.field("queries", w.queries);
+                j.field("epoch", w.epoch);
+                j.field("retries", w.retries);
+                j.field("queries_per_sec", format_args!("{:.0}", w.queries_per_sec));
+            });
+        }
+    });
+    j.field("queries_per_sec", format_args!("{:.0}", report.queries_per_sec));
+    j.field("checksum", report.checksum);
+    if reference.is_some() {
+        j.field("checksum_matches_oracle", true);
+    }
+    j.field("validated", validated);
+    j.nest(Some("latency"), '{', INLINE, |j| {
+        j.field("queries", lat.count);
+        for (key, ns) in &ampc_obs::summary(lat)[1..] {
+            j.field(key, ns);
+        }
+        j.field("mean_ns", format_args!("{:.1}", lat.mean()));
+    });
+
+    match &transport {
+        // Over the wire, one control connection fetches health and the
+        // metrics exposition; the server-side service histogram is recovered
+        // from the Prometheus text, so wire and service latency are reported
+        // side by side with no side channel.
+        Transport::Wire(addr) => {
+            let mut conn = net::Connection::connect(*addr)
+                .map_err(|e| format!("control connection to {addr} failed: {e}"))?;
+            let health = conn.health().map_err(|e| format!("health opcode failed: {e}"))?;
+            let text = conn.metrics().map_err(|e| format!("metrics opcode failed: {e}"))?;
+            j.string("connect", args.connect.as_deref().unwrap_or_default());
+            match net::prom_histogram_quantiles(&text, "net_request_service_ns") {
+                Some((count, qs)) => {
+                    eprintln!(
+                        "service latency (server-side): p50 = {} ns | p99 = {} ns | p999 = {} ns \
+                         ({count} queries)",
+                        qs[0].1, qs[1].1, qs[2].1
+                    );
+                    j.nest(Some("service"), '{', INLINE, |j| {
+                        j.field("queries", count);
+                        j.field("p50_ns", qs[0].1);
+                        j.field("p99_ns", qs[1].1);
+                        j.field("p999_ns", qs[2].1);
                     });
                 }
-            });
-        });
-        j.string("workload", &source);
-        j.field("queries", queries.len());
-        j.field("batch", args.batch);
-        j.field("threads", report.threads);
-        j.nest(Some("per_thread"), '[', BLOCK, |j| {
-            for t in &report.per_thread {
-                j.nest(None, '{', INLINE, |j| {
-                    j.field("thread", t.thread);
-                    j.field("queries", t.queries);
-                    j.field("epoch", t.epoch);
-                    j.field("single_queries_per_sec", format_args!("{:.0}", t.single_qps));
-                    j.field("batch_queries_per_sec", format_args!("{:.0}", t.batch_qps));
-                });
+                None => {
+                    eprintln!("service latency: not yet present in the server's exposition");
+                    j.field("service", "null");
+                }
             }
-        });
-        j.field("single_queries_per_sec", format_args!("{:.0}", report.aggregate_single_qps));
-        j.field("batch_queries_per_sec", format_args!("{:.0}", report.aggregate_batch_qps));
-        j.field("checksum", report.checksum);
-        j.nest(Some("latency"), '{', INLINE, |j| {
-            j.field("queries", latency.queries);
-            j.field("p50_ns", latency.p50_ns);
-            j.field("p90_ns", latency.p90_ns);
-            j.field("p99_ns", latency.p99_ns);
-            j.field("p999_ns", latency.p999_ns);
-            j.field("max_ns", latency.max_ns);
-            j.field("mean_ns", format_args!("{:.1}", latency.mean_ns));
-        });
+            eprintln!(
+                "server health: {} | epoch {} | {} components",
+                health.state_name(),
+                health.epoch,
+                health.components
+            );
+            j.nest(Some("health"), '{', INLINE, |j| {
+                j.string("state", health.state_name());
+                j.field("consecutive_failures", health.consecutive_failures);
+                j.field("total_incidents", health.total_incidents);
+                j.field("epoch", health.epoch);
+                j.field("components", health.components);
+            });
+            if args.shutdown {
+                conn.shutdown_server().map_err(|e| format!("shutdown request failed: {e}"))?;
+                eprintln!("server acknowledged shutdown");
+            }
+            j.field("shutdown_sent", args.shutdown);
+        }
+        Transport::Local(service, snap, build_ms) => {
+            if args.top > 0 {
+                eprintln!("top {} components by size:", args.top);
+                for (rank, &c) in snap.index().top_k(args.top).iter().enumerate() {
+                    let size = snap.index().size_of(c);
+                    eprintln!("  #{:<3} component {:<10} size {size}", rank + 1, c);
+                }
+            }
+            j.field("algorithm", snap.algorithm().number());
+            j.string("backend", args.run.spec.backend.name());
+            j.field("components", snap.index().num_components());
+            j.field("index_bytes", snap.index().heap_bytes());
+            j.field("epoch", snap.epoch());
+            j.field("service_build_ms", format_args!("{build_ms:.3}"));
+            j.field("pipeline_ms", format_args!("{:.3}", snap.pipeline_ms()));
+            j.field("index_build_ms", format_args!("{:.3}", snap.index_build_ms()));
+            j.field("from_snapshot", args.from_snapshot.is_some());
+            if args.stream > 0 {
+                stream_phase(&args, service, n, base_edges, &mut j)?;
+            }
+            let health = service.health();
+            j.nest(Some("health"), '{', BLOCK, |j| {
+                j.string("state", health.state.name());
+                j.field("consecutive_failures", health.consecutive_failures);
+                j.field("total_incidents", health.total_incidents);
+                j.nest(Some("incidents"), '[', INLINE, |j| {
+                    for inc in &health.incidents {
+                        j.nest(None, '{', INLINE, |j| {
+                            j.field("seq", inc.seq);
+                            j.field("at_ms", inc.at_ms);
+                            j.string("op", inc.op.name());
+                            j.string("error", &inc.error.to_string());
+                        });
+                    }
+                });
+            });
+        }
+    }
+
+    if args.run.json {
         metrics_json(&mut j);
         if let Some(k) = args.trace_events {
             j.nest(Some("trace"), '[', BLOCK, |j| {
@@ -1246,27 +1203,6 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
                 }
             });
         }
-        j.field("validated", if reference.is_some() { queries.len() } else { 0 });
-        if let Some(st) = &streaming {
-            j.nest(Some("streaming"), '{', INLINE, |j| {
-                j.field("batches", args.stream);
-                j.field("edges_per_batch", args.stream_batch);
-                j.field("avg_journal_publish_ms", format_args!("{:.3}", st.avg_publish_ms));
-                j.field("max_journal_publish_ms", format_args!("{:.3}", st.max_publish_ms));
-                j.field("final_epoch", st.final_epoch);
-                j.field("final_components", st.final_components);
-                j.field("journal_merges", st.journal_merges);
-                if let Some(c) = &st.chaos {
-                    j.nest(Some("chaos"), '{', INLINE, |j| {
-                        j.field("seed", c.seed);
-                        j.field("injected_faults", c.injected);
-                        j.field("rejected_batches", c.rejected);
-                        j.field("recovery_rebuilds", c.recoveries);
-                        j.field("total_incidents", c.total_incidents);
-                    });
-                }
-            });
-        }
         print!("{}", j.finish());
     } else {
         if let Some(k) = args.trace_events {
@@ -1275,7 +1211,7 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
         if args.run.metrics {
             eprintln!("\nprocess metrics:\n{}", ampc_obs::render_table());
         }
-        if args.run.labels {
+        if let Some(snap) = snap.filter(|_| args.run.labels) {
             print_labels(snap.labeling());
         }
     }

@@ -111,6 +111,16 @@ fn cli_rejects_bad_usage() {
         let flag = args.iter().find(|a| a.starts_with("--")).unwrap();
         assert!(stderr.contains(&format!("error: {flag} is a query option")), "{args:?}\n{stderr}");
     }
+    // A frame the server would refuse as oversized is a usage error, found
+    // before the graph is read (a missing graph file is exit 1, as the
+    // largest batch that fits shows).
+    for (batch, code) in [("87382", 2), ("87381", 1)] {
+        let args =
+            ["query", "/definitely/missing.txt", "--connect", "127.0.0.1:1", "--batch", batch];
+        let out = Command::new(exe).args(args).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "--connect --batch {batch}\n{stderr}");
+    }
     // `--machines 0` used to reach `AmpcConfig::with_machines`' assert (exit 101).
     let out = Command::new(exe).args([data, "--machines", "0"]).output().expect("spawn");
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -532,13 +542,18 @@ impl Server {
     }
 
     /// Spawns with `--port-file` and blocks until the file appears — it is
-    /// written only once the listener is live. Returns the bound address.
+    /// renamed into place, whole, only once the listener is live. Returns the
+    /// bound address.
     fn spawn_listening(args: &[&str], port_file: &Path) -> (Server, String) {
         let server = Server::spawn(&[args, &["--port-file", port_file.to_str().unwrap()]].concat());
+        (server, Server::wait_for_port_file(port_file))
+    }
+
+    fn wait_for_port_file(port_file: &Path) -> String {
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             match std::fs::read_to_string(port_file) {
-                Ok(text) if text.ends_with('\n') => return (server, text.trim().to_string()),
+                Ok(text) => return text.trim().to_string(),
                 _ if Instant::now() >= deadline => panic!("serve never wrote its --port-file"),
                 _ => std::thread::sleep(Duration::from_millis(20)),
             }
@@ -569,10 +584,36 @@ fn cli_serve_answers_the_connect_harness_over_loopback() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"checksum_matches_oracle\": true"), "wrong answers\n{stdout}");
     assert!(stdout.contains("\"state\": \"healthy\""), "server not healthy\n{stdout}");
-    for section in ["\"wire\"", "\"service\""] {
+    for section in ["\"latency\"", "\"service\""] {
         let q = ["p50_ns", "p99_ns", "p999_ns"].map(|k| json_u64(&stdout, section, k));
         assert!(q[0] > 0 && q[0] <= q[1] && q[1] <= q[2], "{section} quantiles {q:?}\n{stdout}");
     }
+
+    // More workers than queries: a worker whose stripe is empty opens no
+    // connection (28 idle ones would crowd the admission queue the four
+    // working ones need), so the server serves those four and the control
+    // connection, and the answers sum to what one in-process thread gets.
+    let idle_port = port_file.with_extension("idle");
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_ampc-cc"));
+    cmd.arg("serve").arg(Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/smoke.txt"));
+    cmd.args(["--port-file", idle_port.to_str().unwrap()]);
+    let mut quiet = Server(cmd.stdout(Stdio::null()).stderr(Stdio::piped()).spawn().unwrap());
+    let idle_addr = Server::wait_for_port_file(&idle_port);
+    let few = ["--seed", "7", "--queries", "4", "--json"];
+    let out = run_query(
+        &[&few[..], &["--connect", &idle_addr, "--threads", "32", "--shutdown"]].concat(),
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "idle workers: exit {:?}\n{stderr}", out.status.code());
+    let checksum = |out: &std::process::Output| {
+        json_u64(&String::from_utf8_lossy(&out.stdout), "\"per_thread\"", "checksum")
+    };
+    assert_eq!(checksum(&out), checksum(&run_query(&few)), "four answers, one checksum");
+    assert!(quiet.wait_bounded(30).is_some_and(|s| s.success()), "server exit");
+    std::fs::remove_file(&idle_port).ok();
+    let mut log = String::new();
+    std::io::Read::read_to_string(quiet.0.stderr.as_mut().unwrap(), &mut log).unwrap();
+    assert!(log.contains("server stopped: 5 connections served"), "idle connections?\n{log}");
 
     // A client-side wire fault is a typed error and a nonzero exit, and the
     // server keeps serving afterwards.
