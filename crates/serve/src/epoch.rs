@@ -332,11 +332,13 @@ mod tests {
     #[test]
     fn epochs_retired_while_pinned_die_with_their_last_guard() {
         // The publisher retires epoch `e` only once some reader holds a
-        // guard on it (`pinned >= e`), and a reader lets go only once its
-        // epoch is retired, so every epoch but the last is retired while
-        // pinned. Several readers may hold one epoch, so "my guard dropped"
-        // does not mean "the payload died"; what must hold is that once
-        // every guard is gone the cell has kept no retired payload alive.
+        // guard on it (`pinned > e`: readers record `e + 1`, so 0 says
+        // nothing is pinned yet — epoch 0 included), and a reader lets go
+        // only once its epoch is retired, so every epoch but the last is
+        // retired while pinned. Several readers may hold one epoch, so "my
+        // guard dropped" does not mean "the payload died"; what must hold
+        // is that once every guard is gone the cell has kept no retired
+        // payload alive.
         const PUBLISHES: u64 = 2_000;
         let cell = EpochCell::new(Arc::new(0u64));
         let pinned = AtomicU64::new(0);
@@ -352,7 +354,7 @@ mod tests {
                             let g = cell.pin();
                             assert_eq!(*g, g.epoch());
                             seen.push((g.epoch(), Arc::downgrade(g.value())));
-                            pinned.fetch_max(g.epoch(), SeqCst);
+                            pinned.fetch_max(g.epoch() + 1, SeqCst);
                             while cell.epoch() == g.epoch() && !done.load(SeqCst) {
                                 std::thread::yield_now();
                             }
@@ -363,7 +365,7 @@ mod tests {
                 .collect();
             start.wait();
             for next in 1..=PUBLISHES {
-                while pinned.load(SeqCst) + 1 < next {
+                while pinned.load(SeqCst) < next {
                     std::thread::yield_now();
                 }
                 assert_eq!(cell.publish_with(Arc::new), next);

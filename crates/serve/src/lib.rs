@@ -19,11 +19,12 @@
 //!   epoch while the swap happens under live traffic. Rebuilds publish in
 //!   request order (ticket-sequenced), never completion order.
 //! * [`ServiceHandle::insert_edges`] — the incremental delta path:
-//!   streaming edge insertions union dense component ids and publish as
+//!   streaming edge insertions merge dense component ids and publish as
 //!   cheap **journal-epochs** ([`JournalView`] riding on an unchanged
-//!   base index, `O(components)` per publish), byte-identical to a full
-//!   rebuild of the merged graph; past a [`JournalBudget`] the service
-//!   compacts with a background rebuild and replays in-flight inserts.
+//!   base index, each derived from the one before it in `O(components)`),
+//!   byte-identical to a full rebuild of the merged graph; past a
+//!   [`JournalBudget`] the service compacts with a background rebuild and
+//!   replays in-flight inserts.
 //! * [`ServiceHandle::persist`] / [`ServiceBuilder::from_snapshot`] — the
 //!   fan-out path: persist pins the published epoch and writes it as a
 //!   versioned, checksummed snapshot (`ampc_query::snapshot`, atomic

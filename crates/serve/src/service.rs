@@ -217,6 +217,54 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_that_merges_nothing_shares_the_previous_view() {
+        let g = random_forest(300, 6, 21);
+        let idx = ComponentIndex::build(&reference_components(&g));
+        let first_of = |c| (0..300u32).find(|&v| idx.component_of(v) == c).unwrap();
+        let bridge = (first_of(1), first_of(4));
+        let service = ServiceBuilder::new(g).spec(spec()).build().unwrap();
+        let merged = service.insert_edges(&[bridge, (first_of(2), first_of(3))]).unwrap();
+        assert_eq!((merged.new_merges, merged.journal_merges, merged.components), (2, 2, 4));
+        let before = service.snapshot();
+        let answers = |snap: &IndexSnapshot| -> Vec<u64> {
+            let eng = snap.engine();
+            let per_vertex =
+                (0..300u32).flat_map(|v| [Query::ComponentOf(v), Query::ComponentSize(v)]);
+            per_vertex.chain((0..6).map(Query::TopKSize)).map(|q| eng.answer(q)).collect()
+        };
+
+        // Empty, a repeat of an earlier edge, a self-loop, an edge inside a
+        // merged class: each publishes its epoch on the same view.
+        let idle: [&[(VertexId, VertexId)]; 3] =
+            [&[], &[bridge, (7, 7)], &[(first_of(4), first_of(1)), bridge]];
+        let mut journal_edges = merged.journal_edges;
+        for (i, batch) in idle.into_iter().enumerate() {
+            let report = service.insert_edges(batch).expect("insert");
+            journal_edges += batch.len();
+            assert_eq!(report.epoch, merged.epoch + 1 + i as u64);
+            assert_eq!(report.journal_edges, journal_edges);
+            assert_eq!((report.new_merges, report.journal_merges, report.components), (0, 2, 4));
+            let snap = service.snapshot();
+            assert_eq!(snap.epoch(), report.epoch);
+            assert_eq!(snap.graph_size().1 - before.graph_size().1, journal_edges - 2);
+            let (old, new) = (before.journal.as_ref().unwrap(), snap.journal.as_ref().unwrap());
+            assert!(Arc::ptr_eq(old, new), "batch {i} copied or rebuilt the view");
+            assert_eq!(answers(&snap), answers(&before));
+        }
+
+        // The next merging batch derives a new view and leaves the shared
+        // one as the pinned readers saw it.
+        let frozen = answers(&before);
+        let report = service.insert_edges(&[(first_of(0), first_of(5))]).unwrap();
+        assert_eq!((report.new_merges, report.journal_merges, report.components), (1, 3, 3));
+        assert!(!Arc::ptr_eq(
+            before.journal.as_ref().unwrap(),
+            service.snapshot().journal.as_ref().unwrap()
+        ));
+        assert_eq!(answers(&before), frozen);
+    }
+
+    #[test]
     fn rebuild_resets_the_journal_lineage() {
         let service = ServiceBuilder::new(random_forest(300, 6, 14)).spec(spec()).build().unwrap();
         service.insert_edges(&[(0, 299)]).unwrap();

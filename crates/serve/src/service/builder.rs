@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 
 use ampc::RunStats;
 use ampc_cc::pipeline::{Algorithm, PipelineSpec, ResolvedAlgorithm};
-use ampc_graph::{Graph, UnionFind};
+use ampc_graph::Graph;
 use ampc_obs::{Clock, MonotonicClock};
 use ampc_query::{snapshot, SnapshotError};
 
@@ -164,8 +164,6 @@ impl ServiceBuilder {
         let stream = StreamState {
             graph: self.graph,
             pending: Vec::new(),
-            uf: UnionFind::new(base.index.num_components()),
-            merges: 0,
             base: Arc::clone(&base),
             has_base_graph,
             compacting: false,

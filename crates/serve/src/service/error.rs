@@ -25,10 +25,6 @@ pub enum ServeError {
         /// Vertex count of the current graph.
         n: usize,
     },
-    /// Freezing the insert batch's merges into a journal failed. The
-    /// batch was rolled back: nothing was applied or published (this used
-    /// to be a reachable `expect` on the caller's thread).
-    JournalBuild(String),
     /// The service is in the [`HealthState::ReadOnly`] state after
     /// repeated failures: inserts are refused, reads keep serving the
     /// last published epoch, and a successful explicit
@@ -55,7 +51,6 @@ impl std::fmt::Display for ServeError {
             ServeError::VertexOutOfRange { vertex, n } => {
                 write!(f, "inserted edge names vertex {vertex} but the graph has {n} vertices")
             }
-            ServeError::JournalBuild(msg) => write!(f, "journal build failed: {msg}"),
             ServeError::ReadOnly => {
                 write!(
                     f,

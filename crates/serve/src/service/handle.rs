@@ -5,22 +5,25 @@
 //!
 //! **Journal-epochs** ([`ServiceHandle::insert_edges`]): a streaming edge
 //! insertion can only *merge* components, so instead of re-running the
-//! pipeline the service unions the endpoints' dense component ids in a
-//! union-find over the current base index and publishes the result as a
-//! [`JournalView`] riding on the unchanged base — an `O(components)`
-//! publish instead of an `O(n + m)` rebuild. Snapshots of a journal-epoch
-//! answer through a merge-aware engine (one extra array read per id) and
-//! are byte-identical to a from-scratch build over the merged graph (see
-//! `ampc_query::journal` for the argument). Once the journal outgrows its
-//! [`JournalBudget`], the service *compacts*: a background pipeline rebuild
-//! over the merged graph, with insertions accepted throughout and replayed
-//! onto the new base when it lands.
+//! pipeline the service derives the next [`JournalView`] from the published
+//! one and the batch's endpoint components ([`next_journal`], the one
+//! freeze in this crate) and publishes it riding on the unchanged base —
+//! `O(c + b log b)` for `c` components and `b` edges instead of an
+//! `O(n + m)` rebuild; a batch that merges nothing shares the previous
+//! view. Nothing on the write side mirrors the journal: the published epoch
+//! is the state, so a failed batch has nothing to roll back. Snapshots of a
+//! journal-epoch answer through a merge-aware engine (one extra array read
+//! per id) and are byte-identical to a from-scratch build over the merged
+//! graph (see `ampc_query::journal` for the argument). Once the journal
+//! outgrows its [`JournalBudget`], the service *compacts*: a background
+//! pipeline rebuild over the merged graph, with insertions accepted
+//! throughout and replayed onto the new base when it lands.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use ampc_cc::pipeline::PipelineSpec;
-use ampc_graph::{Graph, Labeling, UnionFind, VertexId};
+use ampc_graph::{Graph, Labeling, VertexId};
 use ampc_obs::fault::{self, Site};
 use ampc_obs::{Clock, CounterId, GaugeId, HistId, TraceKind};
 use ampc_query::{snapshot, ComponentIndex, JournalView, SnapshotError};
@@ -62,8 +65,9 @@ impl JournalBudget {
 
 impl Default for JournalBudget {
     /// 64 Ki inserted edges or 4 Ki merges — a journal publish is
-    /// `O(components)`, so the default keeps the incremental path far
-    /// cheaper than the `O(n + m)` rebuild it defers.
+    /// `O(c + b log b)` (components, batch edges) whatever the journal
+    /// already carries, so the default is not there to keep inserts cheap:
+    /// it bounds the pending edges a compaction re-reads and replays.
     fn default() -> Self {
         JournalBudget { max_edges: 1 << 16, max_merges: 1 << 12 }
     }
@@ -102,19 +106,15 @@ pub struct PersistReport {
     pub journal: bool,
 }
 
-/// Mutable write-side state: the current base graph, the edges inserted on
-/// top of it, and the union-find over base component ids that summarizes
-/// their merges. Guarded by one mutex; the read path never touches it.
+/// Mutable write-side state: the current base graph and the edges inserted
+/// on top of it. Their merges live only in the published epoch's journal.
+/// Guarded by one mutex; the read path never touches it.
 #[derive(Debug)]
 pub(super) struct StreamState {
     /// The graph the current base index was built from.
     pub(super) graph: Graph,
     /// Edges accepted since the current base was published.
     pub(super) pending: Vec<(VertexId, VertexId)>,
-    /// Union-find over the base index's dense component ids.
-    pub(super) uf: UnionFind,
-    /// Merges `uf` currently carries (`c - uf.num_components()`).
-    pub(super) merges: usize,
     /// The base every journal-epoch publishes against.
     pub(super) base: Arc<BaseIndex>,
     /// False when the service was booted from a snapshot: `graph` is then
@@ -158,7 +158,7 @@ impl ConnectivityService {
     pub(super) fn publish(
         &self,
         base: &Arc<BaseIndex>,
-        journal: Option<JournalView>,
+        journal: Option<Arc<JournalView>>,
         inserted_edges: usize,
     ) -> u64 {
         let is_journal = journal.is_some();
@@ -180,52 +180,36 @@ pub(super) fn announce_epoch(epoch: u64, is_journal: bool, inserted_edges: usize
 
 /// Locks the stream state, recovering from poison: the guarded state is
 /// only ever mutated to a consistent snapshot before any point that can
-/// panic (publishing is a pointer swap, `Vec`/`UnionFind` updates finish
-/// before the publish), so a poisoned lock means an aborted writer, not
-/// torn state.
+/// panic (the next journal is built beside the published one and every
+/// fallible step runs before the first field is assigned), so a poisoned
+/// lock means an aborted writer, not torn state.
 pub(super) fn lock_stream(stream: &Mutex<StreamState>) -> MutexGuard<'_, StreamState> {
     stream.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Freezes a union-find over `base`'s component ids into a journal.
-/// `Ok(None)` when there are no merges (the journal would be an identity
-/// map — publish the base view instead and skip the remap read on every
-/// query).
+/// The one freeze in this crate: the journal after `edges` land on `prev`
+/// (the journal already riding on `base`; `None` for the bare base). A
+/// batch that merges nothing hands `prev` itself back — no copy, and still
+/// no journal on a base that has none, so queries skip the remap read.
 ///
-/// This used to `expect` — a reachable panic on the **caller's** insert
-/// thread. Union-find roots are base component ids, so the labeling is in
-/// range and the right length by construction, but "by construction"
-/// arguments belong in tests, not in a panic on the serving path: a
-/// violated invariant now surfaces as [`ServeError::JournalBuild`] and
-/// rolls the batch back. The [`Site::JournalBuild`] failpoint fires here.
-pub(super) fn build_journal(
-    uf: &mut UnionFind,
-    merges: usize,
+/// The [`Site::JournalBuild`] failpoint fires whenever the result carries
+/// a merge. Nothing has been mutated by then, so an injected failure — or
+/// a panic — leaves the published epoch and the stream state as they were.
+pub(super) fn next_journal(
+    prev: Option<&Arc<JournalView>>,
     base: &BaseIndex,
-) -> Result<Option<JournalView>, ServeError> {
-    if merges == 0 {
-        return Ok(None);
-    }
-    fault::check(Site::JournalBuild)?;
-    let c = base.index.num_components();
-    let class_of: Vec<u32> = (0..c as u32).map(|id| uf.find(id)).collect();
-    JournalView::build(&class_of, &base.index).map(Some).map_err(ServeError::JournalBuild)
-}
-
-/// Unions the base component ids of each edge's endpoints in `uf`;
-/// returns how many of the unions merged two classes.
-pub(super) fn union_components(
-    uf: &mut UnionFind,
-    index: &ComponentIndex,
     edges: &[(VertexId, VertexId)],
-) -> usize {
-    let mut merges = 0;
-    for &(u, v) in edges {
-        if uf.union(index.component_of(u), index.component_of(v)) {
-            merges += 1;
-        }
+) -> Result<Option<Arc<JournalView>>, ServeError> {
+    let index = &base.index;
+    let pairs = edges.iter().map(|&(u, v)| (index.component_of(u), index.component_of(v)));
+    let journal = match JournalView::extend(index, prev.map(Arc::as_ref), pairs) {
+        Some(next) => Some(Arc::new(next)),
+        None => prev.cloned(),
+    };
+    if journal.is_some() {
+        fault::check(Site::JournalBuild)?;
     }
-    merges
+    Ok(journal)
 }
 
 /// A clone-able handle to a connectivity service. Clones share the same
@@ -291,10 +275,11 @@ impl ServiceHandle {
     }
 
     /// Applies a batch of edge insertions to the current epoch and
-    /// publishes the result as a **journal-epoch**: endpoint components
-    /// are unioned over the base index's dense ids and the merged view is
-    /// frozen into a [`JournalView`] — an `O(components)` publish, no
-    /// pipeline run. Answers on the new epoch are byte-identical to a full
+    /// publishes the result as a **journal-epoch**: the published
+    /// [`JournalView`] plus the batch's endpoint components give the next
+    /// view in `O(components + batch log batch)`, no pipeline run; a batch
+    /// that merges nothing still publishes its epoch and shares the
+    /// previous view. Answers on the new epoch are byte-identical to a full
     /// rebuild over the merged graph.
     ///
     /// If the batch pushes the journal past the [`JournalBudget`], a
@@ -305,10 +290,10 @@ impl ServiceHandle {
     /// # Errors
     /// [`ServeError::VertexOutOfRange`] if any endpoint is `>= n` for the
     /// current graph, [`ServeError::ReadOnly`] when the state machine has
-    /// given up on the write path, [`ServeError::JournalBuild`] if
-    /// freezing the merges fails (the failure is also recorded in the
-    /// incident log). The batch is atomic in every case: nothing is
-    /// applied or published on error.
+    /// given up on the write path, [`ServeError::Injected`] when the
+    /// `journal.build` failpoint fires (also recorded in the incident
+    /// log). The batch is atomic in every case: nothing is applied or
+    /// published on error.
     pub fn insert_edges(&self, edges: &[(VertexId, VertexId)]) -> Result<InsertReport, ServeError> {
         let service = &self.service;
         let mut st = lock_stream(&service.stream);
@@ -329,16 +314,12 @@ impl ServiceHandle {
             }
         }
 
-        // Apply the batch to a *scratch* union-find and only commit it
-        // after the journal freezes — a failed freeze must roll the whole
-        // batch back, and the clone is `O(components)`, the same order as
-        // the freeze itself.
+        // The stream lock serialises every publish, so the published epoch
+        // is this lineage's latest journal and it rides on `st.base`.
         let base = Arc::clone(&st.base);
-        let mut uf = st.uf.clone();
-        let new_merges = union_components(&mut uf, &base.index, edges);
-        let merges = st.merges + new_merges;
+        let prev = service.cell.pin().journal.clone();
         let journal_timer = ampc_obs::Timer::start(ampc_obs::hist(HistId::JournalBuildNs));
-        let journal = match build_journal(&mut uf, merges, &base) {
+        let journal = match next_journal(prev.as_ref(), &base, edges) {
             Ok(j) => j,
             Err(e) => {
                 let op = IncidentOp::JournalBuild;
@@ -347,16 +328,13 @@ impl ServiceHandle {
             }
         };
         let build_ns = journal_timer.stop();
+        let merges = journal.as_ref().map_or(0, |j| j.merges());
+        let new_merges = merges - prev.map_or(0, |j| j.merges());
         ampc_obs::counter(CounterId::JournalBuilds).inc();
         ampc_obs::trace(TraceKind::JournalBuilt, merges as u64, build_ns);
-        st.uf = uf;
-        st.merges = merges;
         st.pending.extend_from_slice(edges);
 
-        let components = match &journal {
-            Some(j) => j.num_components(),
-            None => base.index.num_components(),
-        };
+        let components = base.index.num_components() - merges;
         let inserted_edges = st.pending.len();
         let publish_timer = ampc_obs::Timer::start(ampc_obs::hist(HistId::PublishNs));
         let epoch = service.publish(&base, journal, inserted_edges);
@@ -367,7 +345,7 @@ impl ServiceHandle {
         // instead, so a failing compaction is re-attempted with backoff
         // rather than on every over-budget batch.
         let due = match st.health.state {
-            HealthState::Healthy => service.budget.exceeded_by(st.pending.len(), st.merges),
+            HealthState::Healthy => service.budget.exceeded_by(st.pending.len(), merges),
             HealthState::Degraded => service.now_ms() >= st.health.retry_at_ms,
             HealthState::ReadOnly => false,
         };
@@ -381,7 +359,7 @@ impl ServiceHandle {
             applied: edges.len(),
             new_merges,
             journal_edges: inserted_edges,
-            journal_merges: st.merges,
+            journal_merges: merges,
             components,
             compaction_started,
         })

@@ -67,7 +67,9 @@ impl BaseIndex {
 pub struct PublishedIndex {
     pub(super) epoch: u64,
     pub(super) base: Arc<BaseIndex>,
-    pub(super) journal: Option<JournalView>,
+    /// Shared, not owned: a batch that merges nothing publishes its epoch
+    /// on the previous epoch's view.
+    pub(super) journal: Option<Arc<JournalView>>,
     pub(super) inserted_edges: usize,
 }
 
@@ -122,7 +124,7 @@ impl PublishedIndex {
     /// The merge journal riding on the base index, if this is a
     /// journal-epoch.
     pub fn journal(&self) -> Option<&JournalView> {
-        self.journal.as_ref()
+        self.journal.as_deref()
     }
 
     /// True iff this epoch carries journal merges on top of its base.

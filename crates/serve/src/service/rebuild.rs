@@ -11,14 +11,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use ampc_graph::{Graph, UnionFind, VertexId};
+use ampc_graph::{Graph, VertexId};
 use ampc_obs::fault::{self, Site};
 use ampc_obs::{CounterId, GaugeId, HistId, TraceKind};
 
 use super::error::ServeError;
-use super::handle::{
-    build_journal, lock_stream, union_components, ConnectivityService, ServiceHandle, StreamState,
-};
+use super::handle::{lock_stream, next_journal, ConnectivityService, ServiceHandle, StreamState};
 use super::health::IncidentOp;
 use super::published::BaseIndex;
 
@@ -203,8 +201,6 @@ fn publish_rebuild(
         RebuildGoal::Replace => {
             st.graph = graph;
             st.pending.clear();
-            st.uf = UnionFind::new(base.index.num_components());
-            st.merges = 0;
             st.base = Arc::clone(&base);
             // A rebuild's graph is real ground truth — a snapshot-booted
             // service regains compaction here, and a Degraded/ReadOnly
@@ -227,20 +223,16 @@ fn publish_rebuild(
                 ampc_obs::trace(TraceKind::CompactionYielded, epoch, 0);
                 return Ok(epoch);
             }
-            // Compute the replay state *before* mutating anything, so a
-            // failure here (the `compact.publish` failpoint, or a journal
-            // freeze error) leaves the stream state exactly as it was —
-            // the in-flight journal lineage keeps serving.
+            // Compute the replayed journal *before* mutating anything, so
+            // a failure here (the `compact.publish` or `journal.build`
+            // failpoint) leaves the stream state exactly as it was — the
+            // in-flight journal lineage keeps serving. The replay is one
+            // batch on the bare new base; its edges were validated at
+            // insert time and the compacted graph has the same vertices.
             fault::check(Site::CompactPublish)?;
-            let mut uf = UnionFind::new(base.index.num_components());
-            // Replayed edges were validated at insert time and the
-            // compacted graph has the same vertex count.
-            let merges = union_components(&mut uf, &base.index, &st.pending[consumed..]);
-            let journal = build_journal(&mut uf, merges, &base)?;
+            let journal = next_journal(None, &base, &st.pending[consumed..])?;
             st.graph = graph;
             st.pending.drain(..consumed);
-            st.uf = uf;
-            st.merges = merges;
             st.base = Arc::clone(&base);
             st.compacting = false;
             st.health.mark_recovered();

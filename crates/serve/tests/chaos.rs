@@ -348,6 +348,47 @@ fn journal_build_failure_is_atomic_and_recoverable() {
 }
 
 #[test]
+fn journal_build_fires_iff_the_resulting_journal_carries_a_merge() {
+    let _s = FaultSession::begin();
+    let n = 100;
+    let g = random_forest(n, 5, 36);
+    let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
+    // A clock that never advances: the refused batch leaves the service
+    // Degraded, and no retry compaction comes due to swap the base.
+    let service = ServiceBuilder::new(g)
+        .spec(spec(36))
+        .journal_budget(JournalBudget::unbounded())
+        .clock(Arc::new(ManualClock::new(0)))
+        .build()
+        .expect("build");
+    let inside = edges[0];
+    let bridge = bridge_edge(n, &edges).expect("components remain");
+
+    // On the bare base a batch that merges nothing has no journal to
+    // build: the armed site is not reached and the epoch publishes.
+    fault::arm(Site::JournalBuild, FaultAction::Error, 0, u64::MAX);
+    let r = service.insert_edges(&[inside, (3, 3)]).expect("nothing to build");
+    assert_eq!((r.epoch, r.new_merges, r.journal_merges), (1, 0, 0));
+    assert_eq!(fault::fired(Site::JournalBuild), 0);
+    fault::disarm_all();
+    edges.extend([inside, (3, 3)]);
+
+    // Once the journal carries a merge every batch reaches the site, the
+    // ones that only share the previous view included.
+    service.insert_edges(&[bridge]).expect("merge");
+    edges.push(bridge);
+    fault::arm(Site::JournalBuild, FaultAction::Error, 0, 1);
+    let err = service.insert_edges(&[bridge]).expect_err("armed journal build");
+    assert_eq!(err, ServeError::Injected { site: "journal.build" });
+    assert_eq!(service.current_epoch(), 2);
+    assert_oracle(&service, n, &edges, "epoch unchanged after the refused repeat");
+    let r = service.insert_edges(&[bridge]).expect("repeat once the fault clears");
+    assert_eq!((r.epoch, r.new_merges, r.journal_merges), (3, 0, 1));
+    edges.push(bridge);
+    assert_oracle(&service, n, &edges, "shared view");
+}
+
+#[test]
 fn insert_path_panic_leaves_consistent_state() {
     let _s = FaultSession::begin();
     let n = 90;

@@ -9,7 +9,7 @@ use ampc_cc::pipeline::PipelineSpec;
 use ampc_graph::generators::{erdos_renyi_gnm, random_forest};
 use ampc_graph::{reference_components, Graph, VertexId};
 use ampc_query::{ComponentIndex, Query};
-use ampc_serve::{JournalBudget, ServiceBuilder, ServiceHandle};
+use ampc_serve::{JournalBudget, JournalView, ServiceBuilder, ServiceHandle};
 
 /// A deterministic batch of random candidate edges over `n` vertices.
 fn edge_batch(n: usize, len: usize, seed: u64) -> Vec<(VertexId, VertexId)> {
@@ -145,6 +145,91 @@ fn budget_fallback_compacts_and_replays_inserts_mid_compaction() {
     assert_matches_oracle(&service, N, &edges, "post-compaction");
     // Edges accepted across all lineages are all accounted for.
     assert_eq!(service.snapshot().graph_size().1, edges.len());
+}
+
+/// The current epoch's journal equals the from-scratch freeze of what
+/// `edges` merge over that epoch's own base (`None` when they merge nothing).
+fn assert_journal_is_from_scratch(
+    service: &ServiceHandle,
+    n: usize,
+    edges: &[(VertexId, VertexId)],
+    ctx: &str,
+) {
+    let oracle = ComponentIndex::build(&reference_components(&Graph::from_edges(n, edges)));
+    let snap = service.snapshot();
+    let base = snap.index();
+    // A base component's class is the oracle component of any member.
+    let class_of: Vec<u32> = (0..base.num_components() as u32)
+        .map(|c| oracle.component_of(base.members(c)[0]))
+        .collect();
+    let scratch = JournalView::build(&class_of, base).expect("oracle ids fit the base");
+    match snap.journal() {
+        Some(journal) => assert_eq!(journal, &scratch, "{ctx}: journal != from-scratch freeze"),
+        None => assert_eq!(scratch.merges(), 0, "{ctx}: merges but no journal"),
+    }
+}
+
+#[test]
+fn a_compaction_landing_mid_stream_replays_to_the_from_scratch_journal() {
+    // One writer streams batches over a budget of 10 edges; every batch's
+    // report is pinned against the oracle, and the journal itself against
+    // `JournalView::build`. When a compaction lands is up to the scheduler,
+    // but it shows as a skipped epoch number, and from there on the journal
+    // counts merges against the compacted base — so the pins are exact
+    // under either interleaving.
+    const N: usize = 3_000;
+    let g = random_forest(N, 400, 0xC1);
+    let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
+    let components = |edges: &[(VertexId, VertexId)]| {
+        reference_components(&Graph::from_edges(N, edges)).num_components()
+    };
+    let service = ServiceBuilder::new(g)
+        .spec(PipelineSpec::default().with_seed(6).with_machines(4))
+        .journal_budget(JournalBudget::new(10, usize::MAX))
+        .build()
+        .expect("build");
+
+    let (mut base_components, mut live, mut epoch) = (components(&edges), components(&edges), 0);
+    let mut in_flight: Option<usize> = None; // edges the running compaction bakes in
+    let (mut landed, mut after_landing) = (0, 0);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    for b in 0u64.. {
+        let batch = edge_batch(N, 4, derive_seed(&[0x11D, b]));
+        let report = service.insert_edges(&batch).expect("insert");
+        edges.extend_from_slice(&batch);
+        if report.epoch == epoch + 2 {
+            let consumed = in_flight.take().expect("only a compaction publishes between inserts");
+            base_components = components(&edges[..consumed]);
+            landed += 1;
+        } else {
+            assert_eq!(report.epoch, epoch + 1, "batch {b}");
+        }
+        epoch = report.epoch;
+        let now = components(&edges);
+        assert_eq!(report.new_merges, live - now, "batch {b}: new_merges");
+        assert_eq!(report.components, now, "batch {b}: components");
+        assert_eq!(report.journal_merges, base_components - now, "batch {b}: journal_merges");
+        live = now;
+        if report.compaction_started {
+            assert_eq!(in_flight.replace(edges.len()), None, "one compaction at a time");
+        }
+        // The snapshot may already sit on a base newer than the report's;
+        // the helper reads base and journal from the one pinned epoch.
+        let ctx = format!("batch {b}");
+        assert_journal_is_from_scratch(&service, N, &edges, &ctx);
+        assert_matches_oracle(&service, N, &edges, &ctx);
+
+        after_landing += (landed > 0) as usize;
+        if after_landing >= 3 {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "no compaction landed mid-stream");
+        if in_flight.is_some() && b > 8 {
+            // Let the rebuild run instead of merging the graph away.
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+    }
+    assert!(landed >= 1 && live > 1, "the stream must outlive a compaction: {landed}, {live}");
 }
 
 #[test]
