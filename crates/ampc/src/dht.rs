@@ -228,34 +228,28 @@ impl DhtBackend {
         }
     }
 
-    /// Parses a backend spec: `flat`, `sharded`, `sharded:N` (N hash
-    /// shards), `dense`, or `dense:CAP` (CAP ids per keyspace slab; bare
-    /// `dense` lets the pipeline hint the capacity from its input). The
-    /// single grammar every consumer parses backends with.
+    /// Parses a backend spec: `flat`, `dense`, or `dense:CAP` (CAP ids per
+    /// keyspace slab; bare `dense` lets the pipeline hint the capacity from
+    /// its input). The single grammar every consumer parses backends with.
+    /// [`DhtBackend::Sharded`] has no spelling: it is never the best value
+    /// (DESIGN.md, "Storage backends"), so it is built as a value by the
+    /// equivalence rows and the ledger only.
     pub fn parse(s: &str) -> Result<DhtBackend, String> {
         match s {
             "flat" => Ok(DhtBackend::Flat),
-            "sharded" => Ok(DhtBackend::sharded()),
             "dense" => Ok(DhtBackend::dense()),
             other => {
-                if let Some(n) = other.strip_prefix("sharded:") {
-                    let shards: usize =
-                        n.parse().map_err(|e| format!("bad shard count in backend spec: {e}"))?;
-                    Ok(DhtBackend::Sharded { shards })
-                } else if let Some(n) = other.strip_prefix("dense:") {
-                    let cap: usize =
-                        n.parse().map_err(|e| format!("bad slab capacity in backend spec: {e}"))?;
-                    if cap == 0 {
-                        return Err("dense slab capacity must be positive (omit :CAP to let the \
-                                    pipeline size the slab from its input)"
-                            .into());
-                    }
-                    Ok(DhtBackend::Dense { cap })
-                } else {
-                    Err(format!(
-                        "unknown backend {other:?} (expected flat|sharded[:N]|dense[:CAP])"
-                    ))
+                let Some(n) = other.strip_prefix("dense:") else {
+                    return Err(format!("unknown backend {other:?} (expected flat|dense[:CAP])"));
+                };
+                let cap: usize =
+                    n.parse().map_err(|e| format!("bad slab capacity in backend spec: {e}"))?;
+                if cap == 0 {
+                    return Err("dense slab capacity must be positive (omit :CAP to let the \
+                                pipeline size the slab from its input)"
+                        .into());
                 }
+                Ok(DhtBackend::Dense { cap })
             }
         }
     }
@@ -1296,11 +1290,9 @@ mod sharded_tests {
     #[test]
     fn backend_parse_grammar() {
         assert_eq!(DhtBackend::parse("flat").unwrap(), DhtBackend::Flat);
-        assert_eq!(DhtBackend::parse("sharded").unwrap(), DhtBackend::sharded());
-        assert_eq!(DhtBackend::parse("sharded:4").unwrap(), DhtBackend::Sharded { shards: 4 });
         assert_eq!(DhtBackend::parse("dense").unwrap(), DhtBackend::dense());
         assert_eq!(DhtBackend::parse("dense:64").unwrap(), DhtBackend::Dense { cap: 64 });
-        for bad in ["dense:0", "dense:x", "sharded:x", "bogus", ""] {
+        for bad in ["dense:0", "dense:x", "sharded", "sharded:4", "bogus", ""] {
             assert!(DhtBackend::parse(bad).is_err(), "{bad:?} must be rejected");
         }
     }

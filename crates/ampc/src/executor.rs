@@ -122,7 +122,7 @@ pub struct RoundOutcome<R> {
 /// only because the ledger spells out `AmpcSystem<u64, DenseDht<u64>>` and
 /// because this crate's equivalence tests run the concrete stores side by
 /// side; it goes, together with [`Dht::Sharded`], in the PR after the
-/// ledger stops naming them (ROADMAP item 3).
+/// ledger stops naming them (ROADMAP item 2, after 1a).
 pub struct AmpcSystem<V, S = Dht<V>> {
     snapshot: S,
     config: AmpcConfig,

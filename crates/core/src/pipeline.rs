@@ -95,10 +95,6 @@ pub struct PipelineSpec {
     pub seed: u64,
     /// Simulated machine count.
     pub machines: usize,
-    /// Attach space limits and record violations (audit mode). Currently
-    /// honored by the forest pipeline; the general recursion's audit mode
-    /// is a ROADMAP item.
-    pub audit_limits: bool,
 }
 
 impl Default for PipelineSpec {
@@ -109,7 +105,6 @@ impl Default for PipelineSpec {
             k: 2,
             seed: 0xCC,
             machines: 8,
-            audit_limits: false,
         }
     }
 }
@@ -145,17 +140,10 @@ impl PipelineSpec {
         self
     }
 
-    /// Enables audit-mode space limits.
-    pub fn with_audit_limits(mut self, audit: bool) -> Self {
-        self.audit_limits = audit;
-        self
-    }
-
     /// The forest config this spec denotes.
     pub fn forest_config(&self) -> ForestCcConfig {
         let mut cfg = ForestCcConfig::default().with_seed(self.seed).with_backend(self.backend);
         cfg.machines = self.machines;
-        cfg.audit_limits = self.audit_limits;
         cfg
     }
 
@@ -286,15 +274,5 @@ mod tests {
         assert_eq!(Algorithm::Auto.name(), "auto");
         assert_eq!(ResolvedAlgorithm::Forest.name(), "forest");
         assert_eq!(ResolvedAlgorithm::General.number(), 2);
-    }
-
-    #[test]
-    fn audit_limits_thread_through() {
-        let spec = PipelineSpec::default().with_audit_limits(true);
-        assert!(spec.forest_config().audit_limits);
-        let g = random_forest(500, 3, 9);
-        // Audit mode records rather than errors; the run must still verify.
-        let run = spec.run(&g).unwrap();
-        assert!(run.labeling.same_partition(&reference_components(&g)));
     }
 }

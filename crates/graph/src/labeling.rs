@@ -99,12 +99,20 @@ impl Labeling {
         if self.len() != g.n() {
             return false;
         }
+        let mut uf = UnionFind::new(g.n());
         for (u, v) in g.edges() {
             if self.get(u) != self.get(v) {
                 return false;
             }
+            uf.union(u, v);
         }
-        self.num_components() == reference_components(g).num_components()
+        // Every true component carries one label now, so the distinct labels
+        // are those of the union-find roots: one per component, no two equal.
+        let mut labels: Vec<u64> =
+            self.iter().filter(|&(v, _)| uf.find(v) == v).map(|(_, label)| label).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        labels.len() == uf.num_components()
     }
 }
 

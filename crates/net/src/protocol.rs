@@ -47,6 +47,7 @@ use std::io::{IoSlice, Read, Write};
 
 use ampc_query::Query;
 use ampc_serve::fault::{self, Site};
+use ampc_serve::HealthState;
 
 /// Frame magic: `"AMPC"` read as a big-endian u32, stored little-endian.
 pub const MAGIC: u32 = 0x414D_5043;
@@ -59,107 +60,46 @@ pub const DEFAULT_MAX_PAYLOAD: u32 = 1 << 20;
 /// Bytes one encoded query occupies ([`encode_queries`]).
 pub const QUERY_WIRE_LEN: usize = 12;
 
-/// Frame opcodes. Requests have the high bit clear, responses set; the
-/// pairing is `request | 0x80` except for [`Opcode::RespError`], which can
-/// answer any request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Opcode {
-    /// Batch of encoded queries → [`Opcode::RespAnswers`].
-    QueryBatch = 0x01,
-    /// Health probe (empty payload) → [`Opcode::RespHealth`].
-    Health = 0x02,
-    /// Prometheus metrics dump (empty payload) → [`Opcode::RespMetrics`].
-    Metrics = 0x03,
-    /// Edge-insert batch (write op; refused in ReadOnly) →
-    /// [`Opcode::RespInsert`].
-    InsertEdges = 0x04,
-    /// Orderly server shutdown (empty payload) → [`Opcode::RespShutdown`].
-    Shutdown = 0x05,
-    /// Answer array: one u64 per query, in request order.
-    RespAnswers = 0x81,
-    /// Encoded [`WireHealth`].
-    RespHealth = 0x82,
-    /// UTF-8 Prometheus text exposition.
-    RespMetrics = 0x83,
-    /// Encoded [`WireInsertReport`].
-    RespInsert = 0x84,
-    /// Empty acknowledgement; the server exits after sending it.
-    RespShutdown = 0x85,
-    /// Typed error: u16 [`ErrorCode`], u16 reserved, UTF-8 message.
-    RespError = 0xEE,
-}
-
-impl Opcode {
-    fn from_u8(b: u8) -> Option<Opcode> {
-        Some(match b {
-            0x01 => Opcode::QueryBatch,
-            0x02 => Opcode::Health,
-            0x03 => Opcode::Metrics,
-            0x04 => Opcode::InsertEdges,
-            0x05 => Opcode::Shutdown,
-            0x81 => Opcode::RespAnswers,
-            0x82 => Opcode::RespHealth,
-            0x83 => Opcode::RespMetrics,
-            0x84 => Opcode::RespInsert,
-            0x85 => Opcode::RespShutdown,
-            0xEE => Opcode::RespError,
-            _ => return None,
-        })
+ampc_obs::catalog! {
+    /// Frame opcodes. Requests have the high bit clear, responses set; the
+    /// pairing is `request | 0x80` except for [`Opcode::RespError`], which can
+    /// answer any request.
+    pub enum Opcode: u8 {
+        QueryBatch = 0x01 => "query_batch",
+            "Batch of encoded queries → [`Opcode::RespAnswers`].",
+        Health = 0x02 => "health", "Health probe (empty payload) → [`Opcode::RespHealth`].",
+        Metrics = 0x03 => "metrics",
+            "Prometheus metrics dump (empty payload) → [`Opcode::RespMetrics`].",
+        InsertEdges = 0x04 => "insert_edges",
+            "Edge-insert batch (write op; refused in ReadOnly) → [`Opcode::RespInsert`].",
+        Shutdown = 0x05 => "shutdown",
+            "Orderly server shutdown (empty payload) → [`Opcode::RespShutdown`].",
+        RespAnswers = 0x81 => "resp_answers", "Answer array: one u64 per query, in request order.",
+        RespHealth = 0x82 => "resp_health", "Encoded [`WireHealth`].",
+        RespMetrics = 0x83 => "resp_metrics", "UTF-8 Prometheus text exposition.",
+        RespInsert = 0x84 => "resp_insert", "Encoded [`WireInsertReport`].",
+        RespShutdown = 0x85 => "resp_shutdown",
+            "Empty acknowledgement; the server exits after sending it.",
+        RespError = 0xEE => "resp_error",
+            "Typed error: u16 [`ErrorCode`], u16 reserved, UTF-8 message.",
     }
 }
 
-/// Typed error codes carried by [`Opcode::RespError`] frames.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u16)]
-pub enum ErrorCode {
-    /// Structurally invalid frame or payload (bad flags, ragged array,
-    /// unknown query tag, non-UTF-8 text…).
-    Malformed = 1,
-    /// Wrong frame magic.
-    BadMagic = 2,
-    /// Protocol version this peer does not speak.
-    BadVersion = 3,
-    /// `payload_len` above the reader's cap.
-    Oversized = 4,
-    /// Opcode this peer does not recognize.
-    UnknownOpcode = 5,
-    /// Admission queue at its high-water mark — deterministic load shed.
-    Overloaded = 6,
-    /// Write opcode refused because the service is ReadOnly.
-    ReadOnly = 7,
-    /// The request was valid but the service failed to execute it.
-    Internal = 8,
-}
-
-impl ErrorCode {
-    /// Decodes a wire error code.
-    pub fn from_u16(v: u16) -> Option<ErrorCode> {
-        Some(match v {
-            1 => ErrorCode::Malformed,
-            2 => ErrorCode::BadMagic,
-            3 => ErrorCode::BadVersion,
-            4 => ErrorCode::Oversized,
-            5 => ErrorCode::UnknownOpcode,
-            6 => ErrorCode::Overloaded,
-            7 => ErrorCode::ReadOnly,
-            8 => ErrorCode::Internal,
-            _ => return None,
-        })
-    }
-
-    /// Stable lower-case name (used in error text and JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            ErrorCode::Malformed => "malformed",
-            ErrorCode::BadMagic => "bad-magic",
-            ErrorCode::BadVersion => "bad-version",
-            ErrorCode::Oversized => "oversized",
-            ErrorCode::UnknownOpcode => "unknown-opcode",
-            ErrorCode::Overloaded => "overloaded",
-            ErrorCode::ReadOnly => "read-only",
-            ErrorCode::Internal => "internal",
-        }
+ampc_obs::catalog! {
+    /// Typed error codes carried by [`Opcode::RespError`] frames; the name is
+    /// what error text and JSON call the code.
+    pub enum ErrorCode: u16 {
+        Malformed = 1 => "malformed", "Structurally invalid frame or payload (bad flags, ragged \
+            array, unknown query tag, non-UTF-8 text…).",
+        BadMagic = 2 => "bad-magic", "Wrong frame magic.",
+        BadVersion = 3 => "bad-version", "Protocol version this peer does not speak.",
+        Oversized = 4 => "oversized", "`payload_len` above the reader's cap.",
+        UnknownOpcode = 5 => "unknown-opcode", "Opcode this peer does not recognize.",
+        Overloaded = 6 => "overloaded",
+            "Admission queue at its high-water mark — deterministic load shed.",
+        ReadOnly = 7 => "read-only", "Write opcode refused because the service is ReadOnly.",
+        Internal = 8 => "internal",
+            "The request was valid but the service failed to execute it.",
     }
 }
 
@@ -285,7 +225,7 @@ pub fn decode_header(bytes: &[u8; HEADER_LEN], max_payload: u32) -> Result<Heade
     if bytes[4] != VERSION {
         return Err(ProtocolError::BadVersion(bytes[4]));
     }
-    let opcode = Opcode::from_u8(bytes[5]).ok_or(ProtocolError::UnknownOpcode(bytes[5]))?;
+    let opcode = Opcode::from_repr(bytes[5]).ok_or(ProtocolError::UnknownOpcode(bytes[5]))?;
     if bytes[6] != 0 || bytes[7] != 0 {
         return Err(ProtocolError::Malformed("reserved flags must be zero"));
     }
@@ -536,7 +476,7 @@ pub fn decode_edges(payload: &[u8]) -> Result<Vec<(u32, u32)>, ProtocolError> {
 /// (32 bytes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WireHealth {
-    /// 0 = healthy, 1 = degraded, 2 = read-only.
+    /// A [`HealthState`] discriminant.
     pub state: u8,
     /// Consecutive write-path failures.
     pub consecutive_failures: u32,
@@ -549,14 +489,9 @@ pub struct WireHealth {
 }
 
 impl WireHealth {
-    /// Stable state name, matching `HealthState::name()` on the server.
+    /// The state's [`HealthState`] name; `"unknown"` for a byte no state has.
     pub fn state_name(&self) -> &'static str {
-        match self.state {
-            0 => "healthy",
-            1 => "degraded",
-            2 => "read-only",
-            _ => "unknown",
-        }
+        HealthState::from_repr(self.state).map_or("unknown", HealthState::name)
     }
 
     /// Encodes the 32-byte payload.
@@ -638,7 +573,7 @@ pub fn decode_error(payload: &[u8]) -> Result<(ErrorCode, String), ProtocolError
     }
     let raw = u16::from_le_bytes(payload[0..2].try_into().unwrap());
     let code =
-        ErrorCode::from_u16(raw).ok_or(ProtocolError::Malformed("unknown wire error code"))?;
+        ErrorCode::from_repr(raw).ok_or(ProtocolError::Malformed("unknown wire error code"))?;
     let message = std::str::from_utf8(&payload[4..])
         .map_err(|_| ProtocolError::Malformed("error message is not UTF-8"))?
         .to_string();
@@ -860,27 +795,5 @@ mod tests {
         assert_eq!(next(&mut payload).opcode, Opcode::Health);
         assert!(payload.is_empty(), "the buffer holds this frame's payload only");
         assert_eq!(first.1, payload.capacity(), "a shorter frame keeps the capacity");
-    }
-
-    #[test]
-    fn error_codes_roundtrip_with_unique_names() {
-        let all = [
-            ErrorCode::Malformed,
-            ErrorCode::BadMagic,
-            ErrorCode::BadVersion,
-            ErrorCode::Oversized,
-            ErrorCode::UnknownOpcode,
-            ErrorCode::Overloaded,
-            ErrorCode::ReadOnly,
-            ErrorCode::Internal,
-        ];
-        let mut names: Vec<&str> = all.iter().map(|c| c.name()).collect();
-        for c in all {
-            assert_eq!(ErrorCode::from_u16(c as u16), Some(c));
-        }
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), all.len());
-        assert_eq!(ErrorCode::from_u16(0), None);
     }
 }

@@ -50,7 +50,7 @@ use ampc_obs::{counter, gauge, hist, CounterId, GaugeId, HistId, Histogram};
 use ampc_query::throughput::timed_pass;
 use ampc_query::Query;
 use ampc_serve::fault::{self, Site};
-use ampc_serve::{HealthState, ServeError, ServiceHandle};
+use ampc_serve::{ServeError, ServiceHandle};
 
 use crate::protocol::{
     decode_edges, decode_queries_into, encode_answers_into, encode_error, read_frame_into,
@@ -386,11 +386,7 @@ fn dispatch(
             let report = shared.service.health();
             let snapshot = shared.service.snapshot();
             let wire = WireHealth {
-                state: match report.state {
-                    HealthState::Healthy => 0,
-                    HealthState::Degraded => 1,
-                    HealthState::ReadOnly => 2,
-                },
+                state: report.state as u8,
                 consecutive_failures: report.consecutive_failures,
                 total_incidents: report.total_incidents,
                 epoch: snapshot.epoch(),

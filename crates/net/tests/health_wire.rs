@@ -53,12 +53,7 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
 fn assert_wire_matches(conn: &mut Connection, service: &ServiceHandle, what: &str) {
     let wire = conn.health().expect("health rpc");
     let local = service.health();
-    let state = match local.state {
-        HealthState::Healthy => 0u8,
-        HealthState::Degraded => 1,
-        HealthState::ReadOnly => 2,
-    };
-    assert_eq!(wire.state, state, "{what}: wire state diverged");
+    assert_eq!(wire.state, local.state as u8, "{what}: wire state diverged");
     assert_eq!(
         wire.consecutive_failures, local.consecutive_failures,
         "{what}: consecutive failures diverged"
@@ -77,7 +72,7 @@ fn degradation_walk_is_visible_and_exact_on_the_wire() {
         .spec(PipelineSpec::default().with_seed(0x8EA1).with_machines(4))
         // Zero edge budget: the first insert immediately starts a
         // compaction, which the armed failpoint fails deterministically.
-        .journal_budget(JournalBudget::new(0, usize::MAX))
+        .journal_budget(JournalBudget::new(0))
         .retry_policy(RetryPolicy {
             max_consecutive_failures: 2,
             base_backoff_ms: 100,

@@ -13,19 +13,8 @@
 //!
 //! # Site catalog
 //!
-//! | site                  | seam                                            |
-//! |-----------------------|-------------------------------------------------|
-//! | `rebuild.pipeline`    | pipeline build inside every background rebuild  |
-//! | `compact.publish`     | compaction publish (after the build succeeded)  |
-//! | `journal.build`       | journal-epoch freeze on the insert path         |
-//! | `persist.pre-tmp`     | snapshot write, before the temp file exists     |
-//! | `persist.pre-rename`  | snapshot write, temp durable but not renamed    |
-//! | `persist.pre-dirsync` | snapshot write, renamed but parent not fsynced  |
-//! | `snapshot.load`       | snapshot boot, before the file is read          |
-//! | `net.accept`          | network server, after a connection is accepted  |
-//! | `net.read`            | network frame read (server and client)          |
-//! | `net.write`           | network frame write (server and client)         |
-//! | `test.probe`          | reserved for framework unit tests (no call site)|
+//! [`Site`] is the catalogue: one row per site, with its stable name and
+//! the seam it sits on.
 //!
 //! The registry lives here, in the dependency-free bottom crate, because
 //! that is the one place every crate with a site can reach: the
@@ -61,80 +50,32 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A named fault-injection site. The numeric value indexes the global
-/// registry; the name is the stable CLI / catalog identity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Site {
-    /// Pipeline build inside every background rebuild (explicit rebuild
-    /// and budget-triggered compaction both pass through it).
-    RebuildPipeline = 0,
-    /// Compaction publish: fires after the compaction's pipeline build
-    /// succeeded, before any stream state is touched — a compaction that
-    /// "loses the race" at the last moment.
-    CompactPublish = 1,
-    /// Journal-epoch freeze on the insert path (caller-thread code).
-    JournalBuild = 2,
-    /// Snapshot write, before the temp file is created.
-    PersistPreTmp = 3,
-    /// Snapshot write, after the temp file is written and fsynced,
-    /// before the rename.
-    PersistPreRename = 4,
-    /// Snapshot write, after the rename, before the parent-directory
-    /// fsync.
-    PersistPreDirSync = 5,
-    /// Snapshot boot, before the file is opened.
-    SnapshotLoad = 6,
-    /// Network server accept loop, right after a connection is accepted —
-    /// firing drops the connection, simulating a failed accept.
-    NetAccept = 7,
-    /// Network frame read (traversed by server workers and clients alike);
-    /// firing surfaces as a typed I/O error on the reader.
-    NetRead = 8,
-    /// Network frame write; firing surfaces as a typed I/O error on the
-    /// writer.
-    NetWrite = 9,
-    /// Reserved for framework unit tests; no production call site, so
-    /// arming it can never perturb concurrently running service tests.
-    TestProbe = 10,
-}
-
-/// Every site, in registry order (the CLI prints this as the catalog).
-pub const ALL_SITES: [Site; 11] = [
-    Site::RebuildPipeline,
-    Site::CompactPublish,
-    Site::JournalBuild,
-    Site::PersistPreTmp,
-    Site::PersistPreRename,
-    Site::PersistPreDirSync,
-    Site::SnapshotLoad,
-    Site::NetAccept,
-    Site::NetRead,
-    Site::NetWrite,
-    Site::TestProbe,
-];
-
-impl Site {
-    /// The stable name used by the CLI grammar and the catalog.
-    pub fn name(self) -> &'static str {
-        match self {
-            Site::RebuildPipeline => "rebuild.pipeline",
-            Site::CompactPublish => "compact.publish",
-            Site::JournalBuild => "journal.build",
-            Site::PersistPreTmp => "persist.pre-tmp",
-            Site::PersistPreRename => "persist.pre-rename",
-            Site::PersistPreDirSync => "persist.pre-dirsync",
-            Site::SnapshotLoad => "snapshot.load",
-            Site::NetAccept => "net.accept",
-            Site::NetRead => "net.read",
-            Site::NetWrite => "net.write",
-            Site::TestProbe => "test.probe",
-        }
-    }
-
-    /// Looks a site up by its stable name.
-    pub fn from_name(name: &str) -> Option<Site> {
-        ALL_SITES.into_iter().find(|s| s.name() == name)
+crate::catalog! {
+    /// A named fault-injection site. The numeric value indexes the global
+    /// registry; the name is the stable CLI / catalog identity, and
+    /// [`Site::ALL`] in registry order is what the CLI prints as the catalog.
+    pub enum Site: usize {
+        RebuildPipeline => "rebuild.pipeline", "Pipeline build inside every background rebuild \
+            (explicit rebuild and budget-triggered compaction both pass through it).",
+        CompactPublish => "compact.publish", "Compaction publish: fires after the compaction's \
+            pipeline build succeeded, before any stream state is touched — a compaction that \
+            \"loses the race\" at the last moment.",
+        JournalBuild => "journal.build",
+            "Journal-epoch freeze on the insert path (caller-thread code).",
+        PersistPreTmp => "persist.pre-tmp", "Snapshot write, before the temp file is created.",
+        PersistPreRename => "persist.pre-rename",
+            "Snapshot write, after the temp file is written and fsynced, before the rename.",
+        PersistPreDirSync => "persist.pre-dirsync",
+            "Snapshot write, after the rename, before the parent-directory fsync.",
+        SnapshotLoad => "snapshot.load", "Snapshot boot, before the file is opened.",
+        NetAccept => "net.accept", "Network server accept loop, right after a connection is \
+            accepted — firing drops the connection, simulating a failed accept.",
+        NetRead => "net.read", "Network frame read (traversed by server workers and clients \
+            alike); firing surfaces as a typed I/O error on the reader.",
+        NetWrite => "net.write",
+            "Network frame write; firing surfaces as a typed I/O error on the writer.",
+        TestProbe => "test.probe", "Reserved for framework unit tests; no production call site, \
+            so arming it can never perturb concurrently running service tests.",
     }
 }
 
@@ -205,7 +146,7 @@ struct SiteState {
 const SITE_INIT: SiteState =
     SiteState { armed: AtomicU64::new(0), armed_hits: AtomicU64::new(0), fired: AtomicU64::new(0) };
 
-static REGISTRY: [SiteState; ALL_SITES.len()] = [SITE_INIT; ALL_SITES.len()];
+static REGISTRY: [SiteState; Site::COUNT] = [SITE_INIT; Site::COUNT];
 
 /// The traversal every call site runs. Disarmed cost: one `Relaxed` load.
 ///
@@ -281,7 +222,7 @@ pub fn disarm(site: Site) {
 
 /// Disarms every site.
 pub fn disarm_all() {
-    for s in ALL_SITES {
+    for s in Site::ALL {
         disarm(s);
     }
 }
@@ -299,7 +240,7 @@ pub fn fired(site: Site) -> u64 {
 
 /// Zeroes every site's counters (does not disarm).
 pub fn reset_counters() {
-    for s in ALL_SITES {
+    for s in Site::ALL {
         REGISTRY[s as usize].armed_hits.store(0, Ordering::Relaxed);
         REGISTRY[s as usize].fired.store(0, Ordering::Relaxed);
     }
@@ -319,8 +260,7 @@ pub fn arm_spec(spec: &str) -> Result<Site, String> {
     let mut parts = spec.split(':');
     let name = parts.next().unwrap_or("");
     let site = Site::from_name(name).ok_or_else(|| {
-        let catalog: Vec<&str> = ALL_SITES.iter().map(|s| s.name()).collect();
-        format!("unknown failpoint `{name}` (sites: {})", catalog.join(", "))
+        format!("unknown failpoint `{name}` (sites: {})", Site::ALL.map(Site::name).join(", "))
     })?;
     let mut k = 1u64;
     let mut action = FaultAction::Error;
@@ -419,18 +359,6 @@ mod tests {
         assert_eq!(check(s), Ok(()), "budget spent: the site disarmed itself");
         assert_eq!(armed_hits(s), hits, "a disarmed traversal is uncounted");
         reset_counters();
-    }
-
-    #[test]
-    fn site_names_roundtrip_and_are_unique() {
-        for s in ALL_SITES {
-            assert_eq!(Site::from_name(s.name()), Some(s));
-        }
-        assert_eq!(Site::from_name("no.such.site"), None);
-        let mut names: Vec<&str> = ALL_SITES.iter().map(|s| s.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), ALL_SITES.len());
     }
 
     #[test]

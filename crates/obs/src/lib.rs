@@ -15,6 +15,10 @@
 //!   ([`MonotonicClock`] in production, [`ManualClock`] in tests).
 //! - [`TraceRing`] — bounded, mutexed flight recorder of typed
 //!   [`TraceEvent`]s with exact sequence numbers.
+//! - [`catalog!`] — one table per catalogue enum (`Variant [= repr] =>
+//!   "stable_name", "help"`): the metric ids, [`TraceKind`], [`fault::Site`]
+//!   and the wire and health enums of the crates above are each one
+//!   invocation.
 //! - [`registry`] — the static catalog ([`CounterId`] / [`GaugeId`] /
 //!   [`HistId`]) plus Prometheus-text ([`render_text`]) and human
 //!   ([`render_table`]) exposition.
@@ -31,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 
+mod catalog;
 pub mod clock;
 pub mod fault;
 pub mod metrics;

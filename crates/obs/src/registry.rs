@@ -1,13 +1,13 @@
 //! Process-wide metric catalog.
 //!
-//! Every metric the stack records is declared here once, as an enum
-//! variant indexing a `static` array — "static-site registration". A
-//! recording site compiles to `&COUNTERS[id as usize]` plus relaxed
-//! atomics: no registration handshake, no lock, no name hashing on the
-//! hot path (the disarmed-failpoint discipline of [`crate::fault`]
-//! applied to metrics). Names and help strings live here too, so
-//! [`render_text`] can emit the Prometheus exposition format without any
-//! per-metric state elsewhere.
+//! Every metric the stack records is declared here once, as one row of a
+//! [`catalog!`](crate::catalog!) table: an enum variant indexing a `static`
+//! array ("static-site registration"), its Prometheus name and its help
+//! string. A recording site compiles to `&COUNTERS[id as usize]` plus
+//! relaxed atomics: no registration handshake, no lock, no name hashing on
+//! the hot path (the disarmed-failpoint discipline of [`crate::fault`]
+//! applied to metrics), and [`render_text`] emits the Prometheus exposition
+//! format from the rows alone.
 
 use std::fmt::Write as _;
 
@@ -15,252 +15,77 @@ use crate::clock::monotonic_ns;
 use crate::metrics::{bucket_upper, Counter, Gauge, HistSnapshot, Histogram, BUCKETS};
 use crate::trace::{TraceEvent, TraceKind, TraceRing};
 
-/// Catalog of process-wide counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum CounterId {
-    /// Executor rounds completed.
-    Rounds = 0,
-    /// DHT write/merge/delete operations applied at round barriers.
-    OpsApplied,
-    /// Modeled shuffle traffic: bytes moved at round barriers.
-    BytesShuffled,
-    /// Epochs made visible to readers (rebuilds, journal epochs, boots).
-    EpochsPublished,
-    /// Merge journals built for streaming inserts.
-    JournalBuilds,
-    /// Background compactions started.
-    CompactionsStarted,
-    /// Background compactions that published.
-    CompactionsFinished,
-    /// Faults recorded in the incident log.
-    Incidents,
-    /// Health transitions into Degraded.
-    DegradedTransitions,
-    /// Health transitions into ReadOnly.
-    ReadOnlyTransitions,
-    /// Recoveries back to Healthy from a degraded state.
-    Recoveries,
-    /// Snapshots persisted to disk.
-    SnapshotPersists,
-    /// Bytes written by snapshot persists.
-    SnapshotPersistBytes,
-    /// Snapshots booted from disk.
-    SnapshotBoots,
-    /// Bytes read by snapshot boots.
-    SnapshotBootBytes,
-    /// Queries answered by the serving driver.
-    QueriesServed,
-    /// Network connections admitted by the TCP front-end.
-    NetConnsAccepted,
-    /// Network connections shed with a typed `Overloaded` reply at the
-    /// admission high-water mark.
-    NetConnsShed,
-    /// Request frames the network front-end answered.
-    NetRequests,
-    /// Malformed frames rejected with a typed protocol error.
-    NetProtocolErrors,
-}
-
-const COUNTER_COUNT: usize = 20;
-
-impl CounterId {
-    pub const ALL: [CounterId; COUNTER_COUNT] = [
-        CounterId::Rounds,
-        CounterId::OpsApplied,
-        CounterId::BytesShuffled,
-        CounterId::EpochsPublished,
-        CounterId::JournalBuilds,
-        CounterId::CompactionsStarted,
-        CounterId::CompactionsFinished,
-        CounterId::Incidents,
-        CounterId::DegradedTransitions,
-        CounterId::ReadOnlyTransitions,
-        CounterId::Recoveries,
-        CounterId::SnapshotPersists,
-        CounterId::SnapshotPersistBytes,
-        CounterId::SnapshotBoots,
-        CounterId::SnapshotBootBytes,
-        CounterId::QueriesServed,
-        CounterId::NetConnsAccepted,
-        CounterId::NetConnsShed,
-        CounterId::NetRequests,
-        CounterId::NetProtocolErrors,
-    ];
-
-    /// Prometheus metric name.
-    pub fn name(self) -> &'static str {
-        match self {
-            CounterId::Rounds => "ampc_rounds_total",
-            CounterId::OpsApplied => "ampc_ops_applied_total",
-            CounterId::BytesShuffled => "ampc_bytes_shuffled_total",
-            CounterId::EpochsPublished => "serve_epochs_published_total",
-            CounterId::JournalBuilds => "serve_journal_builds_total",
-            CounterId::CompactionsStarted => "serve_compactions_started_total",
-            CounterId::CompactionsFinished => "serve_compactions_finished_total",
-            CounterId::Incidents => "serve_incidents_total",
-            CounterId::DegradedTransitions => "serve_degraded_transitions_total",
-            CounterId::ReadOnlyTransitions => "serve_readonly_transitions_total",
-            CounterId::Recoveries => "serve_recoveries_total",
-            CounterId::SnapshotPersists => "snapshot_persist_total",
-            CounterId::SnapshotPersistBytes => "snapshot_persist_bytes_total",
-            CounterId::SnapshotBoots => "snapshot_boot_total",
-            CounterId::SnapshotBootBytes => "snapshot_boot_bytes_total",
-            CounterId::QueriesServed => "query_served_total",
-            CounterId::NetConnsAccepted => "net_connections_accepted_total",
-            CounterId::NetConnsShed => "net_connections_shed_total",
-            CounterId::NetRequests => "net_requests_total",
-            CounterId::NetProtocolErrors => "net_protocol_errors_total",
-        }
-    }
-
-    fn help(self) -> &'static str {
-        match self {
-            CounterId::Rounds => "Executor rounds completed",
-            CounterId::OpsApplied => "DHT write/merge/delete operations applied at round barriers",
-            CounterId::BytesShuffled => "Modeled shuffle bytes moved at round barriers",
-            CounterId::EpochsPublished => "Index epochs made visible to readers",
-            CounterId::JournalBuilds => "Merge journals built for streaming edge inserts",
-            CounterId::CompactionsStarted => "Background compactions started",
-            CounterId::CompactionsFinished => "Background compactions published",
-            CounterId::Incidents => "Faults recorded in the service incident log",
-            CounterId::DegradedTransitions => "Health-state transitions into Degraded",
-            CounterId::ReadOnlyTransitions => "Health-state transitions into ReadOnly",
-            CounterId::Recoveries => "Health-state recoveries back to Healthy",
-            CounterId::SnapshotPersists => "Snapshots persisted to disk",
-            CounterId::SnapshotPersistBytes => "Bytes written by snapshot persists",
-            CounterId::SnapshotBoots => "Snapshots booted from disk",
-            CounterId::SnapshotBootBytes => "Bytes read by snapshot boots",
-            CounterId::QueriesServed => "Connectivity queries answered by the serving driver",
-            CounterId::NetConnsAccepted => "Network connections admitted by the TCP front-end",
-            CounterId::NetConnsShed => "Connections shed with a typed Overloaded reply",
-            CounterId::NetRequests => "Request frames the network front-end answered",
-            CounterId::NetProtocolErrors => "Malformed frames rejected with a typed protocol error",
-        }
+crate::catalog! {
+    /// Catalog of process-wide counters. Adding one is one row here.
+    pub enum CounterId: usize {
+        Rounds => "ampc_rounds_total", "Executor rounds completed",
+        OpsApplied => "ampc_ops_applied_total",
+            "DHT write/merge/delete operations applied at round barriers",
+        BytesShuffled => "ampc_bytes_shuffled_total", "Modeled shuffle bytes moved at round barriers",
+        EpochsPublished => "serve_epochs_published_total", "Index epochs made visible to readers",
+        JournalBuilds => "serve_journal_builds_total",
+            "Merge journals built for streaming edge inserts",
+        CompactionsStarted => "serve_compactions_started_total", "Background compactions started",
+        CompactionsFinished => "serve_compactions_finished_total",
+            "Background compactions published",
+        Incidents => "serve_incidents_total", "Faults recorded in the service incident log",
+        DegradedTransitions => "serve_degraded_transitions_total",
+            "Health-state transitions into Degraded",
+        ReadOnlyTransitions => "serve_readonly_transitions_total",
+            "Health-state transitions into ReadOnly",
+        Recoveries => "serve_recoveries_total", "Health-state recoveries back to Healthy",
+        SnapshotPersists => "snapshot_persist_total", "Snapshots persisted to disk",
+        SnapshotPersistBytes => "snapshot_persist_bytes_total", "Bytes written by snapshot persists",
+        SnapshotBoots => "snapshot_boot_total", "Snapshots booted from disk",
+        SnapshotBootBytes => "snapshot_boot_bytes_total", "Bytes read by snapshot boots",
+        QueriesServed => "query_served_total", "Connectivity queries answered by the serving driver",
+        NetConnsAccepted => "net_connections_accepted_total",
+            "Network connections admitted by the TCP front-end",
+        NetConnsShed => "net_connections_shed_total",
+            "Connections shed with a typed Overloaded reply",
+        NetRequests => "net_requests_total", "Request frames the network front-end answered",
+        NetProtocolErrors => "net_protocol_errors_total",
+            "Malformed frames rejected with a typed protocol error",
     }
 }
 
-/// Catalog of process-wide gauges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum GaugeId {
-    /// Rebuild tickets issued but not yet published.
-    RebuildQueueDepth = 0,
-    /// Journal entries pending compaction in the live epoch.
-    JournalPendingEntries,
-    /// Connections waiting in the network admission queue.
-    NetAdmissionQueueDepth,
-}
-
-const GAUGE_COUNT: usize = 3;
-
-impl GaugeId {
-    pub const ALL: [GaugeId; GAUGE_COUNT] = [
-        GaugeId::RebuildQueueDepth,
-        GaugeId::JournalPendingEntries,
-        GaugeId::NetAdmissionQueueDepth,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            GaugeId::RebuildQueueDepth => "serve_rebuild_queue_depth",
-            GaugeId::JournalPendingEntries => "serve_journal_pending_entries",
-            GaugeId::NetAdmissionQueueDepth => "net_admission_queue_depth",
-        }
-    }
-
-    fn help(self) -> &'static str {
-        match self {
-            GaugeId::RebuildQueueDepth => "Rebuild tickets issued but not yet published",
-            GaugeId::JournalPendingEntries => "Journal entries pending compaction",
-            GaugeId::NetAdmissionQueueDepth => "Connections waiting in the network admission queue",
-        }
+crate::catalog! {
+    /// Catalog of process-wide gauges.
+    pub enum GaugeId: usize {
+        RebuildQueueDepth => "serve_rebuild_queue_depth",
+            "Rebuild tickets issued but not yet published",
+        JournalPendingEntries => "serve_journal_pending_entries",
+            "Journal entries pending compaction",
+        NetAdmissionQueueDepth => "net_admission_queue_depth",
+            "Connections waiting in the network admission queue",
     }
 }
 
-/// Catalog of process-wide latency/size histograms (nanoseconds unless
-/// noted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum HistId {
-    /// Wall time of one executor round.
-    RoundWallNs = 0,
-    /// Merge-journal build time for a streaming insert batch.
-    JournalBuildNs,
-    /// Epoch publish (pointer swap + retire) time.
-    PublishNs,
-    /// Background compaction duration, start to publish.
-    CompactionNs,
-    /// Snapshot persist (encode + write + rename + fsync) time.
-    SnapshotPersistNs,
-    /// Snapshot boot (read + validate + decode) time.
-    SnapshotBootNs,
-    /// In-process service time per query: each frame's engine pass divided
-    /// by its length, recorded once per frame with the length as weight.
-    QueryLatencyNs,
-    /// Server-side service time per query on the network path: each
-    /// frame's engine pass divided by its length, recorded once per frame
-    /// with the length as weight (excludes decode, encode and socket I/O).
-    NetServiceNs,
-    /// Client-observed round trip per query: each request frame's round
-    /// trip divided by its length, recorded once per frame with the length
-    /// as weight.
-    NetWireNs,
-}
-
-const HIST_COUNT: usize = 9;
-
-impl HistId {
-    pub const ALL: [HistId; HIST_COUNT] = [
-        HistId::RoundWallNs,
-        HistId::JournalBuildNs,
-        HistId::PublishNs,
-        HistId::CompactionNs,
-        HistId::SnapshotPersistNs,
-        HistId::SnapshotBootNs,
-        HistId::QueryLatencyNs,
-        HistId::NetServiceNs,
-        HistId::NetWireNs,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            HistId::RoundWallNs => "ampc_round_wall_ns",
-            HistId::JournalBuildNs => "serve_journal_build_ns",
-            HistId::PublishNs => "serve_publish_ns",
-            HistId::CompactionNs => "serve_compaction_ns",
-            HistId::SnapshotPersistNs => "snapshot_persist_ns",
-            HistId::SnapshotBootNs => "snapshot_boot_ns",
-            HistId::QueryLatencyNs => "query_latency_ns",
-            HistId::NetServiceNs => "net_request_service_ns",
-            HistId::NetWireNs => "net_wire_latency_ns",
-        }
-    }
-
-    fn help(self) -> &'static str {
-        match self {
-            HistId::RoundWallNs => "Wall time of one executor round (ns)",
-            HistId::JournalBuildNs => "Merge-journal build time (ns)",
-            HistId::PublishNs => "Epoch publish time (ns)",
-            HistId::CompactionNs => "Background compaction duration (ns)",
-            HistId::SnapshotPersistNs => "Snapshot persist time (ns)",
-            HistId::SnapshotBootNs => "Snapshot boot time (ns)",
-            HistId::QueryLatencyNs => {
-                "In-process service time per query: each frame's mean, weighted by its length (ns)"
-            }
-            HistId::NetServiceNs => {
-                "Server-side service time per query: each frame's mean, weighted by its length (ns)"
-            }
-            HistId::NetWireNs => {
-                "Client-observed round trip per query: each frame's mean, weighted by its length (ns)"
-            }
-        }
+crate::catalog! {
+    /// Catalog of process-wide latency histograms (nanoseconds). The three
+    /// per-query ones record each frame's engine pass (in process, server
+    /// side) or round trip (client side) divided by the frame's length, once
+    /// per frame with the length as weight; the server-side one excludes
+    /// decode, encode and socket I/O.
+    pub enum HistId: usize {
+        RoundWallNs => "ampc_round_wall_ns", "Wall time of one executor round (ns)",
+        JournalBuildNs => "serve_journal_build_ns", "Merge-journal build time (ns)",
+        PublishNs => "serve_publish_ns", "Epoch publish time (ns)",
+        CompactionNs => "serve_compaction_ns", "Background compaction duration (ns)",
+        SnapshotPersistNs => "snapshot_persist_ns", "Snapshot persist time (ns)",
+        SnapshotBootNs => "snapshot_boot_ns", "Snapshot boot time (ns)",
+        QueryLatencyNs => "query_latency_ns",
+            "In-process service time per query: each frame's mean, weighted by its length (ns)",
+        NetServiceNs => "net_request_service_ns",
+            "Server-side service time per query: each frame's mean, weighted by its length (ns)",
+        NetWireNs => "net_wire_latency_ns",
+            "Client-observed round trip per query: each frame's mean, weighted by its length (ns)",
     }
 }
 
-static COUNTERS: [Counter; COUNTER_COUNT] = [const { Counter::new() }; COUNTER_COUNT];
-static GAUGES: [Gauge; GAUGE_COUNT] = [const { Gauge::new() }; GAUGE_COUNT];
-static HISTS: [Histogram; HIST_COUNT] = [const { Histogram::new() }; HIST_COUNT];
+static COUNTERS: [Counter; CounterId::COUNT] = [const { Counter::new() }; CounterId::COUNT];
+static GAUGES: [Gauge; GaugeId::COUNT] = [const { Gauge::new() }; GaugeId::COUNT];
+static HISTS: [Histogram; HistId::COUNT] = [const { Histogram::new() }; HistId::COUNT];
 static TRACE: TraceRing = TraceRing::new();
 
 /// The process-wide counter for `id`.
@@ -386,33 +211,6 @@ pub fn summary(snap: &HistSnapshot) -> [(&'static str, u64); 6] {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn catalog_indices_match_enum_discriminants() {
-        for (i, id) in CounterId::ALL.iter().enumerate() {
-            assert_eq!(*id as usize, i);
-        }
-        for (i, id) in GaugeId::ALL.iter().enumerate() {
-            assert_eq!(*id as usize, i);
-        }
-        for (i, id) in HistId::ALL.iter().enumerate() {
-            assert_eq!(*id as usize, i);
-        }
-    }
-
-    #[test]
-    fn catalog_names_are_unique() {
-        let mut names: Vec<&str> = CounterId::ALL
-            .iter()
-            .map(|c| c.name())
-            .chain(GaugeId::ALL.iter().map(|g| g.name()))
-            .chain(HistId::ALL.iter().map(|h| h.name()))
-            .collect();
-        let before = names.len();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), before);
-    }
 
     #[test]
     fn global_sites_accumulate_monotonically() {

@@ -16,59 +16,28 @@ use std::sync::{Mutex, MutexGuard};
 /// Ring capacity (power of two). 40 KiB of events as a process-wide static.
 pub const TRACE_CAP: usize = 1024;
 
-/// Typed trace events emitted at the stack's structural seams.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u64)]
-pub enum TraceKind {
-    /// A new epoch became visible to readers. `a` = epoch, `b` = kind
-    /// (0 = full rebuild/boot, 1 = journal epoch).
-    EpochPublished = 0,
-    /// A merge journal was built for streaming inserts. `a` = journal
-    /// entries, `b` = build nanoseconds.
-    JournalBuilt = 1,
-    /// Background compaction began. `a` = epoch it consumes through.
-    CompactionStarted = 2,
-    /// Compaction yielded to a queued full rebuild. `a` = epoch.
-    CompactionYielded = 3,
-    /// Compaction published. `a` = epoch, `b` = duration nanoseconds.
-    CompactionFinished = 4,
-    /// A fault was recorded in the incident log. `a` = incident seq,
-    /// `b` = operation discriminant.
-    IncidentRecorded = 5,
-    /// A snapshot was persisted. `a` = bytes written, `b` = nanoseconds.
-    SnapshotPersisted = 6,
-    /// A snapshot was booted from disk. `a` = bytes read, `b` = nanoseconds.
-    SnapshotBooted = 7,
-    /// An executor round completed. `a` = round index, `b` = bytes shuffled.
-    RoundCompleted = 8,
-}
-
-impl TraceKind {
-    pub const ALL: [TraceKind; 9] = [
-        TraceKind::EpochPublished,
-        TraceKind::JournalBuilt,
-        TraceKind::CompactionStarted,
-        TraceKind::CompactionYielded,
-        TraceKind::CompactionFinished,
-        TraceKind::IncidentRecorded,
-        TraceKind::SnapshotPersisted,
-        TraceKind::SnapshotBooted,
-        TraceKind::RoundCompleted,
-    ];
-
-    /// Stable lowercase name for text/JSON exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceKind::EpochPublished => "epoch_published",
-            TraceKind::JournalBuilt => "journal_built",
-            TraceKind::CompactionStarted => "compaction_started",
-            TraceKind::CompactionYielded => "compaction_yielded",
-            TraceKind::CompactionFinished => "compaction_finished",
-            TraceKind::IncidentRecorded => "incident_recorded",
-            TraceKind::SnapshotPersisted => "snapshot_persisted",
-            TraceKind::SnapshotBooted => "snapshot_booted",
-            TraceKind::RoundCompleted => "round_completed",
-        }
+crate::catalog! {
+    /// Typed trace events emitted at the stack's structural seams; `a` and
+    /// `b` are the event's two payload words.
+    pub enum TraceKind: u64 {
+        EpochPublished => "epoch_published", "A new epoch became visible to readers. \
+            `a` = epoch, `b` = kind (0 = full rebuild/boot, 1 = journal epoch).",
+        JournalBuilt => "journal_built", "A merge journal was built for streaming inserts. \
+            `a` = journal entries, `b` = build nanoseconds.",
+        CompactionStarted => "compaction_started",
+            "Background compaction began. `a` = epoch it consumes through.",
+        CompactionYielded => "compaction_yielded",
+            "Compaction yielded to a queued full rebuild. `a` = epoch.",
+        CompactionFinished => "compaction_finished",
+            "Compaction published. `a` = epoch, `b` = duration nanoseconds.",
+        IncidentRecorded => "incident_recorded", "A fault was recorded in the incident log. \
+            `a` = incident seq, `b` = operation discriminant.",
+        SnapshotPersisted => "snapshot_persisted",
+            "A snapshot was persisted. `a` = bytes written, `b` = nanoseconds.",
+        SnapshotBooted => "snapshot_booted",
+            "A snapshot was booted from disk. `a` = bytes read, `b` = nanoseconds.",
+        RoundCompleted => "round_completed",
+            "An executor round completed. `a` = round index, `b` = bytes shuffled.",
     }
 }
 

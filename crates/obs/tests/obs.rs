@@ -77,9 +77,10 @@ fn histogram_matches_sorted_oracle_within_one_bucket() {
 }
 
 /// Owns the "merged quantiles are thread-count invariant" property of the
-/// sharded histogram (ROADMAP item 1 asked a model checker for it): a record
-/// is relaxed RMWs on commutative counters, so the merged buckets depend on
-/// the multiset recorded and on no interleaving — one run per split decides it.
+/// sharded histogram (a ROADMAP item, dropped since, asked a model checker
+/// for it): a record is relaxed RMWs on commutative counters, so the merged
+/// buckets depend on the multiset recorded and on no interleaving — one run
+/// per split decides it.
 #[test]
 fn shard_merge_is_deterministic_across_thread_splits() {
     // The same 80k observations recorded by 1, 2, 4, and 8 threads must

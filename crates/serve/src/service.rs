@@ -286,7 +286,7 @@ mod tests {
         let mut all_edges: Vec<(VertexId, VertexId)> = g.edges().collect();
         let service = ServiceBuilder::new(g)
             .spec(spec())
-            .journal_budget(JournalBudget::new(2, usize::MAX))
+            .journal_budget(JournalBudget::new(2))
             .build()
             .unwrap();
         let batch = [(0u32, 399u32), (1, 398), (2, 397)];
@@ -401,7 +401,7 @@ mod tests {
 
         let (replica, source) = ServiceBuilder::new(g)
             .spec(spec())
-            .journal_budget(JournalBudget::new(1, usize::MAX))
+            .journal_budget(JournalBudget::new(1))
             .from_snapshot_or_rebuild(&path)
             .expect("boot");
         assert_eq!(source, BootSource::Snapshot);
@@ -414,7 +414,7 @@ mod tests {
         // A vertex-count mismatch falls back to the edge-less boot.
         let (replica2, source2) = ServiceBuilder::new(random_forest(10, 1, 23))
             .spec(spec())
-            .journal_budget(JournalBudget::new(1, usize::MAX))
+            .journal_budget(JournalBudget::new(1))
             .from_snapshot_or_rebuild(&path)
             .expect("boot");
         assert_eq!(source2, BootSource::Snapshot);

@@ -38,38 +38,41 @@ use crate::epoch::EpochCell;
 /// background rebuild (compaction) over the merged graph. Until the
 /// compaction lands, insertions keep being accepted and published as
 /// journal-epochs — the budget bounds staleness cost, not availability.
+///
+/// The budget counts edges only. It used to carry a merge count as well
+/// (default 4 Ki merges), from when every insert re-froze the whole journal;
+/// journal-epochs are derived since PR 23 — a publish is `O(c + b log b)`
+/// (components, batch edges) and a read is one extra array access whatever
+/// the journal carries — so nothing grows with merges, every caller set
+/// that limit to `usize::MAX`, and it went.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalBudget {
     /// Compact once this many inserted edges have accumulated on one base.
     pub max_edges: usize,
-    /// Compact once the journal carries this many component merges.
-    pub max_merges: usize,
 }
 
 impl JournalBudget {
-    /// A budget with explicit limits.
-    pub fn new(max_edges: usize, max_merges: usize) -> Self {
-        JournalBudget { max_edges, max_merges }
+    /// A budget with an explicit limit.
+    pub fn new(max_edges: usize) -> Self {
+        JournalBudget { max_edges }
     }
 
     /// Never compact automatically (tests and benchmarks that want to
     /// observe pure journal behavior).
     pub fn unbounded() -> Self {
-        JournalBudget { max_edges: usize::MAX, max_merges: usize::MAX }
+        JournalBudget { max_edges: usize::MAX }
     }
 
-    pub(super) fn exceeded_by(&self, journal_edges: usize, journal_merges: usize) -> bool {
-        journal_edges > self.max_edges || journal_merges > self.max_merges
+    pub(super) fn exceeded_by(&self, journal_edges: usize) -> bool {
+        journal_edges > self.max_edges
     }
 }
 
 impl Default for JournalBudget {
-    /// 64 Ki inserted edges or 4 Ki merges — a journal publish is
-    /// `O(c + b log b)` (components, batch edges) whatever the journal
-    /// already carries, so the default is not there to keep inserts cheap:
-    /// it bounds the pending edges a compaction re-reads and replays.
+    /// 64 Ki inserted edges: not there to keep inserts cheap (see above), it
+    /// bounds the pending edges a compaction re-reads and replays.
     fn default() -> Self {
-        JournalBudget { max_edges: 1 << 16, max_merges: 1 << 12 }
+        JournalBudget { max_edges: 1 << 16 }
     }
 }
 
@@ -345,7 +348,7 @@ impl ServiceHandle {
         // instead, so a failing compaction is re-attempted with backoff
         // rather than on every over-budget batch.
         let due = match st.health.state {
-            HealthState::Healthy => service.budget.exceeded_by(st.pending.len(), merges),
+            HealthState::Healthy => service.budget.exceeded_by(st.pending.len()),
             HealthState::Degraded => service.now_ms() >= st.health.retry_at_ms,
             HealthState::ReadOnly => false,
         };

@@ -12,72 +12,46 @@ use super::ServiceHandle;
 #[cfg(doc)]
 use ampc_obs::Clock;
 
-/// The degradation state machine every [`ServiceHandle`] carries.
-///
-/// ```text
-///            failure                    failure (Nth consecutive)
-/// Healthy ───────────▶ Degraded ─────────────────────▶ ReadOnly
-///    ▲                    │  ▲                             │
-///    │   compaction /     │  │ failed retry                │
-///    │   rebuild success  │  │ (backoff doubles)           │
-///    └────────────────────┘  └─────────────────────────────┘
-///    ▲                                                     │
-///    └──────────── explicit rebuild succeeds ──────────────┘
-/// ```
-///
-/// * **Healthy** — the happy path of PRs 5–7.
-/// * **Degraded** — a rebuild/compaction/journal build failed. Reads are
-///   untouched; inserts keep landing as journal-epochs; the journal
-///   budget is suspended in favor of a bounded retry-with-backoff
-///   compaction schedule (deterministic under an injectable [`Clock`]).
-/// * **ReadOnly** — [`RetryPolicy::max_consecutive_failures`] failures in
-///   a row. Inserts return [`ServeError::ReadOnly`]; reads keep serving
-///   the last published epoch; only a successful explicit
-///   [`ServiceHandle::rebuild`] (new ground truth) restores `Healthy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HealthState {
-    /// Serving normally.
-    Healthy,
-    /// A failure was recorded; retrying compaction with backoff.
-    Degraded,
-    /// Too many consecutive failures; inserts refused until an explicit
-    /// rebuild succeeds.
-    ReadOnly,
-}
-
-impl HealthState {
-    /// Stable lowercase name (CLI/JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            HealthState::Healthy => "healthy",
-            HealthState::Degraded => "degraded",
-            HealthState::ReadOnly => "read-only",
-        }
+ampc_obs::catalog! {
+    /// The degradation state machine every [`ServiceHandle`] carries.
+    ///
+    /// ```text
+    ///            failure                    failure (Nth consecutive)
+    /// Healthy ───────────▶ Degraded ─────────────────────▶ ReadOnly
+    ///    ▲                    │  ▲                             │
+    ///    │   compaction /     │  │ failed retry                │
+    ///    │   rebuild success  │  │ (backoff doubles)           │
+    ///    └────────────────────┘  └─────────────────────────────┘
+    ///    ▲                                                     │
+    ///    └──────────── explicit rebuild succeeds ──────────────┘
+    /// ```
+    ///
+    /// * **Healthy** — the happy path of PRs 5–7.
+    /// * **Degraded** — a rebuild/compaction/journal build failed. Reads are
+    ///   untouched; inserts keep landing as journal-epochs; the journal
+    ///   budget is suspended in favor of a bounded retry-with-backoff
+    ///   compaction schedule (deterministic under an injectable [`Clock`]).
+    /// * **ReadOnly** — [`RetryPolicy::max_consecutive_failures`] failures in
+    ///   a row. Inserts return [`ServeError::ReadOnly`]; reads keep serving
+    ///   the last published epoch; only a successful explicit
+    ///   [`ServiceHandle::rebuild`] (new ground truth) restores `Healthy`.
+    ///
+    /// The discriminant is the state's byte in the wire's Health reply.
+    pub enum HealthState: u8 {
+        Healthy = 0 => "healthy", "Serving normally.",
+        Degraded = 1 => "degraded", "A failure was recorded; retrying compaction with backoff.",
+        ReadOnly = 2 => "read-only",
+            "Too many consecutive failures; inserts refused until an explicit rebuild succeeds.",
     }
 }
 
-/// Which operation an [`Incident`] was recorded against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IncidentOp {
-    /// An explicit [`ServiceHandle::rebuild`].
-    Rebuild,
-    /// A budget-triggered or retry compaction.
-    Compaction,
-    /// A journal-epoch freeze on the insert path.
-    JournalBuild,
-    /// A snapshot boot that fell back to a pipeline build.
-    Boot,
-}
-
-impl IncidentOp {
-    /// Stable lowercase name (CLI/JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            IncidentOp::Rebuild => "rebuild",
-            IncidentOp::Compaction => "compaction",
-            IncidentOp::JournalBuild => "journal-build",
-            IncidentOp::Boot => "boot",
-        }
+ampc_obs::catalog! {
+    /// Which operation an [`Incident`] was recorded against.
+    pub enum IncidentOp: u8 {
+        Rebuild => "rebuild", "An explicit [`ServiceHandle::rebuild`].",
+        Compaction => "compaction", "A budget-triggered or retry compaction.",
+        JournalBuild => "journal-build", "A journal-epoch freeze on the insert path.",
+        Boot => "boot", "A snapshot boot that fell back to a pipeline build.",
     }
 }
 

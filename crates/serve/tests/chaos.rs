@@ -198,7 +198,7 @@ fn degradation_walks_healthy_degraded_readonly_and_recovers() {
     };
     let service = ServiceBuilder::new(g)
         .spec(spec(31))
-        .journal_budget(JournalBudget::new(0, usize::MAX))
+        .journal_budget(JournalBudget::new(0))
         .retry_policy(policy)
         .clock(clock.clone())
         .build()
@@ -429,7 +429,7 @@ fn rebuild_and_compaction_panics_are_recorded_not_lost() {
     let clock = Arc::new(ManualClock::new(0));
     let service = ServiceBuilder::new(g)
         .spec(spec(35))
-        .journal_budget(JournalBudget::new(0, usize::MAX))
+        .journal_budget(JournalBudget::new(0))
         .clock(clock.clone())
         .build()
         .expect("build");
@@ -601,7 +601,7 @@ fn drive_site_once(site: Site) {
     let edges: Vec<(VertexId, VertexId)> = g.edges().collect();
     let clock = Arc::new(ManualClock::new(0));
     let budget = if site == Site::CompactPublish {
-        JournalBudget::new(0, usize::MAX)
+        JournalBudget::new(0)
     } else {
         JournalBudget::unbounded()
     };
@@ -678,7 +678,7 @@ fn run_chaos_schedule(seed: u64, rounds: usize) {
     };
     let service = ServiceBuilder::new(g)
         .spec(spec(seed))
-        .journal_budget(JournalBudget::new(2, usize::MAX))
+        .journal_budget(JournalBudget::new(2))
         .retry_policy(policy)
         .clock(clock.clone())
         .build()

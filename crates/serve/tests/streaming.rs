@@ -116,7 +116,7 @@ fn budget_fallback_compacts_and_replays_inserts_mid_compaction() {
     let spec = PipelineSpec::default().with_seed(5).with_machines(4);
     let service = ServiceBuilder::new(g)
         .spec(spec)
-        .journal_budget(JournalBudget::new(4, usize::MAX))
+        .journal_budget(JournalBudget::new(4))
         .build()
         .expect("build");
 
@@ -185,7 +185,7 @@ fn a_compaction_landing_mid_stream_replays_to_the_from_scratch_journal() {
     };
     let service = ServiceBuilder::new(g)
         .spec(PipelineSpec::default().with_seed(6).with_machines(4))
-        .journal_budget(JournalBudget::new(10, usize::MAX))
+        .journal_budget(JournalBudget::new(10))
         .build()
         .expect("build");
 

@@ -8,7 +8,7 @@
 //!                [--mix uniform|zipf[:EXP]|cross] [--queries N] [--batch B]
 //!                [--threads T] [--query-file F] [--top K] [--json]
 //!                [--stream N] [--stream-batch E] [--from-snapshot PATH]
-//!                [--fail SPEC] [--chaos SEED]
+//!                [--fail SPEC]
 //!                [--connect ADDR [--shutdown]]
 //! ampc-cc serve [<file>] [pipeline options as above]
 //!                [--listen ADDR] [--workers W] [--queue D]
@@ -20,10 +20,9 @@
 //!   --k K        space parameter (Theorems 1.1/1.2), default 2
 //!   --backend B  DHT storage backend: "dense" (default) or "dense:CAP" for
 //!                direct-indexed slabs of CAP ids per keyspace (unhinted
-//!                "dense" sizes slabs from the input), "flat" for the
-//!                single-hash-map reference, "sharded" or "sharded:N" for N
-//!                hash shards. Results are identical across backends;
-//!                sharded/dense merge round output in parallel and dense
+//!                "dense" sizes slabs from the input) or "flat" for the
+//!                single-hash-map reference. Results are identical across
+//!                backends; dense merges round output in parallel and its
 //!                reads skip hashing entirely
 //!   --labels     print "vertex component" lines to stdout
 //!   --trace      print the per-round cost ledger; in query mode an
@@ -81,18 +80,10 @@
 //!                 `boot` incident over the Health opcode
 //!   --fail SITE[:K][:panic]  arm a deterministic failpoint: the Kth
 //!                 traversal (default 1st) of the named site errors (or
-//!                 panics). Sites: rebuild.pipeline, compact.publish,
-//!                 journal.build, persist.pre-tmp, persist.pre-rename,
-//!                 persist.pre-dirsync, snapshot.load, net.accept,
-//!                 net.read, net.write. Repeatable. Injected faults
-//!                 surface as typed errors and a nonzero exit — never as
-//!                 corruption
-//!   --chaos SEED  (query, with --stream) drive a seeded random failure
-//!                 schedule through the streaming phase: one-shot faults
-//!                 are armed on the insert/compaction path, rejected
-//!                 batches roll back, the oracle check runs every round,
-//!                 and the run converges back to healthy (reported in the
-//!                 summary and under "chaos" in --json)
+//!                 panics). The sites are the `fault::Site` catalogue,
+//!                 listed by the usage text and by an unknown SITE.
+//!                 Repeatable. Injected faults surface as typed errors and
+//!                 a nonzero exit — never as corruption
 //!   --connect ADDR  (query) the same run over the wire: the graph file
 //!                 builds the local union-find oracle and the workload, the
 //!                 frames go to a running `ampc-cc serve` (--threads
@@ -136,8 +127,7 @@ use adaptive_mpc_connectivity::graph::{
 use adaptive_mpc_connectivity::net;
 use adaptive_mpc_connectivity::query::{snapshot, workload, ComponentIndex, Query, QueryEngine};
 use adaptive_mpc_connectivity::serve::{
-    driver, fault, BootSource, FaultAction, HealthState, IndexSnapshot, ServeError, ServiceBuilder,
-    ServiceHandle,
+    driver, fault, BootSource, IndexSnapshot, ServiceBuilder, ServiceHandle,
 };
 
 #[derive(Default)]
@@ -164,7 +154,6 @@ struct QueryArgs {
     stream: usize,
     stream_batch: usize,
     from_snapshot: Option<String>,
-    chaos: Option<u64>,
     trace_events: Option<usize>,
     connect: Option<String>,
     shutdown: bool,
@@ -211,7 +200,7 @@ fn flag_owners(flag: &str) -> Option<&'static str> {
         "--persist" => "run",
         "--from-snapshot" => "query/serve",
         "--mix" | "--queries" | "--batch" | "--threads" | "--query-file" | "--top" | "--stream"
-        | "--stream-batch" | "--chaos" | "--connect" | "--shutdown" => "query",
+        | "--stream-batch" | "--connect" | "--shutdown" => "query",
         "--listen" | "--workers" | "--queue" | "--port-file" => "serve",
         _ => return None,
     })
@@ -280,7 +269,6 @@ fn parse_args() -> Result<Cmd, String> {
             "--threads" => q.threads = positive(&mut it, &a)?,
             "--persist" => run.persist = Some(value(&mut it, &a)?),
             "--fail" => run.fail.push(value(&mut it, &a)?),
-            "--chaos" => q.chaos = Some(value(&mut it, &a)?),
             "--from-snapshot" if mode == "serve" => s.from_snapshot = Some(value(&mut it, &a)?),
             "--from-snapshot" => q.from_snapshot = Some(value(&mut it, &a)?),
             "--connect" => q.connect = Some(value(&mut it, &a)?),
@@ -301,13 +289,10 @@ fn parse_args() -> Result<Cmd, String> {
     if run.file.is_empty() && q.from_snapshot.is_none() && s.from_snapshot.is_none() {
         return Err("missing input file".into());
     }
-    if q.chaos.is_some() && q.stream == 0 {
-        return Err("--chaos needs --stream (it injects faults into the streaming phase)".into());
-    }
     if q.connect.is_some() {
-        if q.stream > 0 || q.chaos.is_some() || q.top > 0 {
-            return Err("--connect answers over the wire: --stream/--chaos/--top are in-process \
-                        modes and cannot be combined with it"
+        if q.stream > 0 || q.top > 0 {
+            return Err("--connect answers over the wire: --stream/--top are in-process modes \
+                        and cannot be combined with it"
                 .into());
         }
         if q.from_snapshot.is_some() || q.query_file.is_some() {
@@ -787,55 +772,16 @@ fn stream_phase(
     let mut rng = SplitMix64::new(derive_seed(&[0x57_AE, args.run.spec.seed]));
     let mut publish_ms: Vec<f64> = Vec::with_capacity(args.stream);
     let mut last_merges = 0usize;
-    // Chaos mode: a seeded schedule arms one-shot faults on the
-    // insert/compaction path while the stream runs. Injected failures
-    // must surface as typed, rolled-back errors, never as corruption —
-    // the oracle check below holds whether or not a batch landed.
-    const CHAOS_SITES: [fault::Site; 3] =
-        [fault::Site::JournalBuild, fault::Site::CompactPublish, fault::Site::RebuildPipeline];
-    let mut chaos_rng = args.chaos.map(|seed| SplitMix64::new(derive_seed(&[0xC4A05, seed])));
-    if chaos_rng.is_some() {
-        fault::reset_counters();
-    }
-    let mut rejected = 0usize;
-    let mut recoveries = 0usize;
     for b in 0..args.stream {
-        if let Some(crng) = &mut chaos_rng {
-            if crng.next_below(2) == 0 {
-                let site = CHAOS_SITES[crng.next_below(CHAOS_SITES.len() as u64) as usize];
-                fault::arm(site, FaultAction::Error, 0, 1);
-            }
-        }
         let batch: Vec<(VertexId, VertexId)> = (0..args.stream_batch)
             .map(|_| (rng.next_below(n as u64) as VertexId, rng.next_below(n as u64) as VertexId))
             .collect();
         let t0 = Instant::now();
-        match service.insert_edges(&batch) {
-            Ok(report) => {
-                publish_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-                last_merges = report.journal_merges;
-                all_edges.extend_from_slice(&batch);
-            }
-            Err(ServeError::ReadOnly) if args.chaos.is_some() => {
-                // Too many consecutive failures: writes are refused
-                // until an explicit rebuild succeeds. Play the operator.
-                fault::disarm_all();
-                service
-                    .rebuild_blocking(Graph::from_edges(n, &all_edges))
-                    .map_err(|e| format!("chaos: recovery rebuild failed: {e}"))?;
-                recoveries += 1;
-                rejected += 1;
-                eprintln!("chaos: batch {b} refused (read-only); rebuilt to healthy");
-            }
-            Err(e) if args.chaos.is_some() => {
-                rejected += 1;
-                eprintln!(
-                    "chaos: batch {b} rejected ({e}); service {}",
-                    service.health().state.name()
-                );
-            }
-            Err(e) => return Err(format!("insert batch {b} failed: {e}")),
-        }
+        let report =
+            service.insert_edges(&batch).map_err(|e| format!("insert batch {b} failed: {e}"))?;
+        publish_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        last_merges = report.journal_merges;
+        all_edges.extend_from_slice(&batch);
         // Oracle check: the journal-epoch must answer exactly like a
         // fresh build over every edge accepted so far.
         let oracle =
@@ -861,39 +807,6 @@ fn stream_phase(
             }
         }
     }
-    let chaos = if let Some(seed) = args.chaos {
-        // Converge back to Healthy: an explicit successful rebuild is
-        // the operator's recovery lever from any degraded state. A
-        // background compaction may still be racing its own injected
-        // failure past the first rebuild, so retry a bounded number of
-        // times with the faults disarmed.
-        fault::disarm_all();
-        let mut tries = 0;
-        while service.health().state != HealthState::Healthy {
-            if tries >= 5 {
-                return Err(format!(
-                    "chaos: service stuck {} after {tries} recovery rebuilds",
-                    service.health().state.name()
-                ));
-            }
-            service
-                .rebuild_blocking(Graph::from_edges(n, &all_edges))
-                .map_err(|e| format!("chaos: final recovery rebuild failed: {e}"))?;
-            recoveries += 1;
-            tries += 1;
-        }
-        let h = service.health();
-        let injected: u64 = CHAOS_SITES.iter().map(|&s| fault::fired(s)).sum();
-        eprintln!(
-            "chaos: seed {seed} | {injected} faults injected | {rejected} batches \
-             rejected | {recoveries} rebuild recoveries | {} incidents | final health {}",
-            h.total_incidents,
-            h.state.name()
-        );
-        Some((seed, injected, h.total_incidents))
-    } else {
-        None
-    };
     let avg_publish_ms = publish_ms.iter().sum::<f64>() / publish_ms.len().max(1) as f64;
     let max_publish_ms = publish_ms.iter().fold(0.0f64, |a, &b| a.max(b));
     let live = service.snapshot();
@@ -914,15 +827,6 @@ fn stream_phase(
         j.field("final_epoch", live.epoch());
         j.field("final_components", live.num_components());
         j.field("journal_merges", last_merges);
-        if let Some((seed, injected, total_incidents)) = chaos {
-            j.nest(Some("chaos"), '{', INLINE, |j| {
-                j.field("seed", seed);
-                j.field("injected_faults", injected);
-                j.field("rejected_batches", rejected);
-                j.field("recovery_rebuilds", recoveries);
-                j.field("total_incidents", total_incidents);
-            });
-        }
     });
     Ok(())
 }
@@ -1111,7 +1015,7 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
             let health = conn.health().map_err(|e| format!("health opcode failed: {e}"))?;
             let text = conn.metrics().map_err(|e| format!("metrics opcode failed: {e}"))?;
             j.string("connect", args.connect.as_deref().unwrap_or_default());
-            match net::prom_histogram_quantiles(&text, "net_request_service_ns") {
+            match net::prom_histogram_quantiles(&text, ampc_obs::HistId::NetServiceNs.name()) {
                 Some((count, qs)) => {
                     eprintln!(
                         "service latency (server-side): p50 = {} ns | p99 = {} ns | p999 = {} ns \
@@ -1227,7 +1131,7 @@ fn main() -> ExitCode {
             }
             eprintln!(
                 "usage: ampc-cc <file> [--forest|--general|--auto] [--k K] [--seed S]\n\
-                 \x20                 [--machines M] [--backend dense[:CAP]|flat|sharded[:N]]\n\
+                 \x20                 [--machines M] [--backend dense[:CAP]|flat]\n\
                  \x20                 [--labels] [--trace] [--metrics] [--json] [--persist PATH]\n\
                  \x20                 [--fail SITE[:K][:panic]]\n\
                  \x20      ampc-cc query [<file>] [pipeline options]\n\
@@ -1235,11 +1139,12 @@ fn main() -> ExitCode {
                  \x20                 [--batch B] [--threads T] [--query-file F] [--top K]\n\
                  \x20                 [--stream N] [--stream-batch E] [--json]\n\
                  \x20                 [--from-snapshot PATH] [--fail SITE[:K][:panic]]\n\
-                 \x20                 [--chaos SEED] [--trace [N]]\n\
-                 \x20                 [--connect ADDR [--shutdown]]\n\
+                 \x20                 [--trace [N]] [--connect ADDR [--shutdown]]\n\
                  \x20      ampc-cc serve [<file>] [pipeline options] [--listen ADDR]\n\
                  \x20                 [--workers W] [--queue D] [--port-file PATH]\n\
-                 \x20                 [--from-snapshot PATH] [--fail SITE[:K][:panic]]"
+                 \x20                 [--from-snapshot PATH] [--fail SITE[:K][:panic]]\n\
+                 failpoint sites: {}",
+                fault::Site::ALL.map(fault::Site::name).join(", ")
             );
             return ExitCode::from(2);
         }
