@@ -373,11 +373,11 @@ pub trait DhtStorage<V: DhtValue>: Clone + Send + Sync {
     /// worker order and each list in its recorded order — that sequence is
     /// the machine-order subsequence of the round's ops landing on the
     /// shard (see the module docs). Distinct shards may be processed
-    /// concurrently when `parallel` is set.
+    /// concurrently, on as many threads as the host has workers.
     ///
     /// Every list is left **drained with its capacity intact**, ready to
     /// buffer the next round.
-    fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>], parallel: bool);
+    fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>]);
 
     /// All entries sorted by key — the canonical form used to compare final
     /// snapshots across backends.
@@ -511,7 +511,7 @@ impl<V: DhtValue> DhtStorage<V> for FlatDht<V> {
         0
     }
 
-    fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>], _parallel: bool) {
+    fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>]) {
         self.apply_lists(bufs.iter_mut().map(|b| &mut b.lists[0]));
     }
 }
@@ -609,9 +609,9 @@ impl<V: DhtValue> DhtStorage<V> for ShardedDht<V> {
         self.shard_index(key)
     }
 
-    fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>], parallel: bool) {
+    fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>]) {
         let workers = host_workers().min(self.shards.len());
-        if parallel && workers > 1 {
+        if workers > 1 {
             // Shard-parallel merge on scoped worker threads: each thread owns
             // a contiguous block of shards, so no shard is touched twice and
             // each shard's ops are applied in worker order, then list order.
@@ -880,9 +880,9 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
         }
     }
 
-    fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>], parallel: bool) {
+    fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>]) {
         let workers = host_workers().min(self.num_ranges);
-        if !parallel || workers <= 1 {
+        if workers <= 1 {
             for s in 0..=self.num_ranges {
                 for b in bufs.iter_mut() {
                     for (key, op) in b.lists[s].drain(..) {
@@ -1068,8 +1068,8 @@ impl<V: DhtValue> DhtStorage<V> for Dht<V> {
         }
     }
 
-    fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>], parallel: bool) {
-        with_store!(self, s => s.apply_ops(bufs, parallel))
+    fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>]) {
+        with_store!(self, s => s.apply_ops(bufs))
     }
 }
 
@@ -1257,21 +1257,19 @@ mod sharded_tests {
     #[test]
     fn apply_ops_preserves_machine_order_within_shard() {
         // Two workers write the same key: the later worker must win in both
-        // backends, and parallel application must not change that.
-        for parallel in [false, true] {
-            let mut flat: FlatDht<u64> = FlatDht::new();
-            let mut sharded: ShardedDht<u64> = ShardedDht::with_shard_count(4);
-            let worker0 = ops(&[(0, 1, WriteOp::Put(10)), (0, 2, WriteOp::Put(20))]);
-            let worker1 = ops(&[(0, 1, WriteOp::Put(11)), (0, 3, WriteOp::Delete)]);
-            let mut bufs = grid(&flat, &[&worker0, &worker1]);
-            DhtStorage::apply_ops(&mut flat, &mut bufs, parallel);
-            assert!(bufs.iter().all(ShardBuffers::is_empty), "apply_ops must drain the grid");
-            let mut bufs = grid(&sharded, &[&worker0, &worker1]);
-            DhtStorage::apply_ops(&mut sharded, &mut bufs, parallel);
-            assert!(bufs.iter().all(ShardBuffers::is_empty), "apply_ops must drain the grid");
-            assert_eq!(flat.sorted_entries(), sharded.sorted_entries());
-            assert_eq!(DhtStorage::get(&sharded, Key::new(0, 1)), Some(&11));
-        }
+        // backends, however many threads the sharded merge runs on.
+        let mut flat: FlatDht<u64> = FlatDht::new();
+        let mut sharded: ShardedDht<u64> = ShardedDht::with_shard_count(4);
+        let worker0 = ops(&[(0, 1, WriteOp::Put(10)), (0, 2, WriteOp::Put(20))]);
+        let worker1 = ops(&[(0, 1, WriteOp::Put(11)), (0, 3, WriteOp::Delete)]);
+        let mut bufs = grid(&flat, &[&worker0, &worker1]);
+        DhtStorage::apply_ops(&mut flat, &mut bufs);
+        assert!(bufs.iter().all(ShardBuffers::is_empty), "apply_ops must drain the grid");
+        let mut bufs = grid(&sharded, &[&worker0, &worker1]);
+        DhtStorage::apply_ops(&mut sharded, &mut bufs);
+        assert!(bufs.iter().all(ShardBuffers::is_empty), "apply_ops must drain the grid");
+        assert_eq!(flat.sorted_entries(), sharded.sorted_entries());
+        assert_eq!(DhtStorage::get(&sharded, Key::new(0, 1)), Some(&11));
     }
 
     #[test]
@@ -1316,7 +1314,7 @@ mod sharded_tests {
         let worker0 = ops(&[(0, 1, WriteOp::Put(10))]);
         let worker1 = ops(&[(0, 1, WriteOp::Put(11)), (0, 2, WriteOp::Put(20))]);
         let mut bufs = grid(&d, &[&worker0, &worker1]);
-        DhtStorage::apply_ops(&mut d, &mut bufs, true);
+        DhtStorage::apply_ops(&mut d, &mut bufs);
         assert_eq!(DhtStorage::get(&d, Key::new(0, 1)), Some(&11));
         assert_eq!(DhtStorage::len(&d), 2);
     }
@@ -1417,11 +1415,11 @@ mod sharded_tests {
     #[test]
     fn dense_apply_ops_preserves_machine_order_within_partition() {
         // Two workers write the same keys, one inside the slab and one in
-        // the overflow: the later worker must win under both serial and
-        // parallel application, exactly as in the flat reference.
-        let cap = 16usize;
-        let far = cap as u64 * 1000;
-        for parallel in [false, true] {
+        // the overflow: the later worker must win, exactly as in the flat
+        // reference, however many threads the range merge runs on. Cap 1
+        // has one range, so it runs the sequential merge on any host.
+        for cap in [1usize, 16] {
+            let far = cap as u64 * 1000;
             let mut flat: FlatDht<u64> = FlatDht::new();
             let mut dense: DenseDht<u64> = DenseDht::with_slab_capacity(cap);
             let worker0 = ops(&[
@@ -1435,11 +1433,11 @@ mod sharded_tests {
                 (1, 3, WriteOp::Delete),
             ]);
             let mut bufs = grid(&flat, &[&worker0, &worker1]);
-            DhtStorage::apply_ops(&mut flat, &mut bufs, parallel);
+            DhtStorage::apply_ops(&mut flat, &mut bufs);
             let mut bufs = grid(&dense, &[&worker0, &worker1]);
-            DhtStorage::apply_ops(&mut dense, &mut bufs, parallel);
+            DhtStorage::apply_ops(&mut dense, &mut bufs);
             assert!(bufs.iter().all(ShardBuffers::is_empty), "apply_ops must drain the grid");
-            assert_eq!(flat.sorted_entries(), dense.sorted_entries());
+            assert_eq!(flat.sorted_entries(), dense.sorted_entries(), "cap {cap}");
             assert_eq!(DhtStorage::get(&dense, Key::new(0, 1)), Some(&11));
             assert_eq!(DhtStorage::get(&dense, Key::new(0, far)), Some(&101));
             assert_eq!(FlatDht::words(&flat), DhtStorage::words(&dense));

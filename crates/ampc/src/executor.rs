@@ -48,11 +48,6 @@ pub struct AmpcConfig {
     pub seed: u64,
     /// Optional per-machine, per-round space budgets.
     pub limits: Option<SpaceLimits>,
-    /// Execute machines on scoped OS threads (capped at the hardware
-    /// parallelism; each worker runs a block of machines). Disable for
-    /// tiny inputs where fork-join overhead dominates, or to simplify
-    /// debugging. Also gates the shard-parallel merge.
-    pub parallel: bool,
     /// Which DHT storage backend the deployment uses: [`AmpcSystem::new`]
     /// builds the store this names. The backend never affects results, only
     /// the cost of a read and the merge's parallelism.
@@ -65,7 +60,6 @@ impl Default for AmpcConfig {
             num_machines: 8,
             seed: 0xA5A5_1234_5678_9ABC,
             limits: None,
-            parallel: true,
             backend: DhtBackend::default(),
         }
     }
@@ -88,12 +82,6 @@ impl AmpcConfig {
     /// Attaches space budgets.
     pub fn with_limits(mut self, limits: SpaceLimits) -> Self {
         self.limits = Some(limits);
-        self
-    }
-
-    /// Enables or disables threaded execution.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -144,7 +132,7 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
         }
         // The worker set is fixed by the config and the host, so the grid
         // is too: workers × shards lists, however many machines there are.
-        let workers = if config.parallel { host_workers().min(config.num_machines) } else { 1 };
+        let workers = host_workers().min(config.num_machines);
         let shards = snapshot.shard_count();
         let bufs = (0..workers).map(|_| ShardBuffers::new(shards)).collect();
         AmpcSystem { snapshot, config, stats: RunStats::new(), bufs }
@@ -272,7 +260,9 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
         };
 
         // Worker order is machine order, so folding the parts in sequence
-        // keeps violations and results in machine (hence item) order.
+        // keeps violations and results in machine (hence item) order. The
+        // first part that has results is kept as the output buffer rather
+        // than copied into a fresh one.
         let mut stats = blank();
         let mut results = Vec::new();
         for (mut part, mut part_results) in parts {
@@ -285,7 +275,11 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
             stats.max_machine_write_words =
                 stats.max_machine_write_words.max(part.max_machine_write_words);
             stats.violations.append(&mut part.violations);
-            results.append(&mut part_results);
+            if results.is_empty() {
+                results = part_results;
+            } else {
+                results.append(&mut part_results);
+            }
         }
         stats.total_space_words = stats.snapshot_words + stats.read_words + stats.write_words;
         stats.bytes_shuffled = 8 * (stats.writes + stats.write_words);
@@ -298,7 +292,7 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
             // The round fails: its writes never reach the table.
             self.bufs.iter_mut().for_each(ShardBuffers::clear);
         } else {
-            self.snapshot.apply_ops(&mut self.bufs, self.config.parallel);
+            self.snapshot.apply_ops(&mut self.bufs);
             ampc_obs::counter(CounterId::OpsApplied).add(stats.writes as u64);
         }
 
@@ -489,11 +483,9 @@ mod tests {
             assert!(sys.bufs.iter().all(|b| b.shard_count() == 8 && b.is_empty()));
         }
         assert_eq!(sys.snapshot().len(), 8000);
-        let sequential: AmpcSystem<u64> = AmpcSystem::new(
-            AmpcConfig::default().with_machines(1000).with_parallel(false),
-            std::iter::empty(),
-        );
-        assert_eq!(sequential.bufs.len(), 1);
+        let one_machine: AmpcSystem<u64> =
+            AmpcSystem::new(AmpcConfig::default().with_machines(1), std::iter::empty());
+        assert_eq!(one_machine.bufs.len(), 1);
     }
 
     #[test]
@@ -628,28 +620,26 @@ mod backend_equivalence_tests {
     fn conflicting_writers_resolve_as_in_the_flat_sequential_run() {
         let base = AmpcConfig::default().with_seed(0xC0FFEE).with_backend(DhtBackend::Flat);
         for machines in [1, 3, 16, 1000] {
-            let reference = run_conflicts::<FlatDht<u64>>(
-                base.clone().with_machines(machines).with_parallel(false),
-            );
-            for parallel in [false, true] {
-                let cfg = base.clone().with_machines(machines).with_parallel(parallel);
-                let case = format!("m={machines}, parallel={parallel}");
-                assert_eq!(reference, run_conflicts::<FlatDht<u64>>(cfg.clone()), "flat ({case})");
-                assert_eq!(reference, run_conflicts::<Dht<u64>>(cfg.clone()), "enum flat ({case})");
-                for shards in [1usize, 8] {
-                    let cfg = cfg.clone().with_backend(DhtBackend::Sharded { shards });
-                    let got = run_conflicts::<ShardedDht<u64>>(cfg.clone());
-                    assert_eq!(reference, got, "sharded:{shards} diverged ({case})");
-                    let got = run_conflicts::<Dht<u64>>(cfg);
-                    assert_eq!(reference, got, "enum sharded:{shards} diverged ({case})");
-                }
-                for cap in [64usize, 1 << 16] {
-                    let cfg = cfg.clone().with_backend(DhtBackend::Dense { cap });
-                    let got = run_conflicts::<DenseDht<u64>>(cfg.clone());
-                    assert_eq!(reference, got, "dense:{cap} diverged ({case})");
-                    let got = run_conflicts::<Dht<u64>>(cfg);
-                    assert_eq!(reference, got, "enum dense:{cap} diverged ({case})");
-                }
+            // Flat applies every op in one sequence whatever the host: the
+            // reference the concurrent merges are held to.
+            let cfg = base.clone().with_machines(machines);
+            let reference = run_conflicts::<FlatDht<u64>>(cfg.clone());
+            let case = format!("m={machines}");
+            assert_eq!(reference, run_conflicts::<Dht<u64>>(cfg.clone()), "enum flat ({case})");
+            for shards in [1usize, 8] {
+                let cfg = cfg.clone().with_backend(DhtBackend::Sharded { shards });
+                let got = run_conflicts::<ShardedDht<u64>>(cfg.clone());
+                assert_eq!(reference, got, "sharded:{shards} diverged ({case})");
+                let got = run_conflicts::<Dht<u64>>(cfg);
+                assert_eq!(reference, got, "enum sharded:{shards} diverged ({case})");
+            }
+            // Cap 1 has one id range: the dense sequential merge, on any host.
+            for cap in [1usize, 64, 1 << 16] {
+                let cfg = cfg.clone().with_backend(DhtBackend::Dense { cap });
+                let got = run_conflicts::<DenseDht<u64>>(cfg.clone());
+                assert_eq!(reference, got, "dense:{cap} diverged ({case})");
+                let got = run_conflicts::<Dht<u64>>(cfg);
+                assert_eq!(reference, got, "enum dense:{cap} diverged ({case})");
             }
         }
         // The machine count is not observable either: one machine applies

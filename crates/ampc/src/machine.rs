@@ -133,21 +133,6 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
         self.round
     }
 
-    /// Queries issued so far this round by this machine.
-    pub fn reads_used(&self) -> usize {
-        self.reads
-    }
-
-    /// Read words consumed so far this round by this machine.
-    pub fn read_words_used(&self) -> usize {
-        self.read_words
-    }
-
-    /// Write words consumed so far this round by this machine.
-    pub fn write_words_used(&self) -> usize {
-        self.write_words
-    }
-
     #[inline]
     fn check_limit(&mut self, kind: LimitKind) {
         let Some(limits) = self.limits else { return };
@@ -193,8 +178,8 @@ mod tests {
         let mut ctx = MachineCtx::new(&d, None, 0, 0, 1, &mut out);
         assert_eq!(ctx.read(Key::new(S, 3)), Some(&9));
         assert_eq!(ctx.read(Key::new(S, 99)), None);
-        assert_eq!(ctx.reads_used(), 2);
-        assert_eq!(ctx.read_words_used(), 2); // 1 hit word + 1 miss probe
+        assert_eq!(ctx.reads, 2);
+        assert_eq!(ctx.read_words, 2); // 1 hit word + 1 miss probe
     }
 
     #[test]
@@ -211,7 +196,7 @@ mod tests {
             cur = *ctx.read(Key::new(S, cur)).unwrap();
         }
         assert_eq!(cur, 0);
-        assert_eq!(ctx.reads_used(), 3);
+        assert_eq!(ctx.reads, 3);
     }
 
     #[test]
@@ -222,7 +207,7 @@ mod tests {
         ctx.write(Key::new(S, 3), 555);
         // Write-only DHT semantics: the round's snapshot is unchanged.
         assert_eq!(ctx.read(Key::new(S, 3)), Some(&9));
-        assert_eq!(ctx.write_words_used(), 1);
+        assert_eq!(ctx.write_words, 1);
     }
 
     #[test]
@@ -247,10 +232,10 @@ mod tests {
         let mut out = ShardBuffers::new(1);
         let mut ctx = MachineCtx::new(&d, None, 0, 0, 1, &mut out);
         assert_eq!(ctx.peek(Key::new(S, 3)), Some(&9));
-        assert_eq!(ctx.reads_used(), 0);
-        assert_eq!(ctx.read_words_used(), 0);
+        assert_eq!(ctx.reads, 0);
+        assert_eq!(ctx.read_words, 0);
         ctx.read(Key::new(S, 3));
-        assert_eq!(ctx.reads_used(), 1);
+        assert_eq!(ctx.reads, 1);
     }
 
     #[test]

@@ -16,13 +16,31 @@
 //! Rank and a sampling mark are packed into the pointer word so that one
 //! DHT read per hop suffices, matching the paper's query accounting.
 //!
+//! ### The surgery, written once
+//!
+//! Every §3 shrinker does one operation: a survivor walks a segment of its
+//! cycle, absorbs it and relinks the cycle across the gap. The vocabulary:
+//!
+//! * `link` — one metered read of a vertex's successor or predecessor, with
+//!   its rank and mark;
+//! * `absorb` — contract a walked segment into its survivor: a `PARENT`
+//!   pointer per member, then its `FWD` / `BWD` / `STAMP` entries deleted;
+//! * `join` — relink `a → b` (`FWD a`, `BWD b`); `join(ctx, v, v)` closes a
+//!   finished cycle on its survivor;
+//! * `Absorbed` — what one machine reports, folded host-side by
+//!   `CycleState::settle`.
+//!
+//! `chase_roots` is the other half, the `Compose` of Definition 2.1 (and
+//! Claim 4.12's rooted-forest labelling): follow parent pointers to a root
+//! adaptively, compressing the path where a round's hop cap cuts a chain.
+//!
 //! The driver (host) keeps the list of *alive* vertices — pure
 //! orchestration data; every data access that the paper counts goes through
-//! the DHT. Contracted vertices leave the list through dense marks
-//! ([`CycleState::mark_dead`], then one [`CycleState::retire`] pass): ids are
-//! `0..n0`, so a mark is an array store, not a hash-set insert.
+//! the DHT. Contracted vertices leave the list through dense marks in
+//! `CycleState::settle`: ids are `0..n0`, so a mark is an array store, not a
+//! hash-set insert.
 
-use ampc::{AmpcConfig, AmpcSystem, Key, RunStats, Space};
+use ampc::{AmpcConfig, AmpcResult, AmpcSystem, DhtValue, Key, MachineCtx, RunStats, Space};
 use ampc_graph::euler::CycleDecomposition;
 
 /// Keyspace: forward pointer + rank + mark.
@@ -47,6 +65,114 @@ pub fn unpack(word: u64) -> (u64, u16, bool) {
     (word >> 17, ((word >> 1) & 0xFFFF) as u16, word & 1 == 1)
 }
 
+/// Reads `v`'s pointer word in direction `dir` ([`FWD`] or [`BWD`]): its
+/// successor or predecessor, rank and mark. One metered query.
+#[inline]
+pub(crate) fn link(ctx: &mut MachineCtx<'_, u64>, dir: Space, v: u64) -> (u64, u16, bool) {
+    unpack(*ctx.read(Key::new(dir, v)).expect("alive vertex must have pointers"))
+}
+
+/// Contracts `segment` into `survivor`: each member points its `PARENT` at
+/// the survivor and loses its cycle entries.
+pub(crate) fn absorb(ctx: &mut MachineCtx<'_, u64>, survivor: u64, segment: &[u64]) {
+    for &x in segment {
+        ctx.write(Key::new(PARENT, x), survivor);
+        ctx.delete(Key::new(FWD, x));
+        ctx.delete(Key::new(BWD, x));
+        ctx.delete(Key::new(STAMP, x));
+    }
+}
+
+/// Links `a → b` with rank 0 and no mark: `FWD a` and `BWD b`, each written
+/// by this machine alone.
+pub(crate) fn join(ctx: &mut MachineCtx<'_, u64>, a: u64, b: u64) {
+    ctx.write(Key::new(FWD, a), pack(b, 0, false));
+    ctx.write(Key::new(BWD, b), pack(a, 0, false));
+}
+
+/// One machine's contraction: `removed` went into `survivor`, and when
+/// `finished` that closed the survivor's cycle on itself.
+pub(crate) struct Absorbed {
+    /// The vertex the segment was contracted into.
+    pub(crate) survivor: u64,
+    /// The absorbed vertices.
+    pub(crate) removed: Vec<u64>,
+    /// The survivor is now its cycle's only vertex: a finished root.
+    pub(crate) finished: bool,
+}
+
+/// A DHT value type that can hold a parent pointer, as [`chase_roots`]
+/// stores and follows it.
+pub(crate) trait Pointer: DhtValue + Copy {
+    /// The value pointing at vertex `id`.
+    fn from_id(id: u64) -> Self;
+    /// The vertex this value points at.
+    fn id(self) -> u64;
+}
+
+impl Pointer for u64 {
+    fn from_id(id: u64) -> Self {
+        id
+    }
+    fn id(self) -> u64 {
+        self
+    }
+}
+
+/// Labels every vertex `0..n` with the end of its pointer chain in `space`
+/// (a vertex with no entry is a root), `cap` hops per vertex per round: a
+/// vertex whose chain is longer writes the furthest vertex it reached over
+/// its own pointer and goes again next round. Always at least one round.
+/// Returns the labels and the rounds spent.
+///
+/// # Panics
+/// Panics if a chain is still unresolved after `max_rounds` rounds.
+pub(crate) fn chase_roots<V: Pointer>(
+    sys: &mut AmpcSystem<V>,
+    name: &'static str,
+    space: Space,
+    n: usize,
+    cap: usize,
+    max_rounds: usize,
+) -> AmpcResult<(Vec<u64>, usize)> {
+    // A vertex whose chain the cap cut reports `CUT` (ids never reach it),
+    // so every item reports and round 1's results are the label array.
+    const CUT: u64 = u64::MAX;
+    let mut unresolved: Vec<u64> = (0..n as u64).collect();
+    let mut labels = Vec::new();
+    let mut rounds = 0;
+    loop {
+        rounds += 1;
+        let out = sys.round(name, &unresolved, |ctx, &v| {
+            let mut cur = v;
+            for _ in 0..cap {
+                match ctx.read(Key::new(space, cur)) {
+                    Some(&p) => cur = p.id(),
+                    None => return Some(cur),
+                }
+            }
+            ctx.write(Key::new(space, v), V::from_id(cur));
+            Some(CUT)
+        })?;
+        if rounds == 1 {
+            labels = out.results;
+        } else {
+            for (&v, root) in unresolved.iter().zip(out.results) {
+                labels[v as usize] = root;
+            }
+        }
+        unresolved.retain(|&v| labels[v as usize] == CUT);
+        if unresolved.is_empty() {
+            return Ok((labels, rounds));
+        }
+        assert!(
+            rounds < max_rounds,
+            "{name}: a pointer chain outlived {max_rounds} round(s) of {cap} hops — \
+             contraction bookkeeping bug"
+        );
+    }
+}
+
 /// A cycle collection living in an [`AmpcSystem`], plus the host-side alive
 /// list. Which store holds the pointers is `config.backend`'s business.
 pub struct CycleState {
@@ -58,9 +184,8 @@ pub struct CycleState {
     pub n0: usize,
     /// Finished components: vertices that became cycle representatives.
     pub roots: Vec<u64>,
-    /// `dead[v]` is set between [`CycleState::mark_dead`] and the next
-    /// [`CycleState::retire`]; all clear otherwise. `n0` entries, allocated
-    /// once.
+    /// Scratch marks of `CycleState::settle`, all clear between calls.
+    /// `n0` entries, allocated once.
     dead: Vec<bool>,
 }
 
@@ -120,22 +245,26 @@ impl CycleState {
         CycleState { sys, alive, n0, roots, dead: vec![false; n0] }
     }
 
-    /// Marks alive vertices as contracted away; the next
-    /// [`CycleState::retire`] drops them from the alive list.
-    pub fn mark_dead(&mut self, ids: impl IntoIterator<Item = u64>) {
-        for v in ids {
-            self.dead[v as usize] = true;
+    /// Folds one round's contractions into the host's lists: every absorbed
+    /// vertex leaves the alive list (the rest keep their order), and each
+    /// finished survivor leaves it too, appended to `roots` in round order.
+    /// Returns `(vertices absorbed, cycles finished)`.
+    pub(crate) fn settle(&mut self, round: Vec<Absorbed>) -> (usize, usize) {
+        let (mut removed, roots_before) = (0, self.roots.len());
+        for a in round {
+            removed += a.removed.len();
+            for v in a.removed {
+                self.dead[v as usize] = true;
+            }
+            if a.finished {
+                self.dead[a.survivor as usize] = true;
+                self.roots.push(a.survivor);
+            }
         }
-    }
-
-    /// Removes the vertices marked dead from the alive list (the survivors
-    /// keep their order), clearing each mark as it is consumed, and records
-    /// `done` as finished roots.
-    pub fn retire(&mut self, done: &[u64]) {
         let dead = &mut self.dead;
         self.alive.retain(|&v| !std::mem::take(&mut dead[v as usize]));
         debug_assert!(!dead.contains(&true), "a vertex marked dead was not alive");
-        self.roots.extend_from_slice(done);
+        (removed, self.roots.len() - roots_before)
     }
 
     /// Resolves the final component label of every original cycle vertex by
@@ -143,20 +272,9 @@ impl CycleState {
     ///
     /// Chains have length at most the number of contraction steps executed,
     /// which is `O(log* n)` — far below any machine's budget — so one AMPC
-    /// round suffices.
-    pub fn compose_labels(&mut self, max_chain: usize) -> ampc::AmpcResult<Vec<u64>> {
-        let items: Vec<u64> = (0..self.n0 as u64).collect();
-        let out = self.sys.round("compose", &items, |ctx, &x| {
-            let mut cur = x;
-            for _ in 0..=max_chain {
-                match ctx.read(Key::new(PARENT, cur)) {
-                    Some(&p) => cur = p,
-                    None => return Some(cur),
-                }
-            }
-            panic!("PARENT chain exceeded {} hops — contraction bookkeeping bug", max_chain);
-        })?;
-        Ok(out.results)
+    /// round of `max_chain + 1` hops suffices; a longer chain panics.
+    pub fn compose_labels(&mut self, max_chain: usize) -> AmpcResult<Vec<u64>> {
+        Ok(chase_roots(&mut self.sys, "compose", PARENT, self.n0, max_chain + 1, 1)?.0)
     }
 
     /// Accumulated run statistics.
@@ -207,32 +325,58 @@ mod tests {
     }
 
     #[test]
-    fn retire_updates_alive_and_roots() {
-        let mut st = CycleState::from_successors(&[1, 0, 3, 2], AmpcConfig::default());
-        st.mark_dead([1, 2, 3]);
-        st.retire(&[0]);
-        assert_eq!(st.alive, vec![0]);
-        assert_eq!(st.roots, vec![0]);
+    #[should_panic(expected = "contraction bookkeeping bug")]
+    fn compose_panics_on_a_chain_longer_than_its_bound() {
+        let mut st = CycleState::from_successors(&[1, 2, 0, 3], AmpcConfig::default());
+        st.sys.host_update(|dht| {
+            dht.insert(Key::new(PARENT, 1), 0);
+            dht.insert(Key::new(PARENT, 2), 1); // two hops from 2
+        });
+        let _ = st.compose_labels(1);
     }
 
     #[test]
-    fn retire_keeps_survivor_order_and_clears_its_marks() {
+    fn chase_compresses_long_chains_across_rounds() {
+        // One 40-vertex path 39 → 38 → … → 0 and a lone root 40, 4 hops a
+        // round: the deepest chain would need 10 rounds uncompressed, but
+        // each round's compressed pointers stride further the next.
+        let mut sys: AmpcSystem<u64> = AmpcSystem::new(
+            AmpcConfig::default().with_machines(3),
+            (1..40u64).map(|v| (Key::new(PARENT, v), v - 1)),
+        );
+        let (labels, rounds) = chase_roots(&mut sys, "chase", PARENT, 41, 4, 32).unwrap();
+        let mut expected = vec![0u64; 40];
+        expected.push(40);
+        assert_eq!(labels, expected);
+        assert!((2..10).contains(&rounds), "{rounds} rounds");
+        assert_eq!(sys.stats().rounds(), rounds);
+        // Nothing to chase is still one round (the `Compose` of an empty
+        // cycle collection is charged like any other).
+        assert_eq!(chase_roots(&mut sys, "chase", PARENT, 0, 4, 1).unwrap(), (vec![], 1));
+    }
+
+    #[test]
+    fn settle_retires_the_absorbed_and_roots_the_finished() {
         // One 8-cycle whose alive list is deliberately not ascending.
         let succ: Vec<u64> = (0..8u64).map(|i| (i + 1) % 8).collect();
         let mut st = CycleState::from_successors(&succ, AmpcConfig::default());
         st.alive = vec![5, 2, 7, 0, 3, 6, 1, 4];
-        st.mark_dead([7, 3]);
-        st.mark_dead([3, 4]); // marking twice is marking once
-        st.retire(&[]);
+        let absorbed = |survivor, removed: &[u64], finished| Absorbed {
+            survivor,
+            removed: removed.to_vec(),
+            finished,
+        };
+        let counts = st.settle(vec![absorbed(5, &[7, 3], false), absorbed(0, &[4], false)]);
+        assert_eq!(counts, (3, 0));
         assert_eq!(st.alive, vec![5, 2, 0, 6, 1]);
         assert!(st.roots.is_empty());
-        // Every mark was consumed: retiring again with nothing marked
-        // removes nothing, and roots are appended after the existing ones.
-        st.retire(&[6]);
+        // Every mark was consumed: settling nothing removes nothing, and
+        // finished survivors are appended after the existing roots.
+        assert_eq!(st.settle(vec![]), (0, 0));
         assert_eq!(st.alive, vec![5, 2, 0, 6, 1]);
-        st.mark_dead([6]);
-        st.retire(&[2]);
-        assert_eq!(st.alive, vec![5, 2, 0, 1]);
+        let counts = st.settle(vec![absorbed(6, &[], true), absorbed(2, &[5, 0, 1], true)]);
+        assert_eq!(counts, (3, 2));
+        assert!(st.alive.is_empty());
         assert_eq!(st.roots, vec![6, 2]);
     }
 }

@@ -19,11 +19,9 @@
 //! shorter than `L` w.h.p. A walk that hits its cap abstains entirely, so
 //! the pointer structure stays consistent even in the improbable tail.
 
-use std::collections::HashSet;
+use ampc::{AmpcResult, Key};
 
-use ampc::{AmpcResult, DhtStorage as _, Key};
-
-use crate::cycles::{pack, unpack, CycleState, BWD, FWD, PARENT, STAMP};
+use crate::cycles::{absorb, join, link, pack, Absorbed, CycleState, FWD};
 
 /// Measurements of a `ShrinkLargeCycles` invocation.
 #[derive(Debug, Clone)]
@@ -67,7 +65,7 @@ pub fn shrink_large_cycles(
     for rep in 0..repetitions {
         // Round A: sample marks into the pointer words.
         state.sys.round("slc-mark", &state.alive, |ctx, &v| {
-            let (succ, rank, _) = unpack(*ctx.read(Key::new(FWD, v)).expect("alive"));
+            let (succ, rank, _) = link(ctx, FWD, v);
             let mark = ctx.rng(rep as u64, v).bernoulli(rho);
             ctx.write(Key::new(FWD, v), pack(succ, rank, mark));
             None::<()>
@@ -76,25 +74,14 @@ pub fn shrink_large_cycles(
         // Round B: marked vertices jump to the next mark, contracting the
         // unmarked segment in between.
         let jump = state.sys.round("slc-jump", &state.alive, |ctx, &v| {
-            let (succ, _, marked) = unpack(*ctx.read(Key::new(FWD, v)).expect("alive"));
+            let (succ, _, marked) = link(ctx, FWD, v);
             if !marked {
                 return None;
             }
             let mut interior = Vec::new();
             let mut cur = succ;
-            loop {
-                if cur == v {
-                    // Whole cycle walked: v is the only mark. If the cycle
-                    // is already within the target, leave it alone — the
-                    // cited primitive only shrinks *long* cycles, and
-                    // freezing short ones preserves the `n' > n/log n`
-                    // regime in which Algorithm 1's main loop operates.
-                    if interior.len() < target {
-                        return None;
-                    }
-                    break;
-                }
-                let (next, _, mark) = unpack(*ctx.read(Key::new(FWD, cur)).expect("alive"));
+            while cur != v {
+                let (next, _, mark) = link(ctx, FWD, cur);
                 if mark {
                     break;
                 }
@@ -104,34 +91,22 @@ pub fn shrink_large_cycles(
                 }
                 cur = next;
             }
-            if interior.is_empty() {
+            // Back at v, the whole cycle was walked and v is its only mark;
+            // if the cycle is already within the target, leave it alone —
+            // the cited primitive only shrinks *long* cycles, and freezing
+            // short ones preserves the `n' > n/log n` regime in which
+            // Algorithm 1's main loop operates.
+            let finished = cur == v;
+            if interior.is_empty() || finished && interior.len() < target {
                 return None;
             }
-            for &x in &interior {
-                ctx.write(Key::new(PARENT, x), v);
-                ctx.delete(Key::new(FWD, x));
-                ctx.delete(Key::new(BWD, x));
-                ctx.delete(Key::new(STAMP, x));
-            }
-            // Rewire across the segment. `cur` is the next mark (or v
-            // itself when the whole cycle collapsed into v).
-            let collapsed = cur == v;
-            ctx.write(Key::new(FWD, v), pack(cur, 0, true));
-            ctx.write(Key::new(BWD, cur), pack(v, 0, false));
-            Some((v, interior, collapsed))
+            // Rewire across the segment: `cur` is the next mark, or v itself
+            // when the whole cycle folds into v.
+            absorb(ctx, v, &interior);
+            join(ctx, v, cur);
+            Some(Absorbed { survivor: v, removed: interior, finished })
         })?;
-
-        let mut done: Vec<u64> = Vec::new();
-        for (v, interior, collapsed) in jump.results {
-            contracted += interior.len();
-            state.mark_dead(interior);
-            if collapsed {
-                // The whole cycle folded into its only marked vertex.
-                state.mark_dead([v]);
-                done.push(v);
-            }
-        }
-        state.retire(&done);
+        contracted += state.settle(jump.results).0;
     }
 
     Ok(ShrinkLargeOutcome {
@@ -143,35 +118,39 @@ pub fn shrink_large_cycles(
     })
 }
 
-/// Host-side audit: maximum alive cycle length, walked over the snapshot.
-/// Used by tests and experiments (not an AMPC operation).
-pub fn max_cycle_length(state: &CycleState) -> usize {
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut max_len = 0;
-    for &v in &state.alive {
-        if seen.contains(&v) {
-            continue;
-        }
-        let mut len = 0;
-        let mut cur = v;
-        loop {
-            seen.insert(cur);
-            len += 1;
-            let w = state.sys.snapshot().get(Key::new(FWD, cur)).expect("alive pointer");
-            cur = unpack(*w).0;
-            if cur == v {
-                break;
-            }
-        }
-        max_len = max_len.max(len);
-    }
-    max_len
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampc::AmpcConfig;
+    use std::collections::HashSet;
+
+    use ampc::{AmpcConfig, DhtStorage as _};
+
+    use crate::cycles::unpack;
+
+    /// Host-side audit: maximum alive cycle length, walked over the snapshot.
+    /// Not an AMPC operation.
+    fn max_cycle_length(state: &CycleState) -> usize {
+        let mut seen: HashSet<u64> = HashSet::new();
+        let mut max_len = 0;
+        for &v in &state.alive {
+            if seen.contains(&v) {
+                continue;
+            }
+            let mut len = 0;
+            let mut cur = v;
+            loop {
+                seen.insert(cur);
+                len += 1;
+                let w = state.sys.snapshot().get(Key::new(FWD, cur)).expect("alive pointer");
+                cur = unpack(*w).0;
+                if cur == v {
+                    break;
+                }
+            }
+            max_len = max_len.max(len);
+        }
+        max_len
+    }
 
     fn ring_state(n: usize, seed: u64) -> CycleState {
         let succ: Vec<u64> = (0..n as u64).map(|i| (i + 1) % n as u64).collect();

@@ -27,16 +27,21 @@
 //! ### Write-conflict freedom
 //!
 //! Pointer rewrites are assigned so every DHT key has at most one writer
-//! per round: in round 3 the *segment owner* writes both endpoints' facing
-//! pointers (`FWD` of the tail, `BWD` of the head); in round 4 compressors
-//! are pairwise `> 16B` apart (each is the id-maximum of its `16B`-hop
-//! neighborhood) while each rewires only `4B + 1` hops away, so their
-//! updates cannot touch the same vertex. Stamps use merge-max writes, which
-//! commute.
+//! per round. Every rewrite is an `absorb` (see `cycles`) of vertices the
+//! writing survivor walked itself, or a `join` of the two ends of what it
+//! absorbed. In round 2 the survivor is its cycle's unique maximum, the only
+//! vertex that loops. In round 3 each segment between adjacent leaders has
+//! one owner, the higher-id end, and its `join` writes only the segment's
+//! facing pointers (`FWD` of the tail, `BWD` of the head), so a capped or
+//! abstaining neighbour never leaves the cycle half-relinked. In round 4
+//! compressors are pairwise `> 16B` apart (each is the id-maximum of its
+//! `16B`-hop neighborhood) while each absorbs and joins only within `4B + 1`
+//! hops, so their writes cannot touch the same vertex. Stamps use merge-max
+//! writes, which commute.
 
 use ampc::{AmpcResult, Key, MachineCtx};
 
-use crate::cycles::{pack, unpack, CycleState, BWD, FWD, PARENT, STAMP};
+use crate::cycles::{absorb, join, link, pack, Absorbed, CycleState, BWD, FWD, STAMP};
 use crate::forest::ranks::sample_rank;
 
 /// Per-iteration measurements used by experiments E3 (query complexity) and
@@ -61,29 +66,6 @@ pub struct IterationOutcome {
     pub queries: usize,
     /// AMPC rounds consumed (constant: 4, or 3 with Step 2 disabled).
     pub rounds: usize,
-}
-
-/// Result of one probe (round 2) for one vertex.
-enum ProbeOutcome {
-    /// Unique cycle maximum: contracted the whole cycle; lists the removed.
-    Loop { leader: u64, removed: Vec<u64> },
-}
-
-/// Result of round 3 / round 4 for one vertex.
-enum ContractOutcome {
-    /// Vertices this machine contracted away.
-    Removed(Vec<u64>),
-    /// Whole cycle contracted into `leader`; `removed` lists the rest.
-    Done { leader: u64, removed: Vec<u64> },
-}
-
-/// Walks one step in direction `space` (FWD or BWD), returning
-/// `(next_vertex, rank_of_current)` as stored at `cur`.
-#[inline]
-fn read_link(ctx: &mut MachineCtx<'_, u64>, space: ampc::Space, cur: u64) -> (u64, u16) {
-    let word = *ctx.read(Key::new(space, cur)).expect("alive vertex must have pointers");
-    let (next, rank, _) = unpack(word);
-    (next, rank)
 }
 
 /// Step 2's two 16B-hop scans from one vertex, merged: when they overlap —
@@ -120,8 +102,8 @@ pub fn shrink_small_cycles(
 
     // Round 1: sample ranks, publish them in both pointer words, reset stamps.
     state.sys.round("ssc-ranks", &state.alive, |ctx, &v| {
-        let (succ, _, _) = unpack(*ctx.read(Key::new(FWD, v)).expect("alive"));
-        let (pred, _, _) = unpack(*ctx.read(Key::new(BWD, v)).expect("alive"));
+        let (succ, _, _) = link(ctx, FWD, v);
+        let (pred, _, _) = link(ctx, BWD, v);
         let rank = sample_rank(&mut ctx.rng(0, v), b);
         ctx.write(Key::new(FWD, v), pack(succ, rank, false));
         ctx.write(Key::new(BWD, v), pack(pred, rank, false));
@@ -131,17 +113,13 @@ pub fn shrink_small_cycles(
 
     // Round 2: probe + stamp; unique maxima contract their whole cycle.
     let probe = state.sys.round("ssc-probe", &state.alive, |ctx, &v| {
-        let (succ, my_rank) = read_link(ctx, FWD, v);
-        // Forward traversal.
+        let (succ, my_rank, _) = link(ctx, FWD, v);
+        // Forward traversal; it ends back at v only if v is the unique
+        // maximum of its cycle.
         let mut visited = Vec::new();
         let mut cur = succ;
-        let mut looped = false;
-        loop {
-            if cur == v {
-                looped = true;
-                break;
-            }
-            let (next, rank) = read_link(ctx, FWD, cur);
+        while cur != v {
+            let (next, rank, _) = link(ctx, FWD, cur);
             ctx.write_merge(Key::new(STAMP, cur), my_rank as u64);
             if rank >= my_rank {
                 break;
@@ -152,64 +130,38 @@ pub fn shrink_small_cycles(
             }
             cur = next;
         }
-        if looped {
-            // Case (i) of Step 1: v looped back to itself → v is the unique
-            // maximum; contract the whole cycle into v.
-            for &x in &visited {
-                ctx.write(Key::new(PARENT, x), v);
-                ctx.delete(Key::new(FWD, x));
-                ctx.delete(Key::new(BWD, x));
-                ctx.delete(Key::new(STAMP, x));
-            }
-            ctx.write(Key::new(FWD, v), pack(v, 0, false));
-            ctx.write(Key::new(BWD, v), pack(v, 0, false));
-            return Some(ProbeOutcome::Loop { leader: v, removed: visited });
+        if cur == v {
+            // Case (i) of Step 1: contract the whole cycle into v.
+            absorb(ctx, v, &visited);
+            join(ctx, v, v);
+            return Some(Absorbed { survivor: v, removed: visited, finished: true });
         }
         // Backward traversal (stamping only; the loop case cannot occur
         // here without having occurred forward).
-        let (pred, _) = read_link(ctx, BWD, v);
-        let mut cur = pred;
+        let mut cur = link(ctx, BWD, v).0;
         let mut steps = 0usize;
-        loop {
-            if cur == v {
-                break;
-            }
-            let (next, rank) = read_link(ctx, BWD, cur);
+        while cur != v {
+            let (next, rank, _) = link(ctx, BWD, cur);
             ctx.write_merge(Key::new(STAMP, cur), my_rank as u64);
-            if rank >= my_rank {
-                break;
-            }
             steps += 1;
-            if steps >= walk_cap {
+            if rank >= my_rank || steps >= walk_cap {
                 break;
             }
             cur = next;
         }
         None
     })?;
-
-    let mut loop_contracted = 0usize;
-    let mut finished_cycles = 0usize;
-    let mut done_roots: Vec<u64> = Vec::new();
-    for out in probe.results {
-        let ProbeOutcome::Loop { leader, removed } = out;
-        loop_contracted += removed.len();
-        finished_cycles += 1;
-        state.mark_dead(removed);
-        state.mark_dead([leader]);
-        done_roots.push(leader);
-    }
-    state.retire(&done_roots);
+    let (loop_contracted, mut finished_cycles) = state.settle(probe.results);
 
     // Round 3: leaders contract the segments between them.
     let contract = state.sys.round("ssc-contract", &state.alive, |ctx, &v| {
-        let (succ, my_rank) = read_link(ctx, FWD, v);
+        let (succ, my_rank, _) = link(ctx, FWD, v);
         let stamp = ctx.read(Key::new(STAMP, v)).copied().unwrap_or(0) as u16;
         if stamp > my_rank {
             return None; // not a leader; some leader will absorb this vertex
         }
         // Leader: find both neighboring leaders and the segments between.
-        let walk = |ctx: &mut MachineCtx<'_, u64>, space, start: u64| -> Option<(u64, Vec<u64>)> {
+        let walk = |ctx: &mut MachineCtx<'_, u64>, dir, start: u64| -> Option<(u64, Vec<u64>)> {
             let mut interior = Vec::new();
             let mut cur = start;
             loop {
@@ -217,7 +169,7 @@ pub fn shrink_small_cycles(
                     cur, v,
                     "leader re-encountered itself; loop case should have fired"
                 );
-                let (next, rank) = read_link(ctx, space, cur);
+                let (next, rank, _) = link(ctx, dir, cur);
                 if rank >= my_rank {
                     return Some((cur, interior));
                 }
@@ -229,157 +181,81 @@ pub fn shrink_small_cycles(
             }
         };
         let fwd = walk(ctx, FWD, succ);
-        let (pred, _) = read_link(ctx, BWD, v);
+        let pred = link(ctx, BWD, v).0;
         let bwd = walk(ctx, BWD, pred);
 
+        // Segment ownership: for adjacent leaders (v, w) the higher id
+        // absorbs the segment between them and joins its two ends.
         let mut removed = Vec::new();
-        // Segment ownership: for adjacent leaders (v, u) the higher id
-        // contracts. The owner writes BOTH facing pointers of the segment's
-        // endpoints, so a capped/abstaining neighbor never leaves the cycle
-        // half-rewired.
-        if let Some((w_f, interior)) = fwd {
-            if v > w_f {
-                for &x in &interior {
-                    ctx.write(Key::new(PARENT, x), v);
-                    ctx.delete(Key::new(FWD, x));
-                    ctx.delete(Key::new(BWD, x));
-                    ctx.delete(Key::new(STAMP, x));
-                }
-                ctx.write(Key::new(FWD, v), pack(w_f, 0, false));
-                ctx.write(Key::new(BWD, w_f), pack(v, 0, false));
-                removed.extend(interior);
-            }
+        if let Some((w, segment)) = fwd.filter(|&(w, _)| v > w) {
+            absorb(ctx, v, &segment);
+            join(ctx, v, w);
+            removed.extend(segment);
         }
-        if let Some((w_b, interior)) = bwd {
-            if v > w_b {
-                for &x in &interior {
-                    ctx.write(Key::new(PARENT, x), v);
-                    ctx.delete(Key::new(FWD, x));
-                    ctx.delete(Key::new(BWD, x));
-                    ctx.delete(Key::new(STAMP, x));
-                }
-                ctx.write(Key::new(BWD, v), pack(w_b, 0, false));
-                ctx.write(Key::new(FWD, w_b), pack(v, 0, false));
-                removed.extend(interior);
-            }
+        if let Some((w, segment)) = bwd.filter(|&(w, _)| v > w) {
+            absorb(ctx, v, &segment);
+            join(ctx, w, v);
+            removed.extend(segment);
         }
-        if removed.is_empty() {
-            None
-        } else {
-            Some(ContractOutcome::Removed(removed))
-        }
+        (!removed.is_empty()).then_some(Absorbed { survivor: v, removed, finished: false })
     })?;
-
-    let mut segment_contracted = 0usize;
-    for out in contract.results {
-        if let ContractOutcome::Removed(r) = out {
-            segment_contracted += r.len();
-            state.mark_dead(r);
-        }
-    }
-    state.retire(&[]);
+    let segment_contracted = state.settle(contract.results).0;
 
     // Round 4 (Step 2): deterministic 16B-hop compression.
-    let mut step2_contracted = 0usize;
-    if enable_step2 {
+    let step2_contracted = if enable_step2 {
         let hop16 = 16 * b as usize;
         let hop4 = 4 * b as usize;
         let step2 = state.sys.round("ssc-step2", &state.alive, |ctx, &v| {
-            // Forward 16B-hop scan.
+            // Forward 16B-hop scan; it stops short only back at v.
             let mut fwd = Vec::with_capacity(hop16);
-            let mut cur = read_link(ctx, FWD, v).0;
-            let mut looped = false;
-            while fwd.len() < hop16 {
-                if cur == v {
-                    looped = true;
-                    break;
-                }
+            let mut cur = link(ctx, FWD, v).0;
+            while fwd.len() < hop16 && cur != v {
                 fwd.push(cur);
-                cur = read_link(ctx, FWD, cur).0;
+                cur = link(ctx, FWD, cur).0;
             }
-            if looped {
-                // Whole cycle visible forward (k ≤ 16B).
-                return if fwd.iter().all(|&x| x < v) {
-                    for &x in &fwd {
-                        ctx.write(Key::new(PARENT, x), v);
-                        ctx.delete(Key::new(FWD, x));
-                        ctx.delete(Key::new(BWD, x));
-                        ctx.delete(Key::new(STAMP, x));
-                    }
-                    ctx.write(Key::new(FWD, v), pack(v, 0, false));
-                    ctx.write(Key::new(BWD, v), pack(v, 0, false));
-                    Some(ContractOutcome::Done { leader: v, removed: fwd })
-                } else {
-                    None
-                };
-            }
-            // Backward 16B-hop scan.
-            let mut bwd = Vec::with_capacity(hop16);
-            let mut cur = read_link(ctx, BWD, v).0;
-            while bwd.len() < hop16 {
-                debug_assert_ne!(cur, v, "backward loop without forward loop is impossible");
-                bwd.push(cur);
-                cur = read_link(ctx, BWD, cur).0;
-            }
-            // If the two scans overlap the neighborhood covers the whole
-            // cycle (16B < k ≤ 32B).
-            if let Some(removed) = merge_overlapping_scans(&fwd, &bwd) {
-                return if removed.iter().all(|&x| x < v) {
-                    for &x in &removed {
-                        ctx.write(Key::new(PARENT, x), v);
-                        ctx.delete(Key::new(FWD, x));
-                        ctx.delete(Key::new(BWD, x));
-                        ctx.delete(Key::new(STAMP, x));
-                    }
-                    ctx.write(Key::new(FWD, v), pack(v, 0, false));
-                    ctx.write(Key::new(BWD, v), pack(v, 0, false));
-                    Some(ContractOutcome::Done { leader: v, removed })
-                } else {
-                    None
-                };
-            }
-            // k > 32B: compress the 4B-hop neighborhood if v is the highest
-            // id within 16B hops. Compressors are > 16B apart, so the 4B+1
-            // rewiring regions below never collide.
-            if fwd.iter().chain(bwd.iter()).all(|&x| x < v) {
-                let mut removed = Vec::with_capacity(2 * hop4);
-                removed.extend_from_slice(&fwd[..hop4]);
-                removed.extend_from_slice(&bwd[..hop4]);
-                for &x in &removed {
-                    ctx.write(Key::new(PARENT, x), v);
-                    ctx.delete(Key::new(FWD, x));
-                    ctx.delete(Key::new(BWD, x));
-                    ctx.delete(Key::new(STAMP, x));
+            let cycle = if fwd.len() < hop16 {
+                fwd // k ≤ 16B: the whole cycle is visible forward
+            } else {
+                // Backward 16B-hop scan.
+                let mut bwd = Vec::with_capacity(hop16);
+                let mut cur = link(ctx, BWD, v).0;
+                while bwd.len() < hop16 {
+                    debug_assert_ne!(cur, v, "backward loop without forward loop is impossible");
+                    bwd.push(cur);
+                    cur = link(ctx, BWD, cur).0;
                 }
-                let f_end = fwd[hop4];
-                let b_end = bwd[hop4];
-                ctx.write(Key::new(FWD, v), pack(f_end, 0, false));
-                ctx.write(Key::new(BWD, f_end), pack(v, 0, false));
-                ctx.write(Key::new(BWD, v), pack(b_end, 0, false));
-                ctx.write(Key::new(FWD, b_end), pack(v, 0, false));
-                return Some(ContractOutcome::Removed(removed));
+                match merge_overlapping_scans(&fwd, &bwd) {
+                    // The scans overlap: 16B < k ≤ 32B, the whole cycle.
+                    Some(cycle) => cycle,
+                    // k > 32B: compress the 4B-hop neighborhood if v is the
+                    // highest id within 16B hops. Compressors are > 16B
+                    // apart, so the 4B+1 rewiring regions never collide.
+                    None if fwd.iter().chain(&bwd).all(|&x| x < v) => {
+                        let mut removed = Vec::with_capacity(2 * hop4);
+                        removed.extend_from_slice(&fwd[..hop4]);
+                        removed.extend_from_slice(&bwd[..hop4]);
+                        absorb(ctx, v, &removed);
+                        join(ctx, v, fwd[hop4]);
+                        join(ctx, bwd[hop4], v);
+                        return Some(Absorbed { survivor: v, removed, finished: false });
+                    }
+                    None => return None,
+                }
+            };
+            // The whole cycle is in view: its highest id contracts all of it.
+            if !cycle.iter().all(|&x| x < v) {
+                return None;
             }
-            None
+            absorb(ctx, v, &cycle);
+            join(ctx, v, v);
+            Some(Absorbed { survivor: v, removed: cycle, finished: true })
         })?;
-
-        let mut done_roots: Vec<u64> = Vec::new();
-        for out in step2.results {
-            match out {
-                ContractOutcome::Removed(r) => {
-                    step2_contracted += r.len();
-                    state.mark_dead(r);
-                }
-                ContractOutcome::Done { leader, removed } => {
-                    step2_contracted += removed.len();
-                    finished_cycles += 1;
-                    state.mark_dead(removed);
-                    state.mark_dead([leader]);
-                    done_roots.push(leader);
-                }
-            }
-        }
-        state.retire(&done_roots);
-    }
+        let (removed, finished) = state.settle(step2.results);
+        finished_cycles += finished;
+        removed
+    } else {
+        0
+    };
 
     Ok(IterationOutcome {
         b,

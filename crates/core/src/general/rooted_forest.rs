@@ -11,19 +11,20 @@
 //!
 //! Two implementations are provided and cross-checked:
 //!
-//! * [`resolve_roots_euler`] — the Claim 4.12 construction itself;
-//! * [`resolve_roots_chase`] — adaptive parent-pointer chasing with path
-//!   compression (the lighter substitute `ShrinkGeneral` uses by default;
-//!   ranks strictly decrease along parents so chains are short).
+//! * [`resolve_roots_euler`] — the Claim 4.12 construction itself, measured
+//!   by experiment E11;
+//! * [`resolve_roots_chase`] — `cycles::chase_roots`, adaptive parent-pointer
+//!   chasing with path compression: the lighter substitute, and the one
+//!   `ShrinkGeneral` runs (ranks strictly decrease along its parents, so
+//!   chains are short).
 //!
-//! The `rooted_forest` ablation test demonstrates they agree on random
-//! forests, and `ShrinkGeneral` can be configured to use either.
+//! `both_variants_agree` checks that they label random forests alike.
 
 use ampc::{AmpcConfig, AmpcResult, AmpcSystem, Key, RunStats};
 use ampc_graph::euler::forest_to_cycles;
 use ampc_graph::{Graph, VertexId};
 
-use crate::cycles::{unpack, CycleState, FWD};
+use crate::cycles::{chase_roots, link, CycleState, FWD};
 use crate::forest::shrink_large::shrink_large_cycles;
 
 /// Output of a rooted-forest resolution: per-vertex root labels plus AMPC
@@ -84,10 +85,10 @@ pub fn resolve_roots_euler(
         state.alive.iter().filter_map(|&a| root_rep[a as usize].map(|r| (a, r))).collect();
     let sweeps = state.sys.round("rf-traverse", &marked, |ctx, &(start, root)| {
         let mut covered = vec![start];
-        let mut cur = unpack(*ctx.read(Key::new(FWD, start)).expect("alive")).0;
+        let mut cur = link(ctx, FWD, start).0;
         while cur != start {
             covered.push(cur);
-            cur = unpack(*ctx.read(Key::new(FWD, cur)).expect("alive")).0;
+            cur = link(ctx, FWD, cur).0;
         }
         Some((root, covered))
     })?;
@@ -119,8 +120,8 @@ pub fn resolve_roots_euler(
     Ok(RootedForestOutcome { labels, stats, traversal_rounds })
 }
 
-/// Resolves roots by adaptive pointer chasing with path compression — the
-/// lightweight alternative (see module docs).
+/// Resolves roots by adaptive pointer chasing with path compression
+/// (`cycles::chase_roots`) — the lightweight alternative (see module docs).
 pub fn resolve_roots_chase(
     parents: &[Option<VertexId>],
     chase_cap: usize,
@@ -138,35 +139,8 @@ pub fn resolve_roots_chase(
             .enumerate()
             .filter_map(|(v, p)| p.map(|p| (Key::new(SUPER, v as u64), p as u64))),
     );
-    let mut labels = vec![u64::MAX; n];
-    let mut unresolved: Vec<u64> = (0..n as u64).collect();
-    let mut traversal_rounds = 0usize;
-    while !unresolved.is_empty() {
-        traversal_rounds += 1;
-        assert!(traversal_rounds <= 32, "chains failed to resolve");
-        let out = sys.round("rf-chase", &unresolved, |ctx, &v| {
-            let mut cur = v;
-            for _ in 0..chase_cap.max(2) {
-                match ctx.read(Key::new(SUPER, cur)) {
-                    Some(&p) => cur = p,
-                    None => return Some((v, Some(cur))),
-                }
-            }
-            ctx.write(Key::new(SUPER, v), cur);
-            Some((v, None))
-        })?;
-        unresolved = out
-            .results
-            .into_iter()
-            .filter_map(|(v, root)| match root {
-                Some(r) => {
-                    labels[v as usize] = r;
-                    None
-                }
-                None => Some(v),
-            })
-            .collect();
-    }
+    let (labels, traversal_rounds) =
+        chase_roots(&mut sys, "rf-chase", SUPER, n, chase_cap.max(2), 32)?;
     let (_, stats) = sys.finish();
     Ok(RootedForestOutcome { labels, stats, traversal_rounds })
 }

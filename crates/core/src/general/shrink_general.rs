@@ -25,18 +25,23 @@
 //! memory for `t = O(√S)`. See DESIGN.md, "ShrinkGeneral values are
 //! fixed-width".
 //!
-//! Step 4's rooted-forest labeling (Claim 4.12) is implemented as adaptive
-//! root-chasing with path compression: every vertex follows parent pointers
-//! (ranks strictly decrease along them, so chains are short — `O(log n)` in
-//! expectation) and rewrites its pointer to the furthest vertex reached if
-//! the walk is capped. One round suffices unless a chain exceeds the
-//! machine budget; the loop below charges exactly the rounds it uses. See
-//! DESIGN.md (substitutions) for why this preserves the cited interface.
+//! Step 4's rooted-forest labeling (Claim 4.12) is `cycles::chase_roots`,
+//! adaptive root-chasing with path compression: every vertex follows
+//! parent pointers (ranks strictly decrease along them, so chains are short
+//! — `O(log n)` in expectation) and rewrites its pointer to the furthest
+//! vertex reached if the walk is capped. One round suffices unless a chain
+//! exceeds the machine budget; the chase charges exactly the rounds it
+//! uses. The paper's own construction is
+//! [`resolve_roots_euler`](crate::general::rooted_forest::resolve_roots_euler),
+//! measured against this one by experiment E11. See DESIGN.md
+//! (substitutions) for why the chase preserves the cited interface.
 
 use ampc::{AmpcConfig, AmpcResult, AmpcSystem, DhtValue, Key, RunStats, Space};
 use ampc_graph::contract::contract;
 use ampc_graph::degree3::to_degree3;
 use ampc_graph::{Graph, VertexId};
+
+use crate::cycles::{chase_roots, Pointer};
 
 /// Keyspace: adjacency lists of `G3`.
 const ADJ: Space = 0;
@@ -91,6 +96,15 @@ impl GVal {
     }
 }
 
+impl Pointer for GVal {
+    fn from_id(id: u64) -> Self {
+        GVal::Num(id)
+    }
+    fn id(self) -> u64 {
+        self.num()
+    }
+}
+
 impl DhtValue for GVal {
     fn words(&self) -> usize {
         match self {
@@ -122,20 +136,7 @@ pub struct ShrinkGeneralOutcome {
     pub chase_rounds: usize,
 }
 
-/// Strategy for labeling the super-edge rooted forest (Claim 4.12).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RootResolution {
-    /// Adaptive parent chasing with path compression (default: chains
-    /// follow strictly decreasing ranks and are short in practice).
-    #[default]
-    Chase,
-    /// The full Claim 4.12 construction: Euler tour of the parent forest,
-    /// capped cycles, one whole-cycle sweep per marked root. Depth
-    /// independent — `O(1)` rounds even on adversarially deep forests.
-    EulerTour,
-}
-
-/// Runs `ShrinkGeneral(G, t)` with the default (chasing) root resolution.
+/// Runs `ShrinkGeneral(G, t)`.
 ///
 /// `chase_cap` bounds each adaptive walk (use the machine budget `S`).
 pub fn shrink_general(
@@ -143,17 +144,6 @@ pub fn shrink_general(
     t: usize,
     chase_cap: usize,
     ampc_cfg: AmpcConfig,
-) -> AmpcResult<ShrinkGeneralOutcome> {
-    shrink_general_with(g, t, chase_cap, ampc_cfg, RootResolution::Chase)
-}
-
-/// Runs `ShrinkGeneral(G, t)` with an explicit root-resolution strategy.
-pub fn shrink_general_with(
-    g: &Graph,
-    t: usize,
-    chase_cap: usize,
-    ampc_cfg: AmpcConfig,
-    resolution: RootResolution,
 ) -> AmpcResult<ShrinkGeneralOutcome> {
     let t = t.max(1);
     // Step 1: degree-3 transform (host-side cited primitive; charged).
@@ -180,12 +170,10 @@ pub fn shrink_general_with(
         None::<()>
     })?;
 
-    // Step 3: truncated BFS from every vertex. Results report the created
-    // super-edges so the Euler-tour resolution can build the parent forest
-    // host-side (orchestration; the edges are also written to the DHT).
+    // Step 3: truncated BFS from every vertex.
     let queue_bound = t.saturating_mul(3) - 2;
     let bfs_before = sys.stats().total_queries();
-    let bfs = sys.round("sg-bfs", &items, |ctx, &v| {
+    sys.round("sg-bfs", &items, |ctx, &v| {
         let my_rank = ctx.read(Key::new(RANK, v)).expect("rank").num();
         let me = (my_rank, v);
         // FIFO walked by `head` and never popped: every vertex the search
@@ -200,7 +188,7 @@ pub fn shrink_general_with(
             // Stop (a): the search has explored t vertices (v itself counts,
             // so t = 1 performs no expansion and every vertex is a root).
             if head + 1 >= t {
-                return None;
+                return None::<()>;
             }
             let u = queue[head];
             head += 1;
@@ -217,7 +205,7 @@ pub fn shrink_general_with(
                 if (rw, w) < me {
                     // Stop (c): lower-rank vertex reached → super-edge w → v.
                     ctx.write(Key::new(SUPER, v), GVal::Num(w));
-                    return Some((v, w));
+                    return None;
                 }
                 queue.push(w);
                 debug_assert!(queue.len() <= queue_bound, "BFS queue outgrew 3t - 2 (t={t})");
@@ -229,52 +217,8 @@ pub fn shrink_general_with(
     let bfs_queries = sys.stats().total_queries() - bfs_before;
 
     // Step 4: label the rooted super-edge forest (Claim 4.12).
-    let mut labels3 = vec![u64::MAX; n3];
-    let mut chase_rounds = 0usize;
-    match resolution {
-        RootResolution::EulerTour => {
-            let mut parents: Vec<Option<VertexId>> = vec![None; n3];
-            for (v, w) in bfs.results {
-                parents[v as usize] = Some(w as VertexId);
-            }
-            let sub_cfg = sys.config().clone().with_seed(sys.config().seed ^ 0xC412);
-            let out =
-                crate::general::rooted_forest::resolve_roots_euler(&parents, chase_cap, sub_cfg)?;
-            chase_rounds = out.traversal_rounds;
-            sys.stats_mut().absorb(&out.stats);
-            labels3.copy_from_slice(&out.labels);
-        }
-        RootResolution::Chase => {
-            let mut unresolved: Vec<u64> = items.clone();
-            while !unresolved.is_empty() {
-                chase_rounds += 1;
-                assert!(chase_rounds <= 32, "super-edge chains failed to resolve");
-                let out = sys.round("sg-chase", &unresolved, |ctx, &v| {
-                    let mut cur = v;
-                    for _ in 0..chase_cap.max(2) {
-                        match ctx.read(Key::new(SUPER, cur)) {
-                            Some(p) => cur = p.num(),
-                            None => return Some((v, Some(cur))), // reached a root
-                        }
-                    }
-                    // Budget exhausted: compress the path and retry next round.
-                    ctx.write(Key::new(SUPER, v), GVal::Num(cur));
-                    Some((v, None))
-                })?;
-                unresolved = out
-                    .results
-                    .into_iter()
-                    .filter_map(|(v, root)| match root {
-                        Some(r) => {
-                            labels3[v as usize] = r;
-                            None
-                        }
-                        None => Some(v),
-                    })
-                    .collect();
-            }
-        }
-    }
+    let (labels3, chase_rounds) =
+        chase_roots(&mut sys, "sg-chase", SUPER, n3, chase_cap.max(2), 32)?;
     // Labels are root vertex ids: count the first sighting of each.
     let roots = {
         let mut seen = vec![false; n3];
@@ -419,24 +363,5 @@ mod tests {
         let g = erdos_renyi_gnm(3000, 6000, 23);
         let out = assert_cc_shrinking(&g, 16, 6);
         assert_eq!(out.chase_rounds, 1, "decreasing-rank chains should resolve in one round");
-    }
-
-    #[test]
-    fn euler_tour_resolution_matches_chase() {
-        // The Claim 4.12 construction and the chasing substitute must pick
-        // exactly the same roots (they label the same parent forest), hence
-        // produce identical shrunk graphs.
-        let g = erdos_renyi_gnm(1500, 4500, 29);
-        for t in [4usize, 16] {
-            let chase = shrink_general_with(&g, t, 4096, cfg(31), RootResolution::Chase).unwrap();
-            let euler =
-                shrink_general_with(&g, t, 4096, cfg(31), RootResolution::EulerTour).unwrap();
-            assert_eq!(chase.h.n(), euler.h.n(), "t={t}");
-            assert_eq!(chase.to_h, euler.to_h, "t={t}");
-            // And the Euler variant is CC-shrinking in its own right.
-            let h_labels = reference_components(&euler.h);
-            let composed = Labeling(euler.to_h.iter().map(|&c| h_labels.get(c)).collect());
-            assert!(composed.same_partition(&reference_components(&g)));
-        }
     }
 }

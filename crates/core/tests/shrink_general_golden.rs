@@ -10,9 +10,12 @@
 //! The `pa` rows were recorded at that commit with one fix applied to it:
 //! `preferential_attachment` iterated a `HashSet`, so its graph differed
 //! from run to run and no fingerprint of it could be pinned.
+//!
+//! The paper's Claim 4.12 construction (`resolve_roots_euler`), which
+//! ShrinkGeneral does not run, is pinned by `forest_golden.rs`.
 
 use ampc::{AmpcConfig, DhtBackend};
-use ampc_cc::general::shrink_general::{shrink_general_with, RootResolution};
+use ampc_cc::general::shrink_general::shrink_general;
 use ampc_graph::generators::{erdos_renyi_gnm, grid2d, preferential_attachment};
 use ampc_graph::Graph;
 
@@ -21,9 +24,9 @@ fn fnv1a(s: &str) -> u64 {
     s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
 }
 
-fn fingerprint(g: &Graph, t: usize, backend: DhtBackend, resolution: RootResolution) -> u64 {
+fn fingerprint(g: &Graph, t: usize, backend: DhtBackend) -> u64 {
     let cfg = AmpcConfig::default().with_machines(4).with_seed(0x601D).with_backend(backend);
-    let out = shrink_general_with(g, t, 4096, cfg, resolution).unwrap();
+    let out = shrink_general(g, t, 4096, cfg).unwrap();
     let edges: Vec<_> = out.h.edges().collect();
     fnv1a(&format!(
         "{} {edges:?} {:?} {} {} {} {:?}",
@@ -36,20 +39,20 @@ fn fingerprint(g: &Graph, t: usize, backend: DhtBackend, resolution: RootResolut
     ))
 }
 
-/// `(graph, t, [Chase, EulerTour])`, graphs in the order of `graphs()`.
-const GOLDEN: &[(&str, usize, [u64; 2])] = &[
-    ("er", 1, [0xec35_b7ab_8f5a_034b, 0xe495_16c9_22c9_feaf]),
-    ("er", 2, [0x0818_b775_b4bd_3f43, 0xd6c2_a308_2ecf_00e4]),
-    ("er", 16, [0x20f9_c9a6_6b4f_b49b, 0x6506_5a2e_f8a0_b1ae]),
-    ("er", 64, [0x217e_55b0_3388_3daf, 0x2bec_e65a_d0c6_33d8]),
-    ("grid", 1, [0x6cf1_3685_e3da_d338, 0x29f1_52f6_1fb5_aa67]),
-    ("grid", 2, [0xd876_faa4_2b7b_9c23, 0x2901_5dad_5537_bacd]),
-    ("grid", 16, [0x7fc7_6509_3c37_8e90, 0x85cb_32cd_584c_67c3]),
-    ("grid", 64, [0xdf65_e6fe_351a_86de, 0x812f_94d5_db2d_850c]),
-    ("pa", 1, [0x33c0_dc43_1ef2_12ca, 0xf19b_f7b4_e222_b6dc]),
-    ("pa", 2, [0x17c5_71b4_39a4_c663, 0x3d49_9beb_8b0e_e4d8]),
-    ("pa", 16, [0x8849_214b_176e_a942, 0x9c8b_3c0a_e5ce_7c89]),
-    ("pa", 64, [0x177a_f630_7faa_d164, 0xf10e_6a27_1793_8778]),
+/// `(graph, t, fingerprint)`, graphs in the order of `graphs()`.
+const GOLDEN: &[(&str, usize, u64)] = &[
+    ("er", 1, 0xec35_b7ab_8f5a_034b),
+    ("er", 2, 0x0818_b775_b4bd_3f43),
+    ("er", 16, 0x20f9_c9a6_6b4f_b49b),
+    ("er", 64, 0x217e_55b0_3388_3daf),
+    ("grid", 1, 0x6cf1_3685_e3da_d338),
+    ("grid", 2, 0xd876_faa4_2b7b_9c23),
+    ("grid", 16, 0x7fc7_6509_3c37_8e90),
+    ("grid", 64, 0xdf65_e6fe_351a_86de),
+    ("pa", 1, 0x33c0_dc43_1ef2_12ca),
+    ("pa", 2, 0x17c5_71b4_39a4_c663),
+    ("pa", 16, 0x8849_214b_176e_a942),
+    ("pa", 64, 0x177a_f630_7faa_d164),
 ];
 
 fn graphs() -> [(&'static str, Graph); 3] {
@@ -66,18 +69,15 @@ fn outcome_is_byte_identical_to_the_recorded_parent() {
     let mut actual = Vec::new();
     for (name, g) in &graphs {
         for t in [1usize, 2, 16, 64] {
-            let row = [RootResolution::Chase, RootResolution::EulerTour].map(|resolution| {
-                let flat = fingerprint(g, t, DhtBackend::Flat, resolution);
-                for backend in [DhtBackend::sharded(), DhtBackend::dense()] {
-                    assert_eq!(
-                        fingerprint(g, t, backend, resolution),
-                        flat,
-                        "{name} t={t} {resolution:?}: {backend:?} differs from flat"
-                    );
-                }
-                flat
-            });
-            actual.push((*name, t, row));
+            let flat = fingerprint(g, t, DhtBackend::Flat);
+            for backend in [DhtBackend::sharded(), DhtBackend::dense()] {
+                assert_eq!(
+                    fingerprint(g, t, backend),
+                    flat,
+                    "{name} t={t}: {backend:?} differs from flat"
+                );
+            }
+            actual.push((*name, t, flat));
         }
     }
     assert_eq!(actual.as_slice(), GOLDEN, "actual table: {actual:#x?}");

@@ -1,5 +1,5 @@
 //! Structural graph metrics used by experiment reports and workload
-//! characterization: degree and component-size distributions, and diameter
+//! characterization: degree and component-size summaries, and diameter
 //! estimation (the quantity MPC connectivity pays for and AMPC does not).
 
 use std::collections::VecDeque;
@@ -80,27 +80,6 @@ pub fn bfs_farthest(g: &Graph, start: VertexId) -> (VertexId, usize) {
     far
 }
 
-/// Degree histogram: `hist[d]` = number of vertices of degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in 0..g.n() as VertexId {
-        hist[g.degree(v)] += 1;
-    }
-    hist
-}
-
-/// Component-size histogram as sorted `(size, count)` pairs.
-pub fn component_size_histogram(g: &Graph) -> Vec<(usize, usize)> {
-    let sizes = reference_components(g).component_sizes();
-    let mut hist = std::collections::HashMap::new();
-    for s in sizes.values() {
-        *hist.entry(*s).or_insert(0usize) += 1;
-    }
-    let mut out: Vec<(usize, usize)> = hist.into_iter().collect();
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,14 +115,12 @@ mod tests {
     }
 
     #[test]
-    fn clique_field_histograms() {
+    fn clique_field_metrics() {
         let g = disjoint_cliques(4, 6);
         let m = metrics(&g);
         assert_eq!(m.components, 4);
         assert_eq!(m.largest_component, 6);
-        let dh = degree_histogram(&g);
-        assert_eq!(dh[5], 24); // every vertex has degree 5
-        assert_eq!(component_size_histogram(&g), vec![(6, 4)]);
+        assert_eq!(m.max_degree, 5);
     }
 
     #[test]

@@ -247,11 +247,6 @@ impl ServiceHandle {
         self.service.budget
     }
 
-    /// The retry/backoff policy of the degradation state machine.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.service.policy
-    }
-
     /// A point-in-time copy of the degradation state machine: current
     /// [`HealthState`], failure streak, bounded incident log, and (when
     /// `Degraded`) time until the next compaction retry.
