@@ -70,28 +70,6 @@ impl Labeling {
         self.len() == other.len() && self.canonical() == other.canonical()
     }
 
-    /// Serializes the labels as fixed-width little-endian 64-bit words,
-    /// appended to `out` — the labeling section of the snapshot format.
-    pub fn write_le(&self, out: &mut Vec<u8>) {
-        out.reserve(self.0.len() * 8);
-        for &label in &self.0 {
-            out.extend_from_slice(&label.to_le_bytes());
-        }
-    }
-
-    /// Rebuilds a labeling from fixed-width little-endian 64-bit words.
-    ///
-    /// # Errors
-    /// Rejects a byte length that is not a multiple of 8.
-    pub fn from_le_bytes(bytes: &[u8]) -> Result<Labeling, String> {
-        if !bytes.len().is_multiple_of(8) {
-            return Err(format!("labeling byte length {} not a multiple of 8", bytes.len()));
-        }
-        Ok(Labeling(
-            bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect(),
-        ))
-    }
-
     /// True iff this labeling is a valid CC-labeling of `g`: endpoints of
     /// every edge share a label, and the number of distinct labels equals
     /// the true component count.
@@ -186,18 +164,6 @@ mod tests {
         assert_eq!(sizes[&9], 2);
         assert_eq!(sizes[&42], 1);
         assert!(Labeling(vec![]).component_sizes().is_empty());
-    }
-
-    #[test]
-    fn le_bytes_roundtrip() {
-        let l = Labeling(vec![0, 1, u64::MAX, 0x0123_4567_89AB_CDEF]);
-        let mut bytes = Vec::new();
-        l.write_le(&mut bytes);
-        assert_eq!(bytes.len(), 32);
-        assert_eq!(bytes[16..24], [0xFF; 8]);
-        assert_eq!(Labeling::from_le_bytes(&bytes).unwrap(), l);
-        assert_eq!(Labeling::from_le_bytes(&[]).unwrap(), Labeling(vec![]));
-        assert!(Labeling::from_le_bytes(&bytes[..5]).is_err());
     }
 
     #[test]

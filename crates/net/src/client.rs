@@ -175,6 +175,30 @@ impl Connection {
         Ok(())
     }
 
+    /// Sends one frame — header and payload in one gathered write through
+    /// [`write_frame`] — with nothing checked or awaited: the raw probes'
+    /// spelling of a whole frame, which the server sees arrive at once.
+    ///
+    /// ```
+    /// use std::net::TcpListener;
+    ///
+    /// use ampc_graph::Graph;
+    /// use ampc_net::{Connection, Opcode, ServerConfig};
+    /// use ampc_serve::ServiceBuilder;
+    ///
+    /// let service = ServiceBuilder::new(Graph::from_edges(2, &[(0, 1)])).build().unwrap();
+    /// let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    /// let mut server = ampc_net::serve(service, listener, ServerConfig::default()).unwrap();
+    /// let mut conn = Connection::connect(server.local_addr()).unwrap();
+    /// conn.send_frame(Opcode::Health, &[], 7).unwrap();
+    /// let (header, _) = conn.recv_raw().unwrap().expect("a reply frame");
+    /// assert_eq!((header.opcode, header.request_id), (Opcode::RespHealth, 7));
+    /// server.shutdown();
+    /// ```
+    pub fn send_frame(&mut self, opcode: Opcode, payload: &[u8], id: u32) -> std::io::Result<()> {
+        write_frame(&mut self.stream, opcode, id, payload)
+    }
+
     /// Sends raw bytes on the underlying socket — test hook for the
     /// protocol-hardening suite (malformed frames, one-byte dribbles).
     pub fn send_raw(&mut self, bytes: &[u8]) -> std::io::Result<()> {

@@ -8,33 +8,87 @@
 //! byte-identical indexes — and it shrinks the per-vertex word from `u64`
 //! to `u32`, halving the hot array.
 //!
-//! Query-path layout (no hashing anywhere):
+//! The index is the partition and nothing derived from it that no query
+//! reads (no hashing anywhere on the query path):
 //!
 //! ```text
-//! comp_of : [u32]        vertex   → dense component id
-//! offsets : [u64]        component → member-list slice bounds (CSR)
-//! members : [VertexId]   concatenated member lists, sorted per component
-//! by_size : [u32]        component ids, largest component first
+//! comp_of : [u32]  vertex → dense component id
+//! sizes   : [u32]  component → vertex count        ┐ the class table,
+//! by_size : [u32]  component ids, largest first    ┘ as in a JournalView
 //! ```
 //!
-//! The four arrays are plain fixed-width words (`offsets` is `u64`, not
-//! `usize`, so the in-memory words are the words [`crate::snapshot`] writes
-//! to disk) held in four owned `Vec`s. A live [`ComponentIndex::build`] and
-//! a snapshot decode go through the same constructor, so a booted index is
-//! indistinguishable from a built one.
+//! `4n + 8c` bytes. A live [`ComponentIndex::build`] and a snapshot decode
+//! both hand `comp_of` and its counted sizes to one constructor, which
+//! ranks them, so a booted index is indistinguishable from a built one.
+
+use std::cmp::Reverse;
 
 use ampc_graph::{Graph, Labeling, VertexId};
 
 /// Dense component identifier in `0..num_components`.
 pub type ComponentId = u32;
 
+/// Per-class vertex counts and their ranking, over dense ids `0..len`: all
+/// that `ComponentSize` and `TopKSize` read, whether the classes are an
+/// index's components or a journal's merged ones.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct ClassTable {
+    /// Dense id → vertex count.
+    pub(crate) sizes: Vec<u32>,
+    /// Dense ids in [`ClassTable::rank_key`] order. Only
+    /// [`ClassTable::ranked`] and the journal's merge, which keeps the
+    /// order incrementally, build one.
+    pub(crate) by_size: Vec<ComponentId>,
+}
+
+impl ClassTable {
+    /// The ranking rule: larger classes first, ties by ascending id — a
+    /// total order, so the ranking is deterministic.
+    #[inline]
+    pub(crate) fn rank_key(sizes: &[u32], d: ComponentId) -> (Reverse<u32>, ComponentId) {
+        (Reverse(sizes[d as usize]), d)
+    }
+
+    /// Ranks `sizes` with one sort.
+    pub(crate) fn ranked(sizes: Vec<u32>) -> ClassTable {
+        let mut by_size: Vec<ComponentId> = (0..sizes.len() as ComponentId).collect();
+        by_size.sort_unstable_by_key(|&d| Self::rank_key(&sizes, d));
+        ClassTable { sizes, by_size }
+    }
+
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.sizes.len()
+    }
+
+    #[inline]
+    pub(crate) fn size_of(&self, d: ComponentId) -> usize {
+        self.sizes[d as usize] as usize
+    }
+
+    #[inline]
+    pub(crate) fn top_k(&self, k: usize) -> &[ComponentId] {
+        &self.by_size[..k.min(self.by_size.len())]
+    }
+
+    #[inline]
+    pub(crate) fn kth_largest_size(&self, rank: usize) -> usize {
+        match rank.checked_sub(1).and_then(|i| self.by_size.get(i)) {
+            Some(&d) => self.size_of(d),
+            None => 0,
+        }
+    }
+
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.sizes.len() + self.by_size.len()) * std::mem::size_of::<u32>()
+    }
+}
+
 /// An immutable connectivity index over one labeling.
 #[derive(Clone, PartialEq, Eq)]
 pub struct ComponentIndex {
     comp_of: Vec<ComponentId>,
-    offsets: Vec<u64>,
-    members: Vec<VertexId>,
-    by_size: Vec<ComponentId>,
+    classes: ClassTable,
 }
 
 /// Open-addressed `u64 label → ComponentId` table, sized from the labeling
@@ -95,15 +149,12 @@ impl LabelInterner {
 }
 
 impl ComponentIndex {
-    /// The one constructor: [`ComponentIndex::build`] hands it the arrays
-    /// it computed, [`crate::snapshot::decode`] the arrays it validated.
-    pub(crate) fn from_parts(
-        comp_of: Vec<ComponentId>,
-        offsets: Vec<u64>,
-        members: Vec<VertexId>,
-        by_size: Vec<ComponentId>,
-    ) -> Self {
-        ComponentIndex { comp_of, offsets, members, by_size }
+    /// The one constructor: `comp_of` in first-appearance canonical form
+    /// and `sizes[d]`, the number of vertices it maps to `d`.
+    /// [`ComponentIndex::build`] counts them while interning,
+    /// [`crate::snapshot::decode`] while validating.
+    pub(crate) fn from_parts(comp_of: Vec<ComponentId>, sizes: Vec<u32>) -> Self {
+        ComponentIndex { comp_of, classes: ClassTable::ranked(sizes) }
     }
 
     /// Builds the index from a labeling.
@@ -117,36 +168,16 @@ impl ComponentIndex {
         let n = labeling.len();
         let mut interner = LabelInterner::sized_for(n);
         let mut comp_of = Vec::with_capacity(n);
+        let mut sizes = Vec::new();
         for &label in &labeling.0 {
-            comp_of.push(interner.intern(label));
+            let d = interner.intern(label);
+            if d as usize == sizes.len() {
+                sizes.push(0);
+            }
+            sizes[d as usize] += 1;
+            comp_of.push(d);
         }
-        let c = interner.len as usize;
-
-        // Counting sort of vertices by component: offsets then fill. The
-        // vertex scan is in increasing order, so each member list comes out
-        // sorted without a per-component sort.
-        let mut offsets = vec![0u64; c + 1];
-        for &comp in &comp_of {
-            offsets[comp as usize + 1] += 1;
-        }
-        for i in 0..c {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor: Vec<usize> = offsets.iter().map(|&o| o as usize).collect();
-        let mut members = vec![0 as VertexId; n];
-        for (v, &comp) in comp_of.iter().enumerate() {
-            members[cursor[comp as usize]] = v as VertexId;
-            cursor[comp as usize] += 1;
-        }
-
-        let mut by_size: Vec<ComponentId> = (0..c as ComponentId).collect();
-        // Descending size; ties broken by ascending id — total order, so
-        // the ranking is deterministic.
-        by_size.sort_by_key(|&comp| {
-            (u64::MAX - (offsets[comp as usize + 1] - offsets[comp as usize]), comp)
-        });
-
-        Self::from_parts(comp_of, offsets, members, by_size)
+        Self::from_parts(comp_of, sizes)
     }
 
     /// Builds the index from a pipeline run over `g`, refusing a labeling
@@ -167,9 +198,14 @@ impl ComponentIndex {
         Ok(Self::build(labeling))
     }
 
-    /// The four arrays in constructor order, for the snapshot writer.
-    pub(crate) fn parts(&self) -> (&[ComponentId], &[u64], &[VertexId], &[ComponentId]) {
-        (&self.comp_of, &self.offsets, &self.members, &self.by_size)
+    /// `comp_of`, for the snapshot writer.
+    pub(crate) fn comp_of(&self) -> &[ComponentId] {
+        &self.comp_of
+    }
+
+    /// The components' sizes and ranking.
+    pub(crate) fn classes(&self) -> &ClassTable {
+        &self.classes
     }
 
     /// Number of vertices indexed.
@@ -181,7 +217,7 @@ impl ComponentIndex {
     /// Number of connected components.
     #[inline]
     pub fn num_components(&self) -> usize {
-        self.offsets.len() - 1
+        self.classes.len()
     }
 
     /// Dense component id of `v`. One array read.
@@ -219,13 +255,13 @@ impl ComponentIndex {
         Some(self.try_component_of(u)? == self.try_component_of(v)?)
     }
 
-    /// Number of vertices in component `c`. Two array reads.
+    /// Number of vertices in component `c`. One array read.
     #[inline]
     pub fn size_of(&self, c: ComponentId) -> usize {
-        (self.offsets[c as usize + 1] - self.offsets[c as usize]) as usize
+        self.classes.size_of(c)
     }
 
-    /// Size of the component containing `v`. Three array reads.
+    /// Size of the component containing `v`. Two array reads.
     ///
     /// # Panics
     /// Panics if `v` is out of range; see
@@ -242,36 +278,24 @@ impl ComponentIndex {
         Some(self.size_of(self.try_component_of(v)?))
     }
 
-    /// Sorted member vertices of component `c`. A slice borrow, no copy.
-    #[inline]
-    pub fn members(&self, c: ComponentId) -> &[VertexId] {
-        &self.members[self.offsets[c as usize] as usize..self.offsets[c as usize + 1] as usize]
-    }
-
     /// The (at most) `k` largest components, largest first, ties by
     /// ascending component id. A slice borrow of the precomputed ranking.
     #[inline]
     pub fn top_k(&self, k: usize) -> &[ComponentId] {
-        &self.by_size[..k.min(self.by_size.len())]
+        self.classes.top_k(k)
     }
 
     /// Size of the `rank`-th largest component (1-based), or 0 when there
     /// are fewer than `rank` components.
     #[inline]
     pub fn kth_largest_size(&self, rank: usize) -> usize {
-        if rank == 0 || rank > self.by_size.len() {
-            return 0;
-        }
-        self.size_of(self.by_size[rank - 1])
+        self.classes.kth_largest_size(rank)
     }
 
     /// Heap footprint of the index in bytes (the serving-capacity number):
-    /// the four arrays' elements, the same for a built and a booted index.
+    /// `4n + 8c`, the same for a built and a booted index.
     pub fn heap_bytes(&self) -> usize {
-        self.comp_of.len() * std::mem::size_of::<ComponentId>()
-            + self.offsets.len() * std::mem::size_of::<u64>()
-            + self.members.len() * std::mem::size_of::<VertexId>()
-            + self.by_size.len() * std::mem::size_of::<ComponentId>()
+        self.comp_of.len() * std::mem::size_of::<ComponentId>() + self.classes.heap_bytes()
     }
 }
 
@@ -281,7 +305,7 @@ impl std::fmt::Debug for ComponentIndex {
             .field("num_vertices", &self.num_vertices())
             .field("num_components", &self.num_components())
             .field("comp_of", &self.comp_of)
-            .field("by_size", &self.by_size)
+            .field("by_size", &self.classes.by_size)
             .finish()
     }
 }
@@ -317,18 +341,11 @@ mod tests {
     }
 
     #[test]
-    fn members_are_sorted_and_partition_the_vertices() {
+    fn sizes_count_every_vertex_once() {
         let idx = index_of(&[1, 2, 1, 3, 2, 1]);
-        let mut seen = Vec::new();
-        for c in 0..idx.num_components() as ComponentId {
-            let m = idx.members(c);
-            assert!(m.windows(2).all(|w| w[0] < w[1]), "members of {c} not sorted");
-            assert_eq!(m.len(), idx.size_of(c));
-            seen.extend_from_slice(m);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..6).collect::<Vec<_>>());
-        assert_eq!(idx.members(0), &[0, 2, 5]);
+        let sizes: Vec<usize> = (0..3).map(|c| idx.size_of(c)).collect();
+        assert_eq!(sizes, [3, 2, 1]);
+        assert_eq!(idx.heap_bytes(), 4 * 6 + 8 * 3);
     }
 
     #[test]
@@ -406,7 +423,7 @@ mod tests {
         drop(idx);
         // The clone owns its arrays — still answers after the original dies.
         assert_eq!(copy.component_of(5), 2);
-        assert_eq!(copy.members(1), &[2, 3, 4]);
+        assert_eq!(copy.component_size(2), 3);
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! A full index build is a pure function of a whole graph; a streaming
 //! insertion only ever *merges* existing components (new edges cannot split
 //! anything). [`JournalView`] freezes the effect of every merge so far into
-//! three small arrays over **dense component ids** — not vertices — so a
-//! journal costs `O(components)`, not `O(n)`:
+//! a remap over **dense component ids** — not vertices — plus the same
+//! class table an index holds, so a journal costs `O(components)`, not
+//! `O(n)`:
 //!
 //! ```text
-//! remap   : Vec<ComponentId>  base dense id → merged dense id
-//! sizes   : Vec<usize>        merged id     → vertex count
-//! by_size : Vec<ComponentId>  merged ids, largest first (ties by id)
+//! remap   : [u32]  base dense id → merged dense id
+//! sizes   : [u32]  merged id → vertex count                ┐ the class
+//! by_size : [u32]  merged ids, largest first (ties by id)  ┘ table
 //! ```
 //!
 //! The merge-aware read path is the base lookup plus **one extra array
@@ -37,11 +38,9 @@
 //! size or rank. The serving layer calls only `extend`; the property test
 //! below holds the two equal step by step.
 
-use std::cmp::Reverse;
-
 use ampc_graph::UnionFind;
 
-use crate::index::{ComponentId, ComponentIndex};
+use crate::index::{ClassTable, ComponentId, ComponentIndex};
 
 /// A frozen batch of component merges over one base [`ComponentIndex`].
 ///
@@ -52,10 +51,8 @@ use crate::index::{ComponentId, ComponentIndex};
 pub struct JournalView {
     /// Base dense id → merged dense id.
     remap: Vec<ComponentId>,
-    /// Merged dense id → vertex count.
-    sizes: Vec<usize>,
-    /// Merged ids ranked by descending size, ties by ascending id.
-    by_size: Vec<ComponentId>,
+    /// The merged classes' sizes and ranking.
+    classes: ClassTable,
     /// Component merges the journal carries (`base components − merged
     /// components`).
     merges: usize,
@@ -96,19 +93,17 @@ impl JournalView {
         for (id, &class) in class_of.iter().enumerate() {
             if canon[class as usize] == id as ComponentId {
                 dense_of_class[class as usize] = sizes.len() as ComponentId;
-                sizes.push(0usize);
+                sizes.push(0u32);
             }
         }
         let mut remap = vec![0 as ComponentId; c];
         for (id, &class) in class_of.iter().enumerate() {
             let d = dense_of_class[class as usize];
             remap[id] = d;
-            sizes[d as usize] += base.size_of(id as ComponentId);
+            sizes[d as usize] += base.size_of(id as ComponentId) as u32;
         }
-        let mut by_size: Vec<ComponentId> = (0..sizes.len() as ComponentId).collect();
-        by_size.sort_by_key(|&d| (usize::MAX - sizes[d as usize], d));
         let merges = c - sizes.len();
-        Ok(JournalView { remap, sizes, by_size, merges })
+        Ok(JournalView { remap, classes: ClassTable::ranked(sizes), merges })
     }
 
     /// The view after also merging each pair of **base** component ids in
@@ -154,12 +149,7 @@ impl JournalView {
     /// The view that merges nothing: what a base index is to `extend`.
     fn identity(base: &ComponentIndex) -> JournalView {
         let c = base.num_components() as ComponentId;
-        JournalView {
-            remap: (0..c).collect(),
-            sizes: (0..c).map(|id| base.size_of(id)).collect(),
-            by_size: base.top_k(c as usize).to_vec(),
-            merges: 0,
-        }
+        JournalView { remap: (0..c).collect(), classes: base.classes().clone(), merges: 0 }
     }
 
     /// `self` with its own classes `links[i].0` and `links[i].1` merged;
@@ -170,7 +160,8 @@ impl JournalView {
         /// In `renum` while the ranking pass runs: a class the batch
         /// absorbed or grew, whose old rank no longer holds.
         const TOUCHED: ComponentId = ComponentId::MAX;
-        let k = self.sizes.len();
+        let ClassTable { sizes: old_sizes, by_size: old_by_size } = &self.classes;
+        let k = old_sizes.len();
 
         // Union-find over the ≤ 2b classes the links name, by position in
         // their sorted list.
@@ -206,16 +197,16 @@ impl JournalView {
         // absorbs, so it is numbered — as its class's minimum base id
         // requires — before its members are looked at.
         let mut renum: Vec<ComponentId> = Vec::with_capacity(k);
-        let mut sizes: Vec<usize> = Vec::with_capacity(k - absorbed.len());
+        let mut sizes: Vec<u32> = Vec::with_capacity(k - absorbed.len());
         let mut run_start = 0;
         for (below, &(a, _)) in absorbed.iter().enumerate() {
             renum.extend((run_start..a).map(|d| (d - below) as ComponentId));
             renum.push(TOUCHED);
-            sizes.extend_from_slice(&self.sizes[run_start..a]);
+            sizes.extend_from_slice(&old_sizes[run_start..a]);
             run_start = a + 1;
         }
         renum.extend((run_start..k).map(|d| (d - absorbed.len()) as ComponentId));
-        sizes.extend_from_slice(&self.sizes[run_start..]);
+        sizes.extend_from_slice(&old_sizes[run_start..]);
 
         // (old id, new id) of each root that absorbed something.
         let mut grown: Vec<(usize, ComponentId)> =
@@ -223,13 +214,13 @@ impl JournalView {
         grown.sort_unstable();
         grown.dedup();
         for &(a, root) in &absorbed {
-            sizes[renum[root] as usize] += self.sizes[a];
+            sizes[renum[root] as usize] += old_sizes[a];
         }
 
         // Ranking: an untouched class kept its size, and renumbering is
         // monotone on survivors, so the old ranking minus the touched
         // classes is still sorted; the grown ones merge back in by key.
-        let rank_key = |d: ComponentId| (Reverse(sizes[d as usize]), d);
+        let rank_key = |d: ComponentId| ClassTable::rank_key(&sizes, d);
         for &(root, _) in &grown {
             renum[root] = TOUCHED;
         }
@@ -237,7 +228,7 @@ impl JournalView {
         regrown.sort_unstable_by_key(|&d| rank_key(d));
         let mut regrown = regrown.into_iter().peekable();
         let mut by_size: Vec<ComponentId> = Vec::with_capacity(sizes.len());
-        for &old in &self.by_size {
+        for &old in old_by_size {
             let d = renum[old as usize];
             if d == TOUCHED {
                 continue;
@@ -257,7 +248,8 @@ impl JournalView {
             renum[a] = renum[root];
         }
         let remap = self.remap.iter().map(|&d| renum[d as usize]).collect();
-        JournalView { remap, sizes, by_size, merges: self.merges + absorbed.len() }
+        let classes = ClassTable { sizes, by_size };
+        JournalView { remap, classes, merges: self.merges + absorbed.len() }
     }
 
     /// Merged dense id of base component `c` — the one extra read of the
@@ -274,7 +266,7 @@ impl JournalView {
     /// Number of components after the journal's merges.
     #[inline]
     pub fn num_components(&self) -> usize {
-        self.sizes.len()
+        self.classes.len()
     }
 
     /// Component merges the journal carries.
@@ -283,37 +275,15 @@ impl JournalView {
         self.merges
     }
 
-    /// Vertex count of merged component `d`.
-    ///
-    /// # Panics
-    /// Panics if `d >= num_components()`.
-    #[inline]
-    pub fn size_of(&self, d: ComponentId) -> usize {
-        self.sizes[d as usize]
-    }
-
-    /// Size of the `rank`-th largest merged component (1-based), or 0 when
-    /// there are fewer than `rank` components — same contract as
-    /// [`ComponentIndex::kth_largest_size`].
-    #[inline]
-    pub fn kth_largest_size(&self, rank: usize) -> usize {
-        if rank == 0 || rank > self.by_size.len() {
-            return 0;
-        }
-        self.sizes[self.by_size[rank - 1] as usize]
-    }
-
-    /// The (at most) `k` largest merged components, largest first.
-    #[inline]
-    pub fn top_k(&self, k: usize) -> &[ComponentId] {
-        &self.by_size[..k.min(self.by_size.len())]
+    /// The merged classes' sizes and ranking: what the query engine reads
+    /// `ComponentSize` and `TopKSize` from.
+    pub(crate) fn classes(&self) -> &ClassTable {
+        &self.classes
     }
 
     /// Heap footprint in bytes (the per-journal-epoch publish cost).
     pub fn heap_bytes(&self) -> usize {
-        self.remap.len() * std::mem::size_of::<ComponentId>()
-            + self.sizes.len() * std::mem::size_of::<usize>()
-            + self.by_size.len() * std::mem::size_of::<ComponentId>()
+        self.remap.len() * std::mem::size_of::<ComponentId>() + self.classes.heap_bytes()
     }
 }
 
@@ -336,9 +306,9 @@ mod tests {
         assert_eq!(j.merges(), 0);
         for c in 0..4 {
             assert_eq!(j.resolve(c), c);
-            assert_eq!(j.size_of(c), base.size_of(c));
+            assert_eq!(j.classes.size_of(c), base.size_of(c));
         }
-        assert_eq!(j.top_k(4), base.top_k(4));
+        assert_eq!(j.classes.top_k(4), base.top_k(4));
     }
 
     #[test]
@@ -353,15 +323,15 @@ mod tests {
         assert_eq!(j.resolve(1), 1);
         assert_eq!(j.resolve(2), 2);
         assert_eq!(j.resolve(3), 1);
-        assert_eq!(j.size_of(0), 2);
-        assert_eq!(j.size_of(1), 2); // {2} + {6}
-        assert_eq!(j.size_of(2), 3);
+        assert_eq!(j.classes.size_of(0), 2);
+        assert_eq!(j.classes.size_of(1), 2); // {2} + {6}
+        assert_eq!(j.classes.size_of(2), 3);
         // by_size: sizes [2, 2, 3] ⇒ ranked 2, 0, 1.
-        assert_eq!(j.top_k(3), &[2, 0, 1]);
-        assert_eq!(j.kth_largest_size(1), 3);
-        assert_eq!(j.kth_largest_size(3), 2);
-        assert_eq!(j.kth_largest_size(4), 0);
-        assert_eq!(j.kth_largest_size(0), 0);
+        assert_eq!(j.classes.top_k(3), &[2, 0, 1]);
+        assert_eq!(j.classes.kth_largest_size(1), 3);
+        assert_eq!(j.classes.kth_largest_size(3), 2);
+        assert_eq!(j.classes.kth_largest_size(4), 0);
+        assert_eq!(j.classes.kth_largest_size(0), 0);
     }
 
     #[test]
@@ -378,10 +348,10 @@ mod tests {
         assert_eq!(j.num_components(), fresh.num_components());
         for v in 0..8u32 {
             assert_eq!(j.resolve(base.component_of(v)), fresh.component_of(v), "vertex {v}");
-            assert_eq!(j.size_of(j.resolve(base.component_of(v))), fresh.component_size(v));
+            assert_eq!(j.classes.size_of(j.resolve(base.component_of(v))), fresh.component_size(v));
         }
         for k in 0..=4 {
-            assert_eq!(j.kth_largest_size(k), fresh.kth_largest_size(k), "rank {k}");
+            assert_eq!(j.classes.kth_largest_size(k), fresh.kth_largest_size(k), "rank {k}");
         }
     }
 
@@ -393,7 +363,7 @@ mod tests {
         let empty = ComponentIndex::build(&Labeling(vec![]));
         let j = JournalView::build(&[], &empty).unwrap();
         assert_eq!(j.num_components(), 0);
-        assert_eq!(j.kth_largest_size(1), 0);
+        assert_eq!(j.classes.kth_largest_size(1), 0);
     }
 
     /// A base, the batches applied so far as a union-find over its ids,
@@ -459,11 +429,15 @@ mod tests {
             for v in 0..n {
                 let d = view.resolve(base.component_of(v));
                 assert_eq!(d, fresh.component_of(v), "{what}: vertex {v}");
-                assert_eq!(view.size_of(d), fresh.component_size(v), "{what}: vertex {v}");
+                assert_eq!(view.classes.size_of(d), fresh.component_size(v), "{what}: vertex {v}");
             }
-            assert_eq!(view.top_k(k + 1), fresh.top_k(k + 1), "{what}");
+            assert_eq!(view.classes.top_k(k + 1), fresh.top_k(k + 1), "{what}");
             for rank in [0, 1, 2, k / 2, k, k + 1] {
-                assert_eq!(view.kth_largest_size(rank), fresh.kth_largest_size(rank), "{what}");
+                assert_eq!(
+                    view.classes.kth_largest_size(rank),
+                    fresh.kth_largest_size(rank),
+                    "{what}"
+                );
             }
         }
     }
@@ -507,13 +481,13 @@ mod tests {
         // link's root changes under the next one.
         let path: Vec<_> = (0..20).rev().map(|i| (3 * i + 3, 3 * i)).collect();
         chain.step(&path, "path of 21 classes");
-        assert_eq!(chain.view.as_ref().unwrap().top_k(2), &[0, 1]);
+        assert_eq!(chain.view.as_ref().unwrap().classes.top_k(2), &[0, 1]);
         // Grow three classes to the same size: they rank by id, ahead of
         // the untouched pairs and behind the path.
         chain.step(&[(50, 49), (1, 2), (62, 61)], "equal growth");
         let view = chain.view.as_ref().unwrap();
         assert_eq!(
-            view.top_k(4).iter().map(|&d| view.size_of(d)).collect::<Vec<_>>(),
+            view.classes.top_k(4).iter().map(|&d| view.classes.size_of(d)).collect::<Vec<_>>(),
             [42, 4, 4, 4]
         );
         // Two grown classes join each other and overtake nothing new.

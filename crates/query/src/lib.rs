@@ -6,9 +6,9 @@
 //! speed:
 //!
 //! * [`ComponentIndex`] — labels rank-remapped to dense
-//!   `0..num_components` component ids, a per-component size array, a
-//!   CSR-style member list (component → sorted vertices), and a
-//!   by-size ordering, so [`ComponentIndex::connected`],
+//!   `0..num_components` component ids (`comp_of`, the partition) plus a
+//!   class table of per-component sizes and a by-size ordering, `4n + 8c`
+//!   bytes, so [`ComponentIndex::connected`],
 //!   [`ComponentIndex::component_of`], [`ComponentIndex::component_size`],
 //!   and [`ComponentIndex::top_k`] are all O(1) array reads with no
 //!   hashing on the query path;
@@ -24,11 +24,10 @@
 //!   to merged dense ids in one extra array read, byte-identical to a
 //!   from-scratch rebuild of the merged graph;
 //! * [`snapshot`] — versioned, checksummed on-disk persistence of an
-//!   index + labeling as the fixed-width words the in-memory arrays
-//!   hold, so a replica boot is a header check, one bulk read and a
-//!   validated decode into the same four owned `Vec`s a live build
-//!   produces — no pipeline run, and a booted [`ComponentIndex`] is equal
-//!   to the built one it was persisted from;
+//!   index + labeling as `comp_of` plus one label per class, so a replica
+//!   boot is a header check, one bulk read, a validated decode and the
+//!   same ranking a live build runs — no pipeline run, and a booted
+//!   [`ComponentIndex`] is equal to the built one it was persisted from;
 //! * [`workload`] — deterministic SplitMix64-seeded query-mix generators
 //!   (uniform, Zipf-skewed, adversarial cross-component) in the same style
 //!   as the graph generators, plus a plain-text query-file format;

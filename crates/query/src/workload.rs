@@ -126,10 +126,11 @@ pub fn generate(index: &ComponentIndex, mix: Mix, count: usize, seed: u64) -> Ve
     }
     let mut rng = SplitMix64::new(ampc::rng::derive_seed(&[seed, 0x51_u64, count as u64]));
     let sampler = VertexSampler::new(mix, index.num_vertices());
+    let members = (mix == Mix::CrossComponent).then(|| Members::of(index));
     let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        let q = match mix {
-            Mix::CrossComponent => cross_pair(index, &sampler, &mut rng),
+        let q = match &members {
+            Some(members) => cross_pair(members, &sampler, &mut rng),
             _ => match rng.next_below(16) {
                 0..=9 => Query::Connected(sampler.draw(&mut rng), sampler.draw(&mut rng)),
                 10..=12 => Query::ComponentOf(sampler.draw(&mut rng)),
@@ -142,10 +143,41 @@ pub fn generate(index: &ComponentIndex, mix: Mix, count: usize, seed: u64) -> Ve
     out
 }
 
+/// Every component's members in ascending vertex order, as slices of one
+/// array: what the cross-component mix draws from (the index stores no
+/// member lists; no query reads them).
+struct Members {
+    /// `start[c]..start[c + 1]` bounds component `c`'s slice.
+    start: Vec<usize>,
+    vertices: Vec<VertexId>,
+}
+
+impl Members {
+    /// A counting sort of the vertices by component.
+    fn of(index: &ComponentIndex) -> Members {
+        let mut start = vec![0; index.num_components() + 1];
+        for c in 0..index.num_components() {
+            start[c + 1] = start[c] + index.size_of(c as ComponentId);
+        }
+        let mut cursor = start.clone();
+        let mut vertices = vec![0; index.num_vertices()];
+        for v in 0..index.num_vertices() as VertexId {
+            let slot = &mut cursor[index.component_of(v) as usize];
+            vertices[*slot] = v;
+            *slot += 1;
+        }
+        Members { start, vertices }
+    }
+
+    fn of_component(&self, c: ComponentId) -> &[VertexId] {
+        &self.vertices[self.start[c as usize]..self.start[c as usize + 1]]
+    }
+}
+
 /// A `Connected` pair spanning two distinct components: two components
 /// drawn uniformly without replacement, then one uniform member of each.
-fn cross_pair(index: &ComponentIndex, sampler: &VertexSampler, rng: &mut SplitMix64) -> Query {
-    let c = index.num_components() as u64;
+fn cross_pair(members: &Members, sampler: &VertexSampler, rng: &mut SplitMix64) -> Query {
+    let c = members.start.len() as u64 - 1;
     if c < 2 {
         return Query::Connected(sampler.draw(rng), sampler.draw(rng));
     }
@@ -154,8 +186,8 @@ fn cross_pair(index: &ComponentIndex, sampler: &VertexSampler, rng: &mut SplitMi
     if b >= a {
         b += 1;
     }
-    let ma = index.members(a);
-    let mb = index.members(b);
+    let ma = members.of_component(a);
+    let mb = members.of_component(b);
     Query::Connected(
         ma[rng.next_below(ma.len() as u64) as usize],
         mb[rng.next_below(mb.len() as u64) as usize],

@@ -10,10 +10,14 @@
 //! * **Corruption matrix** — deterministic damage at every structural
 //!   position: a bit-flip inside each section must name *that* section's
 //!   checksum; truncation at every section boundary must be `Truncated`;
-//!   and semantically-invalid files that have been re-signed with correct
+//!   semantically-invalid files that have been re-signed with correct
 //!   checksums (a buggy or hostile writer) must still be rejected with a
-//!   typed `Malformed` error — never a panic, never out-of-bounds.
+//!   typed `Malformed` error — never a panic, never out-of-bounds; and a
+//!   seeded matrix of re-signed one-word overwrites of every section must
+//!   each decode to a typed error or to an index consistent with the
+//!   decoded labeling.
 
+use ampc::rng::SplitMix64;
 use ampc_graph::generators::{
     barbell, caterpillar, disjoint_cliques, erdos_renyi_gnm, grid2d, path, random_forest, star,
 };
@@ -177,11 +181,17 @@ fn resign(bytes: &mut [u8], s: &SectionInfo) {
     bytes[HEADER_CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&h.to_le_bytes());
 }
 
+/// The row of `table` named `name`.
+fn section(table: &[SectionInfo], name: &str) -> SectionInfo {
+    *table.iter().find(|s| s.name == name).unwrap_or_else(|| panic!("no `{name}` section"))
+}
+
 #[test]
 fn resigned_semantic_corruption_in_every_section_is_rejected() {
     let good = subject();
     let table = section_table(&good).expect("good table");
-    let [comp_of_s, offsets_s, members_s, by_size_s, labeling_s] = table;
+    let comp_of_s = section(&table, "comp_of");
+    let class_label_s = section(&table, "class_label");
 
     // comp_of: vertex 0 must open dense id 0; claiming id 1 breaks
     // first-appearance canonical form.
@@ -202,55 +212,78 @@ fn resigned_semantic_corruption_in_every_section_is_rejected() {
         "out-of-range comp_of id must be rejected"
     );
 
-    // offsets: the final fence must equal n.
+    // class_label: two classes share a label — clique 1 takes clique 0's,
+    // a labeling of 11 classes over an index of 12.
     let mut bad = good.clone();
-    let last = offsets_s.byte_off + offsets_s.byte_len - 8;
-    let n = u64::from_le_bytes(bad[last..last + 8].try_into().unwrap());
-    bad[last..last + 8].copy_from_slice(&(n + 8).to_le_bytes());
-    resign(&mut bad, &offsets_s);
+    let at = class_label_s.byte_off;
+    bad.copy_within(at..at + 8, at + 8);
+    resign(&mut bad, &class_label_s);
     assert!(
-        matches!(snapshot::decode(&bad), Err(SnapshotError::Malformed { section: "offsets", .. })),
-        "offsets[c] != n must be rejected"
+        matches!(
+            snapshot::decode(&bad),
+            Err(SnapshotError::Malformed { section: "class_label", .. })
+        ),
+        "a label shared by two classes must be rejected"
     );
+}
 
-    // offsets: a descending pair is non-monotone.
-    let mut bad = good.clone();
-    bad[offsets_s.byte_off + 8..offsets_s.byte_off + 16].copy_from_slice(&u64::MAX.to_le_bytes());
-    resign(&mut bad, &offsets_s);
-    assert!(
-        matches!(snapshot::decode(&bad), Err(SnapshotError::Malformed { section: "offsets", .. })),
-        "non-monotone offsets must be rejected"
-    );
+/// The mutation-matrix subject: G(240, 180) — one large component, dozens
+/// of small trees and isolated vertices, with members interleaved across
+/// the vertex range, so one overwritten word can join, split or relabel a
+/// class. Returns the image and n.
+fn mutation_subject() -> (Vec<u8>, usize) {
+    let g = erdos_renyi_gnm(240, 180, 0x5EED);
+    let labeling = reference_components(&g);
+    let index = ComponentIndex::build(&labeling);
+    (snapshot::encode(&index, &labeling, g.n() as u64, g.m() as u64, 2), g.n())
+}
 
-    // members: a vertex id ≥ n cannot appear in any member list.
-    let mut bad = good.clone();
-    bad[members_s.byte_off..members_s.byte_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    resign(&mut bad, &members_s);
-    assert!(
-        matches!(snapshot::decode(&bad), Err(SnapshotError::Malformed { section: "members", .. })),
-        "out-of-range member must be rejected"
-    );
+/// A re-signed overwrite of one 32-bit word of section `s`, every draw
+/// taken from `seed`, so `(seed, section)` replays the case. The new value
+/// is a neighbour of the old one, a copy of another word of the section, a
+/// vertex-sized number or 32 random bits. Returns the word index and the
+/// image.
+fn overwrite_word(good: &[u8], s: &SectionInfo, n: usize, seed: u64) -> (usize, Vec<u8>) {
+    let mut rng = SplitMix64::new(seed);
+    let words = (s.byte_len / 4) as u64;
+    let at = |w: u64| s.byte_off + 4 * w as usize;
+    let read = |w: u64| u32::from_le_bytes(good[at(w)..at(w) + 4].try_into().unwrap());
+    let word = rng.next_below(words);
+    let value = match rng.next_below(4) {
+        0 => read(word).wrapping_add(if rng.next_below(2) == 0 { 1 } else { u32::MAX }),
+        1 => read(rng.next_below(words)),
+        2 => rng.next_below(n as u64 + 2) as u32,
+        _ => rng.next_u64() as u32,
+    };
+    let mut bad = good.to_vec();
+    bad[at(word)..at(word) + 4].copy_from_slice(&value.to_le_bytes());
+    resign(&mut bad, s);
+    (word as usize, bad)
+}
 
-    // by_size: a repeated rank entry is not a permutation.
-    let mut bad = good.clone();
-    let first = bad[by_size_s.byte_off..by_size_s.byte_off + 4].to_vec();
-    bad[by_size_s.byte_off + 4..by_size_s.byte_off + 8].copy_from_slice(&first);
-    resign(&mut bad, &by_size_s);
-    assert!(
-        matches!(snapshot::decode(&bad), Err(SnapshotError::Malformed { section: "by_size", .. })),
-        "repeated by_size entry must be rejected"
-    );
-
-    // labeling: a vertex whose label disagrees with its component's class
-    // (vertex 1 shares clique 0 with vertex 0 in the subject graph).
-    let mut bad = good.clone();
-    bad[labeling_s.byte_off + 8..labeling_s.byte_off + 16]
-        .copy_from_slice(&0xDEAD_BEEF_u64.to_le_bytes());
-    resign(&mut bad, &labeling_s);
-    assert!(
-        matches!(snapshot::decode(&bad), Err(SnapshotError::Malformed { section: "labeling", .. })),
-        "label/partition disagreement must be rejected"
-    );
+#[test]
+fn resigned_word_overwrites_decode_to_an_error_or_a_consistent_index() {
+    // The property of the trust model: whatever a signed file says, the
+    // decoder either refuses it with a typed error or returns an index
+    // that is the index of the labeling it returns.
+    const CASES: u64 = 10_000;
+    let (good, n) = mutation_subject();
+    let table = section_table(&good).expect("good table");
+    let mut failures = Vec::new();
+    for s in &table {
+        let first = (0..CASES).find_map(|seed| {
+            let (word, bad) = overwrite_word(&good, s, n, seed);
+            let verdict = match std::panic::catch_unwind(|| snapshot::decode(&bad)) {
+                Ok(Err(_)) => return None,
+                Ok(Ok(snap)) if snap.index == ComponentIndex::build(&snap.labeling) => return None,
+                Ok(Ok(_)) => "decoded, but the index is not the labeling's",
+                Err(_) => "decode panicked",
+            };
+            Some(format!("seed={seed} section={} word={word}: {verdict}", s.name))
+        });
+        failures.extend(first);
+    }
+    assert!(failures.is_empty(), "first failing case per section:\n{}", failures.join("\n"));
 }
 
 #[test]
@@ -266,6 +299,16 @@ fn writer_refuses_inconsistent_images() {
         std::panic::catch_unwind(|| {
             let short = Labeling(vec![0; 9]);
             snapshot::encode(&index, &short, 10, 9, 2)
+        }),
+        // A labeling of another partition: one that splits the index's
+        // component, and one that merges two components.
+        std::panic::catch_unwind(|| {
+            let split = Labeling((0..10).map(|v| v / 5).collect());
+            snapshot::encode(&index, &split, 10, 9, 2)
+        }),
+        std::panic::catch_unwind(|| {
+            let two = ComponentIndex::build(&Labeling(vec![0, 0, 1, 1]));
+            snapshot::encode(&two, &Labeling(vec![7; 4]), 4, 2, 2)
         }),
     ] {
         assert!(result.is_err(), "writer must refuse an inconsistent image");

@@ -363,18 +363,28 @@ mod tests {
     fn boot_fallback_builds_and_records_the_snapshot_failure() {
         let path = std::env::temp_dir()
             .join(format!("ampc_serve_no_such_snapshot_{}.snap", std::process::id()));
-        // Two bad snapshots: a missing file, then 1 TiB of zeros — which a
+        // Three bad snapshots: a missing file; 1 TiB of zeros, which a
         // loader that allocates the file's length before reading its magic
-        // turns into an abort instead of a fallback.
-        for sparse in [false, true] {
-            if sparse {
+        // turns into an abort instead of a fallback; and a signed file of
+        // the retired format version 1.
+        for bad in ["missing", "sparse", "version 1"] {
+            let g = random_forest(400, 7, 21);
+            let truth = reference_components(&g);
+            if bad == "sparse" {
                 if let Err(e) = std::fs::File::create(&path).and_then(|f| f.set_len(1 << 40)) {
                     eprintln!("SKIPPED the sparse-file fallback: set_len(1 << 40) refused: {e}");
                     continue;
                 }
             }
-            let g = random_forest(400, 7, 21);
-            let truth = reference_components(&g);
+            if bad == "version 1" {
+                use ampc_query::snapshot::{self, HEADER_CHECKSUM_OFFSET, HEADER_LEN};
+                let (n, m) = (g.n() as u64, g.m() as u64);
+                let mut v1 = snapshot::encode(&ComponentIndex::build(&truth), &truth, n, m, 1);
+                v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+                let h = snapshot::checksum(&v1[..HEADER_CHECKSUM_OFFSET]);
+                v1[HEADER_CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&h.to_le_bytes());
+                std::fs::write(&path, v1).unwrap();
+            }
             let (service, source) = ServiceBuilder::new(g)
                 .spec(spec())
                 .from_snapshot_or_rebuild(&path)
@@ -386,7 +396,7 @@ mod tests {
             assert_eq!(health.state, HealthState::Healthy);
             assert_eq!(health.total_incidents, 1);
             assert_eq!(health.incidents[0].op, IncidentOp::Boot);
-            assert!(matches!(health.incidents[0].error, ServeError::SnapshotBoot(_)));
+            assert!(matches!(health.incidents[0].error, ServeError::SnapshotBoot(_)), "{bad}");
         }
         std::fs::remove_file(&path).ok();
     }

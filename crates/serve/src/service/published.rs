@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use ampc::RunStats;
 use ampc_cc::pipeline::{PipelineSpec, ResolvedAlgorithm};
-use ampc_graph::{Graph, Labeling};
+use ampc_graph::{Graph, Labeling, VertexId};
 use ampc_query::{ComponentIndex, JournalView, QueryEngine};
 
 use super::error::ServeError;
@@ -90,6 +90,24 @@ impl PublishedIndex {
     /// `--labels` output). Journal merges are not reflected here.
     pub fn labeling(&self) -> &Labeling {
         &self.base.labeling
+    }
+
+    /// The label the base run gave `v`, or `None` when `v` is not a vertex
+    /// of the base graph. Like [`PublishedIndex::labeling`] it ignores
+    /// journal merges; unlike it, it promises no stored per-vertex array.
+    ///
+    /// ```
+    /// use ampc_graph::Graph;
+    /// use ampc_serve::ServiceBuilder;
+    ///
+    /// let service = ServiceBuilder::new(Graph::from_edges(4, &[(0, 1), (2, 3)])).build().unwrap();
+    /// let snap = service.snapshot();
+    /// assert_eq!(snap.label(0), snap.label(1));
+    /// assert_ne!(snap.label(0), snap.label(2));
+    /// assert_eq!(snap.label(4), None);
+    /// ```
+    pub fn label(&self, v: VertexId) -> Option<u64> {
+        self.base.labeling.0.get(v as usize).copied()
     }
 
     /// The producing run's cost accounting.

@@ -267,10 +267,10 @@ fn boot_refuses_damaged_or_missing_snapshots() {
     // checksum error and publish nothing.
     let mut bytes = std::fs::read(&path).unwrap();
     let table = ampc_query::snapshot::section_table(&bytes).expect("table");
-    bytes[table[2].byte_off + 5] ^= 0x04;
+    bytes[table[1].byte_off + 5] ^= 0x04;
     std::fs::write(&path, &bytes).unwrap();
     match ServiceBuilder::from_snapshot(&path) {
-        Err(SnapshotError::ChecksumMismatch { section }) => assert_eq!(section, "members"),
+        Err(SnapshotError::ChecksumMismatch { section }) => assert_eq!(section, "class_label"),
         other => panic!("corrupt boot gave {:?}", other.err().map(|e| e.to_string())),
     }
 

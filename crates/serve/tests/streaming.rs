@@ -159,9 +159,10 @@ fn assert_journal_is_from_scratch(
     let snap = service.snapshot();
     let base = snap.index();
     // A base component's class is the oracle component of any member.
-    let class_of: Vec<u32> = (0..base.num_components() as u32)
-        .map(|c| oracle.component_of(base.members(c)[0]))
-        .collect();
+    let mut class_of = vec![0; base.num_components()];
+    for v in 0..n as VertexId {
+        class_of[base.component_of(v) as usize] = oracle.component_of(v);
+    }
     let scratch = JournalView::build(&class_of, base).expect("oracle ids fit the base");
     match snap.journal() {
         Some(journal) => assert_eq!(journal, &scratch, "{ctx}: journal != from-scratch freeze"),
