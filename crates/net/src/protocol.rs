@@ -59,6 +59,8 @@ pub const HEADER_LEN: usize = 16;
 pub const DEFAULT_MAX_PAYLOAD: u32 = 1 << 20;
 /// Bytes one encoded query occupies ([`encode_queries`]).
 pub const QUERY_WIRE_LEN: usize = 12;
+/// Bytes one encoded answer occupies ([`encode_answers`]).
+pub const ANSWER_WIRE_LEN: usize = 8;
 
 ampc_obs::catalog! {
     /// Frame opcodes. Requests have the high bit clear, responses set; the
@@ -403,24 +405,49 @@ pub fn decode_queries(payload: &[u8]) -> Result<Vec<Query>, ProtocolError> {
 /// [`decode_queries`] into a buffer the caller keeps; replaces its
 /// contents, which are unspecified after an error.
 pub fn decode_queries_into(payload: &[u8], out: &mut Vec<Query>) -> Result<(), ProtocolError> {
+    let n = check_queries(payload)?;
+    // Sized once, then every slot overwritten record by record.
+    out.resize(n, Query::TopKSize(0));
+    for (slot, rec) in out.iter_mut().zip(payload.chunks_exact(QUERY_WIRE_LEN)) {
+        *slot = decode_query(rec).ok_or(UNKNOWN_TAG)?;
+    }
+    Ok(())
+}
+
+const UNKNOWN_TAG: ProtocolError = ProtocolError::Malformed("unknown query tag");
+
+/// The validation sweep of a query batch payload: refuses a ragged length
+/// and any unknown tag with the errors [`decode_queries`] gives, touching
+/// nothing else. Returns the number of records, every one of which
+/// [`decode_query`] then decodes.
+pub(crate) fn check_queries(payload: &[u8]) -> Result<usize, ProtocolError> {
     if !payload.len().is_multiple_of(QUERY_WIRE_LEN) {
         return Err(ProtocolError::Malformed("query batch length not a multiple of 12"));
     }
-    // Sized once, then every slot overwritten record by record.
-    out.resize(payload.len() / QUERY_WIRE_LEN, Query::TopKSize(0));
-    for (slot, rec) in out.iter_mut().zip(payload.chunks_exact(QUERY_WIRE_LEN)) {
-        let tag = u32::from_le_bytes(rec[0..4].try_into().unwrap());
-        let a = u32::from_le_bytes(rec[4..8].try_into().unwrap());
-        let b = u32::from_le_bytes(rec[8..12].try_into().unwrap());
-        *slot = match tag {
-            TAG_CONNECTED => Query::Connected(a, b),
-            TAG_COMPONENT_OF => Query::ComponentOf(a),
-            TAG_COMPONENT_SIZE => Query::ComponentSize(a),
-            TAG_TOP_K_SIZE => Query::TopKSize(a),
-            _ => return Err(ProtocolError::Malformed("unknown query tag")),
-        };
+    if payload.chunks_exact(QUERY_WIRE_LEN).any(|rec| decode_query(rec).is_none()) {
+        return Err(UNKNOWN_TAG);
     }
-    Ok(())
+    Ok(payload.len() / QUERY_WIRE_LEN)
+}
+
+/// One [`QUERY_WIRE_LEN`]-byte record as its query, `None` for an unknown
+/// tag: the one wire tag → variant table on the decode side
+/// ([`encode_queries_into`] holds the inverse).
+#[inline(always)]
+pub(crate) fn decode_query(rec: &[u8]) -> Option<Query> {
+    let (a, b) = (read_u32(rec, 4), read_u32(rec, 8));
+    Some(match read_u32(rec, 0) {
+        TAG_CONNECTED => Query::Connected(a, b),
+        TAG_COMPONENT_OF => Query::ComponentOf(a),
+        TAG_COMPONENT_SIZE => Query::ComponentSize(a),
+        TAG_TOP_K_SIZE => Query::TopKSize(a),
+        _ => return None,
+    })
+}
+
+#[inline(always)]
+fn read_u32(rec: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(rec[at..at + 4].try_into().unwrap())
 }
 
 /// Encodes an answer array: one u64 per query, request order.
@@ -432,8 +459,8 @@ pub fn encode_answers(answers: &[u64]) -> Vec<u8> {
 
 /// [`encode_answers`] into a buffer the caller keeps; replaces its contents.
 pub fn encode_answers_into(answers: &[u64], out: &mut Vec<u8>) {
-    out.resize(answers.len() * 8, 0);
-    for (rec, &a) in out.chunks_exact_mut(8).zip(answers) {
+    out.resize(answers.len() * ANSWER_WIRE_LEN, 0);
+    for (rec, &a) in out.chunks_exact_mut(ANSWER_WIRE_LEN).zip(answers) {
         rec.copy_from_slice(&a.to_le_bytes());
     }
 }

@@ -26,18 +26,24 @@
 //!
 //! # One pass, one write, no allocation per frame
 //!
-//! A connection owns four buffers (`FrameBufs`: request payload, decoded
-//! queries, answers, reply payload) and reuses them for every frame it
-//! serves, so a steady stream of frames allocates nothing: the read
-//! resizes the payload buffer, the codecs' `*_into` forms overwrite the
-//! others in place. The stages stay separate — decode, pin, pass, encode —
-//! and the pass is `throughput::timed_pass`: the whole frame under one
-//! clock pair, its amortised ns/query recorded once into
-//! `net_request_service_ns`, weighted by the frame's length. Nothing in the
-//! per-query loop reads a clock or touches a histogram. Every reply leaves
-//! as one gathered write of header and payload (`write_frame`). The buffers
-//! grow to the largest frame the connection sent — at most `max_payload`
-//! and what it decodes to — and are freed with the connection.
+//! A connection owns two buffers (`FrameBufs`: request payload and reply
+//! payload) and reuses them for every frame it serves, so a steady stream
+//! of frames allocates nothing: the read resizes the payload buffer, the
+//! pass overwrites the reply in place. A `QueryBatch` frame is first
+//! swept for a ragged length or an unknown tag (`protocol::check_queries`),
+//! before the snapshot pin and the clock, so a refused frame pins and
+//! records nothing. Then one pass under `throughput::timed_frame` walks the
+//! records: each is decoded by the same `protocol::decode_query` that
+//! `decode_queries` uses, answered by `QueryEngine::answer`, and its `u64`
+//! written little-endian straight into the reply — no `Vec<Query>` and no
+//! `Vec<u64>` in between. The frame's amortised ns/query (decode, answer
+//! and encode together) goes once into `net_request_service_ns`, weighted
+//! by its length, and `query_served_total` advances once by the length.
+//! Nothing in the per-query loop reads a clock or touches a histogram.
+//! Every reply leaves as one gathered write of header and payload
+//! (`write_frame`). The buffers grow to the largest frame the connection
+//! sent — at most `max_payload` and two thirds of that — and are freed
+//! with the connection.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -46,16 +52,16 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ampc_obs::{counter, gauge, hist, CounterId, GaugeId, HistId, Histogram};
-use ampc_query::throughput::timed_pass;
-use ampc_query::Query;
+use ampc_obs::{counter, gauge, hist, CounterId, GaugeId, HistId, Histogram, MonotonicClock};
+use ampc_query::throughput::timed_frame;
+use ampc_query::NO_ANSWER;
 use ampc_serve::fault::{self, Site};
 use ampc_serve::{ServeError, ServiceHandle};
 
 use crate::protocol::{
-    decode_edges, decode_queries_into, encode_answers_into, encode_error, read_frame_into,
-    write_frame, ErrorCode, Header, NetError, Opcode, ProtocolError, WireHealth, WireInsertReport,
-    DEFAULT_MAX_PAYLOAD,
+    check_queries, decode_edges, decode_query, encode_error, read_frame_into, write_frame,
+    ErrorCode, Header, NetError, Opcode, ProtocolError, WireHealth, WireInsertReport,
+    ANSWER_WIRE_LEN, DEFAULT_MAX_PAYLOAD, QUERY_WIRE_LEN,
 };
 
 /// Tunables for [`serve`].
@@ -171,9 +177,9 @@ impl ServerHandle {
     }
 
     /// Snapshot of the per-server service-time histogram: each answered
-    /// frame's engine pass divided by its length, recorded once per frame
-    /// with the length as weight — `count` is queries served, a value is
-    /// that frame's amortised ns/query, the wire excluded.
+    /// frame's decode + answer + encode pass divided by its length, recorded
+    /// once per frame with the length as weight — `count` is queries served,
+    /// a value is that frame's amortised ns/query, the wire excluded.
     pub fn service_latency(&self) -> ampc_obs::HistSnapshot {
         self.shared.service_hist.snapshot()
     }
@@ -335,30 +341,36 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
 struct FrameBufs {
     /// The request payload as read off the socket.
     payload: Vec<u8>,
-    queries: Vec<Query>,
-    answers: Vec<u64>,
     /// The encoded `RespAnswers` payload.
     reply: Vec<u8>,
 }
 
 /// Answers the `QueryBatch` payload in `bufs.payload`, leaving the encoded
-/// reply in `bufs.reply`: decode, pin one snapshot, one timed pass, encode.
-/// On a decode error `bufs.reply` is left as it was and nothing is recorded.
+/// reply in `bufs.reply`: validate, pin one snapshot, then one timed pass
+/// that decodes each record, answers it and writes the answer's bytes. On
+/// a malformed payload `bufs.reply` is left as it was, nothing is pinned
+/// and nothing is recorded.
 fn answer_query_batch(
     service: &ServiceHandle,
     service_hist: &Histogram,
     bufs: &mut FrameBufs,
 ) -> Result<(), ProtocolError> {
-    let FrameBufs { payload, queries, answers, reply } = bufs;
-    decode_queries_into(payload, queries)?;
+    let FrameBufs { payload, reply } = bufs;
+    let n = check_queries(payload)?;
     // Pin one snapshot for the whole frame: every answer in this batch
     // comes from one epoch, whatever publishes meanwhile.
     let snapshot = service.snapshot();
     let engine = snapshot.engine();
-    answers.clear();
-    answers.reserve(queries.len());
-    timed_pass(&engine, queries, service_hist, hist(HistId::NetServiceNs), |a| answers.push(a));
-    encode_answers_into(answers, reply);
+    reply.resize(n * ANSWER_WIRE_LEN, 0);
+    timed_frame(&MonotonicClock, n, service_hist, hist(HistId::NetServiceNs), || {
+        let records = payload.chunks_exact(QUERY_WIRE_LEN);
+        for (out, rec) in reply.chunks_exact_mut(ANSWER_WIRE_LEN).zip(records) {
+            // Every tag was checked above; `NO_ANSWER` keeps the pass total.
+            let answer = decode_query(rec).map_or(NO_ANSWER, |q| engine.answer(q));
+            out.copy_from_slice(&answer.to_le_bytes());
+        }
+    });
+    counter(CounterId::QueriesServed).add(n as u64);
     Ok(())
 }
 
@@ -463,14 +475,15 @@ fn protocol_reject(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{decode_answers, encode_queries, QUERY_WIRE_LEN};
+    use crate::protocol::{decode_answers, encode_queries};
     use ampc_graph::generators::random_forest;
     use ampc_query::workload::{self, Mix};
+    use ampc_query::Query;
     use ampc_serve::ServiceBuilder;
 
-    /// The four buffers of a connection: a frame refused at its last record
+    /// The two buffers of a connection: a frame refused at its last record
     /// leaves them fit to answer the next frame exactly, and a second frame
-    /// of the same size is answered in the same four allocations — which is
+    /// of the same size is answered in the same two allocations — which is
     /// how "a steady-state frame allocates no buffer" is checked.
     #[test]
     fn frame_buffers_survive_a_refused_frame_and_are_not_reallocated() {
@@ -487,9 +500,7 @@ mod tests {
         bufs.payload = encode_queries(&first);
         answer_query_batch(&service, &hist, &mut bufs).expect("valid frame");
         assert_eq!(decode_answers(&bufs.reply).expect("reply"), expected(&first));
-        let allocations = |b: &FrameBufs| {
-            (b.payload.as_ptr(), b.queries.as_ptr(), b.answers.as_ptr(), b.reply.as_ptr())
-        };
+        let allocations = |b: &FrameBufs| (b.payload.as_ptr(), b.reply.as_ptr());
         let (before, reply) = (allocations(&bufs), bufs.reply.clone());
 
         let last = bufs.payload.len() - QUERY_WIRE_LEN;
@@ -505,7 +516,7 @@ mod tests {
         crate::protocol::encode_queries_into(&second, &mut bufs.payload);
         answer_query_batch(&service, &hist, &mut bufs).expect("valid frame");
         assert_eq!(decode_answers(&bufs.reply).expect("reply"), expected(&second));
-        assert_eq!(allocations(&bufs), before, "same size, same four allocations");
+        assert_eq!(allocations(&bufs), before, "same size, same two allocations");
         assert_eq!(hist.snapshot().count, 2000);
     }
 }

@@ -11,7 +11,9 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use ampc_graph::generators::random_forest;
-use ampc_net::protocol::{decode_error, encode_header, encode_queries, HEADER_LEN, MAGIC, VERSION};
+use ampc_net::protocol::{
+    decode_error, encode_header, encode_queries, HEADER_LEN, MAGIC, QUERY_WIRE_LEN, VERSION,
+};
 use ampc_net::{Connection, ErrorCode, Opcode, ServerConfig};
 use ampc_query::Query;
 use ampc_serve::ServiceBuilder;
@@ -19,14 +21,14 @@ use ampc_serve::ServiceBuilder;
 const N: usize = 200;
 
 fn start_server() -> ampc_net::ServerHandle {
+    start_server_with(4096)
+}
+
+fn start_server_with(max_payload: u32) -> ampc_net::ServerHandle {
     let service = ServiceBuilder::new(random_forest(N, 4, 0xBAD)).build().expect("service");
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    ampc_net::serve(
-        service,
-        listener,
-        ServerConfig { workers: 2, queue_depth: 8, max_payload: 4096 },
-    )
-    .expect("serve")
+    ampc_net::serve(service, listener, ServerConfig { workers: 2, queue_depth: 8, max_payload })
+        .expect("serve")
 }
 
 /// Sends raw bytes, expects one typed error frame with `code`, then EOF
@@ -122,6 +124,27 @@ fn server_survives_every_attack() {
 
     // Leak check: shutdown must join every worker even after the attacks.
     server.shutdown();
+}
+
+/// The server validates a whole frame before it answers any of it: a
+/// 4096-query frame whose *last* tag is unknown gets a typed `Malformed`
+/// close, the server stays up, and the service histogram records nothing
+/// for the 4095 valid records ahead of the bad one.
+#[test]
+fn bad_last_tag_of_a_large_frame_is_refused_before_any_answer() {
+    let server = start_server_with(1 << 20);
+    let addr = server.local_addr();
+    let queries: Vec<Query> = (0..4096).map(|i| Query::ComponentSize(i % N as u32)).collect();
+    let mut payload = encode_queries(&queries);
+    let last = payload.len() - QUERY_WIRE_LEN;
+    payload[last] = 0x99;
+    let mut frame = encode_header(Opcode::QueryBatch, payload.len() as u32, 1).to_vec();
+    frame.extend_from_slice(&payload);
+
+    expect_typed_close(addr, &frame, ErrorCode::Malformed);
+    assert_eq!(server.service_latency().count, 0, "a refused frame records nothing");
+    assert_server_alive(addr);
+    assert_eq!(server.service_latency().count, 1, "the next frame is served and recorded");
 }
 
 /// A peer that dribbles one byte at a time is slow, not malformed: the

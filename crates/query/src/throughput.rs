@@ -3,13 +3,15 @@
 //! A frame of queries is answered under **one** clock pair and recorded
 //! **once**: [`timed_frame`] reads the clock twice around whatever answers
 //! the frame and records the amortised ns/query weighted by the frame's
-//! length, [`answer_frame`] is the untimed engine loop, and [`timed_pass`]
-//! is the two together — what the network server runs on a `QueryBatch`
-//! frame. The closed-loop runner (`ampc_serve::driver`) times its frames
-//! through the same [`timed_frame`], in process around [`answer_frame`] and
-//! over TCP around the round trip, so every latency figure of the workspace
-//! is this instrument: a value is a frame's mean, never one query's own
-//! time, and nothing inside the per-query loop reads a clock.
+//! length, and [`answer_frame`] is the untimed engine loop over decoded
+//! queries. The network server runs its own one-pass loop under
+//! [`timed_frame`]: it decodes, answers and encodes each record of a
+//! `QueryBatch` payload with no `Query` slice in between. The closed-loop
+//! runner (`ampc_serve::driver`) times its frames through the same
+//! [`timed_frame`], in process around [`answer_frame`] and over TCP around
+//! the round trip, so every latency figure of the workspace is this
+//! instrument: a value is a frame's mean, never one query's own time, and
+//! nothing inside the per-query loop reads a clock.
 
 use ampc_obs::{Clock, CounterId, Histogram, MonotonicClock};
 
@@ -60,10 +62,12 @@ pub fn timed_frame<R>(
     (out, elapsed)
 }
 
-/// [`answer_frame`] under [`timed_frame`] on the process clock: the server
-/// records into `net_request_service_ns` and keeps the answers to encode a
-/// reply frame; wire latency is measured client-side around the round
-/// trip, so the two come out as separate histograms.
+/// [`answer_frame`] under [`timed_frame`] on the process clock.
+///
+/// No serving path calls this any more: the server answers a frame in one
+/// pass over its payload. It stays only because the ledger's traced wire
+/// run replays the server's former stages through it; it goes when the
+/// ledger adopts the stable spellings (ROADMAP item 1j).
 pub fn timed_pass(
     engine: &QueryEngine,
     queries: &[Query],

@@ -15,9 +15,11 @@
 //! over TCP a connection with reconnect-and-retry (`ampc_net::run_harness`).
 //! Either way a frame is timed by `throughput::timed_frame`: exactly two
 //! clock reads per frame, none per query, the frame's mean recorded once
-//! with its length as weight — the instrument the server's
-//! `net_request_service_ns` is, so the in-process figure and the
-//! server-side one are comparable.
+//! with its length as weight. The server's `net_request_service_ns` is the
+//! same instrument around its one pass over a `QueryBatch` payload, so it
+//! times decode + answer + encode where the in-process figure times the
+//! engine over decoded queries; the difference between the two is the
+//! wire codec's share.
 
 use std::convert::Infallible;
 
