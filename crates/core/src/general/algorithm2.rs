@@ -21,7 +21,7 @@
 //! `T = Ω(m + n log^(k) n)`; experiment E5 measures exactly this count.
 
 use ampc::{AmpcConfig, AmpcResult, DhtBackend, RunStats};
-use ampc_graph::contract::contract;
+use ampc_graph::contract::{compose_labels, contract};
 use ampc_graph::{reference_components, Graph, Labeling};
 
 use crate::general::bdeplus::theorem41;
@@ -204,7 +204,7 @@ impl Driver<'_> {
         let contraction = contract(g, &c);
         self.stats.charge_external(1, 2 * m, n + 2 * m);
         let c2 = self.shrink_recurse(&contraction.graph, depth)?;
-        let labels: Vec<u64> = contraction.class_of.iter().map(|&cls| c2[cls as usize]).collect();
+        let labels = compose_labels(&contraction, &c2);
         self.stats.charge_external(1, n, n);
         Ok(labels)
     }

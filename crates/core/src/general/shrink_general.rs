@@ -219,11 +219,6 @@ pub fn shrink_general(
     // Step 4: label the rooted super-edge forest (Claim 4.12).
     let (labels3, chase_rounds) =
         chase_roots(&mut sys, "sg-chase", SUPER, n3, chase_cap.max(2), 32)?;
-    // Labels are root vertex ids: count the first sighting of each.
-    let roots = {
-        let mut seen = vec![false; n3];
-        labels3.iter().filter(|&&r| !std::mem::replace(&mut seen[r as usize], true)).count()
-    };
 
     // Contract(G3, C) — cited O(1)-round primitive, charged.
     let contraction = contract(&d3.graph, &labels3);
@@ -239,11 +234,12 @@ pub fn shrink_general(
 
     let (_, stats) = sys.finish();
     Ok(ShrinkGeneralOutcome {
+        // One vertex of H per root, i.e. per class of C.
+        roots: contraction.graph.n(),
         h: contraction.graph,
         to_h,
         stats,
         bfs_queries,
-        roots,
         n3,
         chase_rounds,
     })

@@ -8,39 +8,24 @@
 //! published cost to their AMPC meters (see DESIGN.md, "Charging model").
 
 use crate::csr::{Graph, VertexId};
+use crate::labeling::{relabel, Relabeled};
 
 /// Result of a contraction.
 #[derive(Clone, Debug)]
 pub struct Contraction {
-    /// The contracted graph over dense new vertex ids.
+    /// The contracted graph over dense new vertex ids, one per class.
     pub graph: Graph,
     /// `class_of[v]` = new vertex id that old vertex `v` contracted into.
     pub class_of: Vec<VertexId>,
-    /// Number of vertices of the contracted graph.
-    pub new_n: usize,
 }
 
 /// Contracts `g` along `mapping` (one value per vertex; equal values merge).
 ///
-/// New vertex ids are assigned by first appearance order of each class's
-/// minimum original vertex, making the output deterministic.
+/// New vertex ids are the classes' [`relabel`] ids: assigned in order of
+/// each class's minimum original vertex, making the output deterministic.
 pub fn contract(g: &Graph, mapping: &[u64]) -> Contraction {
     assert_eq!(mapping.len(), g.n(), "mapping must cover every vertex");
-
-    // Compact the label classes to dense ids, ordered by first appearance.
-    use std::collections::HashMap;
-    let mut class_ids: HashMap<u64, VertexId> = HashMap::with_capacity(g.n());
-    let mut class_of = vec![0 as VertexId; g.n()];
-    let mut next: VertexId = 0;
-    for v in 0..g.n() {
-        let id = *class_ids.entry(mapping[v]).or_insert_with(|| {
-            let id = next;
-            next += 1;
-            id
-        });
-        class_of[v] = id;
-    }
-    let new_n = next as usize;
+    let Relabeled { class_of, sizes } = relabel(mapping);
 
     let edges: Vec<(VertexId, VertexId)> = g
         .edges()
@@ -48,7 +33,7 @@ pub fn contract(g: &Graph, mapping: &[u64]) -> Contraction {
         .filter(|&(a, b)| a != b)
         .collect();
 
-    Contraction { graph: Graph::from_edges(new_n, &edges), class_of, new_n }
+    Contraction { graph: Graph::from_edges(sizes.len(), &edges), class_of }
 }
 
 /// Projects a CC-labeling of the contracted graph back to the original
@@ -67,7 +52,7 @@ mod tests {
         // Path 0-1-2-3; contract {0,1} and {2,3}.
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let c = contract(&g, &[10, 10, 20, 20]);
-        assert_eq!(c.new_n, 2);
+        assert_eq!(c.graph.n(), 2);
         assert_eq!(c.graph.m(), 1); // the 1-2 edge survives; loops dropped
         assert_eq!(c.class_of, vec![0, 0, 1, 1]);
     }
@@ -78,7 +63,7 @@ mod tests {
         // four parallel edges → one edge.
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
         let c = contract(&g, &[1, 2, 1, 2]);
-        assert_eq!(c.new_n, 2);
+        assert_eq!(c.graph.n(), 2);
         assert_eq!(c.graph.m(), 1);
     }
 
@@ -98,7 +83,7 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 1), (2, 3), (3, 4)]);
         let ids: Vec<u64> = (0..5).collect();
         let c = contract(&g, &ids);
-        assert_eq!(c.new_n, 5);
+        assert_eq!(c.graph.n(), 5);
         assert_eq!(c.graph.m(), g.m());
     }
 
@@ -107,7 +92,7 @@ mod tests {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
         let labels = reference_components(&g);
         let c = contract(&g, &labels.0);
-        assert_eq!(c.new_n, 2);
+        assert_eq!(c.graph.n(), 2);
         assert_eq!(c.graph.m(), 0);
     }
 

@@ -12,7 +12,10 @@
 //! * [`contract`] — the `Contract(G, C)` CC-shrinking primitive
 //!   (Observation 2.2);
 //! * [`UnionFind`] / [`Labeling`] — sequential ground truth and CC-labeling
-//!   comparison, used to validate every AMPC run.
+//!   comparison, used to validate every AMPC run;
+//! * [`relabel`] — the one relabel of a partition to dense class ids, which
+//!   `Contract`, the labeling comparisons, the metrics and the query
+//!   crate's component index all read.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,5 +31,5 @@ pub mod metrics;
 mod unionfind;
 
 pub use csr::{Graph, VertexId};
-pub use labeling::{reference_components, Labeling};
+pub use labeling::{reference_components, relabel, Labeling, Relabeled};
 pub use unionfind::UnionFind;

@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 
 use crate::csr::{Graph, VertexId};
-use crate::labeling::reference_components;
+use crate::labeling::{reference_components, relabel, Relabeled};
 
 /// Summary statistics of a graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,18 +31,18 @@ pub struct GraphMetrics {
 
 /// Computes [`GraphMetrics`] for `g`.
 pub fn metrics(g: &Graph) -> GraphMetrics {
-    let labels = reference_components(g);
-    let sizes = labels.component_sizes();
-    let largest = sizes.values().copied().max().unwrap_or(0);
+    let Relabeled { class_of, sizes } = relabel(&reference_components(g).0);
+    let largest = sizes.iter().copied().max().unwrap_or(0);
     let isolated = (0..g.n() as VertexId).filter(|&v| g.degree(v) == 0).count();
 
-    // Double sweep from a vertex of the largest component.
-    let diameter_lower_bound = sizes
+    // Double sweep from the first vertex of a largest component: the minimum
+    // of the lowest-id one, so ties between largest components always start
+    // in the same place.
+    let diameter_lower_bound = class_of
         .iter()
-        .find(|&(_, &s)| s == largest)
-        .and_then(|(&label, _)| (0..g.n() as VertexId).find(|&v| labels.get(v) == label))
+        .position(|&d| sizes[d as usize] == largest)
         .map(|start| {
-            let (far, _) = bfs_farthest(g, start);
+            let (far, _) = bfs_farthest(g, start as VertexId);
             let (_, dist) = bfs_farthest(g, far);
             dist
         })
@@ -52,7 +52,7 @@ pub fn metrics(g: &Graph) -> GraphMetrics {
         n: g.n(),
         m: g.m(),
         components: sizes.len(),
-        largest_component: largest,
+        largest_component: largest as usize,
         isolated,
         max_degree: g.max_degree(),
         mean_degree: if g.n() == 0 { 0.0 } else { 2.0 * g.m() as f64 / g.n() as f64 },
@@ -132,6 +132,17 @@ mod tests {
     }
 
     use crate::Graph;
+
+    #[test]
+    fn diameter_sweep_starts_in_the_same_largest_component_every_call() {
+        // path(10) ⊔ star(10): two largest components of diameter 9 and 2.
+        let mut edges: Vec<(VertexId, VertexId)> = (0..9).map(|v| (v, v + 1)).collect();
+        edges.extend((11..20).map(|v| (10, v)));
+        let g = Graph::from_edges(20, &edges);
+        for call in 0..64 {
+            assert_eq!(metrics(&g).diameter_lower_bound, 9, "call {call}");
+        }
+    }
 
     #[test]
     fn empty_graph_metrics() {

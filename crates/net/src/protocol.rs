@@ -373,15 +373,8 @@ const TAG_TOP_K_SIZE: u32 = 3;
 /// Encodes a query batch: [`QUERY_WIRE_LEN`] bytes per query — tag u32,
 /// operand `a` u32, operand `b` u32 (zero where unused).
 pub fn encode_queries(queries: &[Query]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_queries_into(queries, &mut out);
-    out
-}
-
-/// [`encode_queries`] into a buffer the caller keeps; replaces its contents.
-pub fn encode_queries_into(queries: &[Query], out: &mut Vec<u8>) {
     // Sized once, then every byte overwritten record by record.
-    out.resize(queries.len() * QUERY_WIRE_LEN, 0);
+    let mut out = vec![0; queries.len() * QUERY_WIRE_LEN];
     for (rec, &q) in out.chunks_exact_mut(QUERY_WIRE_LEN).zip(queries) {
         let (tag, a, b) = match q {
             Query::Connected(u, v) => (TAG_CONNECTED, u, v),
@@ -393,28 +386,15 @@ pub fn encode_queries_into(queries: &[Query], out: &mut Vec<u8>) {
         rec[4..8].copy_from_slice(&a.to_le_bytes());
         rec[8..12].copy_from_slice(&b.to_le_bytes());
     }
+    out
 }
 
 /// Decodes a query batch payload; refuses ragged lengths and unknown tags.
 pub fn decode_queries(payload: &[u8]) -> Result<Vec<Query>, ProtocolError> {
-    let mut out = Vec::new();
-    decode_queries_into(payload, &mut out)?;
-    Ok(out)
+    check_queries(payload)?;
+    let decode = |rec| decode_query(rec).expect("check_queries refused every unknown tag");
+    Ok(payload.chunks_exact(QUERY_WIRE_LEN).map(decode).collect())
 }
-
-/// [`decode_queries`] into a buffer the caller keeps; replaces its
-/// contents, which are unspecified after an error.
-pub fn decode_queries_into(payload: &[u8], out: &mut Vec<Query>) -> Result<(), ProtocolError> {
-    let n = check_queries(payload)?;
-    // Sized once, then every slot overwritten record by record.
-    out.resize(n, Query::TopKSize(0));
-    for (slot, rec) in out.iter_mut().zip(payload.chunks_exact(QUERY_WIRE_LEN)) {
-        *slot = decode_query(rec).ok_or(UNKNOWN_TAG)?;
-    }
-    Ok(())
-}
-
-const UNKNOWN_TAG: ProtocolError = ProtocolError::Malformed("unknown query tag");
 
 /// The validation sweep of a query batch payload: refuses a ragged length
 /// and any unknown tag with the errors [`decode_queries`] gives, touching
@@ -425,14 +405,14 @@ pub(crate) fn check_queries(payload: &[u8]) -> Result<usize, ProtocolError> {
         return Err(ProtocolError::Malformed("query batch length not a multiple of 12"));
     }
     if payload.chunks_exact(QUERY_WIRE_LEN).any(|rec| decode_query(rec).is_none()) {
-        return Err(UNKNOWN_TAG);
+        return Err(ProtocolError::Malformed("unknown query tag"));
     }
     Ok(payload.len() / QUERY_WIRE_LEN)
 }
 
 /// One [`QUERY_WIRE_LEN`]-byte record as its query, `None` for an unknown
 /// tag: the one wire tag → variant table on the decode side
-/// ([`encode_queries_into`] holds the inverse).
+/// ([`encode_queries`] holds the inverse).
 #[inline(always)]
 pub(crate) fn decode_query(rec: &[u8]) -> Option<Query> {
     let (a, b) = (read_u32(rec, 4), read_u32(rec, 8));
@@ -452,17 +432,11 @@ fn read_u32(rec: &[u8], at: usize) -> u32 {
 
 /// Encodes an answer array: one u64 per query, request order.
 pub fn encode_answers(answers: &[u64]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_answers_into(answers, &mut out);
-    out
-}
-
-/// [`encode_answers`] into a buffer the caller keeps; replaces its contents.
-pub fn encode_answers_into(answers: &[u64], out: &mut Vec<u8>) {
-    out.resize(answers.len() * ANSWER_WIRE_LEN, 0);
+    let mut out = vec![0; answers.len() * ANSWER_WIRE_LEN];
     for (rec, &a) in out.chunks_exact_mut(ANSWER_WIRE_LEN).zip(answers) {
         rec.copy_from_slice(&a.to_le_bytes());
     }
+    out
 }
 
 /// Decodes an answer array payload.
@@ -666,6 +640,8 @@ mod tests {
         let bytes = encode_queries(&queries);
         assert_eq!(bytes.len(), queries.len() * QUERY_WIRE_LEN);
         assert_eq!(decode_queries(&bytes).expect("roundtrip"), queries);
+        assert!(encode_queries(&[]).is_empty());
+        assert_eq!(decode_queries(&[]).expect("empty batch"), []);
 
         assert!(decode_queries(&bytes[..5]).is_err(), "ragged length must be refused");
         let mut bad_tag = bytes.clone();
@@ -761,43 +737,6 @@ mod tests {
             let frame = read_frame(&mut StalledPeer(&wire[..sent]), DEFAULT_MAX_PAYLOAD, || false);
             assert!(matches!(frame, Ok(None)), "{sent} bytes in, then shutdown: {frame:?}");
         }
-    }
-
-    #[test]
-    fn into_codecs_equal_their_wrappers_and_keep_the_buffer() {
-        let queries: Vec<Query> = (0..300u32)
-            .map(|i| match i % 4 {
-                0 => Query::Connected(i, i + 1),
-                1 => Query::ComponentOf(i),
-                2 => Query::ComponentSize(i),
-                _ => Query::TopKSize(i),
-            })
-            .collect();
-        let answers: Vec<u64> =
-            (0..300u64).map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).collect();
-
-        // Buffers that start longer, shorter and with stale contents.
-        let (mut bytes, mut decoded, mut reply) =
-            (vec![0xAB; 5000], vec![Query::TopKSize(9)], vec![]);
-        encode_queries_into(&queries, &mut bytes);
-        assert_eq!(bytes, encode_queries(&queries));
-        decode_queries_into(&bytes, &mut decoded).expect("own encoding");
-        assert_eq!(decoded, queries);
-        encode_answers_into(&answers, &mut reply);
-        assert_eq!(reply, encode_answers(&answers));
-        assert_eq!(decode_answers(&reply).expect("answers"), answers);
-
-        // A second frame of the same size lands in the same allocations.
-        let before = (bytes.as_ptr(), decoded.as_ptr(), reply.as_ptr());
-        encode_queries_into(&queries, &mut bytes);
-        decode_queries_into(&bytes, &mut decoded).expect("own encoding");
-        encode_answers_into(&answers, &mut reply);
-        assert_eq!(before, (bytes.as_ptr(), decoded.as_ptr(), reply.as_ptr()));
-
-        // An empty batch empties the buffers.
-        encode_queries_into(&[], &mut bytes);
-        decode_queries_into(&bytes, &mut decoded).expect("empty batch");
-        assert!(bytes.is_empty() && decoded.is_empty());
     }
 
     #[test]

@@ -513,7 +513,8 @@ mod tests {
         assert_eq!(hist.snapshot().count, 1000, "and records nothing");
 
         let second = frame(2);
-        crate::protocol::encode_queries_into(&second, &mut bufs.payload);
+        // A same-size frame lands in place, as `read_frame_into` reads it.
+        bufs.payload.copy_from_slice(&encode_queries(&second));
         answer_query_batch(&service, &hist, &mut bufs).expect("valid frame");
         assert_eq!(decode_answers(&bufs.reply).expect("reply"), expected(&second));
         assert_eq!(allocations(&bufs), before, "same size, same two allocations");

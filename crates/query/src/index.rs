@@ -2,11 +2,12 @@
 //!
 //! [`ComponentIndex::build`] rank-remaps the arbitrary 64-bit labels of a
 //! [`Labeling`] to dense component ids `0..num_components`, assigned in
-//! order of each component's minimum member vertex. The remapping makes the
-//! index a pure function of the *partition* rather than of the label
-//! values, so an AMPC run and the sequential union-find reference build
-//! byte-identical indexes — and it shrinks the per-vertex word from `u64`
-//! to `u32`, halving the hot array.
+//! order of each component's minimum member vertex: the graph crate's
+//! [`relabel`], which `Contract` and the labeling comparisons read too. The
+//! remapping makes the index a pure function of the *partition* rather
+//! than of the label values, so an AMPC run and the sequential union-find
+//! reference build byte-identical indexes — and it shrinks the per-vertex
+//! word from `u64` to `u32`, halving the hot array.
 //!
 //! The index is the partition and nothing derived from it that no query
 //! reads (no hashing anywhere on the query path):
@@ -23,7 +24,7 @@
 
 use std::cmp::Reverse;
 
-use ampc_graph::{Graph, Labeling, VertexId};
+use ampc_graph::{relabel, Graph, Labeling, Relabeled, VertexId};
 
 /// Dense component identifier in `0..num_components`.
 pub type ComponentId = u32;
@@ -91,93 +92,24 @@ pub struct ComponentIndex {
     classes: ClassTable,
 }
 
-/// Open-addressed `u64 label → ComponentId` table, sized from the labeling
-/// so the load factor never exceeds 1/2 and no resize ever happens.
-/// Replaces the `HashMap::entry` probe that dominated index builds: one
-/// multiply-xorshift mix plus linear probing over flat arrays.
-struct LabelInterner {
-    keys: Vec<u64>,
-    /// `ComponentId::MAX` marks an empty slot. A real id can never collide
-    /// with the sentinel: ids are `0..c` with `c ≤ n ≤ u32::MAX`, so the
-    /// largest assignable id is `u32::MAX - 1`.
-    vals: Vec<ComponentId>,
-    mask: usize,
-    len: ComponentId,
-}
-
-/// SplitMix64 finalizer — the same full-avalanche mix family the DHT's
-/// `PackedKeyHasher` uses, so adversarial label values cannot cluster.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-impl LabelInterner {
-    fn sized_for(n: usize) -> Self {
-        // ≤ n distinct labels can occur, so 2n slots (next power of two)
-        // bound the load factor at 1/2 — probes stay O(1) expected.
-        let cap = (n.max(8) * 2).next_power_of_two();
-        LabelInterner {
-            keys: vec![0; cap],
-            vals: vec![ComponentId::MAX; cap],
-            mask: cap - 1,
-            len: 0,
-        }
-    }
-
-    /// Dense id of `label`, assigning the next id on first sight.
-    #[inline]
-    fn intern(&mut self, label: u64) -> ComponentId {
-        let mut i = (mix64(label) as usize) & self.mask;
-        loop {
-            let v = self.vals[i];
-            if v == ComponentId::MAX {
-                let id = self.len;
-                self.keys[i] = label;
-                self.vals[i] = id;
-                self.len += 1;
-                return id;
-            }
-            if self.keys[i] == label {
-                return v;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-}
-
 impl ComponentIndex {
     /// The one constructor: `comp_of` in first-appearance canonical form
     /// and `sizes[d]`, the number of vertices it maps to `d`.
-    /// [`ComponentIndex::build`] counts them while interning,
-    /// [`crate::snapshot::decode`] while validating.
+    /// [`ComponentIndex::build`] takes both from [`relabel`],
+    /// [`crate::snapshot::decode`] counts them while validating.
     pub(crate) fn from_parts(comp_of: Vec<ComponentId>, sizes: Vec<u32>) -> Self {
         ComponentIndex { comp_of, classes: ClassTable::ranked(sizes) }
     }
 
     /// Builds the index from a labeling.
     ///
-    /// Dense ids are assigned in order of first appearance scanning
-    /// vertices `0..n`, i.e. components are numbered by their minimum
-    /// member vertex — deterministic for any labeling of the same
-    /// partition. The only hashing happens here, once, at build time, in
-    /// a flat open-addressed table sized from the labeling.
+    /// Dense ids are the [`relabel`] ids: assigned in order of first
+    /// appearance scanning vertices `0..n`, i.e. components are numbered by
+    /// their minimum member vertex — deterministic for any labeling of the
+    /// same partition. The only hashing happens there, once, at build time.
     pub fn build(labeling: &Labeling) -> Self {
-        let n = labeling.len();
-        let mut interner = LabelInterner::sized_for(n);
-        let mut comp_of = Vec::with_capacity(n);
-        let mut sizes = Vec::new();
-        for &label in &labeling.0 {
-            let d = interner.intern(label);
-            if d as usize == sizes.len() {
-                sizes.push(0);
-            }
-            sizes[d as usize] += 1;
-            comp_of.push(d);
-        }
-        Self::from_parts(comp_of, sizes)
+        let Relabeled { class_of, sizes } = relabel(&labeling.0);
+        Self::from_parts(class_of, sizes)
     }
 
     /// Builds the index from a pipeline run over `g`, refusing a labeling
@@ -242,17 +174,10 @@ impl ComponentIndex {
     ///
     /// # Panics
     /// Panics if either vertex is out of range; see
-    /// [`ComponentIndex::try_connected`].
+    /// [`crate::QueryEngine::try_answer`].
     #[inline]
     pub fn connected(&self, u: VertexId, v: VertexId) -> bool {
         self.comp_of[u as usize] == self.comp_of[v as usize]
-    }
-
-    /// Checked [`ComponentIndex::connected`]: `None` when either vertex is
-    /// out of range.
-    #[inline]
-    pub fn try_connected(&self, u: VertexId, v: VertexId) -> Option<bool> {
-        Some(self.try_component_of(u)? == self.try_component_of(v)?)
     }
 
     /// Number of vertices in component `c`. One array read.
@@ -265,17 +190,10 @@ impl ComponentIndex {
     ///
     /// # Panics
     /// Panics if `v` is out of range; see
-    /// [`ComponentIndex::try_component_size`].
+    /// [`crate::QueryEngine::try_answer`].
     #[inline]
     pub fn component_size(&self, v: VertexId) -> usize {
         self.size_of(self.component_of(v))
-    }
-
-    /// Checked [`ComponentIndex::component_size`]: `None` when `v` is out
-    /// of range.
-    #[inline]
-    pub fn try_component_size(&self, v: VertexId) -> Option<usize> {
-        Some(self.size_of(self.try_component_of(v)?))
     }
 
     /// The (at most) `k` largest components, largest first, ties by
@@ -313,6 +231,7 @@ impl std::fmt::Debug for ComponentIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ampc_graph::contract::contract;
     use ampc_graph::reference_components;
 
     fn index_of(labels: &[u64]) -> ComponentIndex {
@@ -369,12 +288,6 @@ mod tests {
         assert_eq!(idx.try_component_of(2), Some(0));
         assert_eq!(idx.try_component_of(3), None);
         assert_eq!(idx.try_component_of(u32::MAX), None);
-        assert_eq!(idx.try_connected(0, 2), Some(true));
-        assert_eq!(idx.try_connected(0, 1), Some(false));
-        assert_eq!(idx.try_connected(0, 3), None);
-        assert_eq!(idx.try_connected(9, 0), None);
-        assert_eq!(idx.try_component_size(1), Some(1));
-        assert_eq!(idx.try_component_size(3), None);
         // The empty index rejects every vertex.
         let empty = index_of(&[]);
         assert_eq!(empty.try_component_of(0), None);
@@ -410,7 +323,8 @@ mod tests {
             for v in 0..9u32 {
                 assert_eq!(idx.connected(u, v), truth.get(u) == truth.get(v), "({u},{v})");
             }
-            assert_eq!(idx.component_size(u), truth.component_sizes()[&truth.get(u)]);
+            let members = truth.iter().filter(|&(_, l)| l == truth.get(u)).count();
+            assert_eq!(idx.component_size(u), members);
         }
         assert!(idx.heap_bytes() > 0);
     }
@@ -427,19 +341,26 @@ mod tests {
     }
 
     #[test]
-    fn interner_survives_adversarial_labels() {
-        // Labels crafted to collide in the low bits: the mix must spread
-        // them, and ids must still follow first-appearance order.
-        let labels: Vec<u64> = (0..64u64).map(|i| i << 32).collect();
-        let idx = ComponentIndex::build(&Labeling(labels));
-        assert_eq!(idx.num_components(), 64);
-        for v in 0..64u32 {
-            assert_eq!(idx.component_of(v), v, "vertex {v} must open component {v}");
+    fn components_are_the_contraction_classes() {
+        // The index and `Contract` number a partition alike, whatever the
+        // label values: drawn ones, extremes, and ones equal in the low bits.
+        let mut rng = ampc::rng::SplitMix64::new(0x1DE);
+        let mut cases: Vec<Vec<u64>> = vec![vec![], vec![u64::MAX, 0, u64::MAX, 0, 1]];
+        cases.push((0..64u64).map(|i| (i % 9) << 40).collect());
+        for n in 1..60u64 {
+            // An odd factor maps class numbers to labels one to one.
+            let (classes, odd) = (1 + rng.next_below(n), rng.next_u64() | 1);
+            cases.push((0..n).map(|_| rng.next_below(classes).wrapping_mul(odd)).collect());
         }
-        // Extreme values intern cleanly too.
-        let idx = index_of(&[u64::MAX, 0, u64::MAX, 0, 1]);
-        assert_eq!(idx.num_components(), 3);
-        assert_eq!(idx.component_of(2), 0);
-        assert_eq!(idx.component_of(3), 1);
+        for labels in cases {
+            let contraction = contract(&Graph::empty(labels.len()), &labels);
+            let idx = index_of(&labels);
+            assert_eq!(idx.comp_of, contraction.class_of, "{labels:?}");
+            assert_eq!(idx.num_components(), contraction.graph.n(), "{labels:?}");
+            for d in 0..idx.num_components() as ComponentId {
+                let members = contraction.class_of.iter().filter(|&&c| c == d).count();
+                assert_eq!(idx.size_of(d), members, "{labels:?}");
+            }
+        }
     }
 }

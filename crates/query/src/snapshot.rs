@@ -73,6 +73,7 @@ use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ampc::rng::mix;
 use ampc_graph::Labeling;
 use ampc_obs::fault::{self, Site};
 
@@ -192,16 +193,10 @@ impl From<std::io::Error> for SnapshotError {
 /// single-bit flip — including in the zero-extended tail — reaches the
 /// avalanching final combine.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    #[inline]
-    fn mix64(mut x: u64) -> u64 {
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    }
     const M: u64 = 0x2545_F491_4F6C_DD1D;
     let seed = 0x9E37_79B9_7F4A_7C15u64 ^ (bytes.len() as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-    let (mut l0, mut l1) = (mix64(seed ^ 1), mix64(seed ^ 2));
-    let (mut l2, mut l3) = (mix64(seed ^ 3), mix64(seed ^ 4));
+    let (mut l0, mut l1) = (mix(seed ^ 1), mix(seed ^ 2));
+    let (mut l2, mut l3) = (mix(seed ^ 3), mix(seed ^ 4));
     let word = |c: &[u8], o: usize| u64::from_le_bytes(c[o..o + 8].try_into().unwrap());
     let mut chunks = bytes.chunks_exact(32);
     for c in &mut chunks {
@@ -220,11 +215,11 @@ pub fn checksum(bytes: &[u8]) -> u64 {
         l3 = (l3 ^ word(&pad, 24)).wrapping_mul(M);
     }
     let mut h = seed;
-    h = mix64(h ^ l0).wrapping_mul(M);
-    h = mix64(h ^ l1).wrapping_mul(M);
-    h = mix64(h ^ l2).wrapping_mul(M);
-    h = mix64(h ^ l3).wrapping_mul(M);
-    mix64(h)
+    h = mix(h ^ l0).wrapping_mul(M);
+    h = mix(h ^ l1).wrapping_mul(M);
+    h = mix(h ^ l2).wrapping_mul(M);
+    h = mix(h ^ l3).wrapping_mul(M);
+    mix(h)
 }
 
 /// One row of a parsed section table (a test hook: the corruption-matrix

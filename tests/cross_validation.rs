@@ -286,12 +286,15 @@ fn assert_queries_match_reference(g: &Graph, labeling: &Labeling, seed: u64, ctx
 
     // Independent oracles from the union-find side.
     let canonical = truth.canonical(); // v → min member of v's component
-    let sizes = truth.component_sizes();
+    let mut sizes = vec![0usize; g.n()]; // union-find labels are root vertex ids
+    for (_, root) in truth.iter() {
+        sizes[root as usize] += 1;
+    }
     let mut mins: Vec<u64> = canonical.clone();
     mins.sort_unstable();
     mins.dedup();
     let dense_of = |v: u32| mins.binary_search(&canonical[v as usize]).unwrap() as u64;
-    let mut sizes_desc: Vec<usize> = sizes.values().copied().collect();
+    let mut sizes_desc: Vec<usize> = sizes.iter().copied().filter(|&s| s > 0).collect();
     sizes_desc.sort_unstable_by(|a, b| b.cmp(a));
 
     let engine = QueryEngine::new(&index);
@@ -305,7 +308,7 @@ fn assert_queries_match_reference(g: &Graph, labeling: &Labeling, seed: u64, ctx
             let want = match q {
                 Query::Connected(u, v) => (truth.get(u) == truth.get(v)) as u64,
                 Query::ComponentOf(v) => dense_of(v),
-                Query::ComponentSize(v) => sizes[&truth.get(v)] as u64,
+                Query::ComponentSize(v) => sizes[truth.get(v) as usize] as u64,
                 Query::TopKSize(k) => sizes_desc.get(k as usize - 1).copied().unwrap_or(0) as u64,
             };
             assert_eq!(got, want, "{ctx} mix {}: wrong answer for {q:?}", mix.name());

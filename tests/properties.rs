@@ -158,7 +158,7 @@ fn contract_compose_roundtrip() {
         let classes = 1 + rng.next_below(39);
         let mapping: Vec<u64> = (0..g.n() as u64).map(|v| v % classes).collect();
         let c = contract(&g, &mapping);
-        assert!(c.new_n <= classes as usize, "case {case}");
+        assert!(c.graph.n() <= classes as usize, "case {case}");
         let h_labels = reference_components(&c.graph);
         let composed = Labeling(compose_labels(&c, &h_labels.0));
         // Composition must be a *coarsening* consistent with merging the
