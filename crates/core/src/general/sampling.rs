@@ -15,14 +15,7 @@ use ampc_graph::{reference_components, Graph};
 /// Keeps each edge of `g` independently with probability `p`
 /// (deterministically, from `seed`). The vertex set is unchanged.
 pub fn sample_edges(g: &Graph, p: f64, seed: u64) -> Graph {
-    let edges: Vec<(u32, u32)> = g
-        .edges()
-        .filter(|&(u, v)| {
-            let mut r = stream(seed, 0, u as u64, v as u64);
-            r.bernoulli(p)
-        })
-        .collect();
-    Graph::from_edges(g.n(), &edges)
+    g.filter_edges(|u, v| stream(seed, 0, u as u64, v as u64).bernoulli(p))
 }
 
 /// Number of edges of `g` whose endpoints lie in different components of
@@ -99,6 +92,31 @@ mod tests {
         assert_eq!(algorithm2_sample_probability(100, 50), 1.0); // m < n → d = 1
         let p = algorithm2_sample_probability(100, 10_000);
         assert!((p - 0.1).abs() < 1e-9);
+    }
+
+    /// The sample `sample_edges` drew before it filtered the CSR: the kept
+    /// edges collected into a list and built by `from_edges`.
+    fn sample_by_edge_list(g: &Graph, p: f64, seed: u64) -> Graph {
+        let edges: Vec<_> =
+            g.edges().filter(|&(u, v)| stream(seed, 0, u as u64, v as u64).bernoulli(p)).collect();
+        Graph::from_edges(g.n(), &edges)
+    }
+
+    #[test]
+    fn sample_equals_edge_list_reference() {
+        for family in ampc_graph::generators::GraphFamily::ALL {
+            let g = family.generate(300, 3);
+            for seed in 0..5 {
+                for p in [0.0, 1e-3, 0.5, 1.0, algorithm2_sample_probability(g.n(), g.m())] {
+                    assert_eq!(
+                        sample_edges(&g, p, seed),
+                        sample_by_edge_list(&g, p, seed),
+                        "{} seed {seed} p={p}",
+                        family.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,6 +36,8 @@
 //! measured against this one by experiment E11. See DESIGN.md
 //! (substitutions) for why the chase preserves the cited interface.
 
+use std::cell::RefCell;
+
 use ampc::{AmpcConfig, AmpcResult, AmpcSystem, DhtValue, Key, RunStats, Space};
 use ampc_graph::contract::contract;
 use ampc_graph::degree3::to_degree3;
@@ -49,6 +51,11 @@ const ADJ: Space = 0;
 const RANK: Space = 1;
 /// Keyspace: super-edge parent pointers.
 const SUPER: Space = 2;
+
+thread_local! {
+    /// The `sg-bfs` queue, one per worker thread (see step 3).
+    static BFS_QUEUE: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// DHT value for the general-graph algorithms: either an adjacency list of
 /// `G3` or a scalar word.
@@ -174,45 +181,52 @@ pub fn shrink_general(
     let queue_bound = t.saturating_mul(3) - 2;
     let bfs_before = sys.stats().total_queries();
     sys.round("sg-bfs", &items, |ctx, &v| {
-        let my_rank = ctx.read(Key::new(RANK, v)).expect("rank").num();
-        let me = (my_rank, v);
         // FIFO walked by `head` and never popped: every vertex the search
         // marks visited is queued, so the queue is also the visited set. It
         // holds v plus at most 3 neighbors of each of the < t expanded
         // vertices — 3t − 2 words, within local memory for t = O(√S) — and
-        // is allocated at that bound, so it never reallocates.
-        let mut queue: Vec<u64> = Vec::with_capacity(queue_bound.min(n3));
-        queue.push(v);
-        let mut head = 0usize;
-        while head < queue.len() {
-            // Stop (a): the search has explored t vertices (v itself counts,
-            // so t = 1 performs no expansion and every vertex is a root).
-            if head + 1 >= t {
-                return None::<()>;
-            }
-            let u = queue[head];
-            head += 1;
-            let (len, nbrs) = match ctx.read(Key::new(ADJ, u)) {
-                Some(&GVal::Adj { len, nbrs }) => (len as usize, nbrs),
-                _ => panic!("missing adjacency"),
-            };
-            for &w in &nbrs[..len] {
-                let w = w as u64;
-                if queue.contains(&w) {
-                    continue;
+        // is reserved at that bound, so it never reallocates. One buffer
+        // per worker thread, cleared per start vertex: allocating it per
+        // start costs a malloc each, and past glibc's ≈ 1 KiB thread cache
+        // limit (t ≥ 44) a slow one.
+        BFS_QUEUE.with_borrow_mut(|queue| {
+            queue.clear();
+            queue.reserve(queue_bound.min(n3));
+            let my_rank = ctx.read(Key::new(RANK, v)).expect("rank").num();
+            let me = (my_rank, v);
+            queue.push(v);
+            let mut head = 0usize;
+            while head < queue.len() {
+                // Stop (a): the search has explored t vertices (v itself
+                // counts, so t = 1 performs no expansion and every vertex is
+                // a root).
+                if head + 1 >= t {
+                    return;
                 }
-                let rw = ctx.read(Key::new(RANK, w)).expect("rank").num();
-                if (rw, w) < me {
-                    // Stop (c): lower-rank vertex reached → super-edge w → v.
-                    ctx.write(Key::new(SUPER, v), GVal::Num(w));
-                    return None;
+                let u = queue[head];
+                head += 1;
+                let (len, nbrs) = match ctx.read(Key::new(ADJ, u)) {
+                    Some(&GVal::Adj { len, nbrs }) => (len as usize, nbrs),
+                    _ => panic!("missing adjacency"),
+                };
+                for &w in &nbrs[..len] {
+                    let w = w as u64;
+                    if queue.contains(&w) {
+                        continue;
+                    }
+                    let rw = ctx.read(Key::new(RANK, w)).expect("rank").num();
+                    if (rw, w) < me {
+                        // Stop (c): lower-rank vertex reached → super-edge w → v.
+                        ctx.write(Key::new(SUPER, v), GVal::Num(w));
+                        return;
+                    }
+                    queue.push(w);
+                    debug_assert!(queue.len() <= queue_bound, "BFS queue outgrew 3t - 2 (t={t})");
                 }
-                queue.push(w);
-                debug_assert!(queue.len() <= queue_bound, "BFS queue outgrew 3t - 2 (t={t})");
             }
-        }
-        // Stop (b): component exhausted → v is a root.
-        None
+            // Stop (b): component exhausted → v is a root.
+        });
+        None::<()>
     })?;
     let bfs_queries = sys.stats().total_queries() - bfs_before;
 

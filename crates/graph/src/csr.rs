@@ -2,14 +2,39 @@
 //!
 //! Vertices are dense `u32` identifiers `0..n`. Each undirected edge is
 //! stored in both endpoint adjacency lists; adjacency lists are sorted,
-//! which the Euler-tour construction exploits for reverse-position lookups.
+//! which gives every arc's reverse position in one cursor pass
+//! (`for_each_arc`, read by the Euler tour and the degree-3 transform).
 //!
-//! [`Graph::from_edges`] is where every generator, `to_degree3`, `contract`
-//! and `sample_edges` end, so it is a counting sort on the source vertex
-//! rather than a comparison sort of all `2m` arcs.
+//! [`Graph::from_edges`] is where every generator and `contract` end, so it
+//! is a counting sort on the source vertex rather than a comparison sort of
+//! all `2m` arcs. `to_degree3` and [`Graph::filter_edges`] write their CSR
+//! directly: their lists come out sorted by construction.
 
 /// Dense vertex identifier.
 pub type VertexId = u32;
+
+/// Lays blocks of the given sizes out back to back as dense ids: block `v`
+/// is `starts[v]..starts[v + 1]`, and the last entry is the total.
+///
+/// # Panics
+/// Panics, naming `what`, once the running total passes `VertexId::MAX`.
+/// It is summed in `usize`, so a layout too large for the id space cannot
+/// wrap into one that looks valid.
+pub(crate) fn block_starts(
+    sizes: impl ExactSizeIterator<Item = usize>,
+    what: &str,
+) -> Vec<VertexId> {
+    let mut starts = Vec::with_capacity(sizes.len() + 1);
+    starts.push(0);
+    let mut total = 0usize;
+    for size in sizes {
+        total += size;
+        starts.push(VertexId::try_from(total).unwrap_or_else(|_| {
+            panic!("{what} needs at least {total} vertex ids, more than the u32 id space holds")
+        }));
+    }
+    starts
+}
 
 /// An undirected graph in CSR form.
 ///
@@ -78,9 +103,67 @@ impl Graph {
         Graph { offsets, adj }
     }
 
+    /// The graph whose `v`-th list is `adj[offsets[v]..offsets[v + 1]]`.
+    /// The caller guarantees what [`Graph::from_edges`] establishes: the
+    /// lists are sorted, duplicate-free, loop-free and symmetric.
+    pub(crate) fn from_csr(offsets: Vec<usize>, adj: Vec<VertexId>) -> Self {
+        debug_assert_eq!(offsets.last(), Some(&adj.len()));
+        let g = Graph { offsets, adj };
+        debug_assert!((0..g.n() as VertexId).all(|v| {
+            g.neighbors(v).windows(2).all(|w| w[0] < w[1]) && !g.neighbors(v).contains(&v)
+        }));
+        g
+    }
+
     /// The empty graph on `n` vertices.
     pub fn empty(n: usize) -> Self {
         Graph { offsets: vec![0; n + 1], adj: Vec::new() }
+    }
+
+    /// The subgraph on the same vertices that keeps each edge `(u, v)`,
+    /// `u < v`, for which `keep(u, v)` holds. `keep` is asked once per edge,
+    /// in [`Graph::edges`] order.
+    ///
+    /// One pass marks the kept arcs and counts both endpoints' degrees; a
+    /// second scatters both orientations. `w`'s smaller neighbours are
+    /// scattered while their own lists are walked, all before `w`'s, and
+    /// `w`'s larger ones in order while `w`'s is: every list comes out sorted,
+    /// with no edge list and no sort.
+    pub fn filter_edges(&self, mut keep: impl FnMut(VertexId, VertexId) -> bool) -> Graph {
+        let n = self.n();
+        let mut kept = vec![0u64; self.adj.len().div_ceil(64)];
+        let mut offsets = vec![0usize; n + 1];
+        for u in 0..n {
+            for a in self.offsets[u]..self.offsets[u + 1] {
+                let v = self.adj[a];
+                if (u as VertexId) < v && keep(u as VertexId, v) {
+                    kept[a / 64] |= 1 << (a % 64);
+                    offsets[u] += 1;
+                    offsets[v as usize] += 1;
+                }
+            }
+        }
+        let mut total = 0;
+        for slot in &mut offsets {
+            total += std::mem::replace(slot, total);
+        }
+        // Scatter with `offsets[v]` as `v`'s cursor; afterwards it is where
+        // `v`'s list ends, i.e. where `v + 1`'s starts.
+        let mut adj = vec![0 as VertexId; total];
+        for u in 0..n {
+            for a in self.offsets[u]..self.offsets[u + 1] {
+                if kept[a / 64] >> (a % 64) & 1 == 1 {
+                    let v = self.adj[a] as usize;
+                    adj[offsets[u]] = v as VertexId;
+                    offsets[u] += 1;
+                    adj[offsets[v]] = u as VertexId;
+                    offsets[v] += 1;
+                }
+            }
+        }
+        offsets.rotate_right(1);
+        offsets[0] = 0;
+        Graph::from_csr(offsets, adj)
     }
 
     /// Number of vertices.
@@ -107,10 +190,21 @@ impl Graph {
         &self.adj[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
-    /// Position of `u` within `v`'s sorted adjacency list, if adjacent.
-    #[inline]
-    pub fn neighbor_position(&self, v: VertexId, u: VertexId) -> Option<usize> {
-        self.neighbors(v).binary_search(&u).ok()
+    /// Calls `f(v, j, w, k)` for every arc `v → w` in CSR order, where `w`
+    /// is `v`'s `j`-th neighbour and `v` is `w`'s `k`-th.
+    ///
+    /// One cursor pass instead of a binary search per arc: sources come in
+    /// ascending order, so the arcs into `w` arrive in the order of `w`'s
+    /// own sorted list and `k` counts those that came before.
+    pub(crate) fn for_each_arc(&self, mut f: impl FnMut(VertexId, usize, VertexId, usize)) {
+        let mut cursor = vec![0 as VertexId; self.n()];
+        for v in 0..self.n() as VertexId {
+            for (j, &w) in self.neighbors(v).iter().enumerate() {
+                let k = cursor[w as usize];
+                cursor[w as usize] += 1;
+                f(v, j, w, k as usize);
+            }
+        }
     }
 
     /// Iterates each undirected edge once, as `(u, v)` with `u < v`.
@@ -180,11 +274,38 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_position_finds_sorted_slots() {
-        let g = Graph::from_edges(5, &[(2, 0), (2, 4), (2, 1)]);
-        assert_eq!(g.neighbors(2), &[0, 1, 4]);
-        assert_eq!(g.neighbor_position(2, 4), Some(2));
-        assert_eq!(g.neighbor_position(2, 3), None);
+    fn for_each_arc_gives_both_positions() {
+        let mut rng = ampc::rng::SplitMix64::new(0xA2C);
+        for case in 0..50usize {
+            let n = 1 + case;
+            let edges: Vec<_> = (0..rng.next_below(3 * n as u64))
+                .map(|_| {
+                    (rng.next_below(n as u64) as VertexId, rng.next_below(n as u64) as VertexId)
+                })
+                .collect();
+            let g = Graph::from_edges(n, &edges);
+            let mut arcs = 0;
+            g.for_each_arc(|v, j, w, k| {
+                assert_eq!(g.neighbors(v)[j], w);
+                assert_eq!(g.neighbors(w)[k], v);
+                arcs += 1;
+            });
+            assert_eq!(arcs, 2 * g.m());
+        }
+    }
+
+    #[test]
+    fn block_starts_sums_the_layout() {
+        assert_eq!(block_starts([3, 0, 2].into_iter(), "layout"), vec![0, 3, 3, 5]);
+        assert_eq!(block_starts([].into_iter(), "layout"), vec![0]);
+        let full = block_starts([VertexId::MAX as usize - 1, 1].into_iter(), "layout");
+        assert_eq!(full.last(), Some(&VertexId::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "the layout needs at least 4294967296 vertex ids")]
+    fn block_starts_past_the_id_space_panics() {
+        block_starts([VertexId::MAX as usize, 1].into_iter(), "the layout");
     }
 
     #[test]
@@ -236,6 +357,48 @@ mod tests {
             assert_eq!(g, from_edges_by_pair_sort(n, &edges), "case {case}: n={n} {edges:?}");
             if case % 3 == 0 {
                 assert_eq!(g.degree(0), n - 1);
+            }
+        }
+    }
+
+    /// What `filter_edges` replaced: collect the kept edges, then `from_edges`.
+    fn filter_by_edge_list(g: &Graph, keep: impl FnMut(&(VertexId, VertexId)) -> bool) -> Graph {
+        Graph::from_edges(g.n(), &g.edges().filter(keep).collect::<Vec<_>>())
+    }
+
+    fn assert_sorted_lists(g: &Graph) {
+        for v in 0..g.n() as VertexId {
+            assert!(g.neighbors(v).windows(2).all(|w| w[0] < w[1]), "list of {v} unsorted");
+        }
+    }
+
+    #[test]
+    fn filter_edges_equals_edge_list_filter() {
+        use ampc::rng::stream;
+        for family in crate::generators::GraphFamily::ALL {
+            for seed in 0..3u64 {
+                let g = family.generate(200 + 53 * seed as usize, seed);
+                let what = format!("{} seed {seed}", family.name());
+                for p in [0.0, 1e-3, 0.5, 1.0] {
+                    let coin =
+                        |u: VertexId, v: VertexId| stream(seed, 0, u as u64, v as u64).bernoulli(p);
+                    let h = g.filter_edges(coin);
+                    assert_eq!(h, filter_by_edge_list(&g, |&(u, v)| coin(u, v)), "{what} p={p}");
+                    assert_sorted_lists(&h);
+                }
+                let mut asked = Vec::new();
+                let all = g.filter_edges(|u, v| {
+                    asked.push((u, v));
+                    true
+                });
+                assert_eq!(asked, g.edges().collect::<Vec<_>>(), "{what}: each edge asked once");
+                assert_eq!(all, g, "{what}: keep-all");
+                assert_eq!(g.filter_edges(|_, _| false), Graph::empty(g.n()), "{what}: keep-none");
+                // A predicate that is not symmetric in its arguments still
+                // decides each edge once, by its (smaller, larger) ends.
+                let skewed = g.filter_edges(|u, v| (u + 2 * v) % 3 == 0);
+                assert_eq!(skewed, filter_by_edge_list(&g, |&(u, v)| (u + 2 * v) % 3 == 0));
+                assert_sorted_lists(&skewed);
             }
         }
     }

@@ -9,7 +9,7 @@
 //! vertex's identity), so a CC-labeling of `G3` projects to one of `G`
 //! through [`Degree3::origin`].
 
-use crate::csr::{Graph, VertexId};
+use crate::csr::{block_starts, Graph, VertexId};
 
 /// Result of the degree-3 transform.
 #[derive(Clone, Debug)]
@@ -23,60 +23,131 @@ pub struct Degree3 {
 /// Applies the transform. Vertices of degree ≤ 3 are kept as single nodes;
 /// each vertex of degree `d > 3` becomes a `d`-cycle of gadget nodes, edge
 /// `i` of the vertex attaching to gadget node `i`.
+///
+/// `G3`'s CSR is written directly, with no edge list: the layout fixes
+/// every list's length, and one pass over `g`'s arcs fills them.
+///
+/// # Panics
+/// Panics if `G3` would have more vertices than the `u32` id space holds.
 pub fn to_degree3(g: &Graph) -> Degree3 {
     let n = g.n();
 
-    // Layout: vertex v occupies new ids base[v] .. base[v] + slots(v) - 1,
-    // where slots(v) = 1 for degree ≤ 3 and degree(v) otherwise.
-    let mut base = vec![0u32; n + 1];
-    for v in 0..n {
-        let d = g.degree(v as VertexId);
-        let slots = if d > 3 { d } else { 1 };
-        base[v + 1] = base[v] + slots as u32;
-    }
+    // Layout: vertex v occupies new ids base[v] .. base[v + 1]: one node for
+    // degree ≤ 3, one gadget node per edge slot otherwise.
+    let slots = (0..n as VertexId).map(|v| if g.degree(v) > 3 { g.degree(v) } else { 1 });
+    let base = block_starts(slots, "the degree-3 transform");
     let n3 = base[n] as usize;
+    let gadget = |v: usize| base[v + 1] - base[v] > 1;
 
-    let mut origin = vec![0 as VertexId; n3];
-    for v in 0..n as VertexId {
-        for slot in base[v as usize]..base[v as usize + 1] {
-            origin[slot as usize] = v;
+    // A single node lists its vertex's (≤ 3) edges; a gadget node lists its
+    // two cycle neighbours and the one edge attached to it.
+    let mut offsets = Vec::with_capacity(n3 + 1);
+    let mut origin = Vec::with_capacity(n3);
+    let mut len = 0;
+    for v in 0..n {
+        let (nodes, list) =
+            if gadget(v) { (g.degree(v as VertexId), 3) } else { (1, g.degree(v as VertexId)) };
+        for _ in 0..nodes {
+            offsets.push(len);
+            origin.push(v as VertexId);
+            len += list;
         }
     }
+    offsets.push(len);
 
-    // Attachment point of edge slot j at vertex v.
-    let attach = |v: VertexId, j: usize| -> u32 {
-        if g.degree(v) > 3 {
-            base[v as usize] + j as u32
+    // Edge slot j of v meets slot k of w: one cross edge per arc direction.
+    // No list needs sorting. A single node's neighbours lie in the blocks
+    // of its sorted neighbours, in order. A gadget node's cross neighbour
+    // lies outside its block, so it sorts below or above both cycle
+    // neighbours, and those differ because d ≥ 4.
+    let mut adj = vec![0 as VertexId; len];
+    g.for_each_arc(|v, j, w, k| {
+        let (v, w) = (v as usize, w as usize);
+        let to = if gadget(w) { base[w] + k as VertexId } else { base[w] };
+        if gadget(v) {
+            let (b, d, j) = (base[v], base[v + 1] - base[v], j as VertexId);
+            let (prev, next) = (b + (j + d - 1) % d, b + (j + 1) % d);
+            let (lo, hi) = (prev.min(next), prev.max(next));
+            let at = offsets[(b + j) as usize];
+            adj[at..at + 3].copy_from_slice(&if to < b { [to, lo, hi] } else { [lo, hi, to] });
         } else {
-            base[v as usize]
+            adj[offsets[base[v] as usize] + j] = to;
         }
-    };
+    });
 
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(g.m() + n3);
-    // Gadget cycles.
-    for v in 0..n as VertexId {
-        let d = g.degree(v);
-        if d > 3 {
-            for j in 0..d {
-                edges.push((base[v as usize] + j as u32, base[v as usize] + ((j + 1) % d) as u32));
-            }
-        }
-    }
-    // Cross edges: one per original edge, using each endpoint's slot for the
-    // other endpoint (its position in the sorted adjacency list).
-    for (u, v) in g.edges() {
-        let ju = g.neighbor_position(u, v).expect("CSR symmetric");
-        let jv = g.neighbor_position(v, u).expect("CSR symmetric");
-        edges.push((attach(u, ju), attach(v, jv)));
-    }
-
-    Degree3 { graph: Graph::from_edges(n3, &edges), origin }
+    Degree3 { graph: Graph::from_csr(offsets, adj), origin }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::{star, GraphFamily};
     use crate::{reference_components, Labeling};
+
+    /// The construction `to_degree3` replaced: an edge list of the gadget
+    /// cycles and one cross edge per input edge (each endpoint's slot found
+    /// by binary search), built by `from_edges`.
+    fn to_degree3_by_edge_list(g: &Graph) -> Degree3 {
+        let n = g.n();
+        let slots = |v: VertexId| if g.degree(v) > 3 { g.degree(v) } else { 1 };
+        let mut base = vec![0u32; n + 1];
+        for v in 0..n {
+            base[v + 1] = base[v] + slots(v as VertexId) as u32;
+        }
+        let origin = (0..n as VertexId).flat_map(|v| std::iter::repeat_n(v, slots(v))).collect();
+        let attach = |v: VertexId, u: VertexId| {
+            let j = g.neighbors(v).binary_search(&u).expect("CSR symmetric");
+            base[v as usize] + if g.degree(v) > 3 { j as u32 } else { 0 }
+        };
+        let mut edges = Vec::new();
+        for v in 0..n as VertexId {
+            let (b, d) = (base[v as usize], g.degree(v) as u32);
+            if d > 3 {
+                edges.extend((0..d).map(|j| (b + j, b + (j + 1) % d)));
+            }
+        }
+        edges.extend(g.edges().map(|(u, v)| (attach(u, v), attach(v, u))));
+        Degree3 { graph: Graph::from_edges(base[n] as usize, &edges), origin }
+    }
+
+    fn assert_matches_edge_list(g: &Graph, what: &str) {
+        let (direct, reference) = (to_degree3(g), to_degree3_by_edge_list(g));
+        assert_eq!(direct.graph, reference.graph, "{what}: offsets or adjacency differ");
+        assert_eq!(direct.origin, reference.origin, "{what}: origin differs");
+    }
+
+    #[test]
+    fn direct_csr_equals_edge_list_construction() {
+        for family in GraphFamily::ALL {
+            for seed in 0..5 {
+                let g = family.generate(150 + 41 * seed as usize, seed);
+                assert_matches_edge_list(&g, &format!("{} seed {seed}", family.name()));
+            }
+        }
+    }
+
+    #[test]
+    fn direct_csr_edge_cases() {
+        let mut k8 = Vec::new();
+        for u in 0..8u32 {
+            k8.extend((u + 1..8).map(|v| (u, v)));
+        }
+        let cases = [
+            ("n = 0", Graph::empty(0)),
+            ("edgeless", Graph::empty(4)),
+            ("isolated beside an edge", Graph::from_edges(5, &[(1, 3)])),
+            // Vertex 0 has degree exactly 3 and vertex 1 exactly 4.
+            (
+                "degree 3 next to degree 4",
+                Graph::from_edges(6, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4)]),
+            ),
+            ("star", star(9)),
+            ("K8 (every cross edge gadget to gadget)", Graph::from_edges(8, &k8)),
+        ];
+        for (what, g) in &cases {
+            assert_matches_edge_list(g, what);
+        }
+    }
 
     #[test]
     fn low_degree_graph_unchanged_in_size() {

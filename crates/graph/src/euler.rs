@@ -13,7 +13,7 @@
 //! the cycles plus the copy→original mapping yields a CC-labeling of the
 //! forest (labels transfer through `origin`).
 
-use crate::csr::{Graph, VertexId};
+use crate::csr::{block_starts, Graph, VertexId};
 
 /// A vertex-disjoint collection of cycles, represented by a successor
 /// permutation over *cycle vertices* plus the mapping back to original
@@ -94,34 +94,27 @@ pub fn forest_to_cycles(g: &Graph) -> CycleDecomposition {
     let n = g.n();
 
     // base[v] = first arc id of v's copies; copies are laid out densely.
-    let mut base = vec![0u32; n + 1];
-    for v in 0..n {
-        base[v + 1] = base[v] + g.degree(v as VertexId) as u32;
-    }
+    let base = block_starts((0..n as VertexId).map(|v| g.degree(v)), "the Euler tour");
     let total_arcs = base[n] as usize;
 
-    let mut succ = vec![0u32; total_arcs];
     let mut origin = vec![0 as VertexId; total_arcs];
     let mut isolated = Vec::new();
-
     for v in 0..n as VertexId {
-        let nbrs = g.neighbors(v);
-        if nbrs.is_empty() {
+        if g.degree(v) == 0 {
             isolated.push(v);
-            continue;
         }
-        let d = nbrs.len();
-        for j in 0..d {
-            // Cycle vertex base[v]+j = arc entering v from nbrs[j].
-            let a = base[v as usize] + j as u32;
-            origin[a as usize] = v;
-            // Successor: the arc leaving v toward neighbor (j+1) mod d,
-            // i.e. the arc entering w := nbrs[(j+1)%d] from v.
-            let w = nbrs[(j + 1) % d];
-            let pos = g.neighbor_position(w, v).expect("undirected CSR stores both endpoints");
-            succ[a as usize] = base[w as usize] + pos as u32;
-        }
+        origin[base[v as usize] as usize..base[v as usize + 1] as usize].fill(v);
     }
+
+    // Cycle vertex base[v] + j is the arc entering v from its j-th neighbor.
+    // Its successor is the arc leaving v toward neighbor i = (j + 1) mod d,
+    // i.e. the arc entering w := nbrs[i] from v: w's copy k, where v is w's
+    // k-th neighbor.
+    let mut succ = vec![0u32; total_arcs];
+    g.for_each_arc(|v, i, w, k| {
+        let (b, d) = (base[v as usize] as usize, g.degree(v));
+        succ[b + (i + d - 1) % d] = base[w as usize] + k as u32;
+    });
 
     CycleDecomposition { succ, origin, isolated }
 }
@@ -129,7 +122,38 @@ pub fn forest_to_cycles(g: &Graph) -> CycleDecomposition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::ForestFamily;
     use crate::reference_components;
+
+    /// The successor map the cursor pass replaced: one binary search per
+    /// arc for `v`'s position in the next neighbor's list.
+    fn succ_by_binary_search(g: &Graph) -> Vec<u32> {
+        let mut base = vec![0u32; g.n() + 1];
+        for v in 0..g.n() {
+            base[v + 1] = base[v] + g.degree(v as VertexId) as u32;
+        }
+        let mut succ = vec![0u32; base[g.n()] as usize];
+        for v in 0..g.n() as VertexId {
+            let nbrs = g.neighbors(v);
+            for j in 0..nbrs.len() {
+                let w = nbrs[(j + 1) % nbrs.len()];
+                let pos = g.neighbors(w).binary_search(&v).expect("CSR symmetric");
+                succ[(base[v as usize] + j as u32) as usize] = base[w as usize] + pos as u32;
+            }
+        }
+        succ
+    }
+
+    #[test]
+    fn cursor_pass_equals_binary_search() {
+        for family in ForestFamily::ALL {
+            for seed in 0..3 {
+                let g = family.generate(300, seed);
+                let c = forest_to_cycles(&g);
+                assert_eq!(c.succ, succ_by_binary_search(&g), "{} seed {seed}", family.name());
+            }
+        }
+    }
 
     #[test]
     fn single_edge_becomes_2_cycle() {
