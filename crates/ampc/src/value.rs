@@ -46,29 +46,11 @@ impl DhtValue for u64 {
     }
 }
 
-impl DhtValue for u32 {
-    fn words(&self) -> usize {
-        1
-    }
-
-    fn merge(&mut self, other: Self) {
-        if other > *self {
-            *self = other;
-        }
-    }
-}
-
 impl<T: DhtValue> DhtValue for Vec<T> {
     /// A vector charges one word of header plus the widths of its elements,
     /// mirroring how an adjacency list consumes DHT space.
     fn words(&self) -> usize {
         1 + self.iter().map(DhtValue::words).sum::<usize>()
-    }
-}
-
-impl<A: DhtValue, B: DhtValue> DhtValue for (A, B) {
-    fn words(&self) -> usize {
-        self.0.words() + self.1.words()
     }
 }
 
@@ -89,11 +71,6 @@ mod tests {
     fn vec_words_counts_header_and_elements() {
         let v: Vec<u64> = vec![1, 2, 3];
         assert_eq!(v.words(), 4);
-    }
-
-    #[test]
-    fn tuple_words_sums_components() {
-        assert_eq!((1u64, 2u64).words(), 2);
     }
 
     #[test]

@@ -63,10 +63,10 @@ crate::catalog! {
 
 crate::catalog! {
     /// Catalog of process-wide latency histograms (nanoseconds). The three
-    /// per-query ones record each frame's engine pass (in process, server
-    /// side) or round trip (client side) divided by the frame's length, once
-    /// per frame with the length as weight; the server-side one excludes
-    /// decode, encode and socket I/O.
+    /// per-query ones record each frame's service time divided by the
+    /// frame's length, once per frame with the length as weight: in process
+    /// the engine pass, server side the one pass that decodes, answers and
+    /// encodes the frame (socket I/O excluded), client side the round trip.
     pub enum HistId: usize {
         RoundWallNs => "ampc_round_wall_ns", "Wall time of one executor round (ns)",
         JournalBuildNs => "serve_journal_build_ns", "Merge-journal build time (ns)",

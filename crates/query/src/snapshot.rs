@@ -3,59 +3,51 @@
 //! A snapshot is the finished product of a pipeline run — the partition
 //! (`comp_of`) plus one label per class — written to disk as fixed-width
 //! words. Nothing derivable is stored: sizes, the size ranking and the
-//! per-vertex labeling are all functions of those two sections, so the
-//! loader derives them instead of having to prove stored copies
-//! consistent. A replica boot reads the header, checks everything the
-//! header alone can say, reads the body the header describes, verifies
-//! every checksum, decodes both sections, validates them and derives the
-//! rest. No hashing and no pipeline run: the boot path is O(validate)
-//! instead of O(pipeline), and the file buffer is dropped before [`load`]
-//! returns.
+//! per-vertex labeling are all functions of those two sections, and where
+//! each section lies is a function of `n` and `c`, so the loader derives
+//! them instead of having to prove stored copies consistent. A replica
+//! boot reads the header, checks everything the header alone can say,
+//! reads the body the header describes, verifies every checksum, decodes
+//! both sections, validates them and derives the rest. No hashing and no
+//! pipeline run: the boot path is O(validate) instead of O(pipeline), and
+//! the file buffer is dropped before [`load`] returns.
 //!
-//! # On-disk format (version 2, little-endian)
+//! # On-disk format (version 3, little-endian)
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic  b"AMPCSNAP"
-//!      8     4  format version (u32, = 2)
-//!     12     4  endianness tag (u32, = 0x0DD0_EC0D stored little-endian)
-//!     16     8  graph_n (u64)
-//!     24     8  graph_m (u64)
-//!     32     1  algorithm (u8: 1 = forest, 2 = general)
-//!     33     7  zero padding
-//!     40    64  section table: 2 × { kind u64, byte_off u64,
-//!                                    byte_len u64, checksum u64 }
-//!    104     8  header checksum (fold hash of bytes [0, 104))
-//!    112   ...  sections, each 8-byte aligned, zero-padded between
+//!      8     4  format version (u32, = 3)
+//!     12     4  algorithm (u32: 1 = forest, 2 = general)
+//!     16     8  n, vertices (u64)
+//!     24     8  m, edges of the graph the run was over (u64)
+//!     32     8  c, components (u64)
+//!     40     8  checksum of `comp_of`
+//!     48     8  checksum of `class_label`
+//!     56     8  header checksum (fold hash of bytes [0, 56))
+//!     64   ...  comp_of (u32 × n), zero padding to 8 bytes, class_label (u64 × c)
 //! ```
 //!
-//! Sections appear in fixed order with fixed kinds, so a file is exactly
-//! `112 + align8(4n) + 8c` bytes:
+//! [`layout`] places the sections, so a file is exactly
+//! `64 + align8(4n) + 8c` bytes. `class_label[d]` is the run's label of
+//! every vertex of dense class `d`.
 //!
-//! | kind | section       | element | count |
-//! |------|---------------|---------|-------|
-//! | 1    | `comp_of`     | u32     | n     |
-//! | 2    | `class_label` | u64     | c     |
-//!
-//! `class_label[d]` is the run's label of every vertex of dense class `d`.
-//!
-//! Every word is decoded with `from_le_bytes`, so the file reads the same
-//! on any host; the byte-order tag is a checked header constant (a file
-//! carrying anything else is [`SnapshotError::HeaderCorrupt`]). All
-//! checksums are the hand-rolled [`checksum`] fold hash (multiply-xorshift
-//! over 8-byte words, length folded into the seed) — no external crates.
+//! Every word is written with `to_le_bytes` and read with
+//! `from_le_bytes`, so the file reads the same on any host. All checksums
+//! are the hand-rolled [`checksum`] fold hash (multiply-xorshift over
+//! 8-byte words, length folded into the seed) — no external crates.
 //!
 //! # Trust model
 //!
 //! The loader never trusts the file. Validation runs outside-in — size,
-//! magic, byte-order tag, version, header checksum, section-table sanity
-//! (kinds, order, alignment, bounds, length consistency), all of it from
-//! the header and the file length before the body is allocated or read;
-//! then per-section checksums; then the two semantic invariants: `comp_of`
-//! is in first-appearance canonical form over exactly the `c` classes
-//! `class_label` names, and no two classes share a label. Every file that
-//! passes decodes to an index equal to [`ComponentIndex::build`] of the
-//! labeling it decodes to, and every rejection is a typed
+//! magic, version, header checksum, algorithm tag, `n` within the `u32` id
+//! space, `c ≤ n`, and the file exactly as long as [`layout`] says, all of
+//! it from the header and the file length before the body is allocated or
+//! read; then per-section checksums; then the two semantic invariants:
+//! `comp_of` is in first-appearance canonical form over exactly the `c`
+//! classes `class_label` names, and no two classes share a label. Every
+//! file that passes decodes to an index equal to [`ComponentIndex::build`]
+//! of the labeling it decodes to, and every rejection is a typed
 //! [`SnapshotError`], never a panic.
 //!
 //! # Failpoints
@@ -70,6 +62,7 @@
 use std::fmt;
 use std::fs::File;
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -83,20 +76,16 @@ use crate::index::{ComponentId, ComponentIndex};
 pub const MAGIC: [u8; 8] = *b"AMPCSNAP";
 /// Current format version; bump on any layout change (see DESIGN.md for
 /// the version-bump policy).
-pub const FORMAT_VERSION: u32 = 2;
-/// Byte-order tag of the header: an asymmetric constant (no byte appears
-/// twice), always stored and read little-endian.
-const ENDIAN_TAG: u32 = 0x0DD0_EC0D;
-/// Number of sections in a version-2 snapshot.
-pub const NUM_SECTIONS: usize = 2;
-const TABLE_OFFSET: usize = 40;
+pub const FORMAT_VERSION: u32 = 3;
+/// Byte offset of the two section checksums inside the header.
+const SECTION_CHECKSUM_OFFSET: usize = 40;
 /// Byte offset of the header checksum inside the file (tests re-sign
 /// crafted headers through this).
-pub const HEADER_CHECKSUM_OFFSET: usize = TABLE_OFFSET + NUM_SECTIONS * 32;
+pub const HEADER_CHECKSUM_OFFSET: usize = 56;
 /// Size of the fixed header, including the trailing header checksum.
 pub const HEADER_LEN: usize = HEADER_CHECKSUM_OFFSET + 8;
 
-const SECTION_NAMES: [&str; NUM_SECTIONS] = ["comp_of", "class_label"];
+const SECTION_NAMES: [&str; 2] = ["comp_of", "class_label"];
 
 /// Why a snapshot could not be written or loaded.
 ///
@@ -120,9 +109,8 @@ pub enum SnapshotError {
         /// Bytes actually present.
         have: usize,
     },
-    /// The fixed header is self-inconsistent (bad byte-order tag, bad
-    /// section table, bad algorithm tag, failed header checksum, trailing
-    /// bytes, ...).
+    /// The fixed header is self-inconsistent (failed header checksum, bad
+    /// algorithm tag, impossible `n` or `c`, trailing bytes, ...).
     HeaderCorrupt {
         /// Human-readable diagnosis.
         detail: String,
@@ -222,20 +210,17 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     mix(h)
 }
 
-/// One row of a parsed section table (a test hook: the corruption-matrix
-/// tests use it to aim bit-flips and re-sign crafted files).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SectionInfo {
-    /// Section name (`comp_of` or `class_label`).
-    pub name: &'static str,
-    /// Byte offset of the section payload in the file.
-    pub byte_off: usize,
-    /// Exact payload length in bytes (padding excluded).
-    pub byte_len: usize,
-    /// Recorded payload checksum.
-    pub checksum: u64,
-    /// Byte offset *of the checksum field itself* inside the header.
-    pub checksum_slot: usize,
+/// The byte ranges of `comp_of` and `class_label` in a snapshot of `n`
+/// vertices and `c` classes: `comp_of` straight after the header,
+/// `class_label` at the next 8-byte boundary, and the file ends where
+/// `class_label` does. Computed in checked `u64`; `None` if that end
+/// overflows it or this host's address space. [`encode`], [`decode`] and
+/// the corruption tests all place the sections through this.
+pub fn layout(n: u64, c: u64) -> Option<[Range<usize>; 2]> {
+    let comp_of_end = n.checked_mul(4)?.checked_add(HEADER_LEN as u64)?;
+    let class_label_off = comp_of_end.checked_next_multiple_of(8)?;
+    let end = usize::try_from(c.checked_mul(8)?.checked_add(class_label_off)?).ok()?;
+    Some([HEADER_LEN..comp_of_end as usize, class_label_off as usize..end])
 }
 
 /// A loaded snapshot: the index and labeling decoded from the file, plus
@@ -262,10 +247,6 @@ fn u32_at(b: &[u8], off: usize) -> u32 {
 
 fn u64_at(b: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(b[off..off + 8].try_into().unwrap())
-}
-
-fn align8(x: usize) -> usize {
-    x.div_ceil(8) * 8
 }
 
 fn push_u32s(out: &mut Vec<u8>, words: &[u32]) {
@@ -322,46 +303,24 @@ pub fn encode(
     }
     assert_eq!(shared_label(&class_label), None, "labeling merges two components");
 
-    let lens = [comp_of.len() * 4, class_label.len() * 8];
-    let mut offs = [0usize; NUM_SECTIONS];
-    let mut cursor = HEADER_LEN;
-    for (slot, len) in offs.iter_mut().zip(lens) {
-        *slot = cursor;
-        cursor = align8(cursor + len);
-    }
-    let total = cursor;
-
-    let mut out = Vec::with_capacity(total);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&ENDIAN_TAG.to_le_bytes());
-    out.extend_from_slice(&graph_n.to_le_bytes());
-    out.extend_from_slice(&graph_m.to_le_bytes());
-    out.push(algorithm);
-    out.extend_from_slice(&[0u8; 7]);
-    // Section table — checksums patched in after the payloads are laid
-    // down (they are computed over the exact payload bytes).
-    for (i, (&off, &len)) in offs.iter().zip(&lens).enumerate() {
-        out.extend_from_slice(&(i as u64 + 1).to_le_bytes());
-        out.extend_from_slice(&(off as u64).to_le_bytes());
-        out.extend_from_slice(&(len as u64).to_le_bytes());
-        out.extend_from_slice(&0u64.to_le_bytes());
-    }
-    out.extend_from_slice(&[0u8; 8]); // header checksum placeholder
-    debug_assert_eq!(out.len(), HEADER_LEN);
-
+    let c = class_label.len() as u64;
+    let sections = layout(graph_n, c).expect("an index in memory has an addressable image");
+    // The body first: the header carries the sections' checksums.
+    let mut out = vec![0u8; HEADER_LEN];
+    out.reserve_exact(sections[1].end - HEADER_LEN);
     push_u32s(&mut out, comp_of);
-    out.resize(offs[1], 0);
+    out.resize(sections[1].start, 0);
     push_u64s(&mut out, &class_label);
-    out.resize(total, 0);
-
-    for (i, (&off, &len)) in offs.iter().zip(&lens).enumerate() {
-        let digest = checksum(&out[off..off + len]);
-        let slot = TABLE_OFFSET + i * 32 + 24;
-        out[slot..slot + 8].copy_from_slice(&digest.to_le_bytes());
+    let mut header = Vec::with_capacity(HEADER_LEN);
+    header.extend_from_slice(&MAGIC);
+    header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    header.extend_from_slice(&u32::from(algorithm).to_le_bytes());
+    let sums = sections.map(|s| checksum(&out[s]));
+    for word in [graph_n, graph_m, c, sums[0], sums[1]] {
+        header.extend_from_slice(&word.to_le_bytes());
     }
-    let header_digest = checksum(&out[..HEADER_CHECKSUM_OFFSET]);
-    out[HEADER_CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&header_digest.to_le_bytes());
+    header.extend_from_slice(&checksum(&header).to_le_bytes());
+    out[..HEADER_LEN].copy_from_slice(&header);
     out
 }
 
@@ -430,138 +389,46 @@ pub fn persist(
     Ok(written)
 }
 
-/// Validates the fixed header and returns the parsed section table.
-///
-/// Public as a test hook: the corruption-matrix tests parse a good file's
-/// table to aim precise bit-flips and truncations.
-pub fn section_table(bytes: &[u8]) -> Result<[SectionInfo; NUM_SECTIONS], SnapshotError> {
-    header_checks(bytes, bytes.len() as u64)
-}
-
 /// Every check that needs only the fixed header and the file's length —
-/// which is all of them short of the payload checksums. `header` holds the
-/// file's first `HEADER_LEN` bytes (fewer only if the file is shorter);
-/// [`load`] runs this before it allocates or reads the body.
-fn header_checks(
-    header: &[u8],
-    file_len: u64,
-) -> Result<[SectionInfo; NUM_SECTIONS], SnapshotError> {
+/// which is all of them short of the section checksums — and the sections'
+/// byte ranges. `header` holds the file's first `HEADER_LEN` bytes (fewer
+/// only if the file is shorter); [`load`] runs this before it allocates or
+/// reads the body.
+fn header_checks(header: &[u8], file_len: u64) -> Result<[Range<usize>; 2], SnapshotError> {
+    let corrupt = |detail: String| SnapshotError::HeaderCorrupt { detail };
     if header.len() < HEADER_LEN {
         return Err(SnapshotError::Truncated { need: HEADER_LEN, have: header.len() });
     }
     if header[..8] != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
-    if u32_at(header, 12) != ENDIAN_TAG {
-        return Err(SnapshotError::HeaderCorrupt { detail: "bad byte-order tag".into() });
-    }
     let version = u32_at(header, 8);
     if version != FORMAT_VERSION {
         return Err(SnapshotError::UnsupportedVersion { found: version });
     }
-    let recorded = u64_at(header, HEADER_CHECKSUM_OFFSET);
-    if checksum(&header[..HEADER_CHECKSUM_OFFSET]) != recorded {
-        return Err(SnapshotError::HeaderCorrupt { detail: "header checksum mismatch".into() });
+    if checksum(&header[..HEADER_CHECKSUM_OFFSET]) != u64_at(header, HEADER_CHECKSUM_OFFSET) {
+        return Err(corrupt("header checksum mismatch".into()));
     }
-
-    let mut table =
-        [SectionInfo { name: "", byte_off: 0, byte_len: 0, checksum: 0, checksum_slot: 0 };
-            NUM_SECTIONS];
-    let mut expected_off = HEADER_LEN as u64;
-    for (i, slot) in table.iter_mut().enumerate() {
-        let row = TABLE_OFFSET + i * 32;
-        let kind = u64_at(header, row);
-        if kind != i as u64 + 1 {
-            return Err(SnapshotError::HeaderCorrupt {
-                detail: format!("section {i} has kind {kind}, expected {}", i + 1),
-            });
-        }
-        let byte_off = u64_at(header, row + 8);
-        let byte_len = u64_at(header, row + 16);
-        // Bounds before narrowing: a hostile 2^63 offset or length must
-        // neither wrap nor name more than this host can address.
-        let padded_end = byte_off
-            .checked_add(byte_len)
-            .and_then(|end| end.checked_next_multiple_of(8))
-            .filter(|&end| end <= usize::MAX as u64);
-        let Some(padded_end) = padded_end else {
-            return Err(SnapshotError::HeaderCorrupt {
-                detail: format!("section `{}` extent overflows", SECTION_NAMES[i]),
-            });
-        };
-        if !byte_off.is_multiple_of(8) {
-            return Err(SnapshotError::HeaderCorrupt {
-                detail: format!(
-                    "section `{}` offset {byte_off} not 8-byte aligned",
-                    SECTION_NAMES[i]
-                ),
-            });
-        }
-        if byte_off != expected_off {
-            return Err(SnapshotError::HeaderCorrupt {
-                detail: format!(
-                    "section `{}` at offset {byte_off}, expected {expected_off}",
-                    SECTION_NAMES[i]
-                ),
-            });
-        }
-        expected_off = padded_end;
-        *slot = SectionInfo {
-            name: SECTION_NAMES[i],
-            byte_off: byte_off as usize,
-            byte_len: byte_len as usize,
-            checksum: u64_at(header, row + 24),
-            checksum_slot: row + 24,
-        };
-    }
-    match file_len.cmp(&expected_off) {
-        std::cmp::Ordering::Less => {
-            return Err(SnapshotError::Truncated {
-                need: expected_off as usize,
-                have: file_len as usize,
-            })
-        }
-        std::cmp::Ordering::Greater => {
-            return Err(SnapshotError::HeaderCorrupt {
-                detail: format!("{} trailing bytes after last section", file_len - expected_off),
-            })
-        }
-        std::cmp::Ordering::Equal => {}
-    }
-
-    // Length consistency: section byte lengths must agree with each other
-    // and with the header's graph_n before any element is decoded.
-    let [comp_of_s, class_label_s] = table;
-    if comp_of_s.byte_len % 4 != 0 {
-        return Err(SnapshotError::HeaderCorrupt {
-            detail: format!("comp_of byte length {} not a multiple of 4", comp_of_s.byte_len),
-        });
-    }
-    let n = comp_of_s.byte_len / 4;
-    let graph_n = u64_at(header, 16);
-    if graph_n != n as u64 {
-        return Err(SnapshotError::HeaderCorrupt {
-            detail: format!("header graph_n {graph_n} disagrees with comp_of length {n}"),
-        });
-    }
-    if n as u64 > u32::MAX as u64 {
-        return Err(SnapshotError::HeaderCorrupt {
-            detail: format!("vertex count {n} exceeds u32 id space"),
-        });
-    }
-    let labels_len = class_label_s.byte_len;
-    if labels_len % 8 != 0 || labels_len / 8 > n {
-        return Err(SnapshotError::HeaderCorrupt {
-            detail: format!("class_label byte length {labels_len} invalid for {n} vertices"),
-        });
-    }
-    let algorithm = header[32];
+    let algorithm = u32_at(header, 12);
     if algorithm != 1 && algorithm != 2 {
-        return Err(SnapshotError::HeaderCorrupt {
-            detail: format!("unknown algorithm tag {algorithm}"),
-        });
+        return Err(corrupt(format!("unknown algorithm tag {algorithm}")));
     }
-    Ok(table)
+    let (n, c) = (u64_at(header, 16), u64_at(header, 32));
+    if n > u32::MAX as u64 {
+        return Err(corrupt(format!("vertex count {n} exceeds the u32 id space")));
+    }
+    if c > n {
+        return Err(corrupt(format!("{c} components over {n} vertices")));
+    }
+    let sections = layout(n, c).ok_or_else(|| corrupt(format!("{n} vertices do not fit")))?;
+    let need = sections[1].end as u64;
+    if file_len < need {
+        return Err(SnapshotError::Truncated { need: need as usize, have: file_len as usize });
+    }
+    if file_len > need {
+        return Err(corrupt(format!("{} trailing bytes after the last section", file_len - need)));
+    }
+    Ok(sections)
 }
 
 fn u32s(payload: &[u8]) -> Vec<u32> {
@@ -577,11 +444,11 @@ fn u64s(payload: &[u8]) -> Vec<u64> {
 /// their ranking and the labeling derived. `bytes` needs no particular
 /// alignment. [`load`] is this over a file's contents.
 pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-    let table = header_checks(bytes, bytes.len() as u64)?;
-    let payloads = table.map(|s| &bytes[s.byte_off..s.byte_off + s.byte_len]);
-    for (s, payload) in table.iter().zip(payloads) {
-        if checksum(payload) != s.checksum {
-            return Err(SnapshotError::ChecksumMismatch { section: s.name });
+    let sections = header_checks(bytes, bytes.len() as u64)?;
+    let payloads = sections.map(|s| &bytes[s]);
+    for (i, payload) in payloads.iter().enumerate() {
+        if checksum(payload) != u64_at(bytes, SECTION_CHECKSUM_OFFSET + 8 * i) {
+            return Err(SnapshotError::ChecksumMismatch { section: SECTION_NAMES[i] });
         }
     }
     let [comp_of, class_label] = payloads;
@@ -623,16 +490,16 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         labeling,
         graph_n: u64_at(bytes, 16),
         graph_m: u64_at(bytes, 24),
-        algorithm: bytes[32],
+        algorithm: bytes[12],
         file_bytes: bytes.len(),
     })
 }
 
 /// Loads a snapshot from disk. The header is read and validated first —
-/// including that the file is exactly as long as its section table says —
-/// so the body buffer is sized by a checked header, never by whatever
-/// length a non-snapshot file happens to have. The buffer is dropped on
-/// return; the [`Snapshot`] owns its arrays.
+/// including that the file is exactly as long as [`layout`] says for the
+/// header's `n` and `c` — so the body buffer is sized by a checked header,
+/// never by whatever length a non-snapshot file happens to have. The
+/// buffer is dropped on return; the [`Snapshot`] owns its arrays.
 pub fn load(path: &Path) -> Result<Snapshot, SnapshotError> {
     let timer = ampc_obs::Timer::start(ampc_obs::hist(ampc_obs::HistId::SnapshotBootNs));
     fault::check(Site::SnapshotLoad).map_err(std::io::Error::other)?;
@@ -665,6 +532,13 @@ mod tests {
         (ComponentIndex::build(&labeling), labeling)
     }
 
+    /// Re-signs a crafted header so only the checks past the checksum can
+    /// reject it.
+    fn resign(bytes: &mut [u8]) {
+        let h = checksum(&bytes[..HEADER_CHECKSUM_OFFSET]);
+        bytes[HEADER_CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&h.to_le_bytes());
+    }
+
     #[test]
     fn checksum_is_length_and_content_sensitive() {
         assert_ne!(checksum(b""), checksum(b"\0"));
@@ -681,10 +555,11 @@ mod tests {
         let bytes = encode(&index, &labeling, 8, 5, 2);
         // Header, comp_of (n = 8 words of 4 bytes) and one label per class
         // (c = 4 words of 8 bytes), nothing else.
-        assert_eq!(bytes.len(), HEADER_LEN + align8(4 * 8) + 8 * 4);
-        // Golden, re-recorded for format v2 (comp_of + class_label): the
+        assert_eq!(bytes.len(), HEADER_LEN + 4 * 8 + 8 * 4);
+        assert_eq!(layout(8, 4).unwrap()[1].end, bytes.len());
+        // Golden, re-recorded for format v3 (the 64-byte header): the
         // on-disk bytes have not moved since.
-        assert_eq!(checksum(&bytes), 0xC760_5107_ED14_61D3);
+        assert_eq!(checksum(&bytes), 0x44B9_64C1_5A2E_0B33);
         let snap = decode(&bytes).expect("roundtrip");
         assert_eq!(snap.index, index);
         assert_eq!(snap.labeling, labeling);
@@ -700,16 +575,25 @@ mod tests {
     }
 
     #[test]
+    fn layout_pads_comp_of_to_a_word() {
+        assert_eq!(layout(0, 0), Some([64..64, 64..64]));
+        assert_eq!(layout(3, 2), Some([64..76, 80..96]));
+        assert_eq!(layout(4, 1), Some([64..80, 80..88]));
+        assert_eq!(layout(u64::MAX / 4, 0), None);
+        assert_eq!(layout(1, u64::MAX / 8), None);
+    }
+
+    #[test]
     fn empty_index_roundtrips() {
         let labeling = Labeling(vec![]);
         let index = ComponentIndex::build(&labeling);
         let bytes = encode(&index, &labeling, 0, 0, 1);
+        assert_eq!(bytes.len(), HEADER_LEN);
         let snap = decode(&bytes).expect("empty roundtrip");
         assert_eq!(snap.index.num_vertices(), 0);
         assert_eq!(snap.index.num_components(), 0);
         assert_eq!(snap.labeling.len(), 0);
     }
-
     #[test]
     fn atomic_persist_and_load() {
         let (index, labeling) = sample_index();
@@ -830,7 +714,7 @@ mod tests {
         let (index, labeling) = sample_index();
         let good = encode(&index, &labeling, 8, 5, 1);
 
-        assert!(matches!(decode(&good[..100]), Err(SnapshotError::Truncated { .. })));
+        assert!(matches!(decode(&good[..HEADER_LEN - 1]), Err(SnapshotError::Truncated { .. })));
         assert!(matches!(decode(b"not a snapshot"), Err(SnapshotError::Truncated { .. })));
 
         let mut bad = good.clone();
@@ -838,29 +722,34 @@ mod tests {
         assert!(matches!(decode(&bad), Err(SnapshotError::BadMagic)));
 
         let mut bad = good.clone();
-        bad[12..16].copy_from_slice(&ENDIAN_TAG.to_be_bytes());
-        assert!(matches!(decode(&bad), Err(SnapshotError::HeaderCorrupt { .. })));
-
-        let mut bad = good.clone();
         bad[8..12].copy_from_slice(&99u32.to_le_bytes());
         assert!(matches!(decode(&bad), Err(SnapshotError::UnsupportedVersion { found: 99 })));
 
-        // A v2 image whose properly signed header says version 1: the
-        // retired five-section layout is refused, not guessed at.
-        let mut bad = good.clone();
-        bad[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let h = checksum(&bad[..HEADER_CHECKSUM_OFFSET]);
-        bad[HEADER_CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&h.to_le_bytes());
-        assert!(matches!(decode(&bad), Err(SnapshotError::UnsupportedVersion { found: 1 })));
+        // A v3 image whose properly signed header says version 1 or 2: the
+        // retired layouts are refused, not guessed at.
+        for version in [1u32, 2] {
+            let mut bad = good.clone();
+            bad[8..12].copy_from_slice(&version.to_le_bytes());
+            resign(&mut bad);
+            assert!(
+                matches!(decode(&bad), Err(SnapshotError::UnsupportedVersion { found }) if found == version)
+            );
+        }
 
         // Any other header flip trips the header checksum.
         let mut bad = good.clone();
-        bad[17] ^= 0x40; // graph_n
+        bad[17] ^= 0x40; // n
         assert!(matches!(decode(&bad), Err(SnapshotError::HeaderCorrupt { .. })));
 
         // Flip the header checksum itself.
         let mut bad = good.clone();
         bad[HEADER_CHECKSUM_OFFSET] ^= 1;
+        assert!(matches!(decode(&bad), Err(SnapshotError::HeaderCorrupt { .. })));
+
+        // A signed header with an unknown algorithm tag.
+        let mut bad = good.clone();
+        bad[12..16].copy_from_slice(&3u32.to_le_bytes());
+        resign(&mut bad);
         assert!(matches!(decode(&bad), Err(SnapshotError::HeaderCorrupt { .. })));
 
         // Truncation inside the payload is Truncated, not a panic.
@@ -871,34 +760,46 @@ mod tests {
         let mut bad = good.clone();
         bad.extend_from_slice(&[0u8; 8]);
         assert!(matches!(decode(&bad), Err(SnapshotError::HeaderCorrupt { .. })));
+    }
 
-        // A signed header whose last extent ends within 8 bytes of 2^64:
-        // padding it to a word must be an error, not an overflow.
-        let mut bad = good.clone();
-        let row = TABLE_OFFSET + (NUM_SECTIONS - 1) * 32;
-        let huge = u64::MAX - 3 - u64_at(&bad, row + 8);
-        bad[row + 16..row + 24].copy_from_slice(&huge.to_le_bytes());
-        let h = checksum(&bad[..HEADER_CHECKSUM_OFFSET]);
-        bad[HEADER_CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&h.to_le_bytes());
-        assert!(matches!(decode(&bad), Err(SnapshotError::HeaderCorrupt { .. })));
+    #[test]
+    fn impossible_counts_are_refused_before_the_body_is_sized() {
+        // Signed headers whose n or c no file can hold: each is refused on
+        // the header alone — never an overflow, never an allocation, also
+        // through `load` on a file that is nothing but the header.
+        let (index, labeling) = sample_index();
+        let good = encode(&index, &labeling, 8, 5, 1);
+        let path =
+            std::env::temp_dir().join(format!("ampc_snap_counts_{}.snap", std::process::id()));
+        for (n, c) in [(1u64 << 32, 4), (8, 9), (8, u64::MAX), (u64::MAX, u64::MAX)] {
+            let mut bad = good[..HEADER_LEN].to_vec();
+            bad[16..24].copy_from_slice(&n.to_le_bytes());
+            bad[32..40].copy_from_slice(&c.to_le_bytes());
+            resign(&mut bad);
+            assert!(
+                matches!(decode(&bad), Err(SnapshotError::HeaderCorrupt { .. })),
+                "n = {n}, c = {c}"
+            );
+            std::fs::write(&path, &bad).unwrap();
+            assert!(
+                matches!(load(&path), Err(SnapshotError::HeaderCorrupt { .. })),
+                "n = {n}, c = {c}"
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn payload_bit_flips_trip_section_checksums() {
         let (index, labeling) = sample_index();
         let good = encode(&index, &labeling, 8, 5, 1);
-        let table = section_table(&good).expect("good table");
-        for s in table {
-            if s.byte_len == 0 {
-                continue;
-            }
+        for (name, at) in SECTION_NAMES.into_iter().zip(layout(8, 4).unwrap()) {
             let mut bad = good.clone();
-            bad[s.byte_off] ^= 0x01;
+            bad[at.start] ^= 0x01;
             match decode(&bad) {
-                Err(SnapshotError::ChecksumMismatch { section }) => assert_eq!(section, s.name),
+                Err(SnapshotError::ChecksumMismatch { section }) => assert_eq!(section, name),
                 other => panic!(
-                    "flip in `{}` gave {:?}, expected its checksum to trip",
-                    s.name,
+                    "flip in `{name}` gave {:?}, expected its checksum to trip",
                     other.err().map(|e| e.to_string())
                 ),
             }

@@ -12,20 +12,19 @@
 //!   checksum; truncation at every section boundary must be `Truncated`;
 //!   semantically-invalid files that have been re-signed with correct
 //!   checksums (a buggy or hostile writer) must still be rejected with a
-//!   typed `Malformed` error — never a panic, never out-of-bounds; and a
-//!   seeded matrix of re-signed one-word overwrites of every section must
-//!   each decode to a typed error or to an index consistent with the
-//!   decoded labeling.
+//!   typed `Malformed` error — never a panic, never out-of-bounds; and
+//!   seeded matrices of re-signed one-word overwrites of every section and
+//!   of every header word must each decode to a typed error or to an index
+//!   consistent with the decoded labeling.
 
 use ampc::rng::SplitMix64;
 use ampc_graph::generators::{
     barbell, caterpillar, disjoint_cliques, erdos_renyi_gnm, grid2d, path, random_forest, star,
 };
 use ampc_graph::{reference_components, Graph, Labeling};
-use ampc_query::snapshot::{
-    self, checksum, section_table, SectionInfo, SnapshotError, HEADER_CHECKSUM_OFFSET, HEADER_LEN,
-};
+use ampc_query::snapshot::{self, checksum, SnapshotError, HEADER_CHECKSUM_OFFSET, HEADER_LEN};
 use ampc_query::{workload, ComponentIndex, QueryEngine};
+use std::ops::Range;
 
 /// The generator families of the round-trip matrix, with the pipeline
 /// algorithm tag a real run over that family would carry (1 = forest,
@@ -122,14 +121,40 @@ fn subject() -> Vec<u8> {
     snapshot::encode(&index, &labeling, g.n() as u64, g.m() as u64, 2)
 }
 
+/// The `i`-th 8-byte word of a snapshot header: 0 is the magic, 1 the
+/// version and the algorithm tag, 2 `n`, 3 `m`, 4 `c`, 5 and 6 the
+/// `comp_of` and `class_label` checksums, 7 the header checksum.
+fn header_word(image: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(image[8 * i..8 * i + 8].try_into().unwrap())
+}
+
+/// One section of an image, placed by `snapshot::layout`.
+#[derive(Clone, Debug)]
+struct Section {
+    name: &'static str,
+    /// The payload's byte range (padding excluded).
+    at: Range<usize>,
+    /// Byte offset of the payload's checksum inside the header.
+    checksum_slot: usize,
+}
+
+/// Both sections of a good image, placed from its header's `n` and `c`.
+fn sections(image: &[u8]) -> [Section; 2] {
+    let [comp_of, class_label] =
+        snapshot::layout(header_word(image, 2), header_word(image, 4)).expect("a good layout");
+    [
+        Section { name: "comp_of", at: comp_of, checksum_slot: 40 },
+        Section { name: "class_label", at: class_label, checksum_slot: 48 },
+    ]
+}
+
 #[test]
 fn bit_flips_anywhere_in_a_section_name_that_section() {
     let good = subject();
-    let table = section_table(&good).expect("good table");
-    for s in table {
-        assert!(s.byte_len > 0, "{}: corruption subject has an empty section", s.name);
+    for s in sections(&good) {
+        assert!(!s.at.is_empty(), "{}: corruption subject has an empty section", s.name);
         // First, middle, and last byte of the payload.
-        for pos in [s.byte_off, s.byte_off + s.byte_len / 2, s.byte_off + s.byte_len - 1] {
+        for pos in [s.at.start, s.at.start + s.at.len() / 2, s.at.end - 1] {
             let mut bad = good.clone();
             bad[pos] ^= 0x10;
             match snapshot::decode(&bad) {
@@ -151,12 +176,12 @@ fn bit_flips_anywhere_in_a_section_name_that_section() {
 #[test]
 fn truncation_at_every_boundary_is_reported_as_truncated() {
     let good = subject();
-    let table = section_table(&good).expect("good table");
+    let table = sections(&good);
     // Below the fixed header; at the header edge; at every section start;
     // one byte short of the full file.
     let mut cuts = vec![0, 1, HEADER_LEN - 1, HEADER_LEN, good.len() - 1];
-    cuts.extend(table.iter().map(|s| s.byte_off));
-    cuts.extend(table.iter().map(|s| s.byte_off + s.byte_len / 2));
+    cuts.extend(table.iter().map(|s| s.at.start));
+    cuts.extend(table.iter().map(|s| s.at.start + s.at.len() / 2));
     for cut in cuts {
         match snapshot::decode(&good[..cut]) {
             Err(SnapshotError::Truncated { need, have }) => {
@@ -171,32 +196,32 @@ fn truncation_at_every_boundary_is_reported_as_truncated() {
     }
 }
 
-/// Overwrites a section's recorded checksum and the header checksum so a
-/// tampered file is self-consistent again — only semantic validation can
-/// reject it.
-fn resign(bytes: &mut [u8], s: &SectionInfo) {
-    let digest = checksum(&bytes[s.byte_off..s.byte_off + s.byte_len]);
-    bytes[s.checksum_slot..s.checksum_slot + 8].copy_from_slice(&digest.to_le_bytes());
+/// Re-signs the header checksum, so a tampered header is self-consistent
+/// again.
+fn resign_header(bytes: &mut [u8]) {
     let h = checksum(&bytes[..HEADER_CHECKSUM_OFFSET]);
     bytes[HEADER_CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&h.to_le_bytes());
 }
 
-/// The row of `table` named `name`.
-fn section(table: &[SectionInfo], name: &str) -> SectionInfo {
-    *table.iter().find(|s| s.name == name).unwrap_or_else(|| panic!("no `{name}` section"))
+/// Overwrites a section's recorded checksum and the header checksum so a
+/// tampered file is self-consistent again — only semantic validation can
+/// reject it.
+fn resign(bytes: &mut [u8], s: &Section) {
+    let digest = checksum(&bytes[s.at.clone()]);
+    bytes[s.checksum_slot..s.checksum_slot + 8].copy_from_slice(&digest.to_le_bytes());
+    resign_header(bytes);
 }
 
 #[test]
 fn resigned_semantic_corruption_in_every_section_is_rejected() {
     let good = subject();
-    let table = section_table(&good).expect("good table");
-    let comp_of_s = section(&table, "comp_of");
-    let class_label_s = section(&table, "class_label");
+    let [comp_of_s, class_label_s] = sections(&good);
+    let comp_of_off = comp_of_s.at.start;
 
     // comp_of: vertex 0 must open dense id 0; claiming id 1 breaks
     // first-appearance canonical form.
     let mut bad = good.clone();
-    bad[comp_of_s.byte_off..comp_of_s.byte_off + 4].copy_from_slice(&1u32.to_le_bytes());
+    bad[comp_of_off..comp_of_off + 4].copy_from_slice(&1u32.to_le_bytes());
     resign(&mut bad, &comp_of_s);
     assert!(
         matches!(snapshot::decode(&bad), Err(SnapshotError::Malformed { section: "comp_of", .. })),
@@ -205,7 +230,7 @@ fn resigned_semantic_corruption_in_every_section_is_rejected() {
 
     // comp_of: an id ≥ c is out of range even if the file is signed.
     let mut bad = good.clone();
-    bad[comp_of_s.byte_off..comp_of_s.byte_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    bad[comp_of_off..comp_of_off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     resign(&mut bad, &comp_of_s);
     assert!(
         matches!(snapshot::decode(&bad), Err(SnapshotError::Malformed { section: "comp_of", .. })),
@@ -215,7 +240,7 @@ fn resigned_semantic_corruption_in_every_section_is_rejected() {
     // class_label: two classes share a label — clique 1 takes clique 0's,
     // a labeling of 11 classes over an index of 12.
     let mut bad = good.clone();
-    let at = class_label_s.byte_off;
+    let at = class_label_s.at.start;
     bad.copy_within(at..at + 8, at + 8);
     resign(&mut bad, &class_label_s);
     assert!(
@@ -243,10 +268,10 @@ fn mutation_subject() -> (Vec<u8>, usize) {
 /// is a neighbour of the old one, a copy of another word of the section, a
 /// vertex-sized number or 32 random bits. Returns the word index and the
 /// image.
-fn overwrite_word(good: &[u8], s: &SectionInfo, n: usize, seed: u64) -> (usize, Vec<u8>) {
+fn overwrite_word(good: &[u8], s: &Section, n: usize, seed: u64) -> (usize, Vec<u8>) {
     let mut rng = SplitMix64::new(seed);
-    let words = (s.byte_len / 4) as u64;
-    let at = |w: u64| s.byte_off + 4 * w as usize;
+    let words = (s.at.len() / 4) as u64;
+    let at = |w: u64| s.at.start + 4 * w as usize;
     let read = |w: u64| u32::from_le_bytes(good[at(w)..at(w) + 4].try_into().unwrap());
     let word = rng.next_below(words);
     let value = match rng.next_below(4) {
@@ -261,6 +286,18 @@ fn overwrite_word(good: &[u8], s: &SectionInfo, n: usize, seed: u64) -> (usize, 
     (word as usize, bad)
 }
 
+/// The decoder's verdict on a crafted image: `None` if it refused the
+/// image with a typed error or returned an index that is the index of the
+/// labeling it returned, otherwise what went wrong.
+fn verdict(bad: &[u8]) -> Option<&'static str> {
+    match std::panic::catch_unwind(|| snapshot::decode(bad)) {
+        Ok(Err(_)) => None,
+        Ok(Ok(snap)) if snap.index == ComponentIndex::build(&snap.labeling) => None,
+        Ok(Ok(_)) => Some("decoded, but the index is not the labeling's"),
+        Err(_) => Some("decode panicked"),
+    }
+}
+
 #[test]
 fn resigned_word_overwrites_decode_to_an_error_or_a_consistent_index() {
     // The property of the trust model: whatever a signed file says, the
@@ -268,22 +305,70 @@ fn resigned_word_overwrites_decode_to_an_error_or_a_consistent_index() {
     // that is the index of the labeling it returns.
     const CASES: u64 = 10_000;
     let (good, n) = mutation_subject();
-    let table = section_table(&good).expect("good table");
     let mut failures = Vec::new();
-    for s in &table {
+    for s in &sections(&good) {
         let first = (0..CASES).find_map(|seed| {
             let (word, bad) = overwrite_word(&good, s, n, seed);
-            let verdict = match std::panic::catch_unwind(|| snapshot::decode(&bad)) {
-                Ok(Err(_)) => return None,
-                Ok(Ok(snap)) if snap.index == ComponentIndex::build(&snap.labeling) => return None,
-                Ok(Ok(_)) => "decoded, but the index is not the labeling's",
-                Err(_) => "decode panicked",
-            };
+            let verdict = verdict(&bad)?;
             Some(format!("seed={seed} section={} word={word}: {verdict}", s.name))
         });
         failures.extend(first);
     }
     assert!(failures.is_empty(), "first failing case per section:\n{}", failures.join("\n"));
+}
+
+/// A re-signed overwrite of header word `word` (1–6, see [`header_word`]),
+/// every draw taken from `seed`, so `(seed, word)` replays the case. The
+/// new value is a neighbour of the old one, a copy of another header word,
+/// a small count or 64 random bits.
+fn overwrite_header_word(good: &[u8], word: usize, n: usize, seed: u64) -> Vec<u8> {
+    let mut rng = SplitMix64::new(seed);
+    let old = header_word(good, word);
+    let value = match rng.next_below(4) {
+        0 => old.wrapping_add(if rng.next_below(2) == 0 { 1 } else { u64::MAX }),
+        1 => header_word(good, rng.next_below(8) as usize),
+        2 => rng.next_below(n as u64 + 2),
+        _ => rng.next_u64(),
+    };
+    let mut bad = good.to_vec();
+    bad[8 * word..8 * word + 8].copy_from_slice(&value.to_le_bytes());
+    resign_header(&mut bad);
+    bad
+}
+
+#[test]
+fn resigned_header_overwrites_decode_to_an_error_or_a_consistent_index() {
+    // The same property over the header: a signed header that names any
+    // version, algorithm, n, m, c or section checksum is refused with a
+    // typed error or decodes consistently. The first 100 cases per word
+    // also go through `load` on a file, which checks the header against
+    // the file length before it sizes the body, and must agree with
+    // `decode` on the same bytes.
+    const CASES: u64 = 10_000;
+    const LOADED: u64 = 100;
+    let (good, n) = mutation_subject();
+    let path = std::env::temp_dir().join(format!("ampc_rt_header_{}.snap", std::process::id()));
+    let mut failures = Vec::new();
+    for word in 1..=6 {
+        let first = (0..CASES).find_map(|seed| {
+            let bad = overwrite_header_word(&good, word, n, seed);
+            let mut verdict = verdict(&bad);
+            if verdict.is_none() && seed < LOADED {
+                std::fs::write(&path, &bad).unwrap();
+                let loaded = std::panic::catch_unwind(|| snapshot::load(&path));
+                let decoded = snapshot::decode(&bad);
+                verdict = match loaded {
+                    Err(_) => Some("load panicked"),
+                    Ok(loaded) => (format!("{loaded:?}") != format!("{decoded:?}"))
+                        .then_some("load and decode disagree"),
+                };
+            }
+            Some(format!("seed={seed} word={word}: {}", verdict?))
+        });
+        failures.extend(first);
+    }
+    std::fs::remove_file(&path).ok();
+    assert!(failures.is_empty(), "first failing case per word:\n{}", failures.join("\n"));
 }
 
 #[test]

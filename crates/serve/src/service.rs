@@ -363,11 +363,11 @@ mod tests {
     fn boot_fallback_builds_and_records_the_snapshot_failure() {
         let path = std::env::temp_dir()
             .join(format!("ampc_serve_no_such_snapshot_{}.snap", std::process::id()));
-        // Three bad snapshots: a missing file; 1 TiB of zeros, which a
+        // Four bad snapshots: a missing file; 1 TiB of zeros, which a
         // loader that allocates the file's length before reading its magic
-        // turns into an abort instead of a fallback; and a signed file of
-        // the retired format version 1.
-        for bad in ["missing", "sparse", "version 1"] {
+        // turns into an abort instead of a fallback; and signed files of
+        // the retired format versions 1 and 2.
+        for bad in ["missing", "sparse", "version 1", "version 2"] {
             let g = random_forest(400, 7, 21);
             let truth = reference_components(&g);
             if bad == "sparse" {
@@ -376,14 +376,14 @@ mod tests {
                     continue;
                 }
             }
-            if bad == "version 1" {
+            if let Some(version) = bad.strip_prefix("version ") {
                 use ampc_query::snapshot::{self, HEADER_CHECKSUM_OFFSET, HEADER_LEN};
                 let (n, m) = (g.n() as u64, g.m() as u64);
-                let mut v1 = snapshot::encode(&ComponentIndex::build(&truth), &truth, n, m, 1);
-                v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-                let h = snapshot::checksum(&v1[..HEADER_CHECKSUM_OFFSET]);
-                v1[HEADER_CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&h.to_le_bytes());
-                std::fs::write(&path, v1).unwrap();
+                let mut old = snapshot::encode(&ComponentIndex::build(&truth), &truth, n, m, 1);
+                old[8..12].copy_from_slice(&version.parse::<u32>().unwrap().to_le_bytes());
+                let h = snapshot::checksum(&old[..HEADER_CHECKSUM_OFFSET]);
+                old[HEADER_CHECKSUM_OFFSET..HEADER_LEN].copy_from_slice(&h.to_le_bytes());
+                std::fs::write(&path, old).unwrap();
             }
             let (service, source) = ServiceBuilder::new(g)
                 .spec(spec())
@@ -397,6 +397,11 @@ mod tests {
             assert_eq!(health.total_incidents, 1);
             assert_eq!(health.incidents[0].op, IncidentOp::Boot);
             assert!(matches!(health.incidents[0].error, ServeError::SnapshotBoot(_)), "{bad}");
+            if let (Some(version), ServeError::SnapshotBoot(msg)) =
+                (bad.strip_prefix("version "), &health.incidents[0].error)
+            {
+                assert!(msg.contains(&format!("format version {version} ")), "{msg}");
+            }
         }
         std::fs::remove_file(&path).ok();
     }

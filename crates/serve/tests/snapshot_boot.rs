@@ -266,8 +266,9 @@ fn boot_refuses_damaged_or_missing_snapshots() {
     // Flip one payload byte: the boot must fail with the section's
     // checksum error and publish nothing.
     let mut bytes = std::fs::read(&path).unwrap();
-    let table = ampc_query::snapshot::section_table(&bytes).expect("table");
-    bytes[table[1].byte_off + 5] ^= 0x04;
+    let word = |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap());
+    let [_, class_label] = ampc_query::snapshot::layout(word(2), word(4)).expect("layout");
+    bytes[class_label.start + 5] ^= 0x04;
     std::fs::write(&path, &bytes).unwrap();
     match ServiceBuilder::from_snapshot(&path) {
         Err(SnapshotError::ChecksumMismatch { section }) => assert_eq!(section, "class_label"),
