@@ -122,7 +122,11 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
     }
 
     /// Deterministic random stream scoped to `(run seed, round, tag, id)`.
-    /// Identical across machine assignments and thread schedules.
+    /// Identical across machine assignments and thread schedules: any
+    /// machine of a round can re-derive the draw of any id, not only of its
+    /// own item. That is why a reader may evaluate another vertex's rank or
+    /// mark here instead of reading it from the DHT, so long as every read
+    /// of that draw happens within one round.
     #[inline]
     pub fn rng(&self, tag: u64, id: u64) -> SplitMix64 {
         rng::stream(self.seed, self.round as u64, tag, id)

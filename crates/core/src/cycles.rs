@@ -8,13 +8,13 @@
 //!
 //! | keyspace | key | value |
 //! |---|---|---|
-//! | [`FWD`] | cycle vertex | packed `(successor, rank, mark)` |
-//! | [`BWD`] | cycle vertex | packed `(predecessor, rank, mark)` |
+//! | [`FWD`] | cycle vertex | packed `(successor, rank)` |
+//! | [`BWD`] | cycle vertex | packed `(predecessor, rank)` |
 //! | [`STAMP`] | cycle vertex | max rank stamped by traversals (merge-max) |
 //! | [`PARENT`] | contracted vertex | the vertex it was contracted into |
 //!
-//! Rank and a sampling mark are packed into the pointer word so that one
-//! DHT read per hop suffices, matching the paper's query accounting.
+//! The rank is packed into the pointer word so that one DHT read per hop
+//! suffices, matching the paper's query accounting.
 //!
 //! ### The surgery, written once
 //!
@@ -22,7 +22,7 @@
 //! cycle, absorbs it and relinks the cycle across the gap. The vocabulary:
 //!
 //! * `link` — one metered read of a vertex's successor or predecessor, with
-//!   its rank and mark;
+//!   its rank;
 //! * `absorb` — contract a walked segment into its survivor: a `PARENT`
 //!   pointer per member, then its `FWD` / `BWD` / `STAMP` entries deleted;
 //! * `join` — relink `a → b` (`FWD a`, `BWD b`); `join(ctx, v, v)` closes a
@@ -43,32 +43,32 @@
 use ampc::{AmpcConfig, AmpcResult, AmpcSystem, DhtValue, Key, MachineCtx, RunStats, Space};
 use ampc_graph::euler::CycleDecomposition;
 
-/// Keyspace: forward pointer + rank + mark.
+/// Keyspace: forward pointer + rank.
 pub const FWD: Space = 0;
-/// Keyspace: backward pointer + rank + mark.
+/// Keyspace: backward pointer + rank.
 pub const BWD: Space = 1;
 /// Keyspace: rank stamps (merge-max).
 pub const STAMP: Space = 2;
 /// Keyspace: contraction parent pointers (the `Compose` mapping).
 pub const PARENT: Space = 3;
 
-/// Packs a pointer word: 47-bit vertex id, 16-bit rank, 1-bit mark.
+/// Packs a pointer word: 48-bit vertex id, 16-bit rank.
 #[inline]
-pub fn pack(id: u64, rank: u16, mark: bool) -> u64 {
-    debug_assert!(id < (1 << 47));
-    (id << 17) | ((rank as u64) << 1) | (mark as u64)
+pub fn pack(id: u64, rank: u16) -> u64 {
+    debug_assert!(id < (1 << 48));
+    (id << 16) | rank as u64
 }
 
 /// Inverse of [`pack`].
 #[inline]
-pub fn unpack(word: u64) -> (u64, u16, bool) {
-    (word >> 17, ((word >> 1) & 0xFFFF) as u16, word & 1 == 1)
+pub fn unpack(word: u64) -> (u64, u16) {
+    (word >> 16, word as u16)
 }
 
 /// Reads `v`'s pointer word in direction `dir` ([`FWD`] or [`BWD`]): its
-/// successor or predecessor, rank and mark. One metered query.
+/// successor or predecessor and its rank. One metered query.
 #[inline]
-pub(crate) fn link(ctx: &mut MachineCtx<'_, u64>, dir: Space, v: u64) -> (u64, u16, bool) {
+pub(crate) fn link(ctx: &mut MachineCtx<'_, u64>, dir: Space, v: u64) -> (u64, u16) {
     unpack(*ctx.read(Key::new(dir, v)).expect("alive vertex must have pointers"))
 }
 
@@ -83,11 +83,11 @@ pub(crate) fn absorb(ctx: &mut MachineCtx<'_, u64>, survivor: u64, segment: &[u6
     }
 }
 
-/// Links `a → b` with rank 0 and no mark: `FWD a` and `BWD b`, each written
-/// by this machine alone.
+/// Links `a → b` with rank 0: `FWD a` and `BWD b`, each written by this
+/// machine alone.
 pub(crate) fn join(ctx: &mut MachineCtx<'_, u64>, a: u64, b: u64) {
-    ctx.write(Key::new(FWD, a), pack(b, 0, false));
-    ctx.write(Key::new(BWD, b), pack(a, 0, false));
+    ctx.write(Key::new(FWD, a), pack(b, 0));
+    ctx.write(Key::new(BWD, b), pack(a, 0));
 }
 
 /// One machine's contraction: `removed` went into `survivor`, and when
@@ -201,8 +201,8 @@ impl CycleState {
         let config = config.with_backend(backend);
         let init = (0..n0).flat_map(|a| {
             [
-                (Key::new(FWD, a as u64), pack(decomp.succ[a] as u64, 0, false)),
-                (Key::new(BWD, a as u64), pack(pred[a] as u64, 0, false)),
+                (Key::new(FWD, a as u64), pack(decomp.succ[a] as u64, 0)),
+                (Key::new(BWD, a as u64), pack(pred[a] as u64, 0)),
             ]
         });
         let sys = AmpcSystem::new(config, init);
@@ -227,8 +227,8 @@ impl CycleState {
         }
         let init = (0..n0).flat_map(|a| {
             [
-                (Key::new(FWD, a as u64), pack(succ[a], 0, false)),
-                (Key::new(BWD, a as u64), pack(pred[a], 0, false)),
+                (Key::new(FWD, a as u64), pack(succ[a], 0)),
+                (Key::new(BWD, a as u64), pack(pred[a], 0)),
             ]
         });
         let sys = AmpcSystem::new(config, init);
@@ -290,10 +290,8 @@ mod tests {
 
     #[test]
     fn pack_unpack_roundtrip() {
-        for (id, rank, mark) in
-            [(0u64, 0u16, false), (5, 9, true), ((1 << 47) - 1, u16::MAX, false)]
-        {
-            assert_eq!(unpack(pack(id, rank, mark)), (id, rank, mark));
+        for (id, rank) in [(0u64, 0u16), (5, 9), (1, u16::MAX), ((1 << 48) - 1, u16::MAX)] {
+            assert_eq!(unpack(pack(id, rank)), (id, rank));
         }
     }
 
@@ -304,9 +302,9 @@ mod tests {
             CycleState::from_successors(&[1, 2, 0, 3], AmpcConfig::default().with_machines(2));
         assert_eq!(st.alive, vec![0, 1, 2]);
         assert_eq!(st.roots, vec![3]);
-        let (succ, _, _) = unpack(*st.sys.snapshot().get(Key::new(FWD, 1)).unwrap());
+        let (succ, _) = unpack(*st.sys.snapshot().get(Key::new(FWD, 1)).unwrap());
         assert_eq!(succ, 2);
-        let (pred, _, _) = unpack(*st.sys.snapshot().get(Key::new(BWD, 0)).unwrap());
+        let (pred, _) = unpack(*st.sys.snapshot().get(Key::new(BWD, 0)).unwrap());
         assert_eq!(pred, 2);
         // Compose with no contractions: everyone is their own root.
         let labels = st.compose_labels(4).unwrap();

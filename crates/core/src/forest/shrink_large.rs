@@ -6,8 +6,12 @@
 //! we implement a sampling-based equivalent with the same interface (see
 //! DESIGN.md, substitutions):
 //!
-//! Repeat `O(1)` times (the repetition count depends only on `ε`):
-//!  1. every alive vertex marks itself independently with probability `ρ`;
+//! Repeat `O(1)` times (the repetition count depends only on `ε`), one
+//! round per repetition:
+//!  1. every alive vertex is marked independently with probability `ρ`. A
+//!     mark is a public hash of `(seed, round, repetition, vertex)` that the
+//!     walker evaluates where it needs it, so no round writes it and no
+//!     read fetches it;
 //!  2. every *marked* vertex walks forward to the next marked vertex
 //!     (capped at the machine budget) and contracts the unmarked segment
 //!     behind it.
@@ -19,9 +23,9 @@
 //! shorter than `L` w.h.p. A walk that hits its cap abstains entirely, so
 //! the pointer structure stays consistent even in the improbable tail.
 
-use ampc::{AmpcResult, Key};
+use ampc::{AmpcResult, MachineCtx};
 
-use crate::cycles::{absorb, join, link, pack, Absorbed, CycleState, FWD};
+use crate::cycles::{absorb, join, link, Absorbed, CycleState, FWD};
 
 /// Measurements of a `ShrinkLargeCycles` invocation.
 #[derive(Debug, Clone)]
@@ -63,33 +67,23 @@ pub fn shrink_large_cycles(
     let mut contracted = 0usize;
 
     for rep in 0..repetitions {
-        // Round A: sample marks into the pointer words.
-        state.sys.round("slc-mark", &state.alive, |ctx, &v| {
-            let (succ, rank, _) = link(ctx, FWD, v);
-            let mark = ctx.rng(rep as u64, v).bernoulli(rho);
-            ctx.write(Key::new(FWD, v), pack(succ, rank, mark));
-            None::<()>
-        })?;
-
-        // Round B: marked vertices jump to the next mark, contracting the
-        // unmarked segment in between.
+        // Marked vertices jump to the next mark, contracting the unmarked
+        // segment in between. Every machine of the round evaluates the same
+        // mark for a vertex, so an unmarked vertex reads nothing and a walk
+        // stops at a mark without reading its pointer.
         let jump = state.sys.round("slc-jump", &state.alive, |ctx, &v| {
-            let (succ, _, marked) = link(ctx, FWD, v);
-            if !marked {
+            let marked = |ctx: &MachineCtx<'_, u64>, x| ctx.rng(rep as u64, x).bernoulli(rho);
+            if !marked(ctx, v) {
                 return None;
             }
             let mut interior = Vec::new();
-            let mut cur = succ;
-            while cur != v {
-                let (next, _, mark) = link(ctx, FWD, cur);
-                if mark {
-                    break;
-                }
+            let mut cur = link(ctx, FWD, v).0;
+            while cur != v && !marked(ctx, cur) {
                 interior.push(cur);
                 if interior.len() >= cap {
                     return None; // cap hit (w.h.p. never): abstain entirely
                 }
-                cur = next;
+                cur = link(ctx, FWD, cur).0;
             }
             // Back at v, the whole cycle was walked and v is its only mark;
             // if the cycle is already within the target, leave it alone —
@@ -123,7 +117,7 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
-    use ampc::{AmpcConfig, DhtStorage as _};
+    use ampc::{AmpcConfig, DhtStorage as _, Key};
 
     use crate::cycles::unpack;
 
@@ -174,9 +168,26 @@ mod tests {
     fn constant_rounds() {
         let mut st = ring_state(100_000, 2);
         let out = shrink_large_cycles(&mut st, 512, 1 << 20).unwrap();
-        // O(1): two rounds per repetition, constant repetitions.
-        assert!(out.rounds <= 24, "rounds {}", out.rounds);
-        assert_eq!(out.rounds, 2 * out.repetitions);
+        // O(1): one round per repetition, constant repetitions.
+        assert!(out.rounds <= 12, "rounds {}", out.rounds);
+        assert_eq!(out.rounds, out.repetitions);
+    }
+
+    #[test]
+    fn an_unmarked_repetition_reads_nothing() {
+        // An 8-ring among 100 000 singletons: ρ is set by n0, so it is tiny
+        // (≈ 5·10⁻⁴) and at this seed no ring vertex is marked in either
+        // repetition. A mark is evaluated, not read, so neither repetition
+        // issues a query.
+        let ring = 8u64;
+        let succ: Vec<u64> =
+            (0..ring).map(|i| (i + 1) % ring).chain(ring..100_000 + ring).collect();
+        let config = AmpcConfig::default().with_machines(4).with_seed(6);
+        let mut st = CycleState::from_successors(&succ, config);
+        let out = shrink_large_cycles(&mut st, 90_000, 1 << 20).unwrap();
+        assert_eq!((out.repetitions, out.rounds), (2, 2));
+        assert_eq!((out.contracted, st.alive.len()), (0, ring as usize));
+        assert_eq!(out.queries, 0);
     }
 
     #[test]

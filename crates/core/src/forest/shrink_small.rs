@@ -102,24 +102,24 @@ pub fn shrink_small_cycles(
 
     // Round 1: sample ranks, publish them in both pointer words, reset stamps.
     state.sys.round("ssc-ranks", &state.alive, |ctx, &v| {
-        let (succ, _, _) = link(ctx, FWD, v);
-        let (pred, _, _) = link(ctx, BWD, v);
+        let (succ, _) = link(ctx, FWD, v);
+        let (pred, _) = link(ctx, BWD, v);
         let rank = sample_rank(&mut ctx.rng(0, v), b);
-        ctx.write(Key::new(FWD, v), pack(succ, rank, false));
-        ctx.write(Key::new(BWD, v), pack(pred, rank, false));
+        ctx.write(Key::new(FWD, v), pack(succ, rank));
+        ctx.write(Key::new(BWD, v), pack(pred, rank));
         ctx.write(Key::new(STAMP, v), 0);
         None::<()>
     })?;
 
     // Round 2: probe + stamp; unique maxima contract their whole cycle.
     let probe = state.sys.round("ssc-probe", &state.alive, |ctx, &v| {
-        let (succ, my_rank, _) = link(ctx, FWD, v);
+        let (succ, my_rank) = link(ctx, FWD, v);
         // Forward traversal; it ends back at v only if v is the unique
         // maximum of its cycle.
         let mut visited = Vec::new();
         let mut cur = succ;
         while cur != v {
-            let (next, rank, _) = link(ctx, FWD, cur);
+            let (next, rank) = link(ctx, FWD, cur);
             ctx.write_merge(Key::new(STAMP, cur), my_rank as u64);
             if rank >= my_rank {
                 break;
@@ -141,7 +141,7 @@ pub fn shrink_small_cycles(
         let mut cur = link(ctx, BWD, v).0;
         let mut steps = 0usize;
         while cur != v {
-            let (next, rank, _) = link(ctx, BWD, cur);
+            let (next, rank) = link(ctx, BWD, cur);
             ctx.write_merge(Key::new(STAMP, cur), my_rank as u64);
             steps += 1;
             if rank >= my_rank || steps >= walk_cap {
@@ -155,7 +155,7 @@ pub fn shrink_small_cycles(
 
     // Round 3: leaders contract the segments between them.
     let contract = state.sys.round("ssc-contract", &state.alive, |ctx, &v| {
-        let (succ, my_rank, _) = link(ctx, FWD, v);
+        let (succ, my_rank) = link(ctx, FWD, v);
         let stamp = ctx.read(Key::new(STAMP, v)).copied().unwrap_or(0) as u16;
         if stamp > my_rank {
             return None; // not a leader; some leader will absorb this vertex
@@ -169,7 +169,7 @@ pub fn shrink_small_cycles(
                     cur, v,
                     "leader re-encountered itself; loop case should have fired"
                 );
-                let (next, rank, _) = link(ctx, dir, cur);
+                let (next, rank) = link(ctx, dir, cur);
                 if rank >= my_rank {
                     return Some((cur, interior));
                 }

@@ -6,7 +6,9 @@
 //! Algorithm 1 of [BDE+20]):
 //!
 //! 1. transform `G` into `G3` of maximum degree 3 (vertex → cycle gadget);
-//! 2. give every vertex a uniformly random rank;
+//! 2. give every vertex a uniformly random rank — a public hash of
+//!    `(seed, round, vertex)` that the BFS evaluates wherever it compares
+//!    ranks, so no round writes it and no read fetches it;
 //! 3. run a truncated BFS from every vertex `v`, stopping when (a) `t`
 //!    vertices have been explored, (b) the component is exhausted, or
 //!    (c) a vertex `w` of *lower* rank is reached — in which case a
@@ -47,10 +49,8 @@ use crate::cycles::{chase_roots, Pointer};
 
 /// Keyspace: adjacency lists of `G3`.
 const ADJ: Space = 0;
-/// Keyspace: random vertex ranks.
-const RANK: Space = 1;
 /// Keyspace: super-edge parent pointers.
-const SUPER: Space = 2;
+const SUPER: Space = 1;
 
 thread_local! {
     /// The `sg-bfs` queue, one per worker thread (see step 3).
@@ -74,7 +74,7 @@ pub enum GVal {
         /// The neighbors, in `nbrs[..len]`.
         nbrs: [VertexId; 3],
     },
-    /// A scalar (rank or parent pointer).
+    /// A scalar (a parent pointer).
     Num(u64),
 }
 
@@ -158,8 +158,8 @@ pub fn shrink_general(
     let n3 = d3.graph.n();
     let m3 = d3.graph.m();
 
-    // Every keyspace here (ADJ/RANK/SUPER) is indexed by G3 vertex ids
-    // 0..n3 — the dense backend's slab hint.
+    // Both keyspaces here (ADJ/SUPER) are indexed by G3 vertex ids 0..n3 —
+    // the dense backend's slab hint.
     let backend = ampc_cfg.backend.with_capacity_hint(n3.max(1));
     let ampc_cfg = ampc_cfg.with_backend(backend);
     let mut sys: AmpcSystem<GVal> = AmpcSystem::new(
@@ -170,14 +170,9 @@ pub fn shrink_general(
 
     let items: Vec<u64> = (0..n3 as u64).collect();
 
-    // Step 2: random ranks.
-    sys.round("sg-ranks", &items, |ctx, &v| {
-        let r = ctx.rng(0, v).next_u64();
-        ctx.write(Key::new(RANK, v), GVal::Num(r));
-        None::<()>
-    })?;
-
-    // Step 3: truncated BFS from every vertex.
+    // Steps 2 and 3: truncated BFS from every vertex. A vertex's rank is the
+    // first draw of `ctx.rng(0, x)`, which every machine of this round
+    // evaluates alike, so comparing ranks reads nothing.
     let queue_bound = t.saturating_mul(3) - 2;
     let bfs_before = sys.stats().total_queries();
     sys.round("sg-bfs", &items, |ctx, &v| {
@@ -192,8 +187,7 @@ pub fn shrink_general(
         BFS_QUEUE.with_borrow_mut(|queue| {
             queue.clear();
             queue.reserve(queue_bound.min(n3));
-            let my_rank = ctx.read(Key::new(RANK, v)).expect("rank").num();
-            let me = (my_rank, v);
+            let me = (ctx.rng(0, v).next_u64(), v);
             queue.push(v);
             let mut head = 0usize;
             while head < queue.len() {
@@ -214,8 +208,7 @@ pub fn shrink_general(
                     if queue.contains(&w) {
                         continue;
                     }
-                    let rw = ctx.read(Key::new(RANK, w)).expect("rank").num();
-                    if (rw, w) < me {
+                    if (ctx.rng(0, w).next_u64(), w) < me {
                         // Stop (c): lower-rank vertex reached → super-edge w → v.
                         ctx.write(Key::new(SUPER, v), GVal::Num(w));
                         return;
@@ -366,6 +359,21 @@ mod tests {
         let g = erdos_renyi_gnm(2000, 6000, 19);
         let out = assert_cc_shrinking(&g, 16, 4);
         assert!(out.h.m() <= g.m() + out.n3); // gadget cycle edges also shrink
+    }
+
+    #[test]
+    fn ranks_are_evaluated_not_stored() {
+        // No round writes a rank before the BFS, which evaluates them, and
+        // only the super-edge chase follows it (for several rounds at a
+        // 2-hop cap).
+        let g = erdos_renyi_gnm(500, 1200, 3);
+        for (t, chase_cap) in [(16, 4096), (4, 2)] {
+            let out = shrink_general(&g, t, chase_cap, cfg(1)).unwrap();
+            let names: Vec<&str> = out.stats.per_round().iter().map(|r| &*r.name).collect();
+            let mut expected = vec!["sg-bfs"];
+            expected.extend(std::iter::repeat_n("sg-chase", out.chase_rounds));
+            assert_eq!(names, expected, "t={t}");
+        }
     }
 
     #[test]

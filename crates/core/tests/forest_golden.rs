@@ -9,6 +9,12 @@
 //! per-iteration count shows up here as a changed fingerprint. All three
 //! storage backends must produce the same one (the backend is an execution
 //! detail).
+//!
+//! Two columns were re-recorded since, when `ShrinkLargeCycles`' marks
+//! became a hash its walker evaluates instead of a round that stores them:
+//! the δ = 0.8 column of `FOREST_GOLDEN` and the `resolve_roots_euler`
+//! column of `ROOTED_GOLDEN`, the only runs here in which it samples. Every
+//! other column is still the recorded parent's.
 
 use ampc::rng::stream;
 use ampc::{AmpcConfig, DhtBackend};
@@ -42,16 +48,16 @@ const N: usize = 1000;
 /// covers seeds 1 and 2.
 #[rustfmt::skip]
 const FOREST_GOLDEN: &[(&str, [u64; 5])] = &[
-    ("path", [0xdb7e_33e7_55fd_be59, 0x24d6_5645_1de6_9dfc, 0xc08d_9c23_e02a_a9c8, 0xf5d7_745d_6488_7755, 0x1f5f_3ff9_a41c_b0cc]),
-    ("star", [0x7f05_84e3_6e9f_c929, 0x955d_d78e_5b8e_a410, 0xa24e_3c61_fa97_1fdf, 0x5b1e_6f26_4e4d_e03b, 0xfa45_d52d_dfe3_385e]),
-    ("binary-tree", [0x9de0_5229_6182_c8f7, 0xab4c_bc8c_4132_bc51, 0xcbb8_6930_3023_3bac, 0x2137_4048_4380_aae1, 0x139a_488f_7fea_7947]),
-    ("caterpillar", [0x1459_102e_d5f5_1baf, 0x7956_0f1e_94ff_1d0d, 0xaebf_e586_b7ab_1f93, 0xdac1_32cf_e028_74db, 0xf0f6_a671_0d71_18a6]),
-    ("random-tree", [0xe947_104e_e087_4389, 0xc584_45f8_f424_bcc6, 0x29c5_457b_9459_b343, 0x9a70_16db_5c4a_5fa1, 0x67fd_7ec9_704d_d6eb]),
-    ("many-trees", [0xcfd7_35ee_5d20_ec7c, 0x82ac_2ca8_42d3_dba6, 0xb012_829a_8c8d_5ff3, 0xabab_3086_7fce_6fe6, 0x373a_2e2d_e3c8_ea9f]),
-    ("tiny-trees", [0x3fd3_94ff_cea3_2f07, 0x77c2_98fd_1c92_7e38, 0x60f4_a32b_ea90_2dd9, 0x2fae_f905_c62b_1b59, 0x6ce6_36ac_9b04_e682]),
-    ("spider", [0x46ae_e654_8fbf_5e88, 0x58a7_2952_585b_2c94, 0xc7a5_dceb_4a7a_5226, 0x555b_ef9f_ca80_422e, 0xe082_22ac_6a5f_7d15]),
-    ("kary-tree", [0x313b_dbd1_a451_47a0, 0xe989_0dab_f4a5_eb70, 0xf217_02d2_7891_16fd, 0xe601_e19f_f41f_ab3e, 0x168e_863b_6705_e85b]),
-    ("broom", [0x5f58_7271_be0e_dd0a, 0xd717_6ad7_ae22_4715, 0x0c29_363c_8699_b8b7, 0x578b_514a_b774_0142, 0x59e5_6fe7_61f4_6584]),
+    ("path", [0xdb7e_33e7_55fd_be59, 0x24d6_5645_1de6_9dfc, 0xc08d_9c23_e02a_a9c8, 0xf5d7_745d_6488_7755, 0x50b6_5eca_9c4f_3ab5]),
+    ("star", [0x7f05_84e3_6e9f_c929, 0x955d_d78e_5b8e_a410, 0xa24e_3c61_fa97_1fdf, 0x5b1e_6f26_4e4d_e03b, 0xf20b_0f94_eb4f_a0c0]),
+    ("binary-tree", [0x9de0_5229_6182_c8f7, 0xab4c_bc8c_4132_bc51, 0xcbb8_6930_3023_3bac, 0x2137_4048_4380_aae1, 0xb3f9_24c5_2dda_2b2e]),
+    ("caterpillar", [0x1459_102e_d5f5_1baf, 0x7956_0f1e_94ff_1d0d, 0xaebf_e586_b7ab_1f93, 0xdac1_32cf_e028_74db, 0x69af_430e_90c5_b2bd]),
+    ("random-tree", [0xe947_104e_e087_4389, 0xc584_45f8_f424_bcc6, 0x29c5_457b_9459_b343, 0x9a70_16db_5c4a_5fa1, 0x9eb1_a690_52b5_3b0e]),
+    ("many-trees", [0xcfd7_35ee_5d20_ec7c, 0x82ac_2ca8_42d3_dba6, 0xb012_829a_8c8d_5ff3, 0xabab_3086_7fce_6fe6, 0x3282_0070_7fc0_d038]),
+    ("tiny-trees", [0x3fd3_94ff_cea3_2f07, 0x77c2_98fd_1c92_7e38, 0x60f4_a32b_ea90_2dd9, 0x2fae_f905_c62b_1b59, 0x83df_3f55_6fa9_5b4a]),
+    ("spider", [0x46ae_e654_8fbf_5e88, 0x58a7_2952_585b_2c94, 0xc7a5_dceb_4a7a_5226, 0x555b_ef9f_ca80_422e, 0xc44d_b4b0_781f_43d8]),
+    ("kary-tree", [0x313b_dbd1_a451_47a0, 0xe989_0dab_f4a5_eb70, 0xf217_02d2_7891_16fd, 0xe601_e19f_f41f_ab3e, 0xeea4_be89_3f7e_6d2f]),
+    ("broom", [0x5f58_7271_be0e_dd0a, 0xd717_6ad7_ae22_4715, 0x0c29_363c_8699_b8b7, 0x578b_514a_b774_0142, 0xf990_555b_3ad7_c203]),
 ];
 
 #[test]
@@ -104,10 +110,10 @@ fn rooted_fingerprint(out: RootedForestOutcome) -> u64 {
 
 /// `(forest, [resolve_roots_euler, resolve_roots_chase])`.
 const ROOTED_GOLDEN: &[(&str, [u64; 2])] = &[
-    ("random-2000-17", [0xe47c_dee2_570e_47c6, 0x0303_a4ee_0057_95e3]),
-    ("random-800-9", [0xdbd1_392f_76f5_347f, 0xa493_d5df_0028_356f]),
-    ("random-3000-1", [0xd972_f8e8_ebc4_fc69, 0x1062_6ea2_29e5_ab3a]),
-    ("chain-3000", [0xd31c_750b_6dd7_64bd, 0x83ed_8a00_ab0e_8620]),
+    ("random-2000-17", [0xe121_98ef_fe8b_507c, 0x0303_a4ee_0057_95e3]),
+    ("random-800-9", [0xb2bc_4e24_3e78_c200, 0xa493_d5df_0028_356f]),
+    ("random-3000-1", [0x716e_1613_7404_0a73, 0x1062_6ea2_29e5_ab3a]),
+    ("chain-3000", [0x50a4_589a_e205_3187, 0x83ed_8a00_ab0e_8620]),
 ];
 
 #[test]

@@ -11,6 +11,10 @@
 //! `preferential_attachment` iterated a `HashSet`, so its graph differed
 //! from run to run and no fingerprint of it could be pinned.
 //!
+//! Every row was re-recorded since, when a vertex's rank became a hash the
+//! BFS evaluates instead of a round and a keyspace that store it: that
+//! drops a round and every rank read from each run's `stats`.
+//!
 //! The paper's Claim 4.12 construction (`resolve_roots_euler`), which
 //! ShrinkGeneral does not run, is pinned by `forest_golden.rs`.
 
@@ -41,18 +45,18 @@ fn fingerprint(g: &Graph, t: usize, backend: DhtBackend) -> u64 {
 
 /// `(graph, t, fingerprint)`, graphs in the order of `graphs()`.
 const GOLDEN: &[(&str, usize, u64)] = &[
-    ("er", 1, 0xec35_b7ab_8f5a_034b),
-    ("er", 2, 0x0818_b775_b4bd_3f43),
-    ("er", 16, 0x20f9_c9a6_6b4f_b49b),
-    ("er", 64, 0x217e_55b0_3388_3daf),
-    ("grid", 1, 0x6cf1_3685_e3da_d338),
-    ("grid", 2, 0xd876_faa4_2b7b_9c23),
-    ("grid", 16, 0x7fc7_6509_3c37_8e90),
-    ("grid", 64, 0xdf65_e6fe_351a_86de),
-    ("pa", 1, 0x33c0_dc43_1ef2_12ca),
-    ("pa", 2, 0x17c5_71b4_39a4_c663),
-    ("pa", 16, 0x8849_214b_176e_a942),
-    ("pa", 64, 0x177a_f630_7faa_d164),
+    ("er", 1, 0x7a38_7813_29a6_d216),
+    ("er", 2, 0xc01b_bb7b_a376_fee2),
+    ("er", 16, 0x3e31_5806_c8c0_15db),
+    ("er", 64, 0xeb36_aaed_06be_3c72),
+    ("grid", 1, 0x457e_0a2d_b4d4_12da),
+    ("grid", 2, 0xce92_5f31_fb8e_e91a),
+    ("grid", 16, 0x04ec_6a02_4487_079f),
+    ("grid", 64, 0x425c_ae2f_40e5_7d55),
+    ("pa", 1, 0xc182_c574_515f_c94c),
+    ("pa", 2, 0x7662_7fc2_d224_6f4c),
+    ("pa", 16, 0x9c90_ae76_ff41_6602),
+    ("pa", 64, 0xfc63_5764_bdbf_0f7e),
 ];
 
 fn graphs() -> [(&'static str, Graph); 3] {

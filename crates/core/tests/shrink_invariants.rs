@@ -64,14 +64,14 @@ fn assert_pointer_integrity(state: &CycleState, orig_cycle: &[usize]) {
     let alive: HashSet<u64> = state.alive.iter().copied().collect();
     for &v in &state.alive {
         let fwd = state.sys.snapshot().get(Key::new(FWD, v)).expect("alive FWD");
-        let (succ, _, _) = unpack(*fwd);
+        let (succ, _) = unpack(*fwd);
         assert!(alive.contains(&succ), "v={v} points to dead successor {succ}");
         assert_eq!(orig_cycle[succ as usize], orig_cycle[v as usize], "pointer crossed cycles");
         let bwd = state.sys.snapshot().get(Key::new(BWD, v)).expect("alive BWD");
-        let (pred, _, _) = unpack(*bwd);
+        let (pred, _) = unpack(*bwd);
         assert!(alive.contains(&pred), "v={v} points to dead predecessor {pred}");
         // succ/pred must be mutually consistent.
-        let (ps, _, _) = unpack(*state.sys.snapshot().get(Key::new(FWD, pred)).expect("pred FWD"));
+        let (ps, _) = unpack(*state.sys.snapshot().get(Key::new(FWD, pred)).expect("pred FWD"));
         assert_eq!(ps, v, "pred({v}) = {pred} but succ({pred}) = {ps}");
     }
 }
