@@ -1,19 +1,18 @@
 //! Health over the wire, end-to-end: deterministic failpoint schedules
-//! drive the PR-8 degradation state machine through Degraded and
+//! drive the degradation state machine through Degraded and
 //! ReadOnly, and every transition must be visible — and exact — through
 //! the Health opcode. Write opcodes are refused with the typed ReadOnly
 //! wire code; reads keep serving the last good epoch throughout; an
 //! explicit rebuild restores Healthy on the wire.
 
 use std::net::TcpListener;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use ampc_cc::pipeline::PipelineSpec;
 use ampc_graph::generators::random_forest;
 use ampc_graph::reference_components;
 use ampc_graph::{Graph, VertexId};
 use ampc_net::{Connection, ErrorCode, ServerConfig};
-use ampc_obs::ManualClock;
 use ampc_query::{ComponentIndex, Query, QueryEngine};
 use ampc_serve::fault::{self, FaultAction, Site};
 use ampc_serve::{HealthState, JournalBudget, RetryPolicy, ServiceBuilder, ServiceHandle};
@@ -40,14 +39,6 @@ impl Drop for FaultSession {
     }
 }
 
-fn wait_until(what: &str, cond: impl Fn() -> bool) {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while !cond() {
-        assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-}
-
 /// The wire health must agree with the in-process `ServiceHandle::health`
 /// on every field the protocol carries.
 fn assert_wire_matches(conn: &mut Connection, service: &ServiceHandle, what: &str) {
@@ -66,20 +57,14 @@ fn assert_wire_matches(conn: &mut Connection, service: &ServiceHandle, what: &st
 fn degradation_walk_is_visible_and_exact_on_the_wire() {
     let _s = FaultSession::begin();
     let graph = random_forest(N, 6, 0x8EA1);
+    let mut edges: Vec<(VertexId, VertexId)> = graph.edges().collect();
     let index = ComponentIndex::build(&reference_components(&graph));
-    let clock = Arc::new(ManualClock::new(0));
     let service = ServiceBuilder::new(graph)
         .spec(PipelineSpec::default().with_seed(0x8EA1).with_machines(4))
-        // Zero edge budget: the first insert immediately starts a
-        // compaction, which the armed failpoint fails deterministically.
+        // Zero edge budget: every insert folds, and the armed failpoint
+        // fails each fold deterministically.
         .journal_budget(JournalBudget::new(0))
-        .retry_policy(RetryPolicy {
-            max_consecutive_failures: 2,
-            base_backoff_ms: 100,
-            max_backoff_ms: 400,
-            max_incidents: 8,
-        })
-        .clock(clock.clone())
+        .retry_policy(RetryPolicy { max_consecutive_failures: 2, max_incidents: 8 })
         .build()
         .expect("service");
 
@@ -97,19 +82,21 @@ fn degradation_walk_is_visible_and_exact_on_the_wire() {
     let probes: Vec<Query> = (0..32).map(|v| Query::ComponentSize(v as u32)).collect();
     let good_epoch_answers: Vec<u64> = probes.iter().map(|&q| engine.answer(q)).collect();
 
-    // Strike 1 (over the wire): insert → compaction starts → injected
-    // failure → Degraded. The insert itself succeeds (journal path).
+    // Strike 1 (over the wire): insert → fold → injected failure →
+    // Degraded. The insert itself succeeds (journal path).
     fault::arm(Site::CompactPublish, FaultAction::Error, 0, u64::MAX);
     let report = conn.insert_edges(&[(0, (N - 1) as VertexId)]).expect("degraded insert lands");
     assert_eq!(report.applied, 1);
-    wait_until("degraded", || service.health().state == HealthState::Degraded);
+    edges.push((0, (N - 1) as VertexId));
+    assert_eq!(service.health().state, HealthState::Degraded);
     assert_wire_matches(&mut conn, &service, "after first strike");
     assert_eq!(conn.health().expect("health").state_name(), "degraded");
 
-    // Strike 2: backoff elapses, the retry fails → ReadOnly.
-    clock.advance(100_000_000);
-    assert!(service.tick(), "elapsed backoff must start a retry");
-    wait_until("read-only", || service.health().state == HealthState::ReadOnly);
+    // Strike 2: the next insert retries the fold, which fails → ReadOnly.
+    let report = conn.insert_edges(&[(2, 3)]).expect("the second strike's batch lands");
+    assert_eq!(report.epoch, service.current_epoch());
+    edges.push((2, 3));
+    assert_eq!(service.health().state, HealthState::ReadOnly);
     assert_wire_matches(&mut conn, &service, "after second strike");
     assert_eq!(conn.health().expect("health").state_name(), "read-only");
 
@@ -122,7 +109,7 @@ fn degradation_walk_is_visible_and_exact_on_the_wire() {
     }
 
     // Reads on that same connection still serve the last good epoch —
-    // which includes the journal-epoch the successful insert published.
+    // which includes the journal-epochs the successful inserts published.
     let wire_health = conn.health().expect("health while read-only");
     assert_eq!(wire_health.epoch, service.current_epoch());
     let answers = conn.query_batch(&probes).expect("reads keep serving");
@@ -134,6 +121,10 @@ fn degradation_walk_is_visible_and_exact_on_the_wire() {
         probes.iter().map(|&q| engine.answer(q)).collect()
     };
     assert_eq!(answers, expect, "reads must serve exactly the last published epoch");
+    let oracle = ComponentIndex::build(&reference_components(&Graph::from_edges(N, &edges)));
+    let oracle_answers: Vec<u64> =
+        probes.iter().map(|&q| QueryEngine::new(&oracle).answer(q)).collect();
+    assert_eq!(answers, oracle_answers, "the last epoch answers like a build of its merged graph");
     // At minimum every component-size answer is >= its pre-insert value
     // (a merge can only grow components).
     for (now, before) in answers.iter().zip(&good_epoch_answers) {
@@ -143,14 +134,9 @@ fn degradation_walk_is_visible_and_exact_on_the_wire() {
     // The operator lever: disarm the faults, rebuild with fresh ground
     // truth, and the wire must report healthy again.
     fault::disarm_all();
-    let n_edges: Vec<(VertexId, VertexId)> = {
-        let mut e: Vec<_> = random_forest(N, 6, 0x8EA1).edges().collect();
-        e.push((0, (N - 1) as VertexId));
-        e
-    };
-    let recovered = Graph::from_edges(N, &n_edges);
+    let recovered = Graph::from_edges(N, &edges);
     service.rebuild_blocking(recovered).expect("explicit rebuild restores service");
-    wait_until("healthy again", || service.health().state == HealthState::Healthy);
+    assert_eq!(service.health().state, HealthState::Healthy);
     assert_wire_matches(&mut conn, &service, "after recovery");
     assert_eq!(conn.health().expect("health").state_name(), "healthy");
     let report = conn.insert_edges(&[(1, 2)]).expect("writes accepted again");

@@ -55,11 +55,11 @@ crate::catalog! {
     /// registry; the name is the stable CLI / catalog identity, and
     /// [`Site::ALL`] in registry order is what the CLI prints as the catalog.
     pub enum Site: usize {
-        RebuildPipeline => "rebuild.pipeline", "Pipeline build inside every background rebuild \
-            (explicit rebuild and budget-triggered compaction both pass through it).",
-        CompactPublish => "compact.publish", "Compaction publish: fires after the compaction's \
-            pipeline build succeeded, before any stream state is touched — a compaction that \
-            \"loses the race\" at the last moment.",
+        RebuildPipeline => "rebuild.pipeline",
+            "Pipeline build inside every background (explicit) rebuild.",
+        CompactPublish => "compact.publish", "Compaction publish: fires after the fold, before \
+            anything is published or any stream state is touched — the insert then publishes \
+            its journal-epoch instead and the failure is recorded.",
         JournalBuild => "journal.build",
             "Journal-epoch freeze on the insert path (caller-thread code).",
         PersistPreTmp => "persist.pre-tmp", "Snapshot write, before the temp file is created.",

@@ -25,11 +25,9 @@ crate::catalog! {
         JournalBuilt => "journal_built", "A merge journal was built for streaming inserts. \
             `a` = journal entries, `b` = build nanoseconds.",
         CompactionStarted => "compaction_started",
-            "Background compaction began. `a` = epoch it consumes through.",
-        CompactionYielded => "compaction_yielded",
-            "Compaction yielded to a queued full rebuild. `a` = epoch.",
+            "An insert began folding its journal into a new base. `a` = epoch it folds.",
         CompactionFinished => "compaction_finished",
-            "Compaction published. `a` = epoch, `b` = duration nanoseconds.",
+            "A folded base was published. `a` = epoch, `b` = fold nanoseconds.",
         IncidentRecorded => "incident_recorded", "A fault was recorded in the incident log. \
             `a` = incident seq, `b` = operation discriminant.",
         SnapshotPersisted => "snapshot_persisted",

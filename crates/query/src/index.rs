@@ -21,10 +21,15 @@
 //! `4n + 8c` bytes. A live [`ComponentIndex::build`] and a snapshot decode
 //! both hand `comp_of` and its counted sizes to one constructor, which
 //! ranks them, so a booted index is indistinguishable from a built one.
+//! [`ComponentIndex::fold`] reads a journal's merges into a new index
+//! without relabelling: `comp_of` through the journal's remap, beside the
+//! journal's class table.
 
 use std::cmp::Reverse;
 
 use ampc_graph::{relabel, Graph, Labeling, Relabeled, VertexId};
+
+use crate::JournalView;
 
 /// Dense component identifier in `0..num_components`.
 pub type ComponentId = u32;
@@ -128,6 +133,19 @@ impl ComponentIndex {
             return Err("labeling is not a valid CC-labeling of the graph".into());
         }
         Ok(Self::build(labeling))
+    }
+
+    /// The index of the partition `journal` merges `self` into: `comp_of`
+    /// mapped through [`JournalView::resolve`] beside the journal's class
+    /// table. Merged ids already ascend by minimum member vertex (see
+    /// [`crate::journal`]), so this equals [`ComponentIndex::build`] of the
+    /// merged labeling with nothing relabelled, hashed or re-ranked. `O(n)`.
+    ///
+    /// `journal` must be a view over `self`, as [`JournalView::extend`]
+    /// derives it.
+    pub fn fold(&self, journal: &JournalView) -> ComponentIndex {
+        let comp_of = self.comp_of.iter().map(|&d| journal.resolve(d)).collect();
+        ComponentIndex { comp_of, classes: journal.classes().clone() }
     }
 
     /// `comp_of`, for the snapshot writer.

@@ -408,8 +408,8 @@ mod tests {
         }
 
         /// The chained view equals `JournalView::build` of the union-find's
-        /// roots, and answers like `ComponentIndex::build` of the merged
-        /// labeling.
+        /// roots, answers like `ComponentIndex::build` of the merged
+        /// labeling, and folds into exactly that index.
         fn check(&self, what: &str) {
             let (base, mut uf) = (&self.base, self.uf.clone());
             let c = base.num_components();
@@ -423,6 +423,7 @@ mod tests {
             let n = base.num_vertices() as VertexId;
             let merged = (0..n).map(|v| class_of[base.component_of(v) as usize] as u64).collect();
             let fresh = ComponentIndex::build(&Labeling(merged));
+            assert_eq!(base.fold(view), fresh, "{what}: fold != fresh build");
             let k = fresh.num_components();
             assert_eq!(view.num_components(), k, "{what}");
             assert_eq!(view.merges(), c - k, "{what}");
@@ -495,17 +496,17 @@ mod tests {
     }
 
     #[test]
-    fn a_compaction_replay_is_one_large_batch_on_the_bare_base() {
+    fn one_large_batch_on_the_bare_base() {
         let mut rng = SplitMix64::new(derive_seed(&[0x2E91A7]));
         let n = 3 * 4_096;
         let mut chain = Chain::new((0..n).map(|v| rng.next_below(3) * 4_096 + v % 4_096).collect());
         let c = chain.base.num_components() as u64;
-        assert!(c >= 4_096, "replay shape needs a wide base, got {c}");
+        assert!(c >= 4_096, "a large batch needs a wide base, got {c}");
         let tail: Vec<_> = (0..5_000)
             .map(|_| (rng.next_below(c) as ComponentId, rng.next_below(c) as ComponentId))
             .collect();
-        chain.step(&tail, "replay");
+        chain.step(&tail, "large batch");
         assert!(chain.merges() > 1_000);
-        chain.step(&tail[..16], "a batch the replay already covers");
+        chain.step(&tail[..16], "a batch the large one already covers");
     }
 }

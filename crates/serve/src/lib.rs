@@ -23,8 +23,8 @@
 //!   cheap **journal-epochs** ([`JournalView`] riding on an unchanged
 //!   base index, each derived from the one before it in `O(components)`),
 //!   byte-identical to a full rebuild of the merged graph; past a
-//!   [`JournalBudget`] the service compacts with a background rebuild and
-//!   replays in-flight inserts.
+//!   [`JournalBudget`] the insert compacts instead, folding the journal into
+//!   a new base in `O(n)` with no edges and publishing that as its epoch.
 //! * [`ServiceHandle::persist`] / [`ServiceBuilder::from_snapshot`] — the
 //!   fan-out path: persist pins the published epoch and writes it as a
 //!   versioned, checksummed snapshot (`ampc_query::snapshot`, atomic
@@ -38,18 +38,19 @@
 //!   frame — through its own pinned snapshot here, over a connection in
 //!   `ampc-net`.
 //! * [`fault`] + the degradation state machine — every risky seam
-//!   (pipeline build, compaction publish, journal freeze, snapshot
+//!   (pipeline build, compaction fold, journal freeze, snapshot
 //!   write/load) carries a named **failpoint** (the registry is
 //!   `ampc_obs::fault`, re-exported here because this crate's callers arm
 //!   it; it lives in the bottom crate so that `ampc-query` and `ampc-net`
 //!   reach their own sites directly; compiled in always, one
 //!   relaxed atomic load when disarmed); failures no longer vanish with
 //!   their thread but land as typed incidents in a bounded log and drive
-//!   `Healthy → Degraded → ReadOnly` ([`HealthState`]) with bounded
-//!   deterministic retry-with-backoff ([`RetryPolicy`], injectable
-//!   [`ampc_obs::Clock`]). Reads keep serving the last published epoch in
-//!   every state; [`ServiceBuilder::from_snapshot_or_rebuild`] gives boot the
-//!   same no-single-failure-kills-us treatment.
+//!   `Healthy → Degraded → ReadOnly` ([`HealthState`]): a Degraded service
+//!   retries the fold on every insert, and [`RetryPolicy`] bounds the
+//!   failures in a row before inserts are refused. Reads keep serving the
+//!   last published epoch in every state;
+//!   [`ServiceBuilder::from_snapshot_or_rebuild`] gives boot the same
+//!   no-single-failure-kills-us treatment.
 //!
 //! Per-epoch determinism carries over from the layers below: a published
 //! index is a pure function of `(spec, graph)`, so every snapshot of one

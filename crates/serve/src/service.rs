@@ -2,9 +2,9 @@
 //! first-class API, with an incremental delta path. One concept per
 //! module: [`error`] (the typed failures), [`health`] (the degradation
 //! state machine), [`published`] (what an epoch holds), [`builder`] (the
-//! three epoch-0 paths), [`handle`] (snapshot / insert / persist / health
-//! probes) and [`rebuild`] (ticket-sequenced background rebuilds and
-//! compactions).
+//! three epoch-0 paths), [`handle`] (snapshot / insert and its compaction /
+//! persist / health probe) and [`rebuild`] (ticket-sequenced background
+//! rebuilds).
 //!
 //! [`ServiceBuilder`] runs a [`PipelineSpec`] over a graph, validates the
 //! labeling against the graph (the same check the CLI always performed),
@@ -20,9 +20,9 @@
 //!
 //! Per-epoch determinism: a published base index is a pure function of the
 //! (spec, graph) pair — the pipelines are seed-deterministic and the index
-//! remaps labels by partition — and a journal-epoch is a pure function of
-//! (base, inserted edges), so every snapshot of one epoch answers
-//! byte-identically on every thread, machine, and backend.
+//! remaps labels by partition — and a journal-epoch or a folded base is a
+//! pure function of (base, inserted edges), so every snapshot of one epoch
+//! answers byte-identically on every thread, machine, and backend.
 
 mod builder;
 mod error;
@@ -281,7 +281,7 @@ mod tests {
     }
 
     #[test]
-    fn over_budget_insertions_trigger_a_compaction_rebuild() {
+    fn an_over_budget_insert_publishes_its_folded_base() {
         let g = random_forest(400, 10, 16);
         let mut all_edges: Vec<(VertexId, VertexId)> = g.edges().collect();
         let service = ServiceBuilder::new(g)
@@ -292,46 +292,30 @@ mod tests {
         let batch = [(0u32, 399u32), (1, 398), (2, 397)];
         all_edges.extend_from_slice(&batch);
         let report = service.insert_edges(&batch).unwrap();
-        assert!(report.compaction_started, "3 edges > budget of 2 must compact");
-        // Poll until the compaction publishes a journal-free base epoch.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        loop {
-            let snap = service.snapshot();
-            if snap.epoch() > report.epoch && !snap.is_journal() {
-                break;
-            }
-            assert!(std::time::Instant::now() < deadline, "compaction never landed");
-            std::thread::yield_now();
-        }
+        assert!(report.compacted, "3 edges > budget of 2 must compact");
+        assert_eq!((report.journal_edges, report.journal_merges), (0, 0));
+        // The batch's own epoch is the folded base: nothing publishes later.
         let snap = service.snapshot();
+        assert_eq!(snap.epoch(), report.epoch);
+        assert!(!snap.is_journal());
         let oracle =
             ComponentIndex::build(&reference_components(&Graph::from_edges(400, &all_edges)));
-        assert_eq!(*snap.index(), oracle, "compacted base must equal the fresh oracle");
+        assert_eq!(*snap.index(), oracle, "folded base must equal the fresh oracle");
+        assert_eq!(snap.graph_size(), (400, all_edges.len()));
+        // A folded base ran no pipeline; its labels are its dense ids.
+        assert_eq!(snap.stats().rounds(), 0);
+        assert_eq!(snap.pipeline_ms(), 0.0);
+        assert_eq!(snap.label(399), Some(oracle.component_of(399) as u64));
         // The journal lineage restarted: new inserts build on the new base.
         let r2 = service.insert_edges(&[(3, 396)]).unwrap();
         assert_eq!(r2.journal_edges, 1);
+        assert!(!r2.compacted);
+        assert_eq!(service.current_epoch(), report.epoch + 1);
     }
 
     // Failpoint-driven state-machine coverage lives in tests/chaos.rs —
     // the fault registry is process-global and lib tests run in parallel,
     // so only failpoint-free behavior is exercised here.
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let p = RetryPolicy {
-            max_consecutive_failures: 5,
-            base_backoff_ms: 100,
-            max_backoff_ms: 1000,
-            max_incidents: 8,
-        };
-        assert_eq!(p.backoff_ms(1), 100);
-        assert_eq!(p.backoff_ms(2), 200);
-        assert_eq!(p.backoff_ms(3), 400);
-        assert_eq!(p.backoff_ms(4), 800);
-        assert_eq!(p.backoff_ms(5), 1000, "capped");
-        assert_eq!(p.backoff_ms(60), 1000, "shift is clamped, no overflow");
-        assert_eq!(p.backoff_ms(0), 100, "defensive: streak 0 behaves like 1");
-    }
 
     #[test]
     fn manual_clock_is_shared_across_clones() {
@@ -355,8 +339,6 @@ mod tests {
         assert_eq!(health.consecutive_failures, 0);
         assert_eq!(health.total_incidents, 0);
         assert!(health.incidents.is_empty());
-        assert_eq!(health.retry_in_ms, None);
-        assert!(!service.tick(), "healthy services have nothing to retry");
     }
 
     #[test]
@@ -403,39 +385,6 @@ mod tests {
                 assert!(msg.contains(&format!("format version {version} ")), "{msg}");
             }
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn boot_from_snapshot_with_matching_graph_keeps_compaction() {
-        let path =
-            std::env::temp_dir().join(format!("ampc_serve_boot_chain_{}.snap", std::process::id()));
-        let g = random_forest(300, 5, 22);
-        let origin = ServiceBuilder::new(g.clone()).spec(spec()).build().unwrap();
-        origin.persist(&path).expect("persist");
-
-        let (replica, source) = ServiceBuilder::new(g)
-            .spec(spec())
-            .journal_budget(JournalBudget::new(1))
-            .from_snapshot_or_rebuild(&path)
-            .expect("boot");
-        assert_eq!(source, BootSource::Snapshot);
-        assert_eq!(replica.health().total_incidents, 0);
-        // The builder's graph became ground truth: over-budget inserts
-        // compact, which plain `from_snapshot` cannot do.
-        let report = replica.insert_edges(&[(0, 299), (1, 298)]).expect("insert");
-        assert!(report.compaction_started, "matching graph must re-enable compaction");
-
-        // A vertex-count mismatch falls back to the edge-less boot.
-        let (replica2, source2) = ServiceBuilder::new(random_forest(10, 1, 23))
-            .spec(spec())
-            .journal_budget(JournalBudget::new(1))
-            .from_snapshot_or_rebuild(&path)
-            .expect("boot");
-        assert_eq!(source2, BootSource::Snapshot);
-        let report2 = replica2.insert_edges(&[(0, 299), (1, 298)]).expect("insert");
-        assert!(!report2.compaction_started, "mismatched graph must not become ground truth");
-
         std::fs::remove_file(&path).ok();
     }
 }

@@ -24,11 +24,43 @@ use crate::epoch::EpochCell;
 /// .spec(spec).build()?` runs the pipeline once (synchronously), validates
 /// and indexes the result, and publishes it as epoch 0.
 pub struct ServiceBuilder {
+    /// The input of the first build; the service does not keep it.
     graph: Graph,
+    settings: Settings,
+}
+
+/// What a service keeps from its builder.
+struct Settings {
     spec: PipelineSpec,
     budget: JournalBudget,
     policy: RetryPolicy,
     clock: Arc<dyn Clock>,
+}
+
+impl Settings {
+    fn new(spec: PipelineSpec) -> Self {
+        let (budget, policy) = (JournalBudget::default(), RetryPolicy::default());
+        Settings { spec, budget, policy, clock: Arc::new(MonotonicClock) }
+    }
+
+    /// The tail of every epoch-0 path below: wraps a finished base into
+    /// stream state and publishes it as epoch 0.
+    fn publish_epoch_zero(self, base: Arc<BaseIndex>) -> ServiceHandle {
+        let stream =
+            StreamState { base: Arc::clone(&base), inserted_edges: 0, health: HealthInner::new() };
+        let payload = PublishedIndex { epoch: 0, base, journal: None, inserted_edges: 0 };
+        let service = ConnectivityService {
+            cell: EpochCell::new(Arc::new(payload)),
+            spec: self.spec,
+            budget: self.budget,
+            policy: self.policy,
+            clock: self.clock,
+            stream: Mutex::new(stream),
+            tickets: RebuildTickets::new(),
+        };
+        announce_epoch(0, false, 0);
+        ServiceHandle { service: Arc::new(service) }
+    }
 }
 
 /// Where [`ServiceBuilder::from_snapshot_or_rebuild`] got its epoch 0.
@@ -46,44 +78,39 @@ impl ServiceBuilder {
     /// Starts a builder over `graph` with the default [`PipelineSpec`] and
     /// [`JournalBudget`].
     pub fn new(graph: Graph) -> Self {
-        ServiceBuilder {
-            graph,
-            spec: PipelineSpec::default(),
-            budget: JournalBudget::default(),
-            policy: RetryPolicy::default(),
-            clock: Arc::new(MonotonicClock),
-        }
+        ServiceBuilder { graph, settings: Settings::new(PipelineSpec::default()) }
     }
 
     /// Sets the pipeline spec used for the initial build and every rebuild.
     pub fn spec(mut self, spec: PipelineSpec) -> Self {
-        self.spec = spec;
+        self.settings.spec = spec;
         self
     }
 
-    /// Sets the journal budget that triggers compaction rebuilds.
+    /// Sets the journal budget past which an insert compacts.
     pub fn journal_budget(mut self, budget: JournalBudget) -> Self {
-        self.budget = budget;
+        self.settings.budget = budget;
         self
     }
 
-    /// Sets the retry/backoff policy of the degradation state machine.
+    /// Sets the failure and incident-log bounds of the degradation state
+    /// machine.
     pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
+        self.settings.policy = policy;
         self
     }
 
-    /// Injects the time source the retry schedule reads (tests pass an
+    /// Injects the time source that stamps incidents (tests pass an
     /// [`ampc_obs::ManualClock`] and advance it deterministically).
     pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = clock;
+        self.settings.clock = clock;
         self
     }
 
     /// Runs the pipeline, validates, indexes, and publishes epoch 0.
     pub fn build(self) -> Result<ServiceHandle, ServeError> {
-        let base = Arc::new(BaseIndex::build(&self.spec, &self.graph)?);
-        Ok(self.publish_epoch_zero(base, true))
+        let base = Arc::new(BaseIndex::build(&self.settings.spec, &self.graph)?);
+        Ok(self.settings.publish_epoch_zero(base))
     }
 
     /// Boot fallback chain: try the snapshot first, and if it is missing,
@@ -92,31 +119,21 @@ impl ServiceBuilder {
     /// start. The failure is not swallowed: it is recorded as a
     /// [`IncidentOp::Boot`] incident (typed
     /// [`ServeError::SnapshotBoot`]) in the otherwise-Healthy fallback
-    /// service, and the returned [`BootSource`] says which path won.
-    ///
-    /// On a successful snapshot boot the builder's graph is installed as
-    /// the base graph **when its vertex count matches the snapshot's**, so
-    /// budget-triggered compaction works immediately (plain
-    /// [`ServiceBuilder::from_snapshot`] has no edges and must disable
-    /// it). The caller asserts, by using this method, that the graph is
-    /// the one the snapshot captured. On a mismatch the snapshot still
-    /// boots, with compaction disabled exactly like `from_snapshot`.
+    /// service, and the returned [`BootSource`] says which path won. On a
+    /// snapshot boot the graph is not read: compaction folds the index and
+    /// needs no edges.
     ///
     /// # Errors
     /// Only if **both** paths fail: the snapshot error is in the incident
     /// log's stead and the pipeline error is returned.
     pub fn from_snapshot_or_rebuild(
-        mut self,
+        self,
         path: impl AsRef<Path>,
     ) -> Result<(ServiceHandle, BootSource), ServeError> {
         match snapshot::load(path.as_ref()) {
             Ok(snap) => {
                 let (base, _) = base_from_snapshot(snap);
-                let has_base_graph = self.graph.n() == base.graph_n;
-                if !has_base_graph {
-                    self.graph = Graph::empty(base.graph_n);
-                }
-                Ok((self.publish_epoch_zero(base, has_base_graph), BootSource::Snapshot))
+                Ok((self.settings.publish_epoch_zero(base), BootSource::Snapshot))
             }
             Err(snap_err) => {
                 let boot_error = ServeError::SnapshotBoot(snap_err.to_string());
@@ -137,13 +154,11 @@ impl ServiceBuilder {
     /// one pipeline run fans out to N serving replicas that boot in
     /// milliseconds.
     ///
-    /// The booted service answers queries and accepts
-    /// [`ServiceHandle::insert_edges`] (journal-epochs need only the index,
-    /// which the snapshot carries). A snapshot does not carry the base
-    /// graph's *edges*, so budget-triggered compaction stays disabled until
-    /// an explicit [`ServiceHandle::rebuild`] installs a real graph; the
-    /// journal simply keeps growing in the meantime. Rebuilds use a default
-    /// spec pinned to the snapshot's algorithm.
+    /// The booted service is a service like any other: it answers queries,
+    /// accepts [`ServiceHandle::insert_edges`] and compacts past its budget
+    /// (journal-epochs and the fold need only the index, which the snapshot
+    /// carries). Rebuilds use a default spec pinned to the snapshot's
+    /// algorithm.
     ///
     /// # Errors
     /// Any [`SnapshotError`]: i/o failure, foreign or damaged header,
@@ -151,37 +166,7 @@ impl ServiceBuilder {
     /// publishes anything.
     pub fn from_snapshot(path: impl AsRef<Path>) -> Result<ServiceHandle, SnapshotError> {
         let (base, algo) = base_from_snapshot(snapshot::load(path.as_ref())?);
-        let spec = PipelineSpec::default().with_algorithm(algo);
-        Ok(ServiceBuilder::new(Graph::empty(base.graph_n))
-            .spec(spec)
-            .publish_epoch_zero(base, false))
-    }
-
-    /// Shared tail of every path above: wraps a finished base into stream
-    /// state and publishes it as epoch 0. `has_base_graph` is false when
-    /// the builder's graph is a vertex-only placeholder.
-    fn publish_epoch_zero(self, base: Arc<BaseIndex>, has_base_graph: bool) -> ServiceHandle {
-        let stream = StreamState {
-            graph: self.graph,
-            pending: Vec::new(),
-            base: Arc::clone(&base),
-            has_base_graph,
-            compacting: false,
-            generation: 0,
-            health: HealthInner::new(),
-        };
-        let payload = PublishedIndex { epoch: 0, base, journal: None, inserted_edges: 0 };
-        let service = ConnectivityService {
-            cell: EpochCell::new(Arc::new(payload)),
-            spec: self.spec,
-            budget: self.budget,
-            policy: self.policy,
-            clock: self.clock,
-            stream: Mutex::new(stream),
-            tickets: RebuildTickets::new(),
-        };
-        announce_epoch(0, false, 0);
-        ServiceHandle { service: Arc::new(service) }
+        Ok(Settings::new(PipelineSpec::default().with_algorithm(algo)).publish_epoch_zero(base))
     }
 }
 

@@ -1,7 +1,7 @@
 //! [`ServiceHandle`] and the shared state behind it: the read side
-//! (`snapshot`), the journal-epoch write side (`insert_edges`), `persist`,
-//! and the health probes (`health`, `tick`). Explicit rebuilds and
-//! compactions are in [`super::rebuild`].
+//! (`snapshot`), the journal-epoch write side (`insert_edges`) with its
+//! compaction, `persist`, and the `health` probe. Explicit rebuilds are in
+//! [`super::rebuild`].
 //!
 //! **Journal-epochs** ([`ServiceHandle::insert_edges`]): a streaming edge
 //! insertion can only *merge* components, so instead of re-running the
@@ -15,39 +15,38 @@
 //! journal-epoch answer through a merge-aware engine (one extra array read
 //! per id) and are byte-identical to a from-scratch build over the merged
 //! graph (see `ampc_query::journal` for the argument). Once the journal
-//! outgrows its [`JournalBudget`], the service *compacts*: a background
-//! pipeline rebuild over the merged graph, with insertions accepted
-//! throughout and replayed onto the new base when it lands.
+//! outgrows its [`JournalBudget`], the insert that overflows it *compacts*:
+//! it folds the journal into a new base ([`ComponentIndex::fold`], `O(n)`,
+//! no edges — the write side keeps none) and publishes that base as its own
+//! epoch. `persist` writes the same fold.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use ampc_cc::pipeline::PipelineSpec;
-use ampc_graph::{Graph, Labeling, VertexId};
+use ampc_graph::VertexId;
 use ampc_obs::fault::{self, Site};
 use ampc_obs::{Clock, CounterId, GaugeId, HistId, TraceKind};
-use ampc_query::{snapshot, ComponentIndex, JournalView, SnapshotError};
+#[cfg(doc)]
+use ampc_query::ComponentIndex;
+use ampc_query::{snapshot, JournalView, SnapshotError};
 
 use super::error::ServeError;
 use super::health::{HealthInner, HealthReport, HealthState, IncidentOp, RetryPolicy};
 use super::published::{BaseIndex, IndexSnapshot, PublishedIndex};
-use super::rebuild::{start_compaction_locked, RebuildTickets};
+use super::rebuild::RebuildTickets;
 use crate::epoch::EpochCell;
 
-/// When a journal grows past this budget, the service falls back to a full
-/// background rebuild (compaction) over the merged graph. Until the
-/// compaction lands, insertions keep being accepted and published as
-/// journal-epochs — the budget bounds staleness cost, not availability.
-///
-/// The budget counts edges only. It used to carry a merge count as well
-/// (default 4 Ki merges), from when every insert re-froze the whole journal;
-/// journal-epochs are derived since PR 23 — a publish is `O(c + b log b)`
-/// (components, batch edges) and a read is one extra array access whatever
-/// the journal carries — so nothing grows with merges, every caller set
-/// that limit to `usize::MAX`, and it went.
+/// When the edges inserted on one base exceed this budget, the insert that
+/// overflows it compacts: it folds the journal into a new base and
+/// publishes that instead of a journal-epoch. A journal-epoch costs
+/// `O(c + b log b)` to publish (components, batch edges) and one extra
+/// array read per query whatever it carries, and a fold costs `O(n)`, so
+/// the budget only decides how often an insert pays the `O(n)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalBudget {
-    /// Compact once this many inserted edges have accumulated on one base.
+    /// Compact when more than this many inserted edges have accumulated on
+    /// one base.
     pub max_edges: usize,
 }
 
@@ -69,8 +68,7 @@ impl JournalBudget {
 }
 
 impl Default for JournalBudget {
-    /// 64 Ki inserted edges: not there to keep inserts cheap (see above), it
-    /// bounds the pending edges a compaction re-reads and replays.
+    /// 64 Ki inserted edges.
     fn default() -> Self {
         JournalBudget { max_edges: 1 << 16 }
     }
@@ -79,21 +77,23 @@ impl Default for JournalBudget {
 /// What one [`ServiceHandle::insert_edges`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InsertReport {
-    /// The journal-epoch this batch was published as.
+    /// The epoch this batch was published as: a journal-epoch, or the
+    /// folded base when [`InsertReport::compacted`].
     pub epoch: u64,
     /// Edges accepted from this batch (the whole batch, once validated).
     pub applied: usize,
     /// Component merges this batch caused.
     pub new_merges: usize,
-    /// Total inserted edges accumulated on the current base.
+    /// Total inserted edges accumulated on the current base (0 once the
+    /// batch compacted: the folded base carries them).
     pub journal_edges: usize,
-    /// Total merges the published journal carries.
+    /// Total merges the published journal carries (0 once compacted).
     pub journal_merges: usize,
     /// Connected components after this batch.
     pub components: usize,
-    /// True iff this batch pushed the journal over budget and kicked off a
-    /// background compaction rebuild.
-    pub compaction_started: bool,
+    /// True iff this batch compacted: its epoch is a folded base, not a
+    /// journal-epoch.
+    pub compacted: bool,
 }
 
 /// What one [`ServiceHandle::persist`] call wrote.
@@ -109,27 +109,16 @@ pub struct PersistReport {
     pub journal: bool,
 }
 
-/// Mutable write-side state: the current base graph and the edges inserted
-/// on top of it. Their merges live only in the published epoch's journal.
-/// Guarded by one mutex; the read path never touches it.
+/// Mutable write-side state: the current base and how many edges were
+/// inserted on top of it. Their merges live only in the published epoch's
+/// journal, and the edges themselves nowhere. Guarded by one mutex; the
+/// read path never touches it.
 #[derive(Debug)]
 pub(super) struct StreamState {
-    /// The graph the current base index was built from.
-    pub(super) graph: Graph,
-    /// Edges accepted since the current base was published.
-    pub(super) pending: Vec<(VertexId, VertexId)>,
     /// The base every journal-epoch publishes against.
     pub(super) base: Arc<BaseIndex>,
-    /// False when the service was booted from a snapshot: `graph` is then
-    /// a vertex-only placeholder (a snapshot does not carry edges), so
-    /// budget-triggered compaction — which re-reads the base edges — must
-    /// not run until an explicit rebuild installs a real graph.
-    pub(super) has_base_graph: bool,
-    /// A compaction rebuild is in flight (don't start another).
-    pub(super) compacting: bool,
-    /// Bumped by every full rebuild that lands; a compaction that started
-    /// against an older generation abandons instead of clobbering.
-    pub(super) generation: u64,
+    /// Edges accepted since `base` was published.
+    pub(super) inserted_edges: usize,
     /// Degradation state machine + bounded incident log. Guarded by the
     /// stream lock like everything else here: every transition happens on
     /// a path that already holds it.
@@ -149,7 +138,7 @@ pub(super) struct ConnectivityService {
 }
 
 impl ConnectivityService {
-    /// The retry schedule and the incident log count milliseconds.
+    /// The incident log counts milliseconds.
     pub(super) fn now_ms(&self) -> u64 {
         self.clock.now_ns() / 1_000_000
     }
@@ -242,34 +231,15 @@ impl ServiceHandle {
         &self.service.spec
     }
 
-    /// The budget past which insertions trigger a compaction rebuild.
+    /// The budget past which an insert compacts.
     pub fn journal_budget(&self) -> JournalBudget {
         self.service.budget
     }
 
     /// A point-in-time copy of the degradation state machine: current
-    /// [`HealthState`], failure streak, bounded incident log, and (when
-    /// `Degraded`) time until the next compaction retry.
+    /// [`HealthState`], failure streak and bounded incident log.
     pub fn health(&self) -> HealthReport {
-        lock_stream(&self.service.stream).health.report(self.service.now_ms())
-    }
-
-    /// Drives the retry schedule without an insert: if the service is
-    /// `Degraded`, the backoff has elapsed, and no compaction is in
-    /// flight, start one. Returns `true` iff a retry compaction was
-    /// started. Inserts drive the same schedule implicitly; call this
-    /// from a maintenance loop when the write path may go quiet.
-    pub fn tick(&self) -> bool {
-        let service = &self.service;
-        let mut st = lock_stream(&service.stream);
-        let due = st.health.state == HealthState::Degraded
-            && service.now_ms() >= st.health.retry_at_ms
-            && !st.compacting
-            && st.has_base_graph;
-        if due {
-            start_compaction_locked(service, &mut st);
-        }
-        due
+        lock_stream(&self.service.stream).health.report()
     }
 
     /// Applies a batch of edge insertions to the current epoch and
@@ -280,10 +250,14 @@ impl ServiceHandle {
     /// previous view. Answers on the new epoch are byte-identical to a full
     /// rebuild over the merged graph.
     ///
-    /// If the batch pushes the journal past the [`JournalBudget`], a
-    /// background compaction rebuild starts (at most one at a time);
-    /// insertions keep working and are replayed onto the new base when it
-    /// lands.
+    /// A batch that takes the edges inserted on the current base past the
+    /// [`JournalBudget`] — or any batch while the service is
+    /// [`HealthState::Degraded`] — **compacts** instead: the journal is
+    /// folded into a new base in `O(n)` ([`ComponentIndex::fold`]) and the
+    /// folded base, answering exactly like the journal-epoch would, is
+    /// published as this batch's epoch. A failed fold (the `compact.publish`
+    /// failpoint) does not refuse the batch: its journal-epoch publishes,
+    /// the failure is recorded, and the service goes `Degraded`.
     ///
     /// # Errors
     /// [`ServeError::VertexOutOfRange`] if any endpoint is `>= n` for the
@@ -291,14 +265,15 @@ impl ServiceHandle {
     /// given up on the write path, [`ServeError::Injected`] when the
     /// `journal.build` failpoint fires (also recorded in the incident
     /// log). The batch is atomic in every case: nothing is applied or
-    /// published on error.
+    /// published on error, and a panic in the journal build or the fold
+    /// leaves the state as it was.
     pub fn insert_edges(&self, edges: &[(VertexId, VertexId)]) -> Result<InsertReport, ServeError> {
         let service = &self.service;
         let mut st = lock_stream(&service.stream);
         if st.health.state == HealthState::ReadOnly {
             return Err(ServeError::ReadOnly);
         }
-        let n = st.graph.n();
+        let n = st.base.graph_n;
         for &(u, v) in edges {
             let bad = if (u as usize) >= n {
                 Some(u)
@@ -330,36 +305,55 @@ impl ServiceHandle {
         let new_merges = merges - prev.map_or(0, |j| j.merges());
         ampc_obs::counter(CounterId::JournalBuilds).inc();
         ampc_obs::trace(TraceKind::JournalBuilt, merges as u64, build_ns);
-        st.pending.extend_from_slice(edges);
-
         let components = base.index.num_components() - merges;
-        let inserted_edges = st.pending.len();
-        let publish_timer = ampc_obs::Timer::start(ampc_obs::hist(HistId::PublishNs));
-        let epoch = service.publish(&base, journal, inserted_edges);
-        publish_timer.stop();
+        let inserted_edges = st.inserted_edges + edges.len();
 
-        // Healthy: the journal budget decides. Degraded: the budget is
-        // suspended ("widened") — the deterministic retry schedule decides
-        // instead, so a failing compaction is re-attempted with backoff
-        // rather than on every over-budget batch.
-        let due = match st.health.state {
-            HealthState::Healthy => service.budget.exceeded_by(st.pending.len()),
-            HealthState::Degraded => service.now_ms() >= st.health.retry_at_ms,
-            HealthState::ReadOnly => false,
+        // Healthy: the budget decides. Degraded: every insert retries.
+        // The fold runs before anything is assigned, so a panic in it
+        // leaves the state as it was.
+        let due =
+            st.health.state == HealthState::Degraded || service.budget.exceeded_by(inserted_edges);
+        let folded = due.then(|| {
+            ampc_obs::counter(CounterId::CompactionsStarted).inc();
+            ampc_obs::trace(TraceKind::CompactionStarted, service.cell.epoch(), 0);
+            let folded = base.fold(journal.as_deref(), inserted_edges);
+            fault::check(Site::CompactPublish).map(|()| folded)
+        });
+
+        let publish_timer = ampc_obs::Timer::start(ampc_obs::hist(HistId::PublishNs));
+        let (epoch, compacted) = match folded {
+            Some(Ok(folded)) => {
+                let fold_ns = (folded.index_ms * 1e6) as u64;
+                let folded = Arc::new(folded);
+                st.base = Arc::clone(&folded);
+                st.inserted_edges = 0;
+                st.health.mark_recovered();
+                let epoch = service.publish(&folded, None, 0);
+                ampc_obs::hist(HistId::CompactionNs).record(fold_ns);
+                ampc_obs::counter(CounterId::CompactionsFinished).inc();
+                ampc_obs::trace(TraceKind::CompactionFinished, epoch, fold_ns);
+                (epoch, true)
+            }
+            failed => {
+                st.inserted_edges = inserted_edges;
+                let epoch = service.publish(&base, journal, inserted_edges);
+                if let Some(Err(e)) = failed {
+                    let op = IncidentOp::Compaction;
+                    st.health.record_failure(&service.policy, service.now_ms(), op, e.into());
+                }
+                (epoch, false)
+            }
         };
-        let compaction_started = due && !st.compacting && st.has_base_graph;
-        if compaction_started {
-            start_compaction_locked(service, &mut st);
-        }
+        publish_timer.stop();
 
         Ok(InsertReport {
             epoch,
             applied: edges.len(),
             new_merges,
-            journal_edges: inserted_edges,
-            journal_merges: merges,
+            journal_edges: st.inserted_edges,
+            journal_merges: if compacted { 0 } else { merges },
             components,
-            compaction_started,
+            compacted,
         })
     }
 
@@ -369,30 +363,25 @@ impl ServiceHandle {
     ///
     /// The epoch is pinned first — exactly one published epoch is
     /// captured, even while insertions and rebuilds race this call. A
-    /// journal-epoch is materialized at persist time: the journal's merges
-    /// are folded into a fresh index that is byte-identical to a full
-    /// rebuild of the merged graph, so a replica booted from the snapshot
-    /// answers exactly like this epoch.
+    /// journal-epoch is written as the base a compaction would fold it
+    /// into, byte-identical to a full rebuild of the merged graph, so a
+    /// replica booted from the snapshot answers exactly like this epoch and
+    /// the file is the same whether or not the epoch compacted first.
     pub fn persist(&self, path: impl AsRef<Path>) -> Result<PersistReport, SnapshotError> {
         let snap = self.snapshot();
         let (n, m) = snap.graph_size();
-        // Merged dense ids are themselves a labeling of the merged
-        // partition; building from it reproduces a full rebuild byte for
-        // byte (see `ampc_query::journal`).
-        let merged = snap.journal().map(|journal| {
-            let base = snap.index();
-            let labeling = Labeling(
-                (0..n as VertexId).map(|v| journal.resolve(base.component_of(v)) as u64).collect(),
-            );
-            (ComponentIndex::build(&labeling), labeling)
-        });
-        let (index, labeling) = match &merged {
-            Some((index, labeling)) => (index, labeling),
-            None => (snap.index(), snap.labeling()),
-        };
-        let algorithm = snap.algorithm().number();
-        let bytes =
-            snapshot::persist(path.as_ref(), index, labeling, n as u64, m as u64, algorithm)?;
+        let folded =
+            snap.journal().map(|journal| snap.base.fold(Some(journal), snap.inserted_edges));
+        let base = folded.as_ref().unwrap_or(&snap.base);
+        let algorithm = base.algorithm.number();
+        let bytes = snapshot::persist(
+            path.as_ref(),
+            &base.index,
+            &base.labeling,
+            n as u64,
+            m as u64,
+            algorithm,
+        )?;
         Ok(PersistReport { epoch: snap.epoch(), bytes, journal: snap.is_journal() })
     }
 }

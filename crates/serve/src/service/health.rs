@@ -1,6 +1,5 @@
 //! The degradation state machine: health states, the bounded incident
-//! log and the retry-with-backoff policy every [`crate::ServiceHandle`]
-//! carries.
+//! log and the policy every [`crate::ServiceHandle`] carries.
 
 use std::collections::VecDeque;
 
@@ -16,21 +15,21 @@ ampc_obs::catalog! {
     /// The degradation state machine every [`ServiceHandle`] carries.
     ///
     /// ```text
-    ///            failure                    failure (Nth consecutive)
-    /// Healthy ───────────▶ Degraded ─────────────────────▶ ReadOnly
-    ///    ▲                    │  ▲                             │
-    ///    │   compaction /     │  │ failed retry                │
-    ///    │   rebuild success  │  │ (backoff doubles)           │
-    ///    └────────────────────┘  └─────────────────────────────┘
-    ///    ▲                                                     │
-    ///    └──────────── explicit rebuild succeeds ──────────────┘
+    ///            failure                 Nth consecutive failure
+    /// Healthy ───────────▶ Degraded ─────────────────────────▶ ReadOnly
+    ///    ▲                    │   ▲  │                             │
+    ///    │  fold or rebuild   │   └──┘ the next insert's           │
+    ///    │  succeeds          │        fold fails                  │
+    ///    └────────────────────┘                                    │
+    ///    ▲                                                         │
+    ///    └─────────────── explicit rebuild succeeds ───────────────┘
     /// ```
     ///
-    /// * **Healthy** — the happy path of PRs 5–7.
-    /// * **Degraded** — a rebuild/compaction/journal build failed. Reads are
-    ///   untouched; inserts keep landing as journal-epochs; the journal
-    ///   budget is suspended in favor of a bounded retry-with-backoff
-    ///   compaction schedule (deterministic under an injectable [`Clock`]).
+    /// * **Healthy** — serving normally; an insert folds its journal into a
+    ///   new base once the journal is over budget.
+    /// * **Degraded** — a rebuild, fold or journal build failed. Reads are
+    ///   untouched; inserts keep landing as journal-epochs, and every insert
+    ///   retries the fold whatever the budget says.
     /// * **ReadOnly** — [`RetryPolicy::max_consecutive_failures`] failures in
     ///   a row. Inserts return [`ServeError::ReadOnly`]; reads keep serving
     ///   the last published epoch; only a successful explicit
@@ -39,7 +38,7 @@ ampc_obs::catalog! {
     /// The discriminant is the state's byte in the wire's Health reply.
     pub enum HealthState: u8 {
         Healthy = 0 => "healthy", "Serving normally.",
-        Degraded = 1 => "degraded", "A failure was recorded; retrying compaction with backoff.",
+        Degraded = 1 => "degraded", "A failure was recorded; every insert retries the fold.",
         ReadOnly = 2 => "read-only",
             "Too many consecutive failures; inserts refused until an explicit rebuild succeeds.",
     }
@@ -49,7 +48,7 @@ ampc_obs::catalog! {
     /// Which operation an [`Incident`] was recorded against.
     pub enum IncidentOp: u8 {
         Rebuild => "rebuild", "An explicit [`ServiceHandle::rebuild`].",
-        Compaction => "compaction", "A budget-triggered or retry compaction.",
+        Compaction => "compaction", "The fold an over-budget or Degraded insert runs.",
         JournalBuild => "journal-build", "A journal-epoch freeze on the insert path.",
         Boot => "boot", "A snapshot boot that fell back to a pipeline build.",
     }
@@ -71,40 +70,22 @@ pub struct Incident {
     pub error: ServeError,
 }
 
-/// Bounded retry-with-backoff policy for the degradation state machine.
+/// How many failures the degradation state machine tolerates, and how many
+/// it remembers. A Degraded service retries the fold on every insert, so
+/// there is no retry clock to configure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Consecutive failures before the service enters
     /// [`HealthState::ReadOnly`].
     pub max_consecutive_failures: u32,
-    /// Backoff before the first compaction retry.
-    pub base_backoff_ms: u64,
-    /// Backoff ceiling (the doubling stops here).
-    pub max_backoff_ms: u64,
     /// Incident-log bound (oldest entries are evicted first).
     pub max_incidents: usize,
 }
 
-impl RetryPolicy {
-    /// `min(base << (failures − 1), max)` — deterministic, no jitter: the
-    /// service is single-writer per lineage, so thundering herds are not
-    /// a concern and reproducibility (chaos schedules, incident replay)
-    /// is.
-    pub fn backoff_ms(&self, consecutive_failures: u32) -> u64 {
-        let doublings = consecutive_failures.saturating_sub(1).min(32);
-        self.base_backoff_ms.saturating_mul(1u64 << doublings).min(self.max_backoff_ms)
-    }
-}
-
 impl Default for RetryPolicy {
-    /// 5 strikes, 100 ms → 10 s backoff, 64 incidents retained.
+    /// 5 strikes, 64 incidents retained.
     fn default() -> Self {
-        RetryPolicy {
-            max_consecutive_failures: 5,
-            base_backoff_ms: 100,
-            max_backoff_ms: 10_000,
-            max_incidents: 64,
-        }
+        RetryPolicy { max_consecutive_failures: 5, max_incidents: 64 }
     }
 }
 
@@ -114,28 +95,22 @@ impl Default for RetryPolicy {
 pub struct HealthReport {
     /// Current state of the degradation state machine.
     pub state: HealthState,
-    /// Failures since the last successful rebuild/compaction.
+    /// Failures since the last successful rebuild or fold.
     pub consecutive_failures: u32,
     /// Total incidents ever recorded (≥ `incidents.len()`).
     pub total_incidents: u64,
     /// The retained incident log, oldest first.
     pub incidents: Vec<Incident>,
-    /// When [`HealthState::Degraded`]: milliseconds until the next
-    /// compaction retry is allowed (0 = due now).
-    pub retry_in_ms: Option<u64>,
 }
 
 /// Mutable half of the state machine, guarded by the stream lock (every
 /// transition happens on a path that already holds it). Callers pass the
-/// service's policy and the current millisecond of its [`ampc_obs::Clock`]:
-/// the retry schedule and the incident log count milliseconds.
+/// service's policy and the current millisecond of its [`Clock`], which
+/// stamps each incident.
 #[derive(Debug)]
 pub(super) struct HealthInner {
     pub(super) state: HealthState,
     consecutive_failures: u32,
-    /// Earliest millisecond on the service's clock at which a Degraded
-    /// service retries compaction.
-    pub(super) retry_at_ms: u64,
     incidents: VecDeque<Incident>,
     total_incidents: u64,
 }
@@ -145,7 +120,6 @@ impl HealthInner {
         HealthInner {
             state: HealthState::Healthy,
             consecutive_failures: 0,
-            retry_at_ms: 0,
             incidents: VecDeque::new(),
             total_incidents: 0,
         }
@@ -169,9 +143,8 @@ impl HealthInner {
         ampc_obs::trace(TraceKind::IncidentRecorded, self.total_incidents, op as u64);
     }
 
-    /// Records a failure and advances the state machine: `Degraded` with a
-    /// doubled backoff until [`RetryPolicy::max_consecutive_failures`], then
-    /// `ReadOnly`.
+    /// Records a failure and advances the state machine: `Degraded` until
+    /// [`RetryPolicy::max_consecutive_failures`], then `ReadOnly`.
     pub(super) fn record_failure(
         &mut self,
         policy: &RetryPolicy,
@@ -188,17 +161,15 @@ impl HealthInner {
                 ampc_obs::counter(CounterId::ReadOnlyTransitions).inc();
             }
             self.state = HealthState::ReadOnly;
-            self.retry_at_ms = u64::MAX;
         } else {
             if prior != HealthState::Degraded {
                 ampc_obs::counter(CounterId::DegradedTransitions).inc();
             }
             self.state = HealthState::Degraded;
-            self.retry_at_ms = now_ms.saturating_add(policy.backoff_ms(failures));
         }
     }
 
-    /// A compaction or rebuild landed: back to `Healthy`, failure streak
+    /// A fold or rebuild landed: back to `Healthy`, failure streak
     /// cleared. The incident log is retained — it is history, not state.
     pub(super) fn mark_recovered(&mut self) {
         if self.state != HealthState::Healthy {
@@ -206,18 +177,15 @@ impl HealthInner {
         }
         self.state = HealthState::Healthy;
         self.consecutive_failures = 0;
-        self.retry_at_ms = 0;
     }
 
     /// The point-in-time copy [`crate::ServiceHandle::health`] returns.
-    pub(super) fn report(&self, now_ms: u64) -> HealthReport {
+    pub(super) fn report(&self) -> HealthReport {
         HealthReport {
             state: self.state,
             consecutive_failures: self.consecutive_failures,
             total_incidents: self.total_incidents,
             incidents: self.incidents.iter().cloned().collect(),
-            retry_in_ms: (self.state == HealthState::Degraded)
-                .then(|| self.retry_at_ms.saturating_sub(now_ms)),
         }
     }
 }

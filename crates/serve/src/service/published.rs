@@ -1,5 +1,5 @@
-//! What an epoch holds: the frozen product of one pipeline run
-//! ([`BaseIndex`]), the published payload riding on it
+//! What an epoch holds: a frozen base index ([`BaseIndex`]: a pipeline run,
+//! a snapshot boot or a fold), the published payload riding on it
 //! ([`PublishedIndex`]) and the pinned reader view ([`IndexSnapshot`]).
 
 use std::sync::{Arc, Weak};
@@ -15,9 +15,10 @@ use super::error::ServeError;
 use super::ServiceHandle;
 use crate::epoch::EpochGuard;
 
-/// The frozen product of one full pipeline run: index, labeling, stats.
-/// Base epochs own one of these; journal-epochs share their base's via
-/// `Arc` — that sharing is what makes a journal publish cheap.
+/// A frozen base: index, labeling, stats. A pipeline run, a snapshot boot
+/// or a fold makes one. Base epochs own one of these; journal-epochs share
+/// their base's via `Arc` — that sharing is what makes a journal publish
+/// cheap.
 #[derive(Debug)]
 pub(super) struct BaseIndex {
     pub(super) index: ComponentIndex,
@@ -27,11 +28,11 @@ pub(super) struct BaseIndex {
     pub(super) graph_n: usize,
     pub(super) graph_m: usize,
     /// Wall time of the pipeline run (+ validation) that produced the
-    /// labeling; 0 for a snapshot boot — nothing ran.
+    /// labeling; 0 for a snapshot boot or a fold — no pipeline ran.
     pub(super) pipeline_ms: f64,
-    /// Wall time of freezing the labeling into the index; 0 for a
-    /// snapshot boot. Split out so boot-vs-build speedups have a clean
-    /// denominator.
+    /// Wall time of freezing the labeling into the index, or of the fold;
+    /// 0 for a snapshot boot. Split out so boot-vs-build speedups have a
+    /// clean denominator.
     pub(super) index_ms: f64,
 }
 
@@ -57,6 +58,37 @@ impl BaseIndex {
             pipeline_ms,
             index_ms,
         })
+    }
+
+    /// The base a compaction publishes: `journal`'s merges folded into the
+    /// index ([`ComponentIndex::fold`], `O(n)`, no edges) and
+    /// `inserted_edges` more edges counted. No pipeline runs, so `stats` is
+    /// empty and `pipeline_ms` 0, as for a snapshot boot; `index_ms` is the
+    /// fold's wall time. The labeling is the merged dense ids, which is what
+    /// persisting the journal-epoch writes too, so a persisted file does not
+    /// depend on whether its epoch compacted first. Without a journal
+    /// nothing merged: the index and labeling carry over.
+    pub(super) fn fold(&self, journal: Option<&JournalView>, inserted_edges: usize) -> BaseIndex {
+        let t0 = Instant::now();
+        let (index, labeling) = match journal {
+            Some(journal) => {
+                let index = self.index.fold(journal);
+                let n = index.num_vertices() as VertexId;
+                let labeling = Labeling((0..n).map(|v| index.component_of(v) as u64).collect());
+                (index, labeling)
+            }
+            None => (self.index.clone(), self.labeling.clone()),
+        };
+        BaseIndex {
+            index,
+            labeling,
+            stats: RunStats::default(),
+            algorithm: self.algorithm,
+            graph_n: self.graph_n,
+            graph_m: self.graph_m + inserted_edges,
+            pipeline_ms: 0.0,
+            index_ms: t0.elapsed().as_secs_f64() * 1e3,
+        }
     }
 }
 
@@ -86,8 +118,9 @@ impl PublishedIndex {
         &self.base.index
     }
 
-    /// The raw labeling the base pipeline run produced (e.g. for
-    /// `--labels` output). Journal merges are not reflected here.
+    /// The base's labeling (e.g. for `--labels` output): the pipeline
+    /// run's labels, a booted snapshot's, or a folded base's merged dense
+    /// ids. Journal merges are not reflected here.
     pub fn labeling(&self) -> &Labeling {
         &self.base.labeling
     }
@@ -110,7 +143,8 @@ impl PublishedIndex {
         self.base.labeling.0.get(v as usize).copied()
     }
 
-    /// The producing run's cost accounting.
+    /// The producing run's cost accounting; empty when the base was booted
+    /// from a snapshot or folded, since no pipeline ran.
     pub fn stats(&self) -> &RunStats {
         &self.base.stats
     }
@@ -128,13 +162,15 @@ impl PublishedIndex {
     }
 
     /// Wall-clock milliseconds the base epoch's pipeline run (plus
-    /// validation) took; 0 when the base was booted from a snapshot.
+    /// validation) took; 0 when the base was booted from a snapshot or
+    /// folded.
     pub fn pipeline_ms(&self) -> f64 {
         self.base.pipeline_ms
     }
 
     /// Wall-clock milliseconds freezing the base labeling into the index
-    /// took; 0 when the base was booted from a snapshot.
+    /// took, or for a folded base the fold; 0 when the base was booted
+    /// from a snapshot.
     pub fn index_build_ms(&self) -> f64 {
         self.base.index_ms
     }

@@ -6,9 +6,9 @@
 //! **byte-identically** to the live service at that epoch — across
 //! generator families, both pipeline algorithms, every standard workload
 //! mix, and while insertions race the persist call. A booted replica is a
-//! first-class service: it accepts journal-epoch insertions, refuses to
-//! compact over the base graph it does not have, and regains compaction
-//! after an explicit rebuild installs one.
+//! first-class service: it accepts journal-epoch insertions and compacts
+//! past its budget like any other, and a persisted file does not depend on
+//! whether its epoch compacted first.
 
 use ampc::rng::{derive_seed, SplitMix64};
 use ampc_cc::pipeline::Algorithm;
@@ -16,7 +16,7 @@ use ampc_graph::generators::{disjoint_cliques, erdos_renyi_gnm, grid2d, random_f
 use ampc_graph::{reference_components, Graph, VertexId};
 use ampc_query::{workload, ComponentIndex};
 use ampc_serve::{
-    driver, JournalBudget, PipelineSpec, ServiceBuilder, ServiceHandle, SnapshotError,
+    driver, BootSource, JournalBudget, PipelineSpec, ServiceBuilder, ServiceHandle, SnapshotError,
 };
 use std::path::PathBuf;
 
@@ -186,7 +186,7 @@ fn persist_under_live_inserts_captures_exactly_one_epoch() {
 }
 
 #[test]
-fn booted_replica_serves_inserts_and_compacts_only_after_a_real_graph_arrives() {
+fn booted_replica_serves_inserts_and_compacts_like_any_other() {
     const N: usize = 600;
     let g = erdos_renyi_gnm(N, 500, 41);
     let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
@@ -198,6 +198,8 @@ fn booted_replica_serves_inserts_and_compacts_only_after_a_real_graph_arrives() 
     live.persist(&path).expect("persist");
     let booted = ServiceBuilder::from_snapshot(&path).expect("boot");
     std::fs::remove_file(&path).unwrap();
+    let oracle_of =
+        |edges: &[_]| ComponentIndex::build(&reference_components(&Graph::from_edges(N, edges)));
 
     // Journal-epoch insertions need only the index, which the snapshot
     // carries — the replica accepts them and stays oracle-exact.
@@ -205,9 +207,9 @@ fn booted_replica_serves_inserts_and_compacts_only_after_a_real_graph_arrives() 
         let batch = edge_batch(N, 15, derive_seed(&[0xB11D, b]));
         let report = booted.insert_edges(&batch).expect("insert on booted replica");
         assert_eq!(report.epoch, b + 1);
-        assert!(!report.compaction_started, "no base graph, must not compact");
+        assert!(!report.compacted, "under budget");
         edges.extend_from_slice(&batch);
-        let oracle = ComponentIndex::build(&reference_components(&Graph::from_edges(N, &edges)));
+        let oracle = oracle_of(&edges);
         let snap = booted.snapshot();
         let engine = snap.engine();
         for v in 0..N as VertexId {
@@ -219,40 +221,88 @@ fn booted_replica_serves_inserts_and_compacts_only_after_a_real_graph_arrives() 
         }
     }
 
-    // Blowing straight past the default budget must still not compact: the
-    // snapshot carries no edge list, so there is nothing to merge with.
+    // Past the default budget the replica folds, though it never had an
+    // edge list: the batch's own epoch is the folded base.
     let budget = booted.journal_budget();
     let flood = edge_batch(N, budget.max_edges + 1, 0xF100D);
     let report = booted.insert_edges(&flood).expect("over-budget insert");
-    assert!(
-        !report.compaction_started,
-        "over budget without a base graph must not start a compaction"
-    );
+    assert!(report.compacted, "over budget, a booted replica compacts");
     edges.extend_from_slice(&flood);
+    let snap = booted.snapshot();
+    assert_eq!(snap.epoch(), report.epoch);
+    assert!(!snap.is_journal());
+    assert_eq!(*snap.index(), oracle_of(&edges), "the folded base must match the oracle");
+    assert_eq!(snap.graph_size(), (N, edges.len()));
 
-    // An explicit rebuild installs the merged graph as the new ground
-    // truth; compaction is live again from then on.
+    // An explicit rebuild still installs new ground truth.
     let rebuilt_epoch =
         booted.rebuild_blocking(Graph::from_edges(N, &edges)).expect("rebuild on booted replica");
-    assert!(rebuilt_epoch > report.epoch, "rebuild must publish a new epoch");
-    let oracle = ComponentIndex::build(&reference_components(&Graph::from_edges(N, &edges)));
-    assert_eq!(*booted.snapshot().index(), oracle, "rebuild must match the oracle");
+    assert_eq!(rebuilt_epoch, report.epoch + 1, "rebuild must publish a new epoch");
+    assert_eq!(*booted.snapshot().index(), oracle_of(&edges), "rebuild must match the oracle");
+}
 
-    let flood = edge_batch(N, budget.max_edges + 1, 0xF200D);
-    let report = booted.insert_edges(&flood).expect("post-rebuild insert");
-    assert!(report.compaction_started, "with a real graph the budget must trigger compaction");
-    // Let the background compaction land before the test exits.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    let mut last = booted.current_epoch();
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let now = booted.current_epoch();
-        if now == last {
-            break;
-        }
-        last = now;
-        assert!(std::time::Instant::now() < deadline, "compaction never quiesced");
+#[test]
+fn a_replica_booted_with_a_zero_budget_folds_its_first_insert() {
+    const N: usize = 2_000;
+    let g = random_forest(N, 40, 43);
+    let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
+    let live =
+        ServiceBuilder::new(g).spec(PipelineSpec::default().with_seed(43)).build().expect("build");
+    let path = temp_snap("zero_budget");
+    live.persist(&path).expect("persist");
+
+    // The builder holds no graph of the snapshot's: only its settings count
+    // when the snapshot boots.
+    let (booted, source) = ServiceBuilder::new(Graph::empty(0))
+        .journal_budget(JournalBudget::new(0))
+        .from_snapshot_or_rebuild(&path)
+        .expect("boot");
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(source, BootSource::Snapshot);
+
+    let batch = edge_batch(N, 8, 0x2E80);
+    let report = booted.insert_edges(&batch).expect("first insert");
+    edges.extend_from_slice(&batch);
+    assert!(report.compacted, "0 edges of budget: the first insert folds");
+    let snap = booted.snapshot();
+    assert_eq!(snap.epoch(), report.epoch, "the insert's own epoch is the folded base");
+    assert!(!snap.is_journal());
+    let merged = Graph::from_edges(N, &edges);
+    assert_eq!(*snap.index(), ComponentIndex::build(&reference_components(&merged)));
+    assert_eq!(snap.graph_size(), (N, edges.len()));
+}
+
+#[test]
+fn a_persisted_epoch_is_the_same_file_whether_or_not_it_compacted() {
+    // Two services over one graph take the same inserts; one never
+    // compacts, the other folds every insert. After each insert both
+    // persist: a journal-epoch (or the bare base) on one side, a folded
+    // base on the other — and the two files are byte for byte the same.
+    const N: usize = 4_096;
+    let g = random_forest(N, 64, 47);
+    let spec = PipelineSpec::default().with_seed(47).with_machines(4);
+    let start = |budget| {
+        let service = ServiceBuilder::new(g.clone()).spec(spec.clone()).journal_budget(budget);
+        service.build().expect("build")
+    };
+    let journal = start(JournalBudget::unbounded());
+    let folding = start(JournalBudget::new(0));
+    let (path_j, path_f) = (temp_snap("bytes_journal"), temp_snap("bytes_folded"));
+    for b in 0..16u64 {
+        let batch = edge_batch(N, 1 + b as usize % 3, derive_seed(&[0xB17E, b]));
+        assert!(!journal.insert_edges(&batch).expect("insert").compacted);
+        assert!(folding.insert_edges(&batch).expect("insert").compacted);
+        assert!(!folding.snapshot().is_journal());
+        let report = journal.persist(&path_j).expect("persist journal-epoch");
+        folding.persist(&path_f).expect("persist folded base");
+        let (a, f) = (std::fs::read(&path_j).unwrap(), std::fs::read(&path_f).unwrap());
+        let first_diff = a.iter().zip(&f).position(|(x, y)| x != y);
+        assert_eq!(first_diff, None, "batch {b} (journal: {}): files differ", report.journal);
+        assert_eq!(a.len(), f.len(), "batch {b}");
     }
+    assert!(journal.snapshot().is_journal(), "the inserts must have merged something");
+    std::fs::remove_file(&path_j).unwrap();
+    std::fs::remove_file(&path_f).unwrap();
 }
 
 #[test]

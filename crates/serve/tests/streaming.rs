@@ -1,8 +1,8 @@
 //! Streaming journal-epochs: after every accepted insertion batch the
 //! service must answer the whole query algebra **byte-identically** to a
 //! from-scratch union-find build over the accumulated graph — across a
-//! family × seed matrix, under concurrent readers, and across the
-//! budget-triggered compaction fallback.
+//! family × seed matrix, under concurrent readers, and across the folded
+//! bases that over-budget inserts publish.
 
 use ampc::rng::{derive_seed, SplitMix64};
 use ampc_cc::pipeline::PipelineSpec;
@@ -87,7 +87,7 @@ fn journal_epochs_match_fresh_builds_across_families_and_seeds() {
                 let batch = edge_batch(N, BATCH_LEN, derive_seed(&[0x57A6, seed, b as u64]));
                 let report = service.insert_edges(&batch).expect("insert");
                 assert_eq!(report.applied, batch.len());
-                assert!(!report.compaction_started, "unbounded budget must never compact");
+                assert!(!report.compacted, "unbounded budget must never compact");
                 edges.extend_from_slice(&batch);
                 assert_matches_oracle(
                     &service,
@@ -102,49 +102,6 @@ fn journal_epochs_match_fresh_builds_across_families_and_seeds() {
             assert_eq!(snap.graph_size().1, edges.len());
         }
     }
-}
-
-#[test]
-fn budget_fallback_compacts_and_replays_inserts_mid_compaction() {
-    // A tiny budget forces a compaction almost immediately; inserts issued
-    // *while* the compaction rebuild runs must survive onto the new base.
-    // Whatever the interleaving, the final answers equal the oracle over
-    // every accepted edge.
-    const N: usize = 600;
-    let g = random_forest(N, 12, 0xC0);
-    let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
-    let spec = PipelineSpec::default().with_seed(5).with_machines(4);
-    let service = ServiceBuilder::new(g)
-        .spec(spec)
-        .journal_budget(JournalBudget::new(4))
-        .build()
-        .expect("build");
-
-    let mut compactions = 0usize;
-    for b in 0..10u64 {
-        let batch = edge_batch(N, 3, derive_seed(&[0xFA11, b]));
-        let report = service.insert_edges(&batch).expect("insert");
-        edges.extend_from_slice(&batch);
-        compactions += report.compaction_started as usize;
-    }
-    assert!(compactions > 0, "a 4-edge budget must have triggered compaction");
-
-    // Wait until no compaction is in flight: the epoch stops moving once
-    // the last background rebuild lands (we stopped inserting).
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    let mut last = service.current_epoch();
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let now = service.current_epoch();
-        if now == last {
-            break;
-        }
-        last = now;
-        assert!(std::time::Instant::now() < deadline, "compactions never quiesced");
-    }
-    assert_matches_oracle(&service, N, &edges, "post-compaction");
-    // Edges accepted across all lineages are all accounted for.
-    assert_eq!(service.snapshot().graph_size().1, edges.len());
 }
 
 /// The current epoch's journal equals the from-scratch freeze of what
@@ -171,66 +128,55 @@ fn assert_journal_is_from_scratch(
 }
 
 #[test]
-fn a_compaction_landing_mid_stream_replays_to_the_from_scratch_journal() {
-    // One writer streams batches over a budget of 10 edges; every batch's
-    // report is pinned against the oracle, and the journal itself against
-    // `JournalView::build`. When a compaction lands is up to the scheduler,
-    // but it shows as a skipped epoch number, and from there on the journal
-    // counts merges against the compacted base — so the pins are exact
-    // under either interleaving.
-    const N: usize = 3_000;
-    let g = random_forest(N, 400, 0xC1);
-    let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
-    let components = |edges: &[(VertexId, VertexId)]| {
-        reference_components(&Graph::from_edges(N, edges)).num_components()
-    };
-    let service = ServiceBuilder::new(g)
-        .spec(PipelineSpec::default().with_seed(6).with_machines(4))
-        .journal_budget(JournalBudget::new(10))
-        .build()
-        .expect("build");
+fn every_over_budget_insert_publishes_its_folded_base() {
+    // One writer streams batches over a small budget. Each batch publishes
+    // exactly one epoch: a journal-epoch, or — when it takes the edges
+    // inserted on its base past the budget — a folded base. Every report is
+    // pinned against the oracle, and every epoch's journal against
+    // `JournalView::build` over that epoch's own base.
+    let cases = [(600, 12, 0xC0, 4, 3), (3_000, 400, 0xC1, 10, 4)];
+    for (n, trees, seed, budget, batch_len) in cases {
+        let g = random_forest(n, trees, seed);
+        let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
+        let components = |edges: &[(VertexId, VertexId)]| {
+            reference_components(&Graph::from_edges(n, edges)).num_components()
+        };
+        let service = ServiceBuilder::new(g)
+            .spec(PipelineSpec::default().with_seed(seed).with_machines(4))
+            .journal_budget(JournalBudget::new(budget))
+            .build()
+            .expect("build");
 
-    let (mut base_components, mut live, mut epoch) = (components(&edges), components(&edges), 0);
-    let mut in_flight: Option<usize> = None; // edges the running compaction bakes in
-    let (mut landed, mut after_landing) = (0, 0);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    for b in 0u64.. {
-        let batch = edge_batch(N, 4, derive_seed(&[0x11D, b]));
-        let report = service.insert_edges(&batch).expect("insert");
-        edges.extend_from_slice(&batch);
-        if report.epoch == epoch + 2 {
-            let consumed = in_flight.take().expect("only a compaction publishes between inserts");
-            base_components = components(&edges[..consumed]);
-            landed += 1;
-        } else {
-            assert_eq!(report.epoch, epoch + 1, "batch {b}");
-        }
-        epoch = report.epoch;
-        let now = components(&edges);
-        assert_eq!(report.new_merges, live - now, "batch {b}: new_merges");
-        assert_eq!(report.components, now, "batch {b}: components");
-        assert_eq!(report.journal_merges, base_components - now, "batch {b}: journal_merges");
-        live = now;
-        if report.compaction_started {
-            assert_eq!(in_flight.replace(edges.len()), None, "one compaction at a time");
-        }
-        // The snapshot may already sit on a base newer than the report's;
-        // the helper reads base and journal from the one pinned epoch.
-        let ctx = format!("batch {b}");
-        assert_journal_is_from_scratch(&service, N, &edges, &ctx);
-        assert_matches_oracle(&service, N, &edges, &ctx);
+        let (mut base_components, mut live) = (components(&edges), components(&edges));
+        let (mut on_base, mut folds) = (0, 0);
+        for b in 0..12u64 {
+            let ctx = format!("seed {seed:#x} batch {b}");
+            let batch = edge_batch(n, batch_len, derive_seed(&[0x11D, seed, b]));
+            let report = service.insert_edges(&batch).expect("insert");
+            edges.extend_from_slice(&batch);
+            on_base += batch.len();
+            let now = components(&edges);
+            assert_eq!(report.compacted, on_base > budget, "{ctx}: folds iff over budget");
+            if report.compacted {
+                (base_components, on_base, folds) = (now, 0, folds + 1);
+            }
+            assert_eq!(report.epoch, b + 1, "{ctx}: one epoch per batch");
+            assert_eq!(report.journal_edges, on_base, "{ctx}: journal_edges");
+            assert_eq!(report.new_merges, live - now, "{ctx}: new_merges");
+            assert_eq!(report.components, now, "{ctx}: components");
+            assert_eq!(report.journal_merges, base_components - now, "{ctx}: journal_merges");
+            live = now;
 
-        after_landing += (landed > 0) as usize;
-        if after_landing >= 3 {
-            break;
+            // The batch's epoch is the published one: nothing lands later.
+            let snap = service.snapshot();
+            assert_eq!(snap.epoch(), report.epoch, "{ctx}");
+            assert_eq!(snap.is_journal(), report.journal_merges > 0, "{ctx}");
+            assert_eq!(snap.graph_size(), (n, edges.len()), "{ctx}");
+            assert_journal_is_from_scratch(&service, n, &edges, &ctx);
+            assert_matches_oracle(&service, n, &edges, &ctx);
         }
-        assert!(std::time::Instant::now() < deadline, "no compaction landed mid-stream");
-        if in_flight.is_some() && b > 8 {
-            // Let the rebuild run instead of merging the graph away.
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
+        assert!(folds >= 3, "seed {seed:#x}: {folds} folds");
     }
-    assert!(landed >= 1 && live > 1, "the stream must outlive a compaction: {landed}, {live}");
 }
 
 #[test]

@@ -73,11 +73,11 @@
 //!                 to cross-validate every answer against union-find (and
 //!                 it is required for --stream, which needs the edge list).
 //!                 (serve) alone, the same strict boot; with <file>, the
-//!                 boot fallback chain: the snapshot boots with the file
-//!                 as its base graph (so budget-triggered compaction
-//!                 works), and a missing or corrupt snapshot falls back to
-//!                 a build over the file, reported on stderr and as the
-//!                 `boot` incident over the Health opcode
+//!                 boot fallback chain: the snapshot boots (compaction
+//!                 folds the index and needs no edges), and a missing or
+//!                 corrupt snapshot falls back to a build over the file,
+//!                 reported on stderr and as the `boot` incident over the
+//!                 Health opcode
 //!   --fail SITE[:K][:panic]  arm a deterministic failpoint: the Kth
 //!                 traversal (default 1st) of the named site errors (or
 //!                 panics). The sites are the `fault::Site` catalogue,
@@ -618,9 +618,9 @@ fn print_labels(labeling: &Labeling) {
 /// pipeline run); a graph alone is built live (the service
 /// executes the spec, refuses a labeling that fails validation against the
 /// graph, and publishes the frozen index). With both, `fall_back` decides:
-/// `serve` boots through the fallback chain — the snapshot with the graph as
-/// its base, or a build when the snapshot is missing or corrupt, recorded as
-/// the `boot` incident — while `query` stays strict, because there the graph
+/// `serve` boots through the fallback chain — the snapshot, or a build over
+/// the graph when the snapshot is missing or corrupt, recorded as the `boot`
+/// incident — while `query` stays strict, because there the graph
 /// is the cross-validation oracle and a silent fallback would hide the
 /// failure.
 fn boot(
@@ -636,7 +636,9 @@ fn boot(
                 .from_snapshot_or_rebuild(path)
                 .map_err(|e| format!("service build failed: {e}"))?;
             match source {
-                BootSource::Snapshot => eprintln!("boot: snapshot {path} over the graph file"),
+                BootSource::Snapshot => {
+                    eprintln!("boot: snapshot {path} (the graph file was only the fallback)")
+                }
                 BootSource::RebuildFallback => eprintln!(
                     "boot: snapshot {path} unusable, built from the graph file \
                      (recorded as the boot incident)"

@@ -82,12 +82,11 @@ fn stable_names_and_discriminants_are_golden() {
         (TraceKind::EpochPublished, 0, "epoch_published"),
         (TraceKind::JournalBuilt, 1, "journal_built"),
         (TraceKind::CompactionStarted, 2, "compaction_started"),
-        (TraceKind::CompactionYielded, 3, "compaction_yielded"),
-        (TraceKind::CompactionFinished, 4, "compaction_finished"),
-        (TraceKind::IncidentRecorded, 5, "incident_recorded"),
-        (TraceKind::SnapshotPersisted, 6, "snapshot_persisted"),
-        (TraceKind::SnapshotBooted, 7, "snapshot_booted"),
-        (TraceKind::RoundCompleted, 8, "round_completed"),
+        (TraceKind::CompactionFinished, 3, "compaction_finished"),
+        (TraceKind::IncidentRecorded, 4, "incident_recorded"),
+        (TraceKind::SnapshotPersisted, 5, "snapshot_persisted"),
+        (TraceKind::SnapshotBooted, 6, "snapshot_booted"),
+        (TraceKind::RoundCompleted, 7, "round_completed"),
     );
     assert_rows!(usize:
         (Site::RebuildPipeline, 0, "rebuild.pipeline"),
