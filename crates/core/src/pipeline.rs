@@ -80,7 +80,7 @@ impl ResolvedAlgorithm {
 /// Everything needed to run a connectivity pipeline, in one value.
 ///
 /// The spec is plain `Clone + Send` data, so it can be stored in a serving
-/// handle or shipped to a background rebuild thread. Two runs of the same
+/// handle that every thread rebuilds through. Two runs of the same
 /// spec on the same graph are byte-identical (the pipelines are
 /// deterministic given the seed).
 #[derive(Clone, Debug, PartialEq)]

@@ -133,12 +133,13 @@ fn mid_flight_rebuild_keeps_batches_epoch_consistent() {
     // non-vacuous for at least most batches.
     const BATCH: usize = 200;
     let mut conn = Connection::connect(addr).expect("connect");
-    let mut rebuild = Some(service.rebuild(graph_b));
+    let rebuilder = service.clone();
+    let mut rebuild = Some(std::thread::spawn(move || rebuilder.rebuild_blocking(graph_b)));
     let mut saw_b = false;
     for (i, batch) in queries.chunks(BATCH).enumerate() {
         // Let the rebuild land somewhere in the middle of the stream.
         if i == 10 {
-            rebuild.take().expect("rebuild handle").wait().expect("rebuild");
+            rebuild.take().expect("rebuild thread").join().expect("rebuilder").expect("rebuild");
         }
         let answers = conn.query_batch(batch).expect("query batch");
         let expect_a: Vec<u64> = batch.iter().map(|&q| engine_a.answer(q)).collect();

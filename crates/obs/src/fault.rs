@@ -56,7 +56,7 @@ crate::catalog! {
     /// [`Site::ALL`] in registry order is what the CLI prints as the catalog.
     pub enum Site: usize {
         RebuildPipeline => "rebuild.pipeline",
-            "Pipeline build inside every background (explicit) rebuild.",
+            "Pipeline build inside every explicit rebuild.",
         CompactPublish => "compact.publish", "Compaction publish: fires after the fold, before \
             anything is published or any stream state is touched — the insert then publishes \
             its journal-epoch instead and the failure is recorded.",

@@ -25,9 +25,9 @@ crate::catalog! {
         EpochsPublished => "serve_epochs_published_total", "Index epochs made visible to readers",
         JournalBuilds => "serve_journal_builds_total",
             "Merge journals built for streaming edge inserts",
-        CompactionsStarted => "serve_compactions_started_total", "Background compactions started",
+        CompactionsStarted => "serve_compactions_started_total", "Compaction folds attempted",
         CompactionsFinished => "serve_compactions_finished_total",
-            "Background compactions published",
+            "Compaction folds published",
         Incidents => "serve_incidents_total", "Faults recorded in the service incident log",
         DegradedTransitions => "serve_degraded_transitions_total",
             "Health-state transitions into Degraded",
@@ -53,7 +53,7 @@ crate::catalog! {
     /// Catalog of process-wide gauges.
     pub enum GaugeId: usize {
         RebuildQueueDepth => "serve_rebuild_queue_depth",
-            "Rebuild tickets issued but not yet published",
+            "Explicit rebuilds in flight",
         JournalPendingEntries => "serve_journal_pending_entries",
             "Journal entries pending compaction",
         NetAdmissionQueueDepth => "net_admission_queue_depth",
@@ -71,7 +71,7 @@ crate::catalog! {
         RoundWallNs => "ampc_round_wall_ns", "Wall time of one executor round (ns)",
         JournalBuildNs => "serve_journal_build_ns", "Merge-journal build time (ns)",
         PublishNs => "serve_publish_ns", "Epoch publish time (ns)",
-        CompactionNs => "serve_compaction_ns", "Background compaction duration (ns)",
+        CompactionNs => "serve_compaction_ns", "Compaction fold duration (ns)",
         SnapshotPersistNs => "snapshot_persist_ns", "Snapshot persist time (ns)",
         SnapshotBootNs => "snapshot_boot_ns", "Snapshot boot time (ns)",
         QueryLatencyNs => "query_latency_ns",

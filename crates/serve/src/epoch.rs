@@ -2,8 +2,8 @@
 //! epoch number, on two standard-library locks.
 //!
 //! The serving layer needs one concurrency primitive: readers obtain a
-//! consistent snapshot of the current index while a background rebuild
-//! publishes a replacement. [`EpochCell`] keeps `(epoch, Arc<T>)` behind an
+//! consistent snapshot of the current index while a rebuild publishes a
+//! replacement. [`EpochCell`] keeps `(epoch, Arc<T>)` behind an
 //! `RwLock`; [`EpochCell::pin`] is a read-lock and an `Arc::clone`, a
 //! publish is one `mem::replace` under the write lock. A second mutex
 //! serializes publishers, so the payload of epoch `e + 1` is *built*

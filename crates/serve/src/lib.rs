@@ -3,7 +3,7 @@
 //! `ampc-query` froze one finished run into an immutable index; this crate
 //! is what keeps that index **live**: the run→validate→index→serve
 //! lifecycle as a first-class service API, safe for any number of reader
-//! threads while background rebuilds publish new indexes under traffic.
+//! threads while rebuilds publish new indexes under traffic.
 //!
 //! * [`EpochCell`] — the one concurrency primitive: `(epoch, Arc<T>)`
 //!   behind a standard `RwLock`. Readers pin the current epoch with a
@@ -14,10 +14,10 @@
 //!   .spec(spec).build()?` runs the configured [`PipelineSpec`], validates
 //!   the labeling against the graph, freezes it into a `ComponentIndex`,
 //!   and publishes epoch 0. The clone-able handle serves pinned
-//!   [`IndexSnapshot`]s and runs [`ServiceHandle::rebuild`] on a
-//!   background thread — readers keep answering against their pinned
-//!   epoch while the swap happens under live traffic. Rebuilds publish in
-//!   request order (ticket-sequenced), never completion order.
+//!   [`IndexSnapshot`]s and runs [`ServiceHandle::rebuild_blocking`] on the
+//!   caller's thread — readers keep answering against their pinned epoch
+//!   while the swap happens under live traffic. A rebuild returns after its
+//!   publish, so calls that do not overlap publish in call order.
 //! * [`ServiceHandle::insert_edges`] — the incremental delta path:
 //!   streaming edge insertions merge dense component ids and publish as
 //!   cheap **journal-epochs** ([`JournalView`] riding on an unchanged
@@ -70,6 +70,6 @@ pub use ampc_query::{JournalView, SnapshotError};
 pub use epoch::{EpochCell, EpochGuard};
 pub use service::{
     BootSource, HealthReport, HealthState, Incident, IncidentOp, IndexSnapshot, InsertReport,
-    JournalBudget, PersistReport, PublishedIndex, RebuildHandle, RetryPolicy, ServeError,
-    ServiceBuilder, ServiceHandle,
+    JournalBudget, PersistReport, PublishedIndex, RetryPolicy, ServeError, ServiceBuilder,
+    ServiceHandle,
 };

@@ -2,9 +2,8 @@
 //! first-class API, with an incremental delta path. One concept per
 //! module: [`error`] (the typed failures), [`health`] (the degradation
 //! state machine), [`published`] (what an epoch holds), [`builder`] (the
-//! three epoch-0 paths), [`handle`] (snapshot / insert and its compaction /
-//! persist / health probe) and [`rebuild`] (ticket-sequenced background
-//! rebuilds).
+//! three epoch-0 paths) and [`handle`] (snapshot / insert and its
+//! compaction / explicit rebuild / persist / health probe).
 //!
 //! [`ServiceBuilder`] runs a [`PipelineSpec`] over a graph, validates the
 //! labeling against the graph (the same check the CLI always performed),
@@ -12,8 +11,8 @@
 //! [`EpochCell`](crate::EpochCell). The resulting [`ServiceHandle`] is
 //! clone-able and thread-safe: any number of reader threads call
 //! [`ServiceHandle::snapshot`] — a pin of the current epoch — and answer queries
-//! against their pinned epoch, while [`ServiceHandle::rebuild`] runs the
-//! pipeline on a *background thread* and publishes the new index
+//! against their pinned epoch, while [`ServiceHandle::rebuild_blocking`] runs
+//! the pipeline on its caller's thread and publishes the new index
 //! atomically. Readers holding old snapshots are never blocked and never
 //! observe a half-built index; a retired epoch's memory is reclaimed once
 //! the last snapshot pinning it is dropped.
@@ -29,14 +28,12 @@ mod error;
 mod handle;
 mod health;
 mod published;
-mod rebuild;
 
 pub use builder::{BootSource, ServiceBuilder};
 pub use error::ServeError;
 pub use handle::{InsertReport, JournalBudget, PersistReport, ServiceHandle};
 pub use health::{HealthReport, HealthState, Incident, IncidentOp, RetryPolicy};
 pub use published::{IndexSnapshot, PublishedIndex};
-pub use rebuild::RebuildHandle;
 
 #[cfg(test)]
 mod tests {

@@ -17,7 +17,6 @@ use super::handle::{
 };
 use super::health::{HealthInner, IncidentOp, RetryPolicy};
 use super::published::{BaseIndex, PublishedIndex};
-use super::rebuild::RebuildTickets;
 use crate::epoch::EpochCell;
 
 /// Builder for a [`ServiceHandle`]: `ServiceBuilder::new(graph)
@@ -56,7 +55,6 @@ impl Settings {
             policy: self.policy,
             clock: self.clock,
             stream: Mutex::new(stream),
-            tickets: RebuildTickets::new(),
         };
         announce_epoch(0, false, 0);
         ServiceHandle { service: Arc::new(service) }

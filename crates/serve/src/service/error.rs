@@ -15,7 +15,7 @@ pub enum ServeError {
     /// The pipeline produced a labeling that does not validate against the
     /// graph (index construction refused it).
     InvalidLabeling(String),
-    /// A background rebuild thread panicked.
+    /// An explicit rebuild's pipeline build panicked (the panic was caught).
     RebuildPanicked,
     /// An inserted edge names a vertex the current graph does not have.
     /// The whole batch is rejected: nothing was applied or published.
@@ -28,7 +28,7 @@ pub enum ServeError {
     /// The service is in the [`HealthState::ReadOnly`] state after
     /// repeated failures: inserts are refused, reads keep serving the
     /// last published epoch, and a successful explicit
-    /// [`ServiceHandle::rebuild`] restores service.
+    /// [`ServiceHandle::rebuild_blocking`] restores service.
     ReadOnly,
     /// A failpoint fired ([`crate::fault`]): the deterministic
     /// fault-injection harness, never seen in production.
@@ -47,7 +47,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Pipeline(e) => write!(f, "pipeline run failed: {e}"),
             ServeError::InvalidLabeling(msg) => write!(f, "labeling rejected: {msg}"),
-            ServeError::RebuildPanicked => write!(f, "background rebuild thread panicked"),
+            ServeError::RebuildPanicked => write!(f, "rebuild panicked"),
             ServeError::VertexOutOfRange { vertex, n } => {
                 write!(f, "inserted edge names vertex {vertex} but the graph has {n} vertices")
             }

@@ -1,7 +1,7 @@
 //! [`ServiceHandle`] and the shared state behind it: the read side
 //! (`snapshot`), the journal-epoch write side (`insert_edges`) with its
-//! compaction, `persist`, and the `health` probe. Explicit rebuilds are in
-//! [`super::rebuild`].
+//! compaction, the explicit `rebuild_blocking`, `persist`, and the `health`
+//! probe.
 //!
 //! **Journal-epochs** ([`ServiceHandle::insert_edges`]): a streaming edge
 //! insertion can only *merge* components, so instead of re-running the
@@ -19,12 +19,21 @@
 //! it folds the journal into a new base ([`ComponentIndex::fold`], `O(n)`,
 //! no edges — the write side keeps none) and publishes that base as its own
 //! epoch. `persist` writes the same fold.
+//!
+//! **Explicit rebuilds** ([`ServiceHandle::rebuild_blocking`]) run the
+//! pipeline on the caller's thread with no lock held, then take the stream
+//! lock to publish. A call returns only after its publish, so calls that do
+//! not overlap publish in call order; calls that overlap publish in the
+//! order they finish, each taking effect at its publish. Every publish —
+//! journal, fold or rebuild — holds the stream lock, so the epochs form one
+//! dense total order and no lock is needed beyond it.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use ampc_cc::pipeline::PipelineSpec;
-use ampc_graph::VertexId;
+use ampc_graph::{Graph, VertexId};
 use ampc_obs::fault::{self, Site};
 use ampc_obs::{Clock, CounterId, GaugeId, HistId, TraceKind};
 #[cfg(doc)]
@@ -34,7 +43,6 @@ use ampc_query::{snapshot, JournalView, SnapshotError};
 use super::error::ServeError;
 use super::health::{HealthInner, HealthReport, HealthState, IncidentOp, RetryPolicy};
 use super::published::{BaseIndex, IndexSnapshot, PublishedIndex};
-use super::rebuild::RebuildTickets;
 use crate::epoch::EpochCell;
 
 /// When the edges inserted on one base exceed this budget, the insert that
@@ -134,7 +142,6 @@ pub(super) struct ConnectivityService {
     pub(super) policy: RetryPolicy,
     pub(super) clock: Arc<dyn Clock>,
     pub(super) stream: Mutex<StreamState>,
-    pub(super) tickets: RebuildTickets,
 }
 
 impl ConnectivityService {
@@ -355,6 +362,52 @@ impl ServiceHandle {
             components,
             compacted,
         })
+    }
+
+    /// Rebuilds the index over `graph` on the caller's thread and publishes
+    /// it as a new base epoch, returning that epoch's number. The pipeline
+    /// runs with no lock held, so readers keep answering against their
+    /// pinned snapshots and inserts keep landing throughout; the publish
+    /// takes the stream lock for one swap. The journal riding on the
+    /// current base is discarded — an explicit rebuild defines a new
+    /// ground-truth graph — and a Degraded or ReadOnly service regains
+    /// `Healthy`: the explicit rebuild is the operator's recovery lever.
+    ///
+    /// Calls that do not overlap publish in call order; overlapping calls
+    /// publish in the order they finish.
+    ///
+    /// # Errors
+    /// The pipeline or validation error, [`ServeError::RebuildPanicked`] if
+    /// the build panicked (caught here), or [`ServeError::Injected`] from the
+    /// `rebuild.pipeline` failpoint. Nothing is published on error, and the
+    /// failure is recorded in the incident log.
+    pub fn rebuild_blocking(&self, graph: Graph) -> Result<u64, ServeError> {
+        let service = &self.service;
+        let in_flight = ampc_obs::gauge(GaugeId::RebuildQueueDepth);
+        in_flight.add(1);
+        let built = catch_unwind(AssertUnwindSafe(|| {
+            fault::check(Site::RebuildPipeline)?;
+            BaseIndex::build(&service.spec, &graph)
+        }))
+        .unwrap_or(Err(ServeError::RebuildPanicked));
+        let mut st = lock_stream(&service.stream);
+        let result = match built {
+            Ok(base) => {
+                let base = Arc::new(base);
+                st.base = Arc::clone(&base);
+                st.inserted_edges = 0;
+                st.health.mark_recovered();
+                Ok(service.publish(&base, None, 0))
+            }
+            Err(e) => {
+                let op = IncidentOp::Rebuild;
+                st.health.record_failure(&service.policy, service.now_ms(), op, e.clone());
+                Err(e)
+            }
+        };
+        drop(st);
+        in_flight.sub(1);
+        result
     }
 
     /// Persists the **currently published epoch** to `path` as a snapshot

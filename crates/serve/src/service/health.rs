@@ -33,7 +33,7 @@ ampc_obs::catalog! {
     /// * **ReadOnly** — [`RetryPolicy::max_consecutive_failures`] failures in
     ///   a row. Inserts return [`ServeError::ReadOnly`]; reads keep serving
     ///   the last published epoch; only a successful explicit
-    ///   [`ServiceHandle::rebuild`] (new ground truth) restores `Healthy`.
+    ///   [`ServiceHandle::rebuild_blocking`] (new ground truth) restores `Healthy`.
     ///
     /// The discriminant is the state's byte in the wire's Health reply.
     pub enum HealthState: u8 {
@@ -47,7 +47,7 @@ ampc_obs::catalog! {
 ampc_obs::catalog! {
     /// Which operation an [`Incident`] was recorded against.
     pub enum IncidentOp: u8 {
-        Rebuild => "rebuild", "An explicit [`ServiceHandle::rebuild`].",
+        Rebuild => "rebuild", "An explicit [`ServiceHandle::rebuild_blocking`].",
         Compaction => "compaction", "The fold an over-budget or Degraded insert runs.",
         JournalBuild => "journal-build", "A journal-epoch freeze on the insert path.",
         Boot => "boot", "A snapshot boot that fell back to a pipeline build.",

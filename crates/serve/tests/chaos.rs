@@ -435,9 +435,10 @@ fn rebuild_panics_are_recorded_not_lost() {
     assert_eq!(h.incidents.last().map(|i| &i.error), Some(&ServeError::RebuildPanicked));
     assert_oracle(&service, n, &edges, "serving through a panicked rebuild");
 
-    // The ticket queue survived: the next rebuild still publishes.
     fault::disarm_all();
-    service.rebuild_blocking(Graph::from_edges(n, &edges)).expect("queue not wedged");
+    service
+        .rebuild_blocking(Graph::from_edges(n, &edges))
+        .expect("a panicked rebuild leaves the next one free to publish");
     assert_eq!(service.health().state, HealthState::Healthy);
     assert_oracle(&service, n, &edges, "post-panic rebuild");
 }

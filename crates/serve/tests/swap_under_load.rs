@@ -1,5 +1,5 @@
-//! Swap-under-load: reader threads answer queries while background
-//! rebuilds publish new epochs through the same service.
+//! Swap-under-load: reader threads answer queries while rebuilds on other
+//! threads publish new epochs through the same service.
 //!
 //! The pinned invariant: **every answer is consistent with exactly one
 //! published epoch**. Each test graph is chosen so its index (and the
@@ -117,7 +117,7 @@ fn readers_stay_consistent_across_sequential_rebuilds() {
 
         barrier.wait();
         for (i, oracle) in oracles.iter().enumerate().skip(1) {
-            let epoch = service.rebuild(epoch_graph(i)).wait().expect("rebuild");
+            let epoch = service.rebuild_blocking(epoch_graph(i)).expect("rebuild");
             assert_eq!(epoch as usize, i, "sequential rebuilds must publish dense epochs");
             assert_eq!(service.snapshot().index(), &oracle.index);
         }
@@ -167,24 +167,32 @@ fn concurrent_rebuild_publishers_never_tear_a_snapshot() {
             });
         }
 
-        // M rebuild threads publish concurrently (rebuild() itself spawns a
-        // background thread; we just fire them all before waiting).
-        let handles: Vec<_> = (1..=REBUILDS).map(|i| service.rebuild(epoch_graph(i))).collect();
-        let mut epochs: Vec<u64> =
-            handles.into_iter().map(|h| h.wait().expect("rebuild")).collect();
-        epochs.sort_unstable();
+        // REBUILDS threads rebuild at once; each reports `(the epoch its call
+        // returned, the graph it rebuilt)`.
+        let rebuilders: Vec<_> = (1..=REBUILDS)
+            .map(|i| {
+                let service = &service;
+                s.spawn(move || (service.rebuild_blocking(epoch_graph(i)).expect("rebuild"), i))
+            })
+            .collect();
+        let mut published: Vec<(u64, usize)> =
+            rebuilders.into_iter().map(|h| h.join().expect("rebuilder")).collect();
+        published.sort_unstable();
+        let epochs: Vec<u64> = published.iter().map(|&(e, _)| e).collect();
         assert_eq!(epochs, vec![1, 2, 3], "publishes must serialize into dense epochs");
         stop.store(true, SeqCst);
-    });
 
-    // Whichever rebuild won the last publish, the final index is exactly
-    // one of the published graphs.
-    let last = service.snapshot();
-    assert_eq!(last.epoch() as usize, REBUILDS);
-    assert!(
-        oracles.iter().any(|o| &o.index == last.index()),
-        "final epoch serves an index that was never built"
-    );
+        // Each call takes effect at its publish, so the final index is the
+        // oracle of the call that returned the highest epoch.
+        let (last_epoch, last_graph) = published[REBUILDS - 1];
+        let last = service.snapshot();
+        assert_eq!(last.epoch(), last_epoch);
+        assert_eq!(
+            last.index(),
+            &oracles[last_graph].index,
+            "epoch {last_epoch} does not serve graph {last_graph}, the call that published it"
+        );
+    });
 }
 
 #[test]
@@ -217,7 +225,7 @@ fn driver_stays_per_thread_consistent_while_rebuilds_publish() {
             while !stop.load(SeqCst) {
                 i += 1;
                 let g = epoch_graph(i % (REBUILDS + 1));
-                service.rebuild(g).wait().expect("rebuild");
+                service.rebuild_blocking(g).expect("rebuild");
             }
         });
         for _ in 0..20 {
@@ -269,7 +277,7 @@ fn shrinking_graph_rebuilds_answer_old_workloads_with_the_sentinel() {
                 }
             });
         }
-        service.rebuild(small.clone()).wait().expect("shrinking rebuild");
+        service.rebuild_blocking(small.clone()).expect("shrinking rebuild");
         // Run the workload on the small epoch from this thread too, so the
         // sentinel assertion below doesn't depend on a reader re-snapshotting
         // before `stop` lands.
@@ -294,12 +302,10 @@ fn shrinking_graph_rebuilds_answer_old_workloads_with_the_sentinel() {
 }
 
 #[test]
-fn requested_order_wins_for_concurrent_rebuilds() {
-    // Request a slow rebuild (big graph) and then a fast one (tiny graph):
-    // the tiny one finishes its pipeline first, but publishes must respect
-    // request order, so the *last-requested* graph is the final epoch.
-    // Under completion-order publishing (the old bug) the big stale graph
-    // would overwrite the tiny one.
+fn call_order_wins_for_back_to_back_rebuilds() {
+    // A slow rebuild (big graph) and then a fast one (tiny graph) from one
+    // thread: each call returns after its publish, so the *last-called*
+    // graph is the final epoch and the big one never overwrites it.
     use ampc_graph::generators::erdos_renyi_gnm;
     let big = erdos_renyi_gnm(60_000, 180_000, 0xB16);
     let tiny = random_forest(64, 2, 0x717);
@@ -307,30 +313,12 @@ fn requested_order_wins_for_concurrent_rebuilds() {
     let spec = PipelineSpec::default().with_seed(13).with_machines(4);
     let service = ServiceBuilder::new(epoch_graph(0)).spec(spec).build().expect("build");
 
-    let first = service.rebuild(big);
-    let second = service.rebuild(tiny);
-    let e1 = first.wait().expect("big rebuild");
-    let e2 = second.wait().expect("tiny rebuild");
-    assert_eq!((e1, e2), (1, 2), "publishes must land in request order");
+    let e1 = service.rebuild_blocking(big).expect("big rebuild");
+    let e2 = service.rebuild_blocking(tiny).expect("tiny rebuild");
+    assert_eq!((e1, e2), (1, 2), "publishes must land in call order");
     let snap = service.snapshot();
     assert_eq!(snap.epoch(), 2);
     assert_eq!(snap.index(), &tiny_oracle, "a stale slow rebuild overwrote a newer epoch");
-}
-
-#[test]
-fn dropped_rebuild_handles_still_publish_in_request_order() {
-    // Dropping a RebuildHandle must not detach-and-forget: the rebuild
-    // still runs, still publishes, and still respects request order (the
-    // drop joins the worker). The old code silently discarded the join
-    // handle *and* the error.
-    let spec = PipelineSpec::default().with_seed(47).with_machines(2);
-    let service = ServiceBuilder::new(epoch_graph(0)).spec(spec).build().expect("build");
-    for i in 1..=REBUILDS {
-        drop(service.rebuild(epoch_graph(i)));
-    }
-    assert_eq!(service.current_epoch() as usize, REBUILDS);
-    let final_oracle = ComponentIndex::build(&reference_components(&epoch_graph(REBUILDS)));
-    assert_eq!(service.snapshot().index(), &final_oracle);
 }
 
 #[test]

@@ -16,8 +16,8 @@
 //!   engine, and deterministic workload driver over finished runs;
 //! * [`serve`] — the serving layer: `PipelineSpec`-driven
 //!   `ConnectivityService` with epoch-swapped index snapshots,
-//!   background rebuilds under live traffic, and the multi-threaded
-//!   workload driver;
+//!   rebuilds under live traffic, and the multi-threaded workload
+//!   driver;
 //! * [`net`] — the network front-end: a hand-rolled TCP server speaking a
 //!   length-prefixed binary protocol over the service's pinned
 //!   snapshots, with bounded admission backpressure and a closed-loop

@@ -22,8 +22,8 @@ counter ampc_ops_applied_total DHT write/merge/delete operations applied at roun
 counter ampc_bytes_shuffled_total Modeled shuffle bytes moved at round barriers
 counter serve_epochs_published_total Index epochs made visible to readers
 counter serve_journal_builds_total Merge journals built for streaming edge inserts
-counter serve_compactions_started_total Background compactions started
-counter serve_compactions_finished_total Background compactions published
+counter serve_compactions_started_total Compaction folds attempted
+counter serve_compactions_finished_total Compaction folds published
 counter serve_incidents_total Faults recorded in the service incident log
 counter serve_degraded_transitions_total Health-state transitions into Degraded
 counter serve_readonly_transitions_total Health-state transitions into ReadOnly
@@ -37,13 +37,13 @@ counter net_connections_accepted_total Network connections admitted by the TCP f
 counter net_connections_shed_total Connections shed with a typed Overloaded reply
 counter net_requests_total Request frames the network front-end answered
 counter net_protocol_errors_total Malformed frames rejected with a typed protocol error
-gauge serve_rebuild_queue_depth Rebuild tickets issued but not yet published
+gauge serve_rebuild_queue_depth Explicit rebuilds in flight
 gauge serve_journal_pending_entries Journal entries pending compaction
 gauge net_admission_queue_depth Connections waiting in the network admission queue
 histogram ampc_round_wall_ns Wall time of one executor round (ns)
 histogram serve_journal_build_ns Merge-journal build time (ns)
 histogram serve_publish_ns Epoch publish time (ns)
-histogram serve_compaction_ns Background compaction duration (ns)
+histogram serve_compaction_ns Compaction fold duration (ns)
 histogram snapshot_persist_ns Snapshot persist time (ns)
 histogram snapshot_boot_ns Snapshot boot time (ns)
 histogram query_latency_ns In-process service time per query: each frame's mean, weighted by its length (ns)
