@@ -25,7 +25,10 @@
 //! Writes are **scattered at the source**: a [`crate::MachineCtx`] routes
 //! every op by [`DhtStorage::shard_of`] into its worker's [`ShardBuffers`]
 //! the moment it is issued, and [`DhtStorage::apply_ops`] receives the
-//! grid of all workers' buffers. A worker runs a contiguous block of
+//! grid of all workers' buffers. A buffered op is one op word (the kind over
+//! the packed key, laid out in `key.rs`) plus, for a put or a merge, its
+//! value in a second column; every apply path reads them back through one
+//! `drain`. A worker runs a contiguous block of
 //! machine indices in order, so within shard `s` the concatenation of the
 //! workers' lists in worker order is exactly the subsequence of the global
 //! machine-order (then issue-order) op stream that lands on `s`. Because a
@@ -40,7 +43,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::host_workers;
-use crate::key::{Key, Space};
+use crate::key::{Key, OpKind, Space};
 use crate::value::DhtValue;
 
 /// A fast multiply-xor hasher (FxHash-style) for the packed 64-bit keys.
@@ -94,8 +97,61 @@ pub enum WriteOp<V> {
     Delete,
 }
 
-/// One buffered op list: `(key, op)` pairs in issue order.
-type OpList<V> = Vec<(Key, WriteOp<V>)>;
+/// One buffered op list, in issue order, as two columns: one op word per op
+/// ([`Key::op_word`]: the kind over the packed key), and the values of the
+/// puts and merges alone. A `u64` put or merge holds 16 bytes, a delete 8.
+struct OpList<V> {
+    words: Vec<u64>,
+    values: Vec<V>,
+}
+
+impl<V> OpList<V> {
+    fn new() -> Self {
+        OpList { words: Vec::new(), values: Vec::new() }
+    }
+
+    #[inline]
+    fn push(&mut self, key: Key, op: WriteOp<V>) {
+        let kind = match op {
+            WriteOp::Put(v) => {
+                self.values.push(v);
+                OpKind::Put
+            }
+            WriteOp::Merge(v) => {
+                self.values.push(v);
+                OpKind::Merge
+            }
+            WriteOp::Delete => OpKind::Delete,
+        };
+        self.words.push(key.op_word(kind));
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.words.clear();
+        self.values.clear();
+    }
+
+    /// Yields the ops in issue order, emptying both columns in place. Both
+    /// are `Vec::drain`s, so an apply that unwinds part way still leaves the
+    /// list empty (never a word without its value), and the capacity stays.
+    #[inline]
+    fn drain(&mut self) -> impl Iterator<Item = (Key, WriteOp<V>)> + '_ {
+        let mut values = self.values.drain(..);
+        self.words.drain(..).map(move |word| {
+            let (kind, key) = Key::from_op_word(word);
+            let op = match kind {
+                OpKind::Put => WriteOp::Put(values.next().expect("a put carries a value")),
+                OpKind::Merge => WriteOp::Merge(values.next().expect("a merge carries a value")),
+                OpKind::Delete => WriteOp::Delete,
+            };
+            (key, op)
+        })
+    }
+}
 
 /// One worker's buffered writes for a round, routed by shard at the moment
 /// they were issued: `lists[s]` holds the ops whose key maps to shard `s`,
@@ -114,19 +170,38 @@ pub struct ShardBuffers<V> {
 impl<V> ShardBuffers<V> {
     /// Empty buffers for a store with `shards` shards.
     pub fn new(shards: usize) -> Self {
-        ShardBuffers { lists: (0..shards).map(|_| Vec::new()).collect(), spaces: Vec::new() }
+        ShardBuffers { lists: (0..shards).map(|_| OpList::new()).collect(), spaces: Vec::new() }
     }
 
     /// Buffers `op` on `key`, whose shard the caller resolved with
     /// [`DhtStorage::shard_of`] on the store the buffers were sized for.
+    ///
+    /// # Panics
+    ///
+    /// If `key.space` is `2^14` or above: an op word has no room for it.
     #[inline]
     pub fn push(&mut self, shard: usize, key: Key, op: WriteOp<V>) {
         let word = (key.space >> 6) as usize;
         if word >= self.spaces.len() {
-            self.spaces.resize(word + 1, 0);
+            self.grow_spaces(key.space);
         }
         self.spaces[word] |= 1 << (key.space & 63);
-        self.lists[shard].push((key, op));
+        self.lists[shard].push(key, op);
+    }
+
+    /// Widens the keyspace bitset to cover `space`, after checking the op
+    /// word can carry it. The bitset never outgrows the bound, so every push
+    /// on a keyspace past it lands here, while pushes on known keyspaces
+    /// never do.
+    #[cold]
+    #[inline(never)]
+    fn grow_spaces(&mut self, space: Space) {
+        assert!(
+            (space as usize) < Key::OP_SPACES,
+            "keyspace {space} is out of range: a buffered op carries keyspaces below {}",
+            Key::OP_SPACES
+        );
+        self.spaces.resize(space as usize / 64 + 1, 0);
     }
 
     /// Number of shard lists (the store's shard count).
@@ -136,12 +211,12 @@ impl<V> ShardBuffers<V> {
 
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.lists.iter().all(Vec::is_empty)
+        self.lists.iter().all(OpList::is_empty)
     }
 
     /// Discards everything buffered, keeping the lists' capacity.
     pub fn clear(&mut self) {
-        self.lists.iter_mut().for_each(Vec::clear);
+        self.lists.iter_mut().for_each(OpList::clear);
     }
 
     /// The keyspaces ever written through these buffers, ascending.
@@ -419,7 +494,7 @@ impl<V: DhtValue> FlatDht<V> {
         V: 'a,
     {
         for ops in lists {
-            for (key, op) in ops.drain(..) {
+            for (key, op) in ops.drain() {
                 self.apply_op(key, op);
             }
         }
@@ -885,7 +960,7 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
         if workers <= 1 {
             for s in 0..=self.num_ranges {
                 for b in bufs.iter_mut() {
-                    for (key, op) in b.lists[s].drain(..) {
+                    for (key, op) in b.lists[s].drain() {
                         self.apply_one(key, op);
                     }
                 }
@@ -941,7 +1016,7 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
                         view_block.iter_mut().zip(delta_block.iter_mut()).enumerate()
                     {
                         for lists in group.iter_mut() {
-                            for (key, op) in lists[offset].drain(..) {
+                            for (key, op) in lists[offset].drain() {
                                 let chunk =
                                     view[key.space as usize].as_mut().expect("slab preallocated");
                                 apply_slot_op(
@@ -1178,21 +1253,18 @@ mod hasher_tests {
 mod sharded_tests {
     use super::*;
 
-    fn ops(items: &[(u16, u64, WriteOp<u64>)]) -> Vec<(Key, WriteOp<u64>)> {
-        items.iter().map(|(s, id, op)| (Key::new(*s, *id), op.clone())).collect()
-    }
+    /// One op of a test script: keyspace, id, op.
+    type Op = (Space, u64, WriteOp<u64>);
 
     /// One worker per given op sequence, each routed into its own buffers
     /// by `store.shard_of` the way a `MachineCtx` does it.
-    fn grid<S: DhtStorage<u64>>(
-        store: &S,
-        workers: &[&[(Key, WriteOp<u64>)]],
-    ) -> Vec<ShardBuffers<u64>> {
+    fn grid<S: DhtStorage<u64>>(store: &S, workers: &[&[Op]]) -> Vec<ShardBuffers<u64>> {
         workers
             .iter()
             .map(|ops| {
                 let mut bufs = ShardBuffers::new(store.shard_count());
-                for (key, op) in ops.iter().cloned() {
+                for (space, id, op) in ops.iter().cloned() {
+                    let key = Key::new(space, id);
                     bufs.push(store.shard_of(key), key, op);
                 }
                 bufs
@@ -1260,16 +1332,147 @@ mod sharded_tests {
         // backends, however many threads the sharded merge runs on.
         let mut flat: FlatDht<u64> = FlatDht::new();
         let mut sharded: ShardedDht<u64> = ShardedDht::with_shard_count(4);
-        let worker0 = ops(&[(0, 1, WriteOp::Put(10)), (0, 2, WriteOp::Put(20))]);
-        let worker1 = ops(&[(0, 1, WriteOp::Put(11)), (0, 3, WriteOp::Delete)]);
-        let mut bufs = grid(&flat, &[&worker0, &worker1]);
+        let worker0: &[Op] = &[(0, 1, WriteOp::Put(10)), (0, 2, WriteOp::Put(20))];
+        let worker1: &[Op] = &[(0, 1, WriteOp::Put(11)), (0, 3, WriteOp::Delete)];
+        let mut bufs = grid(&flat, &[worker0, worker1]);
         DhtStorage::apply_ops(&mut flat, &mut bufs);
         assert!(bufs.iter().all(ShardBuffers::is_empty), "apply_ops must drain the grid");
-        let mut bufs = grid(&sharded, &[&worker0, &worker1]);
+        let mut bufs = grid(&sharded, &[worker0, worker1]);
         DhtStorage::apply_ops(&mut sharded, &mut bufs);
         assert!(bufs.iter().all(ShardBuffers::is_empty), "apply_ops must drain the grid");
         assert_eq!(flat.sorted_entries(), sharded.sorted_entries());
         assert_eq!(DhtStorage::get(&sharded, Key::new(0, 1)), Some(&11));
+    }
+
+    /// Every list's value column holds exactly the values of its puts and
+    /// merges: one per op word that is not a delete.
+    fn columns_agree<V>(bufs: &[ShardBuffers<V>]) -> bool {
+        bufs.iter().flat_map(|b| &b.lists).all(|list| {
+            let valued =
+                list.words.iter().filter(|&&w| Key::from_op_word(w).0 != OpKind::Delete).count();
+            list.values.len() == valued
+        })
+    }
+
+    /// Put / delete / merge / delete / put on key `base` of keyspace 1,
+    /// interleaved with the same cycle, rotated, on `base ± 1`; then on each
+    /// of them a merge of a smaller value, which a put would not ignore.
+    fn interleaved(bases: &[u64], value: u64, rotate: usize) -> Vec<Op> {
+        let cycle = |v: u64| {
+            [
+                WriteOp::Put(v),
+                WriteOp::Delete,
+                WriteOp::Merge(v + 1),
+                WriteOp::Delete,
+                WriteOp::Put(v),
+            ]
+        };
+        let mut out = Vec::new();
+        for &base in bases {
+            for step in 0..5 {
+                for (id, shift) in [(base, 0), (base + 1, 1), (base - 1, 3)] {
+                    let v = value + 10 * shift as u64;
+                    out.push((1, id, cycle(v)[(step + rotate + shift) % 5].clone()));
+                }
+            }
+            for id in [base, base + 1, base - 1] {
+                out.push((1, id, WriteOp::Merge(value / 2)));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_delete_buffers_a_word_and_no_value() {
+        let mut bufs: ShardBuffers<u64> = ShardBuffers::new(1);
+        bufs.push(0, Key::new(2, 9), WriteOp::Delete);
+        assert_eq!((bufs.lists[0].words.len(), bufs.lists[0].values.len()), (1, 0));
+        bufs.push(0, Key::new(2, 9), WriteOp::Put(4));
+        bufs.push(0, Key::new(2, 9), WriteOp::Merge(5));
+        assert_eq!((bufs.lists[0].words.len(), bufs.lists[0].values.len()), (3, 2));
+        let drained: Vec<_> = bufs.lists[0].drain().map(|(k, op)| (k, format!("{op:?}"))).collect();
+        let key = Key::new(2, 9);
+        assert_eq!(
+            drained,
+            [(key, "Delete".to_string()), (key, "Put(4)".into()), (key, "Merge(5)".into())]
+        );
+        assert!(bufs.is_empty() && bufs.lists[0].values.is_empty());
+    }
+
+    #[test]
+    fn interleaved_ops_apply_in_issue_order_on_every_backend() {
+        // Keys 2..4 sit in every slab of 16 ids; 5000..5002 overflow it.
+        let bases = [3u64, 5001];
+        let worker0 = interleaved(&bases, 100, 0);
+        let worker1 = interleaved(&bases, 200, 2);
+        let mut reference: FlatDht<u64> = FlatDht::new();
+        for (space, id, op) in worker0.iter().chain(&worker1).cloned() {
+            reference.apply_op(Key::new(space, id), op);
+        }
+        let check = |mut store: Dht<u64>, case: &str| {
+            let mut bufs = grid(&store, &[&worker0, &worker1]);
+            for (b, ops) in bufs.iter().zip([&worker0, &worker1]) {
+                let words: usize = b.lists.iter().map(|l| l.words.len()).sum();
+                let values: usize = b.lists.iter().map(|l| l.values.len()).sum();
+                let deletes = ops.iter().filter(|(.., op)| matches!(op, WriteOp::Delete)).count();
+                assert_eq!((words, values), (ops.len(), ops.len() - deletes), "{case}");
+            }
+            store.apply_ops(&mut bufs);
+            assert!(bufs.iter().all(ShardBuffers::is_empty), "{case}: grid not drained");
+            assert!(columns_agree(&bufs), "{case}: a value outlived its word");
+            assert_eq!(store.sorted_entries(), reference.sorted_entries(), "{case}");
+            assert_eq!(store.words(), reference.words(), "{case}");
+        };
+        for backend in [
+            DhtBackend::Flat,
+            DhtBackend::Sharded { shards: 1 },
+            DhtBackend::Sharded { shards: 4 },
+            DhtBackend::Dense { cap: 1 },
+            DhtBackend::Dense { cap: 16 },
+            DhtBackend::Dense { cap: 8192 },
+        ] {
+            check(Dht::for_backend(backend), &format!("{backend:?}"));
+        }
+    }
+
+    #[test]
+    fn an_apply_that_unwinds_leaves_every_value_with_its_word() {
+        // A value whose `merge` is the panicking default: the second merge
+        // on a key unwinds out of the apply, part way through a list.
+        #[derive(Clone)]
+        struct NoMerge;
+        impl DhtValue for NoMerge {
+            fn words(&self) -> usize {
+                1
+            }
+        }
+        let op = |kind: u64| match kind % 3 {
+            0 => WriteOp::Put(NoMerge),
+            1 => WriteOp::Delete,
+            _ => WriteOp::Merge(NoMerge),
+        };
+        for backend in [
+            DhtBackend::Flat,
+            DhtBackend::Sharded { shards: 4 },
+            DhtBackend::Dense { cap: 1 },
+            DhtBackend::Dense { cap: 16 },
+        ] {
+            let mut store: Dht<NoMerge> = Dht::for_backend(backend);
+            let mut bufs: Vec<ShardBuffers<NoMerge>> =
+                (0..2).map(|_| ShardBuffers::new(store.shard_count())).collect();
+            for (w, b) in bufs.iter_mut().enumerate() {
+                for i in 0..60u64 {
+                    // Ids 0..20 and far ones, in and out of any slab.
+                    let key = Key::new(0, if i % 4 == 3 { 1000 + i % 20 } else { i % 20 });
+                    b.push(store.shard_of(key), key, op(i + w as u64));
+                }
+            }
+            let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                store.apply_ops(&mut bufs);
+            }));
+            assert!(applied.is_err(), "{backend:?}: the second merge on a key must panic");
+            assert!(columns_agree(&bufs), "{backend:?}: a list lost a value or kept a stray one");
+        }
     }
 
     #[test]
@@ -1311,9 +1514,9 @@ mod sharded_tests {
         // A 1-shard ShardedDht goes through the same grid contract: every
         // worker's only list, in worker order.
         let mut d: ShardedDht<u64> = ShardedDht::with_shard_count(1);
-        let worker0 = ops(&[(0, 1, WriteOp::Put(10))]);
-        let worker1 = ops(&[(0, 1, WriteOp::Put(11)), (0, 2, WriteOp::Put(20))]);
-        let mut bufs = grid(&d, &[&worker0, &worker1]);
+        let worker0: &[Op] = &[(0, 1, WriteOp::Put(10))];
+        let worker1: &[Op] = &[(0, 1, WriteOp::Put(11)), (0, 2, WriteOp::Put(20))];
+        let mut bufs = grid(&d, &[worker0, worker1]);
         DhtStorage::apply_ops(&mut d, &mut bufs);
         assert_eq!(DhtStorage::get(&d, Key::new(0, 1)), Some(&11));
         assert_eq!(DhtStorage::len(&d), 2);
@@ -1422,19 +1625,13 @@ mod sharded_tests {
             let far = cap as u64 * 1000;
             let mut flat: FlatDht<u64> = FlatDht::new();
             let mut dense: DenseDht<u64> = DenseDht::with_slab_capacity(cap);
-            let worker0 = ops(&[
-                (0, 1, WriteOp::Put(10)),
-                (0, far, WriteOp::Put(100)),
-                (1, 2, WriteOp::Put(20)),
-            ]);
-            let worker1 = ops(&[
-                (0, 1, WriteOp::Put(11)),
-                (0, far, WriteOp::Put(101)),
-                (1, 3, WriteOp::Delete),
-            ]);
-            let mut bufs = grid(&flat, &[&worker0, &worker1]);
+            let worker0: &[Op] =
+                &[(0, 1, WriteOp::Put(10)), (0, far, WriteOp::Put(100)), (1, 2, WriteOp::Put(20))];
+            let worker1: &[Op] =
+                &[(0, 1, WriteOp::Put(11)), (0, far, WriteOp::Put(101)), (1, 3, WriteOp::Delete)];
+            let mut bufs = grid(&flat, &[worker0, worker1]);
             DhtStorage::apply_ops(&mut flat, &mut bufs);
-            let mut bufs = grid(&dense, &[&worker0, &worker1]);
+            let mut bufs = grid(&dense, &[worker0, worker1]);
             DhtStorage::apply_ops(&mut dense, &mut bufs);
             assert!(bufs.iter().all(ShardBuffers::is_empty), "apply_ops must drain the grid");
             assert_eq!(flat.sorted_entries(), dense.sorted_entries(), "cap {cap}");

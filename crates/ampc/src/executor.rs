@@ -14,7 +14,9 @@
 //! source**: the system holds one [`ShardBuffers`] per worker — a
 //! workers × shards grid of op lists whatever `M` is — and a machine's
 //! `write`/`write_merge`/`delete` routes the op by [`DhtStorage::shard_of`]
-//! into its worker's list for that shard as it is issued. Appending machine
+//! into its worker's list for that shard as it is issued. A list keeps one
+//! word per op (its kind over the packed key) and a value only for puts and
+//! merges, so a delete buffers 8 bytes and a `u64` put 16. Appending machine
 //! after machine to the same list *is* the machine-order subsequence, so
 //! [`DhtStorage::apply_ops`] applies, per shard, the workers' lists in
 //! worker order (distinct shards concurrently on the sharded and dense
@@ -649,6 +651,55 @@ mod backend_equivalence_tests {
             base.with_machines(1000).with_backend(DhtBackend::Dense { cap: 64 }),
         );
         assert_eq!(one.0, many.0);
+    }
+
+    /// The highest keyspace an op word carries, `2^14 − 1`.
+    const TOP: u16 = (1 << 14) - 1;
+
+    /// One round of puts, merges and deletes on keyspace `space`, in the
+    /// slab and far past it, returning the table it leaves.
+    fn run_on_space<St: DhtStorage<u64>>(cfg: AmpcConfig, space: u16) -> Vec<(Key, u64)> {
+        const FAR: u64 = 1 << 40;
+        let mut sys: AmpcSystem<u64, St> = AmpcSystem::new(cfg, std::iter::empty());
+        let ids: Vec<u64> = (0..300).collect();
+        sys.round("top", &ids, |ctx, &i| {
+            ctx.write(Key::new(space, i % 40), i);
+            ctx.write_merge(Key::new(space, FAR + i % 5), i % 91);
+            if i % 3 == 0 {
+                ctx.delete(Key::new(space, (i + 7) % 40));
+            }
+            None::<()>
+        })
+        .unwrap();
+        sys.finish().0.sorted_entries()
+    }
+
+    #[test]
+    fn the_top_keyspace_round_trips_through_every_backend() {
+        let cfg = AmpcConfig::default().with_machines(16).with_backend(DhtBackend::Flat);
+        let reference = run_on_space::<FlatDht<u64>>(cfg.clone(), TOP);
+        assert!(reference.iter().all(|(k, _)| k.space == TOP));
+        // The same ops on keyspace 0 leave the same ids and values.
+        let strip = |t: &[(Key, u64)]| t.iter().map(|&(k, v)| (k.id, v)).collect::<Vec<_>>();
+        assert_eq!(strip(&reference), strip(&run_on_space::<FlatDht<u64>>(cfg.clone(), 0)));
+        for backend in [
+            DhtBackend::Sharded { shards: 1 },
+            DhtBackend::Sharded { shards: 8 },
+            DhtBackend::Dense { cap: 1 },
+            DhtBackend::Dense { cap: 64 },
+        ] {
+            let cfg = cfg.clone().with_backend(backend);
+            assert_eq!(reference, run_on_space::<Dht<u64>>(cfg, TOP), "{backend:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "keyspace 16384 is out of range")]
+    fn a_write_past_the_top_keyspace_panics_naming_it() {
+        // One machine runs on the calling thread, so the message arrives
+        // as the worker raised it.
+        let cfg = AmpcConfig::default().with_machines(1);
+        run_on_space::<Dht<u64>>(cfg, TOP + 1);
     }
 
     #[test]

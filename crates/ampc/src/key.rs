@@ -5,13 +5,22 @@
 //! model that with a composite key: a small *keyspace* tag plus a 64-bit
 //! identifier, so one physical [`crate::Dht`] can host all logical tables of
 //! an algorithm while space accounting stays unified.
+//!
+//! This module is the single home of key-packing knowledge. A key packs
+//! into one `u64` (the keyspace tag over a 48-bit id), which is what the
+//! hash-map stores probe and what the dense store routes by; and a buffered
+//! write packs into one *op word*, the op's kind in the top two bits over the
+//! packed key, which is what a round's write log holds. The op word is why a
+//! keyspace tag must stay below `2^14` ([`Key::OP_SPACES`]).
 
 use std::fmt;
 
 /// Identifier of a logical table ("keyspace") within the DHT.
 ///
 /// Algorithm crates define constants for their keyspaces, e.g. one for
-/// vertex ranks and one for successor pointers.
+/// vertex ranks and one for successor pointers. A keyspace written in a
+/// round must be below `2^14`: a buffered write packs its keyspace, id and
+/// op kind into one word, and a write past the bound panics.
 pub type Space = u16;
 
 /// A key in the shared DHT: `(keyspace, 64-bit id)`.
@@ -40,6 +49,18 @@ impl Key {
     /// accidental allocation bounded (a few GiB, not an address-space-sized
     /// request).
     pub(crate) const MAX_DENSE_CAP: usize = 1 << 28;
+
+    /// Shift of an op word's kind bits: the top two bits of the word, over a
+    /// packed key that must leave them clear.
+    const OP_KIND_SHIFT: u32 = 62;
+
+    /// The bits of an op word that hold the packed key.
+    const OP_KEY_MASK: u64 = (1 << Key::OP_KIND_SHIFT) - 1;
+
+    /// Keyspace tags an op word can carry: those below `2^14`, the packed
+    /// key's 62 bits less [`Key::ID_BITS`]. The write log checks it the first
+    /// time a worker's buffers see a keyspace, not once per op.
+    pub(crate) const OP_SPACES: usize = 1 << (Key::OP_KIND_SHIFT - Key::ID_BITS);
 
     /// Creates a key in keyspace `space` with identifier `id`.
     #[inline]
@@ -76,6 +97,40 @@ impl Key {
     pub(crate) const fn from_packed(packed: u64) -> Key {
         Key { space: Key::space_of_packed(packed), id: Key::id_of_packed(packed) }
     }
+
+    /// Encodes a buffered op of `kind` on this key as one word: the kind in
+    /// the top two bits over the packed key. The mask keeps the kind intact
+    /// whatever the key; the keyspace bound [`Key::OP_SPACES`] is what makes
+    /// the key come back whole.
+    #[inline]
+    pub(crate) fn op_word(self, kind: OpKind) -> u64 {
+        ((kind as u64) << Key::OP_KIND_SHIFT) | (self.packed() & Key::OP_KEY_MASK)
+    }
+
+    /// Decodes an op word (inverse of [`Key::op_word`] for keyspaces below
+    /// [`Key::OP_SPACES`]).
+    #[inline]
+    pub(crate) const fn from_op_word(word: u64) -> (OpKind, Key) {
+        let kind = match word >> Key::OP_KIND_SHIFT {
+            0 => OpKind::Put,
+            1 => OpKind::Merge,
+            // 3 is never written.
+            _ => OpKind::Delete,
+        };
+        (kind, Key::from_packed(word & Key::OP_KEY_MASK))
+    }
+}
+
+/// The kind of a buffered write, as stored in the top two bits of its op
+/// word ([`Key::op_word`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum OpKind {
+    /// A replacing write; its value is in the log's value column.
+    Put = 0,
+    /// A merging write; its value is in the log's value column.
+    Merge = 1,
+    /// A deletion: the word is the whole op.
+    Delete = 2,
 }
 
 impl fmt::Debug for Key {
@@ -131,6 +186,23 @@ mod tests {
             assert_eq!(Key::id_of_packed(key.packed()), key.id);
         }
         assert_eq!(Key::id_of_packed(Key::new(u16::MAX, Key::MAX_ID).packed()), Key::MAX_ID);
+    }
+
+    #[test]
+    fn op_words_round_trip_for_every_kind() {
+        let mut r = crate::rng::SplitMix64::new(0x0B);
+        let top = (Key::OP_SPACES - 1) as Space;
+        for i in 0..1000 {
+            let key = match i {
+                0 => Key::new(top, Key::MAX_ID),
+                1 => Key::new(0, 0),
+                _ => Key::new(r.next_below(Key::OP_SPACES as u64) as Space, r.next_below(1 << 48)),
+            };
+            for kind in [OpKind::Put, OpKind::Merge, OpKind::Delete] {
+                assert_eq!(Key::from_op_word(key.op_word(kind)), (kind, key), "{key:?} {kind:?}");
+            }
+        }
+        assert_eq!(Key::OP_SPACES, 1 << 14);
     }
 
     #[test]

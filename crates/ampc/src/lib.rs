@@ -47,7 +47,8 @@
 //! immutable snapshot and buffer private writes), so the executor spreads
 //! them over scoped OS threads (capped at the hardware parallelism), each
 //! worker running a contiguous block of machine indices. A write goes
-//! straight into its worker's per-shard buffer ([`ShardBuffers`]) and the
+//! straight into its worker's per-shard buffer ([`ShardBuffers`]), as one
+//! word for the op and its key plus the value of a put or a merge, and the
 //! round barrier applies every shard's buffers in worker order — which is
 //! machine-index order — keeping every run bit-for-bit deterministic
 //! regardless of thread scheduling.
