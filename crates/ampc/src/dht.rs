@@ -307,8 +307,8 @@ impl DhtBackend {
     /// keyspace slab; bare `dense` lets the pipeline hint the capacity from
     /// its input). The single grammar every consumer parses backends with.
     /// [`DhtBackend::Sharded`] has no spelling: it is never the best value
-    /// (DESIGN.md, "Storage backends"), so it is built as a value by the
-    /// equivalence rows and the ledger only.
+    /// (DESIGN.md, "Storage: one decision, three stores"), so it is built
+    /// as a value by the equivalence rows and the ledger only.
     pub fn parse(s: &str) -> Result<DhtBackend, String> {
         match s {
             "flat" => Ok(DhtBackend::Flat),
@@ -1054,7 +1054,8 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
 /// measured backend) inline and send the two hash-probing stores through one
 /// out-of-line call each: with all three arms inline the build measured
 /// 2–3 % slower than the generic code this replaced, with the hash probes
-/// out of line it measured flat (DESIGN.md, "Storage backends").
+/// out of line it measured flat (DESIGN.md, "Storage: one decision, three
+/// stores").
 #[derive(Clone)]
 pub enum Dht<V> {
     /// [`DhtBackend::Flat`].

@@ -6,12 +6,16 @@
 //! returns the unified [`PipelineRun`].
 //!
 //! [`PipelineSpec::resolve`] picks the algorithm once (consulting the input
-//! for [`Algorithm::Auto`]) and `run` matches on it. The backend is not
+//! for [`Algorithm::Auto`]) and `run` matches on it; an explicit
+//! [`Algorithm::Forest`] on an input with a cycle is refused as
+//! [`PipelineError::NotAForest`] before any round runs. The backend is not
 //! dispatched on here or anywhere else in this crate: it travels as a
 //! [`DhtBackend`] value into every [`ampc::AmpcConfig`] the pipelines
 //! build, and `ampc` turns it into a store (see [`ampc::Dht`]).
 
-use ampc::{AmpcResult, DhtBackend, RunStats};
+use std::fmt;
+
+use ampc::{AmpcError, DhtBackend, RunStats};
 use ampc_graph::{Graph, Labeling};
 
 use crate::forest::pipeline::{connected_components_forest, ForestCcConfig};
@@ -23,7 +27,8 @@ pub enum Algorithm {
     /// Pick Algorithm 1 for forests, Algorithm 2 otherwise (the default).
     #[default]
     Auto,
-    /// Algorithm 1 (Theorem 1.1) — requires an acyclic input.
+    /// Algorithm 1 (Theorem 1.1) — requires an acyclic input; [`PipelineSpec::run`]
+    /// refuses a cycle with [`PipelineError::NotAForest`].
     Forest,
     /// Algorithm 2 (Theorem 1.2) — any graph.
     General,
@@ -178,7 +183,15 @@ impl PipelineSpec {
     }
 
     /// Resolves and executes in one call: the one entry point.
-    pub fn run(&self, g: &Graph) -> AmpcResult<PipelineRun> {
+    ///
+    /// # Errors
+    /// [`PipelineError::NotAForest`] if [`Algorithm::Forest`] was requested
+    /// and `g` has a cycle (checked before any round runs; `Auto` makes the
+    /// same check once, in `resolve`), or the run's [`AmpcError`].
+    pub fn run(&self, g: &Graph) -> Result<PipelineRun, PipelineError> {
+        if self.algorithm == Algorithm::Forest && !g.is_forest() {
+            return Err(PipelineError::NotAForest);
+        }
         let algorithm = self.resolve(g);
         let (labeling, stats) = match algorithm {
             ResolvedAlgorithm::Forest => {
@@ -191,6 +204,36 @@ impl PipelineSpec {
             }
         };
         Ok(PipelineRun { labeling, stats, algorithm })
+    }
+}
+
+/// Why [`PipelineSpec::run`] returned no labeling.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PipelineError {
+    /// [`Algorithm::Forest`] was requested on an input with a cycle.
+    /// Algorithm 1 reduces a forest to cycles through its Euler tour, which
+    /// a cyclic input does not have, so the run is refused up front.
+    NotAForest,
+    /// A round breached an enforced space limit.
+    Ampc(AmpcError),
+}
+
+impl fmt::Display for PipelineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PipelineError::NotAForest => {
+                write!(f, "the forest algorithm needs an acyclic input, but this graph has a cycle")
+            }
+            PipelineError::Ampc(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for PipelineError {}
+
+impl From<AmpcError> for PipelineError {
+    fn from(e: AmpcError) -> Self {
+        PipelineError::Ampc(e)
     }
 }
 
@@ -254,6 +297,23 @@ mod tests {
         assert!(a.labeling.same_partition(&reference_components(&g)));
         assert_eq!(a.labeling.0, b.labeling.0);
         assert_eq!(a.stats.rounds(), b.stats.rounds());
+    }
+
+    #[test]
+    fn explicit_forest_refuses_a_cycle_before_any_round() {
+        let triangle = Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        let spec = PipelineSpec::default().with_algorithm(Algorithm::Forest);
+        let err = spec.run(&triangle).unwrap_err();
+        assert_eq!(err, PipelineError::NotAForest);
+        assert!(err.to_string().contains("has a cycle"));
+        // The same input runs under Auto and General, and a forest under Forest.
+        for algorithm in [Algorithm::Auto, Algorithm::General] {
+            let run = spec.clone().with_algorithm(algorithm).run(&triangle).unwrap();
+            assert_eq!(run.algorithm, ResolvedAlgorithm::General);
+            assert_eq!(run.labeling.num_components(), 1);
+        }
+        let forest = random_forest(60, 3, 2);
+        assert_eq!(spec.run(&forest).unwrap().algorithm, ResolvedAlgorithm::Forest);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! every frame read/write, so tests can cut the wire deterministically on
 //! either side.
 //!
-//! See `DESIGN.md` § "Wire protocol" for the frame layout, the
+//! See `DESIGN.md` § "`ampc-net`: the TCP front-end" for the frame layout, the
 //! version-bump policy, and the backpressure/safety arguments.
 
 #![warn(missing_docs)]

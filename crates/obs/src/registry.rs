@@ -52,7 +52,7 @@ crate::catalog! {
 crate::catalog! {
     /// Catalog of process-wide gauges.
     pub enum GaugeId: usize {
-        RebuildQueueDepth => "serve_rebuild_queue_depth",
+        RebuildsInFlight => "serve_rebuilds_in_flight",
             "Explicit rebuilds in flight",
         JournalPendingEntries => "serve_journal_pending_entries",
             "Journal entries pending compaction",

@@ -8,8 +8,8 @@
 //! event that `last` returns is whole, and sequence numbers are exact.
 //!
 //! Every production record site is per round, per publish or per persist
-//! — none per query or per frame — which is why one lock is enough; see
-//! DESIGN.md ("Trace ring") for what replaced what.
+//! — none per query or per frame — which is why one lock is enough (see
+//! DESIGN.md, "Trace ring").
 
 use std::sync::{Mutex, MutexGuard};
 

@@ -77,10 +77,9 @@ fn histogram_matches_sorted_oracle_within_one_bucket() {
 }
 
 /// Owns the "merged quantiles are thread-count invariant" property of the
-/// sharded histogram (a ROADMAP item, dropped since, asked a model checker
-/// for it): a record is relaxed RMWs on commutative counters, so the merged
-/// buckets depend on the multiset recorded and on no interleaving — one run
-/// per split decides it.
+/// sharded histogram: a record is relaxed RMWs on commutative counters, so
+/// the merged buckets depend on the multiset recorded and on no
+/// interleaving — one run per split decides it.
 #[test]
 fn shard_merge_is_deterministic_across_thread_splits() {
     // The same 80k observations recorded by 1, 2, 4, and 8 threads must
@@ -282,7 +281,7 @@ fn render_text_is_valid_prometheus_exposition() {
     // Touch one of each metric class so the render has nonzero content,
     // including a histogram with values spread over several buckets.
     ampc_obs::counter(CounterId::QueriesServed).add(3);
-    ampc_obs::gauge(GaugeId::RebuildQueueDepth).set(2);
+    ampc_obs::gauge(GaugeId::RebuildsInFlight).set(2);
     let h = ampc_obs::hist(HistId::QueryLatencyNs);
     for v in [90u64, 400, 3_000, 65_000, 1 << 33] {
         h.record(v);
@@ -292,7 +291,7 @@ fn render_text_is_valid_prometheus_exposition() {
     let text = render_text();
     validate_prometheus(&text);
     assert!(text.contains("# TYPE query_served_total counter"));
-    assert!(text.contains("# TYPE serve_rebuild_queue_depth gauge"));
+    assert!(text.contains("# TYPE serve_rebuilds_in_flight gauge"));
     assert!(text.contains("# TYPE query_latency_ns histogram"));
     assert!(text.contains("query_latency_ns_bucket{le=\"+Inf\"}"));
 

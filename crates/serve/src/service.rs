@@ -41,7 +41,7 @@ mod tests {
 
     use super::*;
     use ampc::DhtBackend;
-    use ampc_cc::pipeline::{Algorithm, PipelineSpec};
+    use ampc_cc::pipeline::{Algorithm, PipelineError, PipelineSpec};
     use ampc_graph::generators::{erdos_renyi_gnm, random_forest};
     use ampc_graph::{reference_components, Graph, VertexId};
     use ampc_query::{ComponentIndex, Query};
@@ -86,6 +86,27 @@ mod tests {
         assert_eq!(new.epoch(), 1);
         assert_eq!(new.index().num_components(), 9);
         assert_eq!(new.graph_size().0, 800);
+    }
+
+    #[test]
+    fn an_explicit_forest_spec_refuses_a_cycle_with_a_typed_error() {
+        let triangle = Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        let forest_spec = spec().with_algorithm(Algorithm::Forest);
+        let refused = ServeError::Pipeline(PipelineError::NotAForest);
+        let err = ServiceBuilder::new(triangle.clone()).spec(forest_spec.clone()).build();
+        assert_eq!(err.err(), Some(refused.clone()));
+
+        // A rebuild onto the cycle is the same refusal, recorded as a
+        // Rebuild incident (not a caught panic); the forest keeps serving.
+        let service =
+            ServiceBuilder::new(random_forest(30, 3, 1)).spec(forest_spec).build().unwrap();
+        assert_eq!(service.rebuild_blocking(triangle), Err(refused.clone()));
+        assert_eq!(service.current_epoch(), 0);
+        let health = service.health();
+        assert_eq!(health.state, HealthState::Degraded);
+        assert_eq!(health.incidents.len(), 1);
+        assert_eq!(health.incidents[0].op, IncidentOp::Rebuild);
+        assert_eq!(health.incidents[0].error, refused);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The serving layer's one error type.
 
-use ampc::AmpcError;
+use ampc_cc::pipeline::PipelineError;
 use ampc_graph::VertexId;
 use ampc_obs::fault::InjectedFault;
 
@@ -10,8 +10,9 @@ use super::{HealthState, ServiceBuilder, ServiceHandle};
 /// Errors surfaced by the serving layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The underlying pipeline run failed.
-    Pipeline(AmpcError),
+    /// The underlying pipeline run failed or refused its input (an
+    /// explicit forest spec on a graph with a cycle).
+    Pipeline(PipelineError),
     /// The pipeline produced a labeling that does not validate against the
     /// graph (index construction refused it).
     InvalidLabeling(String),
@@ -66,8 +67,8 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-impl From<AmpcError> for ServeError {
-    fn from(e: AmpcError) -> Self {
+impl From<PipelineError> for ServeError {
+    fn from(e: PipelineError) -> Self {
         ServeError::Pipeline(e)
     }
 }

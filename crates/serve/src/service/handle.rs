@@ -383,7 +383,7 @@ impl ServiceHandle {
     /// failure is recorded in the incident log.
     pub fn rebuild_blocking(&self, graph: Graph) -> Result<u64, ServeError> {
         let service = &self.service;
-        let in_flight = ampc_obs::gauge(GaugeId::RebuildQueueDepth);
+        let in_flight = ampc_obs::gauge(GaugeId::RebuildsInFlight);
         in_flight.add(1);
         let built = catch_unwind(AssertUnwindSafe(|| {
             fault::check(Site::RebuildPipeline)?;

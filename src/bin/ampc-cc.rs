@@ -17,6 +17,8 @@
 //!   <file>       edge list ("u v" per line, optional "# nodes: N" header);
 //!                use "-" for stdin
 //!   --auto       pick Algorithm 1 for forests, Algorithm 2 otherwise (default)
+//!   --forest     Algorithm 1; an input with a cycle is refused (exit 1)
+//!   --general    Algorithm 2, on any input
 //!   --k K        space parameter (Theorems 1.1/1.2), default 2
 //!   --backend B  DHT storage backend: "dense" (default) or "dense:CAP" for
 //!                direct-indexed slabs of CAP ids per keyspace (unhinted
@@ -120,14 +122,14 @@ use std::time::Instant;
 
 use adaptive_mpc_connectivity::ampc::rng::{derive_seed, SplitMix64};
 use adaptive_mpc_connectivity::ampc::{DhtBackend, RunStats};
-use adaptive_mpc_connectivity::cc::pipeline::{Algorithm, PipelineSpec};
+use adaptive_mpc_connectivity::cc::pipeline::{Algorithm, PipelineError, PipelineSpec};
 use adaptive_mpc_connectivity::graph::{
     io as graph_io, metrics, reference_components, Graph, Labeling, VertexId,
 };
 use adaptive_mpc_connectivity::net;
 use adaptive_mpc_connectivity::query::{snapshot, workload, ComponentIndex, Query, QueryEngine};
 use adaptive_mpc_connectivity::serve::{
-    driver, fault, BootSource, IndexSnapshot, ServiceBuilder, ServiceHandle,
+    driver, fault, BootSource, IndexSnapshot, ServeError, ServiceBuilder, ServiceHandle,
 };
 
 #[derive(Default)]
@@ -347,6 +349,21 @@ fn read_graph(run: &RunArgs) -> Result<Graph, String> {
     Ok(g)
 }
 
+/// The one pipeline refusal a flag causes, reported against that flag:
+/// `--forest` on an input with a cycle is refused before any round runs.
+fn pipeline_failure(e: &PipelineError) -> Option<String> {
+    (*e == PipelineError::NotAForest).then(|| format!("--forest: {e} (use --auto or --general)"))
+}
+
+/// A service build that failed, as one line.
+fn build_failure(e: ServeError) -> String {
+    match &e {
+        ServeError::Pipeline(p) => pipeline_failure(p),
+        _ => None,
+    }
+    .unwrap_or_else(|| format!("service build failed: {e}"))
+}
+
 /// Announces which algorithm the spec resolved to for `g` — the lines
 /// every mode prints before running anything.
 fn announce(spec: &PipelineSpec, g: &Graph) -> u8 {
@@ -552,7 +569,8 @@ fn cmd_run(args: RunArgs) -> Result<(), String> {
     arm_failpoints(&args.fail)?;
     let g = read_graph(&args)?;
     let alg = announce(&args.spec, &g);
-    let run = args.spec.run(&g).map_err(|e| e.to_string())?;
+    let run =
+        args.spec.run(&g).map_err(|e| pipeline_failure(&e).unwrap_or_else(|| e.to_string()))?;
 
     // Safety net for a user-facing tool: verify before reporting.
     if !run.labeling.same_partition(&reference_components(&g)) {
@@ -632,9 +650,8 @@ fn boot(
     let builder = graph.map(|g| ServiceBuilder::new(g).spec(spec.clone()));
     match (from_snapshot, builder) {
         (Some(path), Some(builder)) if fall_back => {
-            let (service, source) = builder
-                .from_snapshot_or_rebuild(path)
-                .map_err(|e| format!("service build failed: {e}"))?;
+            let (service, source) =
+                builder.from_snapshot_or_rebuild(path).map_err(build_failure)?;
             match source {
                 BootSource::Snapshot => {
                     eprintln!("boot: snapshot {path} (the graph file was only the fallback)")
@@ -648,7 +665,7 @@ fn boot(
         }
         (Some(path), _) => ServiceBuilder::from_snapshot(path)
             .map_err(|e| format!("snapshot boot from {path} failed: {e}")),
-        (None, Some(builder)) => builder.build().map_err(|e| format!("service build failed: {e}")),
+        (None, Some(builder)) => builder.build().map_err(build_failure),
         (None, None) => Err("missing input file".into()),
     }
 }

@@ -37,7 +37,7 @@ counter net_connections_accepted_total Network connections admitted by the TCP f
 counter net_connections_shed_total Connections shed with a typed Overloaded reply
 counter net_requests_total Request frames the network front-end answered
 counter net_protocol_errors_total Malformed frames rejected with a typed protocol error
-gauge serve_rebuild_queue_depth Explicit rebuilds in flight
+gauge serve_rebuilds_in_flight Explicit rebuilds in flight
 gauge serve_journal_pending_entries Journal entries pending compaction
 gauge net_admission_queue_depth Connections waiting in the network admission queue
 histogram ampc_round_wall_ns Wall time of one executor round (ns)

@@ -51,6 +51,31 @@ fn cli_forest_mode_on_forest_input() {
 }
 
 #[test]
+fn cli_forest_mode_refuses_a_cyclic_input() {
+    // The smoke graph has a triangle: `--forest` is refused before any round
+    // runs, in every subcommand that builds, as one line naming the flag.
+    let exe = env!("CARGO_BIN_EXE_ampc-cc");
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/smoke.txt");
+    for sub in [None, Some("serve"), Some("query")] {
+        let out = Command::new(exe)
+            .args(sub)
+            .arg(&data)
+            .arg("--forest")
+            .output()
+            .expect("failed to spawn ampc-cc");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{sub:?} --forest: {stderr}");
+        assert!(!stderr.contains("panicked"), "{sub:?} --forest panicked\n{stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{sub:?}: one error line\n{stderr}");
+        assert!(
+            errors[0].starts_with("error: --forest: ") && errors[0].contains("cycle"),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn cli_auto_dispatches_by_input_shape() {
     let out = run(&["--auto"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
