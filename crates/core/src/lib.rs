@@ -18,7 +18,7 @@
 //!   `O(log log_{T/n} n)` solver (Theorem 4.1, also used as a subroutine)
 //!   and a classic MPC min-label-propagation round counter.
 //! * [`pipeline`] — unified dispatch: a [`PipelineSpec`] (algorithm,
-//!   backend, limits, seed, machines) whose `run` returns one
+//!   backend, k, seed, machines) whose `run` returns one
 //!   [`PipelineRun`] shape for both algorithms, so consumers (CLI, the
 //!   serving layer, the ledger) never re-implement the algorithm match.
 //!

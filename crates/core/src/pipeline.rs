@@ -1,6 +1,6 @@
 //! Unified pipeline dispatch: one spec, one entry point, both algorithms.
 //!
-//! [`PipelineSpec`] is a single value (algorithm, backend, limits, seed,
+//! [`PipelineSpec`] is a single value (algorithm, backend, k, seed,
 //! machines) that every consumer of the pipelines — the `ampc-cc` binary,
 //! the serving layer, the ledger — hands to [`PipelineSpec::run`], which
 //! returns the unified [`PipelineRun`].

@@ -1,8 +1,7 @@
 //! Injectable nanosecond clock.
 //!
 //! The one time seam of the workspace: latency spans read it in
-//! nanoseconds, `ampc_serve`'s retry schedule and incident log in whole
-//! milliseconds of it. Production code reads a process-wide monotonic
+//! nanoseconds, `ampc_serve`'s incident log in whole milliseconds of it. Production code reads a process-wide monotonic
 //! origin, tests drive a [`ManualClock`] so timing assertions never sleep.
 
 use std::sync::atomic::{AtomicU64, Ordering};

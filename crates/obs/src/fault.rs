@@ -58,7 +58,7 @@ crate::catalog! {
         RebuildPipeline => "rebuild.pipeline",
             "Pipeline build inside every explicit rebuild.",
         CompactPublish => "compact.publish", "Compaction publish: fires after the fold, before \
-            anything is published or any stream state is touched — the insert then publishes \
+            anything is published or the health state is touched — the insert then publishes \
             its journal-epoch instead and the failure is recorded.",
         JournalBuild => "journal.build",
             "Journal-epoch freeze on the insert path (caller-thread code).",

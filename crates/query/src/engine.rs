@@ -205,9 +205,9 @@ impl<'a> QueryEngine<'a> {
     ///
     /// # Errors
     /// Returns [`BatchLenError`] — without touching either slice — when the
-    /// slices differ in length. (This used to be an implicit `assert!`
-    /// panic; a serving thread must be able to reject a malformed batch
-    /// without dying.) An empty pair of slices is a valid no-op batch.
+    /// slices differ in length, so a serving thread rejects a malformed
+    /// batch and keeps serving. An empty pair of slices is a valid no-op
+    /// batch.
     pub fn answer_batch(
         &self,
         queries: &[Query],

@@ -5,11 +5,12 @@
 //! lifecycle as a first-class service API, safe for any number of reader
 //! threads while rebuilds publish new indexes under traffic.
 //!
-//! * [`EpochCell`] — the one concurrency primitive: `(epoch, Arc<T>)`
-//!   behind a standard `RwLock`. Readers pin the current epoch with a
-//!   read-lock and an `Arc::clone`; a publisher builds its value outside
-//!   the lock and holds the write lock for one swap; a retired epoch is
-//!   freed exactly when its last guard drops.
+//! * [`PublishedIndex`] — the published epoch, and the service's only copy
+//!   of it: an `Arc<PublishedIndex>` behind a standard `RwLock`. Readers
+//!   pin it with a read lock and an `Arc::clone`; a publish builds the next
+//!   epoch outside that lock, holds the stream lock throughout and the
+//!   write lock for one swap; a retired epoch is freed exactly when its
+//!   last snapshot drops.
 //! * [`ServiceBuilder`] / [`ServiceHandle`] — `ServiceBuilder::new(graph)
 //!   .spec(spec).build()?` runs the configured [`PipelineSpec`], validates
 //!   the labeling against the graph, freezes it into a `ComponentIndex`,
@@ -61,13 +62,11 @@
 #![forbid(unsafe_code)]
 
 pub mod driver;
-pub mod epoch;
 mod service;
 
 pub use ampc_cc::pipeline::PipelineSpec;
 pub use ampc_obs::fault::{self, FaultAction, InjectedFault, Site};
 pub use ampc_query::{JournalView, SnapshotError};
-pub use epoch::{EpochCell, EpochGuard};
 pub use service::{
     BootSource, HealthReport, HealthState, Incident, IncidentOp, IndexSnapshot, InsertReport,
     JournalBudget, PersistReport, PublishedIndex, RetryPolicy, ServeError, ServiceBuilder,

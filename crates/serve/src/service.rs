@@ -7,8 +7,8 @@
 //!
 //! [`ServiceBuilder`] runs a [`PipelineSpec`] over a graph, validates the
 //! labeling against the graph (the same check the CLI always performed),
-//! freezes it into a `ComponentIndex`, and publishes it as epoch 0 of an
-//! [`EpochCell`](crate::EpochCell). The resulting [`ServiceHandle`] is
+//! freezes it into a `ComponentIndex`, and publishes it as epoch 0: one
+//! [`PublishedIndex`] behind a read lock. The resulting [`ServiceHandle`] is
 //! clone-able and thread-safe: any number of reader threads call
 //! [`ServiceHandle::snapshot`] — a pin of the current epoch — and answer queries
 //! against their pinned epoch, while [`ServiceHandle::rebuild_blocking`] runs
@@ -110,7 +110,7 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_epoch_cell() {
+    fn clones_share_the_published_epoch() {
         let service = ServiceBuilder::new(random_forest(300, 3, 4)).spec(spec()).build().unwrap();
         let clone = service.clone();
         clone.rebuild_blocking(random_forest(300, 7, 5)).unwrap();
@@ -128,6 +128,13 @@ mod tests {
         assert!(weak0.upgrade().is_some(), "pinned epoch 0 must stay alive");
         drop(snap0);
         assert!(weak0.upgrade().is_none(), "unpinned retired epoch must be freed");
+        // The current epoch lives as long as its last handle or snapshot.
+        let snap2 = service.snapshot();
+        let weak2 = snap2.downgrade();
+        drop(service);
+        assert!(weak2.upgrade().is_some(), "a snapshot pins the current epoch");
+        drop(snap2);
+        assert!(weak2.upgrade().is_none(), "the last handle and snapshot free the current epoch");
     }
 
     #[test]

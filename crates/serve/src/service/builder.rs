@@ -3,21 +3,18 @@
 //! the second and falls back to the first.
 
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 
 use ampc::RunStats;
-use ampc_cc::pipeline::{Algorithm, PipelineSpec, ResolvedAlgorithm};
+use ampc_cc::pipeline::{PipelineSpec, ResolvedAlgorithm};
 use ampc_graph::Graph;
 use ampc_obs::{Clock, MonotonicClock};
 use ampc_query::{snapshot, SnapshotError};
 
 use super::error::ServeError;
-use super::handle::{
-    announce_epoch, lock_stream, ConnectivityService, JournalBudget, ServiceHandle, StreamState,
-};
+use super::handle::{announce_epoch, ConnectivityService, JournalBudget, ServiceHandle};
 use super::health::{HealthInner, IncidentOp, RetryPolicy};
 use super::published::{BaseIndex, PublishedIndex};
-use crate::epoch::EpochCell;
 
 /// Builder for a [`ServiceHandle`]: `ServiceBuilder::new(graph)
 /// .spec(spec).build()?` runs the pipeline once (synchronously), validates
@@ -42,19 +39,17 @@ impl Settings {
         Settings { spec, budget, policy, clock: Arc::new(MonotonicClock) }
     }
 
-    /// The tail of every epoch-0 path below: wraps a finished base into
-    /// stream state and publishes it as epoch 0.
+    /// The tail of every epoch-0 path below: publishes a finished base as
+    /// epoch 0 of a Healthy service.
     fn publish_epoch_zero(self, base: Arc<BaseIndex>) -> ServiceHandle {
-        let stream =
-            StreamState { base: Arc::clone(&base), inserted_edges: 0, health: HealthInner::new() };
         let payload = PublishedIndex { epoch: 0, base, journal: None, inserted_edges: 0 };
         let service = ConnectivityService {
-            cell: EpochCell::new(Arc::new(payload)),
+            current: RwLock::new(Arc::new(payload)),
             spec: self.spec,
             budget: self.budget,
             policy: self.policy,
             clock: self.clock,
-            stream: Mutex::new(stream),
+            stream: Mutex::new(HealthInner::new()),
         };
         announce_epoch(0, false, 0);
         ServiceHandle { service: Arc::new(service) }
@@ -130,7 +125,7 @@ impl ServiceBuilder {
     ) -> Result<(ServiceHandle, BootSource), ServeError> {
         match snapshot::load(path.as_ref()) {
             Ok(snap) => {
-                let (base, _) = base_from_snapshot(snap);
+                let base = base_from_snapshot(snap);
                 Ok((self.settings.publish_epoch_zero(base), BootSource::Snapshot))
             }
             Err(snap_err) => {
@@ -138,9 +133,7 @@ impl ServiceBuilder {
                 let handle = self.build()?;
                 let service = &handle.service;
                 let (policy, now_ms) = (&service.policy, service.now_ms());
-                let mut st = lock_stream(&service.stream);
-                st.health.record_incident(policy, now_ms, IncidentOp::Boot, boot_error);
-                drop(st);
+                service.lock_stream().record_incident(policy, now_ms, IncidentOp::Boot, boot_error);
                 Ok((handle, BootSource::RebuildFallback))
             }
         }
@@ -155,25 +148,26 @@ impl ServiceBuilder {
     /// The booted service is a service like any other: it answers queries,
     /// accepts [`ServiceHandle::insert_edges`] and compacts past its budget
     /// (journal-epochs and the fold need only the index, which the snapshot
-    /// carries). Rebuilds use a default spec pinned to the snapshot's
-    /// algorithm.
+    /// carries). Rebuilds run the default spec, which picks the algorithm
+    /// per graph as [`ServiceBuilder::new`]'s does: a replica booted from a
+    /// forest's snapshot still rebuilds over a graph with a cycle.
     ///
     /// # Errors
     /// Any [`SnapshotError`]: i/o failure, foreign or damaged header,
     /// checksum mismatch, or semantic corruption. A corrupt snapshot never
     /// publishes anything.
     pub fn from_snapshot(path: impl AsRef<Path>) -> Result<ServiceHandle, SnapshotError> {
-        let (base, algo) = base_from_snapshot(snapshot::load(path.as_ref())?);
-        Ok(Settings::new(PipelineSpec::default().with_algorithm(algo)).publish_epoch_zero(base))
+        let base = base_from_snapshot(snapshot::load(path.as_ref())?);
+        Ok(Settings::new(PipelineSpec::default()).publish_epoch_zero(base))
     }
 }
 
 /// A loaded snapshot as an epoch-0 base (no pipeline ran: empty stats, zero
-/// timings), plus the algorithm a rebuild spec for it is pinned to.
-fn base_from_snapshot(snap: snapshot::Snapshot) -> (Arc<BaseIndex>, Algorithm) {
-    let (algorithm, algo) = match snap.algorithm {
-        1 => (ResolvedAlgorithm::Forest, Algorithm::Forest),
-        _ => (ResolvedAlgorithm::General, Algorithm::General),
+/// timings).
+fn base_from_snapshot(snap: snapshot::Snapshot) -> Arc<BaseIndex> {
+    let algorithm = match snap.algorithm {
+        1 => ResolvedAlgorithm::Forest,
+        _ => ResolvedAlgorithm::General,
     };
     let base = BaseIndex {
         index: snap.index,
@@ -185,5 +179,5 @@ fn base_from_snapshot(snap: snapshot::Snapshot) -> (Arc<BaseIndex>, Algorithm) {
         pipeline_ms: 0.0,
         index_ms: 0.0,
     };
-    (Arc::new(base), algo)
+    Arc::new(base)
 }

@@ -24,13 +24,19 @@
 //! pipeline on the caller's thread with no lock held, then take the stream
 //! lock to publish. A call returns only after its publish, so calls that do
 //! not overlap publish in call order; calls that overlap publish in the
-//! order they finish, each taking effect at its publish. Every publish —
-//! journal, fold or rebuild — holds the stream lock, so the epochs form one
-//! dense total order and no lock is needed beyond it.
+//! order they finish, each taking effect at its publish.
+//!
+//! **The published epoch is the state.** The service holds two locks: the
+//! read lock over the published [`PublishedIndex`], which a snapshot takes
+//! for one `Arc::clone` and a publish for one swap, and the stream lock,
+//! which every publish — journal, fold or rebuild — holds and which guards
+//! the health state machine. The current base, its journal and the
+//! inserted-edge count are read from the published epoch itself, so the
+//! epochs form one dense total order and nothing mirrors them.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use ampc_cc::pipeline::PipelineSpec;
 use ampc_graph::{Graph, VertexId};
@@ -43,7 +49,6 @@ use ampc_query::{snapshot, JournalView, SnapshotError};
 use super::error::ServeError;
 use super::health::{HealthInner, HealthReport, HealthState, IncidentOp, RetryPolicy};
 use super::published::{BaseIndex, IndexSnapshot, PublishedIndex};
-use crate::epoch::EpochCell;
 
 /// When the edges inserted on one base exceed this budget, the insert that
 /// overflows it compacts: it folds the journal into a new base and
@@ -117,31 +122,20 @@ pub struct PersistReport {
     pub journal: bool,
 }
 
-/// Mutable write-side state: the current base and how many edges were
-/// inserted on top of it. Their merges live only in the published epoch's
-/// journal, and the edges themselves nowhere. Guarded by one mutex; the
-/// read path never touches it.
-#[derive(Debug)]
-pub(super) struct StreamState {
-    /// The base every journal-epoch publishes against.
-    pub(super) base: Arc<BaseIndex>,
-    /// Edges accepted since `base` was published.
-    pub(super) inserted_edges: usize,
-    /// Degradation state machine + bounded incident log. Guarded by the
-    /// stream lock like everything else here: every transition happens on
-    /// a path that already holds it.
-    pub(super) health: HealthInner,
-}
-
 /// The shared state behind every [`ServiceHandle`] clone.
 #[derive(Debug)]
 pub(super) struct ConnectivityService {
-    pub(super) cell: EpochCell<PublishedIndex>,
+    /// The published epoch. Readers pin it with a read lock and an
+    /// `Arc::clone`; a publish holds the write lock for one swap.
+    pub(super) current: RwLock<Arc<PublishedIndex>>,
     pub(super) spec: PipelineSpec,
     pub(super) budget: JournalBudget,
     pub(super) policy: RetryPolicy,
     pub(super) clock: Arc<dyn Clock>,
-    pub(super) stream: Mutex<StreamState>,
+    /// The stream lock: every publish holds it, and it guards the
+    /// degradation state machine, whose every transition happens on a path
+    /// that publishes or fails to. The read path never takes it.
+    pub(super) stream: Mutex<HealthInner>,
 }
 
 impl ConnectivityService {
@@ -150,20 +144,40 @@ impl ConnectivityService {
         self.clock.now_ns() / 1_000_000
     }
 
+    /// The published epoch: a read lock held for one `Arc::clone`. Poison
+    /// is recoverable: the write lock guards only a `mem::replace`, which
+    /// cannot panic, so the pointer is whole at every step.
+    pub(super) fn pin(&self) -> Arc<PublishedIndex> {
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Locks the stream, recovering from poison: nothing under it is
+    /// assigned before the last point that can panic (the next journal and
+    /// the fold are built beside the published epoch, and a publish is one
+    /// swap), so a poisoned lock means an aborted writer, not torn state.
+    pub(super) fn lock_stream(&self) -> MutexGuard<'_, HealthInner> {
+        self.stream.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The one publish step after epoch 0: swaps `base` (plus the journal
-    /// riding on it) in as the next epoch and announces it. Callers hold
-    /// the stream lock, so journal and rebuild publishes form a single
-    /// total order.
+    /// riding on it) in as the next epoch and announces it. It takes the
+    /// stream lock's guard, so every publish holds that lock and the epochs
+    /// stay dense. The retired epoch may be freed right here, and freeing a
+    /// whole index is slow, so it drops after readers are let back in.
     pub(super) fn publish(
         &self,
-        base: &Arc<BaseIndex>,
+        _stream: &MutexGuard<'_, HealthInner>,
+        base: Arc<BaseIndex>,
         journal: Option<Arc<JournalView>>,
         inserted_edges: usize,
     ) -> u64 {
         let is_journal = journal.is_some();
-        let epoch = self.cell.publish_with(|epoch| {
-            Arc::new(PublishedIndex { epoch, base: Arc::clone(base), journal, inserted_edges })
-        });
+        let epoch = self.pin().epoch + 1;
+        let next = Arc::new(PublishedIndex { epoch, base, journal, inserted_edges });
+        let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+        let retired = std::mem::replace(&mut *current, next);
+        drop(current);
+        drop(retired);
         announce_epoch(epoch, is_journal, inserted_edges);
         epoch
     }
@@ -177,23 +191,14 @@ pub(super) fn announce_epoch(epoch: u64, is_journal: bool, inserted_edges: usize
     ampc_obs::gauge(GaugeId::JournalPendingEntries).set(inserted_edges as i64);
 }
 
-/// Locks the stream state, recovering from poison: the guarded state is
-/// only ever mutated to a consistent snapshot before any point that can
-/// panic (the next journal is built beside the published one and every
-/// fallible step runs before the first field is assigned), so a poisoned
-/// lock means an aborted writer, not torn state.
-pub(super) fn lock_stream(stream: &Mutex<StreamState>) -> MutexGuard<'_, StreamState> {
-    stream.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// The one freeze in this crate: the journal after `edges` land on `prev`
 /// (the journal already riding on `base`; `None` for the bare base). A
 /// batch that merges nothing hands `prev` itself back — no copy, and still
 /// no journal on a base that has none, so queries skip the remap read.
 ///
 /// The [`Site::JournalBuild`] failpoint fires whenever the result carries
-/// a merge. Nothing has been mutated by then, so an injected failure — or
-/// a panic — leaves the published epoch and the stream state as they were.
+/// a merge. Nothing has been published by then, so an injected failure —
+/// or a panic — leaves the service as it was.
 pub(super) fn next_journal(
     prev: Option<&Arc<JournalView>>,
     base: &BaseIndex,
@@ -212,7 +217,7 @@ pub(super) fn next_journal(
 }
 
 /// A clone-able handle to a connectivity service. Clones share the same
-/// epoch cell: an epoch published through any handle is visible to
+/// published epoch: an epoch published through any handle is visible to
 /// snapshots taken through every other.
 #[derive(Clone, Debug)]
 pub struct ServiceHandle {
@@ -225,12 +230,12 @@ impl ServiceHandle {
     /// an insertion's work. Call once per thread (or per request) and answer any
     /// number of queries against the returned snapshot.
     pub fn snapshot(&self) -> IndexSnapshot {
-        IndexSnapshot { guard: self.service.cell.pin() }
+        IndexSnapshot { pinned: self.service.pin() }
     }
 
     /// The most recently published epoch number.
     pub fn current_epoch(&self) -> u64 {
-        self.service.cell.epoch()
+        self.service.pin().epoch
     }
 
     /// The spec every build and rebuild runs.
@@ -246,7 +251,7 @@ impl ServiceHandle {
     /// A point-in-time copy of the degradation state machine: current
     /// [`HealthState`], failure streak and bounded incident log.
     pub fn health(&self) -> HealthReport {
-        lock_stream(&self.service.stream).health.report()
+        self.service.lock_stream().report()
     }
 
     /// Applies a batch of edge insertions to the current epoch and
@@ -276,11 +281,15 @@ impl ServiceHandle {
     /// leaves the state as it was.
     pub fn insert_edges(&self, edges: &[(VertexId, VertexId)]) -> Result<InsertReport, ServeError> {
         let service = &self.service;
-        let mut st = lock_stream(&service.stream);
-        if st.health.state == HealthState::ReadOnly {
+        let mut health = service.lock_stream();
+        if health.state == HealthState::ReadOnly {
             return Err(ServeError::ReadOnly);
         }
-        let n = st.base.graph_n;
+        // The stream lock serialises every publish, so the pinned epoch
+        // stays the published one until this call publishes its successor.
+        let current = service.pin();
+        let base = &current.base;
+        let n = base.graph_n;
         for &(u, v) in edges {
             let bad = if (u as usize) >= n {
                 Some(u)
@@ -294,16 +303,13 @@ impl ServiceHandle {
             }
         }
 
-        // The stream lock serialises every publish, so the published epoch
-        // is this lineage's latest journal and it rides on `st.base`.
-        let base = Arc::clone(&st.base);
-        let prev = service.cell.pin().journal.clone();
+        let prev = current.journal.as_ref();
         let journal_timer = ampc_obs::Timer::start(ampc_obs::hist(HistId::JournalBuildNs));
-        let journal = match next_journal(prev.as_ref(), &base, edges) {
+        let journal = match next_journal(prev, base, edges) {
             Ok(j) => j,
             Err(e) => {
                 let op = IncidentOp::JournalBuild;
-                st.health.record_failure(&service.policy, service.now_ms(), op, e.clone());
+                health.record_failure(&service.policy, service.now_ms(), op, e.clone());
                 return Err(e);
             }
         };
@@ -313,16 +319,16 @@ impl ServiceHandle {
         ampc_obs::counter(CounterId::JournalBuilds).inc();
         ampc_obs::trace(TraceKind::JournalBuilt, merges as u64, build_ns);
         let components = base.index.num_components() - merges;
-        let inserted_edges = st.inserted_edges + edges.len();
+        let inserted_edges = current.inserted_edges + edges.len();
 
         // Healthy: the budget decides. Degraded: every insert retries.
-        // The fold runs before anything is assigned, so a panic in it
-        // leaves the state as it was.
+        // The fold runs before anything is published, so a panic in it
+        // leaves the service as it was.
         let due =
-            st.health.state == HealthState::Degraded || service.budget.exceeded_by(inserted_edges);
+            health.state == HealthState::Degraded || service.budget.exceeded_by(inserted_edges);
         let folded = due.then(|| {
             ampc_obs::counter(CounterId::CompactionsStarted).inc();
-            ampc_obs::trace(TraceKind::CompactionStarted, service.cell.epoch(), 0);
+            ampc_obs::trace(TraceKind::CompactionStarted, current.epoch, 0);
             let folded = base.fold(journal.as_deref(), inserted_edges);
             fault::check(Site::CompactPublish).map(|()| folded)
         });
@@ -331,22 +337,18 @@ impl ServiceHandle {
         let (epoch, compacted) = match folded {
             Some(Ok(folded)) => {
                 let fold_ns = (folded.index_ms * 1e6) as u64;
-                let folded = Arc::new(folded);
-                st.base = Arc::clone(&folded);
-                st.inserted_edges = 0;
-                st.health.mark_recovered();
-                let epoch = service.publish(&folded, None, 0);
+                health.mark_recovered();
+                let epoch = service.publish(&health, Arc::new(folded), None, 0);
                 ampc_obs::hist(HistId::CompactionNs).record(fold_ns);
                 ampc_obs::counter(CounterId::CompactionsFinished).inc();
                 ampc_obs::trace(TraceKind::CompactionFinished, epoch, fold_ns);
                 (epoch, true)
             }
             failed => {
-                st.inserted_edges = inserted_edges;
-                let epoch = service.publish(&base, journal, inserted_edges);
+                let epoch = service.publish(&health, Arc::clone(base), journal, inserted_edges);
                 if let Some(Err(e)) = failed {
                     let op = IncidentOp::Compaction;
-                    st.health.record_failure(&service.policy, service.now_ms(), op, e.into());
+                    health.record_failure(&service.policy, service.now_ms(), op, e.into());
                 }
                 (epoch, false)
             }
@@ -357,7 +359,7 @@ impl ServiceHandle {
             epoch,
             applied: edges.len(),
             new_merges,
-            journal_edges: st.inserted_edges,
+            journal_edges: if compacted { 0 } else { inserted_edges },
             journal_merges: if compacted { 0 } else { merges },
             components,
             compacted,
@@ -390,22 +392,19 @@ impl ServiceHandle {
             BaseIndex::build(&service.spec, &graph)
         }))
         .unwrap_or(Err(ServeError::RebuildPanicked));
-        let mut st = lock_stream(&service.stream);
+        let mut health = service.lock_stream();
         let result = match built {
             Ok(base) => {
-                let base = Arc::new(base);
-                st.base = Arc::clone(&base);
-                st.inserted_edges = 0;
-                st.health.mark_recovered();
-                Ok(service.publish(&base, None, 0))
+                health.mark_recovered();
+                Ok(service.publish(&health, Arc::new(base), None, 0))
             }
             Err(e) => {
                 let op = IncidentOp::Rebuild;
-                st.health.record_failure(&service.policy, service.now_ms(), op, e.clone());
+                health.record_failure(&service.policy, service.now_ms(), op, e.clone());
                 Err(e)
             }
         };
-        drop(st);
+        drop(health);
         in_flight.sub(1);
         result
     }

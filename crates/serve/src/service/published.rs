@@ -13,7 +13,6 @@ use ampc_query::{ComponentIndex, JournalView, QueryEngine};
 use super::error::ServeError;
 #[cfg(doc)]
 use super::ServiceHandle;
-use crate::epoch::EpochGuard;
 
 /// A frozen base: index, labeling, stats. A pipeline run, a snapshot boot
 /// or a fold makes one. Base epochs own one of these; journal-epochs share
@@ -201,22 +200,22 @@ impl PublishedIndex {
 /// releases the pin. Obtainable only via [`ServiceHandle::snapshot`].
 #[derive(Clone)]
 pub struct IndexSnapshot {
-    pub(super) guard: EpochGuard<PublishedIndex>,
+    pub(super) pinned: Arc<PublishedIndex>,
 }
 
 impl IndexSnapshot {
     /// The epoch this snapshot pinned.
     pub fn epoch(&self) -> u64 {
-        self.guard.epoch()
+        self.pinned.epoch
     }
 
     /// A borrow-only query engine over this snapshot's index — merge-aware
     /// when the snapshot pinned a journal-epoch. Engines are `Copy`; make
     /// one per thread or per batch, they cost nothing.
     pub fn engine(&self) -> QueryEngine<'_> {
-        match self.guard.journal() {
-            Some(j) => QueryEngine::with_journal(self.guard.index(), j),
-            None => QueryEngine::new(self.guard.index()),
+        match self.pinned.journal() {
+            Some(j) => QueryEngine::with_journal(self.pinned.index(), j),
+            None => QueryEngine::new(self.pinned.index()),
         }
     }
 
@@ -224,7 +223,7 @@ impl IndexSnapshot {
     /// lifecycle tests use to observe that retired epochs are freed once
     /// every snapshot is dropped.
     pub fn downgrade(&self) -> Weak<PublishedIndex> {
-        Arc::downgrade(self.guard.value())
+        Arc::downgrade(&self.pinned)
     }
 }
 
@@ -232,6 +231,6 @@ impl std::ops::Deref for IndexSnapshot {
     type Target = PublishedIndex;
 
     fn deref(&self) -> &PublishedIndex {
-        &self.guard
+        &self.pinned
     }
 }

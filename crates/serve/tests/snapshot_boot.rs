@@ -16,7 +16,8 @@ use ampc_graph::generators::{disjoint_cliques, erdos_renyi_gnm, grid2d, random_f
 use ampc_graph::{reference_components, Graph, VertexId};
 use ampc_query::{workload, ComponentIndex};
 use ampc_serve::{
-    driver, BootSource, JournalBudget, PipelineSpec, ServiceBuilder, ServiceHandle, SnapshotError,
+    driver, BootSource, HealthState, JournalBudget, PipelineSpec, ServiceBuilder, ServiceHandle,
+    SnapshotError,
 };
 use std::path::PathBuf;
 
@@ -270,6 +271,27 @@ fn a_replica_booted_with_a_zero_budget_folds_its_first_insert() {
     let merged = Graph::from_edges(N, &edges);
     assert_eq!(*snap.index(), ComponentIndex::build(&reference_components(&merged)));
     assert_eq!(snap.graph_size(), (N, edges.len()));
+}
+
+#[test]
+fn a_replica_booted_from_a_forest_rebuilds_over_a_cycle() {
+    let forest = Graph::from_edges(4, &[(0, 1), (2, 3)]);
+    let live = ServiceBuilder::new(forest).build().expect("build");
+    let path = temp_snap("forest_then_cycle");
+    live.persist(&path).expect("persist");
+    let booted = ServiceBuilder::from_snapshot(&path).expect("boot");
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(booted.snapshot().algorithm().number(), 1, "the file's run was the forest's");
+
+    // The spec picks the algorithm per graph, as a built service's does:
+    // the snapshot's forest tag does not refuse a graph with a cycle.
+    let triangle = Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+    assert_eq!(live.rebuild_blocking(triangle.clone()), Ok(1));
+    assert_eq!(booted.rebuild_blocking(triangle), Ok(1));
+    assert_eq!(booted.health().state, HealthState::Healthy);
+    let snap = booted.snapshot();
+    assert_eq!((snap.num_components(), snap.algorithm().number()), (1, 2));
+    assert!(booted.insert_edges(&[(0, 2)]).is_ok());
 }
 
 #[test]

@@ -40,11 +40,12 @@
 //!                members are named the same in process and under --connect:
 //!                queries_per_sec, checksum, per_thread[], latency{...})
 //!
-//! Both subcommands drive one `PipelineSpec` (algorithm, backend, limits,
-//! seed, machines): the run subcommand executes it directly, the query
-//! subcommand hands it to a `ConnectivityService` and replays one workload
-//! against it through the closed-loop runner (`serve::driver`), after every
-//! answer has been cross-checked against the union-find reference:
+//! All three subcommands drive one `PipelineSpec` (algorithm, backend, k,
+//! seed, machines): the run subcommand executes it directly, `serve` hands
+//! it to a `ServiceHandle` behind a socket, and the query subcommand hands
+//! it to a `ServiceHandle` and replays one workload against it through the
+//! closed-loop runner (`serve::driver`), after every answer has been
+//! cross-checked against the union-find reference:
 //!   --mix         synthetic workload shape (default uniform)
 //!   --queries N   synthetic workload size (default 100000)
 //!   --batch B     queries per frame (default 1024). A worker answers one
