@@ -83,15 +83,6 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
         v
     }
 
-    /// Reads `key` without charging the query meters. Reserved for data the
-    /// model considers machine-local (e.g. re-reading a value this machine
-    /// already paid for this round). Use sparingly; all paper-relevant reads
-    /// must go through [`MachineCtx::read`].
-    #[inline]
-    pub fn peek(&self, key: Key) -> Option<&V> {
-        self.snapshot.get(key)
-    }
-
     /// Buffers a replacing write of `value` at `key`.
     #[inline]
     pub fn write(&mut self, key: Key, value: V) {
@@ -228,18 +219,6 @@ mod tests {
         assert_eq!(v.round, 7);
         assert_eq!(v.used, 3); // recorded at first breach, not at the end
         assert_eq!(v.kind, LimitKind::Reads);
-    }
-
-    #[test]
-    fn peek_does_not_charge_meters() {
-        let d = table();
-        let mut out = ShardBuffers::new(1);
-        let mut ctx = MachineCtx::new(&d, None, 0, 0, 1, &mut out);
-        assert_eq!(ctx.peek(Key::new(S, 3)), Some(&9));
-        assert_eq!(ctx.reads, 0);
-        assert_eq!(ctx.read_words, 0);
-        ctx.read(Key::new(S, 3));
-        assert_eq!(ctx.reads, 1);
     }
 
     #[test]

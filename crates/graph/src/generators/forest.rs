@@ -1,6 +1,7 @@
 //! Forest generators for Theorem 1.1 workloads.
 
-use super::rng::SplitMix64;
+use ampc::rng::SplitMix64;
+
 use crate::csr::{Graph, VertexId};
 
 /// A path on `n` vertices: the adversarial shape for naive uniform sampling
@@ -45,10 +46,10 @@ pub fn caterpillar(spine: usize, legs: usize) -> Graph {
 /// a uniformly random earlier vertex. Produces depth `Θ(log n)` trees with
 /// realistic degree variation.
 pub fn random_attachment_tree(n: usize, seed: u64) -> Graph {
-    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut edges = Vec::with_capacity(n.saturating_sub(1));
     for i in 1..n as VertexId {
-        let parent = rng.gen_range(0..i);
+        let parent = rng.next_below(u64::from(i)) as VertexId;
         edges.push((parent, i));
     }
     Graph::from_edges(n, &edges)
@@ -58,14 +59,14 @@ pub fn random_attachment_tree(n: usize, seed: u64) -> Graph {
 /// sizes split near-evenly.
 pub fn random_forest(n: usize, trees: usize, seed: u64) -> Graph {
     assert!(trees >= 1 && trees <= n.max(1));
-    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut edges = Vec::with_capacity(n.saturating_sub(trees));
     let per = n / trees;
     let mut start = 0usize;
     for t in 0..trees {
         let size = if t == trees - 1 { n - start } else { per };
         for i in 1..size {
-            let parent = rng.gen_range(0..i);
+            let parent = rng.next_below(i as u64) as usize;
             edges.push(((start + parent) as VertexId, (start + i) as VertexId));
         }
         start += size;

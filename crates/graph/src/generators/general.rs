@@ -2,20 +2,21 @@
 
 use std::collections::HashSet;
 
-use super::rng::SplitMix64;
+use ampc::rng::SplitMix64;
+
 use crate::csr::{Graph, VertexId};
 
 /// Erdős–Rényi `G(n, m)`: `m` distinct uniformly random edges.
 pub fn erdos_renyi_gnm(n: usize, m: usize, seed: u64) -> Graph {
-    assert!(n >= 2 || m == 0);
+    assert!(n >= 2 || m == 0, "G(n,m) needs two vertices to draw an edge from");
     let max_m = n * n.saturating_sub(1) / 2;
     assert!(m <= max_m, "G(n,m) requested more edges than possible");
-    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut seen: HashSet<(VertexId, VertexId)> = HashSet::with_capacity(m);
     let mut edges = Vec::with_capacity(m);
     while edges.len() < m {
-        let u = rng.gen_range(0..n as VertexId);
-        let v = rng.gen_range(0..n as VertexId);
+        let u = rng.next_below(n as u64) as VertexId;
+        let v = rng.next_below(n as u64) as VertexId;
         if u == v {
             continue;
         }
@@ -83,7 +84,7 @@ pub fn barbell(k: usize, bridge: usize) -> Graph {
 /// Produces the heavy-tailed degree distributions of web/social graphs.
 pub fn preferential_attachment(n: usize, edges_per: usize, seed: u64) -> Graph {
     assert!(n >= 2 && edges_per >= 1);
-    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     // `targets` holds one entry per edge endpoint; sampling uniformly from
     // it is degree-proportional sampling.
     let mut targets: Vec<VertexId> = vec![0, 1];
@@ -94,7 +95,7 @@ pub fn preferential_attachment(n: usize, edges_per: usize, seed: u64) -> Graph {
         // edge order, hence `targets` and the graph, differ from run to run.
         let mut chosen: Vec<VertexId> = Vec::with_capacity(k);
         while chosen.len() < k {
-            let t = targets[rng.gen_range(0..targets.len())];
+            let t = targets[rng.next_below(targets.len() as u64) as usize];
             if !chosen.contains(&t) {
                 chosen.push(t);
             }
@@ -142,11 +143,11 @@ pub fn disjoint_union(parts: &[Graph]) -> Graph {
 /// the classical sampling model used in Theorem 4.3-style analyses.
 pub fn erdos_renyi_gnp(n: usize, p: f64, seed: u64) -> Graph {
     assert!((0.0..=1.0).contains(&p));
-    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut edges = Vec::new();
     for u in 0..n as VertexId {
         for v in (u + 1)..n as VertexId {
-            if rng.gen_bool(p) {
+            if rng.bernoulli(p) {
                 edges.push((u, v));
             }
         }
@@ -175,12 +176,12 @@ pub fn lollipop(k: usize, tail: usize) -> Graph {
 /// A random bipartite graph with sides `a`, `b` and `m` distinct edges.
 pub fn random_bipartite(a: usize, b: usize, m: usize, seed: u64) -> Graph {
     assert!(m <= a * b, "requested more edges than the biclique has");
-    let mut rng = SplitMix64::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut seen: HashSet<(VertexId, VertexId)> = HashSet::with_capacity(m);
     let mut edges = Vec::with_capacity(m);
     while edges.len() < m {
-        let u = rng.gen_range(0..a as VertexId);
-        let v = (a + rng.gen_range(0..b)) as VertexId;
+        let u = rng.next_below(a as u64) as VertexId;
+        let v = (a + rng.next_below(b as u64) as usize) as VertexId;
         if seen.insert((u, v)) {
             edges.push((u, v));
         }
@@ -271,6 +272,17 @@ mod tests {
     fn gnm_deterministic_per_seed() {
         assert_eq!(erdos_renyi_gnm(50, 100, 5), erdos_renyi_gnm(50, 100, 5));
         assert_ne!(erdos_renyi_gnm(50, 100, 5), erdos_renyi_gnm(50, 100, 6));
+    }
+
+    /// A draw whose range would be empty is refused by a named assert
+    /// before it is drawn: `next_below(0)` is 0 in a release build.
+    #[test]
+    fn an_empty_draw_range_is_refused() {
+        let refused = |build: fn() -> Graph| std::panic::catch_unwind(build).is_err();
+        assert!(refused(|| erdos_renyi_gnm(1, 1, 0)));
+        assert!(refused(|| erdos_renyi_gnm(0, 1, 0)));
+        assert!(refused(|| random_bipartite(0, 5, 1, 0)));
+        assert!(refused(|| random_bipartite(5, 0, 1, 0)));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 mod forest;
 mod general;
-mod rng;
 
 pub use forest::{
     balanced_binary_tree, broom, caterpillar, kary_tree, path, random_attachment_tree,

@@ -119,8 +119,8 @@ impl Connection {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1);
         write_frame(&mut self.stream, opcode, id, payload)?;
-        let (header, body) = read_frame(&mut self.stream, DEFAULT_MAX_PAYLOAD, || true)?
-            .ok_or(ClientError::Closed)?;
+        let (header, body) =
+            read_frame(&mut self.stream, DEFAULT_MAX_PAYLOAD)?.ok_or(ClientError::Closed)?;
         if header.opcode == Opcode::RespError {
             let (code, message) = decode_error(&body).map_err(ClientError::Protocol)?;
             return Err(ClientError::Server { code, message });
@@ -209,7 +209,7 @@ impl Connection {
     /// Reads one raw frame off the socket — test hook paired with
     /// [`Connection::send_raw`].
     pub fn recv_raw(&mut self) -> Result<Option<(crate::protocol::Header, Vec<u8>)>, NetError> {
-        read_frame(&mut self.stream, DEFAULT_MAX_PAYLOAD, || true)
+        read_frame(&mut self.stream, DEFAULT_MAX_PAYLOAD)
     }
 }
 

@@ -277,19 +277,15 @@ pub fn write_frame(
 }
 
 /// Reads one frame. Returns `Ok(None)` on a clean close — EOF at a frame
-/// boundary, or `keep_waiting` turning false while blocked, at a boundary
-/// or mid-frame (the server's shutdown path; sockets there carry a read
-/// timeout, and `WouldBlock` / `TimedOut` re-polls `keep_waiting` instead
-/// of failing). EOF *inside* a frame is a typed
-/// [`ProtocolError::Truncated`]. Traverses the `net.read` failpoint once
-/// per frame.
+/// boundary. EOF *inside* a frame is a typed
+/// [`ProtocolError::Truncated`]; any other read failure is
+/// [`NetError::Io`]. Traverses the `net.read` failpoint once per frame.
 pub fn read_frame(
     r: &mut impl Read,
     max_payload: u32,
-    keep_waiting: impl Fn() -> bool,
 ) -> Result<Option<(Header, Vec<u8>)>, NetError> {
     let mut payload = Vec::new();
-    Ok(read_frame_into(r, max_payload, keep_waiting, &mut payload)?.map(|h| (h, payload)))
+    Ok(read_frame_into(r, max_payload, &mut payload)?.map(|h| (h, payload)))
 }
 
 /// [`read_frame`] into a buffer the caller keeps: `payload` is resized to
@@ -299,67 +295,37 @@ pub fn read_frame(
 pub fn read_frame_into(
     r: &mut impl Read,
     max_payload: u32,
-    keep_waiting: impl Fn() -> bool,
     payload: &mut Vec<u8>,
 ) -> Result<Option<Header>, NetError> {
     fault::check(Site::NetRead).map_err(std::io::Error::other)?;
     let mut header = [0u8; HEADER_LEN];
-    match read_full(r, &mut header, true, &keep_waiting)? {
-        ReadFull::Done => {}
-        ReadFull::CleanClose => return Ok(None),
+    match read_full(r, &mut header)? {
+        0 => return Ok(None),
+        HEADER_LEN => {}
+        _ => return Err(ProtocolError::Truncated.into()),
     }
     let header = decode_header(&header, max_payload)?;
     payload.resize(header.payload_len as usize, 0);
-    match read_full(r, payload, false, &keep_waiting)? {
-        ReadFull::Done => Ok(Some(header)),
-        // Only `keep_waiting` turning false ends a payload read this way:
-        // the shutdown is why the frame ends, not the peer.
-        ReadFull::CleanClose => Ok(None),
+    if read_full(r, payload)? < payload.len() {
+        return Err(ProtocolError::Truncated.into());
     }
+    Ok(Some(header))
 }
 
-enum ReadFull {
-    Done,
-    CleanClose,
-}
-
-/// Fills `buf` completely. A dribbling peer (one byte per write) is fine —
-/// the loop keeps reading; a peer that closes after 0 bytes is a clean
-/// close iff `at_boundary`, otherwise the frame is truncated.
-/// `keep_waiting` turning false while blocked is a clean close wherever in
-/// the frame it happens.
-fn read_full(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    at_boundary: bool,
-    keep_waiting: &impl Fn() -> bool,
-) -> Result<ReadFull, NetError> {
+/// Reads until `buf` is full or the peer closes, and returns how many bytes
+/// arrived. A dribbling peer (one byte per write) is fine — the loop keeps
+/// reading; `Interrupted` retries.
+fn read_full(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
     let mut filled = 0usize;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return if at_boundary && filled == 0 {
-                    Ok(ReadFull::CleanClose)
-                } else {
-                    Err(ProtocolError::Truncated.into())
-                };
-            }
+            Ok(0) => break,
             Ok(n) => filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if !keep_waiting() {
-                    return Ok(ReadFull::CleanClose);
-                }
-            }
-            Err(e) => return Err(e.into()),
+            Err(e) => return Err(e),
         }
     }
-    Ok(ReadFull::Done)
+    Ok(filled)
 }
 
 // ---- payload codecs ------------------------------------------------------
@@ -686,12 +652,12 @@ mod tests {
         write_frame(&mut wire, Opcode::QueryBatch, 5, b"payload").expect("write");
         let mut cursor = &wire[..];
         let (h, payload) =
-            read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD, || true).expect("read").expect("frame");
+            read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD).expect("read").expect("frame");
         assert_eq!(h.opcode, Opcode::QueryBatch);
         assert_eq!(h.request_id, 5);
         assert_eq!(payload, b"payload");
         // The stream is exhausted at a frame boundary: clean close.
-        assert!(read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD, || true).expect("eof").is_none());
+        assert!(read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD).expect("eof").is_none());
     }
 
     #[test]
@@ -700,42 +666,15 @@ mod tests {
         write_frame(&mut wire, Opcode::Health, 1, b"12345678").expect("write");
         // Chop the payload short.
         let mut cursor = &wire[..HEADER_LEN + 3];
-        match read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD, || true) {
+        match read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD) {
             Err(NetError::Protocol(ProtocolError::Truncated)) => {}
             other => panic!("expected Truncated, got {other:?}"),
         }
         // Chop the header short.
         let mut cursor = &wire[..7];
-        match read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD, || true) {
+        match read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD) {
             Err(NetError::Protocol(ProtocolError::Truncated)) => {}
             other => panic!("expected Truncated, got {other:?}"),
-        }
-    }
-
-    /// Yields its bytes, then `WouldBlock` forever: a peer that went quiet
-    /// mid-frame on a socket with a read timeout.
-    struct StalledPeer<'a>(&'a [u8]);
-
-    impl Read for StalledPeer<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.0.is_empty() {
-                return Err(std::io::ErrorKind::WouldBlock.into());
-            }
-            self.0.read(buf)
-        }
-    }
-
-    /// A shutdown that lands while a worker waits for the rest of a frame
-    /// ends the read cleanly. (It used to hit an `unreachable!` and panic
-    /// the worker thread.)
-    #[test]
-    fn shutdown_mid_frame_is_a_clean_close() {
-        let header = encode_header(Opcode::QueryBatch, 24, 1);
-        let mut wire = header.to_vec();
-        for sent in [HEADER_LEN, HEADER_LEN + 10, 7] {
-            wire.resize(sent.max(wire.len()), 0);
-            let frame = read_frame(&mut StalledPeer(&wire[..sent]), DEFAULT_MAX_PAYLOAD, || false);
-            assert!(matches!(frame, Ok(None)), "{sent} bytes in, then shutdown: {frame:?}");
         }
     }
 
@@ -748,7 +687,7 @@ mod tests {
         let mut cursor = &wire[..];
         let mut payload = Vec::new();
         let mut next = |payload: &mut Vec<u8>| {
-            read_frame_into(&mut cursor, DEFAULT_MAX_PAYLOAD, || true, payload)
+            read_frame_into(&mut cursor, DEFAULT_MAX_PAYLOAD, payload)
                 .expect("read")
                 .expect("frame")
         };

@@ -44,11 +44,23 @@
 //! (`write_frame`). The buffers grow to the largest frame the connection
 //! sent — at most `max_payload` and two thirds of that — and are freed
 //! with the connection.
+//!
+//! # Shutdown
+//!
+//! Nothing polls: an idle worker blocks on the queue's condition variable,
+//! a serving one in `read`. `request_shutdown` sets the flag under the
+//! queue lock, wakes the idle workers and shuts the read half of every
+//! connection being served, so a blocked `read` returns what the peer
+//! already sent, then EOF, while replies still go out. A worker that takes
+//! a queued connection after the flag shuts its read half itself: the
+//! queue drains, and every frame received before the shutdown is
+//! answered. A frame that EOF cuts short is a clean close, not a protocol
+//! error. One connection to the bound address wakes the accept thread.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -82,11 +94,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// How often a blocked worker re-checks the shutdown flag. Long enough to
-/// be invisible in latency histograms, short enough that `shutdown()`
-/// completes promptly.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
 /// How long the accept thread waits before retrying a failed `accept()`.
 /// A persistent error (`EMFILE` while descriptors are exhausted) would
 /// otherwise spin a core for as long as it lasts.
@@ -95,8 +102,9 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 struct Shared {
     service: ServiceHandle,
     config: ServerConfig,
-    shutdown: AtomicBool,
-    queue: Mutex<VecDeque<TcpStream>>,
+    /// The listener's bound address: where the shutdown wake-up connects.
+    addr: SocketAddr,
+    admission: Mutex<Admission>,
     queue_signal: Condvar,
     /// Server-side service time per query, amortised over each frame
     /// (kept apart from the client-measured wire latency).
@@ -106,16 +114,24 @@ struct Shared {
 }
 
 impl Shared {
-    fn running(&self) -> bool {
-        !self.shutdown.load(Ordering::Acquire)
+    fn admission(&self) -> MutexGuard<'_, Admission> {
+        self.admission.lock().expect("queue lock")
     }
+}
+
+/// What the queue lock guards: the connections waiting for a worker, the
+/// one each worker is serving (`serving[w]` for worker `w`, whose read
+/// half shutdown shuts), and the shutdown flag.
+struct Admission {
+    queue: VecDeque<TcpStream>,
+    serving: Vec<Option<Arc<TcpStream>>>,
+    shutdown: bool,
 }
 
 /// A running server; dropping it shuts the server down and joins every
 /// thread.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    addr: SocketAddr,
     accept_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -136,8 +152,12 @@ pub fn serve(
     let shared = Arc::new(Shared {
         service,
         config,
-        shutdown: AtomicBool::new(false),
-        queue: Mutex::new(VecDeque::new()),
+        addr,
+        admission: Mutex::new(Admission {
+            queue: VecDeque::new(),
+            serving: vec![None; config.workers],
+            shutdown: false,
+        }),
         queue_signal: Condvar::new(),
         service_hist: Histogram::new(),
         connections_served: AtomicU64::new(0),
@@ -145,25 +165,25 @@ pub fn serve(
     });
 
     let mut workers = Vec::with_capacity(config.workers);
-    for _ in 0..config.workers {
+    for worker in 0..config.workers {
         let shared = Arc::clone(&shared);
-        workers.push(std::thread::spawn(move || worker_loop(&shared)));
+        workers.push(std::thread::spawn(move || worker_loop(&shared, worker)));
     }
     let accept_shared = Arc::clone(&shared);
     let accept_thread = std::thread::spawn(move || accept_loop(&accept_shared, &listener));
 
-    Ok(ServerHandle { shared, addr, accept_thread: Some(accept_thread), workers })
+    Ok(ServerHandle { shared, accept_thread: Some(accept_thread), workers })
 }
 
 impl ServerHandle {
     /// The address the server is listening on (resolved ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// Connections currently waiting in the admission queue.
     pub fn queued(&self) -> usize {
-        self.shared.queue.lock().expect("queue lock").len()
+        self.shared.admission().queue.len()
     }
 
     /// Connections a worker has finished serving.
@@ -185,9 +205,10 @@ impl ServerHandle {
     }
 
     /// Asks the server to stop: no new connections are admitted, workers
-    /// drain and exit. Does not block; pair with [`ServerHandle::wait`].
+    /// answer the frames already received, and exit. Does not block; pair
+    /// with [`ServerHandle::wait`].
     pub fn request_shutdown(&self) {
-        request_shutdown(&self.shared, self.addr);
+        request_shutdown(&self.shared);
     }
 
     /// Blocks until every server thread has exited. Call after
@@ -215,120 +236,129 @@ impl Drop for ServerHandle {
     }
 }
 
-fn request_shutdown(shared: &Shared, addr: SocketAddr) {
-    if shared.shutdown.swap(true, Ordering::AcqRel) {
+fn request_shutdown(shared: &Shared) {
+    let mut admission = shared.admission();
+    if std::mem::replace(&mut admission.shutdown, true) {
         return; // already shutting down
     }
+    for stream in admission.serving.iter().flatten() {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    drop(admission);
     shared.queue_signal.notify_all();
     // The accept thread is parked in `accept()`; poke it awake with a
     // throwaway connection so it observes the flag. An unspecified bind
-    // address (0.0.0.0) is not connectable, so aim at loopback instead.
-    let mut wake = addr;
-    if wake.ip().is_unspecified() {
-        wake.set_ip(std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST));
+    // address is not connectable, so aim at the loopback of its family.
+    let mut wake = shared.addr;
+    match wake.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => wake.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => wake.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
     }
     let _ = TcpStream::connect_timeout(&wake, Duration::from_millis(500));
 }
 
 fn accept_loop(shared: &Shared, listener: &TcpListener) {
-    while shared.running() {
-        let stream = match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        let mut admission = shared.admission();
+        if admission.shutdown {
+            return; // the shutdown wake-up connection lands here
+        }
+        let stream = match accepted {
             Ok((stream, _)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                std::thread::sleep(ACCEPT_BACKOFF);
-                continue; // the loop head re-checks `running()`
+            Err(e) => {
+                drop(admission);
+                if e.kind() != std::io::ErrorKind::Interrupted {
+                    std::thread::sleep(ACCEPT_BACKOFF);
+                }
+                continue;
             }
         };
-        if !shared.running() {
-            break; // the shutdown wake-up connection lands here
-        }
         // Failpoint `net.accept`: firing drops the connection on the
         // floor, as if the accept had failed at the OS level.
         if fault::check(Site::NetAccept).is_err() {
-            drop(stream);
             continue;
         }
         counter(CounterId::NetConnsAccepted).add(1);
 
-        let mut queue = shared.queue.lock().expect("queue lock");
-        if queue.len() >= shared.config.queue_depth {
-            drop(queue);
+        if admission.queue.len() >= shared.config.queue_depth {
+            drop(admission);
             // Deterministic shed: typed Overloaded reply, then close.
             counter(CounterId::NetConnsShed).add(1);
             shared.connections_shed.fetch_add(1, Ordering::Relaxed);
             let mut stream = stream;
             let payload = encode_error(ErrorCode::Overloaded, "admission queue full");
             let _ = write_frame(&mut stream, Opcode::RespError, 0, &payload);
-            let _ = stream.shutdown(std::net::Shutdown::Both);
+            let _ = stream.shutdown(Shutdown::Both);
             continue;
         }
-        queue.push_back(stream);
-        gauge(GaugeId::NetAdmissionQueueDepth).set(queue.len() as i64);
-        drop(queue);
+        admission.queue.push_back(stream);
+        gauge(GaugeId::NetAdmissionQueueDepth).set(admission.queue.len() as i64);
+        drop(admission);
         shared.queue_signal.notify_one();
     }
-    // Unblock every worker waiting on the queue.
-    shared.queue_signal.notify_all();
 }
 
-fn worker_loop(shared: &Shared) {
+fn worker_loop(shared: &Shared, worker: usize) {
     loop {
         let stream = {
-            let mut queue = shared.queue.lock().expect("queue lock");
+            let mut admission = shared.admission();
             loop {
-                if let Some(stream) = queue.pop_front() {
-                    gauge(GaugeId::NetAdmissionQueueDepth).set(queue.len() as i64);
-                    break Some(stream);
+                if let Some(stream) = admission.queue.pop_front() {
+                    gauge(GaugeId::NetAdmissionQueueDepth).set(admission.queue.len() as i64);
+                    let stream = Arc::new(stream);
+                    if admission.shutdown {
+                        // Shutdown has swept the slots already: answer
+                        // what this peer sent, then read EOF.
+                        let _ = stream.shutdown(Shutdown::Read);
+                    }
+                    admission.serving[worker] = Some(Arc::clone(&stream));
+                    break stream;
                 }
-                if !shared.running() {
-                    break None;
+                if admission.shutdown {
+                    return;
                 }
-                let (q, _) =
-                    shared.queue_signal.wait_timeout(queue, POLL_INTERVAL).expect("queue lock");
-                queue = q;
+                admission = shared.queue_signal.wait(admission).expect("queue lock");
             }
         };
-        let Some(stream) = stream else { return };
-        serve_connection(shared, stream);
+        serve_connection(shared, &stream);
+        shared.admission().serving[worker] = None;
+        drop(stream); // the last handle: closes the socket
         shared.connections_served.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 /// Serves one connection until the peer closes, a protocol error forces a
-/// close, or shutdown is requested. Application-level failures (ReadOnly,
-/// Internal) answer with a typed error and keep the connection open;
-/// structural protocol violations answer and close — a peer that framed
-/// bytes wrong once cannot be trusted to frame the next ones right.
-fn serve_connection(shared: &Shared, mut stream: TcpStream) {
-    // A read timeout turns a blocked worker into one that polls the
-    // shutdown flag via `keep_waiting` below.
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+/// close, or shutdown shuts its read half. Application-level failures
+/// (ReadOnly, Internal) answer with a typed error and keep the connection
+/// open; structural protocol violations answer and close — a peer that
+/// framed bytes wrong once cannot be trusted to frame the next ones right.
+fn serve_connection(shared: &Shared, mut stream: &TcpStream) {
     let _ = stream.set_nodelay(true);
 
     let mut bufs = FrameBufs::default();
     loop {
-        let frame = read_frame_into(
-            &mut stream,
-            shared.config.max_payload,
-            || shared.running(),
-            &mut bufs.payload,
-        );
+        let frame = read_frame_into(&mut stream, shared.config.max_payload, &mut bufs.payload);
         let header = match frame {
             Ok(Some(h)) => h,
-            Ok(None) => return, // clean close or shutdown
+            Ok(None) => return, // the peer closed, or shutdown did
+            // EOF mid-frame after shutdown shut the read half.
+            Err(NetError::Protocol(ProtocolError::Truncated)) if shared.admission().shutdown => {
+                return;
+            }
             Err(NetError::Protocol(e)) => {
                 counter(CounterId::NetProtocolErrors).add(1);
                 let (code, message) = e.wire_error();
                 let _ =
                     write_frame(&mut stream, Opcode::RespError, 0, &encode_error(code, &message));
-                let _ = stream.shutdown(std::net::Shutdown::Both);
+                let _ = stream.shutdown(Shutdown::Both);
                 return;
             }
             Err(NetError::Io(_)) => return,
         };
         counter(CounterId::NetRequests).add(1);
-        match dispatch(shared, &mut stream, header, &mut bufs) {
+        match dispatch(shared, stream, header, &mut bufs) {
             Ok(ConnState::Keep) => {}
             Ok(ConnState::Close) => return,
             Err(_) => return, // write side failed; nothing left to say
@@ -381,7 +411,7 @@ enum ConnState {
 
 fn dispatch(
     shared: &Shared,
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     header: Header,
     bufs: &mut FrameBufs,
 ) -> std::io::Result<ConnState> {
@@ -391,7 +421,7 @@ fn dispatch(
             if let Err(e) = answer_query_batch(&shared.service, &shared.service_hist, bufs) {
                 return protocol_reject(stream, id, &e);
             }
-            write_frame(stream, Opcode::RespAnswers, id, &bufs.reply)?;
+            write_frame(&mut stream, Opcode::RespAnswers, id, &bufs.reply)?;
             Ok(ConnState::Keep)
         }
         Opcode::Health => {
@@ -404,11 +434,11 @@ fn dispatch(
                 epoch: snapshot.epoch(),
                 components: snapshot.num_components() as u64,
             };
-            write_frame(stream, Opcode::RespHealth, id, &wire.encode())?;
+            write_frame(&mut stream, Opcode::RespHealth, id, &wire.encode())?;
             Ok(ConnState::Keep)
         }
         Opcode::Metrics => {
-            write_frame(stream, Opcode::RespMetrics, id, ampc_obs::render_text().as_bytes())?;
+            write_frame(&mut stream, Opcode::RespMetrics, id, ampc_obs::render_text().as_bytes())?;
             Ok(ConnState::Keep)
         }
         Opcode::InsertEdges => {
@@ -423,27 +453,24 @@ fn dispatch(
                         applied: report.applied as u64,
                         components: report.components as u64,
                     };
-                    write_frame(stream, Opcode::RespInsert, id, &wire.encode())?;
+                    write_frame(&mut stream, Opcode::RespInsert, id, &wire.encode())?;
                 }
                 Err(ServeError::ReadOnly) => {
                     // Typed refusal; the connection stays usable for reads.
                     let payload =
                         encode_error(ErrorCode::ReadOnly, "service is read-only; writes refused");
-                    write_frame(stream, Opcode::RespError, id, &payload)?;
+                    write_frame(&mut stream, Opcode::RespError, id, &payload)?;
                 }
                 Err(e) => {
                     let payload = encode_error(ErrorCode::Internal, &e.to_string());
-                    write_frame(stream, Opcode::RespError, id, &payload)?;
+                    write_frame(&mut stream, Opcode::RespError, id, &payload)?;
                 }
             }
             Ok(ConnState::Keep)
         }
         Opcode::Shutdown => {
-            write_frame(stream, Opcode::RespShutdown, id, &[])?;
-            let addr = stream
-                .local_addr()
-                .unwrap_or_else(|_| SocketAddr::from((std::net::Ipv4Addr::LOCALHOST, 0)));
-            request_shutdown(shared, addr);
+            write_frame(&mut stream, Opcode::RespShutdown, id, &[])?;
+            request_shutdown(shared);
             Ok(ConnState::Close)
         }
         // Response opcodes arriving at the server are a peer bug.
@@ -461,14 +488,14 @@ fn dispatch(
 }
 
 fn protocol_reject(
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     id: u32,
     e: &ProtocolError,
 ) -> std::io::Result<ConnState> {
     counter(CounterId::NetProtocolErrors).add(1);
     let (code, message) = e.wire_error();
-    let _ = write_frame(stream, Opcode::RespError, id, &encode_error(code, &message));
-    let _ = stream.shutdown(std::net::Shutdown::Both);
+    let _ = write_frame(&mut stream, Opcode::RespError, id, &encode_error(code, &message));
+    let _ = stream.shutdown(Shutdown::Both);
     Ok(ConnState::Close)
 }
 

@@ -11,11 +11,14 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 
 use ampc_graph::generators::random_forest;
+use ampc_graph::reference_components;
 use ampc_net::protocol::{
     decode_error, encode_header, encode_queries, HEADER_LEN, MAGIC, QUERY_WIRE_LEN, VERSION,
 };
 use ampc_net::{Connection, ErrorCode, Opcode, ServerConfig};
-use ampc_query::Query;
+use ampc_obs::{counter, CounterId};
+use ampc_query::workload::{self, Mix};
+use ampc_query::{ComponentIndex, Query, QueryEngine};
 use ampc_serve::ServiceBuilder;
 
 const N: usize = 200;
@@ -173,8 +176,8 @@ fn one_byte_dribble_is_served() {
     assert!(top > 0);
 }
 
-/// A peer that sends half a frame and disappears wastes a read timeout,
-/// not a worker: the connection is dropped and the server keeps serving.
+/// A peer that sends half a frame and disappears does not keep a worker:
+/// the connection is dropped and the server keeps serving.
 #[test]
 fn truncated_frame_then_close_frees_the_worker() {
     let server = start_server();
@@ -234,4 +237,72 @@ fn silent_connection_is_a_clean_close() {
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
     assert_server_alive(addr);
+}
+
+/// Shutdown is an event, not a poll. The one worker serves connection A,
+/// idle halfway through a frame; B (silent) and C (one whole `QueryBatch`
+/// already sent) wait in the queue. After `request_shutdown`, `wait()`
+/// returns with C's frame answered oracle-exact; all three read EOF and
+/// count as served, and A's cut frame is not a protocol error.
+#[test]
+fn shutdown_drains_received_frames_and_closes_idle_connections() {
+    // `net_protocol_errors_total` is process-wide and the attacks above move
+    // it, so the scenario runs alone, in a child run of this test binary.
+    const ALONE: &str = "HARDENING_RUN_ALONE";
+    if std::env::var_os(ALONE).is_none() {
+        let name = "shutdown_drains_received_frames_and_closes_idle_connections";
+        let child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args(["--exact", name])
+            .env(ALONE, "1")
+            .output()
+            .expect("run the scenario alone");
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        assert!(child.status.success() && stdout.contains("1 passed"), "{stdout}{stderr}");
+        return;
+    }
+
+    let graph = random_forest(N, 4, 0xBAD);
+    let oracle = ComponentIndex::build(&reference_components(&graph));
+    let service = ServiceBuilder::new(graph).build().expect("service");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let config = ServerConfig { workers: 1, queue_depth: 4, max_payload: 4096 };
+    let mut server = ampc_net::serve(service, listener, config).expect("serve");
+    let addr = server.local_addr();
+    let protocol_errors = || counter(CounterId::NetProtocolErrors).get();
+    let errors_before = protocol_errors();
+
+    // A round trip means the worker is serving A, which then sends a
+    // header and stalls: the worker blocks waiting for the payload.
+    let mut a = Connection::connect(addr).expect("connect A");
+    a.health().expect("A is served");
+    a.send_raw(&encode_header(Opcode::QueryBatch, 24, 2)).expect("A's header");
+    let mut b = TcpStream::connect(addr).expect("connect B");
+    let mut c = TcpStream::connect(addr).expect("connect C");
+    let queries = workload::generate(&oracle, Mix::Uniform, 64, 0x5D);
+    let payload = encode_queries(&queries);
+    let mut frame = encode_header(Opcode::QueryBatch, payload.len() as u32, 9).to_vec();
+    frame.extend_from_slice(&payload);
+    c.write_all(&frame).expect("C's frame");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while server.queued() < 2 {
+        assert!(std::time::Instant::now() < deadline, "B and C must be queued");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+
+    server.request_shutdown();
+    server.wait();
+
+    let (opcode, body) = read_one_frame(&mut c).expect("C's frame is answered");
+    assert_eq!(opcode, Opcode::RespAnswers as u8);
+    let engine = QueryEngine::new(&oracle);
+    let expected: Vec<u8> = queries.iter().flat_map(|&q| engine.answer(q).to_le_bytes()).collect();
+    assert_eq!(body, expected, "C's answers are the oracle's");
+    for (name, stream) in [("C", &mut c), ("B", &mut b)] {
+        let n = stream.read(&mut [0u8; 1]).expect("read after shutdown");
+        assert_eq!(n, 0, "{name} reads EOF");
+    }
+    assert!(matches!(a.recv_raw(), Ok(None)), "A reads EOF");
+    assert_eq!(server.connections_served(), 3, "A, B and C");
+    assert_eq!(protocol_errors(), errors_before, "a shutdown is not a protocol error");
 }
