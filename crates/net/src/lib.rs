@@ -10,8 +10,8 @@
 //! * [`server`] — a fixed worker pool over a **bounded admission queue**:
 //!   past the high-water mark the accept thread sheds deterministically
 //!   with a typed `Overloaded` reply; each query-batch frame pins one
-//!   `IndexSnapshot`, so rebuilds publishing mid-flight never
-//!   tear a batch.
+//!   `Arc<PublishedIndex>`, so rebuilds publishing mid-flight never tear a
+//!   batch.
 //! * [`client`] — a single-connection RPC wrapper plus the TCP transport of
 //!   `ampc_serve::driver`'s closed-loop runner: seeded workloads replayed
 //!   over connections that reconnect and retry, one report type with the

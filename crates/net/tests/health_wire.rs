@@ -15,7 +15,9 @@ use ampc_graph::{Graph, VertexId};
 use ampc_net::{Connection, ErrorCode, ServerConfig};
 use ampc_query::{ComponentIndex, Query, QueryEngine};
 use ampc_serve::fault::{self, FaultAction, Site};
-use ampc_serve::{HealthState, JournalBudget, RetryPolicy, ServiceBuilder, ServiceHandle};
+use ampc_serve::{
+    HealthState, JournalBudget, ServiceBuilder, ServiceHandle, MAX_CONSECUTIVE_FAILURES,
+};
 
 const N: usize = 150;
 
@@ -64,7 +66,6 @@ fn degradation_walk_is_visible_and_exact_on_the_wire() {
         // Zero edge budget: every insert folds, and the armed failpoint
         // fails each fold deterministically.
         .journal_budget(JournalBudget::new(0))
-        .retry_policy(RetryPolicy { max_consecutive_failures: 2, max_incidents: 8 })
         .build()
         .expect("service");
 
@@ -92,13 +93,22 @@ fn degradation_walk_is_visible_and_exact_on_the_wire() {
     assert_wire_matches(&mut conn, &service, "after first strike");
     assert_eq!(conn.health().expect("health").state_name(), "degraded");
 
-    // Strike 2: the next insert retries the fold, which fails → ReadOnly.
-    let report = conn.insert_edges(&[(2, 3)]).expect("the second strike's batch lands");
-    assert_eq!(report.epoch, service.current_epoch());
-    edges.push((2, 3));
-    assert_eq!(service.health().state, HealthState::ReadOnly);
-    assert_wire_matches(&mut conn, &service, "after second strike");
-    assert_eq!(conn.health().expect("health").state_name(), "read-only");
+    // Strikes 2 to MAX_CONSECUTIVE_FAILURES: every insert retries the fold,
+    // which fails; the batch still lands, and the last strike → ReadOnly.
+    for strike in 2..=MAX_CONSECUTIVE_FAILURES {
+        let edge = (strike as VertexId, strike as VertexId + 1);
+        let report = conn.insert_edges(&[edge]).expect("a strike's batch lands");
+        assert_eq!(report.epoch, service.current_epoch());
+        edges.push(edge);
+        let (state, name) = if strike == MAX_CONSECUTIVE_FAILURES {
+            (HealthState::ReadOnly, "read-only")
+        } else {
+            (HealthState::Degraded, "degraded")
+        };
+        assert_eq!(service.health().state, state, "after strike {strike}");
+        assert_wire_matches(&mut conn, &service, &format!("after strike {strike}"));
+        assert_eq!(conn.health().expect("health").state_name(), name);
+    }
 
     // Write opcodes are refused with the typed wire code; the connection
     // stays open and keeps serving reads.

@@ -1,8 +1,9 @@
 //! Injectable nanosecond clock.
 //!
-//! The one time seam of the workspace: latency spans read it in
-//! nanoseconds, `ampc_serve`'s incident log in whole milliseconds of it. Production code reads a process-wide monotonic
-//! origin, tests drive a [`ManualClock`] so timing assertions never sleep.
+//! The one time seam of the workspace: latency spans and `ampc_serve`'s
+//! incident log read [`monotonic_ns`], a process-wide monotonic origin. The
+//! closed-loop runner's per-frame timing takes a [`Clock`], so its tests
+//! substitute a [`CountingClock`] to pin how often a loop reads it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -32,31 +33,6 @@ impl Clock for MonotonicClock {
     }
 }
 
-/// Hand-advanced clock for deterministic tests.
-#[derive(Debug, Default)]
-pub struct ManualClock(AtomicU64);
-
-impl ManualClock {
-    pub const fn new(start_ns: u64) -> Self {
-        Self(AtomicU64::new(start_ns))
-    }
-
-    /// Moves time forward by `delta_ns`.
-    pub fn advance(&self, delta_ns: u64) {
-        self.0.fetch_add(delta_ns, Ordering::SeqCst);
-    }
-
-    pub fn set(&self, now_ns: u64) {
-        self.0.store(now_ns, Ordering::SeqCst);
-    }
-}
-
-impl Clock for ManualClock {
-    fn now_ns(&self) -> u64 {
-        self.0.load(Ordering::SeqCst)
-    }
-}
-
 /// Test clock that counts its reads and moves [`CountingClock::STEP_NS`] on
 /// each — for asserting how often a loop reads the clock.
 #[derive(Debug, Default)]
@@ -81,16 +57,6 @@ impl Clock for CountingClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn manual_clock_advances_without_sleeping() {
-        let c = ManualClock::new(5);
-        assert_eq!(c.now_ns(), 5);
-        c.advance(37);
-        assert_eq!(c.now_ns(), 42);
-        c.set(7);
-        assert_eq!(c.now_ns(), 7);
-    }
 
     #[test]
     fn monotonic_never_goes_backwards() {

@@ -11,8 +11,9 @@
 //! - [`Histogram`] — log2-bucketed, sharded per thread; three relaxed RMWs
 //!   on a private shard per record; merged on read; reports
 //!   p50/p90/p99/p999/max with a within-one-bucket error bound.
-//! - [`Timer`] — latency spans over an injectable [`Clock`]
-//!   ([`MonotonicClock`] in production, [`ManualClock`] in tests).
+//! - [`Timer`] — a latency span on the process monotonic clock
+//!   ([`monotonic_ns`]); per-frame loops take an injectable [`Clock`]
+//!   ([`MonotonicClock`] in production, [`CountingClock`] in tests).
 //! - [`TraceRing`] — bounded, mutexed flight recorder of typed
 //!   [`TraceEvent`]s with exact sequence numbers.
 //! - [`catalog!`] — one table per catalogue enum (`Variant [= repr] =>
@@ -42,7 +43,7 @@ pub mod metrics;
 pub mod registry;
 pub mod trace;
 
-pub use clock::{monotonic_ns, Clock, CountingClock, ManualClock, MonotonicClock};
+pub use clock::{monotonic_ns, Clock, CountingClock, MonotonicClock};
 pub use metrics::{
     bucket_of, bucket_upper, Counter, Gauge, HistSnapshot, Histogram, Timer, BUCKETS,
 };

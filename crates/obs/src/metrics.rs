@@ -9,7 +9,7 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
-use crate::clock::{monotonic_ns, Clock};
+use crate::clock::monotonic_ns;
 
 /// Monotonically increasing event count. One relaxed `fetch_add` per event.
 #[derive(Debug, Default)]
@@ -237,27 +237,19 @@ impl HistSnapshot {
 /// elapsed nanoseconds into a histogram on [`Timer::stop`]. Dropping a
 /// timer without `stop` records nothing (abandoned spans are not latency).
 pub struct Timer<'a> {
-    clock: &'a dyn Clock,
     hist: &'a Histogram,
     start_ns: u64,
 }
 
-static PROD_CLOCK: crate::clock::MonotonicClock = crate::clock::MonotonicClock;
-
 impl<'a> Timer<'a> {
     /// Starts a span on the process monotonic clock.
     pub fn start(hist: &'a Histogram) -> Timer<'a> {
-        Timer { clock: &PROD_CLOCK, hist, start_ns: monotonic_ns() }
-    }
-
-    /// Starts a span on an injected clock (tests never sleep).
-    pub fn start_with(clock: &'a dyn Clock, hist: &'a Histogram) -> Timer<'a> {
-        Timer { clock, hist, start_ns: clock.now_ns() }
+        Timer { hist, start_ns: monotonic_ns() }
     }
 
     /// Ends the span, records it, and returns the elapsed nanoseconds.
     pub fn stop(self) -> u64 {
-        let elapsed = self.clock.now_ns().saturating_sub(self.start_ns);
+        let elapsed = monotonic_ns().saturating_sub(self.start_ns);
         self.hist.record(elapsed);
         elapsed
     }
@@ -266,7 +258,6 @@ impl<'a> Timer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
 
     #[test]
     fn counter_and_gauge_roundtrip() {
@@ -300,17 +291,19 @@ mod tests {
     }
 
     #[test]
-    fn timer_records_manual_clock_elapsed() {
-        let clock = ManualClock::new(1_000);
+    fn timer_records_exactly_the_elapsed_time_it_returns() {
         let h = Histogram::new();
-        let t = Timer::start_with(&clock, &h);
-        clock.advance(250);
-        assert_eq!(t.stop(), 250);
+        let before = monotonic_ns();
+        let t = Timer::start(&h);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        let elapsed = t.stop();
+        let bound = monotonic_ns() - before;
+        assert!((1_000_000..=bound).contains(&elapsed), "{elapsed} ns not in [1 ms, {bound}]");
         let s = h.snapshot();
         assert_eq!(s.count, 1);
-        assert_eq!(s.sum, 250);
-        assert_eq!(s.max, 250);
-        assert_eq!(s.buckets[bucket_of(250)], 1);
+        assert_eq!(s.sum, elapsed);
+        assert_eq!(s.max, elapsed);
+        assert_eq!(s.buckets[bucket_of(elapsed)], 1);
     }
 
     #[test]

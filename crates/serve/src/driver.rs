@@ -10,7 +10,7 @@
 //! answers before it sends the next.
 //!
 //! The runner is generic over *how a worker answers a frame* ([`Worker`]):
-//! in process a pinned [`IndexSnapshot`] (the service read path, one epoch
+//! in process a pinned `Arc<PublishedIndex>` (the service read path, one epoch
 //! per worker even when a rebuild publishes mid-run — that is [`run`]),
 //! over TCP a connection with reconnect-and-retry (`ampc_net::run_harness`).
 //! Either way a frame is timed by `throughput::timed_frame`: exactly two
@@ -22,11 +22,12 @@
 //! wire codec's share.
 
 use std::convert::Infallible;
+use std::sync::Arc;
 
 use ampc_obs::{Clock, HistId, HistSnapshot, Histogram, MonotonicClock};
 use ampc_query::{throughput, Query};
 
-use crate::service::{IndexSnapshot, ServiceHandle};
+use crate::service::{PublishedIndex, ServiceHandle};
 
 /// One worker's end of a transport.
 pub trait Worker {
@@ -48,7 +49,7 @@ pub trait Worker {
     }
 }
 
-impl Worker for IndexSnapshot {
+impl Worker for Arc<PublishedIndex> {
     type Error = Infallible;
 
     fn answer(&mut self, frame: &[Query]) -> Result<u64, Infallible> {
@@ -56,7 +57,7 @@ impl Worker for IndexSnapshot {
     }
 
     fn epoch(&self) -> u64 {
-        IndexSnapshot::epoch(self)
+        PublishedIndex::epoch(self)
     }
 }
 

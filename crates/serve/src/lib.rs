@@ -14,11 +14,12 @@
 //! * [`ServiceBuilder`] / [`ServiceHandle`] — `ServiceBuilder::new(graph)
 //!   .spec(spec).build()?` runs the configured [`PipelineSpec`], validates
 //!   the labeling against the graph, freezes it into a `ComponentIndex`,
-//!   and publishes epoch 0. The clone-able handle serves pinned
-//!   [`IndexSnapshot`]s and runs [`ServiceHandle::rebuild_blocking`] on the
-//!   caller's thread — readers keep answering against their pinned epoch
-//!   while the swap happens under live traffic. A rebuild returns after its
-//!   publish, so calls that do not overlap publish in call order.
+//!   and publishes epoch 0. The clone-able handle pins the published epoch
+//!   as an `Arc<PublishedIndex>` and runs
+//!   [`ServiceHandle::rebuild_blocking`] on the caller's thread — readers
+//!   keep answering against their pinned epoch while the swap happens
+//!   under live traffic. A rebuild returns after its publish, so calls that
+//!   do not overlap publish in call order.
 //! * [`ServiceHandle::insert_edges`] — the incremental delta path:
 //!   streaming edge insertions merge dense component ids and publish as
 //!   cheap **journal-epochs** ([`JournalView`] riding on an unchanged
@@ -47,9 +48,9 @@
 //!   relaxed atomic load when disarmed); failures no longer vanish with
 //!   their thread but land as typed incidents in a bounded log and drive
 //!   `Healthy → Degraded → ReadOnly` ([`HealthState`]): a Degraded service
-//!   retries the fold on every insert, and [`RetryPolicy`] bounds the
-//!   failures in a row before inserts are refused. Reads keep serving the
-//!   last published epoch in every state;
+//!   retries the fold on every insert, and [`MAX_CONSECUTIVE_FAILURES`]
+//!   bounds the failures in a row before inserts are refused. Reads keep
+//!   serving the last published epoch in every state;
 //!   [`ServiceBuilder::from_snapshot_or_rebuild`] gives boot the same
 //!   no-single-failure-kills-us treatment.
 //!
@@ -68,7 +69,7 @@ pub use ampc_cc::pipeline::PipelineSpec;
 pub use ampc_obs::fault::{self, FaultAction, InjectedFault, Site};
 pub use ampc_query::{JournalView, SnapshotError};
 pub use service::{
-    BootSource, HealthReport, HealthState, Incident, IncidentOp, IndexSnapshot, InsertReport,
-    JournalBudget, PersistReport, PublishedIndex, RetryPolicy, ServeError, ServiceBuilder,
-    ServiceHandle,
+    BootSource, HealthReport, HealthState, Incident, IncidentOp, InsertReport, JournalBudget,
+    PersistReport, PublishedIndex, ServeError, ServiceBuilder, ServiceHandle,
+    MAX_CONSECUTIVE_FAILURES, MAX_INCIDENTS,
 };

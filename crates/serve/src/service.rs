@@ -32,8 +32,10 @@ mod published;
 pub use builder::{BootSource, ServiceBuilder};
 pub use error::ServeError;
 pub use handle::{InsertReport, JournalBudget, PersistReport, ServiceHandle};
-pub use health::{HealthReport, HealthState, Incident, IncidentOp, RetryPolicy};
-pub use published::{IndexSnapshot, PublishedIndex};
+pub use health::{
+    HealthReport, HealthState, Incident, IncidentOp, MAX_CONSECUTIVE_FAILURES, MAX_INCIDENTS,
+};
+pub use published::PublishedIndex;
 
 #[cfg(test)]
 mod tests {
@@ -122,7 +124,7 @@ mod tests {
     fn retired_epochs_are_freed_once_unpinned() {
         let service = ServiceBuilder::new(random_forest(200, 2, 6)).spec(spec()).build().unwrap();
         let snap0 = service.snapshot();
-        let weak0 = snap0.downgrade();
+        let weak0 = Arc::downgrade(&snap0);
         service.rebuild_blocking(random_forest(200, 4, 7)).unwrap();
         service.rebuild_blocking(random_forest(200, 6, 8)).unwrap();
         assert!(weak0.upgrade().is_some(), "pinned epoch 0 must stay alive");
@@ -130,7 +132,7 @@ mod tests {
         assert!(weak0.upgrade().is_none(), "unpinned retired epoch must be freed");
         // The current epoch lives as long as its last handle or snapshot.
         let snap2 = service.snapshot();
-        let weak2 = snap2.downgrade();
+        let weak2 = Arc::downgrade(&snap2);
         drop(service);
         assert!(weak2.upgrade().is_some(), "a snapshot pins the current epoch");
         drop(snap2);
@@ -251,7 +253,7 @@ mod tests {
         let merged = service.insert_edges(&[bridge, (first_of(2), first_of(3))]).unwrap();
         assert_eq!((merged.new_merges, merged.journal_merges, merged.components), (2, 2, 4));
         let before = service.snapshot();
-        let answers = |snap: &IndexSnapshot| -> Vec<u64> {
+        let answers = |snap: &PublishedIndex| -> Vec<u64> {
             let eng = snap.engine();
             let per_vertex =
                 (0..300u32).flat_map(|v| [Query::ComponentOf(v), Query::ComponentSize(v)]);
@@ -341,20 +343,6 @@ mod tests {
     // Failpoint-driven state-machine coverage lives in tests/chaos.rs —
     // the fault registry is process-global and lib tests run in parallel,
     // so only failpoint-free behavior is exercised here.
-
-    #[test]
-    fn manual_clock_is_shared_across_clones() {
-        let clock = Arc::new(ampc_obs::ManualClock::new(0));
-        let service = ServiceBuilder::new(random_forest(100, 2, 20))
-            .spec(spec())
-            .clock(clock.clone())
-            .build()
-            .unwrap();
-        let alias = service.clone();
-        assert_eq!(alias.service.now_ms(), 0);
-        clock.advance(250_999_999);
-        assert_eq!(alias.service.now_ms(), 250, "whole milliseconds of the injected clock");
-    }
 
     #[test]
     fn service_starts_healthy_with_an_empty_incident_log() {

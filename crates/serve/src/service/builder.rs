@@ -8,12 +8,11 @@ use std::sync::{Arc, Mutex, RwLock};
 use ampc::RunStats;
 use ampc_cc::pipeline::{PipelineSpec, ResolvedAlgorithm};
 use ampc_graph::Graph;
-use ampc_obs::{Clock, MonotonicClock};
 use ampc_query::{snapshot, SnapshotError};
 
 use super::error::ServeError;
 use super::handle::{announce_epoch, ConnectivityService, JournalBudget, ServiceHandle};
-use super::health::{HealthInner, IncidentOp, RetryPolicy};
+use super::health::{HealthInner, IncidentOp};
 use super::published::{BaseIndex, PublishedIndex};
 
 /// Builder for a [`ServiceHandle`]: `ServiceBuilder::new(graph)
@@ -29,14 +28,11 @@ pub struct ServiceBuilder {
 struct Settings {
     spec: PipelineSpec,
     budget: JournalBudget,
-    policy: RetryPolicy,
-    clock: Arc<dyn Clock>,
 }
 
 impl Settings {
     fn new(spec: PipelineSpec) -> Self {
-        let (budget, policy) = (JournalBudget::default(), RetryPolicy::default());
-        Settings { spec, budget, policy, clock: Arc::new(MonotonicClock) }
+        Settings { spec, budget: JournalBudget::default() }
     }
 
     /// The tail of every epoch-0 path below: publishes a finished base as
@@ -47,8 +43,6 @@ impl Settings {
             current: RwLock::new(Arc::new(payload)),
             spec: self.spec,
             budget: self.budget,
-            policy: self.policy,
-            clock: self.clock,
             stream: Mutex::new(HealthInner::new()),
         };
         announce_epoch(0, false, 0);
@@ -86,20 +80,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Sets the failure and incident-log bounds of the degradation state
-    /// machine.
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.settings.policy = policy;
-        self
-    }
-
-    /// Injects the time source that stamps incidents (tests pass an
-    /// [`ampc_obs::ManualClock`] and advance it deterministically).
-    pub fn clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.settings.clock = clock;
-        self
-    }
-
     /// Runs the pipeline, validates, indexes, and publishes epoch 0.
     pub fn build(self) -> Result<ServiceHandle, ServeError> {
         let base = Arc::new(BaseIndex::build(&self.settings.spec, &self.graph)?);
@@ -131,9 +111,7 @@ impl ServiceBuilder {
             Err(snap_err) => {
                 let boot_error = ServeError::SnapshotBoot(snap_err.to_string());
                 let handle = self.build()?;
-                let service = &handle.service;
-                let (policy, now_ms) = (&service.policy, service.now_ms());
-                service.lock_stream().record_incident(policy, now_ms, IncidentOp::Boot, boot_error);
+                handle.service.lock_stream().record_incident(IncidentOp::Boot, boot_error);
                 Ok((handle, BootSource::RebuildFallback))
             }
         }

@@ -41,14 +41,14 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 use ampc_cc::pipeline::PipelineSpec;
 use ampc_graph::{Graph, VertexId};
 use ampc_obs::fault::{self, Site};
-use ampc_obs::{Clock, CounterId, GaugeId, HistId, TraceKind};
+use ampc_obs::{CounterId, GaugeId, HistId, TraceKind};
 #[cfg(doc)]
 use ampc_query::ComponentIndex;
 use ampc_query::{snapshot, JournalView, SnapshotError};
 
 use super::error::ServeError;
-use super::health::{HealthInner, HealthReport, HealthState, IncidentOp, RetryPolicy};
-use super::published::{BaseIndex, IndexSnapshot, PublishedIndex};
+use super::health::{HealthInner, HealthReport, HealthState, IncidentOp};
+use super::published::{BaseIndex, PublishedIndex};
 
 /// When the edges inserted on one base exceed this budget, the insert that
 /// overflows it compacts: it folds the journal into a new base and
@@ -130,8 +130,6 @@ pub(super) struct ConnectivityService {
     pub(super) current: RwLock<Arc<PublishedIndex>>,
     pub(super) spec: PipelineSpec,
     pub(super) budget: JournalBudget,
-    pub(super) policy: RetryPolicy,
-    pub(super) clock: Arc<dyn Clock>,
     /// The stream lock: every publish holds it, and it guards the
     /// degradation state machine, whose every transition happens on a path
     /// that publishes or fails to. The read path never takes it.
@@ -139,11 +137,6 @@ pub(super) struct ConnectivityService {
 }
 
 impl ConnectivityService {
-    /// The incident log counts milliseconds.
-    pub(super) fn now_ms(&self) -> u64 {
-        self.clock.now_ns() / 1_000_000
-    }
-
     /// The published epoch: a read lock held for one `Arc::clone`. Poison
     /// is recoverable: the write lock guards only a `mem::replace`, which
     /// cannot panic, so the pointer is whole at every step.
@@ -228,9 +221,10 @@ impl ServiceHandle {
     /// Pins the current epoch: a read-lock held for one `Arc::clone`, so
     /// it waits for a publish's pointer swap and never for a rebuild's or
     /// an insertion's work. Call once per thread (or per request) and answer any
-    /// number of queries against the returned snapshot.
-    pub fn snapshot(&self) -> IndexSnapshot {
-        IndexSnapshot { pinned: self.service.pin() }
+    /// number of queries against the returned epoch; holding it keeps that
+    /// epoch alive, and dropping it releases the pin.
+    pub fn snapshot(&self) -> Arc<PublishedIndex> {
+        self.service.pin()
     }
 
     /// The most recently published epoch number.
@@ -308,8 +302,7 @@ impl ServiceHandle {
         let journal = match next_journal(prev, base, edges) {
             Ok(j) => j,
             Err(e) => {
-                let op = IncidentOp::JournalBuild;
-                health.record_failure(&service.policy, service.now_ms(), op, e.clone());
+                health.record_failure(IncidentOp::JournalBuild, e.clone());
                 return Err(e);
             }
         };
@@ -347,8 +340,7 @@ impl ServiceHandle {
             failed => {
                 let epoch = service.publish(&health, Arc::clone(base), journal, inserted_edges);
                 if let Some(Err(e)) = failed {
-                    let op = IncidentOp::Compaction;
-                    health.record_failure(&service.policy, service.now_ms(), op, e.into());
+                    health.record_failure(IncidentOp::Compaction, e.into());
                 }
                 (epoch, false)
             }
@@ -399,8 +391,7 @@ impl ServiceHandle {
                 Ok(service.publish(&health, Arc::new(base), None, 0))
             }
             Err(e) => {
-                let op = IncidentOp::Rebuild;
-                health.record_failure(&service.policy, service.now_ms(), op, e.clone());
+                health.record_failure(IncidentOp::Rebuild, e.clone());
                 Err(e)
             }
         };

@@ -1,5 +1,5 @@
 //! The degradation state machine: health states, the bounded incident
-//! log and the policy every [`crate::ServiceHandle`] carries.
+//! log and the two bounds every [`crate::ServiceHandle`] shares.
 
 use std::collections::VecDeque;
 
@@ -8,14 +8,18 @@ use ampc_obs::{CounterId, TraceKind};
 use super::error::ServeError;
 #[cfg(doc)]
 use super::ServiceHandle;
-#[cfg(doc)]
-use ampc_obs::Clock;
+
+/// Consecutive failures before the service enters [`HealthState::ReadOnly`].
+pub const MAX_CONSECUTIVE_FAILURES: u32 = 5;
+
+/// The incident-log bound: past it the oldest entries are evicted first.
+pub const MAX_INCIDENTS: usize = 64;
 
 ampc_obs::catalog! {
     /// The degradation state machine every [`ServiceHandle`] carries.
     ///
     /// ```text
-    ///            failure                 Nth consecutive failure
+    ///            failure                 5th consecutive failure
     /// Healthy ───────────▶ Degraded ─────────────────────────▶ ReadOnly
     ///    ▲                    │   ▲  │                             │
     ///    │  fold or rebuild   │   └──┘ the next insert's           │
@@ -30,9 +34,9 @@ ampc_obs::catalog! {
     /// * **Degraded** — a rebuild, fold or journal build failed. Reads are
     ///   untouched; inserts keep landing as journal-epochs, and every insert
     ///   retries the fold whatever the budget says.
-    /// * **ReadOnly** — [`RetryPolicy::max_consecutive_failures`] failures in
-    ///   a row. Inserts return [`ServeError::ReadOnly`]; reads keep serving
-    ///   the last published epoch; only a successful explicit
+    /// * **ReadOnly** — [`MAX_CONSECUTIVE_FAILURES`] failures in a row.
+    ///   Inserts return [`ServeError::ReadOnly`]; reads keep serving the last
+    ///   published epoch; only a successful explicit
     ///   [`ServiceHandle::rebuild_blocking`] (new ground truth) restores `Healthy`.
     ///
     /// The discriminant is the state's byte in the wire's Health reply.
@@ -54,39 +58,20 @@ ampc_obs::catalog! {
     }
 }
 
-/// One recorded failure. The log is bounded
-/// ([`RetryPolicy::max_incidents`]): `seq` keeps a global count even
-/// after old entries are evicted.
+/// One recorded failure. The log is bounded ([`MAX_INCIDENTS`]): `seq`
+/// keeps a global count even after old entries are evicted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Incident {
     /// 1-based global sequence number (total incidents ever recorded).
     pub seq: u64,
-    /// Milliseconds on the service's [`Clock`] when the incident was
-    /// recorded.
+    /// Process-monotonic milliseconds ([`ampc_obs::monotonic_ns`]) when the
+    /// incident was recorded. The origin is arbitrary: only differences and
+    /// the order along `seq` mean anything.
     pub at_ms: u64,
     /// The operation that failed.
     pub op: IncidentOp,
     /// The typed failure.
     pub error: ServeError,
-}
-
-/// How many failures the degradation state machine tolerates, and how many
-/// it remembers. A Degraded service retries the fold on every insert, so
-/// there is no retry clock to configure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Consecutive failures before the service enters
-    /// [`HealthState::ReadOnly`].
-    pub max_consecutive_failures: u32,
-    /// Incident-log bound (oldest entries are evicted first).
-    pub max_incidents: usize,
-}
-
-impl Default for RetryPolicy {
-    /// 5 strikes, 64 incidents retained.
-    fn default() -> Self {
-        RetryPolicy { max_consecutive_failures: 5, max_incidents: 64 }
-    }
 }
 
 /// A point-in-time copy of the service's health, via
@@ -104,9 +89,7 @@ pub struct HealthReport {
 }
 
 /// Mutable half of the state machine, guarded by the stream lock (every
-/// transition happens on a path that already holds it). Callers pass the
-/// service's policy and the current millisecond of its [`Clock`], which
-/// stamps each incident.
+/// transition happens on a path that already holds it).
 #[derive(Debug)]
 pub(super) struct HealthInner {
     pub(super) state: HealthState,
@@ -127,16 +110,11 @@ impl HealthInner {
 
     /// Appends a typed failure to the bounded incident log without touching
     /// the state machine (boot-fallback incidents land in a Healthy service).
-    pub(super) fn record_incident(
-        &mut self,
-        policy: &RetryPolicy,
-        now_ms: u64,
-        op: IncidentOp,
-        error: ServeError,
-    ) {
+    pub(super) fn record_incident(&mut self, op: IncidentOp, error: ServeError) {
         self.total_incidents += 1;
-        self.incidents.push_back(Incident { seq: self.total_incidents, at_ms: now_ms, op, error });
-        while self.incidents.len() > policy.max_incidents {
+        let at_ms = ampc_obs::monotonic_ns() / 1_000_000;
+        self.incidents.push_back(Incident { seq: self.total_incidents, at_ms, op, error });
+        while self.incidents.len() > MAX_INCIDENTS {
             self.incidents.pop_front();
         }
         ampc_obs::counter(CounterId::Incidents).inc();
@@ -144,19 +122,13 @@ impl HealthInner {
     }
 
     /// Records a failure and advances the state machine: `Degraded` until
-    /// [`RetryPolicy::max_consecutive_failures`], then `ReadOnly`.
-    pub(super) fn record_failure(
-        &mut self,
-        policy: &RetryPolicy,
-        now_ms: u64,
-        op: IncidentOp,
-        error: ServeError,
-    ) {
-        self.record_incident(policy, now_ms, op, error);
+    /// [`MAX_CONSECUTIVE_FAILURES`], then `ReadOnly`.
+    pub(super) fn record_failure(&mut self, op: IncidentOp, error: ServeError) {
+        self.record_incident(op, error);
         let prior = self.state;
         let failures = self.consecutive_failures.saturating_add(1);
         self.consecutive_failures = failures;
-        if failures >= policy.max_consecutive_failures {
+        if failures >= MAX_CONSECUTIVE_FAILURES {
             if prior != HealthState::ReadOnly {
                 ampc_obs::counter(CounterId::ReadOnlyTransitions).inc();
             }

@@ -1,8 +1,8 @@
 //! What an epoch holds: a frozen base index ([`BaseIndex`]: a pipeline run,
-//! a snapshot boot or a fold), the published payload riding on it
-//! ([`PublishedIndex`]) and the pinned reader view ([`IndexSnapshot`]).
+//! a snapshot boot or a fold) and the published payload riding on it
+//! ([`PublishedIndex`]), which a reader pins as an `Arc<PublishedIndex>`.
 
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Instant;
 
 use ampc::RunStats;
@@ -93,7 +93,9 @@ impl BaseIndex {
 
 /// One published epoch: a shared base index plus, for journal-epochs, the
 /// frozen merge journal accumulated since that base. Everything here is
-/// immutable at publish time; readers share it via `Arc`.
+/// immutable at publish time. A reader pins it as the `Arc` that
+/// [`ServiceHandle::snapshot`] returns: cheap to clone, holding it keeps the
+/// epoch alive, and dropping the last clone frees a retired epoch.
 #[derive(Debug)]
 pub struct PublishedIndex {
     pub(super) epoch: u64,
@@ -112,9 +114,19 @@ impl PublishedIndex {
 
     /// The immutable base component index. Journal-epochs answer through
     /// [`PublishedIndex::journal`] on top of this — use
-    /// [`IndexSnapshot::engine`] to get the merge-aware view.
+    /// [`PublishedIndex::engine`] to get the merge-aware view.
     pub fn index(&self) -> &ComponentIndex {
         &self.base.index
+    }
+
+    /// A borrow-only query engine over this epoch's index — merge-aware on a
+    /// journal-epoch. Engines are `Copy`; make one per thread or per batch,
+    /// they cost nothing.
+    pub fn engine(&self) -> QueryEngine<'_> {
+        match self.journal() {
+            Some(j) => QueryEngine::with_journal(self.index(), j),
+            None => QueryEngine::new(self.index()),
+        }
     }
 
     /// The base's labeling (e.g. for `--labels` output): the pipeline
@@ -192,45 +204,5 @@ impl PublishedIndex {
             Some(j) => j.num_components(),
             None => self.base.index.num_components(),
         }
-    }
-}
-
-/// A pinned, immutable view of one published epoch. Cheap to clone (an
-/// `Arc` bump); holding it keeps that epoch's index alive, dropping it
-/// releases the pin. Obtainable only via [`ServiceHandle::snapshot`].
-#[derive(Clone)]
-pub struct IndexSnapshot {
-    pub(super) pinned: Arc<PublishedIndex>,
-}
-
-impl IndexSnapshot {
-    /// The epoch this snapshot pinned.
-    pub fn epoch(&self) -> u64 {
-        self.pinned.epoch
-    }
-
-    /// A borrow-only query engine over this snapshot's index — merge-aware
-    /// when the snapshot pinned a journal-epoch. Engines are `Copy`; make
-    /// one per thread or per batch, they cost nothing.
-    pub fn engine(&self) -> QueryEngine<'_> {
-        match self.pinned.journal() {
-            Some(j) => QueryEngine::with_journal(self.pinned.index(), j),
-            None => QueryEngine::new(self.pinned.index()),
-        }
-    }
-
-    /// Downgrades to a weak reference to the epoch payload — the hook the
-    /// lifecycle tests use to observe that retired epochs are freed once
-    /// every snapshot is dropped.
-    pub fn downgrade(&self) -> Weak<PublishedIndex> {
-        Arc::downgrade(&self.pinned)
-    }
-}
-
-impl std::ops::Deref for IndexSnapshot {
-    type Target = PublishedIndex;
-
-    fn deref(&self) -> &PublishedIndex {
-        &self.pinned
     }
 }

@@ -25,12 +25,11 @@ use ampc::rng::{derive_seed, SplitMix64};
 use ampc_cc::pipeline::PipelineSpec;
 use ampc_graph::generators::random_forest;
 use ampc_graph::{reference_components, Graph, VertexId};
-use ampc_obs::ManualClock;
 use ampc_query::{snapshot, ComponentIndex, Query};
 use ampc_serve::fault::{self, FaultAction, Site};
 use ampc_serve::{
-    BootSource, HealthState, IncidentOp, JournalBudget, RetryPolicy, ServeError, ServiceBuilder,
-    ServiceHandle, SnapshotError,
+    BootSource, HealthState, IncidentOp, JournalBudget, ServeError, ServiceBuilder, ServiceHandle,
+    SnapshotError, MAX_CONSECUTIVE_FAILURES, MAX_INCIDENTS,
 };
 
 /// The failpoints with production call sites (everything but `test.probe`).
@@ -130,11 +129,6 @@ fn assert_oracle(service: &ServiceHandle, n: usize, edges: &[(VertexId, VertexId
     }
 }
 
-/// Incidents are stamped in milliseconds of the injected nanosecond clock.
-fn advance_ms(clock: &ManualClock, ms: u64) {
-    clock.advance(ms * 1_000_000);
-}
-
 /// Drives the state machine back to `Healthy` with all faults disarmed:
 /// `Degraded` → insert once (an empty batch), which retries the fold;
 /// `ReadOnly` → the operator lever, an explicit rebuild over the accepted
@@ -172,11 +166,9 @@ fn degradation_walks_healthy_degraded_readonly_and_recovers() {
     let n = 120;
     let g = random_forest(n, 6, 31);
     let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
-    let policy = RetryPolicy { max_consecutive_failures: 3, max_incidents: 4 };
     let service = ServiceBuilder::new(g)
         .spec(spec(31))
         .journal_budget(JournalBudget::new(0))
-        .retry_policy(policy)
         .build()
         .expect("build");
 
@@ -204,18 +196,29 @@ fn degradation_walks_healthy_degraded_readonly_and_recovers() {
     assert_eq!(service.health().consecutive_failures, 2);
     assert_eq!(service.health().state, HealthState::Degraded);
 
-    // Strike 3: insert once more; the policy gives up — ReadOnly.
-    service.insert_edges(&[]).expect("the third strike's batch still lands");
+    // Strikes 3 to MAX_CONSECUTIVE_FAILURES - 1: each empty insert retries
+    // the fold, fails again, and still lands.
+    for strike in 3..MAX_CONSECUTIVE_FAILURES {
+        service.insert_edges(&[]).expect("a Degraded insert lands");
+        assert_eq!(service.health().consecutive_failures, strike);
+        assert_eq!(service.health().state, HealthState::Degraded);
+        assert_oracle(&service, n, &edges, &format!("degraded epoch after strike {strike}"));
+    }
+
+    // The last strike: the state machine gives up — ReadOnly.
+    service.insert_edges(&[]).expect("the last strike's batch still lands");
     assert_eq!(service.health().state, HealthState::ReadOnly);
+    assert_eq!(service.health().consecutive_failures, MAX_CONSECUTIVE_FAILURES);
 
     // Inserts are refused, reads keep serving the last published epoch.
     let err = service.insert_edges(&[(1, 2)]).expect_err("read-only refuses writes");
     assert_eq!(err, ServeError::ReadOnly);
     assert_oracle(&service, n, &edges, "read-only still serves");
 
+    let strikes = MAX_CONSECUTIVE_FAILURES as u64;
     let h = service.health();
-    assert_eq!(h.total_incidents, 3);
-    assert_eq!(h.incidents.len(), 3);
+    assert_eq!(h.total_incidents, strikes);
+    assert_eq!(h.incidents.len() as u64, strikes);
     assert!(h.incidents.iter().all(|i| i.op == IncidentOp::Compaction));
     assert!(h
         .incidents
@@ -229,7 +232,7 @@ fn degradation_walks_healthy_degraded_readonly_and_recovers() {
     let h = service.health();
     assert_eq!(h.state, HealthState::Healthy);
     assert_eq!(h.consecutive_failures, 0);
-    assert_eq!(h.total_incidents, 3, "recovery clears state, not history");
+    assert_eq!(h.total_incidents, strikes, "recovery clears state, not history");
     let r = service.insert_edges(&[(2, 3)]).expect("writes restored");
     assert!(r.compacted, "a budget of 0 folds every insert");
     edges.push((2, 3));
@@ -243,35 +246,38 @@ fn incident_log_is_bounded_but_counts_everything() {
     let n = 80;
     let g = random_forest(n, 4, 32);
     let base_edges: Vec<(VertexId, VertexId)> = g.edges().collect();
-    let clock = Arc::new(ManualClock::new(0));
     let service = ServiceBuilder::new(g)
         .spec(spec(32))
         .journal_budget(JournalBudget::unbounded())
-        .retry_policy(RetryPolicy { max_consecutive_failures: 100, max_incidents: 3 })
-        .clock(clock.clone())
         .build()
         .expect("build");
 
-    // A merge-causing edge over the base forest; every attempt fails, so
-    // the same bridge stays valid across all five strikes.
-    let bridge = bridge_edge(n, &base_edges).expect("forest has multiple components");
-    fault::arm(Site::JournalBuild, FaultAction::Error, 0, u64::MAX);
-    for i in 0..5u64 {
-        advance_ms(&clock, 10);
-        let err = service.insert_edges(&[bridge]).expect_err("armed journal build");
-        assert_eq!(err, ServeError::Injected { site: "journal.build" });
+    // Inserts stop recording once the service turns ReadOnly, but a failed
+    // explicit rebuild is recorded in every state, so MAX_INCIDENTS + 2
+    // failed rebuilds reach eviction twice.
+    fault::arm(Site::RebuildPipeline, FaultAction::Error, 0, u64::MAX);
+    let total = MAX_INCIDENTS as u64 + 2;
+    for i in 0..total {
+        let err = service.rebuild_blocking(Graph::from_edges(n, &base_edges));
+        assert_eq!(err, Err(ServeError::Injected { site: "rebuild.pipeline" }));
         let h = service.health();
         assert_eq!(h.total_incidents, i + 1);
-        assert!(h.incidents.len() <= 3, "log must stay bounded");
+        assert!(h.incidents.len() <= MAX_INCIDENTS, "log must stay bounded");
     }
     let h = service.health();
-    assert_eq!(h.incidents.len(), 3);
-    // Oldest evicted first: the retained tail is seqs 3..=5.
-    assert_eq!(h.incidents.iter().map(|i| i.seq).collect::<Vec<_>>(), vec![3, 4, 5]);
-    assert!(h.incidents.iter().all(|i| i.op == IncidentOp::JournalBuild));
-    // Timestamps come from the injected clock.
-    assert_eq!(h.incidents.last().unwrap().at_ms, 50);
+    assert_eq!(h.state, HealthState::ReadOnly);
+    assert_eq!(h.total_incidents, total);
+    assert_eq!(h.incidents.len(), MAX_INCIDENTS);
+    // Oldest evicted first: the retained tail is the last MAX_INCIDENTS seqs.
+    let seqs: Vec<u64> = h.incidents.iter().map(|i| i.seq).collect();
+    assert_eq!(seqs, (3..=total).collect::<Vec<_>>());
+    assert!(h.incidents.iter().all(|i| i.op == IncidentOp::Rebuild));
+    // Stamps come from the process-monotonic clock: never decreasing in seq.
+    assert!(h.incidents.windows(2).all(|w| w[0].at_ms <= w[1].at_ms));
+    assert_eq!(service.current_epoch(), 0, "a failed rebuild publishes nothing");
     fault::disarm_all();
+    recover_to_healthy(&service, n, &base_edges);
+    assert_eq!(service.health().total_incidents, total, "recovery clears state, not history");
 }
 
 #[test]
@@ -641,11 +647,9 @@ fn run_chaos_schedule(seed: u64, rounds: usize) {
     let trees = 6 + (seed as usize % 5);
     let g = random_forest(n, trees, seed);
     let mut edges: Vec<(VertexId, VertexId)> = g.edges().collect();
-    let policy = RetryPolicy { max_consecutive_failures: 3 + (seed % 3) as u32, max_incidents: 16 };
     let service = ServiceBuilder::new(g)
         .spec(spec(seed))
         .journal_budget(JournalBudget::new(2))
-        .retry_policy(policy)
         .build()
         .expect("build");
 
@@ -736,8 +740,12 @@ fn run_chaos_schedule(seed: u64, rounds: usize) {
         // site may still refuse the empty batch; nothing to undo then).
         let _ = service.insert_edges(&[]);
 
-        // ReadOnly mid-schedule: pull the operator lever and keep going.
-        if service.health().state == HealthState::ReadOnly {
+        // ReadOnly exactly when the strike count reached the limit; then
+        // pull the operator lever and keep going.
+        let h = service.health();
+        let spent = h.consecutive_failures >= MAX_CONSECUTIVE_FAILURES;
+        assert_eq!(h.state == HealthState::ReadOnly, spent, "seed {seed} round {round}: {h:?}");
+        if spent {
             fault::disarm_all();
             service.rebuild_blocking(Graph::from_edges(n, &edges)).expect("bailout rebuild");
         }

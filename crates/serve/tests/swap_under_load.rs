@@ -12,7 +12,7 @@
 //! drops.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 
 use ampc_cc::pipeline::PipelineSpec;
 use ampc_graph::generators::random_forest;
@@ -327,14 +327,14 @@ fn retired_epochs_are_dropped_once_unpinned_under_load() {
     let service = ServiceBuilder::new(epoch_graph(0)).spec(spec).build().expect("build");
 
     let pinned = service.snapshot();
-    let weak0 = pinned.downgrade();
+    let weak0 = Arc::downgrade(&pinned);
     let weak1;
     {
         // Pin epoch 1 only inside this scope.
         service.rebuild_blocking(epoch_graph(1)).expect("rebuild 1");
         let transient = service.snapshot();
         assert_eq!(transient.epoch(), 1);
-        weak1 = transient.downgrade();
+        weak1 = Arc::downgrade(&transient);
         service.rebuild_blocking(epoch_graph(2)).expect("rebuild 2");
         assert!(weak1.upgrade().is_some(), "epoch 1 still pinned by `transient`");
     }

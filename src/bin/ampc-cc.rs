@@ -119,6 +119,7 @@ use std::io::Read;
 use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::sync::Arc;
 use std::time::Instant;
 
 use adaptive_mpc_connectivity::ampc::rng::{derive_seed, SplitMix64};
@@ -130,7 +131,7 @@ use adaptive_mpc_connectivity::graph::{
 use adaptive_mpc_connectivity::net;
 use adaptive_mpc_connectivity::query::{snapshot, workload, ComponentIndex, Query, QueryEngine};
 use adaptive_mpc_connectivity::serve::{
-    driver, fault, BootSource, IndexSnapshot, ServeError, ServiceBuilder, ServiceHandle,
+    driver, fault, BootSource, PublishedIndex, ServeError, ServiceBuilder, ServiceHandle,
 };
 
 #[derive(Default)]
@@ -233,12 +234,16 @@ fn parse_args() -> Result<Cmd, String> {
         queue: 64,
         ..Default::default()
     };
+    let mut seen = Vec::new();
     while let Some(a) = it.next() {
         // A flag this subcommand would parse and never read is a usage
         // error, not a no-op (`serve` reports nothing and writes no
         // snapshot) — and never the input file.
         if let Some(owners) = flag_owners(&a).filter(|own| !own.split('/').any(|o| o == mode)) {
             return Err(format!("{a} is a {owners} option: {mode} does not act on it"));
+        }
+        if a.starts_with("--") {
+            seen.push(a.clone());
         }
         match a.as_str() {
             "--forest" => run.spec.algorithm = Algorithm::Forest,
@@ -291,6 +296,25 @@ fn parse_args() -> Result<Cmd, String> {
     }
     if run.file.is_empty() && q.from_snapshot.is_none() && s.from_snapshot.is_none() {
         return Err("missing input file".into());
+    }
+    // The same rule inside `query`: a flag that another of its flags makes it
+    // skip is a usage error too.
+    let given = |flag: &str| seen.iter().any(|s| s == flag);
+    if let Some(flag) = ["--mix", "--queries"].into_iter().find(|f| given(f)) {
+        if q.query_file.is_some() {
+            return Err(format!("{flag} shapes a generated workload: --query-file replaces it"));
+        }
+    }
+    if given("--stream-batch") && q.stream == 0 {
+        return Err("--stream-batch sizes the batches of --stream: it needs --stream".into());
+    }
+    if mode == "query" && run.labels && (run.json || q.connect.is_some()) {
+        let why = if run.json {
+            "--json: its JSON has no labels"
+        } else {
+            "--connect: there is no local epoch"
+        };
+        return Err(format!("--labels cannot be combined with query {why}"));
     }
     if q.connect.is_some() {
         if q.stream > 0 || q.top > 0 {
@@ -726,7 +750,7 @@ fn cmd_serve(args: ServeArgs) -> Result<(), String> {
 enum Transport {
     /// A service booted in this process, its epoch-0 snapshot, and the
     /// milliseconds the boot took.
-    Local(ServiceHandle, IndexSnapshot, f64),
+    Local(ServiceHandle, Arc<PublishedIndex>, f64),
     /// A running `ampc-cc serve`.
     Wire(std::net::SocketAddr),
 }

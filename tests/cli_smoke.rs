@@ -151,6 +151,29 @@ fn cli_rejects_bad_usage() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "--machines 0 must exit 2\n{stderr}");
     assert!(stderr.contains("--machines must be positive"), "{stderr}");
+    // Inside `query` too: a flag that another of its flags makes it skip is
+    // a usage error that names both.
+    let qfile = std::env::temp_dir().join(format!("ampc_cli_usage_{}.txt", std::process::id()));
+    std::fs::write(&qfile, "connected 0 3\nsize 4\n").unwrap();
+    let q = qfile.to_str().unwrap();
+    for (args, named) in [
+        (
+            &["--query-file", q, "--mix", "zipf", "--queries", "5"][..],
+            &["--mix", "--query-file"][..],
+        ),
+        (&["--queries", "5", "--query-file", q], &["--queries", "--query-file"]),
+        (&["--stream-batch", "9"], &["--stream-batch", "--stream"]),
+        (&["--labels", "--json"], &["--labels", "--json"]),
+        (&["--labels", "--connect", "127.0.0.1:1"], &["--labels", "--connect"]),
+    ] {
+        let out = Command::new(exe).args(["query", data]).args(args).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "query {args:?} must exit 2\n{stderr}");
+        for flag in named {
+            assert!(stderr.contains(flag), "query {args:?} must name {flag}\n{stderr}");
+        }
+    }
+    std::fs::remove_file(&qfile).ok();
 }
 
 #[test]
