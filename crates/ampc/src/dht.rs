@@ -16,11 +16,15 @@
 //! * [`FlatDht`] — one hash map, the reference implementation;
 //! * [`ShardedDht`] — `N` power-of-two shards selected by packed-key hash,
 //!   with per-shard word accounting and a shard-parallel merge;
-//! * [`DenseDht`] — per-keyspace direct-indexed slabs (`Vec<Option<V>>`
-//!   sized to a capacity hint) with a hash-map overflow for ids beyond the
-//!   slab, so an adaptive read costs a bounds check plus an array index —
-//!   no hashing at all on the dense hot path — and the merge is partitioned
-//!   by contiguous id *ranges* instead of hash shards.
+//! * [`DenseDht`] — per-keyspace direct-indexed slabs sized to a capacity
+//!   hint, with a hash-map overflow for ids beyond the slab. A slab is a
+//!   `Vec<V>` of slots plus a presence bitmap, so a slot costs one `V`
+//!   (8 bytes for `u64`) plus one bit. The slots are filled with
+//!   `V::default()`; for `u64` that is a zeroed allocation, whose pages the
+//!   kernel maps lazily, so a round touches only the pages it writes. An adaptive read costs a bit test plus an array load — no
+//!   hashing at all on the dense hot path — and the merge is partitioned by
+//!   contiguous id *ranges* of at least 64 ids (one bitmap word) instead of
+//!   hash shards.
 //!
 //! Writes are **scattered at the source**: a [`crate::MachineCtx`] routes
 //! every op by [`DhtStorage::shard_of`] into its worker's [`ShardBuffers`]
@@ -386,10 +390,11 @@ fn auto_shard_count() -> usize {
 /// `(range_len, range_shift, num_ranges)` with `range_len = 1 << range_shift`
 /// and `num_ranges = ceil(cap / range_len)`. A couple of ranges per hardware
 /// thread keeps the parallel merge load-balanced; the power-of-two range
-/// length makes partition routing a shift, not a division.
+/// length makes partition routing a shift, not a division. A range is at
+/// least 64 ids, so it owns whole words of a slab's presence bitmap.
 fn dense_layout(cap: usize) -> (usize, u32, usize) {
     let target = (host_workers() * 2).next_power_of_two().clamp(2, 256);
-    let range_len = cap.div_ceil(target).next_power_of_two().max(1);
+    let range_len = cap.div_ceil(target).next_power_of_two().max(64);
     let shift = range_len.trailing_zeros();
     (range_len, shift, cap.div_ceil(range_len).max(1))
 }
@@ -710,12 +715,16 @@ impl<V: DhtValue> DhtStorage<V> for ShardedDht<V> {
 }
 
 /// One direct-indexed keyspace slab: `slots[id]` holds the value of
-/// `Key::new(space, id)`, with entry/word counters maintained alongside so
-/// total accounting never scans the slab.
+/// `Key::new(space, id)` when bit `id % 64` of `present[id / 64]` is set,
+/// with entry/word counters maintained alongside so total accounting never
+/// scans the slab.
 #[derive(Clone)]
 struct DenseSlab<V> {
-    /// Empty until the space is first written, then exactly `cap` slots.
-    slots: Vec<Option<V>>,
+    /// Empty until the space is first written, then exactly `cap` slots; an
+    /// absent slot holds `V::default()`.
+    slots: Vec<V>,
+    /// One presence bit per slot, `cap.div_ceil(64)` words.
+    present: Vec<u64>,
     /// Occupied slots.
     len: usize,
     /// Word footprint of the occupied slots.
@@ -724,52 +733,68 @@ struct DenseSlab<V> {
 
 impl<V> DenseSlab<V> {
     fn empty() -> Self {
-        DenseSlab { slots: Vec::new(), len: 0, words: 0 }
+        DenseSlab { slots: Vec::new(), present: Vec::new(), len: 0, words: 0 }
     }
 }
 
-/// Applies one buffered op to a slab slot, accumulating the `(entries,
-/// words)` delta into `d` and returning the displaced value (for `Put` and
-/// `Delete`). The **single** definition of dense op semantics: the direct
-/// `insert`/`remove`/`merge` methods, the sequential merge path, and the
-/// range-parallel merge workers (which cannot touch the shared counters)
-/// all route through it.
+/// One merge partition's slots of a slab and their presence words.
+type RangeView<'a, V> = (&'a mut [V], &'a mut [u64]);
+
+/// The presence word index and bit of slot `i`.
+#[inline]
+fn presence_bit(i: usize) -> (usize, u64) {
+    (i / 64, 1 << (i % 64))
+}
+
+/// Applies one buffered op to a slab slot whose presence is `bit` of `word`,
+/// accumulating the `(entries, words)` delta into `d` and returning the
+/// displaced value (for `Put` and `Delete`). The **single** definition of
+/// dense op semantics: the direct `insert`/`remove`/`merge` methods, the
+/// sequential merge path, and the range-parallel merge workers (which cannot
+/// touch the shared counters) all route through it. A delete of an absent
+/// slot reads its bit and touches nothing else.
 #[inline]
 fn apply_slot_op<V: DhtValue>(
-    slot: &mut Option<V>,
+    slot: &mut V,
+    word: &mut u64,
+    bit: u64,
     op: WriteOp<V>,
     d: &mut (i64, i64),
 ) -> Option<V> {
+    let present = *word & bit != 0;
     match op {
         WriteOp::Put(v) => {
+            if present {
+                d.1 += v.words() as i64 - slot.words() as i64;
+                return Some(std::mem::replace(slot, v));
+            }
+            // A store, not a swap: reading a never-written slot first would
+            // map the zero page and then fault again on the write.
+            d.0 += 1;
             d.1 += v.words() as i64;
-            let old = slot.replace(v);
-            match &old {
-                Some(o) => d.1 -= o.words() as i64,
-                None => d.0 += 1,
-            }
-            return old;
+            *slot = v;
+            *word |= bit;
         }
-        WriteOp::Merge(v) => match slot {
-            Some(existing) => {
-                let before = existing.words();
-                existing.merge(v);
-                d.1 += existing.words() as i64 - before as i64;
-            }
-            None => {
+        WriteOp::Merge(v) => {
+            if present {
+                let before = slot.words();
+                slot.merge(v);
+                d.1 += slot.words() as i64 - before as i64;
+            } else {
                 d.0 += 1;
                 d.1 += v.words() as i64;
-                *slot = Some(v);
+                *slot = v;
+                *word |= bit;
             }
-        },
-        WriteOp::Delete => {
-            let old = slot.take();
-            if let Some(ref o) = old {
-                d.0 -= 1;
-                d.1 -= o.words() as i64;
-            }
-            return old;
         }
+        WriteOp::Delete if present => {
+            *word &= !bit;
+            let old = std::mem::take(slot);
+            d.0 -= 1;
+            d.1 -= old.words() as i64;
+            return Some(old);
+        }
+        WriteOp::Delete => {}
     }
     None
 }
@@ -777,22 +802,23 @@ fn apply_slot_op<V: DhtValue>(
 /// Direct-indexed storage: one `DenseSlab` per keyspace for ids below the
 /// capacity hint, a [`FlatDht`] overflow for everything above it.
 ///
-/// A dense `get` is a bounds check plus an array index — zero hashing on
-/// the single most-executed instruction sequence in the simulator (the
-/// adaptive read). The bounds check doubles as the slab/overflow
-/// discriminator: an unallocated slab has zero length, so every id falls
-/// through to the overflow probe, and arbitrary (sparse, huge) ids stay
-/// correct.
+/// A dense `get` is a bounds check, a presence-bit test and an array load —
+/// zero hashing on the single most-executed instruction sequence in the
+/// simulator (the adaptive read). The bounds check doubles as the
+/// slab/overflow discriminator: an unallocated slab has zero length, so
+/// every id falls through to the overflow probe, and arbitrary (sparse,
+/// huge) ids stay correct.
 ///
 /// The merge is partitioned by contiguous id **ranges** — `shard_of` is
 /// `id >> range_shift` for in-slab ids plus one dedicated overflow
 /// partition — so distinct partitions touch disjoint slot ranges of every
 /// slab (and the overflow map is owned by exactly one partition). The
-/// parallel apply hands each worker its partitions' slot ranges via
-/// `chunks_mut` and collects per-partition `(entries, words)` deltas,
-/// folding them into the per-slab counters after the join; the result is
-/// byte-identical to the sequential machine-order merge by the same
-/// argument as the hash-sharded backend.
+/// parallel apply hands each worker its partitions' slot ranges and
+/// presence words via `chunks_mut` (a range is at least 64 ids, a whole
+/// number of bitmap words) and collects per-partition `(entries,
+/// words)` deltas, folding them into the per-slab counters after the join;
+/// the result is byte-identical to the sequential machine-order merge by
+/// the same argument as the hash-sharded backend.
 #[derive(Clone)]
 pub struct DenseDht<V> {
     /// Indexed by keyspace tag, grown on demand.
@@ -842,7 +868,10 @@ impl<V: DhtValue> DenseDht<V> {
         }
         let slab = &mut self.slabs[idx];
         if slab.slots.is_empty() {
-            slab.slots.resize_with(self.cap, || None);
+            // `vec!` of a zero `u64` is a zeroed allocation: the kernel maps
+            // its pages on first write, not here.
+            slab.slots = vec![V::default(); self.cap];
+            slab.present = vec![0; self.cap.div_ceil(64)];
         }
         slab
     }
@@ -854,7 +883,9 @@ impl<V: DhtValue> DenseDht<V> {
         debug_assert!(key.id < self.cap as u64);
         let slab = self.ensure_slab(key.space);
         let mut d = (0i64, 0i64);
-        let old = apply_slot_op(&mut slab.slots[key.id as usize], op, &mut d);
+        let i = key.id as usize;
+        let (w, bit) = presence_bit(i);
+        let old = apply_slot_op(&mut slab.slots[i], &mut slab.present[w], bit, op, &mut d);
         slab.len = (slab.len as i64 + d.0) as usize;
         slab.words = (slab.words as i64 + d.1) as usize;
         old
@@ -886,12 +917,16 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
 
     #[inline]
     fn get(&self, key: Key) -> Option<&V> {
-        // The hot path: one slab-header load, one bounds check, one indexed
-        // load. An unallocated slab has `slots.len() == 0`, so the bounds
-        // check also routes never-written spaces and out-of-slab ids to the
-        // overflow probe.
+        // The hot path: one slab-header load, one bounds check, one bit
+        // test, one indexed load. An unallocated slab has `slots.len() == 0`,
+        // so the bounds check also routes never-written spaces and
+        // out-of-slab ids to the overflow probe.
         match self.slabs.get(key.space as usize) {
-            Some(slab) if key.id < slab.slots.len() as u64 => slab.slots[key.id as usize].as_ref(),
+            Some(slab) if key.id < slab.slots.len() as u64 => {
+                let i = key.id as usize;
+                let (w, bit) = presence_bit(i);
+                (slab.present[w] & bit != 0).then(|| &slab.slots[i])
+            }
             _ if key.id >= self.cap as u64 => self.overflow.get(key),
             _ => None,
         }
@@ -931,9 +966,12 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
 
     fn for_each_entry(&self, f: &mut dyn FnMut(Key, &V)) {
         for (space, slab) in self.slabs.iter().enumerate() {
-            for (id, slot) in slab.slots.iter().enumerate() {
-                if let Some(v) = slot {
-                    f(Key::new(space as Space, id as u64), v);
+            for (w, &word) in slab.present.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let id = w * 64 + bits.trailing_zeros() as usize;
+                    f(Key::new(space as Space, id as u64), &slab.slots[id]);
+                    bits &= bits - 1;
                 }
             }
         }
@@ -956,7 +994,15 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
     }
 
     fn apply_ops(&mut self, bufs: &mut [ShardBuffers<V>]) {
-        let workers = host_workers().min(self.num_ranges);
+        self.apply_ops_on(bufs, host_workers());
+    }
+}
+
+impl<V: DhtValue> DenseDht<V> {
+    /// [`DhtStorage::apply_ops`] on at most `workers` threads: one runs the
+    /// sequential merge, more run the range-parallel one.
+    fn apply_ops_on(&mut self, bufs: &mut [ShardBuffers<V>], workers: usize) {
+        let workers = workers.min(self.num_ranges);
         if workers <= 1 {
             for s in 0..=self.num_ranges {
                 for b in bufs.iter_mut() {
@@ -984,8 +1030,10 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
         let nspaces = slabs.len();
 
         // views[p][space] = the slot range partition p owns within
-        // `space`'s slab (None while the slab is unallocated).
-        let mut views: Vec<Vec<Option<&mut [Option<V>]>>> =
+        // `space`'s slab and the presence words of those slots (None while
+        // the slab is unallocated). `range_len` is a multiple of 64, so the
+        // two chunkings line up and no two partitions share a word.
+        let mut views: Vec<Vec<Option<RangeView<'_, V>>>> =
             (0..num_ranges).map(|_| (0..nspaces).map(|_| None).collect()).collect();
         // deltas[p][space] accumulates partition p's (entries, words)
         // changes per keyspace; folded into the slab counters after the
@@ -993,7 +1041,9 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
         let mut deltas: Vec<Vec<(i64, i64)>> =
             (0..num_ranges).map(|_| vec![(0, 0); nspaces]).collect();
         for (space, slab) in slabs.iter_mut().enumerate() {
-            for (p, chunk) in slab.slots.chunks_mut(range_len).enumerate() {
+            let chunks =
+                slab.slots.chunks_mut(range_len).zip(slab.present.chunks_mut(range_len / 64));
+            for (p, chunk) in chunks.enumerate() {
                 views[p][space] = Some(chunk);
             }
         }
@@ -1017,10 +1067,14 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
                     {
                         for lists in group.iter_mut() {
                             for (key, op) in lists[offset].drain() {
-                                let chunk =
+                                let (slots, present) =
                                     view[key.space as usize].as_mut().expect("slab preallocated");
+                                let i = (key.id & mask) as usize;
+                                let (w, bit) = presence_bit(i);
                                 apply_slot_op(
-                                    &mut chunk[(key.id & mask) as usize],
+                                    &mut slots[i],
+                                    &mut present[w],
+                                    bit,
                                     op,
                                     &mut delta[key.space as usize],
                                 );
@@ -1440,7 +1494,7 @@ mod sharded_tests {
     fn an_apply_that_unwinds_leaves_every_value_with_its_word() {
         // A value whose `merge` is the panicking default: the second merge
         // on a key unwinds out of the apply, part way through a list.
-        #[derive(Clone)]
+        #[derive(Clone, Default)]
         struct NoMerge;
         impl DhtValue for NoMerge {
             fn words(&self) -> usize {
@@ -1639,6 +1693,94 @@ mod sharded_tests {
             assert_eq!(DhtStorage::get(&dense, Key::new(0, 1)), Some(&11));
             assert_eq!(DhtStorage::get(&dense, Key::new(0, far)), Some(&101));
             assert_eq!(FlatDht::words(&flat), DhtStorage::words(&dense));
+        }
+    }
+
+    #[test]
+    fn a_stored_fill_value_is_an_entry() {
+        // An empty slot holds `0` too: only the presence bit tells them apart.
+        let mut dense: DenseDht<u64> = DenseDht::with_slab_capacity(128);
+        let key = Key::new(2, 70);
+        DhtStorage::insert(&mut dense, key, 0);
+        assert_eq!(DhtStorage::get(&dense, key), Some(&0));
+        assert_eq!(DhtStorage::get(&dense, Key::new(2, 71)), None);
+        assert_eq!((DhtStorage::len(&dense), DhtStorage::words(&dense)), (1, 1));
+        assert_eq!(dense.sorted_entries(), [(key, 0)]);
+        assert_eq!(DhtStorage::remove(&mut dense, key), Some(0));
+        assert_eq!(DhtStorage::get(&dense, key), None);
+        assert_eq!((DhtStorage::len(&dense), DhtStorage::words(&dense)), (0, 0));
+        assert_eq!(DhtStorage::remove(&mut dense, key), None);
+    }
+
+    #[test]
+    fn a_delete_in_an_unwritten_keyspace_changes_nothing() {
+        let mut dense: DenseDht<u64> = DenseDht::with_slab_capacity(256);
+        DhtStorage::insert(&mut dense, Key::new(0, 5), 9);
+        let before = (DhtStorage::len(&dense), DhtStorage::words(&dense));
+        assert_eq!(DhtStorage::remove(&mut dense, Key::new(4, 5)), None);
+        for workers in [1, 2] {
+            let deletes: Vec<Op> = (0..256).map(|id| (4, id, WriteOp::Delete)).collect();
+            let mut bufs = grid(&dense, &[&deletes]);
+            dense.apply_ops_on(&mut bufs, workers);
+            assert_eq!((DhtStorage::len(&dense), DhtStorage::words(&dense)), before);
+            assert!((0..256).all(|id| DhtStorage::get(&dense, Key::new(4, id)).is_none()));
+            assert_eq!(DhtStorage::get(&dense, Key::new(0, 5)), Some(&9));
+        }
+    }
+
+    /// Puts of `0` and of other values, merges and deletes (some of absent
+    /// keys) on `ids` in keyspaces 0 and 3, varied by `salt`.
+    fn slot_script(ids: &[u64], salt: u64) -> Vec<Op> {
+        let mut out = Vec::new();
+        for (k, &id) in ids.iter().enumerate() {
+            for space in [0u16, 3] {
+                let value = if (k as u64 + salt).is_multiple_of(2) { 0 } else { id };
+                out.push((space, id, WriteOp::Delete));
+                out.push((space, id, WriteOp::Put(value)));
+                match (k as u64 + salt + space as u64) % 4 {
+                    0 => out.push((space, id, WriteOp::Delete)),
+                    1 => out.push((space, id, WriteOp::Merge(id + salt))),
+                    2 => {
+                        out.push((space, id, WriteOp::Delete));
+                        out.push((space, id, WriteOp::Merge(salt)));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn dense_slots_match_flat_around_word_and_slab_edges() {
+        // Caps up to 64 are one range, so only 65 and 129 run the
+        // range-parallel apply at two workers.
+        for cap in [1u64, 63, 64, 65, 129] {
+            let mut ids = vec![0, 63, 64, cap - 1, cap, cap + 1, 3 * cap + 7];
+            ids.sort_unstable();
+            ids.dedup();
+            let worker0 = slot_script(&ids, 0);
+            let worker1 = slot_script(&ids, 1);
+            let mut flat: FlatDht<u64> = FlatDht::new();
+            for (space, id, op) in worker0.iter().chain(&worker1).cloned() {
+                flat.apply_op(Key::new(space, id), op);
+            }
+            for workers in [1, 2] {
+                let case = format!("cap {cap}, {workers} workers");
+                let mut dense: DenseDht<u64> = DenseDht::with_slab_capacity(cap as usize);
+                let mut bufs = grid(&dense, &[&worker0, &worker1]);
+                dense.apply_ops_on(&mut bufs, workers);
+                assert!(bufs.iter().all(ShardBuffers::is_empty), "{case}: grid not drained");
+                assert_eq!(dense.sorted_entries(), flat.sorted_entries(), "{case}");
+                assert_eq!(DhtStorage::len(&dense), FlatDht::len(&flat), "{case}");
+                assert_eq!(DhtStorage::words(&dense), FlatDht::words(&flat), "{case}");
+                for space in [0u16, 3] {
+                    for &id in &ids {
+                        let key = Key::new(space, id);
+                        assert_eq!(DhtStorage::get(&dense, key), flat.get(key), "{case} {key:?}");
+                    }
+                }
+            }
         }
     }
 

@@ -21,7 +21,7 @@
 //! ```
 //! use ampc::{AmpcConfig, AmpcSystem, DhtStorage as _, DhtValue, Key};
 //!
-//! #[derive(Clone, Debug, PartialEq)]
+//! #[derive(Clone, Debug, Default, PartialEq)]
 //! struct Val(u64);
 //! impl DhtValue for Val {
 //!     fn words(&self) -> usize { 1 }

@@ -12,7 +12,10 @@
 //! scheduling.
 
 /// A value that can live in the shared DHT.
-pub trait DhtValue: Clone + Send + Sync {
+///
+/// `Default` is the fill value of an empty dense slot; it is never read as
+/// an entry.
+pub trait DhtValue: Clone + Default + Send + Sync {
     /// Number of machine words this value occupies. Space and communication
     /// accounting are denominated in this unit.
     fn words(&self) -> usize;
@@ -76,7 +79,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "merge not implemented")]
     fn default_merge_panics() {
-        #[derive(Clone)]
+        #[derive(Clone, Default)]
         struct NoMerge;
         impl DhtValue for NoMerge {
             fn words(&self) -> usize {

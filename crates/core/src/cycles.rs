@@ -119,11 +119,12 @@ impl Pointer for u64 {
     }
 }
 
-/// Labels every vertex `0..n` with the end of its pointer chain in `space`
-/// (a vertex with no entry is a root), `cap` hops per vertex per round: a
-/// vertex whose chain is longer writes the furthest vertex it reached over
-/// its own pointer and goes again next round. Always at least one round.
-/// Returns the labels and the rounds spent.
+/// Labels each vertex of `items` with the end of its pointer chain in
+/// `space` (a vertex with no entry is a root), `cap` hops per vertex per
+/// round: a vertex whose chain is longer writes the furthest vertex it
+/// reached over its own pointer and goes again next round. Always at least
+/// one round. Returns the labels, by position in `items`, and the rounds
+/// spent.
 ///
 /// # Panics
 /// Panics if a chain is still unresolved after `max_rounds` rounds.
@@ -131,46 +132,42 @@ pub(crate) fn chase_roots<V: Pointer>(
     sys: &mut AmpcSystem<V>,
     name: &'static str,
     space: Space,
-    n: usize,
+    items: &[u64],
     cap: usize,
     max_rounds: usize,
 ) -> AmpcResult<(Vec<u64>, usize)> {
     // A vertex whose chain the cap cut reports `CUT` (ids never reach it),
     // so every item reports and round 1's results are the label array.
     const CUT: u64 = u64::MAX;
-    let mut unresolved: Vec<u64> = (0..n as u64).collect();
-    let mut labels = Vec::new();
-    let mut rounds = 0;
-    loop {
-        rounds += 1;
-        let out = sys.round(name, &unresolved, |ctx, &v| {
-            let mut cur = v;
-            for _ in 0..cap {
-                match ctx.read(Key::new(space, cur)) {
-                    Some(&p) => cur = p.id(),
-                    None => return Some(cur),
-                }
-            }
-            ctx.write(Key::new(space, v), V::from_id(cur));
-            Some(CUT)
-        })?;
-        if rounds == 1 {
-            labels = out.results;
-        } else {
-            for (&v, root) in unresolved.iter().zip(out.results) {
-                labels[v as usize] = root;
+    let chase = |ctx: &mut MachineCtx<'_, V>, v: u64| {
+        let mut cur = v;
+        for _ in 0..cap {
+            match ctx.read(Key::new(space, cur)) {
+                Some(&p) => cur = p.id(),
+                None => return Some(cur),
             }
         }
-        unresolved.retain(|&v| labels[v as usize] == CUT);
-        if unresolved.is_empty() {
-            return Ok((labels, rounds));
-        }
+        ctx.write(Key::new(space, v), V::from_id(cur));
+        Some(CUT)
+    };
+    let mut labels = sys.round(name, items, |ctx, &v| chase(ctx, v))?.results;
+    // Positions in `items` of the chains the cap cut.
+    let mut unresolved: Vec<usize> = (0..labels.len()).filter(|&i| labels[i] == CUT).collect();
+    let mut rounds = 1;
+    while !unresolved.is_empty() {
         assert!(
             rounds < max_rounds,
             "{name}: a pointer chain outlived {max_rounds} round(s) of {cap} hops — \
              contraction bookkeeping bug"
         );
+        rounds += 1;
+        let out = sys.round(name, &unresolved, |ctx, &i| chase(ctx, items[i]))?;
+        for (&i, root) in unresolved.iter().zip(out.results) {
+            labels[i] = root;
+        }
+        unresolved.retain(|&i| labels[i] == CUT);
     }
+    Ok((labels, rounds))
 }
 
 /// A cycle collection living in an [`AmpcSystem`], plus the host-side alive
@@ -274,7 +271,14 @@ impl CycleState {
     /// which is `O(log* n)` — far below any machine's budget — so one AMPC
     /// round of `max_chain + 1` hops suffices; a longer chain panics.
     pub fn compose_labels(&mut self, max_chain: usize) -> AmpcResult<Vec<u64>> {
-        Ok(chase_roots(&mut self.sys, "compose", PARENT, self.n0, max_chain + 1, 1)?.0)
+        let all: Vec<u64> = (0..self.n0 as u64).collect();
+        self.compose_arcs(&all, max_chain)
+    }
+
+    /// [`CycleState::compose_labels`] for the cycle vertices `arcs` only:
+    /// their labels, by position in `arcs`.
+    pub fn compose_arcs(&mut self, arcs: &[u64], max_chain: usize) -> AmpcResult<Vec<u64>> {
+        Ok(chase_roots(&mut self.sys, "compose", PARENT, arcs, max_chain + 1, 1)?.0)
     }
 
     /// Accumulated run statistics.
@@ -342,7 +346,8 @@ mod tests {
             AmpcConfig::default().with_machines(3),
             (1..40u64).map(|v| (Key::new(PARENT, v), v - 1)),
         );
-        let (labels, rounds) = chase_roots(&mut sys, "chase", PARENT, 41, 4, 32).unwrap();
+        let all: Vec<u64> = (0..41).collect();
+        let (labels, rounds) = chase_roots(&mut sys, "chase", PARENT, &all, 4, 32).unwrap();
         let mut expected = vec![0u64; 40];
         expected.push(40);
         assert_eq!(labels, expected);
@@ -350,7 +355,30 @@ mod tests {
         assert_eq!(sys.stats().rounds(), rounds);
         // Nothing to chase is still one round (the `Compose` of an empty
         // cycle collection is charged like any other).
-        assert_eq!(chase_roots(&mut sys, "chase", PARENT, 0, 4, 1).unwrap(), (vec![], 1));
+        assert_eq!(chase_roots(&mut sys, "chase", PARENT, &[], 4, 1).unwrap(), (vec![], 1));
+    }
+
+    #[test]
+    fn compose_arcs_labels_by_position_and_reads_only_their_chains() {
+        // Chains 2 → 1 → 0 and 5 → 4 → 3 (two 3-cycles) and a lone root 6.
+        let succ = [1, 2, 0, 4, 5, 3, 6];
+        let chained = || {
+            let mut st = CycleState::from_successors(&succ, AmpcConfig::default());
+            st.sys.host_update(|dht| {
+                for (v, p) in [(1, 0), (2, 1), (4, 3), (5, 4)] {
+                    dht.insert(Key::new(PARENT, v), p);
+                }
+            });
+            st
+        };
+        let mut all = chained();
+        assert_eq!(all.compose_labels(4).unwrap(), [0, 0, 0, 3, 3, 3, 6]);
+        let mut some = chained();
+        assert_eq!(some.compose_arcs(&[6, 5, 2], 4).unwrap(), [6, 3, 0]);
+        // Three hops from 2 and from 5, one from 6; the full compose also
+        // walks 0, 1, 3 and 4.
+        assert_eq!(some.stats().total_queries(), 7);
+        assert_eq!(all.stats().total_queries(), 7 + 1 + 2 + 1 + 2);
     }
 
     #[test]

@@ -245,19 +245,22 @@ pub fn connected_components_forest(g: &Graph, cfg: &ForestCcConfig) -> AmpcResul
     // Line 8: finish with Standard-Cycle-CC.
     let finisher = standard_cycle_cc(&mut state, walk_cap, cfg.collect_threshold)?;
 
-    // Compose: resolve PARENT chains (Definition 2.1). Chain depth grows by
-    // at most 3 per contraction phase.
+    // Compose: resolve PARENT chains (Definition 2.1) of the arcs the
+    // projection reads, the first arc of each forest vertex. Chain depth
+    // grows by at most 3 per contraction phase.
+    let mut seen = vec![false; n];
+    let first_arcs: Vec<u64> = (0..n0 as u64)
+        .filter(|&arc| !std::mem::replace(&mut seen[decomp.origin[arc as usize] as usize], true))
+        .collect();
     let max_chain = 3 * (iterations.len() + finisher.iterations + shrink_large.repetitions) + 8;
-    let arc_labels = state.compose_labels(max_chain)?;
+    let arc_labels = state.compose_arcs(&first_arcs, max_chain)?;
 
     // Project cycle-vertex labels back to forest vertices (each tree is one
     // cycle; isolated vertices get fresh labels). Host-side projection of
     // the Compose output; charged one round at linear cost.
     let mut labels = vec![u64::MAX; n];
-    for (arc, &orig) in decomp.origin.iter().enumerate() {
-        if labels[orig as usize] == u64::MAX {
-            labels[orig as usize] = arc_labels[arc];
-        }
+    for (&arc, label) in first_arcs.iter().zip(arc_labels) {
+        labels[decomp.origin[arc as usize] as usize] = label;
     }
     for &v in &decomp.isolated {
         labels[v as usize] = n0 as u64 + v as u64;

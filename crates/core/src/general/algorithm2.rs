@@ -75,7 +75,9 @@ impl Default for GeneralCcConfig {
 }
 
 impl GeneralCcConfig {
-    /// Sets `k` (larger `k` → less space → more rounds).
+    /// Sets `k` (larger `k` → less space → more rounds). Theorem 1.2 takes
+    /// `k ≥ 1`: at `k = 0`, `log^(0) n = n` and the space budget is
+    /// `Θ(m + n²)`.
     pub fn with_k(mut self, k: u32) -> Self {
         self.k = k;
         self

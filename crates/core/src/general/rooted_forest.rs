@@ -139,8 +139,14 @@ pub fn resolve_roots_chase(
             .enumerate()
             .filter_map(|(v, p)| p.map(|p| (Key::new(SUPER, v as u64), p as u64))),
     );
-    let (labels, traversal_rounds) =
-        chase_roots(&mut sys, "rf-chase", SUPER, n, chase_cap.max(2), 32)?;
+    let (labels, traversal_rounds) = chase_roots(
+        &mut sys,
+        "rf-chase",
+        SUPER,
+        &(0..n as u64).collect::<Vec<_>>(),
+        chase_cap.max(2),
+        32,
+    )?;
     let (_, stats) = sys.finish();
     Ok(RootedForestOutcome { labels, stats, traversal_rounds })
 }

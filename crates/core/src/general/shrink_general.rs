@@ -112,6 +112,13 @@ impl Pointer for GVal {
     }
 }
 
+/// `Num(0)`: the fill value of an empty dense slot.
+impl Default for GVal {
+    fn default() -> Self {
+        GVal::Num(0)
+    }
+}
+
 impl DhtValue for GVal {
     fn words(&self) -> usize {
         match self {
@@ -224,8 +231,14 @@ pub fn shrink_general(
     let bfs_queries = sys.stats().total_queries() - bfs_before;
 
     // Step 4: label the rooted super-edge forest (Claim 4.12).
-    let (labels3, chase_rounds) =
-        chase_roots(&mut sys, "sg-chase", SUPER, n3, chase_cap.max(2), 32)?;
+    let (labels3, chase_rounds) = chase_roots(
+        &mut sys,
+        "sg-chase",
+        SUPER,
+        &(0..n3 as u64).collect::<Vec<_>>(),
+        chase_cap.max(2),
+        32,
+    )?;
 
     // Contract(G3, C) — cited O(1)-round primitive, charged.
     let contraction = contract(&d3.graph, &labels3);
@@ -255,6 +268,7 @@ pub fn shrink_general(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ampc::{Dht, DhtBackend, DhtStorage as _};
     use ampc_graph::generators::{erdos_renyi_gnm, grid2d, preferential_attachment};
     use ampc_graph::{reference_components, Labeling};
 
@@ -277,12 +291,27 @@ mod tests {
 
     #[test]
     fn values_are_fixed_width_and_charged_by_degree() {
-        assert!(std::mem::size_of::<GVal>() <= 16);
-        assert!(std::mem::size_of::<Option<GVal>>() <= 16, "dense slots must stay two words");
+        assert!(std::mem::size_of::<GVal>() <= 16, "a dense slot must stay two words");
         for degree in 0..=3usize {
             assert_eq!(GVal::adj(7, &[1, 2, 3][..degree]).words(), 1 + degree);
         }
         assert_eq!(GVal::Num(u64::MAX).words(), 1);
+    }
+
+    #[test]
+    fn a_dense_store_round_trips_adjacency_and_zero() {
+        // `Num(0)` is also the fill value of an empty slot.
+        let mut dht: Dht<GVal> = Dht::for_backend(DhtBackend::Dense { cap: 100 });
+        let (adj, zero) = (Key::new(0, 99), Key::new(1, 64));
+        dht.insert(adj, GVal::adj(99, &[1, 2, 3]));
+        dht.insert(zero, GVal::Num(0));
+        assert!(matches!(dht.get(adj), Some(GVal::Adj { len: 3, nbrs: [1, 2, 3] })));
+        assert!(matches!(dht.get(zero), Some(GVal::Num(0))));
+        assert!(dht.get(Key::new(1, 63)).is_none());
+        assert_eq!((dht.len(), dht.words()), (2, 5));
+        assert!(matches!(dht.remove(zero), Some(GVal::Num(0))));
+        assert!(dht.get(zero).is_none());
+        assert!(matches!(dht.get(adj), Some(GVal::Adj { len: 3, .. })));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   --auto       pick Algorithm 1 for forests, Algorithm 2 otherwise (default)
 //!   --forest     Algorithm 1; an input with a cycle is refused (exit 1)
 //!   --general    Algorithm 2, on any input
-//!   --k K        space parameter (Theorems 1.1/1.2), default 2
+//!   --k K        space parameter (Theorems 1.1/1.2), at least 1, default 2
 //!   --backend B  DHT storage backend: "dense" (default) or "dense:CAP" for
 //!                direct-indexed slabs of CAP ids per keyspace (unhinted
 //!                "dense" sizes slabs from the input) or "flat" for the
@@ -188,12 +188,17 @@ fn value<T: FromStr<Err: Display>>(
     raw.parse().map_err(|e| format!("bad {flag}: {e}"))
 }
 
-/// [`value`] for the counts that size something: zero is a usage error.
-fn positive(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, String> {
-    match value(it, flag)? {
-        0 => Err(format!("{flag} must be positive")),
-        v => Ok(v),
+/// [`value`] for the counts that size something, and for `k`: zero is a
+/// usage error.
+fn positive<T: FromStr<Err: Display> + Default + PartialEq>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let v = value(it, flag)?;
+    if v == T::default() {
+        return Err(format!("{flag} must be positive"));
     }
+    Ok(v)
 }
 
 /// The subcommands (`/`-separated) that act on a flag not every
@@ -264,7 +269,7 @@ fn parse_args() -> Result<Cmd, String> {
             }
             "--metrics" => run.metrics = true,
             "--json" => run.json = true,
-            "--k" => run.spec.k = value(&mut it, &a)?,
+            "--k" => run.spec.k = positive(&mut it, &a)?,
             "--seed" => run.spec.seed = value(&mut it, &a)?,
             "--machines" => run.spec.machines = positive(&mut it, &a)?,
             "--backend" => {

@@ -151,6 +151,12 @@ fn cli_rejects_bad_usage() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "--machines 0 must exit 2\n{stderr}");
     assert!(stderr.contains("--machines must be positive"), "{stderr}");
+    // `--k 0` would run Theorem 1.2 with `log^(0) n = n`: a space budget
+    // quadratic in `n`.
+    let out = Command::new(exe).args([data, "--k", "0"]).output().expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "--k 0 must exit 2\n{stderr}");
+    assert!(stderr.contains("--k must be positive"), "{stderr}");
     // Inside `query` too: a flag that another of its flags makes it skip is
     // a usage error that names both.
     let qfile = std::env::temp_dir().join(format!("ampc_cli_usage_{}.txt", std::process::id()));
