@@ -176,8 +176,10 @@ impl Driver<'_> {
         let call_idx = self.calls.len();
         self.calls.push(CallReport { depth, n, m, space_per_vertex, terminal: false });
 
-        // Degenerate / small inputs: solve on one machine (charged).
-        if n <= SMALL_THRESHOLD || n + 2 * m <= self.s_local || depth >= MAX_DEPTH {
+        // Degenerate / small inputs: solve on one machine (charged). Only
+        // vertices with an edge count towards fitting it.
+        let live = g.non_isolated();
+        if live <= SMALL_THRESHOLD || live + 2 * m <= self.s_local || depth >= MAX_DEPTH {
             self.calls[call_idx].terminal = true;
             self.stats.charge_external(1, n + 2 * m, n + 2 * m);
             return Ok(reference_components(g).0);
@@ -214,7 +216,7 @@ impl Driver<'_> {
     /// Algorithm 2, lines 8–10.
     fn shrink_recurse(&mut self, g: &Graph, depth: usize) -> AmpcResult<Vec<u64>> {
         let n = g.n().max(1);
-        if g.n() <= SMALL_THRESHOLD {
+        if g.non_isolated() <= SMALL_THRESHOLD {
             self.stats.charge_external(1, g.n() + 2 * g.m(), g.n() + 2 * g.m());
             return Ok(reference_components(g).0);
         }

@@ -50,8 +50,10 @@ pub fn theorem41(
     let base_labels: Labeling = loop {
         let n = cur.n().max(1);
         // Base case: remainder fits one machine → collect and solve locally
-        // (charged one round and its footprint).
-        if cur.n() + cur.m() <= s_local || cur.n() <= 64 {
+        // (charged one round and its footprint). Only vertices with an edge
+        // count towards fitting it.
+        let live = cur.non_isolated();
+        if live + cur.m() <= s_local || live <= 64 {
             stats.charge_external(1, cur.n() + 2 * cur.m(), cur.n() + 2 * cur.m());
             break reference_components(&cur);
         }

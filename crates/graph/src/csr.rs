@@ -178,6 +178,13 @@ impl Graph {
         self.adj.len() / 2
     }
 
+    /// Number of vertices with at least one edge. An isolated vertex is a
+    /// finished component and needs no machine, so this, not [`Graph::n`],
+    /// is what a "fits one machine" test counts.
+    pub fn non_isolated(&self) -> usize {
+        self.offsets.windows(2).filter(|w| w[1] > w[0]).count()
+    }
+
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: VertexId) -> usize {

@@ -90,6 +90,14 @@ impl ClassTable {
     }
 }
 
+/// A label two classes share, if any — the invariant that makes one label
+/// per class a labeling of exactly the index's partition.
+pub(crate) fn shared_label(class_label: &[u64]) -> Option<u64> {
+    let mut sorted = class_label.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+}
+
 /// An immutable connectivity index over one labeling.
 #[derive(Clone, PartialEq, Eq)]
 pub struct ComponentIndex {
@@ -146,6 +154,39 @@ impl ComponentIndex {
     pub fn fold(&self, journal: &JournalView) -> ComponentIndex {
         let comp_of = self.comp_of.iter().map(|&d| journal.resolve(d)).collect();
         ComponentIndex { comp_of, classes: journal.classes().clone() }
+    }
+
+    /// One label per component, by dense id: the label `labeling` gives
+    /// every vertex of that component, the form an epoch and a snapshot
+    /// hold labels in.
+    ///
+    /// # Panics
+    /// Panics if `labeling` is not a labeling of this index's partition: a
+    /// length other than [`ComponentIndex::num_vertices`], a label that
+    /// varies within a component, or one that two components share.
+    pub fn class_labels(&self, labeling: &Labeling) -> Vec<u64> {
+        assert_eq!(
+            labeling.len(),
+            self.comp_of.len(),
+            "labeling and index cover different vertex counts"
+        );
+        // comp_of is canonical, so each class opens at the next id.
+        let mut class_label = Vec::with_capacity(self.num_components());
+        for (&d, &label) in self.comp_of.iter().zip(&labeling.0) {
+            if d as usize == class_label.len() {
+                class_label.push(label);
+            }
+            assert_eq!(class_label[d as usize], label, "labeling varies within component {d}");
+        }
+        assert_eq!(shared_label(&class_label), None, "labeling merges two components");
+        class_label
+    }
+
+    /// The per-vertex labeling that `class_label` (one label per component,
+    /// by dense id) gives this index's vertices: `class_label[comp_of[v]]`.
+    /// The inverse of [`ComponentIndex::class_labels`].
+    pub fn labeling(&self, class_label: &[u64]) -> Labeling {
+        Labeling(self.comp_of.iter().map(|&d| class_label[d as usize]).collect())
     }
 
     /// `comp_of`, for the snapshot writer.
@@ -318,6 +359,15 @@ mod tests {
         assert_eq!(idx.num_components(), 0);
         assert_eq!(idx.top_k(3), &[] as &[ComponentId]);
         assert_eq!(idx.kth_largest_size(1), 0);
+    }
+
+    #[test]
+    fn class_labels_and_labeling_are_inverse() {
+        let labeling = Labeling(vec![90, 5, 90, 5, 7]);
+        let idx = ComponentIndex::build(&labeling);
+        assert_eq!(idx.class_labels(&labeling), [90, 5, 7]);
+        assert_eq!(idx.labeling(&[90, 5, 7]), labeling);
+        assert_eq!(idx.labeling(&[0, 1, 2]), Labeling(vec![0, 1, 0, 1, 2]));
     }
 
     #[test]

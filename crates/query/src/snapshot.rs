@@ -2,10 +2,10 @@
 //!
 //! A snapshot is the finished product of a pipeline run — the partition
 //! (`comp_of`) plus one label per class — written to disk as fixed-width
-//! words. Nothing derivable is stored: sizes, the size ranking and the
-//! per-vertex labeling are all functions of those two sections, and where
-//! each section lies is a function of `n` and `c`, so the loader derives
-//! them instead of having to prove stored copies consistent. A replica
+//! words. Nothing derivable is stored: sizes and the size ranking are
+//! functions of those two sections, and where each section lies is a
+//! function of `n` and `c`, so the loader derives them instead of having
+//! to prove stored copies consistent. A replica
 //! boot reads the header, checks everything the header alone can say,
 //! reads the body the header describes, verifies every checksum, decodes
 //! both sections, validates them and derives the rest. No hashing and no
@@ -47,8 +47,8 @@
 //! `comp_of` is in first-appearance canonical form over exactly the `c`
 //! classes `class_label` names, and no two classes share a label. Every
 //! file that passes decodes to an index equal to [`ComponentIndex::build`]
-//! of the labeling it decodes to, and every rejection is a typed
-//! [`SnapshotError`], never a panic.
+//! of the labeling its class labels spell ([`ComponentIndex::labeling`]),
+//! and every rejection is a typed [`SnapshotError`], never a panic.
 //!
 //! # Failpoints
 //!
@@ -70,7 +70,7 @@ use ampc::rng::mix;
 use ampc_graph::Labeling;
 use ampc_obs::fault::{self, Site};
 
-use crate::index::{ComponentId, ComponentIndex};
+use crate::index::{shared_label, ComponentId, ComponentIndex};
 
 /// Leading magic bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"AMPCSNAP";
@@ -223,14 +223,15 @@ pub fn layout(n: u64, c: u64) -> Option<[Range<usize>; 2]> {
     Some([HEADER_LEN..comp_of_end as usize, class_label_off as usize..end])
 }
 
-/// A loaded snapshot: the index and labeling decoded from the file, plus
-/// the run metadata the header carries.
+/// A loaded snapshot: the index and class labels decoded from the file,
+/// plus the run metadata the header carries.
 #[derive(Debug, PartialEq, Eq)]
 pub struct Snapshot {
     /// The component index, equal to the one that was persisted.
     pub index: ComponentIndex,
-    /// The run's labeling.
-    pub labeling: Labeling,
+    /// The run's label of each component, by dense id (see
+    /// [`ComponentIndex::class_labels`]).
+    pub class_label: Vec<u64>,
     /// Vertex count of the graph the run was over.
     pub graph_n: u64,
     /// Edge count of the graph the run was over.
@@ -263,15 +264,8 @@ fn push_u64s(out: &mut Vec<u8>, words: &[u64]) {
     }
 }
 
-/// A label two classes share, if any — the invariant that makes
-/// `class_label` a labeling of exactly the index's partition.
-fn shared_label(class_label: &[u64]) -> Option<u64> {
-    let mut sorted = class_label.to_vec();
-    sorted.sort_unstable();
-    sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
-}
-
-/// Encodes an index + labeling into a complete snapshot image.
+/// Encodes an index + labeling into a complete snapshot image, storing
+/// the labeling as [`ComponentIndex::class_labels`] derives it.
 ///
 /// `graph_n`/`graph_m` describe the graph the labeling was computed over
 /// (`graph_n` must equal the number of indexed vertices); `algorithm` is
@@ -289,19 +283,22 @@ pub fn encode(
     graph_m: u64,
     algorithm: u8,
 ) -> Vec<u8> {
+    encode_classes(index, &index.class_labels(labeling), graph_n, graph_m, algorithm)
+}
+
+/// The image of `index` with one label per class; the caller has checked
+/// that no two classes share a label.
+fn encode_classes(
+    index: &ComponentIndex,
+    class_label: &[u64],
+    graph_n: u64,
+    graph_m: u64,
+    algorithm: u8,
+) -> Vec<u8> {
     let comp_of = index.comp_of();
-    assert_eq!(labeling.len(), comp_of.len(), "labeling and index cover different vertex counts");
+    assert_eq!(class_label.len(), index.num_components(), "one label per component");
     assert_eq!(graph_n, comp_of.len() as u64, "graph_n disagrees with the index");
     assert!(algorithm == 1 || algorithm == 2, "algorithm tag must be 1 (forest) or 2 (general)");
-    // comp_of is canonical, so each class opens at the next id.
-    let mut class_label = Vec::with_capacity(index.num_components());
-    for (&d, &label) in comp_of.iter().zip(&labeling.0) {
-        if d as usize == class_label.len() {
-            class_label.push(label);
-        }
-        assert_eq!(class_label[d as usize], label, "labeling varies within component {d}");
-    }
-    assert_eq!(shared_label(&class_label), None, "labeling merges two components");
 
     let c = class_label.len() as u64;
     let sections = layout(graph_n, c).expect("an index in memory has an addressable image");
@@ -310,7 +307,7 @@ pub fn encode(
     out.reserve_exact(sections[1].end - HEADER_LEN);
     push_u32s(&mut out, comp_of);
     out.resize(sections[1].start, 0);
-    push_u64s(&mut out, &class_label);
+    push_u64s(&mut out, class_label);
     let mut header = Vec::with_capacity(HEADER_LEN);
     header.extend_from_slice(&MAGIC);
     header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -369,17 +366,24 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     result.map_err(SnapshotError::Io)
 }
 
-/// Encodes and atomically persists a snapshot; returns the bytes written.
+/// Encodes and atomically persists a snapshot of `index` with one label
+/// per class (`class_label[d]` labels dense class `d`, as
+/// [`ComponentIndex::class_labels`] derives it); returns the bytes written.
+///
+/// # Panics
+/// As [`encode`]: if `class_label` is not one distinct label per component
+/// of `index`, or the header fields disagree with it.
 pub fn persist(
     path: &Path,
     index: &ComponentIndex,
-    labeling: &Labeling,
+    class_label: &[u64],
     graph_n: u64,
     graph_m: u64,
     algorithm: u8,
 ) -> Result<u64, SnapshotError> {
+    assert_eq!(shared_label(class_label), None, "two components share a label");
     let timer = ampc_obs::Timer::start(ampc_obs::hist(ampc_obs::HistId::SnapshotPersistNs));
-    let bytes = encode(index, labeling, graph_n, graph_m, algorithm);
+    let bytes = encode_classes(index, class_label, graph_n, graph_m, algorithm);
     write_atomic(path, &bytes)?;
     let written = bytes.len() as u64;
     let elapsed = timer.stop();
@@ -440,9 +444,9 @@ fn u64s(payload: &[u8]) -> Vec<u64> {
 }
 
 /// Decodes a snapshot image: header checks, per-section checksums, both
-/// sections decoded into their `Vec`s and validated, then the class sizes,
-/// their ranking and the labeling derived. `bytes` needs no particular
-/// alignment. [`load`] is this over a file's contents.
+/// sections decoded into their `Vec`s and validated, then the class sizes
+/// and their ranking derived. `bytes` needs no particular alignment.
+/// [`load`] is this over a file's contents.
 pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
     let sections = header_checks(bytes, bytes.len() as u64)?;
     let payloads = sections.map(|s| &bytes[s]);
@@ -484,10 +488,9 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         });
     }
 
-    let labeling = Labeling(comp_of.iter().map(|&d| class_label[d as usize]).collect());
     Ok(Snapshot {
         index: ComponentIndex::from_parts(comp_of, sizes),
-        labeling,
+        class_label,
         graph_n: u64_at(bytes, 16),
         graph_m: u64_at(bytes, 24),
         algorithm: bytes[12],
@@ -562,7 +565,8 @@ mod tests {
         assert_eq!(checksum(&bytes), 0x44B9_64C1_5A2E_0B33);
         let snap = decode(&bytes).expect("roundtrip");
         assert_eq!(snap.index, index);
-        assert_eq!(snap.labeling, labeling);
+        assert_eq!(snap.class_label, [7, 9, 3, 11]);
+        assert_eq!(snap.index.labeling(&snap.class_label), labeling);
         assert_eq!(snap.graph_n, 8);
         assert_eq!(snap.graph_m, 5);
         assert_eq!(snap.algorithm, 2);
@@ -592,14 +596,15 @@ mod tests {
         let snap = decode(&bytes).expect("empty roundtrip");
         assert_eq!(snap.index.num_vertices(), 0);
         assert_eq!(snap.index.num_components(), 0);
-        assert_eq!(snap.labeling.len(), 0);
+        assert!(snap.class_label.is_empty());
     }
     #[test]
     fn atomic_persist_and_load() {
         let (index, labeling) = sample_index();
         let dir = std::env::temp_dir();
         let path = dir.join(format!("ampc_snap_test_{}.snap", std::process::id()));
-        let bytes = persist(&path, &index, &labeling, 8, 5, 1).expect("persist");
+        let bytes =
+            persist(&path, &index, &index.class_labels(&labeling), 8, 5, 1).expect("persist");
         let snap = load(&path).expect("load");
         assert_eq!(snap.file_bytes as u64, bytes);
         assert_eq!(snap.index, index);
@@ -607,6 +612,18 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         // Loading a missing file is an Io error, not a panic.
         assert!(matches!(load(&path), Err(SnapshotError::Io(_))));
+    }
+
+    #[test]
+    fn persist_refuses_a_label_two_classes_share() {
+        let (index, _) = sample_index();
+        let path =
+            std::env::temp_dir().join(format!("ampc_snap_shared_{}.snap", std::process::id()));
+        let shared = std::panic::catch_unwind(|| persist(&path, &index, &[7, 9, 7, 11], 8, 5, 1));
+        assert!(shared.is_err(), "a label shared by two classes must not be signed");
+        let short = std::panic::catch_unwind(|| persist(&path, &index, &[7, 9, 3], 8, 5, 1));
+        assert!(short.is_err(), "one label per component, no fewer");
+        assert!(!path.exists());
     }
 
     #[test]
@@ -653,8 +670,10 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("ampc_snap_race_{}.snap", std::process::id()));
         let (pa, pb) = (&path, &path);
-        let (ia, la) = (&index_a, &labeling_a);
-        let (ib, lb) = (&index_b, &labeling_b);
+        let (class_a, class_b) =
+            (index_a.class_labels(&labeling_a), index_b.class_labels(&labeling_b));
+        let (ia, la) = (&index_a, &class_a[..]);
+        let (ib, lb) = (&index_b, &class_b[..]);
         std::thread::scope(|s| {
             let a = s.spawn(move || {
                 for _ in 0..20 {
@@ -700,7 +719,8 @@ mod tests {
         for l in &litter {
             std::fs::write(l, b"torn half-written garbage").unwrap();
         }
-        persist(&path, &index, &labeling, 8, 5, 1).expect("persist over litter");
+        persist(&path, &index, &index.class_labels(&labeling), 8, 5, 1)
+            .expect("persist over litter");
         let snap = load(&path).expect("load with litter present");
         assert_eq!(snap.index, index);
         for l in &litter {

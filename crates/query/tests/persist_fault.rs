@@ -18,7 +18,8 @@ fn injected_pre_rename_failure_is_io_and_leaves_the_old_file_intact() {
         std::env::temp_dir().join(format!("ampc_query_persist_fault_{}.snap", std::process::id()));
     let persist = |trees: usize| {
         let labeling = reference_components(&random_forest(500, trees, 1));
-        snapshot::persist(&path, &ComponentIndex::build(&labeling), &labeling, 500, 491, 1)
+        let index = ComponentIndex::build(&labeling);
+        snapshot::persist(&path, &index, &index.class_labels(&labeling), 500, 491, 1)
     };
     persist(9).expect("first persist");
     let old = std::fs::read(&path).expect("read the first snapshot");

@@ -61,7 +61,9 @@ fn roundtrip_matrix_preserves_every_answer() {
         let odd = snapshot::decode(&prefixed[1..]).unwrap_or_else(|e| panic!("{name}: odd: {e}"));
         assert_eq!(odd, snap, "{name}: decode depends on the image's address");
         assert_eq!(snap.index, index, "{name}: index mismatch after roundtrip");
-        assert_eq!(snap.labeling, labeling, "{name}: labeling mismatch after roundtrip");
+        assert_eq!(snap.class_label, index.class_labels(&labeling), "{name}: class labels moved");
+        let labels = snap.index.labeling(&snap.class_label);
+        assert_eq!(labels, labeling, "{name}: labeling mismatch after roundtrip");
         assert_eq!((snap.graph_n, snap.graph_m), (g.n() as u64, g.m() as u64), "{name}");
         assert_eq!(snap.algorithm, algorithm, "{name}");
 
@@ -87,13 +89,15 @@ fn disk_roundtrip_per_algorithm_tag() {
     {
         let labeling = reference_components(&g);
         let index = ComponentIndex::build(&labeling);
+        let class_label = index.class_labels(&labeling);
         let path = dir.join(format!("ampc_rt_{name}_{}.snap", std::process::id()));
         let written =
-            snapshot::persist(&path, &index, &labeling, g.n() as u64, g.m() as u64, algorithm)
+            snapshot::persist(&path, &index, &class_label, g.n() as u64, g.m() as u64, algorithm)
                 .unwrap_or_else(|e| panic!("{name}: persist: {e}"));
         let snap = snapshot::load(&path).unwrap_or_else(|e| panic!("{name}: load: {e}"));
         assert_eq!(snap.file_bytes as u64, written, "{name}: size mismatch");
         assert_eq!(snap.index, index, "{name}");
+        assert_eq!(snap.class_label, class_label, "{name}");
         assert_eq!(snap.algorithm, algorithm, "{name}");
         std::fs::remove_file(&path).unwrap();
     }
@@ -288,11 +292,12 @@ fn overwrite_word(good: &[u8], s: &Section, n: usize, seed: u64) -> (usize, Vec<
 
 /// The decoder's verdict on a crafted image: `None` if it refused the
 /// image with a typed error or returned an index that is the index of the
-/// labeling it returned, otherwise what went wrong.
+/// labeling its class labels spell, otherwise what went wrong.
 fn verdict(bad: &[u8]) -> Option<&'static str> {
+    let spelled = |snap: &snapshot::Snapshot| snap.index.labeling(&snap.class_label);
     match std::panic::catch_unwind(|| snapshot::decode(bad)) {
         Ok(Err(_)) => None,
-        Ok(Ok(snap)) if snap.index == ComponentIndex::build(&snap.labeling) => None,
+        Ok(Ok(snap)) if snap.index == ComponentIndex::build(&spelled(&snap)) => None,
         Ok(Ok(_)) => Some("decoded, but the index is not the labeling's"),
         Err(_) => Some("decode panicked"),
     }

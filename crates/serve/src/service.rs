@@ -340,6 +340,56 @@ mod tests {
         assert_eq!(service.current_epoch(), report.epoch + 1);
     }
 
+    #[test]
+    fn a_base_holds_one_label_per_component_until_asked_for_its_labeling() {
+        // Bytes a base keeps resident: `comp_of` and the class table (4n + 8c),
+        // the class labels (8c), and the per-vertex labeling once filled (8n).
+        let resident = |snap: &PublishedIndex| {
+            let base = &snap.base;
+            base.index.heap_bytes()
+                + 8 * base.class_label.len()
+                + base.labeling.get().map_or(0, |l| 8 * l.len())
+        };
+        let check = |snap: &PublishedIndex, what: &str| {
+            let (n, c) = (snap.index().num_vertices(), snap.index().num_components());
+            assert_eq!(snap.base.class_label.len(), c, "{what}: one label per component");
+            let labels: Vec<_> = (0..n as VertexId).map(|v| snap.label(v).unwrap()).collect();
+            assert!(snap.base.labeling.get().is_none(), "{what}: label(v) filled the labeling");
+            assert_eq!(resident(snap), 4 * n + 16 * c, "{what}: 4 B a vertex");
+            assert_eq!(snap.labeling().0, labels, "{what}: label(v) and labeling() disagree");
+            assert_eq!(resident(snap), 12 * n + 16 * c, "{what}: 12 B a vertex once asked");
+            assert_eq!(ComponentIndex::build(snap.labeling()), *snap.index(), "{what}");
+        };
+
+        let g = random_forest(600, 9, 23);
+        let run = spec().run(&g).unwrap();
+        let built = ServiceBuilder::new(g).spec(spec()).build().unwrap();
+        check(&built.snapshot(), "build");
+        assert_eq!(*built.snapshot().labeling(), run.labeling, "a build keeps the run's labels");
+
+        let path = std::env::temp_dir()
+            .join(format!("ampc_serve_class_labels_{}.snap", std::process::id()));
+        built.persist(&path).unwrap();
+        let booted = ServiceBuilder::from_snapshot(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        check(&booted.snapshot(), "boot");
+        assert_eq!(booted.snapshot().labeling(), built.snapshot().labeling());
+
+        booted.insert_edges(&[(0, 599), (1, 598)]).unwrap();
+        let journal = booted.snapshot();
+        assert!(journal.is_journal());
+        let folded = journal.base.fold(journal.journal(), journal.inserted_edges);
+        let c = folded.index.num_components() as u64;
+        assert_eq!(folded.class_label, (0..c).collect::<Vec<_>>(), "a fold's labels are its ids");
+        let unfolded = journal.base.fold(None, 0);
+        assert_eq!(unfolded.class_label, journal.base.class_label, "nothing merged, nothing moves");
+        for base in [folded, unfolded] {
+            let snap =
+                PublishedIndex { epoch: 0, base: Arc::new(base), journal: None, inserted_edges: 0 };
+            check(&snap, "fold");
+        }
+    }
+
     // Failpoint-driven state-machine coverage lives in tests/chaos.rs —
     // the fault registry is process-global and lib tests run in parallel,
     // so only failpoint-free behavior is exercised here.

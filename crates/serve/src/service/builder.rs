@@ -3,7 +3,7 @@
 //! the second and falls back to the first.
 
 use std::path::Path;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use ampc::RunStats;
 use ampc_cc::pipeline::{PipelineSpec, ResolvedAlgorithm};
@@ -149,7 +149,8 @@ fn base_from_snapshot(snap: snapshot::Snapshot) -> Arc<BaseIndex> {
     };
     let base = BaseIndex {
         index: snap.index,
-        labeling: snap.labeling,
+        class_label: snap.class_label,
+        labeling: OnceLock::new(),
         stats: RunStats::default(),
         algorithm,
         graph_n: snap.graph_n as usize,

@@ -407,7 +407,8 @@ impl ServiceHandle {
     /// The epoch is pinned first — exactly one published epoch is
     /// captured, even while insertions and rebuilds race this call. A
     /// journal-epoch is written as the base a compaction would fold it
-    /// into, byte-identical to a full rebuild of the merged graph, so a
+    /// into (an index byte-identical to a full rebuild's of the merged
+    /// graph, labelled by its dense ids), so a
     /// replica booted from the snapshot answers exactly like this epoch and
     /// the file is the same whether or not the epoch compacted first.
     pub fn persist(&self, path: impl AsRef<Path>) -> Result<PersistReport, SnapshotError> {
@@ -420,7 +421,7 @@ impl ServiceHandle {
         let bytes = snapshot::persist(
             path.as_ref(),
             &base.index,
-            &base.labeling,
+            &base.class_label,
             n as u64,
             m as u64,
             algorithm,

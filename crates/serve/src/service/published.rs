@@ -2,7 +2,7 @@
 //! a snapshot boot or a fold) and the published payload riding on it
 //! ([`PublishedIndex`]), which a reader pins as an `Arc<PublishedIndex>`.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use ampc::RunStats;
@@ -14,14 +14,22 @@ use super::error::ServeError;
 #[cfg(doc)]
 use super::ServiceHandle;
 
-/// A frozen base: index, labeling, stats. A pipeline run, a snapshot boot
-/// or a fold makes one. Base epochs own one of these; journal-epochs share
-/// their base's via `Arc` — that sharing is what makes a journal publish
-/// cheap.
+/// A frozen base: index, one label per component, stats. A pipeline run, a
+/// snapshot boot or a fold makes one. Base epochs own one of these;
+/// journal-epochs share their base's via `Arc` — that sharing is what makes
+/// a journal publish cheap.
 #[derive(Debug)]
 pub(super) struct BaseIndex {
     pub(super) index: ComponentIndex,
-    pub(super) labeling: Labeling,
+    /// `class_label[d]` labels every vertex of dense component `d`: the
+    /// run's labels for a build, the file's for a boot, the dense ids for a
+    /// fold. Held as the snapshot stores them, so `comp_of` (4 B a vertex)
+    /// is the base's only per-vertex array until someone asks for
+    /// `labeling`.
+    pub(super) class_label: Vec<u64>,
+    /// `class_label` expanded to every vertex, filled on the first
+    /// [`PublishedIndex::labeling`] call.
+    pub(super) labeling: OnceLock<Labeling>,
     pub(super) stats: RunStats,
     pub(super) algorithm: ResolvedAlgorithm,
     pub(super) graph_n: usize,
@@ -29,9 +37,9 @@ pub(super) struct BaseIndex {
     /// Wall time of the pipeline run (+ validation) that produced the
     /// labeling; 0 for a snapshot boot or a fold — no pipeline ran.
     pub(super) pipeline_ms: f64,
-    /// Wall time of freezing the labeling into the index, or of the fold;
-    /// 0 for a snapshot boot. Split out so boot-vs-build speedups have a
-    /// clean denominator.
+    /// Wall time of freezing the labeling into the index and its class
+    /// labels, or of the fold; 0 for a snapshot boot. Split out so
+    /// boot-vs-build speedups have a clean denominator.
     pub(super) index_ms: f64,
 }
 
@@ -46,10 +54,12 @@ impl BaseIndex {
         let t1 = Instant::now();
         let index =
             ComponentIndex::from_run(g, &run.labeling).map_err(ServeError::InvalidLabeling)?;
+        let class_label = index.class_labels(&run.labeling);
         let index_ms = t1.elapsed().as_secs_f64() * 1e3;
         Ok(BaseIndex {
             index,
-            labeling: run.labeling,
+            class_label,
+            labeling: OnceLock::new(),
             stats: run.stats,
             algorithm: run.algorithm,
             graph_n: g.n(),
@@ -63,24 +73,24 @@ impl BaseIndex {
     /// index ([`ComponentIndex::fold`], `O(n)`, no edges) and
     /// `inserted_edges` more edges counted. No pipeline runs, so `stats` is
     /// empty and `pipeline_ms` 0, as for a snapshot boot; `index_ms` is the
-    /// fold's wall time. The labeling is the merged dense ids, which is what
-    /// persisting the journal-epoch writes too, so a persisted file does not
-    /// depend on whether its epoch compacted first. Without a journal
-    /// nothing merged: the index and labeling carry over.
+    /// fold's wall time. The class labels are the merged dense ids `0..c`,
+    /// which is what persisting the journal-epoch writes too, so a persisted
+    /// file does not depend on whether its epoch compacted first. Without a
+    /// journal nothing merged: the index and class labels carry over.
     pub(super) fn fold(&self, journal: Option<&JournalView>, inserted_edges: usize) -> BaseIndex {
         let t0 = Instant::now();
-        let (index, labeling) = match journal {
+        let (index, class_label) = match journal {
             Some(journal) => {
                 let index = self.index.fold(journal);
-                let n = index.num_vertices() as VertexId;
-                let labeling = Labeling((0..n).map(|v| index.component_of(v) as u64).collect());
-                (index, labeling)
+                let dense_ids = (0..index.num_components() as u64).collect();
+                (index, dense_ids)
             }
-            None => (self.index.clone(), self.labeling.clone()),
+            None => (self.index.clone(), self.class_label.clone()),
         };
         BaseIndex {
             index,
-            labeling,
+            class_label,
+            labeling: OnceLock::new(),
             stats: RunStats::default(),
             algorithm: self.algorithm,
             graph_n: self.graph_n,
@@ -129,16 +139,21 @@ impl PublishedIndex {
         }
     }
 
-    /// The base's labeling (e.g. for `--labels` output): the pipeline
-    /// run's labels, a booted snapshot's, or a folded base's merged dense
-    /// ids. Journal merges are not reflected here.
+    /// The base's labeling: the pipeline run's labels, a booted snapshot's,
+    /// or a folded base's merged dense ids. Journal merges are not
+    /// reflected here.
+    ///
+    /// The base holds one label per component; the first call expands them
+    /// to every vertex (`O(n)`, 8 B a vertex) and keeps the result for the
+    /// base's lifetime. [`PublishedIndex::label`] answers without it.
     pub fn labeling(&self) -> &Labeling {
-        &self.base.labeling
+        self.base.labeling.get_or_init(|| self.base.index.labeling(&self.base.class_label))
     }
 
     /// The label the base run gave `v`, or `None` when `v` is not a vertex
     /// of the base graph. Like [`PublishedIndex::labeling`] it ignores
-    /// journal merges; unlike it, it promises no stored per-vertex array.
+    /// journal merges; unlike it, it reads the base's one label per
+    /// component and never expands them.
     ///
     /// ```
     /// use ampc_graph::Graph;
@@ -151,7 +166,7 @@ impl PublishedIndex {
     /// assert_eq!(snap.label(4), None);
     /// ```
     pub fn label(&self, v: VertexId) -> Option<u64> {
-        self.base.labeling.0.get(v as usize).copied()
+        self.base.index.try_component_of(v).map(|d| self.base.class_label[d as usize])
     }
 
     /// The producing run's cost accounting; empty when the base was booted

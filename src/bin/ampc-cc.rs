@@ -627,7 +627,7 @@ fn cmd_run(args: RunArgs) -> Result<(), String> {
         let bytes = snapshot::persist(
             Path::new(path),
             &index,
-            &run.labeling,
+            &index.class_labels(&run.labeling),
             g.n() as u64,
             g.m() as u64,
             alg,
@@ -785,7 +785,7 @@ fn boot_local(
         None => {
             eprintln!(
                 "pipeline: components = {} | AMPC rounds = {} | queries = {}",
-                snap.labeling().num_components(),
+                snap.index().num_components(),
                 snap.stats().rounds(),
                 snap.stats().total_queries()
             );
@@ -1165,7 +1165,9 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
             eprintln!("\nprocess metrics:\n{}", ampc_obs::render_table());
         }
         if let Some(snap) = snap.filter(|_| args.run.labels) {
-            print_labels(snap.labeling());
+            // The index's dense ids: the same partition, so the same output.
+            let ids: Vec<u64> = (0..snap.index().num_components() as u64).collect();
+            print_labels(&snap.index().labeling(&ids));
         }
     }
     Ok(())

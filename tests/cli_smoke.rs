@@ -111,6 +111,28 @@ fn cli_labels_output_is_a_valid_labeling() {
 }
 
 #[test]
+fn cli_labels_are_byte_identical_across_run_query_and_boot() {
+    // Three print paths: the run's labeling, a live epoch's index and a
+    // booted one's. Each prints the canonical form of the same partition.
+    let exe = env!("CARGO_BIN_EXE_ampc-cc");
+    let snap = std::env::temp_dir().join(format!("ampc_cli_labels_{}.snap", std::process::id()));
+    let snap_str = snap.to_str().unwrap();
+    let ran = run(&["--seed", "7", "--labels", "--persist", snap_str]);
+    assert!(ran.status.success(), "run: {}", String::from_utf8_lossy(&ran.stderr));
+    let live = run_query(&["--seed", "7", "--queries", "10", "--labels"]);
+    let booted = Command::new(exe)
+        .args(["query", "--from-snapshot", snap_str, "--queries", "10", "--labels"])
+        .output()
+        .expect("spawn");
+    std::fs::remove_file(&snap).ok();
+    assert_eq!(String::from_utf8_lossy(&ran.stdout).lines().count(), 8);
+    for (what, out) in [("query", live), ("query --from-snapshot", booted)] {
+        assert!(out.status.success(), "{what}: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.stdout, ran.stdout, "{what} --labels differs from run --labels");
+    }
+}
+
+#[test]
 fn cli_rejects_bad_usage() {
     let exe = env!("CARGO_BIN_EXE_ampc-cc");
     let out = Command::new(exe).output().expect("spawn");
