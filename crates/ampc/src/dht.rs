@@ -1209,6 +1209,25 @@ mod tests {
 
     const S: u16 = 0;
 
+    /// A fixed-width test value charged like an adjacency list: one word of
+    /// header plus `len`, so a replacing put grows or shrinks a store's
+    /// words.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub(super) struct Wide {
+        len: u8,
+        fill: u64,
+    }
+
+    impl DhtValue for Wide {
+        fn words(&self) -> usize {
+            1 + self.len as usize
+        }
+    }
+
+    pub(super) fn wide(fill: u64, len: u64) -> Wide {
+        Wide { len: len as u8, fill }
+    }
+
     #[test]
     fn insert_get_remove_roundtrip() {
         let mut d: FlatDht<u64> = FlatDht::new();
@@ -1222,12 +1241,12 @@ mod tests {
     }
 
     #[test]
-    fn words_track_vector_values() {
-        let mut d: FlatDht<Vec<u64>> = FlatDht::new();
-        d.insert(Key::new(S, 1), vec![1, 2, 3]); // 4 words
-        d.insert(Key::new(S, 2), vec![7]); // 2 words
+    fn words_track_variable_width_values() {
+        let mut d: FlatDht<Wide> = FlatDht::new();
+        d.insert(Key::new(S, 1), wide(1, 3)); // 4 words
+        d.insert(Key::new(S, 2), wide(7, 1)); // 2 words
         assert_eq!(d.words(), 6);
-        d.insert(Key::new(S, 1), vec![9]); // replaces 4 with 2
+        d.insert(Key::new(S, 1), wide(9, 1)); // replaces 4 with 2
         assert_eq!(d.words(), 4);
         d.remove(Key::new(S, 2));
         assert_eq!(d.words(), 2);
@@ -1306,6 +1325,7 @@ mod hasher_tests {
 
 #[cfg(test)]
 mod sharded_tests {
+    use super::tests::{wide, Wide};
     use super::*;
 
     /// One op of a test script: keyspace, id, op.
@@ -1349,12 +1369,12 @@ mod sharded_tests {
     }
 
     #[test]
-    fn sharded_vector_values_match_flat() {
-        let mut flat: FlatDht<Vec<u64>> = FlatDht::new();
-        let mut sharded: ShardedDht<Vec<u64>> = ShardedDht::with_shard_count(8);
+    fn sharded_variable_width_values_match_flat() {
+        let mut flat: FlatDht<Wide> = FlatDht::new();
+        let mut sharded: ShardedDht<Wide> = ShardedDht::with_shard_count(8);
         for i in 0..500u64 {
-            let v = vec![i; (i % 4) as usize + 1];
-            flat.insert(Key::new((i % 3) as Space, i), v.clone());
+            let v = wide(i, i % 4 + 1);
+            flat.insert(Key::new((i % 3) as Space, i), v);
             DhtStorage::insert(&mut sharded, Key::new((i % 3) as Space, i), v);
         }
         assert_eq!(flat.sorted_entries(), sharded.sorted_entries());
@@ -1609,11 +1629,11 @@ mod sharded_tests {
         let cap = 128usize;
         let boundary_ids =
             [0u64, 1, cap as u64 - 1, cap as u64, cap as u64 + 1, cap as u64 * 31, 1 << 40];
-        // Phase 1: variable-width values (Vec) — replacing puts shrink and
-        // grow footprints on both sides of the boundary; deletes retire
+        // Phase 1: variable-width values (`Wide`) — replacing puts shrink
+        // and grow footprints on both sides of the boundary; deletes retire
         // slab slots and overflow entries alike.
-        let mut flat: FlatDht<Vec<u64>> = FlatDht::new();
-        let mut dense: DenseDht<Vec<u64>> = DenseDht::with_slab_capacity(cap);
+        let mut flat: FlatDht<Wide> = FlatDht::new();
+        let mut dense: DenseDht<Wide> = DenseDht::with_slab_capacity(cap);
         let mut step = 0u64;
         for round in 0..4u64 {
             for space in 0..3u16 {
@@ -1622,8 +1642,8 @@ mod sharded_tests {
                     let key = Key::new(space, id);
                     match (step + round) % 3 {
                         0 => {
-                            let v = vec![step; (step % 5) as usize + 1];
-                            flat.insert(key, v.clone());
+                            let v = wide(step, step % 5 + 1);
+                            flat.insert(key, v);
                             DhtStorage::insert(&mut dense, key, v);
                         }
                         1 => {

@@ -49,14 +49,6 @@ impl DhtValue for u64 {
     }
 }
 
-impl<T: DhtValue> DhtValue for Vec<T> {
-    /// A vector charges one word of header plus the widths of its elements,
-    /// mirroring how an adjacency list consumes DHT space.
-    fn words(&self) -> usize {
-        1 + self.iter().map(DhtValue::words).sum::<usize>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,12 +60,6 @@ mod tests {
         assert_eq!(a, 9);
         a.merge(1);
         assert_eq!(a, 9);
-    }
-
-    #[test]
-    fn vec_words_counts_header_and_elements() {
-        let v: Vec<u64> = vec![1, 2, 3];
-        assert_eq!(v.words(), 4);
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! `CycleState::settle`: ids are `0..n0`, so a mark is an array store, not a
 //! hash-set insert.
 
-use ampc::{AmpcConfig, AmpcResult, AmpcSystem, DhtValue, Key, MachineCtx, RunStats, Space};
+use ampc::{AmpcConfig, AmpcResult, AmpcSystem, Key, MachineCtx, RunStats, Space};
 use ampc_graph::euler::CycleDecomposition;
 
 /// Keyspace: forward pointer + rank.
@@ -101,24 +101,6 @@ pub(crate) struct Absorbed {
     pub(crate) finished: bool,
 }
 
-/// A DHT value type that can hold a parent pointer, as [`chase_roots`]
-/// stores and follows it.
-pub(crate) trait Pointer: DhtValue + Copy {
-    /// The value pointing at vertex `id`.
-    fn from_id(id: u64) -> Self;
-    /// The vertex this value points at.
-    fn id(self) -> u64;
-}
-
-impl Pointer for u64 {
-    fn from_id(id: u64) -> Self {
-        id
-    }
-    fn id(self) -> u64 {
-        self
-    }
-}
-
 /// Labels each vertex of `items` with the end of its pointer chain in
 /// `space` (a vertex with no entry is a root), `cap` hops per vertex per
 /// round: a vertex whose chain is longer writes the furthest vertex it
@@ -128,8 +110,8 @@ impl Pointer for u64 {
 ///
 /// # Panics
 /// Panics if a chain is still unresolved after `max_rounds` rounds.
-pub(crate) fn chase_roots<V: Pointer>(
-    sys: &mut AmpcSystem<V>,
+pub(crate) fn chase_roots(
+    sys: &mut AmpcSystem<u64>,
     name: &'static str,
     space: Space,
     items: &[u64],
@@ -139,15 +121,15 @@ pub(crate) fn chase_roots<V: Pointer>(
     // A vertex whose chain the cap cut reports `CUT` (ids never reach it),
     // so every item reports and round 1's results are the label array.
     const CUT: u64 = u64::MAX;
-    let chase = |ctx: &mut MachineCtx<'_, V>, v: u64| {
+    let chase = |ctx: &mut MachineCtx<'_, u64>, v: u64| {
         let mut cur = v;
         for _ in 0..cap {
             match ctx.read(Key::new(space, cur)) {
-                Some(&p) => cur = p.id(),
+                Some(&p) => cur = p,
                 None => return Some(cur),
             }
         }
-        ctx.write(Key::new(space, v), V::from_id(cur));
+        ctx.write(Key::new(space, v), cur);
         Some(CUT)
     };
     let mut labels = sys.round(name, items, |ctx, &v| chase(ctx, v))?.results;

@@ -20,12 +20,12 @@
 //! Claim 4.11 (the paper's improvement over [BDE+20]) says the BFS step
 //! costs `O(m log t)` expected total queries — measured by experiment E6.
 //!
-//! Step 1 is what keeps the rest in `O(1)` words per value: a `G3`
-//! adjacency list is at most three vertex ids, so [`GVal`] stores it inline
-//! (no heap behind any DHT entry), and step 3's search keeps one queue of at
-//! most `3t − 2` words that doubles as its visited set — machine-local
-//! memory for `t = O(√S)`. See DESIGN.md, "ShrinkGeneral values are
-//! fixed-width".
+//! Step 1 is what keeps the rest in `O(1)` words: a `G3` adjacency list is
+//! at most three 32-bit vertex ids and a length, so it is two `u64` entries
+//! of the `ADJ` keyspace (see `adj_entries`) and every DHT value is one
+//! word; step 3's search keeps one queue of at most `3t − 2` words that
+//! doubles as its visited set — machine-local memory for `t = O(√S)`. See
+//! DESIGN.md, "A G3 adjacency is two words".
 //!
 //! Step 4's rooted-forest labeling (Claim 4.12) is `cycles::chase_roots`,
 //! adaptive root-chasing with path compression: every vertex follows
@@ -40,16 +40,16 @@
 
 use std::cell::RefCell;
 
-use ampc::{AmpcConfig, AmpcResult, AmpcSystem, DhtValue, Key, RunStats, Space};
+use ampc::{AmpcConfig, AmpcResult, AmpcSystem, Key, RunStats, Space};
 use ampc_graph::contract::contract;
 use ampc_graph::degree3::to_degree3;
 use ampc_graph::{Graph, VertexId};
 
-use crate::cycles::{chase_roots, Pointer};
+use crate::cycles::chase_roots;
 
-/// Keyspace: adjacency lists of `G3`.
+/// Keyspace: the adjacency lists of `G3`, two words a vertex ([`adj_entries`]).
 const ADJ: Space = 0;
-/// Keyspace: super-edge parent pointers.
+/// Keyspace: super-edge parent pointers, the bare parent id.
 const SUPER: Space = 1;
 
 thread_local! {
@@ -57,75 +57,29 @@ thread_local! {
     static BFS_QUEUE: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// DHT value for the general-graph algorithms: either an adjacency list of
-/// `G3` or a scalar word.
+/// The two `ADJ` entries of `G3` vertex `u`: `2u` holds `n0 | n1 << 32`
+/// and `2u + 1` holds `n2 | len << 32`, absent neighbours zero.
 ///
-/// Fixed-width by design: step 1 bounds every degree by 3, so an adjacency
-/// list is three inline vertex ids and a length — `O(1)` words, as §4.3
-/// needs for a truncated BFS to fit in local memory — and the whole value
-/// is `Copy` and 16 bytes, with no heap behind any DHT entry.
-#[derive(Clone, Copy, Debug)]
-pub enum GVal {
-    /// Adjacency list (charged one word of header plus one per neighbor).
-    /// Built by [`GVal::adj`], which checks the degree bound.
-    Adj {
-        /// Number of neighbors, at most 3.
-        len: u8,
-        /// The neighbors, in `nbrs[..len]`.
-        nbrs: [VertexId; 3],
-    },
-    /// A scalar (a parent pointer).
-    Num(u64),
+/// # Panics
+/// Panics if `neighbors` holds more than 3 vertices: the degree-3
+/// transform's postcondition is this layout's precondition.
+fn adj_entries(u: VertexId, neighbors: &[VertexId]) -> [(Key, u64); 2] {
+    let len = neighbors.len();
+    assert!(
+        len <= 3,
+        "G3 vertex {u} has degree {len}: the degree-3 transform must bound every degree by 3"
+    );
+    let n = |i| neighbors.get(i).map_or(0, |&w| w as u64);
+    let u = u as u64;
+    [
+        (Key::new(ADJ, 2 * u), n(0) | n(1) << 32),
+        (Key::new(ADJ, 2 * u + 1), n(2) | (len as u64) << 32),
+    ]
 }
 
-impl GVal {
-    /// The adjacency value of `G3` vertex `v`.
-    ///
-    /// # Panics
-    /// Panics if `neighbors` holds more than 3 vertices: the degree-3
-    /// transform's postcondition is this value's precondition.
-    pub fn adj(v: VertexId, neighbors: &[VertexId]) -> Self {
-        assert!(
-            neighbors.len() <= 3,
-            "G3 vertex {v} has degree {}: the degree-3 transform must bound every degree by 3",
-            neighbors.len()
-        );
-        let mut nbrs = [0; 3];
-        nbrs[..neighbors.len()].copy_from_slice(neighbors);
-        GVal::Adj { len: neighbors.len() as u8, nbrs }
-    }
-
-    fn num(&self) -> u64 {
-        match self {
-            GVal::Num(x) => *x,
-            GVal::Adj { .. } => panic!("expected scalar DHT value, found adjacency list"),
-        }
-    }
-}
-
-impl Pointer for GVal {
-    fn from_id(id: u64) -> Self {
-        GVal::Num(id)
-    }
-    fn id(self) -> u64 {
-        self.num()
-    }
-}
-
-/// `Num(0)`: the fill value of an empty dense slot.
-impl Default for GVal {
-    fn default() -> Self {
-        GVal::Num(0)
-    }
-}
-
-impl DhtValue for GVal {
-    fn words(&self) -> usize {
-        match self {
-            GVal::Adj { len, .. } => 1 + *len as usize,
-            GVal::Num(_) => 1,
-        }
-    }
+/// Inverse of [`adj_entries`]: the neighbours (the first `len` real) and `len`.
+fn unpack_adj(lo: u64, hi: u64) -> ([u64; 3], usize) {
+    ([lo & 0xFFFF_FFFF, lo >> 32, hi & 0xFFFF_FFFF], (hi >> 32) as usize)
 }
 
 /// Result of a `ShrinkGeneral` invocation.
@@ -165,13 +119,13 @@ pub fn shrink_general(
     let n3 = d3.graph.n();
     let m3 = d3.graph.m();
 
-    // Both keyspaces here (ADJ/SUPER) are indexed by G3 vertex ids 0..n3 —
+    // ADJ holds two words per G3 vertex (ids 0..2·n3), SUPER one (0..n3):
     // the dense backend's slab hint.
-    let backend = ampc_cfg.backend.with_capacity_hint(n3.max(1));
+    let backend = ampc_cfg.backend.with_capacity_hint(2 * n3.max(1));
     let ampc_cfg = ampc_cfg.with_backend(backend);
-    let mut sys: AmpcSystem<GVal> = AmpcSystem::new(
+    let mut sys: AmpcSystem<u64> = AmpcSystem::new(
         ampc_cfg,
-        (0..n3 as VertexId).map(|v| (Key::new(ADJ, v as u64), GVal::adj(v, d3.graph.neighbors(v)))),
+        (0..n3 as VertexId).flat_map(|v| adj_entries(v, d3.graph.neighbors(v))),
     );
     sys.stats_mut().charge_external(1, 2 * g.m(), 2 * (g.n() + g.m()));
 
@@ -206,18 +160,16 @@ pub fn shrink_general(
                 }
                 let u = queue[head];
                 head += 1;
-                let (len, nbrs) = match ctx.read(Key::new(ADJ, u)) {
-                    Some(&GVal::Adj { len, nbrs }) => (len as usize, nbrs),
-                    _ => panic!("missing adjacency"),
-                };
+                let lo = *ctx.read(Key::new(ADJ, 2 * u)).expect("missing adjacency");
+                let hi = *ctx.read(Key::new(ADJ, 2 * u + 1)).expect("missing adjacency");
+                let (nbrs, len) = unpack_adj(lo, hi);
                 for &w in &nbrs[..len] {
-                    let w = w as u64;
                     if queue.contains(&w) {
                         continue;
                     }
                     if (ctx.rng(0, w).next_u64(), w) < me {
                         // Stop (c): lower-rank vertex reached → super-edge w → v.
-                        ctx.write(Key::new(SUPER, v), GVal::Num(w));
+                        ctx.write(Key::new(SUPER, v), w);
                         return;
                     }
                     queue.push(w);
@@ -290,34 +242,41 @@ mod tests {
     }
 
     #[test]
-    fn values_are_fixed_width_and_charged_by_degree() {
-        assert!(std::mem::size_of::<GVal>() <= 16, "a dense slot must stay two words");
-        for degree in 0..=3usize {
-            assert_eq!(GVal::adj(7, &[1, 2, 3][..degree]).words(), 1 + degree);
+    fn adjacencies_round_trip_through_the_dense_and_flat_stores() {
+        // Every list of 0 to 3 ids from zero and the two largest ids: a high
+        // bit of `n0` must not leak into `n1`, nor one of `n2` into `len`.
+        const IDS: [VertexId; 3] = [0, u32::MAX - 1, u32::MAX];
+        let mut lists: Vec<Vec<VertexId>> = vec![vec![]];
+        for degree in 1..=3 {
+            let shorter: Vec<Vec<VertexId>> =
+                lists.iter().filter(|l| l.len() == degree - 1).cloned().collect();
+            for list in shorter {
+                lists.extend(IDS.iter().map(|&w| [&list[..], &[w]].concat()));
+            }
         }
-        assert_eq!(GVal::Num(u64::MAX).words(), 1);
-    }
-
-    #[test]
-    fn a_dense_store_round_trips_adjacency_and_zero() {
-        // `Num(0)` is also the fill value of an empty slot.
-        let mut dht: Dht<GVal> = Dht::for_backend(DhtBackend::Dense { cap: 100 });
-        let (adj, zero) = (Key::new(0, 99), Key::new(1, 64));
-        dht.insert(adj, GVal::adj(99, &[1, 2, 3]));
-        dht.insert(zero, GVal::Num(0));
-        assert!(matches!(dht.get(adj), Some(GVal::Adj { len: 3, nbrs: [1, 2, 3] })));
-        assert!(matches!(dht.get(zero), Some(GVal::Num(0))));
-        assert!(dht.get(Key::new(1, 63)).is_none());
-        assert_eq!((dht.len(), dht.words()), (2, 5));
-        assert!(matches!(dht.remove(zero), Some(GVal::Num(0))));
-        assert!(dht.get(zero).is_none());
-        assert!(matches!(dht.get(adj), Some(GVal::Adj { len: 3, .. })));
+        assert_eq!(lists.len(), 1 + 3 + 9 + 27);
+        for backend in [DhtBackend::Dense { cap: 2 * lists.len() }, DhtBackend::Flat] {
+            let mut dht: Dht<u64> = Dht::for_backend(backend);
+            for (u, list) in lists.iter().enumerate() {
+                for (key, word) in adj_entries(u as VertexId, list) {
+                    dht.insert(key, word);
+                }
+            }
+            assert_eq!((dht.len(), dht.words()), (2 * lists.len(), 2 * lists.len()));
+            for (u, list) in lists.iter().enumerate() {
+                let word = |id| *dht.get(Key::new(ADJ, id)).expect("both words are stored");
+                let (nbrs, len) = unpack_adj(word(2 * u as u64), word(2 * u as u64 + 1));
+                let want: Vec<u64> = list.iter().map(|&w| w as u64).collect();
+                assert_eq!(nbrs[..len], want, "{backend:?}, vertex {u}");
+                assert!(nbrs[len..].iter().all(|&w| w == 0), "{backend:?}, vertex {u}");
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "G3 vertex 7 has degree 4")]
     fn degree_four_adjacency_is_rejected() {
-        GVal::adj(7, &[1, 2, 3, 4]);
+        adj_entries(7, &[1, 2, 3, 4]);
     }
 
     #[test]

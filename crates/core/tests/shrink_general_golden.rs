@@ -1,19 +1,20 @@
 //! Golden fingerprints of `ShrinkGeneral`'s whole observable outcome.
 //!
-//! The values below were recorded by running this same test at the commit
-//! before `GVal` became fixed-width (PR 13, `371ed8c`): a change to the
-//! value representation, the BFS bookkeeping or `Graph::from_edges` that
-//! moves any read, write, word count, super-edge or output edge shows up
-//! here as a changed fingerprint. All three storage backends must produce
-//! the same one (the backend is an execution detail).
+//! Each fingerprint covers the output graph `H`, the input → `H` map, the
+//! BFS queries, the roots, the chase rounds and every per-round stats row:
+//! a change to the adjacency layout, the BFS bookkeeping or
+//! `Graph::from_edges` that moves any read, write, word count, super-edge
+//! or output edge shows up here as a changed fingerprint. All three storage
+//! backends must produce the same one (the backend is an execution detail).
 //!
-//! The `pa` rows were recorded at that commit with one fix applied to it:
-//! `preferential_attachment` iterated a `HashSet`, so its graph differed
-//! from run to run and no fingerprint of it could be pinned.
+//! The rows were last re-recorded when a `G3` adjacency became two `u64`
+//! entries of the `ADJ` keyspace: every BFS expansion reads two one-word
+//! entries, so the queries and words in `stats` moved, while a
+//! fingerprint of `H`, the map, the roots, the chase rounds and the round
+//! count alone did not, on any row or backend.
 //!
-//! Every row was re-recorded since, when a vertex's rank became a hash the
-//! BFS evaluates instead of a round and a keyspace that store it: that
-//! drops a round and every rank read from each run's `stats`.
+//! The `pa` graph is `preferential_attachment` after it stopped iterating a
+//! `HashSet`, so its graph is the same from run to run.
 //!
 //! The paper's Claim 4.12 construction (`resolve_roots_euler`), which
 //! ShrinkGeneral does not run, is pinned by `forest_golden.rs`.
@@ -45,18 +46,18 @@ fn fingerprint(g: &Graph, t: usize, backend: DhtBackend) -> u64 {
 
 /// `(graph, t, fingerprint)`, graphs in the order of `graphs()`.
 const GOLDEN: &[(&str, usize, u64)] = &[
-    ("er", 1, 0x7a38_7813_29a6_d216),
-    ("er", 2, 0xc01b_bb7b_a376_fee2),
-    ("er", 16, 0x3e31_5806_c8c0_15db),
-    ("er", 64, 0xeb36_aaed_06be_3c72),
-    ("grid", 1, 0x457e_0a2d_b4d4_12da),
-    ("grid", 2, 0xce92_5f31_fb8e_e91a),
-    ("grid", 16, 0x04ec_6a02_4487_079f),
-    ("grid", 64, 0x425c_ae2f_40e5_7d55),
-    ("pa", 1, 0xc182_c574_515f_c94c),
-    ("pa", 2, 0x7662_7fc2_d224_6f4c),
-    ("pa", 16, 0x9c90_ae76_ff41_6602),
-    ("pa", 64, 0xfc63_5764_bdbf_0f7e),
+    ("er", 1, 0x7f95_ce04_e397_414b),
+    ("er", 2, 0x75bc_ab3a_9f82_626f),
+    ("er", 16, 0x11df_8f6c_2380_eb5a),
+    ("er", 64, 0xfff7_022d_c588_ef4d),
+    ("grid", 1, 0xbbf3_c908_7c6a_e286),
+    ("grid", 2, 0x7bf8_1b16_475c_7a23),
+    ("grid", 16, 0x359f_9b39_ab49_98cd),
+    ("grid", 64, 0x6179_5bbf_9696_07e3),
+    ("pa", 1, 0x523c_7106_4702_064c),
+    ("pa", 2, 0x0262_2af6_677d_45a9),
+    ("pa", 16, 0x940c_7f33_b2d0_621c),
+    ("pa", 64, 0x008a_66b7_f1c5_eba2),
 ];
 
 fn graphs() -> [(&'static str, Graph); 3] {
