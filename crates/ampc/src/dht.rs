@@ -15,7 +15,7 @@
 //!
 //! * [`FlatDht`] — one hash map, the reference implementation;
 //! * [`ShardedDht`] — `N` power-of-two shards selected by packed-key hash,
-//!   with per-shard word accounting and a shard-parallel merge;
+//!   with a shard-parallel merge;
 //! * [`DenseDht`] — per-keyspace direct-indexed slabs sized to a capacity
 //!   hint, with a hash-map overflow for ids beyond the slab. A slab is a
 //!   `Vec<V>` of slots plus a presence bitmap, so a slot costs one `V`
@@ -95,7 +95,7 @@ type Build = BuildHasherDefault<PackedKeyHasher>;
 pub enum WriteOp<V> {
     /// Replace the value at the key (last machine in index order wins).
     Put(V),
-    /// Combine with the existing value via [`DhtValue::merge`].
+    /// Keep the larger of the existing value and this one.
     Merge(V),
     /// Remove the key (models shrinking algorithms retiring dead entries).
     Delete,
@@ -418,23 +418,20 @@ pub trait DhtStorage<V: DhtValue>: Clone + Send + Sync {
     /// Inserts `value` at `key`, replacing and returning any previous entry.
     fn insert(&mut self, key: Key, value: V) -> Option<V>;
 
-    /// Merges `value` into the entry at `key` using [`DhtValue::merge`],
-    /// inserting it outright if absent.
+    /// Keeps the larger of `value` and the entry at `key`, inserting it
+    /// outright if absent.
     fn merge(&mut self, key: Key, value: V);
 
     /// Removes the entry at `key`, returning it if present.
     fn remove(&mut self, key: Key) -> Option<V>;
 
-    /// Number of entries.
+    /// Number of entries, which is the store's footprint in words.
     fn len(&self) -> usize;
 
     /// True when the store holds no entries.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Total word footprint of all stored values.
-    fn words(&self) -> usize;
 
     /// Visits every entry in unspecified order.
     fn for_each_entry(&self, f: &mut dyn FnMut(Key, &V));
@@ -463,21 +460,16 @@ pub trait DhtStorage<V: DhtValue>: Clone + Send + Sync {
     /// snapshots across backends.
     fn sorted_entries(&self) -> Vec<(Key, V)> {
         let mut out = Vec::with_capacity(self.len());
-        self.for_each_entry(&mut |k, v| out.push((k, v.clone())));
+        self.for_each_entry(&mut |k, v| out.push((k, *v)));
         out.sort_unstable_by_key(|&(k, _)| k);
         out
     }
 }
 
-/// An immutable-per-round key-value store measured in words: the single-map
-/// reference backend.
-///
-/// `FlatDht` tracks the total word footprint of its contents incrementally
-/// so the executor can account snapshot space in `O(1)` per round.
+/// An immutable-per-round key-value store: the single-map reference backend.
 #[derive(Clone)]
 pub struct FlatDht<V> {
     map: HashMap<u64, V, Build>,
-    words: usize,
 }
 
 impl<V: DhtValue> Default for FlatDht<V> {
@@ -489,7 +481,7 @@ impl<V: DhtValue> Default for FlatDht<V> {
 impl<V: DhtValue> FlatDht<V> {
     /// Creates an empty table.
     pub fn new() -> Self {
-        FlatDht { map: HashMap::default(), words: 0 }
+        FlatDht { map: HashMap::default() }
     }
 
     /// Applies the given op lists one after the other, each in its recorded
@@ -538,42 +530,19 @@ impl<V: DhtValue> DhtStorage<V> for FlatDht<V> {
     }
 
     fn insert(&mut self, key: Key, value: V) -> Option<V> {
-        self.words += value.words();
-        let old = self.map.insert(key.packed(), value);
-        if let Some(ref o) = old {
-            self.words -= o.words();
-        }
-        old
+        self.map.insert(key.packed(), value)
     }
 
     fn merge(&mut self, key: Key, value: V) {
-        match self.map.get_mut(&key.packed()) {
-            Some(existing) => {
-                let before = existing.words();
-                existing.merge(value);
-                self.words = self.words - before + existing.words();
-            }
-            None => {
-                self.words += value.words();
-                self.map.insert(key.packed(), value);
-            }
-        }
+        self.map.entry(key.packed()).and_modify(|v| *v = (*v).max(value)).or_insert(value);
     }
 
     fn remove(&mut self, key: Key) -> Option<V> {
-        let old = self.map.remove(&key.packed());
-        if let Some(ref o) = old {
-            self.words -= o.words();
-        }
-        old
+        self.map.remove(&key.packed())
     }
 
     fn len(&self) -> usize {
         self.map.len()
-    }
-
-    fn words(&self) -> usize {
-        self.words
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(Key, &V)) {
@@ -611,11 +580,9 @@ fn spread(packed: u64) -> u64 {
     x
 }
 
-/// Hash-partitioned storage: `N` power-of-two [`FlatDht`] shards.
-///
-/// Each shard tracks its own word footprint, so total accounting stays
-/// `O(shards)` and the executor's shard-parallel merge can apply every
-/// shard's op list on an independent worker without synchronization.
+/// Hash-partitioned storage: `N` power-of-two [`FlatDht`] shards, so the
+/// shard-parallel merge can apply every shard's op list on an independent
+/// worker without synchronization.
 #[derive(Clone)]
 pub struct ShardedDht<V> {
     shards: Vec<FlatDht<V>>,
@@ -670,10 +637,6 @@ impl<V: DhtValue> DhtStorage<V> for ShardedDht<V> {
         self.shards.iter().map(FlatDht::len).sum()
     }
 
-    fn words(&self) -> usize {
-        self.shards.iter().map(FlatDht::words).sum()
-    }
-
     fn for_each_entry(&self, f: &mut dyn FnMut(Key, &V)) {
         for shard in &self.shards {
             shard.for_each_entry(f);
@@ -716,8 +679,7 @@ impl<V: DhtValue> DhtStorage<V> for ShardedDht<V> {
 
 /// One direct-indexed keyspace slab: `slots[id]` holds the value of
 /// `Key::new(space, id)` when bit `id % 64` of `present[id / 64]` is set,
-/// with entry/word counters maintained alongside so total accounting never
-/// scans the slab.
+/// with an entry counter maintained alongside so `len` never scans the slab.
 #[derive(Clone)]
 struct DenseSlab<V> {
     /// Empty until the space is first written, then exactly `cap` slots; an
@@ -727,13 +689,11 @@ struct DenseSlab<V> {
     present: Vec<u64>,
     /// Occupied slots.
     len: usize,
-    /// Word footprint of the occupied slots.
-    words: usize,
 }
 
 impl<V> DenseSlab<V> {
     fn empty() -> Self {
-        DenseSlab { slots: Vec::new(), present: Vec::new(), len: 0, words: 0 }
+        DenseSlab { slots: Vec::new(), present: Vec::new(), len: 0 }
     }
 }
 
@@ -747,52 +707,35 @@ fn presence_bit(i: usize) -> (usize, u64) {
 }
 
 /// Applies one buffered op to a slab slot whose presence is `bit` of `word`,
-/// accumulating the `(entries, words)` delta into `d` and returning the
-/// displaced value (for `Put` and `Delete`). The **single** definition of
-/// dense op semantics: the direct `insert`/`remove`/`merge` methods, the
-/// sequential merge path, and the range-parallel merge workers (which cannot
-/// touch the shared counters) all route through it. A delete of an absent
-/// slot reads its bit and touches nothing else.
+/// adding the change in entries to `d` and returning the displaced value
+/// (for `Put` and `Delete`). The **single** definition of dense op
+/// semantics: the direct `insert`/`remove`/`merge` methods, the sequential
+/// merge path, and the range-parallel merge workers (which cannot touch the
+/// shared counters) all route through it. A delete of an absent slot reads
+/// its bit and touches nothing else.
 #[inline]
 fn apply_slot_op<V: DhtValue>(
     slot: &mut V,
     word: &mut u64,
     bit: u64,
     op: WriteOp<V>,
-    d: &mut (i64, i64),
+    d: &mut i64,
 ) -> Option<V> {
     let present = *word & bit != 0;
     match op {
-        WriteOp::Put(v) => {
-            if present {
-                d.1 += v.words() as i64 - slot.words() as i64;
-                return Some(std::mem::replace(slot, v));
-            }
-            // A store, not a swap: reading a never-written slot first would
-            // map the zero page and then fault again on the write.
-            d.0 += 1;
-            d.1 += v.words() as i64;
+        WriteOp::Put(v) if present => return Some(std::mem::replace(slot, v)),
+        WriteOp::Merge(v) if present => *slot = (*slot).max(v),
+        // A store, not a swap: reading a never-written slot first would map
+        // the zero page and then fault again on the write.
+        WriteOp::Put(v) | WriteOp::Merge(v) => {
             *slot = v;
             *word |= bit;
-        }
-        WriteOp::Merge(v) => {
-            if present {
-                let before = slot.words();
-                slot.merge(v);
-                d.1 += slot.words() as i64 - before as i64;
-            } else {
-                d.0 += 1;
-                d.1 += v.words() as i64;
-                *slot = v;
-                *word |= bit;
-            }
+            *d += 1;
         }
         WriteOp::Delete if present => {
             *word &= !bit;
-            let old = std::mem::take(slot);
-            d.0 -= 1;
-            d.1 -= old.words() as i64;
-            return Some(old);
+            *d -= 1;
+            return Some(std::mem::take(slot));
         }
         WriteOp::Delete => {}
     }
@@ -815,8 +758,8 @@ fn apply_slot_op<V: DhtValue>(
 /// slab (and the overflow map is owned by exactly one partition). The
 /// parallel apply hands each worker its partitions' slot ranges and
 /// presence words via `chunks_mut` (a range is at least 64 ids, a whole
-/// number of bitmap words) and collects per-partition `(entries,
-/// words)` deltas, folding them into the per-slab counters after the join;
+/// number of bitmap words) and collects per-partition entry deltas,
+/// folding them into the per-slab counters after the join;
 /// the result is byte-identical to the sequential machine-order merge by
 /// the same argument as the hash-sharded backend.
 #[derive(Clone)]
@@ -877,17 +820,16 @@ impl<V: DhtValue> DenseDht<V> {
     }
 
     /// Applies one op to the in-slab slot of `key` through [`apply_slot_op`]
-    /// and folds the accounting delta into the slab counters, returning the
+    /// and folds the entry delta into the slab counter, returning the
     /// displaced value. Caller guarantees `key.id < cap`.
     fn slab_op(&mut self, key: Key, op: WriteOp<V>) -> Option<V> {
         debug_assert!(key.id < self.cap as u64);
         let slab = self.ensure_slab(key.space);
-        let mut d = (0i64, 0i64);
+        let mut d = 0i64;
         let i = key.id as usize;
         let (w, bit) = presence_bit(i);
         let old = apply_slot_op(&mut slab.slots[i], &mut slab.present[w], bit, op, &mut d);
-        slab.len = (slab.len as i64 + d.0) as usize;
-        slab.words = (slab.words as i64 + d.1) as usize;
+        slab.len = (slab.len as i64 + d) as usize;
         old
     }
 
@@ -958,10 +900,6 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
 
     fn len(&self) -> usize {
         self.slabs.iter().map(|s| s.len).sum::<usize>() + self.overflow.len()
-    }
-
-    fn words(&self) -> usize {
-        self.slabs.iter().map(|s| s.words).sum::<usize>() + self.overflow.words()
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(Key, &V)) {
@@ -1035,11 +973,10 @@ impl<V: DhtValue> DenseDht<V> {
         // two chunkings line up and no two partitions share a word.
         let mut views: Vec<Vec<Option<RangeView<'_, V>>>> =
             (0..num_ranges).map(|_| (0..nspaces).map(|_| None).collect()).collect();
-        // deltas[p][space] accumulates partition p's (entries, words)
-        // changes per keyspace; folded into the slab counters after the
-        // join, since workers cannot share the counters themselves.
-        let mut deltas: Vec<Vec<(i64, i64)>> =
-            (0..num_ranges).map(|_| vec![(0, 0); nspaces]).collect();
+        // deltas[p][space] accumulates partition p's change in entries per
+        // keyspace; folded into the slab counters after the join, since
+        // workers cannot share the counters themselves.
+        let mut deltas: Vec<Vec<i64>> = (0..num_ranges).map(|_| vec![0; nspaces]).collect();
         for (space, slab) in slabs.iter_mut().enumerate() {
             let chunks =
                 slab.slots.chunks_mut(range_len).zip(slab.present.chunks_mut(range_len / 64));
@@ -1090,10 +1027,8 @@ impl<V: DhtValue> DenseDht<V> {
 
         drop(views);
         for per_space in deltas {
-            for (space, (dlen, dwords)) in per_space.into_iter().enumerate() {
-                let slab = &mut slabs[space];
-                slab.len = (slab.len as i64 + dlen) as usize;
-                slab.words = (slab.words as i64 + dwords) as usize;
+            for (slab, d) in slabs.iter_mut().zip(per_space) {
+                slab.len = (slab.len as i64 + d) as usize;
             }
         }
     }
@@ -1178,10 +1113,6 @@ impl<V: DhtValue> DhtStorage<V> for Dht<V> {
         with_store!(self, s => s.len())
     }
 
-    fn words(&self) -> usize {
-        with_store!(self, s => s.words())
-    }
-
     fn for_each_entry(&self, f: &mut dyn FnMut(Key, &V)) {
         with_store!(self, s => s.for_each_entry(f))
     }
@@ -1209,25 +1140,6 @@ mod tests {
 
     const S: u16 = 0;
 
-    /// A fixed-width test value charged like an adjacency list: one word of
-    /// header plus `len`, so a replacing put grows or shrinks a store's
-    /// words.
-    #[derive(Clone, Copy, Debug, Default, PartialEq)]
-    pub(super) struct Wide {
-        len: u8,
-        fill: u64,
-    }
-
-    impl DhtValue for Wide {
-        fn words(&self) -> usize {
-            1 + self.len as usize
-        }
-    }
-
-    pub(super) fn wide(fill: u64, len: u64) -> Wide {
-        Wide { len: len as u8, fill }
-    }
-
     #[test]
     fn insert_get_remove_roundtrip() {
         let mut d: FlatDht<u64> = FlatDht::new();
@@ -1237,19 +1149,7 @@ mod tests {
         assert_eq!(d.get(Key::new(S, 1)), Some(&20));
         assert_eq!(d.remove(Key::new(S, 1)), Some(20));
         assert!(d.get(Key::new(S, 1)).is_none());
-        assert_eq!(d.words(), 0);
-    }
-
-    #[test]
-    fn words_track_variable_width_values() {
-        let mut d: FlatDht<Wide> = FlatDht::new();
-        d.insert(Key::new(S, 1), wide(1, 3)); // 4 words
-        d.insert(Key::new(S, 2), wide(7, 1)); // 2 words
-        assert_eq!(d.words(), 6);
-        d.insert(Key::new(S, 1), wide(9, 1)); // replaces 4 with 2
-        assert_eq!(d.words(), 4);
-        d.remove(Key::new(S, 2));
-        assert_eq!(d.words(), 2);
+        assert!(d.is_empty());
     }
 
     #[test]
@@ -1325,7 +1225,6 @@ mod hasher_tests {
 
 #[cfg(test)]
 mod sharded_tests {
-    use super::tests::{wide, Wide};
     use super::*;
 
     /// One op of a test script: keyspace, id, op.
@@ -1365,21 +1264,6 @@ mod sharded_tests {
         }
         assert_eq!(flat.sorted_entries(), sharded.sorted_entries());
         assert_eq!(FlatDht::len(&flat), DhtStorage::len(&sharded));
-        assert_eq!(FlatDht::words(&flat), DhtStorage::words(&sharded));
-    }
-
-    #[test]
-    fn sharded_variable_width_values_match_flat() {
-        let mut flat: FlatDht<Wide> = FlatDht::new();
-        let mut sharded: ShardedDht<Wide> = ShardedDht::with_shard_count(8);
-        for i in 0..500u64 {
-            let v = wide(i, i % 4 + 1);
-            flat.insert(Key::new((i % 3) as Space, i), v);
-            DhtStorage::insert(&mut sharded, Key::new((i % 3) as Space, i), v);
-        }
-        assert_eq!(flat.sorted_entries(), sharded.sorted_entries());
-        assert_eq!(FlatDht::len(&flat), DhtStorage::len(&sharded));
-        assert_eq!(FlatDht::words(&flat), DhtStorage::words(&sharded));
     }
 
     #[test]
@@ -1496,7 +1380,7 @@ mod sharded_tests {
             assert!(bufs.iter().all(ShardBuffers::is_empty), "{case}: grid not drained");
             assert!(columns_agree(&bufs), "{case}: a value outlived its word");
             assert_eq!(store.sorted_entries(), reference.sorted_entries(), "{case}");
-            assert_eq!(store.words(), reference.words(), "{case}");
+            assert_eq!(store.len(), reference.len(), "{case}");
         };
         for backend in [
             DhtBackend::Flat,
@@ -1512,19 +1396,24 @@ mod sharded_tests {
 
     #[test]
     fn an_apply_that_unwinds_leaves_every_value_with_its_word() {
-        // A value whose `merge` is the panicking default: the second merge
-        // on a key unwinds out of the apply, part way through a list.
-        #[derive(Clone, Default)]
-        struct NoMerge;
-        impl DhtValue for NoMerge {
-            fn words(&self) -> usize {
-                1
+        // A value whose comparison panics: a merge into a present entry
+        // unwinds out of the apply, part way through a list.
+        #[derive(Clone, Copy, Default, PartialEq, Eq)]
+        struct NoOrder;
+        impl Ord for NoOrder {
+            fn cmp(&self, _: &Self) -> std::cmp::Ordering {
+                panic!("NoOrder has no order")
+            }
+        }
+        impl PartialOrd for NoOrder {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
             }
         }
         let op = |kind: u64| match kind % 3 {
-            0 => WriteOp::Put(NoMerge),
+            0 => WriteOp::Put(NoOrder),
             1 => WriteOp::Delete,
-            _ => WriteOp::Merge(NoMerge),
+            _ => WriteOp::Merge(NoOrder),
         };
         for backend in [
             DhtBackend::Flat,
@@ -1532,8 +1421,8 @@ mod sharded_tests {
             DhtBackend::Dense { cap: 1 },
             DhtBackend::Dense { cap: 16 },
         ] {
-            let mut store: Dht<NoMerge> = Dht::for_backend(backend);
-            let mut bufs: Vec<ShardBuffers<NoMerge>> =
+            let mut store: Dht<NoOrder> = Dht::for_backend(backend);
+            let mut bufs: Vec<ShardBuffers<NoOrder>> =
                 (0..2).map(|_| ShardBuffers::new(store.shard_count())).collect();
             for (w, b) in bufs.iter_mut().enumerate() {
                 for i in 0..60u64 {
@@ -1545,7 +1434,7 @@ mod sharded_tests {
             let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 store.apply_ops(&mut bufs);
             }));
-            assert!(applied.is_err(), "{backend:?}: the second merge on a key must panic");
+            assert!(applied.is_err(), "{backend:?}: a merge into a present entry must panic");
             assert!(columns_agree(&bufs), "{backend:?}: a list lost a value or kept a stray one");
         }
     }
@@ -1616,7 +1505,6 @@ mod sharded_tests {
         }
         assert_eq!(flat.sorted_entries(), dense.sorted_entries());
         assert_eq!(FlatDht::len(&flat), DhtStorage::len(&dense));
-        assert_eq!(FlatDht::words(&flat), DhtStorage::words(&dense));
         assert!(dense.overflow_len() > 0, "test should exercise the overflow path");
     }
 
@@ -1625,15 +1513,14 @@ mod sharded_tests {
         // Property-style sweep over keys straddling the slab boundary: ids
         // at cap−1, cap, cap+large, across several spaces, with deletes and
         // merges whose accounting lands on either side of the boundary.
-        // After every step, words()/len must equal FlatDht's exactly.
+        // After every step, len must equal FlatDht's exactly.
         let cap = 128usize;
         let boundary_ids =
             [0u64, 1, cap as u64 - 1, cap as u64, cap as u64 + 1, cap as u64 * 31, 1 << 40];
-        // Phase 1: variable-width values (`Wide`) — replacing puts shrink
-        // and grow footprints on both sides of the boundary; deletes retire
-        // slab slots and overflow entries alike.
-        let mut flat: FlatDht<Wide> = FlatDht::new();
-        let mut dense: DenseDht<Wide> = DenseDht::with_slab_capacity(cap);
+        // Phase 1: replacing puts on both sides of the boundary; deletes
+        // retire slab slots and overflow entries alike.
+        let mut flat: FlatDht<u64> = FlatDht::new();
+        let mut dense: DenseDht<u64> = DenseDht::with_slab_capacity(cap);
         let mut step = 0u64;
         for round in 0..4u64 {
             for space in 0..3u16 {
@@ -1642,9 +1529,11 @@ mod sharded_tests {
                     let key = Key::new(space, id);
                     match (step + round) % 3 {
                         0 => {
-                            let v = wide(step, step % 5 + 1);
-                            flat.insert(key, v);
-                            DhtStorage::insert(&mut dense, key, v);
+                            assert_eq!(
+                                flat.insert(key, step),
+                                DhtStorage::insert(&mut dense, key, step),
+                                "insert diverged at space={space} id={id}"
+                            );
                         }
                         1 => {
                             assert_eq!(
@@ -1661,7 +1550,6 @@ mod sharded_tests {
                             );
                         }
                     }
-                    assert_eq!(FlatDht::words(&flat), DhtStorage::words(&dense), "words drifted");
                     assert_eq!(FlatDht::len(&flat), DhtStorage::len(&dense), "len drifted");
                 }
             }
@@ -1683,7 +1571,6 @@ mod sharded_tests {
                     flat.merge(key, round * 1000 + id % 97);
                     DhtStorage::merge(&mut dense, key, round * 1000 + id % 97);
                 }
-                assert_eq!(FlatDht::words(&flat), DhtStorage::words(&dense));
                 assert_eq!(FlatDht::len(&flat), DhtStorage::len(&dense));
             }
         }
@@ -1712,7 +1599,6 @@ mod sharded_tests {
             assert_eq!(flat.sorted_entries(), dense.sorted_entries(), "cap {cap}");
             assert_eq!(DhtStorage::get(&dense, Key::new(0, 1)), Some(&11));
             assert_eq!(DhtStorage::get(&dense, Key::new(0, far)), Some(&101));
-            assert_eq!(FlatDht::words(&flat), DhtStorage::words(&dense));
         }
     }
 
@@ -1724,11 +1610,11 @@ mod sharded_tests {
         DhtStorage::insert(&mut dense, key, 0);
         assert_eq!(DhtStorage::get(&dense, key), Some(&0));
         assert_eq!(DhtStorage::get(&dense, Key::new(2, 71)), None);
-        assert_eq!((DhtStorage::len(&dense), DhtStorage::words(&dense)), (1, 1));
+        assert_eq!(DhtStorage::len(&dense), 1);
         assert_eq!(dense.sorted_entries(), [(key, 0)]);
         assert_eq!(DhtStorage::remove(&mut dense, key), Some(0));
         assert_eq!(DhtStorage::get(&dense, key), None);
-        assert_eq!((DhtStorage::len(&dense), DhtStorage::words(&dense)), (0, 0));
+        assert_eq!(DhtStorage::len(&dense), 0);
         assert_eq!(DhtStorage::remove(&mut dense, key), None);
     }
 
@@ -1736,13 +1622,13 @@ mod sharded_tests {
     fn a_delete_in_an_unwritten_keyspace_changes_nothing() {
         let mut dense: DenseDht<u64> = DenseDht::with_slab_capacity(256);
         DhtStorage::insert(&mut dense, Key::new(0, 5), 9);
-        let before = (DhtStorage::len(&dense), DhtStorage::words(&dense));
+        let before = DhtStorage::len(&dense);
         assert_eq!(DhtStorage::remove(&mut dense, Key::new(4, 5)), None);
         for workers in [1, 2] {
             let deletes: Vec<Op> = (0..256).map(|id| (4, id, WriteOp::Delete)).collect();
             let mut bufs = grid(&dense, &[&deletes]);
             dense.apply_ops_on(&mut bufs, workers);
-            assert_eq!((DhtStorage::len(&dense), DhtStorage::words(&dense)), before);
+            assert_eq!(DhtStorage::len(&dense), before);
             assert!((0..256).all(|id| DhtStorage::get(&dense, Key::new(4, id)).is_none()));
             assert_eq!(DhtStorage::get(&dense, Key::new(0, 5)), Some(&9));
         }
@@ -1793,7 +1679,6 @@ mod sharded_tests {
                 assert!(bufs.iter().all(ShardBuffers::is_empty), "{case}: grid not drained");
                 assert_eq!(dense.sorted_entries(), flat.sorted_entries(), "{case}");
                 assert_eq!(DhtStorage::len(&dense), FlatDht::len(&flat), "{case}");
-                assert_eq!(DhtStorage::words(&dense), FlatDht::words(&flat), "{case}");
                 for space in [0u16, 3] {
                     for &id in &ids {
                         let key = Key::new(space, id);

@@ -28,8 +28,6 @@
 //! The grid lives as long as the system and `apply_ops` drains it in place,
 //! so steady-state rounds allocate nothing for buffering.
 
-use std::borrow::Cow;
-
 use ampc_obs::{CounterId, HistId, Timer, TraceKind};
 
 use crate::dht::{Dht, DhtBackend, DhtStorage, ShardBuffers};
@@ -101,8 +99,6 @@ pub struct RoundOutcome<R> {
     pub results: Vec<R>,
     /// Queries issued during the round.
     pub reads: usize,
-    /// Words written during the round.
-    pub write_words: usize,
 }
 
 /// A simulated AMPC deployment: snapshot DHT + machines + meters.
@@ -206,9 +202,10 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
         let seed = self.config.seed;
 
         // Zeroed meters for this round; each worker folds its machines into
-        // a copy of its own and the copies are summed below.
+        // a copy of its own and the copies are summed below. Every value is
+        // one word, so the word fields are filled from the op counts.
         let blank = || RoundStats {
-            name: Cow::Borrowed(name),
+            name,
             index: round_index,
             reads: 0,
             read_words: 0,
@@ -217,7 +214,7 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
             max_machine_read_words: 0,
             max_machine_write_words: 0,
             snapshot_entries: snapshot.len(),
-            snapshot_words: snapshot.words(),
+            snapshot_words: snapshot.len(),
             total_space_words: 0,
             bytes_shuffled: 0,
             violations: Vec::new(),
@@ -234,13 +231,11 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
                     MachineCtx::new(snapshot, limits, w * block + off, round_index, seed, out);
                 results.extend(slice.iter().filter_map(|item| f(&mut ctx, item)));
                 part.reads += ctx.reads;
-                part.read_words += ctx.read_words;
                 part.writes += ctx.writes;
-                part.write_words += ctx.write_words;
-                part.max_machine_read_words = part.max_machine_read_words.max(ctx.read_words);
-                part.max_machine_write_words = part.max_machine_write_words.max(ctx.write_words);
+                part.max_machine_read_words = part.max_machine_read_words.max(ctx.reads);
+                part.max_machine_write_words = part.max_machine_write_words.max(ctx.writes);
                 if let Some(mut v) = ctx.violation.take() {
-                    v.round_name = Cow::Borrowed(name);
+                    v.round_name = name;
                     part.violations.push(v);
                 }
             }
@@ -269,9 +264,7 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
         let mut results = Vec::new();
         for (mut part, mut part_results) in parts {
             stats.reads += part.reads;
-            stats.read_words += part.read_words;
             stats.writes += part.writes;
-            stats.write_words += part.write_words;
             stats.max_machine_read_words =
                 stats.max_machine_read_words.max(part.max_machine_read_words);
             stats.max_machine_write_words =
@@ -283,6 +276,7 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
                 results.append(&mut part_results);
             }
         }
+        (stats.read_words, stats.write_words) = (stats.reads, stats.writes);
         stats.total_space_words = stats.snapshot_words + stats.read_words + stats.write_words;
         stats.bytes_shuffled = 8 * (stats.writes + stats.write_words);
 
@@ -303,7 +297,7 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
         ampc_obs::trace(TraceKind::RoundCompleted, round_index as u64, stats.bytes_shuffled as u64);
         wall.stop();
 
-        let outcome = RoundOutcome { results, reads: stats.reads, write_words: stats.write_words };
+        let outcome = RoundOutcome { results, reads: stats.reads };
         self.stats.push_round(stats);
         match breach {
             Some(v) => Err(AmpcError::LimitExceeded(v)),

@@ -19,28 +19,22 @@
 //! exactly what [`AmpcSystem`] does:
 //!
 //! ```
-//! use ampc::{AmpcConfig, AmpcSystem, DhtStorage as _, DhtValue, Key};
-//!
-//! #[derive(Clone, Debug, Default, PartialEq)]
-//! struct Val(u64);
-//! impl DhtValue for Val {
-//!     fn words(&self) -> usize { 1 }
-//! }
+//! use ampc::{AmpcConfig, AmpcSystem, DhtStorage as _, Key};
 //!
 //! const SPACE: u16 = 0;
-//! let mut sys: AmpcSystem<Val> = AmpcSystem::new(
+//! let mut sys: AmpcSystem<u64> = AmpcSystem::new(
 //!     AmpcConfig::default().with_machines(4),
-//!     (0..16u64).map(|i| (Key::new(SPACE, i), Val(i))),
+//!     (0..16u64).map(|i| (Key::new(SPACE, i), i)),
 //! );
 //! // One AMPC round: every item reads its successor's value and writes a sum.
 //! let ids: Vec<u64> = (0..16).collect();
 //! sys.round("sum-with-next", &ids, |ctx, &i| {
-//!     let next = ctx.read(Key::new(SPACE, (i + 1) % 16)).unwrap().0;
-//!     ctx.write(Key::new(SPACE, i), Val(i + next));
+//!     let next = *ctx.read(Key::new(SPACE, (i + 1) % 16)).unwrap();
+//!     ctx.write(Key::new(SPACE, i), i + next);
 //!     None::<()>
 //! }).unwrap();
 //! assert_eq!(sys.stats().rounds(), 1);
-//! assert_eq!(sys.snapshot().get(Key::new(SPACE, 3)), Some(&Val(3 + 4)));
+//! assert_eq!(sys.snapshot().get(Key::new(SPACE, 3)), Some(&(3 + 4)));
 //! ```
 //!
 //! Machines within a round are independent by model definition (they read an

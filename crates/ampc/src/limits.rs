@@ -9,7 +9,6 @@
 //! used by the test suite to certify that the paper's algorithms really fit
 //! in `n^δ` local space).
 
-use std::borrow::Cow;
 use std::fmt;
 
 /// Per-machine, per-round word budgets.
@@ -68,10 +67,8 @@ impl fmt::Display for LimitKind {
 pub struct LimitViolation {
     /// Zero-based round index.
     pub round: usize,
-    /// Human-readable round label. Round names are static literals at every
-    /// call site, so this is a borrow in practice — no per-violation
-    /// allocation.
-    pub round_name: Cow<'static, str>,
+    /// Human-readable round label (a literal at every call site).
+    pub round_name: &'static str,
     /// Machine index that breached the budget.
     pub machine: usize,
     /// Words actually used.
@@ -109,7 +106,7 @@ mod tests {
     fn violation_display_is_informative() {
         let v = LimitViolation {
             round: 3,
-            round_name: "probe".into(),
+            round_name: "probe",
             machine: 7,
             used: 999,
             budget: 500,

@@ -13,8 +13,10 @@
 //!   it between here and the table;
 //! * **deterministic randomness** scoped to `(run, round, tag, id)`.
 //!
-//! Every access is metered in words; optional [`SpaceLimits`] breaches are
-//! recorded and reported through the round's statistics.
+//! Every access is metered: a read (hit or miss) and a buffered write each
+//! cost one word, so a budget in words is a budget in ops. Optional
+//! [`SpaceLimits`] breaches are recorded and reported through the round's
+//! statistics.
 
 use crate::dht::{Dht, DhtStorage, ShardBuffers, WriteOp};
 use crate::key::Key;
@@ -33,9 +35,7 @@ pub struct MachineCtx<'a, V, S = Dht<V>> {
     /// The running worker's buffers, shared by the machines of its block.
     out: &'a mut ShardBuffers<V>,
     pub(crate) reads: usize,
-    pub(crate) read_words: usize,
     pub(crate) writes: usize,
-    pub(crate) write_words: usize,
     pub(crate) violation: Option<LimitViolation>,
     limits: Option<SpaceLimits>,
     machine: usize,
@@ -60,9 +60,7 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
             snapshot,
             out,
             reads: 0,
-            read_words: 0,
             writes: 0,
-            write_words: 0,
             violation: None,
             limits,
             machine,
@@ -71,43 +69,40 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
         }
     }
 
-    /// Adaptively reads `key` from the round's snapshot. Charges one query
-    /// plus the value's word width against the read budget.
+    /// Adaptively reads `key` from the round's snapshot. Charges one query,
+    /// a word of the read budget, whether it hits or misses.
     #[inline]
     pub fn read(&mut self, key: Key) -> Option<&V> {
-        let v = self.snapshot.get(key);
         self.reads += 1;
-        // A miss still costs one word of probe traffic.
-        self.read_words += v.map_or(1, DhtValue::words);
         self.check_limit(LimitKind::Reads);
-        v
+        self.snapshot.get(key)
     }
 
     /// Buffers a replacing write of `value` at `key`.
     #[inline]
     pub fn write(&mut self, key: Key, value: V) {
-        self.buffer(key, value.words(), WriteOp::Put(value));
+        self.buffer(key, WriteOp::Put(value));
     }
 
-    /// Buffers a merging write (combined with [`DhtValue::merge`]). Used for
-    /// aggregate updates such as rank stamps where many machines target the
-    /// same key and the result must be schedule-independent.
+    /// Buffers a merging write: the key keeps the largest value written to
+    /// it. Used for aggregate updates such as rank stamps where many
+    /// machines target the same key and the result must be
+    /// schedule-independent.
     #[inline]
     pub fn write_merge(&mut self, key: Key, value: V) {
-        self.buffer(key, value.words(), WriteOp::Merge(value));
+        self.buffer(key, WriteOp::Merge(value));
     }
 
-    /// Buffers a deletion of `key`. Costs one write word (a tombstone).
+    /// Buffers a deletion of `key` (a one-word tombstone).
     #[inline]
     pub fn delete(&mut self, key: Key) {
-        self.buffer(key, 1, WriteOp::Delete);
+        self.buffer(key, WriteOp::Delete);
     }
 
-    /// Meters one op of `words` words and scatters it to its shard's list.
+    /// Meters one op and scatters it to its shard's list.
     #[inline]
-    fn buffer(&mut self, key: Key, words: usize, op: WriteOp<V>) {
+    fn buffer(&mut self, key: Key, op: WriteOp<V>) {
         self.writes += 1;
-        self.write_words += words;
         self.out.push(self.snapshot.shard_of(key), key, op);
         self.check_limit(LimitKind::Writes);
     }
@@ -135,13 +130,13 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
             return; // only the first breach is recorded
         }
         let (used, budget) = match kind {
-            LimitKind::Reads => (self.read_words, limits.read_words),
-            LimitKind::Writes => (self.write_words, limits.write_words),
+            LimitKind::Reads => (self.reads, limits.read_words),
+            LimitKind::Writes => (self.writes, limits.write_words),
         };
         if used > budget {
             self.violation = Some(LimitViolation {
                 round: self.round,
-                round_name: std::borrow::Cow::Borrowed(""), // filled in by the executor
+                round_name: "", // filled in by the executor
                 machine: self.machine,
                 used,
                 budget,
@@ -173,8 +168,7 @@ mod tests {
         let mut ctx = MachineCtx::new(&d, None, 0, 0, 1, &mut out);
         assert_eq!(ctx.read(Key::new(S, 3)), Some(&9));
         assert_eq!(ctx.read(Key::new(S, 99)), None);
-        assert_eq!(ctx.reads, 2);
-        assert_eq!(ctx.read_words, 2); // 1 hit word + 1 miss probe
+        assert_eq!(ctx.reads, 2); // a miss costs a word too
     }
 
     #[test]
@@ -202,7 +196,7 @@ mod tests {
         ctx.write(Key::new(S, 3), 555);
         // Write-only DHT semantics: the round's snapshot is unchanged.
         assert_eq!(ctx.read(Key::new(S, 3)), Some(&9));
-        assert_eq!(ctx.write_words, 1);
+        assert_eq!(ctx.writes, 1);
     }
 
     #[test]

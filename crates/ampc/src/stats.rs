@@ -7,26 +7,23 @@
 //! *charged* for cited O(1)-round host-side primitives (`Contract`,
 //! `Compose`) that run natively but must still pay their published price.
 
-use std::borrow::Cow;
-
 use crate::limits::LimitViolation;
 
 /// Metered costs of a single executed AMPC round.
 #[derive(Debug, Clone)]
 pub struct RoundStats {
-    /// Human-readable label supplied by the algorithm. Round names are
-    /// static literals at every call site, so this is a borrow in practice
-    /// — no per-round allocation.
-    pub name: Cow<'static, str>,
+    /// Human-readable label supplied by the algorithm (a literal at every
+    /// call site).
+    pub name: &'static str,
     /// Zero-based round index within the run.
     pub index: usize,
     /// Number of DHT read operations ("queries" in the paper's terminology).
     pub reads: usize,
-    /// Words transferred by reads.
+    /// Words transferred by reads: one per read, hit or miss.
     pub read_words: usize,
     /// Number of write/merge/delete operations.
     pub writes: usize,
-    /// Words transferred by writes.
+    /// Words transferred by writes: one per op.
     pub write_words: usize,
     /// Largest read-word volume of any single machine this round.
     pub max_machine_read_words: usize,
@@ -34,7 +31,8 @@ pub struct RoundStats {
     pub max_machine_write_words: usize,
     /// Entries in the read-only snapshot at the start of the round.
     pub snapshot_entries: usize,
-    /// Words in the read-only snapshot at the start of the round.
+    /// Words in the read-only snapshot at the start of the round: one per
+    /// entry.
     pub snapshot_words: usize,
     /// Total space consumed by this round: the stored snapshot plus the
     /// round's communication (read and written words). The paper: "the
@@ -197,7 +195,7 @@ mod tests {
 
     fn round(reads: usize, space: usize) -> RoundStats {
         RoundStats {
-            name: "t".into(),
+            name: "t",
             index: 0,
             reads,
             read_words: reads,

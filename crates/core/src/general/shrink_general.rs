@@ -183,14 +183,8 @@ pub fn shrink_general(
     let bfs_queries = sys.stats().total_queries() - bfs_before;
 
     // Step 4: label the rooted super-edge forest (Claim 4.12).
-    let (labels3, chase_rounds) = chase_roots(
-        &mut sys,
-        "sg-chase",
-        SUPER,
-        &(0..n3 as u64).collect::<Vec<_>>(),
-        chase_cap.max(2),
-        32,
-    )?;
+    let (labels3, chase_rounds) =
+        chase_roots(&mut sys, "sg-chase", SUPER, &items, chase_cap.max(2), 32)?;
 
     // Contract(G3, C) — cited O(1)-round primitive, charged.
     let contraction = contract(&d3.graph, &labels3);
@@ -262,7 +256,7 @@ mod tests {
                     dht.insert(key, word);
                 }
             }
-            assert_eq!((dht.len(), dht.words()), (2 * lists.len(), 2 * lists.len()));
+            assert_eq!(dht.len(), 2 * lists.len());
             for (u, list) in lists.iter().enumerate() {
                 let word = |id| *dht.get(Key::new(ADJ, id)).expect("both words are stored");
                 let (nbrs, len) = unpack_adj(word(2 * u as u64), word(2 * u as u64 + 1));
@@ -357,7 +351,7 @@ mod tests {
         let g = erdos_renyi_gnm(500, 1200, 3);
         for (t, chase_cap) in [(16, 4096), (4, 2)] {
             let out = shrink_general(&g, t, chase_cap, cfg(1)).unwrap();
-            let names: Vec<&str> = out.stats.per_round().iter().map(|r| &*r.name).collect();
+            let names: Vec<&str> = out.stats.per_round().iter().map(|r| r.name).collect();
             let mut expected = vec!["sg-bfs"];
             expected.extend(std::iter::repeat_n("sg-chase", out.chase_rounds));
             assert_eq!(names, expected, "t={t}");

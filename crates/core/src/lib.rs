@@ -13,10 +13,11 @@
 //! * [`general`] — **Theorem 1.2**: connected components of a general graph
 //!   in `2^O(k)` rounds with `O(m + n log^(k) n)` total space per round in
 //!   expectation (Algorithm 2: KKT edge sampling + `ShrinkGeneral` +
-//!   recursion), with the `ShrinkGeneral` CC-shrinker of Lemma 4.2.
-//! * [`baselines`] — comparison algorithms: the BDE+21-style
-//!   `O(log log_{T/n} n)` solver (Theorem 4.1, also used as a subroutine)
-//!   and a classic MPC min-label-propagation round counter.
+//!   recursion), with the `ShrinkGeneral` CC-shrinker of Lemma 4.2 and, in
+//!   [`general::bdeplus`], the BDE+21-style `O(log log_{T/n} n)` solver
+//!   (Theorem 4.1: Algorithm 2's base case and a baseline of experiment E8).
+//! * [`baselines`] — comparison algorithms: a classic MPC
+//!   min-label-propagation round counter.
 //! * [`pipeline`] — unified dispatch: a [`PipelineSpec`] (algorithm,
 //!   backend, k, seed, machines) whose `run` returns one
 //!   [`PipelineRun`] shape for both algorithms, so consumers (CLI, the

@@ -519,7 +519,7 @@ fn run_json(g: &Graph, args: &RunArgs, labeling: &Labeling, stats: &RunStats, al
         for r in stats.per_round() {
             j.nest(None, '{', INLINE, |j| {
                 j.field("index", r.index);
-                j.string("name", &r.name);
+                j.string("name", r.name);
                 j.field("reads", r.reads);
                 j.field("read_words", r.read_words);
                 j.field("writes", r.writes);
