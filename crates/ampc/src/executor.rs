@@ -202,19 +202,15 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
         let seed = self.config.seed;
 
         // Zeroed meters for this round; each worker folds its machines into
-        // a copy of its own and the copies are summed below. Every value is
-        // one word, so the word fields are filled from the op counts.
+        // a copy of its own and the copies are summed below.
         let blank = || RoundStats {
             name,
             index: round_index,
             reads: 0,
-            read_words: 0,
             writes: 0,
-            write_words: 0,
             max_machine_read_words: 0,
             max_machine_write_words: 0,
             snapshot_entries: snapshot.len(),
-            snapshot_words: snapshot.len(),
             total_space_words: 0,
             bytes_shuffled: 0,
             violations: Vec::new(),
@@ -276,9 +272,10 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
                 results.append(&mut part_results);
             }
         }
-        (stats.read_words, stats.write_words) = (stats.reads, stats.writes);
-        stats.total_space_words = stats.snapshot_words + stats.read_words + stats.write_words;
-        stats.bytes_shuffled = 8 * (stats.writes + stats.write_words);
+        // Every read, write op and entry is one word; an op ships its 8-byte
+        // key and its one-word value.
+        stats.total_space_words = stats.snapshot_entries + stats.reads + stats.writes;
+        stats.bytes_shuffled = 16 * stats.writes;
 
         let breach = match limits {
             Some(l) if l.enforce => stats.violations.first().cloned(),
@@ -558,14 +555,8 @@ mod backend_equivalence_tests {
             use std::fmt::Write as _;
             let _ = writeln!(
                 fp,
-                "{} {} {} {} {} {} {}",
-                r.name,
-                r.reads,
-                r.read_words,
-                r.writes,
-                r.write_words,
-                r.snapshot_words,
-                r.total_space_words
+                "{} {} {} {} {}",
+                r.name, r.reads, r.writes, r.snapshot_entries, r.total_space_words
             );
         }
         fp
@@ -699,8 +690,8 @@ mod backend_equivalence_tests {
     #[test]
     fn sharded_snapshot_is_byte_identical_to_flat() {
         // `0` is the automatic shard count. The fingerprint carries every
-        // round's snapshot_words, so a drift in the per-shard word
-        // accounting fails here even if the entries themselves agree.
+        // round's `snapshot_entries`, so a drift in the per-shard entry
+        // counts fails here even if the entries themselves agree.
         for machines in [1, 3, 16] {
             let flat = run_workload::<FlatDht<u64>>(machines, DhtBackend::Flat);
             assert_eq!(flat, run_workload::<Dht<u64>>(machines, DhtBackend::Flat), "enum flat");

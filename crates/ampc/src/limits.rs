@@ -2,7 +2,7 @@
 //!
 //! The defining restriction of AMPC is that each machine may read and write
 //! at most `S` words per round, with `S = n^δ` sublinear. [`SpaceLimits`]
-//! carries those budgets; when attached to an [`crate::AmpcConfig`] every
+//! carries that budget; when attached to an [`crate::AmpcConfig`] every
 //! machine's reads and writes are checked each round. Violations are either
 //! recorded (audit mode — useful for experiments that *measure* how close an
 //! algorithm gets to its budget) or turned into hard errors (enforce mode —
@@ -11,13 +11,12 @@
 
 use std::fmt;
 
-/// Per-machine, per-round word budgets.
+/// The per-machine, per-round word budget `S`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpaceLimits {
-    /// Maximum words a machine may read from the snapshot DHT per round.
-    pub read_words: usize,
-    /// Maximum words a machine may write to the output DHT per round.
-    pub write_words: usize,
+    /// `S`: the most words a machine may read from the snapshot DHT in a
+    /// round, and, separately, the most it may write to the output DHT.
+    pub words: usize,
     /// If true, exceeding a budget aborts the round with
     /// [`crate::AmpcError::LimitExceeded`]; otherwise the violation is only
     /// recorded in the round stats.
@@ -25,15 +24,15 @@ pub struct SpaceLimits {
 }
 
 impl SpaceLimits {
-    /// Symmetric budget: `s` words of reads and `s` words of writes,
-    /// recording violations without aborting.
+    /// Budget `s`: `s` words of reads and `s` words of writes, recording
+    /// violations without aborting.
     pub fn audit(s: usize) -> Self {
-        SpaceLimits { read_words: s, write_words: s, enforce: false }
+        SpaceLimits { words: s, enforce: false }
     }
 
-    /// Symmetric budget that aborts the round on violation.
+    /// Budget `s` that aborts the round on violation.
     pub fn enforce(s: usize) -> Self {
-        SpaceLimits { read_words: s, write_words: s, enforce: true }
+        SpaceLimits { words: s, enforce: true }
     }
 
     /// The classic AMPC setting `S = n^δ` (at least 64 words so toy inputs
@@ -86,14 +85,14 @@ mod tests {
     #[test]
     fn sublinear_budget_matches_power() {
         let l = SpaceLimits::sublinear(1 << 20, 0.5);
-        assert_eq!(l.read_words, 1 << 10);
+        assert_eq!(l.words, 1 << 10);
         assert!(!l.enforce);
     }
 
     #[test]
     fn sublinear_budget_has_floor() {
         let l = SpaceLimits::sublinear(10, 0.3);
-        assert_eq!(l.read_words, 64);
+        assert_eq!(l.words, 64);
     }
 
     #[test]

@@ -129,17 +129,17 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
         if self.violation.is_some() {
             return; // only the first breach is recorded
         }
-        let (used, budget) = match kind {
-            LimitKind::Reads => (self.reads, limits.read_words),
-            LimitKind::Writes => (self.writes, limits.write_words),
+        let used = match kind {
+            LimitKind::Reads => self.reads,
+            LimitKind::Writes => self.writes,
         };
-        if used > budget {
+        if used > limits.words {
             self.violation = Some(LimitViolation {
                 round: self.round,
                 round_name: "", // filled in by the executor
                 machine: self.machine,
                 used,
-                budget,
+                budget: limits.words,
                 kind,
             });
         }
@@ -227,6 +227,34 @@ mod tests {
         let v = ctx.violation.clone().expect("violation");
         assert_eq!(v.kind, LimitKind::Writes);
         assert_eq!(v.used, 3);
+    }
+
+    #[test]
+    fn one_budget_bounds_reads_and_writes_each_on_its_own() {
+        const BUDGET: usize = 4;
+        let d = table();
+        let limits = Some(SpaceLimits::audit(BUDGET));
+        let mut out = ShardBuffers::new(1);
+        let mut ctx = MachineCtx::new(&d, limits, 0, 0, 1, &mut out);
+        for i in 0..BUDGET as u64 {
+            ctx.read(Key::new(S, i));
+            ctx.write(Key::new(S, i), i);
+        }
+        // `S` reads and `S` writes: each side is at the budget, not over.
+        assert!(ctx.violation.is_none());
+        ctx.read(Key::new(S, 0));
+        let v = ctx.violation.clone().expect("read-side violation");
+        assert_eq!((v.kind, v.used, v.budget), (LimitKind::Reads, BUDGET + 1, BUDGET));
+
+        let mut out = ShardBuffers::new(1);
+        let mut ctx = MachineCtx::new(&d, limits, 0, 0, 1, &mut out);
+        for i in 0..BUDGET as u64 {
+            ctx.read(Key::new(S, i));
+            ctx.write(Key::new(S, i), i);
+        }
+        ctx.delete(Key::new(S, 0));
+        let v = ctx.violation.clone().expect("write-side violation");
+        assert_eq!((v.kind, v.used, v.budget), (LimitKind::Writes, BUDGET + 1, BUDGET));
     }
 
     #[test]

@@ -17,34 +17,28 @@ pub struct RoundStats {
     pub name: &'static str,
     /// Zero-based round index within the run.
     pub index: usize,
-    /// Number of DHT read operations ("queries" in the paper's terminology).
+    /// Number of DHT read operations ("queries" in the paper's terminology),
+    /// hit or miss; each moves one word.
     pub reads: usize,
-    /// Words transferred by reads: one per read, hit or miss.
-    pub read_words: usize,
-    /// Number of write/merge/delete operations.
+    /// Number of write/merge/delete operations; each moves one word.
     pub writes: usize,
-    /// Words transferred by writes: one per op.
-    pub write_words: usize,
-    /// Largest read-word volume of any single machine this round.
+    /// Most reads, i.e. words read, by any single machine this round.
     pub max_machine_read_words: usize,
-    /// Largest write-word volume of any single machine this round.
+    /// Most write ops, i.e. words written, by any single machine this round.
     pub max_machine_write_words: usize,
-    /// Entries in the read-only snapshot at the start of the round.
+    /// Entries, i.e. words, in the read-only snapshot at the start of the
+    /// round.
     pub snapshot_entries: usize,
-    /// Words in the read-only snapshot at the start of the round: one per
-    /// entry.
-    pub snapshot_words: usize,
     /// Total space consumed by this round: the stored snapshot plus the
-    /// round's communication (read and written words). The paper: "the
-    /// total space usage is determined by the maximum amount of
-    /// communication that happens in any round".
+    /// round's communication, `snapshot_entries + reads + writes`. The
+    /// paper: "the total space usage is determined by the maximum amount
+    /// of communication that happens in any round".
     pub total_space_words: usize,
     /// Shuffle-cost model: bytes a real AMPC deployment would move over
     /// the network at this round's barrier — every write op ships its
-    /// 8-byte packed key plus 8 bytes per value word to the machine
-    /// owning the key, i.e. `8 · (writes + write_words)`. Deterministic
-    /// (a pure function of the op stream, independent of backend and
-    /// thread count).
+    /// 8-byte packed key plus its one-word value to the machine owning the
+    /// key, i.e. `16 · writes`. Deterministic (a pure function of the op
+    /// stream, independent of backend and thread count).
     pub bytes_shuffled: usize,
     /// Budget violations observed (empty unless limits are configured).
     pub violations: Vec<LimitViolation>,
@@ -99,9 +93,9 @@ impl RunStats {
         self.rounds.iter().map(|r| r.reads).sum::<usize>() + self.charged_queries
     }
 
-    /// Total words written across all executed rounds.
+    /// Total words written across all executed rounds: one per write op.
     pub fn total_write_words(&self) -> usize {
-        self.rounds.iter().map(|r| r.write_words).sum()
+        self.rounds.iter().map(|r| r.writes).sum()
     }
 
     /// Total modeled shuffle traffic across all executed rounds: what a
@@ -144,7 +138,7 @@ impl RunStats {
         let _ = writeln!(
             s,
             "{:>4}  {:<22} {:>12} {:>12} {:>12} {:>14} {:>14}",
-            "#", "round", "reads", "read words", "write words", "total space", "shuffle bytes"
+            "#", "round", "reads", "writes", "snapshot", "total space", "shuffle bytes"
         );
         for r in &self.rounds {
             let _ = writeln!(
@@ -153,8 +147,8 @@ impl RunStats {
                 r.index,
                 r.name,
                 r.reads,
-                r.read_words,
-                r.write_words,
+                r.writes,
+                r.snapshot_entries,
                 r.total_space_words,
                 r.bytes_shuffled
             );
@@ -175,12 +169,17 @@ impl RunStats {
     }
 
     /// Folds another run's statistics into this one (used when an algorithm
-    /// invokes a sub-algorithm that ran its own [`crate::AmpcSystem`]).
+    /// invokes a sub-algorithm that ran its own [`crate::AmpcSystem`]). The
+    /// absorbed rounds, and the violations they carry, are renumbered to
+    /// follow this run's.
     pub fn absorb(&mut self, other: &RunStats) {
         let base = self.rounds.len();
         for (i, r) in other.rounds.iter().enumerate() {
             let mut r = r.clone();
             r.index = base + i;
+            for v in &mut r.violations {
+                v.round = r.index;
+            }
             self.rounds.push(r);
         }
         self.charged_rounds += other.charged_rounds;
@@ -198,13 +197,10 @@ mod tests {
             name: "t",
             index: 0,
             reads,
-            read_words: reads,
             writes: 0,
-            write_words: 0,
             max_machine_read_words: reads,
             max_machine_write_words: 0,
-            snapshot_entries: 0,
-            snapshot_words: space,
+            snapshot_entries: space,
             total_space_words: space,
             bytes_shuffled: 0,
             violations: Vec::new(),
@@ -261,10 +257,25 @@ mod tests {
         a.push_round(round(1, 1));
         let mut b = RunStats::new();
         b.push_round(round(2, 2));
+        let mut breached = round(9, 9);
+        breached.index = 1;
+        breached.violations.push(LimitViolation {
+            round: 1,
+            round_name: "t",
+            machine: 0,
+            used: 9,
+            budget: 8,
+            kind: crate::limits::LimitKind::Reads,
+        });
+        b.push_round(breached);
         b.charge_external(1, 3, 4);
         a.absorb(&b);
-        assert_eq!(a.rounds(), 3);
+        assert_eq!(a.rounds(), 4);
         assert_eq!(a.per_round()[1].index, 1);
-        assert_eq!(a.total_queries(), 6);
+        assert_eq!(a.per_round()[2].index, 2);
+        assert_eq!(a.total_queries(), 15);
+        // A violation names the round it now sits in, not its sub-run index.
+        let rounds: Vec<usize> = a.violations().map(|v| v.round).collect();
+        assert_eq!(rounds, [2]);
     }
 }

@@ -80,7 +80,7 @@ pub fn standard_cycle_cc(
 fn collect_locally(state: &mut CycleState) {
     let alive = std::mem::take(&mut state.alive);
     let alive_set: HashSet<u64> = alive.iter().copied().collect();
-    let snapshot_words = state.sys.snapshot().len();
+    let snapshot_entries = state.sys.snapshot().len();
 
     let mut visited: HashSet<u64> = HashSet::new();
     let mut writes: Vec<(u64, u64)> = Vec::new(); // (vertex, parent)
@@ -120,7 +120,7 @@ fn collect_locally(state: &mut CycleState) {
             dht.remove(Key::new(STAMP, x));
         }
     });
-    state.sys.stats_mut().charge_external(1, queries, snapshot_words);
+    state.sys.stats_mut().charge_external(1, queries, snapshot_entries);
     state.roots.extend(roots);
 }
 

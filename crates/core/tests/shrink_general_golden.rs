@@ -7,11 +7,15 @@
 //! or output edge shows up here as a changed fingerprint. All three storage
 //! backends must produce the same one (the backend is an execution detail).
 //!
-//! The rows were last re-recorded when a `G3` adjacency became two `u64`
+//! The rows were re-recorded when a `G3` adjacency became two `u64`
 //! entries of the `ADJ` keyspace: every BFS expansion reads two one-word
 //! entries, so the queries and words in `stats` moved, while a
 //! fingerprint of `H`, the map, the roots, the chase rounds and the round
-//! count alone did not, on any row or backend.
+//! count alone did not, on any row or backend. They were last re-recorded
+//! when `RoundStats` lost its three word counters, copies of `reads`,
+//! `writes` and `snapshot_entries`: the `{:?}` of `stats` lost three
+//! columns, while a fingerprint of every output and every surviving stats
+//! field did not move on any row or backend.
 //!
 //! The `pa` graph is `preferential_attachment` after it stopped iterating a
 //! `HashSet`, so its graph is the same from run to run.
@@ -46,18 +50,18 @@ fn fingerprint(g: &Graph, t: usize, backend: DhtBackend) -> u64 {
 
 /// `(graph, t, fingerprint)`, graphs in the order of `graphs()`.
 const GOLDEN: &[(&str, usize, u64)] = &[
-    ("er", 1, 0x7f95_ce04_e397_414b),
-    ("er", 2, 0x75bc_ab3a_9f82_626f),
-    ("er", 16, 0x11df_8f6c_2380_eb5a),
-    ("er", 64, 0xfff7_022d_c588_ef4d),
-    ("grid", 1, 0xbbf3_c908_7c6a_e286),
-    ("grid", 2, 0x7bf8_1b16_475c_7a23),
-    ("grid", 16, 0x359f_9b39_ab49_98cd),
-    ("grid", 64, 0x6179_5bbf_9696_07e3),
-    ("pa", 1, 0x523c_7106_4702_064c),
-    ("pa", 2, 0x0262_2af6_677d_45a9),
-    ("pa", 16, 0x940c_7f33_b2d0_621c),
-    ("pa", 64, 0x008a_66b7_f1c5_eba2),
+    ("er", 1, 0x5899_920c_fa85_58d7),
+    ("er", 2, 0xbc66_df61_cbf6_14d1),
+    ("er", 16, 0xaa57_46c0_c695_4225),
+    ("er", 64, 0x50de_abc8_79e2_e3ef),
+    ("grid", 1, 0x3c08_6284_56f4_3822),
+    ("grid", 2, 0x8f99_a367_d29d_f746),
+    ("grid", 16, 0x9293_1d0a_0cdf_aabc),
+    ("grid", 64, 0x6d1d_5660_d35b_7e30),
+    ("pa", 1, 0x376d_dbe6_9b1b_e7ac),
+    ("pa", 2, 0xe0ad_7ed8_215c_ae59),
+    ("pa", 16, 0xffec_6a76_3b14_a8d3),
+    ("pa", 64, 0x506c_d014_8757_dff4),
 ];
 
 fn graphs() -> [(&'static str, Graph); 3] {

@@ -521,10 +521,8 @@ fn run_json(g: &Graph, args: &RunArgs, labeling: &Labeling, stats: &RunStats, al
                 j.field("index", r.index);
                 j.string("name", r.name);
                 j.field("reads", r.reads);
-                j.field("read_words", r.read_words);
                 j.field("writes", r.writes);
-                j.field("write_words", r.write_words);
-                j.field("snapshot_words", r.snapshot_words);
+                j.field("snapshot_entries", r.snapshot_entries);
                 j.field("total_space_words", r.total_space_words);
                 j.field("bytes_shuffled", r.bytes_shuffled);
             });

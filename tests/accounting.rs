@@ -10,13 +10,17 @@ use adaptive_mpc_connectivity::cc::general::algorithm2::{
 };
 use adaptive_mpc_connectivity::graph::generators::{erdos_renyi_gnm, random_forest};
 
-/// Every DHT value is one word: a read, a write op and a snapshot entry
-/// each cost exactly one.
-fn assert_one_word(stats: &RunStats) {
+/// The per-round identities of the one-word cost model, checked on every
+/// round: a round's space is its snapshot plus its communication, each write
+/// op ships an 8-byte key and a one-word value, and no machine exceeds the
+/// round's total.
+fn assert_round_identities(stats: &RunStats) {
     for r in stats.per_round() {
-        assert_eq!(r.read_words, r.reads, "round {} ({})", r.index, r.name);
-        assert_eq!(r.write_words, r.writes, "round {} ({})", r.index, r.name);
-        assert_eq!(r.snapshot_words, r.snapshot_entries, "round {} ({})", r.index, r.name);
+        let at = format!("round {} ({})", r.index, r.name);
+        assert_eq!(r.total_space_words, r.snapshot_entries + r.reads + r.writes, "{at}");
+        assert_eq!(r.bytes_shuffled, 16 * r.writes, "{at}");
+        assert!(r.max_machine_read_words <= r.reads, "{at}");
+        assert!(r.max_machine_write_words <= r.writes, "{at}");
     }
 }
 
@@ -25,21 +29,13 @@ fn forest_round_stats_are_internally_consistent() {
     let g = random_forest(8000, 20, 1);
     let res = connected_components_forest(&g, &ForestCcConfig::default()).unwrap();
     let stats = &res.stats;
-    assert_one_word(stats);
+    assert_round_identities(stats);
 
     // Executed + charged = total.
     assert_eq!(stats.rounds(), stats.executed_rounds() + stats.charged_rounds());
     // Per-round indices are sequential.
     for (i, r) in stats.per_round().iter().enumerate() {
         assert_eq!(r.index, i);
-        // Communication decomposition holds per round.
-        assert_eq!(r.total_space_words, r.snapshot_words + r.read_words + r.write_words);
-        // Per-machine maxima cannot exceed totals.
-        assert!(r.max_machine_read_words <= r.read_words);
-        assert!(r.max_machine_write_words <= r.write_words);
-        // The shuffle-cost model: 8 bytes of packed key per write plus
-        // 8 bytes per value word moved at the round barrier.
-        assert_eq!(r.bytes_shuffled, 8 * (r.writes + r.write_words));
     }
     // Total queries ≥ executed-round reads.
     let executed_reads: usize = stats.per_round().iter().map(|r| r.reads).sum();
@@ -58,7 +54,7 @@ fn forest_total_space_is_linear_in_n() {
     for n in [1 << 12, 1 << 14, 1 << 16] {
         let g = random_forest(n, 16, 2);
         let res = connected_components_forest(&g, &ForestCcConfig::default()).unwrap();
-        assert_one_word(&res.stats);
+        assert_round_identities(&res.stats);
         let per_vertex = res.peak_space() as f64 / n as f64;
         assert!(per_vertex < 160.0, "n={n}: peak {per_vertex:.1} words/vertex — superlinear space");
     }
@@ -70,7 +66,7 @@ fn forest_query_total_is_linear_in_n() {
     for n in [1 << 12, 1 << 15] {
         let g = random_forest(n, 16, 3);
         let res = connected_components_forest(&g, &ForestCcConfig::default()).unwrap();
-        assert_one_word(&res.stats);
+        assert_round_identities(&res.stats);
         let per_vertex = res.queries() as f64 / n as f64;
         assert!(
             per_vertex < 220.0,
@@ -89,7 +85,7 @@ fn general_space_tracks_budget_shape() {
     for k in 1..=4 {
         let cfg = GeneralCcConfig::default().with_k(k).with_seed(5);
         let res = connected_components_general(&g, &cfg).unwrap();
-        assert_one_word(&res.stats);
+        assert_round_identities(&res.stats);
         budgets.push(res.total_space);
         assert!(
             res.stats.peak_total_space() < 64 * res.total_space,
@@ -108,7 +104,7 @@ fn per_iteration_outcomes_sum_to_total_removals() {
     let g = random_forest(6000, 6000 / 40, 6);
     let cfg = ForestCcConfig { skip_shrink_large: true, ..ForestCcConfig::default() };
     let res = connected_components_forest(&g, &cfg).unwrap();
-    assert_one_word(&res.stats);
+    assert_round_identities(&res.stats);
     for it in &res.iterations {
         assert_eq!(
             it.alive_before - it.alive_after,
@@ -136,7 +132,7 @@ fn audit_budget_scales_with_delta() {
             ..ForestCcConfig::default()
         };
         let res = connected_components_forest(&g, &cfg).unwrap();
-        assert_one_word(&res.stats);
+        assert_round_identities(&res.stats);
         res.stats.violations().count()
     };
     assert_eq!(violations(0.9), 0, "roomy budget must hold");

@@ -587,6 +587,40 @@ fn cli_json_run_output_is_machine_readable() {
     // The canonical labels of the smoke graph: path 0-1-2-3, triangle
     // 4-5-6, isolated 7.
     assert!(stdout.contains("[0, 0, 0, 0, 4, 4, 4, 7]"), "wrong labels\n{stdout}");
+
+    // Each `per_round` object carries one count per quantity. The smoke
+    // graph fits one machine and runs no round, so take the forest, which does.
+    let exe = env!("CARGO_BIN_EXE_ampc-cc");
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/smoke_forest.txt");
+    let out = Command::new(exe).arg(data).args(["--forest", "--json"]).output().unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let rows: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| !l.contains("\"per_round\": ["))
+        .skip(1)
+        .take_while(|l| l.trim_start().starts_with('{'))
+        .collect();
+    assert!(!rows.is_empty(), "no per_round rows\n{stdout}");
+    for row in rows {
+        // Every quoted string is a key except `name`'s value, which follows it.
+        let mut keys: Vec<&str> = row.split('"').skip(1).step_by(2).collect();
+        let name_at = keys.iter().position(|k| *k == "name").expect("a name");
+        keys.remove(name_at + 1);
+        assert_eq!(
+            keys,
+            [
+                "index",
+                "name",
+                "reads",
+                "writes",
+                "snapshot_entries",
+                "total_space_words",
+                "bytes_shuffled"
+            ],
+            "{row}"
+        );
+    }
 }
 
 /// A spawned `ampc-cc serve tests/data/smoke.txt`, killed when dropped so

@@ -34,8 +34,10 @@ const MACHINE_COUNTS: [usize; 2] = [3, 16];
 /// Seeds every scenario runs under.
 const SEEDS: [u64; 2] = [11, 0xFEED];
 
-/// Canonical fingerprint of a run: the labeling plus every per-round
-/// counter, rendered to a string so replays can be compared byte-for-byte.
+/// Canonical fingerprint of a run: the labeling plus each round's reads,
+/// writes, snapshot entries and total space, rendered to a string so replays
+/// can be compared byte-for-byte. The per-machine maxima are left out, so
+/// runs on different machine counts compare equal.
 fn fingerprint(labeling: &Labeling, stats: &RunStats) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
@@ -43,15 +45,8 @@ fn fingerprint(labeling: &Labeling, stats: &RunStats) -> String {
     for r in stats.per_round() {
         writeln!(
             s,
-            "round {} {}: reads={} read_words={} writes={} write_words={} snap={} total={}",
-            r.index,
-            r.name,
-            r.reads,
-            r.read_words,
-            r.writes,
-            r.write_words,
-            r.snapshot_words,
-            r.total_space_words
+            "round {} {}: reads={} writes={} snap={} total={}",
+            r.index, r.name, r.reads, r.writes, r.snapshot_entries, r.total_space_words
         )
         .unwrap();
     }
