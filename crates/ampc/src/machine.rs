@@ -21,7 +21,7 @@
 use crate::dht::{Dht, DhtStorage, ShardBuffers, WriteOp};
 use crate::key::Key;
 use crate::limits::{LimitKind, LimitViolation, SpaceLimits};
-use crate::rng::{self, SplitMix64};
+use crate::rng::{self, Draws, SplitMix64};
 use crate::value::DhtValue;
 
 /// Execution context for one simulated machine within one round.
@@ -116,6 +116,14 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
     #[inline]
     pub fn rng(&self, tag: u64, id: u64) -> SplitMix64 {
         rng::stream(self.seed, self.round as u64, tag, id)
+    }
+
+    /// The round's family of `tag` streams: `draws(tag).at(id)` is
+    /// `rng(tag, id)`, with the `(seed, round, tag)` prefix folded once. A
+    /// machine that draws for many ids takes the family before its loop.
+    #[inline]
+    pub fn draws(&self, tag: u64) -> Draws {
+        Draws::new(self.seed, self.round as u64, tag)
     }
 
     /// The zero-based index of the current round.
@@ -268,5 +276,23 @@ mod tests {
         let ctx2 = MachineCtx::new(&d, None, 9, 3, 42, &mut out2);
         assert_eq!(ctx1.rng(1, 5).next_u64(), ctx2.rng(1, 5).next_u64());
         assert_ne!(ctx1.rng(1, 5).next_u64(), ctx1.rng(1, 6).next_u64());
+    }
+
+    #[test]
+    fn draws_are_the_rounds_streams() {
+        let d = table();
+        for (seed, round) in [(0, 0), (42, 3), (u64::MAX, 9)] {
+            let mut out = ShardBuffers::new(1);
+            let ctx = MachineCtx::new(&d, None, 0, round, seed, &mut out);
+            for tag in [0, 1, u64::MAX] {
+                let draws = ctx.draws(tag);
+                for id in [0, 5, u64::MAX] {
+                    let (mut a, mut b) = (draws.at(id), ctx.rng(tag, id));
+                    for _ in 0..3 {
+                        assert_eq!(a.next_u64(), b.next_u64(), "({seed}, {round}, {tag}, {id})");
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,13 +9,23 @@
 //! the balance Algorithm 2 exploits to halve the exponent of the average
 //! degree at each level of recursion.
 
-use ampc::rng::stream;
-use ampc_graph::{reference_components, Graph};
+use ampc::rng::Draws;
+use ampc_graph::{reference_components, Graph, VertexId};
 
 /// Keeps each edge of `g` independently with probability `p`
-/// (deterministically, from `seed`). The vertex set is unchanged.
+/// (deterministically, from `seed`): edge `{u, v}`, `u < v`, is kept on
+/// the Bernoulli draw of `stream(seed, 0, u, v)`. The vertex set is
+/// unchanged.
 pub fn sample_edges(g: &Graph, p: f64, seed: u64) -> Graph {
-    g.filter_edges(|u, v| stream(seed, 0, u as u64, v as u64).bernoulli(p))
+    // `filter_edges` asks row by row, so the family of row `u` is folded
+    // once per row, not once per edge.
+    let mut row = (VertexId::MAX, Draws::new(seed, 0, VertexId::MAX as u64));
+    g.filter_edges(|u, v| {
+        if row.0 != u {
+            row = (u, Draws::new(seed, 0, u as u64));
+        }
+        row.1.at(v as u64).bernoulli(p)
+    })
 }
 
 /// Number of edges of `g` whose endpoints lie in different components of
@@ -39,6 +49,7 @@ pub fn algorithm2_sample_probability(n: usize, m: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ampc::rng::stream;
     use ampc_graph::generators::erdos_renyi_gnm;
 
     #[test]

@@ -23,9 +23,11 @@
 //! Step 1 is what keeps the rest in `O(1)` words: a `G3` adjacency list is
 //! at most three 32-bit vertex ids and a length, so it is two `u64` entries
 //! of the `ADJ` keyspace (see `adj_entries`) and every DHT value is one
-//! word; step 3's search keeps one queue of at most `3t − 2` words that
-//! doubles as its visited set — machine-local memory for `t = O(√S)`. See
-//! DESIGN.md, "A G3 adjacency is two words".
+//! word. Step 3's search keeps a FIFO queue of at most `3t − 2` words and
+//! a visited set of at most twice that many (`VisitedSet`), so each
+//! neighbour it looks at costs `O(1)` local work — machine-local memory
+//! for `t = O(√S)`. See DESIGN.md, "A G3 adjacency is two words" and "The
+//! BFS keeps a queue and an epoch-stamped visited set".
 //!
 //! Step 4's rooted-forest labeling (Claim 4.12) is `cycles::chase_roots`,
 //! adaptive root-chasing with path compression: every vertex follows
@@ -53,8 +55,119 @@ const ADJ: Space = 0;
 const SUPER: Space = 1;
 
 thread_local! {
-    /// The `sg-bfs` queue, one per worker thread (see step 3).
-    static BFS_QUEUE: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// The `sg-bfs` queue and visited set, one pair per worker thread,
+    /// reused by every start vertex the worker searches from (step 3).
+    static BFS: RefCell<(Vec<u64>, VisitedSet)> =
+        const { RefCell::new((Vec::new(), VisitedSet::new())) };
+}
+
+/// The vertices one truncated search has queued, for `O(1)` membership
+/// tests: an open-addressed table of at least twice the search's bound of
+/// queued vertices, so its load stays at most ½. A slot holds a stamp in
+/// its high half and a vertex in its low half and is live only while its
+/// stamp is the current search's epoch, so starting a search is one
+/// increment and not a clear.
+struct VisitedSet {
+    /// `epoch << 32 | vertex`; a power-of-two count of slots.
+    slots: Vec<u64>,
+    /// `64 − log2(slots.len())`: a multiplicative hash's top bits pick a slot.
+    shift: u32,
+    /// The current search's stamp. Stamp 0 marks a never-written slot, so
+    /// a live epoch is at least 1.
+    epoch: u32,
+}
+
+impl VisitedSet {
+    const fn new() -> Self {
+        VisitedSet { slots: Vec::new(), shift: 64, epoch: 0 }
+    }
+
+    /// Empties the set for a search that inserts at most `bound ≥ 1`
+    /// vertices, regrowing the table if `bound` outgrew it.
+    fn start(&mut self, bound: usize) {
+        let len = (2 * bound).next_power_of_two();
+        if self.slots.len() < len {
+            self.slots = vec![0; len];
+            self.shift = 64 - len.trailing_zeros();
+            self.epoch = 0;
+        } else if self.epoch == u32::MAX {
+            // A stamp of the wrapped epoch would read as live again.
+            self.slots.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+    }
+
+    /// Adds vertex `w < 2^32` and returns whether it was absent.
+    #[inline]
+    fn insert(&mut self, w: u64) -> bool {
+        debug_assert!(w <= u32::MAX as u64, "vertex {w} does not fit a slot");
+        let mask = self.slots.len() - 1;
+        let mut i = (w.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            let slot = self.slots[i];
+            if (slot >> 32) as u32 != self.epoch {
+                self.slots[i] = (self.epoch as u64) << 32 | w;
+                return true;
+            }
+            if slot & 0xFFFF_FFFF == w {
+                return false;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+}
+
+/// Step 3 from start vertex `v` on the worker's queue and visited set:
+/// `Some(w)` if the search reached a vertex `w` of lower rank (the
+/// super-edge `w → v`), `None` if `v` is a root. `rank` gives a vertex's
+/// rank, `adjacency` its neighbours (the first `len`) and `len`; `bound ≥
+/// 1` caps the vertices one search queues.
+fn truncated_bfs(
+    v: u64,
+    t: usize,
+    bound: usize,
+    rank: impl Fn(u64) -> u64,
+    mut adjacency: impl FnMut(u64) -> ([u64; 3], usize),
+) -> Option<u64> {
+    BFS.with_borrow_mut(|(queue, visited)| {
+        // A FIFO walked by `head` and never popped. It holds v plus at most
+        // 3 neighbours of each of the < t expanded vertices — 3t − 2 words,
+        // within local memory for t = O(√S) — and is reserved at that bound,
+        // so it never reallocates. Allocating it per start vertex costs a
+        // malloc each, and past glibc's ≈ 1 KiB thread cache limit (t ≥ 44)
+        // a slow one.
+        queue.clear();
+        queue.reserve(bound);
+        visited.start(bound);
+        let me = (rank(v), v);
+        queue.push(v);
+        visited.insert(v);
+        let mut head = 0usize;
+        while head < queue.len() {
+            // Stop (a): the search has explored t vertices (v itself counts,
+            // so t = 1 performs no expansion and every vertex is a root).
+            if head + 1 >= t {
+                return None;
+            }
+            let u = queue[head];
+            head += 1;
+            let (nbrs, len) = adjacency(u);
+            for &w in &nbrs[..len] {
+                if !visited.insert(w) {
+                    continue;
+                }
+                if (rank(w), w) < me {
+                    // Stop (c): lower-rank vertex reached → super-edge w → v.
+                    return Some(w);
+                }
+                queue.push(w);
+                debug_assert!(queue.len() <= bound, "BFS queue outgrew min(3t - 2, n3) (t={t})");
+            }
+        }
+        // Stop (b): component exhausted → v is a root.
+        None
+    })
 }
 
 /// The two `ADJ` entries of `G3` vertex `u`: `2u` holds `n0 | n1 << 32`
@@ -132,52 +245,28 @@ pub fn shrink_general(
     let items: Vec<u64> = (0..n3 as u64).collect();
 
     // Steps 2 and 3: truncated BFS from every vertex. A vertex's rank is the
-    // first draw of `ctx.rng(0, x)`, which every machine of this round
-    // evaluates alike, so comparing ranks reads nothing.
-    let queue_bound = t.saturating_mul(3) - 2;
+    // first draw of its member of the round's tag-0 family (`ctx.draws(0)`),
+    // which every machine of this round evaluates alike, so comparing ranks
+    // reads nothing. A search queues at most 3t − 2 vertices, and no more
+    // than G3 has.
+    let bound = (t.saturating_mul(3) - 2).min(n3);
     let bfs_before = sys.stats().total_queries();
     sys.round("sg-bfs", &items, |ctx, &v| {
-        // FIFO walked by `head` and never popped: every vertex the search
-        // marks visited is queued, so the queue is also the visited set. It
-        // holds v plus at most 3 neighbors of each of the < t expanded
-        // vertices — 3t − 2 words, within local memory for t = O(√S) — and
-        // is reserved at that bound, so it never reallocates. One buffer
-        // per worker thread, cleared per start vertex: allocating it per
-        // start costs a malloc each, and past glibc's ≈ 1 KiB thread cache
-        // limit (t ≥ 44) a slow one.
-        BFS_QUEUE.with_borrow_mut(|queue| {
-            queue.clear();
-            queue.reserve(queue_bound.min(n3));
-            let me = (ctx.rng(0, v).next_u64(), v);
-            queue.push(v);
-            let mut head = 0usize;
-            while head < queue.len() {
-                // Stop (a): the search has explored t vertices (v itself
-                // counts, so t = 1 performs no expansion and every vertex is
-                // a root).
-                if head + 1 >= t {
-                    return;
-                }
-                let u = queue[head];
-                head += 1;
+        let ranks = ctx.draws(0);
+        let parent = truncated_bfs(
+            v,
+            t,
+            bound,
+            |w| ranks.at(w).next_u64(),
+            |u| {
                 let lo = *ctx.read(Key::new(ADJ, 2 * u)).expect("missing adjacency");
                 let hi = *ctx.read(Key::new(ADJ, 2 * u + 1)).expect("missing adjacency");
-                let (nbrs, len) = unpack_adj(lo, hi);
-                for &w in &nbrs[..len] {
-                    if queue.contains(&w) {
-                        continue;
-                    }
-                    if (ctx.rng(0, w).next_u64(), w) < me {
-                        // Stop (c): lower-rank vertex reached → super-edge w → v.
-                        ctx.write(Key::new(SUPER, v), w);
-                        return;
-                    }
-                    queue.push(w);
-                    debug_assert!(queue.len() <= queue_bound, "BFS queue outgrew 3t - 2 (t={t})");
-                }
-            }
-            // Stop (b): component exhausted → v is a root.
-        });
+                unpack_adj(lo, hi)
+            },
+        );
+        if let Some(w) = parent {
+            ctx.write(Key::new(SUPER, v), w);
+        }
         None::<()>
     })?;
     let bfs_queries = sys.stats().total_queries() - bfs_before;
@@ -355,6 +444,155 @@ mod tests {
             let mut expected = vec!["sg-bfs"];
             expected.extend(std::iter::repeat_n("sg-chase", out.chase_rounds));
             assert_eq!(names, expected, "t={t}");
+        }
+    }
+
+    /// The live entries of `set`'s current search.
+    fn live(set: &VisitedSet) -> usize {
+        set.slots.iter().filter(|&&slot| (slot >> 32) as u32 == set.epoch).count()
+    }
+
+    #[test]
+    fn a_repeated_insert_is_refused() {
+        let mut set = VisitedSet::new();
+        set.start(4);
+        for w in [0, 7, u32::MAX as u64] {
+            assert!(set.insert(w), "first insert of {w}");
+            assert!(!set.insert(w), "second insert of {w}");
+        }
+        assert_eq!(live(&set), 3);
+    }
+
+    #[test]
+    fn a_new_search_hides_the_last_ones_vertices() {
+        let mut set = VisitedSet::new();
+        set.start(8);
+        for w in 0..8 {
+            assert!(set.insert(w));
+        }
+        set.start(8);
+        assert_eq!(live(&set), 0);
+        for w in 0..8 {
+            assert!(set.insert(w), "vertex {w} survived into the next search");
+        }
+    }
+
+    #[test]
+    fn the_epoch_wraps_by_clearing_the_stamps() {
+        let mut set = VisitedSet::new();
+        set.start(4);
+        assert_eq!(set.epoch, 1);
+        assert!(set.insert(9)); // stamped with epoch 1
+        set.epoch = u32::MAX - 1;
+        set.start(4);
+        assert_eq!(set.epoch, u32::MAX);
+        assert!(set.insert(3));
+        assert!(!set.insert(3));
+        set.start(4);
+        assert_eq!(set.epoch, 1, "the epoch after u32::MAX");
+        assert_eq!(live(&set), 0, "a stamp from before the wrap reads as live");
+        assert!(set.insert(9));
+        assert!(set.insert(3));
+    }
+
+    #[test]
+    fn the_table_regrows_with_the_bound() {
+        let mut set = VisitedSet::new();
+        set.start(3);
+        assert_eq!(set.slots.len(), 8);
+        assert!(set.insert(1));
+        set.start(100);
+        assert_eq!(set.slots.len(), 256);
+        assert_eq!(live(&set), 0);
+        for w in 0..100 {
+            assert!(set.insert(w));
+        }
+        // A smaller bound keeps the larger table.
+        set.start(3);
+        assert_eq!(set.slots.len(), 256);
+        assert!(set.insert(1));
+    }
+
+    #[test]
+    fn the_load_stays_at_most_one_half() {
+        let mut set = VisitedSet::new();
+        for bound in (1..=300).chain([1 << 12, 3 * 64 - 2]) {
+            set.slots = Vec::new(); // sized by this bound alone
+            set.start(bound);
+            // Ids a multiplicative hash spreads worst: multiples of a power of two.
+            for k in 0..bound as u64 {
+                assert!(set.insert(k << 20), "bound {bound}: id {} refused", k << 20);
+            }
+            assert_eq!(live(&set), bound);
+            assert!(2 * bound <= set.slots.len(), "bound {bound}: load above 1/2");
+            assert!(set.slots.len().is_power_of_two());
+        }
+    }
+
+    /// `truncated_bfs` with the queue as its own visited set, scanned by
+    /// `queue.contains` (the search before `VisitedSet`).
+    fn search_by_queue_scan(
+        g3: &Graph,
+        v: u64,
+        t: usize,
+        rank: impl Fn(u64) -> u64,
+    ) -> Option<u64> {
+        let me = (rank(v), v);
+        let mut queue = vec![v];
+        let mut head = 0;
+        while head < queue.len() {
+            if head + 1 >= t {
+                return None;
+            }
+            let u = queue[head];
+            head += 1;
+            for &w in g3.neighbors(u as VertexId) {
+                let w = w as u64;
+                if queue.contains(&w) {
+                    continue;
+                }
+                if (rank(w), w) < me {
+                    return Some(w);
+                }
+                queue.push(w);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn every_search_matches_the_queue_scan() {
+        for family in ampc_graph::generators::GraphFamily::ALL {
+            let g3 = to_degree3(&family.generate(300, 5)).graph;
+            let n3 = g3.n();
+            for t in [1, 2, 3, 16, 64] {
+                let ranks = ampc::rng::Draws::new(t as u64, 0, 0);
+                let rank = |w: u64| ranks.at(w).next_u64();
+                let adjacency = |u: u64| {
+                    let list = g3.neighbors(u as VertexId);
+                    let n = |i| list.get(i).map_or(0, |&w| w as u64);
+                    ([n(0), n(1), n(2)], list.len())
+                };
+                let bound = (3 * t - 2).min(n3);
+                let (mut parents, mut roots) = (0, 0);
+                for v in 0..n3 as u64 {
+                    let got = truncated_bfs(v, t, bound, rank, adjacency);
+                    assert_eq!(
+                        got,
+                        search_by_queue_scan(&g3, v, t, rank),
+                        "{} t={t} v={v}",
+                        family.name()
+                    );
+                    if got.is_some() {
+                        parents += 1;
+                    } else {
+                        roots += 1;
+                    }
+                }
+                if t > 1 {
+                    assert!(parents > 0 && roots > 0, "{} t={t}: a trivial case", family.name());
+                }
+            }
         }
     }
 
