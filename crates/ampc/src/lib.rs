@@ -4,7 +4,7 @@
 //! SPAA 2023) extends MPC with a shared **distributed hash table** (DHT):
 //!
 //! * `M` machines, each with local space `S` (strictly sublinear in the input
-//!   size `N`; typically `S = n^δ`).
+//!   size `N`; `S = n^δ` from [`Budget::local_space`]).
 //! * Computation proceeds in synchronous **rounds**. Within a round every
 //!   machine may **adaptively** read up to `S` words from a *read-only* DHT
 //!   (the output of the previous round) and write up to `S` words to a
@@ -76,7 +76,7 @@ pub use dht::{DenseDht, Dht, DhtBackend, DhtStorage, FlatDht, ShardBuffers, Shar
 pub use error::{AmpcError, AmpcResult};
 pub use executor::{AmpcConfig, AmpcSystem, RoundOutcome};
 pub use key::{Key, Space};
-pub use limits::{LimitViolation, SpaceLimits};
+pub use limits::{Budget, LimitViolation, SpaceLimits};
 pub use machine::MachineCtx;
 pub use stats::{RoundStats, RunStats};
 pub use value::DhtValue;

@@ -1,9 +1,10 @@
 //! Local-space budgets and violation reporting.
 //!
 //! The defining restriction of AMPC is that each machine may read and write
-//! at most `S` words per round, with `S = n^δ` sublinear. [`SpaceLimits`]
-//! carries that budget; when attached to an [`crate::AmpcConfig`] every
-//! machine's reads and writes are checked each round. Violations are either
+//! at most `S` words per round, with `S = n^δ` sublinear. [`Budget`] derives
+//! `S` (and holds the total space `T`); [`SpaceLimits`] carries `S` into a
+//! run: when attached to an [`crate::AmpcConfig`] every machine's reads and
+//! writes are checked each round. Violations are either
 //! recorded (audit mode — useful for experiments that *measure* how close an
 //! algorithm gets to its budget) or turned into hard errors (enforce mode —
 //! used by the test suite to certify that the paper's algorithms really fit
@@ -34,12 +35,29 @@ impl SpaceLimits {
     pub fn enforce(s: usize) -> Self {
         SpaceLimits { words: s, enforce: true }
     }
+}
 
-    /// The classic AMPC setting `S = n^δ` (at least 64 words so toy inputs
-    /// remain runnable).
-    pub fn sublinear(n: usize, delta: f64) -> Self {
-        let s = ((n as f64).powf(delta).ceil() as usize).max(64);
-        Self::audit(s)
+/// The space budgets of one run: `S` words per machine per round and `T`
+/// words in total.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Budget {
+    /// `S`: the local space of a machine, from [`Budget::local_space`].
+    pub s: usize,
+    /// `T`: the total space of the run.
+    pub t: usize,
+}
+
+impl Budget {
+    /// The local space `S = ⌈size^δ⌉` of an input of `size` words, at least
+    /// 64 so toy inputs remain runnable. Every pipeline takes `S` from here.
+    pub fn local_space(size: usize, delta: f64) -> usize {
+        ((size as f64).powf(delta).ceil() as usize).max(64)
+    }
+
+    /// `⌊√S⌋`, at least 2: the cap on ShrinkGeneral's exploration budget
+    /// `t` (Algorithm 2 line 9 and the Theorem 4.1 loop).
+    pub fn sqrt_s(&self) -> usize {
+        (self.s as f64).sqrt().floor().max(2.0) as usize
     }
 }
 
@@ -83,16 +101,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sublinear_budget_matches_power() {
-        let l = SpaceLimits::sublinear(1 << 20, 0.5);
-        assert_eq!(l.words, 1 << 10);
-        assert!(!l.enforce);
+    fn local_space_matches_power() {
+        assert_eq!(Budget::local_space(1 << 20, 0.5), 1 << 10);
     }
 
     #[test]
-    fn sublinear_budget_has_floor() {
-        let l = SpaceLimits::sublinear(10, 0.3);
-        assert_eq!(l.words, 64);
+    fn local_space_has_floor() {
+        assert_eq!(Budget::local_space(10, 0.3), 64);
+    }
+
+    #[test]
+    fn sqrt_s_floors_and_has_floor() {
+        let sqrt_s = |s| Budget { s, t: 0 }.sqrt_s();
+        assert_eq!(sqrt_s(64), 8);
+        assert_eq!(sqrt_s(2_039), 45);
+        assert_eq!(sqrt_s(3), 2);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`Table`] pairing paper bounds with measured values. `quick` shrinks the
 //! input sizes (used by the integration tests and CI).
 
-use ampc::{AmpcConfig, DhtBackend};
+use ampc::{AmpcConfig, Budget, DhtBackend};
 use ampc_cc::baselines::mpc_label_prop::{exponentiated_propagation, min_label_propagation};
 use ampc_cc::cycles::CycleState;
 use ampc_cc::forest::pipeline::{connected_components_forest, ForestCcConfig};
@@ -208,7 +208,7 @@ pub fn e5_general_rounds(quick: bool) -> Table {
             res.max_depth_reached.to_string(),
             res.stats.rounds().to_string(),
             big(res.stats.peak_total_space()),
-            big(res.total_space),
+            big(res.budget.t),
         ]);
     }
     t
@@ -335,10 +335,9 @@ pub fn e8_baseline_comparison(quick: bool) -> Table {
         big(res.stats.total_queries()),
         big(res.stats.peak_total_space()),
     ]);
-    let t_total = 8 * (g.n() + g.m());
-    let s_local = ((g.n() + g.m()) as f64).powf(0.6) as usize;
-    let b41 =
-        theorem41(&g, t_total, s_local, &AmpcConfig::default().with_seed(0xE8)).expect("thm41");
+    let size = g.n() + g.m();
+    let budget = Budget { s: Budget::local_space(size, 0.6), t: 8 * size };
+    let b41 = theorem41(&g, budget, &AmpcConfig::default().with_seed(0xE8)).expect("thm41");
     assert_correct(&g, &b41.labeling, "E8 grid thm41");
     t.push(vec![
         format!("grid {side}x{side}"),

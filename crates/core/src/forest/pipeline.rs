@@ -28,7 +28,7 @@
 //! with constants scaled so the dynamics are observable. Experiments E1–E4
 //! verify the resulting shapes against the lemmas.
 
-use ampc::{AmpcConfig, AmpcResult, DhtBackend, RunStats, SpaceLimits};
+use ampc::{AmpcConfig, AmpcResult, Budget, DhtBackend, RunStats, SpaceLimits};
 use ampc_graph::euler::forest_to_cycles;
 use ampc_graph::{Graph, Labeling};
 
@@ -41,12 +41,6 @@ use crate::{log_star, tower};
 /// `B` cap as a multiple of `log₂ n` (the paper's `ε·log n/100`).
 const B_CAP_LOG_FACTOR: f64 = 0.75;
 
-/// Constant-factor slack on `S` for the audit budget. The paper's
-/// per-machine bound is `O(n^δ)` (with random load balancing smoothing the
-/// tail — footnote 3); the audit enforces `factor · S` to make the hidden
-/// constant explicit.
-const AUDIT_BUDGET_FACTOR: f64 = 8.0;
-
 /// Configuration of the forest-connectivity pipeline.
 #[derive(Debug, Clone)]
 pub struct ForestCcConfig {
@@ -54,7 +48,8 @@ pub struct ForestCcConfig {
     pub machines: usize,
     /// Run seed.
     pub seed: u64,
-    /// Local-space exponent: `S = n^delta` words per machine.
+    /// Local-space exponent: `S = Budget::local_space(n, delta)` words per
+    /// machine.
     pub delta: f64,
     /// Initial rank width `B₀` (Algorithm 1 line 4).
     pub b0: u16,
@@ -131,11 +126,6 @@ impl ForestCcConfig {
         let cap = (B_CAP_LOG_FACTOR * (n.max(4) as f64).log2()).floor();
         cap.clamp(4.0, 16.0) as u16
     }
-
-    /// Per-machine word budget `S = n^delta`.
-    fn local_space(&self, n: usize) -> usize {
-        ((n.max(2) as f64).powf(self.delta).ceil() as usize).max(64)
-    }
 }
 
 /// Full result of a forest-connectivity run.
@@ -153,8 +143,6 @@ pub struct ForestCcResult {
     pub finisher: StandardCycleOutcome,
     /// Number of cycle vertices after the Euler reduction.
     pub cycle_vertices: usize,
-    /// The configured per-machine budget `S`.
-    pub local_space: usize,
 }
 
 impl ForestCcResult {
@@ -192,7 +180,7 @@ impl ForestCcResult {
 /// Panics if `g` is not a forest.
 pub fn connected_components_forest(g: &Graph, cfg: &ForestCcConfig) -> AmpcResult<ForestCcResult> {
     let n = g.n();
-    let local_space = cfg.local_space(n.max(2));
+    let local_space = Budget::local_space(n, cfg.delta);
 
     // Line 2: forest → disjoint cycles (Observation 3.1). The Euler tour is
     // a cited O(1)-round optimal-space primitive [TV85, BDE+21]; executed
@@ -209,8 +197,7 @@ pub fn connected_components_forest(g: &Graph, cfg: &ForestCcConfig) -> AmpcResul
         .with_seed(cfg.seed)
         .with_backend(cfg.backend);
     if cfg.audit_limits {
-        let budget = (AUDIT_BUDGET_FACTOR * local_space as f64) as usize;
-        ampc_cfg = ampc_cfg.with_limits(SpaceLimits::audit(budget));
+        ampc_cfg = ampc_cfg.with_limits(SpaceLimits::audit(local_space));
     }
     let mut state = CycleState::from_decomposition(&decomp, ampc_cfg);
     state.sys.stats_mut().charge_external(1, 2 * g.m(), 2 * n0.max(1));
@@ -275,7 +262,6 @@ pub fn connected_components_forest(g: &Graph, cfg: &ForestCcConfig) -> AmpcResul
         iterations,
         finisher,
         cycle_vertices: n0,
-        local_space,
     })
 }
 
@@ -368,9 +354,8 @@ mod tests {
 
     #[test]
     fn audit_mode_reports_no_violations_at_scale() {
-        // With S = n^0.7, capped cycle lengths, and machines sized so that
-        // each holds O(1) vertices (T = M·S stays O(n) up to the audit
-        // factor), no machine should exceed its budget.
+        // With S = n^0.7, capped cycle lengths, and M = n/4 machines that
+        // each hold O(1) vertices, no machine should exceed S.
         let n = 1 << 16;
         let g = random_forest(n, 4, 17);
         let cfg = ForestCcConfig {

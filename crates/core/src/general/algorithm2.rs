@@ -20,7 +20,7 @@
 //! expected number of `ConnectedComponents` calls by `2^O(k)` when
 //! `T = Ω(m + n log^(k) n)`; experiment E5 measures exactly this count.
 
-use ampc::{AmpcConfig, AmpcResult, DhtBackend, RunStats};
+use ampc::{AmpcConfig, AmpcResult, Budget, DhtBackend, RunStats};
 use ampc_graph::contract::{compose_labels, contract};
 use ampc_graph::{reference_components, Graph, Labeling};
 
@@ -42,7 +42,7 @@ pub struct GeneralCcConfig {
     pub machines: usize,
     /// Run seed.
     pub seed: u64,
-    /// Local-space exponent: `S = (n + m)^delta`.
+    /// Local-space exponent: `S = Budget::local_space(n + m, delta)`.
     pub delta: f64,
     /// The space parameter `k` of Theorem 1.2: total space
     /// `T = space_const · (m + n · log^(k) n)`.
@@ -95,15 +95,11 @@ impl GeneralCcConfig {
         self
     }
 
-    /// Total space `T` for an `(n, m)` input.
-    pub fn total_space(&self, n: usize, m: usize) -> usize {
+    /// The budget of an `(n, m)` input: `S` from `δ` and `n + m`, and
+    /// `T = space_const · (m + n · log^(k) n)`.
+    pub fn budget(&self, n: usize, m: usize) -> Budget {
         let t = self.space_const * (m as f64 + n as f64 * log_iter(n.max(2) as f64, self.k));
-        t.ceil() as usize
-    }
-
-    /// Local space `S` for an `(n, m)` input.
-    pub fn local_space(&self, n: usize, m: usize) -> usize {
-        (((n + m).max(2) as f64).powf(self.delta).ceil() as usize).max(64)
+        Budget { s: Budget::local_space(n + m, self.delta), t: t.ceil() as usize }
     }
 }
 
@@ -136,16 +132,15 @@ pub struct GeneralCcResult {
     pub max_depth_reached: usize,
     /// How many calls bottomed out in the Theorem 4.1 solver.
     pub base_case_calls: usize,
-    /// Total space budget `T` the run was configured with.
-    pub total_space: usize,
+    /// The budget `S` and `T` the run was configured with.
+    pub budget: Budget,
     /// One record per `ConnectedComponents` call, in call order.
     pub calls: Vec<CallReport>,
 }
 
 struct Driver<'a> {
     cfg: &'a GeneralCcConfig,
-    t_total: usize,
-    s_local: usize,
+    budget: Budget,
     stats: RunStats,
     cc_calls: usize,
     base_case_calls: usize,
@@ -172,14 +167,14 @@ impl Driver<'_> {
         self.cc_calls += 1;
         self.max_depth = self.max_depth.max(depth);
         let (n, m) = (g.n(), g.m());
-        let space_per_vertex = self.t_total as f64 / n.max(1) as f64;
+        let space_per_vertex = self.budget.t as f64 / n.max(1) as f64;
         let call_idx = self.calls.len();
         self.calls.push(CallReport { depth, n, m, space_per_vertex, terminal: false });
 
         // Degenerate / small inputs: solve on one machine (charged). Only
         // vertices with an edge count towards fitting it.
         let live = g.non_isolated();
-        if live <= SMALL_THRESHOLD || live + 2 * m <= self.s_local || depth >= MAX_DEPTH {
+        if live <= SMALL_THRESHOLD || live + 2 * m <= self.budget.s || depth >= MAX_DEPTH {
             self.calls[call_idx].terminal = true;
             self.stats.charge_external(1, n + 2 * m, n + 2 * m);
             return Ok(reference_components(g).0);
@@ -190,7 +185,7 @@ impl Driver<'_> {
             self.calls[call_idx].terminal = true;
             self.base_case_calls += 1;
             let cfg = self.ampc_cfg();
-            let res = theorem41(g, self.t_total, self.s_local, &cfg)?;
+            let res = theorem41(g, self.budget, &cfg)?;
             self.stats.absorb(&res.stats);
             return Ok(res.labeling.0);
         }
@@ -220,13 +215,12 @@ impl Driver<'_> {
             self.stats.charge_external(1, g.n() + 2 * g.m(), g.n() + 2 * g.m());
             return Ok(reference_components(g).0);
         }
-        // t = min(2^√(T/n), √S), clamped to at least 2 so progress is made.
-        let sqrt_s = (self.s_local as f64).sqrt();
-        let budget = (self.t_total as f64 / n as f64).max(1.0).sqrt();
-        let t = budget.exp2().min(sqrt_s).max(2.0) as usize;
+        // t = min(2^√(T/n), √S), at least 2 so progress is made.
+        let exponent = (self.budget.t as f64 / n as f64).max(1.0).sqrt();
+        let t = (exponent.exp2() as usize).min(self.budget.sqrt_s());
 
         let cfg = self.ampc_cfg();
-        let out = shrink_general(g, t, self.s_local, cfg)?;
+        let out = shrink_general(g, t, self.budget.s, cfg)?;
         self.stats.absorb(&out.stats);
 
         let sub = if out.h.n() >= g.n() {
@@ -257,12 +251,9 @@ pub fn connected_components_general(
     g: &Graph,
     cfg: &GeneralCcConfig,
 ) -> AmpcResult<GeneralCcResult> {
-    let t_total = cfg.total_space(g.n(), g.m());
-    let s_local = cfg.local_space(g.n(), g.m());
     let mut driver = Driver {
         cfg,
-        t_total,
-        s_local,
+        budget: cfg.budget(g.n(), g.m()),
         stats: RunStats::new(),
         cc_calls: 0,
         base_case_calls: 0,
@@ -277,7 +268,7 @@ pub fn connected_components_general(
         cc_calls: driver.cc_calls,
         max_depth_reached: driver.max_depth,
         base_case_calls: driver.base_case_calls,
-        total_space: t_total,
+        budget: driver.budget,
         calls: driver.calls,
     })
 }

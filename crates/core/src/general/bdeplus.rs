@@ -12,7 +12,7 @@
 //! black box — see DESIGN.md), finishing locally once the remainder fits a
 //! single machine.
 
-use ampc::{AmpcConfig, AmpcResult, RunStats};
+use ampc::{AmpcConfig, AmpcResult, Budget, RunStats};
 use ampc_graph::{reference_components, Graph, Labeling};
 
 use crate::general::shrink_general::shrink_general;
@@ -30,17 +30,11 @@ pub struct BdePlusResult {
     pub budgets: Vec<usize>,
 }
 
-/// Solves connectivity with total space `t_total` and local space `s_local`
-/// per the Theorem 4.1 recipe.
-pub fn theorem41(
-    g: &Graph,
-    t_total: usize,
-    s_local: usize,
-    ampc_cfg: &AmpcConfig,
-) -> AmpcResult<BdePlusResult> {
+/// Solves connectivity with total space `budget.t` and local space
+/// `budget.s` per the Theorem 4.1 recipe.
+pub fn theorem41(g: &Graph, budget: Budget, ampc_cfg: &AmpcConfig) -> AmpcResult<BdePlusResult> {
     let mut stats = RunStats::new();
     let mut budgets = Vec::new();
-    let sqrt_s = (s_local as f64).sqrt().floor().max(2.0) as usize;
 
     // Work stack of (graph, mapping to previous level).
     let mut levels: Vec<Vec<u32>> = Vec::new(); // to_h mappings, innermost last
@@ -53,15 +47,15 @@ pub fn theorem41(
         // (charged one round and its footprint). Only vertices with an edge
         // count towards fitting it.
         let live = cur.non_isolated();
-        if live + cur.m() <= s_local || live <= 64 {
+        if live + cur.m() <= budget.s || live <= 64 {
             stats.charge_external(1, cur.n() + 2 * cur.m(), cur.n() + 2 * cur.m());
             break reference_components(&cur);
         }
-        let t = (t_total / n).clamp(2, sqrt_s);
+        let t = (budget.t / n).clamp(2, budget.sqrt_s());
         budgets.push(t);
         let cfg = ampc_cfg.clone().with_seed(ampc_cfg.seed.wrapping_add(seed_bump));
         seed_bump += 1;
-        let out = shrink_general(&cur, t, s_local, cfg)?;
+        let out = shrink_general(&cur, t, budget.s, cfg)?;
         stats.absorb(&out.stats);
         if out.h.n() >= cur.n() {
             // No progress (t degenerated): finish locally for correctness.
@@ -92,11 +86,11 @@ mod tests {
         AmpcConfig::default().with_machines(4).with_seed(99)
     }
 
-    fn check(g: &Graph, t_total: usize, s_local: usize) -> BdePlusResult {
-        let res = theorem41(g, t_total, s_local, &cfg()).unwrap();
+    fn check(g: &Graph, t: usize, s: usize) -> BdePlusResult {
+        let res = theorem41(g, Budget { s, t }, &cfg()).unwrap();
         assert!(
             res.labeling.same_partition(&reference_components(g)),
-            "wrong labeling (T={t_total}, S={s_local})"
+            "wrong labeling (T={t}, S={s})"
         );
         res
     }

@@ -52,5 +52,5 @@ fn main() {
         result.cc_calls
     );
     println!("  AMPC rounds = {}", result.stats.rounds());
-    println!("  space budget T = {} words", result.total_space);
+    println!("  space budget T = {} words", result.budget.t);
 }

@@ -11,7 +11,7 @@
 //! cargo run --release --example social_graph
 //! ```
 
-use adaptive_mpc_connectivity::ampc::AmpcConfig;
+use adaptive_mpc_connectivity::ampc::{AmpcConfig, Budget};
 use adaptive_mpc_connectivity::cc::general::algorithm2::{
     connected_components_general, GeneralCcConfig,
 };
@@ -42,13 +42,12 @@ fn main() {
     println!("  AMPC rounds       = {}", ours.stats.rounds());
     println!("  total queries     = {}", ours.stats.total_queries());
     println!("  peak round space  = {} words", ours.stats.peak_total_space());
-    println!("  space budget T    = {} words", ours.total_space);
+    println!("  space budget T    = {} words", ours.budget.t);
 
     // Baseline: BDE+21 Theorem 4.1 with 8× linear space.
-    let t_total = 8 * (g.n() + g.m());
-    let s_local = ((g.n() + g.m()) as f64).powf(0.6) as usize;
-    let base =
-        theorem41(&g, t_total, s_local, &AmpcConfig::default().with_seed(99)).expect("theorem 4.1");
+    let size = g.n() + g.m();
+    let budget = Budget { s: Budget::local_space(size, 0.6), t: 8 * size };
+    let base = theorem41(&g, budget, &AmpcConfig::default().with_seed(99)).expect("theorem 4.1");
     assert!(base.labeling.same_partition(&truth));
     println!("\nBDE+21 Theorem 4.1 baseline (T = 8N):");
     println!("  ShrinkGeneral levels = {} (budgets {:?})", base.levels, base.budgets);

@@ -1,7 +1,7 @@
 //! Cost-accounting integration tests: the meters the experiments rely on
 //! must themselves obey the paper's bookkeeping identities.
 
-use adaptive_mpc_connectivity::ampc::RunStats;
+use adaptive_mpc_connectivity::ampc::{Budget, RunStats};
 use adaptive_mpc_connectivity::cc::forest::pipeline::{
     connected_components_forest, ForestCcConfig,
 };
@@ -86,12 +86,12 @@ fn general_space_tracks_budget_shape() {
         let cfg = GeneralCcConfig::default().with_k(k).with_seed(5);
         let res = connected_components_general(&g, &cfg).unwrap();
         assert_round_identities(&res.stats);
-        budgets.push(res.total_space);
+        budgets.push(res.budget.t);
         assert!(
-            res.stats.peak_total_space() < 64 * res.total_space,
+            res.stats.peak_total_space() < 64 * res.budget.t,
             "k={k}: peak {} way above budget {}",
             res.stats.peak_total_space(),
-            res.total_space
+            res.budget.t
         );
     }
     for w in budgets.windows(2) {
@@ -121,19 +121,28 @@ fn per_iteration_outcomes_sum_to_total_removals() {
 
 #[test]
 fn audit_budget_scales_with_delta() {
-    // Larger delta → larger S → same workload further under budget.
+    // The audit checks S = Budget::local_space(n, delta) itself, and a
+    // larger delta → larger S → the same workload further under budget.
     let n = 1 << 14;
     let g = random_forest(n, 8, 7);
-    let violations = |delta: f64| {
-        let cfg = ForestCcConfig {
-            delta,
-            audit_limits: true,
-            machines: n / 4,
-            ..ForestCcConfig::default()
-        };
+    let violations = |delta: f64, machines: usize| {
+        let cfg =
+            ForestCcConfig { delta, audit_limits: true, machines, ..ForestCcConfig::default() };
         let res = connected_components_forest(&g, &cfg).unwrap();
         assert_round_identities(&res.stats);
+        let s = Budget::local_space(n, delta);
+        for v in res.stats.violations() {
+            assert_eq!(v.budget, s, "delta={delta}: {v:?} is not held to S");
+        }
         res.stats.violations().count()
     };
-    assert_eq!(violations(0.9), 0, "roomy budget must hold");
+    // At M = 1 one machine carries each whole round, so the large rounds
+    // breach S at every delta.
+    let one_machine: Vec<usize> = [0.5, 0.7, 0.9].iter().map(|&d| violations(d, 1)).collect();
+    assert!(one_machine.iter().all(|&c| c > 0), "one machine must breach S: {one_machine:?}");
+    for w in one_machine.windows(2) {
+        assert!(w[1] <= w[0], "violations grew with delta: {one_machine:?}");
+    }
+    assert_eq!(violations(0.7, n / 4), 0, "S = n^0.7 must hold at M = n/4");
+    assert_eq!(violations(0.9, n / 4), 0, "roomy budget must hold");
 }

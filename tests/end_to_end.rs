@@ -1,7 +1,7 @@
 //! End-to-end integration: every algorithm, every workload family, checked
 //! against sequential ground truth and against each other.
 
-use adaptive_mpc_connectivity::ampc::AmpcConfig;
+use adaptive_mpc_connectivity::ampc::{AmpcConfig, Budget};
 use adaptive_mpc_connectivity::cc::baselines::mpc_label_prop::{
     exponentiated_propagation, min_label_propagation,
 };
@@ -63,7 +63,8 @@ fn all_five_algorithms_agree_on_forests() {
     let a2 = connected_components_general(&g, &GeneralCcConfig::default()).unwrap();
     assert!(a2.labeling.same_partition(&truth), "Algorithm 2");
 
-    let b41 = theorem41(&g, 16 * (g.n() + g.m()), 1 << 10, &AmpcConfig::default()).unwrap();
+    let budget = Budget { s: 1 << 10, t: 16 * (g.n() + g.m()) };
+    let b41 = theorem41(&g, budget, &AmpcConfig::default()).unwrap();
     assert!(b41.labeling.same_partition(&truth), "Theorem 4.1");
 
     assert!(min_label_propagation(&g).labeling.same_partition(&truth), "MPC min-label");
