@@ -7,8 +7,8 @@ use crate::limits::LimitViolation;
 /// Errors surfaced by the AMPC executor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AmpcError {
-    /// A machine exceeded its per-round local-space budget and enforcement
-    /// is enabled. The violation records which budget was breached.
+    /// A machine exceeded the enforced per-round local-space budget. The
+    /// violation names the round, the side and the worst machine's count.
     LimitExceeded(LimitViolation),
 }
 
@@ -17,8 +17,8 @@ impl fmt::Display for AmpcError {
         match self {
             AmpcError::LimitExceeded(v) => write!(
                 f,
-                "AMPC local-space limit exceeded in round {} ({}): machine {} used {} {} of budget {}",
-                v.round, v.round_name, v.machine, v.used, v.kind, v.budget
+                "AMPC local-space limit exceeded in round {} ({}): a machine used {} {} of budget {}",
+                v.round, v.round_name, v.used, v.kind, v.budget
             ),
         }
     }

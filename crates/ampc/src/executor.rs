@@ -34,7 +34,6 @@ use crate::dht::{Dht, DhtBackend, DhtStorage, ShardBuffers};
 use crate::error::{AmpcError, AmpcResult};
 use crate::host_workers;
 use crate::key::Key;
-use crate::limits::SpaceLimits;
 use crate::machine::MachineCtx;
 use crate::stats::{RoundStats, RunStats};
 use crate::value::DhtValue;
@@ -46,8 +45,11 @@ pub struct AmpcConfig {
     pub num_machines: usize,
     /// Run seed; all algorithm randomness derives from it.
     pub seed: u64,
-    /// Optional per-machine, per-round space budgets.
-    pub limits: Option<SpaceLimits>,
+    /// An enforced local-space budget `S`: a round in which any machine
+    /// reads more than `S` words, or writes more than `S`, fails with
+    /// [`AmpcError::LimitExceeded`] and its writes are dropped. Without it a
+    /// finished run is still audited by [`RunStats::over_budget`].
+    pub budget: Option<usize>,
     /// Which DHT storage backend the deployment uses: [`AmpcSystem::new`]
     /// builds the store this names. The backend never affects results, only
     /// the cost of a read and the merge's parallelism.
@@ -59,7 +61,7 @@ impl Default for AmpcConfig {
         AmpcConfig {
             num_machines: 8,
             seed: 0xA5A5_1234_5678_9ABC,
-            limits: None,
+            budget: None,
             backend: DhtBackend::default(),
         }
     }
@@ -79,9 +81,9 @@ impl AmpcConfig {
         self
     }
 
-    /// Attaches space budgets.
-    pub fn with_limits(mut self, limits: SpaceLimits) -> Self {
-        self.limits = Some(limits);
+    /// Enforces the local-space budget `s` on every round.
+    pub fn with_budget(mut self, s: usize) -> Self {
+        self.budget = Some(s);
         self
     }
 
@@ -179,7 +181,7 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
     /// docs).
     ///
     /// Returns the non-`None` closure results in item order. A round that
-    /// breaches an enforced limit is still recorded — in [`RunStats`], the
+    /// breaches an enforced budget is still recorded — in [`RunStats`], the
     /// round counter, the wall-time histogram and the trace — but its
     /// writes are discarded.
     pub fn round<I, R, F>(
@@ -198,7 +200,6 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
         let round_index = self.stats.executed_rounds();
         let chunk = items.len().div_ceil(m).max(1);
         let snapshot = &self.snapshot;
-        let limits = self.config.limits;
         let seed = self.config.seed;
 
         // Zeroed meters for this round; each worker folds its machines into
@@ -213,27 +214,21 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
             snapshot_entries: snapshot.len(),
             total_space_words: 0,
             bytes_shuffled: 0,
-            violations: Vec::new(),
         };
 
         // Worker `w` runs machines `w * block ..` one after the other, all
         // of them appending to `self.bufs[w]`.
         let num_jobs = items.len().div_ceil(chunk);
         let block = num_jobs.div_ceil(self.bufs.len()).max(1);
-        let run_worker = |w: usize, span: &[I], out: &mut ShardBuffers<V>| {
+        let run_worker = |span: &[I], out: &mut ShardBuffers<V>| {
             let (mut part, mut results) = (blank(), Vec::new());
-            for (off, slice) in span.chunks(chunk).enumerate() {
-                let mut ctx =
-                    MachineCtx::new(snapshot, limits, w * block + off, round_index, seed, out);
+            for slice in span.chunks(chunk) {
+                let mut ctx = MachineCtx::new(snapshot, round_index, seed, out);
                 results.extend(slice.iter().filter_map(|item| f(&mut ctx, item)));
                 part.reads += ctx.reads;
                 part.writes += ctx.writes;
                 part.max_machine_read_words = part.max_machine_read_words.max(ctx.reads);
                 part.max_machine_write_words = part.max_machine_write_words.max(ctx.writes);
-                if let Some(mut v) = ctx.violation.take() {
-                    v.round_name = name;
-                    part.violations.push(v);
-                }
             }
             (part, results)
         };
@@ -243,29 +238,27 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
                 let handles: Vec<_> = items
                     .chunks(block * chunk)
                     .zip(&mut self.bufs)
-                    .enumerate()
-                    .map(|(w, (span, out))| scope.spawn(move || run_worker(w, span, out)))
+                    .map(|(span, out)| scope.spawn(move || run_worker(span, out)))
                     .collect();
                 handles.into_iter().map(|h| h.join().expect("machine worker panicked")).collect()
             })
         } else {
-            vec![run_worker(0, items, &mut self.bufs[0])]
+            vec![run_worker(items, &mut self.bufs[0])]
         };
 
         // Worker order is machine order, so folding the parts in sequence
-        // keeps violations and results in machine (hence item) order. The
-        // first part that has results is kept as the output buffer rather
-        // than copied into a fresh one.
+        // keeps results in machine (hence item) order. The first part that
+        // has results is kept as the output buffer rather than copied into a
+        // fresh one.
         let mut stats = blank();
         let mut results = Vec::new();
-        for (mut part, mut part_results) in parts {
+        for (part, mut part_results) in parts {
             stats.reads += part.reads;
             stats.writes += part.writes;
             stats.max_machine_read_words =
                 stats.max_machine_read_words.max(part.max_machine_read_words);
             stats.max_machine_write_words =
                 stats.max_machine_write_words.max(part.max_machine_write_words);
-            stats.violations.append(&mut part.violations);
             if results.is_empty() {
                 results = part_results;
             } else {
@@ -277,10 +270,9 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
         stats.total_space_words = stats.snapshot_entries + stats.reads + stats.writes;
         stats.bytes_shuffled = 16 * stats.writes;
 
-        let breach = match limits {
-            Some(l) if l.enforce => stats.violations.first().cloned(),
-            _ => None,
-        };
+        // A machine's running count passes `S` exactly when its final count
+        // exceeds `S`, so the round's two maxima decide the breach.
+        let breach = self.config.budget.and_then(|s| stats.over_budget(s).next());
         if breach.is_some() {
             // The round fails: its writes never reach the table.
             self.bufs.iter_mut().for_each(ShardBuffers::clear);
@@ -306,6 +298,7 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::limits::LimitKind;
 
     const S: u16 = 0;
     const AUX: u16 = 1;
@@ -396,7 +389,7 @@ mod tests {
     #[test]
     fn enforcement_errors_the_round() {
         let mut sys: AmpcSystem<u64> = AmpcSystem::new(
-            AmpcConfig::default().with_machines(1).with_limits(SpaceLimits::enforce(3)),
+            AmpcConfig::default().with_machines(1).with_budget(3),
             (0..10u64).map(|i| (Key::new(S, i), i)),
         );
         let ids: Vec<u64> = (0..10).collect();
@@ -407,22 +400,48 @@ mod tests {
             })
             .unwrap_err();
         let AmpcError::LimitExceeded(v) = err;
-        assert_eq!(v.budget, 3);
+        assert_eq!((v.used, v.budget), (10, 3));
     }
 
     #[test]
-    fn audit_mode_records_without_failing() {
-        let mut sys: AmpcSystem<u64> = AmpcSystem::new(
-            AmpcConfig::default().with_machines(1).with_limits(SpaceLimits::audit(3)),
-            (0..10u64).map(|i| (Key::new(S, i), i)),
-        );
+    fn any_finished_run_is_audited_off_its_meters() {
+        // No budget is attached: the round runs, and the audit afterwards
+        // reads each side's worst machine against any `S`.
+        let mut sys = system(2, 10);
         let ids: Vec<u64> = (0..10).collect();
         sys.round("greedy", &ids, |ctx, &i| {
             ctx.read(Key::new(S, i));
+            ctx.read(Key::new(S, i));
+            ctx.write(Key::new(AUX, i), i);
             None::<()>
         })
         .unwrap();
-        assert_eq!(sys.stats().violations().count(), 1);
+        // Two machines of five items: 10 reads and 5 writes each.
+        let audit = |s| {
+            sys.stats().over_budget(s).iter().map(|v| (v.round, v.kind, v.used)).collect::<Vec<_>>()
+        };
+        assert!(audit(10).is_empty());
+        assert_eq!(audit(5), [(0, LimitKind::Reads, 10)]);
+        assert_eq!(audit(4), [(0, LimitKind::Reads, 10), (0, LimitKind::Writes, 5)]);
+    }
+
+    #[test]
+    fn a_round_over_on_both_sides_fails_naming_reads() {
+        let mut sys: AmpcSystem<u64> = AmpcSystem::new(
+            AmpcConfig::default().with_machines(1).with_budget(3),
+            std::iter::empty(),
+        );
+        let ids: Vec<u64> = (0..6).collect();
+        let err = sys
+            .round("both", &ids, |ctx, &i| {
+                ctx.write(Key::new(AUX, i), i);
+                ctx.read(Key::new(S, i));
+                None::<()>
+            })
+            .unwrap_err();
+        let AmpcError::LimitExceeded(v) = err;
+        assert_eq!((v.kind, v.used, v.budget, v.round_name), (LimitKind::Reads, 6, 3, "both"));
+        assert_eq!(sys.snapshot().len(), 0, "a failed round's writes were applied");
     }
 
     #[test]

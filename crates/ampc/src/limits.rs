@@ -1,41 +1,16 @@
-//! Local-space budgets and violation reporting.
+//! Local-space budgets and their breaches.
 //!
 //! The defining restriction of AMPC is that each machine may read and write
 //! at most `S` words per round, with `S = n^δ` sublinear. [`Budget`] derives
-//! `S` (and holds the total space `T`); [`SpaceLimits`] carries `S` into a
-//! run: when attached to an [`crate::AmpcConfig`] every machine's reads and
-//! writes are checked each round. Violations are either
-//! recorded (audit mode — useful for experiments that *measure* how close an
-//! algorithm gets to its budget) or turned into hard errors (enforce mode —
-//! used by the test suite to certify that the paper's algorithms really fit
-//! in `n^δ` local space).
+//! `S` (and holds the total space `T`). A budget is read off the meters the
+//! executor keeps anyway, each round's worst machine on each side:
+//! [`crate::RunStats::over_budget`] audits any finished run against `S`,
+//! and [`crate::AmpcConfig::budget`] enforces `S` on the same two maxima,
+//! failing the round that breaches it with
+//! [`crate::AmpcError::LimitExceeded`] — used by the test suite to certify
+//! that the paper's algorithms really fit in `n^δ` local space.
 
 use std::fmt;
-
-/// The per-machine, per-round word budget `S`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpaceLimits {
-    /// `S`: the most words a machine may read from the snapshot DHT in a
-    /// round, and, separately, the most it may write to the output DHT.
-    pub words: usize,
-    /// If true, exceeding a budget aborts the round with
-    /// [`crate::AmpcError::LimitExceeded`]; otherwise the violation is only
-    /// recorded in the round stats.
-    pub enforce: bool,
-}
-
-impl SpaceLimits {
-    /// Budget `s`: `s` words of reads and `s` words of writes, recording
-    /// violations without aborting.
-    pub fn audit(s: usize) -> Self {
-        SpaceLimits { words: s, enforce: false }
-    }
-
-    /// Budget `s` that aborts the round on violation.
-    pub fn enforce(s: usize) -> Self {
-        SpaceLimits { words: s, enforce: true }
-    }
-}
 
 /// The space budgets of one run: `S` words per machine per round and `T`
 /// words in total.
@@ -79,16 +54,14 @@ impl fmt::Display for LimitKind {
     }
 }
 
-/// A recorded budget breach.
+/// A round whose worst machine breached the budget on one side.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LimitViolation {
     /// Zero-based round index.
     pub round: usize,
     /// Human-readable round label (a literal at every call site).
     pub round_name: &'static str,
-    /// Machine index that breached the budget.
-    pub machine: usize,
-    /// Words actually used.
+    /// Words the round's worst machine used on this side.
     pub used: usize,
     /// The configured budget.
     pub budget: usize,
@@ -119,17 +92,10 @@ mod tests {
     }
 
     #[test]
-    fn enforce_flag_set_by_constructor() {
-        assert!(SpaceLimits::enforce(128).enforce);
-        assert!(!SpaceLimits::audit(128).enforce);
-    }
-
-    #[test]
     fn violation_display_is_informative() {
         let v = LimitViolation {
             round: 3,
             round_name: "probe",
-            machine: 7,
             used: 999,
             budget: 500,
             kind: LimitKind::Reads,
@@ -137,7 +103,6 @@ mod tests {
         let msg = crate::AmpcError::LimitExceeded(v).to_string();
         assert!(msg.contains("round 3"));
         assert!(msg.contains("probe"));
-        assert!(msg.contains("machine 7"));
         assert!(msg.contains("999"));
         assert!(msg.contains("500"));
         assert!(msg.contains("read words"));

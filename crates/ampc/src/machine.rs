@@ -14,13 +14,13 @@
 //! * **deterministic randomness** scoped to `(run, round, tag, id)`.
 //!
 //! Every access is metered: a read (hit or miss) and a buffered write each
-//! cost one word, so a budget in words is a budget in ops. Optional
-//! [`SpaceLimits`] breaches are recorded and reported through the round's
-//! statistics.
+//! cost one word, so a budget in words is a budget in ops. The context only
+//! counts; the executor folds each machine's two counts into the round's
+//! worst-machine maxima, which is where a budget `S` is checked (see
+//! `limits.rs`).
 
 use crate::dht::{Dht, DhtStorage, ShardBuffers, WriteOp};
 use crate::key::Key;
-use crate::limits::{LimitKind, LimitViolation, SpaceLimits};
 use crate::rng::{self, Draws, SplitMix64};
 use crate::value::DhtValue;
 
@@ -36,9 +36,6 @@ pub struct MachineCtx<'a, V, S = Dht<V>> {
     out: &'a mut ShardBuffers<V>,
     pub(crate) reads: usize,
     pub(crate) writes: usize,
-    pub(crate) violation: Option<LimitViolation>,
-    limits: Option<SpaceLimits>,
-    machine: usize,
     round: usize,
     seed: u64,
 }
@@ -49,24 +46,12 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
     /// after the other, in machine-index order.
     pub(crate) fn new(
         snapshot: &'a S,
-        limits: Option<SpaceLimits>,
-        machine: usize,
         round: usize,
         seed: u64,
         out: &'a mut ShardBuffers<V>,
     ) -> Self {
         debug_assert_eq!(out.shard_count(), snapshot.shard_count());
-        MachineCtx {
-            snapshot,
-            out,
-            reads: 0,
-            writes: 0,
-            violation: None,
-            limits,
-            machine,
-            round,
-            seed,
-        }
+        MachineCtx { snapshot, out, reads: 0, writes: 0, round, seed }
     }
 
     /// Adaptively reads `key` from the round's snapshot. Charges one query,
@@ -74,7 +59,6 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
     #[inline]
     pub fn read(&mut self, key: Key) -> Option<&V> {
         self.reads += 1;
-        self.check_limit(LimitKind::Reads);
         self.snapshot.get(key)
     }
 
@@ -104,7 +88,6 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
     fn buffer(&mut self, key: Key, op: WriteOp<V>) {
         self.writes += 1;
         self.out.push(self.snapshot.shard_of(key), key, op);
-        self.check_limit(LimitKind::Writes);
     }
 
     /// Deterministic random stream scoped to `(run seed, round, tag, id)`.
@@ -130,28 +113,6 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
     pub fn round_index(&self) -> usize {
         self.round
     }
-
-    #[inline]
-    fn check_limit(&mut self, kind: LimitKind) {
-        let Some(limits) = self.limits else { return };
-        if self.violation.is_some() {
-            return; // only the first breach is recorded
-        }
-        let used = match kind {
-            LimitKind::Reads => self.reads,
-            LimitKind::Writes => self.writes,
-        };
-        if used > limits.words {
-            self.violation = Some(LimitViolation {
-                round: self.round,
-                round_name: "", // filled in by the executor
-                machine: self.machine,
-                used,
-                budget: limits.words,
-                kind,
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +134,7 @@ mod tests {
     fn reads_are_metered() {
         let d = table();
         let mut out = ShardBuffers::new(1);
-        let mut ctx = MachineCtx::new(&d, None, 0, 0, 1, &mut out);
+        let mut ctx = MachineCtx::new(&d, 0, 1, &mut out);
         assert_eq!(ctx.read(Key::new(S, 3)), Some(&9));
         assert_eq!(ctx.read(Key::new(S, 99)), None);
         assert_eq!(ctx.reads, 2); // a miss costs a word too
@@ -187,7 +148,7 @@ mod tests {
         d.insert(Key::new(S, 4), 7u64);
         d.insert(Key::new(S, 7), 0u64);
         let mut out = ShardBuffers::new(1);
-        let mut ctx = MachineCtx::new(&d, None, 0, 0, 1, &mut out);
+        let mut ctx = MachineCtx::new(&d, 0, 1, &mut out);
         let mut cur = 0u64;
         for _ in 0..3 {
             cur = *ctx.read(Key::new(S, cur)).unwrap();
@@ -200,7 +161,7 @@ mod tests {
     fn writes_are_buffered_not_visible() {
         let d = table();
         let mut out = ShardBuffers::new(1);
-        let mut ctx = MachineCtx::new(&d, None, 0, 0, 1, &mut out);
+        let mut ctx = MachineCtx::new(&d, 0, 1, &mut out);
         ctx.write(Key::new(S, 3), 555);
         // Write-only DHT semantics: the round's snapshot is unchanged.
         assert_eq!(ctx.read(Key::new(S, 3)), Some(&9));
@@ -208,72 +169,14 @@ mod tests {
     }
 
     #[test]
-    fn violation_recorded_once() {
-        let d = table();
-        let limits = SpaceLimits::audit(2);
-        let mut out = ShardBuffers::new(1);
-        let mut ctx = MachineCtx::new(&d, Some(limits), 5, 7, 1, &mut out);
-        for i in 0..4 {
-            ctx.read(Key::new(S, i));
-        }
-        let v = ctx.violation.clone().expect("violation expected");
-        assert_eq!(v.machine, 5);
-        assert_eq!(v.round, 7);
-        assert_eq!(v.used, 3); // recorded at first breach, not at the end
-        assert_eq!(v.kind, LimitKind::Reads);
-    }
-
-    #[test]
-    fn write_side_violation_recorded() {
-        let d = table();
-        let mut out = ShardBuffers::new(1);
-        let mut ctx = MachineCtx::new(&d, Some(SpaceLimits::audit(2)), 1, 0, 1, &mut out);
-        ctx.write(Key::new(S, 0), 1);
-        ctx.write(Key::new(S, 1), 2);
-        assert!(ctx.violation.is_none());
-        ctx.delete(Key::new(S, 2)); // third write word breaches the budget
-        let v = ctx.violation.clone().expect("violation");
-        assert_eq!(v.kind, LimitKind::Writes);
-        assert_eq!(v.used, 3);
-    }
-
-    #[test]
-    fn one_budget_bounds_reads_and_writes_each_on_its_own() {
-        const BUDGET: usize = 4;
-        let d = table();
-        let limits = Some(SpaceLimits::audit(BUDGET));
-        let mut out = ShardBuffers::new(1);
-        let mut ctx = MachineCtx::new(&d, limits, 0, 0, 1, &mut out);
-        for i in 0..BUDGET as u64 {
-            ctx.read(Key::new(S, i));
-            ctx.write(Key::new(S, i), i);
-        }
-        // `S` reads and `S` writes: each side is at the budget, not over.
-        assert!(ctx.violation.is_none());
-        ctx.read(Key::new(S, 0));
-        let v = ctx.violation.clone().expect("read-side violation");
-        assert_eq!((v.kind, v.used, v.budget), (LimitKind::Reads, BUDGET + 1, BUDGET));
-
-        let mut out = ShardBuffers::new(1);
-        let mut ctx = MachineCtx::new(&d, limits, 0, 0, 1, &mut out);
-        for i in 0..BUDGET as u64 {
-            ctx.read(Key::new(S, i));
-            ctx.write(Key::new(S, i), i);
-        }
-        ctx.delete(Key::new(S, 0));
-        let v = ctx.violation.clone().expect("write-side violation");
-        assert_eq!((v.kind, v.used, v.budget), (LimitKind::Writes, BUDGET + 1, BUDGET));
-    }
-
-    #[test]
     fn rng_is_context_deterministic() {
         let d = table();
         let mut out1 = ShardBuffers::new(1);
-        let ctx1 = MachineCtx::new(&d, None, 0, 3, 42, &mut out1);
+        let ctx1 = MachineCtx::new(&d, 3, 42, &mut out1);
         // Same context on a different machine: streams depend on
         // (seed, round, tag, id), NOT on the machine index.
         let mut out2 = ShardBuffers::new(1);
-        let ctx2 = MachineCtx::new(&d, None, 9, 3, 42, &mut out2);
+        let ctx2 = MachineCtx::new(&d, 3, 42, &mut out2);
         assert_eq!(ctx1.rng(1, 5).next_u64(), ctx2.rng(1, 5).next_u64());
         assert_ne!(ctx1.rng(1, 5).next_u64(), ctx1.rng(1, 6).next_u64());
     }
@@ -283,7 +186,7 @@ mod tests {
         let d = table();
         for (seed, round) in [(0, 0), (42, 3), (u64::MAX, 9)] {
             let mut out = ShardBuffers::new(1);
-            let ctx = MachineCtx::new(&d, None, 0, round, seed, &mut out);
+            let ctx = MachineCtx::new(&d, round, seed, &mut out);
             for tag in [0, 1, u64::MAX] {
                 let draws = ctx.draws(tag);
                 for id in [0, 5, u64::MAX] {

@@ -6,8 +6,10 @@
 //! [`RunStats`] aggregates a full algorithm execution, including costs
 //! *charged* for cited O(1)-round host-side primitives (`Contract`,
 //! `Compose`) that run natively but must still pay their published price.
+//! The per-round worst-machine maxima are the budget meter:
+//! [`RunStats::over_budget`] audits a finished run against any `S`.
 
-use crate::limits::LimitViolation;
+use crate::limits::{LimitKind, LimitViolation};
 
 /// Metered costs of a single executed AMPC round.
 #[derive(Debug, Clone)]
@@ -40,8 +42,26 @@ pub struct RoundStats {
     /// key, i.e. `16 · writes`. Deterministic (a pure function of the op
     /// stream, independent of backend and thread count).
     pub bytes_shuffled: usize,
-    /// Budget violations observed (empty unless limits are configured).
-    pub violations: Vec<LimitViolation>,
+}
+
+impl RoundStats {
+    /// The sides, reads first, on which this round's worst machine used
+    /// more than `s` words.
+    pub(crate) fn over_budget(&self, s: usize) -> impl Iterator<Item = LimitViolation> + '_ {
+        [
+            (LimitKind::Reads, self.max_machine_read_words),
+            (LimitKind::Writes, self.max_machine_write_words),
+        ]
+        .into_iter()
+        .filter(move |&(_, used)| used > s)
+        .map(move |(kind, used)| LimitViolation {
+            round: self.index,
+            round_name: self.name,
+            used,
+            budget: s,
+            kind,
+        })
+    }
 }
 
 /// Aggregated costs of an algorithm run.
@@ -125,9 +145,11 @@ impl RunStats {
         &self.rounds
     }
 
-    /// All recorded budget violations across rounds.
-    pub fn violations(&self) -> impl Iterator<Item = &LimitViolation> {
-        self.rounds.iter().flat_map(|r| r.violations.iter())
+    /// The audit of this run against a local-space budget `s`: one
+    /// violation per executed round and side whose worst machine used more
+    /// than `s` words, in round order, reads before writes.
+    pub fn over_budget(&self, s: usize) -> Vec<LimitViolation> {
+        self.rounds.iter().flat_map(|r| r.over_budget(s)).collect()
     }
 
     /// Renders a per-round cost table (markdown-ish, fixed-width) for
@@ -170,17 +192,11 @@ impl RunStats {
 
     /// Folds another run's statistics into this one (used when an algorithm
     /// invokes a sub-algorithm that ran its own [`crate::AmpcSystem`]). The
-    /// absorbed rounds, and the violations they carry, are renumbered to
-    /// follow this run's.
+    /// absorbed rounds are renumbered to follow this run's.
     pub fn absorb(&mut self, other: &RunStats) {
         let base = self.rounds.len();
         for (i, r) in other.rounds.iter().enumerate() {
-            let mut r = r.clone();
-            r.index = base + i;
-            for v in &mut r.violations {
-                v.round = r.index;
-            }
-            self.rounds.push(r);
+            self.rounds.push(RoundStats { index: base + i, ..r.clone() });
         }
         self.charged_rounds += other.charged_rounds;
         self.charged_queries += other.charged_queries;
@@ -203,7 +219,6 @@ mod tests {
             snapshot_entries: space,
             total_space_words: space,
             bytes_shuffled: 0,
-            violations: Vec::new(),
         }
     }
 
@@ -259,14 +274,6 @@ mod tests {
         b.push_round(round(2, 2));
         let mut breached = round(9, 9);
         breached.index = 1;
-        breached.violations.push(LimitViolation {
-            round: 1,
-            round_name: "t",
-            machine: 0,
-            used: 9,
-            budget: 8,
-            kind: crate::limits::LimitKind::Reads,
-        });
         b.push_round(breached);
         b.charge_external(1, 3, 4);
         a.absorb(&b);
@@ -275,7 +282,39 @@ mod tests {
         assert_eq!(a.per_round()[2].index, 2);
         assert_eq!(a.total_queries(), 15);
         // A violation names the round it now sits in, not its sub-run index.
-        let rounds: Vec<usize> = a.violations().map(|v| v.round).collect();
+        let rounds: Vec<usize> = a.over_budget(8).iter().map(|v| v.round).collect();
         assert_eq!(rounds, [2]);
+    }
+
+    #[test]
+    fn over_budget_reads_each_side_off_the_worst_machine() {
+        const BUDGET: usize = 4;
+        let mut s = RunStats::new();
+        let mut r = round(40, 0);
+        r.index = 7;
+        r.name = "probe";
+        (r.max_machine_read_words, r.max_machine_write_words) = (BUDGET, BUDGET);
+        s.push_round(r.clone());
+        // `S` reads and `S` writes: each side is at the budget, not over.
+        assert!(s.over_budget(BUDGET).is_empty());
+
+        let side = |reads: usize, writes: usize| {
+            let mut s = RunStats::new();
+            s.push_round(RoundStats {
+                max_machine_read_words: reads,
+                max_machine_write_words: writes,
+                ..r.clone()
+            });
+            s.over_budget(BUDGET).iter().map(|v| (v.kind, v.used)).collect::<Vec<_>>()
+        };
+        assert_eq!(side(BUDGET + 1, BUDGET), [(LimitKind::Reads, BUDGET + 1)]);
+        assert_eq!(side(BUDGET, 3 * BUDGET), [(LimitKind::Writes, 3 * BUDGET)]);
+        // Over on both sides: one record per side, reads first.
+        assert_eq!(side(9, 6), [(LimitKind::Reads, 9), (LimitKind::Writes, 6)]);
+
+        // A violation names its round and the budget it was held to.
+        s.push_round(RoundStats { index: 8, max_machine_read_words: 31, ..r.clone() });
+        let v = &s.over_budget(BUDGET)[0];
+        assert_eq!((v.round, v.round_name, v.used, v.budget), (8, "probe", 31, BUDGET));
     }
 }

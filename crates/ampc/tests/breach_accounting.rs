@@ -5,7 +5,7 @@
 //! The registry is process-wide, so this file holds a single test — nothing
 //! else in the process runs rounds while the deltas are taken.
 
-use ampc::{AmpcConfig, AmpcError, AmpcSystem, DhtBackend, DhtStorage, Key, SpaceLimits};
+use ampc::{AmpcConfig, AmpcError, AmpcSystem, DhtBackend, DhtStorage, Key};
 use ampc_obs::{CounterId, HistId, TraceKind};
 
 #[test]
@@ -13,7 +13,7 @@ fn breached_round_is_recorded_on_every_meter_and_its_writes_are_dropped() {
     let ids: Vec<u64> = (0..64).collect();
     let config = AmpcConfig::default()
         .with_machines(4)
-        .with_limits(SpaceLimits::enforce(8))
+        .with_budget(8)
         .with_backend(DhtBackend::Dense { cap: 64 });
     let mut sys: AmpcSystem<u64> =
         AmpcSystem::new(config, ids.iter().map(|&i| (Key::new(0, i), i)));
@@ -31,7 +31,9 @@ fn breached_round_is_recorded_on_every_meter_and_its_writes_are_dropped() {
         })
         .unwrap_err();
     let AmpcError::LimitExceeded(v) = err;
-    assert_eq!((v.machine, v.budget), (0, 8));
+    // The error names the worst machine's real count, not the first word
+    // past the budget.
+    assert_eq!((v.used, v.budget), (16, 8));
 
     assert_eq!(sys.stats().executed_rounds(), 1);
     assert_eq!(ampc_obs::counter(CounterId::Rounds).get(), rounds + 1);

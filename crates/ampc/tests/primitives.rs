@@ -3,7 +3,7 @@
 //! seeded loops (see `rng` module docs), so failures reproduce exactly.
 
 use ampc::rng::{self, SplitMix64};
-use ampc::{AmpcConfig, AmpcError, AmpcSystem, DhtStorage as _, Key, LimitViolation, SpaceLimits};
+use ampc::{AmpcConfig, AmpcError, AmpcSystem, DhtStorage as _, Key, LimitViolation, RunStats};
 
 const CASES: u64 = 64;
 
@@ -99,58 +99,54 @@ fn rng_streams_depend_on_run_seed() {
 }
 
 // ---------------------------------------------------------------------------
-// SpaceLimits: metered violation detection.
+// Local-space budgets: read off the meters, audited or enforced.
 // ---------------------------------------------------------------------------
 
-fn overdraw_reads(limits: SpaceLimits, reads_per_item: usize) -> Result<usize, AmpcError> {
+/// One machine reads two words for each of 16 items: 32 read words.
+fn overdraw_reads(budget: Option<usize>) -> Result<RunStats, AmpcError> {
     let ids: Vec<u64> = (0..16).collect();
-    let mut sys: AmpcSystem<u64> = AmpcSystem::new(
-        AmpcConfig::default().with_machines(1).with_limits(limits),
-        ids.iter().map(|&i| (Key::new(0, i), i)),
-    );
+    let config = AmpcConfig { budget, ..AmpcConfig::default().with_machines(1) };
+    let mut sys: AmpcSystem<u64> =
+        AmpcSystem::new(config, ids.iter().map(|&i| (Key::new(0, i), i)));
     sys.round("overdraw", &ids, |ctx, &i| {
-        for _ in 0..reads_per_item {
+        for _ in 0..2 {
             ctx.read(Key::new(0, i));
         }
         None::<()>
     })?;
-    Ok(sys.stats().violations().count())
+    Ok(sys.stats().clone())
 }
 
 /// Exceeding an enforced read budget must surface the metered error — with
 /// the true usage and budget — not silently pass.
 #[test]
 fn enforced_read_budget_violation_is_metered() {
-    let err = overdraw_reads(SpaceLimits::enforce(10), 2).unwrap_err();
-    let AmpcError::LimitExceeded(LimitViolation { used, budget, machine, round, .. }) = err;
-    assert!(used > 10, "reported usage {used} not over budget");
-    assert_eq!(budget, 10);
-    assert_eq!(machine, 0);
-    assert_eq!(round, 0);
+    let err = overdraw_reads(Some(10)).unwrap_err();
+    let AmpcError::LimitExceeded(LimitViolation { used, budget, round, .. }) = err;
+    assert_eq!((used, budget, round), (32, 10, 0));
 }
 
-/// The same overdraw in audit mode must succeed but record the violation.
+/// The same overdraw with no budget attached must succeed, and the audit
+/// afterwards must report it, with the same usage.
 #[test]
 fn audited_read_budget_violation_is_recorded() {
-    let violations = overdraw_reads(SpaceLimits::audit(10), 2).unwrap();
-    assert_eq!(violations, 1);
+    let over = overdraw_reads(None).unwrap().over_budget(10);
+    assert_eq!(over.iter().map(|v| (v.used, v.budget)).collect::<Vec<_>>(), [(32, 10)]);
 }
 
 /// A run that stays within budget must neither error nor record anything.
 #[test]
 fn within_budget_run_is_clean() {
-    let violations = overdraw_reads(SpaceLimits::enforce(1000), 2).unwrap();
-    assert_eq!(violations, 0);
+    let stats = overdraw_reads(Some(1000)).unwrap();
+    assert!(stats.over_budget(1000).is_empty());
 }
 
 /// Write-side budgets are enforced symmetrically.
 #[test]
 fn enforced_write_budget_violation_is_metered() {
     let ids: Vec<u64> = (0..16).collect();
-    let mut sys: AmpcSystem<u64> = AmpcSystem::new(
-        AmpcConfig::default().with_machines(1).with_limits(SpaceLimits::enforce(8)),
-        std::iter::empty(),
-    );
+    let mut sys: AmpcSystem<u64> =
+        AmpcSystem::new(AmpcConfig::default().with_machines(1).with_budget(8), std::iter::empty());
     let err = sys
         .round("flood", &ids, |ctx, &i| {
             ctx.write(Key::new(1, i), i);
@@ -159,8 +155,7 @@ fn enforced_write_budget_violation_is_metered() {
         .unwrap_err();
     let msg = err.to_string();
     let AmpcError::LimitExceeded(v) = err;
-    assert_eq!(v.budget, 8);
-    assert!(v.used > 8);
+    assert_eq!((v.used, v.budget), (16, 8));
     assert!(msg.contains("write words"), "wrong side reported: {msg}");
 }
 
@@ -169,7 +164,7 @@ fn enforced_write_budget_violation_is_metered() {
 fn violation_names_the_round() {
     let ids: Vec<u64> = (0..32).collect();
     let mut sys: AmpcSystem<u64> = AmpcSystem::new(
-        AmpcConfig::default().with_machines(2).with_limits(SpaceLimits::audit(4)),
+        AmpcConfig::default().with_machines(2),
         ids.iter().map(|&i| (Key::new(0, i), i)),
     );
     sys.round("hungry-round", &ids, |ctx, &i| {
@@ -177,8 +172,9 @@ fn violation_names_the_round() {
         None::<()>
     })
     .unwrap();
-    let v = sys.stats().violations().next().expect("violation recorded");
-    assert_eq!(v.round_name, "hungry-round");
+    let over = sys.stats().over_budget(4);
+    let v = over.first().expect("violation recorded");
+    assert_eq!((v.round_name, v.used), ("hungry-round", 16));
 }
 
 /// Per-machine accounting: splitting the same total work across more
@@ -188,7 +184,7 @@ fn budgets_are_per_machine_not_global() {
     let run = |machines: usize| -> usize {
         let ids: Vec<u64> = (0..64).collect();
         let mut sys: AmpcSystem<u64> = AmpcSystem::new(
-            AmpcConfig::default().with_machines(machines).with_limits(SpaceLimits::audit(16)),
+            AmpcConfig::default().with_machines(machines),
             ids.iter().map(|&i| (Key::new(0, i), i)),
         );
         sys.round("spread", &ids, |ctx, &i| {
@@ -196,7 +192,7 @@ fn budgets_are_per_machine_not_global() {
             None::<()>
         })
         .unwrap();
-        sys.stats().violations().count()
+        sys.stats().over_budget(16).len()
     };
     assert!(run(1) > 0, "one machine must blow a 16-word budget on 64 reads");
     assert_eq!(run(8), 0, "eight machines stay within per-machine budget");

@@ -28,7 +28,7 @@
 //! with constants scaled so the dynamics are observable. Experiments E1–E4
 //! verify the resulting shapes against the lemmas.
 
-use ampc::{AmpcConfig, AmpcResult, Budget, DhtBackend, RunStats, SpaceLimits};
+use ampc::{AmpcConfig, AmpcResult, Budget, DhtBackend, RunStats};
 use ampc_graph::euler::forest_to_cycles;
 use ampc_graph::{Graph, Labeling};
 
@@ -58,8 +58,6 @@ pub struct ForestCcConfig {
     pub double_b: bool,
     /// Run the deterministic Step 2. Disabled only by the E9 ablation.
     pub enable_step2: bool,
-    /// Attach space limits and record violations (audit mode).
-    pub audit_limits: bool,
     /// Skip the `ShrinkLargeCycles` preprocessing. Only valid when every
     /// cycle is known to fit the walk budget (used by experiments that
     /// isolate the main-loop dynamics on medium-sized trees).
@@ -81,7 +79,6 @@ impl Default for ForestCcConfig {
             b0: 4,
             double_b: true,
             enable_step2: true,
-            audit_limits: false,
             skip_shrink_large: false,
             collect_threshold: 256,
             max_iterations: 64,
@@ -192,13 +189,10 @@ pub fn connected_components_forest(g: &Graph, cfg: &ForestCcConfig) -> AmpcResul
     // `CycleState::from_decomposition` hints an unhinted dense backend's
     // slab at the cycle-vertex count (explicit `dense:N` capacities pass
     // through unchanged).
-    let mut ampc_cfg = AmpcConfig::default()
+    let ampc_cfg = AmpcConfig::default()
         .with_machines(cfg.machines)
         .with_seed(cfg.seed)
         .with_backend(cfg.backend);
-    if cfg.audit_limits {
-        ampc_cfg = ampc_cfg.with_limits(SpaceLimits::audit(local_space));
-    }
     let mut state = CycleState::from_decomposition(&decomp, ampc_cfg);
     state.sys.stats_mut().charge_external(1, 2 * g.m(), 2 * n0.max(1));
 
@@ -353,21 +347,16 @@ mod tests {
     }
 
     #[test]
-    fn audit_mode_reports_no_violations_at_scale() {
+    fn audit_reports_no_violations_at_scale() {
         // With S = n^0.7, capped cycle lengths, and M = n/4 machines that
         // each hold O(1) vertices, no machine should exceed S.
         let n = 1 << 16;
         let g = random_forest(n, 4, 17);
-        let cfg = ForestCcConfig {
-            delta: 0.7,
-            audit_limits: true,
-            machines: n / 4,
-            ..ForestCcConfig::default()
-        };
+        let cfg = ForestCcConfig { delta: 0.7, machines: n / 4, ..ForestCcConfig::default() };
         let res = connected_components_forest(&g, &cfg).unwrap();
         assert!(res.labeling.same_partition(&reference_components(&g)));
-        let violations = res.stats.violations().count();
-        assert_eq!(violations, 0, "machines exceeded audit budget");
+        let over = res.stats.over_budget(Budget::local_space(n, 0.7));
+        assert!(over.is_empty(), "machines exceeded the audit budget: {over:?}");
     }
 
     #[test]

@@ -18,12 +18,15 @@
 //! chase only the first arc of each forest vertex (the arcs its projection
 //! reads): every run's `compose` reads fell, and its labels did not move.
 //!
-//! Both tables were last re-recorded, every value, when `RoundStats` lost
-//! its three word counters, copies of `reads`, `writes` and
-//! `snapshot_entries` since a DHT value is one word: the `{:?}` of
-//! `RunStats` hashed here lost three columns, while a fingerprint of every
-//! output and every surviving stats field did not move on any row or
-//! backend.
+//! Both tables were re-recorded, every value, when `RoundStats` lost its
+//! three word counters, copies of `reads`, `writes` and `snapshot_entries`
+//! since a DHT value is one word: the `{:?}` of `RunStats` hashed here lost
+//! three columns, while a fingerprint of every output and every surviving
+//! stats field did not move on any row or backend. They were last
+//! re-recorded when `RoundStats` lost its always-empty violation list (a
+//! budget is now audited off the worst-machine maxima): every new value is
+//! the FNV-1a of the old fingerprint text with each `, violations: []`
+//! removed.
 
 use ampc::rng::stream;
 use ampc::{AmpcConfig, DhtBackend};
@@ -57,16 +60,16 @@ const N: usize = 1000;
 /// covers seeds 1 and 2.
 #[rustfmt::skip]
 const FOREST_GOLDEN: &[(&str, [u64; 5])] = &[
-    ("path", [0xe8ef_ee31_ee04_a665, 0xe98a_0362_abe5_3825, 0x00f5_e228_d17e_ede1, 0xaa4e_01fb_773a_3dbd, 0x3afe_5207_5fc5_fecf]),
-    ("star", [0xf108_ca1e_d141_f615, 0x1c0f_4c8c_acf6_aa44, 0x44d1_cffb_6fde_99f2, 0xec6d_3911_04e7_2b1b, 0x271e_582d_9169_b89b]),
-    ("binary-tree", [0xa939_25cd_d690_783b, 0x4c5e_ee0c_533c_34f5, 0xd012_1008_b6c1_55c6, 0x8b2f_e950_fe93_e70d, 0xeef1_f15d_9fba_96ce]),
-    ("caterpillar", [0x323d_eea1_dcd2_1fd3, 0xac09_f58b_2eb9_125e, 0xab1b_cf67_c055_ac6e, 0x8b94_19db_07bb_b96b, 0x63f5_03b5_0b22_6a09]),
-    ("random-tree", [0x17e9_b7c4_a1a2_2d13, 0x6540_0f9f_71c8_18ff, 0x8ec0_9d8b_9c92_34fd, 0xe7ca_07a4_2722_27b3, 0xaf77_8a5e_e560_44da]),
-    ("many-trees", [0xc4f1_9970_b8b5_6d4f, 0xd04c_4a8f_1d30_fba2, 0x2cde_34d4_85c3_6c2d, 0x3db6_b1e8_e0a8_6769, 0x4e9d_f711_127f_deb8]),
-    ("tiny-trees", [0x769a_e792_b170_58c9, 0x171f_ba0c_f3f9_cb98, 0xe986_7db5_a5b3_ae08, 0x1a32_46d9_ccf4_686d, 0xc904_bdb5_e16d_f819]),
-    ("spider", [0xc3f3_153b_7062_eec5, 0x4f7c_b213_a686_dfaa, 0xc196_1163_29c1_428b, 0x71c4_a9ff_cdf1_e04d, 0x6d6a_27db_3eb6_f297]),
-    ("kary-tree", [0xf659_e2b4_2a8d_3f1c, 0xa375_b79f_9cad_f5da, 0x77c1_741e_b6ab_99ca, 0xd060_ffe9_9949_0870, 0xfc45_6cab_22b7_1d4d]),
-    ("broom", [0xfd54_5e3e_ea17_b340, 0x33b2_6afb_ddd6_3135, 0x4ef5_bf27_eb93_e7b8, 0xe53b_9f3a_69d5_6d98, 0xcf0c_ef4b_a0b1_3f36]),
+    ("path", [0x2076_f6f1_f7ca_edb9, 0xb93b_9103_13e0_808d, 0xf5a4_04eb_183d_1771, 0xa972_1a46_aa3d_d19d, 0xbfb2_4a83_c354_b77f]),
+    ("star", [0x2863_79d6_928f_10b5, 0x5374_5268_0701_9ae0, 0xdfd6_1b7d_267f_5c12, 0xce5e_9b93_7c0d_ef93, 0x70a4_9abc_5a07_db33]),
+    ("binary-tree", [0x8b3d_6773_a83c_6817, 0xd35c_14b4_96ef_7001, 0x1261_5918_951b_25b6, 0x55ff_a96e_befa_b04d, 0x5ac4_9c43_8670_3636]),
+    ("caterpillar", [0x8c8d_d760_15a3_0ae3, 0xdf62_6aea_4b81_ab82, 0x3ab8_ced7_9b3e_8bfc, 0x80af_a640_6cbc_6a2f, 0xb4fb_a0e9_edfd_bc25]),
+    ("random-tree", [0xdb98_9332_04ff_41af, 0xe73c_699c_fc76_9577, 0x48e5_4a1e_fa54_16db, 0x5fb8_84df_92db_1ab7, 0xd4b2_80ce_d99e_557a]),
+    ("many-trees", [0x9823_e606_522e_6a7b, 0x1b4b_f2f0_eedb_381a, 0xc2bb_6cf6_e5d5_1cf5, 0x6691_e797_183e_3b41, 0x3a9a_3dc5_9c85_4940]),
+    ("tiny-trees", [0x7760_8190_8aa4_dd11, 0x685f_b8cc_d01b_cd7c, 0x4196_840a_920f_3c04, 0xd222_c382_acfc_4eb9, 0xc65e_1d0b_61e4_1639]),
+    ("spider", [0x8019_b941_2f7d_d2a1, 0x0ad0_8c3e_611e_e186, 0x7a46_c311_973f_178d, 0x3768_1b71_c614_4d95, 0x85d4_4b36_738f_7ee7]),
+    ("kary-tree", [0x0bab_2291_34d5_6838, 0x6bb9_df30_52bd_4b86, 0xfb29_5886_1226_ff3e, 0x55a6_6545_b2a9_a488, 0xd0af_80be_b28d_56e1]),
+    ("broom", [0xf5a7_9d81_a0d8_e1f4, 0x20af_604c_e59c_6131, 0x3296_fc03_9779_4402, 0xe3ca_9fab_5015_0218, 0x2c2c_489d_3ef2_cd16]),
 ];
 
 #[test]
@@ -119,10 +122,10 @@ fn rooted_fingerprint(out: RootedForestOutcome) -> u64 {
 
 /// `(forest, [resolve_roots_euler, resolve_roots_chase])`.
 const ROOTED_GOLDEN: &[(&str, [u64; 2])] = &[
-    ("random-2000-17", [0xfda2_5816_d5a5_9eff, 0xb75a_d1a6_fdc3_a1a7]),
-    ("random-800-9", [0xdedd_e9cb_799d_2da0, 0x68cb_062b_8eaa_68c3]),
-    ("random-3000-1", [0x84df_1cfe_67b2_d5c1, 0x6e1f_6d39_d2f3_568f]),
-    ("chain-3000", [0x6560_08b8_930d_68d5, 0x3cb6_75ff_9645_ebbd]),
+    ("random-2000-17", [0x911c_bca5_3c01_3e13, 0x9e3a_06fd_87a0_8075]),
+    ("random-800-9", [0x5efb_a18b_9e64_c9c4, 0x91b5_4005_bb93_e031]),
+    ("random-3000-1", [0xf766_f6c7_63f1_50e5, 0xc650_41e0_56ba_a8fd]),
+    ("chain-3000", [0x38a6_2470_49cf_ce75, 0x4a01_fcb6_c250_4b9b]),
 ];
 
 #[test]

@@ -11,11 +11,14 @@
 //! entries of the `ADJ` keyspace: every BFS expansion reads two one-word
 //! entries, so the queries and words in `stats` moved, while a
 //! fingerprint of `H`, the map, the roots, the chase rounds and the round
-//! count alone did not, on any row or backend. They were last re-recorded
-//! when `RoundStats` lost its three word counters, copies of `reads`,
-//! `writes` and `snapshot_entries`: the `{:?}` of `stats` lost three
-//! columns, while a fingerprint of every output and every surviving stats
-//! field did not move on any row or backend.
+//! count alone did not, on any row or backend. They were re-recorded when
+//! `RoundStats` lost its three word counters, copies of `reads`, `writes`
+//! and `snapshot_entries`: the `{:?}` of `stats` lost three columns, while
+//! a fingerprint of every output and every surviving stats field did not
+//! move on any row or backend. They were last re-recorded when
+//! `RoundStats` lost its always-empty violation list: every new value is
+//! the FNV-1a of the old fingerprint text with each `, violations: []`
+//! removed.
 //!
 //! The `pa` graph is `preferential_attachment` after it stopped iterating a
 //! `HashSet`, so its graph is the same from run to run.
@@ -50,18 +53,18 @@ fn fingerprint(g: &Graph, t: usize, backend: DhtBackend) -> u64 {
 
 /// `(graph, t, fingerprint)`, graphs in the order of `graphs()`.
 const GOLDEN: &[(&str, usize, u64)] = &[
-    ("er", 1, 0x5899_920c_fa85_58d7),
-    ("er", 2, 0xbc66_df61_cbf6_14d1),
-    ("er", 16, 0xaa57_46c0_c695_4225),
-    ("er", 64, 0x50de_abc8_79e2_e3ef),
-    ("grid", 1, 0x3c08_6284_56f4_3822),
-    ("grid", 2, 0x8f99_a367_d29d_f746),
-    ("grid", 16, 0x9293_1d0a_0cdf_aabc),
-    ("grid", 64, 0x6d1d_5660_d35b_7e30),
-    ("pa", 1, 0x376d_dbe6_9b1b_e7ac),
-    ("pa", 2, 0xe0ad_7ed8_215c_ae59),
-    ("pa", 16, 0xffec_6a76_3b14_a8d3),
-    ("pa", 64, 0x506c_d014_8757_dff4),
+    ("er", 1, 0x1214_2ff2_ffc5_63ef),
+    ("er", 2, 0x52b5_ebc9_2364_9cc1),
+    ("er", 16, 0x3388_6d96_a705_7c35),
+    ("er", 64, 0x78d8_8dab_cc15_fc2b),
+    ("grid", 1, 0xfb40_9157_deab_43f2),
+    ("grid", 2, 0xefa7_6357_7b2d_1cbe),
+    ("grid", 16, 0x9183_a476_378a_63ac),
+    ("grid", 64, 0xfd6e_0171_6f35_a62c),
+    ("pa", 1, 0x4ac0_ff4a_1e30_2d5c),
+    ("pa", 2, 0x8d35_e793_5cd8_eff9),
+    ("pa", 16, 0xce60_28f1_c1cd_6e17),
+    ("pa", 64, 0xae16_b3bb_5d71_8778),
 ];
 
 fn graphs() -> [(&'static str, Graph); 3] {

@@ -1,7 +1,7 @@
 //! Cost-accounting integration tests: the meters the experiments rely on
 //! must themselves obey the paper's bookkeeping identities.
 
-use adaptive_mpc_connectivity::ampc::{Budget, RunStats};
+use adaptive_mpc_connectivity::ampc::{Budget, LimitViolation, RunStats};
 use adaptive_mpc_connectivity::cc::forest::pipeline::{
     connected_components_forest, ForestCcConfig,
 };
@@ -119,30 +119,68 @@ fn per_iteration_outcomes_sum_to_total_removals() {
     }
 }
 
+/// The distinct rounds an audit names, in round order.
+fn rounds_over(over: &[LimitViolation]) -> Vec<usize> {
+    let mut rounds: Vec<usize> = over.iter().map(|v| v.round).collect();
+    rounds.dedup();
+    rounds
+}
+
 #[test]
 fn audit_budget_scales_with_delta() {
-    // The audit checks S = Budget::local_space(n, delta) itself, and a
-    // larger delta → larger S → the same workload further under budget.
+    // The audit holds each round's worst machine to S =
+    // Budget::local_space(n, delta) itself, and a larger delta → larger S →
+    // the same workload further under budget.
     let n = 1 << 14;
     let g = random_forest(n, 8, 7);
-    let violations = |delta: f64, machines: usize| {
-        let cfg =
-            ForestCcConfig { delta, audit_limits: true, machines, ..ForestCcConfig::default() };
+    let audit = |delta: f64, machines: usize| {
+        let cfg = ForestCcConfig { delta, machines, ..ForestCcConfig::default() };
         let res = connected_components_forest(&g, &cfg).unwrap();
         assert_round_identities(&res.stats);
-        let s = Budget::local_space(n, delta);
-        for v in res.stats.violations() {
-            assert_eq!(v.budget, s, "delta={delta}: {v:?} is not held to S");
-        }
-        res.stats.violations().count()
+        res.stats.over_budget(Budget::local_space(n, delta))
     };
     // At M = 1 one machine carries each whole round, so the large rounds
     // breach S at every delta.
-    let one_machine: Vec<usize> = [0.5, 0.7, 0.9].iter().map(|&d| violations(d, 1)).collect();
-    assert!(one_machine.iter().all(|&c| c > 0), "one machine must breach S: {one_machine:?}");
-    for w in one_machine.windows(2) {
-        assert!(w[1] <= w[0], "violations grew with delta: {one_machine:?}");
+    let one_machine: Vec<usize> =
+        [0.5, 0.7, 0.9].iter().map(|&d| rounds_over(&audit(d, 1)).len()).collect();
+    assert_eq!(one_machine, [9, 4, 3], "rounds over S at M = 1");
+    assert!(audit(0.7, n / 4).is_empty(), "S = n^0.7 must hold at M = n/4");
+    assert!(audit(0.9, n / 4).is_empty(), "roomy budget must hold");
+    // At S = n^0.5 = 128 and M = n/4 the forest still breaches S, and only
+    // in ShrinkSmallCycles' rounds (ROADMAP item 20 sizes the forest's M).
+    let tight = audit(0.5, n / 4);
+    assert_eq!(rounds_over(&tight).len(), 6, "{tight:?}");
+    for v in &tight {
+        assert!(matches!(v.round_name, "ssc-probe" | "ssc-contract" | "ssc-step2"), "{v:?}");
     }
-    assert_eq!(violations(0.7, n / 4), 0, "S = n^0.7 must hold at M = n/4");
-    assert_eq!(violations(0.9, n / 4), 0, "roomy budget must hold");
+}
+
+#[test]
+fn general_runs_are_audited_against_s() {
+    // Theorem 1.2 per machine: at M = ⌈T/S⌉ no round of Algorithm 2 has a
+    // machine read or write more than S words. At M = 8 a "machine" holds
+    // an eighth of each round and ShrinkGeneral's BFS and chase breach S;
+    // the audit reads that off the finished run, with nothing attached.
+    let mut derived = Vec::new();
+    for (n, m) in [(1 << 12, 1 << 14), (1 << 14, 1 << 16)] {
+        let g = erdos_renyi_gnm(n, m, 1);
+        let run = |machines: usize| {
+            let cfg = GeneralCcConfig { machines, ..GeneralCcConfig::default() };
+            connected_components_general(&g, &cfg).unwrap()
+        };
+        let budget = GeneralCcConfig::default().budget(n, m);
+        let machines = budget.t.div_ceil(budget.s);
+        derived.push(machines);
+        let res = run(machines);
+        assert_eq!(res.budget, budget);
+        let over = res.stats.over_budget(budget.s);
+        assert!(over.is_empty(), "n={n}: a machine breached S: {over:?}");
+
+        let over = run(8).stats.over_budget(budget.s);
+        assert!(!over.is_empty(), "n={n}: eight machines must breach S");
+        for v in &over {
+            assert!(matches!(v.round_name, "sg-bfs" | "sg-chase"), "n={n}: {v:?}");
+        }
+    }
+    assert_eq!(derived, [322, 577]);
 }

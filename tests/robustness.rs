@@ -179,17 +179,15 @@ fn adversarial_vertex_id_orderings() {
 
 #[test]
 fn hard_enforcement_surfaces_as_error() {
-    // With enforce-mode budgets far below what any round needs, the
+    // With an enforced budget far below what any round needs, the
     // pipeline must fail loudly with the AMPC error, not silently degrade.
-    use adaptive_mpc_connectivity::ampc::{AmpcError, SpaceLimits};
+    use adaptive_mpc_connectivity::ampc::AmpcError;
     use adaptive_mpc_connectivity::cc::cycles::CycleState;
     use adaptive_mpc_connectivity::cc::forest::shrink_small::shrink_small_cycles;
 
     let succ: Vec<u64> = (0..512u64).map(|i| (i + 1) % 512).collect();
-    let mut st = CycleState::from_successors(
-        &succ,
-        AmpcConfig::default().with_machines(2).with_limits(SpaceLimits::enforce(4)),
-    );
+    let mut st =
+        CycleState::from_successors(&succ, AmpcConfig::default().with_machines(2).with_budget(4));
     let err = shrink_small_cycles(&mut st, 4, 1 << 16, true).unwrap_err();
     let AmpcError::LimitExceeded(v) = err;
     assert_eq!(v.budget, 4);
@@ -198,7 +196,6 @@ fn hard_enforcement_surfaces_as_error() {
 
 #[test]
 fn enforcement_with_adequate_budget_succeeds() {
-    use adaptive_mpc_connectivity::ampc::SpaceLimits;
     use adaptive_mpc_connectivity::cc::cycles::CycleState;
     use adaptive_mpc_connectivity::cc::forest::shrink_small::shrink_small_cycles;
 
@@ -208,7 +205,7 @@ fn enforcement_with_adequate_budget_succeeds() {
         AmpcConfig::default()
             .with_machines(512) // one vertex per machine
             .with_seed(3)
-            .with_limits(SpaceLimits::enforce(1 << 12)),
+            .with_budget(1 << 12),
     );
     shrink_small_cycles(&mut st, 3, 1 << 16, true).expect("budget is ample");
 }
