@@ -428,6 +428,14 @@ pub trait DhtStorage<V: DhtValue>: Clone + Send + Sync {
     /// Number of entries, which is the store's footprint in words.
     fn len(&self) -> usize;
 
+    /// Stores `words[i]` at `Key::new(space, i)` for every `i`, as that
+    /// many [`DhtStorage::insert`]s would.
+    fn load_space(&mut self, space: Space, words: &[V]) {
+        for (id, &word) in words.iter().enumerate() {
+            self.insert(Key::new(space, id as u64), word);
+        }
+    }
+
     /// True when the store holds no entries.
     fn is_empty(&self) -> bool {
         self.len() == 0
@@ -902,6 +910,31 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
         self.slabs.iter().map(|s| s.len).sum::<usize>() + self.overflow.len()
     }
 
+    /// Into a never-written slab, the in-slab words are one copy and their
+    /// presence bits are set a word at a time; ids past the slab go to the
+    /// overflow map. A slab already written takes the inserts.
+    fn load_space(&mut self, space: Space, words: &[V]) {
+        let written = self.slabs.get(space as usize).is_some_and(|s| !s.slots.is_empty());
+        if written || words.is_empty() {
+            for (id, &word) in words.iter().enumerate() {
+                self.insert(Key::new(space, id as u64), word);
+            }
+            return;
+        }
+        let (head, tail) = words.split_at(words.len().min(self.cap));
+        let slab = self.ensure_slab(space);
+        slab.slots[..head.len()].copy_from_slice(head);
+        let (full, rest) = (head.len() / 64, head.len() % 64);
+        slab.present[..full].fill(u64::MAX);
+        if rest != 0 {
+            slab.present[full] = (1 << rest) - 1;
+        }
+        slab.len = head.len();
+        for (id, &word) in tail.iter().enumerate() {
+            self.overflow.insert(Key::new(space, (self.cap + id) as u64), word);
+        }
+    }
+
     fn for_each_entry(&self, f: &mut dyn FnMut(Key, &V)) {
         for (space, slab) in self.slabs.iter().enumerate() {
             for (w, &word) in slab.present.iter().enumerate() {
@@ -1111,6 +1144,10 @@ impl<V: DhtValue> DhtStorage<V> for Dht<V> {
 
     fn len(&self) -> usize {
         with_store!(self, s => s.len())
+    }
+
+    fn load_space(&mut self, space: Space, words: &[V]) {
+        with_store!(self, s => s.load_space(space, words))
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(Key, &V)) {
@@ -1685,6 +1722,62 @@ mod sharded_tests {
                         assert_eq!(DhtStorage::get(&dense, key), flat.get(key), "{case} {key:?}");
                     }
                 }
+            }
+        }
+    }
+
+    /// `words` loaded into keyspace 3 of `store`, beside a copy of `store`
+    /// that got the same words as inserts; the two must hold the same
+    /// entries. Keyspace 0 holds one entry throughout, and `prewrite`
+    /// writes keyspace 3 before the load.
+    fn assert_load_equals_inserts<St: DhtStorage<u64>>(
+        store: St,
+        words: &[u64],
+        prewrite: bool,
+        case: &str,
+    ) -> St {
+        let (mut loaded, mut inserted) = (store.clone(), store);
+        for s in [&mut loaded, &mut inserted] {
+            s.insert(Key::new(0, 5), 55);
+            if prewrite {
+                s.insert(Key::new(3, 1), 11);
+                s.insert(Key::new(3, words.len() as u64 + 2), 22);
+            }
+        }
+        loaded.load_space(3, words);
+        for (id, &word) in words.iter().enumerate() {
+            inserted.insert(Key::new(3, id as u64), word);
+        }
+        assert_eq!(loaded.sorted_entries(), inserted.sorted_entries(), "{case}");
+        assert_eq!(loaded.len(), inserted.len(), "{case}");
+        for id in 0..words.len() as u64 + 3 {
+            let key = Key::new(3, id);
+            assert_eq!(loaded.get(key), inserted.get(key), "{case} {key:?}");
+        }
+        loaded
+    }
+
+    #[test]
+    fn a_slice_load_holds_what_its_inserts_would() {
+        // Zeros among the words: a loaded default value is an entry.
+        let words = |len: usize| (0..len as u64).map(|i| i * (i % 3)).collect::<Vec<_>>();
+        for (cap, len) in [(256, 256), (256, 130), (256, 64), (128, 300), (64, 1), (1, 5), (64, 0)]
+        {
+            for prewrite in [false, true] {
+                let case = format!("cap {cap}, len {len}, prewrite {prewrite}");
+                let words = words(len);
+                assert_load_equals_inserts(FlatDht::new(), &words, prewrite, &case);
+                for shards in [1, 8] {
+                    let sharded = ShardedDht::with_shard_count(shards);
+                    assert_load_equals_inserts(sharded, &words, prewrite, &case);
+                }
+                let dense = DenseDht::with_slab_capacity(cap);
+                let dense = assert_load_equals_inserts(dense, &words, prewrite, &case);
+                let entries = dense.sorted_entries();
+                let overflow = entries.iter().filter(|(k, _)| k.id >= cap as u64).count();
+                assert_eq!(dense.overflow_len(), overflow, "{case}: an id past the slab");
+                let dht = Dht::for_backend(DhtBackend::Dense { cap });
+                assert_load_equals_inserts(dht, &words, prewrite, &case);
             }
         }
     }

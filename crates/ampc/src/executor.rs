@@ -33,7 +33,7 @@ use ampc_obs::{CounterId, HistId, Timer, TraceKind};
 use crate::dht::{Dht, DhtBackend, DhtStorage, ShardBuffers};
 use crate::error::{AmpcError, AmpcResult};
 use crate::host_workers;
-use crate::key::Key;
+use crate::key::{Key, Space};
 use crate::machine::MachineCtx;
 use crate::stats::{RoundStats, RunStats};
 use crate::value::DhtValue;
@@ -130,6 +130,19 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
         for (k, v) in initial {
             snapshot.insert(k, v);
         }
+        Self::with_snapshot(config, snapshot)
+    }
+
+    /// Creates a system whose first snapshot holds `words[i]` at
+    /// `Key::new(space, i)`: [`AmpcSystem::new`] over those entries, loaded
+    /// through [`DhtStorage::load_space`] (one copy into a dense slab).
+    pub fn from_space(config: AmpcConfig, space: Space, words: &[V]) -> Self {
+        let mut snapshot = S::for_backend(config.backend);
+        snapshot.load_space(space, words);
+        Self::with_snapshot(config, snapshot)
+    }
+
+    fn with_snapshot(config: AmpcConfig, snapshot: S) -> Self {
         // The worker set is fixed by the config and the host, so the grid
         // is too: workers × shards lists, however many machines there are.
         let workers = host_workers().min(config.num_machines);
@@ -655,6 +668,58 @@ mod backend_equivalence_tests {
             base.with_machines(1000).with_backend(DhtBackend::Dense { cap: 64 }),
         );
         assert_eq!(one.0, many.0);
+    }
+
+    /// One round of puts, merges and deletes over keyspace `S` of a system
+    /// whose input is `len` words there, loaded as a slice or inserted one
+    /// by one; returns the table and accounting the round leaves.
+    fn run_after_input<St: DhtStorage<u64>>(
+        cfg: AmpcConfig,
+        len: u64,
+        slice: bool,
+    ) -> (Vec<(Key, u64)>, String) {
+        let words: Vec<u64> = (0..len).map(|i| i % 5 * i).collect();
+        let mut sys: AmpcSystem<u64, St> = if slice {
+            AmpcSystem::from_space(cfg, S, &words)
+        } else {
+            AmpcSystem::new(cfg, words.iter().enumerate().map(|(i, &w)| (Key::new(S, i as u64), w)))
+        };
+        let ids: Vec<u64> = (0..len + 40).collect();
+        sys.round("after-input", &ids, |ctx, &i| {
+            let seen = ctx.read(Key::new(S, i)).copied().unwrap_or(7);
+            match i % 4 {
+                0 => ctx.write(Key::new(S, i), seen + 1),
+                1 => ctx.write_merge(Key::new(S, (i * 7) % (len + 40)), seen),
+                2 => ctx.delete(Key::new(S, i)),
+                _ => ctx.write(Key::new(AUX, i), seen),
+            }
+            None::<()>
+        })
+        .unwrap();
+        let (snapshot, stats) = sys.finish();
+        (snapshot.sorted_entries(), fingerprint(&stats))
+    }
+
+    #[test]
+    fn a_round_after_a_slice_load_merges_as_after_inserts() {
+        let base = AmpcConfig::default().with_machines(8).with_seed(3);
+        for len in [0, 1, 130, 256, 300] {
+            let flat = base.clone().with_backend(DhtBackend::Flat);
+            let reference = run_after_input::<FlatDht<u64>>(flat, len, false);
+            for backend in [
+                DhtBackend::Flat,
+                DhtBackend::Sharded { shards: 8 },
+                DhtBackend::Dense { cap: 64 },
+                DhtBackend::Dense { cap: 256 },
+                DhtBackend::Dense { cap: 1 << 12 },
+            ] {
+                let cfg = base.clone().with_backend(backend);
+                for slice in [false, true] {
+                    let got = run_after_input::<Dht<u64>>(cfg.clone(), len, slice);
+                    assert_eq!(reference, got, "{backend:?}, len {len}, slice {slice}");
+                }
+            }
+        }
     }
 
     /// The highest keyspace an op word carries, `2^14 − 1`.

@@ -76,7 +76,7 @@ pub use dht::{DenseDht, Dht, DhtBackend, DhtStorage, FlatDht, ShardBuffers, Shar
 pub use error::{AmpcError, AmpcResult};
 pub use executor::{AmpcConfig, AmpcSystem, RoundOutcome};
 pub use key::{Key, Space};
-pub use limits::{Budget, LimitViolation};
+pub use limits::{Budget, LimitKind, LimitViolation};
 pub use machine::MachineCtx;
 pub use stats::{RoundStats, RunStats};
 pub use value::DhtValue;

@@ -106,5 +106,6 @@ mod tests {
         assert!(msg.contains("999"));
         assert!(msg.contains("500"));
         assert!(msg.contains("read words"));
+        assert_eq!(LimitKind::Writes.to_string(), "write words");
     }
 }

@@ -5,7 +5,7 @@
 //! The registry is process-wide, so this file holds a single test — nothing
 //! else in the process runs rounds while the deltas are taken.
 
-use ampc::{AmpcConfig, AmpcError, AmpcSystem, DhtBackend, DhtStorage, Key};
+use ampc::{AmpcConfig, AmpcError, AmpcSystem, DhtBackend, DhtStorage, Key, LimitKind};
 use ampc_obs::{CounterId, HistId, TraceKind};
 
 #[test]
@@ -33,7 +33,7 @@ fn breached_round_is_recorded_on_every_meter_and_its_writes_are_dropped() {
     let AmpcError::LimitExceeded(v) = err;
     // The error names the worst machine's real count, not the first word
     // past the budget.
-    assert_eq!((v.used, v.budget), (16, 8));
+    assert_eq!((v.kind, v.used, v.budget), (LimitKind::Writes, 16, 8));
 
     assert_eq!(sys.stats().executed_rounds(), 1);
     assert_eq!(ampc_obs::counter(CounterId::Rounds).get(), rounds + 1);

@@ -3,7 +3,9 @@
 //! seeded loops (see `rng` module docs), so failures reproduce exactly.
 
 use ampc::rng::{self, SplitMix64};
-use ampc::{AmpcConfig, AmpcError, AmpcSystem, DhtStorage as _, Key, LimitViolation, RunStats};
+use ampc::{
+    AmpcConfig, AmpcError, AmpcSystem, DhtStorage as _, Key, LimitKind, LimitViolation, RunStats,
+};
 
 const CASES: u64 = 64;
 
@@ -122,8 +124,8 @@ fn overdraw_reads(budget: Option<usize>) -> Result<RunStats, AmpcError> {
 #[test]
 fn enforced_read_budget_violation_is_metered() {
     let err = overdraw_reads(Some(10)).unwrap_err();
-    let AmpcError::LimitExceeded(LimitViolation { used, budget, round, .. }) = err;
-    assert_eq!((used, budget, round), (32, 10, 0));
+    let AmpcError::LimitExceeded(LimitViolation { used, budget, round, kind, .. }) = err;
+    assert_eq!((used, budget, round, kind), (32, 10, 0, LimitKind::Reads));
 }
 
 /// The same overdraw with no budget attached must succeed, and the audit
@@ -131,7 +133,8 @@ fn enforced_read_budget_violation_is_metered() {
 #[test]
 fn audited_read_budget_violation_is_recorded() {
     let over = overdraw_reads(None).unwrap().over_budget(10);
-    assert_eq!(over.iter().map(|v| (v.used, v.budget)).collect::<Vec<_>>(), [(32, 10)]);
+    let sides = over.iter().map(|v| (v.kind, v.used, v.budget)).collect::<Vec<_>>();
+    assert_eq!(sides, [(LimitKind::Reads, 32, 10)]);
 }
 
 /// A run that stays within budget must neither error nor record anything.
@@ -153,10 +156,8 @@ fn enforced_write_budget_violation_is_metered() {
             None::<()>
         })
         .unwrap_err();
-    let msg = err.to_string();
     let AmpcError::LimitExceeded(v) = err;
-    assert_eq!((v.used, v.budget), (16, 8));
-    assert!(msg.contains("write words"), "wrong side reported: {msg}");
+    assert_eq!((v.kind, v.used, v.budget), (LimitKind::Writes, 16, 8));
 }
 
 /// Violations carry the failing round's name so audits are attributable.

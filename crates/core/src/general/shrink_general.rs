@@ -22,8 +22,10 @@
 //!
 //! Step 1 is what keeps the rest in `O(1)` words: a `G3` adjacency list is
 //! at most three 32-bit vertex ids and a length, so it is two `u64` entries
-//! of the `ADJ` keyspace (see `adj_entries`) and every DHT value is one
-//! word. Step 3's search keeps a FIFO queue of at most `3t − 2` words and
+//! of the `ADJ` keyspace ([`pack_adj`]) and every DHT value is one word.
+//! `G3` is written once, as those words ([`degree3_words`]): the store
+//! loads them as its `ADJ` keyspace, and `Contract(G3, C)` walks them.
+//! Step 3's search keeps a FIFO queue of at most `3t − 2` words and
 //! a visited set of at most twice that many (`VisitedSet`), so each
 //! neighbour it looks at costs `O(1)` local work — machine-local memory
 //! for `t = O(√S)`. See DESIGN.md, "A G3 adjacency is two words" and "The
@@ -39,17 +41,22 @@
 //! [`resolve_roots_euler`](crate::general::rooted_forest::resolve_roots_euler),
 //! measured against this one by experiment E11. See DESIGN.md
 //! (substitutions) for why the chase preserves the cited interface.
+//!
+//! [`pack_adj`]: ampc_graph::degree3::pack_adj
+//! [`degree3_words`]: ampc_graph::degree3::degree3_words
 
 use std::cell::RefCell;
 
 use ampc::{AmpcConfig, AmpcResult, AmpcSystem, Key, RunStats, Space};
-use ampc_graph::contract::contract;
-use ampc_graph::degree3::to_degree3;
+use ampc_graph::contract::contract_degree3;
+use ampc_graph::degree3::{degree3_words, unpack_adj};
 use ampc_graph::{Graph, VertexId};
 
 use crate::cycles::chase_roots;
 
-/// Keyspace: the adjacency lists of `G3`, two words a vertex ([`adj_entries`]).
+/// Keyspace: the adjacency lists of `G3`, two words a vertex ([`pack_adj`]).
+///
+/// [`pack_adj`]: ampc_graph::degree3::pack_adj
 const ADJ: Space = 0;
 /// Keyspace: super-edge parent pointers, the bare parent id.
 const SUPER: Space = 1;
@@ -170,31 +177,6 @@ fn truncated_bfs(
     })
 }
 
-/// The two `ADJ` entries of `G3` vertex `u`: `2u` holds `n0 | n1 << 32`
-/// and `2u + 1` holds `n2 | len << 32`, absent neighbours zero.
-///
-/// # Panics
-/// Panics if `neighbors` holds more than 3 vertices: the degree-3
-/// transform's postcondition is this layout's precondition.
-fn adj_entries(u: VertexId, neighbors: &[VertexId]) -> [(Key, u64); 2] {
-    let len = neighbors.len();
-    assert!(
-        len <= 3,
-        "G3 vertex {u} has degree {len}: the degree-3 transform must bound every degree by 3"
-    );
-    let n = |i| neighbors.get(i).map_or(0, |&w| w as u64);
-    let u = u as u64;
-    [
-        (Key::new(ADJ, 2 * u), n(0) | n(1) << 32),
-        (Key::new(ADJ, 2 * u + 1), n(2) | (len as u64) << 32),
-    ]
-}
-
-/// Inverse of [`adj_entries`]: the neighbours (the first `len` real) and `len`.
-fn unpack_adj(lo: u64, hi: u64) -> ([u64; 3], usize) {
-    ([lo & 0xFFFF_FFFF, lo >> 32, hi & 0xFFFF_FFFF], (hi >> 32) as usize)
-}
-
 /// Result of a `ShrinkGeneral` invocation.
 #[derive(Debug)]
 pub struct ShrinkGeneralOutcome {
@@ -227,19 +209,16 @@ pub fn shrink_general(
     ampc_cfg: AmpcConfig,
 ) -> AmpcResult<ShrinkGeneralOutcome> {
     let t = t.max(1);
-    // Step 1: degree-3 transform (host-side cited primitive; charged).
-    let d3 = to_degree3(g);
-    let n3 = d3.graph.n();
-    let m3 = d3.graph.m();
+    // Step 1: degree-3 transform (host-side cited primitive; charged),
+    // written as the ADJ words and loaded as the store's input.
+    let g3 = degree3_words(g);
+    let (n3, m3) = (g3.n(), g3.m);
 
     // ADJ holds two words per G3 vertex (ids 0..2·n3), SUPER one (0..n3):
     // the dense backend's slab hint.
     let backend = ampc_cfg.backend.with_capacity_hint(2 * n3.max(1));
     let ampc_cfg = ampc_cfg.with_backend(backend);
-    let mut sys: AmpcSystem<u64> = AmpcSystem::new(
-        ampc_cfg,
-        (0..n3 as VertexId).flat_map(|v| adj_entries(v, d3.graph.neighbors(v))),
-    );
+    let mut sys: AmpcSystem<u64> = AmpcSystem::from_space(ampc_cfg, ADJ, &g3.words);
     sys.stats_mut().charge_external(1, 2 * g.m(), 2 * (g.n() + g.m()));
 
     let items: Vec<u64> = (0..n3 as u64).collect();
@@ -275,17 +254,14 @@ pub fn shrink_general(
     let (labels3, chase_rounds) =
         chase_roots(&mut sys, "sg-chase", SUPER, &items, chase_cap.max(2), 32)?;
 
-    // Contract(G3, C) — cited O(1)-round primitive, charged.
-    let contraction = contract(&d3.graph, &labels3);
+    // Contract(G3, C) — cited O(1)-round primitive, charged. It walks the
+    // words the store was loaded from, not the store: the Flat backend
+    // would pay a hash probe per word.
+    let contraction = contract_degree3(&g3, &labels3);
     sys.stats_mut().charge_external(1, 2 * m3, 2 * (n3 + m3));
 
     // Map each input vertex through its first gadget copy.
-    let mut to_h = vec![VertexId::MAX; g.n()];
-    for (v3, &orig) in d3.origin.iter().enumerate() {
-        if to_h[orig as usize] == VertexId::MAX {
-            to_h[orig as usize] = contraction.class_of[v3];
-        }
-    }
+    let to_h = g3.base[..g.n()].iter().map(|&copy| contraction.class_of[copy as usize]).collect();
 
     let (_, stats) = sys.finish();
     Ok(ShrinkGeneralOutcome {
@@ -303,7 +279,7 @@ pub fn shrink_general(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampc::{Dht, DhtBackend, DhtStorage as _};
+    use ampc_graph::degree3::to_degree3;
     use ampc_graph::generators::{erdos_renyi_gnm, grid2d, preferential_attachment};
     use ampc_graph::{reference_components, Labeling};
 
@@ -322,44 +298,6 @@ mod tests {
             "composition broke components (t={t})"
         );
         out
-    }
-
-    #[test]
-    fn adjacencies_round_trip_through_the_dense_and_flat_stores() {
-        // Every list of 0 to 3 ids from zero and the two largest ids: a high
-        // bit of `n0` must not leak into `n1`, nor one of `n2` into `len`.
-        const IDS: [VertexId; 3] = [0, u32::MAX - 1, u32::MAX];
-        let mut lists: Vec<Vec<VertexId>> = vec![vec![]];
-        for degree in 1..=3 {
-            let shorter: Vec<Vec<VertexId>> =
-                lists.iter().filter(|l| l.len() == degree - 1).cloned().collect();
-            for list in shorter {
-                lists.extend(IDS.iter().map(|&w| [&list[..], &[w]].concat()));
-            }
-        }
-        assert_eq!(lists.len(), 1 + 3 + 9 + 27);
-        for backend in [DhtBackend::Dense { cap: 2 * lists.len() }, DhtBackend::Flat] {
-            let mut dht: Dht<u64> = Dht::for_backend(backend);
-            for (u, list) in lists.iter().enumerate() {
-                for (key, word) in adj_entries(u as VertexId, list) {
-                    dht.insert(key, word);
-                }
-            }
-            assert_eq!(dht.len(), 2 * lists.len());
-            for (u, list) in lists.iter().enumerate() {
-                let word = |id| *dht.get(Key::new(ADJ, id)).expect("both words are stored");
-                let (nbrs, len) = unpack_adj(word(2 * u as u64), word(2 * u as u64 + 1));
-                let want: Vec<u64> = list.iter().map(|&w| w as u64).collect();
-                assert_eq!(nbrs[..len], want, "{backend:?}, vertex {u}");
-                assert!(nbrs[len..].iter().all(|&w| w == 0), "{backend:?}, vertex {u}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "G3 vertex 7 has degree 4")]
-    fn degree_four_adjacency_is_rejected() {
-        adj_entries(7, &[1, 2, 3, 4]);
     }
 
     #[test]

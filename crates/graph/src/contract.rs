@@ -8,6 +8,7 @@
 //! published cost to their AMPC meters (see DESIGN.md, "Charging model").
 
 use crate::csr::{Graph, VertexId};
+use crate::degree3::Degree3Words;
 use crate::labeling::{relabel, Relabeled};
 
 /// Result of a contraction.
@@ -25,10 +26,26 @@ pub struct Contraction {
 /// each class's minimum original vertex, making the output deterministic.
 pub fn contract(g: &Graph, mapping: &[u64]) -> Contraction {
     assert_eq!(mapping.len(), g.n(), "mapping must cover every vertex");
+    contract_edges(mapping, g.edges())
+}
+
+/// `Contract(G3, C)` over `G3`'s packed words, equal to `contract` of the
+/// unpacked graph: `ShrinkGeneral` contracts the words it loaded into its
+/// store, with no CSR beside them.
+pub fn contract_degree3(g3: &Degree3Words, mapping: &[u64]) -> Contraction {
+    assert_eq!(mapping.len(), g3.n(), "mapping must cover every vertex");
+    contract_edges(mapping, g3.edges())
+}
+
+/// Contracts the graph of these edges (each once, over the vertices
+/// `mapping` labels) along `mapping`.
+fn contract_edges(
+    mapping: &[u64],
+    edges: impl Iterator<Item = (VertexId, VertexId)>,
+) -> Contraction {
     let Relabeled { class_of, sizes } = relabel(mapping);
 
-    let edges: Vec<(VertexId, VertexId)> = g
-        .edges()
+    let edges: Vec<(VertexId, VertexId)> = edges
         .map(|(u, v)| (class_of[u as usize], class_of[v as usize]))
         .filter(|&(a, b)| a != b)
         .collect();

@@ -27,15 +27,53 @@ pub struct Relabeled {
 /// vertex), and counts each class's size. Two labelings of the same
 /// partition relabel to equal values.
 ///
-/// The labels are interned in an open-addressed table sized from the input:
+/// Labels all below `n` (a root id, say) index a table of `n` ids directly.
+/// Any others are interned in an open-addressed table sized from the input:
 /// at least `2n` slots, a power of two, so the load stays at most ½ and no
 /// resize happens; the SplitMix64 finalizer spreads labels that differ only
 /// in their high bits, and a probe is a mix plus a linear scan over flat
 /// arrays.
 pub fn relabel(labels: &[u64]) -> Relabeled {
-    // `VertexId::MAX` marks an empty slot. A real id never equals it: ids are
-    // `0..c` with `c ≤ n ≤ u32::MAX`, so the largest is at most `u32::MAX - 1`.
-    const EMPTY: VertexId = VertexId::MAX;
+    let (class_of, c) = intern_dense(labels).unwrap_or_else(|| intern_hashed(labels));
+    // Counted once `c` is known, so `sizes` is allocated once at its length.
+    // Grown by pushes, it reallocates inside every contraction, and that
+    // nearly doubled the `build_general` ledger runs in which glibc leaves
+    // the main heap untrimmed (51 against 28 of 200 seeds).
+    let mut sizes = vec![0u32; c as usize];
+    for &d in &class_of {
+        sizes[d as usize] += 1;
+    }
+    Relabeled { class_of, sizes }
+}
+
+/// Marks an unassigned table slot. A real id never equals it: ids are
+/// `0..c` with `c ≤ n ≤ u32::MAX`, so the largest is at most `u32::MAX - 1`.
+const EMPTY: VertexId = VertexId::MAX;
+
+/// [`relabel`]'s class ids and their count through a table indexed by the
+/// label itself, or `None` if some label is not below `labels.len()`.
+fn intern_dense(labels: &[u64]) -> Option<(Vec<VertexId>, VertexId)> {
+    let n = labels.len();
+    if labels.iter().any(|&label| label >= n as u64) {
+        return None;
+    }
+    let mut ids = vec![EMPTY; n];
+    let mut class_of = Vec::with_capacity(n);
+    let mut c: VertexId = 0;
+    for &label in labels {
+        let id = &mut ids[label as usize];
+        if *id == EMPTY {
+            *id = c;
+            c += 1;
+        }
+        class_of.push(*id);
+    }
+    Some((class_of, c))
+}
+
+/// [`relabel`]'s class ids and their count through the hashed interner,
+/// for any labels.
+fn intern_hashed(labels: &[u64]) -> (Vec<VertexId>, VertexId) {
     let cap = (labels.len().max(8) * 2).next_power_of_two();
     let mask = cap - 1;
     let mut keys = vec![0u64; cap];
@@ -58,15 +96,7 @@ pub fn relabel(labels: &[u64]) -> Relabeled {
         };
         class_of.push(d);
     }
-    // Counted once `c` is known, so `sizes` is allocated once at its length.
-    // Grown by pushes, it reallocates inside every contraction, and that
-    // nearly doubled the `build_general` ledger runs in which glibc leaves
-    // the main heap untrimmed (51 against 28 of 200 seeds).
-    let mut sizes = vec![0u32; c as usize];
-    for &d in &class_of {
-        sizes[d as usize] += 1;
-    }
-    Relabeled { class_of, sizes }
+    (class_of, c)
 }
 
 /// A labeling of vertices `0..n` by 64-bit component identifiers.
@@ -212,5 +242,34 @@ mod tests {
         assert_eq!(r.class_of, [0, 1, 0, 2, 2, 0]);
         assert_eq!(r.sizes, [3, 1, 2]);
         assert_eq!(Labeling(vec![7, 42, 7, 9, 9, 7]).canonical(), [0, 1, 0, 3, 3, 0]);
+    }
+
+    #[test]
+    fn the_dense_path_equals_the_hashed_one() {
+        let mut state = 0x5EED;
+        for n in [0u64, 1, 2, 63, 64, 65, 1000, 4096] {
+            for classes in [1, 3, n / 2, n] {
+                let labels: Vec<u64> = (0..n)
+                    .map(|_| {
+                        state = mix(state);
+                        state % classes.clamp(1, n.max(1))
+                    })
+                    .collect();
+                let dense = intern_dense(&labels).expect("every label is below n");
+                assert_eq!(dense, intern_hashed(&labels), "n={n} classes={classes}");
+            }
+        }
+        // The largest label a table of n ids indexes is n − 1.
+        assert_eq!(intern_dense(&[2, 0, 2]), Some((vec![0, 1, 0], 2)));
+    }
+
+    #[test]
+    fn a_label_not_below_n_takes_the_hashed_path() {
+        for labels in [&[0, 1, 3][..], &[5], &[u64::MAX, 0]] {
+            assert_eq!(intern_dense(labels), None, "{labels:?}");
+            let hashed = intern_hashed(labels);
+            let r = relabel(labels);
+            assert_eq!((r.class_of, r.sizes.len() as VertexId), hashed, "{labels:?}");
+        }
     }
 }
