@@ -428,12 +428,10 @@ pub trait DhtStorage<V: DhtValue>: Clone + Send + Sync {
     /// Number of entries, which is the store's footprint in words.
     fn len(&self) -> usize;
 
-    /// Stores `words[i]` at `Key::new(space, i)` for every `i`, as that
+    /// Stores `words` in `space`, word `i` at `Key::new(space, i)`, as that
     /// many [`DhtStorage::insert`]s would.
-    fn load_space(&mut self, space: Space, words: &[V]) {
-        for (id, &word) in words.iter().enumerate() {
-            self.insert(Key::new(space, id as u64), word);
-        }
+    fn load_space(&mut self, space: Space, words: SpaceWords<'_, V>) {
+        load_by_inserts(self, space, words);
     }
 
     /// True when the store holds no entries.
@@ -471,6 +469,46 @@ pub trait DhtStorage<V: DhtValue>: Clone + Send + Sync {
         self.for_each_entry(&mut |k, v| out.push((k, *v)));
         out.sort_unstable_by_key(|&(k, _)| k);
         out
+    }
+}
+
+/// The words of one keyspace of a round-0 load, word `i` at id `i`.
+pub enum SpaceWords<'a, V> {
+    /// Words the caller already holds.
+    Slice(&'a [V]),
+    /// `len` words that the closure writes, every one, into a slice of
+    /// `len` default values: a fresh dense slab itself, so words computed
+    /// for the load are written once.
+    Fill(usize, &'a mut dyn FnMut(&mut [V])),
+}
+
+impl<V> SpaceWords<'_, V> {
+    fn len(&self) -> usize {
+        match self {
+            SpaceWords::Slice(words) => words.len(),
+            SpaceWords::Fill(len, _) => *len,
+        }
+    }
+}
+
+/// [`DhtStorage::load_space`] as inserts, a `Fill` first staged in a `Vec`.
+fn load_by_inserts<V: DhtValue>(
+    store: &mut impl DhtStorage<V>,
+    space: Space,
+    words: SpaceWords<'_, V>,
+) {
+    let staged;
+    let words = match words {
+        SpaceWords::Slice(words) => words,
+        SpaceWords::Fill(len, fill) => {
+            let mut words = vec![V::default(); len];
+            fill(&mut words);
+            staged = words;
+            &staged
+        }
+    };
+    for (id, &word) in words.iter().enumerate() {
+        store.insert(Key::new(space, id as u64), word);
     }
 }
 
@@ -910,29 +948,27 @@ impl<V: DhtValue> DhtStorage<V> for DenseDht<V> {
         self.slabs.iter().map(|s| s.len).sum::<usize>() + self.overflow.len()
     }
 
-    /// Into a never-written slab, the in-slab words are one copy and their
-    /// presence bits are set a word at a time; ids past the slab go to the
-    /// overflow map. A slab already written takes the inserts.
-    fn load_space(&mut self, space: Space, words: &[V]) {
+    /// Into a never-written slab that holds every id, the words are one
+    /// copy (or the slots a `Fill` writes) and their presence bits are set
+    /// a word at a time. A slab already written, or one the words overrun,
+    /// takes them as inserts.
+    fn load_space(&mut self, space: Space, words: SpaceWords<'_, V>) {
         let written = self.slabs.get(space as usize).is_some_and(|s| !s.slots.is_empty());
-        if written || words.is_empty() {
-            for (id, &word) in words.iter().enumerate() {
-                self.insert(Key::new(space, id as u64), word);
-            }
-            return;
+        let len = words.len();
+        if written || len == 0 || len > self.cap {
+            return load_by_inserts(self, space, words);
         }
-        let (head, tail) = words.split_at(words.len().min(self.cap));
         let slab = self.ensure_slab(space);
-        slab.slots[..head.len()].copy_from_slice(head);
-        let (full, rest) = (head.len() / 64, head.len() % 64);
+        match words {
+            SpaceWords::Slice(words) => slab.slots[..len].copy_from_slice(words),
+            SpaceWords::Fill(_, fill) => fill(&mut slab.slots[..len]),
+        }
+        let (full, rest) = (len / 64, len % 64);
         slab.present[..full].fill(u64::MAX);
         if rest != 0 {
             slab.present[full] = (1 << rest) - 1;
         }
-        slab.len = head.len();
-        for (id, &word) in tail.iter().enumerate() {
-            self.overflow.insert(Key::new(space, (self.cap + id) as u64), word);
-        }
+        slab.len = len;
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(Key, &V)) {
@@ -1146,7 +1182,7 @@ impl<V: DhtValue> DhtStorage<V> for Dht<V> {
         with_store!(self, s => s.len())
     }
 
-    fn load_space(&mut self, space: Space, words: &[V]) {
+    fn load_space(&mut self, space: Space, words: SpaceWords<'_, V>) {
         with_store!(self, s => s.load_space(space, words))
     }
 
@@ -1726,35 +1762,39 @@ mod sharded_tests {
         }
     }
 
-    /// `words` loaded into keyspace 3 of `store`, beside a copy of `store`
-    /// that got the same words as inserts; the two must hold the same
-    /// entries. Keyspace 0 holds one entry throughout, and `prewrite`
-    /// writes keyspace 3 before the load.
+    /// `words` loaded into keyspace 3 of `store`, as a slice and as a fill,
+    /// beside a copy of `store` that got the same words as inserts; all
+    /// three must hold the same entries. Keyspace 0 holds one entry
+    /// throughout, and `prewrite` writes keyspace 3 before the load.
     fn assert_load_equals_inserts<St: DhtStorage<u64>>(
         store: St,
         words: &[u64],
         prewrite: bool,
         case: &str,
     ) -> St {
-        let (mut loaded, mut inserted) = (store.clone(), store);
-        for s in [&mut loaded, &mut inserted] {
+        let (mut sliced, mut filled, mut inserted) = (store.clone(), store.clone(), store);
+        for s in [&mut sliced, &mut filled, &mut inserted] {
             s.insert(Key::new(0, 5), 55);
             if prewrite {
                 s.insert(Key::new(3, 1), 11);
                 s.insert(Key::new(3, words.len() as u64 + 2), 22);
             }
         }
-        loaded.load_space(3, words);
+        sliced.load_space(3, SpaceWords::Slice(words));
+        let mut fill = |slots: &mut [u64]| slots.copy_from_slice(words);
+        filled.load_space(3, SpaceWords::Fill(words.len(), &mut fill));
         for (id, &word) in words.iter().enumerate() {
             inserted.insert(Key::new(3, id as u64), word);
         }
-        assert_eq!(loaded.sorted_entries(), inserted.sorted_entries(), "{case}");
-        assert_eq!(loaded.len(), inserted.len(), "{case}");
-        for id in 0..words.len() as u64 + 3 {
-            let key = Key::new(3, id);
-            assert_eq!(loaded.get(key), inserted.get(key), "{case} {key:?}");
+        for (loaded, how) in [(&sliced, "slice"), (&filled, "fill")] {
+            assert_eq!(loaded.sorted_entries(), inserted.sorted_entries(), "{case}, {how}");
+            assert_eq!(loaded.len(), inserted.len(), "{case}, {how}");
+            for id in 0..words.len() as u64 + 3 {
+                let key = Key::new(3, id);
+                assert_eq!(loaded.get(key), inserted.get(key), "{case}, {how}: {key:?}");
+            }
         }
-        loaded
+        sliced
     }
 
     #[test]

@@ -30,7 +30,7 @@
 
 use ampc_obs::{CounterId, HistId, Timer, TraceKind};
 
-use crate::dht::{Dht, DhtBackend, DhtStorage, ShardBuffers};
+use crate::dht::{Dht, DhtBackend, DhtStorage, ShardBuffers, SpaceWords};
 use crate::error::{AmpcError, AmpcResult};
 use crate::host_workers;
 use crate::key::{Key, Space};
@@ -133,12 +133,21 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
         Self::with_snapshot(config, snapshot)
     }
 
-    /// Creates a system whose first snapshot holds `words[i]` at
-    /// `Key::new(space, i)`: [`AmpcSystem::new`] over those entries, loaded
-    /// through [`DhtStorage::load_space`] (one copy into a dense slab).
-    pub fn from_space(config: AmpcConfig, space: Space, words: &[V]) -> Self {
+    /// Creates a system whose first snapshot holds each `(space, words)`
+    /// of `spaces`, word `i` at `Key::new(space, i)`: [`AmpcSystem::new`]
+    /// over those entries, loaded through [`DhtStorage::load_space`] (into
+    /// a fresh dense slab, one copy of a slice, or a fill in place).
+    pub fn from_space<'a>(
+        config: AmpcConfig,
+        spaces: impl IntoIterator<Item = (Space, SpaceWords<'a, V>)>,
+    ) -> Self
+    where
+        V: 'a,
+    {
         let mut snapshot = S::for_backend(config.backend);
-        snapshot.load_space(space, words);
+        for (space, words) in spaces {
+            snapshot.load_space(space, words);
+        }
         Self::with_snapshot(config, snapshot)
     }
 
@@ -680,7 +689,7 @@ mod backend_equivalence_tests {
     ) -> (Vec<(Key, u64)>, String) {
         let words: Vec<u64> = (0..len).map(|i| i % 5 * i).collect();
         let mut sys: AmpcSystem<u64, St> = if slice {
-            AmpcSystem::from_space(cfg, S, &words)
+            AmpcSystem::from_space(cfg, [(S, SpaceWords::Slice(&words))])
         } else {
             AmpcSystem::new(cfg, words.iter().enumerate().map(|(i, &w)| (Key::new(S, i as u64), w)))
         };

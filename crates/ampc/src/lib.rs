@@ -72,7 +72,9 @@ pub mod rng;
 mod stats;
 mod value;
 
-pub use dht::{DenseDht, Dht, DhtBackend, DhtStorage, FlatDht, ShardBuffers, ShardedDht, WriteOp};
+pub use dht::{
+    DenseDht, Dht, DhtBackend, DhtStorage, FlatDht, ShardBuffers, ShardedDht, SpaceWords, WriteOp,
+};
 pub use error::{AmpcError, AmpcResult};
 pub use executor::{AmpcConfig, AmpcSystem, RoundOutcome};
 pub use key::{Key, Space};

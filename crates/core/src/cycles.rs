@@ -40,7 +40,7 @@
 //! `CycleState::settle`: ids are `0..n0`, so a mark is an array store, not a
 //! hash-set insert.
 
-use ampc::{AmpcConfig, AmpcResult, AmpcSystem, Key, MachineCtx, RunStats, Space};
+use ampc::{AmpcConfig, AmpcResult, AmpcSystem, Key, MachineCtx, RunStats, Space, SpaceWords};
 use ampc_graph::euler::CycleDecomposition;
 
 /// Keyspace: forward pointer + rank.
@@ -152,6 +152,30 @@ pub(crate) fn chase_roots(
     Ok((labels, rounds))
 }
 
+/// A fresh system holding the cycles of the successor permutation `succ` as
+/// its round-0 input: `FWD a` is `pack(succ[a], 0)` and `BWD succ[a]` is
+/// `pack(a, 0)`, each keyspace filled straight from `succ`.
+fn load_cycles<T: Copy + Into<u64>>(succ: &[T], config: AmpcConfig) -> AmpcSystem<u64> {
+    let n0 = succ.len();
+    // Every cycle keyspace is indexed by arc ids 0..n0 — size an unhinted
+    // dense backend's slab accordingly.
+    let backend = config.backend.with_capacity_hint(n0.max(1));
+    let mut fwd = |words: &mut [u64]| {
+        for (word, &s) in words.iter_mut().zip(succ) {
+            *word = pack(s.into(), 0);
+        }
+    };
+    let mut bwd = |words: &mut [u64]| {
+        for (a, &s) in succ.iter().enumerate() {
+            words[s.into() as usize] = pack(a as u64, 0);
+        }
+    };
+    AmpcSystem::from_space(
+        config.with_backend(backend),
+        [(FWD, SpaceWords::Fill(n0, &mut fwd)), (BWD, SpaceWords::Fill(n0, &mut bwd))],
+    )
+}
+
 /// A cycle collection living in an [`AmpcSystem`], plus the host-side alive
 /// list. Which store holds the pointers is `config.backend`'s business.
 pub struct CycleState {
@@ -172,21 +196,9 @@ impl CycleState {
     /// Loads a [`CycleDecomposition`] into a fresh AMPC system. Loading the
     /// input is free (the model assumes the input resides in the DHT).
     pub fn from_decomposition(decomp: &CycleDecomposition, config: AmpcConfig) -> Self {
-        let pred = decomp.predecessors();
         let n0 = decomp.len();
-        // Every cycle keyspace is indexed by arc ids 0..n0 — size an
-        // unhinted dense backend's slab accordingly.
-        let backend = config.backend.with_capacity_hint(n0.max(1));
-        let config = config.with_backend(backend);
-        let init = (0..n0).flat_map(|a| {
-            [
-                (Key::new(FWD, a as u64), pack(decomp.succ[a] as u64, 0)),
-                (Key::new(BWD, a as u64), pack(pred[a] as u64, 0)),
-            ]
-        });
-        let sys = AmpcSystem::new(config, init);
         CycleState {
-            sys,
+            sys: load_cycles(&decomp.succ, config),
             alive: (0..n0 as u64).collect(),
             n0,
             roots: Vec::new(),
@@ -198,19 +210,7 @@ impl CycleState {
     /// (used by unit tests and by the rooted-forest reduction).
     pub fn from_successors(succ: &[u64], config: AmpcConfig) -> Self {
         let n0 = succ.len();
-        let backend = config.backend.with_capacity_hint(n0.max(1));
-        let config = config.with_backend(backend);
-        let mut pred = vec![0u64; n0];
-        for (a, &s) in succ.iter().enumerate() {
-            pred[s as usize] = a as u64;
-        }
-        let init = (0..n0).flat_map(|a| {
-            [
-                (Key::new(FWD, a as u64), pack(succ[a], 0)),
-                (Key::new(BWD, a as u64), pack(pred[a], 0)),
-            ]
-        });
-        let sys = AmpcSystem::new(config, init);
+        let sys = load_cycles(succ, config);
         // Length-1 cycles are already finished components.
         let mut alive = Vec::with_capacity(n0);
         let mut roots = Vec::new();
@@ -272,12 +272,125 @@ impl CycleState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampc::DhtStorage as _;
+    use ampc::{Dht, DhtBackend, DhtStorage as _};
+    use ampc_graph::euler::forest_to_cycles;
+    use ampc_graph::generators::ForestFamily;
 
     #[test]
     fn pack_unpack_roundtrip() {
         for (id, rank) in [(0u64, 0u16), (5, 9), (1, u16::MAX), ((1 << 48) - 1, u16::MAX)] {
             assert_eq!(unpack(pack(id, rank)), (id, rank));
+        }
+    }
+
+    /// The state as the entry-by-entry construction built it: the
+    /// predecessors inverted host-side, then `AmpcSystem::new` over
+    /// interleaved `FWD` / `BWD` entries.
+    fn state_by_inserts(succ: &[u64], config: AmpcConfig, alive: Vec<u64>) -> CycleState {
+        let n0 = succ.len();
+        let mut pred = vec![0u64; n0];
+        for (a, &s) in succ.iter().enumerate() {
+            pred[s as usize] = a as u64;
+        }
+        let backend = config.backend.with_capacity_hint(n0.max(1));
+        let init = (0..n0).flat_map(|a| {
+            [
+                (Key::new(FWD, a as u64), pack(succ[a], 0)),
+                (Key::new(BWD, a as u64), pack(pred[a], 0)),
+            ]
+        });
+        let sys = AmpcSystem::new(config.with_backend(backend), init);
+        let roots = (0..n0 as u64).filter(|&a| succ[a as usize] == a).collect();
+        CycleState { sys, alive, n0, roots, dead: vec![false; n0] }
+    }
+
+    /// A `slc-jump`-shaped round: every alive vertex with id ≡ 0 (mod 3)
+    /// walks `FWD` to the next such vertex, absorbs the segment between
+    /// and joins across it. Returns the vertices absorbed.
+    fn jump(st: &mut CycleState) -> usize {
+        let marked = |x: u64| x.is_multiple_of(3);
+        let out = st.sys.round("jump", &st.alive, |ctx, &v| {
+            if !marked(v) {
+                return None;
+            }
+            let mut interior = Vec::new();
+            let mut cur = link(ctx, FWD, v).0;
+            while cur != v && !marked(cur) {
+                interior.push(cur);
+                cur = link(ctx, FWD, cur).0;
+            }
+            if interior.is_empty() {
+                return None;
+            }
+            absorb(ctx, v, &interior);
+            join(ctx, v, cur);
+            Some(Absorbed { survivor: v, removed: interior, finished: cur == v })
+        });
+        st.settle(out.unwrap().results).0
+    }
+
+    /// What a comparison of two states reads.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        entries: Vec<(Key, u64)>,
+        len: usize,
+        /// Entries in the dense store's overflow map.
+        overflow: usize,
+        /// `RunStats`, which has no `PartialEq`.
+        stats: String,
+        alive: Vec<u64>,
+        roots: Vec<u64>,
+    }
+
+    fn observe(st: &CycleState) -> Observed {
+        let snap = st.sys.snapshot();
+        Observed {
+            entries: snap.sorted_entries(),
+            len: snap.len(),
+            overflow: match snap {
+                Dht::Dense(dense) => dense.overflow_len(),
+                _ => 0,
+            },
+            stats: format!("{:?}", st.stats()),
+            alive: st.alive.clone(),
+            roots: st.roots.clone(),
+        }
+    }
+
+    #[test]
+    fn a_slice_load_holds_what_the_inserts_held() {
+        // Each case's successors, and its decomposition when it is a forest's.
+        let mut cases: Vec<(String, Vec<u64>, Option<CycleDecomposition>)> = Vec::new();
+        for family in ForestFamily::ALL {
+            for seed in 0..3 {
+                let decomp = forest_to_cycles(&family.generate(300, seed));
+                let succ = decomp.succ.iter().map(|&s| s as u64).collect();
+                cases.push((format!("{} seed {seed}", family.name()), succ, Some(decomp)));
+            }
+        }
+        for n in [1u64, 2, 40, 100] {
+            let ring = (0..n).map(|i| (i + 1) % n).collect();
+            cases.push((format!("ring {n}"), ring, None));
+        }
+        cases.push(("rings".into(), vec![1, 2, 0, 3, 5, 4, 6], None));
+        for (case, succ, decomp) in cases {
+            for backend in [DhtBackend::dense(), DhtBackend::Dense { cap: 32 }, DhtBackend::Flat] {
+                let config = AmpcConfig::default().with_machines(4).with_backend(backend);
+                let mut loaded = match &decomp {
+                    Some(decomp) => CycleState::from_decomposition(decomp, config.clone()),
+                    None => CycleState::from_successors(&succ, config.clone()),
+                };
+                let mut inserted = state_by_inserts(&succ, config, loaded.alive.clone());
+                let case = format!("{case}, {backend:?}");
+                assert_eq!(observe(&loaded), observe(&inserted), "{case}: after the load");
+                if backend == (DhtBackend::Dense { cap: 32 }) && succ.len() > 32 {
+                    assert!(observe(&loaded).overflow > 0, "{case}: the overflow map stayed empty");
+                }
+                let absorbed = jump(&mut loaded);
+                assert!(absorbed > 0 || succ.len() < 2, "{case}: the round absorbed nothing");
+                assert_eq!(jump(&mut inserted), absorbed, "{case}");
+                assert_eq!(observe(&loaded), observe(&inserted), "{case}: after a round");
+            }
         }
     }
 

@@ -47,7 +47,7 @@
 
 use std::cell::RefCell;
 
-use ampc::{AmpcConfig, AmpcResult, AmpcSystem, Key, RunStats, Space};
+use ampc::{AmpcConfig, AmpcResult, AmpcSystem, Key, RunStats, Space, SpaceWords};
 use ampc_graph::contract::contract_degree3;
 use ampc_graph::degree3::{degree3_words, unpack_adj};
 use ampc_graph::{Graph, VertexId};
@@ -218,7 +218,8 @@ pub fn shrink_general(
     // the dense backend's slab hint.
     let backend = ampc_cfg.backend.with_capacity_hint(2 * n3.max(1));
     let ampc_cfg = ampc_cfg.with_backend(backend);
-    let mut sys: AmpcSystem<u64> = AmpcSystem::from_space(ampc_cfg, ADJ, &g3.words);
+    let mut sys: AmpcSystem<u64> =
+        AmpcSystem::from_space(ampc_cfg, [(ADJ, SpaceWords::Slice(&g3.words))]);
     sys.stats_mut().charge_external(1, 2 * g.m(), 2 * (g.n() + g.m()));
 
     let items: Vec<u64> = (0..n3 as u64).collect();

@@ -39,16 +39,6 @@ impl CycleDecomposition {
         self.succ.is_empty()
     }
 
-    /// Predecessor permutation (inverse of `succ`), for bidirectional
-    /// traversal in Step 1 of `ShrinkSmallCycles`.
-    pub fn predecessors(&self) -> Vec<u32> {
-        let mut pred = vec![0u32; self.succ.len()];
-        for (a, &s) in self.succ.iter().enumerate() {
-            pred[s as usize] = a as u32;
-        }
-        pred
-    }
-
     /// Debug invariant: `succ` is a permutation (every vertex has exactly
     /// one predecessor).
     pub fn is_permutation(&self) -> bool {
@@ -97,23 +87,23 @@ pub fn forest_to_cycles(g: &Graph) -> CycleDecomposition {
     let base = block_starts((0..n as VertexId).map(|v| g.degree(v)), "the Euler tour");
     let total_arcs = base[n] as usize;
 
-    let mut origin = vec![0 as VertexId; total_arcs];
-    let mut isolated = Vec::new();
-    for v in 0..n as VertexId {
-        if g.degree(v) == 0 {
-            isolated.push(v);
-        }
-        origin[base[v as usize] as usize..base[v as usize + 1] as usize].fill(v);
-    }
+    let isolated = (0..n as VertexId).filter(|&v| g.degree(v) == 0).collect();
 
     // Cycle vertex base[v] + j is the arc entering v from its j-th neighbor.
     // Its successor is the arc leaving v toward neighbor i = (j + 1) mod d,
     // i.e. the arc entering w := nbrs[i] from v: w's copy k, where v is w's
-    // k-th neighbor.
+    // k-th neighbor. So neighbor i's arc is the successor of slot i − 1, or
+    // of v's last slot when i = 0. The same pass writes slot i's origin.
+    let mut origin = vec![0 as VertexId; total_arcs];
     let mut succ = vec![0u32; total_arcs];
     g.for_each_arc(|v, i, w, k| {
-        let (b, d) = (base[v as usize] as usize, g.degree(v));
-        succ[b + (i + d - 1) % d] = base[w as usize] + k as u32;
+        let b = base[v as usize];
+        origin[(b + i as u32) as usize] = v;
+        let slot = match i {
+            0 => base[v as usize + 1] - 1,
+            _ => b + i as u32 - 1,
+        };
+        succ[slot as usize] = base[w as usize] + k as u32;
     });
 
     CycleDecomposition { succ, origin, isolated }
@@ -122,7 +112,7 @@ pub fn forest_to_cycles(g: &Graph) -> CycleDecomposition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::ForestFamily;
+    use crate::generators::{random_forest, ForestFamily};
     use crate::reference_components;
 
     /// The successor map the cursor pass replaced: one binary search per
@@ -152,6 +142,20 @@ mod tests {
                 let c = forest_to_cycles(&g);
                 assert_eq!(c.succ, succ_by_binary_search(&g), "{} seed {seed}", family.name());
             }
+        }
+        // Shapes whose blocks wrap at i = 0 in every way: a star (one block
+        // of every other vertex's degree 1), a path (ends of degree 1,
+        // interior of degree 2), one edge, and isolated vertices on either
+        // side of the trees (empty blocks).
+        let shapes = [
+            ("star", Graph::from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)])),
+            ("path", Graph::from_edges(5, &[(3, 1), (1, 0), (0, 4), (4, 2)])),
+            ("edge", Graph::from_edges(2, &[(1, 0)])),
+            ("isolated", Graph::from_edges(7, &[(1, 2), (2, 4), (5, 4)])),
+            ("large", random_forest(1 << 12, 1 << 4, 7)),
+        ];
+        for (name, g) in shapes {
+            assert_eq!(forest_to_cycles(&g).succ, succ_by_binary_search(&g), "{name}");
         }
     }
 
@@ -218,7 +222,10 @@ mod tests {
     fn predecessors_invert_successors() {
         let g = Graph::from_edges(7, &[(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (4, 6)]);
         let c = forest_to_cycles(&g);
-        let pred = c.predecessors();
+        let mut pred = vec![u32::MAX; c.len()];
+        for (a, &s) in c.succ.iter().enumerate() {
+            pred[s as usize] = a as u32;
+        }
         for a in 0..c.len() {
             assert_eq!(pred[c.succ[a] as usize], a as u32);
             assert_eq!(c.succ[pred[a] as usize], a as u32);
