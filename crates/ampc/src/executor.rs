@@ -7,6 +7,12 @@
 //! next snapshot **in machine-index order**, which makes runs deterministic
 //! no matter how the OS schedules the machine threads.
 //!
+//! There is one execution path, [`AmpcSystem::machine_round`]: its closure
+//! runs once per machine over the machine's whole chunk, so scratch memory
+//! and a draw family ([`MachineCtx::draws`]) are built once per machine and
+//! reused by every item. [`AmpcSystem::round`], one closure call per item,
+//! is a wrapper over it.
+//!
 //! Deployments are often configured with far more simulated machines than
 //! the host has cores (e.g. `M = n/4` in the audit experiments), so workers
 //! are capped at the hardware parallelism and each worker runs a contiguous
@@ -97,7 +103,7 @@ impl AmpcConfig {
 /// Summary of one executed round, returned alongside the per-item results.
 #[derive(Debug, Clone)]
 pub struct RoundOutcome<R> {
-    /// Results produced by the per-item closure, in item order.
+    /// Results produced by the machines, in item order.
     pub results: Vec<R>,
     /// Queries issued during the round.
     pub reads: usize,
@@ -193,19 +199,15 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
         f(&mut self.snapshot);
     }
 
-    /// Executes one AMPC round over `items`.
+    /// Executes one AMPC round over `items`, one call of `f` per item:
+    /// [`AmpcSystem::machine_round`] with each machine running
+    /// `f(ctx, item)` over its chunk in order and keeping the non-`None`
+    /// results.
     ///
-    /// Items are split into `M` near-equal contiguous chunks; machine `j`
-    /// runs `f(ctx, item)` for each item of chunk `j` against a context that
-    /// reads the current snapshot and buffers writes. After all machines
-    /// finish, the buffered writes are applied in machine order to the next
-    /// snapshot (shard-parallel when the backend shards — see the module
-    /// docs).
-    ///
-    /// Returns the non-`None` closure results in item order. A round that
-    /// breaches an enforced budget is still recorded — in [`RunStats`], the
-    /// round counter, the wall-time histogram and the trace — but its
-    /// writes are discarded.
+    /// Returns those results in item order. A round that breaches an
+    /// enforced budget is still recorded — in [`RunStats`], the round
+    /// counter, the wall-time histogram and the trace — but its writes are
+    /// discarded.
     pub fn round<I, R, F>(
         &mut self,
         name: &'static str,
@@ -216,6 +218,38 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
         I: Sync,
         R: Send,
         F: Fn(&mut MachineCtx<'_, V, S>, &I) -> Option<R> + Sync,
+    {
+        self.machine_round(name, items, |ctx, chunk, out| {
+            out.extend(chunk.iter().filter_map(|item| f(ctx, item)))
+        })
+    }
+
+    /// Executes one AMPC round over `items`, one call of `f` per machine.
+    ///
+    /// Items are split into `M` near-equal contiguous chunks
+    /// (`items.len().div_ceil(M)` each, the last one shorter); machine `j`
+    /// runs `f(ctx, chunk_j, out)` once, against a context that reads the
+    /// current snapshot and buffers writes, and appends its results to
+    /// `out` in item order. A machine keeps whatever local state it builds
+    /// for its chunk (scratch buffers, a draw family) across the chunk's
+    /// items, as an AMPC machine keeps its local memory through a round.
+    /// After all machines finish, the buffered writes are applied in
+    /// machine order to the next snapshot (shard-parallel when the backend
+    /// shards — see the module docs).
+    ///
+    /// Returns every machine's results, in machine order. A round that
+    /// breaches an enforced budget is recorded and fails as in
+    /// [`AmpcSystem::round`].
+    pub fn machine_round<I, R, F>(
+        &mut self,
+        name: &'static str,
+        items: &[I],
+        f: F,
+    ) -> AmpcResult<RoundOutcome<R>>
+    where
+        I: Sync,
+        R: Send,
+        F: Fn(&mut MachineCtx<'_, V, S>, &[I], &mut Vec<R>) + Sync,
     {
         let wall = Timer::start(ampc_obs::hist(HistId::RoundWallNs));
         let m = self.config.num_machines;
@@ -246,7 +280,7 @@ impl<V: DhtValue, S: DhtStorage<V>> AmpcSystem<V, S> {
             let (mut part, mut results) = (blank(), Vec::new());
             for slice in span.chunks(chunk) {
                 let mut ctx = MachineCtx::new(snapshot, round_index, seed, out);
-                results.extend(slice.iter().filter_map(|item| f(&mut ctx, item)));
+                f(&mut ctx, slice, &mut results);
                 part.reads += ctx.reads;
                 part.writes += ctx.writes;
                 part.max_machine_read_words = part.max_machine_read_words.max(ctx.reads);
@@ -474,7 +508,7 @@ mod tests {
             let mut sys = system(m, 200);
             let ids: Vec<u64> = (0..200).collect();
             sys.round("randomize", &ids, |ctx, &i| {
-                let r = ctx.rng(0, i).next_u64();
+                let r = ctx.draws(0).at(i).next_u64();
                 ctx.write(Key::new(AUX, i), r);
                 None::<()>
             })
@@ -546,6 +580,70 @@ mod tests {
         assert!(out.results.is_empty());
         assert_eq!(sys.stats().rounds(), 1);
     }
+
+    /// A per-item step whose reads and writes vary with the item, so the
+    /// machines' loads differ: reads, puts, merges, deletes and a draw.
+    fn uneven(ctx: &mut MachineCtx<'_, u64>, &i: &u64) -> Option<u64> {
+        let mut acc = 0;
+        for k in 0..i % 5 {
+            acc += ctx.read(Key::new(S, (i + k) % 300)).copied().unwrap_or(1);
+        }
+        match i % 4 {
+            0 => ctx.write(Key::new(AUX, i), acc),
+            1 => ctx.write_merge(Key::new(AUX, i % 7), ctx.draws(3).at(i).next_u64() % 100),
+            2 => ctx.delete(Key::new(S, i / 2)),
+            _ => return None,
+        }
+        (i % 3 != 0).then_some(acc)
+    }
+
+    #[test]
+    fn a_machine_round_is_the_round_it_wraps() {
+        let ids: Vec<u64> = (0..300).collect();
+        for m in [1, 3, 16, 1000] {
+            let (mut by_item, mut by_machine) = (system(m, 300), system(m, 300));
+            for _ in 0..2 {
+                let a = by_item.round("uneven", &ids, uneven).unwrap();
+                let b = by_machine
+                    .machine_round("uneven", &ids, |ctx, chunk, out| {
+                        out.extend(chunk.iter().filter_map(|i| uneven(ctx, i)))
+                    })
+                    .unwrap();
+                assert_eq!((a.results, a.reads), (b.results, b.reads), "m={m}");
+            }
+            let (table, stats) = by_item.finish();
+            let (machine_table, machine_stats) = by_machine.finish();
+            assert_eq!(table.sorted_entries(), machine_table.sorted_entries(), "m={m}");
+            // Every field of every round, the worst machine's counts included.
+            assert_eq!(format!("{stats:?}"), format!("{machine_stats:?}"), "m={m}");
+            assert!(stats.per_round().iter().all(|r| r.max_machine_read_words > 0));
+        }
+    }
+
+    #[test]
+    fn each_machine_runs_its_div_ceil_chunk() {
+        for m in [1, 3, 16, 1000] {
+            for len in [0u64, 1, 10, 299, 1000, 1001] {
+                let ids: Vec<u64> = (0..len).collect();
+                let mut sys = system(m, 0);
+                let seen = sys
+                    .machine_round("chunks", &ids, |ctx, chunk, out| {
+                        for &i in chunk {
+                            ctx.read(Key::new(S, i));
+                        }
+                        out.push(chunk.to_vec());
+                    })
+                    .unwrap()
+                    .results;
+                let chunk = ids.len().div_ceil(m).max(1);
+                let expected: Vec<Vec<u64>> = ids.chunks(chunk).map(<[u64]>::to_vec).collect();
+                assert_eq!(seen, expected, "m={m}, {len} items");
+                // One machine is one chunk: its meters count the chunk's reads.
+                let round = &sys.stats().per_round()[0];
+                assert_eq!(round.max_machine_read_words, expected.first().map_or(0, Vec::len));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -571,7 +669,7 @@ mod backend_equivalence_tests {
         sys.round("mix", &ids, |ctx, &i| {
             let v = *ctx.read(Key::new(S, i)).unwrap();
             ctx.write(Key::new(S, i), v.wrapping_mul(3));
-            ctx.write_merge(Key::new(AUX, i % 13), ctx.rng(1, i).next_u64() % 1000);
+            ctx.write_merge(Key::new(AUX, i % 13), ctx.draws(1).at(i).next_u64() % 1000);
             if i % 7 == 0 {
                 ctx.delete(Key::new(S, (i + 1) % n));
             }
@@ -623,7 +721,7 @@ mod backend_equivalence_tests {
                 ctx.delete(Key::new(AUX, FAR + (i + 1) % 3));
             }
             // Merges (max) interleaved with resetting puts and deletes.
-            ctx.write_merge(Key::new(2, i % 4), ctx.rng(0, i).next_u64() % 1000);
+            ctx.write_merge(Key::new(2, i % 4), ctx.draws(0).at(i).next_u64() % 1000);
             ctx.write_merge(Key::new(2, FAR + i % 2), i % 777);
             match i % 13 {
                 0 => ctx.write(Key::new(2, i % 4), 0),

@@ -11,7 +11,8 @@
 //!   is routed by [`DhtStorage::shard_of`] into the per-shard buffers of
 //!   the worker running this machine as it is issued, so nothing re-reads
 //!   it between here and the table;
-//! * **deterministic randomness** scoped to `(run, round, tag, id)`.
+//! * **deterministic randomness** scoped to `(run, round, tag, id)`, one
+//!   family per tag ([`MachineCtx::draws`]).
 //!
 //! Every access is metered: a read (hit or miss) and a buffered write each
 //! cost one word, so a budget in words is a budget in ops. The context only
@@ -21,7 +22,7 @@
 
 use crate::dht::{Dht, DhtStorage, ShardBuffers, WriteOp};
 use crate::key::Key;
-use crate::rng::{self, Draws, SplitMix64};
+use crate::rng::Draws;
 use crate::value::DhtValue;
 
 /// Execution context for one simulated machine within one round.
@@ -90,20 +91,15 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
         self.out.push(self.snapshot.shard_of(key), key, op);
     }
 
-    /// Deterministic random stream scoped to `(run seed, round, tag, id)`.
-    /// Identical across machine assignments and thread schedules: any
-    /// machine of a round can re-derive the draw of any id, not only of its
-    /// own item. That is why a reader may evaluate another vertex's rank or
-    /// mark here instead of reading it from the DHT, so long as every read
-    /// of that draw happens within one round.
-    #[inline]
-    pub fn rng(&self, tag: u64, id: u64) -> SplitMix64 {
-        rng::stream(self.seed, self.round as u64, tag, id)
-    }
-
-    /// The round's family of `tag` streams: `draws(tag).at(id)` is
-    /// `rng(tag, id)`, with the `(seed, round, tag)` prefix folded once. A
-    /// machine that draws for many ids takes the family before its loop.
+    /// The round's family of `tag` streams: `draws(tag).at(id)` is the
+    /// deterministic stream of `(run seed, round, tag, id)`
+    /// ([`rng::stream`](crate::rng::stream) bit for bit), with the `(seed, round, tag)` prefix
+    /// folded once. Identical across machine assignments and thread
+    /// schedules: any machine of a round can re-derive the draw of any id,
+    /// not only of its own item. That is why a reader may evaluate another
+    /// vertex's rank or mark here instead of reading it from the DHT, so
+    /// long as every read of that draw happens within one round. A machine
+    /// takes the family once, before its chunk's loop.
     #[inline]
     pub fn draws(&self, tag: u64) -> Draws {
         Draws::new(self.seed, self.round as u64, tag)
@@ -119,6 +115,7 @@ impl<'a, V: DhtValue, S: DhtStorage<V>> MachineCtx<'a, V, S> {
 mod tests {
     use super::*;
     use crate::dht::FlatDht;
+    use crate::rng;
 
     const S: u16 = 0;
 
@@ -169,7 +166,7 @@ mod tests {
     }
 
     #[test]
-    fn rng_is_context_deterministic() {
+    fn draws_are_context_deterministic() {
         let d = table();
         let mut out1 = ShardBuffers::new(1);
         let ctx1 = MachineCtx::new(&d, 3, 42, &mut out1);
@@ -177,8 +174,10 @@ mod tests {
         // (seed, round, tag, id), NOT on the machine index.
         let mut out2 = ShardBuffers::new(1);
         let ctx2 = MachineCtx::new(&d, 3, 42, &mut out2);
-        assert_eq!(ctx1.rng(1, 5).next_u64(), ctx2.rng(1, 5).next_u64());
-        assert_ne!(ctx1.rng(1, 5).next_u64(), ctx1.rng(1, 6).next_u64());
+        let draw =
+            |ctx: &MachineCtx<'_, u64, FlatDht<u64>>, tag, id| ctx.draws(tag).at(id).next_u64();
+        assert_eq!(draw(&ctx1, 1, 5), draw(&ctx2, 1, 5));
+        assert_ne!(draw(&ctx1, 1, 5), draw(&ctx1, 1, 6));
     }
 
     #[test]
@@ -190,7 +189,7 @@ mod tests {
             for tag in [0, 1, u64::MAX] {
                 let draws = ctx.draws(tag);
                 for id in [0, 5, u64::MAX] {
-                    let (mut a, mut b) = (draws.at(id), ctx.rng(tag, id));
+                    let (mut a, mut b) = (draws.at(id), rng::stream(seed, round as u64, tag, id));
                     for _ in 0..3 {
                         assert_eq!(a.next_u64(), b.next_u64(), "({seed}, {round}, {tag}, {id})");
                     }

@@ -83,9 +83,15 @@ fn rng_streams_independent_of_machine_assignment() {
             AmpcConfig::default().with_machines(machines).with_seed(1234),
             ids.iter().map(|&i| (Key::new(0, i), i)),
         );
-        sys.round("draw", &ids, |ctx, &i| Some(ctx.rng(7, i).next_u64())).unwrap().results
+        // Each machine takes the tag's family once for its whole chunk.
+        let round = sys.machine_round("draw", &ids, |ctx, chunk, out| {
+            let family = ctx.draws(7);
+            out.extend(chunk.iter().map(|&i| family.at(i).next_u64()))
+        });
+        round.unwrap().results
     };
     let one = draws(1);
+    assert!(one.iter().zip(0..).all(|(&x, i)| x == rng::stream(1234, 0, 7, i).next_u64()));
     assert_eq!(one, draws(2));
     assert_eq!(one, draws(31));
     assert_eq!(one, draws(128));

@@ -24,11 +24,16 @@
 //! * `link` — one metered read of a vertex's successor or predecessor, with
 //!   its rank;
 //! * `absorb` — contract a walked segment into its survivor: a `PARENT`
-//!   pointer per member, then its `FWD` / `BWD` / `STAMP` entries deleted;
-//! * `join` — relink `a → b` (`FWD a`, `BWD b`); `join(ctx, v, v)` closes a
-//!   finished cycle on its survivor;
-//! * `Absorbed` — what one machine reports, folded host-side by
-//!   `CycleState::settle`.
+//!   pointer per member, then its `FWD` / `BWD` / `STAMP` entries deleted,
+//!   and the members appended to the machine's retired list;
+//! * `join` — relink `a → b` (`FWD a`, `BWD b`);
+//! * `close` — `join(ctx, v, v)`: the survivor is its cycle's last vertex,
+//!   and its retired list names it as a finished root.
+//!
+//! A round's result is one flat list of `u64` words, each machine's
+//! appended in item order: every absorbed vertex, and every finished
+//! survivor with the `ROOT` tag bit. `CycleState::settle` folds it
+//! host-side.
 //!
 //! `chase_roots` is the other half, the `Compose` of Definition 2.1 (and
 //! Claim 4.12's rooted-forest labelling): follow parent pointers to a root
@@ -72,15 +77,25 @@ pub(crate) fn link(ctx: &mut MachineCtx<'_, u64>, dir: Space, v: u64) -> (u64, u
     unpack(*ctx.read(Key::new(dir, v)).expect("alive vertex must have pointers"))
 }
 
+/// Tags a finished survivor in a round's retired list. Ids are below 2^48
+/// ([`pack`]), so an untagged word is an absorbed vertex.
+pub(crate) const ROOT: u64 = 1 << 63;
+
 /// Contracts `segment` into `survivor`: each member points its `PARENT` at
-/// the survivor and loses its cycle entries.
-pub(crate) fn absorb(ctx: &mut MachineCtx<'_, u64>, survivor: u64, segment: &[u64]) {
+/// the survivor and loses its cycle entries, and is appended to `retired`.
+pub(crate) fn absorb(
+    ctx: &mut MachineCtx<'_, u64>,
+    retired: &mut Vec<u64>,
+    survivor: u64,
+    segment: &[u64],
+) {
     for &x in segment {
         ctx.write(Key::new(PARENT, x), survivor);
         ctx.delete(Key::new(FWD, x));
         ctx.delete(Key::new(BWD, x));
         ctx.delete(Key::new(STAMP, x));
     }
+    retired.extend_from_slice(segment);
 }
 
 /// Links `a → b` with rank 0: `FWD a` and `BWD b`, each written by this
@@ -90,15 +105,11 @@ pub(crate) fn join(ctx: &mut MachineCtx<'_, u64>, a: u64, b: u64) {
     ctx.write(Key::new(BWD, b), pack(a, 0));
 }
 
-/// One machine's contraction: `removed` went into `survivor`, and when
-/// `finished` that closed the survivor's cycle on itself.
-pub(crate) struct Absorbed {
-    /// The vertex the segment was contracted into.
-    pub(crate) survivor: u64,
-    /// The absorbed vertices.
-    pub(crate) removed: Vec<u64>,
-    /// The survivor is now its cycle's only vertex: a finished root.
-    pub(crate) finished: bool,
+/// Closes `v`'s cycle on itself, `join(ctx, v, v)`, once `v` is its only
+/// vertex, and appends `v` to `retired` as a finished root.
+pub(crate) fn close(ctx: &mut MachineCtx<'_, u64>, retired: &mut Vec<u64>, v: u64) {
+    join(ctx, v, v);
+    retired.push(ROOT | v);
 }
 
 /// Labels each vertex of `items` with the end of its pointer chain in
@@ -224,26 +235,24 @@ impl CycleState {
         CycleState { sys, alive, n0, roots, dead: vec![false; n0] }
     }
 
-    /// Folds one round's contractions into the host's lists: every absorbed
-    /// vertex leaves the alive list (the rest keep their order), and each
-    /// finished survivor leaves it too, appended to `roots` in round order.
-    /// Returns `(vertices absorbed, cycles finished)`.
-    pub(crate) fn settle(&mut self, round: Vec<Absorbed>) -> (usize, usize) {
-        let (mut removed, roots_before) = (0, self.roots.len());
-        for a in round {
-            removed += a.removed.len();
-            for v in a.removed {
-                self.dead[v as usize] = true;
-            }
-            if a.finished {
-                self.dead[a.survivor as usize] = true;
-                self.roots.push(a.survivor);
+    /// Folds one round's retired list (see the module docs) into the host's
+    /// lists: every absorbed vertex leaves the alive list (the rest keep
+    /// their order), and each finished survivor leaves it too, appended to
+    /// `roots` in list order. Returns `(vertices absorbed, cycles finished)`.
+    pub(crate) fn settle(&mut self, retired: &[u64]) -> (usize, usize) {
+        let roots_before = self.roots.len();
+        for &word in retired {
+            let v = word & !ROOT;
+            self.dead[v as usize] = true;
+            if word & ROOT != 0 {
+                self.roots.push(v);
             }
         }
         let dead = &mut self.dead;
         self.alive.retain(|&v| !std::mem::take(&mut dead[v as usize]));
         debug_assert!(!dead.contains(&true), "a vertex marked dead was not alive");
-        (removed, self.roots.len() - roots_before)
+        let finished = self.roots.len() - roots_before;
+        (retired.len() - finished, finished)
     }
 
     /// Resolves the final component label of every original cycle vertex by
@@ -309,24 +318,27 @@ mod tests {
     /// and joins across it. Returns the vertices absorbed.
     fn jump(st: &mut CycleState) -> usize {
         let marked = |x: u64| x.is_multiple_of(3);
-        let out = st.sys.round("jump", &st.alive, |ctx, &v| {
-            if !marked(v) {
-                return None;
-            }
+        let out = st.sys.machine_round("jump", &st.alive, |ctx, chunk, retired| {
             let mut interior = Vec::new();
-            let mut cur = link(ctx, FWD, v).0;
-            while cur != v && !marked(cur) {
-                interior.push(cur);
-                cur = link(ctx, FWD, cur).0;
+            for &v in chunk.iter().filter(|&&v| marked(v)) {
+                interior.clear();
+                let mut cur = link(ctx, FWD, v).0;
+                while cur != v && !marked(cur) {
+                    interior.push(cur);
+                    cur = link(ctx, FWD, cur).0;
+                }
+                if interior.is_empty() {
+                    continue;
+                }
+                absorb(ctx, retired, v, &interior);
+                if cur == v {
+                    close(ctx, retired, v);
+                } else {
+                    join(ctx, v, cur);
+                }
             }
-            if interior.is_empty() {
-                return None;
-            }
-            absorb(ctx, v, &interior);
-            join(ctx, v, cur);
-            Some(Absorbed { survivor: v, removed: interior, finished: cur == v })
         });
-        st.settle(out.unwrap().results).0
+        st.settle(&out.unwrap().results).0
     }
 
     /// What a comparison of two states reads.
@@ -482,22 +494,19 @@ mod tests {
         let succ: Vec<u64> = (0..8u64).map(|i| (i + 1) % 8).collect();
         let mut st = CycleState::from_successors(&succ, AmpcConfig::default());
         st.alive = vec![5, 2, 7, 0, 3, 6, 1, 4];
-        let absorbed = |survivor, removed: &[u64], finished| Absorbed {
-            survivor,
-            removed: removed.to_vec(),
-            finished,
-        };
-        let counts = st.settle(vec![absorbed(5, &[7, 3], false), absorbed(0, &[4], false)]);
-        assert_eq!(counts, (3, 0));
+        // Two machines' lists, back to back: 7 and 3 went into 5, 4 into 0.
+        assert_eq!(st.settle(&[7, 3, 4]), (3, 0));
         assert_eq!(st.alive, vec![5, 2, 0, 6, 1]);
         assert!(st.roots.is_empty());
-        // Every mark was consumed: settling nothing removes nothing, and
-        // finished survivors are appended after the existing roots.
-        assert_eq!(st.settle(vec![]), (0, 0));
+        // Every mark was consumed: settling nothing removes nothing.
+        assert_eq!(st.settle(&[]), (0, 0));
         assert_eq!(st.alive, vec![5, 2, 0, 6, 1]);
-        let counts = st.settle(vec![absorbed(6, &[], true), absorbed(2, &[5, 0, 1], true)]);
-        assert_eq!(counts, (3, 2));
+        // A tagged word is a finished root, not an absorbed vertex: roots
+        // are appended in list order (2 before 6, against the alive order),
+        // after the existing ones, and their tag is stripped.
+        st.roots.push(9);
+        assert_eq!(st.settle(&[5, 0, 1, ROOT | 2, ROOT | 6]), (3, 2));
         assert!(st.alive.is_empty());
-        assert_eq!(st.roots, vec![6, 2]);
+        assert_eq!(st.roots, vec![9, 2, 6]);
     }
 }

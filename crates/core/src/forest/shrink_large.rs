@@ -25,7 +25,7 @@
 
 use ampc::{AmpcResult, MachineCtx};
 
-use crate::cycles::{absorb, join, link, Absorbed, CycleState, FWD};
+use crate::cycles::{absorb, close, join, link, CycleState, FWD};
 
 /// Measurements of a `ShrinkLargeCycles` invocation.
 #[derive(Debug, Clone)]
@@ -71,36 +71,11 @@ pub fn shrink_large_cycles(
         // segment in between. Every machine of the round evaluates the same
         // mark for a vertex, so an unmarked vertex reads nothing and a walk
         // stops at a mark without reading its pointer.
-        let jump = state.sys.round("slc-jump", &state.alive, |ctx, &v| {
-            let marked = |ctx: &MachineCtx<'_, u64>, x| ctx.rng(rep as u64, x).bernoulli(rho);
-            if !marked(ctx, v) {
-                return None;
-            }
-            let mut interior = Vec::new();
-            let mut cur = link(ctx, FWD, v).0;
-            while cur != v && !marked(ctx, cur) {
-                interior.push(cur);
-                if interior.len() >= cap {
-                    return None; // cap hit (w.h.p. never): abstain entirely
-                }
-                cur = link(ctx, FWD, cur).0;
-            }
-            // Back at v, the whole cycle was walked and v is its only mark;
-            // if the cycle is already within the target, leave it alone —
-            // the cited primitive only shrinks *long* cycles, and freezing
-            // short ones preserves the `n' > n/log n` regime in which
-            // Algorithm 1's main loop operates.
-            let finished = cur == v;
-            if interior.is_empty() || finished && interior.len() < target {
-                return None;
-            }
-            // Rewire across the segment: `cur` is the next mark, or v itself
-            // when the whole cycle folds into v.
-            absorb(ctx, v, &interior);
-            join(ctx, v, cur);
-            Some(Absorbed { survivor: v, removed: interior, finished })
+        let jump = state.sys.machine_round("slc-jump", &state.alive, |ctx, chunk, retired| {
+            let marks = ctx.draws(rep as u64);
+            jump_chunk(ctx, chunk, retired, |x| marks.at(x).bernoulli(rho), cap, target);
         })?;
-        contracted += state.settle(jump.results).0;
+        contracted += state.settle(&jump.results).0;
     }
 
     Ok(ShrinkLargeOutcome {
@@ -112,6 +87,51 @@ pub fn shrink_large_cycles(
     })
 }
 
+/// One machine's `slc-jump` over its `chunk`: each `marked` vertex walks
+/// forward to the next mark and contracts the segment behind it, appending
+/// what it retires to `retired`. One walk buffer serves the whole chunk.
+fn jump_chunk(
+    ctx: &mut MachineCtx<'_, u64>,
+    chunk: &[u64],
+    retired: &mut Vec<u64>,
+    marked: impl Fn(u64) -> bool,
+    cap: usize,
+    target: usize,
+) {
+    let mut interior = Vec::new();
+    'walks: for &v in chunk {
+        if !marked(v) {
+            continue;
+        }
+        interior.clear();
+        let mut cur = link(ctx, FWD, v).0;
+        while cur != v && !marked(cur) {
+            interior.push(cur);
+            if interior.len() >= cap {
+                continue 'walks; // cap hit (w.h.p. never): abstain entirely
+            }
+            cur = link(ctx, FWD, cur).0;
+        }
+        // Back at v, the whole cycle was walked and v is its only mark;
+        // if the cycle is already within the target, leave it alone —
+        // the cited primitive only shrinks *long* cycles, and freezing
+        // short ones preserves the `n' > n/log n` regime in which
+        // Algorithm 1's main loop operates.
+        let finished = cur == v;
+        if interior.is_empty() || finished && interior.len() < target {
+            continue;
+        }
+        // Rewire across the segment: `cur` is the next mark, or v itself
+        // when the whole cycle folds into v.
+        absorb(ctx, retired, v, &interior);
+        if finished {
+            close(ctx, retired, v);
+        } else {
+            join(ctx, v, cur);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,7 +139,7 @@ mod tests {
 
     use ampc::{AmpcConfig, DhtStorage as _, Key};
 
-    use crate::cycles::unpack;
+    use crate::cycles::{unpack, ROOT};
 
     /// Host-side audit: maximum alive cycle length, walked over the snapshot.
     /// Not an AMPC operation.
@@ -226,5 +246,73 @@ mod tests {
         let out = shrink_large_cycles(&mut st, 200, 1 << 20).unwrap();
         let per_rep = out.queries as f64 / out.repetitions.max(1) as f64;
         assert!(per_rep < 4.0 * n as f64, "queries per repetition {per_rep} not linear in n={n}");
+    }
+
+    /// `slc-jump` as the per-item round ran it: a fresh walk per marked
+    /// vertex, each item's retired words returned on their own and
+    /// concatenated in item order.
+    fn jump_by_item(
+        st: &mut CycleState,
+        marked: impl Fn(u64) -> bool + Sync,
+        cap: usize,
+        target: usize,
+    ) -> Vec<u64> {
+        let out = st.sys.round("slc-jump", &st.alive, |ctx, &v| {
+            if !marked(v) {
+                return None;
+            }
+            let mut interior = Vec::new();
+            let mut cur = link(ctx, FWD, v).0;
+            while cur != v && !marked(cur) {
+                interior.push(cur);
+                if interior.len() >= cap {
+                    return None;
+                }
+                cur = link(ctx, FWD, cur).0;
+            }
+            let finished = cur == v;
+            if interior.is_empty() || finished && interior.len() < target {
+                return None;
+            }
+            let mut retired = Vec::new();
+            absorb(ctx, &mut retired, v, &interior);
+            join(ctx, v, cur);
+            if finished {
+                retired.push(ROOT | v);
+            }
+            Some(retired)
+        });
+        out.unwrap().results.concat()
+    }
+
+    #[test]
+    fn a_walk_after_an_abstaining_one_starts_from_a_clear_buffer() {
+        // A 12-ring marked at 0 and 9, and a 5-ring marked at 12 only, with
+        // a cap of 6: the walk from 0 abstains holding 1..=6, the one from 9
+        // absorbs 10 and 11, and the one from 12 folds its ring.
+        let mut succ: Vec<u64> = (0..12).map(|i| (i + 1) % 12).collect();
+        succ.extend((0..5).map(|i| 12 + (i + 1) % 5));
+        let marked = |x: u64| [0, 9, 12].contains(&x);
+        let (cap, target) = (6, 4);
+        for machines in [1, 3] {
+            let config = AmpcConfig::default().with_machines(machines);
+            let mut by_item = CycleState::from_successors(&succ, config.clone());
+            let mut by_machine = CycleState::from_successors(&succ, config);
+            let reference = jump_by_item(&mut by_item, marked, cap, target);
+            let retired = by_machine
+                .sys
+                .machine_round("slc-jump", &by_machine.alive, |ctx, chunk, retired| {
+                    jump_chunk(ctx, chunk, retired, marked, cap, target)
+                })
+                .unwrap()
+                .results;
+            assert_eq!(retired, [10, 11, 13, 14, 15, 16, ROOT | 12], "machines={machines}");
+            assert_eq!(retired, reference, "machines={machines}");
+            assert_eq!(by_item.settle(&reference), by_machine.settle(&retired));
+            assert_eq!((&by_item.alive, &by_item.roots), (&by_machine.alive, &by_machine.roots));
+            let (a, b) = (by_item.sys.snapshot(), by_machine.sys.snapshot());
+            assert_eq!(a.sorted_entries(), b.sorted_entries(), "machines={machines}");
+            assert_eq!(format!("{:?}", by_item.stats()), format!("{:?}", by_machine.stats()));
+        }
     }
 }

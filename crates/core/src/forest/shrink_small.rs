@@ -41,7 +41,7 @@
 
 use ampc::{AmpcResult, Key, MachineCtx};
 
-use crate::cycles::{absorb, join, link, pack, Absorbed, CycleState, BWD, FWD, STAMP};
+use crate::cycles::{absorb, close, join, link, pack, CycleState, BWD, FWD, STAMP};
 use crate::forest::ranks::sample_rank;
 
 /// Per-iteration measurements used by experiments E3 (query complexity) and
@@ -68,20 +68,24 @@ pub struct IterationOutcome {
     pub rounds: usize,
 }
 
-/// Step 2's two 16B-hop scans from one vertex, merged: when they overlap —
-/// together they cover the whole cycle, `16B < k ≤ 32B` — the forward scan
-/// in walk order followed by the backward-scan vertices it did not reach,
-/// in walk order; `None` when the scans are disjoint. Each scan holds
+/// Step 2's two 16B-hop scans from one vertex, merged into `fwd`: when they
+/// overlap — together they cover the whole cycle, `16B < k ≤ 32B` — the
+/// backward-scan vertices the forward scan did not reach are appended to it
+/// in walk order, and the result is `true`; when the scans are disjoint,
+/// `fwd` is left as it was and the result is `false`. Each scan holds
 /// distinct ids, so the merged list does too, and its order (hence the
-/// order of the writes issued from it) is the same on every run.
-fn merge_overlapping_scans(fwd: &[u64], bwd: &[u64]) -> Option<Vec<u64>> {
-    let mut seen = fwd.to_vec();
+/// order of the writes issued from it) is the same on every run. `seen` is
+/// the machine's scratch.
+fn merge_overlapping_scans(fwd: &mut Vec<u64>, bwd: &[u64], seen: &mut Vec<u64>) -> bool {
+    seen.clear();
+    seen.extend_from_slice(fwd);
     seen.sort_unstable();
     let unseen = |x: &&u64| seen.binary_search(x).is_err();
     if bwd.iter().all(|x| unseen(&x)) {
-        return None; // the common case on long cycles: nothing to build
+        return false; // the common case on long cycles: nothing to build
     }
-    Some(fwd.iter().chain(bwd.iter().filter(unseen)).copied().collect())
+    fwd.extend(bwd.iter().filter(unseen));
+    true
 }
 
 /// Executes one `ShrinkSmallCycles(G', B)` iteration on `state`.
@@ -101,156 +105,164 @@ pub fn shrink_small_cycles(
     let rounds_before = state.sys.stats().rounds();
 
     // Round 1: sample ranks, publish them in both pointer words, reset stamps.
-    state.sys.round("ssc-ranks", &state.alive, |ctx, &v| {
-        let (succ, _) = link(ctx, FWD, v);
-        let (pred, _) = link(ctx, BWD, v);
-        let rank = sample_rank(&mut ctx.rng(0, v), b);
-        ctx.write(Key::new(FWD, v), pack(succ, rank));
-        ctx.write(Key::new(BWD, v), pack(pred, rank));
-        ctx.write(Key::new(STAMP, v), 0);
-        None::<()>
+    state.sys.machine_round("ssc-ranks", &state.alive, |ctx, chunk, _: &mut Vec<()>| {
+        let ranks = ctx.draws(0);
+        for &v in chunk {
+            let (succ, _) = link(ctx, FWD, v);
+            let (pred, _) = link(ctx, BWD, v);
+            let rank = sample_rank(&mut ranks.at(v), b);
+            ctx.write(Key::new(FWD, v), pack(succ, rank));
+            ctx.write(Key::new(BWD, v), pack(pred, rank));
+            ctx.write(Key::new(STAMP, v), 0);
+        }
     })?;
 
     // Round 2: probe + stamp; unique maxima contract their whole cycle.
-    let probe = state.sys.round("ssc-probe", &state.alive, |ctx, &v| {
-        let (succ, my_rank) = link(ctx, FWD, v);
-        // Forward traversal; it ends back at v only if v is the unique
-        // maximum of its cycle.
+    let probe = state.sys.machine_round("ssc-probe", &state.alive, |ctx, chunk, retired| {
         let mut visited = Vec::new();
-        let mut cur = succ;
-        while cur != v {
-            let (next, rank) = link(ctx, FWD, cur);
-            ctx.write_merge(Key::new(STAMP, cur), my_rank as u64);
-            if rank >= my_rank {
-                break;
-            }
-            visited.push(cur);
-            if visited.len() >= walk_cap {
-                break;
-            }
-            cur = next;
-        }
-        if cur == v {
-            // Case (i) of Step 1: contract the whole cycle into v.
-            absorb(ctx, v, &visited);
-            join(ctx, v, v);
-            return Some(Absorbed { survivor: v, removed: visited, finished: true });
-        }
-        // Backward traversal (stamping only; the loop case cannot occur
-        // here without having occurred forward).
-        let mut cur = link(ctx, BWD, v).0;
-        let mut steps = 0usize;
-        while cur != v {
-            let (next, rank) = link(ctx, BWD, cur);
-            ctx.write_merge(Key::new(STAMP, cur), my_rank as u64);
-            steps += 1;
-            if rank >= my_rank || steps >= walk_cap {
-                break;
-            }
-            cur = next;
-        }
-        None
-    })?;
-    let (loop_contracted, mut finished_cycles) = state.settle(probe.results);
-
-    // Round 3: leaders contract the segments between them.
-    let contract = state.sys.round("ssc-contract", &state.alive, |ctx, &v| {
-        let (succ, my_rank) = link(ctx, FWD, v);
-        let stamp = ctx.read(Key::new(STAMP, v)).copied().unwrap_or(0) as u16;
-        if stamp > my_rank {
-            return None; // not a leader; some leader will absorb this vertex
-        }
-        // Leader: find both neighboring leaders and the segments between.
-        let walk = |ctx: &mut MachineCtx<'_, u64>, dir, start: u64| -> Option<(u64, Vec<u64>)> {
-            let mut interior = Vec::new();
-            let mut cur = start;
-            loop {
-                debug_assert_ne!(
-                    cur, v,
-                    "leader re-encountered itself; loop case should have fired"
-                );
-                let (next, rank) = link(ctx, dir, cur);
+        for &v in chunk {
+            let (succ, my_rank) = link(ctx, FWD, v);
+            // Forward traversal; it ends back at v only if v is the unique
+            // maximum of its cycle.
+            visited.clear();
+            let mut cur = succ;
+            while cur != v {
+                let (next, rank) = link(ctx, FWD, cur);
+                ctx.write_merge(Key::new(STAMP, cur), my_rank as u64);
                 if rank >= my_rank {
-                    return Some((cur, interior));
+                    break;
                 }
-                interior.push(cur);
-                if interior.len() >= walk_cap {
-                    return None; // cap hit: abstain (consistency preserved)
+                visited.push(cur);
+                if visited.len() >= walk_cap {
+                    break;
                 }
                 cur = next;
             }
-        };
-        let fwd = walk(ctx, FWD, succ);
-        let pred = link(ctx, BWD, v).0;
-        let bwd = walk(ctx, BWD, pred);
-
-        // Segment ownership: for adjacent leaders (v, w) the higher id
-        // absorbs the segment between them and joins its two ends.
-        let mut removed = Vec::new();
-        if let Some((w, segment)) = fwd.filter(|&(w, _)| v > w) {
-            absorb(ctx, v, &segment);
-            join(ctx, v, w);
-            removed.extend(segment);
+            if cur == v {
+                // Case (i) of Step 1: contract the whole cycle into v.
+                absorb(ctx, retired, v, &visited);
+                close(ctx, retired, v);
+                continue;
+            }
+            // Backward traversal (stamping only; the loop case cannot occur
+            // here without having occurred forward).
+            let mut cur = link(ctx, BWD, v).0;
+            let mut steps = 0usize;
+            while cur != v {
+                let (next, rank) = link(ctx, BWD, cur);
+                ctx.write_merge(Key::new(STAMP, cur), my_rank as u64);
+                steps += 1;
+                if rank >= my_rank || steps >= walk_cap {
+                    break;
+                }
+                cur = next;
+            }
         }
-        if let Some((w, segment)) = bwd.filter(|&(w, _)| v > w) {
-            absorb(ctx, v, &segment);
-            join(ctx, w, v);
-            removed.extend(segment);
-        }
-        (!removed.is_empty()).then_some(Absorbed { survivor: v, removed, finished: false })
     })?;
-    let segment_contracted = state.settle(contract.results).0;
+    let (loop_contracted, mut finished_cycles) = state.settle(&probe.results);
+
+    // Round 3: leaders contract the segments between them.
+    let contract =
+        state.sys.machine_round("ssc-contract", &state.alive, |ctx, chunk, retired| {
+            let (mut fwd_segment, mut bwd_segment) = (Vec::new(), Vec::new());
+            for &v in chunk {
+                let (succ, my_rank) = link(ctx, FWD, v);
+                let stamp = ctx.read(Key::new(STAMP, v)).copied().unwrap_or(0) as u16;
+                if stamp > my_rank {
+                    continue; // not a leader; some leader will absorb this vertex
+                }
+                // Leader: find both neighboring leaders and the segments between,
+                // each walked into its own buffer.
+                let walk =
+                    |ctx: &mut MachineCtx<'_, u64>, dir, start: u64, interior: &mut Vec<u64>| {
+                        interior.clear();
+                        let mut cur = start;
+                        loop {
+                            debug_assert_ne!(
+                                cur, v,
+                                "leader re-encountered itself; loop case should have fired"
+                            );
+                            let (next, rank) = link(ctx, dir, cur);
+                            if rank >= my_rank {
+                                return Some(cur);
+                            }
+                            interior.push(cur);
+                            if interior.len() >= walk_cap {
+                                return None; // cap hit: abstain (consistency preserved)
+                            }
+                            cur = next;
+                        }
+                    };
+                let fwd = walk(ctx, FWD, succ, &mut fwd_segment);
+                let pred = link(ctx, BWD, v).0;
+                let bwd = walk(ctx, BWD, pred, &mut bwd_segment);
+
+                // Segment ownership: for adjacent leaders (v, w) the higher id
+                // absorbs the segment between them and joins its two ends.
+                if let Some(w) = fwd.filter(|&w| v > w) {
+                    absorb(ctx, retired, v, &fwd_segment);
+                    join(ctx, v, w);
+                }
+                if let Some(w) = bwd.filter(|&w| v > w) {
+                    absorb(ctx, retired, v, &bwd_segment);
+                    join(ctx, w, v);
+                }
+            }
+        })?;
+    let segment_contracted = state.settle(&contract.results).0;
 
     // Round 4 (Step 2): deterministic 16B-hop compression.
     let step2_contracted = if enable_step2 {
         let hop16 = 16 * b as usize;
         let hop4 = 4 * b as usize;
-        let step2 = state.sys.round("ssc-step2", &state.alive, |ctx, &v| {
-            // Forward 16B-hop scan; it stops short only back at v.
-            let mut fwd = Vec::with_capacity(hop16);
-            let mut cur = link(ctx, FWD, v).0;
-            while fwd.len() < hop16 && cur != v {
-                fwd.push(cur);
-                cur = link(ctx, FWD, cur).0;
-            }
-            let cycle = if fwd.len() < hop16 {
-                fwd // k ≤ 16B: the whole cycle is visible forward
-            } else {
-                // Backward 16B-hop scan.
-                let mut bwd = Vec::with_capacity(hop16);
-                let mut cur = link(ctx, BWD, v).0;
-                while bwd.len() < hop16 {
-                    debug_assert_ne!(cur, v, "backward loop without forward loop is impossible");
-                    bwd.push(cur);
-                    cur = link(ctx, BWD, cur).0;
+        let step2 = state.sys.machine_round("ssc-step2", &state.alive, |ctx, chunk, retired| {
+            // The forward scan also holds the merged cycle, up to 32B ids.
+            let mut fwd = Vec::with_capacity(2 * hop16);
+            let (mut bwd, mut seen) = (Vec::with_capacity(hop16), Vec::new());
+            for &v in chunk {
+                // Forward 16B-hop scan; it stops short only back at v, and
+                // then the whole cycle (k ≤ 16B) is visible forward.
+                fwd.clear();
+                let mut cur = link(ctx, FWD, v).0;
+                while fwd.len() < hop16 && cur != v {
+                    fwd.push(cur);
+                    cur = link(ctx, FWD, cur).0;
                 }
-                match merge_overlapping_scans(&fwd, &bwd) {
-                    // The scans overlap: 16B < k ≤ 32B, the whole cycle.
-                    Some(cycle) => cycle,
-                    // k > 32B: compress the 4B-hop neighborhood if v is the
-                    // highest id within 16B hops. Compressors are > 16B
-                    // apart, so the 4B+1 rewiring regions never collide.
-                    None if fwd.iter().chain(&bwd).all(|&x| x < v) => {
-                        let mut removed = Vec::with_capacity(2 * hop4);
-                        removed.extend_from_slice(&fwd[..hop4]);
-                        removed.extend_from_slice(&bwd[..hop4]);
-                        absorb(ctx, v, &removed);
-                        join(ctx, v, fwd[hop4]);
-                        join(ctx, bwd[hop4], v);
-                        return Some(Absorbed { survivor: v, removed, finished: false });
+                if fwd.len() == hop16 {
+                    // Backward 16B-hop scan.
+                    bwd.clear();
+                    let mut cur = link(ctx, BWD, v).0;
+                    while bwd.len() < hop16 {
+                        debug_assert_ne!(
+                            cur, v,
+                            "backward loop without forward loop is impossible"
+                        );
+                        bwd.push(cur);
+                        cur = link(ctx, BWD, cur).0;
                     }
-                    None => return None,
+                    // Overlapping scans are the whole cycle, 16B < k ≤ 32B,
+                    // now in `fwd`. Otherwise k > 32B: compress the 4B-hop
+                    // neighborhood if v is the highest id within 16B hops.
+                    // Compressors are > 16B apart, so the 4B+1 rewiring
+                    // regions never collide.
+                    if !merge_overlapping_scans(&mut fwd, &bwd, &mut seen) {
+                        if fwd.iter().chain(&bwd).all(|&x| x < v) {
+                            absorb(ctx, retired, v, &fwd[..hop4]);
+                            absorb(ctx, retired, v, &bwd[..hop4]);
+                            join(ctx, v, fwd[hop4]);
+                            join(ctx, bwd[hop4], v);
+                        }
+                        continue;
+                    }
                 }
-            };
-            // The whole cycle is in view: its highest id contracts all of it.
-            if !cycle.iter().all(|&x| x < v) {
-                return None;
+                // The whole cycle is in view: its highest id contracts all of it.
+                if fwd.iter().all(|&x| x < v) {
+                    absorb(ctx, retired, v, &fwd);
+                    close(ctx, retired, v);
+                }
             }
-            absorb(ctx, v, &cycle);
-            join(ctx, v, v);
-            Some(Absorbed { survivor: v, removed: cycle, finished: true })
         })?;
-        let (removed, finished) = state.settle(step2.results);
+        let (removed, finished) = state.settle(&step2.results);
         finished_cycles += finished;
         removed
     } else {
@@ -333,18 +345,20 @@ mod tests {
 
     #[test]
     fn overlapping_scans_merge_forward_first_without_duplicates() {
+        // One scratch list for every case, as one machine keeps it.
+        let mut seen = vec![99, 98];
+        let mut merge = |fwd: &[u64], bwd: &[u64]| {
+            let mut merged = fwd.to_vec();
+            let overlap = merge_overlapping_scans(&mut merged, bwd, &mut seen);
+            assert!(overlap || merged == fwd, "disjoint scans changed the forward scan");
+            overlap.then_some(merged)
+        };
         // A 7-cycle seen from v = 9: forward 1 2 3 4 5, backward 6 5 4 3 2.
-        assert_eq!(
-            merge_overlapping_scans(&[1, 2, 3, 4, 5], &[6, 5, 4, 3, 2]),
-            Some(vec![1, 2, 3, 4, 5, 6])
-        );
+        assert_eq!(merge(&[1, 2, 3, 4, 5], &[6, 5, 4, 3, 2]), Some(vec![1, 2, 3, 4, 5, 6]));
         // Walk order, not id order, on both sides.
-        assert_eq!(
-            merge_overlapping_scans(&[40, 7, 23], &[11, 5, 23, 7]),
-            Some(vec![40, 7, 23, 11, 5])
-        );
+        assert_eq!(merge(&[40, 7, 23], &[11, 5, 23, 7]), Some(vec![40, 7, 23, 11, 5]));
         // Disjoint scans: the neighbourhood does not cover the cycle.
-        assert_eq!(merge_overlapping_scans(&[1, 2, 3], &[8, 7, 6]), None);
+        assert_eq!(merge(&[1, 2, 3], &[8, 7, 6]), None);
     }
 
     #[test]

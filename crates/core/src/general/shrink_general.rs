@@ -28,8 +28,10 @@
 //! Step 3's search keeps a FIFO queue of at most `3t − 2` words and
 //! a visited set of at most twice that many (`VisitedSet`), so each
 //! neighbour it looks at costs `O(1)` local work — machine-local memory
-//! for `t = O(√S)`. See DESIGN.md, "A G3 adjacency is two words" and "The
-//! BFS keeps a queue and an epoch-stamped visited set".
+//! for `t = O(√S)`. Each machine builds the pair once (`Bfs`) and searches
+//! from every vertex of its chunk with it. See DESIGN.md, "A G3 adjacency
+//! is two words" and "The BFS keeps a queue and an epoch-stamped visited
+//! set".
 //!
 //! Step 4's rooted-forest labeling (Claim 4.12) is `cycles::chase_roots`,
 //! adaptive root-chasing with path compression: every vertex follows
@@ -45,8 +47,6 @@
 //! [`pack_adj`]: ampc_graph::degree3::pack_adj
 //! [`degree3_words`]: ampc_graph::degree3::degree3_words
 
-use std::cell::RefCell;
-
 use ampc::{AmpcConfig, AmpcResult, AmpcSystem, Key, RunStats, Space, SpaceWords};
 use ampc_graph::contract::contract_degree3;
 use ampc_graph::degree3::{degree3_words, unpack_adj};
@@ -60,13 +60,6 @@ use crate::cycles::chase_roots;
 const ADJ: Space = 0;
 /// Keyspace: super-edge parent pointers, the bare parent id.
 const SUPER: Space = 1;
-
-thread_local! {
-    /// The `sg-bfs` queue and visited set, one pair per worker thread,
-    /// reused by every start vertex the worker searches from (step 3).
-    static BFS: RefCell<(Vec<u64>, VisitedSet)> =
-        const { RefCell::new((Vec::new(), VisitedSet::new())) };
-}
 
 /// The vertices one truncated search has queued, for `O(1)` membership
 /// tests: an open-addressed table of at least twice the search's bound of
@@ -85,7 +78,7 @@ struct VisitedSet {
 }
 
 impl VisitedSet {
-    const fn new() -> Self {
+    fn new() -> Self {
         VisitedSet { slots: Vec::new(), shift: 64, epoch: 0 }
     }
 
@@ -125,28 +118,41 @@ impl VisitedSet {
     }
 }
 
-/// Step 3 from start vertex `v` on the worker's queue and visited set:
-/// `Some(w)` if the search reached a vertex `w` of lower rank (the
-/// super-edge `w → v`), `None` if `v` is a root. `rank` gives a vertex's
-/// rank, `adjacency` its neighbours (the first `len`) and `len`; `bound ≥
-/// 1` caps the vertices one search queues.
-fn truncated_bfs(
-    v: u64,
+/// One machine's step-3 scratch: the queue and visited set that every start
+/// vertex of its chunk searches with, in turn.
+struct Bfs {
+    /// A FIFO walked by a head index and never popped. It holds v plus at
+    /// most 3 neighbours of each of the < t expanded vertices — 3t − 2
+    /// words, within local memory for t = O(√S) — and is reserved at that
+    /// bound, so it never reallocates. Allocating it per start vertex costs
+    /// a malloc each, and past glibc's ≈ 1 KiB thread cache limit (t ≥ 44)
+    /// a slow one.
+    queue: Vec<u64>,
+    visited: VisitedSet,
+    /// Stop (a): a search explores at most `t` vertices.
     t: usize,
+    /// The most vertices one search queues, `≥ 1`.
     bound: usize,
-    rank: impl Fn(u64) -> u64,
-    mut adjacency: impl FnMut(u64) -> ([u64; 3], usize),
-) -> Option<u64> {
-    BFS.with_borrow_mut(|(queue, visited)| {
-        // A FIFO walked by `head` and never popped. It holds v plus at most
-        // 3 neighbours of each of the < t expanded vertices — 3t − 2 words,
-        // within local memory for t = O(√S) — and is reserved at that bound,
-        // so it never reallocates. Allocating it per start vertex costs a
-        // malloc each, and past glibc's ≈ 1 KiB thread cache limit (t ≥ 44)
-        // a slow one.
+}
+
+impl Bfs {
+    fn new(t: usize, bound: usize) -> Self {
+        Bfs { queue: Vec::with_capacity(bound), visited: VisitedSet::new(), t, bound }
+    }
+
+    /// Step 3 from start vertex `v`: `Some(w)` if the search reached a
+    /// vertex `w` of lower rank (the super-edge `w → v`), `None` if `v` is a
+    /// root. `rank` gives a vertex's rank, `adjacency` its neighbours (the
+    /// first `len`) and `len`.
+    fn search(
+        &mut self,
+        v: u64,
+        rank: impl Fn(u64) -> u64,
+        mut adjacency: impl FnMut(u64) -> ([u64; 3], usize),
+    ) -> Option<u64> {
+        let Bfs { queue, visited, t, bound } = self;
         queue.clear();
-        queue.reserve(bound);
-        visited.start(bound);
+        visited.start(*bound);
         let me = (rank(v), v);
         queue.push(v);
         visited.insert(v);
@@ -154,7 +160,7 @@ fn truncated_bfs(
         while head < queue.len() {
             // Stop (a): the search has explored t vertices (v itself counts,
             // so t = 1 performs no expansion and every vertex is a root).
-            if head + 1 >= t {
+            if head + 1 >= *t {
                 return None;
             }
             let u = queue[head];
@@ -169,12 +175,12 @@ fn truncated_bfs(
                     return Some(w);
                 }
                 queue.push(w);
-                debug_assert!(queue.len() <= bound, "BFS queue outgrew min(3t - 2, n3) (t={t})");
+                debug_assert!(queue.len() <= *bound, "BFS queue outgrew min(3t - 2, n3) (t={t})");
             }
         }
         // Stop (b): component exhausted → v is a root.
         None
-    })
+    }
 }
 
 /// Result of a `ShrinkGeneral` invocation.
@@ -228,26 +234,27 @@ pub fn shrink_general(
     // first draw of its member of the round's tag-0 family (`ctx.draws(0)`),
     // which every machine of this round evaluates alike, so comparing ranks
     // reads nothing. A search queues at most 3t − 2 vertices, and no more
-    // than G3 has.
+    // than G3 has. Each machine takes the family and its `Bfs` scratch once
+    // and searches from every vertex of its chunk with them.
     let bound = (t.saturating_mul(3) - 2).min(n3);
     let bfs_before = sys.stats().total_queries();
-    sys.round("sg-bfs", &items, |ctx, &v| {
+    sys.machine_round("sg-bfs", &items, |ctx, chunk, _: &mut Vec<()>| {
         let ranks = ctx.draws(0);
-        let parent = truncated_bfs(
-            v,
-            t,
-            bound,
-            |w| ranks.at(w).next_u64(),
-            |u| {
-                let lo = *ctx.read(Key::new(ADJ, 2 * u)).expect("missing adjacency");
-                let hi = *ctx.read(Key::new(ADJ, 2 * u + 1)).expect("missing adjacency");
-                unpack_adj(lo, hi)
-            },
-        );
-        if let Some(w) = parent {
-            ctx.write(Key::new(SUPER, v), w);
+        let mut bfs = Bfs::new(t, bound);
+        for &v in chunk {
+            let parent = bfs.search(
+                v,
+                |w| ranks.at(w).next_u64(),
+                |u| {
+                    let lo = *ctx.read(Key::new(ADJ, 2 * u)).expect("missing adjacency");
+                    let hi = *ctx.read(Key::new(ADJ, 2 * u + 1)).expect("missing adjacency");
+                    unpack_adj(lo, hi)
+                },
+            );
+            if let Some(w) = parent {
+                ctx.write(Key::new(SUPER, v), w);
+            }
         }
-        None::<()>
     })?;
     let bfs_queries = sys.stats().total_queries() - bfs_before;
 
@@ -468,7 +475,7 @@ mod tests {
         }
     }
 
-    /// `truncated_bfs` with the queue as its own visited set, scanned by
+    /// `Bfs::search` with the queue as its own visited set, scanned by
     /// `queue.contains` (the search before `VisitedSet`).
     fn search_by_queue_scan(
         g3: &Graph,
@@ -512,10 +519,11 @@ mod tests {
                     let n = |i| list.get(i).map_or(0, |&w| w as u64);
                     ([n(0), n(1), n(2)], list.len())
                 };
-                let bound = (3 * t - 2).min(n3);
+                // One machine's scratch, reused by every start vertex.
+                let mut bfs = Bfs::new(t, (3 * t - 2).min(n3));
                 let (mut parents, mut roots) = (0, 0);
                 for v in 0..n3 as u64 {
-                    let got = truncated_bfs(v, t, bound, rank, adjacency);
+                    let got = bfs.search(v, rank, adjacency);
                     assert_eq!(
                         got,
                         search_by_queue_scan(&g3, v, t, rank),

@@ -43,7 +43,7 @@ fn main() {
 
     // Round 1: sample splitters at rate 1/√n; splitters and the tail anchor
     // the list into segments no longer than ~√n·ln n w.h.p. The splitter
-    // predicate must be a pure function of the element (NOT ctx.rng, which
+    // predicate must be a pure function of the element (NOT ctx.draws, which
     // salts by round index) because round 2 re-evaluates it during walks.
     let items: Vec<u64> = (0..n).collect();
     let rate = 1.0 / (n as f64).sqrt();
