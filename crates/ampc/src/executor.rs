@@ -455,7 +455,9 @@ mod tests {
                 None::<()>
             })
             .unwrap_err();
-        let AmpcError::LimitExceeded(v) = err;
+        let AmpcError::LimitExceeded(v) = err else {
+            panic!("expected a limit breach, got {err}");
+        };
         assert_eq!((v.used, v.budget), (10, 3));
     }
 
@@ -495,7 +497,9 @@ mod tests {
                 None::<()>
             })
             .unwrap_err();
-        let AmpcError::LimitExceeded(v) = err;
+        let AmpcError::LimitExceeded(v) = err else {
+            panic!("expected a limit breach, got {err}");
+        };
         assert_eq!((v.kind, v.used, v.budget, v.round_name), (LimitKind::Reads, 6, 3, "both"));
         assert_eq!(sys.snapshot().len(), 0, "a failed round's writes were applied");
     }

@@ -30,7 +30,9 @@ fn breached_round_is_recorded_on_every_meter_and_its_writes_are_dropped() {
             None::<()>
         })
         .unwrap_err();
-    let AmpcError::LimitExceeded(v) = err;
+    let AmpcError::LimitExceeded(v) = err else {
+        panic!("expected a limit breach, got {err}");
+    };
     // The error names the worst machine's real count, not the first word
     // past the budget.
     assert_eq!((v.kind, v.used, v.budget), (LimitKind::Writes, 16, 8));

@@ -130,7 +130,9 @@ fn overdraw_reads(budget: Option<usize>) -> Result<RunStats, AmpcError> {
 #[test]
 fn enforced_read_budget_violation_is_metered() {
     let err = overdraw_reads(Some(10)).unwrap_err();
-    let AmpcError::LimitExceeded(LimitViolation { used, budget, round, kind, .. }) = err;
+    let AmpcError::LimitExceeded(LimitViolation { used, budget, round, kind, .. }) = err else {
+        panic!("expected a limit breach, got {err}");
+    };
     assert_eq!((used, budget, round, kind), (32, 10, 0, LimitKind::Reads));
 }
 
@@ -162,7 +164,9 @@ fn enforced_write_budget_violation_is_metered() {
             None::<()>
         })
         .unwrap_err();
-    let AmpcError::LimitExceeded(v) = err;
+    let AmpcError::LimitExceeded(v) = err else {
+        panic!("expected a limit breach, got {err}");
+    };
     assert_eq!((v.kind, v.used, v.budget), (LimitKind::Writes, 16, 8));
 }
 

@@ -16,7 +16,8 @@ fn trace() {
     let g = ampc_graph::generators::random_forest(n, n / 48, 0xBEEF);
     let mut cfg = ForestCcConfig::default().with_seed(0xBEEF);
     cfg.skip_shrink_large = true;
-    let res = connected_components_forest(&g, &cfg).expect("forest run");
+    let res =
+        connected_components_forest(g.as_forest().expect("a forest"), &cfg).expect("forest run");
     println!("# Round-by-round trace — Algorithm 1 on a {n}-vertex forest\n");
     println!("{}", res.stats.round_table());
     println!(

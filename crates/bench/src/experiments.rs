@@ -62,7 +62,8 @@ pub fn e1_forest_rounds(quick: bool) -> Table {
             let mut rows = Vec::new();
             for backend in [DhtBackend::Flat, DhtBackend::sharded(), DhtBackend::dense()] {
                 let cfg = ForestCcConfig::default().with_seed(0xE1).with_backend(backend);
-                let res = connected_components_forest(&g, &cfg).expect("forest cc");
+                let res = connected_components_forest(g.as_forest().expect("a forest"), &cfg)
+                    .expect("forest cc");
                 assert_correct(&g, &res.labeling, "E1");
                 rows.push((res.iterations.len(), res.rounds(), res.queries(), res.peak_space()));
                 t.push(vec![
@@ -100,7 +101,8 @@ pub fn e2_forest_tradeoff(quick: bool) -> Table {
     for k in 1..=5u32 {
         let mut cfg = ForestCcConfig::default().with_seed(0xE2).with_tradeoff_k(n, k);
         cfg.skip_shrink_large = true;
-        let res = connected_components_forest(&g, &cfg).expect("forest cc");
+        let res =
+            connected_components_forest(g.as_forest().expect("a forest"), &cfg).expect("forest cc");
         assert_correct(&g, &res.labeling, "E2");
         let iter1_q = res.iterations.first().map(|i| i.queries).unwrap_or(0);
         t.push(vec![
@@ -293,8 +295,11 @@ pub fn e8_baseline_comparison(quick: bool) -> Table {
 
     // Forest workload: a single path (diameter n — the MPC worst case).
     let g = path(n);
-    let res = connected_components_forest(&g, &ForestCcConfig::default().with_seed(0xE8))
-        .expect("forest");
+    let res = connected_components_forest(
+        g.as_forest().expect("a forest"),
+        &ForestCcConfig::default().with_seed(0xE8),
+    )
+    .expect("forest");
     assert_correct(&g, &res.labeling, "E8 forest");
     t.push(vec![
         format!("path n={}", big(n)),
@@ -390,7 +395,8 @@ pub fn e9_ablations(quick: bool) -> Table {
                 cfg.b0 = 1;
                 cfg.max_iterations = 128;
             }
-            let res = connected_components_forest(g, &cfg).expect("forest");
+            let res = connected_components_forest(g.as_forest().expect("a forest"), &cfg)
+                .expect("forest");
             assert_correct(g, &res.labeling, "E9");
             t.push(vec![
                 wname.into(),

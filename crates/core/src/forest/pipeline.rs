@@ -29,8 +29,7 @@
 //! verify the resulting shapes against the lemmas.
 
 use ampc::{AmpcConfig, AmpcResult, Budget, DhtBackend, RunStats};
-use ampc_graph::euler::forest_to_cycles;
-use ampc_graph::{Graph, Labeling};
+use ampc_graph::{Forest, Labeling};
 
 use crate::cycles::CycleState;
 use crate::forest::shrink_large::{shrink_large_cycles, ShrinkLargeOutcome};
@@ -167,22 +166,27 @@ impl ForestCcResult {
 /// use ampc_graph::reference_components;
 ///
 /// let forest = random_forest(1000, 5, 42);
-/// let result = connected_components_forest(&forest, &ForestCcConfig::default())?;
+/// let proof = forest.as_forest().expect("random_forest is acyclic");
+/// let result = connected_components_forest(proof, &ForestCcConfig::default())?;
 /// assert!(result.labeling.same_partition(&reference_components(&forest)));
 /// assert_eq!(result.labeling.num_components(), 5);
 /// # Ok::<(), ampc::AmpcError>(())
 /// ```
 ///
-/// # Panics
-/// Panics if `g` is not a forest.
-pub fn connected_components_forest(g: &Graph, cfg: &ForestCcConfig) -> AmpcResult<ForestCcResult> {
+/// The input is a [`Forest`], the proof [`ampc_graph::Graph::as_forest`] gives, so a
+/// graph with a cycle cannot reach the Euler tour.
+pub fn connected_components_forest(
+    forest: Forest<'_>,
+    cfg: &ForestCcConfig,
+) -> AmpcResult<ForestCcResult> {
+    let g = forest.graph();
     let n = g.n();
     let local_space = Budget::local_space(n, cfg.delta);
 
     // Line 2: forest → disjoint cycles (Observation 3.1). The Euler tour is
     // a cited O(1)-round optimal-space primitive [TV85, BDE+21]; executed
     // natively, charged below.
-    let decomp = forest_to_cycles(g);
+    let decomp = forest.cycles();
     let n0 = decomp.len();
 
     // All cycle keyspaces (FWD/BWD/STAMP/PARENT) use ids 0..n0, so
@@ -263,10 +267,10 @@ pub fn connected_components_forest(g: &Graph, cfg: &ForestCcConfig) -> AmpcResul
 mod tests {
     use super::*;
     use ampc_graph::generators::{random_forest, ForestFamily};
-    use ampc_graph::reference_components;
+    use ampc_graph::{reference_components, Graph};
 
     fn check(g: &Graph, cfg: &ForestCcConfig) -> ForestCcResult {
-        let res = connected_components_forest(g, cfg).unwrap();
+        let res = connected_components_forest(g.as_forest().unwrap(), cfg).unwrap();
         assert!(
             res.labeling.same_partition(&reference_components(g)),
             "wrong components on n={} m={}",
@@ -339,8 +343,8 @@ mod tests {
     fn deterministic_given_seed() {
         let g = random_forest(5000, 11, 13);
         let cfg = ForestCcConfig::default().with_seed(42);
-        let a = connected_components_forest(&g, &cfg).unwrap();
-        let b = connected_components_forest(&g, &cfg).unwrap();
+        let a = connected_components_forest(g.as_forest().unwrap(), &cfg).unwrap();
+        let b = connected_components_forest(g.as_forest().unwrap(), &cfg).unwrap();
         assert_eq!(a.labeling.0, b.labeling.0);
         assert_eq!(a.rounds(), b.rounds());
         assert_eq!(a.queries(), b.queries());
@@ -353,7 +357,7 @@ mod tests {
         let n = 1 << 16;
         let g = random_forest(n, 4, 17);
         let cfg = ForestCcConfig { delta: 0.7, machines: n / 4, ..ForestCcConfig::default() };
-        let res = connected_components_forest(&g, &cfg).unwrap();
+        let res = connected_components_forest(g.as_forest().unwrap(), &cfg).unwrap();
         assert!(res.labeling.same_partition(&reference_components(&g)));
         let over = res.stats.over_budget(Budget::local_space(n, 0.7));
         assert!(over.is_empty(), "machines exceeded the audit budget: {over:?}");

@@ -20,10 +20,14 @@
 
 use std::collections::HashSet;
 
-use ampc::{AmpcResult, DhtStorage as _, Key};
+use ampc::{AmpcError, AmpcResult, DhtStorage as _, Key};
 
 use crate::cycles::{unpack, CycleState, BWD, FWD, PARENT, STAMP};
 use crate::forest::shrink_small::shrink_small_cycles;
+
+/// High-budget iterations before the loop gives up with
+/// [`AmpcError::NoConvergence`]; it finishes in `O(1)` in practice.
+const MAX_ITERATIONS: usize = 64;
 
 /// Measurements of a `Standard-Cycle-CC` invocation.
 #[derive(Debug, Clone)]
@@ -61,7 +65,9 @@ pub fn standard_cycle_cc(
         }
         shrink_small_cycles(state, b, walk_cap, true)?;
         iterations += 1;
-        assert!(iterations < 64, "Standard-Cycle-CC failed to converge");
+        if iterations == MAX_ITERATIONS {
+            return Err(AmpcError::NoConvergence { phase: "Standard-Cycle-CC" });
+        }
     }
 
     Ok(StandardCycleOutcome {

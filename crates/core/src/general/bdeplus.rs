@@ -12,10 +12,14 @@
 //! black box — see DESIGN.md), finishing locally once the remainder fits a
 //! single machine.
 
-use ampc::{AmpcConfig, AmpcResult, Budget, RunStats};
+use ampc::{AmpcConfig, AmpcError, AmpcResult, Budget, RunStats};
 use ampc_graph::{reference_components, Graph, Labeling};
 
 use crate::general::shrink_general::shrink_general;
+
+/// `ShrinkGeneral` levels before the loop gives up with
+/// [`AmpcError::NoConvergence`]; the analysis needs `O(log log n)`.
+const MAX_LEVELS: usize = 64;
 
 /// Result of the Theorem 4.1 solver.
 #[derive(Debug)]
@@ -64,7 +68,9 @@ pub fn theorem41(g: &Graph, budget: Budget, ampc_cfg: &AmpcConfig) -> AmpcResult
         }
         levels.push(out.to_h);
         cur = out.h;
-        assert!(levels.len() <= 64, "Theorem 4.1 loop failed to converge");
+        if levels.len() > MAX_LEVELS {
+            return Err(AmpcError::NoConvergence { phase: "Theorem 4.1 loop" });
+        }
     };
 
     // Compose the labelings back out through the mappings.

@@ -5,8 +5,9 @@
 //! the serving layer, the ledger — hands to [`PipelineSpec::run`], which
 //! returns the unified [`PipelineRun`].
 //!
-//! [`PipelineSpec::resolve`] picks the algorithm once (consulting the input
-//! for [`Algorithm::Auto`]) and `run` matches on it; an explicit
+//! [`PipelineSpec::resolve`] picks the algorithm once, into a [`Resolved`]
+//! value that carries the input's [`Forest`](ampc_graph::Forest) proof
+//! when Algorithm 1 runs, and [`Resolved::run`] consumes it; an explicit
 //! [`Algorithm::Forest`] on an input with a cycle is refused as
 //! [`PipelineError::NotAForest`] before any round runs. The backend is not
 //! dispatched on here or anywhere else in this crate: it travels as a
@@ -16,7 +17,7 @@
 use std::fmt;
 
 use ampc::{AmpcError, DhtBackend, RunStats};
-use ampc_graph::{Graph, Labeling};
+use ampc_graph::{Graph, Input, Labeling};
 
 use crate::forest::pipeline::{connected_components_forest, ForestCcConfig};
 use crate::general::algorithm2::{connected_components_general, GeneralCcConfig};
@@ -27,8 +28,8 @@ pub enum Algorithm {
     /// Pick Algorithm 1 for forests, Algorithm 2 otherwise (the default).
     #[default]
     Auto,
-    /// Algorithm 1 (Theorem 1.1) — requires an acyclic input; [`PipelineSpec::run`]
-    /// refuses a cycle with [`PipelineError::NotAForest`].
+    /// Algorithm 1 (Theorem 1.1) — requires an acyclic input;
+    /// [`PipelineSpec::resolve`] refuses a cycle with [`PipelineError::NotAForest`].
     Forest,
     /// Algorithm 2 (Theorem 1.2) — any graph.
     General,
@@ -162,15 +163,22 @@ impl PipelineSpec {
         cfg
     }
 
-    /// Resolves `Auto` against `g`. Resolution consults only
-    /// `g.is_forest()`; it never runs anything.
-    pub fn resolve(&self, g: &Graph) -> ResolvedAlgorithm {
-        match self.algorithm {
-            Algorithm::Forest => ResolvedAlgorithm::Forest,
-            Algorithm::General => ResolvedAlgorithm::General,
-            Algorithm::Auto if g.is_forest() => ResolvedAlgorithm::Forest,
-            Algorithm::Auto => ResolvedAlgorithm::General,
-        }
+    /// Resolves the spec against `g`, once, into the value a run consumes:
+    /// `Auto` and `Forest` prove `g` acyclic with [`Graph::as_forest`] (one
+    /// union-find pass), and the proof rides in the result, so neither the
+    /// Euler tour nor the serving layer's validation checks it again.
+    /// `General` checks nothing.
+    ///
+    /// # Errors
+    /// [`PipelineError::NotAForest`] if [`Algorithm::Forest`] was requested
+    /// and `g` has a cycle.
+    pub fn resolve<'a>(&'a self, g: &'a Graph) -> Result<Resolved<'a>, PipelineError> {
+        let input = match self.algorithm {
+            Algorithm::Auto => g.as_forest().map_or(Input::Graph(g), Input::Forest),
+            Algorithm::Forest => Input::Forest(g.as_forest().ok_or(PipelineError::NotAForest)?),
+            Algorithm::General => Input::Graph(g),
+        };
+        Ok(Resolved { spec: self, input })
     }
 
     /// Human-readable description of this spec run as `algorithm`, for run
@@ -186,20 +194,52 @@ impl PipelineSpec {
     ///
     /// # Errors
     /// [`PipelineError::NotAForest`] if [`Algorithm::Forest`] was requested
-    /// and `g` has a cycle (checked before any round runs; `Auto` makes the
-    /// same check once, in `resolve`), or the run's [`AmpcError`].
+    /// and `g` has a cycle (checked by [`PipelineSpec::resolve`], before any
+    /// round runs), or the run's [`AmpcError`].
     pub fn run(&self, g: &Graph) -> Result<PipelineRun, PipelineError> {
-        if self.algorithm == Algorithm::Forest && !g.is_forest() {
-            return Err(PipelineError::NotAForest);
+        self.resolve(g)?.run()
+    }
+}
+
+/// A [`PipelineSpec`] resolved against one input by
+/// [`PipelineSpec::resolve`]: the algorithm it runs and, for Algorithm 1,
+/// the [`Forest`](ampc_graph::Forest) proof that the input is acyclic.
+/// [`Resolved::run`] consumes it.
+#[derive(Debug)]
+pub struct Resolved<'a> {
+    spec: &'a PipelineSpec,
+    input: Input<'a>,
+}
+
+impl<'a> Resolved<'a> {
+    /// The algorithm the run uses: Algorithm 1 exactly when the input was
+    /// proven a forest.
+    pub fn algorithm(&self) -> ResolvedAlgorithm {
+        match self.input {
+            Input::Forest(_) => ResolvedAlgorithm::Forest,
+            Input::Graph(_) => ResolvedAlgorithm::General,
         }
-        let algorithm = self.resolve(g);
-        let (labeling, stats) = match algorithm {
-            ResolvedAlgorithm::Forest => {
-                let r = connected_components_forest(g, &self.forest_config())?;
+    }
+
+    /// The input, with its proof if it has one: what a labeling of it is
+    /// validated against.
+    pub fn input(&self) -> Input<'a> {
+        self.input
+    }
+
+    /// Runs the resolved algorithm.
+    ///
+    /// # Errors
+    /// The run's [`AmpcError`].
+    pub fn run(self) -> Result<PipelineRun, PipelineError> {
+        let algorithm = self.algorithm();
+        let (labeling, stats) = match self.input {
+            Input::Forest(forest) => {
+                let r = connected_components_forest(forest, &self.spec.forest_config())?;
                 (r.labeling, r.stats)
             }
-            ResolvedAlgorithm::General => {
-                let r = connected_components_general(g, &self.general_config())?;
+            Input::Graph(g) => {
+                let r = connected_components_general(g, &self.spec.general_config())?;
                 (r.labeling, r.stats)
             }
         };
@@ -260,11 +300,53 @@ mod tests {
         let forest = random_forest(200, 4, 1);
         let cyclic = erdos_renyi_gnm(100, 300, 2);
         let spec = PipelineSpec::default();
-        assert_eq!(spec.resolve(&forest), ResolvedAlgorithm::Forest);
-        assert_eq!(spec.resolve(&cyclic), ResolvedAlgorithm::General);
+        assert_eq!(spec.resolve(&forest).unwrap().algorithm(), ResolvedAlgorithm::Forest);
+        assert_eq!(spec.resolve(&cyclic).unwrap().algorithm(), ResolvedAlgorithm::General);
         // Explicit selection overrides the shape (general runs on forests).
         let spec = spec.with_algorithm(Algorithm::General);
-        assert_eq!(spec.resolve(&forest), ResolvedAlgorithm::General);
+        assert_eq!(spec.resolve(&forest).unwrap().algorithm(), ResolvedAlgorithm::General);
+    }
+
+    #[test]
+    fn auto_on_a_forest_carries_the_proof() {
+        let forest = random_forest(300, 5, 3);
+        for algorithm in [Algorithm::Auto, Algorithm::Forest] {
+            let spec = PipelineSpec::default().with_algorithm(algorithm);
+            let resolved = spec.resolve(&forest).unwrap();
+            let Input::Forest(proof) = resolved.input() else {
+                panic!("{algorithm:?} on a forest resolved without its proof");
+            };
+            assert!(std::ptr::eq(proof.graph(), &forest));
+            assert_eq!(proof.components(), 5);
+            let truth = reference_components(&forest).num_components();
+            assert_eq!(resolved.input().components_checked(|_, _| true), Ok(truth));
+            assert_eq!(resolved.run().unwrap().labeling.num_components(), 5);
+        }
+        // General proves nothing, even on a forest.
+        let spec = PipelineSpec::default().with_algorithm(Algorithm::General);
+        assert!(matches!(spec.resolve(&forest).unwrap().input(), Input::Graph(_)));
+    }
+
+    #[test]
+    fn auto_on_a_cyclic_graph_resolves_to_the_general_path() {
+        let cyclic = erdos_renyi_gnm(400, 1000, 6);
+        let spec = PipelineSpec::default().with_seed(5);
+        let resolved = spec.resolve(&cyclic).unwrap();
+        assert!(matches!(resolved.input(), Input::Graph(g) if std::ptr::eq(g, &cyclic)));
+        assert_eq!(resolved.algorithm(), ResolvedAlgorithm::General);
+        let truth = reference_components(&cyclic);
+        assert_eq!(resolved.input().components_checked(|_, _| true), Ok(truth.num_components()));
+        let run = resolved.run().unwrap();
+        assert_eq!(run.algorithm, ResolvedAlgorithm::General);
+        assert!(run.labeling.same_partition(&truth));
+    }
+
+    #[test]
+    fn explicit_forest_on_a_cyclic_graph_is_refused_at_resolution() {
+        let cyclic = erdos_renyi_gnm(100, 300, 2);
+        let spec = PipelineSpec::default().with_algorithm(Algorithm::Forest);
+        assert_eq!(spec.resolve(&cyclic).unwrap_err(), PipelineError::NotAForest);
+        assert_eq!(spec.run(&cyclic).unwrap_err(), PipelineError::NotAForest);
     }
 
     #[test]
@@ -274,7 +356,9 @@ mod tests {
         let forest = random_forest(800, 7, 3);
         let spec = PipelineSpec::default().with_seed(99).with_backend(DhtBackend::Flat);
         let via_spec = spec.run(&forest).unwrap();
-        let direct = connected_components_forest(&forest, &spec.forest_config()).unwrap();
+        let direct =
+            connected_components_forest(forest.as_forest().unwrap(), &spec.forest_config())
+                .unwrap();
         assert_eq!(via_spec.labeling.0, direct.labeling.0);
         assert_eq!(via_spec.stats.rounds(), direct.stats.rounds());
         assert_eq!(via_spec.algorithm.number(), 1);
@@ -320,9 +404,11 @@ mod tests {
     fn describe_names_the_algorithm() {
         let g = random_forest(50, 2, 1);
         let spec = PipelineSpec::default();
-        assert!(spec.describe(spec.resolve(&g)).starts_with("1 (forest"));
+        let algorithm = spec.resolve(&g).unwrap().algorithm();
+        assert!(spec.describe(algorithm).starts_with("1 (forest"));
         let spec = spec.with_algorithm(Algorithm::General).with_k(5);
-        assert_eq!(spec.describe(spec.resolve(&g)), "2 (general, Theorem 1.2, k = 5)");
+        let algorithm = spec.resolve(&g).unwrap().algorithm();
+        assert_eq!(spec.describe(algorithm), "2 (general, Theorem 1.2, k = 5)");
     }
 
     #[test]

@@ -93,7 +93,7 @@ fn forest_outcome_is_byte_identical_to_the_recorded_parent() {
                 for seed in [1u64, 2] {
                     let g = family.generate(N, seed);
                     let cfg = cfg.clone().with_seed(0xF0_0000 + seed).with_backend(backend);
-                    let out = connected_components_forest(&g, &cfg).unwrap();
+                    let out = connected_components_forest(g.as_forest().unwrap(), &cfg).unwrap();
                     text += &format!(
                         "{:?} {:?} {:?} {:?} {:?}\n",
                         out.labeling.0, out.stats, out.iterations, out.shrink_large, out.finisher

@@ -226,16 +226,92 @@ impl Graph {
         (0..self.n() as VertexId).map(|v| self.degree(v)).max().unwrap_or(0)
     }
 
-    /// True iff the graph is acyclic (a forest), checked by counting:
-    /// a forest has `n - #components` edges.
-    pub fn is_forest(&self) -> bool {
+    /// The proof that the graph is acyclic, or `None` if an edge closes a
+    /// cycle: one union-find pass over the edges, the only one a forest
+    /// pipeline runs.
+    pub fn as_forest(&self) -> Option<Forest<'_>> {
         let mut uf = crate::UnionFind::new(self.n());
-        for (u, v) in self.edges() {
-            if !uf.union(u, v) {
-                return false; // edge inside an existing component closes a cycle
+        // An edge inside an existing component closes a cycle.
+        self.edges().all(|(u, v)| uf.union(u, v)).then_some(Forest { graph: self })
+    }
+}
+
+/// Proof that a graph is a forest. [`Graph::as_forest`] is its only
+/// constructor, so a function that takes a `Forest` runs on an acyclic
+/// input without checking it again.
+#[derive(Clone, Copy, Debug)]
+pub struct Forest<'g> {
+    graph: &'g Graph,
+}
+
+impl<'g> Forest<'g> {
+    /// The graph proven acyclic.
+    pub fn graph(&self) -> &'g Graph {
+        self.graph
+    }
+
+    /// The number of trees: every edge of a forest joins two trees, so it
+    /// has `n − m`.
+    pub fn components(&self) -> usize {
+        self.graph.n() - self.graph.m()
+    }
+}
+
+/// A pipeline's input as far as it has been checked: proven a forest, or
+/// any graph.
+#[derive(Clone, Copy, Debug)]
+pub enum Input<'g> {
+    /// A graph proven acyclic.
+    Forest(Forest<'g>),
+    /// A graph of unknown shape.
+    Graph(&'g Graph),
+}
+
+impl<'g> Input<'g> {
+    /// The graph itself.
+    pub fn graph(&self) -> &'g Graph {
+        match self {
+            Input::Forest(forest) => forest.graph(),
+            Input::Graph(g) => g,
+        }
+    }
+
+    /// The true number of connected components, counted in the same pass
+    /// over the edges that checks `edge_ok(u, v)` on each; the first edge
+    /// it rejects is the error. The count is the proof's `n − m` for a
+    /// forest, and a union-find's, riding along that pass, otherwise.
+    pub fn components_checked(
+        &self,
+        mut edge_ok: impl FnMut(VertexId, VertexId) -> bool,
+    ) -> Result<usize, (VertexId, VertexId)> {
+        match self {
+            Input::Forest(forest) => match forest.graph.edges().find(|&(u, v)| !edge_ok(u, v)) {
+                Some(edge) => Err(edge),
+                None => Ok(forest.components()),
+            },
+            Input::Graph(g) => {
+                let mut uf = crate::UnionFind::new(g.n());
+                for (u, v) in g.edges() {
+                    if !edge_ok(u, v) {
+                        return Err((u, v));
+                    }
+                    uf.union(u, v);
+                }
+                Ok(uf.num_components())
             }
         }
-        true
+    }
+}
+
+impl<'g> From<&'g Graph> for Input<'g> {
+    fn from(g: &'g Graph) -> Self {
+        Input::Graph(g)
+    }
+}
+
+impl<'g> From<Forest<'g>> for Input<'g> {
+    fn from(forest: Forest<'g>) -> Self {
+        Input::Forest(forest)
     }
 }
 
@@ -256,7 +332,7 @@ mod tests {
         assert_eq!(g.m(), 3);
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.neighbors(1), &[0, 2]);
-        assert!(!g.is_forest());
+        assert!(g.as_forest().is_none());
     }
 
     #[test]
@@ -276,8 +352,36 @@ mod tests {
     #[test]
     fn path_is_forest() {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        assert!(g.is_forest());
+        assert!(g.as_forest().is_some());
         assert_eq!(g.max_degree(), 2);
+    }
+
+    #[test]
+    fn a_forest_proof_counts_its_trees() {
+        let mut rng = ampc::rng::SplitMix64::new(0xF0);
+        for case in 0..60usize {
+            let n = 1 + case;
+            let edges: Vec<_> = (0..rng.next_below(2 * n as u64))
+                .map(|_| {
+                    (rng.next_below(n as u64) as VertexId, rng.next_below(n as u64) as VertexId)
+                })
+                .collect();
+            let g = Graph::from_edges(n, &edges);
+            let truth = crate::reference_components(&g).num_components();
+            // A graph is a forest exactly when it has n − c edges.
+            assert_eq!(g.as_forest().is_some(), g.m() == n - truth, "case {case}");
+            for input in [Input::from(&g)].into_iter().chain(g.as_forest().map(Input::from)) {
+                assert!(std::ptr::eq(input.graph(), &g));
+                assert_eq!(input.components_checked(|_, _| true), Ok(truth), "case {case}");
+                // The first edge the check rejects comes back, in `edges` order.
+                let mut seen = 0;
+                let third = input.components_checked(|_, _| {
+                    seen += 1;
+                    seen < 3
+                });
+                assert_eq!(third.err(), g.edges().nth(2), "case {case}");
+            }
+        }
     }
 
     #[test]
@@ -320,7 +424,7 @@ mod tests {
         let g = Graph::empty(7);
         assert_eq!(g.n(), 7);
         assert_eq!(g.m(), 0);
-        assert!(g.is_forest());
+        assert!(g.as_forest().is_some());
     }
 
     /// The construction `from_edges` replaced: materialise both orientations

@@ -13,7 +13,7 @@
 //! the cycles plus the copy→original mapping yields a CC-labeling of the
 //! forest (labels transfer through `origin`).
 
-use crate::csr::{block_starts, Graph, VertexId};
+use crate::csr::{block_starts, Forest, Graph, VertexId};
 
 /// A vertex-disjoint collection of cycles, represented by a successor
 /// permutation over *cycle vertices* plus the mapping back to original
@@ -74,39 +74,49 @@ impl CycleDecomposition {
     }
 }
 
-/// Performs the forest→cycles reduction.
+/// Performs the forest→cycles reduction: [`Forest::cycles`], after proving
+/// `g` acyclic.
 ///
 /// # Panics
 /// Panics if `g` is not a forest (the construction is only meaningful — and
 /// only used by the paper — on forests).
 pub fn forest_to_cycles(g: &Graph) -> CycleDecomposition {
-    assert!(g.is_forest(), "forest_to_cycles requires a forest input");
-    let n = g.n();
+    g.as_forest().expect("forest_to_cycles requires a forest input").cycles()
+}
 
-    // base[v] = first arc id of v's copies; copies are laid out densely.
-    let base = block_starts((0..n as VertexId).map(|v| g.degree(v)), "the Euler tour");
-    let total_arcs = base[n] as usize;
+impl Forest<'_> {
+    /// The forest→cycles reduction: the Euler tour of every tree, one cycle
+    /// per tree with an edge. The proof is the precondition, so nothing is
+    /// checked here.
+    pub fn cycles(&self) -> CycleDecomposition {
+        let g = self.graph();
+        let n = g.n();
 
-    let isolated = (0..n as VertexId).filter(|&v| g.degree(v) == 0).collect();
+        // base[v] = first arc id of v's copies; copies are laid out densely.
+        let base = block_starts((0..n as VertexId).map(|v| g.degree(v)), "the Euler tour");
+        let total_arcs = base[n] as usize;
 
-    // Cycle vertex base[v] + j is the arc entering v from its j-th neighbor.
-    // Its successor is the arc leaving v toward neighbor i = (j + 1) mod d,
-    // i.e. the arc entering w := nbrs[i] from v: w's copy k, where v is w's
-    // k-th neighbor. So neighbor i's arc is the successor of slot i − 1, or
-    // of v's last slot when i = 0. The same pass writes slot i's origin.
-    let mut origin = vec![0 as VertexId; total_arcs];
-    let mut succ = vec![0u32; total_arcs];
-    g.for_each_arc(|v, i, w, k| {
-        let b = base[v as usize];
-        origin[(b + i as u32) as usize] = v;
-        let slot = match i {
-            0 => base[v as usize + 1] - 1,
-            _ => b + i as u32 - 1,
-        };
-        succ[slot as usize] = base[w as usize] + k as u32;
-    });
+        let isolated = (0..n as VertexId).filter(|&v| g.degree(v) == 0).collect();
 
-    CycleDecomposition { succ, origin, isolated }
+        // Cycle vertex base[v] + j is the arc entering v from its j-th neighbor.
+        // Its successor is the arc leaving v toward neighbor i = (j + 1) mod d,
+        // i.e. the arc entering w := nbrs[i] from v: w's copy k, where v is w's
+        // k-th neighbor. So neighbor i's arc is the successor of slot i − 1, or
+        // of v's last slot when i = 0. The same pass writes slot i's origin.
+        let mut origin = vec![0 as VertexId; total_arcs];
+        let mut succ = vec![0u32; total_arcs];
+        g.for_each_arc(|v, i, w, k| {
+            let b = base[v as usize];
+            origin[(b + i as u32) as usize] = v;
+            let slot = match i {
+                0 => base[v as usize + 1] - 1,
+                _ => b + i as u32 - 1,
+            };
+            succ[slot as usize] = base[w as usize] + k as u32;
+        });
+
+        CycleDecomposition { succ, origin, isolated }
+    }
 }
 
 #[cfg(test)]

@@ -202,7 +202,7 @@ mod tests {
     fn path_shape() {
         let g = path(10);
         assert_eq!(g.m(), 9);
-        assert!(g.is_forest());
+        assert!(g.as_forest().is_some());
         assert_eq!(g.max_degree(), 2);
         assert_eq!(reference_components(&g).num_components(), 1);
     }
@@ -211,13 +211,13 @@ mod tests {
     fn star_shape() {
         let g = star(10);
         assert_eq!(g.degree(0), 9);
-        assert!(g.is_forest());
+        assert!(g.as_forest().is_some());
     }
 
     #[test]
     fn binary_tree_is_connected_forest() {
         let g = balanced_binary_tree(31);
-        assert!(g.is_forest());
+        assert!(g.as_forest().is_some());
         assert_eq!(reference_components(&g).num_components(), 1);
         assert!(g.max_degree() <= 3);
     }
@@ -226,14 +226,14 @@ mod tests {
     fn caterpillar_counts() {
         let g = caterpillar(5, 3);
         assert_eq!(g.n(), 20);
-        assert!(g.is_forest());
+        assert!(g.as_forest().is_some());
         assert_eq!(reference_components(&g).num_components(), 1);
     }
 
     #[test]
     fn random_forest_component_count() {
         let g = random_forest(1000, 10, 42);
-        assert!(g.is_forest());
+        assert!(g.as_forest().is_some());
         assert_eq!(reference_components(&g).num_components(), 10);
     }
 
@@ -247,7 +247,7 @@ mod tests {
     fn all_families_produce_forests() {
         for fam in ForestFamily::ALL {
             let g = fam.generate(200, 3);
-            assert!(g.is_forest(), "{} not a forest", fam.name());
+            assert!(g.as_forest().is_some(), "{} not a forest", fam.name());
             assert!(g.n() >= 100, "{} too small: {}", fam.name(), g.n());
         }
     }
@@ -256,7 +256,7 @@ mod tests {
     fn spider_shape() {
         let g = spider(5, 10);
         assert_eq!(g.n(), 51);
-        assert!(g.is_forest());
+        assert!(g.as_forest().is_some());
         assert_eq!(g.degree(0), 5);
         assert_eq!(reference_components(&g).num_components(), 1);
     }
@@ -264,7 +264,7 @@ mod tests {
     #[test]
     fn kary_tree_shape() {
         let g = kary_tree(73, 8);
-        assert!(g.is_forest());
+        assert!(g.as_forest().is_some());
         assert_eq!(g.degree(0), 8);
         assert_eq!(reference_components(&g).num_components(), 1);
     }
@@ -273,7 +273,7 @@ mod tests {
     fn broom_shape() {
         let g = broom(10, 15);
         assert_eq!(g.n(), 25);
-        assert!(g.is_forest());
+        assert!(g.as_forest().is_some());
         assert_eq!(g.degree(9), 16); // handle end: 1 path edge + 15 bristles
         assert_eq!(reference_components(&g).num_components(), 1);
     }

@@ -2,7 +2,8 @@
 //!
 //! Everything the paper's algorithms need *around* the AMPC model:
 //!
-//! * [`Graph`] — compact CSR storage for undirected graphs;
+//! * [`Graph`] — compact CSR storage for undirected graphs, and
+//!   [`Forest`], the proof [`Graph::as_forest`] gives that one is acyclic;
 //! * [`generators`] — seeded workload families (forests, cycles, random
 //!   graphs, grids, power-law graphs, adversarial shapes);
 //! * [`euler`] — the Tarjan–Vishkin forest→cycles reduction backing
@@ -30,6 +31,6 @@ mod labeling;
 pub mod metrics;
 mod unionfind;
 
-pub use csr::{Graph, VertexId};
+pub use csr::{Forest, Graph, Input, VertexId};
 pub use labeling::{reference_components, relabel, Labeling, Relabeled};
 pub use unionfind::UnionFind;

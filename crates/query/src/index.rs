@@ -27,7 +27,7 @@
 
 use std::cmp::Reverse;
 
-use ampc_graph::{relabel, Graph, Labeling, Relabeled, VertexId};
+use ampc_graph::{relabel, Input, Labeling, Relabeled, VertexId};
 
 use crate::JournalView;
 
@@ -125,11 +125,22 @@ impl ComponentIndex {
         Self::from_parts(class_of, sizes)
     }
 
-    /// Builds the index from a pipeline run over `g`, refusing a labeling
-    /// that is not a valid CC-labeling of `g`. This is the constructor the
-    /// serving path uses: verify once at build time, then answer queries
-    /// with no per-query checks.
-    pub fn from_run(g: &Graph, labeling: &Labeling) -> Result<Self, String> {
+    /// Builds the index from a pipeline run over `input`, refusing a
+    /// labeling that is not a valid CC-labeling of its graph. This is the
+    /// constructor the serving path uses: verify once at build time, then
+    /// answer queries with no per-query checks.
+    ///
+    /// One body for every input: the length, then every edge's endpoints
+    /// sharing a label (so each true component lies inside one class), then
+    /// the built index's [`ComponentIndex::num_components`] against the
+    /// true component count, which [`Input::components_checked`] takes in
+    /// the same pass over the edges — the proof's `n − m` for an
+    /// [`Input::Forest`], a union-find's count for a plain graph. Equal
+    /// counts leave no two components under one label, so the verdict is
+    /// [`Labeling::validates`]'s.
+    pub fn from_run<'g>(input: impl Into<Input<'g>>, labeling: &Labeling) -> Result<Self, String> {
+        let input = input.into();
+        let g = input.graph();
         if labeling.len() != g.n() {
             return Err(format!(
                 "labeling covers {} vertices but the graph has {}",
@@ -137,10 +148,17 @@ impl ComponentIndex {
                 g.n()
             ));
         }
-        if !labeling.validates(g) {
-            return Err("labeling is not a valid CC-labeling of the graph".into());
+        let components = input
+            .components_checked(|u, v| labeling.get(u) == labeling.get(v))
+            .map_err(|(u, v)| format!("labeling splits the edge ({u}, {v}) across two labels"))?;
+        let index = Self::build(labeling);
+        if index.num_components() != components {
+            return Err(format!(
+                "labeling has {} classes but the graph has {components} components",
+                index.num_components()
+            ));
         }
-        Ok(Self::build(labeling))
+        Ok(index)
     }
 
     /// The index of the partition `journal` merges `self` into: `comp_of`
@@ -291,7 +309,8 @@ impl std::fmt::Debug for ComponentIndex {
 mod tests {
     use super::*;
     use ampc_graph::contract::contract;
-    use ampc_graph::reference_components;
+    use ampc_graph::generators::{ForestFamily, GraphFamily};
+    use ampc_graph::{reference_components, Graph};
 
     fn index_of(labels: &[u64]) -> ComponentIndex {
         ComponentIndex::build(&Labeling(labels.to_vec()))
@@ -380,6 +399,69 @@ mod tests {
         assert!(ComponentIndex::from_run(&g, &Labeling(vec![1; 6])).is_err());
         // Wrong length must be rejected.
         assert!(ComponentIndex::from_run(&g, &Labeling(vec![1, 1, 1])).is_err());
+    }
+
+    /// The labelings the validator matrix checks on `g`, each with the
+    /// verdict it must get: the correct one, one edge's endpoints split,
+    /// two components merged under one label, the partition relabelled,
+    /// and a wrong length. `g` needs an edge and two components.
+    fn validator_cases(g: &Graph) -> [(&'static str, Labeling, bool); 5] {
+        let truth = reference_components(g);
+        let (u, v) = g.edges().next().expect("the graph has an edge");
+        let mut split = truth.clone();
+        split.0[v as usize] = u64::MAX;
+        let other = (0..g.n() as VertexId).find(|&w| truth.get(w) != truth.get(u));
+        let other = truth.get(other.expect("the graph has two components"));
+        let merged =
+            Labeling(truth.0.iter().map(|&l| if l == other { truth.get(u) } else { l }).collect());
+        let relabelled = Labeling(truth.0.iter().map(|&l| !l.rotate_left(17)).collect());
+        let short = Labeling(truth.0[1..].to_vec());
+        [
+            ("correct", truth, true),
+            ("edge split", split, false),
+            ("two components merged", merged, false),
+            ("relabelled", relabelled, true),
+            ("wrong length", short, false),
+        ]
+    }
+
+    /// `g` with one isolated vertex added, so it has two components.
+    fn with_isolated_vertex(g: &Graph) -> Graph {
+        Graph::from_edges(g.n() + 1, &g.edges().collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn from_run_on_a_forest_proof_agrees_with_validates() {
+        for family in ForestFamily::ALL {
+            for seed in 0..3 {
+                let g = with_isolated_vertex(&family.generate(300, seed));
+                let forest = g.as_forest().expect("a forest family is acyclic");
+                for (case, labeling, valid) in validator_cases(&g) {
+                    let at = format!("{} seed {seed}: {case}", family.name());
+                    assert_eq!(labeling.validates(&g), valid, "{at}");
+                    assert_eq!(ComponentIndex::from_run(forest, &labeling).is_ok(), valid, "{at}");
+                    assert_eq!(ComponentIndex::from_run(&g, &labeling).is_ok(), valid, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn from_run_on_a_general_graph_agrees_with_validates() {
+        for family in GraphFamily::ALL {
+            for seed in 0..3 {
+                let g = with_isolated_vertex(&family.generate(300, seed));
+                for (case, labeling, valid) in validator_cases(&g) {
+                    let at = format!("{} seed {seed}: {case}", family.name());
+                    assert_eq!(labeling.validates(&g), valid, "{at}");
+                    assert_eq!(ComponentIndex::from_run(&g, &labeling).is_ok(), valid, "{at}");
+                    if let Some(forest) = g.as_forest() {
+                        let ok = ComponentIndex::from_run(forest, &labeling).is_ok();
+                        assert_eq!(ok, valid, "{at} (as a forest)");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use ampc::RunStats;
-use ampc_cc::pipeline::{PipelineSpec, ResolvedAlgorithm};
+use ampc_cc::pipeline::{PipelineError, PipelineSpec, Resolved, ResolvedAlgorithm};
 use ampc_graph::Graph;
 use ampc_query::{snapshot, SnapshotError};
 
@@ -22,7 +22,11 @@ pub struct ServiceBuilder {
     /// The input of the first build; the service does not keep it.
     graph: Graph,
     settings: Settings,
+    announce: Option<Box<Announce>>,
 }
+
+/// What [`ServiceBuilder::announce`] hands the spec's resolution to.
+type Announce = dyn FnOnce(&Result<Resolved<'_>, PipelineError>) + Send;
 
 /// What a service keeps from its builder.
 struct Settings {
@@ -65,7 +69,7 @@ impl ServiceBuilder {
     /// Starts a builder over `graph` with the default [`PipelineSpec`] and
     /// [`JournalBudget`].
     pub fn new(graph: Graph) -> Self {
-        ServiceBuilder { graph, settings: Settings::new(PipelineSpec::default()) }
+        ServiceBuilder { graph, settings: Settings::new(PipelineSpec::default()), announce: None }
     }
 
     /// Sets the pipeline spec used for the initial build and every rebuild.
@@ -80,10 +84,28 @@ impl ServiceBuilder {
         self
     }
 
-    /// Runs the pipeline, validates, indexes, and publishes epoch 0.
+    /// Hands the spec's one resolution over the graph to `announce` before
+    /// epoch 0's pipeline runs (or is refused), so a caller that reports
+    /// the algorithm does not resolve the graph a second time. A snapshot
+    /// boot runs no pipeline and calls nothing.
+    pub fn announce(
+        mut self,
+        announce: impl FnOnce(&Result<Resolved<'_>, PipelineError>) + Send + 'static,
+    ) -> Self {
+        self.announce = Some(Box::new(announce));
+        self
+    }
+
+    /// Resolves the spec over the graph once, runs the pipeline, validates,
+    /// indexes, and publishes epoch 0.
     pub fn build(self) -> Result<ServiceHandle, ServeError> {
-        let base = Arc::new(BaseIndex::build(&self.settings.spec, &self.graph)?);
-        Ok(self.settings.publish_epoch_zero(base))
+        let ServiceBuilder { graph, settings, announce } = self;
+        let resolution = settings.spec.resolve(&graph);
+        if let Some(announce) = announce {
+            announce(&resolution);
+        }
+        let base = Arc::new(BaseIndex::build(resolution?)?);
+        Ok(settings.publish_epoch_zero(base))
     }
 
     /// Boot fallback chain: try the snapshot first, and if it is missing,

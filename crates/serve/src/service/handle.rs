@@ -381,7 +381,7 @@ impl ServiceHandle {
         in_flight.add(1);
         let built = catch_unwind(AssertUnwindSafe(|| {
             fault::check(Site::RebuildPipeline)?;
-            BaseIndex::build(&service.spec, &graph)
+            BaseIndex::build(service.spec.resolve(&graph)?)
         }))
         .unwrap_or(Err(ServeError::RebuildPanicked));
         let mut health = service.lock_stream();

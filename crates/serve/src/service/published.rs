@@ -6,8 +6,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use ampc::RunStats;
-use ampc_cc::pipeline::{PipelineSpec, ResolvedAlgorithm};
-use ampc_graph::{Graph, Labeling, VertexId};
+use ampc_cc::pipeline::{Resolved, ResolvedAlgorithm};
+use ampc_graph::{Labeling, VertexId};
 use ampc_query::{ComponentIndex, JournalView, QueryEngine};
 
 use super::error::ServeError;
@@ -34,26 +34,30 @@ pub(super) struct BaseIndex {
     pub(super) algorithm: ResolvedAlgorithm,
     pub(super) graph_n: usize,
     pub(super) graph_m: usize,
-    /// Wall time of the pipeline run (+ validation) that produced the
-    /// labeling; 0 for a snapshot boot or a fold — no pipeline ran.
+    /// Wall time of the pipeline run that produced the labeling, after the
+    /// spec's resolution; 0 for a snapshot boot or a fold — no pipeline ran.
     pub(super) pipeline_ms: f64,
-    /// Wall time of freezing the labeling into the index and its class
-    /// labels, or of the fold; 0 for a snapshot boot. Split out so
+    /// Wall time of validating and freezing the labeling into the index
+    /// and its class labels, or of the fold; 0 for a snapshot boot. Split out so
     /// boot-vs-build speedups have a clean denominator.
     pub(super) index_ms: f64,
 }
 
 impl BaseIndex {
-    /// Runs the spec on `g` and freezes the result. Validation is part of
-    /// the lifecycle: a labeling that does not validate against `g` is
-    /// never published.
-    pub(super) fn build(spec: &PipelineSpec, g: &Graph) -> Result<BaseIndex, ServeError> {
+    /// Runs a resolved spec and freezes the result. Validation is part of
+    /// the lifecycle: a labeling that does not validate against the input
+    /// is never published. The input's forest proof, if it has one, is the
+    /// validation's component count, so a forest build runs one union-find:
+    /// the resolution's.
+    pub(super) fn build(resolved: Resolved<'_>) -> Result<BaseIndex, ServeError> {
+        let input = resolved.input();
+        let g = input.graph();
         let t0 = Instant::now();
-        let run = spec.run(g)?;
+        let run = resolved.run()?;
         let pipeline_ms = t0.elapsed().as_secs_f64() * 1e3;
         let t1 = Instant::now();
         let index =
-            ComponentIndex::from_run(g, &run.labeling).map_err(ServeError::InvalidLabeling)?;
+            ComponentIndex::from_run(input, &run.labeling).map_err(ServeError::InvalidLabeling)?;
         let class_label = index.class_labels(&run.labeling);
         let index_ms = t1.elapsed().as_secs_f64() * 1e3;
         Ok(BaseIndex {
@@ -187,9 +191,9 @@ impl PublishedIndex {
         (self.base.graph_n, self.base.graph_m + self.inserted_edges)
     }
 
-    /// Wall-clock milliseconds the base epoch's pipeline run (plus
-    /// validation) took; 0 when the base was booted from a snapshot or
-    /// folded.
+    /// Wall-clock milliseconds the base epoch's pipeline run took (the
+    /// spec's resolution and the validation are not in it); 0 when the base
+    /// was booted from a snapshot or folded.
     pub fn pipeline_ms(&self) -> f64 {
         self.base.pipeline_ms
     }

@@ -29,7 +29,8 @@ fn main() {
     let mut cfg = ForestCcConfig::default().with_seed(5);
     cfg.skip_shrink_large = true;
     cfg.b0 = 2;
-    let res = connected_components_forest(&g, &cfg).expect("forest run");
+    let res =
+        connected_components_forest(g.as_forest().expect("a forest"), &cfg).expect("forest run");
     assert!(res.labeling.same_partition(&reference_components(&g)));
 
     println!("\nper-iteration telemetry (ShrinkSmallCycles):");

@@ -17,7 +17,8 @@ fn main() {
     // ----- Theorem 1.1: forests in O(log* n) rounds, optimal space -----
     let forest = random_forest(100_000, 50, 42);
     let cfg = ForestCcConfig::default().with_seed(7);
-    let result = connected_components_forest(&forest, &cfg).expect("forest run");
+    let result = connected_components_forest(forest.as_forest().expect("a forest"), &cfg)
+        .expect("forest run");
     assert!(result.labeling.same_partition(&reference_components(&forest)));
     println!("forest: n = {}, components = {}", forest.n(), result.labeling.num_components());
     println!(

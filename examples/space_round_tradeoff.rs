@@ -27,7 +27,8 @@ fn main() {
     for k in 1..=5u32 {
         let mut cfg = ForestCcConfig::default().with_seed(3).with_tradeoff_k(n, k);
         cfg.skip_shrink_large = true;
-        let res = connected_components_forest(&g, &cfg).expect("forest run");
+        let res = connected_components_forest(g.as_forest().expect("a forest"), &cfg)
+            .expect("forest run");
         assert!(res.labeling.same_partition(&truth));
         println!(
             "{:>3} {:>5} {:>12} {:>8} {:>16.1} {:>18.2}",

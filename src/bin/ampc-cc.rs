@@ -124,7 +124,9 @@ use std::time::Instant;
 
 use adaptive_mpc_connectivity::ampc::rng::{derive_seed, SplitMix64};
 use adaptive_mpc_connectivity::ampc::{DhtBackend, RunStats};
-use adaptive_mpc_connectivity::cc::pipeline::{Algorithm, PipelineError, PipelineSpec};
+use adaptive_mpc_connectivity::cc::pipeline::{
+    Algorithm, PipelineError, PipelineSpec, Resolved, ResolvedAlgorithm,
+};
 use adaptive_mpc_connectivity::graph::{
     io as graph_io, metrics, reference_components, Graph, Labeling, VertexId,
 };
@@ -394,10 +396,11 @@ fn build_failure(e: ServeError) -> String {
     .unwrap_or_else(|| format!("service build failed: {e}"))
 }
 
-/// Announces which algorithm the spec resolved to for `g` — the lines
-/// every mode prints before running anything.
-fn announce(spec: &PipelineSpec, g: &Graph) -> u8 {
-    let algorithm = spec.resolve(g);
+/// Announces which algorithm `spec` resolved to — the lines every mode
+/// prints before running anything. `resolve` refuses only `--forest`, which
+/// announces the Algorithm 1 it asked for.
+fn announce(spec: &PipelineSpec, resolution: &Result<Resolved<'_>, PipelineError>) -> u8 {
+    let algorithm = resolution.as_ref().map_or(ResolvedAlgorithm::Forest, Resolved::algorithm);
     eprintln!("dht backend: {}", spec.backend.name());
     eprintln!("algorithm: {}", spec.describe(algorithm));
     algorithm.number()
@@ -596,9 +599,11 @@ fn arm_failpoints(specs: &[String]) -> Result<(), String> {
 fn cmd_run(args: RunArgs) -> Result<(), String> {
     arm_failpoints(&args.fail)?;
     let g = read_graph(&args)?;
-    let alg = announce(&args.spec, &g);
-    let run =
-        args.spec.run(&g).map_err(|e| pipeline_failure(&e).unwrap_or_else(|| e.to_string()))?;
+    let resolution = args.spec.resolve(&g);
+    let alg = announce(&args.spec, &resolution);
+    let run = resolution
+        .and_then(Resolved::run)
+        .map_err(|e| pipeline_failure(&e).unwrap_or_else(|| e.to_string()))?;
 
     // Safety net for a user-facing tool: verify before reporting.
     if !run.labeling.same_partition(&reference_components(&g)) {
@@ -675,7 +680,12 @@ fn boot(
     from_snapshot: Option<&str>,
     fall_back: bool,
 ) -> Result<ServiceHandle, String> {
-    let builder = graph.map(|g| ServiceBuilder::new(g).spec(spec.clone()));
+    let announced = spec.clone();
+    let builder = graph.map(|g| {
+        ServiceBuilder::new(g).spec(spec.clone()).announce(move |resolution| {
+            announce(&announced, resolution);
+        })
+    });
     match (from_snapshot, builder) {
         (Some(path), Some(builder)) if fall_back => {
             let (service, source) =
@@ -704,9 +714,6 @@ fn boot(
 fn cmd_serve(args: ServeArgs) -> Result<(), String> {
     arm_failpoints(&args.run.fail)?;
     let graph = if args.run.file.is_empty() { None } else { Some(read_graph(&args.run)?) };
-    if let Some(g) = &graph {
-        announce(&args.run.spec, g);
-    }
     let service = boot(&args.run.spec, graph, args.from_snapshot.as_deref(), true)?;
     let snap = service.snapshot();
     eprintln!(
@@ -767,9 +774,6 @@ fn boot_local(
     reference: Option<&ComponentIndex>,
 ) -> Result<Transport, String> {
     let file_n = loaded.as_ref().map(Graph::n);
-    if let Some(g) = loaded.as_ref().filter(|_| args.from_snapshot.is_none()) {
-        announce(&args.run.spec, g);
-    }
     let t0 = Instant::now();
     let service = boot(&args.run.spec, loaded, args.from_snapshot.as_deref(), false)?;
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -27,7 +27,8 @@ fn assert_round_identities(stats: &RunStats) {
 #[test]
 fn forest_round_stats_are_internally_consistent() {
     let g = random_forest(8000, 20, 1);
-    let res = connected_components_forest(&g, &ForestCcConfig::default()).unwrap();
+    let res =
+        connected_components_forest(g.as_forest().unwrap(), &ForestCcConfig::default()).unwrap();
     let stats = &res.stats;
     assert_round_identities(stats);
 
@@ -53,7 +54,8 @@ fn forest_total_space_is_linear_in_n() {
     // charge O(n·B) = O(n) communication).
     for n in [1 << 12, 1 << 14, 1 << 16] {
         let g = random_forest(n, 16, 2);
-        let res = connected_components_forest(&g, &ForestCcConfig::default()).unwrap();
+        let res = connected_components_forest(g.as_forest().unwrap(), &ForestCcConfig::default())
+            .unwrap();
         assert_round_identities(&res.stats);
         let per_vertex = res.peak_space() as f64 / n as f64;
         assert!(per_vertex < 160.0, "n={n}: peak {per_vertex:.1} words/vertex — superlinear space");
@@ -65,7 +67,8 @@ fn forest_query_total_is_linear_in_n() {
     // Lemma 3.7 summed over the doubling schedule: Σ n_i·B_i = O(n).
     for n in [1 << 12, 1 << 15] {
         let g = random_forest(n, 16, 3);
-        let res = connected_components_forest(&g, &ForestCcConfig::default()).unwrap();
+        let res = connected_components_forest(g.as_forest().unwrap(), &ForestCcConfig::default())
+            .unwrap();
         assert_round_identities(&res.stats);
         let per_vertex = res.queries() as f64 / n as f64;
         assert!(
@@ -103,7 +106,7 @@ fn general_space_tracks_budget_shape() {
 fn per_iteration_outcomes_sum_to_total_removals() {
     let g = random_forest(6000, 6000 / 40, 6);
     let cfg = ForestCcConfig { skip_shrink_large: true, ..ForestCcConfig::default() };
-    let res = connected_components_forest(&g, &cfg).unwrap();
+    let res = connected_components_forest(g.as_forest().unwrap(), &cfg).unwrap();
     assert_round_identities(&res.stats);
     for it in &res.iterations {
         assert_eq!(
@@ -135,7 +138,7 @@ fn audit_budget_scales_with_delta() {
     let g = random_forest(n, 8, 7);
     let audit = |delta: f64, machines: usize| {
         let cfg = ForestCcConfig { delta, machines, ..ForestCcConfig::default() };
-        let res = connected_components_forest(&g, &cfg).unwrap();
+        let res = connected_components_forest(g.as_forest().unwrap(), &cfg).unwrap();
         assert_round_identities(&res.stats);
         res.stats.over_budget(Budget::local_space(n, delta))
     };

@@ -55,7 +55,7 @@ fn fingerprint(labeling: &Labeling, stats: &RunStats) -> String {
 
 fn run_forest(g: &Graph, machines: usize, seed: u64) -> (Labeling, String, usize) {
     let cfg = ForestCcConfig::default().with_seed(seed).with_machines(machines);
-    let res = connected_components_forest(g, &cfg).expect("forest run");
+    let res = connected_components_forest(g.as_forest().unwrap(), &cfg).expect("forest run");
     let fp = fingerprint(&res.labeling, &res.stats);
     let rounds = res.rounds();
     (res.labeling, fp, rounds)
@@ -64,7 +64,7 @@ fn run_forest(g: &Graph, machines: usize, seed: u64) -> (Labeling, String, usize
 fn run_forest_backend(g: &Graph, machines: usize, seed: u64, backend: DhtBackend) -> String {
     let cfg =
         ForestCcConfig::default().with_seed(seed).with_machines(machines).with_backend(backend);
-    let res = connected_components_forest(g, &cfg).expect("forest run");
+    let res = connected_components_forest(g.as_forest().unwrap(), &cfg).expect("forest run");
     fingerprint(&res.labeling, &res.stats)
 }
 
@@ -385,7 +385,7 @@ fn tradeoff_space_monotone_in_k() {
     for k in 1..=4u32 {
         let mut cfg = ForestCcConfig::default().with_seed(0x7A).with_tradeoff_k(n, k);
         cfg.skip_shrink_large = true;
-        let res = connected_components_forest(&g, &cfg).expect("tradeoff run");
+        let res = connected_components_forest(g.as_forest().unwrap(), &cfg).expect("tradeoff run");
         assert!(res.labeling.same_partition(&truth), "k={k}");
         let cur = (cfg.b0, res.peak_space(), res.queries());
         println!("tradeoff: k={k} b0={} peak={} queries={}", cur.0, cur.1, cur.2);

@@ -20,9 +20,11 @@ fn forest_pipeline_on_every_family_and_size() {
     for fam in ForestFamily::ALL {
         for n in [64usize, 500, 4000] {
             let g = fam.generate(n, fam as u64 * 31 + n as u64);
-            let res =
-                connected_components_forest(&g, &ForestCcConfig::default().with_seed(n as u64))
-                    .unwrap();
+            let res = connected_components_forest(
+                g.as_forest().unwrap(),
+                &ForestCcConfig::default().with_seed(n as u64),
+            )
+            .unwrap();
             assert!(
                 res.labeling.same_partition(&reference_components(&g)),
                 "family {} n {n}",
@@ -57,7 +59,8 @@ fn all_five_algorithms_agree_on_forests() {
     let g = ForestFamily::ManyTrees.generate(2000, 7);
     let truth = reference_components(&g);
 
-    let a1 = connected_components_forest(&g, &ForestCcConfig::default()).unwrap();
+    let a1 =
+        connected_components_forest(g.as_forest().unwrap(), &ForestCcConfig::default()).unwrap();
     assert!(a1.labeling.same_partition(&truth), "Algorithm 1");
 
     let a2 = connected_components_general(&g, &GeneralCcConfig::default()).unwrap();
@@ -77,7 +80,8 @@ fn forest_of_single_edges() {
     let n = 2000;
     let edges: Vec<(u32, u32)> = (0..n / 2).map(|i| (2 * i, 2 * i + 1)).collect();
     let g = Graph::from_edges(n as usize, &edges);
-    let res = connected_components_forest(&g, &ForestCcConfig::default()).unwrap();
+    let res =
+        connected_components_forest(g.as_forest().unwrap(), &ForestCcConfig::default()).unwrap();
     assert!(res.labeling.same_partition(&reference_components(&g)));
     assert_eq!(res.labeling.num_components(), n as usize / 2);
 }
@@ -94,7 +98,8 @@ fn star_forest_extreme_degree_skew() {
         base += size;
     }
     let g = Graph::from_edges(base as usize, &edges);
-    let res = connected_components_forest(&g, &ForestCcConfig::default()).unwrap();
+    let res =
+        connected_components_forest(g.as_forest().unwrap(), &ForestCcConfig::default()).unwrap();
     assert!(res.labeling.same_partition(&reference_components(&g)));
     assert_eq!(res.labeling.num_components(), 4);
 }
@@ -119,13 +124,13 @@ fn rounds_grow_sublogarithmically_on_forests() {
     // Theorem 1.1's shape across two decades of n: the round count must be
     // essentially flat (log* is ≤ 5 for anything representable).
     let r_small = connected_components_forest(
-        &ForestFamily::RandomTree.generate(1 << 10, 3),
+        ForestFamily::RandomTree.generate(1 << 10, 3).as_forest().unwrap(),
         &ForestCcConfig::default(),
     )
     .unwrap()
     .rounds();
     let r_large = connected_components_forest(
-        &ForestFamily::RandomTree.generate(1 << 17, 3),
+        ForestFamily::RandomTree.generate(1 << 17, 3).as_forest().unwrap(),
         &ForestCcConfig::default(),
     )
     .unwrap()
@@ -141,7 +146,8 @@ fn mpc_baseline_pays_diameter_where_ampc_does_not() {
     // The motivating separation: on a path, MPC min-label needs Θ(n)
     // rounds; Algorithm 1 stays in the tens.
     let g = adaptive_mpc_connectivity::graph::generators::path(3000);
-    let ampc = connected_components_forest(&g, &ForestCcConfig::default()).unwrap();
+    let ampc =
+        connected_components_forest(g.as_forest().unwrap(), &ForestCcConfig::default()).unwrap();
     let mpc = min_label_propagation(&g);
     assert!(ampc.rounds() < 64);
     assert!(mpc.rounds >= 2999);

@@ -61,7 +61,7 @@ fn forest_pipeline_matches_union_find() {
         let g = arb_forest(&mut rng, 400);
         let seed = rng.next_below(1000);
         let cfg = ForestCcConfig::default().with_seed(seed);
-        let res = connected_components_forest(&g, &cfg).unwrap();
+        let res = connected_components_forest(g.as_forest().unwrap(), &cfg).unwrap();
         assert!(
             res.labeling.same_partition(&reference_components(&g)),
             "case {case}: forest pipeline mismatch (n={}, seed={seed})",

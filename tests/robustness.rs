@@ -60,7 +60,7 @@ fn cap_stalls_are_bounded_not_fatal() {
 fn single_machine_deployment() {
     let g = random_forest(3000, 20, 5);
     let cfg = ForestCcConfig { machines: 1, ..ForestCcConfig::default() };
-    let res = connected_components_forest(&g, &cfg).unwrap();
+    let res = connected_components_forest(g.as_forest().unwrap(), &cfg).unwrap();
     assert!(res.labeling.same_partition(&reference_components(&g)));
 }
 
@@ -68,7 +68,7 @@ fn single_machine_deployment() {
 fn more_machines_than_items() {
     let g = random_forest(100, 5, 5);
     let cfg = ForestCcConfig { machines: 4096, ..ForestCcConfig::default() };
-    let res = connected_components_forest(&g, &cfg).unwrap();
+    let res = connected_components_forest(g.as_forest().unwrap(), &cfg).unwrap();
     assert!(res.labeling.same_partition(&reference_components(&g)));
 }
 
@@ -78,7 +78,7 @@ fn machine_count_does_not_change_results() {
     let run = |machines: usize| {
         let mut cfg = ForestCcConfig::default().with_seed(21);
         cfg.machines = machines;
-        connected_components_forest(&g, &cfg).unwrap()
+        connected_components_forest(g.as_forest().unwrap(), &cfg).unwrap()
     };
     let a = run(1);
     let b = run(7);
@@ -109,7 +109,7 @@ fn minimal_rank_width_b1() {
     // adjacent-leader ownership; Step 2 carries the whole load (Lemma 3.8).
     let g = random_forest(1500, 10, 17);
     let cfg = ForestCcConfig { b0: 1, double_b: false, ..ForestCcConfig::default() };
-    let res = connected_components_forest(&g, &cfg).unwrap();
+    let res = connected_components_forest(g.as_forest().unwrap(), &cfg).unwrap();
     assert!(res.labeling.same_partition(&reference_components(&g)));
 }
 
@@ -117,7 +117,7 @@ fn minimal_rank_width_b1() {
 fn both_ablations_disabled_simultaneously() {
     let g = random_forest(1200, 30, 19);
     let cfg = ForestCcConfig { enable_step2: false, double_b: false, ..ForestCcConfig::default() };
-    let res = connected_components_forest(&g, &cfg).unwrap();
+    let res = connected_components_forest(g.as_forest().unwrap(), &cfg).unwrap();
     assert!(res.labeling.same_partition(&reference_components(&g)));
 }
 
@@ -127,7 +127,7 @@ fn zero_collect_threshold_finishes_distributed() {
     // singleton on its own.
     let g = random_forest(2000, 8, 23);
     let cfg = ForestCcConfig { collect_threshold: 0, ..ForestCcConfig::default() };
-    let res = connected_components_forest(&g, &cfg).unwrap();
+    let res = connected_components_forest(g.as_forest().unwrap(), &cfg).unwrap();
     assert!(res.labeling.same_partition(&reference_components(&g)));
     assert!(!res.finisher.collected_locally);
 }
@@ -141,7 +141,7 @@ fn huge_collect_threshold_solves_locally() {
         max_iterations: 0,
         ..ForestCcConfig::default()
     };
-    let res = connected_components_forest(&g, &cfg).unwrap();
+    let res = connected_components_forest(g.as_forest().unwrap(), &cfg).unwrap();
     assert!(res.labeling.same_partition(&reference_components(&g)));
     assert!(res.finisher.collected_locally);
 }
@@ -172,7 +172,8 @@ fn adversarial_vertex_id_orderings() {
             })
             .collect();
         let g = adaptive_mpc_connectivity::graph::Graph::from_edges(n as usize, &edges);
-        let res = connected_components_forest(&g, &ForestCcConfig::default()).unwrap();
+        let res = connected_components_forest(g.as_forest().unwrap(), &ForestCcConfig::default())
+            .unwrap();
         assert!(res.labeling.same_partition(&reference_components(&g)), "id permutation {perm}");
     }
 }
@@ -189,7 +190,9 @@ fn hard_enforcement_surfaces_as_error() {
     let mut st =
         CycleState::from_successors(&succ, AmpcConfig::default().with_machines(2).with_budget(4));
     let err = shrink_small_cycles(&mut st, 4, 1 << 16, true).unwrap_err();
-    let AmpcError::LimitExceeded(v) = err;
+    let AmpcError::LimitExceeded(v) = err else {
+        panic!("expected a limit breach, got {err}");
+    };
     assert_eq!(v.budget, 4);
     assert!(!v.round_name.is_empty());
 }
