@@ -22,9 +22,9 @@ fn trace() {
     println!("{}", res.stats.round_table());
     println!(
         "total: {} rounds, {} queries, peak space {} words",
-        res.rounds(),
-        res.queries(),
-        res.peak_space()
+        res.stats.rounds(),
+        res.stats.total_queries(),
+        res.stats.peak_total_space()
     );
 }
 

@@ -11,7 +11,7 @@ use ampc_cc::cycles::CycleState;
 use ampc_cc::forest::pipeline::{connected_components_forest, ForestCcConfig};
 use ampc_cc::forest::ranks::{pi_b, sample_rank};
 use ampc_cc::forest::shrink_small::shrink_small_cycles;
-use ampc_cc::general::algorithm2::{connected_components_general, GeneralCcConfig};
+use ampc_cc::general::algorithm2::{connected_components_general, CallEnd, GeneralCcConfig};
 use ampc_cc::general::bdeplus::theorem41;
 use ampc_cc::general::sampling::{algorithm2_sample_probability, crossing_edges, sample_edges};
 use ampc_cc::general::shrink_general::shrink_general;
@@ -65,16 +65,22 @@ pub fn e1_forest_rounds(quick: bool) -> Table {
                 let res = connected_components_forest(g.as_forest().expect("a forest"), &cfg)
                     .expect("forest cc");
                 assert_correct(&g, &res.labeling, "E1");
-                rows.push((res.iterations.len(), res.rounds(), res.queries(), res.peak_space()));
+                let s = &res.stats;
+                rows.push((
+                    res.iterations.len(),
+                    s.rounds(),
+                    s.total_queries(),
+                    s.peak_total_space(),
+                ));
                 t.push(vec![
                     fam.name().into(),
                     big(n),
                     backend.name().into(),
                     log_star(n as f64).to_string(),
                     res.iterations.len().to_string(),
-                    res.rounds().to_string(),
-                    f2(res.queries() as f64 / n as f64),
-                    f2(res.peak_space() as f64 / n as f64),
+                    s.rounds().to_string(),
+                    f2(s.total_queries() as f64 / n as f64),
+                    f2(s.peak_total_space() as f64 / n as f64),
                 ]);
             }
             assert_eq!(rows[0], rows[1], "E1: backends disagreed on counted quantities");
@@ -109,9 +115,9 @@ pub fn e2_forest_tradeoff(quick: bool) -> Table {
             k.to_string(),
             cfg.b0.to_string(),
             res.iterations.len().to_string(),
-            res.rounds().to_string(),
+            res.stats.rounds().to_string(),
             f2(iter1_q as f64 / n as f64),
-            f2(res.peak_space() as f64 / n as f64),
+            f2(res.stats.peak_total_space() as f64 / n as f64),
             f2(log_iter(n as f64, k)),
         ]);
     }
@@ -205,9 +211,9 @@ pub fn e5_general_rounds(quick: bool) -> Table {
         assert_correct(&g, &res.labeling, "E5");
         t.push(vec![
             k.to_string(),
-            res.cc_calls.to_string(),
-            res.base_case_calls.to_string(),
-            res.max_depth_reached.to_string(),
+            res.calls.len().to_string(),
+            res.calls.iter().filter(|c| c.end == CallEnd::BaseCase).count().to_string(),
+            res.calls.iter().map(|c| c.depth).max().unwrap_or(0).to_string(),
             res.stats.rounds().to_string(),
             big(res.stats.peak_total_space()),
             big(res.budget.t),
@@ -244,7 +250,7 @@ pub fn e6_shrink_general(quick: bool) -> Table {
             big(out.bfs_queries),
             f2(mlogt),
             f2(out.bfs_queries as f64 / mlogt),
-            f2(out.roots as f64 / out.n3 as f64 * tpar as f64),
+            f2(out.h.n() as f64 / out.n3 as f64 * tpar as f64),
         ]);
     }
     t
@@ -304,9 +310,9 @@ pub fn e8_baseline_comparison(quick: bool) -> Table {
     t.push(vec![
         format!("path n={}", big(n)),
         "AMPC Alg.1 (Thm 1.1)".into(),
-        res.rounds().to_string(),
-        big(res.queries()),
-        big(res.peak_space()),
+        res.stats.rounds().to_string(),
+        big(res.stats.total_queries()),
+        big(res.stats.peak_total_space()),
     ]);
     let mpc = min_label_propagation(&g);
     assert_correct(&g, &mpc.labeling, "E8 mpc");
@@ -402,8 +408,8 @@ pub fn e9_ablations(quick: bool) -> Table {
                 wname.into(),
                 vname.into(),
                 res.iterations.len().to_string(),
-                res.rounds().to_string(),
-                f2(res.queries() as f64 / g.n() as f64),
+                res.stats.rounds().to_string(),
+                f2(res.stats.total_queries() as f64 / g.n() as f64),
             ]);
         }
     }

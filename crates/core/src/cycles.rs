@@ -45,7 +45,7 @@
 //! `CycleState::settle`: ids are `0..n0`, so a mark is an array store, not a
 //! hash-set insert.
 
-use ampc::{AmpcConfig, AmpcResult, AmpcSystem, Key, MachineCtx, RunStats, Space, SpaceWords};
+use ampc::{AmpcConfig, AmpcResult, AmpcSystem, Key, MachineCtx, Space, SpaceWords};
 use ampc_graph::euler::CycleDecomposition;
 
 /// Keyspace: forward pointer + rank.
@@ -271,11 +271,6 @@ impl CycleState {
     pub fn compose_arcs(&mut self, arcs: &[u64], max_chain: usize) -> AmpcResult<Vec<u64>> {
         Ok(chase_roots(&mut self.sys, "compose", PARENT, arcs, max_chain + 1, 1)?.0)
     }
-
-    /// Accumulated run statistics.
-    pub fn stats(&self) -> &RunStats {
-        self.sys.stats()
-    }
 }
 
 #[cfg(test)]
@@ -363,7 +358,7 @@ mod tests {
                 Dht::Dense(dense) => dense.overflow_len(),
                 _ => 0,
             },
-            stats: format!("{:?}", st.stats()),
+            stats: format!("{:?}", st.sys.stats()),
             alive: st.alive.clone(),
             roots: st.roots.clone(),
         }
@@ -484,8 +479,8 @@ mod tests {
         assert_eq!(some.compose_arcs(&[6, 5, 2], 4).unwrap(), [6, 3, 0]);
         // Three hops from 2 and from 5, one from 6; the full compose also
         // walks 0, 1, 3 and 4.
-        assert_eq!(some.stats().total_queries(), 7);
-        assert_eq!(all.stats().total_queries(), 7 + 1 + 2 + 1 + 2);
+        assert_eq!(some.sys.stats().total_queries(), 7);
+        assert_eq!(all.sys.stats().total_queries(), 7 + 1 + 2 + 1 + 2);
     }
 
     #[test]

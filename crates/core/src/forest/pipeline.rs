@@ -141,23 +141,6 @@ pub struct ForestCcResult {
     pub cycle_vertices: usize,
 }
 
-impl ForestCcResult {
-    /// Total AMPC rounds (the paper's headline metric).
-    pub fn rounds(&self) -> usize {
-        self.stats.rounds()
-    }
-
-    /// Peak per-round total space in words.
-    pub fn peak_space(&self) -> usize {
-        self.stats.peak_total_space()
-    }
-
-    /// Total DHT queries.
-    pub fn queries(&self) -> usize {
-        self.stats.total_queries()
-    }
-}
-
 /// Computes the connected components of a forest per Algorithm 1.
 ///
 /// ```
@@ -308,8 +291,8 @@ mod tests {
     fn rounds_stay_near_log_star() {
         // Theorem 1.1 shape: rounds grow like log* n — i.e. between n = 2^10
         // and n = 2^17 the round count should stay within a small constant.
-        let r10 = check(&random_forest(1 << 10, 4, 7), &ForestCcConfig::default()).rounds();
-        let r17 = check(&random_forest(1 << 17, 4, 7), &ForestCcConfig::default()).rounds();
+        let r10 = check(&random_forest(1 << 10, 4, 7), &ForestCcConfig::default()).stats.rounds();
+        let r17 = check(&random_forest(1 << 17, 4, 7), &ForestCcConfig::default()).stats.rounds();
         assert!(r17 <= r10 + 24, "rounds grew from {r10} to {r17}: not log*-like");
     }
 
@@ -319,7 +302,7 @@ mod tests {
         let n = 1 << 16;
         let g = random_forest(n, 8, 9);
         let res = check(&g, &ForestCcConfig::default());
-        let per_vertex = res.peak_space() as f64 / n as f64;
+        let per_vertex = res.stats.peak_total_space() as f64 / n as f64;
         assert!(per_vertex < 24.0, "peak space {per_vertex} words/vertex not linear");
     }
 
@@ -346,8 +329,8 @@ mod tests {
         let a = connected_components_forest(g.as_forest().unwrap(), &cfg).unwrap();
         let b = connected_components_forest(g.as_forest().unwrap(), &cfg).unwrap();
         assert_eq!(a.labeling.0, b.labeling.0);
-        assert_eq!(a.rounds(), b.rounds());
-        assert_eq!(a.queries(), b.queries());
+        assert_eq!(a.stats.rounds(), b.stats.rounds());
+        assert_eq!(a.stats.total_queries(), b.stats.total_queries());
     }
 
     #[test]

@@ -64,8 +64,6 @@ pub struct IterationOutcome {
     pub finished_cycles: usize,
     /// DHT queries issued during the iteration.
     pub queries: usize,
-    /// AMPC rounds consumed (constant: 4, or 3 with Step 2 disabled).
-    pub rounds: usize,
 }
 
 /// Step 2's two 16B-hop scans from one vertex, merged into `fwd`: when they
@@ -102,7 +100,6 @@ pub fn shrink_small_cycles(
 ) -> AmpcResult<IterationOutcome> {
     let alive_before = state.alive.len();
     let queries_before = state.sys.stats().total_queries();
-    let rounds_before = state.sys.stats().rounds();
 
     // Round 1: sample ranks, publish them in both pointer words, reset stamps.
     state.sys.machine_round("ssc-ranks", &state.alive, |ctx, chunk, _: &mut Vec<()>| {
@@ -278,7 +275,6 @@ pub fn shrink_small_cycles(
         step2_contracted,
         finished_cycles,
         queries: state.sys.stats().total_queries() - queries_before,
-        rounds: state.sys.stats().rounds() - rounds_before,
     })
 }
 

@@ -36,10 +36,9 @@ pub struct StandardCycleOutcome {
     pub b: u16,
     /// High-budget iterations executed.
     pub iterations: usize,
-    /// Whether the tiny-remainder local collection fired.
+    /// Whether the tiny-remainder local collection fired (charged one
+    /// round).
     pub collected_locally: bool,
-    /// AMPC rounds consumed (including the charged collection round).
-    pub rounds: usize,
     /// DHT queries issued (including charged collection reads).
     pub queries: usize,
 }
@@ -51,7 +50,6 @@ pub fn standard_cycle_cc(
     walk_cap: usize,
     collect_threshold: usize,
 ) -> AmpcResult<StandardCycleOutcome> {
-    let rounds_before = state.sys.stats().rounds();
     let queries_before = state.sys.stats().total_queries();
     let b = (state.n0.max(4) as f64).log2().ceil().clamp(4.0, 16.0) as u16;
 
@@ -74,7 +72,6 @@ pub fn standard_cycle_cc(
         b,
         iterations,
         collected_locally,
-        rounds: state.sys.stats().rounds() - rounds_before,
         queries: state.sys.stats().total_queries() - queries_before,
     })
 }

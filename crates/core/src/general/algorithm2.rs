@@ -22,11 +22,12 @@
 
 use ampc::{AmpcConfig, AmpcResult, Budget, DhtBackend, RunStats};
 use ampc_graph::contract::{compose_labels, contract};
-use ampc_graph::{reference_components, Graph, Labeling};
+use ampc_graph::{Graph, Labeling};
 
 use crate::general::bdeplus::theorem41;
 use crate::general::sampling::{algorithm2_sample_probability, sample_edges};
 use crate::general::shrink_general::shrink_general;
+use crate::general::solve_locally;
 use crate::log_iter;
 
 /// Inputs at most this size are solved on one machine.
@@ -115,8 +116,19 @@ pub struct CallReport {
     pub m: usize,
     /// Available space per vertex, `T/n`.
     pub space_per_vertex: f64,
-    /// Whether the call bottomed out (base case or small input).
-    pub terminal: bool,
+    /// How the call finished.
+    pub end: CallEnd,
+}
+
+/// How a `ConnectedComponents` call finished.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CallEnd {
+    /// It sampled, shrank and recursed (Algorithm 2, lines 5–7).
+    Recursed,
+    /// It was solved on one machine ([`solve_locally`]).
+    Local,
+    /// It ran the Theorem 4.1 solver (line 3's base case).
+    BaseCase,
 }
 
 /// Result of an Algorithm 2 run.
@@ -126,15 +138,10 @@ pub struct GeneralCcResult {
     pub labeling: Labeling,
     /// Aggregated AMPC accounting across the whole recursion.
     pub stats: RunStats,
-    /// Number of `ConnectedComponents` calls (Lemma 4.6's `2^O(k)`).
-    pub cc_calls: usize,
-    /// Deepest recursion level reached.
-    pub max_depth_reached: usize,
-    /// How many calls bottomed out in the Theorem 4.1 solver.
-    pub base_case_calls: usize,
     /// The budget `S` and `T` the run was configured with.
     pub budget: Budget,
-    /// One record per `ConnectedComponents` call, in call order.
+    /// One record per `ConnectedComponents` call, in call order: its length
+    /// is Lemma 4.6's `2^O(k)` call count.
     pub calls: Vec<CallReport>,
 }
 
@@ -142,9 +149,6 @@ struct Driver<'a> {
     cfg: &'a GeneralCcConfig,
     budget: Budget,
     stats: RunStats,
-    cc_calls: usize,
-    base_case_calls: usize,
-    max_depth: usize,
     seed_ctr: u64,
     calls: Vec<CallReport>,
 }
@@ -164,26 +168,22 @@ impl Driver<'_> {
 
     /// Algorithm 2, lines 1–7.
     fn connected_components(&mut self, g: &Graph, depth: usize) -> AmpcResult<Vec<u64>> {
-        self.cc_calls += 1;
-        self.max_depth = self.max_depth.max(depth);
         let (n, m) = (g.n(), g.m());
         let space_per_vertex = self.budget.t as f64 / n.max(1) as f64;
         let call_idx = self.calls.len();
-        self.calls.push(CallReport { depth, n, m, space_per_vertex, terminal: false });
+        self.calls.push(CallReport { depth, n, m, space_per_vertex, end: CallEnd::Recursed });
 
-        // Degenerate / small inputs: solve on one machine (charged). Only
-        // vertices with an edge count towards fitting it.
+        // Degenerate / small inputs: solve on one machine. Only vertices
+        // with an edge count towards fitting it.
         let live = g.non_isolated();
         if live <= SMALL_THRESHOLD || live + 2 * m <= self.budget.s || depth >= MAX_DEPTH {
-            self.calls[call_idx].terminal = true;
-            self.stats.charge_external(1, n + 2 * m, n + 2 * m);
-            return Ok(reference_components(g).0);
+            self.calls[call_idx].end = CallEnd::Local;
+            return Ok(solve_locally(&mut self.stats, g).0);
         }
 
         // Line 3: base case when space per vertex is polynomially large.
         if space_per_vertex >= (n as f64).powf(self.cfg.gamma) {
-            self.calls[call_idx].terminal = true;
-            self.base_case_calls += 1;
+            self.calls[call_idx].end = CallEnd::BaseCase;
             let cfg = self.ampc_cfg();
             let res = theorem41(g, self.budget, &cfg)?;
             self.stats.absorb(&res.stats);
@@ -212,8 +212,7 @@ impl Driver<'_> {
     fn shrink_recurse(&mut self, g: &Graph, depth: usize) -> AmpcResult<Vec<u64>> {
         let n = g.n().max(1);
         if g.non_isolated() <= SMALL_THRESHOLD {
-            self.stats.charge_external(1, g.n() + 2 * g.m(), g.n() + 2 * g.m());
-            return Ok(reference_components(g).0);
+            return Ok(solve_locally(&mut self.stats, g).0);
         }
         // t = min(2^√(T/n), √S), at least 2 so progress is made.
         let exponent = (self.budget.t as f64 / n as f64).max(1.0).sqrt();
@@ -223,13 +222,11 @@ impl Driver<'_> {
         let out = shrink_general(g, t, self.budget.s, cfg)?;
         self.stats.absorb(&out.stats);
 
-        let sub = if out.h.n() >= g.n() {
+        if out.h.n() >= g.n() {
             // No reduction (degenerate t): avoid infinite recursion.
-            self.stats.charge_external(1, g.n() + 2 * g.m(), g.n() + 2 * g.m());
-            reference_components(&out.h).0
-        } else {
-            self.connected_components(&out.h, depth + 1)?
-        };
+            return Ok(solve_locally(&mut self.stats, g).0);
+        }
+        let sub = self.connected_components(&out.h, depth + 1)?;
         Ok(out.to_h.iter().map(|&cls| sub[cls as usize]).collect())
     }
 }
@@ -239,12 +236,11 @@ impl Driver<'_> {
 /// ```
 /// use ampc_cc::general::algorithm2::{connected_components_general, GeneralCcConfig};
 /// use ampc_graph::generators::erdos_renyi_gnm;
-/// use ampc_graph::reference_components;
 ///
 /// let g = erdos_renyi_gnm(500, 1500, 7);
 /// let cfg = GeneralCcConfig::default().with_k(2);
 /// let result = connected_components_general(&g, &cfg)?;
-/// assert!(result.labeling.same_partition(&reference_components(&g)));
+/// assert!(result.labeling.validates(&g));
 /// # Ok::<(), ampc::AmpcError>(())
 /// ```
 pub fn connected_components_general(
@@ -255,9 +251,6 @@ pub fn connected_components_general(
         cfg,
         budget: cfg.budget(g.n(), g.m()),
         stats: RunStats::new(),
-        cc_calls: 0,
-        base_case_calls: 0,
-        max_depth: 0,
         seed_ctr: 0,
         calls: Vec::new(),
     };
@@ -265,9 +258,6 @@ pub fn connected_components_general(
     Ok(GeneralCcResult {
         labeling: Labeling(labels),
         stats: driver.stats,
-        cc_calls: driver.cc_calls,
-        max_depth_reached: driver.max_depth,
-        base_case_calls: driver.base_case_calls,
         budget: driver.budget,
         calls: driver.calls,
     })
@@ -279,6 +269,7 @@ mod tests {
     use ampc_graph::generators::{
         barbell, disjoint_cliques, erdos_renyi_gnm, grid2d, preferential_attachment, GraphFamily,
     };
+    use ampc_graph::reference_components;
 
     fn check(g: &Graph, cfg: &GeneralCcConfig) -> GeneralCcResult {
         let res = connected_components_general(g, cfg).unwrap();
@@ -321,7 +312,7 @@ mod tests {
         // for k=2 and these sizes should be a small constant.
         let g = erdos_renyi_gnm(8000, 32_000, 6);
         let res = check(&g, &GeneralCcConfig::default().with_k(2));
-        assert!(res.cc_calls <= 64, "cc_calls = {}", res.cc_calls);
+        assert!(res.calls.len() <= 64, "{} calls", res.calls.len());
     }
 
     #[test]
@@ -330,10 +321,10 @@ mod tests {
         let roomy = check(&g, &GeneralCcConfig::default().with_k(1));
         let tight = check(&g, &GeneralCcConfig::default().with_k(4));
         assert!(
-            roomy.cc_calls <= tight.cc_calls,
+            roomy.calls.len() <= tight.calls.len(),
             "k=1 used {} calls, k=4 used {}",
-            roomy.cc_calls,
-            tight.cc_calls
+            roomy.calls.len(),
+            tight.calls.len()
         );
     }
 
@@ -352,7 +343,7 @@ mod tests {
         let a = connected_components_general(&g, &cfg).unwrap();
         let b = connected_components_general(&g, &cfg).unwrap();
         assert_eq!(a.labeling.0, b.labeling.0);
-        assert_eq!(a.cc_calls, b.cc_calls);
+        assert_eq!(a.calls.len(), b.calls.len());
         assert_eq!(a.stats.rounds(), b.stats.rounds());
     }
 
@@ -366,7 +357,6 @@ mod tests {
         cfg.gamma = 0.75;
         cfg.space_const = 1.0;
         let res = check(&g, &cfg);
-        assert_eq!(res.calls.len(), res.cc_calls);
         assert!(res.calls.iter().any(|c| c.depth > 0), "recursion never fired");
         for w in res.calls.windows(2) {
             if w[1].depth > w[0].depth {
@@ -379,7 +369,25 @@ mod tests {
             }
         }
         // Every chain ends in a terminal call.
-        assert!(res.calls.iter().filter(|c| c.terminal).count() >= 1);
+        assert!(res.calls.iter().filter(|c| c.end != CallEnd::Recursed).count() >= 1);
+    }
+
+    #[test]
+    fn the_call_log_holds_e5s_counts() {
+        // E5's quick configuration. Each row is (calls, base cases, depth),
+        // as the separate call, base-case and depth counters reported them
+        // before the log became the only record.
+        let g = erdos_renyi_gnm(1 << 11, 1 << 13, 0xE5);
+        let expected = [(2, 1, 1), (3, 0, 2), (3, 0, 2), (4, 0, 3), (4, 0, 3)];
+        for (k, want) in (1..=5u32).zip(expected) {
+            let mut cfg = GeneralCcConfig::default().with_seed(0xE5).with_k(k);
+            cfg.gamma = 0.75;
+            cfg.space_const = 1.0;
+            let calls = check(&g, &cfg).calls;
+            let base = calls.iter().filter(|c| c.end == CallEnd::BaseCase).count();
+            let depth = calls.iter().map(|c| c.depth).max().unwrap_or(0);
+            assert_eq!((calls.len(), base, depth), want, "k = {k}");
+        }
     }
 
     #[test]

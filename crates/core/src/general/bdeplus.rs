@@ -13,9 +13,10 @@
 //! single machine.
 
 use ampc::{AmpcConfig, AmpcError, AmpcResult, Budget, RunStats};
-use ampc_graph::{reference_components, Graph, Labeling};
+use ampc_graph::{Graph, Labeling};
 
 use crate::general::shrink_general::shrink_general;
+use crate::general::solve_locally;
 
 /// `ShrinkGeneral` levels before the loop gives up with
 /// [`AmpcError::NoConvergence`]; the analysis needs `O(log log n)`.
@@ -28,9 +29,7 @@ pub struct BdePlusResult {
     pub labeling: Labeling,
     /// AMPC accounting (all levels absorbed).
     pub stats: RunStats,
-    /// `ShrinkGeneral` levels executed.
-    pub levels: usize,
-    /// Exploration budgets used per level.
+    /// Exploration budget of each `ShrinkGeneral` level executed, in order.
     pub budgets: Vec<usize>,
 }
 
@@ -47,13 +46,11 @@ pub fn theorem41(g: &Graph, budget: Budget, ampc_cfg: &AmpcConfig) -> AmpcResult
 
     let base_labels: Labeling = loop {
         let n = cur.n().max(1);
-        // Base case: remainder fits one machine → collect and solve locally
-        // (charged one round and its footprint). Only vertices with an edge
-        // count towards fitting it.
+        // Base case: remainder fits one machine → collect and solve
+        // locally. Only vertices with an edge count towards fitting it.
         let live = cur.non_isolated();
         if live + cur.m() <= budget.s || live <= 64 {
-            stats.charge_external(1, cur.n() + 2 * cur.m(), cur.n() + 2 * cur.m());
-            break reference_components(&cur);
+            break solve_locally(&mut stats, &cur);
         }
         let t = (budget.t / n).clamp(2, budget.sqrt_s());
         budgets.push(t);
@@ -63,8 +60,7 @@ pub fn theorem41(g: &Graph, budget: Budget, ampc_cfg: &AmpcConfig) -> AmpcResult
         stats.absorb(&out.stats);
         if out.h.n() >= cur.n() {
             // No progress (t degenerated): finish locally for correctness.
-            stats.charge_external(1, cur.n() + 2 * cur.m(), cur.n() + 2 * cur.m());
-            break reference_components(&cur);
+            break solve_locally(&mut stats, &cur);
         }
         levels.push(out.to_h);
         cur = out.h;
@@ -78,15 +74,15 @@ pub fn theorem41(g: &Graph, budget: Budget, ampc_cfg: &AmpcConfig) -> AmpcResult
     for to_h in levels.iter().rev() {
         labels = to_h.iter().map(|&c| labels[c as usize]).collect();
     }
-    let level_count = levels.len();
 
-    Ok(BdePlusResult { labeling: Labeling(labels), stats, levels: level_count, budgets })
+    Ok(BdePlusResult { labeling: Labeling(labels), stats, budgets })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ampc_graph::generators::{disjoint_cliques, erdos_renyi_gnm, grid2d};
+    use ampc_graph::reference_components;
 
     fn cfg() -> AmpcConfig {
         AmpcConfig::default().with_machines(4).with_seed(99)
@@ -128,10 +124,10 @@ mod tests {
         let tight = check(&g, 3 * 16_000, 4_000);
         let roomy = check(&g, 60 * 16_000, 4_000);
         assert!(
-            roomy.levels <= tight.levels,
+            roomy.budgets.len() <= tight.budgets.len(),
             "more space used more levels: {} vs {}",
-            roomy.levels,
-            tight.levels
+            roomy.budgets.len(),
+            tight.budgets.len()
         );
         assert!(roomy.budgets.first().unwrap_or(&0) >= tight.budgets.first().unwrap_or(&0));
     }
@@ -140,6 +136,6 @@ mod tests {
     fn tiny_graph_short_circuits() {
         let g = erdos_renyi_gnm(50, 80, 3);
         let res = check(&g, 10_000, 10_000);
-        assert_eq!(res.levels, 0);
+        assert_eq!(res.budgets.len(), 0);
     }
 }

@@ -186,7 +186,8 @@ impl Bfs {
 /// Result of a `ShrinkGeneral` invocation.
 #[derive(Debug)]
 pub struct ShrinkGeneralOutcome {
-    /// The shrunk graph `H` (a contraction of `G3`, hence of `G`).
+    /// The shrunk graph `H` (a contraction of `G3`, hence of `G`): one
+    /// vertex per super-edge root, `E = O(m/t)` by Lemma 3.3 of [BDE+20].
     pub h: Graph,
     /// Mapping from input vertices to `H` vertices (any gadget copy works:
     /// copies of one vertex are connected in `G3`, so their classes lie in
@@ -196,8 +197,6 @@ pub struct ShrinkGeneralOutcome {
     pub stats: RunStats,
     /// Queries spent in the truncated-BFS round (Claim 4.11's `O(m log t)`).
     pub bfs_queries: usize,
-    /// Number of super-edge roots (`E = O(m/t)` by Lemma 3.3 of [BDE+20]).
-    pub roots: usize,
     /// Vertices of the degree-3 transform.
     pub n3: usize,
     /// Rounds spent chasing super-edge parents (1 unless chains exceeded
@@ -272,16 +271,7 @@ pub fn shrink_general(
     let to_h = g3.base[..g.n()].iter().map(|&copy| contraction.class_of[copy as usize]).collect();
 
     let (_, stats) = sys.finish();
-    Ok(ShrinkGeneralOutcome {
-        // One vertex of H per root, i.e. per class of C.
-        roots: contraction.graph.n(),
-        h: contraction.graph,
-        to_h,
-        stats,
-        bfs_queries,
-        n3,
-        chase_rounds,
-    })
+    Ok(ShrinkGeneralOutcome { h: contraction.graph, to_h, stats, bfs_queries, n3, chase_rounds })
 }
 
 #[cfg(test)]
@@ -333,7 +323,7 @@ mod tests {
         let g = erdos_renyi_gnm(3000, 9000, 11);
         let t = 16usize;
         let out = assert_cc_shrinking(&g, t, 5);
-        let rate = out.roots as f64 / out.n3 as f64;
+        let rate = out.h.n() as f64 / out.n3 as f64;
         // Lemma 3.3 of [BDE+20]: P(root) = O(1/t). Allow a small constant.
         assert!(rate < 4.0 / t as f64, "root rate {rate} vs 1/t = {}", 1.0 / t as f64);
     }

@@ -45,7 +45,7 @@ fn fingerprint(g: &Graph, t: usize, backend: DhtBackend) -> u64 {
         out.h.n(),
         out.to_h,
         out.bfs_queries,
-        out.roots,
+        out.h.n(),
         out.chase_rounds,
         out.stats
     ))

@@ -57,9 +57,9 @@ fn main() {
     );
     println!(
         "total: {} AMPC rounds, {:.1} queries/segment, {:.1} peak words/segment",
-        res.rounds(),
-        res.queries() as f64 / g.n() as f64,
-        res.peak_space() as f64 / g.n() as f64
+        res.stats.rounds(),
+        res.stats.total_queries() as f64 / g.n() as f64,
+        res.stats.peak_total_space() as f64 / g.n() as f64
     );
     println!("watersheds labeled: {}", res.labeling.num_components());
 }

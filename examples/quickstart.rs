@@ -23,18 +23,18 @@ fn main() {
     println!("forest: n = {}, components = {}", forest.n(), result.labeling.num_components());
     println!(
         "  AMPC rounds = {}  (log* n = {})",
-        result.rounds(),
+        result.stats.rounds(),
         adaptive_mpc_connectivity::cc::log_star(forest.n() as f64)
     );
     println!(
         "  total queries = {} ({:.1} per vertex)",
-        result.queries(),
-        result.queries() as f64 / forest.n() as f64
+        result.stats.total_queries(),
+        result.stats.total_queries() as f64 / forest.n() as f64
     );
     println!(
         "  peak round space = {} words ({:.1} per vertex — linear, as Theorem 1.1 promises)",
-        result.peak_space(),
-        result.peak_space() as f64 / forest.n() as f64
+        result.stats.peak_total_space(),
+        result.stats.peak_total_space() as f64 / forest.n() as f64
     );
 
     // ----- Theorem 1.2: general graphs in 2^O(k) rounds -----
@@ -50,7 +50,7 @@ fn main() {
     );
     println!(
         "  recursive ConnectedComponents calls = {} (Lemma 4.6: 2^O(k), k = 2)",
-        result.cc_calls
+        result.calls.len()
     );
     println!("  AMPC rounds = {}", result.stats.rounds());
     println!("  space budget T = {} words", result.budget.t);

@@ -38,7 +38,7 @@ fn main() {
     assert!(ours.labeling.same_partition(&truth));
     println!("\nAlgorithm 2 (Theorem 1.2, k = 2):");
     println!("  components        = {}", ours.labeling.num_components());
-    println!("  cc calls          = {}", ours.cc_calls);
+    println!("  cc calls          = {}", ours.calls.len());
     println!("  AMPC rounds       = {}", ours.stats.rounds());
     println!("  total queries     = {}", ours.stats.total_queries());
     println!("  peak round space  = {} words", ours.stats.peak_total_space());
@@ -50,7 +50,7 @@ fn main() {
     let base = theorem41(&g, budget, &AmpcConfig::default().with_seed(99)).expect("theorem 4.1");
     assert!(base.labeling.same_partition(&truth));
     println!("\nBDE+21 Theorem 4.1 baseline (T = 8N):");
-    println!("  ShrinkGeneral levels = {} (budgets {:?})", base.levels, base.budgets);
+    println!("  ShrinkGeneral levels = {} (budgets {:?})", base.budgets.len(), base.budgets);
     println!("  AMPC rounds          = {}", base.stats.rounds());
     println!("  peak round space     = {} words", base.stats.peak_total_space());
 

@@ -35,8 +35,8 @@ fn main() {
             k,
             cfg.b0,
             res.iterations.len(),
-            res.rounds(),
-            res.peak_space() as f64 / n as f64,
+            res.stats.rounds(),
+            res.stats.peak_total_space() as f64 / n as f64,
             log_iter(n as f64, k),
         );
     }

@@ -20,6 +20,12 @@
 //!   --forest     Algorithm 1; an input with a cycle is refused (exit 1)
 //!   --general    Algorithm 2, on any input
 //!   --k K        space parameter (Theorems 1.1/1.2), at least 1, default 2
+//!   --seed S     run seed (default 204); the same seed gives the same
+//!                labels and counts. In query mode it also seeds the
+//!                synthetic workload and the --stream batches
+//!   --machines M simulated AMPC machines, at least 1, default 8. Labels,
+//!                rounds and queries do not depend on M; the per-machine
+//!                read and write maxima of a round do
 //!   --backend B  DHT storage backend: "dense" (default) or "dense:CAP" for
 //!                direct-indexed slabs of CAP ids per keyspace (unhinted
 //!                "dense" sizes slabs from the input) or "flat" for the
@@ -903,6 +909,9 @@ fn cmd_query(args: QueryArgs) -> Result<(), String> {
         return Err("--stream needs the graph file (a snapshot carries no edge list)".into());
     }
     let loaded = if has_file { Some(read_graph(&args.run)?) } else { None };
+    if args.stream > 0 && loaded.as_ref().is_some_and(|g| g.n() == 0) {
+        return Err("--stream needs a graph with at least one vertex to insert edges on".into());
+    }
 
     // One union-find pass is the oracle of either transport, computed up
     // front so the graph can be moved into the service (no second copy of a

@@ -57,7 +57,7 @@ fn forest_total_space_is_linear_in_n() {
         let res = connected_components_forest(g.as_forest().unwrap(), &ForestCcConfig::default())
             .unwrap();
         assert_round_identities(&res.stats);
-        let per_vertex = res.peak_space() as f64 / n as f64;
+        let per_vertex = res.stats.peak_total_space() as f64 / n as f64;
         assert!(per_vertex < 160.0, "n={n}: peak {per_vertex:.1} words/vertex — superlinear space");
     }
 }
@@ -70,7 +70,7 @@ fn forest_query_total_is_linear_in_n() {
         let res = connected_components_forest(g.as_forest().unwrap(), &ForestCcConfig::default())
             .unwrap();
         assert_round_identities(&res.stats);
-        let per_vertex = res.queries() as f64 / n as f64;
+        let per_vertex = res.stats.total_queries() as f64 / n as f64;
         assert!(
             per_vertex < 220.0,
             "n={n}: {per_vertex:.1} queries/vertex — superlinear total queries"

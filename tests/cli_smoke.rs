@@ -399,6 +399,28 @@ fn cli_query_stream_validates_journal_epochs() {
 }
 
 #[test]
+fn cli_query_stream_refuses_a_graph_with_no_vertex() {
+    // A streamed batch inserts edges between random vertices, so a graph
+    // with none is refused once it is read, before any round or query runs.
+    use std::io::Write as _;
+    let exe = env!("CARGO_BIN_EXE_ampc-cc");
+    for input in ["", "# nodes: 0\n"] {
+        let mut child = Command::new(exe)
+            .args(["query", "-", "--queries", "10", "--stream", "2"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("failed to spawn ampc-cc");
+        child.stdin.take().unwrap().write_all(input.as_bytes()).unwrap();
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{input:?}: exit {:?}\n{stderr}", out.status.code());
+        assert!(stderr.contains("error: --stream needs a graph with"), "{input:?}\n{stderr}");
+    }
+}
+
+#[test]
 fn cli_persist_then_boot_from_snapshot() {
     let exe = env!("CARGO_BIN_EXE_ampc-cc");
     let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/smoke.txt");

@@ -57,7 +57,7 @@ fn run_forest(g: &Graph, machines: usize, seed: u64) -> (Labeling, String, usize
     let cfg = ForestCcConfig::default().with_seed(seed).with_machines(machines);
     let res = connected_components_forest(g.as_forest().unwrap(), &cfg).expect("forest run");
     let fp = fingerprint(&res.labeling, &res.stats);
-    let rounds = res.rounds();
+    let rounds = res.stats.rounds();
     (res.labeling, fp, rounds)
 }
 
@@ -387,7 +387,7 @@ fn tradeoff_space_monotone_in_k() {
         cfg.skip_shrink_large = true;
         let res = connected_components_forest(g.as_forest().unwrap(), &cfg).expect("tradeoff run");
         assert!(res.labeling.same_partition(&truth), "k={k}");
-        let cur = (cfg.b0, res.peak_space(), res.queries());
+        let cur = (cfg.b0, res.stats.peak_total_space(), res.stats.total_queries());
         println!("tradeoff: k={k} b0={} peak={} queries={}", cur.0, cur.1, cur.2);
         if let Some(prev) = prev {
             assert!(cur.0 <= prev.0, "k={k}: B0 grew ({} > {})", cur.0, prev.0);

@@ -128,12 +128,14 @@ fn rounds_grow_sublogarithmically_on_forests() {
         &ForestCcConfig::default(),
     )
     .unwrap()
+    .stats
     .rounds();
     let r_large = connected_components_forest(
         ForestFamily::RandomTree.generate(1 << 17, 3).as_forest().unwrap(),
         &ForestCcConfig::default(),
     )
     .unwrap()
+    .stats
     .rounds();
     assert!(
         r_large <= r_small + 24,
@@ -149,7 +151,7 @@ fn mpc_baseline_pays_diameter_where_ampc_does_not() {
     let ampc =
         connected_components_forest(g.as_forest().unwrap(), &ForestCcConfig::default()).unwrap();
     let mpc = min_label_propagation(&g);
-    assert!(ampc.rounds() < 64);
+    assert!(ampc.stats.rounds() < 64);
     assert!(mpc.rounds >= 2999);
     assert!(ampc.labeling.same_partition(&mpc.labeling));
 }

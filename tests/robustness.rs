@@ -85,8 +85,8 @@ fn machine_count_does_not_change_results() {
     let c = run(64);
     assert_eq!(a.labeling.0, b.labeling.0);
     assert_eq!(b.labeling.0, c.labeling.0);
-    assert_eq!(a.rounds(), c.rounds());
-    assert_eq!(a.queries(), c.queries());
+    assert_eq!(a.stats.rounds(), c.stats.rounds());
+    assert_eq!(a.stats.total_queries(), c.stats.total_queries());
 }
 
 #[test]
